@@ -7,19 +7,24 @@ Every modular exponentiation in the crypto layer funnels through
 
 * :class:`PythonBackend` — the built-in three-argument ``pow``; the
   default, and the reference every other backend must match bit-for-bit.
-* :class:`FastPythonBackend` — still pure Python, two tricks on top:
-  CRT-split exponentiation modulo ``n^2`` when the caller can supply
-  the factorization (:class:`CrtParams`, available on the key-holder
-  side — obfuscator precompute runs ~2x faster because both half-size
-  exponentiations cost ~1/4 of the full-width one), and Lim–Lee
-  fixed-base comb tables (:class:`FixedBaseTable`) for the per-key
-  constant bases — ``g = n + 1`` powers and the ``h``-function terms —
-  which trade one-off table construction for ~``w``-fold fewer
-  multiplications on every later exponentiation of the same base.
+* :class:`FastPythonBackend` — still pure Python; adds a cache of
+  Lim–Lee fixed-base comb tables (:class:`FixedBaseTable`) for the
+  per-key constant bases, which trade one-off table construction for
+  ~``w``-fold fewer multiplications on every later exponentiation of
+  the same base.
 * :class:`Gmpy2Backend` — GMP via ``gmpy2`` when importable; the real
   raw-speed unlock on hosts that have it.  Import-gated: this module
   never imports ``gmpy2`` at module load, and
   :meth:`Gmpy2Backend.is_available` answers without raising.
+
+CRT splitting is not a backend feature: when the caller can supply the
+factorization (:class:`CrtParams`, available on the key-holder side),
+:meth:`CryptoBackend.powmod_crt` rebuilds the exponentiation modulo
+``n^2`` from half-width calls to the backend's own ``powmod`` — for the
+obfuscator ``r^n mod n^2`` two steps modulo ``p`` / ``q`` and two modulo
+``p^2`` / ``q^2``, each with a half-length exponent (measured 1.9x over
+the full-width pow at 512-bit keys, 2.3x at 1024, 2.8x at 2048; see
+EXPERIMENTS.md).  ``crt=None`` is the plain reference path.
 
 Backends are *transparent*: for identical inputs every backend returns
 the identical integer (CRT reconstruction and comb evaluation are exact
@@ -44,6 +49,7 @@ __all__ = [
     "auto_select",
     "available_backends",
     "create_backend",
+    "crt_combine",
 ]
 
 
@@ -53,31 +59,56 @@ class CrtParams:
 
     Only the key holder can build these (they encode ``p`` and ``q``);
     public contexts pass ``crt=None`` and get the plain full-width path.
+    Everything but the three constructor arguments is derived, so the
+    constants are consistent with each other by construction.
 
     Attributes:
-        p_squared: ``p ** 2``.
-        q_squared: ``q ** 2``.
-        q_sq_inv: ``invert(q^2, p^2)`` — Garner's recombination constant.
+        p, q: the prime factors of ``n``.
+        q_sq_inv: ``invert(q^2, p^2)`` — Garner's recombination constant
+            (passed in so the key holder computes it through the
+            observed :func:`~repro.crypto.math_utils.invert`).
+        n: ``p * q`` — the exponent the p-adic route recognizes.
+        p_squared, q_squared: ``p ** 2``, ``q ** 2``.
         modulus: ``n ** 2`` — the modulus these params split; dispatch
             ignores the params when the call's modulus differs.
+        exp_p, exp_q: ``q mod (p - 1)`` and ``p mod (q - 1)`` — the
+            half-width exponents of ``r^n`` modulo ``p`` and ``q``.
     """
 
-    p_squared: int = field(repr=False)
-    q_squared: int = field(repr=False)
+    p: int = field(repr=False)
+    q: int = field(repr=False)
     q_sq_inv: int = field(repr=False)
-    modulus: int = field(repr=False)
+    n: int = field(init=False, repr=False)
+    p_squared: int = field(init=False, repr=False)
+    q_squared: int = field(init=False, repr=False)
+    modulus: int = field(init=False, repr=False)
+    exp_p: int = field(init=False, repr=False)
+    exp_q: int = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        p, q = self.p, self.q
+        n = p * q
+        for name, value in (
+            ("n", n),
+            ("p_squared", p * p),
+            ("q_squared", q * q),
+            ("modulus", n * n),
+            ("exp_p", q % (p - 1)),
+            ("exp_q", p % (q - 1)),
+        ):
+            object.__setattr__(self, name, value)
 
 
-def _crt_powmod(base: int, exponent: int, crt: CrtParams) -> int:
-    """Exact ``pow(base, exponent, n^2)`` via two half-width pows.
+def crt_combine(residue_p: int, residue_q: int, p: int, q: int, q_inv_p: int) -> int:
+    """Combine residues modulo ``p`` and ``q`` into a residue modulo ``p*q``.
 
-    Garner's formula reconstructs the unique residue modulo
-    ``p^2 * q^2``; the result is bit-identical to the direct pow.
+    Uses Garner's formula; ``q_inv_p`` must equal ``invert(q, p)`` and is
+    passed in so hot paths can precompute it once per key.  The moduli
+    only need to be coprime: decryption combines over ``(p, q)``,
+    :meth:`CryptoBackend.powmod_crt` over ``(p^2, q^2)``.
     """
-    xp = pow(base % crt.p_squared, exponent, crt.p_squared)
-    xq = pow(base % crt.q_squared, exponent, crt.q_squared)
-    h = ((xp - xq) * crt.q_sq_inv) % crt.p_squared
-    return xq + h * crt.q_squared
+    h = (q_inv_p * (residue_p - residue_q)) % p
+    return residue_q + h * q
 
 
 class FixedBaseTable:
@@ -179,8 +210,35 @@ class CryptoBackend:
         raise NotImplementedError
 
     def powmod_crt(self, base: int, exponent: int, crt: CrtParams) -> int:
-        """CRT-split powmod mod ``crt.modulus``; plain powmod by default."""
-        return self.powmod(base, exponent, crt.modulus)
+        """Exact ``powmod(base, exponent, crt.modulus)`` from half-width steps.
+
+        The obfuscator exponent ``n = p * q`` takes the p-adic route:
+        ``x^p mod p^2`` depends only on ``x mod p``, so for a base that
+        is a unit modulo ``p``
+        ``base^n mod p^2 = ((base mod p)^(q mod (p-1)) mod p)^p mod p^2``
+        (Fermat's little theorem inside, the binomial theorem outside),
+        and symmetrically for ``q^2`` — two half-width steps with
+        half-length exponents per side instead of one full-width pow.
+        A base divisible by ``p`` or ``q`` is outside that identity and
+        takes the plain path.  Any other exponent is split over
+        ``p^2`` / ``q^2`` at full exponent length.  :func:`crt_combine`
+        then reconstructs the unique residue modulo ``p^2 * q^2``, so
+        the result is bit-identical to the direct pow.
+        """
+        if exponent == crt.n:
+            base_p, base_q = base % crt.p, base % crt.q
+            if not (base_p and base_q):
+                return self.powmod(base, exponent, crt.modulus)
+            xp = self.powmod(
+                self.powmod(base_p, crt.exp_p, crt.p), crt.p, crt.p_squared
+            )
+            xq = self.powmod(
+                self.powmod(base_q, crt.exp_q, crt.q), crt.q, crt.q_squared
+            )
+        else:
+            xp = self.powmod(base % crt.p_squared, exponent, crt.p_squared)
+            xq = self.powmod(base % crt.q_squared, exponent, crt.q_squared)
+        return crt_combine(xp, xq, crt.p_squared, crt.q_squared, crt.q_sq_inv)
 
     def invert(self, a: int, modulus: int) -> int:
         """Modular inverse; raises :class:`ValueError` when none exists."""
@@ -206,7 +264,7 @@ class PythonBackend(CryptoBackend):
 
 
 class FastPythonBackend(CryptoBackend):
-    """Pure-Python fast path: CRT splitting + fixed-base comb tables."""
+    """Pure-Python fast path: cached fixed-base comb tables."""
 
     name = "fast"
 
@@ -218,9 +276,6 @@ class FastPythonBackend(CryptoBackend):
 
     def powmod(self, base: int, exponent: int, modulus: int) -> int:
         return pow(base, exponent, modulus)
-
-    def powmod_crt(self, base: int, exponent: int, crt: CrtParams) -> int:
-        return _crt_powmod(base, exponent, crt)
 
     def fixed_base(
         self, base: int, modulus: int, max_exponent_bits: int
@@ -257,13 +312,6 @@ class Gmpy2Backend(FastPythonBackend):
 
     def powmod(self, base: int, exponent: int, modulus: int) -> int:
         return int(self._gmpy2.powmod(base, exponent, modulus))
-
-    def powmod_crt(self, base: int, exponent: int, crt: CrtParams) -> int:
-        gm = self._gmpy2
-        xp = int(gm.powmod(base % crt.p_squared, exponent, crt.p_squared))
-        xq = int(gm.powmod(base % crt.q_squared, exponent, crt.q_squared))
-        h = ((xp - xq) * crt.q_sq_inv) % crt.p_squared
-        return xq + h * crt.q_squared
 
     def invert(self, a: int, modulus: int) -> int:
         try:

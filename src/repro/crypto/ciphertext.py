@@ -163,9 +163,9 @@ class PaillierContext:
         self.public_key = public_key
         self._private_key = private_key
         self.encoder = Encoder(public_key, base, exponent, jitter, rng)
-        # The key holder hands its CRT constants to the pool so
-        # CRT-capable backends split the obfuscator exponentiations;
-        # public contexts stay on the full-width path.
+        # The key holder hands its CRT constants to the pool so every
+        # obfuscator exponentiation runs as half-width steps; public
+        # contexts stay on the full-width path.
         self.pool = ObfuscatorPool(
             public_key,
             obfuscator_pool_size,

@@ -24,7 +24,12 @@ import random
 import secrets
 from collections.abc import Callable, Iterator
 
-from repro.crypto.backend import CryptoBackend, PythonBackend, create_backend
+from repro.crypto.backend import (
+    CryptoBackend,
+    PythonBackend,
+    create_backend,
+    crt_combine,
+)
 
 __all__ = [
     "is_probable_prime",
@@ -129,9 +134,10 @@ def powmod(base: int, exponent: int, modulus: int, crt=None, fixed: bool = False
     Args:
         base, exponent, modulus: the operation itself.
         crt: optional :class:`~repro.crypto.backend.CrtParams` for the
-            modulus; backends that support CRT splitting use it when it
-            matches ``modulus``, others fall back to the plain path.
-            Either way the returned integer is identical.
+            modulus (key holder only); when it matches ``modulus`` the
+            backend assembles the result from half-width steps,
+            otherwise the call takes the plain path.  Either way the
+            returned integer is identical.
         fixed: hint that ``base`` is a per-key constant (``g = n + 1``
             powers, ``h``-function terms) worth a fixed-base table on
             backends that keep them.
@@ -228,16 +234,6 @@ def generate_prime_pair(modulus_bits: int) -> tuple[int, int]:
         n = p * q
         if n.bit_length() == modulus_bits:
             return p, q
-
-
-def crt_combine(residue_p: int, residue_q: int, p: int, q: int, q_inv_p: int) -> int:
-    """Combine residues modulo ``p`` and ``q`` into a residue modulo ``p*q``.
-
-    Uses Garner's formula; ``q_inv_p`` must equal ``invert(q, p)`` and is
-    passed in so hot paths can precompute it once per key.
-    """
-    h = (q_inv_p * (residue_p - residue_q)) % p
-    return residue_q + h * q
 
 
 def random_below(n: int) -> int:

@@ -101,8 +101,8 @@ class PaillierPublicKey:
             rng: optional seeded generator for the random ``r`` (tests
                 pin it to prove backends produce identical ciphertexts).
             crt: optional CRT parameters of this key's ``n^2`` — the
-                key holder passes them so CRT-capable backends split
-                the exponentiation; the result is bit-identical either
+                key holder passes them so the backend splits the
+                exponentiation; the result is bit-identical either
                 way, and exactly one logical powmod is counted.
         """
         r = math_utils.random_coprime(self.n, rng)
@@ -196,8 +196,10 @@ class PaillierPrivateKey:
 
         Built once per key (the ``q^2`` inverse is itself an observed
         inversion) and handed to :meth:`PaillierPublicKey.make_obfuscator`
-        so CRT-capable backends run the obfuscator exponentiation over
-        ``p^2`` / ``q^2`` instead of full-width ``n^2``.  Only the key
+        so every backend computes the obfuscator ``r^n mod n^2`` from
+        half-width steps over ``p`` / ``p^2`` and ``q`` / ``q^2``
+        (:meth:`~repro.crypto.backend.CryptoBackend.powmod_crt`; the
+        measured gain is in :mod:`repro.crypto.backend`).  Only the key
         holder can construct these — public contexts stay on the plain
         path.
         """
@@ -206,10 +208,9 @@ class PaillierPrivateKey:
                 self,
                 "_crt",
                 CrtParams(
-                    p_squared=self._p_squared,
-                    q_squared=self._q_squared,
+                    p=self.p,
+                    q=self.q,
                     q_sq_inv=math_utils.invert(self._q_squared, self._p_squared),
-                    modulus=self.public_key.n_squared,
                 ),
             )
         return self._crt
@@ -304,7 +305,13 @@ class ObfuscatorPool:
         rng: optional seeded generator for the random ``r`` draws.
         crt: optional CRT constants of this key (key holder only) —
             forwarded to :meth:`PaillierPublicKey.make_obfuscator` so
-            CRT-capable backends refill ~2x faster, bit-identically.
+            each obfuscator costs four half-width exponentiations
+            instead of one full-width one, bit-identically.
+
+    Raises:
+        ValueError: ``crt`` belongs to a different key — the dispatch
+            would ignore it and every obfuscator would silently run
+            full-width.
     """
 
     def __init__(
@@ -314,6 +321,8 @@ class ObfuscatorPool:
         rng: random.Random | None = None,
         crt: CrtParams | None = None,
     ) -> None:
+        if crt is not None and crt.modulus != public_key.n_squared:
+            raise ValueError("CRT constants do not belong to this public key")
         self._public_key = public_key
         self._rng = rng
         self._crt = crt

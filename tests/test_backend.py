@@ -10,6 +10,8 @@ how work is chunked.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.crypto import math_utils
 from repro.crypto.backend import (
@@ -19,7 +21,6 @@ from repro.crypto.backend import (
     FixedBaseTable,
     Gmpy2Backend,
     PythonBackend,
-    _crt_powmod,
     auto_select,
     available_backends,
     create_backend,
@@ -28,7 +29,11 @@ from repro.crypto.blaster import BlasterLanes, partition
 from repro.crypto.ciphertext import PaillierContext
 from repro.crypto.math_utils import use_backend
 from repro.crypto.packing import pack_ciphers, unpack_values
-from repro.crypto.paillier import ObfuscatorPool, generate_keypair
+from repro.crypto.paillier import (
+    ObfuscatorPool,
+    derive_insecure_keypair_from_primes,
+    generate_keypair,
+)
 
 PUBLIC, PRIVATE = generate_keypair(256, seed=42)
 
@@ -73,42 +78,125 @@ def create_or_none(name):
 
 
 def _crt_params():
+    """CRT constants built without ``PaillierPrivateKey.crt_params``."""
     p2 = PRIVATE.p * PRIVATE.p
     q2 = PRIVATE.q * PRIVATE.q
-    return CrtParams(
-        p_squared=p2,
-        q_squared=q2,
-        q_sq_inv=pow(q2, -1, p2),
-        modulus=PUBLIC.n_squared,
-    )
+    return CrtParams(p=PRIVATE.p, q=PRIVATE.q, q_sq_inv=pow(q2, -1, p2))
+
+
+class _RecordingBackend(PythonBackend):
+    """Reference engine that logs the modulus of every internal pow."""
+
+    def __init__(self) -> None:
+        self.moduli: list[int] = []
+
+    def powmod(self, base, exponent, modulus):
+        self.moduli.append(modulus)
+        return super().powmod(base, exponent, modulus)
 
 
 class TestCrtPowmod:
     def test_bit_identical_to_plain_pow(self):
         crt = _crt_params()
         rng = random.Random(3)
-        for _ in range(20):
-            base = rng.randrange(1, PUBLIC.n_squared)
-            exponent = rng.randrange(1, PUBLIC.n)
-            assert _crt_powmod(base, exponent, crt) == pow(
-                base, exponent, PUBLIC.n_squared
-            )
+        for name in available_backends():
+            backend = create_backend(name)
+            for _ in range(20):
+                base = rng.randrange(1, PUBLIC.n_squared)
+                for exponent in (rng.randrange(1, PUBLIC.n), PUBLIC.n):
+                    assert backend.powmod_crt(base, exponent, crt) == pow(
+                        base, exponent, PUBLIC.n_squared
+                    )
 
     def test_private_key_crt_params_are_cached(self):
         first = PRIVATE.crt_params()
         assert PRIVATE.crt_params() is first
+        assert first == _crt_params()
         assert first.modulus == PUBLIC.n_squared
 
     def test_dispatch_uses_crt_only_for_matching_modulus(self):
         crt = _crt_params()
-        with use_backend("fast"):
-            # Mismatched modulus must take the plain path, same result.
-            assert math_utils.powmod(7, 65537, PUBLIC.n, crt=crt) == pow(
-                7, 65537, PUBLIC.n
-            )
-            assert math_utils.powmod(
-                7, 65537, PUBLIC.n_squared, crt=crt
-            ) == pow(7, 65537, PUBLIC.n_squared)
+        for name in available_backends():
+            with use_backend(name):
+                # Mismatched modulus must take the plain path, same result.
+                assert math_utils.powmod(7, 65537, PUBLIC.n, crt=crt) == pow(
+                    7, 65537, PUBLIC.n
+                )
+                assert math_utils.powmod(
+                    7, 65537, PUBLIC.n_squared, crt=crt
+                ) == pow(7, 65537, PUBLIC.n_squared)
+
+    def test_route_by_exponent_and_base(self):
+        crt = _crt_params()
+        p, q, n = PRIVATE.p, PRIVATE.q, PUBLIC.n
+        cases = [
+            # obfuscator shape, unit base: the four p-adic steps
+            (12345, n, [p, p * p, q, q * q]),
+            # any other exponent: the generic split
+            (12345, n - 1, [p * p, q * q]),
+            (p, 3, [p * p, q * q]),
+            # exponent n, base outside the p-adic identity: plain pow
+            (0, n, [n * n]),
+            (p, n, [n * n]),
+            (5 * q, n, [n * n]),
+            (n, n, [n * n]),
+        ]
+        for base, exponent, moduli in cases:
+            backend = _RecordingBackend()
+            assert backend.powmod_crt(base, exponent, crt) == pow(base, exponent, n * n)
+            assert backend.moduli == moduli, (base, exponent)
+
+
+def _prime_at_or_after(start: int, step: int) -> int:
+    candidate = start
+    while not math_utils.is_probable_prime(candidate):
+        candidate += step
+    return candidate
+
+
+def _limb_edge_keys():
+    """Keys whose primes are the largest and the smallest of their size.
+
+    63/64/65 and 127/128/129 bits straddle one and two 64-bit limbs (and
+    CPython's 30-bit digits), so ``p``, ``p^2`` and the reduced exponents
+    land on both sides of every word boundary.
+    """
+    keys = []
+    for bits in (63, 64, 65, 127, 128, 129):
+        p = _prime_at_or_after((1 << bits) - 1, -2)
+        q = _prime_at_or_after((1 << (bits - 1)) + 1, 2)
+        # both orders: q mod (p - 1) only reduces when q > p
+        keys.append(derive_insecure_keypair_from_primes(p, q))
+        keys.append(derive_insecure_keypair_from_primes(q, p))
+    return keys
+
+
+LIMB_EDGE_KEYS = _limb_edge_keys()
+
+
+class TestCrtBoundaries:
+    @given(
+        random_exponent=st.integers(min_value=0),
+        random_base=st.integers(min_value=0),
+    )
+    @settings(max_examples=6, derandomize=True, deadline=None)
+    def test_split_matches_plain_pow_at_limb_edges(
+        self, random_exponent, random_base
+    ):
+        for public, private in LIMB_EDGE_KEYS:
+            n, n2 = public.n, public.n_squared
+            p, q = private.p, private.q
+            crt = private.crt_params()
+            exponents = [0, 1, n - 1, n, n + 1, 2 * n, random_exponent % n2]
+            # p, q, 0 and n are not units: outside the p-adic identity
+            bases = [0, 1, p, q, p * q - 1, n, n2 - 1, random_base % n2]
+            for name in available_backends():
+                with use_backend(name):
+                    for exponent in exponents:
+                        for base in bases:
+                            assert math_utils.powmod(
+                                base, exponent, n2, crt=crt
+                            ) == pow(base, exponent, n2), (name, p, q, base, exponent)
 
 
 class TestFixedBaseTable:
@@ -150,8 +238,12 @@ class TestFixedBaseTable:
         assert wider is not first
 
 
-def _ciphertext_trace(backend_name: str) -> list[int]:
-    """Encrypt/HAdd/SMul/pack under one backend with pinned randomness."""
+def _ciphertext_trace(backend_name: str, crt: bool = True) -> list[int]:
+    """Encrypt/HAdd/SMul/pack under one backend with pinned randomness.
+
+    ``crt=False`` swaps in a pool without the key holder's CRT constants:
+    the plain full-width reference for every obfuscator.
+    """
     with use_backend(backend_name):
         context = PaillierContext(
             PUBLIC,
@@ -159,6 +251,8 @@ def _ciphertext_trace(backend_name: str) -> list[int]:
             jitter=1,
             obfuscator_rng=random.Random(99),
         )
+        if not crt:
+            context.pool = ObfuscatorPool(PUBLIC, rng=random.Random(99), crt=None)
         a = context.encrypt(1.25, exponent=4)
         b = context.encrypt(-2.5, exponent=4)
         total = context.add(a, b)
@@ -186,6 +280,12 @@ class TestCrossBackendBitIdentity:
         reference = traces["python"]
         for name, trace in traces.items():
             assert trace == reference, f"backend {name} diverged"
+
+    def test_key_holder_split_matches_plain_obfuscators(self):
+        # Every backend shares powmod_crt, so the cross-backend test no
+        # longer compares against a full-width pow; this leg does.
+        for name in available_backends():
+            assert _ciphertext_trace(name) == _ciphertext_trace(name, crt=False)
 
     def test_invert_parity_on_non_invertible_input(self):
         for name in available_backends():

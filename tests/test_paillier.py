@@ -216,6 +216,15 @@ class TestObfuscatorPool:
         assert first == second
         assert first[-2:] == [22, 11]  # LIFO: deposits pop in reverse
 
+    def test_foreign_crt_constants_rejected(self):
+        _, other_private = generate_keypair(256, seed=2)
+        with pytest.raises(ValueError, match="do not belong"):
+            ObfuscatorPool(PUBLIC, crt=other_private.crt_params())
+        # The key's own constants are accepted and change no draw.
+        own = ObfuscatorPool(PUBLIC, rng=random.Random(5), crt=PRIVATE.crt_params())
+        plain = ObfuscatorPool(PUBLIC, rng=random.Random(5))
+        assert own.take() == plain.take()
+
 
 class TestPublicKeyEquality:
     def test_hashable(self):

@@ -101,6 +101,16 @@ class TestCounting:
             context.scale_to(cipher, cipher.exponent)  # no-op scale
         assert "scale" not in profiler.summary()["ops"]
 
+    def test_key_holder_enc_is_one_powmod(self, context):
+        # The key holder's obfuscator runs as four half-width pows inside
+        # the backend; the choke point still observes one logical powmod.
+        assert context.can_decrypt
+        with HotPathProfiler() as profiler:
+            context.encrypt(2.0)
+        ops = profiler.summary()["ops"]
+        assert ops["enc"]["count"] == 1
+        assert ops["enc"]["powmods"] == 1
+
     def test_positive_smul_is_one_powmod(self, context):
         cipher = context.encrypt(2.0)
         with HotPathProfiler() as profiler:
