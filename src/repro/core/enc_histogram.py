@@ -333,8 +333,8 @@ def unpack_histogram(context: PaillierContext, packed: PackedHistogram) -> Histo
     def recover(packs: list[PackedCipher], shift: float) -> np.ndarray:
         prefix: list[float] = []
         for pack in packs:
-            for raw in unpack_values(context, pack):
-                prefix.append(raw / base**pack.exponent)
+            scale = base**pack.exponent
+            prefix.extend(raw / scale for raw in unpack_values(context, pack))
         values = np.asarray(prefix, dtype=np.float64) - shift
         bins = np.empty_like(values)
         bins[0] = values[0]

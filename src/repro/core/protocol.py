@@ -399,6 +399,11 @@ class ProtocolScheduler:
         for li, layer in enumerate(tree.layers):
             n_nodes = max(1, len(layer.nodes))
             layer_instances = layer.n_instances
+            # Party A's histogram work covers the *built* nodes only: a
+            # recorded trace marks the siblings B derives by subtraction
+            # (analytic traces mark none, so these equal the two above).
+            built_nodes = max(1, layer.built_nodes)
+            built_instances = layer.built_instances
 
             # Party B: own histogram build + candidate search (plaintext,
             # subtraction trick beyond the root).
@@ -450,9 +455,9 @@ class ProtocolScheduler:
             notice_anchor: SimTask | None = None
             for party in parties:
                 ciphers_full = (
-                    n_nodes * self._packs_per_node(party)
+                    built_nodes * self._packs_per_node(party)
                     if self._packing_on()
-                    else n_nodes * self._bins(party)
+                    else built_nodes * self._bins(party)
                 )
                 for pi, part in enumerate(hist_parts[party.index]):
                     frac = part.fraction
@@ -463,10 +468,10 @@ class ProtocolScheduler:
                     # range. Grows with worker count — the effect that
                     # caps Table 5's scaling.
                     agg_seconds = self.cluster.aggregation_seconds(
-                        n_nodes * self._bins(party) * frac * self._cipher_bytes(),
+                        built_nodes * self._bins(party) * frac * self._cipher_bytes(),
                         nnz_bytes=(
                             stat
-                            * layer_instances
+                            * built_instances
                             * frac
                             * party.d
                             * self._cipher_bytes()
@@ -483,7 +488,7 @@ class ProtocolScheduler:
                         )
                     if self._packing_on():
                         pack_work = (
-                            n_nodes
+                            built_nodes
                             * self._bins(party)
                             * frac
                             * (self.cost.hadd() + self.cost.smul_small())
@@ -506,6 +511,8 @@ class ProtocolScheduler:
                         party=party.index,
                     )
                     bytes_sent += part_bytes
+                    # Dec on what crossed the wire; the candidate search
+                    # still covers every node, derived ones included.
                     dec_work = ciphers_full * frac * self._dec_cost() + (
                         n_nodes * self._bins(party) * frac * self.cost.split_bin()
                     )
@@ -577,7 +584,7 @@ class ProtocolScheduler:
             if li + 1 >= len(tree.layers):
                 break
             next_layer = tree.layers[li + 1]
-            next_instances = next_layer.n_instances
+            next_built = next_layer.built_instances
             dirty_frac = (
                 layer.dirty_instances / layer_instances if layer_instances else 0.0
             )
@@ -586,11 +593,11 @@ class ProtocolScheduler:
                 parts: list[_HistPart] = []
                 add = self._add_cost(n_exponents)
                 finalize = self._reorder_finalize(
-                    len(next_layer.nodes) * self._bins(party), n_exponents
+                    next_layer.built_nodes * self._bins(party), n_exponents
                 )
                 if config.optimistic_split and dirty_frac > 0:
                     clean_work = (
-                        stat * next_instances * (1 - dirty_frac) * party.d * add
+                        stat * next_built * (1 - dirty_frac) * party.d * add
                         + finalize * (1 - dirty_frac)
                     )
                     clean = engine.submit(
@@ -607,7 +614,7 @@ class ProtocolScheduler:
                     # aborted when the notice lands.
                     waste_work = (
                         stat
-                        * next_instances
+                        * next_built
                         * dirty_frac
                         * _SPECULATIVE_WASTE
                         * party.d
@@ -631,15 +638,19 @@ class ProtocolScheduler:
                     )
                     if config.incremental_dirty_redo:
                         # §8 future work: move only the misplaced rows —
-                        # one cipher removal plus one insertion each.
+                        # one cipher removal plus one insertion each, one
+                        # of the two when only the smaller child is built.
                         misplaced = layer.misplaced_instances
+                        moves = 2 * next_layer.built_nodes / max(
+                            1, len(next_layer.nodes)
+                        )
                         redo_work = (
-                            2 * stat * misplaced * party.d * add
+                            moves * stat * misplaced * party.d * add
                             + finalize * dirty_frac
                         )
                     else:
                         redo_work = (
-                            stat * next_instances * dirty_frac * party.d * add
+                            stat * next_built * dirty_frac * party.d * add
                             + finalize * dirty_frac
                         )
                     redo = engine.submit(
@@ -652,7 +663,7 @@ class ProtocolScheduler:
                     )
                     parts.append(_HistPart(redo, dirty_frac))
                 else:
-                    build_work = stat * next_instances * party.d * add + finalize
+                    build_work = stat * next_built * party.d * add + finalize
                     build = engine.submit(
                         f"A{party.index}",
                         build_work / lanes,

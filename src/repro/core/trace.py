@@ -57,6 +57,10 @@ class NodeTrace:
             with the correct placement. The paper's §8 future-work item
             — "skip instances that are already correctly classified" —
             only needs to re-do this fraction.
+        derived: no party built this node's histogram; Party B derived
+            it as ``parent - sibling`` (histogram subtraction).  Always
+            ``False`` in analytic traces, which reproduce the paper's
+            published protocol.
     """
 
     node_id: int
@@ -64,6 +68,7 @@ class NodeTrace:
     owner: int = -1
     dirty: bool = False
     misplaced_fraction: float = 1.0
+    derived: bool = False
 
     @property
     def is_split(self) -> bool:
@@ -82,6 +87,16 @@ class LayerTrace:
     def n_instances(self) -> int:
         """Total rows across the layer's nodes."""
         return sum(node.n_instances for node in self.nodes)
+
+    @property
+    def built_nodes(self) -> int:
+        """Nodes whose histograms the parties built (not derived)."""
+        return sum(1 for node in self.nodes if not node.derived)
+
+    @property
+    def built_instances(self) -> int:
+        """Rows under built nodes: the histogram work actually done."""
+        return sum(node.n_instances for node in self.nodes if not node.derived)
 
     @property
     def n_split_nodes(self) -> int:
@@ -103,8 +118,8 @@ class LayerTrace:
         """Rows under dirty nodes whose placement actually changed.
 
         The incremental-redo lower bound of the §8 future-work
-        optimization (at least the misplaced rows must be corrected in
-        *both* children's histograms, hence no further halving).
+        optimization: every misplaced row must be corrected in each
+        child histogram Party A holds (both, or only the built one).
         """
         return sum(
             node.n_instances * node.misplaced_fraction

@@ -5,12 +5,15 @@ label holder) and one or more passive parties (Party A's):
 
 1. Party B computes per-instance gradients/hessians, encrypts them and
    ships them to every passive party (in blaster batches when enabled);
-2. every party builds per-node histograms over its own columns —
-   passive parties homomorphically, with or without re-ordered
-   accumulation;
-3. passive parties transfer their histograms (packed or raw) to B, who
-   decrypts them and picks the global best split per node, learning at
-   most a *bin index* about a passive party's winning feature;
+2. every party builds histograms over its own columns — passive
+   parties homomorphically, with or without re-ordered accumulation —
+   for the root and, below it, for the *smaller* child of every split
+   (sizes follow from the placement all parties hold);
+3. passive parties transfer those histograms (packed or raw) to B, who
+   decrypts them, derives each larger sibling as ``parent - small`` on
+   the plaintext histograms of the layer above, and picks the global
+   best split per node, learning at most a *bin index* about a passive
+   party's winning feature;
 4. the split owner materializes the instance placement and the bitmap
    is synchronized; leaf weights are computed by B.
 
@@ -70,7 +73,7 @@ from repro.gbdt.histogram import Histogram, build_histogram
 from repro.gbdt.loss import Loss, get_loss
 from repro.gbdt.metrics import auc
 from repro.gbdt.split import SplitCandidate, find_best_split, leaf_weight
-from repro.gbdt.tree import DecisionTree, partition_instances
+from repro.gbdt.tree import DecisionTree
 
 __all__ = [
     "FederatedModel",
@@ -655,24 +658,25 @@ class FederatedTrainer:
         all_rows = np.arange(n, dtype=np.int64)
         node_rows: dict[int, np.ndarray] = {0: all_rows}
         frontier = [0]
+        # Histogram subtraction: below the root every party builds only
+        # the smaller child of each split; B derives the sibling from the
+        # parent's plaintext histogram, which it holds from the layer above.
+        parent_hists: dict[int, dict[int, Histogram]] = {}
+        derived: dict[int, tuple[int, int]] = {}  # large child -> (parent, small)
 
         for depth in range(params.max_depth):
             layer = LayerTrace(depth=depth)
             next_frontier: list[int] = []
+            next_derived: dict[int, tuple[int, int]] = {}
+            built = [node_id for node_id in frontier if node_id not in derived]
             # Each party builds this layer's histograms for its columns.
             self._emit_event(
                 channel, "phase", name="Histogram", tree=tree_index, depth=depth
             )
             with self._phase("Histogram"):
-                active_hists = {
-                    node_id: build_histogram(
-                        party_datasets[ACTIVE], node_rows[node_id], gradients, hessians
-                    )
-                    for node_id in frontier
-                }
-                passive_hists = self._passive_histograms(
+                hists = self._passive_histograms(
                     party_datasets,
-                    frontier,
+                    built,
                     node_rows,
                     gradients,
                     hessians,
@@ -682,16 +686,31 @@ class FederatedTrainer:
                     context,
                     public_contexts,
                 )
+                hists[ACTIVE] = {
+                    node_id: build_histogram(
+                        party_datasets[ACTIVE], node_rows[node_id], gradients, hessians
+                    )
+                    for node_id in built
+                }
+                for large, (parent, small) in derived.items():
+                    for party, per_node in hists.items():
+                        per_node[large] = parent_hists[party][parent].subtract(
+                            per_node[small]
+                        )
             self._emit_event(
                 channel, "phase", name="Split", tree=tree_index, depth=depth
             )
             with self._phase("Split"):
                 for node_id in frontier:
                     rows = node_rows[node_id]
-                    node_trace = NodeTrace(node_id=node_id, n_instances=int(rows.size))
+                    node_trace = NodeTrace(
+                        node_id=node_id,
+                        n_instances=int(rows.size),
+                        derived=node_id in derived,
+                    )
                     best_owner, best, active_candidate = self._global_best_split(
-                        active_hists[node_id],
-                        {p: passive_hists[p][node_id] for p in range(1, n_passive + 1)},
+                        hists[ACTIVE][node_id],
+                        {p: hists[p][node_id] for p in range(1, n_passive + 1)},
                         int(rows.size),
                     )
                     if best is None:
@@ -717,11 +736,18 @@ class FederatedTrainer:
                         channel,
                         n_passive,
                     )
-                    node_rows[tree.nodes[node_id].left_child] = left_rows
-                    node_rows[tree.nodes[node_id].right_child] = right_rows
-                    next_frontier.extend(
-                        [tree.nodes[node_id].left_child, tree.nodes[node_id].right_child]
-                    )
+                    left = tree.nodes[node_id].left_child
+                    right = tree.nodes[node_id].right_child
+                    node_rows[left] = left_rows
+                    node_rows[right] = right_rows
+                    next_frontier.extend([left, right])
+                    # Both sides know the child sizes from the placement;
+                    # a tie builds the left child (as gbdt.boosting does).
+                    if left_rows.size <= right_rows.size:
+                        next_derived[right] = (node_id, left)
+                    else:
+                        next_derived[left] = (node_id, right)
+            parent_hists, derived = hists, next_derived
             tree_trace.layers.append(layer)
             frontier = next_frontier
             if not frontier:
@@ -790,7 +816,7 @@ class FederatedTrainer:
     def _passive_histograms(
         self,
         party_datasets,
-        frontier,
+        nodes,
         node_rows,
         gradients,
         hessians,
@@ -800,7 +826,12 @@ class FederatedTrainer:
         context,
         public_contexts,
     ) -> dict[int, dict[int, Histogram]]:
-        """Passive parties build, ship; B decrypts. Returns plain hists."""
+        """Passive parties build ``nodes``, ship; B decrypts.
+
+        ``nodes`` are the layer's *built* nodes (the root, then the
+        smaller child of every split); returns their plaintext
+        histograms per passive party.
+        """
         results: dict[int, dict[int, Histogram]] = {}
         n_passive = len(party_datasets) - 1
         for p in range(1, n_passive + 1):
@@ -810,7 +841,7 @@ class FederatedTrainer:
                 per_node = self._passive_histograms_real(
                     p,
                     dataset,
-                    frontier,
+                    nodes,
                     node_rows,
                     grad_ciphers,
                     hess_ciphers,
@@ -820,7 +851,7 @@ class FederatedTrainer:
                 )
             else:
                 cipher_bins = 0
-                for node_id in frontier:
+                for node_id in nodes:
                     hist = build_histogram(
                         dataset, node_rows[node_id], gradients, hessians
                     )
@@ -847,7 +878,7 @@ class FederatedTrainer:
         self,
         party: int,
         dataset: BinnedDataset,
-        frontier,
+        nodes,
         node_rows,
         grad_ciphers,
         hess_ciphers,
@@ -859,7 +890,7 @@ class FederatedTrainer:
         per_node: dict[int, Histogram] = {}
         if self.config.pair_packing:
             message = EncryptedHistogramMessage(party, ACTIVE)
-            for node_id in frontier:
+            for node_id in nodes:
                 bins = build_pair_histogram(
                     public_context,
                     dataset.codes,
@@ -872,7 +903,7 @@ class FederatedTrainer:
             channel.send(message)
             return per_node
         encrypted: dict[int, EncryptedHistogram] = {}
-        for node_id in frontier:
+        for node_id in nodes:
             encrypted[node_id] = build_encrypted_histogram(
                 public_context,
                 dataset.codes,
@@ -987,10 +1018,8 @@ class FederatedTrainer:
             threshold=threshold,
             gain=best.gain,
         )
-        left_rows, right_rows = partition_instances(
-            dataset.codes[:, best.feature], rows, best.bin_index
-        )
-        placement = np.isin(rows, left_rows)
+        placement = dataset.codes[rows, best.feature] <= best.bin_index
+        left_rows, right_rows = rows[placement], rows[~placement]
         if owner == ACTIVE:
             for p in range(1, n_passive + 1):
                 channel.send(

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.enc_histogram import (
     build_encrypted_histogram,
@@ -13,6 +15,8 @@ from repro.core.enc_histogram import (
 from repro.crypto.ciphertext import PaillierContext
 from repro.gbdt.binning import bin_dataset
 from repro.gbdt.histogram import build_histogram
+from repro.gbdt.params import GBDTParams
+from repro.gbdt.split import find_best_split, gain_matrix
 
 CTX = PaillierContext.create(256, seed=31, jitter=3)
 
@@ -139,6 +143,56 @@ class TestPackUnpackHistogram:
         )
         packed = pack_histogram(public, encrypted, grad_bound=1.0, limb_bits=32)
         assert packed.grad_shift == 25.0
+
+
+class TestSiblingBySubtraction:
+    """``parent - small`` stands in for the large child's own histogram."""
+
+    N = 24
+    DATASET, _, _, GRAD_CIPHERS, HESS_CIPHERS = _setup(n=N, d=2, n_bins=4, seed=8)
+    PARAMS = GBDTParams(n_bins=4)
+
+    def _decrypted(self, rows, packed):
+        public = CTX.public_context()
+        encrypted = build_encrypted_histogram(
+            public, self.DATASET.codes, rows, self.GRAD_CIPHERS,
+            self.HESS_CIPHERS, self.DATASET.n_bins, reordered=True,
+        )
+        if not packed:
+            return decrypt_histogram(CTX, encrypted)
+        return unpack_histogram(
+            CTX, pack_histogram(public, encrypted, grad_bound=1.0, limb_bits=32)
+        )
+
+    @given(
+        in_parent=st.lists(st.booleans(), min_size=N, max_size=N),
+        goes_left=st.lists(st.booleans(), min_size=N, max_size=N),
+        packed=st.booleans(),
+    )
+    @settings(max_examples=12, derandomize=True, deadline=None)
+    def test_same_split_candidate_as_own_histogram(self, in_parent, goes_left, packed):
+        parent_rows = np.flatnonzero(in_parent)
+        left = parent_rows[np.asarray(goes_left)[parent_rows]]
+        right = np.setdiff1d(parent_rows, left)
+        small, large = (left, right) if left.size <= right.size else (right, left)
+        derived = self._decrypted(parent_rows, packed).subtract(
+            self._decrypted(small, packed)
+        )
+        own = self._decrypted(large, packed)
+        assert np.allclose(derived.grad, own.grad, rtol=0, atol=1e-12)
+        assert np.allclose(derived.hess, own.hess, rtol=0, atol=1e-12)
+        search = dict(check_counts=False, node_instances=int(large.size))
+        got = find_best_split(derived, self.PARAMS, **search)
+        want = find_best_split(own, self.PARAMS, **search)
+        assert got.is_valid == want.is_valid
+        if want.is_valid and (got.feature, got.bin_index) != (
+            want.feature, want.bin_index
+        ):
+            # Only an exact tie in gain may be broken differently.
+            gains, _ = gain_matrix(own, self.PARAMS, check_counts=False)
+            assert gains[got.feature, got.bin_index] == pytest.approx(
+                want.gain, abs=1e-9
+            )
 
 
 class TestRequiredLimbBits:

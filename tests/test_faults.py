@@ -20,6 +20,7 @@ from repro.core.serialization import (
     load_checkpoint,
     model_to_payloads,
     save_checkpoint,
+    trace_to_payload,
 )
 from repro.core.trainer import FederatedTrainer, TrainingInterrupted
 from repro.fed.channel import RecordingChannel
@@ -314,6 +315,31 @@ class TestFaultMatrix:
         )
         assert _model_bytes(result) == baseline
         assert result.faults["resumes"] == 2
+
+    def test_faulted_resumed_run_keeps_the_built_set(
+        self, counted_config, party_datasets, tmp_path
+    ):
+        # Histogram subtraction carries per-layer state (the parents'
+        # plaintext histograms); drops, resends and a resume from a
+        # checkpoint must leave the built/derived marks, hence the
+        # histogram traffic of every tree, exactly as in the clean run.
+        parties, labels = party_datasets
+        clean = FederatedTrainer(counted_config).fit(parties, labels)
+        result = FederatedTrainer(counted_config).fit_resilient(
+            parties,
+            labels,
+            fault_plan=FaultPlan(seed=5, drop_rate=0.1, crash_after_trees=(0,)),
+            retry_policy=RetryPolicy(max_retries=8),
+            checkpoint_dir=str(tmp_path),
+        )
+        assert _model_bytes(result) == _model_bytes(clean)
+        assert trace_to_payload(result.trace) == trace_to_payload(clean.trace)
+        marks = [
+            node.derived
+            for layer in result.trace.trees[0].layers
+            for node in layer.nodes
+        ]
+        assert True in marks and False in marks
 
     def test_crash_without_checkpoint_dir_rejected(
         self, counted_config, party_datasets

@@ -1,12 +1,15 @@
 """Tests for the protocol scheduler: overlap semantics and ablations."""
 
+import numpy as np
 import pytest
 
 from repro.bench.costmodel import CostModel
 from repro.core.config import VF2BoostConfig
 from repro.core.profile import analytic_trace
 from repro.core.protocol import ProtocolScheduler
+from repro.core.trainer import FederatedTrainer
 from repro.fed.cluster import PAPER_CLUSTER, ClusterSpec
+from repro.gbdt.binning import bin_dataset
 from repro.gbdt.params import GBDTParams
 
 COST = CostModel.paper()
@@ -181,3 +184,107 @@ class TestReporting:
     def test_gantt_nonempty(self):
         result = _schedule(_trace())
         assert "A1" in result.gantt
+
+
+class TestHistogramSubtractionPricing:
+    """A-side terms follow the trace's built nodes; B derives the rest."""
+
+    A_SIDE = ("BuildHistA", "Aggregate", "Pack", "CipherComm", "FindSplitA")
+
+    @pytest.mark.parametrize(
+        "flags, passive, makespan, build_hist_a, find_split_a",
+        [
+            (
+                {},
+                [5000],
+                "0x1.70b4893c4a0a4p+6",
+                "0x1.2827027027026p+6",
+                "0x1.c9b101767dcdcp+2",
+            ),
+            (
+                dict(
+                    incremental_dirty_redo=True,
+                    n_passive_parties=2,
+                    histogram_packing=False,
+                ),
+                [2500, 2500],
+                "0x1.90a8d824eb8c7p+7",
+                "0x1.2827027027026p+6",
+                "0x1.1dbb3ee721a54p+7",
+            ),
+        ],
+    )
+    def test_unmarked_trace_schedules_as_before(
+        self, flags, passive, makespan, build_hist_a, find_split_a
+    ):
+        # Bit patterns recorded at the commit before subtraction landed:
+        # analytic traces mark no node derived and must price identically
+        # (Tables 1-2/4-6 reproduce the paper's published protocol).
+        trace = analytic_trace(
+            100_000, 5000, passive, density=0.01, n_bins=20, n_layers=5, n_trees=2
+        )
+        assert not any(
+            node.derived
+            for tree in trace.trees
+            for layer in tree.layers
+            for node in layer.nodes
+        )
+        result = _schedule(trace, **flags)
+        assert result.makespan.hex() == makespan
+        assert result.phase_totals["BuildHistA"].hex() == build_hist_a
+        assert result.phase_totals["FindSplitA"].hex() == find_split_a
+
+    @staticmethod
+    def _mark_larger_siblings(trace):
+        for tree in trace.trees:
+            for layer in tree.layers[1:]:
+                for node in layer.nodes[1::2]:
+                    node.derived = True
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            {},
+            dict(optimistic_split=False, histogram_packing=False),
+            dict(incremental_dirty_redo=True),
+        ],
+    )
+    def test_marked_trace_is_cheaper_on_the_a_side_only(self, flags):
+        plain = _trace(n=100_000)
+        marked = _trace(n=100_000)
+        self._mark_larger_siblings(marked)
+        before = _schedule(plain, **flags)
+        after = _schedule(marked, **flags)
+        for phase in self.A_SIDE:
+            if phase in before.phase_totals:
+                assert after.phase_totals[phase] < before.phase_totals[phase], phase
+        for phase in ("Enc", "FindSplitB", "SplitNode"):
+            # busy time is end - start of shifted tasks: equal up to rounding
+            assert after.phase_totals[phase] == pytest.approx(
+                before.phase_totals[phase], rel=1e-9
+            ), phase
+        assert after.bytes_per_tree < before.bytes_per_tree
+        assert after.makespan < before.makespan
+
+    def test_recorded_trace_prices_the_decryptions_the_run_made(self):
+        rng = np.random.default_rng(5)
+        features = rng.normal(size=(60, 6))
+        labels = (features @ rng.normal(size=6) > 0).astype(float)
+        params = GBDTParams(n_trees=2, n_layers=4, n_bins=4)
+        full = bin_dataset(features, params.n_bins)
+        parties = [
+            full.subset_features(np.arange(0, 3)),
+            full.subset_features(np.arange(3, 6)),
+        ]
+        config = VF2BoostConfig.vf_gbdt(
+            params=params, crypto_mode="real", key_bits=256
+        )
+        result = FederatedTrainer(config).fit(parties, labels)
+        # One second per Dec, nothing else costs: FindSplitA *is* the count.
+        dec_only = CostModel(
+            t_enc=0.0, t_dec=1.0, t_hadd=0.0, t_scale=0.0, t_smul=0.0,
+            t_smul_small=0.0, t_plain_accum=0.0, t_split_bin=0.0, cipher_bytes=64,
+        )
+        cluster = ClusterSpec(n_workers=1, cores_per_worker=1, parallel_efficiency=1.0)
+        schedule = ProtocolScheduler(config, dec_only, cluster).schedule(result.trace)
+        assert schedule.phase_totals["FindSplitA"] == result.crypto_stats[0].decryptions

@@ -280,3 +280,169 @@ class TestValidation:
         parties, labels = party_datasets
         with pytest.raises(ValueError):
             FederatedTrainer(counted_config).fit(parties[:1], labels)
+
+
+class TestHistogramSubtraction:
+    """Below the root only the smaller child of each split is built."""
+
+    @staticmethod
+    def _soft_problem(n=72, d=9, seed=11):
+        # Probabilities, not 0/1 labels: every instance has its own
+        # gradient, so no two candidates tie in gain and exact equality
+        # with the co-located model is a fair oracle.
+        rng = np.random.default_rng(seed)
+        features = rng.normal(size=(n, d))
+        weights = rng.normal(size=d)
+        score = features @ weights / np.linalg.norm(weights)
+        labels = 1.0 / (1.0 + np.exp(-(score + rng.normal(scale=0.3, size=n))))
+        return features, labels
+
+    @staticmethod
+    def _built_nodes(result):
+        return sum(
+            layer.built_nodes for tree in result.trace.trees for layer in tree.layers
+        )
+
+    @pytest.mark.parametrize("preset", ["vf2boost", "vf_gbdt"])
+    def test_deep_three_party_real_counted_colocated_agree(self, preset):
+        features, labels = self._soft_problem()
+        params = GBDTParams(n_trees=2, n_layers=5, n_bins=4)
+        full = bin_dataset(features, params.n_bins)
+        parties = [
+            full.subset_features(np.arange(0, 3)),
+            full.subset_features(np.arange(3, 6)),
+            full.subset_features(np.arange(6, 9)),
+        ]
+        codes = {p: ds.codes for p, ds in enumerate(parties)}
+        plaintext = GBDTTrainer(params)
+        plaintext.fit_binned(full, labels)
+        config = getattr(VF2BoostConfig, preset)(
+            params=params, crypto_mode="real", key_bits=256, n_passive_parties=2
+        )
+        real = FederatedTrainer(config).fit(parties, labels)
+        counted = FederatedTrainer(config.replace(crypto_mode="counted")).fit(
+            parties, labels
+        )
+        reference = [r.train_loss for r in plaintext.history]
+        assert [r.train_loss for r in real.history] == reference
+        assert [r.train_loss for r in counted.history] == reference
+        assert np.array_equal(
+            real.model.predict_margin(codes), counted.model.predict_margin(codes)
+        )
+        # Derived nodes were themselves split into a built and a derived
+        # child: subtraction is applied to an already-derived parent.
+        for tree in real.trace.trees:
+            marks = {
+                node.node_id: node.derived
+                for layer in tree.layers
+                for node in layer.nodes
+            }
+            assert any(
+                derived and marks[(node_id - 1) // 2]
+                for node_id, derived in marks.items()
+                if node_id
+            )
+        # Exact counts: every histogram cipher B received it decrypted,
+        # and both passive parties shipped built nodes only.
+        built = self._built_nodes(real)
+        assert built == self._built_nodes(counted)
+        by_type = real.channel.by_type
+        if config.histogram_packing:
+            message = by_type["PackedHistogramMessage"]
+            header = 32
+        else:
+            message = by_type["EncryptedHistogramMessage"]
+            header = 16
+        wire_ciphers = (message.bytes - header * message.messages) // (256 // 4)
+        assert real.crypto_stats[0].decryptions == wire_ciphers
+        assert wire_ciphers % built == 0  # a whole per-node figure
+        if not config.histogram_packing:
+            assert wire_ciphers == 2 * built * 2 * 3 * params.n_bins
+
+    def test_built_set_is_root_plus_smaller_child(self, party_datasets, counted_config):
+        result = FederatedTrainer(counted_config).fit(*party_datasets)
+        for tree in result.trace.trees:
+            assert not tree.layers[0].nodes[0].derived
+            for upper, lower in zip(tree.layers, tree.layers[1:]):
+                sizes = {node.node_id: node for node in lower.nodes}
+                for parent in upper.nodes:
+                    if not parent.is_split:
+                        continue
+                    left = sizes[2 * parent.node_id + 1]
+                    right = sizes[2 * parent.node_id + 2]
+                    assert left.derived != right.derived
+                    small, large = (right, left) if left.derived else (left, right)
+                    assert small.n_instances <= large.n_instances
+
+    def test_size_tie_builds_the_left_child(self):
+        # One feature per party; B's column separates the classes
+        # perfectly and evenly, so the root splits 8 | 8.
+        column = np.repeat([0.0, 1.0], 8)
+        features = np.column_stack([column, np.tile([0.0, 1.0, 2.0, 3.0], 4)])
+        labels = column.copy()
+        params = GBDTParams(n_trees=1, n_layers=3, n_bins=4)
+        full = bin_dataset(features, params.n_bins)
+        parties = [
+            full.subset_features(np.arange(0, 1)),
+            full.subset_features(np.arange(1, 2)),
+        ]
+        config = VF2BoostConfig.vf2boost(params=params, crypto_mode="counted")
+        result = FederatedTrainer(config).fit(parties, labels)
+        root, children = result.trace.trees[0].layers
+        assert [node.n_instances for node in children.nodes] == [8, 8]
+        assert [node.derived for node in children.nodes] == [False, True]
+        assert (children.built_nodes, children.built_instances) == (1, 8)
+
+    @pytest.mark.parametrize("mode", ["counted", "mock"])
+    def test_counted_payload_counts_built_nodes_only(self, party_datasets, mode):
+        parties, labels = party_datasets
+        params = GBDTParams(n_trees=1, n_layers=4, n_bins=10)
+        config = VF2BoostConfig.vf_gbdt(params=params, crypto_mode=mode)
+        result = FederatedTrainer(config).fit(parties, labels)
+        shipped = sum(
+            m.n_ciphers
+            for m in result.channel.log
+            if isinstance(m, CountedCipherPayload) and m.kind == "histograms"
+        )
+        per_node = 2 * parties[1].n_features * params.n_bins
+        assert shipped == self._built_nodes(result) * per_node
+        all_nodes = sum(len(l.nodes) for l in result.trace.trees[0].layers)
+        assert self._built_nodes(result) == (all_nodes + 1) // 2
+
+    def test_pair_packed_derived_counts_are_exact(self):
+        features, labels = self._soft_problem(n=60, d=6, seed=5)
+        params = GBDTParams(n_trees=1, n_layers=4, n_bins=4)
+        full = bin_dataset(features, params.n_bins)
+        parties = [
+            full.subset_features(np.arange(0, 3)),
+            full.subset_features(np.arange(3, 6)),
+        ]
+        config = VF2BoostConfig(
+            params=params, crypto_mode="real", key_bits=256,
+            pair_packing=True, histogram_packing=False, exponent_jitter=1,
+        )
+        plaintext = GBDTTrainer(params)
+        plaintext.fit_binned(full, labels)
+        trainer = FederatedTrainer(config)
+        seen = []
+        search = trainer._global_best_split
+
+        def spy(active_hist, passive_hists, n_node):
+            seen.append((passive_hists[1], n_node))
+            return search(active_hist, passive_hists, n_node)
+
+        trainer._global_best_split = spy
+        result = trainer.fit(parties, labels)
+        assert [r.train_loss for r in result.history] == [
+            r.train_loss for r in plaintext.history
+        ]
+        derived = sum(
+            node.derived for layer in result.trace.trees[0].layers for node in layer.nodes
+        )
+        assert derived >= 2
+        # Pair bins carry an exact count limb; parent - child keeps every
+        # node's per-feature counts summing to its instance count.
+        for hist, n_node in seen:
+            assert hist.count.dtype == np.int64
+            assert (hist.count >= 0).all()
+            assert (hist.count.sum(axis=1) == n_node).all()
