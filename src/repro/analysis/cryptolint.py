@@ -26,13 +26,10 @@ Three failure modes the runtime cannot reliably surface:
 * **CR105 — powmod choke-point bypass.**  Crypto hot paths must route
   modular exponentiation through
   :func:`repro.crypto.math_utils.powmod`, the single observed choke
-  point that fires the profiler's powmod observer and dispatches to
-  the active :class:`~repro.crypto.backend.CryptoBackend`.  A direct
+  point that fires the profiler's powmod observer.  A direct
   three-argument ``pow(base, e, m)`` inside ``crypto/`` silently
-  undercounts the op *and* pins the pure-Python engine regardless of
-  the selected backend.  Only the dispatch layer itself
-  (``math_utils.py``) and the backend engines (``backend.py``) may
-  call it.
+  undercounts the op, and would survive an engine swap made under the
+  choke point.  Only ``math_utils.py`` itself may call it.
 """
 
 from __future__ import annotations
@@ -55,21 +52,15 @@ __all__ = ["CryptoChecker", "RAW_OPS", "run"]
 RAW_OPS = {"raw_encrypt", "raw_decrypt", "raw_add", "raw_add_plain", "raw_multiply"}
 
 #: package-inner paths allowed to call raw primitives / construct ciphers
-# (pairing.py operates in the packed-integer domain of §4.2 and counts
-# its ops explicitly — CR003 verifies that.)
 DEFAULT_ALLOWED_RAW = (
     "crypto/paillier.py",
     "crypto/ciphertext.py",
-    "crypto/pairing.py",
 )
 DEFAULT_ALLOWED_CONSTRUCT = ("crypto/",)
 
-#: the only crypto-layer modules allowed a direct 3-arg ``pow`` (CR105):
-#: the observed dispatch choke point and the backend engines it calls
-DEFAULT_ALLOWED_POW = (
-    "crypto/math_utils.py",
-    "crypto/backend.py",
-)
+#: the only crypto-layer module allowed a direct 3-arg ``pow`` (CR105):
+#: the observed choke point itself
+DEFAULT_ALLOWED_POW = ("crypto/math_utils.py",)
 
 #: cipher-producing call tails tracked for provenance (CR001)
 _ENCRYPT_TAILS = {"encrypt", "encrypt_encoded", "encrypt_zero", "encrypt_pair"}
@@ -129,9 +120,7 @@ class CryptoChecker:
                     "CR105",
                     "direct three-argument pow() in a crypto hot path "
                     "bypasses the observed powmod choke point (profiler "
-                    "undercount) and pins the built-in engine regardless of "
-                    "the selected backend; call "
-                    "repro.crypto.math_utils.powmod instead",
+                    "undercount); call repro.crypto.math_utils.powmod instead",
                 )
         for qualname, fn in iter_functions(module.tree):
             self._check_cross_key(module, fn, reporter)

@@ -30,7 +30,7 @@ import json
 import platform
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.bench.costmodel import CostModel
 
@@ -114,9 +114,6 @@ class CalibrationProfile:
         pack_width: values per pack in the packing measurement.
         samples: operations per measurement.
         seed: keygen/value seed the measurement used.
-        backend: crypto backend name the measurement ran under
-            (profiles written before backends existed load as
-            ``"python"``, the engine they actually measured).
         host: :func:`host_fingerprint` of the measuring machine.
     """
 
@@ -127,7 +124,6 @@ class CalibrationProfile:
     pack_width: int
     samples: int
     seed: int
-    backend: str = "python"
     host: dict = field(default_factory=dict)
 
     def ratios(self) -> dict:
@@ -152,7 +148,6 @@ class CalibrationProfile:
             "pack_width": self.pack_width,
             "samples": self.samples,
             "seed": self.seed,
-            "backend": self.backend,
             "host": dict(sorted(self.host.items())),
         }
 
@@ -160,6 +155,12 @@ class CalibrationProfile:
     def from_dict(cls, data: dict) -> "CalibrationProfile":
         data = dict(data)
         data.pop("version", None)
+        # Profiles written while a crypto-backend selector existed carry
+        # its name; there is one engine now, so the key means nothing.
+        data.pop("backend", None)
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown calibration profile field(s): {unknown}")
         return cls(**data)
 
     def save(self, path: str) -> None:
@@ -184,7 +185,6 @@ class CalibrationProfile:
         pack_width: int,
         samples: int = 0,
         seed: int = 0,
-        backend: str = "python",
         host: dict | None = None,
     ) -> "CalibrationProfile":
         """Freeze an existing :class:`CostModel` into a profile."""
@@ -196,7 +196,6 @@ class CalibrationProfile:
             pack_width=pack_width,
             samples=samples,
             seed=seed,
-            backend=backend,
             host=host if host is not None else {},
         )
 
@@ -246,26 +245,12 @@ def calibrate(
     samples: int = 24,
     seed: int = 7,
     timer: Callable[[], float] = time.perf_counter,  # repro: allow[DET001] -- calibration times real crypto by design; tests inject a fake timer
-    backend: str = "auto",
 ) -> CalibrationProfile:
-    """Microbenchmark this host into a :class:`CalibrationProfile`.
-
-    Args:
-        backend: crypto backend to measure under — a registry name, or
-            ``"auto"`` to pick the fastest engine importable on this
-            host (``gmpy2`` when present, the pure-Python fast path
-            otherwise).  The resolved name is recorded in the profile.
-    """
-    from repro.crypto.backend import auto_select
-    from repro.crypto.math_utils import use_backend
-
-    resolved = auto_select() if backend == "auto" else backend
-    with use_backend(resolved) as active:
-        cost = CostModel.measured(
-            key_bits=key_bits, samples=samples, seed=seed, timer=timer
-        )
-        gain, width = _measure_packing(key_bits, samples, seed, timer)
-        backend_name = active.name
+    """Microbenchmark this host into a :class:`CalibrationProfile`."""
+    cost = CostModel.measured(
+        key_bits=key_bits, samples=samples, seed=seed, timer=timer
+    )
+    gain, width = _measure_packing(key_bits, samples, seed, timer)
     return CalibrationProfile.from_cost_model(
         cost,
         key_bits=key_bits,
@@ -273,7 +258,6 @@ def calibrate(
         pack_width=width,
         samples=samples,
         seed=seed,
-        backend=backend_name,
         host=host_fingerprint(),
     )
 

@@ -16,11 +16,8 @@ import random
 import time
 from dataclasses import dataclass
 
-import contextlib
-
 from repro.crypto.accumulation import naive_sum, reordered_sum
 from repro.crypto.ciphertext import PaillierContext
-from repro.crypto.math_utils import use_backend
 from repro.crypto.packing import pack_capacity, pack_ciphers, unpack_values
 
 __all__ = ["ThroughputReport", "crypto_throughputs"]
@@ -77,7 +74,6 @@ def crypto_throughputs(
     n_exponents: int = 6,
     limb_bits: int = 32,
     seed: int = 11,
-    backend: str | None = None,
 ) -> ThroughputReport:
     """Measure all Figure 7 operations at a given key size.
 
@@ -88,21 +84,7 @@ def crypto_throughputs(
         n_exponents: encoder jitter width ``E``.
         limb_bits: packing limb width for the packed-decryption row.
         seed: deterministic keygen/value seed.
-        backend: crypto backend name to measure under; ``None`` keeps
-            the currently active backend.
     """
-    scope = use_backend(backend) if backend is not None else contextlib.nullcontext()
-    with scope:
-        return _crypto_throughputs(key_bits, samples, n_exponents, limb_bits, seed)
-
-
-def _crypto_throughputs(
-    key_bits: int,
-    samples: int,
-    n_exponents: int,
-    limb_bits: int,
-    seed: int,
-) -> ThroughputReport:
     context = PaillierContext.create(key_bits, seed=seed, jitter=n_exponents)
     rng = random.Random(seed)
     values = [rng.gauss(0.0, 1.0) for _ in range(samples)]

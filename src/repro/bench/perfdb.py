@@ -35,7 +35,6 @@ __all__ = [
     "PerfDB",
     "PerfEntry",
     "PerfScalar",
-    "backend_parity_scenario",
     "counted_scenario",
     "faults_scenario",
     "fig7_scenario",
@@ -162,9 +161,6 @@ class PerfDB:
 def _train_perf_shape() -> tuple:
     """Train the :data:`PERF_SHAPE` workload with real crypto.
 
-    Shared by :func:`counted_scenario` and
-    :func:`backend_parity_scenario` so both gate the *same* seeded run.
-
     Returns:
         ``(result, parties, half, totals)`` — the train result, the
         per-party binned datasets, the active party's feature count,
@@ -221,6 +217,8 @@ def counted_scenario() -> PerfEntry:
     costs.  Every scalar is a seeded, deterministic quantity, gated
     bit-exactly.
     """
+    import hashlib
+
     from repro.bench.costmodel import CostModel
     from repro.core.config import VF2BoostConfig
     from repro.core.profile import analytic_trace
@@ -270,6 +268,16 @@ def counted_scenario() -> PerfEntry:
         kind="exact",
         direction="lower",
     )
+    # The trained model's margins on the training codes, pinned by the
+    # first 48 bits of their SHA-256 as a float: exact in IEEE double,
+    # so the gate holds the model bytes without a string scalar.
+    margins = result.model.predict_margin(
+        {index: party.codes for index, party in enumerate(parties)}
+    )
+    digest = hashlib.sha256(margins.tobytes()).hexdigest()
+    scalars["model_digest"] = PerfScalar(
+        float(int(digest[:12], 16)), kind="exact", direction="lower"
+    )
     scalars["sim_makespan"] = PerfScalar(makespan, kind="exact", direction="lower")
     # Per-phase and per-resource critical-path attributions of the same
     # analytic schedule: deterministic floats, gated bit-exactly.  When
@@ -288,53 +296,6 @@ def counted_scenario() -> PerfEntry:
         float(section.get("wait_seconds", 0.0)), kind="exact", direction="lower"
     )
     return PerfEntry(name="counted-train", scalars=scalars, meta=dict(shape))
-
-
-def backend_parity_scenario() -> PerfEntry:
-    """Exact scenario: crypto backends are interchangeable, provably.
-
-    Trains the :data:`PERF_SHAPE` workload once under **every**
-    available crypto backend and checks that op totals and the final
-    model (margins on the training codes) are bit-identical across
-    them.  ``parity_ok`` and the model digest gate bit-exactly; the
-    backend list itself lives in ``meta`` because it varies by host
-    (``gmpy2`` is optional) while the gated scalars must not.
-    """
-    import hashlib
-
-    from repro.crypto.backend import available_backends
-    from repro.crypto.math_utils import use_backend
-
-    runs = {}
-    for name in available_backends():
-        with use_backend(name):
-            result, parties, _half, totals = _train_perf_shape()
-        margins = result.model.predict_margin(
-            {index: party.codes for index, party in enumerate(parties)}
-        )
-        digest = hashlib.sha256(margins.tobytes()).hexdigest()
-        runs[name] = (tuple(sorted(totals.items())), digest)
-
-    reference = next(iter(runs.values()))
-    parity_ok = all(run == reference for run in runs.values())
-    # First 48 bits of the reference digest as a float: exact in IEEE
-    # double, so the gate pins the model bytes without a string scalar.
-    digest_scalar = float(int(reference[1][:12], 16))
-    scalars = {
-        "parity_ok": PerfScalar(
-            1.0 if parity_ok else 0.0, kind="exact", direction="higher"
-        ),
-        "model_digest": PerfScalar(digest_scalar, kind="exact", direction="lower"),
-    }
-    scalars.update(
-        {
-            f"ops.{op}": PerfScalar(float(count), kind="exact", direction="lower")
-            for op, count in reference[0]
-        }
-    )
-    meta = dict(PERF_SHAPE)
-    meta["backends"] = list(runs)
-    return PerfEntry(name="backend-parity", scalars=scalars, meta=meta)
 
 
 #: the fixed workload + fault schedule of the recovery-cost scenario;
@@ -656,21 +617,11 @@ def serve_fleet_scenario() -> PerfEntry:
     return PerfEntry(name="serve-fleet", scalars=scalars, meta=dict(shape))
 
 
-def fig7_scenario(
-    key_bits: int = 512, samples: int = 48, backend: str | None = None
-) -> PerfEntry:
-    """Measured scenario: real Figure 7 throughputs (noise-gated).
-
-    Args:
-        backend: crypto backend name to measure under.  ``None`` keeps
-            the active backend and the historical entry name ``fig7``;
-            a named backend writes ``fig7-<backend>`` so each engine
-            accumulates its own sliding-window history and the measured
-            speedups of the fast paths land as per-backend deltas.
-    """
+def fig7_scenario(key_bits: int = 512, samples: int = 48) -> PerfEntry:
+    """Measured scenario: real Figure 7 throughputs (noise-gated)."""
     from repro.bench.microbench import crypto_throughputs
 
-    report = crypto_throughputs(key_bits=key_bits, samples=samples, backend=backend)
+    report = crypto_throughputs(key_bits=key_bits, samples=samples)
     scalars = {
         name: PerfScalar(value, kind="measured", direction="higher")
         for name, value in (
@@ -680,13 +631,10 @@ def fig7_scenario(
             ("dec_packed_values_per_s", report.dec_packed),
         )
     }
-    meta = {"key_bits": key_bits, "samples": samples}
-    if backend is not None:
-        meta["backend"] = backend
     return PerfEntry(
-        name="fig7" if backend is None else f"fig7-{backend}",
+        name="fig7",
         scalars=scalars,
-        meta=meta,
+        meta={"key_bits": key_bits, "samples": samples},
     )
 
 

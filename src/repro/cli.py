@@ -181,7 +181,7 @@ def _whatif_main(argv: list[str]) -> int:
             "Re-price the recorded task graph under a perturbed cost "
             "model and report predicted makespan / Figure-7 deltas and "
             "critical-path bottleneck shifts — the decision tool for "
-            "crypto-backend work."
+            "crypto-engine work."
         ),
     )
     parser.add_argument(
@@ -287,7 +287,6 @@ def _bench_gate_main(argv: list[str]) -> int:
 
     from repro.bench.perfdb import (
         PerfDB,
-        backend_parity_scenario,
         counted_scenario,
         faults_scenario,
         fig7_scenario,
@@ -325,22 +324,6 @@ def _bench_gate_main(argv: list[str]) -> int:
         "--fig7",
         action="store_true",
         help="also run the measured Figure 7 throughput scenario",
-    )
-    parser.add_argument(
-        "--backend",
-        default=None,
-        choices=("auto", "python", "fast", "gmpy2"),
-        help="crypto backend for the Figure 7 scenario; a named backend "
-        "writes its own fig7-<backend> entry so each engine keeps its "
-        "own throughput history ('auto' resolves to the fastest "
-        "importable one)",
-    )
-    parser.add_argument(
-        "--parity",
-        action="store_true",
-        help="also run the exact cross-backend parity scenario (op "
-        "totals and model bytes identical under every available "
-        "crypto backend)",
     )
     parser.add_argument(
         "--faults",
@@ -388,24 +371,13 @@ def _bench_gate_main(argv: list[str]) -> int:
     )
     args = parser.parse_args(argv)
 
-    backend = args.backend
-    if backend == "auto":
-        from repro.crypto.backend import auto_select
-
-        backend = auto_select().name
     entries = [counted_scenario()]
     if args.faults:
         entries.append(faults_scenario())
     if args.serve:
         entries.append(serve_fleet_scenario())
-    if args.parity:
-        entries.append(backend_parity_scenario())
     if args.fig7:
-        entries.append(
-            fig7_scenario(
-                key_bits=args.key_bits, samples=args.samples, backend=backend
-            )
-        )
+        entries.append(fig7_scenario(key_bits=args.key_bits, samples=args.samples))
     db = PerfDB.load(args.db)
     result = gate(
         db, entries, window=args.window, measured_rtol=args.measured_rtol
@@ -507,24 +479,13 @@ def _calibrate_main(argv: list[str]) -> int:
         "--samples", type=int, default=24, help="ops per measurement (default: 24)"
     )
     parser.add_argument(
-        "--backend",
-        default="auto",
-        choices=("auto", "python", "fast", "gmpy2"),
-        help="crypto backend to measure under; 'auto' (default) picks "
-        "the fastest importable engine and records its name in the "
-        "profile",
-    )
-    parser.add_argument(
         "--check",
         action="store_true",
         help="fail (exit 1) when the cost ratios drifted from the paper's",
     )
     args = parser.parse_args(argv)
 
-    profile = calibrate(
-        key_bits=args.key_bits, samples=args.samples, backend=args.backend
-    )
-    print(f"backend: {profile.backend}")
+    profile = calibrate(key_bits=args.key_bits, samples=args.samples)
     for name, value in sorted(profile.unit_costs.items()):
         print(f"{name}: {value:.3e} s")
     print(
@@ -608,14 +569,6 @@ def _train_main(argv: list[str]) -> int:
         "--crypto-mode", default="counted", choices=("counted", "real", "mock")
     )
     parser.add_argument(
-        "--backend",
-        default="python",
-        choices=("auto", "python", "fast", "gmpy2"),
-        help="crypto backend for real-mode training; op counts and the "
-        "trained model are bit-identical across backends, only "
-        "wall-clock changes ('auto' picks the fastest importable one)",
-    )
-    parser.add_argument(
         "--checkpoint-dir",
         default=None,
         help="write a checkpoint after every tree (required with --crash-after)",
@@ -664,19 +617,14 @@ def _train_main(argv: list[str]) -> int:
     )
     plan = _plan_from_args(args)
     trainer = FederatedTrainer(config, incident_dir=args.incident_dir)
-    from repro.crypto.backend import auto_select
-    from repro.crypto.math_utils import use_backend
-
-    backend = auto_select().name if args.backend == "auto" else args.backend
-    with use_backend(backend):
-        result = trainer.fit_resilient(
-            parties,
-            labels,
-            fault_plan=plan,
-            retry_policy=RetryPolicy(max_retries=args.max_retries),
-            resume_from=args.resume_from,
-            checkpoint_dir=args.checkpoint_dir,
-        )
+    result = trainer.fit_resilient(
+        parties,
+        labels,
+        fault_plan=plan,
+        retry_policy=RetryPolicy(max_retries=args.max_retries),
+        resume_from=args.resume_from,
+        checkpoint_dir=args.checkpoint_dir,
+    )
     print(
         f"trained {len(result.model.trees)} trees "
         f"(final train loss {result.history[-1].train_loss:.4f})"

@@ -6,12 +6,8 @@ Public surface:
   and encrypted arithmetic with fixed-point encoding.
 * :mod:`repro.crypto.accumulation` — re-ordered histogram accumulation.
 * :mod:`repro.crypto.packing` — polynomial-based cipher packing.
-* :mod:`repro.crypto.backend` — pluggable big-integer engines; swap
-  with :func:`set_backend` / :func:`use_backend`, discover with
-  :func:`available_backends`, pick the fastest with
-  :func:`auto_select`.
-* :mod:`repro.crypto.blaster` — deterministic process-pool lanes for
-  bulk exponentiation.
+* :mod:`repro.crypto.math_utils` — the observed ``powmod`` / ``invert``
+  choke points over built-in ``pow``, and the key holder's CRT route.
 """
 
 from repro.crypto.accumulation import (
@@ -19,15 +15,6 @@ from repro.crypto.accumulation import (
     naive_sum,
     reordered_sum,
 )
-from repro.crypto.backend import (
-    BACKEND_NAMES,
-    CryptoBackend,
-    auto_select,
-    available_backends,
-    create_backend,
-)
-from repro.crypto.blaster import BlasterLanes, partition
-from repro.crypto.math_utils import get_backend, set_backend, use_backend
 from repro.crypto.ciphertext import EncryptedNumber, OpStats, PaillierContext
 from repro.crypto.encoding import EncodedNumber, Encoder
 from repro.crypto.packing import (
@@ -48,12 +35,9 @@ from repro.crypto.paillier import (
 )
 
 __all__ = [
-    "BACKEND_NAMES",
     "DEFAULT_KEY_BITS",
     "DEFAULT_LIMB_BITS",
     "TEST_KEY_BITS",
-    "BlasterLanes",
-    "CryptoBackend",
     "EncodedNumber",
     "Encoder",
     "EncryptedNumber",
@@ -66,17 +50,10 @@ __all__ = [
     "PaillierContext",
     "PaillierPrivateKey",
     "PaillierPublicKey",
-    "auto_select",
-    "available_backends",
-    "create_backend",
     "generate_keypair",
-    "get_backend",
     "naive_sum",
     "pack_capacity",
     "pack_ciphers",
-    "partition",
     "reordered_sum",
-    "set_backend",
     "unpack_values",
-    "use_backend",
 ]

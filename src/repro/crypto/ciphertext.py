@@ -144,7 +144,7 @@ class PaillierContext:
         registry: metrics sink for the mirrored ``crypto.*`` counters
             (the process-wide registry when omitted).
         obfuscator_rng: optional seeded generator for obfuscator draws
-            (tests pin it to prove backends produce bit-identical
+            (tests pin it to compare key-holder and full-width
             ciphertexts; production leaves it ``None`` for entropy).
     """
 

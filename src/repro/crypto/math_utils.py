@@ -3,35 +3,27 @@
 Everything here operates on plain Python integers.  Modular
 exponentiation — and its exponentiation-grade sibling, modular
 inversion — go through a single observed choke point (:func:`powmod` /
-:func:`invert`) that dispatches to the active
-:class:`~repro.crypto.backend.CryptoBackend`.  The default backend is
-the built-in three-argument ``pow``; :func:`set_backend` swaps in the
-pure-Python fast path or the ``gmpy2`` engine, all of which return
-bit-identical integers (see :mod:`repro.crypto.backend`).
+:func:`invert`) over the built-in three-argument ``pow``.  There is one
+engine; a faster one would replace ``pow`` under these two functions,
+not be selected beside it (DESIGN §4.14).
 
 The profiler's observer fires exactly once per *logical* operation at
-this layer, regardless of how many internal half-width exponentiations
-the active backend performs — op-count fingerprints are therefore
-backend-invariant.  Work executed outside this process (blaster lanes)
-is folded back in via :func:`observe_powmods`.
+this layer: the key holder's CRT route (:func:`powmod_crt`) assembles
+one obfuscator from up to four half-width ``pow`` calls, and still
+counts as the one :func:`powmod` that asked for it.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 import random
 import secrets
-from collections.abc import Callable, Iterator
-
-from repro.crypto.backend import (
-    CryptoBackend,
-    PythonBackend,
-    create_backend,
-    crt_combine,
-)
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 __all__ = [
+    "CrtParams",
     "is_probable_prime",
     "generate_prime",
     "generate_prime_pair",
@@ -39,13 +31,11 @@ __all__ = [
     "invert",
     "crt_combine",
     "lcm",
-    "observe_powmods",
     "powmod",
+    "powmod_crt",
     "random_below",
     "random_coprime",
-    "set_backend",
     "set_powmod_observer",
-    "use_backend",
 ]
 
 # Small primes used to cheaply reject composite candidates before the
@@ -60,9 +50,6 @@ _SMALL_PRIMES = (
 #: optional zero-argument callback fired on every :func:`powmod` call;
 #: the hot-path profiler attributes these to the enclosing cipher op
 _POWMOD_OBSERVER: Callable[[], None] | None = None
-
-#: the active big-integer engine every exponentiation dispatches to
-_BACKEND: CryptoBackend = PythonBackend()
 
 
 def set_powmod_observer(
@@ -80,76 +67,126 @@ def set_powmod_observer(
     return previous
 
 
-def observe_powmods(count: int) -> None:
-    """Replay ``count`` powmod observations through the observer.
+def get_backend() -> SimpleNamespace:
+    """Constant descriptor of the one engine: ``.name == "python"``.
 
-    Blaster lanes execute their exponentiations in worker processes
-    where the parent's observer cannot see them; each lane reports a
-    tally and the parent folds it back in here, keeping profiler
-    powmod counts identical to a serial run.
+    Kept only because ``benchmarks/e2e/run.py:run_meta`` records the
+    name and that file could not be edited when the backend layer was
+    removed; the next benchmark PR can drop the field and this function
+    together.
     """
-    if count < 0:
-        raise ValueError("powmod tally cannot be negative")
-    if _POWMOD_OBSERVER is not None:
-        for _ in range(count):
-            _POWMOD_OBSERVER()
+    return SimpleNamespace(name="python")
 
 
-def set_backend(backend: CryptoBackend | str) -> CryptoBackend:
-    """Swap the active crypto backend; returns the previous one.
+@dataclass(frozen=True)
+class CrtParams:
+    """Factorization-derived constants for CRT-split powmod mod ``n^2``.
 
-    Accepts a backend instance or a registry name
-    (``"python"`` / ``"fast"`` / ``"gmpy2"``).
+    Only the key holder can build these (they encode ``p`` and ``q``);
+    public contexts pass ``crt=None`` and get the plain full-width path.
+    Everything but the three constructor arguments is derived, so the
+    constants are consistent with each other by construction.
+
+    Attributes:
+        p, q: the prime factors of ``n``.
+        q_sq_inv: ``invert(q^2, p^2)`` — Garner's recombination constant
+            (passed in so the key holder computes it through the
+            observed :func:`invert`).
+        n: ``p * q`` — the exponent the p-adic route recognizes.
+        p_squared, q_squared: ``p ** 2``, ``q ** 2``.
+        modulus: ``n ** 2`` — the modulus these params split; dispatch
+            ignores the params when the call's modulus differs.
+        exp_p, exp_q: ``q mod (p - 1)`` and ``p mod (q - 1)`` — the
+            half-width exponents of ``r^n`` modulo ``p`` and ``q``.
     """
-    global _BACKEND
-    previous = _BACKEND
-    if isinstance(backend, str):
-        backend = create_backend(backend)
-    _BACKEND = backend
-    return previous
+
+    p: int = field(repr=False)
+    q: int = field(repr=False)
+    q_sq_inv: int = field(repr=False)
+    n: int = field(init=False, repr=False)
+    p_squared: int = field(init=False, repr=False)
+    q_squared: int = field(init=False, repr=False)
+    modulus: int = field(init=False, repr=False)
+    exp_p: int = field(init=False, repr=False)
+    exp_q: int = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        p, q = self.p, self.q
+        n = p * q
+        for name, value in (
+            ("n", n),
+            ("p_squared", p * p),
+            ("q_squared", q * q),
+            ("modulus", n * n),
+            ("exp_p", q % (p - 1)),
+            ("exp_q", p % (q - 1)),
+        ):
+            object.__setattr__(self, name, value)
 
 
-def get_backend() -> CryptoBackend:
-    """The currently active crypto backend."""
-    return _BACKEND
+def crt_combine(residue_p: int, residue_q: int, p: int, q: int, q_inv_p: int) -> int:
+    """Combine residues modulo ``p`` and ``q`` into a residue modulo ``p*q``.
+
+    Uses Garner's formula; ``q_inv_p`` must equal ``invert(q, p)`` and is
+    passed in so hot paths can precompute it once per key.  The moduli
+    only need to be coprime: decryption combines over ``(p, q)``,
+    :func:`powmod_crt` over ``(p^2, q^2)``.
+    """
+    h = (q_inv_p * (residue_p - residue_q)) % p
+    return residue_q + h * q
 
 
-@contextlib.contextmanager
-def use_backend(backend: CryptoBackend | str) -> Iterator[CryptoBackend]:
-    """Scope a backend over a block, restoring the previous one."""
-    previous = set_backend(backend)
-    try:
-        yield _BACKEND
-    finally:
-        set_backend(previous)
+def powmod_crt(base: int, exponent: int, crt: CrtParams) -> int:
+    """Exact ``pow(base, exponent, crt.modulus)`` from half-width steps.
+
+    The obfuscator exponent ``n = p * q`` takes the p-adic route:
+    ``x^p mod p^2`` depends only on ``x mod p``, so for a base that
+    is a unit modulo ``p``
+    ``base^n mod p^2 = ((base mod p)^(q mod (p-1)) mod p)^p mod p^2``
+    (Fermat's little theorem inside, the binomial theorem outside),
+    and symmetrically for ``q^2`` — two half-width steps with
+    half-length exponents per side instead of one full-width pow
+    (measured 1.9x at 512-bit keys, 2.3x at 1024, 2.8x at 2048; see
+    EXPERIMENTS.md).  A base divisible by ``p`` or ``q`` is outside
+    that identity and takes the plain path.  Any other exponent is
+    split over ``p^2`` / ``q^2`` at full exponent length.
+    :func:`crt_combine` then reconstructs the unique residue modulo
+    ``p^2 * q^2``, so the result is bit-identical to the direct pow.
+
+    Built on ``pow``, not on the observed :func:`powmod`: the internal
+    steps are not logical operations of their own.
+    """
+    if exponent == crt.n:
+        base_p, base_q = base % crt.p, base % crt.q
+        if not (base_p and base_q):
+            return pow(base, exponent, crt.modulus)
+        xp = pow(pow(base_p, crt.exp_p, crt.p), crt.p, crt.p_squared)
+        xq = pow(pow(base_q, crt.exp_q, crt.q), crt.q, crt.q_squared)
+    else:
+        xp = pow(base % crt.p_squared, exponent, crt.p_squared)
+        xq = pow(base % crt.q_squared, exponent, crt.q_squared)
+    return crt_combine(xp, xq, crt.p_squared, crt.q_squared, crt.q_sq_inv)
 
 
-def powmod(base: int, exponent: int, modulus: int, crt=None, fixed: bool = False) -> int:
+def powmod(base: int, exponent: int, modulus: int, crt: CrtParams | None = None) -> int:
     """Modular exponentiation ``base ** exponent mod modulus``.
 
     The single observed choke point for exponentiation: the cost model
-    and profiler see every call (see :func:`set_powmod_observer`), and
-    the active backend decides *how* the result is computed.
+    and profiler see every call (see :func:`set_powmod_observer`).
 
     Args:
         base, exponent, modulus: the operation itself.
-        crt: optional :class:`~repro.crypto.backend.CrtParams` for the
-            modulus (key holder only); when it matches ``modulus`` the
-            backend assembles the result from half-width steps,
-            otherwise the call takes the plain path.  Either way the
-            returned integer is identical.
-        fixed: hint that ``base`` is a per-key constant (``g = n + 1``
-            powers, ``h``-function terms) worth a fixed-base table on
-            backends that keep them.
+        crt: optional :class:`CrtParams` for the modulus (key holder
+            only); when it matches ``modulus`` the result is assembled
+            from half-width steps (:func:`powmod_crt`), otherwise the
+            call takes the plain path.  Either way the returned integer
+            is identical.
     """
     if _POWMOD_OBSERVER is not None:
         _POWMOD_OBSERVER()
     if crt is not None and crt.modulus == modulus and exponent >= 0:
-        return _BACKEND.powmod_crt(base, exponent, crt)
-    if fixed and exponent >= 0:
-        table = _BACKEND.fixed_base(base, modulus, max(1, exponent.bit_length()))
-        return table.pow(exponent)
-    return _BACKEND.powmod(base, exponent, modulus)
+        return powmod_crt(base, exponent, crt)
+    return pow(base, exponent, modulus)
 
 
 def invert(a: int, modulus: int) -> int:
@@ -165,7 +202,10 @@ def invert(a: int, modulus: int) -> int:
     """
     if _POWMOD_OBSERVER is not None:
         _POWMOD_OBSERVER()
-    return _BACKEND.invert(a, modulus)
+    try:
+        return pow(a, -1, modulus)
+    except ValueError as exc:
+        raise ValueError(f"{a} is not invertible modulo {modulus}") from exc
 
 
 def lcm(a: int, b: int) -> int:
@@ -250,8 +290,9 @@ def random_coprime(n: int, rng: random.Random | None = None) -> int:
     Args:
         n: the modulus.
         rng: optional seeded generator — tests pin obfuscator draws
-            with it to prove cross-backend bit-identity; production
-            callers leave it ``None`` for system entropy.
+            with it to compare the CRT route against the full-width
+            reference; production callers leave it ``None`` for
+            system entropy.
     """
     while True:
         r = (rng.randrange(n - 1) if rng is not None else secrets.randbelow(n - 1)) + 1

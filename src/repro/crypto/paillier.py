@@ -30,7 +30,7 @@ import secrets
 from dataclasses import dataclass, field
 
 from repro.crypto import math_utils
-from repro.crypto.backend import CrtParams
+from repro.crypto.math_utils import CrtParams
 
 __all__ = [
     "PaillierPublicKey",
@@ -99,11 +99,11 @@ class PaillierPublicKey:
 
         Args:
             rng: optional seeded generator for the random ``r`` (tests
-                pin it to prove backends produce identical ciphertexts).
+                pin it to compare the CRT route with the plain one).
             crt: optional CRT parameters of this key's ``n^2`` — the
-                key holder passes them so the backend splits the
-                exponentiation; the result is bit-identical either
-                way, and exactly one logical powmod is counted.
+                key holder passes them so the exponentiation is split;
+                the result is bit-identical either way, and exactly
+                one logical powmod is counted.
         """
         r = math_utils.random_coprime(self.n, rng)
         return math_utils.powmod(r, self.n, self.n_squared, crt=crt)
@@ -181,9 +181,7 @@ class PaillierPrivateKey:
 
     def _h_function(self, prime: int, prime_squared: int) -> int:
         n = self.public_key.n
-        # g = n + 1 is a per-key constant base: backends with fixed-base
-        # tables may comb it (the result is bit-identical regardless).
-        g_pow = math_utils.powmod(n + 1, prime - 1, prime_squared, fixed=True)
+        g_pow = math_utils.powmod(n + 1, prime - 1, prime_squared)
         return math_utils.invert(self._l_function(g_pow, prime), prime)
 
     @staticmethod
@@ -196,12 +194,11 @@ class PaillierPrivateKey:
 
         Built once per key (the ``q^2`` inverse is itself an observed
         inversion) and handed to :meth:`PaillierPublicKey.make_obfuscator`
-        so every backend computes the obfuscator ``r^n mod n^2`` from
-        half-width steps over ``p`` / ``p^2`` and ``q`` / ``q^2``
-        (:meth:`~repro.crypto.backend.CryptoBackend.powmod_crt`; the
-        measured gain is in :mod:`repro.crypto.backend`).  Only the key
-        holder can construct these — public contexts stay on the plain
-        path.
+        so the obfuscator ``r^n mod n^2`` is computed from half-width
+        steps over ``p`` / ``p^2`` and ``q`` / ``q^2``
+        (:func:`~repro.crypto.math_utils.powmod_crt`, which records the
+        measured gain).  Only the key holder can construct these —
+        public contexts stay on the plain path.
         """
         if self._crt is None:
             object.__setattr__(
@@ -296,8 +293,7 @@ class ObfuscatorPool:
     Draw order is deterministic given the draws themselves: the pool is
     a LIFO stack, ``refill`` appends in generation order and ``take``
     pops from the top, so interleaved refill/take sequences replay
-    identically whenever the injected ``rng`` (or the deposited batch)
-    is the same.
+    identically whenever the injected ``rng`` is the same.
 
     Args:
         public_key: key the obfuscators belong to.
@@ -333,21 +329,12 @@ class ObfuscatorPool:
     def __len__(self) -> int:
         return len(self._pool)
 
-    @property
-    def public_key(self) -> PaillierPublicKey:
-        """The key whose obfuscators this pool holds."""
-        return self._public_key
-
     def refill(self, count: int) -> None:
         """Generate ``count`` additional obfuscators."""
         self._pool.extend(
             self._public_key.make_obfuscator(self._rng, self._crt)
             for _ in range(count)
         )
-
-    def deposit(self, obfuscators) -> None:
-        """Append pre-computed obfuscators (blaster-lane refills)."""
-        self._pool.extend(obfuscators)
 
     def take(self) -> int:
         """Pop one obfuscator, generating on demand if the pool is dry."""

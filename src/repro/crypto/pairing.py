@@ -28,6 +28,7 @@ import math
 from dataclasses import dataclass
 
 from repro.crypto.ciphertext import EncryptedNumber, PaillierContext
+from repro.crypto.encoding import EncodedNumber
 
 __all__ = ["GradHessCodec", "PairSums"]
 
@@ -101,10 +102,11 @@ class GradHessCodec:
 
     def encrypt_pair(self, grad: float, hess: float) -> EncryptedNumber:
         """Encrypt one packed pair (counts as a single encryption)."""
+        context = self.context
         raw = self.encode_pair(grad, hess)
-        self.context.stats.encryptions += 1
-        cipher = self.context.public_key.raw_encrypt(raw, self.context.pool.take())
-        return EncryptedNumber(self.context, cipher, self.exponent)
+        return context.encrypt_encoded(
+            EncodedNumber(context.public_key, raw, self.exponent, context.encoder.base)
+        )
 
     def add(self, a: EncryptedNumber, b: EncryptedNumber) -> EncryptedNumber:
         """Accumulate two pair ciphers (no scaling is ever needed)."""

@@ -7,10 +7,6 @@ training path (:mod:`repro.fed.reliable`) waits for delivery acks.
 :class:`RetryPolicy` is the one knob set both share — per-attempt
 timeout plus capped exponential backoff — and :class:`PartyHealth` the
 rolling availability record serving uses to flag suspect parties.
-
-Historically these classes lived in :mod:`repro.serve.resilience`;
-that module still re-exports them, so serving-side imports are
-unchanged.
 """
 
 from __future__ import annotations

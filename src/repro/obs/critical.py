@@ -13,7 +13,7 @@ graph backwards from the finishing task and recovers
   so on-path tasks get a slack of exactly ``0.0``, and
 * a makespan **attribution** keyed by ``(resource, lane, phase, op)``,
   the decision input for the what-if explorer
-  (:mod:`repro.obs.whatif`) and the ROADMAP's crypto-backend work.
+  (:mod:`repro.obs.whatif`) and the ROADMAP's crypto-engine work.
 
 Everything is duck-typed over ``SimTask``-shaped objects (``name`` /
 ``phase`` / ``resource`` / ``lane`` / ``start`` / ``end`` / ``task_id``

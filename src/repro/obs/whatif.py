@@ -1,8 +1,8 @@
 """What-if explorer: re-price a schedule under perturbed unit costs.
 
-The ROADMAP's next performance items (pluggable crypto backends,
-SecureBoost+/Batch-HE-style packing — PAPERS.md) all amount to *make
-one op family cheaper*.  Whether that buys wall-clock time depends on
+The ROADMAP's performance items (a faster ``powmod`` under the choke
+point, SecureBoost+/Batch-HE-style packing — PAPERS.md) all amount to
+*make one op family cheaper*.  Whether that buys wall-clock time depends on
 whether the op sits on the critical path, and by how much — exactly
 what this module answers *before* any implementation work: it
 schedules the same workload twice, once at baseline costs and once
@@ -22,7 +22,7 @@ scale      ``t_scale``
 smul       ``t_smul``, ``t_smul_small``
 powmod     ``t_enc``, ``t_dec``, ``t_smul``, ``t_smul_small`` —
            every modular-exponentiation-bound op, the knob a faster
-           powmod backend (gmp, CRT, batching) actually turns
+           powmod (gmp, CRT, batching) actually turns
 plain      ``t_plain_accum``, ``t_split_bin``
 wan        cross-party bandwidth (ClusterSpec, not CostModel)
 ========== =====================================================

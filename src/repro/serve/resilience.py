@@ -9,8 +9,7 @@ mitigations:
   :class:`~repro.fed.retry.RetryPolicy` and
   :class:`~repro.fed.retry.PartyHealth` live in :mod:`repro.fed.retry`,
   shared with the fault-tolerant training path; import them from
-  there.  (A module ``__getattr__`` below keeps old imports working
-  but emits a :class:`DeprecationWarning` pointing at the new home.)
+  there.
 * :class:`DegradedRouter` — when a party stays unresponsive past its
   retry budget (or the request's deadline), its nodes are routed by a
   precomputed *majority direction* and the prediction is flagged
@@ -27,41 +26,11 @@ revealed.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = ["DegradedRouter", "majority_directions"]
-
-#: names whose canonical home moved to repro.fed.retry (shared with the
-#: fault-tolerant training path); resolved lazily below so importing
-#: them here warns instead of silently aliasing forever
-_MOVED_TO_FED_RETRY = ("PartyHealth", "RetryPolicy")
-
-
-def __getattr__(name: str):
-    """Deprecation shim for the names that moved to ``repro.fed.retry``.
-
-    ``from repro.serve.resilience import RetryPolicy`` keeps working
-    (old pickles, out-of-tree callers) but now emits a
-    :class:`DeprecationWarning` naming the canonical module, so the
-    alias can be dropped in a later release.
-    """
-    if name in _MOVED_TO_FED_RETRY:
-        warnings.warn(
-            f"repro.serve.resilience.{name} moved to repro.fed.retry; "
-            "update the import — this alias will be removed",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.fed import retry
-
-        return getattr(retry, name)
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
-    )
-
 
 def majority_directions(
     model, party_codes: dict[int, np.ndarray], active_party: int = 0

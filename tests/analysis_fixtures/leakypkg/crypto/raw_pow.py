@@ -2,8 +2,7 @@
 
 
 def leaky_obfuscate(r: int, n: int, n_squared: int) -> int:
-    # Direct 3-arg pow: invisible to the powmod observer and pinned to
-    # the built-in engine no matter which backend is selected.
+    # Direct 3-arg pow: invisible to the powmod observer.
     return pow(r, n, n_squared)
 
 

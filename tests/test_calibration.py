@@ -74,6 +74,14 @@ class TestCalibrate:
         assert data["version"] == 1
         assert list(data["unit_costs"]) == sorted(data["unit_costs"])
 
+    def test_backend_era_profile_still_loads(self):
+        # PRs 10-14 wrote a "backend" key; unknown keys get a typed error.
+        profile = fake_calibrate()
+        legacy = {**profile.to_dict(), "backend": "fast"}
+        assert CalibrationProfile.from_dict(legacy) == profile
+        with pytest.raises(ValueError, match=r"\['lanes'\]"):
+            CalibrationProfile.from_dict({**legacy, "lanes": 2})
+
     def test_cost_model_round_trip(self):
         profile = fake_calibrate()
         cost = CostModel.from_profile(profile)

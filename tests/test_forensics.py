@@ -1,12 +1,9 @@
 """Tier-1 tests for regression forensics, the what-if explorer and the
 observability satellites of the forensics PR: ``bench-gate --explain``,
-``trace --summary``, Chrome counter tracks, per-lane tracer views and
-the ``serve.resilience`` deprecation shim."""
+``trace --summary``, Chrome counter tracks and per-lane tracer views."""
 
 import dataclasses
-import importlib
 import json
-import warnings
 
 import pytest
 
@@ -330,31 +327,3 @@ class TestTracerLanes:
     def test_empty_tracer(self):
         assert Tracer().lane_busy() == {}
         assert Tracer().utilization() == {}
-
-
-class TestResilienceShim:
-    def test_moved_names_warn_and_resolve(self):
-        import repro.fed.retry as retry
-        import repro.serve.resilience as resilience
-
-        importlib.reload(resilience)
-        with pytest.warns(DeprecationWarning, match="repro.fed.retry"):
-            policy = resilience.RetryPolicy
-        assert policy is retry.RetryPolicy
-        with pytest.warns(DeprecationWarning):
-            health = resilience.PartyHealth
-        assert health is retry.PartyHealth
-
-    def test_canonical_names_do_not_warn(self):
-        import repro.serve.resilience as resilience
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert resilience.DegradedRouter is not None
-            assert resilience.majority_directions is not None
-
-    def test_unknown_attribute_raises(self):
-        import repro.serve.resilience as resilience
-
-        with pytest.raises(AttributeError):
-            resilience.not_a_thing

@@ -106,6 +106,27 @@ class TestTrainerIntegration:
             [r.train_loss for r in plaintext.history], abs=1e-4
         )
 
+    def test_pair_packed_enc_reaches_every_counter(self):
+        # encrypt_pair goes through the context's counted entry point, so
+        # the registry mirror and the profiler see what OpStats sees.
+        from repro.obs.metrics import MetricsRegistry
+        from repro.obs.profiler import HotPathProfiler
+
+        __, parties, labels, params = self._setup()
+        config = VF2BoostConfig(
+            params=params.replace(n_trees=1, n_layers=2), crypto_mode="real",
+            key_bits=256, pair_packing=True, histogram_packing=False,
+            exponent_jitter=1,
+        )
+        registry = MetricsRegistry()
+        result = FederatedTrainer(
+            config, registry=registry, profiler=HotPathProfiler()
+        ).fit(parties, labels)
+        encryptions = sum(s.encryptions for s in result.crypto_stats.values())
+        assert encryptions == len(labels)  # one cipher per instance
+        assert registry.get("crypto.enc") == encryptions
+        assert result.profile["ops"]["enc"]["count"] == encryptions
+
     def test_pair_packing_halves_gradient_stream(self):
         __, parties, labels, params = self._setup()
         base_config = VF2BoostConfig(

@@ -103,7 +103,7 @@ class TestCounting:
 
     def test_key_holder_enc_is_one_powmod(self, context):
         # The key holder's obfuscator runs as four half-width pows inside
-        # the backend; the choke point still observes one logical powmod.
+        # powmod_crt; the choke point still observes one logical powmod.
         assert context.can_decrypt
         with HotPathProfiler() as profiler:
             context.encrypt(2.0)
