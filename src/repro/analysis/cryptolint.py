@@ -63,7 +63,7 @@ DEFAULT_ALLOWED_CONSTRUCT = ("crypto/",)
 DEFAULT_ALLOWED_POW = ("crypto/math_utils.py",)
 
 #: cipher-producing call tails tracked for provenance (CR001)
-_ENCRYPT_TAILS = {"encrypt", "encrypt_encoded", "encrypt_zero", "encrypt_pair"}
+_ENCRYPT_TAILS = {"encrypt", "encrypt_encoded", "encrypt_zero"}
 
 #: homomorphic-combination method tails checked for cross-key operands
 _COMBINE_TAILS = {"add", "raw_add"}

@@ -63,13 +63,13 @@ DEFAULT_SCOPE = ("core/", "gbdt/", "crypto/", "fed/", "serve/")
 PLAIN, CIPHER, PACKED, ENCODED = "plain", "cipher", "packed", "encoded"
 
 #: call tails producing ciphertext
-_ENCRYPT_TAILS = {"encrypt", "encrypt_encoded", "encrypt_zero", "encrypt_pair"}
+_ENCRYPT_TAILS = {"encrypt", "encrypt_encoded", "encrypt_zero"}
 
 #: call tails producing packed ciphertext
 _PACK_TAILS = {"pack_ciphers", "pack_histogram", "pack_values"}
 
 #: call tails producing fixed-point encodings
-_ENCODE_TAILS = {"encode", "encode_pair"}
+_ENCODE_TAILS = {"encode"}
 
 #: call tails producing plaintext from ciphertext
 _DECRYPT_TAILS = {
@@ -78,8 +78,6 @@ _DECRYPT_TAILS = {
     "decrypt_histogram",
     "unpack_values",
     "unpack_histogram",
-    "decode_sums",
-    "decode_pair_histogram",
 }
 
 _MAX_ROUNDS = 4

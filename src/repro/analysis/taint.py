@@ -12,8 +12,8 @@ How it works
 *Sources* introduce taint: the ground-truth label vector (any function
 parameter literally named ``labels``), gradient/hessian computation
 (``*.gradients(...)`` calls on a loss), and decryption of cross-party
-aggregates (``decrypt*``/``unpack_histogram``/``decode_pair_histogram``
-— plaintext label statistics at Party B).
+aggregates (``decrypt*``/``unpack_histogram``/``unpack_values`` —
+plaintext label statistics at Party B).
 
 Taint propagates through assignments, tuple unpacking, arithmetic,
 subscripts, comprehensions, and *interprocedurally* through calls:
@@ -21,7 +21,7 @@ every package function gets a summary (which parameters reach its
 return value) computed to a fixpoint, and call sites feed tainted
 arguments into callee parameter seeds.
 
-*Sanitizers* clear taint: ``encrypt``/``encrypt_pair``/``pack_*`` calls
+*Sanitizers* clear taint: ``encrypt``/``pack_*`` calls
 and ``EncryptedNumber``/``PackedCipher`` construction — the payload is
 ciphertext from there on.
 
@@ -65,7 +65,7 @@ SOURCE_TAILS = {
     "decrypt_raw",
     "decrypt_histogram",
     "unpack_histogram",
-    "decode_pair_histogram",
+    "unpack_values",
 }
 
 #: call tails that return ciphertext — taint does not pass through
@@ -73,14 +73,12 @@ SANITIZER_TAILS = {
     "encrypt",
     "encrypt_encoded",
     "encrypt_zero",
-    "encrypt_pair",
     "pack_histogram",
+    "pack_ciphers",
     "pack_values",
     "build_encrypted_histogram",
-    "build_pair_histogram",
     "EncryptedNumber",
     "PackedCipher",
-    "GradHessCodec",
 }
 
 #: call tails that return label-free derived values (shapes, counts)

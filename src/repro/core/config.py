@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from repro.crypto.packing import DEFAULT_LIMB_BITS
+from repro.crypto.packing import DEFAULT_LIMB_BITS, GradHessLayout
+from repro.gbdt.loss import get_loss
 from repro.gbdt.params import GBDTParams
 
 __all__ = ["VF2BoostConfig"]
@@ -36,10 +37,15 @@ class VF2BoostConfig:
         optimistic_split: Party B splits ahead and validates later, with
             roll-back-and-re-do of dirty nodes (§4.2).
         histogram_packing: pack histogram bins t-per-cipher before the
-            A->B transfer (§5.2).
+            A->B transfer (§5.2).  The packed path encrypts one cipher
+            per instance holding ``(g, h)`` in two limbs at a fixed
+            exponent (:class:`~repro.crypto.packing.GradHessLayout`),
+            so its bins never need aligning; ``exponent_jitter`` and
+            ``reordered_accumulation`` act only when this is off.
         key_bits: Paillier modulus size ``S`` (paper: 2048; tests use
             small keys — algebraically identical).
-        limb_bits: packing limb width ``M`` (paper: 64).
+        limb_bits: floor ``M`` under the width of one packed bin
+            (paper: 64); the bin is as wide as its two value limbs need.
         exponent_jitter: width ``E`` of the encoding exponent window
             (paper observes 4-8 distinct exponents).
         blaster_batch_size: instances per blaster batch.
@@ -49,13 +55,6 @@ class VF2BoostConfig:
             insertion each) instead of rebuilding the children's
             histograms from scratch. Pays off when the measured
             misplaced fraction is below ~1/2.
-        pair_packing: pack each instance's ``(g, h, 1)`` triple into a
-            single cipher before encryption (our extension of the §5.2
-            packing idea toward BatchCrypt [88]): halves encryption,
-            the gradient stream, histogram additions and the histogram
-            transfer, at the price of a fixed encoding exponent and a
-            per-bin count disclosure. Mutually exclusive with
-            ``histogram_packing`` on the real-crypto path.
         crypto_mode: ``"real"`` executes every Paillier operation;
             ``"counted"`` runs the protocol on plaintext statistics while
             recording the exact operation counts the real run would
@@ -71,7 +70,6 @@ class VF2BoostConfig:
     reordered_accumulation: bool = True
     optimistic_split: bool = True
     histogram_packing: bool = True
-    pair_packing: bool = False
     incremental_dirty_redo: bool = False
     key_bits: int = 2048
     limb_bits: int = DEFAULT_LIMB_BITS
@@ -94,11 +92,6 @@ class VF2BoostConfig:
             raise ValueError("blaster_batch_size must be >= 1")
         if self.n_passive_parties < 1:
             raise ValueError("need at least one passive party")
-        if self.pair_packing and self.histogram_packing and self.crypto_mode == "real":
-            raise ValueError(
-                "pair_packing and histogram_packing are mutually exclusive "
-                "on the real-crypto path (limb layouts differ)"
-            )
 
     # ------------------------------------------------------------------
     # Presets (the named systems of §6)
@@ -127,6 +120,27 @@ class VF2BoostConfig:
         """Copy with overrides."""
         return replace(self, **overrides)
 
+    def gradient_layout(self, n_instances: int) -> GradHessLayout | None:
+        """Plaintext layout of the packed path for ``n_instances`` rows.
+
+        ``None`` when ``histogram_packing`` is off.  The real trainer,
+        counted mode and the protocol scheduler all size ciphers, packs
+        and bytes from this one object.
+
+        Raises:
+            ValueError: when the key cannot hold even one packed bin.
+        """
+        if not self.histogram_packing:
+            return None
+        loss = get_loss(self.params.objective)
+        return GradHessLayout(
+            key_bits=self.key_bits,
+            max_count=n_instances,
+            grad_bound=loss.gradient_bound,
+            hess_bound=loss.hessian_bound,
+            min_stride=self.limb_bits,
+        )
+
     @property
     def optimization_names(self) -> list[str]:
         """Human-readable list of enabled optimizations."""
@@ -139,6 +153,4 @@ class VF2BoostConfig:
             names.append("OptimSplit")
         if self.histogram_packing:
             names.append("HistPack")
-        if self.pair_packing:
-            names.append("PairPack")
         return names

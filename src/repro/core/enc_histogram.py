@@ -3,27 +3,32 @@
 This module is the real-crypto heart of Party A's work:
 
 * :func:`build_encrypted_histogram` — accumulate encrypted gradient
-  statistics into per-(feature, bin) cipher sums, either naively (the
-  VF-GBDT baseline) or with the re-ordered per-exponent workspaces of
-  §5.1;
+  statistics into per-(feature, bin) cipher sums: one ``(g, h)`` pair
+  cipher per instance at a fixed exponent on the packed path, or two
+  jittered ciphers per instance on the baselines, there either naively
+  (VF-GBDT) or with the re-ordered per-exponent workspaces of §5.1;
 * :func:`pack_histogram` / :func:`unpack_histogram` — the §5.2
-  polynomial packing pipeline: prefix-sum the bins per feature, shift
-  the (possibly negative) gradient sums into the non-negative range by
-  ``N x Bound`` applied to the first bin, align exponents within each
-  pack group, pack ``t`` bins per cipher, and invert all of it on the
-  active party after a single decryption per group.
+  polynomial packing pipeline over pair-cipher bins: shift the first
+  bin of every feature by ``N x Bound`` so every gradient *prefix sum*
+  is non-negative, prefix-sum the bins, pack ``t`` two-limb bins per
+  cipher, and invert all of it on the active party after a single
+  decryption per pack.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.crypto.accumulation import ExponentWorkspace
 from repro.crypto.ciphertext import EncryptedNumber, PaillierContext
-from repro.crypto.packing import PackedCipher, pack_capacity, pack_ciphers, unpack_values
+from repro.crypto.packing import (
+    GradHessLayout,
+    PackedCipher,
+    pack_ciphers,
+    unpack_values,
+)
 from repro.gbdt.histogram import Histogram
 
 __all__ = [
@@ -42,7 +47,8 @@ class EncryptedHistogram:
 
     ``grad_bins[j][k]`` / ``hess_bins[j][k]`` are ciphers of the sums of
     gradients / hessians of the node's instances falling in bin ``k`` of
-    the party-local feature ``j``.
+    the party-local feature ``j``.  Built from pair ciphers,
+    ``grad_bins`` hold the ``(g, h)`` sums and ``hess_bins`` is empty.
     """
 
     grad_bins: list[list[EncryptedNumber]]
@@ -60,8 +66,9 @@ class EncryptedHistogram:
         return len(self.grad_bins[0]) if self.grad_bins else 0
 
     def cipher_count(self) -> int:
-        """Total ciphers held (gradient plus hessian bins)."""
-        return 2 * self.n_features * self.n_bins
+        """Total ciphers held."""
+        streams = 2 if self.hess_bins else 1
+        return streams * self.n_features * self.n_bins
 
 
 def build_encrypted_histogram(
@@ -69,7 +76,7 @@ def build_encrypted_histogram(
     codes: np.ndarray,
     instance_rows: np.ndarray,
     grad_ciphers: list[EncryptedNumber],
-    hess_ciphers: list[EncryptedNumber],
+    hess_ciphers: list[EncryptedNumber] | None,
     n_bins: int,
     reordered: bool,
 ) -> EncryptedHistogram:
@@ -80,68 +87,53 @@ def build_encrypted_histogram(
         codes: party-local ``(N, D)`` bin-code matrix.
         instance_rows: rows sitting on the node.
         grad_ciphers / hess_ciphers: full-length cipher lists indexed by
-            global row id (as received from the active party).
+            global row id (as received from the active party);
+            ``hess_ciphers`` is ``None`` when ``grad_ciphers`` are
+            ``(g, h)`` pair ciphers.
         n_bins: bins per feature ``s``.
         reordered: use per-exponent workspaces (§5.1) instead of the
             naive in-arrival-order accumulation.
     """
     rows = np.asarray(instance_rows, dtype=np.int64)
+    node_codes = codes[rows].tolist()
     n_features = codes.shape[1]
     zero_exponent = context.encoder.exponent
 
-    if reordered:
-        grad_ws = [
-            [ExponentWorkspace(context) for _ in range(n_bins)]
-            for _ in range(n_features)
-        ]
-        hess_ws = [
-            [ExponentWorkspace(context) for _ in range(n_bins)]
-            for _ in range(n_features)
-        ]
-        for i in rows:
-            g, h = grad_ciphers[i], hess_ciphers[i]
-            for j in range(n_features):
-                k = codes[i, j]
-                grad_ws[j][k].add(g)
-                hess_ws[j][k].add(h)
-        grad_bins = [
-            [ws.finalize_or_zero(zero_exponent) for ws in row] for row in grad_ws
-        ]
-        hess_bins = [
-            [ws.finalize_or_zero(zero_exponent) for ws in row] for row in hess_ws
-        ]
-    else:
-        grad_acc: list[list[EncryptedNumber | None]] = [
+    def accumulate(ciphers: list[EncryptedNumber]) -> list[list[EncryptedNumber]]:
+        if reordered:
+            workspaces = [
+                [ExponentWorkspace(context) for _ in range(n_bins)]
+                for _ in range(n_features)
+            ]
+            for i, row_codes in zip(rows, node_codes):
+                cipher = ciphers[i]
+                for j, k in enumerate(row_codes):
+                    workspaces[j][k].add(cipher)
+            return [
+                [ws.finalize_or_zero(zero_exponent) for ws in row]
+                for row in workspaces
+            ]
+        cells: list[list[EncryptedNumber | None]] = [
             [None] * n_bins for _ in range(n_features)
         ]
-        hess_acc: list[list[EncryptedNumber | None]] = [
-            [None] * n_bins for _ in range(n_features)
-        ]
-        for i in rows:
-            g, h = grad_ciphers[i], hess_ciphers[i]
-            for j in range(n_features):
-                k = codes[i, j]
-                grad_acc[j][k] = (
-                    g if grad_acc[j][k] is None else context.add(grad_acc[j][k], g)
-                )
-                hess_acc[j][k] = (
-                    h if hess_acc[j][k] is None else context.add(hess_acc[j][k], h)
-                )
-        grad_bins = [
+        for i, row_codes in zip(rows, node_codes):
+            cipher = ciphers[i]
+            for j, k in enumerate(row_codes):
+                held = cells[j][k]
+                cells[j][k] = cipher if held is None else context.add(held, cipher)
+        return [
             [
                 cell if cell is not None else context.encrypt_zero(zero_exponent)
                 for cell in row
             ]
-            for row in grad_acc
+            for row in cells
         ]
-        hess_bins = [
-            [
-                cell if cell is not None else context.encrypt_zero(zero_exponent)
-                for cell in row
-            ]
-            for row in hess_acc
-        ]
-    return EncryptedHistogram(grad_bins, hess_bins, int(rows.size))
+
+    return EncryptedHistogram(
+        accumulate(grad_ciphers),
+        accumulate(hess_ciphers) if hess_ciphers is not None else [],
+        int(rows.size),
+    )
 
 
 def decrypt_histogram(
@@ -167,185 +159,92 @@ class PackedHistogram:
     """The §5.2 wire format of one node's histogram.
 
     Attributes:
-        grad_packs / hess_packs: per-feature lists of packed prefix-sum
-            groups.
-        grad_shift: the ``N x Bound`` shift added to every gradient
-            prefix sum (hessian prefix sums are non-negative already).
+        packs: per-feature lists of packed prefix-sum groups; every
+            slot holds a shifted gradient prefix sum in its low limb
+            and a hessian prefix sum in its high limb.
+        layout: limb widths, scale and shift rule both sides share.
         n_bins: bins per feature, needed to unpack.
-        limb_bits: effective limb width used (may exceed the configured
-            ``M`` when the shift magnitude demands it).
-        n_instances: instances on the node.
+        n_instances: instances on the node (sizes the gradient shift).
     """
 
-    grad_packs: list[list[PackedCipher]]
-    hess_packs: list[list[PackedCipher]]
-    grad_shift: float
+    packs: list[list[PackedCipher]]
+    layout: GradHessLayout
     n_bins: int
-    limb_bits: int
     n_instances: int
 
     def cipher_count(self) -> int:
         """Packed ciphers on the wire."""
-        return sum(len(p) for p in self.grad_packs) + sum(
-            len(p) for p in self.hess_packs
-        )
-
-
-def required_limb_bits(
-    max_abs_value: float, base: int, max_exponent: int, configured: int
-) -> int:
-    """Smallest limb width that can hold the largest packed integer.
-
-    The largest packed integer is ``round(max_abs_value * B**e_max)``;
-    jittered exponents push ``e_max`` (and therefore the width) up, so
-    the effective width is ``max(configured, required)``.
-    """
-    if max_abs_value <= 0:
-        return configured
-    required = math.ceil(math.log2(max_abs_value) + max_exponent * math.log2(base)) + 2
-    return max(configured, required)
+        return sum(len(p) for p in self.packs)
 
 
 def pack_histogram(
-    context: PaillierContext,
-    encrypted: EncryptedHistogram,
-    grad_bound: float,
-    limb_bits: int,
+    context: PaillierContext, encrypted: EncryptedHistogram, layout: GradHessLayout
 ) -> PackedHistogram:
-    """Prefix-sum, shift, align and pack a node's histogram (Party A side).
+    """Shift, prefix-sum and pack a node's pair-cipher histogram (Party A side).
 
     Steps per feature (Figure 9):
 
-    1. shift the **first** gradient bin by ``N x Bound`` (one cheap
-       plaintext addition) so every gradient *prefix sum* is
+    1. shift the **first** bin's gradient limb by ``N x Bound`` (one
+       cheap plaintext addition) so every gradient *prefix sum* is
        non-negative;
-    2. prefix-sum the bins with ``s - 1`` HAdds per statistic;
-    3. split the prefix bins into groups of ``t`` and align each
-       group's exponents to the group maximum;
-    4. pack each group with ``t - 1`` HAdd + ``t - 1`` SMul.
+    2. prefix-sum the bins with ``s - 1`` HAdds;
+    3. pack each group of ``t`` prefix bins with ``t - 1`` HAdd +
+       ``t - 1`` SMul (one exponent throughout: nothing to align).
     """
-    base = context.encoder.base
-    shift = encrypted.n_instances * grad_bound
-    max_exponent = context.encoder.exponent + context.encoder.jitter - 1
-    # Largest packed magnitude: shifted gradient prefix (<= 2 N Bound) or
-    # raw hessian prefix (<= N h_bound <= shift scale); use the former.
-    # ``value_bits`` bounds every packed value, not just the top limb,
-    # so it is the honest ``top_bits`` for the capacity calculation.
-    value_bits = required_limb_bits(
-        max(2.0 * shift, float(encrypted.n_instances)), base, max_exponent, 1
-    )
-    effective_limb = max(limb_bits, value_bits)
-    capacity = pack_capacity(context.public_key, effective_limb, top_bits=value_bits)
-
-    def process(bins: list[EncryptedNumber], shift_value: float) -> list[PackedCipher]:
+    shift = layout.shift(encrypted.n_instances)
+    capacity = layout.capacity
+    packs = []
+    for bins in encrypted.grad_bins:
         prefix: list[EncryptedNumber] = []
         running: EncryptedNumber | None = None
-        for index, cell in enumerate(bins):
-            if index == 0 and shift_value:
-                cell = context.add_plain(cell, shift_value)
-            running = cell if running is None else context.add(running, cell)
+        for cell in bins:
+            if running is None:
+                running = context.add_plain_raw(cell, shift)
+            else:
+                running = context.add(running, cell)
             prefix.append(running)
-        packs = []
-        for start in range(0, len(prefix), capacity):
-            group = prefix[start : start + capacity]
-            top = max(item.exponent for item in group)
-            aligned = [context.scale_to(item, top) for item in group]
-            packs.append(
-                pack_ciphers(context, aligned, effective_limb, top_bits=value_bits)
-            )
-        return packs
-
-    grad_packs = [process(row, shift) for row in encrypted.grad_bins]
-    hess_packs = [process(row, 0.0) for row in encrypted.hess_bins]
+        packs.append(
+            [
+                pack_ciphers(
+                    context,
+                    prefix[start : start + capacity],
+                    layout.stride,
+                    top_bits=layout.slot_bits,
+                )
+                for start in range(0, len(prefix), capacity)
+            ]
+        )
     return PackedHistogram(
-        grad_packs=grad_packs,
-        hess_packs=hess_packs,
-        grad_shift=shift,
+        packs=packs,
+        layout=layout,
         n_bins=encrypted.n_bins,
-        limb_bits=effective_limb,
         n_instances=encrypted.n_instances,
     )
-
-
-def build_pair_histogram(
-    context: PaillierContext,
-    codes: np.ndarray,
-    instance_rows: np.ndarray,
-    pair_ciphers: list[EncryptedNumber],
-    n_bins: int,
-) -> list[list[EncryptedNumber]]:
-    """Accumulate packed ``(g, h, 1)`` pair ciphers into one-cipher bins.
-
-    The gradient-pair extension (:mod:`repro.crypto.pairing`): each bin
-    holds a single cipher carrying gradient sum, hessian sum and count.
-    Exponents are fixed by construction, so accumulation needs no
-    workspaces and never scales.
-    """
-    rows = np.asarray(instance_rows, dtype=np.int64)
-    n_features = codes.shape[1]
-    acc: list[list[EncryptedNumber | None]] = [
-        [None] * n_bins for _ in range(n_features)
-    ]
-    for i in rows:
-        pair = pair_ciphers[i]
-        for j in range(n_features):
-            k = codes[i, j]
-            acc[j][k] = pair if acc[j][k] is None else context.add(acc[j][k], pair)
-    exponent = pair_ciphers[0].exponent if pair_ciphers else 0
-    return [
-        [
-            cell if cell is not None else context.encrypt_zero(exponent)
-            for cell in row
-        ]
-        for row in acc
-    ]
-
-
-def decode_pair_histogram(codec, bins: list[list[EncryptedNumber]]) -> Histogram:
-    """Decrypt one-cipher pair bins into a histogram with exact counts.
-
-    Unlike the baseline path, counts are recovered (third limb), so the
-    active party can apply its full count-based split constraints.
-    """
-    d = len(bins)
-    s = len(bins[0]) if bins else 0
-    grad = np.zeros((d, s), dtype=np.float64)
-    hess = np.zeros((d, s), dtype=np.float64)
-    count = np.zeros((d, s), dtype=np.int64)
-    for j in range(d):
-        for k in range(s):
-            sums = codec.decode_sums(bins[j][k])
-            grad[j, k] = sums.grad_sum
-            hess[j, k] = sums.hess_sum
-            count[j, k] = sums.count
-    return Histogram(grad, hess, count)
 
 
 def unpack_histogram(context: PaillierContext, packed: PackedHistogram) -> Histogram:
     """Decrypt-and-unpack a packed histogram (Party B side).
 
-    One decryption per pack group recovers the prefix sums; differencing
-    restores the per-bin histogram, and the gradient shift is removed
-    from every prefix before differencing (it was applied to bin 0).
+    One decryption per pack recovers ``t`` prefix sums of both
+    statistics; differencing the integers (the gradient shift sits in
+    every prefix, so it leaves with the first difference) restores the
+    per-bin sums: exact in float64 while a bin's raw sums stay below
+    ``2**53`` (two million unit-bound instances at ``B**e = 2**32``),
+    correctly rounded beyond.
     """
-    base = context.encoder.base
-
-    def recover(packs: list[PackedCipher], shift: float) -> np.ndarray:
-        prefix: list[float] = []
-        for pack in packs:
-            scale = base**pack.exponent
-            prefix.extend(raw / scale for raw in unpack_values(context, pack))
-        values = np.asarray(prefix, dtype=np.float64) - shift
-        bins = np.empty_like(values)
-        bins[0] = values[0]
-        bins[1:] = values[1:] - values[:-1]
-        return bins
-
-    d = len(packed.grad_packs)
+    layout = packed.layout
+    scale = layout.scale
+    shift = layout.shift(packed.n_instances)
+    d = len(packed.packs)
     s = packed.n_bins
     grad = np.zeros((d, s), dtype=np.float64)
     hess = np.zeros((d, s), dtype=np.float64)
-    for j in range(d):
-        grad[j, :] = recover(packed.grad_packs[j], packed.grad_shift)
-        hess[j, :] = recover(packed.hess_packs[j], 0.0)
+    for j, packs in enumerate(packed.packs):
+        previous_grad, previous_hess = shift, 0
+        slots = (slot for pack in packs for slot in unpack_values(context, pack))
+        for k, slot in enumerate(slots):
+            grad_prefix, hess_prefix = layout.split(slot)
+            grad[j, k] = (grad_prefix - previous_grad) / scale
+            hess[j, k] = (hess_prefix - previous_hess) / scale
+            previous_grad, previous_hess = grad_prefix, hess_prefix
     return Histogram(grad, hess, np.zeros((d, s), dtype=np.int64))

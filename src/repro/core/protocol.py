@@ -10,14 +10,17 @@ change only the *task graph*:
   root in batches (Figure 4 bottom);
 * **re-ordered accumulation** changes the per-addend cost from
   ``T_HADD + (E-1)/E * T_SCALE`` to ``T_HADD`` plus ``E-1`` scalings
-  per bin (§5.1);
+  per bin (§5.1) — on the two-cipher path only: with histogram packing
+  every cipher shares one exponent and nothing is ever scaled;
 * **optimistic node-splitting** lets Party B split ahead on its own
   candidates so FindSplitA(l) overlaps BuildHistA(l+1); children of
   dirty nodes are re-done after the validation notice while *clean*
   children stream ahead — the paper's sub-task slicing (Figure 6) is
   modeled as a clean/dirty two-part flow per layer;
-* **histogram packing** divides the A->B histogram bytes and the
-  decryption count by the pack width ``t`` at an
+* **histogram packing** puts ``(g, h)`` in one cipher per instance
+  (half the Enc, gradient bytes and BuildHistA additions) and divides
+  the A->B histogram bytes and the decryption count by the pack width
+  ``t`` of :class:`~repro.crypto.packing.GradHessLayout` at an
   ``O(bins * (T_HADD + T_SMUL))`` packing cost on Party A (§5.2).
 
 Party compute pools are modeled as one lane whose task durations are
@@ -34,6 +37,7 @@ from dataclasses import dataclass, field
 from repro.bench.costmodel import CostModel
 from repro.core.config import VF2BoostConfig
 from repro.core.trace import TraceLog, TreeTrace
+from repro.crypto.packing import DEFAULT_LIMB_BITS
 from repro.fed.cluster import ClusterSpec
 from repro.fed.faults import FaultPlan, FaultyEngine
 from repro.fed.simtime import SimEngine, SimTask
@@ -192,16 +196,14 @@ class ProtocolScheduler:
         """Per-addend cost of BuildHistA under the current flags."""
         if self._mock:
             return self.cost.plain_accum()
-        if self.config.pair_packing:
-            # Fixed exponent by construction: never a scaling.
-            return self.cost.hadd()
-        if self.config.reordered_accumulation:
+        # The packed path's pair ciphers share one fixed exponent.
+        if self._packing_on() or self.config.reordered_accumulation:
             return self.cost.hadd()
         return self.cost.naive_add(n_exponents)
 
     def _stat_factor(self) -> int:
-        """Ciphers per instance statistic: 1 with pair packing, else 2."""
-        return 1 if (self.config.pair_packing and not self._mock) else 2
+        """Ciphers per instance: one (g, h) pair on the packed path, else 2."""
+        return 1 if self._packing_on() else 2
 
     def _bins(self, party: _PartyWork) -> int:
         """Cipher bins per node under the current flags."""
@@ -209,18 +211,13 @@ class ProtocolScheduler:
 
     def _reorder_finalize(self, bins: float, n_exponents: int) -> float:
         """Workspace merge cost: ``E - 1`` scalings per bin (§5.1)."""
-        if self._mock or not self.config.reordered_accumulation:
+        if (
+            self._mock
+            or self._packing_on()
+            or not self.config.reordered_accumulation
+        ):
             return 0.0
         return bins * (n_exponents - 1) * self.cost.scale()
-
-    def _pack_width(self) -> int:
-        """Pack width ``t`` from the key and limb sizes."""
-        return max(1, (self.config.key_bits - 2) // self.config.limb_bits)
-
-    def _packs_per_node(self, party: _PartyWork) -> int:
-        """Packed ciphers per node: per-feature grad + hess groups."""
-        t = self._pack_width()
-        return party.n_features * 2 * math.ceil(party.n_bins / t)
 
     def _comm_duration(self, n_bytes: float) -> float:
         return self.cluster.wan_latency + n_bytes / self.cluster.wan_bandwidth
@@ -309,6 +306,10 @@ class ProtocolScheduler:
         n = tree.n_instances
         n_exponents = tree.n_exponents if not self._mock else 1
         cipher_bytes = self._cipher_bytes()
+        # Pack counts come from the layout the trainer packs with.
+        layout = (
+            config.gradient_layout(trace.n_instances) if self._packing_on() else None
+        )
         shape_b = trace.active_shape
         bytes_sent = 0.0
 
@@ -454,10 +455,10 @@ class ProtocolScheduler:
             find_a_tasks: list[SimTask] = []
             notice_anchor: SimTask | None = None
             for party in parties:
-                ciphers_full = (
-                    built_nodes * self._packs_per_node(party)
-                    if self._packing_on()
-                    else built_nodes * self._bins(party)
+                ciphers_full = built_nodes * (
+                    party.n_features * layout.packs_per_feature(party.n_bins)
+                    if layout is not None
+                    else self._bins(party)
                 )
                 for pi, part in enumerate(hist_parts[party.index]):
                     frac = part.fraction
@@ -486,12 +487,19 @@ class ProtocolScheduler:
                             phase="Aggregate",
                             party=party.index,
                         )
-                    if self._packing_on():
+                    if layout is not None:
+                        # One HAdd + one SMul by 2**stride per bin; the
+                        # unit SMul cost is quoted for a 2**M radix.
                         pack_work = (
                             built_nodes
                             * self._bins(party)
                             * frac
-                            * (self.cost.hadd() + self.cost.smul_small())
+                            * (
+                                self.cost.hadd()
+                                + self.cost.smul_small()
+                                * layout.stride
+                                / DEFAULT_LIMB_BITS
+                            )
                         )
                         ready = engine.submit(
                             f"A{party.index}",

@@ -3,12 +3,15 @@
 Runs the full protocol of §3.2 between one active party (Party B, the
 label holder) and one or more passive parties (Party A's):
 
-1. Party B computes per-instance gradients/hessians, encrypts them and
-   ships them to every passive party (in blaster batches when enabled);
+1. Party B computes per-instance gradients/hessians, encrypts them —
+   with histogram packing as one fixed-exponent ``(g, h)`` cipher per
+   instance, otherwise as two jittered ciphers — and ships them to
+   every passive party (in blaster batches when enabled);
 2. every party builds histograms over its own columns — passive
-   parties homomorphically, with or without re-ordered accumulation —
-   for the root and, below it, for the *smaller* child of every split
-   (sizes follow from the placement all parties hold);
+   parties homomorphically (the two-cipher baselines with or without
+   re-ordered accumulation) — for the root and, below it, for the
+   *smaller* child of every split (sizes follow from the placement all
+   parties hold);
 3. passive parties transfer those histograms (packed or raw) to B, who
    decrypts them, derives each larger sibling as ``parent - small`` on
    the plaintext histograms of the layer above, and picks the global
@@ -42,15 +45,13 @@ from repro.core.config import VF2BoostConfig
 from repro.core.enc_histogram import (
     EncryptedHistogram,
     build_encrypted_histogram,
-    build_pair_histogram,
-    decode_pair_histogram,
     decrypt_histogram,
     pack_histogram,
     unpack_histogram,
 )
-from repro.crypto.pairing import GradHessCodec
 from repro.core.trace import LayerTrace, NodeTrace, PartyShape, TraceLog, TreeTrace
 from repro.crypto.ciphertext import OpStats, PaillierContext
+from repro.crypto.packing import GradHessLayout
 from repro.fed.channel import RecordingChannel
 from repro.fed.faults import FaultPlan
 from repro.fed.reliable import ReliableChannel
@@ -424,6 +425,7 @@ class FederatedTrainer:
                 event_log=self.events,
             )
         context = self._make_context() if self._real else None
+        layout = self.config.gradient_layout(n)
         public_contexts = (
             {p: context.public_context() for p in range(1, n_passive + 1)}
             if context is not None
@@ -498,6 +500,7 @@ class FederatedTrainer:
                 channel,
                 context,
                 public_contexts,
+                layout,
             )
             model.trees.append(tree)
             trace.trees.append(tree_trace)
@@ -616,40 +619,34 @@ class FederatedTrainer:
         channel: RecordingChannel,
         context: PaillierContext | None,
         public_contexts: dict[int, PaillierContext],
+        layout: GradHessLayout | None,
     ) -> tuple[DecisionTree, TreeTrace]:
         params = self.config.params
         n = gradients.shape[0]
         n_passive = len(party_datasets) - 1
 
         # Phase 1: gradient statistics encryption and communication.
+        # With a layout, ``grad_ciphers`` are (g, h) pair ciphers and
+        # ``hess_ciphers`` stays None.
         grad_ciphers: list | None = None
         hess_ciphers: list | None = None
-        pair_codec: GradHessCodec | None = None
-        n_exponents = self.config.exponent_jitter
+        n_exponents = 1 if layout is not None else self.config.exponent_jitter
         self._emit_event(channel, "phase", name="GradEnc", tree=tree_index)
         with self._phase("GradEnc"):
-            if self._real:
-                if self.config.pair_packing:
-                    # Extension: one cipher per instance carrying (g, h, 1).
-                    pair_codec = GradHessCodec(
-                        context, self.loss.gradient_bound, max_count=n
-                    )
-                    self._pair_codec = pair_codec
-                    grad_ciphers = [
-                        pair_codec.encrypt_pair(float(g), float(h))
-                        for g, h in zip(gradients, hessians)
-                    ]
-                    n_exponents = 1
-                else:
-                    grad_ciphers = [context.encrypt(float(g)) for g in gradients]
-                    hess_ciphers = [context.encrypt(float(h)) for h in hessians]
-                    n_exponents = len(
-                        {c.exponent for c in grad_ciphers}
-                        | {c.exponent for c in hess_ciphers}
-                    )
-            elif self.config.pair_packing:
-                n_exponents = 1
-            self._ship_gradients(channel, n, n_passive, grad_ciphers, hess_ciphers)
+            if self._real and layout is not None:
+                grad_ciphers = layout.encrypt(
+                    context, gradients.tolist(), hessians.tolist()
+                )
+            elif self._real:
+                grad_ciphers = [context.encrypt(float(g)) for g in gradients]
+                hess_ciphers = [context.encrypt(float(h)) for h in hessians]
+                n_exponents = len(
+                    {c.exponent for c in grad_ciphers}
+                    | {c.exponent for c in hess_ciphers}
+                )
+            self._ship_gradients(
+                channel, n, n_passive, grad_ciphers, hess_ciphers, layout is not None
+            )
 
         tree = DecisionTree()
         tree_trace = TreeTrace(
@@ -685,6 +682,7 @@ class FederatedTrainer:
                     channel,
                     context,
                     public_contexts,
+                    layout,
                 )
                 hists[ACTIVE] = {
                     node_id: build_histogram(
@@ -786,10 +784,13 @@ class FederatedTrainer:
         n_passive: int,
         grad_ciphers,
         hess_ciphers,
+        pair: bool,
     ) -> None:
-        """Send encrypted (g, h) to every passive party, batch by batch."""
+        """Send encrypted (g, h) to every passive party, batch by batch.
+
+        ``pair``: one ``(g, h)`` cipher per instance instead of two.
+        """
         batch = self.config.blaster_batch_size if self.config.blaster_encryption else n
-        pair = self.config.pair_packing
         for p in range(1, n_passive + 1):
             for start in range(0, n, batch):
                 stop = min(n, start + batch)
@@ -825,6 +826,7 @@ class FederatedTrainer:
         channel,
         context,
         public_contexts,
+        layout,
     ) -> dict[int, dict[int, Histogram]]:
         """Passive parties build ``nodes``, ship; B decrypts.
 
@@ -848,9 +850,9 @@ class FederatedTrainer:
                     channel,
                     context,
                     public_contexts[p],
+                    layout,
                 )
             else:
-                cipher_bins = 0
                 for node_id in nodes:
                     hist = build_histogram(
                         dataset, node_rows[node_id], gradients, hessians
@@ -859,16 +861,19 @@ class FederatedTrainer:
                     per_node[node_id] = Histogram(
                         hist.grad, hist.hess, np.zeros_like(hist.count)
                     )
-                    per_bin = 1 if self.config.pair_packing else 2
-                    cipher_bins += per_bin * dataset.n_features * dataset.n_bins
-                if self.config.histogram_packing:
-                    # Counted stand-in for the packed wire volume: the
-                    # plaintext space holds ~``(S - 2) / M`` limbs.
-                    t = max(1, (self.config.key_bits - 2) // self.config.limb_bits)
-                    cipher_bins = -(-cipher_bins // t)
+                # What the real run ships: per feature, the layout's
+                # packs, or a gradient and a hessian cipher per bin.
+                per_feature = (
+                    layout.packs_per_feature(dataset.n_bins)
+                    if layout is not None
+                    else 2 * dataset.n_bins
+                )
                 channel.send(
                     CountedCipherPayload(
-                        p, ACTIVE, kind="histograms", n_ciphers=cipher_bins
+                        p,
+                        ACTIVE,
+                        kind="histograms",
+                        n_ciphers=len(nodes) * dataset.n_features * per_feature,
                     )
                 )
             results[p] = per_node
@@ -885,23 +890,10 @@ class FederatedTrainer:
         channel,
         context: PaillierContext,
         public_context: PaillierContext,
+        layout: GradHessLayout | None,
     ) -> dict[int, Histogram]:
         """Real-crypto path: homomorphic build, (packed) transfer, decrypt."""
         per_node: dict[int, Histogram] = {}
-        if self.config.pair_packing:
-            message = EncryptedHistogramMessage(party, ACTIVE)
-            for node_id in nodes:
-                bins = build_pair_histogram(
-                    public_context,
-                    dataset.codes,
-                    node_rows[node_id],
-                    grad_ciphers,
-                    dataset.n_bins,
-                )
-                message.histograms[node_id] = (bins, [])
-                per_node[node_id] = decode_pair_histogram(self._pair_codec, bins)
-            channel.send(message)
-            return per_node
         encrypted: dict[int, EncryptedHistogram] = {}
         for node_id in nodes:
             encrypted[node_id] = build_encrypted_histogram(
@@ -911,22 +903,16 @@ class FederatedTrainer:
                 grad_ciphers,
                 hess_ciphers,
                 dataset.n_bins,
-                reordered=self.config.reordered_accumulation,
+                # Pair ciphers share one exponent: nothing to re-order.
+                reordered=self.config.reordered_accumulation and layout is None,
             )
-        if self.config.histogram_packing:
+        if layout is not None:
             packed_msg = PackedHistogramMessage(party, ACTIVE)
             packed_all = {}
             for node_id, enc_hist in encrypted.items():
-                packed = pack_histogram(
-                    public_context,
-                    enc_hist,
-                    grad_bound=self.loss.gradient_bound,
-                    limb_bits=self.config.limb_bits,
-                )
+                packed = pack_histogram(public_context, enc_hist, layout)
                 packed_all[node_id] = packed
-                flat = [c for row in packed.grad_packs for c in row]
-                flat += [c for row in packed.hess_packs for c in row]
-                packed_msg.packed[node_id] = flat
+                packed_msg.packed[node_id] = [c for row in packed.packs for c in row]
             channel.send(packed_msg)
             for node_id, packed in packed_all.items():
                 per_node[node_id] = unpack_histogram(context, packed)

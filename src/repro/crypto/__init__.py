@@ -5,7 +5,8 @@ Public surface:
 * :func:`generate_keypair` / :class:`PaillierContext` — key management
   and encrypted arithmetic with fixed-point encoding.
 * :mod:`repro.crypto.accumulation` — re-ordered histogram accumulation.
-* :mod:`repro.crypto.packing` — polynomial-based cipher packing.
+* :mod:`repro.crypto.packing` — polynomial-based cipher packing and
+  the two-limb ``(g, h)`` plaintext layout of the packed protocol path.
 * :mod:`repro.crypto.math_utils` — the observed ``powmod`` / ``invert``
   choke points over built-in ``pow``, and the key holder's CRT route.
 """
@@ -19,12 +20,13 @@ from repro.crypto.ciphertext import EncryptedNumber, OpStats, PaillierContext
 from repro.crypto.encoding import EncodedNumber, Encoder
 from repro.crypto.packing import (
     DEFAULT_LIMB_BITS,
+    GradHessLayout,
+    GradientRangeError,
     PackedCipher,
     pack_capacity,
     pack_ciphers,
     unpack_values,
 )
-from repro.crypto.pairing import GradHessCodec, PairSums
 from repro.crypto.paillier import (
     DEFAULT_KEY_BITS,
     TEST_KEY_BITS,
@@ -42,8 +44,8 @@ __all__ = [
     "Encoder",
     "EncryptedNumber",
     "ExponentWorkspace",
-    "GradHessCodec",
-    "PairSums",
+    "GradHessLayout",
+    "GradientRangeError",
     "ObfuscatorPool",
     "OpStats",
     "PackedCipher",

@@ -14,23 +14,35 @@ Both the wire size and decryption count shrink by ``t`` at a packing
 cost of ``(t-1)`` HAdd + ``(t-1)`` SMul on the non-private party.
 
 Packing requires every packed value to be a non-negative integer below
-``2**M``; the histogram integration (``repro.core.packing_integration``)
+``2**M``; the histogram integration (``repro.core.enc_histogram``)
 achieves this by a shift of ``N * Bound`` applied to the first bin
 before prefix-summing.
+
+:class:`GradHessLayout` is the one limb layout of the packed protocol
+path: it fixes how an instance's ``(g, h)`` shares one plaintext, how
+wide a packed histogram bin is and how many of them one cipher holds.
+The gradient encoder, ``pack_histogram`` / ``unpack_histogram``,
+counted mode and the protocol scheduler all read it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+import math
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import ClassVar
 
 from repro.crypto.ciphertext import EncryptedNumber, PaillierContext
+from repro.crypto.encoding import DEFAULT_BASE, DEFAULT_EXPONENT, EncodedNumber
 from repro.crypto.paillier import PaillierPublicKey
 
 __all__ = [
     "PackedCipher",
+    "GradHessLayout",
+    "GradientRangeError",
     "pack_capacity",
     "pack_ciphers",
+    "required_limb_bits",
     "unpack_values",
     "DEFAULT_LIMB_BITS",
 ]
@@ -95,22 +107,157 @@ def pack_capacity(
             space — packing with such a key would silently overflow
             into the negative encoding range.
     """
+    return _capacity(public_key.max_int.bit_length() - 1, limb_bits, top_bits)
+
+
+def _capacity(usable: int, limb_bits: int, top_bits: int | None = None) -> int:
+    """The headroom rule of :func:`pack_capacity` on ``usable`` plaintext bits."""
     if top_bits is None:
         top_bits = limb_bits
     elif not 1 <= top_bits <= limb_bits:
         raise ValueError(
             f"top_bits must be in [1, {limb_bits}] (limb_bits), got {top_bits}"
         )
-    usable = public_key.max_int.bit_length() - 1
     capacity = (usable - top_bits) // limb_bits
     if capacity < 1:
         raise ValueError(
-            "key too small to pack any limb: "
-            f"{public_key.key_bits}-bit key leaves {usable} usable "
-            f"plaintext bits, fewer than one {limb_bits}-bit limb plus "
+            f"key too small to pack any limb: {usable} usable "
+            f"plaintext bits are fewer than one {limb_bits}-bit limb plus "
             "its limb of headroom; use a larger key or a narrower limb_bits"
         )
     return capacity
+
+
+def required_limb_bits(
+    max_abs_value: float, base: int, max_exponent: int, configured: int
+) -> int:
+    """Smallest limb width that can hold the largest packed integer.
+
+    The largest packed integer is ``round(max_abs_value * B**e_max)``;
+    two bits of slack sit on top of it, and the width never drops below
+    ``configured``.
+    """
+    if max_abs_value <= 0:
+        return configured
+    required = math.ceil(math.log2(max_abs_value) + max_exponent * math.log2(base)) + 2
+    return max(configured, required)
+
+
+class GradientRangeError(ValueError):
+    """A gradient or hessian outside the bounds its loss declares.
+
+    Such a value would spill into the neighbouring limb of the packed
+    plaintext and corrupt every sum it is added to.
+    """
+
+
+@dataclass(frozen=True)
+class GradHessLayout:
+    """Two-limb plaintext layout of one instance's ``(g, h)``.
+
+    One instance is the integer ``round(h * B**e) * 2**L + round(g *
+    B**e)`` at the one fixed exponent ``e`` of the default encoding: the
+    hessian in the high limb, the *signed* gradient in the low one.  Sums of up to ``max_count``
+    such integers keep both limbs apart once ``shift(count)`` has been
+    added (DESIGN.md has the no-carry proof), so a histogram bin is one
+    cipher, accumulated by plain HAdds with nothing to align, and a
+    shifted prefix-sum bin is a non-negative ``2L``-bit slot that
+    :func:`pack_ciphers` packs ``capacity`` to a cipher.
+
+    Attributes:
+        key_bits: Paillier modulus size ``S``; a modulus of exactly
+            ``S`` bits always offers ``S - 3`` usable plaintext bits, so
+            capacity is the same for every key of that size.
+        max_count: most instances ever summed into one cipher (``N``).
+        grad_bound / hess_bound: ``|g| <= grad_bound`` and
+            ``0 <= h <= hess_bound`` (the loss's declared bounds).
+        min_stride: floor ``M`` under the slot width ``2L``.
+        limb_bits: ``L``, sized from the larger of ``2 * N * grad_bound``
+            and ``N * hess_bound`` by :func:`required_limb_bits`.
+        slot_bits: bits of the largest slot value, ``L`` plus the bits
+            of ``N * hess_bound * B**e`` (the ``top_bits`` of a pack).
+        capacity: slots per cipher, one slot of headroom reserved.
+
+    Raises:
+        ValueError: when not even one slot fits the plaintext space.
+    """
+
+    key_bits: int
+    max_count: int
+    grad_bound: float
+    hess_bound: float
+    min_stride: int = DEFAULT_LIMB_BITS
+    limb_bits: int = field(init=False)
+    slot_bits: int = field(init=False)
+    capacity: int = field(init=False)
+
+    base: ClassVar[int] = DEFAULT_BASE
+    exponent: ClassVar[int] = DEFAULT_EXPONENT
+    #: ``B**e``, the fixed-point scale of both limbs
+    scale: ClassVar[int] = DEFAULT_BASE**DEFAULT_EXPONENT
+
+    def __post_init__(self) -> None:
+        largest = self.max_count * max(2.0 * self.grad_bound, self.hess_bound)
+        limb_bits = required_limb_bits(
+            largest, self.base, self.exponent, -(-self.min_stride // 2)
+        )
+        hess_limit = self.max_count * math.ceil(self.hess_bound * self.scale)
+        slot_bits = limb_bits + hess_limit.bit_length()
+        object.__setattr__(self, "limb_bits", limb_bits)
+        object.__setattr__(self, "slot_bits", slot_bits)
+        object.__setattr__(
+            self, "capacity", _capacity(self.key_bits - 3, 2 * limb_bits, slot_bits)
+        )
+
+    @property
+    def stride(self) -> int:
+        """Bits per packed bin: two limbs."""
+        return 2 * self.limb_bits
+
+    def packs_per_feature(self, n_bins: int) -> int:
+        """Packed ciphers one feature's ``n_bins`` bins travel in."""
+        return -(-n_bins // self.capacity)
+
+    def shift(self, count: int) -> int:
+        """Raw offset that lifts any gradient sum of ``count`` instances to >= 0."""
+        return count * math.ceil(self.grad_bound * self.scale)
+
+    def encode(self, gradients: Iterable[float], hessians: Iterable[float]) -> list[int]:
+        """One signed raw plaintext per instance.
+
+        Raises:
+            GradientRangeError: for ``|g| > grad_bound`` or ``h`` outside
+                ``[0, hess_bound]`` (NaN included).
+        """
+        scale = self.scale
+        encoded = []
+        for grad, hess in zip(gradients, hessians):
+            if not (abs(grad) <= self.grad_bound and 0.0 <= hess <= self.hess_bound):
+                raise GradientRangeError(
+                    f"(g, h) = ({grad!r}, {hess!r}) outside |g| <= "
+                    f"{self.grad_bound}, 0 <= h <= {self.hess_bound}"
+                )
+            encoded.append((round(hess * scale) << self.limb_bits) + round(grad * scale))
+        return encoded
+
+    def encrypt(
+        self,
+        context: PaillierContext,
+        gradients: Iterable[float],
+        hessians: Iterable[float],
+    ) -> list[EncryptedNumber]:
+        """One pair cipher per instance, each a counted Enc of ``context``."""
+        key = context.public_key
+        return [
+            context.encrypt_encoded(
+                EncodedNumber(key, raw % key.n, self.exponent, self.base)
+            )
+            for raw in self.encode(gradients, hessians)
+        ]
+
+    def split(self, slot: int) -> tuple[int, int]:
+        """``(gradient limb, hessian limb)`` of a non-negative slot."""
+        return slot & ((1 << self.limb_bits) - 1), slot >> self.limb_bits
 
 
 def pack_ciphers(

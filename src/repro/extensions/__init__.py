@@ -1,9 +1,7 @@
 """Extensions beyond the paper's core system (its §5 discussions & §8).
 
 * :mod:`repro.extensions.vfl_lr` — vertical federated logistic
-  regression with re-ordered gradient reduction (§5.1 discussion);
-* gradient-pair packing lives in :mod:`repro.crypto.pairing` (§5.2
-  discussion / BatchCrypt direction).
+  regression with re-ordered gradient reduction (§5.1 discussion).
 """
 
 from repro.extensions.vfl_lr import (

@@ -101,6 +101,44 @@ class TestLedgerAgreement:
         assert total_ciphers == expected
 
 
+class TestPackedLedgerAgreement:
+    """The default (packed) path: counted ships what real ships."""
+
+    @staticmethod
+    def _run(parties, labels, params, mode):
+        config = VF2BoostConfig.vf2boost(params=params, crypto_mode=mode, key_bits=256)
+        return FederatedTrainer(config).fit(parties, labels)
+
+    def test_packed_histogram_and_gradient_ciphers_match(self, workload):
+        parties, labels, params = workload
+        real = self._run(parties, labels, params, "real")
+        counted = self._run(parties, labels, params, "counted")
+        cipher_bytes = 256 // 4
+        for real_type, header, kind in (
+            ("PackedHistogramMessage", 32, "histograms"),
+            ("EncryptedGradHessBatch", 8, "grad_hess"),
+        ):
+            stats = real.channel.by_type[real_type]
+            payloads = [
+                m for m in counted.channel.log if getattr(m, "kind", "") == kind
+            ]
+            # Same messages, same ciphers in them; only the fixed header
+            # differs (counted payloads carry 8 bytes).
+            assert len(payloads) == stats.messages
+            assert sum(m.n_ciphers for m in payloads) * cipher_bytes == (
+                stats.bytes - header * stats.messages
+            )
+        # 140 rows need 43-bit limbs; a 256-bit key holds two 86-bit bins
+        # under a bin of headroom, so 6 bins travel as 3 packs.
+        built = sum(
+            layer.built_nodes for tree in real.trace.trees for layer in tree.layers
+        )
+        packed = real.channel.by_type["PackedHistogramMessage"]
+        assert packed.bytes - 32 * packed.messages == (
+            built * parties[1].n_features * 3 * cipher_bytes
+        )
+
+
 class TestMockMode:
     def test_mock_ships_plain_sized_payloads(self, workload):
         parties, labels, params = workload

@@ -76,3 +76,37 @@ def test_traced_installs_and_restores(tracing):
             for (owner, attribute), original in zip(places, before)
         )
     assert [vars(owner)[attribute] for owner, attribute in places] == before
+
+
+def test_traced_fit_of_the_default_preset_counts_every_op(tracing):
+    # The packed path must still cross every traced boundary: span
+    # counts equal the program's own OpStats (run.py's count_mismatch)
+    # and the build / pack / unpack layers are all visited.
+    import numpy as np
+
+    from repro.core.config import VF2BoostConfig
+    from repro.core.trainer import FederatedTrainer
+    from repro.gbdt.binning import bin_dataset
+    from repro.gbdt.params import GBDTParams
+
+    rng = np.random.default_rng(5)
+    features = rng.normal(size=(40, 6))
+    labels = 1.0 / (1.0 + np.exp(-features[:, 0] - features[:, 3]))
+    params = GBDTParams(n_trees=1, n_layers=3, n_bins=5)
+    full = bin_dataset(features, params.n_bins)
+    parties = [full.subset_features(np.arange(0, 3)), full.subset_features(np.arange(3, 6))]
+    config = VF2BoostConfig.vf2boost(params=params, crypto_mode="real", key_bits=256)
+    recorder = tracing.SpanRecorder()
+    with tracing.traced(recorder):
+        result = FederatedTrainer(config).fit(parties, labels)
+    totals = recorder.totals()
+    spans = {name: totals.get(name, (0, 0.0))[0] for name in tracing._OP_STATS_FIELDS}
+    assert spans == tracing.crypto_op_counts(result.crypto_stats)
+    assert spans["ciphertext.enc"] == len(labels)
+    assert spans["ciphertext.scale"] == 0
+    for layer in ("enc_histogram.build", "enc_histogram.pack", "enc_histogram.unpack"):
+        assert totals[layer][0] > 0, layer
+    assert totals["packing.pack_ciphers"][0] == totals["packing.unpack_values"][0]
+    assert totals["packing.pack_ciphers"][0] == spans["ciphertext.dec"]
+    sent = recorder.tallies["channel.bytes_b2a"] + recorder.tallies["channel.bytes_a2b"]
+    assert sent == result.channel.total_bytes()

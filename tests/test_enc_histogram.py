@@ -9,10 +9,10 @@ from repro.core.enc_histogram import (
     build_encrypted_histogram,
     decrypt_histogram,
     pack_histogram,
-    required_limb_bits,
     unpack_histogram,
 )
 from repro.crypto.ciphertext import PaillierContext
+from repro.crypto.packing import GradHessLayout, required_limb_bits
 from repro.gbdt.binning import bin_dataset
 from repro.gbdt.histogram import build_histogram
 from repro.gbdt.params import GBDTParams
@@ -30,6 +30,26 @@ def _setup(n=40, d=3, n_bins=6, seed=0):
     grad_ciphers = [CTX.encrypt(float(g)) for g in grads]
     hess_ciphers = [CTX.encrypt(float(h)) for h in hess]
     return dataset, grads, hess, grad_ciphers, hess_ciphers
+
+
+def _pair_setup(n=40, d=3, n_bins=6, seed=0, grads=None):
+    """Like ``_setup`` with one (g, h) pair cipher per instance."""
+    rng = np.random.default_rng(seed)
+    dataset = bin_dataset(rng.normal(size=(n, d)), n_bins)
+    if grads is None:
+        grads = rng.uniform(-1, 1, size=n)
+    hess = rng.uniform(0.01, 0.25, size=n)
+    layout = GradHessLayout(256, n, grad_bound=1.0, hess_bound=0.25)
+    pairs = layout.encrypt(CTX, grads.tolist(), hess.tolist())
+    return dataset, grads, hess, pairs, layout
+
+
+def _packed(dataset, rows, pairs, layout, reordered=False):
+    public = CTX.public_context()
+    encrypted = build_encrypted_histogram(
+        public, dataset.codes, rows, pairs, None, dataset.n_bins, reordered
+    )
+    return encrypted, pack_histogram(public, encrypted, layout)
 
 
 class TestBuildEncryptedHistogram:
@@ -84,65 +104,54 @@ class TestBuildEncryptedHistogram:
 class TestPackUnpackHistogram:
     @pytest.mark.parametrize("reordered", [False, True])
     def test_round_trip(self, reordered):
-        dataset, grads, hess, gc, hc = _setup(n=50, d=2, n_bins=8, seed=3)
+        dataset, grads, hess, pairs, layout = _pair_setup(n=50, d=2, n_bins=8, seed=3)
         rows = np.arange(dataset.n_instances)
-        public = CTX.public_context()
-        encrypted = build_encrypted_histogram(
-            public, dataset.codes, rows, gc, hc, dataset.n_bins, reordered
-        )
-        packed = pack_histogram(public, encrypted, grad_bound=1.0, limb_bits=32)
+        _, packed = _packed(dataset, rows, pairs, layout, reordered)
         recovered = unpack_histogram(CTX, packed)
         reference = build_histogram(dataset, rows, grads, hess)
-        assert np.allclose(recovered.grad, reference.grad, atol=1e-4)
-        assert np.allclose(recovered.hess, reference.hess, atol=1e-4)
+        assert np.allclose(recovered.grad, reference.grad, atol=1e-7)
+        assert np.allclose(recovered.hess, reference.hess, atol=1e-7)
 
     def test_wire_size_shrinks(self):
-        dataset, _, _, gc, hc = _setup(n=30, d=2, n_bins=8)
-        public = CTX.public_context()
-        encrypted = build_encrypted_histogram(
-            public, dataset.codes, np.arange(30), gc, hc, 8, True
-        )
-        packed = pack_histogram(public, encrypted, grad_bound=1.0, limb_bits=32)
-        assert packed.cipher_count() < encrypted.cipher_count()
+        dataset, _, _, pairs, layout = _pair_setup(n=30, d=2, n_bins=8)
+        encrypted, packed = _packed(dataset, np.arange(30), pairs, layout)
+        assert layout.capacity == 2
+        assert packed.cipher_count() == encrypted.cipher_count() // 2
 
     def test_one_decryption_per_pack(self):
-        dataset, _, _, gc, hc = _setup(n=20, d=1, n_bins=6)
-        public = CTX.public_context()
-        encrypted = build_encrypted_histogram(
-            public, dataset.codes, np.arange(20), gc, hc, 6, True
-        )
-        packed = pack_histogram(public, encrypted, grad_bound=1.0, limb_bits=32)
+        dataset, _, _, pairs, layout = _pair_setup(n=20, d=1, n_bins=6)
+        _, packed = _packed(dataset, np.arange(20), pairs, layout)
         before = CTX.stats.snapshot()
         unpack_histogram(CTX, packed)
         assert CTX.stats.diff(before).decryptions == packed.cipher_count()
 
+    def test_pair_bins_never_scale(self):
+        dataset, _, _, pairs, layout = _pair_setup(n=20, d=2, n_bins=6)
+        public = CTX.public_context()
+        encrypted = build_encrypted_histogram(
+            public, dataset.codes, np.arange(20), pairs, None, 6, reordered=False
+        )
+        pack_histogram(public, encrypted, layout)
+        assert public.stats.scalings == 0
+        assert encrypted.cipher_count() == 2 * 6
+
     def test_negative_gradient_sums_survive_shift(self):
         # All-negative gradients stress the N*Bound shift.
         n = 30
-        rng = np.random.default_rng(4)
-        features = rng.normal(size=(n, 1))
-        dataset = bin_dataset(features, 5)
-        grads = -rng.uniform(0.5, 1.0, size=n)
-        hess = rng.uniform(0.1, 0.25, size=n)
-        gc = [CTX.encrypt(float(g)) for g in grads]
-        hc = [CTX.encrypt(float(h)) for h in hess]
-        public = CTX.public_context()
-        encrypted = build_encrypted_histogram(
-            public, dataset.codes, np.arange(n), gc, hc, 5, True
+        grads = -np.random.default_rng(4).uniform(0.5, 1.0, size=n)
+        dataset, grads, hess, pairs, layout = _pair_setup(
+            n=n, d=1, n_bins=5, seed=4, grads=grads
         )
-        packed = pack_histogram(public, encrypted, grad_bound=1.0, limb_bits=32)
+        _, packed = _packed(dataset, np.arange(n), pairs, layout)
         recovered = unpack_histogram(CTX, packed)
         reference = build_histogram(dataset, np.arange(n), grads, hess)
-        assert np.allclose(recovered.grad, reference.grad, atol=1e-4)
+        assert np.allclose(recovered.grad, reference.grad, atol=1e-7)
+        assert np.allclose(recovered.hess, reference.hess, atol=1e-7)
 
     def test_shift_value_recorded(self):
-        dataset, _, _, gc, hc = _setup(n=25, d=1, n_bins=4)
-        public = CTX.public_context()
-        encrypted = build_encrypted_histogram(
-            public, dataset.codes, np.arange(25), gc, hc, 4, True
-        )
-        packed = pack_histogram(public, encrypted, grad_bound=1.0, limb_bits=32)
-        assert packed.grad_shift == 25.0
+        dataset, _, _, pairs, layout = _pair_setup(n=25, d=1, n_bins=4)
+        _, packed = _packed(dataset, np.arange(25), pairs, layout)
+        assert packed.layout.shift(packed.n_instances) == 25 * 16**8
 
 
 class TestSiblingBySubtraction:
@@ -150,19 +159,19 @@ class TestSiblingBySubtraction:
 
     N = 24
     DATASET, _, _, GRAD_CIPHERS, HESS_CIPHERS = _setup(n=N, d=2, n_bins=4, seed=8)
+    _, _, _, PAIR_CIPHERS, LAYOUT = _pair_setup(n=N, d=2, n_bins=4, seed=8)
     PARAMS = GBDTParams(n_bins=4)
 
     def _decrypted(self, rows, packed):
-        public = CTX.public_context()
+        if packed:
+            return unpack_histogram(
+                CTX, _packed(self.DATASET, rows, self.PAIR_CIPHERS, self.LAYOUT)[1]
+            )
         encrypted = build_encrypted_histogram(
-            public, self.DATASET.codes, rows, self.GRAD_CIPHERS,
+            CTX.public_context(), self.DATASET.codes, rows, self.GRAD_CIPHERS,
             self.HESS_CIPHERS, self.DATASET.n_bins, reordered=True,
         )
-        if not packed:
-            return decrypt_histogram(CTX, encrypted)
-        return unpack_histogram(
-            CTX, pack_histogram(public, encrypted, grad_bound=1.0, limb_bits=32)
-        )
+        return decrypt_histogram(CTX, encrypted)
 
     @given(
         in_parent=st.lists(st.booleans(), min_size=N, max_size=N),

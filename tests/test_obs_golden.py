@@ -54,7 +54,9 @@ class TestGoldenEncodesPaperClaims:
         variants = expected["variants"]
         dec_base = variants["secureboost"]["ops"]["0"]["decryptions"]
         dec_packed = variants["vf2boost"]["ops"]["0"]["decryptions"]
-        assert dec_packed * 2 == dec_base  # pack width t=2 at 256-bit keys
+        # (g, h) share a bin's cipher and t = 2 bins share a pack at
+        # 256-bit keys: the four-fold cut halves twice.
+        assert dec_packed * 4 == dec_base
 
     def test_packing_shrinks_a_to_b_bytes(self, expected):
         variants = expected["variants"]
@@ -114,3 +116,15 @@ class TestDisclosureConformance:
             f"{variant} put undeclared message types on the wire: "
             f"{sorted(undeclared)}"
         )
+
+    def test_pair_layout_discloses_no_count(self, artifact):
+        # A pair cipher carries g and h and nothing else: an instance
+        # with zero statistics encodes to 0, so no bin sum counts
+        # instances and the packed path needs no declared disclosure.
+        from repro.analysis.taint import DECLARED_DISCLOSURES
+        from repro.crypto.packing import GradHessLayout
+
+        layout = GradHessLayout(GOLDEN_SHAPE["key_bits"], 48, 1.0, 0.25)
+        assert layout.encode([0.0], [0.0]) == [0]
+        assert sorted(DECLARED_DISCLOSURES) == artifact["declared_disclosures"]
+        assert not DECLARED_DISCLOSURES & set(artifact["label_derived"])

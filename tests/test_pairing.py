@@ -1,34 +1,62 @@
-"""Tests for gradient-pair packing (crypto and protocol integration)."""
+"""Tests for the two-limb (g, h) layout of the packed protocol path."""
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench.costmodel import CostModel
 from repro.core.config import VF2BoostConfig
+from repro.core.enc_histogram import (
+    build_encrypted_histogram,
+    pack_histogram,
+    unpack_histogram,
+)
+from repro.core.protocol import ProtocolScheduler
 from repro.core.trainer import FederatedTrainer
-from repro.crypto.ciphertext import PaillierContext
-from repro.crypto.pairing import GradHessCodec
+from repro.crypto.ciphertext import EncryptedNumber, PaillierContext
+from repro.crypto.packing import (
+    GradHessLayout,
+    GradientRangeError,
+    required_limb_bits,
+)
+from repro.fed.cluster import ClusterSpec
+from repro.fed.messages import CountedCipherPayload
 from repro.gbdt.binning import bin_dataset
 from repro.gbdt.boosting import GBDTTrainer
 from repro.gbdt.params import GBDTParams
 
 CTX = PaillierContext.create(256, seed=51, jitter=1)
+LAYOUT = GradHessLayout(256, max_count=1000, grad_bound=1.0, hess_bound=0.25)
+SCALE = LAYOUT.scale
+
+
+def _decode(cipher, count, layout=LAYOUT, context=CTX):
+    """Exact ``(grad sum, hess sum)`` of a cipher summing ``count`` pairs."""
+    shift = layout.shift(count)
+    shifted = context.add_plain_raw(cipher, shift)
+    grad_raw, hess_raw = layout.split(context.decrypt_raw(shifted))
+    return (grad_raw - shift) / layout.scale, hess_raw / layout.scale
+
+
+def _encrypt_pair(grad, hess):
+    return LAYOUT.encrypt(CTX, [grad], [hess])[0]
 
 
 class TestCodec:
-    codec = GradHessCodec(CTX, grad_bound=1.0, max_count=1000)
-
     def test_single_pair_round_trip(self):
-        cipher = self.codec.encrypt_pair(0.75, 0.2)
-        sums = self.codec.decode_sums(cipher)
-        assert sums.grad_sum == pytest.approx(0.75, abs=1e-6)
-        assert sums.hess_sum == pytest.approx(0.2, abs=1e-6)
-        assert sums.count == 1
+        grad_sum, hess_sum = _decode(_encrypt_pair(0.75, 0.2), 1)
+        assert grad_sum == 0.75
+        assert hess_sum == round(0.2 * SCALE) / SCALE
 
     def test_negative_gradient(self):
-        sums = self.codec.decode_sums(self.codec.encrypt_pair(-0.9, 0.01))
-        assert sums.grad_sum == pytest.approx(-0.9, abs=1e-6)
+        grad_sum, hess_sum = _decode(_encrypt_pair(-0.9, 0.01), 1)
+        assert grad_sum == round(-0.9 * SCALE) / SCALE
+        # A negative gradient under a zero hessian makes the whole
+        # plaintext negative; the shift alone must bring it back.
+        assert _decode(_encrypt_pair(-1.0, 0.0), 1) == (-1.0, 0.0)
 
     @given(
         st.lists(
@@ -39,44 +67,149 @@ class TestCodec:
     )
     @settings(max_examples=25, deadline=None)
     def test_accumulated_sums(self, pairs):
-        total = None
-        for g, h in pairs:
-            cipher = self.codec.encrypt_pair(g, h)
-            total = cipher if total is None else self.codec.add(total, cipher)
-        sums = self.codec.decode_sums(total)
-        assert sums.count == len(pairs)
-        assert sums.grad_sum == pytest.approx(sum(g for g, _ in pairs), abs=1e-4)
-        assert sums.hess_sum == pytest.approx(sum(h for _, h in pairs), abs=1e-4)
+        total = CTX.sum_ciphers(LAYOUT.encrypt(CTX, *zip(*pairs)))
+        grad_sum, hess_sum = _decode(total, len(pairs))
+        assert grad_sum == sum(round(g * SCALE) for g, _ in pairs) / SCALE
+        assert hess_sum == sum(round(h * SCALE) for _, h in pairs) / SCALE
 
     def test_accumulation_never_scales(self):
-        ciphers = [self.codec.encrypt_pair(0.5, 0.1) for _ in range(10)]
+        ciphers = LAYOUT.encrypt(CTX, [0.5] * 10, [0.1] * 10)
         before = CTX.stats.snapshot()
-        total = ciphers[0]
-        for cipher in ciphers[1:]:
-            total = self.codec.add(total, cipher)
+        CTX.sum_ciphers(ciphers)
         assert CTX.stats.diff(before).scalings == 0
 
     def test_one_encryption_per_pair(self):
         before = CTX.stats.snapshot()
-        self.codec.encrypt_pair(0.1, 0.1)
+        _encrypt_pair(0.1, 0.1)
         assert CTX.stats.diff(before).encryptions == 1
 
     def test_bound_enforced(self):
-        with pytest.raises(ValueError):
-            self.codec.encode_pair(1.5, 0.1)
-        with pytest.raises(ValueError):
-            self.codec.encode_pair(0.5, -0.1)
+        for grad, hess in [
+            (1.5, 0.1), (-1.0000001, 0.1), (0.5, -0.1), (0.5, 0.2500001),
+            (math.nan, 0.1), (0.5, math.nan),
+        ]:
+            with pytest.raises(GradientRangeError):
+                LAYOUT.encode([grad], [hess])
+        assert LAYOUT.encode([-1.0, 1.0], [0.0, 0.25]) == [
+            -SCALE, (SCALE // 4 << LAYOUT.limb_bits) + SCALE,
+        ]
 
     def test_capacity_check(self):
-        small = PaillierContext.create(64, seed=5)
-        with pytest.raises(ValueError):
-            GradHessCodec(small, grad_bound=1.0, max_count=10**9)
+        with pytest.raises(ValueError, match="key too small"):
+            GradHessLayout(64, 10**9, grad_bound=1.0, hess_bound=0.25)
 
     def test_zero_cipher(self):
-        sums = self.codec.decode_sums(self.codec.zero())
-        assert sums.count == 0
-        assert sums.grad_sum == 0.0
-        assert sums.hess_sum == 0.0
+        assert _decode(CTX.encrypt_zero(LAYOUT.exponent), 0) == (0.0, 0.0)
+
+    def test_hessian_limb_sized_from_its_own_bound(self):
+        # Squared loss: h <= 1 dominates 2 * |g| only when the gradient
+        # bound is small; the wider of the two sets the limb.
+        narrow = GradHessLayout(512, 64, grad_bound=1.0, hess_bound=0.25)
+        wide = GradHessLayout(512, 64, grad_bound=1.0, hess_bound=16.0)
+        assert narrow.limb_bits == 41  # ISSUE 16: N = 64, e = 8
+        assert wide.limb_bits == narrow.limb_bits + 3
+        assert wide.shift(64) == narrow.shift(64)
+
+
+class TestLayoutProperties:
+    """No carry and exact round-trip wherever the limbs are fullest."""
+
+    CONTEXTS = {
+        bits: PaillierContext.create(bits, seed=7, jitter=1)
+        for bits in (256, 384, 512)
+    }
+
+    def _round_trip(self, key_bits, bin_contents):
+        """Pack one feature whose bin ``k`` holds ``bin_contents[k]`` pairs."""
+        context = self.CONTEXTS[key_bits]
+        pairs = [pair for content in bin_contents for pair in content]
+        n = len(pairs)
+        layout = GradHessLayout(key_bits, max(n, 1), grad_bound=1.0, hess_bound=0.25)
+        ciphers = layout.encrypt(context, *zip(*pairs)) if pairs else []
+        codes = np.repeat(
+            np.arange(len(bin_contents)), [len(c) for c in bin_contents]
+        ).reshape(-1, 1)
+        public = context.public_context()
+        encrypted = build_encrypted_histogram(
+            public, codes, np.arange(n), ciphers, None, len(bin_contents), False
+        )
+        packed = pack_histogram(public, encrypted, layout)
+        assert public.stats.scalings == 0
+        assert packed.cipher_count() == layout.packs_per_feature(len(bin_contents))
+        histogram = unpack_histogram(context, packed)
+        scale = layout.scale
+        for k, content in enumerate(bin_contents):
+            assert histogram.grad[0, k] == sum(round(g * scale) for g, _ in content) / scale
+            assert histogram.hess[0, k] == sum(round(h * scale) for _, h in content) / scale
+        return layout, packed
+
+    @pytest.mark.parametrize("key_bits", [256, 384, 512])
+    @pytest.mark.parametrize("extreme", [(-1.0, 0.0), (-1.0, 0.25), (1.0, 0.25), (1.0, 0.0)])
+    def test_every_instance_at_the_bound_in_one_bin(self, key_bits, extreme):
+        # N * Bound lands in one limb; its neighbours are empty bins.
+        self._round_trip(key_bits, [[], [extreme] * 12, [], []])
+
+    @pytest.mark.parametrize("key_bits", [256, 384, 512])
+    def test_capacity_exactly_reached_then_exceeded(self, key_bits):
+        layout = GradHessLayout(key_bits, 12, grad_bound=1.0, hess_bound=0.25)
+        t = layout.capacity
+        assert t == (key_bits - 3 - layout.slot_bits) // layout.stride
+        full = [[(1.0, 0.25)] * 12] + [[] for _ in range(t - 1)]
+        _, packed = self._round_trip(key_bits, full)
+        assert [pack.count for pack in packed.packs[0]] == [t]
+        # The fullest pack stays inside the positive plaintext range.
+        context = self.CONTEXTS[key_bits]
+        (pack,) = packed.packs[0]
+        plaintext = context.decrypt_raw(
+            EncryptedNumber(context, pack.ciphertext, pack.exponent)
+        )
+        assert plaintext.bit_length() == (t - 1) * layout.stride + layout.slot_bits
+        assert plaintext.bit_length() <= key_bits - 3 - layout.stride
+        _, packed = self._round_trip(key_bits, full + [[(-1.0, 0.0)]])
+        assert [pack.count for pack in packed.packs[0]] == [t, 1]
+
+    def test_single_bin_feature_and_empty_node(self):
+        self._round_trip(256, [[(-0.3, 0.1), (0.9, 0.2)]])
+        self._round_trip(256, [[], []])
+
+    @given(
+        st.lists(
+            st.lists(
+                st.tuples(
+                    st.sampled_from([-1.0, 1.0, -0.5, 0.123456789]),
+                    st.sampled_from([0.0, 0.25, 0.2]),
+                ),
+                max_size=4,
+            ),
+            min_size=1,
+            max_size=7,
+        )
+    )
+    @settings(max_examples=15, derandomize=True, deadline=None)
+    def test_generated_bins_round_trip_exactly(self, bin_contents):
+        self._round_trip(256, bin_contents)
+
+    def test_decoded_sums_fit_float64_exactly(self):
+        # A bin's raw sums are at most shift(N) in magnitude: below 2**53
+        # up to two million unit-bound instances, which the 61-bit limbs
+        # of jittered exponents exceed at the 48 rows of the golden shape.
+        assert GradHessLayout(2048, 2_000_000, 1.0, 0.25).shift(2_000_000) < 2**53
+        assert required_limb_bits(2.0 * 48, 16, 8 + 6 - 1, 1) - 2 > 53
+        # Paper scale: 16 two-value bins per cipher, the paper's t = 32.
+        assert GradHessLayout(2048, 10_000_000, 1.0, 0.25).capacity == 16
+
+    def test_stride_floor_is_the_configured_limb_width(self):
+        assert GradHessLayout(2048, 4, 1.0, 0.25, min_stride=64).stride == 74
+        assert GradHessLayout(2048, 4, 1.0, 0.25, min_stride=128).stride == 128
+        assert GradHessLayout(2048, 4, 1.0, 0.25, min_stride=129).stride == 130
+
+
+def _problem(labels_kind, n=96, d=9, seed=3):
+    rng = np.random.default_rng(seed)
+    features = rng.normal(size=(n, d))
+    score = features @ rng.normal(size=d) / 2 + rng.normal(scale=0.3, size=n)
+    soft = 1.0 / (1.0 + np.exp(-score))
+    return features, soft if labels_kind == "soft" else (soft > 0.5).astype(float)
 
 
 class TestTrainerIntegration:
@@ -97,26 +230,69 @@ class TestTrainerIntegration:
         full, parties, labels, params = self._setup()
         plaintext = GBDTTrainer(params)
         plaintext.fit_binned(full, labels)
-        config = VF2BoostConfig(
-            params=params, crypto_mode="real", key_bits=256,
-            pair_packing=True, histogram_packing=False, exponent_jitter=1,
-        )
+        config = VF2BoostConfig.vf2boost(params=params, crypto_mode="real", key_bits=256)
         result = FederatedTrainer(config).fit(parties, labels)
         assert [r.train_loss for r in result.history] == pytest.approx(
             [r.train_loss for r in plaintext.history], abs=1e-4
         )
 
+    @pytest.mark.parametrize("n_passive", [1, 2])
+    @pytest.mark.parametrize("labels_kind", ["soft", "hard"])
+    def test_real_counted_colocated_agree(self, labels_kind, n_passive):
+        features, labels = _problem(labels_kind)
+        params = GBDTParams(n_trees=2, n_layers=4, n_bins=5)
+        full = bin_dataset(features, params.n_bins)
+        width = 9 // (n_passive + 1)
+        parties = [
+            full.subset_features(np.arange(p * width, (p + 1) * width))
+            for p in range(n_passive + 1)
+        ]
+        used = bin_dataset(features[:, : width * (n_passive + 1)], params.n_bins)
+        codes = {p: ds.codes for p, ds in enumerate(parties)}
+        plaintext = GBDTTrainer(params)
+        plaintext.fit_binned(used, labels)
+        config = VF2BoostConfig.vf2boost(
+            params=params, crypto_mode="real", key_bits=256,
+            n_passive_parties=n_passive,
+        )
+        real = FederatedTrainer(config).fit(parties, labels)
+        counted = FederatedTrainer(config.replace(crypto_mode="counted")).fit(
+            parties, labels
+        )
+        reference = [r.train_loss for r in plaintext.history]
+        assert [r.train_loss for r in real.history] == reference
+        assert [r.train_loss for r in counted.history] == reference
+        assert np.array_equal(
+            real.model.predict_margin(codes), counted.model.predict_margin(codes)
+        )
+        assert sum(s.scalings for s in real.crypto_stats.values()) == 0
+        assert real.crypto_stats[0].encryptions == params.n_trees * len(labels)
+
+    def test_size_tie_real_matches_counted(self):
+        # The 8 | 8 root split of test_trainer's tie case, on real crypto.
+        column = np.repeat([0.0, 1.0], 8)
+        features = np.column_stack([column, np.tile([0.0, 1.0, 2.0, 3.0], 4)])
+        params = GBDTParams(n_trees=1, n_layers=3, n_bins=4)
+        full = bin_dataset(features, params.n_bins)
+        parties = [full.subset_features(np.arange(0, 1)), full.subset_features(np.arange(1, 2))]
+        config = VF2BoostConfig.vf2boost(params=params, crypto_mode="real", key_bits=256)
+        real = FederatedTrainer(config).fit(parties, column)
+        counted = FederatedTrainer(config.replace(crypto_mode="counted")).fit(parties, column)
+        children = real.trace.trees[0].layers[1]
+        assert [node.n_instances for node in children.nodes] == [8, 8]
+        assert [node.derived for node in children.nodes] == [False, True]
+        assert [r.train_loss for r in real.history] == [r.train_loss for r in counted.history]
+
     def test_pair_packed_enc_reaches_every_counter(self):
-        # encrypt_pair goes through the context's counted entry point, so
+        # Pair ciphers go through the context's counted entry point, so
         # the registry mirror and the profiler see what OpStats sees.
         from repro.obs.metrics import MetricsRegistry
         from repro.obs.profiler import HotPathProfiler
 
         __, parties, labels, params = self._setup()
-        config = VF2BoostConfig(
+        config = VF2BoostConfig.vf2boost(
             params=params.replace(n_trees=1, n_layers=2), crypto_mode="real",
-            key_bits=256, pair_packing=True, histogram_packing=False,
-            exponent_jitter=1,
+            key_bits=256,
         )
         registry = MetricsRegistry()
         result = FederatedTrainer(
@@ -129,56 +305,126 @@ class TestTrainerIntegration:
 
     def test_pair_packing_halves_gradient_stream(self):
         __, parties, labels, params = self._setup()
-        base_config = VF2BoostConfig(
-            params=params, crypto_mode="real", key_bits=256,
-            pair_packing=False, histogram_packing=False, exponent_jitter=1,
+        packed = VF2BoostConfig.vf2boost(params=params, crypto_mode="real", key_bits=256)
+        base = FederatedTrainer(packed.replace(histogram_packing=False)).fit(parties, labels)
+        pair = FederatedTrainer(packed).fit(parties, labels)
+        stream = "EncryptedGradHessBatch"
+        headers = 8 * pair.channel.by_type[stream].messages
+        assert 2 * (pair.channel.by_type[stream].bytes - headers) == (
+            base.channel.by_type[stream].bytes - headers
         )
-        pair_config = base_config.replace(pair_packing=True)
-        base_bytes = (
-            FederatedTrainer(base_config).fit(parties, labels).channel.total_bytes()
-        )
-        pair_bytes = (
-            FederatedTrainer(pair_config).fit(parties, labels).channel.total_bytes()
-        )
-        assert pair_bytes < 0.6 * base_bytes
+        assert pair.channel.total_bytes() < 0.5 * base.channel.total_bytes()
 
     def test_counted_mode_accounts_pairs(self):
         __, parties, labels, params = self._setup()
-        config = VF2BoostConfig(
-            params=params, crypto_mode="counted", pair_packing=True,
-            histogram_packing=False,
-        )
+        config = VF2BoostConfig.vf2boost(params=params, crypto_mode="counted")
         result = FederatedTrainer(config).fit(parties, labels)
-        base = FederatedTrainer(
-            config.replace(pair_packing=False)
-        ).fit(parties, labels)
-        assert result.channel.total_bytes() < base.channel.total_bytes()
+        shipped = [
+            m.n_ciphers for m in result.channel.log
+            if isinstance(m, CountedCipherPayload) and m.kind == "grad_hess"
+        ]
+        assert sum(shipped) == params.n_trees * len(labels)
 
-    def test_mutual_exclusion_with_histogram_packing(self):
-        with pytest.raises(ValueError):
-            VF2BoostConfig(
-                crypto_mode="real", pair_packing=True, histogram_packing=True
-            )
+    def test_out_of_range_gradient_fails_loudly(self):
+        # Squared loss only *assumes* |g| <= 4; a target far outside the
+        # unit range breaks the assumption on the first tree.
+        __, parties, labels, params = self._setup()
+        config = VF2BoostConfig.vf2boost(
+            params=params.replace(objective="squared"), crypto_mode="real", key_bits=256
+        )
+        with pytest.raises(GradientRangeError):
+            FederatedTrainer(config).fit(parties, labels * 100.0)
+
+
+#: (rows, passive columns, bins, layers, key bits): the golden shape and
+#: the three packed benchmark shapes (benchmarks/e2e/workloads.py)
+LEDGER_SHAPES = {
+    "golden": (48, 3, 4, 3, 256),
+    "train-tall": (200, 4, 8, 3, 512),
+    "train-wide": (200, 160, 4, 3, 512),
+    "train-bins": (64, 24, 32, 3, 512),
+}
 
 
 class TestSchedulerIntegration:
     def test_pair_packing_near_halves_makespan(self):
-        from repro.bench.costmodel import CostModel
         from repro.core.profile import analytic_trace
-        from repro.core.protocol import ProtocolScheduler
         from repro.fed.cluster import PAPER_CLUSTER
 
         trace = analytic_trace(1_000_000, 5000, [5000], 0.01, 20, 5)
         params = GBDTParams(n_layers=5, n_bins=20)
+        flags = dict(params=params, optimistic_split=False, blaster_encryption=False)
         base = ProtocolScheduler(
-            VF2BoostConfig(params=params, histogram_packing=False),
+            VF2BoostConfig(histogram_packing=False, **flags),
             CostModel.paper(), PAPER_CLUSTER,
         ).schedule(trace)
         pair = ProtocolScheduler(
-            VF2BoostConfig(
-                params=params, histogram_packing=False, pair_packing=True
-            ),
-            CostModel.paper(), PAPER_CLUSTER,
+            VF2BoostConfig(**flags), CostModel.paper(), PAPER_CLUSTER
         ).schedule(trace)
-        assert 1.6 < base.makespan / pair.makespan < 2.4
-        assert pair.bytes_per_tree < 0.6 * base.bytes_per_tree
+        # Half the Enc and gradient stream, and packed histograms on top.
+        assert 2 * pair.phase_totals["Enc"] == pytest.approx(base.phase_totals["Enc"])
+        assert base.makespan / pair.makespan > 1.9
+        assert pair.bytes_per_tree < 0.5 * base.bytes_per_tree
+
+    def test_whatif_prices_packs_from_the_layout(self):
+        from repro.obs.whatif import DEFAULT_SHAPE, run_whatif
+
+        params = GBDTParams(
+            n_trees=DEFAULT_SHAPE["n_trees"], n_layers=DEFAULT_SHAPE["n_layers"],
+            n_bins=DEFAULT_SHAPE["n_bins"],
+        )
+        # 4 bins: one pack per feature at the default floor, four when a
+        # 1024-bit floor leaves room for one bin per 2048-bit cipher.
+        narrow = run_whatif({"dec": 2.0}, config=VF2BoostConfig(params=params))
+        wide = run_whatif(
+            {"dec": 2.0}, config=VF2BoostConfig(params=params, limb_bits=1024)
+        )
+        assert VF2BoostConfig(params=params, limb_bits=1024).gradient_layout(48).capacity == 1
+        assert wide.baseline.phases["FindSplitA"] > 3 * narrow.baseline.phases["FindSplitA"]
+        assert wide.baseline.phases["CipherComm"] > narrow.baseline.phases["CipherComm"]
+
+    @pytest.mark.parametrize("shape", sorted(LEDGER_SHAPES))
+    def test_real_counted_and_scheduler_ship_the_same_ciphers(self, shape):
+        rows, d_a, bins, layers, key_bits = LEDGER_SHAPES[shape]
+        rng = np.random.default_rng(1)
+        features = rng.normal(size=(rows, 4 + d_a))
+        labels = 1.0 / (1.0 + np.exp(-features[:, 0] - features[:, 4]))
+        params = GBDTParams(n_trees=1, n_layers=layers, n_bins=bins)
+        full = bin_dataset(features, bins)
+        parties = [
+            full.subset_features(np.arange(0, 4)),
+            full.subset_features(np.arange(4, 4 + d_a)),
+        ]
+        config = VF2BoostConfig.vf2boost(
+            params=params, crypto_mode="real", key_bits=key_bits,
+            optimistic_split=False,
+        )
+        real = FederatedTrainer(config).fit(parties, labels)
+        counted = FederatedTrainer(config.replace(crypto_mode="counted")).fit(
+            parties, labels
+        )
+        cipher_bytes = key_bits // 4
+        packed = real.channel.by_type["PackedHistogramMessage"]
+        real_packs = (packed.bytes - 32 * packed.messages) // cipher_bytes
+        assert real_packs * cipher_bytes + 32 * packed.messages == packed.bytes
+        counted_packs = sum(
+            m.n_ciphers for m in counted.channel.log
+            if isinstance(m, CountedCipherPayload) and m.kind == "histograms"
+        )
+        # Bytes as seconds: no latency, one byte per second.
+        wire = ClusterSpec(wan_latency=0.0, wan_bandwidth=1.0)
+        cost = CostModel(0, 0, 0, 0, 0, 0, 0, 0, cipher_bytes=cipher_bytes)
+        tasks = ProtocolScheduler(config, cost, wire).schedule(
+            real.trace, collect_tasks=True
+        ).task_graphs[0]
+        # (a duration is end - start: exact only to float rounding)
+        scheduled_packs = round(
+            sum(t.duration for t in tasks if t.name.startswith("histcomm"))
+            / cipher_bytes,
+            6,
+        )
+        layout = config.gradient_layout(rows)
+        built = sum(layer.built_nodes for layer in real.trace.trees[0].layers)
+        assert real_packs == counted_packs == scheduled_packs
+        assert real_packs == built * d_a * layout.packs_per_feature(bins)
+        assert real.crypto_stats[0].decryptions == real_packs

@@ -195,11 +195,13 @@ class TestHistogramSubtractionPricing:
         "flags, passive, makespan, build_hist_a, find_split_a",
         [
             (
+                # Packed path: re-pinned when (g, h) became one cipher
+                # (half of BuildHistA's additions, no workspace merge).
                 {},
                 [5000],
-                "0x1.70b4893c4a0a4p+6",
-                "0x1.2827027027026p+6",
-                "0x1.c9b101767dcdcp+2",
+                "0x1.62e3c6cfe1ba9p+5",
+                "0x1.0270270270270p+5",
+                "0x1.c96ac9dfd1310p+2",
             ),
             (
                 dict(
@@ -217,9 +219,10 @@ class TestHistogramSubtractionPricing:
     def test_unmarked_trace_schedules_as_before(
         self, flags, passive, makespan, build_hist_a, find_split_a
     ):
-        # Bit patterns recorded at the commit before subtraction landed:
-        # analytic traces mark no node derived and must price identically
-        # (Tables 1-2/4-6 reproduce the paper's published protocol).
+        # The two-cipher pattern was recorded at the commit before
+        # subtraction landed: analytic traces mark no node derived and
+        # must price identically (Tables 1-2/4-6 reproduce the paper's
+        # published protocol).
         trace = analytic_trace(
             100_000, 5000, passive, density=0.01, n_bins=20, n_layers=5, n_trees=2
         )

@@ -409,7 +409,7 @@ class TestHistogramSubtraction:
         all_nodes = sum(len(l.nodes) for l in result.trace.trees[0].layers)
         assert self._built_nodes(result) == (all_nodes + 1) // 2
 
-    def test_pair_packed_derived_counts_are_exact(self):
+    def test_packed_derived_sums_are_exact(self):
         features, labels = self._soft_problem(n=60, d=6, seed=5)
         params = GBDTParams(n_trees=1, n_layers=4, n_bins=4)
         full = bin_dataset(features, params.n_bins)
@@ -417,10 +417,7 @@ class TestHistogramSubtraction:
             full.subset_features(np.arange(0, 3)),
             full.subset_features(np.arange(3, 6)),
         ]
-        config = VF2BoostConfig(
-            params=params, crypto_mode="real", key_bits=256,
-            pair_packing=True, histogram_packing=False, exponent_jitter=1,
-        )
+        config = VF2BoostConfig.vf2boost(params=params, crypto_mode="real", key_bits=256)
         plaintext = GBDTTrainer(params)
         plaintext.fit_binned(full, labels)
         trainer = FederatedTrainer(config)
@@ -428,7 +425,7 @@ class TestHistogramSubtraction:
         search = trainer._global_best_split
 
         def spy(active_hist, passive_hists, n_node):
-            seen.append((passive_hists[1], n_node))
+            seen.append(passive_hists[1])
             return search(active_hist, passive_hists, n_node)
 
         trainer._global_best_split = spy
@@ -440,9 +437,11 @@ class TestHistogramSubtraction:
             node.derived for layer in result.trace.trees[0].layers for node in layer.nodes
         )
         assert derived >= 2
-        # Pair bins carry an exact count limb; parent - child keeps every
-        # node's per-feature counts summing to its instance count.
-        for hist, n_node in seen:
-            assert hist.count.dtype == np.int64
-            assert (hist.count >= 0).all()
-            assert (hist.count.sum(axis=1) == n_node).all()
+        # Every feature's bins partition the node's instances, and the
+        # fixed-exponent sums are exact multiples of B**-e well below
+        # 2**53: built or derived by parent - child, each feature's bins
+        # add up to the very same float.  No count reaches Party B.
+        for hist in seen:
+            assert not hist.count.any()
+            for totals in (hist.grad.sum(axis=1), hist.hess.sum(axis=1)):
+                assert (totals == totals[0]).all()
