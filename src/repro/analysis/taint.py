@@ -109,7 +109,7 @@ DECLARED_DISCLOSURES = {
 KNOWN_MESSAGE_FIELDS = {
     "EncryptedGradHessBatch": ["sender", "receiver", "instance_offset", "grads", "hesses"],
     "EncryptedHistogramMessage": ["sender", "receiver", "histograms"],
-    "PackedHistogramMessage": ["sender", "receiver", "packed", "shift_value", "layout"],
+    "PackedHistogramMessage": ["sender", "receiver", "packed"],
     "CountedCipherPayload": ["sender", "receiver", "kind", "n_ciphers", "extra_bytes"],
     "SplitDecision": ["sender", "receiver", "node_id", "owner", "bin_flat_index", "gain_is_leaf"],
     "SplitQuery": ["sender", "receiver", "node_id", "bin_flat_index"],

@@ -10,9 +10,15 @@ This module is the real-crypto heart of Party A's work:
 * :func:`pack_histogram` / :func:`unpack_histogram` — the §5.2
   polynomial packing pipeline over pair-cipher bins: shift the first
   bin of every feature by ``N x Bound`` so every gradient *prefix sum*
-  is non-negative, prefix-sum the bins, pack ``t`` two-limb bins per
-  cipher, and invert all of it on the active party after a single
-  decryption per pack.
+  is non-negative, prefix-sum the bins, pack ``t`` two-limb prefixes
+  per cipher across the node's features, and invert all of it on the
+  active party after a single decryption per pack.
+
+A feature's last prefix sum is the node's ``(sum g, sum h)``, which the
+active party can add up from the integers it encrypted.  The packed
+path therefore never builds, packs, ships or decrypts the last bin:
+Party A handles ``s - 1`` bins per feature and Party B appends its own
+total — the same integers, and a check on everything that arrived.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ __all__ = [
     "EncryptedHistogram",
     "build_encrypted_histogram",
     "PackedHistogram",
+    "PackedHistogramError",
     "pack_histogram",
     "unpack_histogram",
     "decrypt_histogram",
@@ -48,27 +55,23 @@ class EncryptedHistogram:
     ``grad_bins[j][k]`` / ``hess_bins[j][k]`` are ciphers of the sums of
     gradients / hessians of the node's instances falling in bin ``k`` of
     the party-local feature ``j``.  Built from pair ciphers,
-    ``grad_bins`` hold the ``(g, h)`` sums and ``hess_bins`` is empty.
+    ``grad_bins`` hold the ``(g, h)`` sums of the first ``n_bins - 1``
+    bins only and ``hess_bins`` is empty.
     """
 
     grad_bins: list[list[EncryptedNumber]]
     hess_bins: list[list[EncryptedNumber]]
     n_instances: int
+    n_bins: int
 
     @property
     def n_features(self) -> int:
         """Features summarized."""
         return len(self.grad_bins)
 
-    @property
-    def n_bins(self) -> int:
-        """Bins per feature."""
-        return len(self.grad_bins[0]) if self.grad_bins else 0
-
     def cipher_count(self) -> int:
         """Total ciphers held."""
-        streams = 2 if self.hess_bins else 1
-        return streams * self.n_features * self.n_bins
+        return sum(len(row) for row in self.grad_bins + self.hess_bins)
 
 
 def build_encrypted_histogram(
@@ -89,7 +92,8 @@ def build_encrypted_histogram(
         grad_ciphers / hess_ciphers: full-length cipher lists indexed by
             global row id (as received from the active party);
             ``hess_ciphers`` is ``None`` when ``grad_ciphers`` are
-            ``(g, h)`` pair ciphers.
+            ``(g, h)`` pair ciphers; instances in a feature's last bin
+            are then skipped (the receiver derives that bin).
         n_bins: bins per feature ``s``.
         reordered: use per-exponent workspaces (§5.1) instead of the
             naive in-arrival-order accumulation.
@@ -98,29 +102,32 @@ def build_encrypted_histogram(
     node_codes = codes[rows].tolist()
     n_features = codes.shape[1]
     zero_exponent = context.encoder.exponent
+    width = n_bins if hess_ciphers is not None else n_bins - 1
 
     def accumulate(ciphers: list[EncryptedNumber]) -> list[list[EncryptedNumber]]:
         if reordered:
             workspaces = [
-                [ExponentWorkspace(context) for _ in range(n_bins)]
+                [ExponentWorkspace(context) for _ in range(width)]
                 for _ in range(n_features)
             ]
             for i, row_codes in zip(rows, node_codes):
                 cipher = ciphers[i]
                 for j, k in enumerate(row_codes):
-                    workspaces[j][k].add(cipher)
+                    if k < width:
+                        workspaces[j][k].add(cipher)
             return [
                 [ws.finalize_or_zero(zero_exponent) for ws in row]
                 for row in workspaces
             ]
         cells: list[list[EncryptedNumber | None]] = [
-            [None] * n_bins for _ in range(n_features)
+            [None] * width for _ in range(n_features)
         ]
         for i, row_codes in zip(rows, node_codes):
             cipher = ciphers[i]
             for j, k in enumerate(row_codes):
-                held = cells[j][k]
-                cells[j][k] = cipher if held is None else context.add(held, cipher)
+                if k < width:
+                    held = cells[j][k]
+                    cells[j][k] = cipher if held is None else context.add(held, cipher)
         return [
             [
                 cell if cell is not None else context.encrypt_zero(zero_exponent)
@@ -133,6 +140,7 @@ def build_encrypted_histogram(
         accumulate(grad_ciphers),
         accumulate(hess_ciphers) if hess_ciphers is not None else [],
         int(rows.size),
+        n_bins,
     )
 
 
@@ -154,27 +162,38 @@ def decrypt_histogram(
     return Histogram(grad, hess, np.zeros((d, s), dtype=np.int64))
 
 
+class PackedHistogramError(ValueError):
+    """Packs that cannot be the histogram of the node they arrived for.
+
+    Raised by :func:`unpack_histogram`: a pack under another key, a
+    pack of another node, a truncated or repeated pack list.
+    """
+
+
 @dataclass
 class PackedHistogram:
     """The §5.2 wire format of one node's histogram.
 
     Attributes:
-        packs: per-feature lists of packed prefix-sum groups; every
-            slot holds a shifted gradient prefix sum in its low limb
-            and a hessian prefix sum in its high limb.
+        packs: the node's ``D * (s - 1)`` prefix-sum slots, feature-major
+            (feature 0's first ``s - 1`` prefixes, then feature 1's, ...),
+            ``layout.capacity`` to a cipher; every slot holds a shifted
+            gradient prefix sum in its low limb and a hessian prefix sum
+            in its high limb.
         layout: limb widths, scale and shift rule both sides share.
-        n_bins: bins per feature, needed to unpack.
+        n_features / n_bins: ``D`` and ``s``, needed to unpack.
         n_instances: instances on the node (sizes the gradient shift).
     """
 
-    packs: list[list[PackedCipher]]
+    packs: list[PackedCipher]
     layout: GradHessLayout
+    n_features: int
     n_bins: int
     n_instances: int
 
     def cipher_count(self) -> int:
         """Packed ciphers on the wire."""
-        return sum(len(p) for p in self.packs)
+        return len(self.packs)
 
 
 def pack_histogram(
@@ -182,68 +201,98 @@ def pack_histogram(
 ) -> PackedHistogram:
     """Shift, prefix-sum and pack a node's pair-cipher histogram (Party A side).
 
-    Steps per feature (Figure 9):
+    Over the ``s - 1`` bins held per feature (Figure 9):
 
     1. shift the **first** bin's gradient limb by ``N x Bound`` (one
        cheap plaintext addition) so every gradient *prefix sum* is
        non-negative;
-    2. prefix-sum the bins with ``s - 1`` HAdds;
-    3. pack each group of ``t`` prefix bins with ``t - 1`` HAdd +
-       ``t - 1`` SMul (one exponent throughout: nothing to align).
+    2. prefix-sum the bins with ``s - 2`` HAdds;
+    3. lay the node's ``D * (s - 1)`` prefixes out feature-major and
+       pack each group of ``t`` with ``t - 1`` HAdd + ``t - 1`` SMul
+       (one exponent throughout: nothing to align).
+
+    A node without slots (``s = 1``, or no features) packs to nothing.
     """
     shift = layout.shift(encrypted.n_instances)
     capacity = layout.capacity
-    packs = []
+    slots: list[EncryptedNumber] = []
     for bins in encrypted.grad_bins:
-        prefix: list[EncryptedNumber] = []
         running: EncryptedNumber | None = None
         for cell in bins:
             if running is None:
                 running = context.add_plain_raw(cell, shift)
             else:
                 running = context.add(running, cell)
-            prefix.append(running)
-        packs.append(
-            [
-                pack_ciphers(
-                    context,
-                    prefix[start : start + capacity],
-                    layout.stride,
-                    top_bits=layout.slot_bits,
-                )
-                for start in range(0, len(prefix), capacity)
-            ]
-        )
+            slots.append(running)
     return PackedHistogram(
-        packs=packs,
+        packs=[
+            pack_ciphers(
+                context,
+                slots[start : start + capacity],
+                layout.stride,
+                top_bits=layout.slot_bits,
+            )
+            for start in range(0, len(slots), capacity)
+        ],
         layout=layout,
+        n_features=encrypted.n_features,
         n_bins=encrypted.n_bins,
         n_instances=encrypted.n_instances,
     )
 
 
-def unpack_histogram(context: PaillierContext, packed: PackedHistogram) -> Histogram:
+def unpack_histogram(
+    context: PaillierContext, packed: PackedHistogram, total: int
+) -> Histogram:
     """Decrypt-and-unpack a packed histogram (Party B side).
 
     One decryption per pack recovers ``t`` prefix sums of both
-    statistics; differencing the integers (the gradient shift sits in
-    every prefix, so it leaves with the first difference) restores the
-    per-bin sums: exact in float64 while a bin's raw sums stay below
-    ``2**53`` (two million unit-bound instances at ``B**e = 2**32``),
-    correctly rounded beyond.
+    statistics; ``total + shift`` — ``total`` being the sum of the
+    node's instances as :meth:`GradHessLayout.encode` made them, which
+    only the key holder can form — is every feature's last prefix.
+    Differencing the integers (the gradient shift sits in every prefix,
+    so it leaves with the first difference) restores the per-bin sums:
+    exact in float64 while a bin's raw sums stay below ``2**53`` (two
+    million unit-bound instances at ``B**e = 2**32``), correctly rounded
+    beyond.
+
+    Raises:
+        PackedHistogramError: when the packs do not hold exactly
+            ``D * (s - 1)`` slots, a slot is wider than
+            ``layout.slot_bits``, a feature's hessian prefixes decrease
+            or pass the node's own ``sum h``, or a gradient prefix
+            leaves ``[0, 2 * shift]``.
     """
     layout = packed.layout
     scale = layout.scale
     shift = layout.shift(packed.n_instances)
-    d = len(packed.packs)
-    s = packed.n_bins
+    d, s = packed.n_features, packed.n_bins
+    width = s - 1
+    held = sum(pack.count for pack in packed.packs)
+    if held != d * width:
+        raise PackedHistogramError(
+            f"packs hold {held} slots, a node of {d} features x {s} bins "
+            f"ships {d * width}"
+        )
+    slots = [slot for pack in packed.packs for slot in unpack_values(context, pack)]
+    if any(slot.bit_length() > layout.slot_bits for slot in slots):
+        raise PackedHistogramError(
+            f"a slot is wider than the layout's {layout.slot_bits} bits"
+        )
+    last = layout.split(total + shift)
+    grad_limit = 2 * shift
     grad = np.zeros((d, s), dtype=np.float64)
     hess = np.zeros((d, s), dtype=np.float64)
-    for j, packs in enumerate(packed.packs):
+    for j in range(d):
         previous_grad, previous_hess = shift, 0
-        slots = (slot for pack in packs for slot in unpack_values(context, pack))
-        for k, slot in enumerate(slots):
-            grad_prefix, hess_prefix = layout.split(slot)
+        prefixes = [layout.split(slot) for slot in slots[j * width : (j + 1) * width]]
+        prefixes.append(last)
+        for k, (grad_prefix, hess_prefix) in enumerate(prefixes):
+            if hess_prefix < previous_hess or grad_prefix > grad_limit:
+                raise PackedHistogramError(
+                    f"feature {j}, bin {k}: prefix sums ({grad_prefix}, "
+                    f"{hess_prefix}) cannot belong to this node"
+                )
             grad[j, k] = (grad_prefix - previous_grad) / scale
             hess[j, k] = (hess_prefix - previous_hess) / scale
             previous_grad, previous_hess = grad_prefix, hess_prefix

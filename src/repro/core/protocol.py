@@ -22,6 +22,12 @@ change only the *task graph*:
   the A->B histogram bytes and the decryption count by the pack width
   ``t`` of :class:`~repro.crypto.packing.GradHessLayout` at an
   ``O(bins * (T_HADD + T_SMUL))`` packing cost on Party A (§5.2).
+  Party A handles ``s - 1`` bins per feature there (B owns the last
+  prefix sum, the node total): a node ships
+  ``layout.packs_per_node(D, s)`` ciphers, packing costs ``slots -
+  packs`` HAdd + SMul over ``slots = D(s-1)`` plus ``D(s-2)`` prefix
+  adds, and BuildHistA adds ``(s-1)/s`` of its addends — bins are
+  quantile bins, so the last one holds ``1/s`` of the instances.
 
 Party compute pools are modeled as one lane whose task durations are
 ``work / effective_lanes`` — exact for the divisible crypto workloads
@@ -209,6 +215,23 @@ class ProtocolScheduler:
         """Cipher bins per node under the current flags."""
         return party.n_features * party.n_bins * self._stat_factor()
 
+    def _held_bins(self, party: _PartyWork) -> int:
+        """Cipher bins Party A builds per node: no last bin when packing."""
+        if self._packing_on():
+            return party.n_features * (party.n_bins - 1)
+        return self._bins(party)
+
+    def _addends(self, party: _PartyWork) -> float:
+        """Ciphers one instance adds into BuildHistA's bins.
+
+        On the packed path an instance in a feature's last bin is
+        skipped: ``1/s`` of the addends under quantile binning.
+        """
+        addends = self._stat_factor() * party.d
+        if self._packing_on():
+            addends *= (party.n_bins - 1) / party.n_bins
+        return addends
+
     def _reorder_finalize(self, bins: float, n_exponents: int) -> float:
         """Workspace merge cost: ``E - 1`` scalings per bin (§5.1)."""
         if (
@@ -350,7 +373,9 @@ class ProtocolScheduler:
                     phase="CipherComm",
                     party=party.index,
                 )
-                build_work = stat * n * party.d * self._add_cost(n_exponents) / n_batches
+                build_work = (
+                    n * self._addends(party) * self._add_cost(n_exponents) / n_batches
+                )
                 build_root[party.index] = engine.submit(
                     f"A{party.index}",
                     build_work / lanes,
@@ -377,7 +402,7 @@ class ProtocolScheduler:
             "HAdd": max(
                 (
                     (
-                        stat * n * party.d * self._add_cost(n_exponents)
+                        n * self._addends(party) * self._add_cost(n_exponents)
                         + self._reorder_finalize(self._bins(party), n_exponents)
                     )
                     / lanes
@@ -455,11 +480,12 @@ class ProtocolScheduler:
             find_a_tasks: list[SimTask] = []
             notice_anchor: SimTask | None = None
             for party in parties:
-                ciphers_full = built_nodes * (
-                    party.n_features * layout.packs_per_feature(party.n_bins)
+                packs = (
+                    layout.packs_per_node(party.n_features, party.n_bins)
                     if layout is not None
                     else self._bins(party)
                 )
+                ciphers_full = built_nodes * packs
                 for pi, part in enumerate(hist_parts[party.index]):
                     frac = part.fraction
                     ready = part.task
@@ -469,12 +495,14 @@ class ProtocolScheduler:
                     # range. Grows with worker count — the effect that
                     # caps Table 5's scaling.
                     agg_seconds = self.cluster.aggregation_seconds(
-                        built_nodes * self._bins(party) * frac * self._cipher_bytes(),
+                        built_nodes
+                        * self._held_bins(party)
+                        * frac
+                        * self._cipher_bytes(),
                         nnz_bytes=(
-                            stat
-                            * built_instances
+                            built_instances
                             * frac
-                            * party.d
+                            * self._addends(party)
                             * self._cipher_bytes()
                         ),
                     )
@@ -488,15 +516,19 @@ class ProtocolScheduler:
                             party=party.index,
                         )
                     if layout is not None:
-                        # One HAdd + one SMul by 2**stride per bin; the
-                        # unit SMul cost is quoted for a 2**M radix.
+                        # Horner: one HAdd + one SMul by 2**stride per
+                        # slot but the last of each pack, after the
+                        # prefix adds; the unit SMul cost is quoted for
+                        # a 2**M radix.
+                        horner = self._held_bins(party) - packs
+                        prefix_adds = party.n_features * (party.n_bins - 2)
                         pack_work = (
                             built_nodes
-                            * self._bins(party)
                             * frac
                             * (
-                                self.cost.hadd()
-                                + self.cost.smul_small()
+                                (horner + prefix_adds) * self.cost.hadd()
+                                + horner
+                                * self.cost.smul_small()
                                 * layout.stride
                                 / DEFAULT_LIMB_BITS
                             )
@@ -600,12 +632,13 @@ class ProtocolScheduler:
             for party in parties:
                 parts: list[_HistPart] = []
                 add = self._add_cost(n_exponents)
+                addends = self._addends(party)
                 finalize = self._reorder_finalize(
                     next_layer.built_nodes * self._bins(party), n_exponents
                 )
                 if config.optimistic_split and dirty_frac > 0:
                     clean_work = (
-                        stat * next_built * (1 - dirty_frac) * party.d * add
+                        next_built * (1 - dirty_frac) * addends * add
                         + finalize * (1 - dirty_frac)
                     )
                     clean = engine.submit(
@@ -621,12 +654,7 @@ class ProtocolScheduler:
                     # Speculative work on (unknowingly) dirty children,
                     # aborted when the notice lands.
                     waste_work = (
-                        stat
-                        * next_built
-                        * dirty_frac
-                        * _SPECULATIVE_WASTE
-                        * party.d
-                        * add
+                        next_built * dirty_frac * _SPECULATIVE_WASTE * addends * add
                     )
                     waste = engine.submit(
                         f"A{party.index}",
@@ -653,12 +681,12 @@ class ProtocolScheduler:
                             1, len(next_layer.nodes)
                         )
                         redo_work = (
-                            moves * stat * misplaced * party.d * add
+                            moves * misplaced * addends * add
                             + finalize * dirty_frac
                         )
                     else:
                         redo_work = (
-                            stat * next_built * dirty_frac * party.d * add
+                            next_built * dirty_frac * addends * add
                             + finalize * dirty_frac
                         )
                     redo = engine.submit(
@@ -671,7 +699,7 @@ class ProtocolScheduler:
                     )
                     parts.append(_HistPart(redo, dirty_frac))
                 else:
-                    build_work = stat * next_built * party.d * add + finalize
+                    build_work = next_built * addends * add + finalize
                     build = engine.submit(
                         f"A{party.index}",
                         build_work / lanes,

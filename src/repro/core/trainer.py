@@ -12,11 +12,12 @@ label holder) and one or more passive parties (Party A's):
    re-ordered accumulation) — for the root and, below it, for the
    *smaller* child of every split (sizes follow from the placement all
    parties hold);
-3. passive parties transfer those histograms (packed or raw) to B, who
-   decrypts them, derives each larger sibling as ``parent - small`` on
-   the plaintext histograms of the layer above, and picks the global
-   best split per node, learning at most a *bin index* about a passive
-   party's winning feature;
+3. passive parties transfer those histograms to B — packed, every bin
+   but each feature's last, which B closes with its own node total, or
+   raw — who decrypts them, derives each larger sibling as ``parent -
+   small`` on the plaintext histograms of the layer above, and picks
+   the global best split per node, learning at most a *bin index*
+   about a passive party's winning feature;
 4. the split owner materializes the instance placement and the bitmap
    is synchronized; leaf weights are computed by B.
 
@@ -626,17 +627,18 @@ class FederatedTrainer:
         n_passive = len(party_datasets) - 1
 
         # Phase 1: gradient statistics encryption and communication.
-        # With a layout, ``grad_ciphers`` are (g, h) pair ciphers and
+        # With a layout, ``grad_ciphers`` are (g, h) pair ciphers of the
+        # integers ``raw_pairs`` (which B keeps to total its nodes) and
         # ``hess_ciphers`` stays None.
         grad_ciphers: list | None = None
         hess_ciphers: list | None = None
+        raw_pairs: list[int] | None = None
         n_exponents = 1 if layout is not None else self.config.exponent_jitter
         self._emit_event(channel, "phase", name="GradEnc", tree=tree_index)
         with self._phase("GradEnc"):
             if self._real and layout is not None:
-                grad_ciphers = layout.encrypt(
-                    context, gradients.tolist(), hessians.tolist()
-                )
+                raw_pairs = layout.encode(gradients.tolist(), hessians.tolist())
+                grad_ciphers = layout.encrypt(context, raw_pairs)
             elif self._real:
                 grad_ciphers = [context.encrypt(float(g)) for g in gradients]
                 hess_ciphers = [context.encrypt(float(h)) for h in hessians]
@@ -679,6 +681,7 @@ class FederatedTrainer:
                     hessians,
                     grad_ciphers,
                     hess_ciphers,
+                    raw_pairs,
                     channel,
                     context,
                     public_contexts,
@@ -823,6 +826,7 @@ class FederatedTrainer:
         hessians,
         grad_ciphers,
         hess_ciphers,
+        raw_pairs,
         channel,
         context,
         public_contexts,
@@ -832,7 +836,9 @@ class FederatedTrainer:
 
         ``nodes`` are the layer's *built* nodes (the root, then the
         smaller child of every split); returns their plaintext
-        histograms per passive party.
+        histograms per passive party.  ``raw_pairs`` are the integers B
+        encrypted on the packed real path: summed over a node's rows
+        they are the last prefix of every feature, which no party ships.
         """
         results: dict[int, dict[int, Histogram]] = {}
         n_passive = len(party_datasets) - 1
@@ -847,6 +853,7 @@ class FederatedTrainer:
                     node_rows,
                     grad_ciphers,
                     hess_ciphers,
+                    raw_pairs,
                     channel,
                     context,
                     public_contexts[p],
@@ -861,19 +868,19 @@ class FederatedTrainer:
                     per_node[node_id] = Histogram(
                         hist.grad, hist.hess, np.zeros_like(hist.count)
                     )
-                # What the real run ships: per feature, the layout's
-                # packs, or a gradient and a hessian cipher per bin.
-                per_feature = (
-                    layout.packs_per_feature(dataset.n_bins)
+                # What the real run ships per node: the layout's packs,
+                # or a gradient and a hessian cipher per bin.
+                per_node_ciphers = (
+                    layout.packs_per_node(dataset.n_features, dataset.n_bins)
                     if layout is not None
-                    else 2 * dataset.n_bins
+                    else 2 * dataset.n_features * dataset.n_bins
                 )
                 channel.send(
                     CountedCipherPayload(
                         p,
                         ACTIVE,
                         kind="histograms",
-                        n_ciphers=len(nodes) * dataset.n_features * per_feature,
+                        n_ciphers=len(nodes) * per_node_ciphers,
                     )
                 )
             results[p] = per_node
@@ -887,6 +894,7 @@ class FederatedTrainer:
         node_rows,
         grad_ciphers,
         hess_ciphers,
+        raw_pairs: list[int] | None,
         channel,
         context: PaillierContext,
         public_context: PaillierContext,
@@ -912,10 +920,12 @@ class FederatedTrainer:
             for node_id, enc_hist in encrypted.items():
                 packed = pack_histogram(public_context, enc_hist, layout)
                 packed_all[node_id] = packed
-                packed_msg.packed[node_id] = [c for row in packed.packs for c in row]
+                packed_msg.packed[node_id] = packed.packs
             channel.send(packed_msg)
             for node_id, packed in packed_all.items():
-                per_node[node_id] = unpack_histogram(context, packed)
+                # B's own sum over the node: every feature's last prefix.
+                total = sum(raw_pairs[i] for i in node_rows[node_id].tolist())
+                per_node[node_id] = unpack_histogram(context, packed, total)
         else:
             message = EncryptedHistogramMessage(party, ACTIVE)
             for node_id, enc_hist in encrypted.items():

@@ -47,6 +47,12 @@ _SMALL_PRIMES = (
 )
 
 
+#: most squarings one ``pow`` call is asked for on the power-of-two
+#: route of :func:`powmod`: ``2**59`` is the largest power of two CPython
+#: (60-bit cutoff, 3.11) still raises to by plain binary exponentiation
+_SQUARING_BITS = 59
+_SQUARING_PIECE = 1 << _SQUARING_BITS
+
 #: optional zero-argument callback fired on every :func:`powmod` call;
 #: the hot-path profiler attributes these to the enclosing cipher op
 _POWMOD_OBSERVER: Callable[[], None] | None = None
@@ -181,11 +187,25 @@ def powmod(base: int, exponent: int, modulus: int, crt: CrtParams | None = None)
             from half-width steps (:func:`powmod_crt`), otherwise the
             call takes the plain path.  Either way the returned integer
             is identical.
+
+    A power-of-two exponent above ``2**59`` — every packing SMul is
+    ``c^(2^stride)`` — is handed to ``pow`` in pieces of at most 59
+    squarings: CPython's ``pow`` first builds a table of odd powers for
+    any exponent over 60 bits, multiplications a pure shift never uses.
+    Same integer, still one observed call.
     """
     if _POWMOD_OBSERVER is not None:
         _POWMOD_OBSERVER()
     if crt is not None and crt.modulus == modulus and exponent >= 0:
         return powmod_crt(base, exponent, crt)
+    if exponent > _SQUARING_PIECE and exponent & (exponent - 1) == 0:
+        # base^(2^k) is k squarings; asked for in pieces ``pow`` runs
+        # as plain binary exponentiation, with no window table.
+        squarings = exponent.bit_length() - 1
+        while squarings > _SQUARING_BITS:
+            base = pow(base, _SQUARING_PIECE, modulus)
+            squarings -= _SQUARING_BITS
+        exponent = 1 << squarings
     return pow(base, exponent, modulus)
 
 

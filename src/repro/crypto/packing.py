@@ -214,9 +214,14 @@ class GradHessLayout:
         """Bits per packed bin: two limbs."""
         return 2 * self.limb_bits
 
-    def packs_per_feature(self, n_bins: int) -> int:
-        """Packed ciphers one feature's ``n_bins`` bins travel in."""
-        return -(-n_bins // self.capacity)
+    def packs_per_node(self, n_features: int, n_bins: int) -> int:
+        """Packed ciphers one node's histogram travels in.
+
+        A feature ships its first ``n_bins - 1`` prefix sums (the last
+        is the node total, which the key holder owns) and the node's
+        slots fill ciphers across features.
+        """
+        return -(-n_features * (n_bins - 1) // self.capacity)
 
     def shift(self, count: int) -> int:
         """Raw offset that lifts any gradient sum of ``count`` instances to >= 0."""
@@ -241,18 +246,15 @@ class GradHessLayout:
         return encoded
 
     def encrypt(
-        self,
-        context: PaillierContext,
-        gradients: Iterable[float],
-        hessians: Iterable[float],
+        self, context: PaillierContext, encoded: Iterable[int]
     ) -> list[EncryptedNumber]:
-        """One pair cipher per instance, each a counted Enc of ``context``."""
+        """One pair cipher per integer of :meth:`encode`, each a counted Enc."""
         key = context.public_key
         return [
             context.encrypt_encoded(
                 EncodedNumber(key, raw % key.n, self.exponent, self.base)
             )
-            for raw in self.encode(gradients, hessians)
+            for raw in encoded
         ]
 
     def split(self, slot: int) -> tuple[int, int]:
@@ -272,8 +274,8 @@ def pack_ciphers(
         context: a (public) Paillier context — packing needs no private key.
         numbers: ciphers to pack; all must share one exponent. Their
             plaintexts must be non-negative and below ``2**limb_bits``
-            (the caller guarantees this via shifting; violations surface
-            as corrupted limbs, which the histogram integration tests).
+            (the caller guarantees this via shifting; ``unpack_histogram``
+            rejects the corrupted limbs a violation leaves behind).
         limb_bits: ``M`` in the paper.
         top_bits: optional tighter bound on packed-value magnitudes,
             forwarded to :func:`pack_capacity`.
@@ -327,8 +329,3 @@ def unpack_values(context: PaillierContext, packed: PackedCipher) -> list[int]:
         values.append(plaintext & mask)
         plaintext >>= packed.limb_bits
     return values
-
-
-def limb_fits(value: int, limb_bits: int) -> bool:
-    """Whether an integer fits in one non-negative limb."""
-    return 0 <= value < (1 << limb_bits)

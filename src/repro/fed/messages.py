@@ -11,7 +11,6 @@ tests use.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
 import numpy as np
 
@@ -123,13 +122,13 @@ class EncryptedHistogramMessage(Message):
 class PackedHistogramMessage(Message):
     """Histogram bins packed t-per-cipher (§5.2).
 
-    ``packed`` maps ``node_id -> list of PackedCipher`` (prefix-sum
-    layout, grads then hesses, with shift metadata for un-shifting).
+    ``packed`` maps ``node_id -> list of PackedCipher``: the node's
+    ``D * (s - 1)`` two-limb prefix-sum slots, feature-major, ``t`` to a
+    cipher.  The layout and the gradient shift are not sent — both
+    sides derive them from the config and the node's size.
     """
 
     packed: dict[int, list[PackedCipher]] = field(default_factory=dict)
-    shift_value: float = 0.0
-    layout: dict[str, Any] = field(default_factory=dict)
 
     def cipher_count(self) -> int:
         """Total packed ciphers carried."""

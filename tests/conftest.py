@@ -74,3 +74,34 @@ def real_config(small_params) -> VF2BoostConfig:
         exponent_jitter=3,
         blaster_batch_size=64,
     )
+
+
+#: (rows, passive columns, bins, layers, key bits): the golden shape and
+#: the three packed benchmark shapes (benchmarks/e2e/workloads.py)
+LEDGER_SHAPES = {
+    "golden": (48, 3, 4, 3, 256),
+    "train-tall": (200, 4, 8, 3, 512),
+    "train-wide": (200, 160, 4, 3, 512),
+    "train-bins": (64, 24, 32, 3, 512),
+}
+
+
+@pytest.fixture(params=sorted(LEDGER_SHAPES))
+def ledger_workload(request):
+    """One ledger shape as ``(parties, labels, real-crypto packed config)``."""
+    rows, d_a, bins, layers, key_bits = LEDGER_SHAPES[request.param]
+    rng = np.random.default_rng(1)
+    features = rng.normal(size=(rows, 4 + d_a))
+    labels = 1.0 / (1.0 + np.exp(-features[:, 0] - features[:, 4]))
+    full = bin_dataset(features, bins)
+    parties = [
+        full.subset_features(np.arange(0, 4)),
+        full.subset_features(np.arange(4, 4 + d_a)),
+    ]
+    config = VF2BoostConfig.vf2boost(
+        params=GBDTParams(n_trees=1, n_layers=layers, n_bins=bins),
+        crypto_mode="real",
+        key_bits=key_bits,
+        optimistic_split=False,
+    )
+    return parties, labels, config

@@ -128,14 +128,34 @@ class TestPackedLedgerAgreement:
             assert sum(m.n_ciphers for m in payloads) * cipher_bytes == (
                 stats.bytes - header * stats.messages
             )
-        # 140 rows need 43-bit limbs; a 256-bit key holds two 86-bit bins
-        # under a bin of headroom, so 6 bins travel as 3 packs.
+        # 140 rows need 43-bit limbs; a 256-bit key holds two 86-bit slots
+        # under a slot of headroom, so a node's 4 features x 5 shipped
+        # bins (the sixth is B's own total) travel as 10 packs.
         built = sum(
             layer.built_nodes for tree in real.trace.trees for layer in tree.layers
         )
         packed = real.channel.by_type["PackedHistogramMessage"]
-        assert packed.bytes - 32 * packed.messages == (
-            built * parties[1].n_features * 3 * cipher_bytes
+        assert packed.bytes - 32 * packed.messages == built * 10 * cipher_bytes
+
+    def test_counted_ledger_ships_packs_per_node(self, ledger_workload):
+        # ceil(D(s - 1) / t) per built node on the golden and the packed
+        # benchmark shapes; test_pairing holds real and scheduler to the
+        # same number.
+        parties, labels, config = ledger_workload
+        counted = FederatedTrainer(config.replace(crypto_mode="counted")).fit(
+            parties, labels
+        )
+        layout = config.gradient_layout(len(labels))
+        d_a, bins = parties[1].n_features, parties[1].n_bins
+        per_node = -(-d_a * (bins - 1) // layout.capacity)
+        assert layout.packs_per_node(d_a, bins) == per_node
+        payloads = [
+            m for m in counted.channel.log if getattr(m, "kind", "") == "histograms"
+        ]
+        built = [layer.built_nodes for layer in counted.trace.trees[0].layers]
+        assert [m.n_ciphers for m in payloads] == [n * per_node for n in built]
+        assert sum(m.payload_bytes(config.key_bits) for m in payloads) == (
+            sum(built) * per_node * config.key_bits // 4 + 8 * len(payloads)
         )
 
 

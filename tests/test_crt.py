@@ -67,6 +67,54 @@ class TestCrtPowmod:
             7, 65537, PUBLIC.n_squared
         )
 
+    @pytest.mark.parametrize("squarings", [0, 1, 58, 59, 60, 61, 117, 118, 119, 177])
+    def test_power_of_two_exponent_is_squarings(self, squarings):
+        # Every packing SMul is c^(2^stride): the route asks ``pow`` for
+        # the squarings in pieces below its window-table cutoff — same
+        # integer, one observed call, with or without CRT constants.
+        rng = random.Random(squarings)
+        n_squared = PUBLIC.n_squared
+        exponent = 1 << squarings
+        observed = []
+        previous = math_utils.set_powmod_observer(lambda: observed.append(1))
+        try:
+            for base in (
+                rng.randrange(2, n_squared),
+                n_squared + rng.randrange(2, n_squared),
+                n_squared - 1,
+            ):
+                expected = pow(base, exponent, n_squared)
+                assert math_utils.powmod(base, exponent, n_squared) == expected
+                assert (
+                    math_utils.powmod(base, exponent, n_squared, crt=_crt_params())
+                    == expected
+                )
+                # A neighbouring exponent is no shift: plain path.
+                assert math_utils.powmod(base, exponent + 1, n_squared) == pow(
+                    base, exponent + 1, n_squared
+                )
+        finally:
+            math_utils.set_powmod_observer(previous)
+        assert len(observed) == 9
+
+    def test_power_of_two_route_never_hands_pow_a_long_exponent(self, monkeypatch):
+        asked = []
+        real_pow = pow
+
+        def spy(base, exponent, modulus):
+            asked.append(exponent)
+            return real_pow(base, exponent, modulus)
+
+        monkeypatch.setattr(math_utils, "pow", spy, raising=False)
+        assert math_utils.powmod(3, 1 << 177, PUBLIC.n_squared) == real_pow(
+            3, 1 << 177, PUBLIC.n_squared
+        )
+        assert asked == [1 << 59, 1 << 59, 1 << 59]
+        asked.clear()
+        math_utils.powmod(3, 1 << 59, PUBLIC.n_squared)
+        math_utils.powmod(3, (1 << 60) + 1, PUBLIC.n_squared)
+        assert asked == [1 << 59, (1 << 60) + 1]
+
     def test_route_by_exponent_and_base(self, monkeypatch):
         crt = _crt_params()
         p, q, n = PRIVATE.p, PRIVATE.q, PUBLIC.n

@@ -9,9 +9,11 @@ directory is frozen, so the contract is checked from here.
 
 import contextlib
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -78,10 +80,11 @@ def test_traced_installs_and_restores(tracing):
     assert [vars(owner)[attribute] for owner, attribute in places] == before
 
 
-def test_traced_fit_of_the_default_preset_counts_every_op(tracing):
+def test_traced_fit_of_the_default_preset_counts_every_op(tracing, monkeypatch):
     # The packed path must still cross every traced boundary: span
-    # counts equal the program's own OpStats (run.py's count_mismatch)
-    # and the build / pack / unpack layers are all visited.
+    # counts equal the program's own OpStats (run.py's count_mismatch),
+    # the build / pack / unpack layers are all visited, and one Dec
+    # answers one pack of the node's cross-feature slot sequence.
     import numpy as np
 
     from repro.core.config import VF2BoostConfig
@@ -107,6 +110,27 @@ def test_traced_fit_of_the_default_preset_counts_every_op(tracing):
     for layer in ("enc_histogram.build", "enc_histogram.pack", "enc_histogram.unpack"):
         assert totals[layer][0] > 0, layer
     assert totals["packing.pack_ciphers"][0] == totals["packing.unpack_values"][0]
-    assert totals["packing.pack_ciphers"][0] == spans["ciphertext.dec"]
+    built = sum(layer.built_nodes for layer in result.trace.trees[0].layers)
+    assert built == totals["enc_histogram.build"][0] == 2
+    layout = config.gradient_layout(len(labels))
+    assert (
+        spans["ciphertext.dec"]
+        == totals["packing.pack_ciphers"][0]
+        == built * layout.packs_per_node(3, params.n_bins)
+    )
+    # Ciphers built and values packed: no feature's last bin.
+    assert recorder.tallies["enc_histogram.bins"] == built * 3 * (params.n_bins - 1)
+    assert recorder.tallies["packing.values"] == built * 3 * (params.n_bins - 1)
+    assert spans["ciphertext.smul"] == (
+        recorder.tallies["packing.values"] - totals["packing.pack_ciphers"][0]
+    )
     sent = recorder.tallies["channel.bytes_b2a"] + recorder.tallies["channel.bytes_a2b"]
     assert sent == result.channel.total_bytes()
+    # The benchmark's own verdict on the same recorder.
+    declared = json.loads((E2E.parents[1] / "BENCHMARK.json").read_text())["per_layer"]
+    monkeypatch.setitem(sys.modules, "tracing", tracing)
+    with _load("run") as run:
+        metrics = run.layer_metrics(
+            declared, recorder, SimpleNamespace(round_trips=0, bytes_on_wire=0)
+        )
+        assert run.count_mismatches(metrics, result) == []

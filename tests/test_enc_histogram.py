@@ -1,11 +1,14 @@
 """Tests for encrypted histogram construction and §5.2 packing."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.enc_histogram import (
+    PackedHistogramError,
     build_encrypted_histogram,
     decrypt_histogram,
     pack_histogram,
@@ -32,7 +35,17 @@ def _setup(n=40, d=3, n_bins=6, seed=0):
     return dataset, grads, hess, grad_ciphers, hess_ciphers
 
 
-def _pair_setup(n=40, d=3, n_bins=6, seed=0, grads=None):
+class _Pairs(list):
+    """Pair ciphers plus ``raw``, the integers Party B encrypted into them."""
+
+    raw: list[int]
+
+    def total(self, rows) -> int:
+        """What B adds up for a node: its rows' integers."""
+        return sum(self.raw[i] for i in rows)
+
+
+def _pair_setup(n=40, d=3, n_bins=6, seed=0, grads=None, context=CTX):
     """Like ``_setup`` with one (g, h) pair cipher per instance."""
     rng = np.random.default_rng(seed)
     dataset = bin_dataset(rng.normal(size=(n, d)), n_bins)
@@ -40,12 +53,14 @@ def _pair_setup(n=40, d=3, n_bins=6, seed=0, grads=None):
         grads = rng.uniform(-1, 1, size=n)
     hess = rng.uniform(0.01, 0.25, size=n)
     layout = GradHessLayout(256, n, grad_bound=1.0, hess_bound=0.25)
-    pairs = layout.encrypt(CTX, grads.tolist(), hess.tolist())
+    raw = layout.encode(grads.tolist(), hess.tolist())
+    pairs = _Pairs(layout.encrypt(context, raw))
+    pairs.raw = raw
     return dataset, grads, hess, pairs, layout
 
 
-def _packed(dataset, rows, pairs, layout, reordered=False):
-    public = CTX.public_context()
+def _packed(dataset, rows, pairs, layout, reordered=False, context=CTX):
+    public = context.public_context()
     encrypted = build_encrypted_histogram(
         public, dataset.codes, rows, pairs, None, dataset.n_bins, reordered
     )
@@ -107,7 +122,7 @@ class TestPackUnpackHistogram:
         dataset, grads, hess, pairs, layout = _pair_setup(n=50, d=2, n_bins=8, seed=3)
         rows = np.arange(dataset.n_instances)
         _, packed = _packed(dataset, rows, pairs, layout, reordered)
-        recovered = unpack_histogram(CTX, packed)
+        recovered = unpack_histogram(CTX, packed, pairs.total(rows))
         reference = build_histogram(dataset, rows, grads, hess)
         assert np.allclose(recovered.grad, reference.grad, atol=1e-7)
         assert np.allclose(recovered.hess, reference.hess, atol=1e-7)
@@ -116,13 +131,15 @@ class TestPackUnpackHistogram:
         dataset, _, _, pairs, layout = _pair_setup(n=30, d=2, n_bins=8)
         encrypted, packed = _packed(dataset, np.arange(30), pairs, layout)
         assert layout.capacity == 2
-        assert packed.cipher_count() == encrypted.cipher_count() // 2
+        # 2 features x 7 shipped bins: no feature's last bin is built.
+        assert encrypted.cipher_count() == 14
+        assert packed.cipher_count() == 7
 
     def test_one_decryption_per_pack(self):
         dataset, _, _, pairs, layout = _pair_setup(n=20, d=1, n_bins=6)
         _, packed = _packed(dataset, np.arange(20), pairs, layout)
         before = CTX.stats.snapshot()
-        unpack_histogram(CTX, packed)
+        unpack_histogram(CTX, packed, pairs.total(range(20)))
         assert CTX.stats.diff(before).decryptions == packed.cipher_count()
 
     def test_pair_bins_never_scale(self):
@@ -133,7 +150,7 @@ class TestPackUnpackHistogram:
         )
         pack_histogram(public, encrypted, layout)
         assert public.stats.scalings == 0
-        assert encrypted.cipher_count() == 2 * 6
+        assert encrypted.cipher_count() == 2 * 5
 
     def test_negative_gradient_sums_survive_shift(self):
         # All-negative gradients stress the N*Bound shift.
@@ -143,7 +160,7 @@ class TestPackUnpackHistogram:
             n=n, d=1, n_bins=5, seed=4, grads=grads
         )
         _, packed = _packed(dataset, np.arange(n), pairs, layout)
-        recovered = unpack_histogram(CTX, packed)
+        recovered = unpack_histogram(CTX, packed, pairs.total(range(n)))
         reference = build_histogram(dataset, np.arange(n), grads, hess)
         assert np.allclose(recovered.grad, reference.grad, atol=1e-7)
         assert np.allclose(recovered.hess, reference.hess, atol=1e-7)
@@ -152,6 +169,89 @@ class TestPackUnpackHistogram:
         dataset, _, _, pairs, layout = _pair_setup(n=25, d=1, n_bins=4)
         _, packed = _packed(dataset, np.arange(25), pairs, layout)
         assert packed.layout.shift(packed.n_instances) == 25 * 16**8
+
+    def test_packs_fill_across_features(self):
+        # 5 features x 3 shipped bins = 15 slots in 8 ciphers of 2, where
+        # per-feature packs would have cost 5 x 2.
+        dataset, grads, hess, pairs, layout = _pair_setup(n=12, d=5, n_bins=4)
+        rows = np.arange(12)
+        _, packed = _packed(dataset, rows, pairs, layout)
+        assert [pack.count for pack in packed.packs] == [2] * 7 + [1]
+        recovered = unpack_histogram(CTX, packed, pairs.total(rows))
+        reference = build_histogram(dataset, rows, grads, hess)
+        assert np.allclose(recovered.grad, reference.grad, atol=1e-7)
+        assert np.allclose(recovered.hess, reference.hess, atol=1e-7)
+
+    def test_nothing_to_pack(self):
+        # One bin per feature, or no feature at all: no slots, no packs,
+        # and the one bin of every feature is B's own total.
+        _, grads, _, pairs, layout = _pair_setup(n=6, d=2, n_bins=2)
+        public = CTX.public_context()
+        rows = np.arange(6)
+        total = pairs.total(rows)
+        for codes in (np.zeros((6, 2), dtype=np.int64), np.zeros((6, 0), dtype=np.int64)):
+            encrypted = build_encrypted_histogram(public, codes, rows, pairs, None, 1, False)
+            packed = pack_histogram(public, encrypted, layout)
+            assert encrypted.cipher_count() == 0 and packed.packs == []
+            recovered = unpack_histogram(CTX, packed, total)
+            own = sum(round(g * layout.scale) for g in grads) / layout.scale
+            assert recovered.grad.tolist() == [[own]] * codes.shape[1]
+
+
+class TestPackedIntegrity:
+    """What B's own node total lets it refuse."""
+
+    N = 30
+    #: a modulus above ``CTX``'s, so every ``CTX`` cipher is in its range
+    #: and reaches the slot checks instead of ``raw_decrypt``'s range check
+    HOME = PaillierContext.create(256, seed=32, jitter=1)
+    DATASET, _, _, PAIRS, LAYOUT = _pair_setup(n=N, d=2, n_bins=6, seed=11, context=HOME)
+    ROWS = np.arange(N)
+
+    def _packed(self, rows=ROWS):
+        return _packed(self.DATASET, rows, self.PAIRS, self.LAYOUT, context=self.HOME)[1]
+
+    def _unpack(self, packed, rows=ROWS):
+        return unpack_histogram(self.HOME, packed, self.PAIRS.total(rows))
+
+    def test_intact_packs_unpack(self):
+        self._unpack(self._packed())
+
+    def test_pack_under_another_key(self):
+        assert CTX.public_key.n < self.HOME.public_key.n
+        _, _, _, foreign_pairs, _ = _pair_setup(n=self.N, d=2, n_bins=6, seed=11)
+        foreign = _packed(self.DATASET, self.ROWS, foreign_pairs, self.LAYOUT)[1]
+        packed = self._packed()
+        for position in range(len(packed.packs)):
+            packs = list(packed.packs)
+            packs[position] = foreign.packs[position]
+            with pytest.raises(PackedHistogramError):
+                self._unpack(dataclasses.replace(packed, packs=packs))
+
+    def test_pack_lists_of_two_nodes_swapped(self):
+        # The same slot count either way, so only the totals can tell:
+        # the large node's hessian prefixes pass the small node's sum.
+        small = np.arange(4)
+        swapped = dataclasses.replace(self._packed(small), packs=self._packed().packs)
+        with pytest.raises(PackedHistogramError, match="cannot belong"):
+            self._unpack(swapped, small)
+
+    def test_one_pack_dropped(self):
+        packed = self._packed()
+        with pytest.raises(PackedHistogramError, match="slots"):
+            self._unpack(dataclasses.replace(packed, packs=packed.packs[:-1]))
+
+    def test_one_pack_duplicated(self):
+        packed = self._packed()
+        longer = dataclasses.replace(packed, packs=packed.packs + packed.packs[-1:])
+        with pytest.raises(PackedHistogramError, match="slots"):
+            self._unpack(longer)
+        # Same length, one pack standing in for its neighbour: the
+        # repeated prefixes run backwards at the next pack.
+        packs = list(packed.packs)
+        packs[2] = packs[1]
+        with pytest.raises(PackedHistogramError, match="cannot belong"):
+            self._unpack(dataclasses.replace(packed, packs=packs))
 
 
 class TestSiblingBySubtraction:
@@ -165,7 +265,9 @@ class TestSiblingBySubtraction:
     def _decrypted(self, rows, packed):
         if packed:
             return unpack_histogram(
-                CTX, _packed(self.DATASET, rows, self.PAIR_CIPHERS, self.LAYOUT)[1]
+                CTX,
+                _packed(self.DATASET, rows, self.PAIR_CIPHERS, self.LAYOUT)[1],
+                self.PAIR_CIPHERS.total(rows),
             )
         encrypted = build_encrypted_histogram(
             CTX.public_context(), self.DATASET.codes, rows, self.GRAD_CIPHERS,

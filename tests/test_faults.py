@@ -459,13 +459,18 @@ class TestCheckpointResume:
         parties = [p.subset_instances(subset) for p in parties]
         labels = labels[subset]
         baseline = FederatedTrainer(config).fit(parties, labels)
-        result = FederatedTrainer(config).fit_resilient(
-            parties,
-            labels,
-            fault_plan=FaultPlan(crash_after_trees=(0,)),
-            checkpoint_dir=str(tmp_path),
-        )
-        assert _model_bytes(result) == _model_bytes(baseline)
+        # B's raw (g, h) integers — the node totals that close every
+        # packed feature — are per-tree state: the resumed run rebuilds
+        # them, also when messages were dropped on the way to the crash.
+        for plan in (
+            FaultPlan(crash_after_trees=(0,)),
+            FaultPlan(seed=5, drop_rate=0.1, crash_after_trees=(0,)),
+        ):
+            result = FederatedTrainer(config).fit_resilient(
+                parties, labels, fault_plan=plan, checkpoint_dir=str(tmp_path)
+            )
+            assert _model_bytes(result) == _model_bytes(baseline)
+        assert result.faults["drops"] > 0 and result.faults["resumes"] == 1
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.crypto.ciphertext import PaillierContext
 from repro.crypto.packing import (
-    limb_fits,
     pack_capacity,
     pack_ciphers,
     unpack_values,
@@ -162,11 +161,3 @@ class TestPackingEconomics:
             CTX, [CTX.encrypt(1.0, exponent=0) for _ in range(4)], limb_bits=32
         )
         assert one.size_bits(CTX.public_key) == many.size_bits(CTX.public_key)
-
-
-class TestLimbFits:
-    def test_boundaries(self):
-        assert limb_fits(0, 8)
-        assert limb_fits(255, 8)
-        assert not limb_fits(256, 8)
-        assert not limb_fits(-1, 8)

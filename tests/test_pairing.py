@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.bench.costmodel import CostModel
@@ -42,7 +42,7 @@ def _decode(cipher, count, layout=LAYOUT, context=CTX):
 
 
 def _encrypt_pair(grad, hess):
-    return LAYOUT.encrypt(CTX, [grad], [hess])[0]
+    return LAYOUT.encrypt(CTX, LAYOUT.encode([grad], [hess]))[0]
 
 
 class TestCodec:
@@ -67,13 +67,13 @@ class TestCodec:
     )
     @settings(max_examples=25, deadline=None)
     def test_accumulated_sums(self, pairs):
-        total = CTX.sum_ciphers(LAYOUT.encrypt(CTX, *zip(*pairs)))
+        total = CTX.sum_ciphers(LAYOUT.encrypt(CTX, LAYOUT.encode(*zip(*pairs))))
         grad_sum, hess_sum = _decode(total, len(pairs))
         assert grad_sum == sum(round(g * SCALE) for g, _ in pairs) / SCALE
         assert hess_sum == sum(round(h * SCALE) for _, h in pairs) / SCALE
 
     def test_accumulation_never_scales(self):
-        ciphers = LAYOUT.encrypt(CTX, [0.5] * 10, [0.1] * 10)
+        ciphers = LAYOUT.encrypt(CTX, LAYOUT.encode([0.5] * 10, [0.1] * 10))
         before = CTX.stats.snapshot()
         CTX.sum_ciphers(ciphers)
         assert CTX.stats.diff(before).scalings == 0
@@ -119,58 +119,79 @@ class TestLayoutProperties:
         for bits in (256, 384, 512)
     }
 
-    def _round_trip(self, key_bits, bin_contents):
-        """Pack one feature whose bin ``k`` holds ``bin_contents[k]`` pairs."""
+    def _round_trip(self, key_bits, codes, pairs, n_bins):
+        """Build -> pack -> unpack one node; exact against the integer sums.
+
+        ``codes`` is the node's ``(n, d)`` bin-code matrix, ``pairs`` its
+        ``(g, h)`` per row.  Party B's side of the bargain is ``sum(raw)``.
+        """
         context = self.CONTEXTS[key_bits]
-        pairs = [pair for content in bin_contents for pair in content]
-        n = len(pairs)
+        n, d = codes.shape
         layout = GradHessLayout(key_bits, max(n, 1), grad_bound=1.0, hess_bound=0.25)
-        ciphers = layout.encrypt(context, *zip(*pairs)) if pairs else []
+        raw = layout.encode(*zip(*pairs)) if pairs else []
+        public = context.public_context()
+        encrypted = build_encrypted_histogram(
+            public, codes, np.arange(n), layout.encrypt(context, raw), None, n_bins,
+            False,
+        )
+        assert encrypted.cipher_count() == d * (n_bins - 1)
+        packed = pack_histogram(public, encrypted, layout)
+        assert public.stats.scalings == 0
+        n_packs = -(-d * (n_bins - 1) // layout.capacity)
+        assert packed.cipher_count() == n_packs == layout.packs_per_node(d, n_bins)
+        before = context.stats.snapshot()
+        histogram = unpack_histogram(context, packed, sum(raw))
+        assert context.stats.diff(before).decryptions == n_packs
+        scale = layout.scale
+        grad_sums = np.zeros((d, n_bins), dtype=object)
+        hess_sums = np.zeros((d, n_bins), dtype=object)
+        for row_codes, (grad, hess) in zip(codes.tolist(), pairs):
+            for feature, code in enumerate(row_codes):
+                grad_sums[feature, code] += round(grad * scale)
+                hess_sums[feature, code] += round(hess * scale)
+        assert (histogram.grad * scale == grad_sums).all()
+        assert (histogram.hess * scale == hess_sums).all()
+        return layout, packed
+
+    def _one_feature(self, key_bits, bin_contents):
+        """One feature whose bin ``k`` holds the pairs ``bin_contents[k]``."""
+        pairs = [pair for content in bin_contents for pair in content]
         codes = np.repeat(
             np.arange(len(bin_contents)), [len(c) for c in bin_contents]
         ).reshape(-1, 1)
-        public = context.public_context()
-        encrypted = build_encrypted_histogram(
-            public, codes, np.arange(n), ciphers, None, len(bin_contents), False
-        )
-        packed = pack_histogram(public, encrypted, layout)
-        assert public.stats.scalings == 0
-        assert packed.cipher_count() == layout.packs_per_feature(len(bin_contents))
-        histogram = unpack_histogram(context, packed)
-        scale = layout.scale
-        for k, content in enumerate(bin_contents):
-            assert histogram.grad[0, k] == sum(round(g * scale) for g, _ in content) / scale
-            assert histogram.hess[0, k] == sum(round(h * scale) for _, h in content) / scale
-        return layout, packed
+        return self._round_trip(key_bits, codes, pairs, len(bin_contents))
 
     @pytest.mark.parametrize("key_bits", [256, 384, 512])
     @pytest.mark.parametrize("extreme", [(-1.0, 0.0), (-1.0, 0.25), (1.0, 0.25), (1.0, 0.0)])
     def test_every_instance_at_the_bound_in_one_bin(self, key_bits, extreme):
         # N * Bound lands in one limb; its neighbours are empty bins.
-        self._round_trip(key_bits, [[], [extreme] * 12, [], []])
+        self._one_feature(key_bits, [[], [extreme] * 12, [], []])
 
     @pytest.mark.parametrize("key_bits", [256, 384, 512])
     def test_capacity_exactly_reached_then_exceeded(self, key_bits):
         layout = GradHessLayout(key_bits, 12, grad_bound=1.0, hess_bound=0.25)
         t = layout.capacity
         assert t == (key_bits - 3 - layout.slot_bits) // layout.stride
-        full = [[(1.0, 0.25)] * 12] + [[] for _ in range(t - 1)]
-        _, packed = self._round_trip(key_bits, full)
-        assert [pack.count for pack in packed.packs[0]] == [t]
+        # t + 1 bins ship t prefixes, each the whole node at the bound.
+        full = [[(1.0, 0.25)] * 12] + [[] for _ in range(t)]
+        _, packed = self._one_feature(key_bits, full)
+        assert [pack.count for pack in packed.packs] == [t]
         # The fullest pack stays inside the positive plaintext range.
         context = self.CONTEXTS[key_bits]
-        (pack,) = packed.packs[0]
+        (pack,) = packed.packs
         plaintext = context.decrypt_raw(
             EncryptedNumber(context, pack.ciphertext, pack.exponent)
         )
         assert plaintext.bit_length() == (t - 1) * layout.stride + layout.slot_bits
         assert plaintext.bit_length() <= key_bits - 3 - layout.stride
-        _, packed = self._round_trip(key_bits, full + [[(-1.0, 0.0)]])
-        assert [pack.count for pack in packed.packs[0]] == [t, 1]
+        _, packed = self._one_feature(key_bits, full + [[(-1.0, 0.0)]])
+        assert [pack.count for pack in packed.packs] == [t, 1]
 
     def test_single_bin_feature_and_empty_node(self):
-        self._round_trip(256, [[(-0.3, 0.1), (0.9, 0.2)]])
-        self._round_trip(256, [[], []])
+        # One bin: nothing to ship, the bin is B's own total.
+        _, packed = self._one_feature(256, [[(-0.3, 0.1), (0.9, 0.2)]])
+        assert packed.packs == []
+        self._one_feature(256, [[], []])
 
     @given(
         st.lists(
@@ -187,7 +208,45 @@ class TestLayoutProperties:
     )
     @settings(max_examples=15, derandomize=True, deadline=None)
     def test_generated_bins_round_trip_exactly(self, bin_contents):
-        self._round_trip(256, bin_contents)
+        self._one_feature(256, bin_contents)
+
+    @given(
+        key_bits=st.sampled_from([256, 384, 512]),
+        n_bins=st.sampled_from([1, 2, 3, 4, 8, 33]),
+        d=st.integers(1, 5),
+        fill=st.sampled_from(["random", "first", "last", "empty"]),
+        edge=st.sampled_from([None, -1, 0, 1]),
+        seed=st.integers(0, 2**16),
+    )
+    @example(key_bits=256, n_bins=33, d=2, fill="last", edge=None, seed=0)
+    @example(key_bits=512, n_bins=4, d=3, fill="first", edge=None, seed=0)
+    @example(key_bits=384, n_bins=8, d=2, fill="empty", edge=None, seed=0)
+    @example(key_bits=384, n_bins=1, d=3, fill="random", edge=None, seed=2)
+    @example(key_bits=256, n_bins=2, d=1, fill="random", edge=-1, seed=1)
+    @example(key_bits=256, n_bins=2, d=1, fill="random", edge=0, seed=1)
+    @example(key_bits=512, n_bins=2, d=1, fill="last", edge=1, seed=1)
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    def test_generated_nodes_round_trip_exactly(
+        self, key_bits, n_bins, d, fill, edge, seed
+    ):
+        # Packs fill across features; B's total closes every feature.
+        rng = np.random.default_rng(seed)
+        n = 0 if fill == "empty" else 5
+        if edge is not None:
+            # D(s-1) on a pack boundary, one slot short of it, one past it.
+            capacity = GradHessLayout(key_bits, max(n, 1), 1.0, 0.25).capacity
+            n_bins, d = 2, 2 * capacity + edge
+        codes = {
+            "first": np.zeros((n, d), dtype=np.int64),
+            "last": np.full((n, d), n_bins - 1, dtype=np.int64),
+        }.get(fill, rng.integers(0, n_bins, size=(n, d)))
+        pairs = list(
+            zip(
+                rng.choice([-1.0, 1.0, -0.5, 0.123456789], size=n).tolist(),
+                rng.choice([0.0, 0.25, 0.2], size=n).tolist(),
+            )
+        )
+        self._round_trip(key_bits, codes, pairs, n_bins)
 
     def test_decoded_sums_fit_float64_exactly(self):
         # A bin's raw sums are at most shift(N) in magnitude: below 2**53
@@ -239,8 +298,17 @@ class TestTrainerIntegration:
     @pytest.mark.parametrize("n_passive", [1, 2])
     @pytest.mark.parametrize("labels_kind", ["soft", "hard"])
     def test_real_counted_colocated_agree(self, labels_kind, n_passive):
+        self._assert_real_counted_colocated_agree(labels_kind, n_passive, n_layers=4)
+
+    @pytest.mark.parametrize("n_passive", [1, 2])
+    def test_real_counted_colocated_agree_five_layers_deep(self, n_passive):
+        # Derived parents of derived nodes, and small nodes whose last
+        # bins (B's total minus what A shipped) are often empty.
+        self._assert_real_counted_colocated_agree("soft", n_passive, n_layers=5)
+
+    def _assert_real_counted_colocated_agree(self, labels_kind, n_passive, n_layers):
         features, labels = _problem(labels_kind)
-        params = GBDTParams(n_trees=2, n_layers=4, n_bins=5)
+        params = GBDTParams(n_trees=2, n_layers=n_layers, n_bins=5)
         full = bin_dataset(features, params.n_bins)
         width = 9 // (n_passive + 1)
         parties = [
@@ -336,16 +404,6 @@ class TestTrainerIntegration:
             FederatedTrainer(config).fit(parties, labels * 100.0)
 
 
-#: (rows, passive columns, bins, layers, key bits): the golden shape and
-#: the three packed benchmark shapes (benchmarks/e2e/workloads.py)
-LEDGER_SHAPES = {
-    "golden": (48, 3, 4, 3, 256),
-    "train-tall": (200, 4, 8, 3, 512),
-    "train-wide": (200, 160, 4, 3, 512),
-    "train-bins": (64, 24, 32, 3, 512),
-}
-
-
 class TestSchedulerIntegration:
     def test_pair_packing_near_halves_makespan(self):
         from repro.core.profile import analytic_trace
@@ -383,22 +441,10 @@ class TestSchedulerIntegration:
         assert wide.baseline.phases["FindSplitA"] > 3 * narrow.baseline.phases["FindSplitA"]
         assert wide.baseline.phases["CipherComm"] > narrow.baseline.phases["CipherComm"]
 
-    @pytest.mark.parametrize("shape", sorted(LEDGER_SHAPES))
-    def test_real_counted_and_scheduler_ship_the_same_ciphers(self, shape):
-        rows, d_a, bins, layers, key_bits = LEDGER_SHAPES[shape]
-        rng = np.random.default_rng(1)
-        features = rng.normal(size=(rows, 4 + d_a))
-        labels = 1.0 / (1.0 + np.exp(-features[:, 0] - features[:, 4]))
-        params = GBDTParams(n_trees=1, n_layers=layers, n_bins=bins)
-        full = bin_dataset(features, bins)
-        parties = [
-            full.subset_features(np.arange(0, 4)),
-            full.subset_features(np.arange(4, 4 + d_a)),
-        ]
-        config = VF2BoostConfig.vf2boost(
-            params=params, crypto_mode="real", key_bits=key_bits,
-            optimistic_split=False,
-        )
+    def test_real_counted_and_scheduler_ship_the_same_ciphers(self, ledger_workload):
+        parties, labels, config = ledger_workload
+        rows, d_a, bins = len(labels), parties[1].n_features, parties[1].n_bins
+        key_bits = config.key_bits
         real = FederatedTrainer(config).fit(parties, labels)
         counted = FederatedTrainer(config.replace(crypto_mode="counted")).fit(
             parties, labels
@@ -426,5 +472,11 @@ class TestSchedulerIntegration:
         layout = config.gradient_layout(rows)
         built = sum(layer.built_nodes for layer in real.trace.trees[0].layers)
         assert real_packs == counted_packs == scheduled_packs
-        assert real_packs == built * d_a * layout.packs_per_feature(bins)
+        # Packs fill across features and no feature ships its last bin.
+        assert real_packs == built * -(-d_a * (bins - 1) // layout.capacity)
         assert real.crypto_stats[0].decryptions == real_packs
+        # Party A's whole SMul budget is the Horner packing; its ciphers
+        # are the pair bins it held, the last one of no feature.
+        assert real.crypto_stats[1].scalar_multiplications == (
+            built * d_a * (bins - 1) - real_packs
+        )

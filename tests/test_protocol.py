@@ -196,12 +196,15 @@ class TestHistogramSubtractionPricing:
         [
             (
                 # Packed path: re-pinned when (g, h) became one cipher
-                # (half of BuildHistA's additions, no workspace merge).
+                # (half of BuildHistA's additions, no workspace merge),
+                # and again when Party A stopped handling the last bin
+                # (BuildHistA x 19/20) and packs filled across features
+                # (10 000 -> 5 278 ciphers a node at t = 18).
                 {},
                 [5000],
-                "0x1.62e3c6cfe1ba9p+5",
-                "0x1.0270270270270p+5",
-                "0x1.c96ac9dfd1310p+2",
+                "0x1.554f500ef58d3p+5",
+                "0x1.eb084a1e3b7d7p+4",
+                "0x1.e31bcb564efd4p+1",
             ),
             (
                 dict(
