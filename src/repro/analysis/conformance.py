@@ -76,7 +76,7 @@ _TAINT_MODULE = "analysis/taint.py"
 _MESSAGES_MODULE = "fed/messages.py"
 
 #: package-inner prefixes scanned for message construction sites
-_CONSTRUCT_SCOPE = ("core/", "gbdt/", "fed/", "serve/", "extensions/")
+_CONSTRUCT_SCOPE = ("core/", "gbdt/", "fed/", "serve/")
 
 
 def _module(index: PackageIndex, inner_path: str) -> ModuleInfo | None:

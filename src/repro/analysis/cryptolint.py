@@ -25,11 +25,11 @@ Three failure modes the runtime cannot reliably surface:
 
 * **CR105 — powmod choke-point bypass.**  Crypto hot paths must route
   modular exponentiation through
-  :func:`repro.crypto.math_utils.powmod`, the single observed choke
-  point that fires the profiler's powmod observer.  A direct
-  three-argument ``pow(base, e, m)`` inside ``crypto/`` silently
-  undercounts the op, and would survive an engine swap made under the
-  choke point.  Only ``math_utils.py`` itself may call it.
+  :func:`repro.crypto.math_utils.powmod`, the single choke point the
+  benchmark tracer and the powmod-count tests wrap by name.  A direct
+  three-argument ``pow(base, e, m)`` inside ``crypto/`` is invisible
+  to both, and would survive an engine swap made under the choke
+  point.  Only ``math_utils.py`` itself may call it.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ DEFAULT_ALLOWED_RAW = (
 DEFAULT_ALLOWED_CONSTRUCT = ("crypto/",)
 
 #: the only crypto-layer module allowed a direct 3-arg ``pow`` (CR105):
-#: the observed choke point itself
+#: the choke point itself
 DEFAULT_ALLOWED_POW = ("crypto/math_utils.py",)
 
 #: cipher-producing call tails tracked for provenance (CR001)
@@ -119,8 +119,8 @@ class CryptoChecker:
                     node,
                     "CR105",
                     "direct three-argument pow() in a crypto hot path "
-                    "bypasses the observed powmod choke point (profiler "
-                    "undercount); call repro.crypto.math_utils.powmod instead",
+                    "bypasses the powmod choke point; call "
+                    "repro.crypto.math_utils.powmod instead",
                 )
         for qualname, fn in iter_functions(module.tree):
             self._check_cross_key(module, fn, reporter)

@@ -37,7 +37,8 @@ counts — that the protocol scheduler prices into simulated time.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -145,10 +146,13 @@ class TrainResult:
             populated in ``"real"`` crypto mode, where ops physically
             execute.  Party ``ACTIVE`` did the Enc/Dec work, passive
             parties the homomorphic accumulation.
-        profile: the trainer's
-            :meth:`~repro.obs.profiler.HotPathProfiler.summary` when a
-            profiler was injected — per-phase/per-op hot-path totals
-            whose counts (summed over parties) equal ``crypto_stats``.
+        profile: the same counters split by protocol phase —
+            ``{"ops": {...}, "phases": {"GradEnc" | "Histogram" |
+            "Split" | "Leaf": {...}}}``, every row in
+            :class:`~repro.crypto.ciphertext.OpStats` field names and
+            summed over parties, so the phase rows add up to ``ops``
+            and ``ops`` to ``crypto_stats``.  Empty outside ``"real"``
+            mode, like ``crypto_stats``.
         faults: the reliable channel's
             :meth:`~repro.fed.reliable.ReliableChannel.summary` when a
             fault plan was active — drop/resend/dedupe tallies plus the
@@ -212,16 +216,6 @@ class FederatedTrainer:
 
     Args:
         config: system configuration (optimization flags, crypto mode...).
-        registry: optional :class:`~repro.obs.metrics.MetricsRegistry`
-            that the run's channel and crypto contexts report into
-            (``channel.*`` and ``crypto.*`` counters).
-        profiler: optional
-            :class:`~repro.obs.profiler.HotPathProfiler` installed for
-            the duration of :meth:`fit`; the trainer scopes the
-            protocol phases (GradEnc / Histogram / Split / Leaf) so
-            hot-path samples land attributed, and the summary rides on
-            :attr:`TrainResult.profile`.  Only meaningful in ``"real"``
-            crypto mode, where Paillier ops physically execute.
         event_log: optional shared
             :class:`~repro.obs.events.EventLog`; the trainer always
             records into one (its own when none is given) — phase,
@@ -244,25 +238,38 @@ class FederatedTrainer:
     def __init__(
         self,
         config: VF2BoostConfig,
-        registry=None,
-        profiler=None,
         event_log=None,
         incident_dir: str | None = None,
     ) -> None:
         self.config = config
-        self.registry = registry
-        self.profiler = profiler
         self.events = event_log if event_log is not None else EventLog()
         self.incident_dir = incident_dir
         self.incidents: list[str] = []
         self.loss: Loss = get_loss(config.params.objective)
         self._real = config.crypto_mode == "real"
 
-    def _phase(self, name: str):
-        """Profiler phase scope for a protocol section (no-op without)."""
-        if self.profiler is None:
-            return nullcontext()
-        return self.profiler.phase_scope(name)
+    @contextmanager
+    def _phase(self, channel, name: str, contexts, profile: dict, **where):
+        """Enter protocol phase ``name`` — the one place a phase is marked.
+
+        Emits the ``phase`` event, then adds the ops that ``contexts``
+        (the run's Paillier contexts; none outside real mode) perform
+        over the block to ``profile`` — its ``ops`` totals and its
+        ``phases[name]`` row, in :class:`OpStats` field names.
+        """
+        self._emit_event(channel, "phase", name=name, **where)
+        before = [context.stats.snapshot() for context in contexts]
+        yield
+        if not contexts:
+            return
+        ops = profile.setdefault("ops", OpStats().to_dict())
+        row = profile.setdefault("phases", {}).setdefault(
+            name, OpStats().to_dict()
+        )
+        for context, start in zip(contexts, before):
+            for op, count in context.stats.diff(start).to_dict().items():
+                ops[op] += count
+                row[op] += count
 
     def _emit_event(self, channel, kind: str, **payload) -> None:
         """Record one trainer transition on the recovery clock.
@@ -276,7 +283,7 @@ class FederatedTrainer:
         self.events.emit(now, "trainer", kind, **payload)
 
     def _snapshot_incident(
-        self, kind: str, channel, fault_plan, context: dict
+        self, kind: str, channel, fault_plan, profile: dict, context: dict
     ) -> None:
         """Save one post-mortem bundle into ``incident_dir``."""
         from repro.obs.incident import IncidentStore, snapshot_incident
@@ -286,8 +293,7 @@ class FederatedTrainer:
             kind,
             time=now,
             event_log=self.events,
-            registry=self.registry,
-            profiler=self.profiler,
+            profile=profile,
             channel=channel,
             fault_plan=fault_plan,
             context=context,
@@ -335,68 +341,6 @@ class FederatedTrainer:
             TrainingInterrupted: when the fault plan crashes the run at
                 a tree boundary (after writing the checkpoint).
         """
-        if self.profiler is None:
-            return self._fit(
-                party_datasets, labels, valid_party_codes, valid_labels,
-                fault_plan, retry_policy, resume_from, checkpoint_dir,
-            )
-        with self.profiler:
-            return self._fit(
-                party_datasets, labels, valid_party_codes, valid_labels,
-                fault_plan, retry_policy, resume_from, checkpoint_dir,
-            )
-
-    def fit_resilient(
-        self,
-        party_datasets: list[BinnedDataset],
-        labels: np.ndarray,
-        valid_party_codes: dict[int, np.ndarray] | None = None,
-        valid_labels: np.ndarray | None = None,
-        fault_plan: FaultPlan | None = None,
-        retry_policy: RetryPolicy | None = None,
-        resume_from: str | None = None,
-        checkpoint_dir: str | None = None,
-    ) -> TrainResult:
-        """:meth:`fit`, restarted from its checkpoint after every crash.
-
-        The supervisor loop a real deployment would run: each
-        :class:`TrainingInterrupted` becomes a resume from the
-        checkpoint it left behind, until training completes.
-        """
-        resumes = 0
-        while True:
-            try:
-                result = self.fit(
-                    party_datasets,
-                    labels,
-                    valid_party_codes,
-                    valid_labels,
-                    fault_plan=fault_plan,
-                    retry_policy=retry_policy,
-                    resume_from=resume_from,
-                    checkpoint_dir=checkpoint_dir,
-                )
-            except TrainingInterrupted as interrupt:
-                resume_from = interrupt.checkpoint_path
-                resumes += 1
-                if self.registry is not None:
-                    self.registry.inc("fed.faults.resumes")
-                continue
-            if resumes and result.faults:
-                result.faults["resumes"] = resumes
-            return result
-
-    def _fit(
-        self,
-        party_datasets: list[BinnedDataset],
-        labels: np.ndarray,
-        valid_party_codes: dict[int, np.ndarray] | None = None,
-        valid_labels: np.ndarray | None = None,
-        fault_plan: FaultPlan | None = None,
-        retry_policy: RetryPolicy | None = None,
-        resume_from: str | None = None,
-        checkpoint_dir: str | None = None,
-    ) -> TrainResult:
         labels = np.asarray(labels, dtype=np.float64)
         n = party_datasets[0].n_instances
         for dataset in party_datasets:
@@ -409,9 +353,7 @@ class FederatedTrainer:
             raise ValueError("need at least one passive party")
 
         params = self.config.params
-        channel = RecordingChannel(
-            self.config.key_bits, active_party=ACTIVE, registry=self.registry
-        )
+        channel = RecordingChannel(self.config.key_bits, active_party=ACTIVE)
         if fault_plan is not None and not fault_plan.is_null:
             if fault_plan.crash_after_trees and checkpoint_dir is None:
                 raise ValueError(
@@ -422,7 +364,6 @@ class FederatedTrainer:
                 channel,
                 plan=fault_plan,
                 policy=retry_policy,
-                registry=self.registry,
                 event_log=self.events,
             )
         context = self._make_context() if self._real else None
@@ -432,6 +373,7 @@ class FederatedTrainer:
             if context is not None
             else {}
         )
+        profile: dict = {}
 
         trace = TraceLog(
             n_instances=n,
@@ -479,10 +421,6 @@ class FederatedTrainer:
                 valid_margins = np.asarray(
                     state["valid_margins"], dtype=np.float64
                 )
-            if self.registry is not None:
-                self.registry.inc("fed.checkpoint.resumed")
-            import os
-
             self._emit_event(
                 channel,
                 "checkpoint_resumed",
@@ -502,6 +440,7 @@ class FederatedTrainer:
                 context,
                 public_contexts,
                 layout,
+                profile,
             )
             model.trees.append(tree)
             trace.trees.append(tree_trace)
@@ -525,8 +464,6 @@ class FederatedTrainer:
             )
             checkpoint_path = None
             if checkpoint_dir is not None:
-                import os
-
                 from repro.core.serialization import save_checkpoint
 
                 checkpoint_path = save_checkpoint(
@@ -539,8 +476,6 @@ class FederatedTrainer:
                     next_tree=t + 1,
                     valid_margins=valid_margins,
                 )
-                if self.registry is not None:
-                    self.registry.inc("fed.checkpoint.written")
                 self._emit_event(
                     channel,
                     "checkpoint_written",
@@ -552,10 +487,6 @@ class FederatedTrainer:
                 and fault_plan.crashes_after(t)
                 and t + 1 < params.n_trees
             ):
-                if self.registry is not None:
-                    self.registry.inc("fed.faults.crashes")
-                import os
-
                 self._emit_event(
                     channel,
                     "crash",
@@ -567,6 +498,7 @@ class FederatedTrainer:
                         "training_interrupted",
                         channel,
                         fault_plan,
+                        profile,
                         context={
                             "completed_trees": t + 1,
                             "checkpoint": os.path.basename(checkpoint_path),
@@ -582,6 +514,7 @@ class FederatedTrainer:
                 "fault_recovery",
                 channel,
                 fault_plan,
+                profile,
                 context={
                     "recovery_seconds": channel.clock,
                     "drops": channel.counters.drops,
@@ -600,13 +533,51 @@ class FederatedTrainer:
             history=history,
             channel=channel,
             crypto_stats=crypto_stats,
-            profile=self.profiler.summary() if self.profiler else {},
+            profile=profile,
             faults=(
                 channel.summary() if isinstance(channel, ReliableChannel) else {}
             ),
             events=self.events.to_dicts(),
             incidents=list(self.incidents),
         )
+
+    def fit_resilient(
+        self,
+        party_datasets: list[BinnedDataset],
+        labels: np.ndarray,
+        valid_party_codes: dict[int, np.ndarray] | None = None,
+        valid_labels: np.ndarray | None = None,
+        fault_plan: FaultPlan | None = None,
+        retry_policy: RetryPolicy | None = None,
+        resume_from: str | None = None,
+        checkpoint_dir: str | None = None,
+    ) -> TrainResult:
+        """:meth:`fit`, restarted from its checkpoint after every crash.
+
+        The supervisor loop a real deployment would run: each
+        :class:`TrainingInterrupted` becomes a resume from the
+        checkpoint it left behind, until training completes.
+        """
+        resumes = 0
+        while True:
+            try:
+                result = self.fit(
+                    party_datasets,
+                    labels,
+                    valid_party_codes,
+                    valid_labels,
+                    fault_plan=fault_plan,
+                    retry_policy=retry_policy,
+                    resume_from=resume_from,
+                    checkpoint_dir=checkpoint_dir,
+                )
+            except TrainingInterrupted as interrupt:
+                resume_from = interrupt.checkpoint_path
+                resumes += 1
+                continue
+            if resumes and result.faults:
+                result.faults["resumes"] = resumes
+            return result
 
     # ------------------------------------------------------------------
     # Per-tree protocol
@@ -621,10 +592,12 @@ class FederatedTrainer:
         context: PaillierContext | None,
         public_contexts: dict[int, PaillierContext],
         layout: GradHessLayout | None,
+        profile: dict,
     ) -> tuple[DecisionTree, TreeTrace]:
         params = self.config.params
         n = gradients.shape[0]
         n_passive = len(party_datasets) - 1
+        contexts = [context, *public_contexts.values()] if self._real else []
 
         # Phase 1: gradient statistics encryption and communication.
         # With a layout, ``grad_ciphers`` are (g, h) pair ciphers of the
@@ -634,8 +607,7 @@ class FederatedTrainer:
         hess_ciphers: list | None = None
         raw_pairs: list[int] | None = None
         n_exponents = 1 if layout is not None else self.config.exponent_jitter
-        self._emit_event(channel, "phase", name="GradEnc", tree=tree_index)
-        with self._phase("GradEnc"):
+        with self._phase(channel, "GradEnc", contexts, profile, tree=tree_index):
             if self._real and layout is not None:
                 raw_pairs = layout.encode(gradients.tolist(), hessians.tolist())
                 grad_ciphers = layout.encrypt(context, raw_pairs)
@@ -669,10 +641,9 @@ class FederatedTrainer:
             next_derived: dict[int, tuple[int, int]] = {}
             built = [node_id for node_id in frontier if node_id not in derived]
             # Each party builds this layer's histograms for its columns.
-            self._emit_event(
-                channel, "phase", name="Histogram", tree=tree_index, depth=depth
-            )
-            with self._phase("Histogram"):
+            with self._phase(
+                channel, "Histogram", contexts, profile, tree=tree_index, depth=depth
+            ):
                 hists = self._passive_histograms(
                     party_datasets,
                     built,
@@ -698,10 +669,9 @@ class FederatedTrainer:
                         per_node[large] = parent_hists[party][parent].subtract(
                             per_node[small]
                         )
-            self._emit_event(
-                channel, "phase", name="Split", tree=tree_index, depth=depth
-            )
-            with self._phase("Split"):
+            with self._phase(
+                channel, "Split", contexts, profile, tree=tree_index, depth=depth
+            ):
                 for node_id in frontier:
                     rows = node_rows[node_id]
                     node_trace = NodeTrace(
@@ -755,8 +725,7 @@ class FederatedTrainer:
                 break
 
         # Leaf weights (Equation 1), computed by B and broadcast.
-        self._emit_event(channel, "phase", name="Leaf", tree=tree_index)
-        with self._phase("Leaf"):
+        with self._phase(channel, "Leaf", contexts, profile, tree=tree_index):
             weights: dict[int, float] = {}
             for node in tree.nodes.values():
                 if node.is_leaf:
@@ -1049,5 +1018,4 @@ class FederatedTrainer:
             self.config.key_bits,
             seed=self.config.seed,
             jitter=self.config.exponent_jitter,
-            registry=self.registry,
         )

@@ -7,7 +7,7 @@ Public surface:
 * :mod:`repro.crypto.accumulation` — re-ordered histogram accumulation.
 * :mod:`repro.crypto.packing` — polynomial-based cipher packing and
   the two-limb ``(g, h)`` plaintext layout of the packed protocol path.
-* :mod:`repro.crypto.math_utils` — the observed ``powmod`` / ``invert``
+* :mod:`repro.crypto.math_utils` — the ``powmod`` / ``invert``
   choke points over built-in ``pow``, and the key holder's CRT route.
 """
 

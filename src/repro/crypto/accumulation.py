@@ -51,16 +51,6 @@ class ExponentWorkspace:
             self._partials[number.exponent] = self._context.add(existing, number)
         self._count += 1
 
-    def merge_from(self, other: "ExponentWorkspace") -> None:
-        """Fold another workspace's partials into this one (no scaling)."""
-        for exponent, number in other._partials.items():
-            existing = self._partials.get(exponent)
-            if existing is None:
-                self._partials[exponent] = number
-            else:
-                self._partials[exponent] = self._context.add(existing, number)
-        self._count += other._count
-
     def finalize(self) -> EncryptedNumber:
         """Merge all workspaces into one cipher with ``E - 1`` scalings.
 

@@ -9,11 +9,11 @@ GBDT algorithm actually uses:
 * ``k (x) [[v]]`` — scalar multiplication;
 * cheap plaintext addition (used by histogram packing's shift).
 
-Every operation is counted twice, deliberately: in the context-local
-:class:`OpStats` (which the benchmark ledger reads to price protocols
-under the cost model, and which the ``CR003`` lint audits), and in a
-:class:`~repro.obs.metrics.MetricsRegistry` under ``crypto.*`` names so
-cross-subsystem run reports see crypto cost next to channel traffic.
+Every operation is counted once, in the context-local :class:`OpStats`
+— the one op ledger of a run.  The cost model prices it, the ``CR003``
+lint audits it, and ``TrainResult.crypto_stats``, the trainer's
+per-phase ``profile``, ``RunReport.parties``, the golden fingerprints
+and the end-to-end benchmark's oracle are all views of it.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from repro.crypto.paillier import (
     PaillierPublicKey,
     generate_keypair,
 )
-from repro.obs.metrics import MetricsRegistry, global_registry
 
 __all__ = ["OpStats", "EncryptedNumber", "PaillierContext"]
 
@@ -141,8 +140,6 @@ class PaillierContext:
         jitter: exponent jitter window width (``E`` distinct exponents).
         rng: RNG for exponent jitter.
         obfuscator_pool_size: number of pre-computed obfuscators.
-        registry: metrics sink for the mirrored ``crypto.*`` counters
-            (the process-wide registry when omitted).
         obfuscator_rng: optional seeded generator for obfuscator draws
             (tests pin it to compare key-holder and full-width
             ciphertexts; production leaves it ``None`` for entropy).
@@ -157,7 +154,6 @@ class PaillierContext:
         jitter: int = 1,
         rng: random.Random | None = None,
         obfuscator_pool_size: int = 0,
-        registry: MetricsRegistry | None = None,
         obfuscator_rng: random.Random | None = None,
     ) -> None:
         self.public_key = public_key
@@ -173,7 +169,6 @@ class PaillierContext:
             crt=private_key.crt_params() if private_key is not None else None,
         )
         self.stats = OpStats()
-        self.metrics = registry if registry is not None else global_registry()
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -186,7 +181,6 @@ class PaillierContext:
         base: int = DEFAULT_BASE,
         exponent: int = DEFAULT_EXPONENT,
         jitter: int = 1,
-        registry: MetricsRegistry | None = None,
         obfuscator_rng: random.Random | None = None,
     ) -> "PaillierContext":
         """Generate a fresh keypair and wrap it in a context."""
@@ -199,21 +193,18 @@ class PaillierContext:
             exponent=exponent,
             jitter=jitter,
             rng=rng,
-            registry=registry,
             obfuscator_rng=obfuscator_rng,
         )
 
     def public_context(self) -> "PaillierContext":
         """A decryption-less view of this context (what Party A gets)."""
-        clone = PaillierContext(
+        return PaillierContext(
             self.public_key,
             private_key=None,
             base=self.encoder.base,
             exponent=self.encoder.exponent,
             jitter=self.encoder.jitter,
-            registry=self.metrics,
         )
-        return clone
 
     @property
     def can_decrypt(self) -> bool:
@@ -229,14 +220,12 @@ class PaillierContext:
         """Encode and encrypt a float, counting one encryption."""
         encoded = self.encoder.encode(value, exponent)
         self.stats.encryptions += 1
-        self.metrics.inc("crypto.enc")
         raw = self.public_key.raw_encrypt(encoded.value, self.pool.take())
         return EncryptedNumber(self, raw, encoded.exponent)
 
     def encrypt_encoded(self, encoded: EncodedNumber) -> EncryptedNumber:
         """Encrypt an already-encoded number."""
         self.stats.encryptions += 1
-        self.metrics.inc("crypto.enc")
         raw = self.public_key.raw_encrypt(encoded.value, self.pool.take())
         return EncryptedNumber(self, raw, encoded.exponent)
 
@@ -249,7 +238,6 @@ class PaillierContext:
         if self._private_key is None:
             raise PermissionError("this context has no private key")
         self.stats.decryptions += 1
-        self.metrics.inc("crypto.dec")
         value = self._private_key.raw_decrypt(number.ciphertext)
         return EncodedNumber(
             self.public_key, value, number.exponent, self.encoder.base
@@ -260,7 +248,6 @@ class PaillierContext:
         if self._private_key is None:
             raise PermissionError("this context has no private key")
         self.stats.decryptions += 1
-        self.metrics.inc("crypto.dec")
         return self._private_key.raw_decrypt(number.ciphertext)
 
     # ------------------------------------------------------------------
@@ -276,7 +263,6 @@ class PaillierContext:
         """
         a, b = self._align(a, b)
         self.stats.additions += 1
-        self.metrics.inc("crypto.hadd")
         raw = self.public_key.raw_add(a.ciphertext, b.ciphertext)
         return EncryptedNumber(self, raw, a.exponent)
 
@@ -299,7 +285,6 @@ class PaillierContext:
             raise ValueError("cannot scale a cipher to lower precision")
         factor = self.encoder.base ** (exponent - number.exponent)
         self.stats.scalings += 1
-        self.metrics.inc("crypto.scale")
         raw = self.public_key.raw_multiply(number.ciphertext, factor)
         return EncryptedNumber(self, raw, exponent)
 
@@ -311,14 +296,12 @@ class PaillierContext:
         elif encoded.exponent > a.exponent:
             a = self.scale_to(a, encoded.exponent)
         self.stats.plain_additions += 1
-        self.metrics.inc("crypto.padd")
         raw = self.public_key.raw_add_plain(a.ciphertext, encoded.value)
         return EncryptedNumber(self, raw, a.exponent)
 
     def add_plain_raw(self, a: EncryptedNumber, raw_value: int) -> EncryptedNumber:
         """Add a raw integer (same exponent assumed) to a cipher."""
         self.stats.plain_additions += 1
-        self.metrics.inc("crypto.padd")
         raw = self.public_key.raw_add_plain(a.ciphertext, raw_value)
         return EncryptedNumber(self, raw, a.exponent)
 
@@ -329,15 +312,13 @@ class PaillierContext:
         encoded first and their exponent adds to the cipher's.
         """
         if isinstance(scalar, int) or float(scalar).is_integer():
-            self.stats.scalar_multiplications += 1
-            self.metrics.inc("crypto.smul")
-            raw = self.public_key.raw_multiply(a.ciphertext, int(scalar))
-            return EncryptedNumber(self, raw, a.exponent)
-        encoded = self.encoder.encode(scalar, exponent=None)
+            factor, exponent = int(scalar), a.exponent
+        else:
+            encoded = self.encoder.encode(scalar, exponent=None)
+            factor, exponent = encoded.value, a.exponent + encoded.exponent
         self.stats.scalar_multiplications += 1
-        self.metrics.inc("crypto.smul")
-        raw = self.public_key.raw_multiply(a.ciphertext, encoded.value)
-        return EncryptedNumber(self, raw, a.exponent + encoded.exponent)
+        raw = self.public_key.raw_multiply(a.ciphertext, factor)
+        return EncryptedNumber(self, raw, exponent)
 
     def multiply_raw(self, a: EncryptedNumber, scalar: int) -> EncryptedNumber:
         """SMul by a raw integer scalar without exponent bookkeeping.
@@ -346,7 +327,6 @@ class PaillierContext:
         in the packed integer domain, not a fixed-point quantity.
         """
         self.stats.scalar_multiplications += 1
-        self.metrics.inc("crypto.smul")
         raw = self.public_key.raw_multiply(a.ciphertext, scalar)
         return EncryptedNumber(self, raw, a.exponent)
 

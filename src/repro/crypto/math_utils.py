@@ -2,15 +2,19 @@
 
 Everything here operates on plain Python integers.  Modular
 exponentiation — and its exponentiation-grade sibling, modular
-inversion — go through a single observed choke point (:func:`powmod` /
+inversion — go through a single choke point (:func:`powmod` /
 :func:`invert`) over the built-in three-argument ``pow``.  There is one
 engine; a faster one would replace ``pow`` under these two functions,
 not be selected beside it (DESIGN §4.14).
 
-The profiler's observer fires exactly once per *logical* operation at
-this layer: the key holder's CRT route (:func:`powmod_crt`) assembles
-one obfuscator from up to four half-width ``pow`` calls, and still
-counts as the one :func:`powmod` that asked for it.
+The two functions carry no hook of their own: whoever wants to count or
+time them wraps the module attribute from outside, as the end-to-end
+benchmark's tracer and the tests do, and every caller reaches them as
+``math_utils.powmod`` / ``math_utils.invert`` so such a wrapper sees
+every call.  One call is one *logical* operation at this layer: the key
+holder's CRT route (:func:`powmod_crt`) assembles one obfuscator from
+up to four half-width ``pow`` calls, and is still the one
+:func:`powmod` that asked for it.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from __future__ import annotations
 import math
 import random
 import secrets
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -35,7 +38,6 @@ __all__ = [
     "powmod_crt",
     "random_below",
     "random_coprime",
-    "set_powmod_observer",
 ]
 
 # Small primes used to cheaply reject composite candidates before the
@@ -52,26 +54,6 @@ _SMALL_PRIMES = (
 #: (60-bit cutoff, 3.11) still raises to by plain binary exponentiation
 _SQUARING_BITS = 59
 _SQUARING_PIECE = 1 << _SQUARING_BITS
-
-#: optional zero-argument callback fired on every :func:`powmod` call;
-#: the hot-path profiler attributes these to the enclosing cipher op
-_POWMOD_OBSERVER: Callable[[], None] | None = None
-
-
-def set_powmod_observer(
-    observer: Callable[[], None] | None,
-) -> Callable[[], None] | None:
-    """Install (or clear, with ``None``) the powmod observer.
-
-    Returns the previously installed observer so callers can restore it
-    — the contract :class:`repro.obs.profiler.HotPathProfiler` relies
-    on for nested install/uninstall.
-    """
-    global _POWMOD_OBSERVER
-    previous = _POWMOD_OBSERVER
-    _POWMOD_OBSERVER = observer
-    return previous
-
 
 def get_backend() -> SimpleNamespace:
     """Constant descriptor of the one engine: ``.name == "python"``.
@@ -97,7 +79,7 @@ class CrtParams:
         p, q: the prime factors of ``n``.
         q_sq_inv: ``invert(q^2, p^2)`` — Garner's recombination constant
             (passed in so the key holder computes it through the
-            observed :func:`invert`).
+            :func:`invert` choke point).
         n: ``p * q`` — the exponent the p-adic route recognizes.
         p_squared, q_squared: ``p ** 2``, ``q ** 2``.
         modulus: ``n ** 2`` — the modulus these params split; dispatch
@@ -159,8 +141,8 @@ def powmod_crt(base: int, exponent: int, crt: CrtParams) -> int:
     :func:`crt_combine` then reconstructs the unique residue modulo
     ``p^2 * q^2``, so the result is bit-identical to the direct pow.
 
-    Built on ``pow``, not on the observed :func:`powmod`: the internal
-    steps are not logical operations of their own.
+    Built on ``pow``, not on :func:`powmod`: the internal steps are
+    not logical operations of their own.
     """
     if exponent == crt.n:
         base_p, base_q = base % crt.p, base % crt.q
@@ -177,8 +159,8 @@ def powmod_crt(base: int, exponent: int, crt: CrtParams) -> int:
 def powmod(base: int, exponent: int, modulus: int, crt: CrtParams | None = None) -> int:
     """Modular exponentiation ``base ** exponent mod modulus``.
 
-    The single observed choke point for exponentiation: the cost model
-    and profiler see every call (see :func:`set_powmod_observer`).
+    The single choke point for exponentiation: every modular power of
+    the crypto layer is one call of this function.
 
     Args:
         base, exponent, modulus: the operation itself.
@@ -192,10 +174,8 @@ def powmod(base: int, exponent: int, modulus: int, crt: CrtParams | None = None)
     ``c^(2^stride)`` — is handed to ``pow`` in pieces of at most 59
     squarings: CPython's ``pow`` first builds a table of odd powers for
     any exponent over 60 bits, multiplications a pure shift never uses.
-    Same integer, still one observed call.
+    Same integer, still one call.
     """
-    if _POWMOD_OBSERVER is not None:
-        _POWMOD_OBSERVER()
     if crt is not None and crt.modulus == modulus and exponent >= 0:
         return powmod_crt(base, exponent, crt)
     if exponent > _SQUARING_PIECE and exponent & (exponent - 1) == 0:
@@ -213,15 +193,13 @@ def invert(a: int, modulus: int) -> int:
     """Return the modular inverse of ``a`` modulo ``modulus``.
 
     Inversion is exponentiation-grade work (extended gcd or
-    ``pow(a, -1, m)``), so it fires the powmod observer: the SMul
-    negative-scalar path and CRT precomputations are attributed instead
-    of silently undercounted.
+    ``pow(a, -1, m)``), so it is a choke point of its own: the SMul
+    negative-scalar path and the CRT precomputations are countable
+    beside :func:`powmod` instead of hidden inside a ``pow``.
 
     Raises:
         ValueError: if ``a`` has no inverse modulo ``modulus``.
     """
-    if _POWMOD_OBSERVER is not None:
-        _POWMOD_OBSERVER()
     try:
         return pow(a, -1, modulus)
     except ValueError as exc:

@@ -103,7 +103,7 @@ class PaillierPublicKey:
             crt: optional CRT parameters of this key's ``n^2`` — the
                 key holder passes them so the exponentiation is split;
                 the result is bit-identical either way, and exactly
-                one logical powmod is counted.
+                one logical powmod is asked for.
         """
         r = math_utils.random_coprime(self.n, rng)
         return math_utils.powmod(r, self.n, self.n_squared, crt=crt)
@@ -192,8 +192,8 @@ class PaillierPrivateKey:
     def crt_params(self) -> CrtParams:
         """CRT constants for exponentiations modulo ``n^2``.
 
-        Built once per key (the ``q^2`` inverse is itself an observed
-        inversion) and handed to :meth:`PaillierPublicKey.make_obfuscator`
+        Built once per key (the ``q^2`` inverse is one
+        :func:`~repro.crypto.math_utils.invert`) and handed to :meth:`PaillierPublicKey.make_obfuscator`
         so the obfuscator ``r^n mod n^2`` is computed from half-width
         steps over ``p`` / ``p^2`` and ``q`` / ``q^2``
         (:func:`~repro.crypto.math_utils.powmod_crt`, which records the

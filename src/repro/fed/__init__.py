@@ -21,7 +21,7 @@ from repro.fed.messages import (
     SplitQuery,
     cipher_bytes,
 )
-from repro.fed.reliable import DeliveryError, FaultEvent, ReliableChannel
+from repro.fed.reliable import DeliveryError, ReliableChannel
 from repro.fed.retry import PartyHealth, RetryPolicy
 from repro.fed.simtime import Resource, SimEngine, SimTask
 
@@ -35,7 +35,6 @@ __all__ = [
     "DirtyNodeNotice",
     "EncryptedGradHessBatch",
     "EncryptedHistogramMessage",
-    "FaultEvent",
     "FaultPlan",
     "FaultyEngine",
     "InstancePlacement",

@@ -169,8 +169,22 @@ class RecordingChannel:
         self.registry = registry
         self._queues: dict[tuple[int, int], deque[Message]] = defaultdict(deque)
         self.stats: dict[tuple[int, int], ChannelStats] = defaultdict(ChannelStats)
-        self.by_type: dict[str, ChannelStats] = defaultdict(ChannelStats)
         self.log: list[Message] = []
+
+    @property
+    def by_type(self) -> dict[str, ChannelStats]:
+        """Per-message-type totals: :attr:`stats` summed over directions.
+
+        A read-only view built on demand — :meth:`send` records a
+        message once, in its direction's ledger.
+        """
+        totals: dict[str, ChannelStats] = defaultdict(ChannelStats)
+        for stats in self.stats.values():
+            for type_name, per_type in stats.by_type.items():
+                total = totals[type_name]
+                total.messages += per_type.messages
+                total.bytes += per_type.bytes
+        return totals
 
     def send(self, message: Message) -> None:
         """Enqueue a message after privacy and accounting checks."""
@@ -181,9 +195,6 @@ class RecordingChannel:
         direction = (message.sender, message.receiver)
         self._queues[direction].append(message)
         self.stats[direction].record(type_name, size)
-        type_stats = self.by_type[type_name]
-        type_stats.messages += 1
-        type_stats.bytes += size
         if self.registry is not None:
             self.registry.inc("channel.messages")
             self.registry.inc("channel.bytes", size)
@@ -279,5 +290,4 @@ class RecordingChannel:
     def reset_stats(self) -> None:
         """Zero the accounting (queues are untouched)."""
         self.stats.clear()
-        self.by_type.clear()
         self.log.clear()

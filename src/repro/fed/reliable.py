@@ -19,8 +19,14 @@ the whole ARQ exchange against the plan's deterministic decisions, and
 backoffs, delays) — the recovery cost the bench gate tracks.  Every
 physical transmission, duplicate, and ack flows through the inner
 channel's ``send``, so the byte ledger prices retransmission overhead;
-bytes of transmissions lost in flight are accounted separately under
-``fed.faults.dropped_bytes``.
+bytes of transmissions lost in flight are accounted separately as
+``dropped_bytes`` in :meth:`ReliableChannel.summary`.
+
+Each fault or recovery action is recorded once, as an
+:class:`~repro.obs.events.Event` (subsystem ``"fed.reliable"``) in the
+:class:`~repro.obs.events.EventLog` the channel was given; the exact
+tallies :meth:`ReliableChannel.summary` reports are kept beside it,
+because a ring buffer may evict and a counter may not.
 
 With no plan (or a null plan) the wrapper is a strict pass-through:
 no sequence numbers, no acks, no extra bytes — the golden op-count
@@ -30,83 +36,24 @@ guard sees a byte-identical fault-free run.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.fed.channel import RecordingChannel
 from repro.fed.faults import FaultPlan
 from repro.fed.messages import Ack, Message
 from repro.fed.retry import RetryPolicy
-from repro.obs.events import Event
+from repro.obs.events import EventLog
 
-__all__ = ["DeliveryError", "FaultEvent", "ReliableChannel"]
+__all__ = ["DeliveryError", "ReliableChannel"]
 
 
 class DeliveryError(RuntimeError):
     """No transmission of a message survived the retry budget."""
 
 
-@dataclass(frozen=True)
-class FaultEvent:
-    """One observed fault or recovery action, on the recovery clock.
-
-    Attributes:
-        kind: ``"drop"``, ``"duplicate"``, ``"delay"``, ``"ack_drop"``,
-            ``"pause_wait"``, ``"resend"``, or ``"delivery_failure"``.
-        time: recovery-clock seconds when the event occurred.
-        duration: seconds of recovery time the event cost (0 for
-            events that cost bytes, not time — e.g. duplicates).
-        sender / receiver: message direction.
-        seq: sequence number of the affected message.
-        attempt: 0-based transmission attempt the event hit.
-        message_type: class name of the affected message.
-    """
-
-    kind: str
-    time: float
-    duration: float
-    sender: int
-    receiver: int
-    seq: int
-    attempt: int
-    message_type: str
-
-    def to_dict(self) -> dict:
-        """JSON-ready representation (RunReport, trace export)."""
-        return {
-            "kind": self.kind,
-            "time": self.time,
-            "duration": self.duration,
-            "sender": self.sender,
-            "receiver": self.receiver,
-            "seq": self.seq,
-            "attempt": self.attempt,
-            "message_type": self.message_type,
-        }
-
-    def to_event(self) -> Event:
-        """The same record on the unified event schema.
-
-        ``kind``/``time`` map onto the Event envelope, the message
-        direction becomes labels, and the remaining fields ride in the
-        payload — so the flat wire dict keeps every legacy field name.
-        """
-        return Event(
-            time=self.time,
-            subsystem="fed.reliable",
-            kind=self.kind,
-            labels={"sender": self.sender, "receiver": self.receiver},
-            payload={
-                "duration": self.duration,
-                "seq": self.seq,
-                "attempt": self.attempt,
-                "message_type": self.message_type,
-            },
-        )
-
-
 @dataclass
 class _Counters:
-    """Fault/recovery tallies mirrored into the metrics registry."""
+    """Exact fault/recovery tallies behind :meth:`ReliableChannel.summary`."""
 
     drops: int = 0
     duplicates: int = 0
@@ -119,6 +66,19 @@ class _Counters:
     delivery_failures: int = 0
     dropped_bytes: int = 0
 
+    @property
+    def events(self) -> int:
+        """Fault events recorded: each one bumps exactly one of these."""
+        return (
+            self.drops
+            + self.duplicates
+            + self.delays
+            + self.ack_drops
+            + self.pause_waits
+            + self.resends
+            + self.delivery_failures
+        )
+
 
 class ReliableChannel:
     """ARQ wrapper giving a faulty channel exactly-once semantics.
@@ -129,12 +89,11 @@ class ReliableChannel:
             pass-through fast path.
         policy: timeout/retry knobs; defaults to :class:`RetryPolicy`'s
             defaults.
-        registry: metrics registry for ``fed.*`` counters; falls back
-            to the inner channel's registry.
-        event_log: optional :class:`~repro.obs.events.EventLog`; every
-            :class:`FaultEvent` is mirrored into it on the unified
-            schema (subsystem ``"fed.reliable"``) for the flight
-            recorder.  Pure metadata — no wire bytes, no crypto ops.
+        event_log: the :class:`~repro.obs.events.EventLog` fault events
+            are recorded in (subsystem ``"fed.reliable"``) — the
+            trainer's, so they interleave with its transitions, or a
+            private one when the channel is built alone.  Pure
+            metadata — no wire bytes, no crypto ops.
 
     Unknown attributes delegate to the inner channel, so report
     builders consuming ``stats`` / ``stats_report()`` / ``key_bits``
@@ -146,16 +105,13 @@ class ReliableChannel:
         inner: RecordingChannel,
         plan: FaultPlan | None = None,
         policy: RetryPolicy | None = None,
-        registry=None,
-        event_log=None,
+        event_log: EventLog | None = None,
     ) -> None:
         self.inner = inner
         self.plan = plan if plan is not None and not plan.is_null else None
         self.policy = policy if policy is not None else RetryPolicy()
-        self.registry = registry if registry is not None else inner.registry
-        self.event_log = event_log
+        self.event_log = event_log if event_log is not None else EventLog()
         self.clock = 0.0
-        self.events: list[FaultEvent] = []
         self.counters = _Counters()
         self._next_seq: dict[tuple[int, int], int] = defaultdict(int)
         self._applied: dict[tuple[int, int], set[int]] = defaultdict(set)
@@ -204,8 +160,6 @@ class ReliableChannel:
                 self.counters.dropped_bytes += message.payload_bytes(
                     self.inner.key_bits
                 )
-                self._inc("fed.faults.dropped_bytes",
-                          message.payload_bytes(self.inner.key_bits))
                 self._event(
                     "drop", policy.timeout, message, attempt, count="drops"
                 )
@@ -242,19 +196,9 @@ class ReliableChannel:
             # Every ack was lost but at least one copy landed; the
             # protocol's own forward progress confirms delivery.
             return
-        self.counters.delivery_failures += 1
-        self._inc("fed.delivery.failures")
-        self._record(
-            FaultEvent(
-                kind="delivery_failure",
-                time=self.clock,
-                duration=0.0,
-                sender=message.sender,
-                receiver=message.receiver,
-                seq=seq,
-                attempt=policy.max_retries,
-                message_type=type_name,
-            )
+        self._event(
+            "delivery_failure", 0.0, message, policy.max_retries,
+            count="delivery_failures",
         )
         raise DeliveryError(
             f"{type_name} seq={seq} from {message.sender} to "
@@ -273,7 +217,6 @@ class ReliableChannel:
             )
         )
         self.counters.acks += 1
-        self._inc("fed.acks")
 
     def _event(
         self,
@@ -283,33 +226,25 @@ class ReliableChannel:
         attempt: int,
         count: str,
     ) -> None:
-        """Record one fault event, advance the recovery clock, count it."""
-        self._record(
-            FaultEvent(
-                kind=kind,
-                time=self.clock,
-                duration=duration,
-                sender=message.sender,
-                receiver=message.receiver,
-                seq=message.seq,
-                attempt=attempt,
-                message_type=type(message).__name__,
-            )
+        """Record one fault event, advance the recovery clock, count it.
+
+        Payload fields: ``duration`` is the recovery time the event cost
+        (0 for events that cost bytes, not time — e.g. duplicates),
+        ``seq`` / ``attempt`` the affected message's sequence number
+        and 0-based transmission attempt, ``message_type`` its class.
+        """
+        self.event_log.emit(
+            self.clock,
+            "fed.reliable",
+            kind,
+            labels={"sender": message.sender, "receiver": message.receiver},
+            duration=duration,
+            seq=message.seq,
+            attempt=attempt,
+            message_type=type(message).__name__,
         )
         self.clock += duration
         setattr(self.counters, count, getattr(self.counters, count) + 1)
-        prefix = "fed.retry" if count == "resends" else "fed.faults"
-        self._inc(f"{prefix}.{count}")
-
-    def _record(self, event: FaultEvent) -> None:
-        """Keep the legacy list and mirror into the unified log."""
-        self.events.append(event)
-        if self.event_log is not None:
-            self.event_log.append(event.to_event())
-
-    def _inc(self, name: str, value: int = 1) -> None:
-        if self.registry is not None:
-            self.registry.inc(name, value)
 
     # ------------------------------------------------------------------
     # Receive side
@@ -319,7 +254,7 @@ class ReliableChannel:
 
         Transport acks are skipped; retransmitted or duplicated
         messages whose sequence number was already applied are counted
-        under ``fed.dedupe.dropped`` and never surface twice.
+        as ``dedupe_dropped`` and never surface twice.
 
         Raises:
             LookupError: when no (new) application message is pending.
@@ -346,7 +281,6 @@ class ReliableChannel:
         applied = self._applied[(message.sender, message.receiver)]
         if message.seq in applied:
             self.counters.dedupe_dropped += 1
-            self._inc("fed.dedupe.dropped")
             return False
         applied.add(message.seq)
         return True
@@ -370,7 +304,7 @@ class ReliableChannel:
             "dedupe_dropped": counters.dedupe_dropped,
             "delivery_failures": counters.delivery_failures,
             "dropped_bytes": counters.dropped_bytes,
-            "events": len(self.events),
+            "events": counters.events,
         }
 
     def __getattr__(self, name: str):

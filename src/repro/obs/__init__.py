@@ -1,9 +1,9 @@
 """repro.obs — unified tracing, metrics and op-count accounting.
 
 The observability layer the paper's evaluation is written in: a
-process-wide :class:`MetricsRegistry` every subsystem reports into
-(crypto op counts, channel traffic, serve counters), a span-based
-:class:`Tracer` whose output — real-clocked or simulated — exports to
+:class:`MetricsRegistry` the serving runtime reports into (serve
+counters, channel traffic), a span-based :class:`Tracer` whose output
+— real-clocked or simulated — exports to
 Chrome trace-event JSON openable in Perfetto (Figures 4–6 as actual
 artifacts), a :class:`RunReport` bundling metrics + phase breakdown +
 per-party/per-channel totals, and a golden op-count regression guard
@@ -11,8 +11,8 @@ per-party/per-channel totals, and a golden op-count regression guard
 shape so silent cost regressions fail tier-1.
 
 Zero third-party dependencies; the submodules import nothing from the
-rest of the package (components are duck-typed), so ``crypto``/``fed``/
-``serve`` can all report here without cycles.
+rest of the package (components are duck-typed), so ``fed``/``serve``
+can report here without cycles.
 """
 
 from repro.obs.alerts import (
@@ -51,9 +51,7 @@ from repro.obs.metrics import (
     Histogram,
     LATENCY_BUCKETS,
     MetricsRegistry,
-    global_registry,
 )
-from repro.obs.profiler import HotPathProfiler
 from repro.obs.report import RunReport, channel_report
 from repro.obs.trace_export import (
     chrome_trace,
@@ -74,7 +72,6 @@ __all__ = [
     "Event",
     "EventLog",
     "Histogram",
-    "HotPathProfiler",
     "IncidentBundle",
     "IncidentStore",
     "LATENCY_BUCKETS",
@@ -101,7 +98,6 @@ __all__ = [
     "dumps_chrome_trace",
     "event_from_wire",
     "explain_failures",
-    "global_registry",
     "parse_speedups",
     "rate_rule",
     "read_events_jsonl",

@@ -1,7 +1,7 @@
 """Unified flight-recorder event log: one schema, every subsystem.
 
 Before this module each failure-adjacent subsystem kept its own ad-hoc
-log — :class:`~repro.fed.reliable.FaultEvent` dataclasses, the SLO
+log — the reliable channel's fault-event dataclasses, the SLO
 watcher's event dicts, canary state flips, fleet shed counters.  An
 :class:`EventLog` is the shared ring buffer they all feed: a bounded,
 byte-deterministic sequence of structured :class:`Event` records on the

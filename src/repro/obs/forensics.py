@@ -2,7 +2,7 @@
 
 ``repro bench-gate`` tells you *that* a scalar regressed; this module
 tells you *why*.  It decomposes the difference between two scalar bags
-— perf-database entries, RunReports, profiler summaries — into named
+— perf-database entries, RunReports, per-phase op tables — into named
 :class:`Contribution` records grouped by what kind of quantity moved
 (op count, phase seconds, critical-path seconds, wire bytes,
 makespan), sorted largest absolute delta first.  The output is a pure
@@ -219,12 +219,11 @@ def _get(report, key, default):
 
 def _profile_map(profile: Mapping) -> dict[str, float]:
     flat = {}
-    for op, row in (profile.get("ops") or {}).items():
-        flat[f"ops.{op}.count"] = float(row.get("count", 0))
-        flat[f"ops.{op}.powmods"] = float(row.get("powmods", 0))
+    for op, count in (profile.get("ops") or {}).items():
+        flat[f"ops.{op}"] = float(count)
     for phase, ops in (profile.get("phases") or {}).items():
-        for op, row in ops.items():
-            flat[f"phase.{phase}.{op}.count"] = float(row.get("count", 0))
+        for op, count in ops.items():
+            flat[f"phase.{phase}.{op}"] = float(count)
     return flat
 
 
@@ -252,8 +251,8 @@ def diff_reports(baseline, current) -> ReportDiff:
     dicts ``RunReport.to_dict()``/``json.load`` produce.  Sections:
 
     * ``phases`` — per-phase busy seconds (Tables 1–2 shape),
-    * ``ops`` / ``profile phases`` — hot-path profiler counts, when
-      both runs were profiled,
+    * ``profile`` — crypto op counts in total and per protocol phase
+      (real-mode training runs),
     * ``wire`` — per-direction bytes and message counts,
     * ``critical`` — per-resource critical-path seconds plus path wait
       time (RunReport v4), the line that says which lane the makespan

@@ -14,7 +14,7 @@ field                   contents
 ``time``                simulated-clock seconds of the trigger
 ``events``              event-log tail (flat wire dicts, oldest first)
 ``metrics``             :meth:`MetricsRegistry.snapshot` at the trigger
-``profile``             hot-path profiler counters, when profiled
+``profile``             per-phase crypto-op table of a real-mode run
 ``critical_path``       the in-flight section's critical path, when a
                         task graph was collected
 ``wire_ledger``         per-message-type bytes/messages of the channel
@@ -148,7 +148,7 @@ def snapshot_incident(
     time: float = 0.0,
     event_log=None,
     registry=None,
-    profiler=None,
+    profile: dict | None = None,
     channel=None,
     fault_plan=None,
     alerts=None,
@@ -165,7 +165,8 @@ def snapshot_incident(
             ``tail`` events are captured.
         registry: a :class:`~repro.obs.metrics.MetricsRegistry`; its
             full snapshot is captured.
-        profiler: a hot-path profiler (``summary()`` duck-typed).
+        profile: a finished per-phase op table
+            (:attr:`repro.core.trainer.TrainResult.profile`).
         channel: a channel exposing ``wire_ledger()`` (the recording
             channel, or a reliable wrapper delegating to it).
         fault_plan: a :class:`~repro.fed.faults.FaultPlan`.
@@ -185,7 +186,7 @@ def snapshot_incident(
             else []
         ),
         metrics=registry.snapshot() if registry is not None else {},
-        profile=profiler.summary() if profiler is not None else {},
+        profile=dict(profile or {}),
         critical_path=dict(critical_path or {}),
         wire_ledger=channel.wire_ledger() if channel is not None else {},
         fault_plan=(

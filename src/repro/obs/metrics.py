@@ -1,10 +1,12 @@
-"""Process-wide metrics: counters, gauges and streaming histograms.
+"""Metrics registry: counters, gauges and streaming histograms.
 
-One :class:`MetricsRegistry` is the sink every subsystem reports into:
-the crypto layer counts Enc/Dec/HAdd/SMul (the unit operations the
-paper's cost model prices, §5), the channel counts messages and bytes
-per direction and type (§6.2's resource-utilization input), and the
-serving runtime counts requests, round trips and latency quantiles.
+A :class:`MetricsRegistry` is the serving runtime's sink: sessions,
+fleets, the SLO watcher and the canary controller count requests,
+round trips and latency quantiles into the registry they are handed,
+a :class:`~repro.fed.channel.RecordingChannel` built with one mirrors
+its traffic there, and the alert engine reads it.  Training does not
+report here — a training run's ops, messages and transitions each have
+one recorder of their own (DESIGN §4.8).
 
 Everything here is zero-dependency and fed *deterministic* quantities
 (operation counts, simulated seconds, wire bytes), so snapshots are
@@ -26,7 +28,6 @@ __all__ = [
     "Histogram",
     "LATENCY_BUCKETS",
     "MetricsRegistry",
-    "global_registry",
 ]
 
 #: default latency bucket upper bounds, in simulated seconds
@@ -148,8 +149,8 @@ class Histogram:
 class MetricsRegistry:
     """A named collection of counters, gauges and histograms.
 
-    Names are flat dotted strings (``"crypto.enc"``,
-    ``"channel.bytes"``, ``"serve.requests"``); the dots are a naming
+    Names are flat dotted strings (``"channel.bytes"``,
+    ``"serve.requests"``); the dots are a naming
     convention, not a hierarchy.  All accessors create on first use, so
     reporting code never has to pre-register anything.
     """
@@ -229,13 +230,3 @@ class MetricsRegistry:
         self._counters.clear()
         self._gauges.clear()
         self._histograms.clear()
-
-
-#: the process-wide default sink; components report here unless handed
-#: an explicit registry (tests create fresh ones for isolation)
-_GLOBAL = MetricsRegistry()
-
-
-def global_registry() -> MetricsRegistry:
-    """The process-wide default :class:`MetricsRegistry`."""
-    return _GLOBAL

@@ -18,7 +18,7 @@ tracer/exporter it fronts.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from repro.obs.tracer import Span
 from repro.obs.trace_export import write_chrome_trace
@@ -26,7 +26,7 @@ from repro.obs.trace_export import write_chrome_trace
 __all__ = ["RunReport", "channel_report"]
 
 #: schema version for saved report files; version 2 added the
-#: ``profile`` (hot-path profiler summary) and ``artifacts`` (paths of
+#: ``profile`` (per-phase crypto-op table) and ``artifacts`` (paths of
 #: sidecar files such as SLO event logs) fields; version 3 added the
 #: ``faults`` field (fault-injection / recovery summary of a reliable
 #: channel); version 4 added the ``critical_path`` field (critical-path
@@ -85,9 +85,10 @@ class RunReport:
         makespan: end-to-end seconds (simulated or wall).
         spans: serialized spans (:meth:`Span.to_dict`); lets
             ``repro trace`` regenerate the Chrome trace offline.
-        profile: a :meth:`~repro.obs.profiler.HotPathProfiler.summary`
-            (per-op / per-phase crypto hot-path totals), when the run
-            was profiled.
+        profile: a real-mode training run's
+            :attr:`~repro.core.trainer.TrainResult.profile` — crypto op
+            counts in total and per protocol phase, in ``OpStats``
+            field names like :attr:`parties`.
         artifacts: sidecar file paths keyed by kind (e.g. the serve
             SLO watcher's JSONL event log under ``"events"``).
         faults: a :meth:`~repro.fed.reliable.ReliableChannel.summary`
@@ -147,10 +148,29 @@ class RunReport:
 
     @classmethod
     def load(cls, path: str) -> "RunReport":
-        """Read a report written by :meth:`save`."""
+        """Read a report written by :meth:`save`, at any version so far.
+
+        Raises:
+            ValueError: naming ``path`` — the file is not a JSON
+                object, lacks ``kind``, was written by a newer schema
+                version, or carries fields this build does not know.
+        """
         with open(path) as handle:
-            data = json.load(handle)
-        data.pop("version", None)
+            try:
+                data = json.load(handle)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"report {path} is not valid JSON: {exc}") from exc
+        if not isinstance(data, dict) or "kind" not in data:
+            raise ValueError(f"report {path} is not a RunReport JSON object")
+        version = data.pop("version", REPORT_VERSION)
+        if version > REPORT_VERSION:
+            raise ValueError(
+                f"report {path} has schema version {version}; this build "
+                f"reads up to {REPORT_VERSION}"
+            )
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"report {path} has unknown field(s): {unknown}")
         return cls(**data)
 
     def span_objects(self) -> list[Span]:

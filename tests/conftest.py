@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import VF2BoostConfig
+from repro.crypto import math_utils
 from repro.crypto.ciphertext import PaillierContext
 from repro.gbdt.binning import bin_dataset
 from repro.gbdt.params import GBDTParams
@@ -20,6 +21,25 @@ from repro.gbdt.params import GBDTParams
 def context() -> PaillierContext:
     """A 256-bit context with the private key and no exponent jitter."""
     return PaillierContext.create(256, seed=42, jitter=1)
+
+
+@pytest.fixture
+def choke_calls(monkeypatch) -> list[str]:
+    """``"powmod"`` / ``"invert"`` per ``math_utils`` choke-point call, in order.
+
+    Counted the way the end-to-end benchmark's tracer counts them: by
+    wrapping the module attributes from outside.  Clear the list
+    (``del choke_calls[:]``) before the section under test.
+    """
+    calls: list[str] = []
+    for name in ("powmod", "invert"):
+
+        def wrapper(*args, _name=name, _original=getattr(math_utils, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(math_utils, name, wrapper)
+    return calls
 
 
 @pytest.fixture(scope="session")

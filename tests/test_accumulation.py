@@ -87,19 +87,9 @@ class TestExponentWorkspace:
         empty = ExponentWorkspace(CTX)
         assert CTX.decrypt(empty.finalize_or_zero(8)) == 0.0
 
-    def test_merge_from(self):
-        a, b = ExponentWorkspace(CTX), ExponentWorkspace(CTX)
-        a.add(CTX.encrypt(1.0))
-        b.add(CTX.encrypt(2.0))
-        b.add(CTX.encrypt(-0.5))
-        a.merge_from(b)
-        assert len(a) == 3
-        assert CTX.decrypt(a.finalize()) == pytest.approx(2.5, abs=1e-6)
-
-    def test_merge_does_not_scale(self):
-        a, b = ExponentWorkspace(CTX), ExponentWorkspace(CTX)
-        a.add(CTX.encrypt(1.0, exponent=8))
-        b.add(CTX.encrypt(2.0, exponent=10))
+    def test_add_does_not_scale(self):
+        ws = ExponentWorkspace(CTX)
         before = CTX.stats.snapshot()
-        a.merge_from(b)
+        ws.add(CTX.encrypt(1.0, exponent=8))
+        ws.add(CTX.encrypt(2.0, exponent=10))
         assert CTX.stats.diff(before).scalings == 0

@@ -43,19 +43,24 @@ class TestCrtPowmod:
                     base, exponent, PUBLIC.n_squared
                 )
 
-    def test_private_key_crt_params_are_cached(self):
+    def test_private_key_crt_params_are_cached(self, choke_calls):
         # A fresh key object: the module-level one may already be warm.
         _, private = derive_insecure_keypair_from_primes(PRIVATE.p, PRIVATE.q)
-        observed = []
-        previous = math_utils.set_powmod_observer(lambda: observed.append(1))
-        try:
-            first = private.crt_params()
-            assert private.crt_params() is first
-        finally:
-            math_utils.set_powmod_observer(previous)
-        assert len(observed) == 1  # the q^2 inverse, once per key
+        del choke_calls[:]
+        first = private.crt_params()
+        assert private.crt_params() is first
+        assert choke_calls == ["invert"]  # the q^2 inverse, once per key
         assert first == _crt_params()
         assert first.modulus == PUBLIC.n_squared
+
+    def test_key_holder_enc_is_one_powmod(self, choke_calls):
+        # The key holder's obfuscator runs as four half-width pows inside
+        # powmod_crt; the choke point still sees one logical powmod.
+        context = PaillierContext(PUBLIC, PRIVATE)
+        del choke_calls[:]
+        context.encrypt(2.0)
+        assert choke_calls == ["powmod"]
+        assert context.stats.encryptions == 1
 
     def test_dispatch_uses_crt_only_for_matching_modulus(self):
         crt = _crt_params()
@@ -68,34 +73,29 @@ class TestCrtPowmod:
         )
 
     @pytest.mark.parametrize("squarings", [0, 1, 58, 59, 60, 61, 117, 118, 119, 177])
-    def test_power_of_two_exponent_is_squarings(self, squarings):
+    def test_power_of_two_exponent_is_squarings(self, squarings, choke_calls):
         # Every packing SMul is c^(2^stride): the route asks ``pow`` for
         # the squarings in pieces below its window-table cutoff — same
-        # integer, one observed call, with or without CRT constants.
+        # integer, one choke-point call, with or without CRT constants.
         rng = random.Random(squarings)
         n_squared = PUBLIC.n_squared
         exponent = 1 << squarings
-        observed = []
-        previous = math_utils.set_powmod_observer(lambda: observed.append(1))
-        try:
-            for base in (
-                rng.randrange(2, n_squared),
-                n_squared + rng.randrange(2, n_squared),
-                n_squared - 1,
-            ):
-                expected = pow(base, exponent, n_squared)
-                assert math_utils.powmod(base, exponent, n_squared) == expected
-                assert (
-                    math_utils.powmod(base, exponent, n_squared, crt=_crt_params())
-                    == expected
-                )
-                # A neighbouring exponent is no shift: plain path.
-                assert math_utils.powmod(base, exponent + 1, n_squared) == pow(
-                    base, exponent + 1, n_squared
-                )
-        finally:
-            math_utils.set_powmod_observer(previous)
-        assert len(observed) == 9
+        for base in (
+            rng.randrange(2, n_squared),
+            n_squared + rng.randrange(2, n_squared),
+            n_squared - 1,
+        ):
+            expected = pow(base, exponent, n_squared)
+            assert math_utils.powmod(base, exponent, n_squared) == expected
+            assert (
+                math_utils.powmod(base, exponent, n_squared, crt=_crt_params())
+                == expected
+            )
+            # A neighbouring exponent is no shift: plain path.
+            assert math_utils.powmod(base, exponent + 1, n_squared) == pow(
+                base, exponent + 1, n_squared
+            )
+        assert choke_calls == ["powmod"] * 9
 
     def test_power_of_two_route_never_hands_pow_a_long_exponent(self, monkeypatch):
         asked = []

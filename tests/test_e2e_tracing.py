@@ -80,39 +80,86 @@ def test_traced_installs_and_restores(tracing):
     assert [vars(owner)[attribute] for owner, attribute in places] == before
 
 
+def test_op_stats_fields_name_the_one_ledger(tracing):
+    # OpStats is the only in-src ledger the benchmark oracle cross-checks.
+    from repro.crypto.ciphertext import OpStats
+
+    assert set(tracing._OP_STATS_FIELDS.values()) == set(OpStats().to_dict())
+
+
+def _traced_fit(tracing, monkeypatch, config):
+    """One traced 256-bit fit: (result, recorder, run.py's count_mismatches)."""
+    import numpy as np
+
+    from repro.core.trainer import FederatedTrainer
+    from repro.gbdt.binning import bin_dataset
+
+    rng = np.random.default_rng(5)
+    features = rng.normal(size=(40, 6))
+    labels = 1.0 / (1.0 + np.exp(-features[:, 0] - features[:, 3]))
+    full = bin_dataset(features, config.params.n_bins)
+    parties = [full.subset_features(np.arange(0, 3)), full.subset_features(np.arange(3, 6))]
+    recorder = tracing.SpanRecorder()
+    with tracing.traced(recorder):
+        result = FederatedTrainer(config).fit(parties, labels)
+    # The benchmark's own verdict on the same recorder.
+    declared = json.loads((E2E.parents[1] / "BENCHMARK.json").read_text())["per_layer"]
+    monkeypatch.setitem(sys.modules, "tracing", tracing)
+    with _load("run") as run:
+        metrics = run.layer_metrics(
+            declared, recorder, SimpleNamespace(round_trips=0, bytes_on_wire=0)
+        )
+        return result, recorder, run.count_mismatches(metrics, result)
+
+
+def _config(preset, **overrides):
+    from repro.core.config import VF2BoostConfig
+    from repro.gbdt.params import GBDTParams
+
+    params = GBDTParams(n_trees=1, n_layers=3, n_bins=5)
+    return getattr(VF2BoostConfig, preset)(
+        params=params, crypto_mode="real", key_bits=256, **overrides
+    )
+
+
+@pytest.mark.parametrize(
+    "preset, overrides, visited",
+    [
+        ("vf_gbdt", {}, "ciphertext.scale"),  # naive accumulation
+        ("vf2boost", {"histogram_packing": False}, "accumulation.finalize"),  # re-ordered
+    ],
+)
+def test_traced_fit_of_the_unpacked_variants(tracing, monkeypatch, preset, overrides, visited):
+    _, recorder, mismatches = _traced_fit(
+        tracing, monkeypatch, _config(preset, **overrides)
+    )
+    assert mismatches == []
+    totals = recorder.totals()
+    assert totals[visited][0] > 0
+    assert totals["enc_histogram.decrypt"][0] > 0
+    assert "enc_histogram.pack" not in totals
+
+
 def test_traced_fit_of_the_default_preset_counts_every_op(tracing, monkeypatch):
     # The packed path must still cross every traced boundary: span
     # counts equal the program's own OpStats (run.py's count_mismatch),
     # the build / pack / unpack layers are all visited, and one Dec
     # answers one pack of the node's cross-feature slot sequence.
-    import numpy as np
-
-    from repro.core.config import VF2BoostConfig
-    from repro.core.trainer import FederatedTrainer
-    from repro.gbdt.binning import bin_dataset
-    from repro.gbdt.params import GBDTParams
-
-    rng = np.random.default_rng(5)
-    features = rng.normal(size=(40, 6))
-    labels = 1.0 / (1.0 + np.exp(-features[:, 0] - features[:, 3]))
-    params = GBDTParams(n_trees=1, n_layers=3, n_bins=5)
-    full = bin_dataset(features, params.n_bins)
-    parties = [full.subset_features(np.arange(0, 3)), full.subset_features(np.arange(3, 6))]
-    config = VF2BoostConfig.vf2boost(params=params, crypto_mode="real", key_bits=256)
-    recorder = tracing.SpanRecorder()
-    with tracing.traced(recorder):
-        result = FederatedTrainer(config).fit(parties, labels)
+    config = _config("vf2boost")
+    params, n_rows = config.params, 40
+    result, recorder, mismatches = _traced_fit(tracing, monkeypatch, config)
+    assert mismatches == []
     totals = recorder.totals()
     spans = {name: totals.get(name, (0, 0.0))[0] for name in tracing._OP_STATS_FIELDS}
     assert spans == tracing.crypto_op_counts(result.crypto_stats)
-    assert spans["ciphertext.enc"] == len(labels)
+    assert spans["ciphertext.enc"] == n_rows
     assert spans["ciphertext.scale"] == 0
     for layer in ("enc_histogram.build", "enc_histogram.pack", "enc_histogram.unpack"):
         assert totals[layer][0] > 0, layer
     assert totals["packing.pack_ciphers"][0] == totals["packing.unpack_values"][0]
     built = sum(layer.built_nodes for layer in result.trace.trees[0].layers)
     assert built == totals["enc_histogram.build"][0] == 2
-    layout = config.gradient_layout(len(labels))
+    layout = config.gradient_layout(n_rows)
     assert (
         spans["ciphertext.dec"]
         == totals["packing.pack_ciphers"][0]
@@ -126,11 +173,3 @@ def test_traced_fit_of_the_default_preset_counts_every_op(tracing, monkeypatch):
     )
     sent = recorder.tallies["channel.bytes_b2a"] + recorder.tallies["channel.bytes_a2b"]
     assert sent == result.channel.total_bytes()
-    # The benchmark's own verdict on the same recorder.
-    declared = json.loads((E2E.parents[1] / "BENCHMARK.json").read_text())["per_layer"]
-    monkeypatch.setitem(sys.modules, "tracing", tracing)
-    with _load("run") as run:
-        metrics = run.layer_metrics(
-            declared, recorder, SimpleNamespace(round_trips=0, bytes_on_wire=0)
-        )
-        assert run.count_mismatches(metrics, result) == []

@@ -1,4 +1,4 @@
-"""Tests for VFL-LR, model serialization, federated inference and CLI."""
+"""Tests for model serialization, federated inference and CLI."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from repro.core.serialization import (
     save_model,
 )
 from repro.core.trainer import FederatedTrainer
-from repro.extensions.vfl_lr import VerticalLogisticRegression, VflLrConfig
 from repro.gbdt.binning import bin_dataset
 from repro.gbdt.params import GBDTParams
 
@@ -33,72 +32,6 @@ def trained():
     result = FederatedTrainer(config).fit(parties, labels)
     codes = {0: parties[0].codes, 1: parties[1].codes}
     return result, codes, labels
-
-
-class TestVflLr:
-    def _data(self):
-        rng = np.random.default_rng(4)
-        n = 80
-        features_a = rng.normal(size=(n, 3))
-        features_b = rng.normal(size=(n, 3))
-        margin = features_a[:, 0] - features_b[:, 1] + 0.5 * features_b[:, 0]
-        labels = (margin + rng.normal(scale=0.2, size=n) > 0).astype(float)
-        return features_a, features_b, labels
-
-    def test_loss_decreases(self):
-        features_a, features_b, labels = self._data()
-        result = VerticalLogisticRegression(
-            VflLrConfig(iterations=6, key_bits=256)
-        ).fit(features_a, features_b, labels)
-        assert result.losses[-1] < result.losses[0]
-        assert result.validation_auc(features_a, features_b, labels) > 0.8
-
-    def test_matches_centralized_direction(self):
-        # The federated gradients must equal centralized full-batch LR
-        # gradients (the masking round is exact, not approximate).
-        features_a, features_b, labels = self._data()
-        federated = VerticalLogisticRegression(
-            VflLrConfig(iterations=4, key_bits=256, learning_rate=0.3)
-        ).fit(features_a, features_b, labels)
-        # Centralized reference with identical hyper-parameters.
-        joined = np.hstack([features_a, features_b])
-        weights = np.zeros(joined.shape[1])
-        intercept = 0.0
-        from repro.gbdt.loss import sigmoid
-
-        for _ in range(4):
-            prob = sigmoid(joined @ weights + intercept)
-            residual = prob - labels
-            grad = joined.T @ residual / len(labels)
-            weights -= 0.3 * (grad + 0.01 * weights)
-            intercept -= 0.3 * float(residual.mean())
-        combined = np.concatenate([federated.weights_a, federated.weights_b])
-        assert np.allclose(combined, weights, atol=1e-4)
-        assert federated.intercept == pytest.approx(intercept, abs=1e-6)
-
-    def test_reordered_reduces_scalings(self):
-        features_a, features_b, labels = self._data()
-        naive = VerticalLogisticRegression(
-            VflLrConfig(iterations=2, key_bits=256, reordered_reduction=False)
-        ).fit(features_a, features_b, labels)
-        reordered = VerticalLogisticRegression(
-            VflLrConfig(iterations=2, key_bits=256, reordered_reduction=True)
-        ).fit(features_a, features_b, labels)
-        assert reordered.scalings < naive.scalings / 3
-
-    def test_channel_accounted(self):
-        features_a, features_b, labels = self._data()
-        result = VerticalLogisticRegression(
-            VflLrConfig(iterations=2, key_bits=256)
-        ).fit(features_a, features_b, labels)
-        assert result.channel.total_bytes() > 0
-
-    def test_misaligned_rejected(self):
-        features_a, features_b, labels = self._data()
-        with pytest.raises(ValueError):
-            VerticalLogisticRegression(VflLrConfig(iterations=1)).fit(
-                features_a[:-1], features_b, labels
-            )
 
 
 class TestSerialization:

@@ -36,6 +36,7 @@ from repro.fed.reliable import DeliveryError, ReliableChannel
 from repro.fed.retry import RetryPolicy
 from repro.fed.simtime import SimEngine
 from repro.gbdt.params import GBDTParams
+from repro.obs.events import EventLog
 
 
 def _model_bytes(result) -> str:
@@ -257,9 +258,33 @@ class TestReliableChannel:
             channel = _reliable(plan, RetryPolicy(max_retries=8))
             for i in range(25):
                 channel.send(SplitQuery(sender=0, receiver=1, node_id=i))
-            return channel.summary(), [e.to_dict() for e in channel.events]
+            return channel.summary(), channel.event_log.lines()
 
         assert run() == run()
+
+    def test_tallies_stay_exact_when_the_log_evicts(self):
+        # A ring buffer may evict; the counters summary() reads may not.
+        def run(log):
+            plan = FaultPlan(
+                seed=13, drop_rate=0.2, duplicate_rate=0.2, ack_drop_rate=0.2
+            )
+            channel = ReliableChannel(
+                RecordingChannel(key_bits=256),
+                plan=plan,
+                policy=RetryPolicy(max_retries=8),
+                event_log=log,
+            )
+            for i in range(25):
+                channel.send(SplitQuery(sender=0, receiver=1, node_id=i))
+            return channel.summary()
+
+        small, roomy = EventLog(capacity=8), EventLog()
+        summary = run(small)
+        assert summary == run(roomy)
+        assert summary["events"] == roomy.total == small.total > 8
+        assert small.evicted == summary["events"] - 8
+        assert summary["drops"] == len(roomy.filter(kind="drop")) > 0
+        assert summary["resends"] == len(roomy.filter(kind="resend")) > 0
 
 
 # ----------------------------------------------------------------------

@@ -29,7 +29,6 @@ from repro.obs import (
     channel_report,
     chrome_trace,
     dumps_chrome_trace,
-    global_registry,
     spans_from_tasks,
 )
 
@@ -69,9 +68,6 @@ class TestMetricsRegistry:
         json.loads(reg.to_json())  # serializable
         reg.reset()
         assert reg.snapshot()["counters"] == {}
-
-    def test_global_registry_is_a_singleton(self):
-        assert global_registry() is global_registry()
 
 
 class TestHistogram:
@@ -288,6 +284,30 @@ class TestRunReport:
         assert loaded.phases == report.phases
         assert loaded.makespan == pytest.approx(result.makespan)
         assert len(loaded.span_objects()) == len(report.spans)
+
+    def test_load_refuses_what_it_cannot_read(self, tmp_path):
+        path = tmp_path / "bad.report.json"
+        good = RunReport(kind="train", label="x").to_dict()
+        for text, complaint in [
+            (json.dumps({**good, "version": 99}), "schema version 99"),
+            (json.dumps({**good, "surprise": 1, "extra": 2}), r"\['extra', 'surprise'\]"),
+            (json.dumps(good)[:40], "not valid JSON"),
+            (json.dumps([good]), "not a RunReport JSON object"),
+        ]:
+            path.write_text(text)
+            with pytest.raises(ValueError, match=complaint) as caught:
+                RunReport.load(str(path))
+            assert str(path) in str(caught.value)
+
+    def test_v4_report_without_flight_recorder_fields_loads(self, tmp_path):
+        data = RunReport(kind="schedule", label="old", makespan=2.5).to_dict()
+        for added_in_v5 in ("events", "alerts", "incidents"):
+            del data[added_in_v5]
+        data["version"] = 4
+        path = tmp_path / "v4.report.json"
+        path.write_text(json.dumps(data))
+        loaded = RunReport.load(str(path))
+        assert (loaded.makespan, loaded.events, loaded.incidents) == (2.5, [], [])
 
     def test_write_chrome_trace_from_report(self, tmp_path):
         result = _small_schedule()

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import math_utils
 from repro.crypto.paillier import (
     ObfuscatorPool,
     PaillierPrivateKey,
@@ -124,41 +123,38 @@ class TestHomomorphicProperties:
 class TestRawMultiplyNegativeThreshold:
     """The invert path starts strictly *above* ``max_int * 2``."""
 
-    @staticmethod
-    def _counted(callable_):
-        counted = 0
-
-        def observer():
-            nonlocal counted
-            counted += 1
-
-        previous = math_utils.set_powmod_observer(observer)
-        try:
-            result = callable_()
-        finally:
-            math_utils.set_powmod_observer(previous)
-        return result, counted
-
-    def test_exact_threshold_takes_direct_path(self):
+    def test_exact_threshold_takes_direct_path(self, choke_calls):
         cipher = PUBLIC.raw_encrypt(3)
         scalar = PUBLIC.max_int * 2
-        result, powmods = self._counted(
-            lambda: PUBLIC.raw_multiply(cipher, scalar)
-        )
-        assert powmods == 1  # one plain exponentiation, no inversion
+        del choke_calls[:]
+        result = PUBLIC.raw_multiply(cipher, scalar)
+        assert choke_calls == ["powmod"]  # one exponentiation, no inversion
         assert result == pow(cipher, scalar, PUBLIC.n_squared)
         assert PRIVATE.raw_decrypt(result) == (3 * scalar) % PUBLIC.n
 
-    def test_one_past_threshold_takes_invert_path(self):
+    def test_one_past_threshold_takes_invert_path(self, choke_calls):
         cipher = PUBLIC.raw_encrypt(3)
         scalar = PUBLIC.max_int * 2 + 1
-        result, powmods = self._counted(
-            lambda: PUBLIC.raw_multiply(cipher, scalar)
-        )
-        # The inversion runs through the observed math_utils choke
-        # point, so both operations are counted (invert + powmod).
-        assert powmods == 2
+        del choke_calls[:]
+        result = PUBLIC.raw_multiply(cipher, scalar)
+        # The inversion is a choke point of its own, so both operations
+        # are countable: one invert, then one powmod.
+        assert choke_calls == ["invert", "powmod"]
         assert PRIVATE.raw_decrypt(result) == (3 * scalar) % PUBLIC.n
+
+    def test_positive_smul_is_one_powmod(self, context, choke_calls):
+        cipher = context.encrypt(2.0)
+        del choke_calls[:]
+        context.multiply(cipher, 3)
+        assert choke_calls == ["powmod"]
+
+    def test_negative_smul_counts_the_inversion(self, context, choke_calls):
+        cipher = context.encrypt(2.0)
+        del choke_calls[:]
+        context.multiply(cipher, -3)
+        # Negative scalars invert the cipher before exponentiating:
+        # one invert beside the powmod, not hidden inside a ``pow``.
+        assert choke_calls == ["invert", "powmod"]
 
     def test_paths_agree_around_the_threshold(self):
         cipher = PUBLIC.raw_encrypt(5)

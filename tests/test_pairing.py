@@ -352,24 +352,17 @@ class TestTrainerIntegration:
         assert [r.train_loss for r in real.history] == [r.train_loss for r in counted.history]
 
     def test_pair_packed_enc_reaches_every_counter(self):
-        # Pair ciphers go through the context's counted entry point, so
-        # the registry mirror and the profiler see what OpStats sees.
-        from repro.obs.metrics import MetricsRegistry
-        from repro.obs.profiler import HotPathProfiler
-
+        # Pair ciphers go through the context's counted entry point:
+        # they reach OpStats, and through it the GradEnc row.
         __, parties, labels, params = self._setup()
         config = VF2BoostConfig.vf2boost(
             params=params.replace(n_trees=1, n_layers=2), crypto_mode="real",
             key_bits=256,
         )
-        registry = MetricsRegistry()
-        result = FederatedTrainer(
-            config, registry=registry, profiler=HotPathProfiler()
-        ).fit(parties, labels)
+        result = FederatedTrainer(config).fit(parties, labels)
         encryptions = sum(s.encryptions for s in result.crypto_stats.values())
         assert encryptions == len(labels)  # one cipher per instance
-        assert registry.get("crypto.enc") == encryptions
-        assert result.profile["ops"]["enc"]["count"] == encryptions
+        assert result.profile["phases"]["GradEnc"]["encryptions"] == encryptions
 
     def test_pair_packing_halves_gradient_stream(self):
         __, parties, labels, params = self._setup()

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core.config import VF2BoostConfig
-from repro.core.trainer import FederatedTrainer
+from repro.core.trainer import FederatedTrainer, TrainingInterrupted
+from repro.crypto.ciphertext import OpStats
+from repro.fed.faults import FaultPlan
 from repro.fed.messages import (
     CountedCipherPayload,
     EncryptedGradHessBatch,
@@ -17,6 +19,9 @@ from repro.fed.messages import (
 from repro.gbdt.binning import bin_dataset
 from repro.gbdt.boosting import GBDTTrainer
 from repro.gbdt.params import GBDTParams
+from repro.obs.forensics import diff_reports
+from repro.obs.incident import IncidentBundle
+from repro.obs.report import RunReport
 
 
 class TestLosslessness:
@@ -445,3 +450,69 @@ class TestHistogramSubtraction:
             assert not hist.count.any()
             for totals in (hist.grad.sum(axis=1), hist.hess.sum(axis=1)):
                 assert (totals == totals[0]).all()
+
+
+class TestPhaseProfile:
+    """``TrainResult.profile``: the run's OpStats split by protocol phase."""
+
+    ZERO = OpStats().to_dict()
+
+    @staticmethod
+    def _problem(preset, n_passive):
+        rng = np.random.default_rng(9)
+        features = rng.normal(size=(40, 2 * (n_passive + 1)))
+        labels = 1.0 / (1.0 + np.exp(-features[:, 0] - features[:, 2]))
+        params = GBDTParams(n_trees=2, n_layers=3, n_bins=4)
+        full = bin_dataset(features, params.n_bins)
+        parties = [
+            full.subset_features(np.arange(2 * p, 2 * p + 2))
+            for p in range(n_passive + 1)
+        ]
+        config = getattr(VF2BoostConfig, preset)(
+            params=params, crypto_mode="real", key_bits=256
+        )
+        return config, parties, labels
+
+    @pytest.mark.parametrize("n_passive", [1, 2])
+    @pytest.mark.parametrize("preset", ["vf2boost", "vf_gbdt"])
+    def test_phase_rows_add_up_to_crypto_stats(self, preset, n_passive, tmp_path):
+        config, parties, labels = self._problem(preset, n_passive)
+        result = FederatedTrainer(config).fit(parties, labels)
+        ops, phases = result.profile["ops"], result.profile["phases"]
+        assert set(phases) == {"GradEnc", "Histogram", "Split", "Leaf"}
+        for name in self.ZERO:
+            counted = sum(getattr(s, name) for s in result.crypto_stats.values())
+            assert ops[name] == counted == sum(row[name] for row in phases.values())
+        # Enc is all GradEnc, everything else all Histogram.
+        assert phases["GradEnc"] == {**self.ZERO, "encryptions": ops["encryptions"]}
+        assert phases["Histogram"] == {**ops, "encryptions": 0}
+        assert phases["Split"] == phases["Leaf"] == self.ZERO
+        assert min(ops["encryptions"], ops["additions"], ops["decryptions"]) > 0
+        # The table rides on the saved report unchanged.
+        path = tmp_path / "run.report.json"
+        result.run_report(label=preset).save(str(path))
+        assert RunReport.load(str(path)).profile == result.profile
+
+    def test_counted_mode_has_no_profile(self, party_datasets, counted_config):
+        assert FederatedTrainer(counted_config).fit(*party_datasets).profile == {}
+
+    def test_crash_bundle_and_report_diff_carry_the_table(self, tmp_path):
+        config, parties, labels = self._problem("vf2boost", 1)
+        trainer = FederatedTrainer(config, incident_dir=str(tmp_path / "incidents"))
+        with pytest.raises(TrainingInterrupted):
+            trainer.fit(
+                parties,
+                labels,
+                fault_plan=FaultPlan(seed=1, crash_after_trees=(0,)),
+                checkpoint_dir=str(tmp_path / "ckpts"),
+            )
+        (bundle_path,) = trainer.incidents
+        crashed = IncidentBundle.load(bundle_path).profile
+        # One tree in: one pair cipher per instance, all of it GradEnc.
+        assert crashed["phases"]["GradEnc"]["encryptions"] == len(labels)
+        assert crashed["ops"]["decryptions"] > 0
+        full = FederatedTrainer(config).fit(parties, labels)
+        rows = diff_reports({"profile": crashed}, full.run_report()).sections["profile"]
+        moved = {row.name: row.delta for row in rows}
+        assert moved["phase.GradEnc.encryptions"] == len(labels)
+        assert moved["ops.encryptions"] == len(labels)
