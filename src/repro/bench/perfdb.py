@@ -477,7 +477,7 @@ def serve_fleet_scenario() -> PerfEntry:
     bit-exactly; the fleet p99 gates against the sliding-window median.
     """
     from repro.gbdt.params import GBDTParams
-    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.metrics import MetricsRegistry, nearest_rank
     from repro.serve.bench import _build_registry, _train
     from repro.serve.canary import CanaryConfig, CanaryController
     from repro.serve.fleet import FleetConfig, ServingFleet, ShedPolicy
@@ -534,8 +534,6 @@ def serve_fleet_scenario() -> PerfEntry:
         fleet.submit(request)
     completions = fleet.run()
     served = [o for o in completions if not o.rejected]
-    ordered = sorted(o.latency for o in served)
-    rank = min(len(ordered) - 1, max(0, -(-99 * len(ordered) // 100) - 1))
     counters = metrics.counters("fleet.")
 
     canary_requests = make_requests(
@@ -611,7 +609,9 @@ def serve_fleet_scenario() -> PerfEntry:
             else 0.0
         ),
         "fleet.p99": PerfScalar(
-            ordered[rank] if ordered else 0.0, kind="measured", direction="lower"
+            nearest_rank((o.latency for o in served), 0.99),
+            kind="measured",
+            direction="lower",
         ),
     }
     return PerfEntry(name="serve-fleet", scalars=scalars, meta=dict(shape))

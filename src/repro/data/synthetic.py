@@ -13,9 +13,12 @@ distributed between the two parties.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse as sp
+
+if TYPE_CHECKING:
+    from scipy import sparse as sp
 
 __all__ = ["SyntheticSpec", "generate_classification", "generate_sparse_classification"]
 
@@ -92,6 +95,8 @@ def generate_sparse_classification(spec: SyntheticSpec) -> tuple[sp.csr_matrix, 
     labeling function sees the same matrix, so sparsity and signal are
     consistent.
     """
+    from scipy import sparse as sp
+
     rng = np.random.default_rng(spec.seed)
     nnz_per_row = max(1, int(round(spec.density * spec.n_features)))
     rows = np.repeat(np.arange(spec.n_instances), nnz_per_row)

@@ -22,7 +22,7 @@ from repro.fed.messages import (
     cipher_bytes,
 )
 from repro.fed.reliable import DeliveryError, ReliableChannel
-from repro.fed.retry import PartyHealth, RetryPolicy
+from repro.fed.retry import RetryPolicy
 from repro.fed.simtime import Resource, SimEngine, SimTask
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "LeafWeightBroadcast",
     "Message",
     "PackedHistogramMessage",
-    "PartyHealth",
     "PauseWindow",
     "PrivacyViolation",
     "ReliableChannel",

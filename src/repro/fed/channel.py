@@ -122,9 +122,6 @@ class RecordingChannel:
             anywhere else are checked against the ciphertext-only rule.
         strict: raise :class:`PrivacyViolation` on rule violations
             (``True`` in every trainer; tests flip it to probe).
-        registry: optional :class:`~repro.obs.metrics.MetricsRegistry`
-            receiving ``channel.messages`` / ``channel.bytes`` and
-            per-type ``channel.<Type>.messages`` / ``.bytes`` counters.
     """
 
     #: message types that carry label-derived statistics
@@ -161,12 +158,10 @@ class RecordingChannel:
         key_bits: int,
         active_party: int = 0,
         strict: bool = True,
-        registry=None,
     ) -> None:
         self.key_bits = key_bits
         self.active_party = active_party
         self.strict = strict
-        self.registry = registry
         self._queues: dict[tuple[int, int], deque[Message]] = defaultdict(deque)
         self.stats: dict[tuple[int, int], ChannelStats] = defaultdict(ChannelStats)
         self.log: list[Message] = []
@@ -195,11 +190,6 @@ class RecordingChannel:
         direction = (message.sender, message.receiver)
         self._queues[direction].append(message)
         self.stats[direction].record(type_name, size)
-        if self.registry is not None:
-            self.registry.inc("channel.messages")
-            self.registry.inc("channel.bytes", size)
-            self.registry.inc(f"channel.{type_name}.messages")
-            self.registry.inc(f"channel.{type_name}.bytes", size)
         self.log.append(message)
 
     def _check_toward_passive(self, message: Message) -> None:
@@ -260,18 +250,6 @@ class RecordingChannel:
             for (_, dst), stats in self.stats.items()
             if dst == receiver
         )
-
-    def stats_report(self) -> dict:
-        """JSON-ready traffic summary (directions and types broken out).
-
-        The ``channels`` section of a
-        :class:`~repro.obs.report.RunReport`; built through
-        :func:`repro.obs.report.channel_report` so every emitter
-        serializes traffic the same way.
-        """
-        from repro.obs.report import channel_report
-
-        return channel_report(self)
 
     def wire_ledger(self) -> dict[str, dict[str, int]]:
         """Per-message-type wire ledger, JSON-ready.

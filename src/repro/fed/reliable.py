@@ -96,7 +96,7 @@ class ReliableChannel:
             metadata — no wire bytes, no crypto ops.
 
     Unknown attributes delegate to the inner channel, so report
-    builders consuming ``stats`` / ``stats_report()`` / ``key_bits``
+    builders consuming ``stats`` / ``by_type`` / ``key_bits``
     work on either layer.
     """
 
@@ -309,5 +309,5 @@ class ReliableChannel:
 
     def __getattr__(self, name: str):
         # Everything not overridden (stats, by_type, key_bits, log,
-        # total_bytes, stats_report, ...) behaves like the inner channel.
+        # total_bytes, wire_ledger, ...) behaves like the inner channel.
         return getattr(self.inner, name)

@@ -5,15 +5,14 @@ WAN (paper §2: "the network between two parties is unstable"): the
 serving runtime waits for routing answers, and the fault-tolerant
 training path (:mod:`repro.fed.reliable`) waits for delivery acks.
 :class:`RetryPolicy` is the one knob set both share — per-attempt
-timeout plus capped exponential backoff — and :class:`PartyHealth` the
-rolling availability record serving uses to flag suspect parties.
+timeout plus capped exponential backoff.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["RetryPolicy", "PartyHealth"]
+__all__ = ["RetryPolicy"]
 
 
 @dataclass(frozen=True)
@@ -71,27 +70,3 @@ class RetryPolicy:
             total += self.backoff(attempt) + self.timeout
         return total
 
-
-@dataclass
-class PartyHealth:
-    """Rolling availability record of one passive party."""
-
-    party: int
-    successes: int = 0
-    timeouts: int = 0
-    consecutive_timeouts: int = 0
-
-    def record_success(self) -> None:
-        """An answer arrived within its deadline."""
-        self.successes += 1
-        self.consecutive_timeouts = 0
-
-    def record_timeout(self) -> None:
-        """An attempt expired without an answer."""
-        self.timeouts += 1
-        self.consecutive_timeouts += 1
-
-    @property
-    def suspect(self) -> bool:
-        """True once two attempts in a row have expired."""
-        return self.consecutive_timeouts >= 2

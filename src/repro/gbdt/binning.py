@@ -12,12 +12,16 @@ compact code matrix; at the dataset sizes this reproduction runs
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse as sp
 
 from repro.gbdt.quantile import propose_cut_points
+
+if TYPE_CHECKING:
+    from scipy import sparse as sp
 
 __all__ = ["BinnedDataset", "bin_dataset", "bin_column"]
 
@@ -128,7 +132,11 @@ def bin_dataset(
         n_bins: histogram bin budget ``s`` per feature.
         feature_names: optional column names carried through.
     """
-    if sp.issparse(features):
+    # Every trainer imports this module, so it never imports scipy for
+    # a dense run: a value can only be a scipy matrix if scipy.sparse
+    # is already loaded.
+    sparse = sys.modules.get("scipy.sparse")
+    if sparse is not None and sparse.issparse(features):
         return _bin_sparse(features.tocsc(), n_bins, feature_names)
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:

@@ -2,7 +2,7 @@
 
 The observability layer the paper's evaluation is written in: a
 :class:`MetricsRegistry` the serving runtime reports into (serve
-counters, channel traffic), a span-based :class:`Tracer` whose output
+counters and distributions), a span-based :class:`Tracer` whose output
 — real-clocked or simulated — exports to
 Chrome trace-event JSON openable in Perfetto (Figures 4–6 as actual
 artifacts), a :class:`RunReport` bundling metrics + phase breakdown +

@@ -23,11 +23,10 @@ Schema.  An event is ``(time, subsystem, kind, labels, payload)``:
 
 The wire form (:meth:`Event.to_dict`, one JSON line per event with
 sorted keys) is *flat*: labels and payload merge to the top level next
-to ``time``/``subsystem``/``kind``, plus ``event`` as a compat alias of
-``kind`` — so pre-unification consumers of the SLO watcher's JSONL
-(``record["event"]``, ``record["scenario"]``) keep working unchanged.
-The keys ``event``/``kind``/``subsystem``/``time`` are therefore
-reserved and may not appear in labels or payload.
+to ``time``/``subsystem``/``kind``, so a consumer reads
+``record["kind"]`` and ``record["scenario"]`` side by side.  The keys
+``kind``/``subsystem``/``time`` are therefore reserved and may not
+appear in labels or payload.
 
 The ring buffer is exact: at ``capacity`` events the oldest is evicted
 (counted in :attr:`EventLog.evicted`); sequence numbers keep counting,
@@ -45,7 +44,7 @@ from dataclasses import dataclass, field
 __all__ = ["Event", "EventLog", "event_from_wire", "read_events_jsonl"]
 
 #: top-level wire keys an event owns; labels/payload may not shadow them
-RESERVED_KEYS = ("event", "kind", "subsystem", "time")
+RESERVED_KEYS = ("kind", "subsystem", "time")
 
 
 @dataclass
@@ -84,29 +83,12 @@ class Event:
             )
 
     def to_dict(self) -> dict:
-        """Flat JSON-ready wire form, legacy aliases included.
-
-        ``event`` duplicates ``kind`` so consumers written against the
-        pre-unification SLO watcher lines keep reading these.
-        """
+        """Flat JSON-ready wire form: schema keys, labels, payload."""
         record = {
-            "event": self.kind,
             "kind": self.kind,
             "subsystem": self.subsystem,
             "time": self.time,
         }
-        record.update(self.labels)
-        record.update(self.payload)
-        return record
-
-    def legacy_dict(self) -> dict:
-        """The exact pre-unification record shape (no schema keys).
-
-        What :attr:`SLOWatcher.events` and the canary's event list
-        exposed before the shared schema existed: ``event``/``time``
-        plus labels and payload, nothing else.
-        """
-        record = {"event": self.kind, "time": self.time}
         record.update(self.labels)
         record.update(self.payload)
         return record
@@ -234,10 +216,13 @@ def event_from_wire(record: dict) -> Event:
     Schema keys are lifted back into their fields; every other key
     lands in ``payload`` (the labels/payload split is not recoverable
     from the flat wire form, and nothing downstream needs it to be).
+    A line from before the unified schema names its kind under
+    ``event`` only; it still parses.
     """
     record = dict(record)
-    kind = record.pop("kind", record.pop("event", ""))
-    record.pop("event", None)
+    kind = record.pop("kind", None)
+    if kind is None:
+        kind = record.pop("event", "")
     return Event(
         time=float(record.pop("time", 0.0)),
         subsystem=record.pop("subsystem", ""),

@@ -1,12 +1,12 @@
 """Metrics registry: counters, gauges and streaming histograms.
 
-A :class:`MetricsRegistry` is the serving runtime's sink: sessions,
-fleets, the SLO watcher and the canary controller count requests,
-round trips and latency quantiles into the registry they are handed,
-a :class:`~repro.fed.channel.RecordingChannel` built with one mirrors
-its traffic there, and the alert engine reads it.  Training does not
-report here — a training run's ops, messages and transitions each have
-one recorder of their own (DESIGN §4.8).
+A :class:`MetricsRegistry` is the serving side's sink for counters and
+distributions: a runtime counts requests, round trips and latency
+quantiles under ``serve.*``, a fleet rolls its replicas up under
+``fleet.*``, the SLO watcher publishes its two gauges, and the alert
+engine reads them.  Messages and transitions are not mirrored here —
+they live in the channel ledger and the event log — and training does
+not report here at all (DESIGN §4.8).
 
 Everything here is zero-dependency and fed *deterministic* quantities
 (operation counts, simulated seconds, wire bytes), so snapshots are
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -28,6 +29,7 @@ __all__ = [
     "Histogram",
     "LATENCY_BUCKETS",
     "MetricsRegistry",
+    "nearest_rank",
 ]
 
 #: default latency bucket upper bounds, in simulated seconds
@@ -40,6 +42,19 @@ COUNT_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
 #: default retained-sample cap; high enough that every test/bench
 #: workload in this repository stays below it (quantiles stay exact)
 DEFAULT_MAX_SAMPLES = 65_536
+
+
+def nearest_rank(values: Iterable[float], q: float) -> float:
+    """Nearest-rank q-quantile of ``values`` (0.0 when empty).
+
+    The ``ceil(q * n)``-th smallest value — the one quantile definition
+    every latency statistic in the repository reports.
+    """
+    ordered = sorted(values)
+    if not ordered:
+        return 0.0
+    rank = min(len(ordered) - 1, max(0, math.ceil(q * len(ordered)) - 1))
+    return ordered[rank]
 
 
 @dataclass
@@ -124,11 +139,7 @@ class Histogram:
         """
         if not 0.0 <= q <= 1.0:
             raise ValueError("quantile must be in [0, 1]")
-        if not self.samples:
-            return 0.0
-        ordered = sorted(self.samples)
-        rank = min(len(ordered) - 1, max(0, math.ceil(q * len(ordered)) - 1))
-        return ordered[rank]
+        return nearest_rank(self.samples, q)
 
     def snapshot(self) -> dict:
         """JSON-ready summary: count, mean, p50/p95/p99, buckets."""
@@ -149,8 +160,8 @@ class Histogram:
 class MetricsRegistry:
     """A named collection of counters, gauges and histograms.
 
-    Names are flat dotted strings (``"channel.bytes"``,
-    ``"serve.requests"``); the dots are a naming
+    Names are flat dotted strings (``"serve.requests"``,
+    ``"fleet.replica0.shed"``); the dots are a naming
     convention, not a hierarchy.  All accessors create on first use, so
     reporting code never has to pre-register anything.
     """

@@ -5,19 +5,20 @@ FederatedPredictor` protocol into a latency-aware serving runtime:
 
 * :mod:`repro.serve.registry` — versioned model registry with atomic
   hot-swap; validates skeleton + every split owner's sidecar + bin
-  edges at registration time.
+  edges at registration time, and holds each version's
+  majority-direction degraded router (timeout/retry policy lives in
+  :mod:`repro.fed.retry`, shared with the training path).
 * :mod:`repro.serve.batcher` — cross-request micro-batching of routing
   queries per passive party under a max-batch-size / max-delay policy.
 * :mod:`repro.serve.session` — request lifecycle (admission → binning →
   layered traversal → margin → probability) on a deterministic
-  discrete-event loop.
-* :mod:`repro.serve.resilience` — majority-direction degraded routing
-  (timeout/retry policy lives in :mod:`repro.fed.retry`, shared with
-  the training path).
-* :mod:`repro.serve.metrics` — counters, latency/occupancy histograms,
-  per-1k-prediction wire accounting, JSON snapshots.
+  discrete-event loop; counts into a
+  :class:`~repro.obs.metrics.MetricsRegistry` under ``serve.*``
+  (``ServingRuntime.snapshot()`` is the JSON view, wire bytes read
+  from the channel ledger).
 * :mod:`repro.serve.slo` — sliding-window p99 + error-budget burn
-  watcher with a structured (JSONL) event log.
+  watcher; transitions go to the shared
+  :class:`~repro.obs.events.EventLog`.
 * :mod:`repro.serve.fleet` — consistent-hash sharding across N replica
   runtimes, burn-rate load shedding at the fleet door, ``fleet.*``
   metric rollup.
@@ -29,7 +30,7 @@ FederatedPredictor` protocol into a latency-aware serving runtime:
   (``python -m repro.serve.bench --replicas 4 --trace flashcrowd``).
 """
 
-from repro.fed.retry import PartyHealth, RetryPolicy
+from repro.fed.retry import RetryPolicy
 from repro.serve.batcher import MicroBatcher, RouteWork
 from repro.serve.canary import CanaryConfig, CanaryController, golden_margins
 from repro.serve.fleet import (
@@ -46,9 +47,12 @@ from repro.serve.loadgen import (
     run_closed_loop,
     run_open_loop,
 )
-from repro.serve.metrics import ServeMetrics
-from repro.serve.registry import ModelRegistry, ModelVersion
-from repro.serve.resilience import DegradedRouter, majority_directions
+from repro.serve.registry import (
+    DegradedRouter,
+    ModelRegistry,
+    ModelVersion,
+    majority_directions,
+)
 from repro.serve.session import (
     Prediction,
     Request,
@@ -73,11 +77,9 @@ __all__ = [
     "make_requests",
     "run_closed_loop",
     "run_open_loop",
-    "ServeMetrics",
     "ModelRegistry",
     "ModelVersion",
     "DegradedRouter",
-    "PartyHealth",
     "RetryPolicy",
     "majority_directions",
     "Prediction",

@@ -57,6 +57,7 @@ from repro.obs import (
     channel_report,
     write_chrome_trace,
 )
+from repro.obs.metrics import nearest_rank
 from repro.serve.canary import CanaryConfig, CanaryController
 from repro.serve.fleet import FleetConfig, ServingFleet, ShedPolicy
 from repro.serve.loadgen import (
@@ -66,7 +67,6 @@ from repro.serve.loadgen import (
     run_closed_loop,
     run_open_loop,
 )
-from repro.serve.metrics import ServeMetrics
 from repro.serve.registry import ModelRegistry
 from repro.fed.retry import RetryPolicy
 from repro.serve.session import ServeConfig, ServingRuntime
@@ -149,7 +149,6 @@ def _naive_baseline(
             + channel.total_bytes() / cluster.wan_bandwidth
             + serve_config.route_cost_per_row * routed_rows
         )
-    ordered = sorted(latencies)
     predictions = sum(request.n_rows() for request in requests)
     return {
         "margins": margins,
@@ -157,18 +156,10 @@ def _naive_baseline(
         "round_trips_per_1k": 1000.0 * round_trips / predictions,
         "wire_bytes": wire_bytes,
         "wire_bytes_per_1k": 1000.0 * wire_bytes / predictions,
-        "latency_p50": ordered[len(ordered) // 2],
-        "latency_p99": ordered[min(len(ordered) - 1, int(0.99 * len(ordered)))],
+        "latency_p50": nearest_rank(latencies, 0.50),
+        "latency_p99": nearest_rank(latencies, 0.99),
         "total_stream_seconds": sum(latencies),
     }
-
-
-def _nearest_rank_p99(latencies: list[float]) -> float:
-    if not latencies:
-        return 0.0
-    ordered = sorted(latencies)
-    rank = min(len(ordered) - 1, max(0, -(-99 * len(ordered) // 100) - 1))
-    return ordered[rank]
 
 
 def _fleet_sweep(
@@ -260,7 +251,7 @@ def _fleet_sweep(
                 "degraded": counters.get("degraded", 0),
                 "deadline_misses": counters.get("deadline_misses", 0),
                 "burn_alerts": sum(w.alerts for w in fleet.watchers),
-                "p99": _nearest_rank_p99([o.latency for o in served]),
+                "p99": nearest_rank([o.latency for o in served], 0.99),
                 "shed_fraction": (
                     counters.get("shed", 0) / len(requests) if requests else 0.0
                 ),
@@ -297,7 +288,7 @@ def _fleet_sweep(
             "burn_threshold": shed_policy.burn_threshold,
             "min_window": shed_policy.min_window,
         },
-        "baseline_p99": _nearest_rank_p99([o.latency for o in baseline_ok]),
+        "baseline_p99": nearest_rank([o.latency for o in baseline_ok], 0.99),
         "sweep": sweep,
     }
 
@@ -443,8 +434,8 @@ def run_bench(
     requests = make_requests(load)
 
     # --- micro-batched serving runtime --------------------------------
-    # One observability sink for the whole batched scenario: serve
-    # counters, channel traffic and the span trace all land here.  One
+    # One metrics registry for the batched scenario's serve counters
+    # and the SLO gauges the alert rules read.  One
     # flight-recorder event log for the whole bench: SLO watchers,
     # fleet shed decisions, canary transitions, registry hot-swaps and
     # alert transitions all interleave in it, each tagged with its
@@ -462,10 +453,7 @@ def run_bench(
         registry,
         cluster=cluster,
         config=serve_config,
-        channel=RecordingChannel(
-            serve_config.key_bits, active_party=ACTIVE, registry=obs_registry
-        ),
-        metrics=ServeMetrics(obs_registry),
+        metrics=obs_registry,
         tracer=tracer,
         slo=slo,
     )

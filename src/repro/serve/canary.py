@@ -40,7 +40,8 @@ import numpy as np
 
 from repro.core.inference import apply_route, route_local, split_frontier
 from repro.core.trainer import ACTIVE
-from repro.obs.events import Event
+from repro.obs.events import EventLog
+from repro.obs.metrics import nearest_rank
 from repro.serve.registry import ModelRegistry, ModelVersion
 from repro.serve.session import Prediction, Request
 
@@ -89,15 +90,6 @@ def golden_margins(version: ModelVersion, rows: dict[int, np.ndarray]) -> np.nda
             frontier = next_frontier
         margins += model.learning_rate * weights
     return margins
-
-
-def _nearest_rank_p99(latencies: list[float]) -> float:
-    """Same nearest-rank p99 the SLO watcher reports (0 when empty)."""
-    if not latencies:
-        return 0.0
-    ordered = sorted(latencies)
-    rank = min(len(ordered) - 1, max(0, -(-99 * len(ordered) // 100) - 1))
-    return ordered[rank]
 
 
 @dataclass(frozen=True)
@@ -155,9 +147,11 @@ class CanaryController:
     Args:
         registry: the model registry holding incumbent and candidate.
         config: the rollout policy.
-        event_log: optional shared
-            :class:`~repro.obs.events.EventLog`; every transition is
-            mirrored into it under subsystem ``"serve.canary"``.
+        event_log: the :class:`~repro.obs.events.EventLog` every
+            transition is recorded in under subsystem
+            ``"serve.canary"`` (the shared flight recorder); the
+            controller creates its own when omitted, so a rollback
+            bundle always carries the events that led to it.
         labels: constant labels (scenario / arm tags) merged into every
             emitted event.
         incident_store: optional
@@ -181,11 +175,12 @@ class CanaryController:
         if self.candidate.version == self.incumbent.version:
             raise ValueError("candidate is already the active version")
         self.state = "canary"
-        self.event_log = event_log
+        self.event_log = event_log if event_log is not None else EventLog()
         self.labels = dict(labels or {})
         self.incident_store = incident_store
         self.incidents: list[str] = []
-        self._records: list[Event] = []
+        #: exact per-kind totals (the log is a ring buffer and may evict)
+        self._tally: dict[str, int] = {}
         self.mismatches = 0
         self.canary_served = 0
         self.baseline_served = 0
@@ -256,8 +251,8 @@ class CanaryController:
             return
         if self.baseline_served < self.config.min_baseline:
             return  # defer: not enough incumbent evidence yet
-        canary_p99 = _nearest_rank_p99(self._canary_latencies)
-        baseline_p99 = _nearest_rank_p99(self._baseline_latencies)
+        canary_p99 = nearest_rank(self._canary_latencies, 0.99)
+        baseline_p99 = nearest_rank(self._baseline_latencies, 0.99)
         canary_rate = self._canary_degraded / self.canary_served
         baseline_rate = self._baseline_degraded / self.baseline_served
         degraded_limit = max(
@@ -310,22 +305,9 @@ class CanaryController:
             )
             self.incidents.append(self.incident_store.save(bundle))
 
-    def _emit(self, event: str, now: float, **fields) -> None:
-        record = Event(
-            time=now,
-            subsystem="serve.canary",
-            kind=event,
-            labels=dict(self.labels),
-            payload=dict(fields),
-        )
-        self._records.append(record)
-        if self.event_log is not None:
-            self.event_log.append(record)
-
-    @property
-    def events(self) -> list[dict]:
-        """Transitions in the pre-unification flat shape (compat)."""
-        return [record.legacy_dict() for record in self._records]
+    def _emit(self, kind: str, now: float, **fields) -> None:
+        self.event_log.emit(now, "serve.canary", kind, labels=self.labels, **fields)
+        self._tally[kind] = self._tally.get(kind, 0) + 1
 
     # ------------------------------------------------------------------
     # Introspection
@@ -339,7 +321,7 @@ class CanaryController:
             "canary_served": self.canary_served,
             "baseline_served": self.baseline_served,
             "mismatches": self.mismatches,
-            "canary_p99": _nearest_rank_p99(self._canary_latencies),
-            "baseline_p99": _nearest_rank_p99(self._baseline_latencies),
-            "events": list(self.events),
+            "canary_p99": nearest_rank(self._canary_latencies, 0.99),
+            "baseline_p99": nearest_rank(self._baseline_latencies, 0.99),
+            "events": dict(sorted(self._tally.items())),
         }

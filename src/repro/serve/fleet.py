@@ -27,9 +27,11 @@ rule polices exactly this).
 A fleet-level aggregator rolls per-replica SLO posture into the shared
 :class:`~repro.obs.metrics.MetricsRegistry` under ``fleet.*`` — routed
 and shed counters, per-replica p99/burn-rate gauges and their fleet-wide
-maxima — so one snapshot shows the whole fleet next to the channel and
-crypto ledgers.  Canary rollout plugs in through the runtimes'
-``version_selector`` seam (see :mod:`repro.serve.canary`).
+maxima — so one snapshot shows the whole fleet.  Transitions (every
+replica's SLO events and every shed decision) go to one
+:class:`~repro.obs.events.EventLog`, seq-ordered across replicas.
+Canary rollout plugs in through the runtimes' ``version_selector``
+seam (see :mod:`repro.serve.canary`).
 """
 
 from __future__ import annotations
@@ -43,9 +45,9 @@ import numpy as np
 
 from repro.fed.cluster import ClusterSpec
 from repro.fed.retry import RetryPolicy
+from repro.obs.events import EventLog
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
-from repro.serve.metrics import ServeMetrics
 from repro.serve.registry import ModelRegistry
 from repro.serve.session import (
     Prediction,
@@ -189,7 +191,7 @@ class ServingFleet:
             :class:`~repro.serve.session.ServingRuntime`.
         metrics_registry: shared sink for the ``fleet.*`` rollup
             (created when omitted).  Per-replica runtimes keep private
-            sinks so their ``serve.*`` names never collide.
+            registries so their ``serve.*`` names never collide.
         tracer: optional shared tracer; replica ``i`` prefixes its
             tracks ``replica{i}.`` so spans land on distinct tracks.
         version_selector: optional ``request -> ModelVersion`` hook
@@ -200,10 +202,11 @@ class ServingFleet:
             ``observe`` with the originating request.
         on_complete: optional callback fed every outcome — completions
             *and* fleet-level sheds — in event order.
-        event_log: optional shared
-            :class:`~repro.obs.events.EventLog`; per-replica SLO
-            watchers mirror their events into it and every shed
-            decision is recorded under subsystem ``"serve.fleet"``.
+        event_log: the :class:`~repro.obs.events.EventLog` the
+            per-replica SLO watchers record into and every shed
+            decision lands in under subsystem ``"serve.fleet"`` (the
+            shared flight recorder); the fleet creates one for all its
+            replicas when omitted.
         slo_labels: constant labels (scenario / arm tags) merged into
             every watcher's and shed event's labels, in addition to the
             per-watcher ``replica`` index.
@@ -235,18 +238,17 @@ class ServingFleet:
             self.config.n_replicas, self.config.seed, self.config.vnodes
         )
         self._on_complete = on_complete
-        self.event_log = event_log
+        self.event_log = event_log if event_log is not None else EventLog()
         self.slo_labels = dict(slo_labels or {})
         self._requests: dict[int, Request] = {}  # in flight, by request id
         self.completed: list[Prediction] = []
-        self.shed_ids: list[int] = []
         self.watchers: list[SLOWatcher] = []
         self.replicas: list[ServingRuntime] = []
         for i in range(self.config.n_replicas):
             watcher = SLOWatcher(
                 self.config.slo,
                 labels={**self.slo_labels, "replica": i},
-                event_log=event_log,
+                event_log=self.event_log,
             )
             self.watchers.append(watcher)
             runtime = ServingRuntime(
@@ -254,7 +256,6 @@ class ServingFleet:
                 cluster=cluster,
                 config=serve_config,
                 retry=retry,
-                metrics=ServeMetrics(),  # private sink per replica
                 party_delay=party_delay,
                 tracer=tracer,
                 slo=watcher,
@@ -279,17 +280,15 @@ class ServingFleet:
         if self._should_shed(replica):
             self.metrics.inc(_PREFIX + "shed")
             self.metrics.inc(_PREFIX + f"replica{replica}.shed")
-            self.shed_ids.append(request.request_id)
-            if self.event_log is not None:
-                self.event_log.emit(
-                    now,
-                    "serve.fleet",
-                    "shed",
-                    labels={**self.slo_labels, "replica": replica},
-                    request_id=request.request_id,
-                    session=request.session_key(),
-                    burn_rate=self.watchers[replica].burn_rate(),
-                )
+            self.event_log.emit(
+                now,
+                "serve.fleet",
+                "shed",
+                labels={**self.slo_labels, "replica": replica},
+                request_id=request.request_id,
+                session=request.session_key(),
+                burn_rate=self.watchers[replica].burn_rate(),
+            )
             empty = np.zeros(0, dtype=np.float64)
             outcome = Prediction(
                 request_id=request.request_id,

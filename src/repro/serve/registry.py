@@ -15,6 +15,20 @@ Registration validates the whole artifact set up front:
 * every party referenced by a split must come with bin edges, so raw
   feature rows can be quantized at admission with the exact cut points
   the model was trained on.
+
+Each version also carries its :class:`DegradedRouter`: when a passive
+party stays unresponsive past its retry budget
+(:class:`~repro.fed.retry.RetryPolicy`), its nodes are routed by a
+precomputed *majority direction* and the prediction is flagged
+``degraded=True`` instead of failing the request.
+
+Privacy note: degraded routing consults only B-side state — per-node
+majority directions computed once at model registration from training
+placement counts (information the protocol already disclosed to B when
+it synchronized instance placement).  No new query, no new disclosure;
+the passive party learns nothing it would not have learned from a
+normal routing query, and B learns nothing at all beyond what training
+revealed.
 """
 
 from __future__ import annotations
@@ -23,12 +37,73 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.inference import apply_route, route_local, split_frontier
 from repro.core.serialization import ModelFormatError, load_model
 from repro.core.trainer import FederatedModel
 from repro.gbdt.binning import bin_column
-from repro.serve.resilience import DegradedRouter, majority_directions
 
-__all__ = ["ModelVersion", "ModelRegistry"]
+__all__ = [
+    "DegradedRouter",
+    "ModelRegistry",
+    "ModelVersion",
+    "majority_directions",
+]
+
+
+def majority_directions(
+    model, party_codes: dict[int, np.ndarray], active_party: int = 0
+) -> dict[tuple[int, int], bool]:
+    """Per-node majority routing direction from a calibration set.
+
+    Traverses every tree over ``party_codes`` (a calibration sample —
+    e.g. the training rows B already holds placement information for)
+    and records, for each node *not* owned by ``active_party``, whether
+    the majority of instances reaching it went left.  Ties go left.
+
+    Returns:
+        ``{(tree_index, node_id): goes_left_majority}``.
+    """
+    defaults: dict[tuple[int, int], bool] = {}
+    n = next(iter(party_codes.values())).shape[0]
+    for tree_index, tree in enumerate(model.trees):
+        frontier: dict[int, np.ndarray] = {0: np.arange(n, dtype=np.int64)}
+        while frontier:
+            layer = split_frontier(tree, frontier, local_party=active_party)
+            next_frontier: dict[int, np.ndarray] = {}
+            for node_id, rows in layer.local.items():
+                goes_left = route_local(
+                    party_codes[active_party], tree.nodes[node_id], rows
+                )
+                apply_route(tree, node_id, rows, goes_left, next_frontier)
+            for owner in sorted(layer.remote):
+                for node_id, rows in layer.remote[owner].items():
+                    goes_left = route_local(
+                        party_codes[owner], tree.nodes[node_id], rows
+                    )
+                    defaults[(tree_index, node_id)] = bool(
+                        int(goes_left.sum()) * 2 >= rows.size
+                    )
+                    apply_route(tree, node_id, rows, goes_left, next_frontier)
+            frontier = next_frontier
+    return defaults
+
+
+@dataclass
+class DegradedRouter:
+    """Fallback router for nodes of an unresponsive party.
+
+    Attributes:
+        defaults: ``(tree_index, node_id) -> goes_left`` majority
+            directions (see :func:`majority_directions`).  Nodes with no
+            entry fall back to left — the deterministic last resort.
+    """
+
+    defaults: dict[tuple[int, int], bool] = field(default_factory=dict)
+
+    def route(self, tree_index: int, node_id: int, n_rows: int) -> np.ndarray:
+        """Uniform fallback bitmap for every instance on the node."""
+        direction = self.defaults.get((tree_index, node_id), True)
+        return np.full(n_rows, direction, dtype=bool)
 
 
 @dataclass(frozen=True)

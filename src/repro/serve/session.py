@@ -21,8 +21,8 @@ Failure path: an unanswered batch is retried with exponential backoff
 (:class:`~repro.fed.retry.RetryPolicy`); once the retry budget
 is exhausted the affected nodes are routed by the registry's
 majority-direction fallback and every touched prediction is flagged
-``degraded`` instead of failing (see :mod:`repro.serve.resilience` for
-the privacy argument).
+``degraded`` instead of failing (see
+:class:`repro.serve.registry.DegradedRouter` for the privacy argument).
 
 Admission is priced on a *serial* per-runtime CPU: binning + cache
 probing of consecutive requests queue behind one another, so one
@@ -52,13 +52,21 @@ from repro.fed.channel import RecordingChannel
 from repro.fed.cluster import ClusterSpec
 from repro.fed.messages import RouteAnswerBatch, RouteQueryBatch
 from repro.gbdt.loss import sigmoid
-from repro.fed.retry import PartyHealth, RetryPolicy
+from repro.fed.retry import RetryPolicy
+from repro.obs.metrics import COUNT_BUCKETS, LATENCY_BUCKETS, MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.serve.batcher import MicroBatcher, RouteWork
-from repro.serve.metrics import ServeMetrics
 from repro.serve.registry import ModelRegistry, ModelVersion
 
 __all__ = ["ServeConfig", "Request", "Prediction", "ServingRuntime"]
+
+#: the runtime's distributions and their bucket bounds
+_HISTOGRAMS = {
+    "serve.latency": LATENCY_BUCKETS,
+    "serve.batch_occupancy": COUNT_BUCKETS,
+    "serve.batch_rows": COUNT_BUCKETS,
+    "serve.queue_depth": COUNT_BUCKETS,
+}
 
 
 @dataclass(frozen=True)
@@ -213,7 +221,18 @@ class ServingRuntime:
         retry: per-party timeout and backoff policy.
         channel: strict :class:`RecordingChannel` for wire accounting
             and the privacy guard (created when omitted).
-        metrics: counters sink (created when omitted).
+        metrics: the :class:`~repro.obs.metrics.MetricsRegistry` the
+            runtime counts into under ``serve.*`` — counters
+            ``requests``, ``predictions`` (rows), ``completed``,
+            ``rejected`` (admission-queue overflow), ``deadline_misses``,
+            ``degraded_requests``, ``degraded_rows``, ``cache_lookups``,
+            ``cache_hits``, ``round_trips``, ``retries``, ``timeouts``
+            and histograms ``latency`` (admission -> completion,
+            simulated s), ``batch_occupancy`` / ``batch_rows`` (items /
+            instance ids per flushed routing batch), ``queue_depth``
+            (in-flight requests at each admission).  The runtime
+            creates its own when omitted, which keeps independent
+            runtimes (fleet replicas) isolated.
         party_delay: deterministic fault injection —
             ``(party, batch_id, attempt) -> extra seconds`` added to
             that attempt's answer time (``None`` = healthy parties).
@@ -238,7 +257,7 @@ class ServingRuntime:
         config: ServeConfig | None = None,
         retry: RetryPolicy | None = None,
         channel: RecordingChannel | None = None,
-        metrics: ServeMetrics | None = None,
+        metrics: MetricsRegistry | None = None,
         party_delay: Callable[[int, int, int], float] | None = None,
         tracer: Tracer | None = None,
         slo=None,
@@ -252,7 +271,11 @@ class ServingRuntime:
         self.channel = channel or RecordingChannel(
             self.config.key_bits, active_party=ACTIVE
         )
-        self.metrics = metrics or ServeMetrics()
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        # Up front: bounds apply on creation only, and an idle runtime
+        # still snapshots all four.
+        for name, bounds in _HISTOGRAMS.items():
+            self.metrics.histogram(name, bounds)
         self.party_delay = party_delay
         self.tracer = tracer
         self.slo = slo
@@ -261,7 +284,6 @@ class ServingRuntime:
         self.batcher = MicroBatcher(
             self.config.max_batch_size, self.config.max_delay
         )
-        self.health: dict[int, PartyHealth] = {}
         self.completed: list[Prediction] = []
         self._sessions: dict[int, _Session] = {}
         self._arenas: dict[int, _Arena] = {}
@@ -327,10 +349,10 @@ class ServingRuntime:
     # Admission
     # ------------------------------------------------------------------
     def _admit(self, request: Request, now: float) -> None:
-        self.metrics.inc("requests")
-        self.metrics.queue_depth.observe(float(len(self._sessions)))
+        self.metrics.inc("serve.requests")
+        self.metrics.observe("serve.queue_depth", float(len(self._sessions)))
         if len(self._sessions) >= self.config.max_queue:
-            self.metrics.inc("rejected")
+            self.metrics.inc("serve.rejected")
             empty = np.zeros(0, dtype=np.float64)
             outcome = Prediction(
                 request_id=request.request_id,
@@ -420,12 +442,12 @@ class ServingRuntime:
             return np.arange(n_rows, dtype=np.int64)
         misses = []
         for row in range(n_rows):
-            self.metrics.inc("cache_lookups")
+            self.metrics.inc("serve.cache_lookups")
             hit = self._cache.get(self._row_key(session, row))
             if hit is None:
                 misses.append(row)
             else:
-                self.metrics.inc("cache_hits")
+                self.metrics.inc("serve.cache_hits")
                 session.margins[row] = hit
                 session.cached_mask[row] = True
         return np.asarray(misses, dtype=np.int64)
@@ -499,9 +521,10 @@ class ServingRuntime:
     # ------------------------------------------------------------------
     def _flush(self, party: int, items: list[RouteWork], now: float) -> None:
         batch_id = self.batcher.next_batch_id()
-        self.metrics.batch_occupancy.observe(float(len(items)))
-        self.metrics.batch_rows.observe(
-            float(sum(int(w.instance_ids.size) for w in items))
+        self.metrics.observe("serve.batch_occupancy", float(len(items)))
+        self.metrics.observe(
+            "serve.batch_rows",
+            float(sum(int(w.instance_ids.size) for w in items)),
         )
         self._send_attempt(
             _InFlight(
@@ -513,9 +536,9 @@ class ServingRuntime:
     def _send_attempt(self, record: _InFlight, now: float) -> None:
         """Ship one attempt of a batch and schedule its outcome."""
         party = record.party
-        self.metrics.inc("round_trips")
+        self.metrics.inc("serve.round_trips")
         if record.attempt > 1:
-            self.metrics.inc("retries")
+            self.metrics.inc("serve.retries")
         query = self.batcher.build_query(ACTIVE, party, record.batch_id, record.items)
         self.channel.send(query)
         received = self.channel.receive(ACTIVE, party)
@@ -568,7 +591,6 @@ class ServingRuntime:
         self._push(done, outcome, record)
 
     def _deliver(self, record: _InFlight, now: float) -> None:
-        self._party_health(record.party).record_success()
         touched: list[_Session] = []
         for work, (tree_index, node_id, goes_left) in zip(
             record.items, record.answers
@@ -587,8 +609,7 @@ class ServingRuntime:
             self._advance(session, now)
 
     def _timeout(self, record: _InFlight, now: float) -> None:
-        self.metrics.inc("timeouts")
-        self._party_health(record.party).record_timeout()
+        self.metrics.inc("serve.timeouts")
         if self.slo is not None:
             self.slo.on_timeout(
                 record.party,
@@ -630,11 +651,6 @@ class ServingRuntime:
         for session in touched:
             self._advance(session, now)
 
-    def _party_health(self, party: int) -> PartyHealth:
-        if party not in self.health:
-            self.health[party] = PartyHealth(party)
-        return self.health[party]
-
     # ------------------------------------------------------------------
     # Completion
     # ------------------------------------------------------------------
@@ -663,9 +679,9 @@ class ServingRuntime:
                 )
 
         n_rows = session.request.n_rows()
-        self.metrics.inc("completed")
-        self.metrics.inc("predictions", n_rows)
-        self.metrics.latency.observe(now - session.admitted)
+        self.metrics.inc("serve.completed")
+        self.metrics.inc("serve.predictions", n_rows)
+        self.metrics.observe("serve.latency", now - session.admitted)
         if self.tracer is not None:
             self.tracer.add(
                 f"req#{session.request.request_id}",
@@ -679,10 +695,10 @@ class ServingRuntime:
             )
         missed = now > session.deadline
         if missed:
-            self.metrics.inc("deadline_misses")
+            self.metrics.inc("serve.deadline_misses")
         if degraded_rows.any():
-            self.metrics.inc("degraded_requests")
-            self.metrics.inc("degraded_rows", int(degraded_rows.sum()))
+            self.metrics.inc("serve.degraded_requests")
+            self.metrics.inc("serve.degraded_rows", int(degraded_rows.sum()))
         outcome = Prediction(
             request_id=session.request.request_id,
             version=session.version.version,
@@ -705,6 +721,33 @@ class ServingRuntime:
     # Introspection
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
-        """Metrics snapshot with the channel's byte ledger folded in."""
-        self.metrics.wire_bytes = self.channel.total_bytes()
-        return self.metrics.snapshot()
+        """JSON-ready view of the ``serve.*`` counters and distributions,
+        with wire bytes read from the channel's ledger."""
+        counters = self.metrics.counters("serve.")
+        wire_bytes = self.channel.total_bytes()
+
+        def per(value: float, denominator: str) -> float:
+            total = counters.get(denominator, 0)
+            return value / total if total else 0.0
+
+        return {
+            "counters": counters,
+            "rates": {
+                "cache_hit_rate": per(counters.get("cache_hits", 0), "cache_lookups"),
+                "degraded_rate": per(
+                    counters.get("degraded_requests", 0), "completed"
+                ),
+                "rejection_rate": per(counters.get("rejected", 0), "requests"),
+            },
+            "per_1k_predictions": {
+                "round_trips": per(
+                    1000.0 * counters.get("round_trips", 0), "predictions"
+                ),
+                "wire_bytes": per(1000.0 * wire_bytes, "predictions"),
+            },
+            "wire_bytes": wire_bytes,
+            **{
+                name[len("serve."):]: self.metrics.histogram(name).snapshot()
+                for name in _HISTOGRAMS
+            },
+        }

@@ -12,21 +12,19 @@ open a ``burn_alert`` episode, closed when the rate drops back.
 
 Every noteworthy transition — timeouts, degraded routing after an
 exhausted retry budget, rejected admissions, degraded completions,
-burn-alert open/close — is recorded as a unified
-:class:`~repro.obs.events.Event` (subsystem ``"serve.slo"``),
-exportable as JSONL (:meth:`SLOWatcher.write_jsonl`) and referenced
-from the serve bench's :class:`~repro.obs.RunReport` under
-``artifacts["events"]``.  :attr:`SLOWatcher.events` keeps the
-pre-unification flat-dict shape (``{"event", "time", **labels,
-**fields}``) so existing consumers read it unchanged, while the JSONL
-lines carry the full schema (``kind``/``subsystem`` alongside the
-legacy ``event`` alias).  When the watcher is given a shared
-:class:`~repro.obs.events.EventLog`, every record is also appended
-there, interleaved with the rest of the flight recorder.
+burn-alert open/close — is recorded once, as an
+:class:`~repro.obs.events.Event` (subsystem ``"serve.slo"``) in the
+watcher's :class:`~repro.obs.events.EventLog`: the shared flight
+recorder it was handed, where its records interleave with every other
+subsystem's, or a log of its own.  Records are read, filtered and
+exported as JSONL through that log (:attr:`SLOWatcher.event_log`); the
+watcher keeps only an exact per-kind tally beside it, because a ring
+buffer may evict and ``summary()["events"]`` may not.
 
-The watcher also publishes ``serve.slo.*`` gauges and counters into a
-shared :class:`~repro.obs.metrics.MetricsRegistry` when given one, so
-SLO posture lands in the same snapshot as the runtime's own counters.
+The watcher also publishes the ``serve.slo.p99`` and
+``serve.slo.burn_rate`` gauges into a shared
+:class:`~repro.obs.metrics.MetricsRegistry` when given one — the two
+values the alert rules read.
 """
 
 from __future__ import annotations
@@ -34,7 +32,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from repro.obs.events import Event
+from repro.obs.events import EventLog
+from repro.obs.metrics import nearest_rank
 
 __all__ = ["SLOPolicy", "SLOWatcher"]
 
@@ -83,14 +82,13 @@ class SLOWatcher:
             scaled: 500 ms objective, 64-completion window, 1% budget).
         registry: optional shared
             :class:`~repro.obs.metrics.MetricsRegistry`; when given,
-            the watcher publishes ``serve.slo.p99`` /
-            ``serve.slo.burn_rate`` gauges and bumps
-            ``serve.slo.<event>`` counters there.
+            the watcher publishes the ``serve.slo.p99`` /
+            ``serve.slo.burn_rate`` gauges there.
         labels: constant key/values merged into every event (scenario
             tags in multi-runtime benches).
-        event_log: optional shared
-            :class:`~repro.obs.events.EventLog` every record is
-            mirrored into (the flight recorder's unified stream).
+        event_log: the :class:`~repro.obs.events.EventLog` every
+            transition is recorded in (the shared flight recorder);
+            the watcher creates its own when omitted.
     """
 
     def __init__(
@@ -103,10 +101,11 @@ class SLOWatcher:
         self.policy = policy or SLOPolicy()
         self.registry = registry
         self.labels = dict(labels or {})
-        self.event_log = event_log
+        self.event_log = event_log if event_log is not None else EventLog()
         #: (latency, breached) of the most recent completions
         self._window: deque = deque(maxlen=self.policy.window)
-        self._records: list[Event] = []
+        #: exact per-kind totals (the log is a ring buffer and may evict)
+        self._tally: dict[str, int] = {}
         self.completions = 0
         self.breaches = 0
         self.alert_open = False
@@ -115,29 +114,9 @@ class SLOWatcher:
     # ------------------------------------------------------------------
     # Event plumbing
     # ------------------------------------------------------------------
-    def _emit(self, event: str, now: float, **fields) -> None:
-        record = Event(
-            time=now,
-            subsystem="serve.slo",
-            kind=event,
-            labels=dict(self.labels),
-            payload=dict(fields),
-        )
-        self._records.append(record)
-        if self.event_log is not None:
-            self.event_log.append(record)
-        if self.registry is not None:
-            self.registry.inc(_PREFIX + event)
-
-    @property
-    def events(self) -> list[dict]:
-        """The records in the pre-unification flat shape.
-
-        ``{"event": kind, "time": time, **labels, **fields}`` — exactly
-        the dicts the watcher built before the unified schema, so strict
-        consumers (tests, notebooks) see byte-identical structures.
-        """
-        return [record.legacy_dict() for record in self._records]
+    def _emit(self, kind: str, now: float, **fields) -> None:
+        self.event_log.emit(now, "serve.slo", kind, labels=self.labels, **fields)
+        self._tally[kind] = self._tally.get(kind, 0) + 1
 
     def _publish_gauges(self) -> None:
         if self.registry is not None:
@@ -203,11 +182,7 @@ class SLOWatcher:
 
     def window_p99(self) -> float:
         """Nearest-rank p99 latency over the sliding window (0 empty)."""
-        if not self._window:
-            return 0.0
-        ordered = sorted(latency for latency, _ in self._window)
-        rank = min(len(ordered) - 1, max(0, -(-99 * len(ordered) // 100) - 1))
-        return ordered[rank]
+        return nearest_rank((latency for latency, _ in self._window), 0.99)
 
     def breach_fraction(self) -> float:
         """Fraction of the window that breached the latency SLO."""
@@ -222,10 +197,7 @@ class SLOWatcher:
         return self.breach_fraction() / self.policy.error_budget
 
     def summary(self) -> dict:
-        """JSON-ready posture: policy, totals, window stats, events."""
-        counts: dict[str, int] = {}
-        for record in self._records:
-            counts[record.kind] = counts.get(record.kind, 0) + 1
+        """JSON-ready posture: policy, totals, window stats, event tally."""
         return {
             "policy": self.policy.to_dict(),
             "completions": self.completions,
@@ -234,21 +206,5 @@ class SLOWatcher:
             "burn_rate": self.burn_rate(),
             "alert_open": self.alert_open,
             "alerts": self.alerts,
-            "events": dict(sorted(counts.items())),
+            "events": dict(sorted(self._tally.items())),
         }
-
-    def event_lines(self) -> list[str]:
-        """Each event as one stable-key-order JSON line.
-
-        Lines carry the unified schema — ``kind``/``subsystem`` plus
-        the legacy ``event`` alias — so old and new consumers both
-        parse them.
-        """
-        return [record.line() for record in self._records]
-
-    def write_jsonl(self, path: str, append: bool = False) -> int:
-        """Write the events as JSONL; returns the line count."""
-        with open(path, "a" if append else "w") as handle:
-            for line in self.event_lines():
-                handle.write(line + "\n")
-        return len(self._records)

@@ -1,5 +1,8 @@
 """Tests for quantile sketching and dataset binning."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -80,6 +83,34 @@ class TestBinDataset:
         b_dense = bin_dataset(dense, 6)
         b_sparse = bin_dataset(sparse, 6)
         assert np.array_equal(b_dense.codes, b_sparse.codes)
+
+    def test_dense_training_never_imports_scipy(self):
+        # Every trainer imports this module; only a process that holds
+        # a scipy matrix (and so has imported scipy itself) pays for it.
+        probe = (
+            "import sys, numpy as np, repro\n"
+            "from repro.core.config import VF2BoostConfig\n"
+            "from repro.core.trainer import FederatedTrainer\n"
+            "from repro.gbdt.binning import bin_dataset\n"
+            "from repro.gbdt.params import GBDTParams\n"
+            "rng = np.random.default_rng(0)\n"
+            "full = bin_dataset(rng.normal(size=(40, 4)), 4)\n"
+            "parties = [full.subset_features(np.arange(2, 4)),\n"
+            "           full.subset_features(np.arange(0, 2))]\n"
+            "config = VF2BoostConfig.vf2boost(\n"
+            "    params=GBDTParams(n_trees=1, n_layers=2, n_bins=4),\n"
+            "    crypto_mode='counted')\n"
+            "FederatedTrainer(config).fit(parties, rng.random(40).round())\n"
+            "print('scipy' in sys.modules)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            check=True,
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": ":".join(sys.path)},
+        )
+        assert out.stdout.strip() == "False"
 
     def test_threshold_for(self):
         features = np.arange(100, dtype=np.float64).reshape(-1, 1)

@@ -19,6 +19,7 @@ from repro.fed.messages import (
     SplitQuery,
     cipher_bytes,
 )
+from repro.obs.report import channel_report
 
 CTX = PaillierContext.create(256, seed=21)
 
@@ -116,7 +117,7 @@ class TestChannelAccounting:
         channel = RecordingChannel(256)
         channel.send(SplitQuery(0, 1))
         channel.send(CountedCipherPayload(1, 0, kind="hist", n_ciphers=1))
-        report = channel.stats_report()
+        report = channel_report(channel)
         assert report["total_messages"] == 2
         assert report["directions"]["0->1"]["by_type"]["SplitQuery"]["messages"] == 1
         assert report["directions"]["1->0"]["bytes"] == 64 + 8

@@ -1,5 +1,5 @@
 """Tests for the unified flight-recorder event log (repro.obs.events):
-wire format and legacy aliases, reserved-key validation, exact ring
+wire format, reserved-key validation, exact ring
 eviction, byte-identical JSONL across reruns (including a faulty
 training run), and JSONL round-tripping."""
 
@@ -22,7 +22,7 @@ from repro.obs.events import (
 
 
 class TestEventSchema:
-    def test_wire_form_is_flat_with_legacy_alias(self):
+    def test_wire_form_is_flat(self):
         event = Event(
             time=1.5,
             subsystem="serve.slo",
@@ -31,7 +31,6 @@ class TestEventSchema:
             payload={"request_id": 7},
         )
         assert event.to_dict() == {
-            "event": "rejected",
             "kind": "rejected",
             "subsystem": "serve.slo",
             "time": 1.5,
@@ -39,25 +38,21 @@ class TestEventSchema:
             "request_id": 7,
         }
 
-    def test_legacy_dict_drops_schema_keys(self):
-        event = Event(
-            time=1.0,
-            subsystem="serve.slo",
-            kind="rejected",
-            payload={"request_id": 7},
-        )
-        assert event.legacy_dict() == {
-            "event": "rejected",
-            "time": 1.0,
-            "request_id": 7,
-        }
+    def test_event_is_an_ordinary_key_but_old_lines_still_parse(self):
+        # `event` was a wire alias of `kind`; it is payload like any
+        # other key now, and a pre-unification line that names its kind
+        # only under `event` is still accepted.
+        event = Event(time=1.0, subsystem="s", kind="k", payload={"event": 1})
+        assert event.to_dict()["event"] == 1
+        old = event_from_wire({"event": "timeout", "time": 1.0})
+        assert (old.kind, old.time, old.payload) == ("timeout", 1.0, {})
 
     def test_line_is_sorted_key_json(self):
         event = Event(time=0.0, subsystem="s", kind="k", payload={"b": 1, "a": 2})
         record = json.loads(event.line())
         assert list(record) == sorted(record)
 
-    @pytest.mark.parametrize("reserved", ["event", "kind", "subsystem", "time"])
+    @pytest.mark.parametrize("reserved", ["kind", "subsystem", "time"])
     def test_reserved_keys_rejected(self, reserved):
         with pytest.raises(ValueError, match="reserved"):
             Event(time=0.0, subsystem="s", kind="k", payload={reserved: 1})

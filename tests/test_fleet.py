@@ -268,6 +268,38 @@ class TestShedding:
         # Shed outcomes are rejections with no fabricated prediction.
         assert all(o.rejected and o.margins.size == 0 for o in shed)
         assert fleet.summary()["shed"] == len(shed)
+        # Built without a log, the fleet records every shed in its own.
+        assert [
+            e.payload["request_id"]
+            for e in fleet.event_log.filter("serve.fleet", "shed")
+        ] == [o.request_id for o in shed]
+
+    def test_replicas_built_without_a_log_share_one(self, trained):
+        model, parties = trained
+        registry = _make_registry(model, parties)
+        fleet = self._overloaded_fleet(registry, n_replicas=2)
+        for request in make_requests(
+            _load(parties, n_requests=200, rate=20.0, trace="overload")
+        ):
+            fleet.submit(request)
+        fleet.run()
+        log = fleet.event_log
+        assert all(watcher.event_log is log for watcher in fleet.watchers)
+        events = log.events()
+        assert {e.labels["replica"] for e in events} == {0, 1}
+        # One global order across replicas: seq and the simulated clock
+        # both follow the fleet's event loop.
+        assert [e.seq for e in events] == list(range(len(events)))
+        assert [e.time for e in events] == sorted(e.time for e in events)
+        # Each watcher's exact tally is its share of the shared log.
+        for i, watcher in enumerate(fleet.watchers):
+            for kind, count in watcher.summary()["events"].items():
+                mine = [
+                    e for e in log.filter("serve.slo", kind)
+                    if e.labels["replica"] == i
+                ]
+                assert len(mine) == count
+        assert len(log.filter("serve.fleet", "shed")) == fleet.summary()["shed"]
 
     def test_more_replicas_shed_less(self, trained):
         model, parties = trained
@@ -407,9 +439,9 @@ class TestCanary:
             controller._in_slice(by_id[o.request_id].session_key())
             for o in candidate_served
         )
-        rollback_time = [
-            e for e in controller.events if e["event"] == "rolled_back"
-        ][0]["time"]
+        rollback_time = controller.event_log.filter(
+            "serve.canary", "rolled_back"
+        )[0].time
         assert all(o.admitted <= rollback_time for o in candidate_served)
 
     def test_banded_mode_promotes_comparable_model(self, trained):

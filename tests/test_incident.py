@@ -42,7 +42,7 @@ class TestBundle:
             kind="slo_burn",
             label="burn",
             time=2.5,
-            events=[{"event": "x", "kind": "x", "subsystem": "s", "time": 1.0}],
+            events=[{"kind": "x", "subsystem": "s", "time": 1.0}],
             metrics={"counters": {"a": 3}},
             context={"rule": "burn"},
         )
@@ -212,9 +212,9 @@ def serving_models():
     return _train_for_serving(23), _train_for_serving(29)
 
 
-def _bad_canary_run(serving_models, incident_dir):
+def _bad_canary_run(serving_models, incident_dir, shared_log=True):
     (model, parties), (bad_model, bad_parties) = serving_models
-    log = EventLog()
+    log = EventLog() if shared_log else None
     registry = ModelRegistry(event_log=log)
     edges = {k: p.cut_points for k, p in enumerate(parties)}
     registry.register("v1", model, edges)
@@ -272,6 +272,21 @@ class TestCanaryIncidents:
         assert "golden_mismatch" in kinds
         assert "rolled_back" in kinds
         assert "hot_swap" in kinds  # the registry activations are in the tail
+
+    def test_rollback_bundle_is_never_event_less(self, serving_models, tmp_path):
+        # No shared log anywhere: the controller records in its own,
+        # so the post-mortem still holds the transitions that led to it.
+        controller = _bad_canary_run(serving_models, tmp_path, shared_log=False)
+        bundle = IncidentBundle.load(controller.incidents[0])
+        assert [e["kind"] for e in bundle.events] == [
+            "golden_mismatch",
+            "rolled_back",
+        ]
+        assert bundle.events == controller.event_log.to_dicts()
+        assert controller.summary()["events"] == {
+            "golden_mismatch": 1,
+            "rolled_back": 1,
+        }
 
 
 class TestCLI:

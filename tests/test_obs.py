@@ -262,15 +262,6 @@ class TestChannelReport:
         assert "SplitQuery" in report["directions"]["0->1"]["by_type"]
         assert report["by_type"]["CountedCipherPayload"]["messages"] == 1
 
-    def test_channel_registry_mirror(self):
-        reg = MetricsRegistry()
-        channel = RecordingChannel(256, registry=reg)
-        channel.send(SplitQuery(0, 1))
-        channel.send(SplitQuery(0, 1))
-        assert reg.get("channel.messages") == 2
-        assert reg.get("channel.SplitQuery.messages") == 2
-        assert reg.get("channel.bytes") == channel.total_bytes()
-
 
 class TestRunReport:
     def test_save_load_round_trip(self, tmp_path):

@@ -1,6 +1,7 @@
 """Tests for the online serving subsystem (repro.serve)."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -28,10 +29,9 @@ from repro.serve.loadgen import (
     run_closed_loop,
     run_open_loop,
 )
-from repro.serve.metrics import Histogram, ServeMetrics
-from repro.serve.registry import ModelRegistry
-from repro.fed.retry import PartyHealth, RetryPolicy
-from repro.serve.resilience import majority_directions
+from repro.obs.metrics import Histogram, nearest_rank
+from repro.serve.registry import ModelRegistry, majority_directions
+from repro.fed.retry import RetryPolicy
 from repro.serve.session import Request, ServeConfig, ServingRuntime
 
 
@@ -66,6 +66,26 @@ def _make_registry(model, parties):
 
 def _feature_dims(parties):
     return {k: p.n_features for k, p in enumerate(parties)}
+
+
+COMMITTED_BENCH = os.path.join(
+    os.path.dirname(os.path.dirname(__file__)), "BENCH_serve.json"
+)
+
+
+def _key_structure(value):
+    """Recursive key skeleton of a JSON value; a list is summarized by
+    the union of its items' skeletons so its length does not matter."""
+    if isinstance(value, dict):
+        return {key: _key_structure(item) for key, item in value.items()}
+    if isinstance(value, list):
+        merged: dict = {}
+        for item in value:
+            skeleton = _key_structure(item)
+            if isinstance(skeleton, dict):
+                merged.update(skeleton)
+        return [merged]
+    return None
 
 
 class TestRegistry:
@@ -370,15 +390,6 @@ class TestDegradedMode:
             left = int((column <= node.bin_index).sum())
             assert goes_left == (left * 2 >= column.size)
 
-    def test_party_health_suspicion(self):
-        health = PartyHealth(party=1)
-        assert not health.suspect
-        health.record_timeout()
-        health.record_timeout()
-        assert health.suspect
-        health.record_success()
-        assert not health.suspect
-
     def test_retry_backoff_monotone(self):
         policy = RetryPolicy(timeout=0.2, max_retries=3)
         waits = [policy.backoff(a) for a in range(1, 4)]
@@ -418,18 +429,80 @@ class TestMetrics:
         assert hist.quantile(1.0) == 20.0
         assert abs(snap["mean"] - (23.05 / 5)) < 1e-12
 
-    def test_snapshot_shape(self):
-        metrics = ServeMetrics()
-        metrics.inc("requests", 4)
-        metrics.inc("predictions", 4)
-        metrics.inc("round_trips", 2)
-        metrics.latency.observe(0.01)
-        metrics.wire_bytes = 1000
-        snap = metrics.snapshot()
-        assert snap["counters"]["requests"] == 4
-        assert snap["per_1k_predictions"]["round_trips"] == 500.0
-        assert snap["per_1k_predictions"]["wire_bytes"] == 250000.0
-        assert json.loads(metrics.to_json())["counters"]["requests"] == 4
+    def test_nearest_rank_is_the_ceil_qn_th_smallest(self):
+        assert nearest_rank([], 0.99) == 0.0
+        values = [float(v) for v in range(400, 0, -1)]  # unsorted input
+        # n a multiple of 100: rank ceil(0.99 n) = 396, not 397.
+        assert nearest_rank(values, 0.99) == 396.0
+        assert nearest_rank(values, 0.50) == 200.0  # lower median, even n
+        assert nearest_rank(iter(values[:48]), 0.99) == 400.0
+        hist = Histogram()
+        for value in values:
+            hist.observe(value)
+        assert hist.quantile(0.99) == nearest_rank(values, 0.99)
+
+    def test_snapshot_shape(self, trained):
+        # Golden for the fixed-seed runtime of TestRuntimeParity:
+        # snapshot() is a view of the runtime's registry and the
+        # channel ledger, so none of it may move.
+        model, parties = trained
+        runtime = ServingRuntime(
+            _make_registry(model, parties), cluster=ClusterSpec()
+        )
+        load = LoadgenConfig(
+            n_requests=24, feature_dims=_feature_dims(parties), seed=5
+        )
+        run_closed_loop(runtime, make_requests(load), 8)
+
+        def counts(**occupied):
+            bounds = (1, 2, 4, 8, 16, 32, 64, 128, 256)
+            buckets = {f"le_{b}": occupied.get(f"le_{b}", 0) for b in bounds}
+            return {**buckets, "overflow": 0}
+
+        batches = {
+            "count": 5, "mean": 19.6, "p50": 20.0, "p95": 24.0, "p99": 24.0,
+            "max": 24.0, "buckets": counts(le_16=2, le_32=3),
+        }
+        assert runtime.snapshot() == {
+            "counters": {
+                "cache_lookups": 24, "completed": 24, "predictions": 24,
+                "requests": 24, "round_trips": 5,
+            },
+            "rates": {
+                "cache_hit_rate": 0.0, "degraded_rate": 0.0,
+                "rejection_rate": 0.0,
+            },
+            "per_1k_predictions": {
+                "round_trips": 208.33333333333334,
+                "wire_bytes": 125083.33333333333,
+            },
+            "wire_bytes": 3002,
+            "latency": {
+                "count": 24, "mean": 0.07131518105555555, "p50": 0.0900348,
+                "p95": 0.09013869133333333, "p99": 0.09013869333333333,
+                "max": 0.09013869333333333,
+                "buckets": {
+                    "le_0.01": 0, "le_0.025": 0, "le_0.05": 10, "le_0.1": 14,
+                    "le_0.25": 0, "le_0.5": 0, "le_1": 0, "le_2.5": 0,
+                    "le_5": 0, "overflow": 0,
+                },
+            },
+            "batch_occupancy": batches,
+            "batch_rows": batches,
+            "queue_depth": {
+                "count": 24, "mean": 4.5, "p50": 5.0, "p95": 7.0, "p99": 7.0,
+                "max": 7.0, "buckets": counts(le_1=2, le_2=1, le_4=8, le_8=13),
+            },
+        }
+        assert runtime.snapshot()["wire_bytes"] == runtime.channel.total_bytes()
+        # Counters live in the registry under serve.*; wire bytes and
+        # messages live in the channel ledger and are not mirrored.
+        registry = runtime.metrics.snapshot()
+        assert registry["counters"]["serve.requests"] == 24
+        assert registry["gauges"] == {}
+        assert not any(
+            name.startswith("channel.") for name in registry["counters"]
+        )
 
 
 class TestAdmission:
@@ -467,6 +540,10 @@ class TestBenchSmoke:
         assert report["ratios"]["round_trip_reduction"] >= 5.0
         assert report["degraded_scenario"]["degraded_requests"] > 0
         assert report["batched"]["snapshot"]["counters"]["requests"] > 0
+        # The committed full-run report must not go stale: same
+        # recursive key structure as a fresh run (list lengths aside).
+        with open(COMMITTED_BENCH) as handle:
+            assert _key_structure(json.load(handle)) == _key_structure(report)
 
     def test_smoke_emits_obs_artifacts(self, tmp_path):
         out = tmp_path / "BENCH_serve.json"

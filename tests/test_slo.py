@@ -1,5 +1,6 @@
-"""Tests for the serving SLO watcher (:mod:`repro.serve.slo`) and its
-integration with the serve bench / shared metrics registry."""
+"""Tests for the serving SLO watcher (:mod:`repro.serve.slo`): window
+statistics, the transitions it records in its event log, the gauges it
+publishes, and its integration with the serve bench."""
 
 import json
 from types import SimpleNamespace
@@ -7,8 +8,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from repro.obs.events import EventLog
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.slo import SLOPolicy, SLOWatcher
+
+
+def records(watcher):
+    """The watcher's transitions, oldest first, in the flat wire shape."""
+    return [event.to_dict() for event in watcher.event_log.filter("serve.slo")]
 
 
 def ok_outcome(request_id=0, latency=0.1):
@@ -93,7 +100,7 @@ class TestBurnAlert:
         for i in range(4, 8):  # all fast -> burn rate 0.0
             watcher.on_completion(ok_outcome(i, latency=0.1), now=float(i))
         assert not watcher.alert_open
-        events = [record["event"] for record in watcher.events]
+        events = [record["kind"] for record in records(watcher)]
         assert events.count("burn_alert_start") == 1
         assert events.count("burn_alert_end") == 1
         # Start precedes end; one episode, not re-opened per breach.
@@ -104,7 +111,7 @@ class TestBurnAlert:
             SLOPolicy(window=2, latency_slo=0.5, error_budget=0.5, burn_alert=1.0)
         )
         watcher.on_completion(ok_outcome(0, latency=2.0), now=5.0)
-        start = [e for e in watcher.events if e["event"] == "burn_alert_start"][0]
+        start = watcher.event_log.filter(kind="burn_alert_start")[0].to_dict()
         assert start["time"] == 5.0
         # One breach in a one-item window over a 0.5 budget burns at 2.0.
         assert start["burn_rate"] == 2.0
@@ -147,8 +154,8 @@ class TestEdgeCases:
             assert watcher.alert_open, f"closed early after completion {i}"
         watcher.on_completion(ok_outcome(7, latency=0.1), now=7.0)
         assert not watcher.alert_open
-        end = [e for e in watcher.events if e["event"] == "burn_alert_end"]
-        assert len(end) == 1 and end[0]["time"] == 7.0
+        end = watcher.event_log.filter(kind="burn_alert_end")
+        assert len(end) == 1 and end[0].time == 7.0
 
     def test_tiny_budget_burn_is_finite(self):
         # error_budget=0 is rejected at construction (see TestPolicy);
@@ -164,44 +171,59 @@ class TestEvents:
         watcher = SLOWatcher()
         watcher.on_completion(rejected_outcome(7), now=1.0)
         assert watcher.completions == 0
-        assert watcher.events == [
-            {"event": "rejected", "time": 1.0, "request_id": 7}
+        assert records(watcher) == [
+            {
+                "kind": "rejected",
+                "subsystem": "serve.slo",
+                "time": 1.0,
+                "request_id": 7,
+            }
         ]
 
     def test_degraded_completion_records_rows(self):
         watcher = SLOWatcher(SLOPolicy(burn_alert=99.0))
         watcher.on_completion(degraded_outcome(3, rows=5), now=2.0)
-        degraded = [e for e in watcher.events if e["event"] == "degraded"]
-        assert degraded == [
-            {"event": "degraded", "time": 2.0, "request_id": 3, "rows": 5}
+        degraded = watcher.event_log.filter("serve.slo", "degraded")
+        assert [event.to_dict() for event in degraded] == [
+            {
+                "kind": "degraded",
+                "subsystem": "serve.slo",
+                "time": 2.0,
+                "request_id": 3,
+                "rows": 5,
+            }
         ]
 
     def test_timeout_and_exhausted_routing(self):
         watcher = SLOWatcher()
         watcher.on_timeout(party=1, batch_id=4, attempt=0, now=1.0)
         watcher.on_timeout(party=1, batch_id=4, attempt=1, now=2.0, exhausted=True)
-        events = [record["event"] for record in watcher.events]
+        events = [record["kind"] for record in records(watcher)]
         assert events == ["timeout", "timeout", "degraded_route"]
 
     def test_labels_merged_into_every_event(self):
         watcher = SLOWatcher(labels={"scenario": "degraded"})
         watcher.on_timeout(party=0, batch_id=1, attempt=0, now=0.0)
-        assert watcher.events[0]["scenario"] == "degraded"
+        assert records(watcher)[0]["scenario"] == "degraded"
+        assert watcher.event_log.events()[0].labels == {"scenario": "degraded"}
 
     def test_event_lines_and_jsonl(self, tmp_path):
         watcher = SLOWatcher()
         watcher.on_timeout(party=0, batch_id=1, attempt=0, now=0.5)
         watcher.on_completion(ok_outcome(2), now=1.0)
         path = tmp_path / "events.jsonl"
-        assert watcher.write_jsonl(path) == 1  # completions emit no event
+        # completions emit no event
+        assert watcher.event_log.write_jsonl(path) == 1
         lines = path.read_text().splitlines()
-        assert [json.loads(line)["event"] for line in lines] == ["timeout"]
+        assert lines == watcher.event_log.lines()
+        assert [json.loads(line)["kind"] for line in lines] == ["timeout"]
+        assert "event" not in json.loads(lines[0])
         # Keys are sorted for stable diffs.
         assert lines[0].index('"batch_id"') < lines[0].index('"party"')
         # Append mode stacks a second watcher's stream.
         other = SLOWatcher(labels={"scenario": "b"})
         other.on_timeout(party=1, batch_id=2, attempt=0, now=2.0)
-        other.write_jsonl(path, append=True)
+        other.event_log.write_jsonl(path, append=True)
         assert len(path.read_text().splitlines()) == 2
 
     def test_summary_counts_events(self):
@@ -214,9 +236,19 @@ class TestEvents:
         assert summary["events"] == {"degraded_route": 1, "timeout": 1}
         assert summary["policy"]["window"] == 64
 
+    def test_summary_tally_survives_ring_eviction(self):
+        # The log is a ring buffer and may evict; the tally may not.
+        watcher = SLOWatcher(event_log=EventLog(capacity=4))
+        for i in range(7):
+            watcher.on_timeout(party=0, batch_id=i, attempt=0, now=float(i))
+        watcher.on_completion(rejected_outcome(9), now=8.0)
+        assert watcher.event_log.evicted == 4
+        assert len(watcher.event_log) == 4
+        assert watcher.summary()["events"] == {"rejected": 1, "timeout": 7}
+
 
 class TestRegistry:
-    def test_gauges_and_counters_published(self):
+    def test_gauges_published(self):
         registry = MetricsRegistry()
         watcher = SLOWatcher(
             SLOPolicy(window=2, latency_slo=0.5, error_budget=0.5, burn_alert=1.0),
@@ -225,11 +257,18 @@ class TestRegistry:
         watcher.on_completion(ok_outcome(0, latency=2.0), now=0.0)
         watcher.on_timeout(party=0, batch_id=0, attempt=0, now=1.0, exhausted=True)
         snapshot = registry.snapshot()
-        assert snapshot["gauges"]["serve.slo.p99"] == 2.0
-        assert snapshot["gauges"]["serve.slo.burn_rate"] == 2.0
-        assert snapshot["counters"]["serve.slo.timeout"] == 1
-        assert snapshot["counters"]["serve.slo.degraded_route"] == 1
-        assert snapshot["counters"]["serve.slo.burn_alert_start"] == 1
+        assert snapshot["gauges"] == {
+            "serve.slo.burn_rate": 2.0,
+            "serve.slo.p99": 2.0,
+        }
+        # Transitions are recorded in the log and tallied in the
+        # summary — never mirrored as registry counters.
+        assert snapshot["counters"] == {}
+        assert watcher.summary()["events"] == {
+            "burn_alert_start": 1,
+            "degraded_route": 1,
+            "timeout": 1,
+        }
 
     def test_no_registry_is_fine(self):
         watcher = SLOWatcher()
@@ -259,13 +298,28 @@ class TestServeBenchIntegration:
 
     def test_runtime_feeds_shared_registry(self, smoke):
         # The saved RunReport snapshots the shared obs registry: the
-        # SLO watcher's counters land next to the runtime's own.
-        _, _, report_path = smoke
-        counters = json.loads(report_path.read_text())["metrics"]["counters"]
-        assert counters["serve.slo.timeout"] > 0
-        assert counters["serve.slo.degraded_route"] > 0
-        assert any(key.startswith("serve.") and not key.startswith("serve.slo.")
-                   for key in counters)
+        # runtime's counters and the watchers' gauges, and no mirror of
+        # what the event log or the channel ledger already records.
+        report, _, report_path = smoke
+        data = json.loads(report_path.read_text())
+        counters = data["metrics"]["counters"]
+        assert counters["serve.requests"] > 0
+        assert all(key.startswith("serve.") for key in counters)
+        assert not any(key.startswith("serve.slo.") for key in counters)
+        assert set(data["metrics"]["gauges"]) == {
+            "serve.slo.burn_rate",
+            "serve.slo.p99",
+        }
+        assert (
+            data["channels"]["total_bytes"]
+            == report["batched"]["snapshot"]["wire_bytes"]
+        )
+        kinds = [
+            e["kind"] for e in data["events"] if e["subsystem"] == "serve.slo"
+        ]
+        assert kinds.count("timeout") == (
+            report["degraded_scenario"]["slo"]["events"]["timeout"]
+        )
 
     def test_report_references_events_artifact(self, smoke):
         _, events, report_path = smoke
