@@ -65,9 +65,13 @@ UNIT_COST_FIELDS = (
 #: Bands are wide on purpose — they separate "different host, same
 #: regime" (Python bignum vs the paper's C library lands well inside)
 #: from "the cost structure changed" (an op got 10x slower relative to
-#: its peers, packing stopped amortizing decryptions).
+#: its peers, packing stopped amortizing decryptions).  Dec/Enc sits
+#: away from the paper on purpose: the paper's library pays a powmod
+#: per Enc (Dec/Enc 0.93), this key holder reads its obfuscators out of
+#: generator tables (measured 4.0-5.4, i.e. x4.3-5.8; DESIGN §4.14), so
+#: that band is ~1.6x the measured factor, not a multiple of 1.
 DEFAULT_TOLERANCES = {
-    "dec_over_enc": 4.0,
+    "dec_over_enc": 8.0,
     "smul_over_hadd": 6.0,
     "packing_efficiency": 4.0,
 }

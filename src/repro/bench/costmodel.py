@@ -203,6 +203,9 @@ class CostModel:
         context = PaillierContext.create(key_bits, seed=seed, jitter=1)
         rng = random.Random(seed)
         values = [rng.uniform(-1.0, 1.0) for _ in range(samples)]
+        # The key holder builds its obfuscator tables on the first
+        # draw: a per-key cost, not part of t_enc.
+        context.pool.take()
 
         start = timer()
         ciphers = [context.encrypt(v) for v in values]

@@ -88,6 +88,9 @@ def crypto_throughputs(
     context = PaillierContext.create(key_bits, seed=seed, jitter=n_exponents)
     rng = random.Random(seed)
     values = [rng.gauss(0.0, 1.0) for _ in range(samples)]
+    # The key holder builds its obfuscator tables on the first draw: a
+    # per-key cost (EXPERIMENTS.md, PR 20), not part of an Enc.
+    context.pool.take()
 
     start = time.perf_counter()
     ciphers = [context.encrypt(v) for v in values]

@@ -141,8 +141,8 @@ class PaillierContext:
         rng: RNG for exponent jitter.
         obfuscator_pool_size: number of pre-computed obfuscators.
         obfuscator_rng: optional seeded generator for obfuscator draws
-            (tests pin it to compare key-holder and full-width
-            ciphertexts; production leaves it ``None`` for entropy).
+            (tests pin it to replay ciphertexts; production leaves it
+            ``None`` for entropy).
     """
 
     def __init__(
@@ -159,14 +159,14 @@ class PaillierContext:
         self.public_key = public_key
         self._private_key = private_key
         self.encoder = Encoder(public_key, base, exponent, jitter, rng)
-        # The key holder hands its CRT constants to the pool so every
-        # obfuscator exponentiation runs as half-width steps; public
-        # contexts stay on the full-width path.
+        # The key holder's pool draws obfuscators with the private key
+        # (tabled generator powers); public contexts pay the full-width
+        # powmod.
         self.pool = ObfuscatorPool(
             public_key,
             obfuscator_pool_size,
             rng=obfuscator_rng,
-            crt=private_key.crt_params() if private_key is not None else None,
+            private_key=private_key,
         )
         self.stats = OpStats()
 

@@ -5,16 +5,17 @@ exponentiation — and its exponentiation-grade sibling, modular
 inversion — go through a single choke point (:func:`powmod` /
 :func:`invert`) over the built-in three-argument ``pow``.  There is one
 engine; a faster one would replace ``pow`` under these two functions,
-not be selected beside it (DESIGN §4.14).
+not be selected beside it (DESIGN §4.14).  A power of a base that stays
+fixed for the life of a key has a choke point of its own beside them,
+:func:`fixed_base_powmod`, which reads a :func:`fixed_base_table`
+instead of calling ``pow``: the key holder draws every obfuscator out
+of two such tables.
 
-The two functions carry no hook of their own: whoever wants to count or
+None of the three carries a hook of its own: whoever wants to count or
 time them wraps the module attribute from outside, as the end-to-end
 benchmark's tracer and the tests do, and every caller reaches them as
-``math_utils.powmod`` / ``math_utils.invert`` so such a wrapper sees
-every call.  One call is one *logical* operation at this layer: the key
-holder's CRT route (:func:`powmod_crt`) assembles one obfuscator from
-up to four half-width ``pow`` calls, and is still the one
-:func:`powmod` that asked for it.
+``math_utils.powmod`` / ``math_utils.invert`` /
+``math_utils.fixed_base_powmod`` so such a wrapper sees every call.
 """
 
 from __future__ import annotations
@@ -22,21 +23,21 @@ from __future__ import annotations
 import math
 import random
 import secrets
-from dataclasses import dataclass, field
+from collections.abc import Iterable
 from types import SimpleNamespace
 
 __all__ = [
-    "CrtParams",
     "is_probable_prime",
+    "is_primitive_root",
+    "primitive_root",
     "generate_prime",
     "generate_prime_pair",
     "get_backend",
     "invert",
     "crt_combine",
-    "lcm",
+    "fixed_base_table",
+    "fixed_base_powmod",
     "powmod",
-    "powmod_crt",
-    "random_below",
     "random_coprime",
 ]
 
@@ -55,6 +56,17 @@ _SMALL_PRIMES = (
 _SQUARING_BITS = 59
 _SQUARING_PIECE = 1 << _SQUARING_BITS
 
+#: radix of a :func:`fixed_base_table` is ``2**_WINDOW_BITS``.  From the
+#: measured sweep in EXPERIMENTS.md (PR 20): each step wider doubles the
+#: build, and past 5 the table outgrows the cache so draws stop gaining.
+_WINDOW_BITS = 5
+_WINDOW_MASK = (1 << _WINDOW_BITS) - 1
+
+#: ``p - 1 = 2 * k * r`` in :func:`_factored_prime` has ``k`` below
+#: ``2**_COFACTOR_BITS``, small enough to factor by trial division
+_COFACTOR_BITS = 16
+
+
 def get_backend() -> SimpleNamespace:
     """Constant descriptor of the one engine: ``.name == "python"``.
 
@@ -66,109 +78,24 @@ def get_backend() -> SimpleNamespace:
     return SimpleNamespace(name="python")
 
 
-@dataclass(frozen=True)
-class CrtParams:
-    """Factorization-derived constants for CRT-split powmod mod ``n^2``.
-
-    Only the key holder can build these (they encode ``p`` and ``q``);
-    public contexts pass ``crt=None`` and get the plain full-width path.
-    Everything but the three constructor arguments is derived, so the
-    constants are consistent with each other by construction.
-
-    Attributes:
-        p, q: the prime factors of ``n``.
-        q_sq_inv: ``invert(q^2, p^2)`` — Garner's recombination constant
-            (passed in so the key holder computes it through the
-            :func:`invert` choke point).
-        n: ``p * q`` — the exponent the p-adic route recognizes.
-        p_squared, q_squared: ``p ** 2``, ``q ** 2``.
-        modulus: ``n ** 2`` — the modulus these params split; dispatch
-            ignores the params when the call's modulus differs.
-        exp_p, exp_q: ``q mod (p - 1)`` and ``p mod (q - 1)`` — the
-            half-width exponents of ``r^n`` modulo ``p`` and ``q``.
-    """
-
-    p: int = field(repr=False)
-    q: int = field(repr=False)
-    q_sq_inv: int = field(repr=False)
-    n: int = field(init=False, repr=False)
-    p_squared: int = field(init=False, repr=False)
-    q_squared: int = field(init=False, repr=False)
-    modulus: int = field(init=False, repr=False)
-    exp_p: int = field(init=False, repr=False)
-    exp_q: int = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        p, q = self.p, self.q
-        n = p * q
-        for name, value in (
-            ("n", n),
-            ("p_squared", p * p),
-            ("q_squared", q * q),
-            ("modulus", n * n),
-            ("exp_p", q % (p - 1)),
-            ("exp_q", p % (q - 1)),
-        ):
-            object.__setattr__(self, name, value)
-
-
 def crt_combine(residue_p: int, residue_q: int, p: int, q: int, q_inv_p: int) -> int:
     """Combine residues modulo ``p`` and ``q`` into a residue modulo ``p*q``.
 
     Uses Garner's formula; ``q_inv_p`` must equal ``invert(q, p)`` and is
     passed in so hot paths can precompute it once per key.  The moduli
-    only need to be coprime: decryption combines over ``(p, q)``,
-    :func:`powmod_crt` over ``(p^2, q^2)``.
+    only need to be coprime: decryption combines over ``(p, q)``, the
+    key holder's obfuscator draw over ``(p^2, q^2)``.
     """
     h = (q_inv_p * (residue_p - residue_q)) % p
     return residue_q + h * q
 
 
-def powmod_crt(base: int, exponent: int, crt: CrtParams) -> int:
-    """Exact ``pow(base, exponent, crt.modulus)`` from half-width steps.
-
-    The obfuscator exponent ``n = p * q`` takes the p-adic route:
-    ``x^p mod p^2`` depends only on ``x mod p``, so for a base that
-    is a unit modulo ``p``
-    ``base^n mod p^2 = ((base mod p)^(q mod (p-1)) mod p)^p mod p^2``
-    (Fermat's little theorem inside, the binomial theorem outside),
-    and symmetrically for ``q^2`` — two half-width steps with
-    half-length exponents per side instead of one full-width pow
-    (measured 1.9x at 512-bit keys, 2.3x at 1024, 2.8x at 2048; see
-    EXPERIMENTS.md).  A base divisible by ``p`` or ``q`` is outside
-    that identity and takes the plain path.  Any other exponent is
-    split over ``p^2`` / ``q^2`` at full exponent length.
-    :func:`crt_combine` then reconstructs the unique residue modulo
-    ``p^2 * q^2``, so the result is bit-identical to the direct pow.
-
-    Built on ``pow``, not on :func:`powmod`: the internal steps are
-    not logical operations of their own.
-    """
-    if exponent == crt.n:
-        base_p, base_q = base % crt.p, base % crt.q
-        if not (base_p and base_q):
-            return pow(base, exponent, crt.modulus)
-        xp = pow(pow(base_p, crt.exp_p, crt.p), crt.p, crt.p_squared)
-        xq = pow(pow(base_q, crt.exp_q, crt.q), crt.q, crt.q_squared)
-    else:
-        xp = pow(base % crt.p_squared, exponent, crt.p_squared)
-        xq = pow(base % crt.q_squared, exponent, crt.q_squared)
-    return crt_combine(xp, xq, crt.p_squared, crt.q_squared, crt.q_sq_inv)
-
-
-def powmod(base: int, exponent: int, modulus: int, crt: CrtParams | None = None) -> int:
+def powmod(base: int, exponent: int, modulus: int) -> int:
     """Modular exponentiation ``base ** exponent mod modulus``.
 
-    The single choke point for exponentiation: every modular power of
-    the crypto layer is one call of this function.
-
-    Args:
-        base, exponent, modulus: the operation itself.
-        crt: optional :class:`CrtParams` for the modulus (key holder
-            only); when it matches ``modulus`` the result is assembled
-            from half-width steps (:func:`powmod_crt`), otherwise the
-            call takes the plain path.  Either way the returned integer
-            is identical.
+    The choke point for exponentiation: every modular power of the
+    crypto layer whose base is not tabled (:func:`fixed_base_powmod`)
+    is one call of this function.
 
     A power-of-two exponent above ``2**59`` — every packing SMul is
     ``c^(2^stride)`` — is handed to ``pow`` in pieces of at most 59
@@ -176,8 +103,6 @@ def powmod(base: int, exponent: int, modulus: int, crt: CrtParams | None = None)
     any exponent over 60 bits, multiplications a pure shift never uses.
     Same integer, still one call.
     """
-    if crt is not None and crt.modulus == modulus and exponent >= 0:
-        return powmod_crt(base, exponent, crt)
     if exponent > _SQUARING_PIECE and exponent & (exponent - 1) == 0:
         # base^(2^k) is k squarings; asked for in pieces ``pow`` runs
         # as plain binary exponentiation, with no window table.
@@ -187,6 +112,43 @@ def powmod(base: int, exponent: int, modulus: int, crt: CrtParams | None = None)
             squarings -= _SQUARING_BITS
         exponent = 1 << squarings
     return pow(base, exponent, modulus)
+
+
+def fixed_base_table(base: int, exponent_bits: int, modulus: int) -> list[list[int]]:
+    """Powers of one base for every radix-``2^w`` digit of an exponent.
+
+    ``table[i][d] = base^(d * 2^(w*i)) mod modulus`` for exponents of up
+    to ``exponent_bits`` bits: ``ceil(exponent_bits / w) * 2^w`` residues
+    at one multiplication each, worth it for a base raised many times.
+    """
+    table = []
+    for _ in range(-(-exponent_bits // _WINDOW_BITS)):
+        row = [1]
+        for _ in range(_WINDOW_MASK):
+            row.append(row[-1] * base % modulus)
+        table.append(row)
+        base = row[-1] * base % modulus
+    return table
+
+
+def fixed_base_powmod(table: list[list[int]], exponent: int, modulus: int) -> int:
+    """``base ** exponent mod modulus`` read out of the base's table.
+
+    The choke point for tabled powers: one multiplication per radix
+    digit of ``exponent``, against a squaring per *bit* in
+    :func:`powmod`.  ``table`` must be the base's
+    :func:`fixed_base_table` for this ``modulus``.
+
+    Raises:
+        ValueError: ``exponent`` is negative or longer than the table.
+    """
+    if exponent < 0 or exponent >> (_WINDOW_BITS * len(table)):
+        raise ValueError("exponent outside the range of the fixed-base table")
+    result = 1
+    for row in table:
+        result = result * row[exponent & _WINDOW_MASK] % modulus
+        exponent >>= _WINDOW_BITS
+    return result
 
 
 def invert(a: int, modulus: int) -> int:
@@ -204,11 +166,6 @@ def invert(a: int, modulus: int) -> int:
         return pow(a, -1, modulus)
     except ValueError as exc:
         raise ValueError(f"{a} is not invertible modulo {modulus}") from exc
-
-
-def lcm(a: int, b: int) -> int:
-    """Least common multiple of two positive integers."""
-    return a // math.gcd(a, b) * b
 
 
 def is_probable_prime(n: int, rounds: int = 30) -> bool:
@@ -245,38 +202,99 @@ def is_probable_prime(n: int, rounds: int = 30) -> bool:
     return True
 
 
-def generate_prime(bits: int) -> int:
-    """Generate a random probable prime with exactly ``bits`` bits."""
+def generate_prime(bits: int, rng: random.Random | None = None) -> int:
+    """Generate a random probable prime with exactly ``bits`` bits.
+
+    ``rng`` replaces system entropy with a seeded generator (test keys).
+    """
     if bits < 8:
         raise ValueError("prime size must be at least 8 bits")
+    if rng is None:
+        rng = secrets.SystemRandom()
     while True:
-        candidate = secrets.randbits(bits)
+        candidate = rng.getrandbits(bits)
         candidate |= (1 << (bits - 1)) | 1  # force top bit and oddness
         if is_probable_prime(candidate):
             return candidate
 
 
-def generate_prime_pair(modulus_bits: int) -> tuple[int, int]:
-    """Generate distinct primes ``(p, q)`` whose product has ``modulus_bits`` bits.
+def is_primitive_root(candidate: int, prime: int, factors: Iterable[int]) -> bool:
+    """Whether ``candidate`` generates ``Z_prime^*``.
 
-    The primes are drawn with ``modulus_bits // 2`` bits each and redrawn
-    until ``p * q`` actually reaches the requested modulus size and
-    ``p != q``.
+    ``factors`` must hold every prime factor of ``prime - 1`` (the
+    caller verifies that): an element of a cyclic group of order
+    ``prime - 1`` generates it iff no ``(prime - 1) / f`` power is 1.
     """
+    return candidate % prime != 0 and all(
+        powmod(candidate, (prime - 1) // f, prime) != 1 for f in factors
+    )
+
+
+def primitive_root(prime: int, factors: Iterable[int]) -> int:
+    """The smallest primitive root modulo ``prime`` (``factors`` as above)."""
+    factors = sorted(set(factors))  # 2 first: every square fails right there
+    return next(g for g in range(2, prime) if is_primitive_root(g, prime, factors))
+
+
+def _trial_factor(n: int) -> list[int]:
+    """Prime factors of ``n`` with multiplicity, by trial division."""
+    factors, divisor = [], 2
+    while divisor * divisor <= n:
+        while n % divisor == 0:
+            factors.append(divisor)
+            n //= divisor
+        divisor += 1
+    return factors + [n] if n > 1 else factors
+
+
+def _factored_prime(bits: int, rng: random.Random) -> tuple[int, tuple[int, ...]]:
+    """A ``bits``-bit prime with its top two bits set, and ``p - 1`` factored.
+
+    Returns ``(p, factors)``, ``factors`` being the prime factors of
+    ``p - 1`` with multiplicity: ``p = 2 * k * r + 1`` for a random
+    prime ``r`` and a random ``k < 2**_COFACTOR_BITS`` (DESIGN §4.14 on
+    why that form is harmless); a prime too short for the form is drawn
+    directly and ``p - 1`` trial-factored.
+    """
+    low = 3 << (bits - 2)
+    if bits <= 2 * _COFACTOR_BITS:
+        while True:
+            p = low | rng.getrandbits(bits - 2) | 1
+            if is_probable_prime(p):
+                return p, tuple(_trial_factor(p - 1))
+    r = generate_prime(bits - _COFACTOR_BITS, rng)
+    while True:
+        # low < 2kr + 1 < 2^bits, and k < 2^16: r has its top bit set
+        k = rng.randrange(low // (2 * r) + 1, (1 << (bits - 1)) // r)
+        p = 2 * k * r + 1
+        if is_probable_prime(p):
+            return p, (2, *_trial_factor(k), r)
+
+
+def generate_prime_pair(
+    modulus_bits: int, rng: random.Random | None = None
+) -> tuple[tuple[int, tuple[int, ...]], tuple[int, tuple[int, ...]]]:
+    """Draw the two primes of a Paillier modulus, each with ``p - 1`` factored.
+
+    Returns ``((p, p_factors), (q, q_factors))``.  Both primes have
+    their top two bits set, so ``p * q`` has exactly ``modulus_bits``
+    bits; a pair is redrawn only when ``p == q`` or
+    ``gcd(pq, (p-1)(q-1)) != 1`` — Paillier's precondition, which
+    ``q = 2p + 1`` (possible at odd ``modulus_bits``) fails.
+
+    Args:
+        modulus_bits: size of ``p * q``.
+        rng: seeded generator for *reproducible* (insecure) test keys;
+            ``None`` draws from system entropy through the same code.
+    """
+    if rng is None:
+        rng = secrets.SystemRandom()
     half = modulus_bits // 2
     while True:
-        p = generate_prime(half)
-        q = generate_prime(modulus_bits - half)
-        if p == q:
-            continue
-        n = p * q
-        if n.bit_length() == modulus_bits:
-            return p, q
-
-
-def random_below(n: int) -> int:
-    """Uniform random integer in ``[0, n)``."""
-    return secrets.randbelow(n)
+        p, p_factors = _factored_prime(half, rng)
+        q, q_factors = _factored_prime(modulus_bits - half, rng)
+        if p != q and math.gcd(p * q, (p - 1) * (q - 1)) == 1:
+            return (p, p_factors), (q, q_factors)
 
 
 def random_coprime(n: int, rng: random.Random | None = None) -> int:
@@ -288,9 +306,8 @@ def random_coprime(n: int, rng: random.Random | None = None) -> int:
     Args:
         n: the modulus.
         rng: optional seeded generator — tests pin obfuscator draws
-            with it to compare the CRT route against the full-width
-            reference; production callers leave it ``None`` for
-            system entropy.
+            with it; production callers leave it ``None`` for system
+            entropy.
     """
     while True:
         r = (rng.randrange(n - 1) if rng is not None else secrets.randbelow(n - 1)) + 1

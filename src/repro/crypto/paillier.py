@@ -16,6 +16,9 @@ Implementation notes
 * We fix the generator ``g = n + 1`` so that ``g^m = 1 + m*n (mod n^2)``,
   turning the message part of encryption into a single modular
   multiplication; the obfuscation part ``r^n mod n^2`` dominates.
+* The key holder does not raise a fresh ``r``: it draws the same uniform
+  n-th residue as a power of a fixed, verified generator, out of a
+  window table (:meth:`PaillierPrivateKey.make_obfuscator`, DESIGN §4.14).
 * Decryption uses the Chinese Remainder Theorem over ``p^2`` and ``q^2``
   which is roughly 3-4x faster than a single exponentiation mod ``n^2``.
 * An *obfuscation pool* lets callers pre-compute ``r^n mod n^2`` values
@@ -25,12 +28,11 @@ Implementation notes
 
 from __future__ import annotations
 
+import math
 import random
-import secrets
 from dataclasses import dataclass, field
 
 from repro.crypto import math_utils
-from repro.crypto.math_utils import CrtParams
 
 __all__ = [
     "PaillierPublicKey",
@@ -90,23 +92,17 @@ class PaillierPublicKey:
             obfuscator = self.make_obfuscator()
         return (g_pow_m * obfuscator) % self.n_squared
 
-    def make_obfuscator(
-        self,
-        rng: random.Random | None = None,
-        crt: CrtParams | None = None,
-    ) -> int:
+    def make_obfuscator(self, rng: random.Random | None = None) -> int:
         """Return a fresh random obfuscation factor ``r^n mod n^2``.
 
+        One full-width powmod: what a party without the factorisation
+        pays (the key holder: :meth:`PaillierPrivateKey.make_obfuscator`).
+
         Args:
-            rng: optional seeded generator for the random ``r`` (tests
-                pin it to compare the CRT route with the plain one).
-            crt: optional CRT parameters of this key's ``n^2`` — the
-                key holder passes them so the exponentiation is split;
-                the result is bit-identical either way, and exactly
-                one logical powmod is asked for.
+            rng: optional seeded generator for the random ``r``.
         """
         r = math_utils.random_coprime(self.n, rng)
-        return math_utils.powmod(r, self.n, self.n_squared, crt=crt)
+        return math_utils.powmod(r, self.n, self.n_squared)
 
     def raw_add(self, cipher_u: int, cipher_v: int) -> int:
         """HAdd: combine ciphers of ``u`` and ``v`` into a cipher of ``u+v``."""
@@ -148,25 +144,44 @@ class PaillierPrivateKey:
     Attributes:
         public_key: the matching public key.
         p, q: the prime factors of ``n``.
+        p_factors, q_factors: the prime factors of ``p - 1`` and
+            ``q - 1`` with multiplicity, as key generation supplies
+            them; a side that has its list draws obfuscators from a
+            table, a side without (keys built from bare primes) lifts
+            a random unit (:meth:`make_obfuscator`).
+
+    Raises:
+        ValueError: ``p * q`` is not the public modulus,
+            ``gcd(n, (p-1)(q-1)) != 1`` (e.g. ``p | q - 1``), or a
+            factor list is not the prime factorisation of its ``p - 1``.
     """
 
     public_key: PaillierPublicKey
     p: int = field(repr=False)
     q: int = field(repr=False)
+    p_factors: tuple[int, ...] = field(repr=False, default=(), compare=False)
+    q_factors: tuple[int, ...] = field(repr=False, default=(), compare=False)
     # CRT precomputations, filled in __post_init__.
     _p_squared: int = field(repr=False, default=0)
     _q_squared: int = field(repr=False, default=0)
     _hp: int = field(repr=False, default=0)
     _hq: int = field(repr=False, default=0)
     _q_inv_p: int = field(repr=False, default=0)
-    # Lazily built CRT constants for n^2 (crt_params()), not part of
-    # the key's identity.
-    _crt: CrtParams | None = field(repr=False, default=None, compare=False)
+    # Per side, the generator of the n-th residues modulo p^2 / q^2
+    # (None without a factor list), and the state make_obfuscator()
+    # builds from them on the first draw; not part of the key's identity.
+    _generators: tuple = field(repr=False, default=(), compare=False)
+    _draw_state: tuple | None = field(repr=False, default=None, compare=False)
 
     def __post_init__(self) -> None:
         n = self.public_key.n
         if self.p * self.q != n:
             raise ValueError("private key does not match public key")
+        if math.gcd(n, (self.p - 1) * (self.q - 1)) != 1:
+            raise ValueError(
+                "gcd(n, (p-1)(q-1)) must be 1: one prime divides the other's "
+                "p - 1, so r -> r^n is no bijection onto the n-th residues"
+            )
         p2, q2 = self.p * self.p, self.q * self.q
         object.__setattr__(self, "_p_squared", p2)
         object.__setattr__(self, "_q_squared", q2)
@@ -178,6 +193,32 @@ class PaillierPrivateKey:
             self, "_hq", self._h_function(self.q, q2)
         )
         object.__setattr__(self, "_q_inv_p", math_utils.invert(self.q, self.p))
+        generators = (
+            self._residue_generator(self.p, p2, self.p_factors),
+            self._residue_generator(self.q, q2, self.q_factors),
+        )
+        object.__setattr__(self, "_generators", generators)
+
+    @staticmethod
+    def _residue_generator(
+        prime: int, prime_squared: int, factors: tuple[int, ...]
+    ) -> int | None:
+        """``g^prime mod prime^2`` for the smallest primitive root ``g``.
+
+        It generates ``{x^prime mod prime^2}``, the n-th residues on
+        this side.  Only a verified factorisation of ``prime - 1``
+        yields one; no list, no generator (``None``: the lift route).
+        """
+        if not factors:
+            return None
+        if math.prod(factors) != prime - 1 or not all(
+            math_utils.is_probable_prime(factor) for factor in factors
+        ):
+            raise ValueError(
+                "factor list is not the prime factorisation of p - 1 for this prime"
+            )
+        root = math_utils.primitive_root(prime, factors)
+        return math_utils.powmod(root, prime, prime_squared)
 
     def _h_function(self, prime: int, prime_squared: int) -> int:
         n = self.public_key.n
@@ -189,28 +230,50 @@ class PaillierPrivateKey:
         """Paillier's ``L(x) = (x - 1) / p`` over integers."""
         return (x - 1) // prime
 
-    def crt_params(self) -> CrtParams:
-        """CRT constants for exponentiations modulo ``n^2``.
+    def make_obfuscator(self, rng: random.Random | None = None) -> int:
+        """Return a fresh obfuscation factor, drawn with the factorisation.
 
-        Built once per key (the ``q^2`` inverse is one
-        :func:`~repro.crypto.math_utils.invert`) and handed to :meth:`PaillierPublicKey.make_obfuscator`
-        so the obfuscator ``r^n mod n^2`` is computed from half-width
-        steps over ``p`` / ``p^2`` and ``q`` / ``q^2``
-        (:func:`~repro.crypto.math_utils.powmod_crt`, which records the
-        measured gain).  Only the key holder can construct these —
-        public contexts stay on the plain path.
+        Same law as :meth:`PaillierPublicKey.make_obfuscator` — a
+        uniform n-th residue modulo ``n^2`` — from a different sampler
+        (DESIGN §4.14).  Modulo ``p^2`` the n-th residues are the
+        cyclic group ``{x^p}`` of order ``p - 1``, onto which
+        ``r -> r^n`` maps ``Z_p^*`` bijectively (``gcd(q, p - 1) = 1``,
+        checked at construction).  So one side is ``G_p^a`` for a
+        uniform ``a`` and the verified generator ``G_p``, read out of a
+        fixed-base table with no ``pow``; a side without a factor list
+        lifts a uniform unit as ``y^p mod p^2``.  Garner glues the
+        sides.  Tables and the ``q^2`` inverse are built on first use.
+
+        Args:
+            rng: optional seeded generator for the two random draws.
         """
-        if self._crt is None:
-            object.__setattr__(
-                self,
-                "_crt",
-                CrtParams(
-                    p=self.p,
-                    q=self.q,
-                    q_sq_inv=math_utils.invert(self._q_squared, self._p_squared),
-                ),
-            )
-        return self._crt
+        if self._draw_state is None:
+            tables = [
+                generator
+                and math_utils.fixed_base_table(generator, prime.bit_length(), prime * prime)
+                for prime, generator in zip((self.p, self.q), self._generators)
+            ]
+            q_sq_inv = math_utils.invert(self._q_squared, self._p_squared)
+            object.__setattr__(self, "_draw_state", (*tables, q_sq_inv))
+        table_p, table_q, q_sq_inv = self._draw_state
+        return math_utils.crt_combine(
+            self._draw_residue(self.p, self._p_squared, table_p, rng),
+            self._draw_residue(self.q, self._q_squared, table_q, rng),
+            self._p_squared,
+            self._q_squared,
+            q_sq_inv,
+        )
+
+    @staticmethod
+    def _draw_residue(
+        prime: int, prime_squared: int, table: list | None, rng: random.Random | None
+    ) -> int:
+        # uniform on [1, prime): a unit to lift, or an exponent that
+        # covers every residue class modulo prime - 1 exactly once
+        draw = math_utils.random_coprime(prime, rng)
+        if table is None:
+            return math_utils.powmod(draw, prime, prime_squared)
+        return math_utils.fixed_base_powmod(table, draw, prime_squared)
 
     def raw_decrypt(self, ciphertext: int) -> int:
         """Decrypt a raw cipher back to its integer plaintext in ``[0, n)``."""
@@ -253,42 +316,22 @@ def generate_keypair(
     """
     if key_bits < 16:
         raise ValueError("key_bits must be at least 16")
-    if seed is None:
-        p, q = math_utils.generate_prime_pair(key_bits)
-    else:
-        p, q = _seeded_prime_pair(key_bits, seed)
+    rng = random.Random(seed) if seed is not None else None
+    (p, p_factors), (q, q_factors) = math_utils.generate_prime_pair(key_bits, rng)
     public = PaillierPublicKey(n=p * q)
-    private = PaillierPrivateKey(public_key=public, p=p, q=q)
+    private = PaillierPrivateKey(
+        public_key=public, p=p, q=q, p_factors=p_factors, q_factors=q_factors
+    )
     return public, private
-
-
-def _seeded_prime_pair(key_bits: int, seed: int) -> tuple[int, int]:
-    """Deterministic prime pair from a seed (tests/benchmarks only)."""
-    import random
-
-    rng = random.Random(seed)
-    half = key_bits // 2
-
-    def draw(bits: int) -> int:
-        while True:
-            candidate = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
-            if math_utils.is_probable_prime(candidate):
-                return candidate
-
-    while True:
-        p = draw(half)
-        q = draw(key_bits - half)
-        if p != q and (p * q).bit_length() == key_bits:
-            return p, q
 
 
 class ObfuscatorPool:
     """Pre-computed pool of obfuscation factors ``r^n mod n^2``.
 
-    Generating the obfuscator is the expensive part of encryption
-    (one big-int exponentiation). The pool moves that work off the
-    critical path: refill during idle periods, then encryption inside
-    the blaster loop is a couple of modular multiplications.
+    Generating the obfuscator is the expensive part of encryption. The
+    pool moves that work off the critical path: refill during idle
+    periods, then encryption inside the blaster loop is a couple of
+    modular multiplications.
 
     Draw order is deterministic given the draws themselves: the pool is
     a LIFO stack, ``refill`` appends in generation order and ``take``
@@ -298,16 +341,15 @@ class ObfuscatorPool:
     Args:
         public_key: key the obfuscators belong to.
         size: obfuscators to precompute immediately.
-        rng: optional seeded generator for the random ``r`` draws.
-        crt: optional CRT constants of this key (key holder only) —
-            forwarded to :meth:`PaillierPublicKey.make_obfuscator` so
-            each obfuscator costs four half-width exponentiations
-            instead of one full-width one, bit-identically.
+        rng: optional seeded generator for the random draws.
+        private_key: the key holder's private half — obfuscators are
+            then drawn by :meth:`PaillierPrivateKey.make_obfuscator`
+            (tabled generator powers) instead of one full-width
+            exponentiation each; same distribution.
 
     Raises:
-        ValueError: ``crt`` belongs to a different key — the dispatch
-            would ignore it and every obfuscator would silently run
-            full-width.
+        ValueError: ``private_key`` belongs to a different public key —
+            its obfuscators would be n-th residues of another modulus.
     """
 
     def __init__(
@@ -315,13 +357,12 @@ class ObfuscatorPool:
         public_key: PaillierPublicKey,
         size: int = 0,
         rng: random.Random | None = None,
-        crt: CrtParams | None = None,
+        private_key: PaillierPrivateKey | None = None,
     ) -> None:
-        if crt is not None and crt.modulus != public_key.n_squared:
-            raise ValueError("CRT constants do not belong to this public key")
-        self._public_key = public_key
+        if private_key is not None and private_key.public_key != public_key:
+            raise ValueError("private key does not belong to this public key")
+        self._make_obfuscator = (private_key or public_key).make_obfuscator
         self._rng = rng
-        self._crt = crt
         self._pool: list[int] = []
         if size:
             self.refill(size)
@@ -331,16 +372,13 @@ class ObfuscatorPool:
 
     def refill(self, count: int) -> None:
         """Generate ``count`` additional obfuscators."""
-        self._pool.extend(
-            self._public_key.make_obfuscator(self._rng, self._crt)
-            for _ in range(count)
-        )
+        self._pool.extend(self._make_obfuscator(self._rng) for _ in range(count))
 
     def take(self) -> int:
         """Pop one obfuscator, generating on demand if the pool is dry."""
         if self._pool:
             return self._pool.pop()
-        return self._public_key.make_obfuscator(self._rng, self._crt)
+        return self._make_obfuscator(self._rng)
 
 
 def derive_insecure_keypair_from_primes(
@@ -353,7 +391,3 @@ def derive_insecure_keypair_from_primes(
         raise ValueError("p and q must differ")
     public = PaillierPublicKey(n=p * q)
     return public, PaillierPrivateKey(public_key=public, p=p, q=q)
-
-
-def _secure_random_bits(bits: int) -> int:  # pragma: no cover - trivial
-    return secrets.randbits(bits)

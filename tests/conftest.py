@@ -25,14 +25,15 @@ def context() -> PaillierContext:
 
 @pytest.fixture
 def choke_calls(monkeypatch) -> list[str]:
-    """``"powmod"`` / ``"invert"`` per ``math_utils`` choke-point call, in order.
+    """The name of every ``math_utils`` choke-point call, in order.
 
-    Counted the way the end-to-end benchmark's tracer counts them: by
+    ``"powmod"``, ``"invert"`` or ``"fixed_base_powmod"`` — counted the
+    way the end-to-end benchmark's tracer counts the first two: by
     wrapping the module attributes from outside.  Clear the list
     (``del choke_calls[:]``) before the section under test.
     """
     calls: list[str] = []
-    for name in ("powmod", "invert"):
+    for name in ("powmod", "invert", "fixed_base_powmod"):
 
         def wrapper(*args, _name=name, _original=getattr(math_utils, name), **kwargs):
             calls.append(_name)

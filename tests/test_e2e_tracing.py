@@ -88,7 +88,7 @@ def test_op_stats_fields_name_the_one_ledger(tracing):
 
 
 def _traced_fit(tracing, monkeypatch, config):
-    """One traced 256-bit fit: (result, recorder, run.py's count_mismatches)."""
+    """One traced 256-bit fit: (result, recorder, run.py's metrics and count_mismatches)."""
     import numpy as np
 
     from repro.core.trainer import FederatedTrainer
@@ -109,7 +109,7 @@ def _traced_fit(tracing, monkeypatch, config):
         metrics = run.layer_metrics(
             declared, recorder, SimpleNamespace(round_trips=0, bytes_on_wire=0)
         )
-        return result, recorder, run.count_mismatches(metrics, result)
+        return result, recorder, metrics, run.count_mismatches(metrics, result)
 
 
 def _config(preset, **overrides):
@@ -130,10 +130,14 @@ def _config(preset, **overrides):
     ],
 )
 def test_traced_fit_of_the_unpacked_variants(tracing, monkeypatch, preset, overrides, visited):
-    _, recorder, mismatches = _traced_fit(
+    _, recorder, metrics, mismatches = _traced_fit(
         tracing, monkeypatch, _config(preset, **overrides)
     )
     assert mismatches == []
+    # an unbatched fit draws one obfuscator per Enc as well, and no
+    # key-holder Enc asks for a powmod
+    assert metrics["paillier.obfuscator.count"] == metrics["ciphertext.enc.count"] > 0
+    assert metrics["ciphertext.enc.powmod_s"] == 0
     totals = recorder.totals()
     assert totals[visited][0] > 0
     assert totals["enc_histogram.decrypt"][0] > 0
@@ -147,8 +151,13 @@ def test_traced_fit_of_the_default_preset_counts_every_op(tracing, monkeypatch):
     # answers one pack of the node's cross-feature slot sequence.
     config = _config("vf2boost")
     params, n_rows = config.params, 40
-    result, recorder, mismatches = _traced_fit(tracing, monkeypatch, config)
+    result, recorder, metrics, mismatches = _traced_fit(tracing, monkeypatch, config)
     assert mismatches == []
+    # Every Enc draws exactly one obfuscator, out of the key holder's
+    # generator tables: none of the fit's powmods is an encryption's.
+    assert metrics["paillier.obfuscator.count"] == metrics["ciphertext.enc.count"] == n_rows
+    assert metrics["ciphertext.enc.powmod_s"] == 0
+    assert metrics["ciphertext.dec.powmod_s"] > 0
     totals = recorder.totals()
     spans = {name: totals.get(name, (0, 0.0))[0] for name in tracing._OP_STATS_FIELDS}
     assert spans == tracing.crypto_op_counts(result.crypto_stats)

@@ -1,6 +1,7 @@
 """Unit tests for the number-theory primitives."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -44,17 +45,40 @@ class TestGeneratePrime:
         with pytest.raises(ValueError):
             math_utils.generate_prime(4)
 
+    def test_seeded_generator_replays(self):
+        first = math_utils.generate_prime(64, random.Random(8))
+        assert first == math_utils.generate_prime(64, random.Random(8))
+        assert first != math_utils.generate_prime(64, random.Random(9))
+
 
 class TestGeneratePrimePair:
     def test_product_has_requested_bits(self):
-        p, q = math_utils.generate_prime_pair(128)
-        assert (p * q).bit_length() == 128
-        assert p != q
+        for bits in (16, 17, 65, 128):
+            (p, _), (q, _) = math_utils.generate_prime_pair(bits)
+            assert (p * q).bit_length() == bits
+            assert p != q
+            assert math.gcd(p * q, (p - 1) * (q - 1)) == 1
 
     def test_primality_of_both(self):
-        p, q = math_utils.generate_prime_pair(96)
+        (p, p_factors), (q, q_factors) = math_utils.generate_prime_pair(96)
         assert math_utils.is_probable_prime(p)
         assert math_utils.is_probable_prime(q)
+        # ... and of every listed factor of p - 1 and q - 1
+        for prime, factors in ((p, p_factors), (q, q_factors)):
+            assert math.prod(factors) == prime - 1
+            assert all(math_utils.is_probable_prime(f) for f in factors)
+
+    def test_large_primes_have_the_factored_form(self):
+        # p - 1 = 2 * k * r, k below the trial-division bound, r prime
+        (p, factors), _ = math_utils.generate_prime_pair(160)
+        assert factors[0] == 2 and factors[-1].bit_length() == 80 - 16
+        assert math.prod(factors[1:-1]) < 1 << 16
+        assert p >> 78 == 3  # top two bits set
+
+    def test_seeded_draws_replay(self):
+        first = math_utils.generate_prime_pair(130, random.Random(4))
+        assert first == math_utils.generate_prime_pair(130, random.Random(4))
+        assert first != math_utils.generate_prime_pair(130, random.Random(5))
 
 
 class TestInvert:
@@ -88,22 +112,7 @@ class TestCrtCombine:
         assert combined % (p * q) == value
 
 
-class TestLcm:
-    def test_basic(self):
-        assert math_utils.lcm(4, 6) == 12
-        assert math_utils.lcm(7, 13) == 91
-
-    @given(st.integers(1, 10**6), st.integers(1, 10**6))
-    @settings(max_examples=50)
-    def test_matches_math_lcm(self, a, b):
-        assert math_utils.lcm(a, b) == math.lcm(a, b)
-
-
 class TestRandomHelpers:
-    def test_random_below_bounds(self):
-        for _ in range(50):
-            assert 0 <= math_utils.random_below(100) < 100
-
     def test_random_coprime(self):
         n = 15  # 3 * 5
         for _ in range(50):

@@ -1,11 +1,13 @@
 """Unit + property tests for the raw Paillier cryptosystem."""
 
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crypto import math_utils
 from repro.crypto.paillier import (
     ObfuscatorPool,
     PaillierPrivateKey,
@@ -33,6 +35,44 @@ class TestKeyGeneration:
         with pytest.raises(ValueError):
             generate_keypair(8)
 
+    @pytest.mark.parametrize("key_bits", [16, 33, 64, 127, 256, 511, 512])
+    def test_modulus_size_is_exact_and_factor_lists_verify(self, key_bits):
+        public, private = generate_keypair(key_bits, seed=key_bits)
+        assert public.n.bit_length() == public.key_bits == key_bits
+        assert private.p != private.q
+        for prime, factors in (
+            (private.p, private.p_factors),
+            (private.q, private.q_factors),
+        ):
+            assert math_utils.is_probable_prime(prime)
+            assert math.prod(factors) == prime - 1
+            assert all(math_utils.is_probable_prime(factor) for factor in factors)
+        again = generate_keypair(key_bits, seed=key_bits)[1]
+        assert (again.p, again.q, again.p_factors, again.q_factors) == (
+            private.p,
+            private.q,
+            private.p_factors,
+            private.q_factors,
+        )
+        assert private.raw_decrypt(public.raw_encrypt(12345 % public.n)) == (
+            12345 % public.n
+        )
+
+    def test_entropy_and_seeded_paths_run_the_same_function(self, monkeypatch):
+        handed = []
+        real = math_utils.generate_prime_pair
+
+        def spy(modulus_bits, rng=None):
+            handed.append(rng)
+            return real(modulus_bits, rng)
+
+        monkeypatch.setattr(math_utils, "generate_prime_pair", spy)
+        seeded = generate_keypair(64, seed=5)[0]
+        entropy = generate_keypair(64)[0]
+        assert isinstance(handed[0], random.Random) and handed[1] is None
+        assert seeded.key_bits == entropy.key_bits == 64
+        assert generate_keypair(64)[0].n != entropy.n
+
     def test_max_int_leaves_headroom(self):
         assert PUBLIC.max_int * 3 < PUBLIC.n
 
@@ -53,6 +93,36 @@ class TestKeyGeneration:
     def test_derive_rejects_equal_primes(self):
         with pytest.raises(ValueError):
             derive_insecure_keypair_from_primes(PRIVATE.p, PRIVATE.p)
+
+    @pytest.mark.parametrize("p, q", [(11, 23), (23, 11), (3, 7)])
+    def test_rejects_a_prime_dividing_the_other_minus_one(self, p, q):
+        # gcd(n, (p-1)(q-1)) = 1 is Paillier's precondition: without it
+        # r -> r^n is not a bijection onto the n-th residues.
+        n = p * q
+        assert len({pow(r, n, n * n) for r in range(1, n) if math.gcd(r, n) == 1}) < (
+            (p - 1) * (q - 1)
+        )
+        with pytest.raises(ValueError, match="gcd"):
+            derive_insecure_keypair_from_primes(p, q)
+
+    @pytest.mark.parametrize(
+        "p_factors, q_factors",
+        [
+            (PRIVATE.p_factors[:-1], PRIVATE.q_factors),  # truncated
+            (PRIVATE.p_factors[1:], ()),  # truncated, one-sided
+            (PRIVATE.q_factors, PRIVATE.p_factors),  # the other prime's
+            (PRIVATE.p_factors[2:] + (math.prod(PRIVATE.p_factors[:2]),), ()),  # composite
+            ((), (PRIVATE.q - 1,)),  # multiplies out, but is no factorisation
+        ],
+    )
+    def test_unverifiable_factor_list_rejected(self, p_factors, q_factors):
+        with pytest.raises(ValueError, match="not the prime factorisation"):
+            PaillierPrivateKey(PUBLIC, PRIVATE.p, PRIVATE.q, p_factors, q_factors)
+
+    def test_factor_lists_are_not_part_of_the_identity(self):
+        _, bare = derive_insecure_keypair_from_primes(PRIVATE.p, PRIVATE.q)
+        assert bare == PRIVATE and hash(bare) == hash(PRIVATE)
+        assert bare.p_factors == () != PRIVATE.p_factors
 
 
 class TestEncryptDecrypt:
@@ -210,13 +280,18 @@ class TestObfuscatorPool:
         assert first == second
 
     def test_foreign_crt_constants_rejected(self):
+        # The constants are the private key now: another key's raises.
         _, other_private = generate_keypair(256, seed=2)
-        with pytest.raises(ValueError, match="do not belong"):
-            ObfuscatorPool(PUBLIC, crt=other_private.crt_params())
-        # The key's own constants are accepted and change no draw.
-        own = ObfuscatorPool(PUBLIC, rng=random.Random(5), crt=PRIVATE.crt_params())
-        plain = ObfuscatorPool(PUBLIC, rng=random.Random(5))
-        assert own.take() == plain.take()
+        with pytest.raises(ValueError, match="does not belong"):
+            ObfuscatorPool(PUBLIC, private_key=other_private)
+        # The key's own is accepted, replays under a seed, and draws
+        # obfuscators the public route could have drawn too.
+        own = ObfuscatorPool(PUBLIC, rng=random.Random(5), private_key=PRIVATE)
+        again = ObfuscatorPool(PUBLIC, size=2, rng=random.Random(5), private_key=PRIVATE)
+        drawn = [own.take(), own.take()]
+        assert drawn == [again.take(), again.take()][::-1]
+        for obfuscator in drawn:
+            assert PRIVATE.raw_decrypt(obfuscator) == 0
 
 
 class TestPublicKeyEquality:
