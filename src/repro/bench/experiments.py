@@ -59,6 +59,18 @@ PAPER_PARAMS = GBDTParams(n_trees=20, learning_rate=0.1, n_layers=7, n_bins=20)
 # ----------------------------------------------------------------------
 # Figure 7 — crypto operation throughputs
 # ----------------------------------------------------------------------
+def _paper_scale_trace(info, params: GBDTParams):
+    """Analytic trace of a Table 3 dataset at its paper-scale descriptor."""
+    return analytic_trace(
+        info.n_instances,
+        info.features_b,
+        [info.features_a],
+        density=info.density,
+        n_bins=params.n_bins,
+        n_layers=params.n_layers,
+    )
+
+
 def run_fig7_data(key_bits: int = 512, samples: int = 48) -> dict:
     """Measure the Figure 7 throughputs; return them JSON-ready."""
     return crypto_throughputs(key_bits=key_bits, samples=samples).to_dict()
@@ -473,14 +485,7 @@ def run_table4(
         run = counted_run(name, params)
         co, b_only = _xgboost_references(run.dataset, params)
         # Timing: paper-scale analytic trace.
-        trace = analytic_trace(
-            info.n_instances,
-            info.features_b,
-            [info.features_a],
-            density=info.density,
-            n_bins=params.n_bins,
-            n_layers=params.n_layers,
-        )
+        trace = _paper_scale_trace(info, params)
         times = {
             s: get_system(s).seconds_per_tree(trace, params)
             for s in ("xgboost", "vf_mock", "vf_gbdt", "vf2boost")
@@ -538,14 +543,7 @@ def run_table5(
     results: dict[str, dict[int, float]] = {}
     for name in dataset_names:
         info = DATASETS[name]
-        trace = analytic_trace(
-            info.n_instances,
-            info.features_b,
-            [info.features_a],
-            density=info.density,
-            n_bins=params.n_bins,
-            n_layers=params.n_layers,
-        )
+        trace = _paper_scale_trace(info, params)
         config = VF2BoostConfig.vf2boost(params=params)
         times = {}
         for workers in worker_counts:
@@ -666,14 +664,7 @@ def run_resource_utilization(
     params = params or PAPER_PARAMS
     cost = CostModel.paper()
     info = DATASETS["synthesis"]
-    trace = analytic_trace(
-        info.n_instances,
-        info.features_b,
-        [info.features_a],
-        density=info.density,
-        n_bins=params.n_bins,
-        n_layers=params.n_layers,
-    )
+    trace = _paper_scale_trace(info, params)
     baseline = ProtocolScheduler(
         VF2BoostConfig.vf_gbdt(params=params), cost, PAPER_CLUSTER
     ).schedule(trace)
@@ -720,18 +711,10 @@ def run_critical_path() -> tuple[dict, str]:
     schedule makespan bit-exactly; the returned dict is the same
     ``critical_path`` section a schedule :class:`RunReport` carries.
     """
+    from repro.bench.scenario import GOLDEN_DIMS
     from repro.obs.critical import critical_gantt
 
-    params = GBDTParams(n_trees=2, learning_rate=0.1, n_layers=3, n_bins=4)
-    cost = CostModel.paper()
-    trace = analytic_trace(
-        48, 3, [3], density=1.0,
-        n_bins=params.n_bins, n_layers=params.n_layers,
-        n_trees=params.n_trees,
-    )
-    schedule = ProtocolScheduler(
-        VF2BoostConfig.vf2boost(params=params), cost, PAPER_CLUSTER
-    ).schedule(trace, collect_tasks=True)
+    schedule = GOLDEN_DIMS.schedule(collect_tasks=True)
     section = schedule.critical_path_section()
     rows = [
         (

@@ -24,12 +24,10 @@ totals and real throughput rather than per-op fingerprints.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 __all__ = [
-    "PERF_SHAPE",
-    "FAULT_SHAPE",
-    "SERVE_SHAPE",
+    "FAULT_PLAN",
     "GateResult",
     "GateVerdict",
     "PerfDB",
@@ -45,19 +43,6 @@ __all__ = [
 
 #: database file schema version
 DB_VERSION = 1
-
-#: the fixed workload shape of the op-count scenario: tiny but
-#: real-crypto, so every op total is a physically executed count
-PERF_SHAPE = {
-    "n_instances": 32,
-    "n_features": 4,
-    "n_trees": 1,
-    "n_layers": 2,
-    "n_bins": 4,
-    "key_bits": 256,
-    "blaster_batch_size": 16,
-    "seed": 20210614,
-}
 
 
 @dataclass(frozen=True)
@@ -84,7 +69,7 @@ class PerfScalar:
             raise ValueError(f"unknown direction {self.direction!r}")
 
     def to_dict(self) -> dict:
-        return {"value": self.value, "kind": self.kind, "direction": self.direction}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "PerfScalar":
@@ -146,127 +131,69 @@ class PerfDB:
 
     @classmethod
     def load(cls, path: str) -> "PerfDB":
-        """Read a database file; a missing file is an empty database."""
+        """Read a database file; a missing file is an empty database.
+
+        Raises:
+            ValueError: naming ``path`` — the file is not valid JSON,
+                was written by a newer schema version, or holds an
+                entry or scalar this build cannot read.
+        """
         try:
             with open(path) as handle:
                 data = json.load(handle)
+            version = data.get("version", DB_VERSION)
+            if version > DB_VERSION:
+                raise ValueError(
+                    f"schema version {version}; this build reads up to {DB_VERSION}"
+                )
+            return cls([PerfEntry.from_dict(item) for item in data.get("entries", [])])
         except FileNotFoundError:
             return cls()
-        return cls([PerfEntry.from_dict(item) for item in data.get("entries", [])])
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"perf database {path} cannot be read: {exc!r}") from exc
 
 
 # ----------------------------------------------------------------------
 # Scenarios
 # ----------------------------------------------------------------------
-def _train_perf_shape() -> tuple:
-    """Train the :data:`PERF_SHAPE` workload with real crypto.
+def _exact(value: float) -> PerfScalar:
+    return PerfScalar(float(value), kind="exact", direction="lower")
 
-    Returns:
-        ``(result, parties, half, totals)`` — the train result, the
-        per-party binned datasets, the active party's feature count,
-        and the summed cipher-op totals.
-    """
-    import numpy as np
 
-    from repro.core.config import VF2BoostConfig
-    from repro.core.trainer import FederatedTrainer
-    from repro.gbdt.binning import bin_dataset
-    from repro.gbdt.params import GBDTParams
-
-    shape = PERF_SHAPE
-    params = GBDTParams(
-        n_trees=shape["n_trees"],
-        n_layers=shape["n_layers"],
-        n_bins=shape["n_bins"],
-    )
-    config = VF2BoostConfig.vf2boost(
-        params=params,
-        crypto_mode="real",
-        key_bits=shape["key_bits"],
-        blaster_batch_size=shape["blaster_batch_size"],
-        seed=shape["seed"],
-    )
-    rng = np.random.default_rng(shape["seed"])
-    n, d = shape["n_instances"], shape["n_features"]
-    features = rng.normal(size=(n, d))
-    labels = ((features @ rng.normal(size=d)) > 0).astype(float)
-    full = bin_dataset(features, shape["n_bins"])
-    half = d // 2
-    parties = [
-        full.subset_features(np.arange(0, half)),
-        full.subset_features(np.arange(half, d)),
-    ]
-    result = FederatedTrainer(config).fit(parties, labels)
-
-    totals = {"enc": 0, "dec": 0, "hadd": 0, "scale": 0, "smul": 0}
-    for stats in result.crypto_stats.values():
-        totals["enc"] += stats.encryptions
-        totals["dec"] += stats.decryptions
-        totals["hadd"] += stats.additions
-        totals["scale"] += stats.scalings
-        totals["smul"] += stats.scalar_multiplications
-    return result, parties, half, totals
+#: ``ops.*`` scalar name -> :class:`~repro.crypto.ciphertext.OpStats` field
+_OP_FIELDS = {
+    "enc": "encryptions",
+    "dec": "decryptions",
+    "hadd": "additions",
+    "scale": "scalings",
+    "smul": "scalar_multiplications",
+}
 
 
 def counted_scenario() -> PerfEntry:
     """Exact scenario: counted op totals + simulated makespan.
 
-    Trains a tiny real-crypto VF2Boost run at :data:`PERF_SHAPE` (ops
-    physically execute, so :class:`OpStats` counts them exactly) and
-    prices the same shape through the analytic scheduler at paper
+    Trains the real-crypto :data:`~repro.bench.scenario.PERF` workload
+    (ops physically execute, so :class:`OpStats` counts them exactly)
+    and prices the same shape through the analytic scheduler at paper
     costs.  Every scalar is a seeded, deterministic quantity, gated
     bit-exactly.
     """
     import hashlib
 
-    from repro.bench.costmodel import CostModel
-    from repro.core.config import VF2BoostConfig
-    from repro.core.profile import analytic_trace
-    from repro.core.protocol import ProtocolScheduler
-    from repro.fed.cluster import PAPER_CLUSTER
-    from repro.gbdt.params import GBDTParams
+    from repro.bench.scenario import PERF
+    from repro.core.trainer import FederatedTrainer
 
-    shape = PERF_SHAPE
-    result, parties, half, totals = _train_perf_shape()
-    d = shape["n_features"]
-    params = GBDTParams(
-        n_trees=shape["n_trees"],
-        n_layers=shape["n_layers"],
-        n_bins=shape["n_bins"],
-    )
-    config = VF2BoostConfig.vf2boost(
-        params=params,
-        crypto_mode="real",
-        key_bits=shape["key_bits"],
-        blaster_batch_size=shape["blaster_batch_size"],
-        seed=shape["seed"],
-    )
+    config = PERF.config(crypto_mode="real")
+    parties, labels = PERF.parties()
+    result = FederatedTrainer(config).fit(parties, labels)
+    schedule = PERF.schedule(config, collect_tasks=True)
 
-    trace = analytic_trace(
-        shape["n_instances"],
-        half,
-        [d - half],
-        density=1.0,
-        n_bins=shape["n_bins"],
-        n_layers=shape["n_layers"],
-        n_trees=shape["n_trees"],
-    )
-    schedule = ProtocolScheduler(config, CostModel.paper(), PAPER_CLUSTER).schedule(
-        trace, collect_tasks=True
-    )
-    makespan = schedule.makespan
-
-    scalars = {
-        f"ops.{op}": PerfScalar(float(count), kind="exact", direction="lower")
-        for op, count in sorted(totals.items())
-    }
-    scalars["bytes_on_wire"] = PerfScalar(
-        float(result.channel.total_bytes()), kind="exact", direction="lower"
-    )
-    scalars["messages"] = PerfScalar(
-        float(sum(s.messages for s in result.channel.stats.values())),
-        kind="exact",
-        direction="lower",
+    ops = result.profile["ops"]
+    scalars = {f"ops.{op}": _exact(ops[name]) for op, name in _OP_FIELDS.items()}
+    scalars["bytes_on_wire"] = _exact(result.channel.total_bytes())
+    scalars["messages"] = _exact(
+        sum(s.messages for s in result.channel.stats.values())
     )
     # The trained model's margins on the training codes, pinned by the
     # first 48 bits of their SHA-256 as a float: exact in IEEE double,
@@ -275,144 +202,74 @@ def counted_scenario() -> PerfEntry:
         {index: party.codes for index, party in enumerate(parties)}
     )
     digest = hashlib.sha256(margins.tobytes()).hexdigest()
-    scalars["model_digest"] = PerfScalar(
-        float(int(digest[:12], 16)), kind="exact", direction="lower"
-    )
-    scalars["sim_makespan"] = PerfScalar(makespan, kind="exact", direction="lower")
+    scalars["model_digest"] = _exact(int(digest[:12], 16))
+    scalars["sim_makespan"] = _exact(schedule.makespan)
     # Per-phase and per-resource critical-path attributions of the same
     # analytic schedule: deterministic floats, gated bit-exactly.  When
     # sim_makespan regresses, these are the scalars the --explain differ
     # decomposes the delta into (which phase grew, which lane owns it).
-    for phase, seconds in sorted(schedule.phase_totals.items()):
-        scalars[f"phase.{phase}"] = PerfScalar(
-            seconds, kind="exact", direction="lower"
-        )
+    for phase, seconds in schedule.phase_totals.items():
+        scalars[f"phase.{phase}"] = _exact(seconds)
     section = schedule.critical_path_section()
-    for resource, seconds in sorted(section.get("by_resource", {}).items()):
-        scalars[f"critical.{resource}"] = PerfScalar(
-            seconds, kind="exact", direction="lower"
-        )
-    scalars["critical.wait"] = PerfScalar(
-        float(section.get("wait_seconds", 0.0)), kind="exact", direction="lower"
-    )
-    return PerfEntry(name="counted-train", scalars=scalars, meta=dict(shape))
+    for resource, seconds in section.get("by_resource", {}).items():
+        scalars[f"critical.{resource}"] = _exact(seconds)
+    scalars["critical.wait"] = _exact(section.get("wait_seconds", 0.0))
+    return PerfEntry(name="counted-train", scalars=scalars, meta=PERF.to_dict())
 
 
-#: the fixed workload + fault schedule of the recovery-cost scenario;
-#: counted crypto (models must stay bit-identical to fault-free) with a
-#: fault plan whose every decision is hash-derived, so each scalar is
-#: exact and gated bit-equally.
-FAULT_SHAPE = {
-    "n_instances": 64,
-    "n_features": 6,
-    "n_trees": 2,
-    "n_layers": 3,
-    "n_bins": 6,
-    "key_bits": 256,
-    "seed": 20210614,
+#: the fault schedule of the recovery-cost scenario, run over the
+#: :data:`~repro.bench.scenario.FAULT` workload; every decision is
+#: hash-derived, so each scalar is exact and gated bit-equally.
+FAULT_PLAN = {
     "fault_seed": 77,
-    "drop_rate": 0.1,
-    "duplicate_rate": 0.1,
-    "ack_drop_rate": 0.1,
+    "messages": {"drop_rate": 0.1, "duplicate_rate": 0.1, "ack_drop_rate": 0.1},
     "max_retries": 6,
-    "straggler_factor": 2.0,
+    "straggler": {"resource": "A1", "factor": 2.0},
     # Pause the active party across the first optimistic-split boundary
     # (~t=1.0 on this workload) so the window provably displaces task
     # starts and the recovery-overhead scalar gates a nonzero cost.
-    "pause_party": 0,
-    "pause_start": 1.0,
-    "pause_end": 1.5,
+    "pause": {"party": 0, "start": 1.0, "end": 1.5},
 }
 
 
 def faults_scenario() -> PerfEntry:
     """Exact scenario: recovery cost of a fixed fault schedule.
 
-    Trains a counted-mode run under the :data:`FAULT_SHAPE` fault plan
-    and prices a straggler + pause schedule through the fault-injected
-    scheduler.  Every scalar (resend counts, recovery-clock seconds,
-    dropped bytes, faulty makespan) is a deterministic function of the
-    seeds, so the gate catches any change in the recovery machinery's
-    cost — a resend storm, a dedupe miss, a scheduler perturbation
-    drift — bit-exactly.  The model-identity invariant itself is
-    enforced by the test suite; this entry gates the *price* of
-    recovery.
+    Trains a counted-mode run (models must stay bit-identical to
+    fault-free) under the :data:`FAULT_PLAN` message faults and prices
+    a straggler + pause schedule through the fault-injected scheduler.
+    Every scalar (resend counts, recovery-clock seconds, dropped bytes,
+    faulty makespan) is a deterministic function of the seeds, so the
+    gate catches any change in the recovery machinery's cost — a resend
+    storm, a dedupe miss, a scheduler perturbation drift — bit-exactly.
+    The model-identity invariant itself is enforced by the test suite;
+    this entry gates the *price* of recovery.
     """
-    import numpy as np
-
-    from repro.bench.costmodel import CostModel
-    from repro.core.config import VF2BoostConfig
-    from repro.core.profile import analytic_trace
-    from repro.core.protocol import ProtocolScheduler
+    from repro.bench.scenario import FAULT
     from repro.core.trainer import FederatedTrainer
-    from repro.fed.cluster import PAPER_CLUSTER
     from repro.fed.faults import FaultPlan, LaneSlowdown, PauseWindow
     from repro.fed.retry import RetryPolicy
-    from repro.gbdt.binning import bin_dataset
-    from repro.gbdt.params import GBDTParams
 
-    shape = FAULT_SHAPE
-    params = GBDTParams(
-        n_trees=shape["n_trees"],
-        n_layers=shape["n_layers"],
-        n_bins=shape["n_bins"],
-    )
-    config = VF2BoostConfig.vf2boost(
-        params=params,
-        crypto_mode="counted",
-        key_bits=shape["key_bits"],
-        seed=shape["seed"],
-    )
-    rng = np.random.default_rng(shape["seed"])
-    n, d = shape["n_instances"], shape["n_features"]
-    features = rng.normal(size=(n, d))
-    labels = ((features @ rng.normal(size=d)) > 0).astype(float)
-    full = bin_dataset(features, shape["n_bins"])
-    half = d // 2
-    parties = [
-        full.subset_features(np.arange(0, half)),
-        full.subset_features(np.arange(half, d)),
-    ]
-    plan = FaultPlan(
-        seed=shape["fault_seed"],
-        drop_rate=shape["drop_rate"],
-        duplicate_rate=shape["duplicate_rate"],
-        ack_drop_rate=shape["ack_drop_rate"],
-    )
-    result = FederatedTrainer(config).fit(
+    plan = FAULT_PLAN
+    config = FAULT.config(crypto_mode="counted")
+    parties, labels = FAULT.parties()
+    summary = FederatedTrainer(config).fit(
         parties,
         labels,
-        fault_plan=plan,
-        retry_policy=RetryPolicy(max_retries=shape["max_retries"]),
-    )
-    summary = result.faults
+        fault_plan=FaultPlan(seed=plan["fault_seed"], **plan["messages"]),
+        retry_policy=RetryPolicy(max_retries=plan["max_retries"]),
+    ).faults
 
     schedule_plan = FaultPlan(
-        seed=shape["fault_seed"],
-        slowdowns=(LaneSlowdown("A1", shape["straggler_factor"]),),
-        pauses=(
-            PauseWindow(
-                party=shape["pause_party"],
-                start=shape["pause_start"],
-                end=shape["pause_end"],
-            ),
-        ),
+        seed=plan["fault_seed"],
+        slowdowns=(LaneSlowdown(**plan["straggler"]),),
+        pauses=(PauseWindow(**plan["pause"]),),
     )
-    trace = analytic_trace(
-        shape["n_instances"],
-        half,
-        [d - half],
-        density=1.0,
-        n_bins=shape["n_bins"],
-        n_layers=shape["n_layers"],
-        n_trees=shape["n_trees"],
-    )
-    scheduler = ProtocolScheduler(config, CostModel.paper(), PAPER_CLUSTER)
-    clean_makespan = scheduler.schedule(trace).makespan
-    faulty_makespan = scheduler.schedule(trace, fault_plan=schedule_plan).makespan
+    clean_makespan = FAULT.schedule(config).makespan
+    faulty_makespan = FAULT.schedule(config, fault_plan=schedule_plan).makespan
 
     scalars = {
-        key: PerfScalar(float(summary[key]), kind="exact", direction="lower")
+        key: _exact(summary[key])
         for key in (
             "drops",
             "duplicates",
@@ -423,198 +280,66 @@ def faults_scenario() -> PerfEntry:
             "recovery_seconds",
         )
     }
-    scalars["sim_makespan_faulty"] = PerfScalar(
-        faulty_makespan, kind="exact", direction="lower"
+    scalars["sim_makespan_faulty"] = _exact(faulty_makespan)
+    scalars["sim_recovery_overhead"] = _exact(faulty_makespan - clean_makespan)
+    return PerfEntry(
+        name="faults-recovery", scalars=scalars, meta={**FAULT.to_dict(), **plan}
     )
-    scalars["sim_recovery_overhead"] = PerfScalar(
-        faulty_makespan - clean_makespan, kind="exact", direction="lower"
-    )
-    return PerfEntry(name="faults-recovery", scalars=scalars, meta=dict(shape))
-
-
-#: the fixed workload of the fleet-serving scenario: a smoke-sized
-#: model behind a 2-replica fleet replaying a seeded flash-crowd trace,
-#: plus one identical-model and one changed-model canary rollout.  The
-#: whole pipeline runs on the simulated clock, so the routed/shed and
-#: canary counts are exact; p99 is gated as measured so deliberate
-#: retunes of the SLO knobs do not require a flag day.
-SERVE_SHAPE = {
-    "n_train": 240,
-    "n_features": 8,
-    "n_trees": 3,
-    "n_layers": 4,
-    "n_bins": 8,
-    "seed": 7,
-    "n_requests": 600,
-    "rate": 300.0,
-    "trace": "flashcrowd",
-    "n_replicas": 2,
-    "n_sessions": 16,
-    "session_skew": 1.0,
-    "admission_cost": 2e-3,
-    "latency_slo": 0.15,
-    "slo_window": 32,
-    "error_budget": 0.1,
-    "burn_alert": 2.0,
-    "burn_threshold": 1.0,
-    "min_window": 16,
-    "canary_requests": 160,
-    "canary_rate": 200.0,
-    "canary_fraction": 0.25,
-    "canary_decide": 20,
-}
 
 
 def serve_fleet_scenario() -> PerfEntry:
     """Exact scenario: fleet routing/shedding + canary verdict counts.
 
-    Replays the :data:`SERVE_SHAPE` flash-crowd trace against a
-    2-replica :class:`~repro.serve.fleet.ServingFleet` with burn-rate
-    shedding, then drives one identical-model canary (must promote)
-    and one changed-model canary (must roll back on its first golden
-    mismatch, active pointer never leaving the incumbent).  Routed /
-    shed / canary-served counts and the rollout verdicts gate
-    bit-exactly; the fleet p99 gates against the sliding-window median.
+    The serving bench's own fleet and canary stages at ``--smoke`` size
+    (:data:`~repro.bench.scenario.SERVE_SMOKE`): the seeded flash-crowd
+    trace against a 2-replica fleet with burn-rate shedding, then one
+    identical-model canary (must promote) and one changed-model canary
+    (must roll back on its first golden mismatch, active pointer never
+    leaving the incumbent).  The whole pipeline runs on the simulated
+    clock, so routed / shed / canary-served counts and the rollout
+    verdicts gate bit-exactly; the fleet p99 gates as measured, against
+    the sliding-window median, so deliberate retunes of the SLO knobs do
+    not require a flag day.
     """
-    from repro.gbdt.params import GBDTParams
-    from repro.obs.metrics import MetricsRegistry, nearest_rank
-    from repro.serve.bench import _build_registry, _train
-    from repro.serve.canary import CanaryConfig, CanaryController
-    from repro.serve.fleet import FleetConfig, ServingFleet, ShedPolicy
-    from repro.serve.loadgen import LoadgenConfig, make_requests
-    from repro.serve.session import ServeConfig
-    from repro.serve.slo import SLOPolicy
+    from repro.bench.scenario import SERVE_SMOKE
+    from repro.fed.cluster import ClusterSpec
+    from repro.serve import bench
 
-    shape = SERVE_SHAPE
-    params = GBDTParams(
-        n_trees=shape["n_trees"],
-        n_layers=shape["n_layers"],
-        n_bins=shape["n_bins"],
+    model, parties = bench.train_model(SERVE_SMOKE)
+    feature_dims = {k: party.n_features for k, party in enumerate(parties)}
+    cluster = ClusterSpec()
+    fleet = bench.fleet_sweep(
+        bench.build_registry(model, parties),
+        feature_dims,
+        cluster,
+        SERVE_SMOKE.seed,
+        smoke=True,
+        trace="flashcrowd",
+        replica_counts=[2],
     )
-    model, parties = _train(
-        shape["seed"], shape["n_train"], shape["n_features"], params
-    )
-    feature_dims = {0: parties[0].n_features, 1: parties[1].n_features}
-    serve_config = ServeConfig(
-        admission_cost=shape["admission_cost"], max_queue=4096
-    )
-    requests = make_requests(
-        LoadgenConfig(
-            n_requests=shape["n_requests"],
-            feature_dims=feature_dims,
-            seed=shape["seed"] + 200,
-            mode="open",
-            rate=shape["rate"],
-            trace=shape["trace"],
-            n_sessions=shape["n_sessions"],
-            session_skew=shape["session_skew"],
-        )
-    )
-    metrics = MetricsRegistry()
-    fleet = ServingFleet(
-        _build_registry(model, parties),
-        FleetConfig(
-            n_replicas=shape["n_replicas"],
-            seed=shape["seed"],
-            shed=ShedPolicy(
-                burn_threshold=shape["burn_threshold"],
-                min_window=shape["min_window"],
-            ),
-            slo=SLOPolicy(
-                latency_slo=shape["latency_slo"],
-                window=shape["slo_window"],
-                error_budget=shape["error_budget"],
-                burn_alert=shape["burn_alert"],
-            ),
-        ),
-        serve_config=serve_config,
-        metrics_registry=metrics,
-    )
-    for request in requests:
-        fleet.submit(request)
-    completions = fleet.run()
-    served = [o for o in completions if not o.rejected]
-    counters = metrics.counters("fleet.")
-
-    canary_requests = make_requests(
-        LoadgenConfig(
-            n_requests=shape["canary_requests"],
-            feature_dims=feature_dims,
-            seed=shape["seed"] + 300,
-            mode="open",
-            rate=shape["canary_rate"],
-            n_sessions=shape["n_sessions"],
-            session_skew=shape["session_skew"],
-        )
-    )
-    bad_model, bad_parties = _train(
-        shape["seed"] + 17, shape["n_train"], shape["n_features"], params
-    )
-
-    def rollout(candidate, candidate_model, candidate_parties):
-        registry = _build_registry(model, parties)
-        registry.register(
-            candidate,
-            candidate_model,
-            bin_edges={
-                k: party.cut_points
-                for k, party in enumerate(candidate_parties)
-            },
-        )
-        controller = CanaryController(
-            registry,
-            CanaryConfig(
-                candidate=candidate,
-                traffic_fraction=shape["canary_fraction"],
-                decision_after=shape["canary_decide"],
-                seed=shape["seed"],
-            ),
-        )
-        canary_fleet = ServingFleet(
-            registry,
-            FleetConfig(
-                n_replicas=shape["n_replicas"], seed=shape["seed"], shed=None
-            ),
-            canary=controller,
-        )
-        for request in canary_requests:
-            canary_fleet.submit(request)
-        canary_fleet.run()
-        return controller, registry
-
-    identical, identical_reg = rollout("v2", model, parties)
-    bad, bad_reg = rollout("v2-bad", bad_model, bad_parties)
-
-    def exact(value: float) -> PerfScalar:
-        return PerfScalar(float(value), kind="exact", direction="lower")
+    (row,) = fleet.pop("sweep")
+    canary = bench.canary_stage(SERVE_SMOKE, model, parties, cluster, smoke=True)
+    identical, bad = canary["identical"], canary["bad"]
 
     scalars = {
-        "fleet.routed": exact(counters.get("routed", 0)),
-        "fleet.shed": exact(counters.get("shed", 0)),
-        "fleet.completed": exact(counters.get("completed", 0)),
-        "fleet.degraded": exact(counters.get("degraded", 0)),
-        "canary.identical.served": exact(identical.canary_served),
-        "canary.identical.promoted": exact(
-            1.0
-            if identical.state == "promoted"
-            and identical_reg.active().version == "v2"
-            else 0.0
-        ),
-        "canary.bad.served": exact(bad.canary_served),
-        "canary.bad.mismatches": exact(bad.mismatches),
-        "canary.bad.rolled_back": exact(
-            1.0
-            if bad.state == "rolled_back"
-            and bad_reg.active().version == "v1"
-            else 0.0
-        ),
-        "fleet.p99": PerfScalar(
-            nearest_rank((o.latency for o in served), 0.99),
-            kind="measured",
-            direction="lower",
-        ),
+        f"fleet.{key}": _exact(row[key])
+        for key in ("routed", "shed", "completed", "degraded")
     }
-    return PerfEntry(name="serve-fleet", scalars=scalars, meta=dict(shape))
+    scalars["fleet.p99"] = PerfScalar(row["p99"], kind="measured", direction="lower")
+    scalars["canary.identical.served"] = _exact(identical["canary_served"])
+    scalars["canary.identical.promoted"] = _exact(
+        identical["state"] == "promoted" and identical["active_after"] == "v2"
+    )
+    scalars["canary.bad.served"] = _exact(bad["canary_served"])
+    scalars["canary.bad.mismatches"] = _exact(bad["mismatches"])
+    scalars["canary.bad.rolled_back"] = _exact(
+        bad["state"] == "rolled_back" and bad["active_after"] == "v1"
+    )
+    return PerfEntry(
+        name="serve-fleet",
+        scalars=scalars,
+        meta={**SERVE_SMOKE.to_dict(), "n_replicas": row["replicas"], **fleet},
+    )
 
 
 def fig7_scenario(key_bits: int = 512, samples: int = 48) -> PerfEntry:
@@ -653,14 +378,7 @@ class GateVerdict:
     reason: str
 
     def to_dict(self) -> dict:
-        return {
-            "entry": self.entry,
-            "scalar": self.scalar,
-            "value": self.value,
-            "baseline": self.baseline,
-            "ok": self.ok,
-            "reason": self.reason,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -718,58 +436,31 @@ def gate(
     verdicts = []
     for entry in entries:
         history = db.history(entry.name)
-        if not history:
-            for key, scalar in sorted(entry.scalars.items()):
-                verdicts.append(
-                    GateVerdict(
-                        entry=entry.name,
-                        scalar=key,
-                        value=scalar.value,
-                        baseline=None,
-                        ok=True,
-                        reason="bootstrap: no prior entries",
-                    )
-                )
-            continue
-        latest = history[-1]
-        for key in sorted(latest.scalars):
-            if latest.scalars[key].kind == "exact" and key not in entry.scalars:
-                verdicts.append(
-                    GateVerdict(
-                        entry=entry.name,
-                        scalar=key,
-                        value=float("nan"),
-                        baseline=latest.scalars[key].value,
-                        ok=False,
-                        reason="exact scalar missing from new entry",
-                    )
+        latest = history[-1].scalars if history else {}
+
+        def judge(key, value, baseline, ok, reason):
+            verdicts.append(GateVerdict(entry.name, key, value, baseline, ok, reason))
+
+        for key in sorted(latest):
+            if latest[key].kind == "exact" and key not in entry.scalars:
+                judge(
+                    key,
+                    float("nan"),
+                    latest[key].value,
+                    False,
+                    "exact scalar missing from new entry",
                 )
         for key, scalar in sorted(entry.scalars.items()):
+            if not history:
+                judge(key, scalar.value, None, True, "bootstrap: no prior entries")
+                continue
             if scalar.kind == "exact":
-                if key not in latest.scalars:
-                    verdicts.append(
-                        GateVerdict(
-                            entry=entry.name,
-                            scalar=key,
-                            value=scalar.value,
-                            baseline=None,
-                            ok=True,
-                            reason="new exact scalar",
-                        )
-                    )
-                    continue
-                baseline = latest.scalars[key].value
-                ok = scalar.value == baseline
-                verdicts.append(
-                    GateVerdict(
-                        entry=entry.name,
-                        scalar=key,
-                        value=scalar.value,
-                        baseline=baseline,
-                        ok=ok,
-                        reason=f"exact vs {baseline:g}",
-                    )
-                )
+                if key in latest:
+                    baseline = latest[key].value
+                    ok = scalar.value == baseline
+                    judge(key, scalar.value, baseline, ok, f"exact vs {baseline:g}")
+                else:
+                    judge(key, scalar.value, None, True, "new exact scalar")
                 continue
             # Measured: sliding-window median with noise-aware tolerance.
             values = [
@@ -778,16 +469,7 @@ def gate(
                 if key in prior.scalars
             ]
             if not values:
-                verdicts.append(
-                    GateVerdict(
-                        entry=entry.name,
-                        scalar=key,
-                        value=scalar.value,
-                        baseline=None,
-                        ok=True,
-                        reason="new measured scalar",
-                    )
-                )
+                judge(key, scalar.value, None, True, "new measured scalar")
                 continue
             center = _median(values)
             spread = max(values) - min(values)
@@ -796,18 +478,13 @@ def gate(
                 ok = scalar.value >= center - tolerance
             else:
                 ok = scalar.value <= center + tolerance
-            verdicts.append(
-                GateVerdict(
-                    entry=entry.name,
-                    scalar=key,
-                    value=scalar.value,
-                    baseline=center,
-                    ok=ok,
-                    reason=(
-                        f"measured vs median {center:g} "
-                        f"+/- {tolerance:g} over {len(values)} entries"
-                    ),
-                )
+            judge(
+                key,
+                scalar.value,
+                center,
+                ok,
+                f"measured vs median {center:g} +/- {tolerance:g} "
+                f"over {len(values)} entries",
             )
     return GateResult(verdicts=tuple(verdicts))
 

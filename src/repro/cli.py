@@ -172,7 +172,9 @@ def _trace_main(argv: list[str]) -> int:
 def _whatif_main(argv: list[str]) -> int:
     """``repro whatif``: predict makespan deltas under cheaper ops."""
     import json
+    from dataclasses import replace
 
+    from repro.bench.scenario import GOLDEN_DIMS
     from repro.obs.whatif import break_even, parse_speedups, run_whatif
 
     parser = argparse.ArgumentParser(
@@ -205,11 +207,9 @@ def _whatif_main(argv: list[str]) -> int:
         help="sweep OP's speedup factor until the critical-path "
         "bottleneck shifts to another lane",
     )
-    parser.add_argument("--instances", type=int, default=None)
-    parser.add_argument("--features", type=int, default=None)
-    parser.add_argument("--trees", type=int, default=None)
-    parser.add_argument("--layers", type=int, default=None)
-    parser.add_argument("--bins", type=int, default=None)
+    dims = ("instances", "features", "trees", "layers", "bins")
+    for dim in dims:
+        parser.add_argument(f"--{dim}", type=int, default=None)
     parser.add_argument("--json", action="store_true", help="JSON output")
     args = parser.parse_args(argv)
 
@@ -219,21 +219,11 @@ def _whatif_main(argv: list[str]) -> int:
         from repro.bench.costmodel import CostModel
 
         cost = CostModel.from_profile(CalibrationProfile.load(args.profile))
-    shape = None
-    overrides = {
-        "n_instances": args.instances,
-        "n_features": args.features,
-        "n_trees": args.trees,
-        "n_layers": args.layers,
-        "n_bins": args.bins,
-    }
-    if any(value is not None for value in overrides.values()):
-        from repro.obs.whatif import DEFAULT_SHAPE
-
-        shape = dict(DEFAULT_SHAPE)
-        shape.update(
-            {key: value for key, value in overrides.items() if value is not None}
-        )
+    overrides = {f"n_{dim}": getattr(args, dim) for dim in dims}
+    scenario = replace(
+        GOLDEN_DIMS,
+        **{key: value for key, value in overrides.items() if value is not None},
+    )
     try:
         speedups = parse_speedups(args.speedup)
     except ValueError as error:
@@ -246,7 +236,7 @@ def _whatif_main(argv: list[str]) -> int:
 
     payload = {}
     if speedups:
-        result = run_whatif(speedups, shape=shape, cost=cost)
+        result = run_whatif(speedups, scenario=scenario, cost=cost)
         if args.json:
             payload["whatif"] = result.to_dict()
         else:
@@ -254,7 +244,7 @@ def _whatif_main(argv: list[str]) -> int:
                 print(line)
     if args.break_even:
         try:
-            point = break_even(args.break_even, shape=shape, cost=cost)
+            point = break_even(args.break_even, scenario=scenario, cost=cost)
         except ValueError as error:
             print(f"error: {error}", file=sys.stderr)
             return 2
@@ -378,7 +368,11 @@ def _bench_gate_main(argv: list[str]) -> int:
         entries.append(serve_fleet_scenario())
     if args.fig7:
         entries.append(fig7_scenario(key_bits=args.key_bits, samples=args.samples))
-    db = PerfDB.load(args.db)
+    try:
+        db = PerfDB.load(args.db)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     result = gate(
         db, entries, window=args.window, measured_rtol=args.measured_rtol
     )

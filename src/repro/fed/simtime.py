@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["SimTask", "Resource", "SimEngine"]
+__all__ = ["SimTask", "Resource", "SimEngine", "gantt_chart"]
 
 
 @dataclass
@@ -364,38 +364,55 @@ class SimEngine:
 
         return compute_slack(self.tasks)
 
-    def gantt(self, width: int = 72, highlight: set[int] | None = None) -> str:
-        """Render an ASCII Gantt chart of all tasks (one row per lane).
+    def gantt(self, width: int = 72) -> str:
+        """ASCII Gantt chart of all tasks (:func:`gantt_chart`)."""
+        return gantt_chart(self.tasks, width)
 
-        Args:
-            width: chart columns.
-            highlight: optional ``task_id`` set (e.g. a critical
-                path's); highlighted tasks render UPPERCASE and all
-                others lowercase, instead of the plain phase initial.
-        """
-        horizon = self.makespan
-        if horizon <= 0:
-            return "(empty schedule)"
-        rows: dict[tuple[str, int], list[SimTask]] = {}
-        for task in self.tasks:
-            rows.setdefault((task.resource, task.lane), []).append(task)
-        lines = []
-        label_width = max(len(f"{r}#{l}") for r, l in rows)
-        for (resource, lane), tasks in sorted(rows.items()):
-            cells = [" "] * width
-            for task in tasks:
-                lo = int(task.start / horizon * (width - 1))
-                hi = max(lo + 1, int(task.end / horizon * (width - 1)) + 1)
-                symbol = (task.phase or task.name or "?")[0]
-                if highlight is not None:
-                    symbol = (
-                        symbol.upper()
-                        if task.task_id in highlight
-                        else symbol.lower()
-                    )
-                for k in range(lo, min(hi, width)):
-                    cells[k] = symbol
-            label = f"{resource}#{lane}".ljust(label_width)
-            lines.append(f"{label} |{''.join(cells)}|")
-        lines.append(f"{'':{label_width}}  0{'.' * (width - 8)}{horizon:8.2f}s")
-        return "\n".join(lines)
+
+def gantt_chart(tasks, width: int = 72, on_path=None, waits=(), footer="") -> str:
+    """Render tasks as an ASCII Gantt chart, one row per lane.
+
+    Each task draws the initial of its phase over its time span.
+
+    Args:
+        tasks: the :class:`SimTask` list.
+        width: chart columns.
+        on_path: optional ``task_id`` collection (a critical path's);
+            those tasks render UPPERCASE and all others lowercase.
+        waits: wait segments (``resource`` / ``lane`` / ``start`` /
+            ``end``) drawn as ``*`` where their lane is otherwise idle.
+        footer: optional caption line under the time axis.
+    """
+    horizon = max((task.end for task in tasks), default=0.0)
+    if horizon <= 0:
+        return "(empty schedule)"
+    rows: dict[tuple[str, int], list] = {}
+    for task in tasks:
+        rows.setdefault((task.resource, task.lane), []).append(task)
+    label_width = max(len(f"{r}#{l}") for r, l in rows)
+
+    def cell_range(start: float, end: float) -> range:
+        lo = int(start / horizon * (width - 1))
+        hi = max(lo + 1, int(end / horizon * (width - 1)) + 1)
+        return range(lo, min(hi, width))
+
+    lines = []
+    for (resource, lane), row_tasks in sorted(rows.items()):
+        cells = [" "] * width
+        for task in row_tasks:
+            symbol = (task.phase or task.name or "?")[0]
+            if on_path is not None:
+                symbol = symbol.upper() if task.task_id in on_path else symbol.lower()
+            for k in cell_range(task.start, task.end):
+                cells[k] = symbol
+        for wait in waits:
+            if (wait.resource, wait.lane) == (resource, lane):
+                for k in cell_range(wait.start, wait.end):
+                    if cells[k] == " ":
+                        cells[k] = "*"
+        label = f"{resource}#{lane}".ljust(label_width)
+        lines.append(f"{label} |{''.join(cells)}|")
+    lines.append(f"{'':{label_width}}  0{'.' * (width - 8)}{horizon:8.2f}s")
+    if footer:
+        lines.append(f"{'':{label_width}}  {footer}")
+    return "\n".join(lines)

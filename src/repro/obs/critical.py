@@ -360,59 +360,28 @@ def compute_slack(tasks: Iterable) -> dict[int, float]:
     return {task.task_id: latest_end[task.task_id] - task.end for task in tasks}
 
 
-def critical_gantt(tasks: Iterable, path: CriticalPath | None = None,
-                   width: int = 72) -> str:
+def critical_gantt(tasks: Iterable, width: int = 72) -> str:
     """ASCII Gantt chart with the critical path overlaid.
 
-    Same layout as :meth:`SimEngine.gantt` (one row per lane, one
-    symbol per phase initial), but on-path tasks render UPPERCASE,
+    :func:`repro.fed.simtime.gantt_chart` with on-path tasks UPPERCASE,
     off-path tasks lowercase, and path waits as ``*`` on the stalled
     lane — so the chain that owns the makespan is visible at a glance.
     """
+    from repro.fed.simtime import gantt_chart
+
     tasks = list(tasks)
-    if not tasks:
-        return "(empty schedule)"
-    if path is None:
-        path = critical_path(tasks)
-    on_path = path.task_ids
-    horizon = max(task.end for task in tasks)
-    if horizon <= 0:
-        return "(empty schedule)"
-    rows: dict[tuple[str, int], list] = {}
-    for task in tasks:
-        rows.setdefault((task.resource, task.lane), []).append(task)
-    label_width = max(len(f"{r}#{l}") for r, l in rows)
-
-    def cell_range(start: float, end: float) -> range:
-        lo = int(start / horizon * (width - 1))
-        hi = max(lo + 1, int(end / horizon * (width - 1)) + 1)
-        return range(lo, min(hi, width))
-
-    lines = []
+    path = critical_path(tasks)
     waits = [s for s in path.segments if s.kind == "wait" and s.duration > 0]
-    for (resource, lane), row_tasks in sorted(rows.items()):
-        cells = [" "] * width
-        for task in row_tasks:
-            symbol = (task.phase or task.name or "?")[0]
-            symbol = (
-                symbol.upper() if task.task_id in on_path else symbol.lower()
-            )
-            for k in cell_range(task.start, task.end):
-                cells[k] = symbol
-        for wait in waits:
-            if (wait.resource, wait.lane) != (resource, lane):
-                continue
-            for k in cell_range(wait.start, wait.end):
-                if cells[k] == " ":
-                    cells[k] = "*"
-        label = f"{resource}#{lane}".ljust(label_width)
-        lines.append(f"{label} |{''.join(cells)}|")
-    lines.append(f"{'':{label_width}}  0{'.' * (width - 8)}{horizon:8.2f}s")
-    lines.append(
-        f"{'':{label_width}}  critical path UPPERCASE, waits *; "
-        f"path = {path.total:.2f}s over {len(on_path)} tasks"
+    return gantt_chart(
+        tasks,
+        width,
+        on_path=path.task_ids,
+        waits=waits,
+        footer=(
+            "critical path UPPERCASE, waits *; "
+            f"path = {path.total:.2f}s over {len(path.task_ids)} tasks"
+        ),
     )
-    return "\n".join(lines)
 
 
 def critical_path_section(

@@ -9,7 +9,8 @@ while all functional tests stay green — the model is still correct, it
 is just secretly more expensive.
 
 This module trains a tiny (but real-crypto: every Paillier operation
-physically executes) two-party run at a fixed shape for the full
+physically executes) two-party run at the fixed
+:data:`~repro.bench.scenario.GOLDEN` workload for the full
 VF2Boost configuration and the SecureBoost-style unoptimized baseline,
 and reduces each run to its exact cost fingerprint: per-party
 Enc/Dec/HAdd/Scale/SMul counts, bytes on the wire, and per-message-type
@@ -30,62 +31,10 @@ from __future__ import annotations
 import json
 import sys
 
-import numpy as np
+__all__ = ["golden_fingerprint", "golden_fingerprints"]
 
-__all__ = ["GOLDEN_SHAPE", "golden_fingerprint", "golden_fingerprints"]
-
-#: the fixed workload shape every golden count is pinned at
-GOLDEN_SHAPE = {
-    "n_instances": 48,
-    "n_features": 6,
-    "n_trees": 2,
-    "n_layers": 3,
-    "n_bins": 4,
-    "key_bits": 256,
-    "blaster_batch_size": 16,
-    "seed": 20210614,  # the paper's SIGMOD publication date
-}
-
-
-def _variant_config(variant: str):
-    """The named protocol variant at the golden shape."""
-    from repro.core.config import VF2BoostConfig
-    from repro.gbdt.params import GBDTParams
-
-    params = GBDTParams(
-        n_trees=GOLDEN_SHAPE["n_trees"],
-        n_layers=GOLDEN_SHAPE["n_layers"],
-        n_bins=GOLDEN_SHAPE["n_bins"],
-    )
-    common = dict(
-        params=params,
-        crypto_mode="real",
-        key_bits=GOLDEN_SHAPE["key_bits"],
-        blaster_batch_size=GOLDEN_SHAPE["blaster_batch_size"],
-        seed=GOLDEN_SHAPE["seed"],
-    )
-    if variant == "vf2boost":
-        return VF2BoostConfig.vf2boost(**common)
-    if variant == "secureboost":
-        return VF2BoostConfig.vf_gbdt(**common)
-    raise ValueError(f"unknown golden variant {variant!r}")
-
-
-def _golden_dataset():
-    """The fixed two-party vertical partition (seeded, shape-pinned)."""
-    from repro.gbdt.binning import bin_dataset
-
-    rng = np.random.default_rng(GOLDEN_SHAPE["seed"])
-    n, d = GOLDEN_SHAPE["n_instances"], GOLDEN_SHAPE["n_features"]
-    features = rng.normal(size=(n, d))
-    labels = ((features @ rng.normal(size=d)) > 0).astype(float)
-    full = bin_dataset(features, GOLDEN_SHAPE["n_bins"])
-    half = d // 2
-    parties = [
-        full.subset_features(np.arange(0, half)),  # Party B (active)
-        full.subset_features(np.arange(half, d)),  # Party A (passive)
-    ]
-    return parties, labels
+#: guarded variant -> :class:`VF2BoostConfig` preset
+_PRESETS = {"vf2boost": "vf2boost", "secureboost": "vf_gbdt"}
 
 
 def golden_fingerprint(variant: str) -> dict:
@@ -95,10 +44,12 @@ def golden_fingerprint(variant: str) -> dict:
     per-party op counts, total/bytes-per-direction wire accounting and
     per-message-type byte totals.
     """
+    from repro.bench.scenario import GOLDEN
     from repro.core.trainer import FederatedTrainer
 
-    parties, labels = _golden_dataset()
-    result = FederatedTrainer(_variant_config(variant)).fit(parties, labels)
+    config = GOLDEN.config(_PRESETS[variant], crypto_mode="real")
+    parties, labels = GOLDEN.parties()
+    result = FederatedTrainer(config).fit(parties, labels)
     channel = result.channel
     return {
         "ops": {
@@ -119,12 +70,11 @@ def golden_fingerprint(variant: str) -> dict:
 
 def golden_fingerprints() -> dict:
     """Fingerprints of every guarded variant, plus the shape they pin."""
+    from repro.bench.scenario import GOLDEN
+
     return {
-        "shape": dict(GOLDEN_SHAPE),
-        "variants": {
-            variant: golden_fingerprint(variant)
-            for variant in ("vf2boost", "secureboost")
-        },
+        "shape": GOLDEN.to_dict(),
+        "variants": {variant: golden_fingerprint(variant) for variant in _PRESETS},
     }
 
 

@@ -73,16 +73,6 @@ _FIG7_SCALARS = {
     ),
 }
 
-#: default workload: the golden 48x6 two-tree scenario every other
-#: regression guard in the repo is pinned to (obs/golden.py)
-DEFAULT_SHAPE = {
-    "n_instances": 48,
-    "n_features": 6,
-    "n_trees": 2,
-    "n_layers": 3,
-    "n_bins": 4,
-}
-
 #: break-even sweep grid (geometric-ish, deterministic)
 _FACTOR_GRID = (1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0,
                 32.0, 48.0, 64.0, 96.0, 128.0)
@@ -140,7 +130,6 @@ class _Summary:
     phases: dict
     by_resource: dict
     bottleneck: str
-    wait_seconds: float
 
 
 def _summarize(result) -> _Summary:
@@ -151,7 +140,6 @@ def _summarize(result) -> _Summary:
         phases=dict(sorted(result.phase_totals.items())),
         by_resource=dict(section.get("by_resource", {})),
         bottleneck=section.get("bottleneck", ""),
-        wait_seconds=float(section.get("wait_seconds", 0.0)),
     )
 
 
@@ -245,38 +233,9 @@ class WhatIfResult:
         return out
 
 
-def _schedule(shape: dict, cost, cluster, config=None):
-    """Price the shape's analytic trace with task collection on."""
-    from repro.core.config import VF2BoostConfig
-    from repro.core.profile import analytic_trace
-    from repro.core.protocol import ProtocolScheduler
-    from repro.gbdt.params import GBDTParams
-
-    if config is None:
-        config = VF2BoostConfig.vf2boost(
-            params=GBDTParams(
-                n_trees=shape["n_trees"],
-                n_layers=shape["n_layers"],
-                n_bins=shape["n_bins"],
-            ),
-        )
-    half = shape["n_features"] // 2
-    trace = analytic_trace(
-        shape["n_instances"],
-        half,
-        [shape["n_features"] - half],
-        density=1.0,
-        n_bins=shape["n_bins"],
-        n_layers=shape["n_layers"],
-        n_trees=shape["n_trees"],
-    )
-    scheduler = ProtocolScheduler(config, cost, cluster)
-    return scheduler.schedule(trace, collect_tasks=True)
-
-
 def run_whatif(
     speedups: dict[str, float],
-    shape: dict | None = None,
+    scenario=None,
     cost=None,
     cluster=None,
     config=None,
@@ -285,29 +244,33 @@ def run_whatif(
 
     Args:
         speedups: op-family factors (:func:`parse_speedups` output).
-        shape: workload dims (defaults to :data:`DEFAULT_SHAPE`).
+        scenario: the :class:`~repro.bench.scenario.Scenario` to price
+            (default :data:`~repro.bench.scenario.GOLDEN_DIMS`, the
+            golden 48x6 two-tree workload every other regression guard
+            is pinned to, at the paper's key size).
         cost: baseline :class:`CostModel` (default ``CostModel.paper()``
             — pass ``CostModel.from_profile(...)`` to explore from a
             host calibration instead).
         cluster: :class:`ClusterSpec` (default the paper's §6.1 one).
-        config: protocol config override (default vf2boost at shape).
+        config: protocol config override (default vf2boost at scenario).
     """
     from repro.bench.costmodel import CostModel
+    from repro.bench.scenario import GOLDEN_DIMS
     from repro.fed.cluster import PAPER_CLUSTER
 
-    shape = dict(shape or DEFAULT_SHAPE)
+    scenario = scenario or GOLDEN_DIMS
     cost = cost or CostModel.paper()
     cluster = cluster or PAPER_CLUSTER
-    baseline = _schedule(shape, cost, cluster, config=config)
-    variant = _schedule(
-        shape,
+    baseline = scenario.schedule(config, cost, cluster, collect_tasks=True)
+    variant = scenario.schedule(
+        config,
         perturb_cost(cost, speedups),
         _perturb_cluster(cluster, speedups),
-        config=config,
+        collect_tasks=True,
     )
     return WhatIfResult(
         speedups=dict(speedups),
-        shape=shape,
+        shape=scenario.dims(),
         baseline=_summarize(baseline),
         variant=_summarize(variant),
     )
@@ -315,7 +278,7 @@ def run_whatif(
 
 def break_even(
     op: str,
-    shape: dict | None = None,
+    scenario=None,
     cost=None,
     cluster=None,
     config=None,
@@ -333,28 +296,20 @@ def break_even(
     if op not in SPEEDUP_TARGETS:
         known = ", ".join(sorted(SPEEDUP_TARGETS))
         raise ValueError(f"unknown op family {op!r} (known: {known})")
-    result = None
+    point = {"op": op, "factor": None}
     for factor in _FACTOR_GRID:
         result = run_whatif(
-            {op: factor}, shape=shape, cost=cost, cluster=cluster,
+            {op: factor}, scenario=scenario, cost=cost, cluster=cluster,
             config=config,
         )
         if result.bottleneck_shifted:
-            return {
-                "op": op,
-                "factor": factor,
-                "bottleneck_before": result.baseline.bottleneck,
-                "bottleneck_after": result.variant.bottleneck,
-                "makespan_before": result.baseline.makespan,
-                "makespan_after": result.variant.makespan,
-                "speedup_at_shift": result.predicted_speedup,
-            }
-    return {
-        "op": op,
-        "factor": None,
-        "bottleneck_before": result.baseline.bottleneck if result else "",
-        "bottleneck_after": result.variant.bottleneck if result else "",
-        "makespan_before": result.baseline.makespan if result else 0.0,
-        "makespan_after": result.variant.makespan if result else 0.0,
-        "speedup_at_shift": result.predicted_speedup if result else 1.0,
-    }
+            point["factor"] = factor
+            break
+    point.update(
+        bottleneck_before=result.baseline.bottleneck,
+        bottleneck_after=result.variant.bottleneck,
+        makespan_before=result.baseline.makespan,
+        makespan_after=result.variant.makespan,
+        speedup_at_shift=result.predicted_speedup,
+    )
+    return point

@@ -35,17 +35,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
-from repro.core.config import VF2BoostConfig
+from repro.bench.scenario import SERVE_FULL, SERVE_SMOKE, Scenario
 from repro.core.inference import FederatedPredictor
 from repro.core.trainer import ACTIVE, FederatedTrainer
 from repro.fed.channel import RecordingChannel
 from repro.fed.cluster import ClusterSpec
 from repro.fed.messages import RouteQuery
-from repro.gbdt.binning import bin_dataset
-from repro.gbdt.params import GBDTParams
 from repro.obs import (
     AlertEngine,
     EventLog,
@@ -72,35 +71,39 @@ from repro.fed.retry import RetryPolicy
 from repro.serve.session import ServeConfig, ServingRuntime
 from repro.serve.slo import SLOPolicy, SLOWatcher
 
-__all__ = ["run_bench", "main"]
+__all__ = [
+    "build_registry",
+    "canary_stage",
+    "fleet_sweep",
+    "main",
+    "run_bench",
+    "train_model",
+]
 
 
-def _train(seed: int, n_train: int, n_features: int, params: GBDTParams):
-    """Train the demo model over a two-party vertical partition."""
-    rng = np.random.default_rng(seed)
-    features = rng.normal(size=(n_train, n_features))
-    labels = ((features @ rng.normal(size=n_features)) > 0).astype(float)
-    full = bin_dataset(features, params.n_bins)
-    half = n_features // 2
-    parties = [
-        full.subset_features(np.arange(half, n_features)),  # Party B (active)
-        full.subset_features(np.arange(0, half)),  # Party A (passive)
-    ]
-    config = VF2BoostConfig.vf2boost(params=params, crypto_mode="counted")
+def train_model(scenario: Scenario):
+    """Train the demo model; the *second* half of the columns is Party B's."""
+    parties, labels = scenario.parties()
+    parties.reverse()
+    config = scenario.config(crypto_mode="counted")
     result = FederatedTrainer(config).fit(parties, labels)
     return result.model, parties
 
 
-def _build_registry(
-    model, parties, event_log=None, event_labels=None
-) -> ModelRegistry:
-    registry = ModelRegistry(event_log=event_log, event_labels=event_labels)
+def _register(registry: ModelRegistry, version: str, model, parties) -> None:
     registry.register(
-        "v1",
+        version,
         model,
         bin_edges={k: party.cut_points for k, party in enumerate(parties)},
         calibration_codes={k: party.codes for k, party in enumerate(parties)},
     )
+
+
+def build_registry(
+    model, parties, event_log=None, event_labels=None
+) -> ModelRegistry:
+    registry = ModelRegistry(event_log=event_log, event_labels=event_labels)
+    _register(registry, "v1", model, parties)
     registry.activate("v1")
     return registry
 
@@ -162,7 +165,7 @@ def _naive_baseline(
     }
 
 
-def _fleet_sweep(
+def fleet_sweep(
     registry: ModelRegistry,
     feature_dims: dict[int, int],
     cluster: ClusterSpec,
@@ -293,16 +296,12 @@ def _fleet_sweep(
     }
 
 
-def _canary_stage(
+def canary_stage(
+    scenario: Scenario,
     model,
     parties,
-    feature_dims: dict[int, int],
     cluster: ClusterSpec,
-    seed: int,
     smoke: bool,
-    params: GBDTParams,
-    n_train: int,
-    n_features: int,
     event_log=None,
 ) -> dict:
     """Two rollouts through the canary state machine.
@@ -315,10 +314,11 @@ def _canary_stage(
     rolls back, and the active pointer never leaves v1 (zero promoted
     traffic).
     """
-    bad_model, bad_parties = _train(seed + 17, n_train, n_features, params)
+    seed = scenario.seed
+    bad_model, bad_parties = train_model(replace(scenario, seed=seed + 17))
     load = LoadgenConfig(
         n_requests=160 if smoke else 600,
-        feature_dims=feature_dims,
+        feature_dims={k: party.n_features for k, party in enumerate(parties)},
         seed=seed + 300,
         mode="open",
         rate=200.0,
@@ -329,20 +329,10 @@ def _canary_stage(
 
     def rollout(candidate: str, candidate_model, candidate_parties) -> dict:
         arm = {"scenario": "canary", "arm": candidate}
-        registry = _build_registry(
+        registry = build_registry(
             model, parties, event_log=event_log, event_labels=arm
         )
-        registry.register(
-            candidate,
-            candidate_model,
-            bin_edges={
-                k: party.cut_points
-                for k, party in enumerate(candidate_parties)
-            },
-            calibration_codes={
-                k: party.codes for k, party in enumerate(candidate_parties)
-            },
-        )
+        _register(registry, candidate, candidate_model, candidate_parties)
         controller = CanaryController(
             registry,
             CanaryConfig(
@@ -406,19 +396,12 @@ def run_bench(
             the path lands in the RunReport under
             ``artifacts["events"]``.
     """
-    if smoke:
-        params = GBDTParams(n_trees=3, n_layers=4, n_bins=8)
-        n_train, n_features = 240, 8
-        n_requests = n_requests or 48
-        concurrency = concurrency or 16
-    else:
-        params = GBDTParams(n_trees=6, n_layers=5, n_bins=16)
-        n_train, n_features = 600, 16
-        n_requests = n_requests or 400
-        concurrency = concurrency or 32
+    scenario = replace(SERVE_SMOKE if smoke else SERVE_FULL, seed=seed)
+    n_requests = n_requests or (48 if smoke else 400)
+    concurrency = concurrency or (16 if smoke else 32)
 
-    model, parties = _train(seed, n_train, n_features, params)
-    registry = _build_registry(model, parties)
+    model, parties = train_model(scenario)
+    registry = build_registry(model, parties)
     cluster = ClusterSpec()
     serve_config = ServeConfig(max_batch_size=64, max_delay=0.005)
 
@@ -476,9 +459,10 @@ def run_bench(
     version = registry.active()
     max_diff = 0.0
     exact = True
+    by_id = {request.request_id: request for request in requests}
     for outcome in completions:
         reference = naive["margins"][outcome.request_id]
-        request = requests_by_id(requests)[outcome.request_id]
+        request = by_id[outcome.request_id]
         codes = {
             party: version.bin_rows(party, block)
             for party, block in sorted(request.rows.items())
@@ -548,7 +532,7 @@ def run_bench(
 
     # --- fleet sweep + canary rollout ---------------------------------
     replica_counts = replicas or ([1, 2] if smoke else [1, 2, 4, 8])
-    fleet_report = _fleet_sweep(
+    fleet_report = fleet_sweep(
         registry,
         feature_dims,
         cluster,
@@ -558,17 +542,8 @@ def run_bench(
         replica_counts,
         event_log=event_log,
     )
-    fleet_report["canary"] = _canary_stage(
-        model,
-        parties,
-        feature_dims,
-        cluster,
-        seed,
-        smoke,
-        params,
-        n_train,
-        n_features,
-        event_log=event_log,
+    fleet_report["canary"] = canary_stage(
+        scenario, model, parties, cluster, smoke, event_log=event_log
     )
 
     batched_rt_1k = snapshot["per_1k_predictions"]["round_trips"]
@@ -578,8 +553,8 @@ def run_bench(
             "seed": seed,
             "n_requests": n_requests,
             "concurrency": concurrency,
-            "n_trees": params.n_trees,
-            "n_layers": params.n_layers,
+            "n_trees": scenario.n_trees,
+            "n_layers": scenario.n_layers,
             "max_batch_size": serve_config.max_batch_size,
             "max_delay": serve_config.max_delay,
         },
@@ -653,11 +628,6 @@ def run_bench(
         if report_out:
             run_report.save(report_out)
     return report
-
-
-def requests_by_id(requests) -> dict[int, object]:
-    """Index a request list by request id."""
-    return {request.request_id: request for request in requests}
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -7,6 +7,8 @@ keep the full real-crypto protocol tests fast.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,26 @@ from repro.crypto import math_utils
 from repro.crypto.ciphertext import PaillierContext
 from repro.gbdt.binning import bin_dataset
 from repro.gbdt.params import GBDTParams
+
+
+@pytest.fixture(scope="session")
+def repo_index():
+    """The ``repro`` package parsed once for every static-analysis test."""
+    from repro.analysis.astutils import PackageIndex
+
+    return PackageIndex(Path(__file__).parent.parent / "src" / "repro")
+
+
+@pytest.fixture(scope="session")
+def repo_reporter():
+    """One full analyzer run over the repository (what ``--strict`` gates).
+
+    Passes keep their state in the reporter, so tests may read it
+    freely but must not mutate it.
+    """
+    from repro.analysis.cli import run_analysis
+
+    return run_analysis()
 
 
 @pytest.fixture(scope="session")

@@ -23,7 +23,6 @@ from repro.analysis.sarif import render_sarif
 from repro.fed.simtime import SimTask
 
 FIXTURES = Path(__file__).parent / "analysis_fixtures"
-REPRO_ROOT = Path(__file__).parent.parent / "src" / "repro"
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -117,8 +116,8 @@ class TestDomainChecker:
         reporter = domains.run(PackageIndex(pkg, package="pkg"))
         assert reporter.findings == []
 
-    def test_repo_scans_clean(self):
-        reporter = domains.run(PackageIndex(REPRO_ROOT))
+    def test_repo_scans_clean(self, repo_index):
+        reporter = domains.run(repo_index)
         assert reporter.findings == []
 
 
@@ -203,19 +202,19 @@ class TestRaceDetector:
 
 
 class TestConformance:
-    def test_repo_checks_clean(self):
+    def test_repo_checks_clean(self, repo_index):
         reporter = conformance.check(
-            PackageIndex(REPRO_ROOT),
+            repo_index,
             GOLDEN / "disclosure_conformance.json",
             opcounts_path=GOLDEN / "opcounts.json",
         )
         assert reporter.findings == []
 
-    def test_bad_wire_ledger_fires_pb003(self):
+    def test_bad_wire_ledger_fires_pb003(self, repo_index):
         with open(FIXTURES / "bad_wire_ledger.json") as handle:
             ledger = json.load(handle)
         reporter = conformance.check(
-            PackageIndex(REPRO_ROOT),
+            repo_index,
             GOLDEN / "disclosure_conformance.json",
             opcounts_path=GOLDEN / "opcounts.json",
             ledger=ledger,
@@ -227,23 +226,21 @@ class TestConformance:
         # Expected-but-vanished types are reported too.
         assert any("never sent" in m for m in messages)
 
-    def test_missing_artifact_fires_pb003(self, tmp_path):
-        reporter = conformance.check(
-            PackageIndex(REPRO_ROOT), tmp_path / "absent.json"
-        )
+    def test_missing_artifact_fires_pb003(self, tmp_path, repo_index):
+        reporter = conformance.check(repo_index, tmp_path / "absent.json")
         assert any(
             f.rule_id == "PB003" and "missing" in f.message
             for f in reporter.findings
         )
 
-    def test_stale_artifact_fires_pb003(self, tmp_path):
+    def test_stale_artifact_fires_pb003(self, tmp_path, repo_index):
         stale = tmp_path / "stale.json"
         with open(GOLDEN / "disclosure_conformance.json") as handle:
             artifact = json.load(handle)
         artifact["runtime_allowlist"] = artifact["runtime_allowlist"][:-1]
         stale.write_text(json.dumps(artifact))
         reporter = conformance.check(
-            PackageIndex(REPRO_ROOT), stale, opcounts_path=GOLDEN / "opcounts.json"
+            repo_index, stale, opcounts_path=GOLDEN / "opcounts.json"
         )
         assert any(
             f.rule_id == "PB003" and "stale" in f.message
@@ -459,15 +456,31 @@ class TestCliV2:
         assert rc == 1
         assert "SCH101" in out and "SCH102" in out and "SCH103" in out
 
-    def test_wire_ledger_flag_fails_strict(self, capsys):
-        rc = main(
-            [
-                "--no-schedule",
-                "--strict",
-                "--wire-ledger",
-                str(FIXTURES / "bad_wire_ledger.json"),
-            ]
-        )
+    def test_wire_ledger_flag_fails_strict(
+        self, capsys, monkeypatch, repo_index, repo_reporter
+    ):
+        # The flag's own work is load-and-forward.  What it forwards to
+        # here is the session's shared scan plus PB003's runtime leg on
+        # the forwarded ledger, so the repository is not scanned again.
+        ledger_path = FIXTURES / "bad_wire_ledger.json"
+
+        def shared_scan(root, package, wire_ledger, **_):
+            assert root is None and package == "repro"
+            assert wire_ledger == json.loads(ledger_path.read_text())
+            merged = Reporter()
+            merged.extend(repo_reporter)
+            merged.extend(
+                conformance.check(
+                    repo_index,
+                    GOLDEN / "disclosure_conformance.json",
+                    opcounts_path=GOLDEN / "opcounts.json",
+                    ledger=wire_ledger,
+                )
+            )
+            return merged
+
+        monkeypatch.setattr("repro.analysis.cli.run_analysis", shared_scan)
+        rc = main(["--no-schedule", "--strict", "--wire-ledger", str(ledger_path)])
         assert rc == 1
         assert "PB003" in capsys.readouterr().out
 
@@ -498,6 +511,8 @@ class TestCliV2:
         assert "total" in err
 
     def test_full_strict_run_under_budget(self, capsys):
+        # The one end-to-end run of the CI gate; every other repository
+        # assertion reads the session's repo_index / repo_reporter.
         t0 = time.perf_counter()
         rc = main(["--strict"])
         elapsed = time.perf_counter() - t0

@@ -5,6 +5,8 @@ to the schedule makespan — is checked on hand-built engines, on the
 golden 48x6 two-tree scenario, and under fault injection.
 """
 
+from pathlib import Path
+
 import pytest
 
 from repro.bench.costmodel import CostModel
@@ -13,7 +15,7 @@ from repro.core.profile import analytic_trace
 from repro.core.protocol import ProtocolScheduler
 from repro.fed.cluster import PAPER_CLUSTER
 from repro.fed.faults import FaultPlan, FaultyEngine, LaneSlowdown, PauseWindow
-from repro.fed.simtime import SimEngine
+from repro.fed.simtime import SimEngine, gantt_chart
 from repro.gbdt.params import GBDTParams
 from repro.obs.critical import (
     CriticalPath,
@@ -169,7 +171,7 @@ class TestFaultInjectedPath:
         engine = self.faulty_engine()
         assert engine.gantt() == self.faulty_engine().gantt()
         on_path = set(critical_path(engine.tasks).task_ids)
-        chart = engine.gantt(highlight=on_path)
+        chart = gantt_chart(engine.tasks, on_path=on_path)
         assert chart != engine.gantt()
         assert any(ch.isupper() for ch in chart)
 
@@ -222,6 +224,31 @@ class TestCriticalGantt:
         chart = critical_gantt(tasks)
         assert "critical path UPPERCASE" in chart
         assert any(ch.isupper() for ch in chart)
+
+    def test_charts_byte_identical_to_pinned(self, golden):
+        """Both renderings of the golden schedule, as taken at PR 20."""
+        from repro.bench.experiments import run_critical_path
+
+        pinned = Path(__file__).parent / "golden"
+        assert golden.gantt == (pinned / "schedule_gantt.txt").read_text()
+        assert run_critical_path()[1] == (
+            pinned / "critical_rendered.txt"
+        ).read_text()
+
+    def test_waits_drawn_on_the_stalled_lane(self):
+        plan = FaultPlan(pauses=(PauseWindow(party=1, start=0.0, end=1.0),))
+        engine = FaultyEngine(plan)
+        engine.submit("A1", 0.5, phase="Hist", name="hist")
+        assert engine.gantt(width=24) == (
+            "A1#0 |               HHHHHHHHH|\n"
+            "      0................    1.50s"
+        )
+        assert critical_gantt(engine.tasks, width=24) == (
+            "A1#0 |***************HHHHHHHHH|\n"
+            "      0................    1.50s\n"
+            "      critical path UPPERCASE, waits *; path = 1.50s over 1 tasks"
+        )
+        assert critical_gantt([]) == SimEngine().gantt() == "(empty schedule)"
 
     def test_section_empty_without_graphs(self):
         assert critical_path_section([]) == {}

@@ -10,6 +10,7 @@ import pytest
 from repro import cli
 from repro.bench.costmodel import CostModel
 from repro.bench.perfdb import PerfDB, PerfEntry
+from repro.bench.scenario import GOLDEN, GOLDEN_DIMS
 from repro.obs import RunReport, Span, Tracer
 from repro.obs.forensics import (
     Contribution,
@@ -20,7 +21,6 @@ from repro.obs.forensics import (
 )
 from repro.obs.trace_export import write_chrome_trace
 from repro.obs.whatif import (
-    DEFAULT_SHAPE,
     parse_speedups,
     perturb_cost,
     run_whatif,
@@ -158,11 +158,11 @@ class TestWhatIf:
         first = run_whatif({"powmod": 2.0}).to_dict()
         second = run_whatif({"powmod": 2.0}).to_dict()
         assert first == second
-        assert first["shape"] == dict(sorted(DEFAULT_SHAPE.items()))
+        assert first["shape"] == dict(sorted(GOLDEN.dims().items()))
 
     def test_large_shape_speeds_up(self):
-        shape = dict(DEFAULT_SHAPE, n_instances=20000, n_features=10)
-        result = run_whatif({"powmod": 8.0}, shape=shape)
+        scenario = dataclasses.replace(GOLDEN_DIMS, n_instances=20000, n_features=10)
+        result = run_whatif({"powmod": 8.0}, scenario=scenario)
         assert result.predicted_speedup > 1.0
         assert result.predicted_makespan_delta < 0.0
 

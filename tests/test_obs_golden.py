@@ -16,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.obs.golden import GOLDEN_SHAPE, golden_fingerprints
+from repro.bench.scenario import GOLDEN
+from repro.obs.golden import golden_fingerprints
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "opcounts.json"
 
@@ -33,7 +34,7 @@ def actual():
 
 class TestGoldenOpCounts:
     def test_shape_matches_checked_in_shape(self, expected, actual):
-        assert actual["shape"] == expected["shape"] == GOLDEN_SHAPE
+        assert actual["shape"] == expected["shape"] == GOLDEN.to_dict()
 
     @pytest.mark.parametrize("variant", ["vf2boost", "secureboost"])
     def test_fingerprint_matches(self, expected, actual, variant):
@@ -91,14 +92,10 @@ class TestDisclosureConformance:
     def artifact(self):
         return json.loads(self.ARTIFACT_PATH.read_text())
 
-    def test_artifact_matches_static_extraction(self, artifact):
-        from repro.analysis.astutils import PackageIndex
+    def test_artifact_matches_static_extraction(self, artifact, repo_index):
         from repro.analysis.conformance import build_artifact
 
-        import repro
-
-        index = PackageIndex(Path(repro.__file__).parent)
-        fresh = build_artifact(index, GOLDEN_PATH)
+        fresh = build_artifact(repo_index, GOLDEN_PATH)
         assert artifact == fresh, (
             "tests/golden/disclosure_conformance.json is stale; regenerate "
             "with PYTHONPATH=src python -m repro.analysis --emit-conformance"
@@ -128,7 +125,7 @@ class TestDisclosureConformance:
         from repro.analysis.taint import DECLARED_DISCLOSURES
         from repro.crypto.packing import GradHessLayout
 
-        layout = GradHessLayout(GOLDEN_SHAPE["key_bits"], 48, 1.0, 0.25)
+        layout = GradHessLayout(GOLDEN.key_bits, GOLDEN.n_instances, 1.0, 0.25)
         assert layout.encode([0.0], [0.0]) == [0]
         assert sorted(DECLARED_DISCLOSURES) == artifact["declared_disclosures"]
         assert not DECLARED_DISCLOSURES & set(artifact["label_derived"])

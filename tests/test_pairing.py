@@ -418,12 +418,10 @@ class TestSchedulerIntegration:
         assert pair.bytes_per_tree < 0.5 * base.bytes_per_tree
 
     def test_whatif_prices_packs_from_the_layout(self):
-        from repro.obs.whatif import DEFAULT_SHAPE, run_whatif
+        from repro.bench.scenario import GOLDEN_DIMS
+        from repro.obs.whatif import run_whatif
 
-        params = GBDTParams(
-            n_trees=DEFAULT_SHAPE["n_trees"], n_layers=DEFAULT_SHAPE["n_layers"],
-            n_bins=DEFAULT_SHAPE["n_bins"],
-        )
+        params = GOLDEN_DIMS.params()
         # 4 bins: one pack per feature at the default floor, four when a
         # 1024-bit floor leaves room for one bin per 2048-bit cipher.
         narrow = run_whatif({"dec": 2.0}, config=VF2BoostConfig(params=params))

@@ -53,6 +53,22 @@ class TestPerfDB:
         db = PerfDB.load(tmp_path / "nope.json")
         assert db.entries == []
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"version": 1, "entries": [{"name": "a", "scal',  # truncated
+            '{"version": 1, "entries": [{"scalars": {}}]}',  # no name
+            '{"version": 1, "entries": [{"name": "a", "scalars": '
+            '{"ops": {"value": 1.0, "unit": "s"}}}]}',  # unknown scalar key
+            '{"version": 9, "entries": []}',  # written by a newer schema
+        ],
+    )
+    def test_damaged_file_raises_value_error_naming_path(self, tmp_path, text):
+        path = tmp_path / "perf.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="perf.json"):
+            PerfDB.load(path)
+
     def test_save_load_round_trip(self, tmp_path):
         db = PerfDB()
         db.append(entry(ops=exact(4), thr=measured(9.0)))

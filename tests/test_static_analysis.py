@@ -266,13 +266,14 @@ class TestReportingLayer:
 class TestRepoGate:
     """The repository itself must stay clean — this is the CI gate."""
 
-    def test_repo_passes_strict_analysis(self, capsys):
-        rc = main(["--strict"])
-        out = capsys.readouterr().out
-        assert rc == 0, f"static analysis gate failed:\n{out}"
+    def test_repo_passes_strict_analysis(self, repo_reporter):
+        # The exit code of the real CLI run is asserted once, in
+        # test_analysis_v2.py::TestCliV2::test_full_strict_run_under_budget.
+        rendered = "\n".join(f.render() for f in repo_reporter.sorted_findings())
+        assert not rendered, f"static analysis gate failed:\n{rendered}"
 
-    def test_repo_taint_and_crypto_and_determinism_clean(self):
-        reporter = run_analysis(with_schedule=False)
+    def test_repo_taint_and_crypto_and_determinism_clean(self, repo_reporter):
+        reporter = repo_reporter
         assert reporter.findings == []
         # The deliberate disclosures are suppressed, not silently absent.
         suppressed_rules = {f.rule_id for f in reporter.suppressed}
