@@ -62,7 +62,7 @@ def test_pack_width_sweep(benchmark, record_result):
     record_result(
         "ablation_pack_width",
         format_table(
-            ["limb floor M", "bin bits 2L", "bins per cipher t", "tree time (s)"],
+            ["limb floor M", "bin bits (stride)", "bins per cipher t", "tree time (s)"],
             rows, title="Ablation — packing limb width (S=2048)",
         ),
     )

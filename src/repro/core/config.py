@@ -44,8 +44,10 @@ class VF2BoostConfig:
             ``reordered_accumulation`` act only when this is off.
         key_bits: Paillier modulus size ``S`` (paper: 2048; tests use
             small keys — algebraically identical).
-        limb_bits: floor ``M`` under the width of one packed bin
-            (paper: 64); the bin is as wide as its two value limbs need.
+        limb_bits: floor ``M`` under the stride of one packed bin
+            (paper: 64); above it the bin is exactly as wide as its two
+            sums, ``L_g + L_h`` bits (at the 2^32 scale always more than
+            64, so the default never binds).
         exponent_jitter: width ``E`` of the encoding exponent window
             (paper observes 4-8 distinct exponents).
         blaster_batch_size: instances per blaster batch.

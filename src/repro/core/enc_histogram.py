@@ -177,9 +177,10 @@ class PackedHistogram:
     Attributes:
         packs: the node's ``D * (s - 1)`` prefix-sum slots, feature-major
             (feature 0's first ``s - 1`` prefixes, then feature 1's, ...),
-            ``layout.capacity`` to a cipher; every slot holds a shifted
-            gradient prefix sum in its low limb and a hessian prefix sum
-            in its high limb.
+            ``layout.capacity`` to a cipher, ``layout.stride`` bits
+            apart; every slot holds a shifted gradient prefix sum in its
+            low ``L_g`` bits and a hessian prefix sum in the ``L_h``
+            above them.
         layout: limb widths, scale and shift rule both sides share.
         n_features / n_bins: ``D`` and ``s``, needed to unpack.
         n_instances: instances on the node (sizes the gradient shift).
@@ -226,12 +227,7 @@ def pack_histogram(
             slots.append(running)
     return PackedHistogram(
         packs=[
-            pack_ciphers(
-                context,
-                slots[start : start + capacity],
-                layout.stride,
-                top_bits=layout.slot_bits,
-            )
+            pack_ciphers(context, slots[start : start + capacity], layout.stride)
             for start in range(0, len(slots), capacity)
         ],
         layout=layout,
@@ -257,24 +253,39 @@ def unpack_histogram(
     beyond.
 
     Raises:
-        PackedHistogramError: when the packs do not hold exactly
-            ``D * (s - 1)`` slots, a slot is wider than
-            ``layout.slot_bits``, a feature's hessian prefixes decrease
-            or pass the node's own ``sum h``, or a gradient prefix
-            leaves ``[0, 2 * shift]``.
+        PackedHistogramError: when a pack's ``limb_bits``, ``exponent``
+            or ``count`` is not the layout's (checked before anything is
+            decrypted: the slicing trusts the layout, not the sender),
+            the packs do not hold exactly ``D * (s - 1)`` slots, a
+            plaintext has bits above its pack's slots, a slot is wider
+            than ``layout.slot_bits``, a feature's hessian prefixes
+            decrease or pass the node's own ``sum h``, or a gradient
+            prefix leaves ``[0, 2 * shift]``.
     """
     layout = packed.layout
     scale = layout.scale
     shift = layout.shift(packed.n_instances)
     d, s = packed.n_features, packed.n_bins
     width = s - 1
+    header = (layout.stride, layout.exponent)
+    for pack in packed.packs:
+        in_range = 1 <= pack.count <= layout.capacity
+        if (pack.limb_bits, pack.exponent) != header or not in_range:
+            raise PackedHistogramError(
+                f"{pack.count} slots of {pack.limb_bits} bits at exponent "
+                f"{pack.exponent}: the layout packs 1..{layout.capacity} of "
+                f"{layout.stride} bits at exponent {layout.exponent}"
+            )
     held = sum(pack.count for pack in packed.packs)
     if held != d * width:
         raise PackedHistogramError(
             f"packs hold {held} slots, a node of {d} features x {s} bins "
             f"ships {d * width}"
         )
-    slots = [slot for pack in packed.packs for slot in unpack_values(context, pack)]
+    try:
+        slots = [slot for pack in packed.packs for slot in unpack_values(context, pack)]
+    except ValueError as error:  # a cipher outside the key's range or a pack's slots
+        raise PackedHistogramError(str(error)) from error
     if any(slot.bit_length() > layout.slot_bits for slot in slots):
         raise PackedHistogramError(
             f"a slot is wider than the layout's {layout.slot_bits} bits"

@@ -20,8 +20,10 @@ change only the *task graph*:
 * **histogram packing** puts ``(g, h)`` in one cipher per instance
   (half the Enc, gradient bytes and BuildHistA additions) and divides
   the A->B histogram bytes and the decryption count by the pack width
-  ``t`` of :class:`~repro.crypto.packing.GradHessLayout` at an
-  ``O(bins * (T_HADD + T_SMUL))`` packing cost on Party A (§5.2).
+  ``t = (S - 3) // stride`` of
+  :class:`~repro.crypto.packing.GradHessLayout` (a slot is as wide as
+  its two sums and a cipher is filled with them, nothing held back) at
+  an ``O(bins * (T_HADD + T_SMUL))`` packing cost on Party A (§5.2).
   Party A handles ``s - 1`` bins per feature there (B owns the last
   prefix sum, the node total): a node ships
   ``layout.packs_per_node(D, s)`` ciphers, packing costs ``slots -
@@ -519,7 +521,8 @@ class ProtocolScheduler:
                         # Horner: one HAdd + one SMul by 2**stride per
                         # slot but the last of each pack, after the
                         # prefix adds; the unit SMul cost is quoted for
-                        # a 2**M radix.
+                        # a 2**M radix (M = 64) and an SMul is `stride`
+                        # squarings.
                         horner = self._held_bins(party) - packs
                         prefix_adds = party.n_features * (party.n_bins - 2)
                         pack_work = (

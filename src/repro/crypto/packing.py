@@ -42,7 +42,6 @@ __all__ = [
     "GradientRangeError",
     "pack_capacity",
     "pack_ciphers",
-    "required_limb_bits",
     "unpack_values",
     "DEFAULT_LIMB_BITS",
 ]
@@ -58,6 +57,11 @@ class PackedCipher:
     The first packed value occupies the lowest limb. ``exponent`` is
     the shared fixed-point exponent of the packed values so the
     receiver can decode the unpacked integers back to floats.
+
+    A pack has no arithmetic: it travels pack -> message ->
+    :func:`unpack_values` and is never added to, scaled or re-packed,
+    which is why :func:`pack_capacity` may fill the plaintext to the
+    last usable bit.
     """
 
     ciphertext: int
@@ -77,70 +81,45 @@ def pack_capacity(
 ) -> int:
     """Max number of limbs that fit one plaintext without overflow.
 
-    One *full limb* of headroom is reserved on top of the packed
-    integer.  A capacity-``t`` pack occupies at most ``(t - 1) *
-    limb_bits + top_bits`` bits (``top_bits`` bounds the magnitude of
-    the *last-packed* value; it defaults to ``limb_bits``, the
-    conservative full-magnitude case), so ``t`` must satisfy
+    A ``t``-limb pack is below ``2**((t - 1) * limb_bits + top_bits)``
+    (``top_bits`` bounds the bit-length of the *last-packed* value and
+    defaults to ``limb_bits``), so the largest ``t`` with
 
-        ``(t - 1) * limb_bits + top_bits + limb_bits <= bit_length(max_int) - 1``
+        ``(t - 1) * limb_bits + top_bits <= bit_length(max_int) - 1``
 
-    The headroom limb is what keeps a pack safely inside the positive
-    encoding range even after a homomorphic addition of two such packs
-    — without it, a boundary-sized key (``usable`` an exact multiple of
-    ``limb_bits``) lets ``pack + pack`` spill past ``max_int`` into the
-    dead zone / negative range and every limb decodes corrupted.  (An
-    earlier revision reserved only one *bit*, which a single carried
-    bit of HAdd growth already consumes.)
+    keeps every pack inside the positive encoding range, ``<=
+    max_int``.  Nothing is held back on top: a :class:`PackedCipher` is
+    only ever decrypted, never summed with another.
 
     Args:
         public_key: key whose plaintext space bounds the pack.
         limb_bits: ``M``, the limb stride.
-        top_bits: bound on the bit-length of every packed value
-            (callers that pack shifted prefix sums know their values
-            are far below ``2**M`` and pass the true bound, buying back
-            a limb of capacity).  Must be in ``[1, limb_bits]``.
+        top_bits: tighter bound on the last value, in ``[1, limb_bits]``.
 
     Raises:
         ValueError: when ``top_bits`` is out of range, or when not even
-            one limb plus its limb of headroom fits the key's plaintext
-            space — packing with such a key would silently overflow
-            into the negative encoding range.
+            one limb fits the key's plaintext space — packing with such
+            a key would silently overflow into the negative encoding
+            range.
     """
     return _capacity(public_key.max_int.bit_length() - 1, limb_bits, top_bits)
 
 
 def _capacity(usable: int, limb_bits: int, top_bits: int | None = None) -> int:
-    """The headroom rule of :func:`pack_capacity` on ``usable`` plaintext bits."""
+    """The rule of :func:`pack_capacity` on ``usable`` plaintext bits."""
     if top_bits is None:
         top_bits = limb_bits
     elif not 1 <= top_bits <= limb_bits:
         raise ValueError(
             f"top_bits must be in [1, {limb_bits}] (limb_bits), got {top_bits}"
         )
-    capacity = (usable - top_bits) // limb_bits
-    if capacity < 1:
+    if usable < top_bits:
         raise ValueError(
-            f"key too small to pack any limb: {usable} usable "
-            f"plaintext bits are fewer than one {limb_bits}-bit limb plus "
-            "its limb of headroom; use a larger key or a narrower limb_bits"
+            f"key too small to pack any limb: {usable} usable plaintext "
+            f"bits are fewer than one {top_bits}-bit limb; use a larger "
+            "key or a narrower limb_bits"
         )
-    return capacity
-
-
-def required_limb_bits(
-    max_abs_value: float, base: int, max_exponent: int, configured: int
-) -> int:
-    """Smallest limb width that can hold the largest packed integer.
-
-    The largest packed integer is ``round(max_abs_value * B**e_max)``;
-    two bits of slack sit on top of it, and the width never drops below
-    ``configured``.
-    """
-    if max_abs_value <= 0:
-        return configured
-    required = math.ceil(math.log2(max_abs_value) + max_exponent * math.log2(base)) + 2
-    return max(configured, required)
+    return (usable - top_bits) // limb_bits + 1
 
 
 class GradientRangeError(ValueError):
@@ -155,14 +134,17 @@ class GradientRangeError(ValueError):
 class GradHessLayout:
     """Two-limb plaintext layout of one instance's ``(g, h)``.
 
-    One instance is the integer ``round(h * B**e) * 2**L + round(g *
+    One instance is the integer ``round(h * B**e) * 2**L_g + round(g *
     B**e)`` at the one fixed exponent ``e`` of the default encoding: the
-    hessian in the high limb, the *signed* gradient in the low one.  Sums of up to ``max_count``
-    such integers keep both limbs apart once ``shift(count)`` has been
-    added (DESIGN.md has the no-carry proof), so a histogram bin is one
-    cipher, accumulated by plain HAdds with nothing to align, and a
-    shifted prefix-sum bin is a non-negative ``2L``-bit slot that
-    :func:`pack_ciphers` packs ``capacity`` to a cipher.
+    hessian in the high limb, the *signed* gradient in the low one.
+    With ``G = ceil(grad_bound * B**e)`` and ``H = ceil(hess_bound *
+    B**e)``, a sum of ``count <= N`` such integers plus ``shift(count)``
+    has ``0 <= sum g + count * G <= 2 * N * G < 2**L_g`` and ``0 <= sum h
+    <= N * H < 2**L_h`` (DESIGN.md §4.15 has the no-carry proof), so a
+    histogram bin is one cipher, accumulated by plain HAdds with nothing
+    to align, and a shifted prefix-sum bin is a non-negative
+    ``slot_bits``-bit slot that :func:`pack_ciphers` packs ``capacity``
+    to a cipher, ``stride`` bits apart.
 
     Attributes:
         key_bits: Paillier modulus size ``S``; a modulus of exactly
@@ -171,12 +153,15 @@ class GradHessLayout:
         max_count: most instances ever summed into one cipher (``N``).
         grad_bound / hess_bound: ``|g| <= grad_bound`` and
             ``0 <= h <= hess_bound`` (the loss's declared bounds).
-        min_stride: floor ``M`` under the slot width ``2L``.
-        limb_bits: ``L``, sized from the larger of ``2 * N * grad_bound``
-            and ``N * hess_bound`` by :func:`required_limb_bits`.
-        slot_bits: bits of the largest slot value, ``L`` plus the bits
-            of ``N * hess_bound * B**e`` (the ``top_bits`` of a pack).
-        capacity: slots per cipher, one slot of headroom reserved.
+        min_stride: floor ``M`` under the stride.
+        limb_bits: ``L_g = bit_length(2 * N * G)``, the gradient limb and
+            the bit the hessian starts at.
+        slot_bits: ``L_g + L_h`` with ``L_h = bit_length(N * H)``, the
+            bits of the largest slot value.
+        stride: bits from one packed slot to the next,
+            ``max(min_stride, slot_bits)``.
+        capacity: slots per cipher, ``(S - 3) // stride``: a pack is
+            below ``2**(capacity * stride) <= 2**(S - 3) <= max_int``.
 
     Raises:
         ValueError: when not even one slot fits the plaintext space.
@@ -189,6 +174,7 @@ class GradHessLayout:
     min_stride: int = DEFAULT_LIMB_BITS
     limb_bits: int = field(init=False)
     slot_bits: int = field(init=False)
+    stride: int = field(init=False)
     capacity: int = field(init=False)
 
     base: ClassVar[int] = DEFAULT_BASE
@@ -197,22 +183,14 @@ class GradHessLayout:
     scale: ClassVar[int] = DEFAULT_BASE**DEFAULT_EXPONENT
 
     def __post_init__(self) -> None:
-        largest = self.max_count * max(2.0 * self.grad_bound, self.hess_bound)
-        limb_bits = required_limb_bits(
-            largest, self.base, self.exponent, -(-self.min_stride // 2)
-        )
+        limb_bits = (2 * self.shift(self.max_count)).bit_length()
         hess_limit = self.max_count * math.ceil(self.hess_bound * self.scale)
         slot_bits = limb_bits + hess_limit.bit_length()
+        stride = max(self.min_stride, slot_bits)
         object.__setattr__(self, "limb_bits", limb_bits)
         object.__setattr__(self, "slot_bits", slot_bits)
-        object.__setattr__(
-            self, "capacity", _capacity(self.key_bits - 3, 2 * limb_bits, slot_bits)
-        )
-
-    @property
-    def stride(self) -> int:
-        """Bits per packed bin: two limbs."""
-        return 2 * self.limb_bits
+        object.__setattr__(self, "stride", stride)
+        object.__setattr__(self, "capacity", _capacity(self.key_bits - 3, stride))
 
     def packs_per_node(self, n_features: int, n_bins: int) -> int:
         """Packed ciphers one node's histogram travels in.
@@ -320,6 +298,10 @@ def unpack_values(context: PaillierContext, packed: PackedCipher) -> list[int]:
 
     Returns:
         The ``count`` non-negative integers, first-packed first.
+
+    Raises:
+        ValueError: when the plaintext has bits above its ``count``
+            limbs: not a pack of ``count`` values under this key.
     """
     number = EncryptedNumber(context, packed.ciphertext, packed.exponent)
     plaintext = context.decrypt_raw(number)
@@ -328,4 +310,8 @@ def unpack_values(context: PaillierContext, packed: PackedCipher) -> list[int]:
     for _ in range(packed.count):
         values.append(plaintext & mask)
         plaintext >>= packed.limb_bits
+    if plaintext:
+        raise ValueError(
+            f"plaintext overflows its {packed.count} limbs of {packed.limb_bits} bits"
+        )
     return values

@@ -129,10 +129,7 @@ LEDGER_SHAPES = {
 }
 
 
-@pytest.fixture(params=sorted(LEDGER_SHAPES))
-def ledger_workload(request):
-    """One ledger shape as ``(parties, labels, real-crypto packed config)``."""
-    rows, d_a, bins, layers, key_bits = LEDGER_SHAPES[request.param]
+def _ledger_workload(rows, d_a, bins, layers, key_bits):
     rng = np.random.default_rng(1)
     features = rng.normal(size=(rows, 4 + d_a))
     labels = 1.0 / (1.0 + np.exp(-features[:, 0] - features[:, 4]))
@@ -148,3 +145,15 @@ def ledger_workload(request):
         optimistic_split=False,
     )
     return parties, labels, config
+
+
+@pytest.fixture(params=sorted(LEDGER_SHAPES))
+def ledger_workload(request):
+    """One ledger shape as ``(parties, labels, real-crypto packed config)``."""
+    return _ledger_workload(*LEDGER_SHAPES[request.param])
+
+
+@pytest.fixture()
+def make_ledger_workload():
+    """:func:`ledger_workload`'s recipe for a shape of the caller's choosing."""
+    return _ledger_workload

@@ -15,7 +15,7 @@ from repro.core.enc_histogram import (
     unpack_histogram,
 )
 from repro.crypto.ciphertext import PaillierContext
-from repro.crypto.packing import GradHessLayout, required_limb_bits
+from repro.crypto.packing import GradHessLayout
 from repro.gbdt.binning import bin_dataset
 from repro.gbdt.histogram import build_histogram
 from repro.gbdt.params import GBDTParams
@@ -130,10 +130,10 @@ class TestPackUnpackHistogram:
     def test_wire_size_shrinks(self):
         dataset, _, _, pairs, layout = _pair_setup(n=30, d=2, n_bins=8)
         encrypted, packed = _packed(dataset, np.arange(30), pairs, layout)
-        assert layout.capacity == 2
+        assert layout.capacity == 3  # 253 usable bits, 73-bit slots
         # 2 features x 7 shipped bins: no feature's last bin is built.
         assert encrypted.cipher_count() == 14
-        assert packed.cipher_count() == 7
+        assert packed.cipher_count() == 5
 
     def test_one_decryption_per_pack(self):
         dataset, _, _, pairs, layout = _pair_setup(n=20, d=1, n_bins=6)
@@ -171,12 +171,12 @@ class TestPackUnpackHistogram:
         assert packed.layout.shift(packed.n_instances) == 25 * 16**8
 
     def test_packs_fill_across_features(self):
-        # 5 features x 3 shipped bins = 15 slots in 8 ciphers of 2, where
+        # 5 features x 4 shipped bins = 20 slots in 7 ciphers of 3, where
         # per-feature packs would have cost 5 x 2.
-        dataset, grads, hess, pairs, layout = _pair_setup(n=12, d=5, n_bins=4)
+        dataset, grads, hess, pairs, layout = _pair_setup(n=12, d=5, n_bins=5)
         rows = np.arange(12)
         _, packed = _packed(dataset, rows, pairs, layout)
-        assert [pack.count for pack in packed.packs] == [2] * 7 + [1]
+        assert [pack.count for pack in packed.packs] == [3] * 6 + [2]
         recovered = unpack_histogram(CTX, packed, pairs.total(rows))
         reference = build_histogram(dataset, rows, grads, hess)
         assert np.allclose(recovered.grad, reference.grad, atol=1e-7)
@@ -253,6 +253,40 @@ class TestPackedIntegrity:
         with pytest.raises(PackedHistogramError, match="cannot belong"):
             self._unpack(dataclasses.replace(packed, packs=packs))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("limb_bits", LAYOUT.stride - 1),  # slices across slot borders
+            ("limb_bits", LAYOUT.stride + 1),
+            ("exponent", LAYOUT.exponent - 1),
+            ("count", 0),
+            ("count", LAYOUT.capacity + 1),  # reads slots nobody packed
+        ],
+    )
+    def test_pack_header_is_not_the_layouts(self, field, value):
+        # limb_bits / exponent / count are the sender's words; B slices
+        # by its own layout and decrypts nothing it would mis-slice.
+        packed = self._packed()
+        for position in (0, len(packed.packs) - 1):
+            packs = list(packed.packs)
+            packs[position] = dataclasses.replace(packs[position], **{field: value})
+            before = self.HOME.stats.snapshot()
+            with pytest.raises(PackedHistogramError, match="the layout packs"):
+                self._unpack(dataclasses.replace(packed, packs=packs))
+            assert self.HOME.stats.diff(before).decryptions == 0
+
+    def test_slot_counts_that_only_add_up(self):
+        # [t + 1, t - 1, ...] holds the right total; each pack is checked.
+        packed = self._packed()
+        first, second = packed.packs[:2]
+        packs = [
+            dataclasses.replace(first, count=first.count + 1),
+            dataclasses.replace(second, count=second.count - 1),
+            *packed.packs[2:],
+        ]
+        with pytest.raises(PackedHistogramError, match="the layout packs"):
+            self._unpack(dataclasses.replace(packed, packs=packs))
+
 
 class TestSiblingBySubtraction:
     """``parent - small`` stands in for the large child's own histogram."""
@@ -304,16 +338,3 @@ class TestSiblingBySubtraction:
             assert gains[got.feature, got.bin_index] == pytest.approx(
                 want.gain, abs=1e-9
             )
-
-
-class TestRequiredLimbBits:
-    def test_grows_with_magnitude(self):
-        small = required_limb_bits(10.0, 16, 8, 16)
-        large = required_limb_bits(1e9, 16, 8, 16)
-        assert large > small >= 16
-
-    def test_respects_configured_floor(self):
-        assert required_limb_bits(1.0, 16, 2, 64) == 64
-
-    def test_zero_magnitude(self):
-        assert required_limb_bits(0.0, 16, 8, 48) == 48

@@ -23,32 +23,45 @@ class TestPackCapacity:
 
     def test_paper_configuration(self):
         # S=2048, M=64 -> t = 32 per the paper's S/M bound. Our space is
-        # n/3 (~ S - 1.6 bits) minus one full limb of HAdd headroom, so
-        # two limbs drop off the paper's figure.
+        # n/3 (2045 usable bits), filled to the last whole limb.
         from repro.crypto.paillier import generate_keypair
 
         pub, _ = generate_keypair(2048, seed=6)
-        assert pack_capacity(pub, 64) == 30
+        assert pack_capacity(pub, 64) == 31
 
     def test_full_limb_headroom_at_exact_boundary(self):
-        # Synthetic modulus placing the usable bit count exactly at a
-        # multiple of the limb width: max_int = 2**192, usable = 192.
-        # This is the boundary where the old one-*bit* reservation left
-        # zero headroom: a maximal 3-limb pack decoded fine alone (the
-        # bug was latent) but a single HAdd of two such packs spilled
-        # past max_int into the dead zone, corrupting every limb.
-        from repro.crypto.paillier import PaillierPublicKey
+        # A maximal pack at an exact-boundary modulus decrypts unreduced.
+        # The two smallest primes above sqrt(3 * 2**192) give max_int just
+        # past 2**192: usable = 192 = 3 * 64.  PR 10 held a whole limb
+        # back here for a pack (+) pack HAdd; no code path adds packs (a
+        # PackedCipher has no arithmetic), so all three limbs are used.
+        import math
 
-        pub = PaillierPublicKey(3 * (2**192 + 1))
-        usable = pub.max_int.bit_length() - 1
-        assert usable == 192 and usable % 64 == 0
-        maximal_old = (1 << (3 * 64)) - 1  # the old formula allowed 3 limbs
-        assert maximal_old <= pub.max_int < 2 * maximal_old
-        # The full-limb reservation gives 2 limbs, and a maximal 2-limb
-        # pack survives the same HAdd with room to spare.
-        assert pack_capacity(pub, 64) == 2
-        maximal_new = (1 << (2 * 64)) - 1
-        assert 2 * maximal_new <= pub.max_int
+        from repro.crypto import math_utils
+        from repro.crypto.encoding import EncodedNumber
+        from repro.crypto.paillier import derive_insecure_keypair_from_primes
+
+        primes = []
+        candidate = math.isqrt(3 * 2**192) + 1
+        while len(primes) < 2:
+            candidate += 1
+            if math_utils.is_probable_prime(candidate):
+                primes.append(candidate)
+        pub, priv = derive_insecure_keypair_from_primes(*primes)
+        assert pub.max_int.bit_length() - 1 == 192
+        assert pack_capacity(pub, 64) == 3
+        context = PaillierContext(pub, priv, jitter=1)
+        top = (1 << 64) - 1
+        ciphers = [
+            context.encrypt_encoded(EncodedNumber(pub, top, 0, context.encoder.base))
+            for _ in range(3)
+        ]
+        packed = pack_ciphers(context, ciphers, limb_bits=64)
+        maximal = (1 << 192) - 1
+        assert maximal <= pub.max_int < 2 * maximal
+        assert unpack_values(context, packed) == [top] * 3
+        with pytest.raises(ValueError, match="capacity is 3"):
+            pack_ciphers(context, ciphers + ciphers[:1], limb_bits=64)
 
     def test_tighter_top_bound_buys_capacity(self):
         # Callers that know their packed values are far below 2**M get
@@ -129,14 +142,51 @@ class TestPackValidation:
 
     def test_over_capacity_rejected(self):
         capacity = pack_capacity(CTX.public_key, 32)
+        assert capacity == 7  # 253 usable bits, no limb held back
         ciphers = [CTX.encrypt(1.0, exponent=0) for _ in range(capacity + 1)]
-        with pytest.raises(ValueError):
+        assert unpack_values(CTX, pack_ciphers(CTX, ciphers[:-1], limb_bits=32)) == [1] * 7
+        with pytest.raises(ValueError, match="capacity is 7"):
             pack_ciphers(CTX, ciphers, limb_bits=32)
 
     def test_mixed_exponents_rejected(self):
         ciphers = [CTX.encrypt(1.0, exponent=2), CTX.encrypt(1.0, exponent=3)]
         with pytest.raises(ValueError):
             pack_ciphers(CTX, ciphers, limb_bits=32)
+
+
+class TestPackedCipherIsInert:
+    """What lets a pack fill the plaintext: nothing ever adds two packs."""
+
+    def test_a_pack_has_no_arithmetic(self):
+        import dataclasses
+        import operator
+
+        packed = pack_ciphers(CTX, [CTX.encrypt(1.0, exponent=0)], limb_bits=32)
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(TypeError):
+                op(packed, packed)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            packed.count = 2
+
+    def test_packs_are_made_by_the_packer_only(self):
+        from pathlib import Path
+
+        import repro
+
+        makers = {
+            path.name
+            for path in Path(repro.__file__).parent.rglob("*.py")
+            if "PackedCipher(" in path.read_text()
+        }
+        assert makers == {"packing.py"}
+
+    def test_plaintext_above_the_limbs_is_refused(self):
+        import dataclasses
+
+        ciphers = [CTX.encrypt(float(v), exponent=0) for v in (1, 2, 3)]
+        packed = pack_ciphers(CTX, ciphers, limb_bits=32)
+        with pytest.raises(ValueError, match="overflows its 2 limbs"):
+            unpack_values(CTX, dataclasses.replace(packed, count=2))
 
 
 class TestPackingEconomics:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.bench.costmodel import CostModel
 from repro.core.config import VF2BoostConfig
 from repro.core.enc_histogram import (
+    EncryptedHistogram,
     build_encrypted_histogram,
     pack_histogram,
     unpack_histogram,
@@ -17,11 +18,8 @@ from repro.core.enc_histogram import (
 from repro.core.protocol import ProtocolScheduler
 from repro.core.trainer import FederatedTrainer
 from repro.crypto.ciphertext import EncryptedNumber, PaillierContext
-from repro.crypto.packing import (
-    GradHessLayout,
-    GradientRangeError,
-    required_limb_bits,
-)
+from repro.crypto.packing import GradHessLayout, GradientRangeError, pack_capacity
+from repro.crypto.paillier import PaillierPublicKey
 from repro.fed.cluster import ClusterSpec
 from repro.fed.messages import CountedCipherPayload
 from repro.gbdt.binning import bin_dataset
@@ -102,12 +100,13 @@ class TestCodec:
         assert _decode(CTX.encrypt_zero(LAYOUT.exponent), 0) == (0.0, 0.0)
 
     def test_hessian_limb_sized_from_its_own_bound(self):
-        # Squared loss: h <= 1 dominates 2 * |g| only when the gradient
-        # bound is small; the wider of the two sets the limb.
+        # A large hessian bound widens the hessian's bits of the slot
+        # and leaves the gradient limb (where the hessian starts) alone.
         narrow = GradHessLayout(512, 64, grad_bound=1.0, hess_bound=0.25)
         wide = GradHessLayout(512, 64, grad_bound=1.0, hess_bound=16.0)
-        assert narrow.limb_bits == 41  # ISSUE 16: N = 64, e = 8
-        assert wide.limb_bits == narrow.limb_bits + 3
+        assert narrow.limb_bits == 40  # bit_length(2 * 64 * 2**32 = 2**39)
+        assert wide.limb_bits == narrow.limb_bits
+        assert wide.slot_bits == narrow.slot_bits + 6
         assert wide.shift(64) == narrow.shift(64)
 
 
@@ -167,11 +166,61 @@ class TestLayoutProperties:
         # N * Bound lands in one limb; its neighbours are empty bins.
         self._one_feature(key_bits, [[], [extreme] * 12, [], []])
 
+    @pytest.mark.parametrize("extreme", [(-1.0, 0.0), (-1.0, 0.25), (1.0, 0.25), (1.0, 0.0)])
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_bounds_that_are_exact_powers_of_two(self, n, extreme):
+        # N = 64: the largest shifted prefix 2 * N * G = 2**39 needs 40
+        # bits and N * H = 2**36 needs 37 (a log2 rule says 39 and 36).
+        layout = GradHessLayout(256, n, grad_bound=1.0, hess_bound=0.25)
+        assert 2 * layout.shift(n) == 1 << (layout.limb_bits - 1)
+        assert n * SCALE // 4 == 1 << (layout.slot_bits - layout.limb_bits - 1)
+        self._one_feature(256, [[], [extreme] * n, [], []])
+
+    @given(
+        key_bits=st.sampled_from([256, 384, 512]),
+        n=st.one_of(
+            st.integers(1, 5000), st.sampled_from([2**k for k in range(1, 31)])
+        ),
+        bounds=st.sampled_from([(1.0, 0.25), (4.0, 1.0)]),  # logistic, squared
+    )
+    @example(key_bits=512, n=200, bounds=(1.0, 0.25))
+    @example(key_bits=256, n=2**30, bounds=(4.0, 1.0))
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    def test_fullest_pack_stays_in_the_positive_range(self, key_bits, n, bounds):
+        # Every slot of a full pack at its bound: all N instances at
+        # (+Bound_g, Bound_h) in the first bin, so each of the t prefixes
+        # is 2 * N * G under N * H.  The bin is built as one cipher of the
+        # N-fold integer, which is what N HAdds would have left there.
+        context = self.CONTEXTS[key_bits]
+        public = context.public_context()
+        layout = GradHessLayout(key_bits, n, *bounds)
+        t = layout.capacity
+        whole_node = n * layout.encode([bounds[0]], [bounds[1]])[0]
+
+        def packed(slots):
+            cells = layout.encrypt(context, [whole_node] + [0] * (slots - 1))
+            return pack_histogram(
+                public, EncryptedHistogram([cells], [], n, slots + 1), layout
+            )
+
+        full = packed(t)
+        (pack,) = full.packs
+        plaintext = context.decrypt_raw(
+            EncryptedNumber(context, pack.ciphertext, pack.exponent)
+        )
+        assert plaintext.bit_length() == (t - 1) * layout.stride + layout.slot_bits
+        assert plaintext.bit_length() <= key_bits - 3
+        assert plaintext <= context.public_key.max_int
+        histogram = unpack_histogram(context, full, whole_node)
+        assert histogram.grad[0].tolist() == [n * bounds[0]] + [0.0] * t
+        assert histogram.hess[0].tolist() == [n * bounds[1]] + [0.0] * t
+        assert [pack.count for pack in packed(t + 1).packs] == [t, 1]
+
     @pytest.mark.parametrize("key_bits", [256, 384, 512])
     def test_capacity_exactly_reached_then_exceeded(self, key_bits):
         layout = GradHessLayout(key_bits, 12, grad_bound=1.0, hess_bound=0.25)
         t = layout.capacity
-        assert t == (key_bits - 3 - layout.slot_bits) // layout.stride
+        assert t == (key_bits - 3) // layout.stride
         # t + 1 bins ship t prefixes, each the whole node at the bound.
         full = [[(1.0, 0.25)] * 12] + [[] for _ in range(t)]
         _, packed = self._one_feature(key_bits, full)
@@ -183,7 +232,7 @@ class TestLayoutProperties:
             EncryptedNumber(context, pack.ciphertext, pack.exponent)
         )
         assert plaintext.bit_length() == (t - 1) * layout.stride + layout.slot_bits
-        assert plaintext.bit_length() <= key_bits - 3 - layout.stride
+        assert plaintext.bit_length() <= key_bits - 3
         _, packed = self._one_feature(key_bits, full + [[(-1.0, 0.0)]])
         assert [pack.count for pack in packed.packs] == [t, 1]
 
@@ -250,17 +299,41 @@ class TestLayoutProperties:
 
     def test_decoded_sums_fit_float64_exactly(self):
         # A bin's raw sums are at most shift(N) in magnitude: below 2**53
-        # up to two million unit-bound instances, which the 61-bit limbs
-        # of jittered exponents exceed at the 48 rows of the golden shape.
+        # up to two million unit-bound instances, which a jittered
+        # exponent of 8 + 6 - 1 exceeds at the 48 rows of the golden shape.
         assert GradHessLayout(2048, 2_000_000, 1.0, 0.25).shift(2_000_000) < 2**53
-        assert required_limb_bits(2.0 * 48, 16, 8 + 6 - 1, 1) - 2 > 53
-        # Paper scale: 16 two-value bins per cipher, the paper's t = 32.
-        assert GradHessLayout(2048, 10_000_000, 1.0, 0.25).capacity == 16
+        assert (2 * 48 * 16 ** (8 + 6 - 1)).bit_length() > 53
+        # Paper scale: 18 two-value bins per cipher, the paper's t = 32.
+        assert GradHessLayout(2048, 10_000_000, 1.0, 0.25).capacity == 18
+
+    def test_experiments_t_table_is_what_the_layout_computes(self):
+        # EXPERIMENTS.md "Pack to the bit": | S | N | L_g | L_h | stride | t |
+        import re
+        from pathlib import Path
+
+        text = (Path(__file__).parents[1] / "EXPERIMENTS.md").read_text()
+        table = text.split("<!-- t-table:", 1)[1].split("<!-- /t-table -->", 1)[0]
+        rows = [
+            tuple(int(cell) for cell in row)
+            for row in re.findall(r"^\|" + r" (\d+) \|" * 6 + "$", table, re.MULTILINE)
+        ]
+        assert {(bits, n) for bits, n, *_ in rows} >= {
+            (512, 200), (1024, 200), (2048, 10_000_000),
+        }
+        for bits, n, grad_bits, hess_bits, stride, t in rows:
+            layout = GradHessLayout(bits, n, grad_bound=1.0, hess_bound=0.25)
+            assert (
+                layout.limb_bits, layout.slot_bits - layout.limb_bits,
+                layout.stride, layout.capacity,
+            ) == (grad_bits, hess_bits, stride, t), (bits, n)
 
     def test_stride_floor_is_the_configured_limb_width(self):
-        assert GradHessLayout(2048, 4, 1.0, 0.25, min_stride=64).stride == 74
-        assert GradHessLayout(2048, 4, 1.0, 0.25, min_stride=128).stride == 128
-        assert GradHessLayout(2048, 4, 1.0, 0.25, min_stride=129).stride == 130
+        # N = 4: 2 * 4 * 2**32 needs 36 bits, 4 * 2**30 needs 33.
+        assert GradHessLayout(2048, 4, 1.0, 0.25, min_stride=64).stride == 69
+        for floor in (128, 129):
+            layout = GradHessLayout(2048, 4, 1.0, 0.25, min_stride=floor)
+            assert (layout.limb_bits, layout.slot_bits, layout.stride) == (36, 69, floor)
+            assert layout.capacity == 2045 // floor
 
 
 def _problem(labels_kind, n=96, d=9, seed=3):
@@ -471,3 +544,55 @@ class TestSchedulerIntegration:
         assert real.crypto_stats[1].scalar_multiplications == (
             built * d_a * (bins - 1) - real_packs
         )
+
+    @pytest.mark.parametrize(
+        "key_bits, rows, stride, capacity",
+        [(1024, 200, 79, 12), (2048, 10_000_000, 111, 18)],
+    )
+    def test_counted_and_scheduler_follow_the_layout_at_larger_keys(
+        self, make_ledger_workload, key_bits, rows, stride, capacity
+    ):
+        # Layout-only rows beyond the benchmark's 512 bits: no Paillier
+        # op runs, the real packer is held by its capacity rule.
+        from repro.core.profile import analytic_trace
+
+        d_a, bins = 160, 4
+        config = VF2BoostConfig.vf2boost(
+            params=GBDTParams(n_trees=1, n_layers=3, n_bins=bins),
+            key_bits=key_bits, optimistic_split=False,
+        )
+        layout = config.gradient_layout(rows)
+        assert (layout.stride, layout.capacity) == (stride, capacity)
+        # pack_ciphers takes exactly `capacity` slots under the smallest
+        # modulus of the size, and never fewer under a larger one.
+        assert pack_capacity(PaillierPublicKey((1 << key_bits - 1) + 1), stride) == capacity
+        assert pack_capacity(PaillierPublicKey((1 << key_bits) - 1), stride) >= capacity
+        slots = d_a * (bins - 1)
+        per_node = layout.packs_per_node(d_a, bins)
+        assert per_node == -(-slots // capacity)
+        trace = analytic_trace(rows, 4, [d_a], 1.0, bins, 3)
+        built = sum(layer.built_nodes for layer in trace.trees[0].layers)
+        # Bytes as seconds on the wire, one packing SMul as one second.
+        cluster = ClusterSpec(wan_latency=0.0, wan_bandwidth=1.0)
+        cost = CostModel(0, 0, 0, 0, 0, 1.0, 0, 0, cipher_bytes=key_bits // 4)
+        result = ProtocolScheduler(config, cost, cluster).schedule(
+            trace, collect_tasks=True
+        )
+        shipped = sum(
+            t.duration for t in result.task_graphs[0] if t.name.startswith("histcomm")
+        )
+        assert round(shipped / cost.cipher_bytes, 6) == built * per_node
+        # slots - packs Horner steps, each stride / 64 of t_smul_small.
+        assert result.phase_totals["Pack"] * cluster.compute_lanes == pytest.approx(
+            built * (slots - per_node) * stride / 64
+        )
+        if rows <= 1000:
+            parties, labels, _ = make_ledger_workload(rows, d_a, bins, 3, key_bits)
+            counted = FederatedTrainer(config).fit(parties, labels)
+            counted_built = sum(
+                layer.built_nodes for layer in counted.trace.trees[0].layers
+            )
+            assert counted_built * per_node == sum(
+                m.n_ciphers for m in counted.channel.log
+                if isinstance(m, CountedCipherPayload) and m.kind == "histograms"
+            )
