@@ -4,9 +4,11 @@ This module is the real-crypto heart of Party A's work:
 
 * :func:`build_encrypted_histogram` — accumulate encrypted gradient
   statistics into per-(feature, bin) cipher sums: one ``(g, h)`` pair
-  cipher per instance at a fixed exponent on the packed path, or two
-  jittered ciphers per instance on the baselines, there either naively
-  (VF-GBDT) or with the re-ordered per-exponent workspaces of §5.1;
+  cipher per instance at a fixed exponent on the packed path, where a
+  bin is a plain product mod ``n**2`` and two features share each HAdd
+  through a joint ``(bin, bin)`` cell, or two jittered ciphers per
+  instance on the baselines, there either naively (VF-GBDT) or with the
+  re-ordered per-exponent workspaces of §5.1;
 * :func:`pack_histogram` / :func:`unpack_histogram` — the §5.2
   polynomial packing pipeline over pair-cipher bins: shift the first
   bin of every feature by ``N x Bound`` so every gradient *prefix sum*
@@ -23,7 +25,9 @@ total — the same integers, and a check on everything that arrived.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -38,6 +42,7 @@ from repro.crypto.packing import (
 from repro.gbdt.histogram import Histogram
 
 __all__ = [
+    "BinCodeError",
     "EncryptedHistogram",
     "build_encrypted_histogram",
     "PackedHistogram",
@@ -48,6 +53,10 @@ __all__ = [
 ]
 
 
+class BinCodeError(ValueError):
+    """A bin code outside ``[0, n_bins)`` on a node being built."""
+
+
 @dataclass
 class EncryptedHistogram:
     """Per-(feature, bin) cipher sums of one tree node.
@@ -56,10 +65,13 @@ class EncryptedHistogram:
     gradients / hessians of the node's instances falling in bin ``k`` of
     the party-local feature ``j``.  Built from pair ciphers,
     ``grad_bins`` hold the ``(g, h)`` sums of the first ``n_bins - 1``
-    bins only and ``hess_bins`` is empty.
+    bins only, a bin no instance fell in is ``None`` (it costs the
+    packer nothing) and ``hess_bins`` is empty.  A held bin is the
+    product mod ``n**2`` of its instances' ciphers, whatever order or
+    grouping the build multiplied them in.
     """
 
-    grad_bins: list[list[EncryptedNumber]]
+    grad_bins: list[list[EncryptedNumber | None]]
     hess_bins: list[list[EncryptedNumber]]
     n_instances: int
     n_bins: int
@@ -70,8 +82,61 @@ class EncryptedHistogram:
         return len(self.grad_bins)
 
     def cipher_count(self) -> int:
-        """Total ciphers held."""
+        """Bins held, empty ones included."""
         return sum(len(row) for row in self.grad_bins + self.hess_bins)
+
+
+def _add_into(
+    context: PaillierContext,
+    table: dict[int, EncryptedNumber],
+    keys: Iterable[int],
+    ciphers: Iterable[EncryptedNumber],
+) -> None:
+    """``table[key] += cipher`` in arrival order; a key's first cipher is free."""
+    add, held_at = context.add, table.get
+    for key, cipher in zip(keys, ciphers):
+        held = held_at(key)
+        table[key] = cipher if held is None else add(held, cipher)
+
+
+def _paired_bins(
+    context: PaillierContext,
+    node_codes: np.ndarray,
+    ciphers: list[EncryptedNumber],
+    width: int,
+) -> list[dict[int, EncryptedNumber]]:
+    """The first ``width`` bins of every feature, two features per HAdd.
+
+    Features are taken two at a time.  An instance whose codes ``(a, b)``
+    are both held costs one HAdd into the joint cell ``(a, b)`` of a
+    sparse table instead of one per feature, an instance with one code
+    in the last bin goes straight into the other feature's bin, and
+    every non-empty cell is folded once into ``first[a]`` and once into
+    ``second[b]``.  A pair's HAdds are the per-feature loop's minus
+    (instances with both codes held - non-empty cells): never more, and
+    the products are the same integers because multiplication mod
+    ``n**2`` commutes.  One table (at most ``min(n, width**2)`` cells)
+    is alive at a time; a left-over odd feature is accumulated alone.
+    """
+    n_features = node_codes.shape[1]
+    held = node_codes < width
+    bins: list[dict[int, EncryptedNumber]] = [{} for _ in range(n_features)]
+
+    def route(table, mask, keys):
+        _add_into(context, table, keys[mask].tolist(), compress(ciphers, mask.tolist()))
+
+    for j in range(0, n_features - 1, 2):
+        a, b = node_codes[:, j], node_codes[:, j + 1]
+        in_a, in_b = held[:, j], held[:, j + 1]
+        joint: dict[int, EncryptedNumber] = {}
+        route(joint, in_a & in_b, a * width + b)
+        route(bins[j], in_a & ~in_b, a)
+        route(bins[j + 1], in_b & ~in_a, b)
+        _add_into(context, bins[j], (key // width for key in joint), joint.values())
+        _add_into(context, bins[j + 1], (key % width for key in joint), joint.values())
+    if n_features % 2:
+        route(bins[-1], held[:, -1], node_codes[:, -1])
+    return bins
 
 
 def build_encrypted_histogram(
@@ -92,55 +157,66 @@ def build_encrypted_histogram(
         grad_ciphers / hess_ciphers: full-length cipher lists indexed by
             global row id (as received from the active party);
             ``hess_ciphers`` is ``None`` when ``grad_ciphers`` are
-            ``(g, h)`` pair ciphers; instances in a feature's last bin
-            are then skipped (the receiver derives that bin).
+            ``(g, h)`` pair ciphers.  Those share one exponent, so a bin
+            is a plain product and the build is :func:`_paired_bins`:
+            instances in a feature's last bin are skipped (the receiver
+            derives that bin) and an empty bin is held as ``None``.
         n_bins: bins per feature ``s``.
-        reordered: use per-exponent workspaces (§5.1) instead of the
-            naive in-arrival-order accumulation.
+        reordered: with two jittered ciphers per instance, use
+            per-exponent workspaces (§5.1) instead of the naive
+            in-arrival-order accumulation; pair ciphers have nothing to
+            re-order.
+
+    Raises:
+        BinCodeError: when a code of the node lies outside ``[0, n_bins)``
+            (it would land in another feature's joint cell).
     """
     rows = np.asarray(instance_rows, dtype=np.int64)
-    node_codes = codes[rows].tolist()
+    node_codes = codes[rows].astype(np.int64, copy=False)
+    if ((node_codes < 0) | (node_codes >= n_bins)).any():
+        raise BinCodeError(f"bin codes on the node must lie in [0, {n_bins})")
+    row_ids = rows.tolist()
+    if hess_ciphers is None:
+        bins = _paired_bins(
+            context, node_codes, [grad_ciphers[i] for i in row_ids], n_bins - 1
+        )
+        return EncryptedHistogram(
+            [[table.get(k) for k in range(n_bins - 1)] for table in bins],
+            [],
+            int(rows.size),
+            n_bins,
+        )
     n_features = codes.shape[1]
     zero_exponent = context.encoder.exponent
-    width = n_bins if hess_ciphers is not None else n_bins - 1
+    feature_codes = node_codes.T.tolist()
 
     def accumulate(ciphers: list[EncryptedNumber]) -> list[list[EncryptedNumber]]:
+        node_ciphers = [ciphers[i] for i in row_ids]
         if reordered:
             workspaces = [
-                [ExponentWorkspace(context) for _ in range(width)]
+                [ExponentWorkspace(context) for _ in range(n_bins)]
                 for _ in range(n_features)
             ]
-            for i, row_codes in zip(rows, node_codes):
-                cipher = ciphers[i]
-                for j, k in enumerate(row_codes):
-                    if k < width:
-                        workspaces[j][k].add(cipher)
+            for row, column in zip(workspaces, feature_codes):
+                for k, cipher in zip(column, node_ciphers):
+                    row[k].add(cipher)
             return [
                 [ws.finalize_or_zero(zero_exponent) for ws in row]
                 for row in workspaces
             ]
-        cells: list[list[EncryptedNumber | None]] = [
-            [None] * width for _ in range(n_features)
-        ]
-        for i, row_codes in zip(rows, node_codes):
-            cipher = ciphers[i]
-            for j, k in enumerate(row_codes):
-                if k < width:
-                    held = cells[j][k]
-                    cells[j][k] = cipher if held is None else context.add(held, cipher)
+        tables: list[dict[int, EncryptedNumber]] = [{} for _ in range(n_features)]
+        for table, column in zip(tables, feature_codes):
+            _add_into(context, table, column, node_ciphers)
         return [
             [
-                cell if cell is not None else context.encrypt_zero(zero_exponent)
-                for cell in row
+                table[k] if k in table else context.encrypt_zero(zero_exponent)
+                for k in range(n_bins)
             ]
-            for row in cells
+            for table in tables
         ]
 
     return EncryptedHistogram(
-        accumulate(grad_ciphers),
-        accumulate(hess_ciphers) if hess_ciphers is not None else [],
-        int(rows.size),
-        n_bins,
+        accumulate(grad_ciphers), accumulate(hess_ciphers), int(rows.size), n_bins
     )
 
 
@@ -205,9 +281,10 @@ def pack_histogram(
     Over the ``s - 1`` bins held per feature (Figure 9):
 
     1. shift the **first** bin's gradient limb by ``N x Bound`` (one
-       cheap plaintext addition) so every gradient *prefix sum* is
-       non-negative;
-    2. prefix-sum the bins with ``s - 2`` HAdds;
+       cheap plaintext addition, on a zero when the bin is empty) so
+       every gradient *prefix sum* is non-negative;
+    2. prefix-sum the bins with one HAdd per non-empty bin after the
+       first (the prefix at an empty bin is the running cipher itself);
     3. lay the node's ``D * (s - 1)`` prefixes out feature-major and
        pack each group of ``t`` with ``t - 1`` HAdd + ``t - 1`` SMul
        (one exponent throughout: nothing to align).
@@ -221,8 +298,10 @@ def pack_histogram(
         running: EncryptedNumber | None = None
         for cell in bins:
             if running is None:
+                if cell is None:
+                    cell = context.encrypt_zero(layout.exponent)
                 running = context.add_plain_raw(cell, shift)
-            else:
+            elif cell is not None:
                 running = context.add(running, cell)
             slots.append(running)
     return PackedHistogram(

@@ -223,16 +223,58 @@ class ProtocolScheduler:
             return party.n_features * (party.n_bins - 1)
         return self._bins(party)
 
-    def _addends(self, party: _PartyWork) -> float:
-        """Ciphers one instance adds into BuildHistA's bins.
+    def _held_values(self, party: _PartyWork) -> float:
+        """Non-zero values of one instance that land in a bin Party A builds.
 
-        On the packed path an instance in a feature's last bin is
-        skipped: ``1/s`` of the addends under quantile binning.
+        On the packed path a value in its feature's last bin is
+        skipped: ``1/s`` of them under quantile binning.
         """
-        addends = self._stat_factor() * party.d
+        values = self._stat_factor() * party.d
         if self._packing_on():
-            addends *= (party.n_bins - 1) / party.n_bins
-        return addends
+            values *= (party.n_bins - 1) / party.n_bins
+        return values
+
+    def _addends(self, party: _PartyWork) -> float:
+        """HAdds one instance costs BuildHistA, folds aside.
+
+        Unpacked, one per held value.  The packed build takes features
+        two at a time: a pair costs an instance one HAdd unless both its
+        codes are last bins, ``1 - 1/s**2``, and a left-over odd feature
+        ``(s - 1)/s`` — per instance ``floor(D/2) (1 - 1/s**2) + (D mod
+        2)(s - 1)/s`` on dense data.  With a share ``rho = d/D`` of the
+        values present, a pair is joined only where the instance has
+        both (``rho**2``) and costs one held value where it has one.
+        """
+        if not self._packing_on() or not party.n_features:
+            return self._held_values(party)
+        s = party.n_bins
+        rho = party.d / party.n_features
+        pairs, odd = divmod(party.n_features, 2)
+        alone = rho * (s - 1) / s
+        return (
+            pairs * (rho * rho * (1 - 1 / s**2) + 2 * (1 - rho) * alone) + odd * alone
+        )
+
+    def _build_adds(self, party: _PartyWork, instances: float, nodes: float) -> float:
+        """BuildHistA's HAdds for ``nodes`` histograms over ``instances`` rows.
+
+        The packed build folds every non-empty joint cell into its two
+        bins, and the cell's own first cipher was free: one HAdd net per
+        cell, ``floor(D/2) (s - 1)**2`` a node once every cell is
+        occupied, scaled by the chance that one of the node's instances
+        fell in the cell.  That is the real build's identity in
+        expectation (per-feature HAdds minus joined instances plus
+        non-empty cells), so never above the per-feature price.  The
+        bins' own first touches are free in the real build and, as
+        before, not modelled.
+        """
+        adds = instances * self._addends(party)
+        pairs, s = party.n_features // 2, party.n_bins
+        if self._packing_on() and pairs and nodes and s > 1:
+            in_cell = (party.d / party.n_features / s) ** 2
+            occupied = -math.expm1(instances / nodes * math.log1p(-in_cell))
+            adds += nodes * pairs * (s - 1) ** 2 * occupied
+        return adds
 
     def _reorder_finalize(self, bins: float, n_exponents: int) -> float:
         """Workspace merge cost: ``E - 1`` scalings per bin (§5.1)."""
@@ -376,7 +418,9 @@ class ProtocolScheduler:
                     party=party.index,
                 )
                 build_work = (
-                    n * self._addends(party) * self._add_cost(n_exponents) / n_batches
+                    self._build_adds(party, n, 1)
+                    * self._add_cost(n_exponents)
+                    / n_batches
                 )
                 build_root[party.index] = engine.submit(
                     f"A{party.index}",
@@ -404,7 +448,7 @@ class ProtocolScheduler:
             "HAdd": max(
                 (
                     (
-                        n * self._addends(party) * self._add_cost(n_exponents)
+                        self._build_adds(party, n, 1) * self._add_cost(n_exponents)
                         + self._reorder_finalize(self._bins(party), n_exponents)
                     )
                     / lanes
@@ -504,7 +548,7 @@ class ProtocolScheduler:
                         nnz_bytes=(
                             built_instances
                             * frac
-                            * self._addends(party)
+                            * self._held_values(party)
                             * self._cipher_bytes()
                         ),
                     )
@@ -635,13 +679,18 @@ class ProtocolScheduler:
             for party in parties:
                 parts: list[_HistPart] = []
                 add = self._add_cost(n_exponents)
-                addends = self._addends(party)
                 finalize = self._reorder_finalize(
                     next_layer.built_nodes * self._bins(party), n_exponents
                 )
+
+                def build_adds(share: float, party: _PartyWork = party) -> float:
+                    return self._build_adds(
+                        party, next_built * share, next_layer.built_nodes * share
+                    )
+
                 if config.optimistic_split and dirty_frac > 0:
                     clean_work = (
-                        next_built * (1 - dirty_frac) * addends * add
+                        build_adds(1 - dirty_frac) * add
                         + finalize * (1 - dirty_frac)
                     )
                     clean = engine.submit(
@@ -656,9 +705,7 @@ class ProtocolScheduler:
                         parts.append(_HistPart(clean, 1 - dirty_frac))
                     # Speculative work on (unknowingly) dirty children,
                     # aborted when the notice lands.
-                    waste_work = (
-                        next_built * dirty_frac * _SPECULATIVE_WASTE * addends * add
-                    )
+                    waste_work = build_adds(dirty_frac * _SPECULATIVE_WASTE) * add
                     waste = engine.submit(
                         f"A{party.index}",
                         waste_work / lanes,
@@ -684,14 +731,11 @@ class ProtocolScheduler:
                             1, len(next_layer.nodes)
                         )
                         redo_work = (
-                            moves * misplaced * addends * add
+                            moves * misplaced * self._addends(party) * add
                             + finalize * dirty_frac
                         )
                     else:
-                        redo_work = (
-                            next_built * dirty_frac * addends * add
-                            + finalize * dirty_frac
-                        )
+                        redo_work = build_adds(dirty_frac) * add + finalize * dirty_frac
                     redo = engine.submit(
                         f"A{party.index}",
                         redo_work / lanes,
@@ -702,7 +746,7 @@ class ProtocolScheduler:
                     )
                     parts.append(_HistPart(redo, dirty_frac))
                 else:
-                    build_work = next_built * addends * add + finalize
+                    build_work = build_adds(1.0) * add + finalize
                     build = engine.submit(
                         f"A{party.index}",
                         build_work / lanes,

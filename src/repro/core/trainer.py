@@ -880,8 +880,7 @@ class FederatedTrainer:
                 grad_ciphers,
                 hess_ciphers,
                 dataset.n_bins,
-                # Pair ciphers share one exponent: nothing to re-order.
-                reordered=self.config.reordered_accumulation and layout is None,
+                reordered=self.config.reordered_accumulation,
             )
         if layout is not None:
             packed_msg = PackedHistogramMessage(party, ACTIVE)

@@ -4,17 +4,19 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.enc_histogram import (
+    BinCodeError,
+    EncryptedHistogram,
     PackedHistogramError,
     build_encrypted_histogram,
     decrypt_histogram,
     pack_histogram,
     unpack_histogram,
 )
-from repro.crypto.ciphertext import PaillierContext
+from repro.crypto.ciphertext import EncryptedNumber, PaillierContext
 from repro.crypto.packing import GradHessLayout
 from repro.gbdt.binning import bin_dataset
 from repro.gbdt.histogram import build_histogram
@@ -114,6 +116,118 @@ class TestBuildEncryptedHistogram:
             CTX.public_context(), dataset.codes, np.arange(10), gc, hc, 5, True
         )
         assert encrypted.cipher_count() == 2 * 2 * 5
+
+
+    @pytest.mark.parametrize("packed", [False, True])
+    @pytest.mark.parametrize("bad", [6, -1])
+    def test_code_outside_the_bins_is_refused(self, packed, bad):
+        # Such a code used to count as "last bin"; in the paired build
+        # it would name another feature's joint cell.
+        dataset, _, _, gc, hc = _setup(n=8, d=2)
+        codes = dataset.codes.astype(np.int64)
+        codes[5, 1] = bad
+        ciphers = (gc, None) if packed else (gc, hc)
+        with pytest.raises(BinCodeError, match=r"\[0, 6\)"):
+            build_encrypted_histogram(
+                CTX.public_context(), codes, np.arange(8), *ciphers, 6, False
+            )
+        # Rows off the node are not the node's business.
+        build_encrypted_histogram(
+            CTX.public_context(), codes, np.arange(5), *ciphers, 6, False
+        )
+
+
+class TestPairedBuild:
+    """Two features per HAdd: the per-feature ciphertexts for fewer additions."""
+
+    POOL = 14
+    _, _, _, PAIRS, LAYOUT = _pair_setup(n=POOL, d=1, n_bins=2, seed=21)
+
+    @given(
+        n=st.integers(0, POOL),
+        d=st.integers(1, 5),
+        s=st.integers(1, 7),
+        all_last=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @example(n=9, d=3, s=4, all_last=False, seed=0)  # odd D
+    @example(n=9, d=1, s=4, all_last=False, seed=1)  # D = 1: no pair at all
+    @example(n=9, d=4, s=2, all_last=False, seed=2)  # one held bin
+    @example(n=9, d=4, s=1, all_last=False, seed=3)  # nothing held
+    @example(n=0, d=4, s=4, all_last=False, seed=4)  # empty node
+    @example(n=1, d=4, s=4, all_last=False, seed=5)
+    @example(n=9, d=4, s=4, all_last=True, seed=6)  # every code a last bin
+    @example(n=5, d=4, s=7, all_last=False, seed=7)  # sparse: n < s
+    @example(n=POOL, d=5, s=3, all_last=False, seed=8)  # crowded cells
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    def test_same_ciphertexts_for_fewer_additions(self, n, d, s, all_last, seed):
+        rng = np.random.default_rng(seed)
+        rows = rng.permutation(self.POOL)[:n]
+        codes = rng.integers(0, s, size=(self.POOL, d))
+        if all_last:
+            codes[:] = s - 1
+        public = CTX.public_context()
+        n_squared = public.public_key.n_squared
+        width = s - 1
+
+        built = build_encrypted_histogram(public, codes, rows, self.PAIRS, None, s, False)
+        build_adds = public.stats.additions
+
+        # (i) every bin is the per-feature product of its instances.
+        reference = [[None] * width for _ in range(d)]
+        for i in rows:
+            for j, k in enumerate(codes[i]):
+                if k < width:
+                    held = reference[j][k]
+                    cipher = self.PAIRS[i].ciphertext
+                    reference[j][k] = cipher if held is None else held * cipher % n_squared
+        assert [
+            [cell and cell.ciphertext for cell in bins] for bins in built.grad_bins
+        ] == reference
+        assert (built.n_instances, built.n_bins, built.hess_bins) == (n, s, [])
+
+        # (ii) HAdds = per-feature - sum over pairs of (instances with
+        # both codes held - non-empty joint cells), never more.
+        node = codes[rows]
+        per_feature = sum(
+            int((node[:, j] < width).sum()) - len(set(node[node[:, j] < width, j]))
+            for j in range(d)
+        )
+        saved = 0
+        for j in range(0, d - 1, 2):
+            joined = node[(node[:, j] < width) & (node[:, j + 1] < width)][:, j : j + 2]
+            saved += len(joined) - len({tuple(pair) for pair in joined.tolist()})
+        assert build_adds == per_feature - saved <= per_feature
+
+        # (iii) packs are what the explicit zeros of empty bins gave, for
+        # one HAdd less per empty bin after a feature's first.
+        zero = public.encrypt_zero(self.LAYOUT.exponent)
+        explicit = EncryptedHistogram(
+            [
+                [
+                    zero if cell is None
+                    else EncryptedNumber(public, cell, self.LAYOUT.exponent)
+                    for cell in bins
+                ]
+                for bins in reference
+            ],
+            [], n, s,
+        )
+        before = public.stats.snapshot()
+        packed = pack_histogram(public, built, self.LAYOUT)
+        pack_adds = public.stats.diff(before).additions
+        before = public.stats.snapshot()
+        packed_explicit = pack_histogram(public, explicit, self.LAYOUT)
+        empty_after_first = sum(cell is None for bins in reference for cell in bins[1:])
+        assert public.stats.diff(before).additions - pack_adds == empty_after_first
+        assert [p.ciphertext for p in packed.packs] == [
+            p.ciphertext for p in packed_explicit.packs
+        ]
+        total = self.PAIRS.total(rows)
+        recovered = unpack_histogram(CTX, packed, total)
+        expected = unpack_histogram(CTX, packed_explicit, total)
+        assert np.array_equal(recovered.grad, expected.grad)
+        assert np.array_equal(recovered.hess, expected.hess)
 
 
 class TestPackUnpackHistogram:

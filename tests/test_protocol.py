@@ -202,11 +202,18 @@ class TestHistogramSubtractionPricing:
                 # (10 000 -> 5 278 ciphers a node at t = 18), and when
                 # slots became exactly as wide as their sums (5 278 ->
                 # 4 524 at t = 21: FindSplitA x 6/7; BuildHistA's work is
-                # the same, its sum of end - start moved one ulp).
+                # the same, its sum of end - start moved one ulp), and
+                # when the build took two features per HAdd: a pair saves
+                # (joined instances - non-empty cells), and at density
+                # 0.01 x 20 bins a cell is hit 2.5e-7 times per instance,
+                # so it almost never holds two.
                 {},
                 [5000],
-                "0x1.520deda9e9254p+5",
-                "0x1.eb084a1e3b7d8p+4",
+                # x 0.99998: BuildHistA's saving below, nothing else moved
+                "0x1.520c372814403p+5",
+                # x 0.99997 = 1 - (4.8e-3 joined - 4.8e-3 cells) + 2nd order
+                "0x1.eb04dd1a91b36p+4",
+                # x 1: packs and decryptions are the same
                 "0x1.9e2be2be2be3cp+1",
             ),
             (
@@ -274,6 +281,59 @@ class TestHistogramSubtractionPricing:
             ), phase
         assert after.bytes_per_tree < before.bytes_per_tree
         assert after.makespan < before.makespan
+
+    def test_dense_pairs_price_one_hadd_per_joined_instance(self):
+        # Where the pairing pays: dense columns, many instances a cell.
+        dense = analytic_trace(100_000, 8, [8], density=1.0, n_bins=4, n_layers=3)
+        paired = _schedule(dense).phase_totals["BuildHistA"]
+        per_feature = _schedule(dense, histogram_packing=False).phase_totals["BuildHistA"]
+        # Unpacked: 2 ciphers x 8 values, re-ordered, same HAdd price.
+        # Packed: 4 pairs x (1 - 1/16) per instance, + 4 x 9 cells a node.
+        assert paired / per_feature == pytest.approx(4 * 15 / 16 / 16, rel=1e-3)
+
+    def test_build_addends_are_the_hadds_the_real_build_made(
+        self, monkeypatch
+    ):
+        import dataclasses
+
+        import repro.core.trainer as trainer_module
+        from repro.bench.scenario import GOLDEN, GOLDEN_DIMS
+
+        builds = []
+        build = trainer_module.build_encrypted_histogram
+
+        def counted_build(context, *args, **kwargs):
+            before = context.stats.additions
+            histogram = build(context, *args, **kwargs)
+            builds.append((context.stats.additions - before, histogram))
+            return histogram
+
+        monkeypatch.setattr(trainer_module, "build_encrypted_histogram", counted_build)
+        config = GOLDEN.config(crypto_mode="real")
+        result = FederatedTrainer(config).fit(*GOLDEN.parties())
+        real_hadds = sum(adds for adds, _ in builds)
+        first_touches = sum(
+            cell is not None
+            for _, histogram in builds
+            for bins in histogram.grad_bins
+            for cell in bins
+        )
+        # One second per HAdd on one lane: BuildHistA *is* the addends.
+        hadd_only = CostModel(0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, cipher_bytes=64)
+        cluster = ClusterSpec(n_workers=1, cores_per_worker=1, parallel_efficiency=1.0)
+        # The run's own nodes under the scenario's dense shape (a
+        # recorded shape's `d` leaves the zero bin out).
+        trace = dataclasses.replace(
+            result.trace, passive_shapes=GOLDEN_DIMS.analytic_trace().passive_shapes
+        )
+        priced = ProtocolScheduler(config, hadd_only, cluster).schedule(trace)
+        # The scheduler does not model the free first cipher of a
+        # non-empty bin (joint cells' first ciphers it does): one HAdd
+        # per non-empty bin apart, to the evenness of quantile bins.
+        assert (real_hadds, first_touches) == (236, 36)
+        assert priced.phase_totals["BuildHistA"] == pytest.approx(
+            real_hadds + first_touches, rel=0.01
+        )
 
     def test_recorded_trace_prices_the_decryptions_the_run_made(self):
         rng = np.random.default_rng(5)
