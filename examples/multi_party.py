@@ -40,10 +40,7 @@ def main() -> None:
         valid_codes = {
             p: valid_codes_full[:, cols] for p, cols in enumerate(columns)
         }
-        config = VF2BoostConfig.vf2boost(
-            params=params, crypto_mode="counted",
-            n_passive_parties=n_parties - 1,
-        )
+        config = VF2BoostConfig.vf2boost(params=params, crypto_mode="counted")
         result = FederatedTrainer(config).fit(party_sets, labels[:n_train])
         margins = result.model.predict_margin(valid_codes)
         score = auc(labels[n_train:], margins)

@@ -109,7 +109,7 @@ class FunctionInfo:
     """A function definition plus where it lives."""
 
     module: ModuleInfo
-    qualname: str  # e.g. "FederatedTrainer._ship_gradients"
+    qualname: str  # e.g. "ActiveParty.send_gradients"
     node: ast.FunctionDef | ast.AsyncFunctionDef
 
     @property

@@ -11,7 +11,8 @@ How it works
 ------------
 *Sources* introduce taint: the ground-truth label vector (any function
 parameter literally named ``labels``), gradient/hessian computation
-(``*.gradients(...)`` calls on a loss), and decryption of cross-party
+(``*.gradients(...)`` calls on a loss), the attributes a party keeps them
+under (``.labels``, ``.gradients``, ...), and decryption of cross-party
 aggregates (``decrypt*``/``unpack_histogram``/``unpack_values`` —
 plaintext label statistics at Party B).
 
@@ -68,6 +69,9 @@ SOURCE_TAILS = {
     "unpack_values",
 }
 
+#: attribute reads that are label-derived: a party object's state
+SOURCE_ATTRS = {"labels", "gradients", "hessians", "margins", "raw_pairs"}
+
 #: call tails that return ciphertext — taint does not pass through
 SANITIZER_TAILS = {
     "encrypt",
@@ -110,7 +114,7 @@ KNOWN_MESSAGE_FIELDS = {
     "EncryptedGradHessBatch": ["sender", "receiver", "instance_offset", "grads", "hesses"],
     "EncryptedHistogramMessage": ["sender", "receiver", "histograms"],
     "PackedHistogramMessage": ["sender", "receiver", "packed"],
-    "CountedCipherPayload": ["sender", "receiver", "kind", "n_ciphers", "extra_bytes"],
+    "CountedCipherPayload": ["sender", "receiver", "kind", "n_ciphers", "extra_bytes", "opens_to"],
     "SplitDecision": ["sender", "receiver", "node_id", "owner", "bin_flat_index", "gain_is_leaf"],
     "SplitQuery": ["sender", "receiver", "node_id", "bin_flat_index"],
     "SplitAnswer": ["sender", "receiver", "node_id", "placement"],
@@ -435,7 +439,7 @@ class _FunctionPass:
         if isinstance(node, ast.Attribute):
             if node.attr in CLEAN_ATTRS:
                 return False
-            return self._taint(node.value)
+            return node.attr in SOURCE_ATTRS or self._taint(node.value)
         if isinstance(node, ast.Subscript):
             return self._taint(node.value) or self._taint(node.slice)
         if isinstance(node, ast.NamedExpr):

@@ -320,9 +320,7 @@ def counted_run(
     }
     overrides = dict(config_overrides or {})
     overrides.setdefault("crypto_mode", "counted")
-    config = VF2BoostConfig.vf2boost(
-        params=params, n_passive_parties=n_passive, **overrides
-    )
+    config = VF2BoostConfig.vf2boost(params=params, **overrides)
     trainer = FederatedTrainer(config)
     result = trainer.fit(
         party_sets, data.train_labels, valid_codes, data.valid_labels
@@ -615,9 +613,7 @@ def run_table6(
                 n_bins=params.n_bins,
                 n_layers=params.n_layers,
             )
-            config = VF2BoostConfig.vf2boost(
-                params=params, n_passive_parties=n_passive
-            )
+            config = VF2BoostConfig.vf2boost(params=params)
             makespan = ProtocolScheduler(config, cost, PAPER_CLUSTER).schedule(trace).makespan
             per_party[n_parties] = {"auc": run.valid_auc, "time": makespan}
         results[name] = {"per_party": per_party, "b_only_auc": b_only_auc}

@@ -63,7 +63,6 @@ class VF2BoostConfig:
             perform (the protocol is lossless, so models are identical);
             ``"mock"`` is counted-mode with plaintext cost accounting
             (the paper's VF-MOCK).
-        n_passive_parties: number of Party A's (multi-party, §6.4).
         seed: RNG seed for keygen/jitter.
     """
 
@@ -78,7 +77,6 @@ class VF2BoostConfig:
     exponent_jitter: int = 6
     blaster_batch_size: int = 10_000
     crypto_mode: str = "counted"
-    n_passive_parties: int = 1
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -92,8 +90,6 @@ class VF2BoostConfig:
             raise ValueError("exponent_jitter must be >= 1")
         if self.blaster_batch_size < 1:
             raise ValueError("blaster_batch_size must be >= 1")
-        if self.n_passive_parties < 1:
-            raise ValueError("need at least one passive party")
 
     # ------------------------------------------------------------------
     # Presets (the named systems of §6)

@@ -148,13 +148,17 @@ class CountedCipherPayload(Message):
 
     Carries no actual ciphers — only how many the real run would ship —
     so the channel's byte ledger stays exact while the arithmetic runs
-    on plaintext. Always satisfies the ciphertext-only rule by
-    construction (there is no plaintext payload at all).
+    on plaintext.  ``opens_to`` is counted mode's one shortcut: what the
+    absent ciphers would open to (a batch's ``(g, h)`` arrays, or
+    ``node -> Histogram``) at zero wire bytes, so the receiver acts on
+    what it received.  The ciphertext-only rule reports the real run's
+    payload, which is ciphertext.
     """
 
     kind: str = ""
     n_ciphers: int = 0
     extra_bytes: int = 0
+    opens_to: object = None
 
     def payload_bytes(self, key_bits: int) -> int:
         return self.n_ciphers * cipher_bytes(key_bits) + self.extra_bytes + 8

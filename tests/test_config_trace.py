@@ -44,8 +44,6 @@ class TestConfigPresets:
             VF2BoostConfig(exponent_jitter=0)
         with pytest.raises(ValueError):
             VF2BoostConfig(blaster_batch_size=0)
-        with pytest.raises(ValueError):
-            VF2BoostConfig(n_passive_parties=0)
 
 
 class TestTraceSchema:

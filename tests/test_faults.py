@@ -22,6 +22,7 @@ from repro.core.serialization import (
     save_checkpoint,
     trace_to_payload,
 )
+from repro.core.party import ProtocolError
 from repro.core.trainer import FederatedTrainer, TrainingInterrupted
 from repro.fed.channel import RecordingChannel
 from repro.fed.faults import (
@@ -42,6 +43,14 @@ from repro.obs.events import EventLog
 def _model_bytes(result) -> str:
     """Canonical serialized form for bit-identity comparison."""
     return json.dumps(model_to_payloads(result.model), sort_keys=True)
+
+
+def _assert_drained(result) -> None:
+    """Every message of the fit was read by the party it was sent to."""
+    channel = result.channel
+    for sender, receiver in list(channel.stats):
+        assert channel.receive_all(sender, receiver) == []
+        assert channel.pending(sender, receiver) == 0
 
 
 # ----------------------------------------------------------------------
@@ -325,6 +334,52 @@ class TestFaultMatrix:
         assert _model_bytes(result) == baseline
         assert result.faults[kind if kind != "mixed" else "drops"] > 0
         assert result.faults["delivery_failures"] == 0
+        # The oracle bites: the parties act on what they receive, so a
+        # duplicate or a resend after a lost ack reaches a receiver and
+        # only the dedupe keeps the model above identical.
+        if kind in ("duplicates", "mixed"):
+            assert result.faults["dedupe_dropped"] > 0
+        if kind == "duplicates":
+            assert result.faults["dedupe_dropped"] == result.faults["duplicates"]
+        _assert_drained(result)
+
+    @pytest.mark.parametrize("mode", ["real", "counted"])
+    @pytest.mark.parametrize("seed", [8, 9])
+    def test_without_dedupe_a_stale_histogram_fails_loudly(
+        self, monkeypatch, mode, seed
+    ):
+        # The same kind of faulted run with receive-side dedupe switched
+        # off: the duplicated root histograms are read as the next
+        # layer's and refused — never a silently different model.
+        from repro.bench.scenario import GOLDEN
+
+        monkeypatch.setattr(
+            ReliableChannel, "_applies", lambda self, m: not isinstance(m, Ack)
+        )
+        parties, labels = GOLDEN.parties()
+        with pytest.raises(ProtocolError, match=r"sent nodes \[0\], this layer builds \[1\]"):
+            FederatedTrainer(GOLDEN.config(crypto_mode=mode)).fit(
+                parties,
+                labels,
+                fault_plan=FaultPlan(seed=seed, duplicate_rate=0.25),
+                retry_policy=RetryPolicy(max_retries=8),
+            )
+
+    @pytest.mark.parametrize("kind,make_plan", _MATRIX_PLANS)
+    def test_without_receive_side_filtering_every_plan_fails_typed(
+        self, monkeypatch, counted_config, party_datasets, kind, make_plan
+    ):
+        # ``_applies`` forced true: acks and stale copies surface, and the
+        # first party to read one raises a typed error.
+        monkeypatch.setattr(ReliableChannel, "_applies", lambda self, m: True)
+        parties, labels = party_datasets
+        with pytest.raises(ProtocolError, match="expected"):
+            FederatedTrainer(counted_config).fit(
+                parties,
+                labels,
+                fault_plan=make_plan(1),
+                retry_policy=RetryPolicy(max_retries=8),
+            )
 
     def test_crash_and_resume_bit_identical(
         self, counted_config, party_datasets, baseline, tmp_path
@@ -340,6 +395,7 @@ class TestFaultMatrix:
         )
         assert _model_bytes(result) == baseline
         assert result.faults["resumes"] == 2
+        _assert_drained(result)
 
     def test_faulted_resumed_run_keeps_the_built_set(
         self, counted_config, party_datasets, tmp_path

@@ -392,10 +392,7 @@ class TestTrainerIntegration:
         codes = {p: ds.codes for p, ds in enumerate(parties)}
         plaintext = GBDTTrainer(params)
         plaintext.fit_binned(used, labels)
-        config = VF2BoostConfig.vf2boost(
-            params=params, crypto_mode="real", key_bits=256,
-            n_passive_parties=n_passive,
-        )
+        config = VF2BoostConfig.vf2boost(params=params, crypto_mode="real", key_bits=256)
         real = FederatedTrainer(config).fit(parties, labels)
         counted = FederatedTrainer(config.replace(crypto_mode="counted")).fit(
             parties, labels

@@ -157,10 +157,9 @@ class TestScaling:
     def test_multi_party_slightly_slower(self):
         two = analytic_trace(500_000, 500, [500], 0.1, 20, 5)
         three = analytic_trace(500_000, 333, [333, 333], 0.1, 20, 5)
-        config2 = VF2BoostConfig(params=PARAMS)
-        config3 = VF2BoostConfig(params=PARAMS, n_passive_parties=2)
-        t2 = ProtocolScheduler(config2, COST, PAPER_CLUSTER).schedule(two).makespan
-        t3 = ProtocolScheduler(config3, COST, PAPER_CLUSTER).schedule(three).makespan
+        config = VF2BoostConfig(params=PARAMS)
+        t2 = ProtocolScheduler(config, COST, PAPER_CLUSTER).schedule(two).makespan
+        t3 = ProtocolScheduler(config, COST, PAPER_CLUSTER).schedule(three).makespan
         assert t3 == pytest.approx(t2, rel=0.35)
 
     def test_per_tree_lengths(self):
@@ -219,7 +218,6 @@ class TestHistogramSubtractionPricing:
             (
                 dict(
                     incremental_dirty_redo=True,
-                    n_passive_parties=2,
                     histogram_packing=False,
                 ),
                 [2500, 2500],
@@ -296,11 +294,11 @@ class TestHistogramSubtractionPricing:
     ):
         import dataclasses
 
-        import repro.core.trainer as trainer_module
+        import repro.core.enc_histogram as enc_histogram
         from repro.bench.scenario import GOLDEN, GOLDEN_DIMS
 
         builds = []
-        build = trainer_module.build_encrypted_histogram
+        build = enc_histogram.build_encrypted_histogram
 
         def counted_build(context, *args, **kwargs):
             before = context.stats.additions
@@ -308,7 +306,7 @@ class TestHistogramSubtractionPricing:
             builds.append((context.stats.additions - before, histogram))
             return histogram
 
-        monkeypatch.setattr(trainer_module, "build_encrypted_histogram", counted_build)
+        monkeypatch.setattr(enc_histogram, "build_encrypted_histogram", counted_build)
         config = GOLDEN.config(crypto_mode="real")
         result = FederatedTrainer(config).fit(*GOLDEN.parties())
         real_hadds = sum(adds for adds, _ in builds)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import VF2BoostConfig
+from repro.core.party import ActiveParty
 from repro.core.trainer import FederatedTrainer, TrainingInterrupted
 from repro.crypto.ciphertext import OpStats
 from repro.fed.faults import FaultPlan
@@ -255,9 +256,7 @@ class TestMultiParty:
             full.subset_features(np.arange(0, 3)),  # A1
             full.subset_features(np.arange(3, 6)),  # A2
         ]
-        config = VF2BoostConfig.vf2boost(
-            params=params, crypto_mode="counted", n_passive_parties=2
-        )
+        config = VF2BoostConfig.vf2boost(params=params, crypto_mode="counted")
         result = FederatedTrainer(config).fit(parties, labels)
         assert len(result.model.trees) == 2
         assert result.trace.n_parties == 3
@@ -322,7 +321,7 @@ class TestHistogramSubtraction:
         plaintext = GBDTTrainer(params)
         plaintext.fit_binned(full, labels)
         config = getattr(VF2BoostConfig, preset)(
-            params=params, crypto_mode="real", key_bits=256, n_passive_parties=2
+            params=params, crypto_mode="real", key_bits=256
         )
         real = FederatedTrainer(config).fit(parties, labels)
         counted = FederatedTrainer(config.replace(crypto_mode="counted")).fit(
@@ -414,7 +413,7 @@ class TestHistogramSubtraction:
         all_nodes = sum(len(l.nodes) for l in result.trace.trees[0].layers)
         assert self._built_nodes(result) == (all_nodes + 1) // 2
 
-    def test_packed_derived_sums_are_exact(self):
+    def test_packed_derived_sums_are_exact(self, monkeypatch):
         features, labels = self._soft_problem(n=60, d=6, seed=5)
         params = GBDTParams(n_trees=1, n_layers=4, n_bins=4)
         full = bin_dataset(features, params.n_bins)
@@ -425,16 +424,15 @@ class TestHistogramSubtraction:
         config = VF2BoostConfig.vf2boost(params=params, crypto_mode="real", key_bits=256)
         plaintext = GBDTTrainer(params)
         plaintext.fit_binned(full, labels)
-        trainer = FederatedTrainer(config)
         seen = []
-        search = trainer._global_best_split
+        search = ActiveParty._global_best_split
 
-        def spy(active_hist, passive_hists, n_node):
-            seen.append(passive_hists[1])
-            return search(active_hist, passive_hists, n_node)
+        def spy(active, node_id):
+            seen.append(active.hists[1][node_id])
+            return search(active, node_id)
 
-        trainer._global_best_split = spy
-        result = trainer.fit(parties, labels)
+        monkeypatch.setattr(ActiveParty, "_global_best_split", spy)
+        result = FederatedTrainer(config).fit(parties, labels)
         assert [r.train_loss for r in result.history] == [
             r.train_loss for r in plaintext.history
         ]
