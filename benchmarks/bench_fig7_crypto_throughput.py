@@ -7,8 +7,8 @@ re-ordered accumulation lifts HAdd throughput ~4.08x; packing lifts
 per-value decryption throughput ~32x at t=32.
 """
 
+from repro.bench.calibrate import crypto_throughputs
 from repro.bench.experiments import run_fig7
-from repro.bench.microbench import crypto_throughputs
 from repro.crypto.ciphertext import PaillierContext
 
 KEY_BITS = 512

@@ -18,7 +18,6 @@ import time
 
 from repro.crypto import (
     PaillierContext,
-    naive_sum,
     pack_capacity,
     pack_ciphers,
     reordered_sum,
@@ -46,7 +45,7 @@ def main() -> None:
 
     before = context.stats.snapshot()
     start = time.perf_counter()
-    total_naive = naive_sum(context, ciphers)
+    total_naive = context.sum_ciphers(ciphers)
     naive_time = time.perf_counter() - start
     naive_scalings = context.stats.diff(before).scalings
 

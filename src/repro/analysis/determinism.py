@@ -10,11 +10,11 @@ that silently:
   never the host.  Both *calls* and wall-clock *references as function
   parameter defaults* (``timer=time.perf_counter``) are flagged — a
   defaulted timer hard-codes the host clock just as surely as calling
-  it, only one stack frame later.  ``repro.bench.microbench`` measures
-  *real* crypto throughput by design; its timing loops carry explicit
-  ``# repro: allow[DET001]`` suppressions, and the injectable-timer
-  defaults in ``bench/costmodel.py`` / ``bench/calibrate.py`` carry
-  line-level ones.
+  it, only one stack frame later.  ``repro.bench.calibrate.measure``
+  times *real* crypto by design with an injected timer; the two
+  injectable-timer defaults of its views (``calibrate`` and
+  ``crypto_throughputs``) carry line-level ``# repro: allow[DET001]``
+  suppressions.
 
 * **DET002 — nondeterministic randomness**: unseeded
   ``random.Random()`` / ``numpy.random.default_rng()`` construction,

@@ -1,13 +1,18 @@
-"""Host calibration profiles and cost-ratio drift detection.
+"""One timed pass over one key: host calibration and Figure 7.
 
-The simulator prices protocols with :meth:`CostModel.paper` constants,
-but every *measured* number in this repository (Figure 7 throughputs,
-``CostModel.measured()`` unit costs) depends on the host it ran on.  A
-:class:`CalibrationProfile` freezes one such measurement into a JSON
-artifact — unit costs, cipher size, packed-decryption gain, and a host
-fingerprint — so later runs can (a) rebuild the exact cost model via
-:meth:`CostModel.from_profile` and (b) ask whether the *shape* of the
-costs still matches the paper's §6.1 environment.
+:func:`measure` is the one place this repository times Paillier ops.
+It generates one key at the trainer's own defaults
+(:class:`~repro.core.config.VF2BoostConfig`: ``E`` jittered exponents,
+the packed path's :class:`~repro.crypto.packing.GradHessLayout`) and
+times every row in one pass.  Two views read that result:
+
+* :func:`calibrate` freezes it into a :class:`CalibrationProfile` — unit
+  costs, cipher size, packed-decryption gain and a host fingerprint — so
+  later runs can (a) rebuild the exact cost model via
+  :meth:`CostModel.from_profile` and (b) ask whether the *shape* of the
+  costs still matches the paper's §6.1 environment;
+* :func:`crypto_throughputs` renders it as Figure 7's
+  :class:`ThroughputReport` (operations per second).
 
 Drift is judged on dimensionless ratios, not absolute times: absolute
 unit costs vary by orders of magnitude across hosts and key sizes, but
@@ -19,46 +24,48 @@ reports every ratio that escaped its band — the signal that either the
 crypto implementation regressed or the host is too unlike the paper's
 environment for measured numbers to be comparable.
 
-Determinism: :func:`calibrate` accepts an injected ``timer`` exactly
-like :meth:`CostModel.measured`; with a fake monotonic counter the
-whole profile (and therefore the drift verdict) is bit-repeatable.
+Determinism: both views accept an injected ``timer``; with a fake
+monotonic counter the whole profile (and therefore the drift verdict)
+is bit-repeatable.
 """
 
 from __future__ import annotations
 
 import json
 import platform
+import random
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
-from repro.bench.costmodel import CostModel
+import numpy as np
+
+from repro.bench.costmodel import UNIT_COST_FIELDS, CostModel
+from repro.core.config import VF2BoostConfig
+from repro.crypto.accumulation import ExponentWorkspace
+from repro.crypto.ciphertext import PaillierContext
+from repro.crypto.packing import pack_ciphers, unpack_values
 
 __all__ = [
     "DEFAULT_TOLERANCES",
     "CalibrationProfile",
     "DriftCheck",
     "DriftReport",
+    "ThroughputReport",
     "calibrate",
     "check_drift",
+    "crypto_throughputs",
     "host_fingerprint",
+    "measure",
     "paper_ratios",
 ]
 
 #: schema version for saved profile files
 PROFILE_VERSION = 1
 
-#: the CostModel fields a profile freezes (seconds per operation)
-UNIT_COST_FIELDS = (
-    "t_enc",
-    "t_dec",
-    "t_hadd",
-    "t_scale",
-    "t_smul",
-    "t_smul_small",
-    "t_plain_accum",
-    "t_split_bin",
-)
+#: SMul scalar of each row: Figure 7's, the cost model's arbitrary one,
+#: and the 2**64 radix ``ProtocolScheduler`` scales by ``stride / 64``
+SMUL_SCALARS = {"smul": 123457, "t_smul": 123456789, "t_smul_small": 1 << 64}
 
 #: multiplicative drift bands per ratio: a check fails when
 #: max(measured/reference, reference/measured) exceeds the factor.
@@ -104,6 +111,100 @@ def paper_ratios() -> dict:
     }
 
 
+def measure(
+    config: VF2BoostConfig, samples: int, seed: int, timer: Callable[[], float]
+) -> tuple[dict, int]:
+    """Time every Paillier op of the cost model and Figure 7 on one key.
+
+    The key is ``config.key_bits`` wide and jitters
+    ``config.exponent_jitter`` exponents.  ``samples`` normal-distributed
+    values are encrypted (Enc), decrypted (Dec), summed left to right
+    (naive HAdd) and into per-exponent workspaces, whose adds are
+    same-exponent HAdds (``t_hadd``) and whose merge completes the
+    re-ordered HAdd; each cipher is then scaled by ``B**2`` and
+    multiplied by every scalar of :data:`SMUL_SCALARS`.  The packed row
+    decrypts the pack the trainer ships: ``layout.capacity`` shifted
+    prefix sums of a node of ``samples`` instances, ``layout.stride``
+    bits apart, for ``layout = config.gradient_layout(samples)``.
+
+    Returns:
+        ``(seconds, pack_width)``: seconds per op under the
+        :data:`UNIT_COST_FIELDS` names plus ``hadd_naive``,
+        ``hadd_reordered``, ``smul`` and ``dec_packed`` (per value), and
+        the slots per pack.
+    """
+    context = PaillierContext.create(
+        config.key_bits, seed=seed, jitter=config.exponent_jitter
+    )
+    rng = random.Random(seed)
+    values = [rng.gauss(0.0, 1.0) for _ in range(samples)]
+    seconds: dict[str, float] = {}
+
+    def per_op(start: float, count: int) -> float:
+        return (timer() - start) / max(1, count)
+
+    # The key holder builds its obfuscator tables on the first draw: a
+    # per-key cost (DESIGN §4.14), not part of an Enc.
+    context.pool.take()
+
+    start = timer()
+    ciphers = [context.encrypt(v) for v in values]
+    seconds["t_enc"] = per_op(start, samples)
+
+    start = timer()
+    for cipher in ciphers:
+        context.decrypt(cipher)
+    seconds["t_dec"] = per_op(start, samples)
+
+    start = timer()
+    context.sum_ciphers(ciphers)
+    seconds["hadd_naive"] = per_op(start, samples - 1)
+
+    workspace = ExponentWorkspace(context)
+    start = timer()
+    for cipher in ciphers:
+        workspace.add(cipher)
+    seconds["t_hadd"] = per_op(start, samples - len(workspace.exponents))
+    workspace.finalize()
+    seconds["hadd_reordered"] = per_op(start, samples - 1)
+
+    start = timer()
+    for cipher in ciphers:
+        context.scale_to(cipher, cipher.exponent + 2)
+    seconds["t_scale"] = per_op(start, samples)
+
+    for name, scalar in SMUL_SCALARS.items():
+        start = timer()
+        for cipher in ciphers:
+            context.multiply(cipher, scalar)
+        seconds[name] = per_op(start, samples)
+
+    array = np.asarray(values * 40, dtype=np.float64)
+    start = timer()
+    np.add.reduce(array)
+    seconds["t_plain_accum"] = max(1e-9, per_op(start, array.size))
+    seconds["t_split_bin"] = seconds["t_plain_accum"] * 4
+
+    layout = config.gradient_layout(samples)
+    pairs = layout.encode(
+        [rng.uniform(-layout.grad_bound, layout.grad_bound) for _ in range(samples)],
+        [rng.uniform(0.0, layout.hess_bound) for _ in range(samples)],
+    )
+    # One feature of capacity + 1 bins; the last prefix is B's own total.
+    bins = layout.capacity + 1
+    slots = [
+        layout.shift(samples) + sum(pairs[: (k + 1) * samples // bins])
+        for k in range(layout.capacity)
+    ]
+    packed = pack_ciphers(context, layout.encrypt(context, slots), layout.stride)
+    repeats = max(1, samples // layout.capacity)
+    start = timer()
+    for _ in range(repeats):
+        unpack_values(context, packed)
+    seconds["dec_packed"] = per_op(start, repeats * layout.capacity)
+    return seconds, layout.capacity
+
+
 @dataclass(frozen=True)
 class CalibrationProfile:
     """One host's measured crypto cost structure, as a JSON artifact.
@@ -115,7 +216,8 @@ class CalibrationProfile:
         cipher_bytes: wire size of one cipher at ``key_bits``.
         packing_gain: measured per-value decryption speedup of
             polynomial packing over plain decryption.
-        pack_width: values per pack in the packing measurement.
+        pack_width: slots per pack in the packing measurement (the
+            trainer layout's ``capacity``, see :func:`measure`).
         samples: operations per measurement.
         seed: keygen/value seed the measurement used.
         host: :func:`host_fingerprint` of the measuring machine.
@@ -138,10 +240,6 @@ class CalibrationProfile:
             "packing_efficiency": self.packing_gain / max(1, self.pack_width),
         }
 
-    def cost_model(self) -> CostModel:
-        """The :class:`CostModel` this profile freezes."""
-        return CostModel.from_profile(self)
-
     def to_dict(self) -> dict:
         return {
             "version": PROFILE_VERSION,
@@ -157,14 +255,32 @@ class CalibrationProfile:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CalibrationProfile":
+        """Rebuild a profile from :meth:`to_dict` output.
+
+        Raises:
+            ValueError: naming every unknown or missing field and every
+                missing ``unit_costs`` key.
+        """
+        if not isinstance(data, dict):
+            raise ValueError("a calibration profile is a JSON object")
         data = dict(data)
         data.pop("version", None)
         # Profiles written while a crypto-backend selector existed carry
         # its name; there is one engine now, so the key means nothing.
         data.pop("backend", None)
-        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        names = {f.name for f in fields(cls)}
+        unknown = sorted(set(data) - names)
         if unknown:
             raise ValueError(f"unknown calibration profile field(s): {unknown}")
+        missing = sorted(names - {"host"} - set(data))
+        costs = data.get("unit_costs")
+        costs = costs if isinstance(costs, dict) else {}
+        missing_costs = sorted(set(UNIT_COST_FIELDS) - set(costs))
+        if missing or missing_costs:
+            raise ValueError(
+                f"calibration profile lacks field(s) {missing} and "
+                f"unit_costs key(s) {missing_costs}"
+            )
         return cls(**data)
 
     def save(self, path: str) -> None:
@@ -175,73 +291,17 @@ class CalibrationProfile:
 
     @classmethod
     def load(cls, path: str) -> "CalibrationProfile":
-        """Read a profile written by :meth:`save`."""
+        """Read a profile written by :meth:`save`.
+
+        Raises:
+            ValueError: naming ``path``, for a file that is not JSON or
+                not a whole profile (see :meth:`from_dict`).
+        """
         with open(path) as handle:
-            return cls.from_dict(json.load(handle))
-
-    @classmethod
-    def from_cost_model(
-        cls,
-        cost: CostModel,
-        *,
-        key_bits: int,
-        packing_gain: float,
-        pack_width: int,
-        samples: int = 0,
-        seed: int = 0,
-        host: dict | None = None,
-    ) -> "CalibrationProfile":
-        """Freeze an existing :class:`CostModel` into a profile."""
-        return cls(
-            key_bits=key_bits,
-            unit_costs={name: getattr(cost, name) for name in UNIT_COST_FIELDS},
-            cipher_bytes=cost.cipher_bytes,
-            packing_gain=packing_gain,
-            pack_width=pack_width,
-            samples=samples,
-            seed=seed,
-            host=host if host is not None else {},
-        )
-
-
-def _measure_packing(
-    key_bits: int,
-    samples: int,
-    seed: int,
-    timer: Callable[[], float],
-    limb_bits: int = 32,
-) -> tuple[float, int]:
-    """Per-value packed-decryption gain vs plain decryption.
-
-    Returns ``(gain, pack_width)``; ideal gain equals the width.
-    """
-    import random
-
-    from repro.crypto.ciphertext import PaillierContext
-    from repro.crypto.packing import pack_capacity, pack_ciphers, unpack_values
-
-    context = PaillierContext.create(key_bits, seed=seed, jitter=1)
-    rng = random.Random(seed)
-    width = min(
-        pack_capacity(context.public_key, limb_bits, top_bits=limb_bits // 2), samples
-    )
-    positive = [
-        context.encrypt(float(rng.randrange(1 << (limb_bits // 2))), exponent=0)
-        for _ in range(width)
-    ]
-
-    start = timer()
-    for cipher in positive:
-        context.decrypt(cipher)
-    per_value_plain = (timer() - start) / width
-
-    packed = pack_ciphers(context, positive, limb_bits, top_bits=limb_bits // 2)
-    repeats = max(1, samples // width)
-    start = timer()
-    for _ in range(repeats):
-        unpack_values(context, packed)
-    per_value_packed = (timer() - start) / (repeats * width)
-    return per_value_plain / max(per_value_packed, 1e-12), width
+            try:
+                return cls.from_dict(json.load(handle))
+            except ValueError as error:
+                raise ValueError(f"profile {path}: {error}") from error
 
 
 def calibrate(
@@ -251,18 +311,83 @@ def calibrate(
     timer: Callable[[], float] = time.perf_counter,  # repro: allow[DET001] -- calibration times real crypto by design; tests inject a fake timer
 ) -> CalibrationProfile:
     """Microbenchmark this host into a :class:`CalibrationProfile`."""
-    cost = CostModel.measured(
-        key_bits=key_bits, samples=samples, seed=seed, timer=timer
-    )
-    gain, width = _measure_packing(key_bits, samples, seed, timer)
-    return CalibrationProfile.from_cost_model(
-        cost,
+    seconds, width = measure(VF2BoostConfig(key_bits=key_bits), samples, seed, timer)
+    return CalibrationProfile(
         key_bits=key_bits,
-        packing_gain=gain,
+        unit_costs={name: seconds[name] for name in UNIT_COST_FIELDS},
+        cipher_bytes=key_bits // 4,
+        packing_gain=seconds["t_dec"] / seconds["dec_packed"],
         pack_width=width,
         samples=samples,
         seed=seed,
         host=host_fingerprint(),
+    )
+
+
+@dataclass
+class ThroughputReport:
+    """Operations-per-second of each cryptography primitive (Figure 7).
+
+    ``hadd_reordered`` counts the same logical additions as ``hadd``
+    but with exponent-grouped accumulation; ``dec_packed`` counts
+    *logical values recovered* per second (each decryption recovers a
+    whole pack of ``pack_width`` slots).
+    """
+
+    key_bits: int
+    n_exponents: int
+    enc: float
+    dec: float
+    hadd_naive: float
+    hadd_reordered: float
+    smul: float
+    dec_packed: float
+    pack_width: int
+
+    def reorder_gain(self) -> float:
+        """HAdd throughput gain from re-ordered accumulation."""
+        return self.hadd_reordered / self.hadd_naive
+
+    def packing_gain(self) -> float:
+        """Per-value decryption gain from packing."""
+        return self.dec_packed / self.dec
+
+    def to_dict(self) -> dict:
+        """JSON-ready report: every field plus the derived gains."""
+        return {
+            **asdict(self),
+            "reorder_gain": self.reorder_gain(),
+            "packing_gain": self.packing_gain(),
+        }
+
+
+def crypto_throughputs(
+    key_bits: int = 512,
+    samples: int = 48,
+    seed: int = 11,
+    timer: Callable[[], float] = time.perf_counter,  # repro: allow[DET001] -- Figure 7 times real crypto by design; tests inject a fake timer
+) -> ThroughputReport:
+    """Measure all Figure 7 operations at a given key size.
+
+    Args:
+        key_bits: Paillier modulus size; the paper uses 2048, tests use
+            smaller keys (throughput *ratios* are size-stable).
+        samples: operations per measurement.
+        seed: deterministic keygen/value seed.
+        timer: zero-argument seconds source.
+    """
+    config = VF2BoostConfig(key_bits=key_bits)
+    seconds, width = measure(config, samples, seed, timer)
+    return ThroughputReport(
+        key_bits=key_bits,
+        n_exponents=config.exponent_jitter,
+        enc=1.0 / seconds["t_enc"],
+        dec=1.0 / seconds["t_dec"],
+        hadd_naive=1.0 / seconds["hadd_naive"],
+        hadd_reordered=1.0 / seconds["hadd_reordered"],
+        smul=1.0 / seconds["smul"],
+        dec_packed=1.0 / seconds["dec_packed"],
+        pack_width=width,
     )
 
 
@@ -278,14 +403,7 @@ class DriftCheck:
     ok: bool
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "measured": self.measured,
-            "reference": self.reference,
-            "factor": self.factor,
-            "tolerance": self.tolerance,
-            "ok": self.ok,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

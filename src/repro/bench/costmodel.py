@@ -5,9 +5,9 @@ The paper reasons about protocols through per-operation unit costs
 the same constants plus the plaintext-side costs needed for the
 XGBoost / VF-MOCK baselines, in two flavors:
 
-* :meth:`CostModel.measured` — microbenchmark *this repository's* real
-  Paillier implementation at any key size (used by Figure 7 and to
-  validate ratios);
+* :meth:`CostModel.from_profile` — this host's unit costs, as one timed
+  pass of this repository's real Paillier implementation measured them
+  (:func:`repro.bench.calibrate.calibrate`);
 * :meth:`CostModel.paper` — constants calibrated once against the
   paper's §6.1 environment (2048-bit keys, C library, 16-core
   machines).  Only the *baseline* column of Table 1 informed the
@@ -20,11 +20,9 @@ documents.
 
 from __future__ import annotations
 
-import time
-from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
-__all__ = ["CostModel"]
+__all__ = ["UNIT_COST_FIELDS", "CostModel"]
 
 
 @dataclass(frozen=True)
@@ -160,99 +158,14 @@ class CostModel:
         """Build a model from a saved :class:`CalibrationProfile`.
 
         ``profile`` is duck-typed: anything with a ``unit_costs`` dict
-        keyed by this dataclass's ``t_*`` field names and a
-        ``cipher_bytes`` attribute (see
-        :class:`repro.bench.calibrate.CalibrationProfile`).
+        keyed by :data:`UNIT_COST_FIELDS` and a ``cipher_bytes``
+        attribute (see :class:`repro.bench.calibrate.CalibrationProfile`).
         """
-        costs = profile.unit_costs
         return cls(
-            t_enc=float(costs["t_enc"]),
-            t_dec=float(costs["t_dec"]),
-            t_hadd=float(costs["t_hadd"]),
-            t_scale=float(costs["t_scale"]),
-            t_smul=float(costs["t_smul"]),
-            t_smul_small=float(costs["t_smul_small"]),
-            t_plain_accum=float(costs["t_plain_accum"]),
-            t_split_bin=float(costs["t_split_bin"]),
+            **{name: float(profile.unit_costs[name]) for name in UNIT_COST_FIELDS},
             cipher_bytes=int(profile.cipher_bytes),
         )
 
-    @classmethod
-    def measured(
-        cls,
-        key_bits: int = 512,
-        samples: int = 30,
-        seed: int = 7,
-        timer: Callable[[], float] = time.perf_counter,  # repro: allow[DET001] -- measuring real crypto is this method's purpose; simulations use paper()
-    ) -> "CostModel":
-        """Microbenchmark this repository's Paillier implementation.
 
-        Args:
-            key_bits: modulus size to measure at.
-            samples: operations per measurement (kept small; unit costs
-                are stable well below 100 samples).
-            seed: deterministic keygen seed.
-            timer: zero-argument seconds source.  The default measures
-                real wall time; tests inject a fake monotonic counter
-                to make the returned costs deterministic.
-        """
-        import random
-
-        from repro.crypto.ciphertext import PaillierContext
-
-        context = PaillierContext.create(key_bits, seed=seed, jitter=1)
-        rng = random.Random(seed)
-        values = [rng.uniform(-1.0, 1.0) for _ in range(samples)]
-        # The key holder builds its obfuscator tables on the first
-        # draw: a per-key cost, not part of t_enc.
-        context.pool.take()
-
-        start = timer()
-        ciphers = [context.encrypt(v) for v in values]
-        t_enc = (timer() - start) / samples
-
-        start = timer()
-        for cipher in ciphers:
-            context.decrypt(cipher)
-        t_dec = (timer() - start) / samples
-
-        start = timer()
-        total = ciphers[0]
-        for cipher in ciphers[1:]:
-            total = context.add(total, cipher)
-        t_hadd = (timer() - start) / max(1, samples - 1)
-
-        start = timer()
-        for cipher in ciphers:
-            context.scale_to(cipher, cipher.exponent + 2)
-        t_scale = (timer() - start) / samples
-
-        start = timer()
-        for cipher in ciphers:
-            context.multiply(cipher, 123456789)
-        t_smul = (timer() - start) / samples
-
-        start = timer()
-        for cipher in ciphers:
-            context.multiply_raw(cipher, 1 << 64)
-        t_smul_small = (timer() - start) / samples
-
-        # Plaintext accumulation cost: numpy-loop-grade estimate.
-        import numpy as np
-
-        array = np.asarray(values * 40, dtype=np.float64)
-        start = timer()
-        np.add.reduce(array)
-        t_plain = max(1e-9, (timer() - start) / array.size)
-
-        return cls(
-            t_enc=t_enc,
-            t_dec=t_dec,
-            t_hadd=t_hadd,
-            t_scale=t_scale,
-            t_smul=t_smul,
-            t_smul_small=t_smul_small,
-            t_plain_accum=t_plain,
-            t_split_bin=t_plain * 4,
-            cipher_bytes=key_bits // 4,
-        )
+#: the unit costs a calibration profile freezes (seconds per operation)
+UNIT_COST_FIELDS = tuple(f.name for f in fields(CostModel) if f.name.startswith("t_"))

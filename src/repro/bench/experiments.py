@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.baselines.systems import SYSTEMS, get_system, simulate_plaintext_gbdt
+from repro.bench.calibrate import crypto_throughputs
 from repro.bench.costmodel import CostModel
-from repro.bench.microbench import crypto_throughputs
 from repro.bench.report import format_bytes, format_ratio, format_seconds, format_table
 from repro.core.config import VF2BoostConfig
 from repro.core.profile import analytic_trace
@@ -40,7 +40,6 @@ from repro.gbdt.params import GBDTParams
 __all__ = [
     "PAPER_PARAMS",
     "run_fig7",
-    "run_fig7_data",
     "run_table1",
     "run_table2",
     "run_table3",
@@ -69,11 +68,6 @@ def _paper_scale_trace(info, params: GBDTParams):
         n_bins=params.n_bins,
         n_layers=params.n_layers,
     )
-
-
-def run_fig7_data(key_bits: int = 512, samples: int = 48) -> dict:
-    """Measure the Figure 7 throughputs; return them JSON-ready."""
-    return crypto_throughputs(key_bits=key_bits, samples=samples).to_dict()
 
 
 def run_fig7(key_bits: int = 512, samples: int = 48) -> str:

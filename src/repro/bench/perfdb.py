@@ -344,7 +344,7 @@ def serve_fleet_scenario() -> PerfEntry:
 
 def fig7_scenario(key_bits: int = 512, samples: int = 48) -> PerfEntry:
     """Measured scenario: real Figure 7 throughputs (noise-gated)."""
-    from repro.bench.microbench import crypto_throughputs
+    from repro.bench.calibrate import crypto_throughputs
 
     report = crypto_throughputs(key_bits=key_bits, samples=samples)
     scalars = {

@@ -55,6 +55,7 @@ import sys
 import time
 
 from repro.bench import experiments
+from repro.bench.calibrate import crypto_throughputs
 from repro.gbdt.params import GBDTParams
 
 __all__ = ["main", "EXPERIMENTS"]
@@ -218,7 +219,11 @@ def _whatif_main(argv: list[str]) -> int:
         from repro.bench.calibrate import CalibrationProfile
         from repro.bench.costmodel import CostModel
 
-        cost = CostModel.from_profile(CalibrationProfile.load(args.profile))
+        try:
+            cost = CostModel.from_profile(CalibrationProfile.load(args.profile))
+        except (OSError, ValueError) as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 2
     overrides = {f"n_{dim}": getattr(args, dim) for dim in dims}
     scenario = replace(
         GOLDEN_DIMS,
@@ -929,7 +934,11 @@ def _incidents_main(argv: list[str]) -> int:
 
     store = IncidentStore(args.dir)
     if args.action == "list":
-        rows = store.rows()
+        try:
+            rows = store.rows()
+        except ValueError as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 1
         if args.json:
             print(json.dumps(rows, indent=1, sort_keys=True))
             return 0
@@ -991,7 +1000,7 @@ def _incidents_main(argv: list[str]) -> int:
 
 #: experiments with a machine-readable variant (``--json``)
 JSON_EXPERIMENTS: dict[str, object] = {
-    "fig7": lambda: experiments.run_fig7_data(),
+    "fig7": lambda: crypto_throughputs().to_dict(),
     "util": lambda: experiments.run_resource_utilization()[0],
     "critical": lambda: experiments.run_critical_path()[0],
 }

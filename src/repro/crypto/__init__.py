@@ -11,11 +11,7 @@ Public surface:
   choke points over built-in ``pow``, and the key holder's CRT route.
 """
 
-from repro.crypto.accumulation import (
-    ExponentWorkspace,
-    naive_sum,
-    reordered_sum,
-)
+from repro.crypto.accumulation import ExponentWorkspace, reordered_sum
 from repro.crypto.ciphertext import EncryptedNumber, OpStats, PaillierContext
 from repro.crypto.encoding import EncodedNumber, Encoder
 from repro.crypto.packing import (
@@ -53,7 +49,6 @@ __all__ = [
     "PaillierPrivateKey",
     "PaillierPublicKey",
     "generate_keypair",
-    "naive_sum",
     "pack_capacity",
     "pack_ciphers",
     "reordered_sum",

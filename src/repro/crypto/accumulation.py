@@ -17,7 +17,7 @@ from typing import Iterable
 
 from repro.crypto.ciphertext import EncryptedNumber, PaillierContext
 
-__all__ = ["ExponentWorkspace", "naive_sum", "reordered_sum"]
+__all__ = ["ExponentWorkspace", "reordered_sum"]
 
 
 class ExponentWorkspace:
@@ -77,13 +77,6 @@ class ExponentWorkspace:
         if not self._partials:
             return self._context.encrypt_zero(exponent)
         return self.finalize()
-
-
-def naive_sum(
-    context: PaillierContext, numbers: Iterable[EncryptedNumber]
-) -> EncryptedNumber:
-    """Left-to-right accumulation — the baseline of Figure 8."""
-    return context.sum_ciphers(numbers)
 
 
 def reordered_sum(

@@ -75,51 +75,37 @@ class PackedCipher:
 
 
 def pack_capacity(
-    public_key: PaillierPublicKey,
-    limb_bits: int = DEFAULT_LIMB_BITS,
-    top_bits: int | None = None,
+    public_key: PaillierPublicKey, limb_bits: int = DEFAULT_LIMB_BITS
 ) -> int:
     """Max number of limbs that fit one plaintext without overflow.
 
-    A ``t``-limb pack is below ``2**((t - 1) * limb_bits + top_bits)``
-    (``top_bits`` bounds the bit-length of the *last-packed* value and
-    defaults to ``limb_bits``), so the largest ``t`` with
-
-        ``(t - 1) * limb_bits + top_bits <= bit_length(max_int) - 1``
-
-    keeps every pack inside the positive encoding range, ``<=
-    max_int``.  Nothing is held back on top: a :class:`PackedCipher` is
-    only ever decrypted, never summed with another.
+    A ``t``-limb pack is below ``2**(t * limb_bits)``, so the largest
+    ``t`` with ``t * limb_bits <= bit_length(max_int) - 1`` keeps every
+    pack inside the positive encoding range, ``<= max_int``.  Nothing
+    is held back on top: a :class:`PackedCipher` is only ever
+    decrypted, never summed with another.
 
     Args:
         public_key: key whose plaintext space bounds the pack.
         limb_bits: ``M``, the limb stride.
-        top_bits: tighter bound on the last value, in ``[1, limb_bits]``.
 
     Raises:
-        ValueError: when ``top_bits`` is out of range, or when not even
-            one limb fits the key's plaintext space — packing with such
-            a key would silently overflow into the negative encoding
-            range.
+        ValueError: when not even one limb fits the key's plaintext
+            space — packing with such a key would silently overflow into
+            the negative encoding range.
     """
-    return _capacity(public_key.max_int.bit_length() - 1, limb_bits, top_bits)
+    return _capacity(public_key.max_int.bit_length() - 1, limb_bits)
 
 
-def _capacity(usable: int, limb_bits: int, top_bits: int | None = None) -> int:
+def _capacity(usable: int, limb_bits: int) -> int:
     """The rule of :func:`pack_capacity` on ``usable`` plaintext bits."""
-    if top_bits is None:
-        top_bits = limb_bits
-    elif not 1 <= top_bits <= limb_bits:
-        raise ValueError(
-            f"top_bits must be in [1, {limb_bits}] (limb_bits), got {top_bits}"
-        )
-    if usable < top_bits:
+    if usable < limb_bits:
         raise ValueError(
             f"key too small to pack any limb: {usable} usable plaintext "
-            f"bits are fewer than one {top_bits}-bit limb; use a larger "
+            f"bits are fewer than one {limb_bits}-bit limb; use a larger "
             "key or a narrower limb_bits"
         )
-    return (usable - top_bits) // limb_bits + 1
+    return usable // limb_bits
 
 
 class GradientRangeError(ValueError):
@@ -244,7 +230,6 @@ def pack_ciphers(
     context: PaillierContext,
     numbers: Sequence[EncryptedNumber],
     limb_bits: int = DEFAULT_LIMB_BITS,
-    top_bits: int | None = None,
 ) -> PackedCipher:
     """Pack ciphers of non-negative integers into one cipher.
 
@@ -255,8 +240,6 @@ def pack_ciphers(
             (the caller guarantees this via shifting; ``unpack_histogram``
             rejects the corrupted limbs a violation leaves behind).
         limb_bits: ``M`` in the paper.
-        top_bits: optional tighter bound on packed-value magnitudes,
-            forwarded to :func:`pack_capacity`.
 
     Returns:
         A :class:`PackedCipher` with the first input in the lowest limb.
@@ -266,7 +249,7 @@ def pack_ciphers(
     """
     if not numbers:
         raise ValueError("cannot pack an empty sequence")
-    capacity = pack_capacity(context.public_key, limb_bits, top_bits)
+    capacity = pack_capacity(context.public_key, limb_bits)
     if len(numbers) > capacity:
         raise ValueError(
             f"cannot pack {len(numbers)} limbs: capacity is {capacity} "

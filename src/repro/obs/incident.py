@@ -39,7 +39,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 __all__ = [
     "BUNDLE_VERSION",
@@ -115,14 +115,29 @@ class IncidentBundle:
 
     @classmethod
     def load(cls, path: str) -> "IncidentBundle":
+        """Read a bundle written by :meth:`save`.
+
+        Raises:
+            ValueError: naming ``path`` — the file is not a JSON object
+                with a ``kind``, was written by a newer schema version,
+                or carries fields this build does not know.
+        """
         with open(path) as handle:
-            data = json.load(handle)
-        version = data.pop("version", 1)
+            try:
+                data = json.load(handle)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"bundle {path} is not valid JSON: {exc}") from exc
+        if not isinstance(data, dict) or "kind" not in data:
+            raise ValueError(f"bundle {path} is not an IncidentBundle JSON object")
+        version = data.pop("version", BUNDLE_VERSION)
         if version > BUNDLE_VERSION:
             raise ValueError(
                 f"bundle {path} has schema version {version}; this build "
                 f"reads up to {BUNDLE_VERSION}"
             )
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"bundle {path} has unknown field(s): {unknown}")
         return cls(**data)
 
     def fingerprint(self) -> str:

@@ -6,16 +6,20 @@ import json
 
 import pytest
 
+from repro import cli
 from repro.bench.calibrate import (
     DEFAULT_TOLERANCES,
     UNIT_COST_FIELDS,
     CalibrationProfile,
     calibrate,
     check_drift,
+    crypto_throughputs,
     host_fingerprint,
     paper_ratios,
 )
 from repro.bench.costmodel import CostModel
+from repro.core.config import VF2BoostConfig
+from repro.crypto import math_utils
 
 
 class FakeTimer:
@@ -36,20 +40,55 @@ def fake_calibrate(**kwargs):
     return calibrate(timer=FakeTimer(), **kwargs)
 
 
-def paper_profile(**overrides):
+def paper_profile(packing_gain=24.0, **overrides):
     """A synthetic profile whose ratios match the paper exactly."""
-    cost = CostModel.paper()
-    if overrides:
-        cost = dataclasses.replace(cost, **overrides)
-    # Ideal packing: gain equals width, efficiency 1.0.
-    return CalibrationProfile.from_cost_model(
-        cost, key_bits=2048, packing_gain=24.0, pack_width=24
+    cost = dataclasses.replace(CostModel.paper(), **overrides)
+    # Ideal packing by default: gain equals width, efficiency 1.0.
+    return CalibrationProfile(
+        key_bits=2048,
+        unit_costs={name: getattr(cost, name) for name in UNIT_COST_FIELDS},
+        cipher_bytes=cost.cipher_bytes,
+        packing_gain=packing_gain,
+        pack_width=24,
+        samples=0,
+        seed=0,
     )
+
+
+class TestOnePass:
+    """Figure 7 and the profile are views of one timed pass on one key."""
+
+    @pytest.mark.parametrize("key_bits", [256, 512, 1024])
+    def test_packed_row_decrypts_the_trainer_pack(self, key_bits):
+        profile = fake_calibrate(key_bits=key_bits)
+        layout = VF2BoostConfig(key_bits=key_bits).gradient_layout(profile.samples)
+        assert profile.pack_width == layout.capacity
+
+    def test_figure7_packs_six_at_512_bits(self):
+        report = crypto_throughputs(key_bits=512, samples=48, timer=FakeTimer())
+        layout = VF2BoostConfig(key_bits=512).gradient_layout(48)
+        assert report.pack_width == layout.capacity == 6
+        assert report.n_exponents == VF2BoostConfig().exponent_jitter
+
+    def test_one_key_per_calibration(self, monkeypatch):
+        pairs = []
+        draw = math_utils.generate_prime_pair
+
+        def counted(*args, **kwargs):
+            pairs.append(args)
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(math_utils, "generate_prime_pair", counted)
+        fake_calibrate()
+        assert len(pairs) == 1
 
 
 class TestCalibrate:
     def test_fake_timer_is_deterministic(self):
         assert fake_calibrate().to_dict() == fake_calibrate().to_dict()
+        first = crypto_throughputs(key_bits=256, samples=8, timer=FakeTimer())
+        again = crypto_throughputs(key_bits=256, samples=8, timer=FakeTimer())
+        assert first.to_dict() == again.to_dict()
 
     def test_profile_covers_all_unit_costs(self):
         profile = fake_calibrate()
@@ -82,17 +121,37 @@ class TestCalibrate:
         with pytest.raises(ValueError, match=r"\['lanes'\]"):
             CalibrationProfile.from_dict({**legacy, "lanes": 2})
 
+    @pytest.mark.parametrize(
+        "damage, named",
+        [
+            (lambda d: d.pop("cipher_bytes"), "cipher_bytes"),
+            (lambda d: d["unit_costs"].pop("t_scale"), "t_scale"),
+            (lambda d: d.pop("unit_costs"), "t_enc"),
+            (lambda d: d.update(lanes=2), "lanes"),
+        ],
+        ids=["field", "unit-cost", "no-unit-costs", "unknown-field"],
+    )
+    def test_damaged_profile_is_a_value_error(self, tmp_path, capsys, damage, named):
+        data = fake_calibrate().to_dict()
+        damage(data)
+        with pytest.raises(ValueError, match=named):
+            CalibrationProfile.from_dict(data)
+        path = tmp_path / "partial.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["whatif", "--profile", str(path), "--speedup", "powmod=2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: profile ") and named in err
+
     def test_cost_model_round_trip(self):
         profile = fake_calibrate()
         cost = CostModel.from_profile(profile)
         for name in UNIT_COST_FIELDS:
             assert getattr(cost, name) == profile.unit_costs[name]
         assert cost.cipher_bytes == profile.cipher_bytes
-        assert profile.cost_model() == cost
 
     def test_from_cost_model_preserves_paper_constants(self):
         profile = paper_profile()
-        assert profile.cost_model() == CostModel.paper()
+        assert CostModel.from_profile(profile) == CostModel.paper()
 
 
 class TestDrift:
@@ -111,11 +170,7 @@ class TestDrift:
         assert [check.name for check in report.failures()] == ["dec_over_enc"]
 
     def test_broken_packing_flags_efficiency(self):
-        cost = CostModel.paper()
-        profile = CalibrationProfile.from_cost_model(
-            cost, key_bits=2048, packing_gain=1.0, pack_width=24
-        )
-        report = check_drift(profile)
+        report = check_drift(paper_profile(packing_gain=1.0))
         assert "packing_efficiency" in {c.name for c in report.failures()}
 
     def test_custom_tolerances_override_defaults(self):

@@ -61,6 +61,27 @@ class TestBundle:
         with pytest.raises(ValueError, match="schema version"):
             IncidentBundle.load(str(path))
 
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ('{"kind": "slo_burn", "label"', "not valid JSON"),
+            ("[1, 2]", "not an IncidentBundle JSON object"),
+            ('{"kind": "slo_burn", "meteor": 1}', r"unknown field\(s\): \['meteor'\]"),
+            ('{"kind": "slo_burn", "version": 99}', "schema version 99"),
+        ],
+        ids=["truncated", "non-object", "unknown-field", "newer-version"],
+    )
+    def test_damaged_bundle_fails_loudly(self, tmp_path, capsys, text, reason):
+        path = tmp_path / "incident-0001-slo-burn.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=reason) as caught:
+            IncidentBundle.load(str(path))
+        assert str(path) in str(caught.value)
+        for argv in (["list"], ["show", "1"]):
+            assert main(["incidents", *argv, "--dir", str(tmp_path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: bundle ") and str(path) in err
+
     def test_headline_mentions_kind_and_fingerprint(self):
         bundle = IncidentBundle(kind="canary_rollback", label="v2-bad")
         headline = bundle.headline()

@@ -63,19 +63,6 @@ class TestPackCapacity:
         with pytest.raises(ValueError, match="capacity is 3"):
             pack_ciphers(context, ciphers + ciphers[:1], limb_bits=64)
 
-    def test_tighter_top_bound_buys_capacity(self):
-        # Callers that know their packed values are far below 2**M get
-        # at least the conservative capacity back, never less.
-        conservative = pack_capacity(CTX.public_key, 64)
-        assert pack_capacity(CTX.public_key, 64, top_bits=8) >= conservative
-        assert pack_capacity(CTX.public_key, 64, top_bits=64) == conservative
-
-    def test_top_bits_validated(self):
-        with pytest.raises(ValueError, match="top_bits"):
-            pack_capacity(CTX.public_key, 64, top_bits=0)
-        with pytest.raises(ValueError, match="top_bits"):
-            pack_capacity(CTX.public_key, 64, top_bits=65)
-
     def test_tiny_key_rejected(self):
         # A 64-bit key leaves ~62 usable plaintext bits — not even one
         # 64-bit limb. Packing would silently overflow; must raise.

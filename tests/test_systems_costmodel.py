@@ -97,7 +97,9 @@ class TestCostModel:
         )
 
     def test_measured_model_sane(self):
-        cost = CostModel.measured(key_bits=256, samples=8)
+        from repro.bench.calibrate import calibrate
+
+        cost = CostModel.from_profile(calibrate(key_bits=256, samples=8))
         assert cost.t_enc > 0
         assert cost.t_dec > 0
         assert cost.t_hadd > 0
