@@ -4,8 +4,9 @@ Sweeps the design knobs DESIGN.md calls out:
 
 * blaster batch size — too coarse loses pipelining, too fine pays
   per-message latency;
-* packing limb width ``M`` — a wider floor under the packed bin means
-  fewer bins per cipher;
+* pack width ``t`` vs key size ``S`` — the packed bin is exactly as wide
+  as its two sums on the 2^-16 gradient grid, so a wider plaintext
+  holds more of them;
 * exponent-jitter width ``E`` — drives the naive-accumulation scaling
   tax that re-ordered accumulation removes.
 """
@@ -49,11 +50,11 @@ def test_blaster_batch_size_sweep(benchmark, record_result):
 def test_pack_width_sweep(benchmark, record_result):
     def sweep():
         rows = []
-        for limb in (32, 64, 128, 256):
-            config = VF2BoostConfig(params=PARAMS, limb_bits=limb)
+        for key_bits in (1024, 2048, 3072):
+            config = VF2BoostConfig(params=PARAMS, key_bits=key_bits)
             layout = config.gradient_layout(TRACE.n_instances)
             rows.append(
-                (str(limb), str(layout.stride), str(layout.capacity),
+                (str(key_bits), str(layout.stride), str(layout.capacity),
                  format_seconds(_makespan(config)))
             )
         return rows
@@ -62,13 +63,19 @@ def test_pack_width_sweep(benchmark, record_result):
     record_result(
         "ablation_pack_width",
         format_table(
-            ["limb floor M", "bin bits (stride)", "bins per cipher t", "tree time (s)"],
-            rows, title="Ablation — packing limb width (S=2048)",
+            ["key bits S", "bin bits (stride)", "bins per cipher t", "tree time (s)"],
+            rows,
+            title="Ablation — pack width vs key size (N=2M, 2^-16 gradient grid; "
+            "ops priced at the paper's 2048-bit costs)",
         ),
     )
-    # Narrower bins (more of them per cipher) are never slower.
+    # The slot depends on N and the grid only; a wider plaintext holds
+    # more of them, and fewer packs are never slower.
+    assert len({r[1] for r in rows}) == 1
+    widths = [int(r[2]) for r in rows]
+    assert widths == sorted(widths) and widths[0] < widths[-1]
     times = [float(r[3]) for r in rows]
-    assert times[0] <= times[-1]
+    assert times[-1] <= times[0]
 
 
 def test_exponent_jitter_sweep(benchmark, record_result):

@@ -186,9 +186,11 @@ def measure(
     seconds["t_split_bin"] = seconds["t_plain_accum"] * 4
 
     layout = config.gradient_layout(samples)
+    scale = layout.scale  # values on the trainer's gradient grid
+    grad_bound, hess_bound = layout.grad_bound, layout.hess_bound
     pairs = layout.encode(
-        [rng.uniform(-layout.grad_bound, layout.grad_bound) for _ in range(samples)],
-        [rng.uniform(0.0, layout.hess_bound) for _ in range(samples)],
+        [round(rng.uniform(-grad_bound, grad_bound) * scale) / scale for _ in range(samples)],
+        [round(rng.uniform(0.0, hess_bound) * scale) / scale for _ in range(samples)],
     )
     # One feature of capacity + 1 bins; the last prefix is B's own total.
     bins = layout.capacity + 1

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from repro.crypto.packing import DEFAULT_LIMB_BITS, GradHessLayout
+from repro.crypto.packing import GradHessLayout
 from repro.gbdt.loss import get_loss
 from repro.gbdt.params import GBDTParams
 
@@ -44,10 +44,6 @@ class VF2BoostConfig:
             ``reordered_accumulation`` act only when this is off.
         key_bits: Paillier modulus size ``S`` (paper: 2048; tests use
             small keys — algebraically identical).
-        limb_bits: floor ``M`` under the stride of one packed bin
-            (paper: 64); above it the bin is exactly as wide as its two
-            sums, ``L_g + L_h`` bits (at the 2^32 scale always more than
-            64, so the default never binds).
         exponent_jitter: width ``E`` of the encoding exponent window
             (paper observes 4-8 distinct exponents).
         blaster_batch_size: instances per blaster batch.
@@ -73,7 +69,6 @@ class VF2BoostConfig:
     histogram_packing: bool = True
     incremental_dirty_redo: bool = False
     key_bits: int = 2048
-    limb_bits: int = DEFAULT_LIMB_BITS
     exponent_jitter: int = 6
     blaster_batch_size: int = 10_000
     crypto_mode: str = "counted"
@@ -84,8 +79,6 @@ class VF2BoostConfig:
             raise ValueError(f"unknown crypto_mode {self.crypto_mode!r}")
         if self.key_bits < 64:
             raise ValueError("key_bits must be >= 64")
-        if self.limb_bits < 8:
-            raise ValueError("limb_bits must be >= 8")
         if self.exponent_jitter < 1:
             raise ValueError("exponent_jitter must be >= 1")
         if self.blaster_batch_size < 1:
@@ -136,7 +129,6 @@ class VF2BoostConfig:
             max_count=n_instances,
             grad_bound=loss.gradient_bound,
             hess_bound=loss.hessian_bound,
-            min_stride=self.limb_bits,
         )
 
     @property

@@ -327,9 +327,9 @@ def unpack_histogram(
     only the key holder can form — is every feature's last prefix.
     Differencing the integers (the gradient shift sits in every prefix,
     so it leaves with the first difference) restores the per-bin sums:
-    exact in float64 while a bin's raw sums stay below ``2**53`` (two
-    million unit-bound instances at ``B**e = 2**32``), correctly rounded
-    beyond.
+    exact in float64 while a bin's raw sums stay below ``2**53`` (``2**37``
+    unit-bound instances at ``B**e = 2**16``), and so bit for bit the
+    float64 sums of the same grid values a plaintext histogram holds.
 
     Raises:
         PackedHistogramError: when a pack's ``limb_bits``, ``exponent``
@@ -337,7 +337,7 @@ def unpack_histogram(
             decrypted: the slicing trusts the layout, not the sender),
             the packs do not hold exactly ``D * (s - 1)`` slots, a
             plaintext has bits above its pack's slots, a slot is wider
-            than ``layout.slot_bits``, a feature's hessian prefixes
+            than ``layout.stride``, a feature's hessian prefixes
             decrease or pass the node's own ``sum h``, or a gradient
             prefix leaves ``[0, 2 * shift]``.
     """
@@ -365,10 +365,8 @@ def unpack_histogram(
         slots = [slot for pack in packed.packs for slot in unpack_values(context, pack)]
     except ValueError as error:  # a cipher outside the key's range or a pack's slots
         raise PackedHistogramError(str(error)) from error
-    if any(slot.bit_length() > layout.slot_bits for slot in slots):
-        raise PackedHistogramError(
-            f"a slot is wider than the layout's {layout.slot_bits} bits"
-        )
+    if any(slot.bit_length() > layout.stride for slot in slots):
+        raise PackedHistogramError(f"a slot is wider than the layout's {layout.stride} bits")
     last = layout.split(total + shift)
     grad_limit = 2 * shift
     grad = np.zeros((d, s), dtype=np.float64)

@@ -58,7 +58,7 @@ from repro.fed.messages import (
     SplitQuery,
 )
 from repro.gbdt.histogram import Histogram
-from repro.gbdt.loss import get_loss
+from repro.gbdt.loss import get_loss, grid_gradients
 from repro.gbdt.tree import DecisionTree
 
 __all__ = ["ACTIVE", "ActiveParty", "PassiveParty", "ProtocolError", "make_parties"]
@@ -287,7 +287,7 @@ class ActiveParty(_Party):
                 )
 
     def _start_tree(self) -> None:
-        self.gradients, self.hessians = self.loss.gradients(self.labels, self.margins)
+        self.gradients, self.hessians = grid_gradients(self.loss, self.labels, self.margins)
         self.n_exponents = 1 if self.layout is not None else self.config.exponent_jitter
         self.tree = DecisionTree()
         self.node_rows = {0: np.arange(self.dataset.n_instances, dtype=np.int64)}

@@ -33,8 +33,9 @@ from dataclasses import dataclass, field
 from typing import ClassVar
 
 from repro.crypto.ciphertext import EncryptedNumber, PaillierContext
-from repro.crypto.encoding import DEFAULT_BASE, DEFAULT_EXPONENT, EncodedNumber
+from repro.crypto.encoding import DEFAULT_BASE, EncodedNumber
 from repro.crypto.paillier import PaillierPublicKey
+from repro.gbdt.loss import GRID_BITS
 
 __all__ = [
     "PackedCipher",
@@ -109,10 +110,11 @@ def _capacity(usable: int, limb_bits: int) -> int:
 
 
 class GradientRangeError(ValueError):
-    """A gradient or hessian outside the bounds its loss declares.
+    """A gradient or hessian outside its loss's bounds or off the grid.
 
-    Such a value would spill into the neighbouring limb of the packed
-    plaintext and corrupt every sum it is added to.
+    Out of bounds it would spill into the neighbouring limb of the
+    packed plaintext and corrupt every sum it is added to; off the grid
+    it has no exact fixed-point integer.
     """
 
 
@@ -120,17 +122,18 @@ class GradientRangeError(ValueError):
 class GradHessLayout:
     """Two-limb plaintext layout of one instance's ``(g, h)``.
 
-    One instance is the integer ``round(h * B**e) * 2**L_g + round(g *
-    B**e)`` at the one fixed exponent ``e`` of the default encoding: the
-    hessian in the high limb, the *signed* gradient in the low one.
+    One instance is the integer ``h * B**e * 2**L_g + g * B**e``, exact
+    at the one fixed exponent ``e`` with ``B**e = 2**GRID_BITS`` because
+    ``(g, h)`` lie on the grid of :func:`~repro.gbdt.loss.grid_gradients`:
+    the hessian in the high limb, the *signed* gradient in the low one.
     With ``G = ceil(grad_bound * B**e)`` and ``H = ceil(hess_bound *
     B**e)``, a sum of ``count <= N`` such integers plus ``shift(count)``
     has ``0 <= sum g + count * G <= 2 * N * G < 2**L_g`` and ``0 <= sum h
     <= N * H < 2**L_h`` (DESIGN.md §4.15 has the no-carry proof), so a
     histogram bin is one cipher, accumulated by plain HAdds with nothing
     to align, and a shifted prefix-sum bin is a non-negative
-    ``slot_bits``-bit slot that :func:`pack_ciphers` packs ``capacity``
-    to a cipher, ``stride`` bits apart.
+    ``stride``-bit slot that :func:`pack_ciphers` packs ``capacity`` to a
+    cipher.
 
     Attributes:
         key_bits: Paillier modulus size ``S``; a modulus of exactly
@@ -139,13 +142,11 @@ class GradHessLayout:
         max_count: most instances ever summed into one cipher (``N``).
         grad_bound / hess_bound: ``|g| <= grad_bound`` and
             ``0 <= h <= hess_bound`` (the loss's declared bounds).
-        min_stride: floor ``M`` under the stride.
         limb_bits: ``L_g = bit_length(2 * N * G)``, the gradient limb and
             the bit the hessian starts at.
-        slot_bits: ``L_g + L_h`` with ``L_h = bit_length(N * H)``, the
-            bits of the largest slot value.
-        stride: bits from one packed slot to the next,
-            ``max(min_stride, slot_bits)``.
+        stride: ``L_g + L_h`` with ``L_h = bit_length(N * H)``: the bits
+            of the largest slot value, and from one packed slot to the
+            next.
         capacity: slots per cipher, ``(S - 3) // stride``: a pack is
             below ``2**(capacity * stride) <= 2**(S - 3) <= max_int``.
 
@@ -157,24 +158,21 @@ class GradHessLayout:
     max_count: int
     grad_bound: float
     hess_bound: float
-    min_stride: int = DEFAULT_LIMB_BITS
     limb_bits: int = field(init=False)
-    slot_bits: int = field(init=False)
     stride: int = field(init=False)
     capacity: int = field(init=False)
 
     base: ClassVar[int] = DEFAULT_BASE
-    exponent: ClassVar[int] = DEFAULT_EXPONENT
-    #: ``B**e``, the fixed-point scale of both limbs
-    scale: ClassVar[int] = DEFAULT_BASE**DEFAULT_EXPONENT
+    #: ``B**e = 2**GRID_BITS`` at ``B = 16 = 2**4``
+    exponent: ClassVar[int] = GRID_BITS // 4
+    #: ``B**e``, the fixed-point scale of both limbs: one unit is one grid step
+    scale: ClassVar[int] = 1 << GRID_BITS
 
     def __post_init__(self) -> None:
         limb_bits = (2 * self.shift(self.max_count)).bit_length()
         hess_limit = self.max_count * math.ceil(self.hess_bound * self.scale)
-        slot_bits = limb_bits + hess_limit.bit_length()
-        stride = max(self.min_stride, slot_bits)
+        stride = limb_bits + hess_limit.bit_length()
         object.__setattr__(self, "limb_bits", limb_bits)
-        object.__setattr__(self, "slot_bits", slot_bits)
         object.__setattr__(self, "stride", stride)
         object.__setattr__(self, "capacity", _capacity(self.key_bits - 3, stride))
 
@@ -192,21 +190,30 @@ class GradHessLayout:
         return count * math.ceil(self.grad_bound * self.scale)
 
     def encode(self, gradients: Iterable[float], hessians: Iterable[float]) -> list[int]:
-        """One signed raw plaintext per instance.
+        """One signed raw plaintext per instance of grid values.
 
         Raises:
-            GradientRangeError: for ``|g| > grad_bound`` or ``h`` outside
-                ``[0, hess_bound]`` (NaN included).
+            GradientRangeError: for ``|g| > grad_bound``, ``h`` outside
+                ``[0, hess_bound]`` (NaN included), or a value off the
+                ``2**-GRID_BITS`` grid: rounding it here would make the
+                federated model differ from the co-located one.
         """
         scale = self.scale
         encoded = []
         for grad, hess in zip(gradients, hessians):
-            if not (abs(grad) <= self.grad_bound and 0.0 <= hess <= self.hess_bound):
+            grad_units, hess_units = float(grad) * scale, float(hess) * scale
+            if not (
+                abs(grad) <= self.grad_bound
+                and 0.0 <= hess <= self.hess_bound
+                and grad_units.is_integer()
+                and hess_units.is_integer()
+            ):
                 raise GradientRangeError(
                     f"(g, h) = ({grad!r}, {hess!r}) outside |g| <= "
-                    f"{self.grad_bound}, 0 <= h <= {self.hess_bound}"
+                    f"{self.grad_bound}, 0 <= h <= {self.hess_bound} or off "
+                    f"the 2**-{GRID_BITS} grid"
                 )
-            encoded.append((round(hess * scale) << self.limb_bits) + round(grad * scale))
+            encoded.append((int(hess_units) << self.limb_bits) + int(grad_units))
         return encoded
 
     def encrypt(

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.gbdt.binning import BinnedDataset, bin_dataset
 from repro.gbdt.histogram import Histogram, build_histogram
-from repro.gbdt.loss import Loss, get_loss
+from repro.gbdt.loss import Loss, get_loss, grid_gradients
 from repro.gbdt.metrics import auc
 from repro.gbdt.params import GBDTParams
 from repro.gbdt.split import find_best_split, leaf_weight
@@ -108,7 +108,7 @@ class GBDTTrainer:
                 valid_labels.shape[0], base, dtype=np.float64
             )
         for t in range(self.params.n_trees):
-            gradients, hessians = self.loss.gradients(labels, margins)
+            gradients, hessians = grid_gradients(self.loss, labels, margins)
             tree = self._grow_tree(dataset, gradients, hessians)
             model.trees.append(tree)
             margins += self.params.learning_rate * tree.predict_codes(dataset.codes)

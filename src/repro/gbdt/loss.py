@@ -5,13 +5,30 @@ The bounds matter beyond optimization: polynomial histogram packing
 can shift it into the non-negative range.  Logistic loss gradients are
 bounded in ``[-1, 1]`` and hessians in ``[0, 0.25]`` — exactly the
 property the paper relies on.
+
+Every tree is grown from :func:`grid_gradients`: the loss's ``(g, h)``
+rounded to multiples of ``2**-GRID_BITS``.  A float64 sum of such values
+is exact while it stays below ``2**(53 - GRID_BITS)``, so every trainer
+— co-located, counted, and both encrypted paths, whose fixed-point
+integers are these multiples — builds the same histograms bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Loss", "LogisticLoss", "SquaredLoss", "get_loss", "sigmoid"]
+__all__ = [
+    "GRID_BITS",
+    "Loss",
+    "LogisticLoss",
+    "SquaredLoss",
+    "get_loss",
+    "grid_gradients",
+    "sigmoid",
+]
+
+#: Gradients and hessians are multiples of ``2**-GRID_BITS``.
+GRID_BITS = 16
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -130,6 +147,18 @@ class SquaredLoss(Loss):
     @property
     def hessian_bound(self) -> float:
         return 1.0
+
+
+def grid_gradients(
+    loss: Loss, labels: np.ndarray, predictions: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``loss.gradients`` rounded to the nearest multiples of ``2**-GRID_BITS``.
+
+    The bounds of every loss here are multiples of the grid step, so
+    rounding never leaves them.
+    """
+    scale = float(1 << GRID_BITS)
+    return tuple(np.round(x * scale) / scale for x in loss.gradients(labels, predictions))
 
 
 _LOSSES: dict[str, type[Loss]] = {

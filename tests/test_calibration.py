@@ -64,10 +64,11 @@ class TestOnePass:
         layout = VF2BoostConfig(key_bits=key_bits).gradient_layout(profile.samples)
         assert profile.pack_width == layout.capacity
 
-    def test_figure7_packs_six_at_512_bits(self):
+    def test_figure7_packs_eleven_at_512_bits(self):
+        # 48 rows: a 23 + 20 = 43-bit slot, 509 // 43 = 11 per cipher.
         report = crypto_throughputs(key_bits=512, samples=48, timer=FakeTimer())
         layout = VF2BoostConfig(key_bits=512).gradient_layout(48)
-        assert report.pack_width == layout.capacity == 6
+        assert report.pack_width == layout.capacity == 11
         assert report.n_exponents == VF2BoostConfig().exponent_jitter
 
     def test_one_key_per_calibration(self, monkeypatch):

@@ -39,8 +39,6 @@ class TestConfigPresets:
         with pytest.raises(ValueError):
             VF2BoostConfig(key_bits=32)
         with pytest.raises(ValueError):
-            VF2BoostConfig(limb_bits=4)
-        with pytest.raises(ValueError):
             VF2BoostConfig(exponent_jitter=0)
         with pytest.raises(ValueError):
             VF2BoostConfig(blaster_batch_size=0)

@@ -128,14 +128,14 @@ class TestPackedLedgerAgreement:
             assert sum(m.n_ciphers for m in payloads) * cipher_bytes == (
                 stats.bytes - header * stats.messages
             )
-        # 140 rows need 41 + 38 bits a slot; a 256-bit key (253 usable)
-        # holds three 79-bit slots, so a node's 4 features x 5 shipped
-        # bins (the sixth is B's own total) travel as 7 packs.
+        # 140 rows need 25 + 22 bits a slot; a 256-bit key (253 usable)
+        # holds five 47-bit slots, so a node's 4 features x 5 shipped
+        # bins (the sixth is B's own total) travel as 4 packs.
         built = sum(
             layer.built_nodes for tree in real.trace.trees for layer in tree.layers
         )
         packed = real.channel.by_type["PackedHistogramMessage"]
-        assert packed.bytes - 32 * packed.messages == built * 7 * cipher_bytes
+        assert packed.bytes - 32 * packed.messages == built * 4 * cipher_bytes
 
     def test_counted_ledger_ships_packs_per_node(self, ledger_workload):
         # ceil(D(s - 1) / t) per built node on the golden and the packed

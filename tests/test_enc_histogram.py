@@ -26,12 +26,17 @@ from repro.gbdt.split import find_best_split, gain_matrix
 CTX = PaillierContext.create(256, seed=31, jitter=3)
 
 
+def _on_grid(values):
+    """Values rounded onto the trainers' gradient grid, as Party B ships them."""
+    return np.round(values * GradHessLayout.scale) / GradHessLayout.scale
+
+
 def _setup(n=40, d=3, n_bins=6, seed=0):
     rng = np.random.default_rng(seed)
     features = rng.normal(size=(n, d))
     dataset = bin_dataset(features, n_bins)
-    grads = rng.uniform(-1, 1, size=n)
-    hess = rng.uniform(0.01, 0.25, size=n)
+    grads = _on_grid(rng.uniform(-1, 1, size=n))
+    hess = _on_grid(rng.uniform(0.01, 0.25, size=n))
     grad_ciphers = [CTX.encrypt(float(g)) for g in grads]
     hess_ciphers = [CTX.encrypt(float(h)) for h in hess]
     return dataset, grads, hess, grad_ciphers, hess_ciphers
@@ -51,9 +56,8 @@ def _pair_setup(n=40, d=3, n_bins=6, seed=0, grads=None, context=CTX):
     """Like ``_setup`` with one (g, h) pair cipher per instance."""
     rng = np.random.default_rng(seed)
     dataset = bin_dataset(rng.normal(size=(n, d)), n_bins)
-    if grads is None:
-        grads = rng.uniform(-1, 1, size=n)
-    hess = rng.uniform(0.01, 0.25, size=n)
+    grads = _on_grid(rng.uniform(-1, 1, size=n) if grads is None else grads)
+    hess = _on_grid(rng.uniform(0.01, 0.25, size=n))
     layout = GradHessLayout(256, n, grad_bound=1.0, hess_bound=0.25)
     raw = layout.encode(grads.tolist(), hess.tolist())
     pairs = _Pairs(layout.encrypt(context, raw))
@@ -244,10 +248,10 @@ class TestPackUnpackHistogram:
     def test_wire_size_shrinks(self):
         dataset, _, _, pairs, layout = _pair_setup(n=30, d=2, n_bins=8)
         encrypted, packed = _packed(dataset, np.arange(30), pairs, layout)
-        assert layout.capacity == 3  # 253 usable bits, 73-bit slots
+        assert layout.capacity == 6  # 253 usable bits, 41-bit slots
         # 2 features x 7 shipped bins: no feature's last bin is built.
         assert encrypted.cipher_count() == 14
-        assert packed.cipher_count() == 5
+        assert packed.cipher_count() == 3
 
     def test_one_decryption_per_pack(self):
         dataset, _, _, pairs, layout = _pair_setup(n=20, d=1, n_bins=6)
@@ -282,15 +286,15 @@ class TestPackUnpackHistogram:
     def test_shift_value_recorded(self):
         dataset, _, _, pairs, layout = _pair_setup(n=25, d=1, n_bins=4)
         _, packed = _packed(dataset, np.arange(25), pairs, layout)
-        assert packed.layout.shift(packed.n_instances) == 25 * 16**8
+        assert packed.layout.shift(packed.n_instances) == 25 * 16**4
 
     def test_packs_fill_across_features(self):
-        # 5 features x 4 shipped bins = 20 slots in 7 ciphers of 3, where
-        # per-feature packs would have cost 5 x 2.
+        # 5 features x 4 shipped bins = 20 slots in 4 ciphers of up to 6
+        # (39-bit slots), where per-feature packs would have cost 5 x 1.
         dataset, grads, hess, pairs, layout = _pair_setup(n=12, d=5, n_bins=5)
         rows = np.arange(12)
         _, packed = _packed(dataset, rows, pairs, layout)
-        assert [pack.count for pack in packed.packs] == [3] * 6 + [2]
+        assert [pack.count for pack in packed.packs] == [6] * 3 + [2]
         recovered = unpack_histogram(CTX, packed, pairs.total(rows))
         reference = build_histogram(dataset, rows, grads, hess)
         assert np.allclose(recovered.grad, reference.grad, atol=1e-7)
@@ -319,7 +323,7 @@ class TestPackedIntegrity:
     #: a modulus above ``CTX``'s, so every ``CTX`` cipher is in its range
     #: and reaches the slot checks instead of ``raw_decrypt``'s range check
     HOME = PaillierContext.create(256, seed=32, jitter=1)
-    DATASET, _, _, PAIRS, LAYOUT = _pair_setup(n=N, d=2, n_bins=6, seed=11, context=HOME)
+    DATASET, _, _, PAIRS, LAYOUT = _pair_setup(n=N, d=4, n_bins=6, seed=11, context=HOME)
     ROWS = np.arange(N)
 
     def _packed(self, rows=ROWS):
@@ -333,7 +337,7 @@ class TestPackedIntegrity:
 
     def test_pack_under_another_key(self):
         assert CTX.public_key.n < self.HOME.public_key.n
-        _, _, _, foreign_pairs, _ = _pair_setup(n=self.N, d=2, n_bins=6, seed=11)
+        _, _, _, foreign_pairs, _ = _pair_setup(n=self.N, d=4, n_bins=6, seed=11)
         foreign = _packed(self.DATASET, self.ROWS, foreign_pairs, self.LAYOUT)[1]
         packed = self._packed()
         for position in range(len(packed.packs)):
@@ -376,6 +380,9 @@ class TestPackedIntegrity:
             ("count", 0),
             ("count", LAYOUT.capacity + 1),  # reads slots nobody packed
         ],
+        # by role, not value: the values move with the layout
+        ids=["limb_bits-narrower", "limb_bits-wider", "exponent-lower", "count-0",
+             "count-over-capacity"],
     )
     def test_pack_header_is_not_the_layouts(self, field, value):
         # limb_bits / exponent / count are the sender's words; B slices

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gbdt.loss import LogisticLoss, SquaredLoss, get_loss, sigmoid
+from repro.gbdt.loss import (
+    GRID_BITS,
+    LogisticLoss,
+    SquaredLoss,
+    get_loss,
+    grid_gradients,
+    sigmoid,
+)
 
 
 class TestSigmoid:
@@ -90,6 +97,22 @@ class TestSquaredLoss:
     def test_bounds_exposed(self):
         assert self.loss.hessian_bound == 1.0
         assert self.loss.gradient_bound > 0
+
+
+class TestGridGradients:
+    @given(st.floats(-24, 24), st.sampled_from(["logistic", "squared"]))
+    @settings(max_examples=40)
+    def test_nearest_grid_values_within_bounds(self, pred, objective):
+        loss = get_loss(objective)
+        labels, preds = np.array([0.0, 1.0]), np.array([pred, pred]) / 8
+        raw = loss.gradients(labels, preds)
+        step = 2.0**-GRID_BITS
+        for values, exact in zip(grid_gradients(loss, labels, preds), raw):
+            assert np.array_equal(values / step, np.round(values / step))
+            assert np.all(np.abs(values - exact) <= step / 2)
+        grad, hess = grid_gradients(loss, labels, preds)
+        assert np.all(np.abs(grad) <= loss.gradient_bound)
+        assert np.all((hess >= 0) & (hess <= loss.hessian_bound))
 
 
 class TestGetLoss:

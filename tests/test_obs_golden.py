@@ -56,11 +56,11 @@ class TestGoldenEncodesPaperClaims:
         dec_base = variants["secureboost"]["ops"]["0"]["decryptions"]
         dec_packed = variants["vf2boost"]["ops"]["0"]["decryptions"]
         # (g, h) share a bin's cipher, no feature ships its last bin and
-        # t = 3 slots share a pack across features at 256-bit keys:
-        # 2 x D x s = 24 ciphers a node become ceil(D(s - 1) / 3) = 3.
+        # t = 5 slots share a pack across features at 256-bit keys:
+        # 2 x D x s = 24 ciphers a node become ceil(D(s - 1) / 5) = 2.
         shape = expected["shape"]
         d_a, s = shape["n_features"] // 2, shape["n_bins"]
-        assert dec_packed * (2 * d_a * s) == dec_base * -(-d_a * (s - 1) // 3)
+        assert dec_packed * (2 * d_a * s) == dec_base * -(-d_a * (s - 1) // 5)
         assert dec_packed * 4 < dec_base
 
     def test_packing_shrinks_a_to_b_bytes(self, expected):

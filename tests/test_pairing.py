@@ -31,6 +31,11 @@ LAYOUT = GradHessLayout(256, max_count=1000, grad_bound=1.0, hess_bound=0.25)
 SCALE = LAYOUT.scale
 
 
+def _on_grid(value):
+    """A value rounded onto the trainers' gradient grid, as Party B ships it."""
+    return round(value * SCALE) / SCALE
+
+
 def _decode(cipher, count, layout=LAYOUT, context=CTX):
     """Exact ``(grad sum, hess sum)`` of a cipher summing ``count`` pairs."""
     shift = layout.shift(count)
@@ -40,7 +45,7 @@ def _decode(cipher, count, layout=LAYOUT, context=CTX):
 
 
 def _encrypt_pair(grad, hess):
-    return LAYOUT.encrypt(CTX, LAYOUT.encode([grad], [hess]))[0]
+    return LAYOUT.encrypt(CTX, LAYOUT.encode([_on_grid(grad)], [_on_grid(hess)]))[0]
 
 
 class TestCodec:
@@ -65,13 +70,14 @@ class TestCodec:
     )
     @settings(max_examples=25, deadline=None)
     def test_accumulated_sums(self, pairs):
+        pairs = [(_on_grid(g), _on_grid(h)) for g, h in pairs]
         total = CTX.sum_ciphers(LAYOUT.encrypt(CTX, LAYOUT.encode(*zip(*pairs))))
         grad_sum, hess_sum = _decode(total, len(pairs))
         assert grad_sum == sum(round(g * SCALE) for g, _ in pairs) / SCALE
         assert hess_sum == sum(round(h * SCALE) for _, h in pairs) / SCALE
 
     def test_accumulation_never_scales(self):
-        ciphers = LAYOUT.encrypt(CTX, LAYOUT.encode([0.5] * 10, [0.1] * 10))
+        ciphers = LAYOUT.encrypt(CTX, LAYOUT.encode([0.5] * 10, [_on_grid(0.1)] * 10))
         before = CTX.stats.snapshot()
         CTX.sum_ciphers(ciphers)
         assert CTX.stats.diff(before).scalings == 0
@@ -92,6 +98,25 @@ class TestCodec:
             -SCALE, (SCALE // 4 << LAYOUT.limb_bits) + SCALE,
         ]
 
+    @pytest.mark.parametrize(
+        "grad, hess",
+        [
+            (0.1, 0.125),  # 0.1 * 2**16 = 6553.6
+            (0.5, 0.2),
+            (2.0**-17, 0.0),  # half a grid step
+            (-1.0 + 2.0**-40, 0.0),
+            (0.5, 0.25 - 2.0**-30),
+        ],
+    )
+    def test_value_off_the_grid_is_refused(self, grad, hess):
+        # Rounding it here would make the federated model differ from
+        # the co-located one, which trains on the grid value.
+        with pytest.raises(GradientRangeError, match="grid"):
+            LAYOUT.encode([0.5, grad], [0.125, hess])
+        assert LAYOUT.encode([_on_grid(grad)], [_on_grid(hess)]) == [
+            (round(hess * SCALE) << LAYOUT.limb_bits) + round(grad * SCALE)
+        ]
+
     def test_capacity_check(self):
         with pytest.raises(ValueError, match="key too small"):
             GradHessLayout(64, 10**9, grad_bound=1.0, hess_bound=0.25)
@@ -104,9 +129,9 @@ class TestCodec:
         # and leaves the gradient limb (where the hessian starts) alone.
         narrow = GradHessLayout(512, 64, grad_bound=1.0, hess_bound=0.25)
         wide = GradHessLayout(512, 64, grad_bound=1.0, hess_bound=16.0)
-        assert narrow.limb_bits == 40  # bit_length(2 * 64 * 2**32 = 2**39)
+        assert narrow.limb_bits == 24  # bit_length(2 * 64 * 2**16 = 2**23)
         assert wide.limb_bits == narrow.limb_bits
-        assert wide.slot_bits == narrow.slot_bits + 6
+        assert wide.stride == narrow.stride + 6
         assert wide.shift(64) == narrow.shift(64)
 
 
@@ -126,6 +151,7 @@ class TestLayoutProperties:
         """
         context = self.CONTEXTS[key_bits]
         n, d = codes.shape
+        pairs = [(_on_grid(grad), _on_grid(hess)) for grad, hess in pairs]
         layout = GradHessLayout(key_bits, max(n, 1), grad_bound=1.0, hess_bound=0.25)
         raw = layout.encode(*zip(*pairs)) if pairs else []
         public = context.public_context()
@@ -169,11 +195,11 @@ class TestLayoutProperties:
     @pytest.mark.parametrize("extreme", [(-1.0, 0.0), (-1.0, 0.25), (1.0, 0.25), (1.0, 0.0)])
     @pytest.mark.parametrize("n", [32, 64])
     def test_bounds_that_are_exact_powers_of_two(self, n, extreme):
-        # N = 64: the largest shifted prefix 2 * N * G = 2**39 needs 40
-        # bits and N * H = 2**36 needs 37 (a log2 rule says 39 and 36).
+        # N = 64: the largest shifted prefix 2 * N * G = 2**23 needs 24
+        # bits and N * H = 2**20 needs 21 (a log2 rule says 23 and 20).
         layout = GradHessLayout(256, n, grad_bound=1.0, hess_bound=0.25)
         assert 2 * layout.shift(n) == 1 << (layout.limb_bits - 1)
-        assert n * SCALE // 4 == 1 << (layout.slot_bits - layout.limb_bits - 1)
+        assert n * SCALE // 4 == 1 << (layout.stride - layout.limb_bits - 1)
         self._one_feature(256, [[], [extreme] * n, [], []])
 
     @given(
@@ -208,7 +234,7 @@ class TestLayoutProperties:
         plaintext = context.decrypt_raw(
             EncryptedNumber(context, pack.ciphertext, pack.exponent)
         )
-        assert plaintext.bit_length() == (t - 1) * layout.stride + layout.slot_bits
+        assert plaintext.bit_length() == t * layout.stride
         assert plaintext.bit_length() <= key_bits - 3
         assert plaintext <= context.public_key.max_int
         histogram = unpack_histogram(context, full, whole_node)
@@ -231,7 +257,7 @@ class TestLayoutProperties:
         plaintext = context.decrypt_raw(
             EncryptedNumber(context, pack.ciphertext, pack.exponent)
         )
-        assert plaintext.bit_length() == (t - 1) * layout.stride + layout.slot_bits
+        assert plaintext.bit_length() == t * layout.stride
         assert plaintext.bit_length() <= key_bits - 3
         _, packed = self._one_feature(key_bits, full + [[(-1.0, 0.0)]])
         assert [pack.count for pack in packed.packs] == [t, 1]
@@ -298,16 +324,25 @@ class TestLayoutProperties:
         self._round_trip(key_bits, codes, pairs, n_bins)
 
     def test_decoded_sums_fit_float64_exactly(self):
-        # A bin's raw sums are at most shift(N) in magnitude: below 2**53
-        # up to two million unit-bound instances, which a jittered
-        # exponent of 8 + 6 - 1 exceeds at the 48 rows of the golden shape.
-        assert GradHessLayout(2048, 2_000_000, 1.0, 0.25).shift(2_000_000) < 2**53
+        # A bin's raw sums are at most shift(N) in magnitude: at most 2**53
+        # up to 2**37 unit-bound instances, so every sum of grid values
+        # is an exact float64 on every path.
+        assert GradHessLayout(2048, 2**37, 1.0, 0.25).shift(2**37) == 2**53
+        # Paper scale: 25 two-value bins per cipher, the paper's t = 32.
+        assert GradHessLayout(2048, 10_000_000, 1.0, 0.25).capacity == 25
+
+    def test_grid_values_decode_exactly_at_every_jittered_exponent(self):
+        # The unpacked path encrypts float(g) at a jittered exponent >= 8:
+        # a grid value is an integer there, and 48 of them sum past 2**53
+        # at 8 + 6 - 1, yet decode to the float64 sum of the grid values.
+        value = -_on_grid(0.987654321)
+        for exponent in range(LAYOUT.exponent, 8 + 6):
+            ciphers = [CTX.encrypt(value, exponent=exponent) for _ in range(48)]
+            assert CTX.decrypt(CTX.sum_ciphers(ciphers)) == 48 * value
         assert (2 * 48 * 16 ** (8 + 6 - 1)).bit_length() > 53
-        # Paper scale: 18 two-value bins per cipher, the paper's t = 32.
-        assert GradHessLayout(2048, 10_000_000, 1.0, 0.25).capacity == 18
 
     def test_experiments_t_table_is_what_the_layout_computes(self):
-        # EXPERIMENTS.md "Pack to the bit": | S | N | L_g | L_h | stride | t |
+        # EXPERIMENTS.md "Gradients on one 2⁻¹⁶ grid": | S | N | L_g | L_h | stride | t |
         import re
         from pathlib import Path
 
@@ -323,17 +358,9 @@ class TestLayoutProperties:
         for bits, n, grad_bits, hess_bits, stride, t in rows:
             layout = GradHessLayout(bits, n, grad_bound=1.0, hess_bound=0.25)
             assert (
-                layout.limb_bits, layout.slot_bits - layout.limb_bits,
+                layout.limb_bits, layout.stride - layout.limb_bits,
                 layout.stride, layout.capacity,
             ) == (grad_bits, hess_bits, stride, t), (bits, n)
-
-    def test_stride_floor_is_the_configured_limb_width(self):
-        # N = 4: 2 * 4 * 2**32 needs 36 bits, 4 * 2**30 needs 33.
-        assert GradHessLayout(2048, 4, 1.0, 0.25, min_stride=64).stride == 69
-        for floor in (128, 129):
-            layout = GradHessLayout(2048, 4, 1.0, 0.25, min_stride=floor)
-            assert (layout.limb_bits, layout.slot_bits, layout.stride) == (36, 69, floor)
-            assert layout.capacity == 2045 // floor
 
 
 def _problem(labels_kind, n=96, d=9, seed=3):
@@ -492,13 +519,13 @@ class TestSchedulerIntegration:
         from repro.obs.whatif import run_whatif
 
         params = GOLDEN_DIMS.params()
-        # 4 bins: one pack per feature at the default floor, four when a
-        # 1024-bit floor leaves room for one bin per 2048-bit cipher.
+        # 3 features x 3 shipped bins: one pack per node at the default
+        # 2048 bits, five when a 128-bit key holds two slots per cipher.
         narrow = run_whatif({"dec": 2.0}, config=VF2BoostConfig(params=params))
         wide = run_whatif(
-            {"dec": 2.0}, config=VF2BoostConfig(params=params, limb_bits=1024)
+            {"dec": 2.0}, config=VF2BoostConfig(params=params, key_bits=128)
         )
-        assert VF2BoostConfig(params=params, limb_bits=1024).gradient_layout(48).capacity == 1
+        assert VF2BoostConfig(params=params, key_bits=128).gradient_layout(48).capacity == 2
         assert wide.baseline.phases["FindSplitA"] > 3 * narrow.baseline.phases["FindSplitA"]
         assert wide.baseline.phases["CipherComm"] > narrow.baseline.phases["CipherComm"]
 
@@ -544,7 +571,7 @@ class TestSchedulerIntegration:
 
     @pytest.mark.parametrize(
         "key_bits, rows, stride, capacity",
-        [(1024, 200, 79, 12), (2048, 10_000_000, 111, 18)],
+        [(1024, 200, 47, 21), (2048, 10_000_000, 79, 25)],
     )
     def test_counted_and_scheduler_follow_the_layout_at_larger_keys(
         self, make_ledger_workload, key_bits, rows, stride, capacity

@@ -205,15 +205,18 @@ class TestHistogramSubtractionPricing:
                 # when the build took two features per HAdd: a pair saves
                 # (joined instances - non-empty cells), and at density
                 # 0.01 x 20 bins a cell is hit 2.5e-7 times per instance,
-                # so it almost never holds two.
+                # so it almost never holds two; and when (g, h) moved onto
+                # the 2**-16 grid: a slot of N = 100 000 went 50 + 47 = 97
+                # -> 34 + 31 = 65 bits, t = 21 -> 31, 4 524 -> 3 065 packs
+                # a node.
                 {},
                 [5000],
-                # x 0.99998: BuildHistA's saving below, nothing else moved
-                "0x1.520c372814403p+5",
-                # x 0.99997 = 1 - (4.8e-3 joined - 4.8e-3 cells) + 2nd order
+                # 42.256 -> 40.852: Pack and FindSplitA below, on the path
+                "0x1.46d0b3837838fp+5",
+                # x 1: the build adds the same pair ciphers
                 "0x1.eb04dd1a91b36p+4",
-                # x 1: packs and decryptions are the same
-                "0x1.9e2be2be2be3cp+1",
+                # 3.2357 -> 2.1936: the Dec term x 3 065 / 4 524
+                "0x1.18c6f2d593bf4p+1",
             ),
             (
                 dict(

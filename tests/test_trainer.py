@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.gbdt.boosting as boosting
 from repro.core.config import VF2BoostConfig
 from repro.core.party import ActiveParty
 from repro.core.trainer import FederatedTrainer, TrainingInterrupted
@@ -20,6 +21,7 @@ from repro.fed.messages import (
 from repro.gbdt.binning import bin_dataset
 from repro.gbdt.boosting import GBDTTrainer
 from repro.gbdt.params import GBDTParams
+from repro.gbdt.split import gain_matrix
 from repro.obs.forensics import diff_reports
 from repro.obs.incident import IncidentBundle
 from repro.obs.report import RunReport
@@ -292,8 +294,7 @@ class TestHistogramSubtraction:
     @staticmethod
     def _soft_problem(n=72, d=9, seed=11):
         # Probabilities, not 0/1 labels: every instance has its own
-        # gradient, so no two candidates tie in gain and exact equality
-        # with the co-located model is a fair oracle.
+        # gradient (TestHardLabels covers the tied case).
         rng = np.random.default_rng(seed)
         features = rng.normal(size=(n, d))
         weights = rng.normal(size=d)
@@ -448,6 +449,62 @@ class TestHistogramSubtraction:
             assert not hist.count.any()
             for totals in (hist.grad.sum(axis=1), hist.hess.sum(axis=1)):
                 assert (totals == totals[0]).all()
+
+
+class TestHardLabels:
+    """0/1 labels give the first tree two gradient values, so candidates
+    tie in gain; on the 2**-16 grid every path sums the same exact
+    integers and breaks ties alike: argmax-first within a party, strict
+    ``>`` across parties — the co-located ``(party, feature, bin)`` order."""
+
+    #: the benchmark's ``train-unopt`` shape: rows, B's / A's columns, bins
+    ROWS, D_B, D_A, BINS = 120, 4, 24, 8
+
+    def _problem(self, seed):
+        rng = np.random.default_rng(seed)
+        width = self.D_B + self.D_A
+        features = rng.normal(size=(self.ROWS, width))
+        weights = rng.normal(size=width)
+        noise = rng.normal(scale=0.3, size=self.ROWS)
+        score = features @ weights / np.linalg.norm(weights) + noise
+        return bin_dataset(features, self.BINS), (score > 0).astype(float)
+
+    @pytest.mark.parametrize("n_passive", [1, 2])
+    @pytest.mark.parametrize("preset", ["vf2boost", "vf_gbdt"])
+    def test_real_counted_colocated_bit_equal(self, preset, n_passive, monkeypatch):
+        params = GBDTParams(n_trees=1, n_layers=3, n_bins=self.BINS)
+        config = getattr(VF2BoostConfig, preset)(
+            params=params, crypto_mode="real", key_bits=256
+        )
+        search = boosting.find_best_split
+        top_ties = []
+
+        def colocated_search(histogram, params, **kwargs):
+            gains, _ = gain_matrix(histogram, params)
+            top_ties.append(int((gains == gains.max()).sum()) - 1)
+            return search(histogram, params, **kwargs)
+
+        monkeypatch.setattr(boosting, "find_best_split", colocated_search)
+        # Seeds 3 and 5 failed this oracle at the 2**32 fixed-point scale.
+        for seed in (3, 5):
+            full, labels = self._problem(seed)
+            cuts = [0, self.D_B]
+            cuts += [self.D_B + self.D_A * (p + 1) // n_passive for p in range(n_passive)]
+            parties = [full.subset_features(np.arange(a, b)) for a, b in zip(cuts, cuts[1:])]
+            codes = {p: ds.codes for p, ds in enumerate(parties)}
+            plaintext = GBDTTrainer(params)
+            colocated = plaintext.fit_binned(full, labels)
+            real = FederatedTrainer(config).fit(parties, labels)
+            counted = FederatedTrainer(config.replace(crypto_mode="counted")).fit(
+                parties, labels
+            )
+            reference = [r.train_loss for r in plaintext.history]
+            assert [r.train_loss for r in real.history] == reference, seed
+            assert [r.train_loss for r in counted.history] == reference, seed
+            margins = colocated.predict_margin(full.codes)
+            assert np.array_equal(real.model.predict_margin(codes), margins), seed
+            assert np.array_equal(counted.model.predict_margin(codes), margins), seed
+        assert sum(top_ties) > 0  # the tie rule was exercised
 
 
 class TestPhaseProfile:
