@@ -118,7 +118,9 @@ def measure(
 
     The key is ``config.key_bits`` wide and jitters
     ``config.exponent_jitter`` exponents.  ``samples`` normal-distributed
-    values are encrypted (Enc), decrypted (Dec), summed left to right
+    values are encrypted (Enc), decrypted by the two-prime CRT route
+    (Dec, ``t_dec``) and again with the bound an unpacked bin of a node
+    of ``samples`` rows carries (``dec_one_prime``), summed left to right
     (naive HAdd) and into per-exponent workspaces, whose adds are
     same-exponent HAdds (``t_hadd``) and whose merge completes the
     re-ordered HAdd; each cipher is then scaled by ``B**2`` and
@@ -129,9 +131,9 @@ def measure(
 
     Returns:
         ``(seconds, pack_width)``: seconds per op under the
-        :data:`UNIT_COST_FIELDS` names plus ``hadd_naive``,
-        ``hadd_reordered``, ``smul`` and ``dec_packed`` (per value), and
-        the slots per pack.
+        :data:`UNIT_COST_FIELDS` names plus ``dec_one_prime``,
+        ``hadd_naive``, ``hadd_reordered``, ``smul`` and ``dec_packed``
+        (per value), and the slots per pack.
     """
     context = PaillierContext.create(
         config.key_bits, seed=seed, jitter=config.exponent_jitter
@@ -155,6 +157,13 @@ def measure(
     for cipher in ciphers:
         context.decrypt(cipher)
     seconds["t_dec"] = per_op(start, samples)
+
+    # The bound an unpacked bin of a node of every sample would carry.
+    bound = samples * max(map(abs, values))
+    start = timer()
+    for cipher in ciphers:
+        context.decrypt(cipher, bound)
+    seconds["dec_one_prime"] = per_op(start, samples)
 
     start = timer()
     context.sum_ciphers(ciphers)
@@ -330,16 +339,19 @@ def calibrate(
 class ThroughputReport:
     """Operations-per-second of each cryptography primitive (Figure 7).
 
-    ``hadd_reordered`` counts the same logical additions as ``hadd``
-    but with exponent-grouped accumulation; ``dec_packed`` counts
-    *logical values recovered* per second (each decryption recovers a
-    whole pack of ``pack_width`` slots).
+    ``dec`` is the two-prime CRT Dec, ``dec_one_prime`` the Dec of a
+    bounded plaintext (an unpacked histogram bin); ``hadd_reordered``
+    counts the same logical additions as ``hadd`` but with
+    exponent-grouped accumulation; ``dec_packed`` counts *logical values
+    recovered* per second (each decryption recovers a whole pack of
+    ``pack_width`` slots).
     """
 
     key_bits: int
     n_exponents: int
     enc: float
     dec: float
+    dec_one_prime: float
     hadd_naive: float
     hadd_reordered: float
     smul: float
@@ -385,6 +397,7 @@ def crypto_throughputs(
         n_exponents=config.exponent_jitter,
         enc=1.0 / seconds["t_enc"],
         dec=1.0 / seconds["t_dec"],
+        dec_one_prime=1.0 / seconds["dec_one_prime"],
         hadd_naive=1.0 / seconds["hadd_naive"],
         hadd_reordered=1.0 / seconds["hadd_reordered"],
         smul=1.0 / seconds["smul"],

@@ -31,7 +31,10 @@ class CostModel:
 
     Attributes:
         t_enc: one Paillier encryption (message mult + obfuscation).
-        t_dec: one CRT decryption.
+        t_dec: one two-prime CRT decryption, the route every pack
+            takes.  An unpacked bin whose bound fits below ``p / 2``
+            decrypts at one prime in about half of it (DESIGN §4.14);
+            the model still prices every Dec at ``t_dec``.
         t_hadd: one homomorphic addition (same exponents).
         t_scale: one cipher scaling (SMul by ``B**diff``).
         t_smul: one scalar multiplication by an arbitrary scalar.

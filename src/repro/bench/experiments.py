@@ -76,6 +76,7 @@ def run_fig7(key_bits: int = 512, samples: int = 48) -> str:
     rows = [
         ("Encryption", f"{report.enc:,.0f}"),
         ("Decryption", f"{report.dec:,.0f}"),
+        ("Decryption (one prime)", f"{report.dec_one_prime:,.0f}"),
         ("HAdd (naive)", f"{report.hadd_naive:,.0f}"),
         ("HAdd (re-ordered)", f"{report.hadd_reordered:,.0f}"),
         ("SMul", f"{report.smul:,.0f}"),

@@ -352,6 +352,7 @@ def fig7_scenario(key_bits: int = 512, samples: int = 48) -> PerfEntry:
         for name, value in (
             ("enc_ops_per_s", report.enc),
             ("dec_ops_per_s", report.dec),
+            ("dec_one_prime_ops_per_s", report.dec_one_prime),
             ("hadd_reordered_ops_per_s", report.hadd_reordered),
             ("dec_packed_values_per_s", report.dec_packed),
         )

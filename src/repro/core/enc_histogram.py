@@ -44,6 +44,7 @@ from repro.gbdt.histogram import Histogram
 __all__ = [
     "BinCodeError",
     "EncryptedHistogram",
+    "EncryptedHistogramError",
     "build_encrypted_histogram",
     "PackedHistogram",
     "PackedHistogramError",
@@ -220,21 +221,41 @@ def build_encrypted_histogram(
     )
 
 
+class EncryptedHistogramError(ValueError):
+    """Bins that cannot be the unpacked histogram of the node they arrived for.
+
+    Raised by :func:`decrypt_histogram`: a bin under another key, out of
+    the key's range, or decrypting outside the bound the node allows.
+    """
+
+
 def decrypt_histogram(
-    context: PaillierContext, encrypted: EncryptedHistogram
+    context: PaillierContext, encrypted: EncryptedHistogram, value_bound: float
 ) -> Histogram:
     """Decrypt an *unpacked* histogram bin by bin (baseline path).
 
+    ``value_bound`` bounds every bin's sum: the node's instance count
+    times the largest ``|g|`` or ``|h|`` the key holder encrypted.  It
+    makes each Dec a one-prime Dec whenever that fits below ``p / 2``
+    (:meth:`PaillierContext.decrypt_encoded`).
+
     Counts are unknown to the decrypting party; the returned histogram
     carries zeros and must be searched with ``check_counts=False``.
+
+    Raises:
+        EncryptedHistogramError: a bin outside the key's range or
+            decrypting outside ``±value_bound``.
     """
     d, s = encrypted.n_features, encrypted.n_bins
     grad = np.zeros((d, s), dtype=np.float64)
     hess = np.zeros((d, s), dtype=np.float64)
     for j in range(d):
         for k in range(s):
-            grad[j, k] = context.decrypt(encrypted.grad_bins[j][k])
-            hess[j, k] = context.decrypt(encrypted.hess_bins[j][k])
+            try:
+                grad[j, k] = context.decrypt(encrypted.grad_bins[j][k], value_bound)
+                hess[j, k] = context.decrypt(encrypted.hess_bins[j][k], value_bound)
+            except ValueError as error:
+                raise EncryptedHistogramError(f"feature {j}, bin {k}: {error}") from error
     return Histogram(grad, hess, np.zeros((d, s), dtype=np.int64))
 
 

@@ -344,6 +344,11 @@ class ActiveParty(_Party):
         if self.context is None:
             return dict(payload)
         d, s = self.passive_shapes[sender]
+        # An unpacked bin sums some of a node's (g, h): B bounds it by the
+        # node size times the largest value it encrypted this tree.
+        largest = max(
+            np.abs(self.gradients).max(initial=0.0), np.abs(self.hessians).max(initial=0.0)
+        )
         opened = {}
         for node_id, content in payload.items():
             rows = self.node_rows[node_id]
@@ -356,7 +361,9 @@ class ActiveParty(_Party):
             if [len(bins) for half in content for bins in half] != [s] * (2 * d):
                 raise ProtocolError(f"party {sender}: node {node_id} is not {d} x {s}")
             encrypted = enc_histogram.EncryptedHistogram(*content, rows.size, s)
-            opened[node_id] = enc_histogram.decrypt_histogram(self.context, encrypted)
+            opened[node_id] = enc_histogram.decrypt_histogram(
+                self.context, encrypted, rows.size * largest
+            )
         return opened
 
     def _global_best_split(self, node_id: int):

@@ -18,8 +18,10 @@ and the end-to-end benchmark's oracle are all views of it.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import asdict, dataclass, field
+from fractions import Fraction
 
 from repro.crypto.encoding import DEFAULT_BASE, DEFAULT_EXPONENT, EncodedNumber, Encoder
 from repro.crypto.paillier import (
@@ -229,16 +231,36 @@ class PaillierContext:
         raw = self.public_key.raw_encrypt(encoded.value, self.pool.take())
         return EncryptedNumber(self, raw, encoded.exponent)
 
-    def decrypt(self, number: EncryptedNumber) -> float:
-        """Decrypt to a float. Requires the private key."""
-        return self.decrypt_encoded(number).decode(self.encoder.base)
+    def decrypt(self, number: EncryptedNumber, bound: float | None = None) -> float:
+        """Decrypt to a float. Requires the private key.
 
-    def decrypt_encoded(self, number: EncryptedNumber) -> EncodedNumber:
-        """Decrypt to the intermediate encoded form (used by unpacking)."""
+        ``bound``: as in :meth:`decrypt_encoded`.
+        """
+        return self.decrypt_encoded(number, bound).decode(self.encoder.base)
+
+    def decrypt_encoded(
+        self, number: EncryptedNumber, bound: float | None = None
+    ) -> EncodedNumber:
+        """Decrypt to the intermediate encoded form (used by unpacking).
+
+        Args:
+            bound: optional bound on the decrypted value's magnitude, in
+                value units.  The plaintext must then lie within
+                ``±ceil(bound * B**e)`` at the cipher's exponent ``e``
+                (exact arithmetic), and a small enough bound lets the key
+                decrypt at one prime (:meth:`PaillierPrivateKey.raw_decrypt`).
+
+        Raises:
+            ValueError: the plaintext lies outside that bound, or the
+                cipher outside the key's range.
+        """
         if self._private_key is None:
             raise PermissionError("this context has no private key")
         self.stats.decryptions += 1
-        value = self._private_key.raw_decrypt(number.ciphertext)
+        raw_bound = None
+        if bound is not None:
+            raw_bound = math.ceil(Fraction(bound) * Fraction(self.encoder.base) ** number.exponent)
+        value = self._private_key.raw_decrypt(number.ciphertext, raw_bound)
         return EncodedNumber(
             self.public_key, value, number.exponent, self.encoder.base
         )

@@ -64,11 +64,12 @@ SPEEDUP_TARGETS = {
 #: op family -> Figure 7 throughput scalars it scales (bench-gate names)
 _FIG7_SCALARS = {
     "enc": ("enc_ops_per_s",),
-    "dec": ("dec_ops_per_s", "dec_packed_values_per_s"),
+    "dec": ("dec_ops_per_s", "dec_one_prime_ops_per_s", "dec_packed_values_per_s"),
     "hadd": ("hadd_reordered_ops_per_s",),
     "powmod": (
         "enc_ops_per_s",
         "dec_ops_per_s",
+        "dec_one_prime_ops_per_s",
         "dec_packed_values_per_s",
     ),
 }

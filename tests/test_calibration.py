@@ -20,6 +20,7 @@ from repro.bench.calibrate import (
 from repro.bench.costmodel import CostModel
 from repro.core.config import VF2BoostConfig
 from repro.crypto import math_utils
+from repro.crypto.paillier import PaillierPrivateKey
 
 
 class FakeTimer:
@@ -70,6 +71,22 @@ class TestOnePass:
         layout = VF2BoostConfig(key_bits=512).gradient_layout(48)
         assert report.pack_width == layout.capacity == 11
         assert report.n_exponents == VF2BoostConfig().exponent_jitter
+
+    def test_one_prime_row_decrypts_with_a_bound_below_p_half(self, monkeypatch):
+        # The row the unpacked path's Dec is timed by takes that Dec's
+        # route; the CRT row (t_dec) and the packed row carry no bound.
+        seen = []
+        raw_decrypt = PaillierPrivateKey.raw_decrypt
+
+        def spy(self, ciphertext, bound=None):
+            seen.append(bound is not None and 2 * bound < self.p)
+            return raw_decrypt(self, ciphertext, bound)
+
+        monkeypatch.setattr(PaillierPrivateKey, "raw_decrypt", spy)
+        report = crypto_throughputs(key_bits=256, samples=8, timer=FakeTimer())
+        assert seen[:16] == [False] * 8 + [True] * 8
+        assert not any(seen[16:])
+        assert report.dec_one_prime > 0
 
     def test_one_key_per_calibration(self, monkeypatch):
         pairs = []

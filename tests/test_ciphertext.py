@@ -1,5 +1,8 @@
 """Tests for encrypted-number arithmetic and operation counting."""
 
+import math
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +26,22 @@ class TestEncryptDecrypt:
             public.decrypt(cipher)
         # The private context can decrypt ciphers made under the public one.
         assert context.decrypt(cipher) == pytest.approx(1.5)
+
+    @pytest.mark.parametrize("exponent", [4, 8, 11])
+    def test_value_bound_is_exact_at_the_ciphers_exponent(self, context, exponent):
+        # The bound is ceil(bound * B**e) in encoded units: the value one
+        # unit past it is refused, the one at it is not.
+        step = 16.0**-exponent
+        bound = 0.1  # 0.1 * 16**e is no integer: the ceiling decides
+        edge = math.ceil(Fraction(bound) * 16**exponent)
+        inside = context.encrypt(edge * step, exponent=exponent)
+        assert context.decrypt(inside, bound) == context.decrypt(inside)
+        outside = context.encrypt((edge + 1) * step, exponent=exponent)
+        with pytest.raises(ValueError, match="bound"):
+            context.decrypt(outside, bound)
+        assert context.decrypt(context.encrypt(-bound, exponent=exponent), bound) == (
+            context.decrypt(context.encrypt(-bound, exponent=exponent))
+        )
 
     def test_can_decrypt_flag(self, context):
         assert context.can_decrypt

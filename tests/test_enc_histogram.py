@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.core.enc_histogram import (
     BinCodeError,
     EncryptedHistogram,
+    EncryptedHistogramError,
     PackedHistogramError,
     build_encrypted_histogram,
     decrypt_histogram,
@@ -31,14 +32,14 @@ def _on_grid(values):
     return np.round(values * GradHessLayout.scale) / GradHessLayout.scale
 
 
-def _setup(n=40, d=3, n_bins=6, seed=0):
+def _setup(n=40, d=3, n_bins=6, seed=0, context=CTX):
     rng = np.random.default_rng(seed)
     features = rng.normal(size=(n, d))
     dataset = bin_dataset(features, n_bins)
     grads = _on_grid(rng.uniform(-1, 1, size=n))
     hess = _on_grid(rng.uniform(0.01, 0.25, size=n))
-    grad_ciphers = [CTX.encrypt(float(g)) for g in grads]
-    hess_ciphers = [CTX.encrypt(float(h)) for h in hess]
+    grad_ciphers = [context.encrypt(float(g)) for g in grads]
+    hess_ciphers = [context.encrypt(float(h)) for h in hess]
     return dataset, grads, hess, grad_ciphers, hess_ciphers
 
 
@@ -82,7 +83,7 @@ class TestBuildEncryptedHistogram:
             CTX.public_context(), dataset.codes, rows, gc, hc,
             dataset.n_bins, reordered=reordered,
         )
-        decrypted = decrypt_histogram(CTX, encrypted)
+        decrypted = decrypt_histogram(CTX, encrypted, rows.size)
         reference = build_histogram(dataset, rows, grads, hess)
         assert np.allclose(decrypted.grad, reference.grad, atol=1e-5)
         assert np.allclose(decrypted.hess, reference.hess, atol=1e-5)
@@ -94,7 +95,7 @@ class TestBuildEncryptedHistogram:
             CTX.public_context(), dataset.codes, rows, gc, hc,
             dataset.n_bins, reordered=True,
         )
-        decrypted = decrypt_histogram(CTX, encrypted)
+        decrypted = decrypt_histogram(CTX, encrypted, rows.size)
         reference = build_histogram(dataset, rows, grads, hess)
         assert np.allclose(decrypted.grad, reference.grad, atol=1e-5)
 
@@ -409,6 +410,51 @@ class TestPackedIntegrity:
             self._unpack(dataclasses.replace(packed, packs=packs))
 
 
+class TestUnpackedIntegrity:
+    """What B's bound on a node's bins lets it refuse on the unpacked path."""
+
+    N = 20
+    HOME = TestPackedIntegrity.HOME
+    DATASET, _, _, GRADS, HESSES = _setup(n=N, d=3, n_bins=4, seed=12, context=HOME)
+    ROWS = np.arange(N)
+
+    def _encrypted(self):
+        return build_encrypted_histogram(
+            self.HOME.public_context(), self.DATASET.codes, self.ROWS,
+            self.GRADS, self.HESSES, self.DATASET.n_bins, reordered=False,
+        )
+
+    def test_intact_bins_decrypt(self):
+        decrypt_histogram(self.HOME, self._encrypted(), self.N)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_bin_under_another_key(self, seed):
+        # A CTX cipher is in HOME's range (smaller modulus), and decrypts
+        # to a value inside the node's bound with probability ~2^-90.
+        rng = np.random.default_rng(seed)
+        encrypted = self._encrypted()
+        half = encrypted.grad_bins if rng.integers(2) else encrypted.hess_bins
+        j, k = rng.integers(encrypted.n_features), rng.integers(encrypted.n_bins)
+        value = float(_on_grid(rng.uniform(-1, 1)))
+        half[j][k] = EncryptedNumber(
+            self.HOME, CTX.encrypt(value).ciphertext, half[j][k].exponent
+        )
+        with pytest.raises(EncryptedHistogramError, match=f"feature {j}, bin {k}"):
+            decrypt_histogram(self.HOME, encrypted, self.N)
+
+    @pytest.mark.parametrize(
+        "value, bound",
+        [(N + 1.0, N), (2.0**100, 2.0**99)],  # one-prime route, CRT route
+        ids=["one-prime", "crt"],
+    )
+    def test_bin_past_the_bound(self, value, bound):
+        # An honest cipher of more than the bound allows is refused too.
+        encrypted = self._encrypted()
+        encrypted.grad_bins[1][2] = self.HOME.encrypt(value)
+        with pytest.raises(EncryptedHistogramError, match="feature 1, bin 2"):
+            decrypt_histogram(self.HOME, encrypted, bound)
+
+
 class TestSiblingBySubtraction:
     """``parent - small`` stands in for the large child's own histogram."""
 
@@ -428,7 +474,7 @@ class TestSiblingBySubtraction:
             CTX.public_context(), self.DATASET.codes, rows, self.GRAD_CIPHERS,
             self.HESS_CIPHERS, self.DATASET.n_bins, reordered=True,
         )
-        return decrypt_histogram(CTX, encrypted)
+        return decrypt_histogram(CTX, encrypted, rows.size)
 
     @given(
         in_parent=st.lists(st.booleans(), min_size=N, max_size=N),

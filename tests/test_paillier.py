@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.crypto import math_utils
@@ -152,6 +152,63 @@ class TestEncryptDecrypt:
     def test_boundary_values(self):
         for value in (0, 1, PUBLIC.n - 1):
             assert PRIVATE.raw_decrypt(PUBLIC.raw_encrypt(value)) == value
+
+
+#: an unpacked bin's bound on the benchmark's baseline path: 48 rows of
+#: |v| <= 1 at exponent 8 (B = 16), about 2^37.6
+BIN_BOUND = 48 * 16**8
+
+#: key size -> keypair; a 64-bit key's 32-bit p is below 2 * BIN_BOUND
+ROUTE_KEYS = {bits: generate_keypair(bits, seed=bits) for bits in (64, 128, 256, 512)}
+
+
+class TestBoundedDecryption:
+    """``raw_decrypt(c, bound)``: the CRT route's integer, at one prime when it fits."""
+
+    @pytest.mark.parametrize("key_bits", sorted(ROUTE_KEYS))
+    @given(value=st.integers(-BIN_BOUND, BIN_BOUND))
+    @settings(
+        max_examples=10,
+        derandomize=True,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_same_integer_from_one_powmod_when_2_bound_is_below_p(
+        self, key_bits, value, choke_calls
+    ):
+        public, private = ROUTE_KEYS[key_bits]
+        one_prime = 2 * BIN_BOUND < private.p
+        assert one_prime == (key_bits > 64)
+        ciphers = [
+            (x, public.raw_encrypt(x % public.n))
+            for x in (0, 1, -1, BIN_BOUND, -BIN_BOUND, value)
+        ]
+        ciphers.append((0, 1))  # the unobfuscated zero of encrypt_zero
+        for x, cipher in ciphers:
+            del choke_calls[:]
+            bounded = private.raw_decrypt(cipher, BIN_BOUND)
+            assert choke_calls == ["powmod"] * (1 if one_prime else 2)
+            del choke_calls[:]
+            assert bounded == private.raw_decrypt(cipher) == x % public.n
+            assert choke_calls == ["powmod"] * 2
+
+    @pytest.mark.parametrize("key_bits", [64, 128])  # CRT route, one-prime route
+    def test_a_plaintext_past_the_bound_is_refused(self, key_bits):
+        public, private = ROUTE_KEYS[key_bits]
+        for x in (BIN_BOUND + 1, -BIN_BOUND - 1, public.n // 2):
+            with pytest.raises(ValueError, match="bound"):
+                private.raw_decrypt(public.raw_encrypt(x % public.n), BIN_BOUND)
+        assert private.raw_decrypt(public.raw_encrypt(7), 7) == 7
+
+    def test_a_cipher_under_another_key_is_refused(self):
+        # Encrypted under a 256-bit key, decrypted with a 512-bit one:
+        # in range, and a bounded plaintext by chance ~2^-217 a cipher.
+        public, private = ROUTE_KEYS[512]
+        rng = random.Random(4)
+        for _ in range(20):
+            foreign = PUBLIC.raw_encrypt(rng.randrange(BIN_BOUND))
+            with pytest.raises(ValueError, match="bound"):
+                private.raw_decrypt(foreign, BIN_BOUND)
 
 
 class TestHomomorphicProperties:
