@@ -1,6 +1,6 @@
 """Static analysis of the reproduction: privacy, crypto, determinism, schedules.
 
-Seven passes enforce the repo's cross-cutting invariants on every
+Six passes enforce the repo's cross-cutting invariants on every
 commit (``python -m repro.analysis --strict``; a tier-1 pytest wrapper
 runs the same gate), sharing one parsed :class:`PackageIndex` per
 scanned root:
@@ -8,7 +8,8 @@ scanned root:
 * :mod:`repro.analysis.taint` — party-boundary taint: label-derived
   plaintext must never flow into a cross-party message toward a passive
   party (``PB001/002``; static complement of the runtime
-  :class:`~repro.fed.channel.PrivacyViolation` guard);
+  :class:`~repro.fed.channel.PrivacyViolation` guard, reading the same
+  per-type ``disclosure`` declared in :mod:`repro.fed.messages`);
 * :mod:`repro.analysis.cryptolint` — Paillier misuse: cross-key
   arithmetic, raw-layer/exponent bypass, uncounted ops (``CR001-003``);
 * :mod:`repro.analysis.domains` — ciphertext-domain abstract
@@ -20,10 +21,7 @@ scanned root:
   conflicts and causality violations in the task graphs emitted by
   :class:`~repro.core.protocol.ProtocolScheduler` (``SCH001-005``);
 * :mod:`repro.analysis.races` — happens-before race detection over the
-  declared task footprints of those graphs (``SCH101-103``);
-* :mod:`repro.analysis.conformance` — static<->runtime disclosure
-  conformance against the versioned artifact and the golden wire
-  ledger (``PB003``).
+  declared task footprints of those graphs (``SCH101-103``).
 
 Findings share one reporting layer (:mod:`repro.analysis.findings`)
 with ``# repro: allow[RULE]`` inline suppressions, an unused-

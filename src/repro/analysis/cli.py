@@ -9,17 +9,14 @@ Usage::
     python -m repro.analysis --verbose       # per-pass wall time to stderr
     python -m repro.analysis --write-baseline analysis-baseline.json
     python -m repro.analysis --baseline analysis-baseline.json --strict
-    python -m repro.analysis --emit-conformance        # refresh the artifact
     python -m repro.analysis --graph schedule.json     # race-check a graph
-    python -m repro.analysis --wire-ledger ledger.json # PB003 vs a live ledger
 
-Seven passes share one :class:`~repro.analysis.astutils.PackageIndex`
+Six passes share one :class:`~repro.analysis.astutils.PackageIndex`
 per scanned root (the tree is parsed exactly once): party-boundary
 taint (PB), Paillier misuse (CR001-003), ciphertext-domain abstract
 interpretation (CR101-104), determinism (DET), schedule structure +
-races (SCH), disclosure conformance (PB003) and the suppression audit
-(SUP001).  Files that fail to parse become ``SYN001`` findings instead
-of aborting the run.
+races (SCH) and the suppression audit (SUP001).  Files that fail to
+parse become ``SYN001`` findings instead of aborting the run.
 
 The default invocation scans the installed ``repro`` package *plus* the
 repo's ``benchmarks/`` and ``examples/`` trees when they are present;
@@ -35,7 +32,7 @@ import sys
 import time
 from pathlib import Path
 
-from repro.analysis import conformance, cryptolint, determinism, domains, races, schedule, taint
+from repro.analysis import cryptolint, determinism, domains, races, schedule, taint
 from repro.analysis.astutils import PackageIndex
 from repro.analysis.findings import (
     Baseline,
@@ -49,8 +46,8 @@ from repro.analysis.sarif import render_sarif
 __all__ = ["main", "run_analysis", "RULE_FAMILIES"]
 
 RULE_FAMILIES = {
-    "PB": "party boundary (PB001/002 plaintext taint; PB003 static<->runtime "
-    "disclosure conformance)",
+    "PB": "party boundary (PB001/002 plaintext taint against each message "
+    "type's declared disclosure)",
     "CR": "Paillier misuse (CR001-003 cross-key/raw-layer/uncounted ops; "
     "CR101-104 ciphertext-domain abstract interpretation; CR105 "
     "powmod-choke-point bypass via direct 3-arg pow in crypto hot paths)",
@@ -173,7 +170,6 @@ def run_analysis(
     with_schedule: bool = True,
     rules: set[str] | None = None,
     timings: dict[str, float] | None = None,
-    wire_ledger: dict | None = None,
 ) -> Reporter:
     """Run all checkers; returns the merged reporter.
 
@@ -185,8 +181,6 @@ def run_analysis(
         with_schedule: run the (non-static) schedule self checks.
         rules: keep only these rule ids in the final findings.
         timings: optional dict filled with per-pass wall seconds.
-        wire_ledger: explicit ``{variant: {type: bytes}}`` ledger for
-            the PB003 runtime leg (``--wire-ledger``).
     """
     timings = timings if timings is not None else {}
     default_scan = root is None and package == "repro"
@@ -221,19 +215,6 @@ def run_analysis(
         )
         dom_scope = _FULL_SCOPE if is_extra else domains.DEFAULT_SCOPE
         merged.extend(timed(f"{prefix}:domains", domains.run, index, scope=dom_scope))
-        if not is_extra and scan_package == "repro" and default_scan:
-            golden_dir = _repo_root() / "tests" / "golden"
-            if golden_dir.is_dir() or wire_ledger is not None:
-                merged.extend(
-                    timed(
-                        "repro:conformance",
-                        conformance.check,
-                        index,
-                        golden_dir / "disclosure_conformance.json",
-                        opcounts_path=golden_dir / "opcounts.json",
-                        ledger=wire_ledger,
-                    )
-                )
 
     if with_schedule:
         merged.extend(_self_check_schedules(timings))
@@ -312,23 +293,6 @@ def main(argv: list[str] | None = None) -> int:
         help="also validate + race-check an external task-graph JSON file",
     )
     parser.add_argument(
-        "--wire-ledger",
-        type=Path,
-        default=None,
-        help="check a {variant: {type: bytes}} wire-ledger JSON against the "
-        "disclosure declarations (PB003)",
-    )
-    parser.add_argument(
-        "--emit-conformance",
-        nargs="?",
-        type=Path,
-        const=Path("tests/golden/disclosure_conformance.json"),
-        default=None,
-        metavar="PATH",
-        help="write the disclosure-conformance artifact and exit "
-        "(default PATH: tests/golden/disclosure_conformance.json)",
-    )
-    parser.add_argument(
         "--baseline",
         type=Path,
         default=None,
@@ -353,22 +317,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.root is not None and not args.root.is_dir():
         parser.error(f"--root {args.root} is not a directory")
 
-    if args.emit_conformance is not None:
-        index = PackageIndex(args.root or default_root(), package=args.package)
-        golden = _repo_root() / "tests" / "golden" / "opcounts.json"
-        artifact = conformance.build_artifact(index, golden if golden.exists() else None)
-        args.emit_conformance.parent.mkdir(parents=True, exist_ok=True)
-        with open(args.emit_conformance, "w", encoding="utf-8") as handle:
-            json.dump(artifact, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"conformance artifact -> {args.emit_conformance}")
-        return 0
-
-    wire_ledger = None
-    if args.wire_ledger is not None:
-        with open(args.wire_ledger, encoding="utf-8") as handle:
-            wire_ledger = json.load(handle)
-
     rules = (
         {token.strip() for token in args.rules.split(",") if token.strip()}
         if args.rules
@@ -382,7 +330,6 @@ def main(argv: list[str] | None = None) -> int:
         with_schedule=not args.no_schedule,
         rules=rules,
         timings=timings,
-        wire_ledger=wire_ledger,
     )
     if args.graph is not None:
         graph_reporter = check_graph_file(args.graph)

@@ -29,16 +29,18 @@ ciphertext from there on.
 *Sinks* are constructions of :mod:`repro.fed.messages` types headed
 toward a passive party, plus direct ``channel.send(...)`` calls.  A
 tainted expression reaching a payload field raises ``PB001`` unless the
-(type, field) is a *declared disclosure* — information the protocol
-deliberately reveals (split bin indices, placement bitmaps; §3.2).
-``LeafWeightBroadcast`` is intentionally **not** declared: broadcasting
-raw label-derived floats is the strongest disclosure the protocol makes
-and every occurrence must carry an explicit ``# repro: allow[PB001]``
-with its rationale.
+type's declared ``disclosure`` is ``"metadata"`` — information the
+protocol deliberately reveals (split bin indices, placement bitmaps;
+§3.2).  The declarations and field orders are read from the imported
+:mod:`repro.fed.messages`, the one place they are written.
+``LeafWeightBroadcast`` (``"model"``) is intentionally still checked:
+broadcasting raw label-derived floats is the strongest disclosure the
+protocol makes and every occurrence must carry an explicit
+``# repro: allow[PB001]`` with its rationale.
 
 ``PB002`` flags :class:`~repro.fed.messages.Message` subclasses defined
 outside ``repro/fed/messages.py`` — the static complement of the
-channel's runtime default-deny on unrecognized message types.
+channel's runtime default-deny on undeclared message types.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from repro.analysis.astutils import (
 )
 from repro.analysis.findings import Finding, Reporter, Severity
 
-__all__ = ["TaintChecker", "DECLARED_DISCLOSURES", "run"]
+__all__ = ["TaintChecker", "run"]
 
 #: call tails that *introduce* label-derived taint
 SOURCE_TAILS = {
@@ -91,44 +93,27 @@ CLEAN_TAILS = {"len", "type", "isinstance", "id", "range", "zeros", "zeros_like"
 #: attribute reads that expose only shape/metadata, never label content
 CLEAN_ATTRS = {"shape", "size", "ndim", "dtype", "nbytes"}
 
-#: message types whose payloads the protocol deliberately discloses
-#: toward passive parties: split bin indices (O(log bins) bits, §3.2),
-#: placement bitmaps (instance routing every party must learn), dirty
-#: notices, and serving-time routing.  NOT LeafWeightBroadcast.
-DECLARED_DISCLOSURES = {
-    "SplitDecision",
-    "SplitQuery",
-    "SplitAnswer",
-    "InstancePlacement",
-    "DirtyNodeNotice",
-    "RouteQuery",
-    "RouteAnswer",
-    "RouteQueryBatch",
-    "RouteAnswerBatch",
-}
-
-#: dataclass field order of the core message types, used to name
-#: positional constructor arguments when the messages module itself is
-#: not part of the scanned tree (fixture packages).
-KNOWN_MESSAGE_FIELDS = {
-    "EncryptedGradHessBatch": ["sender", "receiver", "instance_offset", "grads", "hesses"],
-    "EncryptedHistogramMessage": ["sender", "receiver", "histograms"],
-    "PackedHistogramMessage": ["sender", "receiver", "packed"],
-    "CountedCipherPayload": ["sender", "receiver", "kind", "n_ciphers", "extra_bytes", "opens_to"],
-    "SplitDecision": ["sender", "receiver", "node_id", "owner", "bin_flat_index", "gain_is_leaf"],
-    "SplitQuery": ["sender", "receiver", "node_id", "bin_flat_index"],
-    "SplitAnswer": ["sender", "receiver", "node_id", "placement"],
-    "InstancePlacement": ["sender", "receiver", "node_id", "placement"],
-    "DirtyNodeNotice": ["sender", "receiver", "node_id", "corrected_owner", "bin_flat_index"],
-    "RouteQuery": ["sender", "receiver", "tree_index", "node_id", "instance_ids"],
-    "RouteAnswer": ["sender", "receiver", "tree_index", "node_id", "goes_left"],
-    "RouteQueryBatch": ["sender", "receiver", "batch_id", "items"],
-    "RouteAnswerBatch": ["sender", "receiver", "batch_id", "items"],
-    "LeafWeightBroadcast": ["sender", "receiver", "weights"],
-}
-
 _MESSAGES_MODULE = "repro.fed.messages"
 _MAX_ROUNDS = 8
+
+
+def _message_declarations() -> dict[str, tuple[str | None, list[str]]]:
+    """``{name: (disclosure, field order)}`` of every message type.
+
+    Read from the imported :mod:`repro.fed.messages`, which is imported
+    lazily so the other static checkers stay import-light.
+    """
+    import dataclasses
+
+    from repro.fed import messages
+
+    return {
+        name: (cls.disclosure, [f.name for f in dataclasses.fields(cls)])
+        for name, cls in vars(messages).items()
+        if isinstance(cls, type)
+        and issubclass(cls, messages.Message)
+        and cls is not messages.Message
+    }
 
 
 @dataclass
@@ -149,7 +134,12 @@ class TaintChecker:
         self.summaries: dict[str, FunctionSummary] = {}
         #: fn key -> parameter names observed tainted at some call site
         self.param_taint: dict[str, set[str]] = {}
-        self.message_fields: dict[str, list[str]] = dict(KNOWN_MESSAGE_FIELDS)
+        declarations = _message_declarations()
+        self.message_fields = {name: fields for name, (_, fields) in declarations.items()}
+        #: message types whose payloads PB001 does not look inside
+        self.exempt = {
+            name for name, (disclosure, _) in declarations.items() if disclosure == "metadata"
+        }
         self.local_message_classes: dict[str, tuple[ModuleInfo, ast.ClassDef]] = {}
         self._collect_message_classes()
 
@@ -165,13 +155,13 @@ class TaintChecker:
                 for base in node.bases:
                     base_name = module.resolve(dotted_name(base))
                     if base_name in (f"{_MESSAGES_MODULE}.Message", "Message"):
-                        fields = ["sender", "receiver"]
+                        fields = ["sender", "receiver", "seq"]
                         for stmt in node.body:
                             if isinstance(stmt, ast.AnnAssign) and isinstance(
                                 stmt.target, ast.Name
                             ):
                                 fields.append(stmt.target.id)
-                        self.message_fields[node.name] = fields
+                        self.message_fields.setdefault(node.name, fields)
                         self.local_message_classes[node.name] = (module, node)
                         break
 
@@ -182,7 +172,7 @@ class TaintChecker:
         tail = name.rsplit(".", maxsplit=1)[-1]
         resolved = module.resolve(name) or name
         if resolved.startswith(_MESSAGES_MODULE + ".") and tail != "Message":
-            return tail if tail in KNOWN_MESSAGE_FIELDS or tail[:1].isupper() else None
+            return tail if tail in self.message_fields or tail[:1].isupper() else None
         if tail in self.local_message_classes:
             return tail
         return None
@@ -227,7 +217,7 @@ class TaintChecker:
                 message=(
                     f"Message subclass {name!r} defined outside repro.fed.messages; "
                     "the channel's default-deny will reject float payloads toward "
-                    "passive parties — register it or declare its disclosure"
+                    "passive parties — move it there and declare its disclosure"
                 ),
                 checker=self.checker_name,
             )
@@ -575,7 +565,7 @@ class _FunctionPass:
                 receiver = kw.value
         if self._toward_active(receiver):
             return
-        if class_name in DECLARED_DISCLOSURES:
+        if class_name in self.checker.exempt:
             return
         for position, tainted in enumerate(arg_taints):
             if position < 2 or not tainted:

@@ -17,8 +17,8 @@ very different trust models:
 every ``python -m repro bench-gate`` run appends one entry per scenario
 after the gate passes, so the history *is* the baseline.  The gate
 exits nonzero on any regression, making it a CI tripwire in the same
-spirit as the golden op-count guard — but covering end-to-end scenario
-totals and real throughput rather than per-op fingerprints.
+spirit as the golden party sweep — but covering end-to-end scenario
+totals and real throughput rather than per-fit fingerprints.
 """
 
 from __future__ import annotations

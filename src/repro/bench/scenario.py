@@ -133,8 +133,8 @@ class Scenario:
         }
 
 
-#: golden op-count fingerprints (``tests/golden/opcounts.json``); the
-#: seed is the paper's SIGMOD publication date
+#: the golden fits (``tests/golden/party_sweep.json``); the seed is the
+#: paper's SIGMOD publication date
 GOLDEN = Scenario(48, 6, 2, 3, 4, key_bits=256, blaster_batch_size=16, seed=20210614)
 #: GOLDEN's dimensions at the config's default key and batch: what
 #: ``repro whatif`` and ``repro critical`` price

@@ -82,7 +82,7 @@ class OpStats:
         self.plain_additions = 0
 
     def to_dict(self) -> dict[str, int]:
-        """JSON-ready counter mapping (RunReport / golden guard)."""
+        """JSON-ready counter mapping (RunReport / golden party sweep)."""
         return asdict(self)
 
 

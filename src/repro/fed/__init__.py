@@ -7,7 +7,6 @@ from repro.fed.faults import FaultPlan, FaultyEngine, LaneSlowdown, PauseWindow
 from repro.fed.messages import (
     Ack,
     CountedCipherPayload,
-    DirtyNodeNotice,
     EncryptedGradHessBatch,
     EncryptedHistogramMessage,
     InstancePlacement,
@@ -32,7 +31,6 @@ __all__ = [
     "ClusterSpec",
     "CountedCipherPayload",
     "DeliveryError",
-    "DirtyNodeNotice",
     "EncryptedGradHessBatch",
     "EncryptedHistogramMessage",
     "FaultPlan",

@@ -8,17 +8,14 @@ through a :class:`RecordingChannel`, which
   (effectively-once semantics of the paper's queues);
 * accounts every byte per direction and per message type — the input
   for the "3.2 GB -> 1.1 GB per tree" resource-utilization claim;
-* enforces the protocol's privacy ground rule: any label-derived
-  payload flowing *toward* a passive party must be ciphertext.
+* enforces the protocol's privacy ground rule: toward a passive party,
+  a message type that declares no ``disclosure``
+  (:mod:`repro.fed.messages`) may not carry plaintext floats.
 
-The privacy guard is **default-deny**: besides the known label-derived
-types (which must satisfy ``carries_ciphertext_only``), any message
-type the channel does not recognize as a *declared disclosure* is
-rejected when it carries plaintext floats toward a passive party.  A
-new message type must either be ciphertext-only or be added to
-:data:`RecordingChannel._DECLARED_PLAINTEXT` with a documented
-rationale — mirroring the static ``PB001`` rule of
-:mod:`repro.analysis.taint`.
+The guard is **default-deny**: a new message type is rejected when it
+carries floats toward a passive party until it declares, in
+:mod:`repro.fed.messages`, what it discloses — the same declaration
+the static ``PB001`` rule of :mod:`repro.analysis.taint` reads.
 """
 
 from __future__ import annotations
@@ -29,23 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.fed.messages import (
-    Ack,
-    DirtyNodeNotice,
-    EncryptedGradHessBatch,
-    EncryptedHistogramMessage,
-    InstancePlacement,
-    LeafWeightBroadcast,
-    Message,
-    PackedHistogramMessage,
-    RouteAnswer,
-    RouteAnswerBatch,
-    RouteQuery,
-    RouteQueryBatch,
-    SplitAnswer,
-    SplitDecision,
-    SplitQuery,
-)
+from repro.fed.messages import Message
 
 __all__ = ["ChannelStats", "PrivacyViolation", "RecordingChannel"]
 
@@ -119,49 +100,12 @@ class RecordingChannel:
     Args:
         key_bits: Paillier modulus size, used to size ciphers on the wire.
         active_party: id of the label holder (Party B); messages headed
-            anywhere else are checked against the ciphertext-only rule.
-        strict: raise :class:`PrivacyViolation` on rule violations
-            (``True`` in every trainer; tests flip it to probe).
+            anywhere else pass the privacy guard first.
     """
 
-    #: message types that carry label-derived statistics
-    _LABEL_DERIVED = (
-        EncryptedGradHessBatch,
-        EncryptedHistogramMessage,
-        PackedHistogramMessage,
-    )
-
-    #: declared plaintext disclosures, each sanctioned by the protocol:
-    #: split decisions/queries reveal only owner-local bin indices
-    #: (§3.2), placements and routing reveal instance->node assignment
-    #: the protocol already discloses, and leaf weights are part of the
-    #: published model.  Anything else carrying floats toward a passive
-    #: party is rejected (default-deny).
-    _DECLARED_PLAINTEXT = (
-        SplitDecision,
-        SplitQuery,
-        SplitAnswer,
-        InstancePlacement,
-        DirtyNodeNotice,
-        RouteQuery,
-        RouteAnswer,
-        RouteQueryBatch,
-        RouteAnswerBatch,
-        LeafWeightBroadcast,
-        # Transport metadata only: an Ack echoes a sequence number and a
-        # type name the receiver already saw; no model or label content.
-        Ack,
-    )
-
-    def __init__(
-        self,
-        key_bits: int,
-        active_party: int = 0,
-        strict: bool = True,
-    ) -> None:
+    def __init__(self, key_bits: int, active_party: int = 0) -> None:
         self.key_bits = key_bits
         self.active_party = active_party
-        self.strict = strict
         self._queues: dict[tuple[int, int], deque[Message]] = defaultdict(deque)
         self.stats: dict[tuple[int, int], ChannelStats] = defaultdict(ChannelStats)
         self.log: list[Message] = []
@@ -182,40 +126,30 @@ class RecordingChannel:
         return totals
 
     def send(self, message: Message) -> None:
-        """Enqueue a message after privacy and accounting checks."""
-        if self.strict and message.receiver != self.active_party:
-            self._check_toward_passive(message)
+        """Enqueue a message after the privacy guard; account its bytes.
+
+        Raises:
+            PrivacyViolation: when a message type with no declared
+                ``disclosure`` carries plaintext floats toward a passive
+                party.
+        """
+        if (
+            message.receiver != self.active_party
+            and type(message).disclosure is None
+            and _carries_floats(message)
+        ):
+            raise PrivacyViolation(
+                f"undeclared message type {type(message).__name__} carries "
+                f"plaintext floats toward passive party {message.receiver}; "
+                "encrypt the payload or declare its disclosure in "
+                "repro.fed.messages"
+            )
         size = message.payload_bytes(self.key_bits)
         type_name = type(message).__name__
         direction = (message.sender, message.receiver)
         self._queues[direction].append(message)
         self.stats[direction].record(type_name, size)
         self.log.append(message)
-
-    def _check_toward_passive(self, message: Message) -> None:
-        """Privacy guard for traffic headed anywhere but the label holder.
-
-        Raises:
-            PrivacyViolation: when a label-derived message is not
-                ciphertext-only, or an *undeclared* message type carries
-                plaintext floats.
-        """
-        if message.carries_ciphertext_only:
-            return
-        if isinstance(message, self._LABEL_DERIVED):
-            raise PrivacyViolation(
-                f"{type(message).__name__} toward passive party "
-                f"{message.receiver} must be ciphertext"
-            )
-        if isinstance(message, self._DECLARED_PLAINTEXT):
-            return
-        if _carries_floats(message):
-            raise PrivacyViolation(
-                f"undeclared message type {type(message).__name__} carries "
-                f"plaintext floats toward passive party {message.receiver}; "
-                "encrypt the payload or declare the disclosure in "
-                "RecordingChannel._DECLARED_PLAINTEXT"
-            )
 
     def receive(self, sender: int, receiver: int) -> Message:
         """Dequeue the next message of a direction (FIFO).
@@ -243,29 +177,14 @@ class RecordingChannel:
         """All bytes ever sent, both directions, all parties."""
         return sum(stats.bytes for stats in self.stats.values())
 
-    def bytes_toward(self, receiver: int) -> int:
-        """Bytes sent to one party."""
-        return sum(
-            stats.bytes
-            for (_, dst), stats in self.stats.items()
-            if dst == receiver
-        )
-
     def wire_ledger(self) -> dict[str, dict[str, int]]:
         """Per-message-type wire ledger, JSON-ready.
 
-        ``{type_name: {"messages": n, "bytes": b}}`` — the runtime half
-        of the disclosure-conformance loop: the static analyzer's
-        ``PB003`` artifact (``tests/golden/disclosure_conformance.json``)
-        pins which type names may appear here, and the golden-fingerprint
-        tests compare this ledger against it.
+        ``{type_name: {"messages": n, "bytes": b}}`` — what an incident
+        bundle snapshots and ``tests/golden/party_sweep.json`` pins per
+        golden fit.
         """
         return {
             type_name: {"messages": stats.messages, "bytes": stats.bytes}
             for type_name, stats in sorted(self.by_type.items())
         }
-
-    def reset_stats(self) -> None:
-        """Zero the accounting (queues are untouched)."""
-        self.stats.clear()
-        self.log.clear()

@@ -3,14 +3,25 @@
 Every message that crosses the public channel is one of these
 dataclasses.  Each knows its own wire size, so the recording channel
 can account for every byte (the paper reports 3.2 GB -> 1.1 GB per tree
-from histogram packing), and each declares whether it may legally
-contain plaintext label-derived information — the hook the privacy
-tests use.
+from histogram packing), and each declares its ``disclosure`` — what a
+passive party learns from it (§3.2).  This is the one place a
+disclosure is written: the channel's privacy guard
+(:class:`~repro.fed.channel.RecordingChannel`) and the static taint
+checker (:mod:`repro.analysis.taint`) both read it.
+
+* ``"ciphertext"`` — label statistics that travel only as ciphers;
+* ``"metadata"`` — ids, bin indices, bitmaps and sequence numbers, no
+  label-derived value (the taint checker does not look inside);
+* ``"model"`` — label-derived values published on purpose (leaf
+  weights); every send site still answers to ``PB001``;
+* ``None`` — undeclared: the channel rejects a float payload toward a
+  passive party.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar, Literal
 
 import numpy as np
 
@@ -32,7 +43,6 @@ __all__ = [
     "RouteQuery",
     "RouteAnswerBatch",
     "RouteQueryBatch",
-    "DirtyNodeNotice",
     "LeafWeightBroadcast",
 ]
 
@@ -56,14 +66,12 @@ class Message:
     receiver: int
     seq: int = -1
 
+    #: what a passive party learns from this type (module docstring)
+    disclosure: ClassVar[Literal["ciphertext", "metadata", "model"] | None] = None
+
     def payload_bytes(self, key_bits: int) -> int:
         """Serialized size in bytes."""
         raise NotImplementedError
-
-    @property
-    def carries_ciphertext_only(self) -> bool:
-        """True when the payload is ciphertext (safe toward Party A)."""
-        return False
 
 
 @dataclass
@@ -75,16 +83,14 @@ class EncryptedGradHessBatch(Message):
         grads / hesses: ciphers aligned with the batch's instances.
     """
 
+    disclosure = "ciphertext"
+
     instance_offset: int = 0
     grads: list[EncryptedNumber] = field(default_factory=list)
     hesses: list[EncryptedNumber] = field(default_factory=list)
 
     def payload_bytes(self, key_bits: int) -> int:
         return (len(self.grads) + len(self.hesses)) * cipher_bytes(key_bits) + 8
-
-    @property
-    def carries_ciphertext_only(self) -> bool:
-        return True
 
     def __len__(self) -> int:
         return len(self.grads)
@@ -97,6 +103,8 @@ class EncryptedHistogramMessage(Message):
     ``histograms`` maps ``node_id -> (grad_bins, hess_bins)`` where each
     bins object is a list of per-feature lists of ciphers.
     """
+
+    disclosure = "ciphertext"
 
     histograms: dict[int, tuple[list[list[EncryptedNumber]], list[list[EncryptedNumber]]]] = field(
         default_factory=dict
@@ -113,10 +121,6 @@ class EncryptedHistogramMessage(Message):
     def payload_bytes(self, key_bits: int) -> int:
         return self.cipher_count() * cipher_bytes(key_bits) + 16
 
-    @property
-    def carries_ciphertext_only(self) -> bool:
-        return True
-
 
 @dataclass
 class PackedHistogramMessage(Message):
@@ -128,6 +132,8 @@ class PackedHistogramMessage(Message):
     sides derive them from the config and the node's size.
     """
 
+    disclosure = "ciphertext"
+
     packed: dict[int, list[PackedCipher]] = field(default_factory=dict)
 
     def cipher_count(self) -> int:
@@ -136,10 +142,6 @@ class PackedHistogramMessage(Message):
 
     def payload_bytes(self, key_bits: int) -> int:
         return self.cipher_count() * cipher_bytes(key_bits) + 32
-
-    @property
-    def carries_ciphertext_only(self) -> bool:
-        return True
 
 
 @dataclass
@@ -151,21 +153,18 @@ class CountedCipherPayload(Message):
     on plaintext.  ``opens_to`` is counted mode's one shortcut: what the
     absent ciphers would open to (a batch's ``(g, h)`` arrays, or
     ``node -> Histogram``) at zero wire bytes, so the receiver acts on
-    what it received.  The ciphertext-only rule reports the real run's
-    payload, which is ciphertext.
+    what it received.  Its disclosure is the real run's payload's:
+    ciphertext.
     """
+
+    disclosure = "ciphertext"
 
     kind: str = ""
     n_ciphers: int = 0
-    extra_bytes: int = 0
     opens_to: object = None
 
     def payload_bytes(self, key_bits: int) -> int:
-        return self.n_ciphers * cipher_bytes(key_bits) + self.extra_bytes + 8
-
-    @property
-    def carries_ciphertext_only(self) -> bool:
-        return True
+        return self.n_ciphers * cipher_bytes(key_bits) + 8
 
 
 @dataclass
@@ -176,6 +175,8 @@ class SplitDecision(Message):
     index* is disclosed (the owner recovers feature/value locally);
     when it belongs to B, Party A learns nothing but the owner id.
     """
+
+    disclosure = "metadata"
 
     node_id: int = 0
     owner: int = 0
@@ -190,6 +191,8 @@ class SplitDecision(Message):
 class SplitQuery(Message):
     """B asks the owning Party A to materialize a split: which rows go left."""
 
+    disclosure = "metadata"
+
     node_id: int = 0
     bin_flat_index: int = 0
 
@@ -200,6 +203,8 @@ class SplitQuery(Message):
 @dataclass
 class SplitAnswer(Message):
     """Owner's reply to a :class:`SplitQuery` with the placement bitmap."""
+
+    disclosure = "metadata"
 
     node_id: int = 0
     placement: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
@@ -213,23 +218,13 @@ class SplitAnswer(Message):
 class InstancePlacement(Message):
     """Broadcast of a node's left/right placement as a bitmap."""
 
+    disclosure = "metadata"
+
     node_id: int = 0
     placement: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
 
     def payload_bytes(self, key_bits: int) -> int:
         return int(np.ceil(self.placement.size / 8)) + 8
-
-
-@dataclass
-class DirtyNodeNotice(Message):
-    """B tells A an optimistic split was invalid (§4.2, Figure 6)."""
-
-    node_id: int = 0
-    corrected_owner: int = 0
-    bin_flat_index: int = -1
-
-    def payload_bytes(self, key_bits: int) -> int:
-        return 24
 
 
 @dataclass
@@ -239,6 +234,8 @@ class RouteQuery(Message):
     The owner learns which instances reached its node — exactly what
     training-time instance placement already disclosed, nothing more.
     """
+
+    disclosure = "metadata"
 
     tree_index: int = 0
     node_id: int = 0
@@ -251,6 +248,8 @@ class RouteQuery(Message):
 @dataclass
 class RouteAnswer(Message):
     """Owner's reply to a :class:`RouteQuery`: a left/right bitmap."""
+
+    disclosure = "metadata"
 
     tree_index: int = 0
     node_id: int = 0
@@ -276,6 +275,8 @@ class RouteQueryBatch(Message):
     *count*, not message *content*.
     """
 
+    disclosure = "metadata"
+
     batch_id: int = 0
     items: list[tuple[int, int, np.ndarray]] = field(default_factory=list)
 
@@ -300,6 +301,8 @@ class RouteAnswerBatch(Message):
     ``instance_ids``.
     """
 
+    disclosure = "metadata"
+
     batch_id: int = 0
     items: list[tuple[int, int, np.ndarray]] = field(default_factory=list)
 
@@ -321,6 +324,8 @@ class Ack(Message):
     which is why it may legally travel in plaintext toward any party.
     """
 
+    disclosure = "metadata"
+
     acked_seq: int = -1
     acked_type: str = ""
 
@@ -332,6 +337,8 @@ class Ack(Message):
 @dataclass
 class LeafWeightBroadcast(Message):
     """Final leaf weights of one tree (B -> A, model sync)."""
+
+    disclosure = "model"
 
     weights: dict[int, float] = field(default_factory=dict)
 

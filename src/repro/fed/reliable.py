@@ -29,8 +29,8 @@ tallies :meth:`ReliableChannel.summary` reports are kept beside it,
 because a ring buffer may evict and a counter may not.
 
 With no plan (or a null plan) the wrapper is a strict pass-through:
-no sequence numbers, no acks, no extra bytes — the golden op-count
-guard sees a byte-identical fault-free run.
+no sequence numbers, no acks, no extra bytes — the golden party sweep
+(``tests/golden/party_sweep.json``) sees a byte-identical fault-free run.
 """
 
 from __future__ import annotations

@@ -5,10 +5,8 @@ The observability layer the paper's evaluation is written in: a
 counters and distributions), a span-based :class:`Tracer` whose output
 — real-clocked or simulated — exports to
 Chrome trace-event JSON openable in Perfetto (Figures 4–6 as actual
-artifacts), a :class:`RunReport` bundling metrics + phase breakdown +
-per-party/per-channel totals, and a golden op-count regression guard
-(:mod:`repro.obs.golden`) that pins Enc/Dec/HAdd/SMul/bytes at a fixed
-shape so silent cost regressions fail tier-1.
+artifacts), and a :class:`RunReport` bundling metrics + phase
+breakdown + per-party/per-channel totals.
 
 Zero third-party dependencies; the submodules import nothing from the
 rest of the package (components are duck-typed), so ``fed``/``serve``

@@ -1,6 +1,6 @@
 """Tests for the Analyzer v2 passes: ciphertext domains (CR10x),
-schedule races (SCH10x), disclosure conformance (PB003), the
-suppression audit (SUP001), SARIF output, and analyzer edge inputs.
+schedule races (SCH10x), the suppression audit (SUP001), SARIF output,
+and analyzer edge inputs.
 """
 
 import json
@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import conformance, domains, races
+from repro.analysis import domains, races
 from repro.analysis.astutils import PackageIndex
 from repro.analysis.cli import check_graph_file, main, run_analysis
 from repro.analysis.findings import (
@@ -23,7 +23,6 @@ from repro.analysis.sarif import render_sarif
 from repro.fed.simtime import SimTask
 
 FIXTURES = Path(__file__).parent / "analysis_fixtures"
-GOLDEN = Path(__file__).parent / "golden"
 
 
 def _write_pkg(tmp_path, files):
@@ -199,53 +198,6 @@ class TestRaceDetector:
             for task in graph:
                 if task.end - task.start > 1e-9:
                     assert declared_effects(task) is not None, (label, task.name)
-
-
-class TestConformance:
-    def test_repo_checks_clean(self, repo_index):
-        reporter = conformance.check(
-            repo_index,
-            GOLDEN / "disclosure_conformance.json",
-            opcounts_path=GOLDEN / "opcounts.json",
-        )
-        assert reporter.findings == []
-
-    def test_bad_wire_ledger_fires_pb003(self, repo_index):
-        with open(FIXTURES / "bad_wire_ledger.json") as handle:
-            ledger = json.load(handle)
-        reporter = conformance.check(
-            repo_index,
-            GOLDEN / "disclosure_conformance.json",
-            opcounts_path=GOLDEN / "opcounts.json",
-            ledger=ledger,
-        )
-        messages = [f.message for f in reporter.findings]
-        assert all(f.rule_id == "PB003" for f in reporter.findings)
-        # The rogue type is called out both as unsanctioned and unexpected.
-        assert any("DebugDump" in m and "no allow-list" in m for m in messages)
-        # Expected-but-vanished types are reported too.
-        assert any("never sent" in m for m in messages)
-
-    def test_missing_artifact_fires_pb003(self, tmp_path, repo_index):
-        reporter = conformance.check(repo_index, tmp_path / "absent.json")
-        assert any(
-            f.rule_id == "PB003" and "missing" in f.message
-            for f in reporter.findings
-        )
-
-    def test_stale_artifact_fires_pb003(self, tmp_path, repo_index):
-        stale = tmp_path / "stale.json"
-        with open(GOLDEN / "disclosure_conformance.json") as handle:
-            artifact = json.load(handle)
-        artifact["runtime_allowlist"] = artifact["runtime_allowlist"][:-1]
-        stale.write_text(json.dumps(artifact))
-        reporter = conformance.check(
-            repo_index, stale, opcounts_path=GOLDEN / "opcounts.json"
-        )
-        assert any(
-            f.rule_id == "PB003" and "stale" in f.message
-            for f in reporter.findings
-        )
 
 
 class TestSuppressionAudit:
@@ -455,44 +407,6 @@ class TestCliV2:
         out = capsys.readouterr().out
         assert rc == 1
         assert "SCH101" in out and "SCH102" in out and "SCH103" in out
-
-    def test_wire_ledger_flag_fails_strict(
-        self, capsys, monkeypatch, repo_index, repo_reporter
-    ):
-        # The flag's own work is load-and-forward.  What it forwards to
-        # here is the session's shared scan plus PB003's runtime leg on
-        # the forwarded ledger, so the repository is not scanned again.
-        ledger_path = FIXTURES / "bad_wire_ledger.json"
-
-        def shared_scan(root, package, wire_ledger, **_):
-            assert root is None and package == "repro"
-            assert wire_ledger == json.loads(ledger_path.read_text())
-            merged = Reporter()
-            merged.extend(repo_reporter)
-            merged.extend(
-                conformance.check(
-                    repo_index,
-                    GOLDEN / "disclosure_conformance.json",
-                    opcounts_path=GOLDEN / "opcounts.json",
-                    ledger=wire_ledger,
-                )
-            )
-            return merged
-
-        monkeypatch.setattr("repro.analysis.cli.run_analysis", shared_scan)
-        rc = main(["--no-schedule", "--strict", "--wire-ledger", str(ledger_path)])
-        assert rc == 1
-        assert "PB003" in capsys.readouterr().out
-
-    def test_emit_conformance_roundtrip(self, tmp_path, capsys):
-        target = tmp_path / "artifact.json"
-        rc = main(["--emit-conformance", str(target)])
-        assert rc == 0
-        emitted = json.loads(target.read_text())
-        checked_in = json.loads(
-            (GOLDEN / "disclosure_conformance.json").read_text()
-        )
-        assert emitted == checked_in
 
     def test_verbose_prints_pass_timings(self, capsys):
         rc = main(

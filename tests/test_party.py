@@ -6,7 +6,9 @@ handed) a label, a gradient or a private key, and the refactor moved no
 number — every golden variant's model, ledgers, op counts and phase
 rows equal the values recorded at the commit before the parties existed
 (``tests/golden/party_sweep.json``; regenerate with
-``PYTHONPATH=src python tests/test_party.py``).
+``PYTHONPATH=src python tests/test_party.py``).  That file is the one
+golden record of a fit: it pins each variant's exact per-type wire
+ledger, and its numbers must keep telling the paper's packing story.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from repro.core.party import ACTIVE, ActiveParty, PassiveParty, ProtocolError, m
 from repro.core.serialization import model_to_payloads, trace_to_payload
 from repro.core.trainer import FederatedTrainer
 from repro.crypto.ciphertext import EncryptedNumber
+from repro.crypto.packing import GradHessLayout
+from repro.fed import messages
 from repro.fed.channel import RecordingChannel
 from repro.fed.messages import LeafWeightBroadcast
 
@@ -140,6 +144,52 @@ def test_golden_variant_equals_the_parent_commit(recorded, variant, n_passive, m
 
 def test_faulted_resumed_fit_equals_the_parent_commit(recorded, tmp_path):
     assert faulted_fingerprint(str(tmp_path)) == recorded["faulted-resumed"]
+
+
+def test_every_wire_type_is_declared(recorded):
+    # A type on the wire that declares nothing would be refused toward
+    # a passive party the moment it carried a float.
+    for key, sweep in recorded.items():
+        for type_name in sweep["ledger"]:
+            assert getattr(messages, type_name).disclosure is not None, (key, type_name)
+
+
+class TestGoldenEncodesPaperClaims:
+    """The recorded numbers themselves must tell the paper's story."""
+
+    @pytest.fixture()
+    def packed(self, recorded):
+        return recorded["vf2boost/1/real"]
+
+    @pytest.fixture()
+    def base(self, recorded):
+        return recorded["vf_gbdt/1/real"]
+
+    def test_histogram_packing_halves_decryptions(self, packed, base):
+        dec_packed = packed["ops"][str(ACTIVE)]["decryptions"]
+        dec_base = base["ops"][str(ACTIVE)]["decryptions"]
+        # (g, h) share a bin's cipher, no feature ships its last bin and
+        # t = 5 slots share a pack across features at 256-bit keys:
+        # 2 x D x s = 24 ciphers a node become ceil(D(s - 1) / 5) = 2.
+        d_a, s = GOLDEN.n_features // 2, GOLDEN.n_bins
+        assert dec_packed * (2 * d_a * s) == dec_base * -(-d_a * (s - 1) // 5)
+        assert dec_packed * 4 < dec_base
+
+    def test_packing_shrinks_a_to_b_bytes(self, packed, base):
+        assert packed["directions"]["1->0"][1] < base["directions"]["1->0"][1]
+
+    def test_total_wire_bytes_drop(self, packed, base):
+        def total(sweep):
+            return sum(n_bytes for _, n_bytes in sweep["directions"].values())
+
+        assert total(packed) < total(base)
+
+    def test_pair_layout_discloses_no_count(self):
+        # A pair cipher carries g and h and nothing else: an instance
+        # with zero statistics encodes to 0, so no bin sum counts
+        # instances and the packed path needs no declared disclosure.
+        layout = GradHessLayout(GOLDEN.key_bits, GOLDEN.n_instances, 1.0, 0.25)
+        assert layout.encode([0.0], [0.0]) == [0]
 
 
 class TestBoundary:

@@ -8,6 +8,7 @@ from repro.core.config import VF2BoostConfig
 from repro.core.party import ActiveParty
 from repro.core.trainer import FederatedTrainer, TrainingInterrupted
 from repro.crypto.ciphertext import OpStats
+from repro.fed.channel import _carries_floats
 from repro.fed.faults import FaultPlan
 from repro.fed.messages import (
     CountedCipherPayload,
@@ -161,7 +162,8 @@ class TestPrivacyInvariants:
                 message,
                 (EncryptedGradHessBatch, EncryptedHistogramMessage, PackedHistogramMessage),
             ):
-                assert message.carries_ciphertext_only
+                assert message.disclosure == "ciphertext"
+                assert not _carries_floats(message)
 
     def test_passive_split_disclosed_as_bin_index_only(
         self, party_datasets, counted_config
@@ -239,13 +241,11 @@ class TestTraceRecording:
             params=small_params, crypto_mode="counted"
         )
         raw_cfg = packed_cfg.replace(histogram_packing=False)
-        packed_bytes = (
-            FederatedTrainer(packed_cfg).fit(*party_datasets).channel.bytes_toward(0)
-        )
-        raw_bytes = (
-            FederatedTrainer(raw_cfg).fit(*party_datasets).channel.bytes_toward(0)
-        )
-        assert packed_bytes < raw_bytes
+        a_to_b = [
+            FederatedTrainer(config).fit(*party_datasets).channel.stats[(1, 0)].bytes
+            for config in (packed_cfg, raw_cfg)
+        ]
+        assert a_to_b[0] < a_to_b[1]
 
 
 class TestMultiParty:
