@@ -3,27 +3,26 @@
 Everything here operates on plain Python integers.  Modular
 exponentiation — and its exponentiation-grade sibling, modular
 inversion — go through a single choke point (:func:`powmod` /
-:func:`invert`) over the built-in three-argument ``pow``.  There is one
-engine; a faster one would replace ``pow`` under these two functions,
-not be selected beside it (DESIGN §4.14).  A power of a base that stays
-fixed for the life of a key has a choke point of its own beside them,
-:func:`fixed_base_powmod`, which reads a :func:`fixed_base_table`
-instead of calling ``pow``: the key holder draws every obfuscator out
-of two such tables.
+:func:`invert`).  ``powmod`` runs on one engine, fixed at import by
+what the platform has: OpenSSL's ``BN_mod_exp_mont`` through ``ctypes``
+when a versioned libcrypto loads and passes a known-answer check, the
+built-in three-argument ``pow`` otherwise.  ``pow`` is also the
+reference the engine is tested against (DESIGN §4.14).
 
-None of the three carries a hook of its own: whoever wants to count or
-time them wraps the module attribute from outside, as the end-to-end
+Neither choke point carries a hook of its own: whoever wants to count
+or time them wraps the module attribute from outside, as the end-to-end
 benchmark's tracer and the tests do, and every caller reaches them as
-``math_utils.powmod`` / ``math_utils.invert`` /
-``math_utils.fixed_base_powmod`` so such a wrapper sees every call.
+``math_utils.powmod`` / ``math_utils.invert`` so such a wrapper sees
+every call.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import random
 import secrets
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from types import SimpleNamespace
 
 __all__ = [
@@ -35,8 +34,6 @@ __all__ = [
     "get_backend",
     "invert",
     "crt_combine",
-    "fixed_base_table",
-    "fixed_base_powmod",
     "powmod",
     "random_coprime",
 ]
@@ -50,32 +47,134 @@ _SMALL_PRIMES = (
 )
 
 
-#: most squarings one ``pow`` call is asked for on the power-of-two
-#: route of :func:`powmod`: ``2**59`` is the largest power of two CPython
-#: (60-bit cutoff, 3.11) still raises to by plain binary exponentiation
-_SQUARING_BITS = 59
-_SQUARING_PIECE = 1 << _SQUARING_BITS
-
-#: radix of a :func:`fixed_base_table` is ``2**_WINDOW_BITS``.  From the
-#: measured sweep in EXPERIMENTS.md (PR 20): each step wider doubles the
-#: build, and past 5 the table outgrows the cache so draws stop gaining.
-_WINDOW_BITS = 5
-_WINDOW_MASK = (1 << _WINDOW_BITS) - 1
-
 #: ``p - 1 = 2 * k * r`` in :func:`_factored_prime` has ``k`` below
 #: ``2**_COFACTOR_BITS``, small enough to factor by trial division
 _COFACTOR_BITS = 16
 
+#: Versioned sonames only.  An unversioned name can resolve to a stub
+#: that aborts the whole process when loaded (macOS's
+#: ``/usr/lib/libcrypto.dylib``), which no ``try`` can catch.
+_LIBCRYPTO_SONAMES = ("libcrypto.so.3", "libcrypto.so.1.1")
+
+#: Montgomery contexts kept, one per modulus, oldest evicted first.  A
+#: key asks for five (``n^2``, ``p^2``, ``q^2``, and ``p`` / ``q`` while
+#: its primitive roots are found), so three keys stay warm.
+_MONT_CACHE_SIZE = 16
+
+#: ``(base, exponent, modulus)`` the engine must agree with ``pow`` on
+#: before it is used: a Mersenne-prime modulus and an exponent that
+#: spans three 64-bit words
+_KNOWN_ANSWER = (3**80 + 7, (1 << 150) + 12345, (1 << 127) - 1)
+
+
+def _bind_libcrypto(lib: ctypes.CDLL) -> tuple[Callable, Callable, dict]:
+    """``(powmod, powmod_once, cache)`` on ``lib``'s BIGNUM exponentiation.
+
+    ``powmod`` runs ``BN_mod_exp_mont`` with the modulus's Montgomery
+    context taken from ``cache`` (built on first use, ``BN_free`` /
+    ``BN_MONT_CTX_free`` on eviction); ``powmod_once`` runs the
+    uncached ``BN_mod_exp``, for a modulus asked about once.  Shapes
+    Montgomery arithmetic has no answer for — a negative exponent, an
+    even modulus or one below 3 — go to ``pow``.
+
+    Not thread-safe: the operand BIGNUMs and the ``BN_CTX`` are module
+    scratch shared by every call, and nothing in the package raises a
+    power from two threads.
+
+    Raises:
+        AttributeError: ``lib`` lacks one of the symbols.
+    """
+    void_p, c_int = ctypes.c_void_p, ctypes.c_int
+    for name, restype, argtypes in (
+        ("BN_new", void_p, ()),
+        ("BN_free", None, (void_p,)),
+        ("BN_CTX_new", void_p, ()),
+        ("BN_MONT_CTX_new", void_p, ()),
+        ("BN_MONT_CTX_free", None, (void_p,)),
+        ("BN_MONT_CTX_set", c_int, (void_p,) * 3),
+        ("BN_lebin2bn", void_p, (ctypes.c_char_p, c_int, void_p)),
+        ("BN_bn2lebinpad", c_int, (void_p, ctypes.c_char_p, c_int)),
+        ("BN_mod_exp_mont", c_int, (void_p,) * 6),
+        ("BN_mod_exp", c_int, (void_p,) * 5),
+    ):
+        function = getattr(lib, name)
+        function.restype, function.argtypes = restype, argtypes
+    to_bn, from_bn = lib.BN_lebin2bn, lib.BN_bn2lebinpad
+    exp_mont, exp_once = lib.BN_mod_exp_mont, lib.BN_mod_exp
+    bn_ctx = void_p(lib.BN_CTX_new())
+    base_bn, exponent_bn, modulus_bn, result_bn = (
+        void_p(lib.BN_new()) for _ in range(4)
+    )
+    cache: dict[int, tuple] = {}
+
+    def _load(base: int, exponent: int, modulus: int, width: int) -> None:
+        if not 0 <= base < modulus:
+            base %= modulus
+        to_bn(base.to_bytes(width, "little"), width, base_bn)
+        length = (exponent.bit_length() + 7) >> 3
+        to_bn(exponent.to_bytes(length, "little"), length, exponent_bn)
+
+    def _montgomery(modulus: int) -> tuple:
+        if len(cache) >= _MONT_CACHE_SIZE:
+            evicted_bn, evicted_mont, *_ = cache.pop(next(iter(cache)))
+            lib.BN_free(evicted_bn)
+            lib.BN_MONT_CTX_free(evicted_mont)
+        width = (modulus.bit_length() + 7) >> 3
+        bn = void_p(to_bn(modulus.to_bytes(width, "little"), width, None))
+        mont = void_p(lib.BN_MONT_CTX_new())
+        if not lib.BN_MONT_CTX_set(mont, bn, bn_ctx):
+            raise ArithmeticError("BN_MONT_CTX_set failed")
+        # the result buffer is per modulus too: one allocation, not one a call
+        cache[modulus] = entry = (bn, mont, width, ctypes.create_string_buffer(width))
+        return entry
+
+    def powmod(base: int, exponent: int, modulus: int) -> int:
+        if exponent < 0 or modulus < 3 or not modulus & 1:
+            return pow(base, exponent, modulus)
+        bn, mont, width, out = cache.get(modulus) or _montgomery(modulus)
+        _load(base, exponent, modulus, width)
+        if not exp_mont(result_bn, base_bn, exponent_bn, bn, bn_ctx, mont):
+            raise ArithmeticError("BN_mod_exp_mont failed")
+        from_bn(result_bn, out, width)
+        return int.from_bytes(out.raw, "little")
+
+    def powmod_once(base: int, exponent: int, modulus: int) -> int:
+        if exponent < 0 or modulus < 3 or not modulus & 1:
+            return pow(base, exponent, modulus)
+        width = (modulus.bit_length() + 7) >> 3
+        to_bn(modulus.to_bytes(width, "little"), width, modulus_bn)
+        _load(base, exponent, modulus, width)
+        if not exp_once(result_bn, base_bn, exponent_bn, modulus_bn, bn_ctx):
+            raise ArithmeticError("BN_mod_exp failed")
+        out = ctypes.create_string_buffer(width)
+        from_bn(result_bn, out, width)
+        return int.from_bytes(out.raw, "little")
+
+    return powmod, powmod_once, cache
+
+
+def _load_engine() -> tuple[str, Callable, Callable, dict]:
+    """``(name, powmod, powmod_once, cache)`` of the engine this platform has.
+
+    The first versioned libcrypto that binds and reproduces ``pow`` on
+    :data:`_KNOWN_ANSWER` with both of its functions; else ``pow``.
+    """
+    for soname in _LIBCRYPTO_SONAMES:
+        try:
+            engine = _bind_libcrypto(ctypes.CDLL(soname))
+            if all(f(*_KNOWN_ANSWER) == pow(*_KNOWN_ANSWER) for f in engine[:2]):
+                return ("openssl", *engine)
+        except (OSError, AttributeError, ArithmeticError):
+            continue
+    return "python", pow, pow, {}
+
+
+_ENGINE, _powmod, _powmod_once, _MONT_CACHE = _load_engine()
+
 
 def get_backend() -> SimpleNamespace:
-    """Constant descriptor of the one engine: ``.name == "python"``.
-
-    Kept only because ``benchmarks/e2e/run.py:run_meta`` records the
-    name and that file could not be edited when the backend layer was
-    removed; the next benchmark PR can drop the field and this function
-    together.
-    """
-    return SimpleNamespace(name="python")
+    """The engine under :func:`powmod`: ``.name`` is ``"openssl"`` or ``"python"``."""
+    return SimpleNamespace(name=_ENGINE)
 
 
 def crt_combine(residue_p: int, residue_q: int, p: int, q: int, q_inv_p: int) -> int:
@@ -94,61 +193,12 @@ def powmod(base: int, exponent: int, modulus: int) -> int:
     """Modular exponentiation ``base ** exponent mod modulus``.
 
     The choke point for exponentiation: every modular power of the
-    crypto layer whose base is not tabled (:func:`fixed_base_powmod`)
-    is one call of this function.
-
-    A power-of-two exponent above ``2**59`` — every packing SMul is
-    ``c^(2^stride)`` — is handed to ``pow`` in pieces of at most 59
-    squarings: CPython's ``pow`` first builds a table of odd powers for
-    any exponent over 60 bits, multiplications a pure shift never uses.
-    Same integer, still one call.
+    crypto layer is one call of this function, on the engine
+    :func:`get_backend` names.  The moduli it is asked for recur (a
+    key's ``n^2``, ``p^2``, ``q^2``), so each keeps its Montgomery
+    context between calls.
     """
-    if exponent > _SQUARING_PIECE and exponent & (exponent - 1) == 0:
-        # base^(2^k) is k squarings; asked for in pieces ``pow`` runs
-        # as plain binary exponentiation, with no window table.
-        squarings = exponent.bit_length() - 1
-        while squarings > _SQUARING_BITS:
-            base = pow(base, _SQUARING_PIECE, modulus)
-            squarings -= _SQUARING_BITS
-        exponent = 1 << squarings
-    return pow(base, exponent, modulus)
-
-
-def fixed_base_table(base: int, exponent_bits: int, modulus: int) -> list[list[int]]:
-    """Powers of one base for every radix-``2^w`` digit of an exponent.
-
-    ``table[i][d] = base^(d * 2^(w*i)) mod modulus`` for exponents of up
-    to ``exponent_bits`` bits: ``ceil(exponent_bits / w) * 2^w`` residues
-    at one multiplication each, worth it for a base raised many times.
-    """
-    table = []
-    for _ in range(-(-exponent_bits // _WINDOW_BITS)):
-        row = [1]
-        for _ in range(_WINDOW_MASK):
-            row.append(row[-1] * base % modulus)
-        table.append(row)
-        base = row[-1] * base % modulus
-    return table
-
-
-def fixed_base_powmod(table: list[list[int]], exponent: int, modulus: int) -> int:
-    """``base ** exponent mod modulus`` read out of the base's table.
-
-    The choke point for tabled powers: one multiplication per radix
-    digit of ``exponent``, against a squaring per *bit* in
-    :func:`powmod`.  ``table`` must be the base's
-    :func:`fixed_base_table` for this ``modulus``.
-
-    Raises:
-        ValueError: ``exponent`` is negative or longer than the table.
-    """
-    if exponent < 0 or exponent >> (_WINDOW_BITS * len(table)):
-        raise ValueError("exponent outside the range of the fixed-base table")
-    result = 1
-    for row in table:
-        result = result * row[exponent & _WINDOW_MASK] % modulus
-        exponent >>= _WINDOW_BITS
-    return result
+    return _powmod(base, exponent, modulus)
 
 
 def invert(a: int, modulus: int) -> int:
@@ -190,7 +240,8 @@ def is_probable_prime(n: int, rounds: int = 30) -> bool:
         r += 1
     for _ in range(rounds):
         a = secrets.randbelow(n - 3) + 2
-        x = pow(a, d, n)
+        # n is a one-off candidate: no Montgomery context worth keeping
+        x = _powmod_once(a, d, n)
         if x in (1, n - 1):
             continue
         for _ in range(r - 1):

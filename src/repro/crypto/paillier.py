@@ -17,17 +17,19 @@ Implementation notes
   turning the message part of encryption into a single modular
   multiplication; the obfuscation part ``r^n mod n^2`` dominates.
 * The key holder does not raise a fresh ``r``: it draws the same uniform
-  n-th residue as a power of a fixed, verified generator, out of a
-  window table (:meth:`PaillierPrivateKey.make_obfuscator`, DESIGN §4.14).
+  n-th residue as a power of a fixed, verified generator, one half-width
+  powmod per prime (:meth:`PaillierPrivateKey.make_obfuscator`, DESIGN
+  §4.14).
 * Decryption has two routes (:meth:`PaillierPrivateKey.raw_decrypt`).
   By default it raises the cipher to ``p - 1`` modulo ``p^2`` and to
   ``q - 1`` modulo ``q^2`` and joins the halves by CRT; a caller that
   bounds the plaintext below ``p / 2`` gets it from the ``p`` half
   alone.  Measured per Dec (median of 200 ciphers, one core of an
-  Intel Xeon, CPython 3.11): 512-bit keys 1.82 ms full width
-  (``L(c^lambda mod n^2) * mu mod n``), 0.68 ms CRT, 0.33 ms one prime;
-  2048-bit keys 92.2 / 24.9 / 12.2 ms.  CRT is 2.7x / 3.7x faster than
-  full width, one prime 2.0x faster than CRT at both sizes.
+  Intel Xeon, CPython 3.11, ``powmod`` on libcrypto): 512-bit keys
+  0.144 ms full width (``L(c^lambda mod n^2) * mu mod n``), 0.060 ms
+  CRT, 0.029 ms one prime; 2048-bit keys 7.33 / 1.97 / 0.96 ms.  CRT is
+  2.4x / 3.7x faster than full width, one prime 2.0x faster than CRT at
+  both sizes.
 * An *obfuscation pool* lets callers pre-compute ``r^n mod n^2`` values
   off the critical path — the trick the paper's high-performance
   library uses to cheapen the inner encryption loop.
@@ -153,9 +155,9 @@ class PaillierPrivateKey:
         p, q: the prime factors of ``n``.
         p_factors, q_factors: the prime factors of ``p - 1`` and
             ``q - 1`` with multiplicity, as key generation supplies
-            them; a side that has its list draws obfuscators from a
-            table, a side without (keys built from bare primes) lifts
-            a random unit (:meth:`make_obfuscator`).
+            them; a side that has its list draws obfuscators as powers
+            of a generator, a side without (keys built from bare primes)
+            lifts a random unit (:meth:`make_obfuscator`).
 
     Raises:
         ValueError: ``p * q`` is not the public modulus,
@@ -175,10 +177,11 @@ class PaillierPrivateKey:
     _hq: int = field(repr=False, default=0)
     _q_inv_p: int = field(repr=False, default=0)
     # Per side, the generator of the n-th residues modulo p^2 / q^2
-    # (None without a factor list), and the state make_obfuscator()
-    # builds from them on the first draw; not part of the key's identity.
+    # (None without a factor list), and the inverse of q^2 modulo p^2
+    # that make_obfuscator() computes on the first draw (0 before it);
+    # not part of the key's identity.
     _generators: tuple = field(repr=False, default=(), compare=False)
-    _draw_state: tuple | None = field(repr=False, default=None, compare=False)
+    _q_sq_inv: int = field(repr=False, default=0, compare=False)
 
     def __post_init__(self) -> None:
         n = self.public_key.n
@@ -246,41 +249,36 @@ class PaillierPrivateKey:
         cyclic group ``{x^p}`` of order ``p - 1``, onto which
         ``r -> r^n`` maps ``Z_p^*`` bijectively (``gcd(q, p - 1) = 1``,
         checked at construction).  So one side is ``G_p^a`` for a
-        uniform ``a`` and the verified generator ``G_p``, read out of a
-        fixed-base table with no ``pow``; a side without a factor list
-        lifts a uniform unit as ``y^p mod p^2``.  Garner glues the
-        sides.  Tables and the ``q^2`` inverse are built on first use.
+        uniform ``a`` and the verified generator ``G_p``: one half-width
+        powmod, ``G_p^a mod p^2``; a side without a factor list lifts a
+        uniform unit as ``y^p mod p^2``, also one.  Garner glues the
+        sides.  The ``q^2`` inverse is computed on first use.
 
         Args:
             rng: optional seeded generator for the two random draws.
         """
-        if self._draw_state is None:
-            tables = [
-                generator
-                and math_utils.fixed_base_table(generator, prime.bit_length(), prime * prime)
-                for prime, generator in zip((self.p, self.q), self._generators)
-            ]
+        if not self._q_sq_inv:
             q_sq_inv = math_utils.invert(self._q_squared, self._p_squared)
-            object.__setattr__(self, "_draw_state", (*tables, q_sq_inv))
-        table_p, table_q, q_sq_inv = self._draw_state
+            object.__setattr__(self, "_q_sq_inv", q_sq_inv)
+        generator_p, generator_q = self._generators
         return math_utils.crt_combine(
-            self._draw_residue(self.p, self._p_squared, table_p, rng),
-            self._draw_residue(self.q, self._q_squared, table_q, rng),
+            self._draw_residue(self.p, self._p_squared, generator_p, rng),
+            self._draw_residue(self.q, self._q_squared, generator_q, rng),
             self._p_squared,
             self._q_squared,
-            q_sq_inv,
+            self._q_sq_inv,
         )
 
     @staticmethod
     def _draw_residue(
-        prime: int, prime_squared: int, table: list | None, rng: random.Random | None
+        prime: int, prime_squared: int, generator: int | None, rng: random.Random | None
     ) -> int:
         # uniform on [1, prime): a unit to lift, or an exponent that
         # covers every residue class modulo prime - 1 exactly once
         draw = math_utils.random_coprime(prime, rng)
-        if table is None:
+        if generator is None:
             return math_utils.powmod(draw, prime, prime_squared)
-        return math_utils.fixed_base_powmod(table, draw, prime_squared)
+        return math_utils.powmod(generator, draw, prime_squared)
 
     def raw_decrypt(self, ciphertext: int, bound: int | None = None) -> int:
         """Decrypt a raw cipher back to its integer plaintext in ``[0, n)``.
@@ -372,7 +370,7 @@ class ObfuscatorPool:
         rng: optional seeded generator for the random draws.
         private_key: the key holder's private half — obfuscators are
             then drawn by :meth:`PaillierPrivateKey.make_obfuscator`
-            (tabled generator powers) instead of one full-width
+            (two half-width generator powers) instead of one full-width
             exponentiation each; same distribution.
 
     Raises:

@@ -49,13 +49,13 @@ def context() -> PaillierContext:
 def choke_calls(monkeypatch) -> list[str]:
     """The name of every ``math_utils`` choke-point call, in order.
 
-    ``"powmod"``, ``"invert"`` or ``"fixed_base_powmod"`` — counted the
-    way the end-to-end benchmark's tracer counts the first two: by
-    wrapping the module attributes from outside.  Clear the list
-    (``del choke_calls[:]``) before the section under test.
+    ``"powmod"`` or ``"invert"`` — counted the way the end-to-end
+    benchmark's tracer counts them: by wrapping the module attributes
+    from outside.  Clear the list (``del choke_calls[:]``) before the
+    section under test.
     """
     calls: list[str] = []
-    for name in ("powmod", "invert", "fixed_base_powmod"):
+    for name in ("powmod", "invert"):
 
         def wrapper(*args, _name=name, _original=getattr(math_utils, name), **kwargs):
             calls.append(_name)

@@ -220,8 +220,10 @@ class TestDrift:
     def test_this_host_measurement_passes_drift(self):
         # The real-crypto measurement on the current host must land in
         # the advertised bands — this is the "same regime" guarantee
-        # EXPERIMENTS.md relies on.  Tiny sample count keeps it fast.
-        profile = calibrate(key_bits=256, samples=8, seed=7)
+        # EXPERIMENTS.md relies on.  The bands were derived at 24 samples:
+        # at 8, one HAdd loop of a few microseconds is at the mercy of a
+        # busy neighbour.
+        profile = calibrate(key_bits=256, samples=24, seed=7)
         assert check_drift(profile).ok
 
     def test_paper_ratio_values(self):

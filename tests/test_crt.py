@@ -1,11 +1,11 @@
 """Tests for the key holder's obfuscator route and the powmod choke points.
 
-The contract under test: an obfuscator the key holder draws — a tabled
+The contract under test: an obfuscator the key holder draws — a
 generator power per side when the key carries the factorisation of
 ``p - 1``, a lifted unit per side when it does not, glued by Garner —
 has exactly the law of ``r^n mod n^2`` for a uniform unit ``r``, and
-:func:`math_utils.fixed_base_powmod` returns the integer the plain
-``pow`` returns.
+:func:`math_utils.powmod`, on whatever engine the platform has, returns
+the integer the built-in ``pow`` returns.
 """
 
 import math
@@ -48,7 +48,7 @@ def _draw(private: PaillierPrivateKey, a: int, b: int) -> int:
 
 
 def _factored_key(p: int, q: int) -> PaillierPrivateKey:
-    """A toy key that carries its factor lists: the table route."""
+    """A toy key that carries its factor lists: the generator route."""
     return PaillierPrivateKey(
         PaillierPublicKey(p * q),
         p,
@@ -58,16 +58,16 @@ def _factored_key(p: int, q: int) -> PaillierPrivateKey:
     )
 
 
-def _spy_on_pow(monkeypatch) -> list[tuple[int, int]]:
-    """``(exponent, modulus)`` of every ``pow`` that ``math_utils`` runs."""
+def _spy_on_powmod(monkeypatch) -> list[tuple[int, int, int]]:
+    """``(base, exponent, modulus)`` of every ``math_utils.powmod`` call."""
     asked = []
+    powmod = math_utils.powmod
 
     def spy(base, exponent, modulus):
-        asked.append((exponent, modulus))
-        return pow(base, exponent, modulus)
+        asked.append((base, exponent, modulus))
+        return powmod(base, exponent, modulus)
 
-    # Shadows the builtin for math_utils only; nothing in src/ is a seam.
-    monkeypatch.setattr(math_utils, "pow", spy, raising=False)
+    monkeypatch.setattr(math_utils, "powmod", spy)
     return asked
 
 
@@ -81,9 +81,9 @@ class TestCrtPowmod:
         rng = random.Random(3)
         for _ in range(20):
             a, b = rng.randrange(p - 1), rng.randrange(q - 1)
-            tabled = _draw(PRIVATE, a, b)
-            assert tabled % (p * p) == pow(pow(root_p, p, p * p), a + 1, p * p)
-            assert tabled % (q * q) == pow(pow(root_q, q, q * q), b + 1, q * q)
+            powered = _draw(PRIVATE, a, b)
+            assert powered % (p * p) == pow(pow(root_p, p, p * p), a + 1, p * p)
+            assert powered % (q * q) == pow(pow(root_q, q, q * q), b + 1, q * q)
             lifted = _draw(bare, a, b)
             assert lifted % (p * p) == pow(a + 1, p, p * p)
             assert lifted % (q * q) == pow(b + 1, q, q * q)
@@ -95,40 +95,43 @@ class TestCrtPowmod:
         )
         del choke_calls[:]
         private.make_obfuscator()
-        state = private._draw_state
-        # the q^2 inverse once per key; the tables are multiplications
-        assert choke_calls == ["invert", "fixed_base_powmod", "fixed_base_powmod"]
+        state = private._q_sq_inv
+        # the q^2 inverse once per key, then one powmod per side and draw
+        assert state == pow(PRIVATE.q**2, -1, PRIVATE.p**2)
+        assert choke_calls == ["invert", "powmod", "powmod"]
         private.make_obfuscator()
-        assert private._draw_state is state
-        assert choke_calls[3:] == ["fixed_base_powmod", "fixed_base_powmod"]
+        assert private._q_sq_inv == state
+        assert choke_calls[3:] == ["powmod", "powmod"]
 
     def test_key_holder_enc_is_one_powmod(self, monkeypatch, choke_calls):
-        # One powmod per side and per *key*: the generator lift, at
-        # construction.  No encryption, the first included, asks for one.
+        # One half-width powmod per prime and Enc: the generator, lifted
+        # once per key at construction, raised to a uniform exponent.
         p, q = PRIVATE.p, PRIVATE.q
-        asked = _spy_on_pow(monkeypatch)
+        asked = _spy_on_powmod(monkeypatch)
         private = PaillierPrivateKey(
             PUBLIC, p, q, PRIVATE.p_factors, PRIVATE.q_factors
         )
-        lifts = [call for call in asked if call in ((p, p * p), (q, q * q))]
+        lifts = [call[1:] for call in asked if call[1:] in ((p, p * p), (q, q * q))]
         assert lifts == [(p, p * p), (q, q * q)]
+        generator_p, generator_q = private._generators
         context = PaillierContext(PUBLIC, private)
         del asked[:], choke_calls[:]
         for value in (2.0, -3.5, 0.0):
             assert context.decrypt(context.encrypt(value)) == pytest.approx(value)
         assert context.stats.encryptions == 3
-        assert choke_calls.count("fixed_base_powmod") == 6
         assert choke_calls.count("invert") == 1
-        # the six powmods are the three decryptions', none an Enc's
-        assert choke_calls.count("powmod") == 6
-        assert {modulus for _, modulus in asked} <= {p * p, q * q}
-        assert all(exponent in (p - 1, q - 1, -1) for exponent, _ in asked)
+        # twelve powmods: each Enc's two generator powers, each Dec's halves
+        assert choke_calls.count("powmod") == 12
+        generators = (generator_p, generator_q)
+        draws = [(base, modulus) for base, _, modulus in asked if base in generators]
+        assert draws == [(generator_p, p * p), (generator_q, q * q)] * 3
+        decryptions = [call[1:] for call in asked if call[0] not in generators]
+        assert sorted(decryptions) == sorted([(p - 1, p * p), (q - 1, q * q)] * 3)
 
     @pytest.mark.parametrize("squarings", [0, 1, 58, 59, 60, 61, 117, 118, 119, 177])
     def test_power_of_two_exponent_is_squarings(self, squarings, choke_calls):
-        # Every packing SMul is c^(2^stride): the route asks ``pow`` for
-        # the squarings in pieces below its window-table cutoff — same
-        # integer, one choke-point call.
+        # Every packing SMul is c^(2^stride): one choke-point call, the
+        # integer ``pow`` returns, on either side of 64-bit exponent words.
         rng = random.Random(squarings)
         n_squared = PUBLIC.n_squared
         exponent = 1 << squarings
@@ -145,39 +148,34 @@ class TestCrtPowmod:
             )
         assert choke_calls == ["powmod"] * 6
 
-    def test_power_of_two_route_never_hands_pow_a_long_exponent(self, monkeypatch):
-        asked = _spy_on_pow(monkeypatch)
-        assert math_utils.powmod(3, 1 << 177, PUBLIC.n_squared) == pow(
-            3, 1 << 177, PUBLIC.n_squared
-        )
-        assert [exponent for exponent, _ in asked] == [1 << 59, 1 << 59, 1 << 59]
-        asked.clear()
-        math_utils.powmod(3, 1 << 59, PUBLIC.n_squared)
-        math_utils.powmod(3, (1 << 60) + 1, PUBLIC.n_squared)
-        assert [exponent for exponent, _ in asked] == [1 << 59, (1 << 60) + 1]
-
     def test_route_by_key_kind(self, monkeypatch):
         # What the key *is* picks the sampler; no caller does.
         p, q, n = PRIVATE.p, PRIVATE.q, PUBLIC.n
+        generator_p, generator_q = PRIVATE._generators
         _, bare = derive_insecure_keypair_from_primes(p, q)
         one_sided = PaillierPrivateKey(PUBLIC, p, q, p_factors=PRIVATE.p_factors)
+        # a call is ("G", modulus) for a generator power, (exponent,
+        # modulus) for a lifted unit
+        power_p, power_q = ("G", p * p), ("G", q * q)
         pools = [
-            # generated key: tabled powers, no pow at all
-            (ObfuscatorPool(PUBLIC, private_key=PRIVATE), []),
+            # generated key: one generator power per side
+            (ObfuscatorPool(PUBLIC, private_key=PRIVATE), [power_p, power_q]),
             # bare primes: one half-width lift per side
             (ObfuscatorPool(PUBLIC, private_key=bare), [(p, p * p), (q, q * q)]),
             # each side decides for itself
-            (ObfuscatorPool(PUBLIC, private_key=one_sided), [(q, q * q)]),
+            (ObfuscatorPool(PUBLIC, private_key=one_sided), [power_p, (q, q * q)]),
             # no factorisation: the full-width reference
             (ObfuscatorPool(PUBLIC), [(n, n * n)]),
         ]
-        for pool, _ in pools:
-            pool.take()  # the q^2 inverse is a pow(-1) of the first draw
-        asked = _spy_on_pow(monkeypatch)
+        asked = _spy_on_powmod(monkeypatch)
         for pool, expected in pools:
             del asked[:]
             obfuscator = pool.take()
-            assert asked == expected
+            routes = [
+                ("G", modulus) if base in (generator_p, generator_q) else (exponent, modulus)
+                for base, exponent, modulus in asked
+            ]
+            assert routes == expected
             assert PRIVATE.raw_decrypt(obfuscator) == 0
 
     def test_invert_names_the_non_unit(self):
@@ -210,44 +208,50 @@ def _limb_edge_primes() -> list[int]:
 LIMB_EDGE_PRIMES = _limb_edge_primes()
 
 
-class TestFixedBase:
+#: widest random operand the engine test draws: twice the widest
+#: limb-edge modulus (a 129-bit prime squared)
+_RANDOM_BITS = 2 * 2 * 129
+
+
+class TestLimbEdges:
     @given(
-        random_exponent=st.integers(min_value=0),
-        random_base=st.integers(min_value=0),
+        random_base=st.integers(min_value=0, max_value=(1 << _RANDOM_BITS) - 1),
+        random_exponent=st.integers(min_value=0, max_value=(1 << _RANDOM_BITS) - 1),
     )
     @settings(max_examples=6, derandomize=True, deadline=None)
-    def test_fixed_base_matches_plain_pow_at_limb_edges(
-        self, random_exponent, random_base
-    ):
-        window = math_utils._WINDOW_BITS
-        for prime in LIMB_EDGE_PRIMES:
-            order = prime - 1
-            for modulus in (prime, prime * prime):
-                for base in (2, modulus - 1, random_base % modulus):
-                    table = math_utils.fixed_base_table(
-                        base, order.bit_length(), modulus
-                    )
-                    for exponent in (
-                        0,
-                        1,
-                        (1 << window) - 1,
-                        1 << window,
-                        order - 1,
-                        order,
-                        random_exponent % order,
-                    ):
-                        assert math_utils.fixed_base_powmod(
-                            table, exponent, modulus
-                        ) == pow(base, exponent, modulus), (modulus, base, exponent)
-
-    def test_exponent_outside_the_table_is_refused(self):
-        table = math_utils.fixed_base_table(3, 12, 1009)
-        assert len(table) == -(-12 // math_utils._WINDOW_BITS)
-        top = 1 << (math_utils._WINDOW_BITS * len(table))
-        assert math_utils.fixed_base_powmod(table, top - 1, 1009) == pow(3, top - 1, 1009)
-        for exponent in (top, -1):
-            with pytest.raises(ValueError, match="outside the range"):
-                math_utils.fixed_base_powmod(table, exponent, 1009)
+    def test_powmod_matches_pow(self, random_base, random_exponent):
+        # The engine against the built-in reference, cached (powmod) and
+        # uncached (the Miller-Rabin rounds), on both sides of every word
+        # boundary; a modulus Montgomery arithmetic cannot take (1, even)
+        # and a negative exponent must give pow's answer too.
+        cases = [
+            (prime, modulus)
+            for prime in LIMB_EDGE_PRIMES
+            for modulus in (prime, prime * prime)
+        ]
+        cases += [(LIMB_EDGE_PRIMES[0], 1), (LIMB_EDGE_PRIMES[0], 1 << 64)]
+        for prime, modulus in cases:
+            width = 2 * modulus.bit_length()
+            bases = (0, 1, modulus - 1, modulus, modulus + 1, random_base % (1 << width))
+            exponents = (
+                0,
+                1,
+                1 << 47,
+                (1 << 60) + 1,
+                prime - 1,
+                random_exponent % (1 << width),
+            )
+            for base in bases:
+                for exponent in exponents:
+                    expected = pow(base, exponent, modulus)
+                    for engine in (math_utils.powmod, math_utils._powmod_once):
+                        assert engine(base, exponent, modulus) == expected, (
+                            modulus,
+                            base,
+                            exponent,
+                        )
+        prime = LIMB_EDGE_PRIMES[-1]
+        assert math_utils.powmod(3, -1, prime) == pow(3, -1, prime)
 
     def test_lift_route_at_limb_edges(self):
         # Keys from bare primes take the lift: still n-th residues.

@@ -1,5 +1,6 @@
 """Unit tests for the number-theory primitives."""
 
+import ctypes
 import math
 import random
 
@@ -8,6 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto import math_utils
+from repro.crypto.paillier import generate_keypair
+
+
+def _libcrypto_loads() -> bool:
+    for soname in ("libcrypto.so.3", "libcrypto.so.1.1"):
+        try:
+            ctypes.CDLL(soname)
+        except OSError:
+            continue
+        return True
+    return False
 
 
 class TestIsProbablePrime:
@@ -119,3 +131,20 @@ class TestRandomHelpers:
             r = math_utils.random_coprime(n)
             assert 1 <= r < n
             assert math.gcd(r, n) == 1
+
+
+class TestEngine:
+    @pytest.mark.skipif(not _libcrypto_loads(), reason="no versioned libcrypto here")
+    def test_backend_names_openssl_where_libcrypto_loads(self):
+        assert math_utils.get_backend().name == "openssl"
+
+    def test_montgomery_cache_stays_bounded(self):
+        # Every fresh key brings new moduli (p, q, p^2, q^2 at key setup,
+        # then a draw and a Dec); the oldest contexts make room.
+        for seed in range(50):
+            public, private = generate_keypair(256, seed=1000 + seed)
+            cipher = public.raw_encrypt(5, private.make_obfuscator())
+            assert private.raw_decrypt(cipher) == 5
+            assert len(math_utils._MONT_CACHE) <= math_utils._MONT_CACHE_SIZE
+        if math_utils.get_backend().name == "openssl":
+            assert len(math_utils._MONT_CACHE) == math_utils._MONT_CACHE_SIZE

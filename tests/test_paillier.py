@@ -1,5 +1,6 @@
 """Unit + property tests for the raw Paillier cryptosystem."""
 
+import hashlib
 import math
 import random
 
@@ -26,6 +27,32 @@ class TestKeyGeneration:
     def test_seeded_generation_is_deterministic(self):
         pub2, _ = generate_keypair(256, seed=1)
         assert pub2.n == PUBLIC.n
+
+    def test_seeded_keys_are_the_recorded_ones(self):
+        # The seed -> key map is part of every golden record: recorded
+        # before powmod moved off the built-in pow, and it must not move.
+        digest = hashlib.sha256()
+        for bits in (256, 512, 1024):
+            for seed in range(5):
+                _, private = generate_keypair(bits, seed=seed)
+                digest.update(f"{bits}:{seed}:{private.p}:{private.q};".encode())
+        assert digest.hexdigest() == (
+            "a4b584f58ed3ba9c76d5ac679e01b6bdd882e8085fd65bee36cc67e7716dccfa"
+        )
+
+    def test_seeded_obfuscators_are_the_recorded_ones(self):
+        # Each route's draws under a seeded rng: generator powers, lifted
+        # units and the full-width reference, recorded with the keys.
+        digest = hashlib.sha256()
+        for bits in (256, 512):
+            public, private = generate_keypair(bits, seed=1)
+            _, bare = derive_insecure_keypair_from_primes(private.p, private.q)
+            for key in (private, bare, None):
+                pool = ObfuscatorPool(public, rng=random.Random(7), private_key=key)
+                digest.update(repr([pool.take() for _ in range(4)]).encode())
+        assert digest.hexdigest() == (
+            "a24e0428eb1941c71da8a801943d81d5f8c56de58908f67323480fd431d27c58"
+        )
 
     def test_different_seeds_differ(self):
         pub2, _ = generate_keypair(256, seed=2)
