@@ -162,7 +162,7 @@ class PaillierContext:
         self._private_key = private_key
         self.encoder = Encoder(public_key, base, exponent, jitter, rng)
         # The key holder's pool draws obfuscators with the private key
-        # (two half-width generator powers); public contexts pay the full-width
+        # (two half-width lifts); public contexts pay the full-width
         # powmod.
         self.pool = ObfuscatorPool(
             public_key,

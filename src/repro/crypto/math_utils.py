@@ -22,13 +22,11 @@ import ctypes
 import math
 import random
 import secrets
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from types import SimpleNamespace
 
 __all__ = [
     "is_probable_prime",
-    "is_primitive_root",
-    "primitive_root",
     "generate_prime",
     "generate_prime_pair",
     "get_backend",
@@ -47,18 +45,13 @@ _SMALL_PRIMES = (
 )
 
 
-#: ``p - 1 = 2 * k * r`` in :func:`_factored_prime` has ``k`` below
-#: ``2**_COFACTOR_BITS``, small enough to factor by trial division
-_COFACTOR_BITS = 16
-
 #: Versioned sonames only.  An unversioned name can resolve to a stub
 #: that aborts the whole process when loaded (macOS's
 #: ``/usr/lib/libcrypto.dylib``), which no ``try`` can catch.
 _LIBCRYPTO_SONAMES = ("libcrypto.so.3", "libcrypto.so.1.1")
 
 #: Montgomery contexts kept, one per modulus, oldest evicted first.  A
-#: key asks for five (``n^2``, ``p^2``, ``q^2``, and ``p`` / ``q`` while
-#: its primitive roots are found), so three keys stay warm.
+#: key asks for three (``n^2``, ``p^2``, ``q^2``), so five keys stay warm.
 _MONT_CACHE_SIZE = 16
 
 #: ``(base, exponent, modulus)`` the engine must agree with ``pow`` on
@@ -269,67 +262,22 @@ def generate_prime(bits: int, rng: random.Random | None = None) -> int:
             return candidate
 
 
-def is_primitive_root(candidate: int, prime: int, factors: Iterable[int]) -> bool:
-    """Whether ``candidate`` generates ``Z_prime^*``.
-
-    ``factors`` must hold every prime factor of ``prime - 1`` (the
-    caller verifies that): an element of a cyclic group of order
-    ``prime - 1`` generates it iff no ``(prime - 1) / f`` power is 1.
-    """
-    return candidate % prime != 0 and all(
-        powmod(candidate, (prime - 1) // f, prime) != 1 for f in factors
-    )
-
-
-def primitive_root(prime: int, factors: Iterable[int]) -> int:
-    """The smallest primitive root modulo ``prime`` (``factors`` as above)."""
-    factors = sorted(set(factors))  # 2 first: every square fails right there
-    return next(g for g in range(2, prime) if is_primitive_root(g, prime, factors))
-
-
-def _trial_factor(n: int) -> list[int]:
-    """Prime factors of ``n`` with multiplicity, by trial division."""
-    factors, divisor = [], 2
-    while divisor * divisor <= n:
-        while n % divisor == 0:
-            factors.append(divisor)
-            n //= divisor
-        divisor += 1
-    return factors + [n] if n > 1 else factors
-
-
-def _factored_prime(bits: int, rng: random.Random) -> tuple[int, tuple[int, ...]]:
-    """A ``bits``-bit prime with its top two bits set, and ``p - 1`` factored.
-
-    Returns ``(p, factors)``, ``factors`` being the prime factors of
-    ``p - 1`` with multiplicity: ``p = 2 * k * r + 1`` for a random
-    prime ``r`` and a random ``k < 2**_COFACTOR_BITS`` (DESIGN §4.14 on
-    why that form is harmless); a prime too short for the form is drawn
-    directly and ``p - 1`` trial-factored.
-    """
+def _top_two_bits_prime(bits: int, rng: random.Random) -> int:
+    """A random ``bits``-bit probable prime with its top two bits set."""
     low = 3 << (bits - 2)
-    if bits <= 2 * _COFACTOR_BITS:
-        while True:
-            p = low | rng.getrandbits(bits - 2) | 1
-            if is_probable_prime(p):
-                return p, tuple(_trial_factor(p - 1))
-    r = generate_prime(bits - _COFACTOR_BITS, rng)
     while True:
-        # low < 2kr + 1 < 2^bits, and k < 2^16: r has its top bit set
-        k = rng.randrange(low // (2 * r) + 1, (1 << (bits - 1)) // r)
-        p = 2 * k * r + 1
+        p = low | rng.getrandbits(bits - 2) | 1
         if is_probable_prime(p):
-            return p, (2, *_trial_factor(k), r)
+            return p
 
 
 def generate_prime_pair(
     modulus_bits: int, rng: random.Random | None = None
-) -> tuple[tuple[int, tuple[int, ...]], tuple[int, tuple[int, ...]]]:
-    """Draw the two primes of a Paillier modulus, each with ``p - 1`` factored.
+) -> tuple[int, int]:
+    """Draw the two primes ``(p, q)`` of a Paillier modulus.
 
-    Returns ``((p, p_factors), (q, q_factors))``.  Both primes have
-    their top two bits set, so ``p * q`` has exactly ``modulus_bits``
-    bits; a pair is redrawn only when ``p == q`` or
+    Both primes have their top two bits set, so ``p * q`` has exactly
+    ``modulus_bits`` bits; a pair is redrawn only when ``p == q`` or
     ``gcd(pq, (p-1)(q-1)) != 1`` — Paillier's precondition, which
     ``q = 2p + 1`` (possible at odd ``modulus_bits``) fails.
 
@@ -342,10 +290,10 @@ def generate_prime_pair(
         rng = secrets.SystemRandom()
     half = modulus_bits // 2
     while True:
-        p, p_factors = _factored_prime(half, rng)
-        q, q_factors = _factored_prime(modulus_bits - half, rng)
+        p = _top_two_bits_prime(half, rng)
+        q = _top_two_bits_prime(modulus_bits - half, rng)
         if p != q and math.gcd(p * q, (p - 1) * (q - 1)) == 1:
-            return (p, p_factors), (q, q_factors)
+            return p, q
 
 
 def random_coprime(n: int, rng: random.Random | None = None) -> int:

@@ -16,8 +16,10 @@ Implementation notes
 * We fix the generator ``g = n + 1`` so that ``g^m = 1 + m*n (mod n^2)``,
   turning the message part of encryption into a single modular
   multiplication; the obfuscation part ``r^n mod n^2`` dominates.
-* The key holder does not raise a fresh ``r``: it draws the same uniform
-  n-th residue as a power of a fixed, verified generator, one half-width
+* Keys are Paillier's own: two random primes of ``S/2`` bits.
+* The key holder does not raise ``r`` to ``n`` modulo ``n^2``: it lifts
+  a random unit modulo each prime, ``y^p mod p^2``, and glues the two
+  sides by CRT — the same uniform n-th residue from one half-width
   powmod per prime (:meth:`PaillierPrivateKey.make_obfuscator`, DESIGN
   §4.14).
 * Decryption has two routes (:meth:`PaillierPrivateKey.raw_decrypt`).
@@ -153,34 +155,23 @@ class PaillierPrivateKey:
     Attributes:
         public_key: the matching public key.
         p, q: the prime factors of ``n``.
-        p_factors, q_factors: the prime factors of ``p - 1`` and
-            ``q - 1`` with multiplicity, as key generation supplies
-            them; a side that has its list draws obfuscators as powers
-            of a generator, a side without (keys built from bare primes)
-            lifts a random unit (:meth:`make_obfuscator`).
 
     Raises:
-        ValueError: ``p * q`` is not the public modulus,
-            ``gcd(n, (p-1)(q-1)) != 1`` (e.g. ``p | q - 1``), or a
-            factor list is not the prime factorisation of its ``p - 1``.
+        ValueError: ``p * q`` is not the public modulus, or
+            ``gcd(n, (p-1)(q-1)) != 1`` (e.g. ``p | q - 1``).
     """
 
     public_key: PaillierPublicKey
     p: int = field(repr=False)
     q: int = field(repr=False)
-    p_factors: tuple[int, ...] = field(repr=False, default=(), compare=False)
-    q_factors: tuple[int, ...] = field(repr=False, default=(), compare=False)
     # CRT precomputations, filled in __post_init__.
     _p_squared: int = field(repr=False, default=0)
     _q_squared: int = field(repr=False, default=0)
     _hp: int = field(repr=False, default=0)
     _hq: int = field(repr=False, default=0)
     _q_inv_p: int = field(repr=False, default=0)
-    # Per side, the generator of the n-th residues modulo p^2 / q^2
-    # (None without a factor list), and the inverse of q^2 modulo p^2
-    # that make_obfuscator() computes on the first draw (0 before it);
-    # not part of the key's identity.
-    _generators: tuple = field(repr=False, default=(), compare=False)
+    # The inverse of q^2 modulo p^2 that make_obfuscator() computes on
+    # the first draw (0 before it); not part of the key's identity.
     _q_sq_inv: int = field(repr=False, default=0, compare=False)
 
     def __post_init__(self) -> None:
@@ -203,32 +194,6 @@ class PaillierPrivateKey:
             self, "_hq", self._h_function(self.q, q2)
         )
         object.__setattr__(self, "_q_inv_p", math_utils.invert(self.q, self.p))
-        generators = (
-            self._residue_generator(self.p, p2, self.p_factors),
-            self._residue_generator(self.q, q2, self.q_factors),
-        )
-        object.__setattr__(self, "_generators", generators)
-
-    @staticmethod
-    def _residue_generator(
-        prime: int, prime_squared: int, factors: tuple[int, ...]
-    ) -> int | None:
-        """``g^prime mod prime^2`` for the smallest primitive root ``g``.
-
-        It generates ``{x^prime mod prime^2}``, the n-th residues on
-        this side.  Only a verified factorisation of ``prime - 1``
-        yields one; no list, no generator (``None``: the lift route).
-        """
-        if not factors:
-            return None
-        if math.prod(factors) != prime - 1 or not all(
-            math_utils.is_probable_prime(factor) for factor in factors
-        ):
-            raise ValueError(
-                "factor list is not the prime factorisation of p - 1 for this prime"
-            )
-        root = math_utils.primitive_root(prime, factors)
-        return math_utils.powmod(root, prime, prime_squared)
 
     def _h_function(self, prime: int, prime_squared: int) -> int:
         n = self.public_key.n
@@ -245,14 +210,12 @@ class PaillierPrivateKey:
 
         Same law as :meth:`PaillierPublicKey.make_obfuscator` — a
         uniform n-th residue modulo ``n^2`` — from a different sampler
-        (DESIGN §4.14).  Modulo ``p^2`` the n-th residues are the
-        cyclic group ``{x^p}`` of order ``p - 1``, onto which
-        ``r -> r^n`` maps ``Z_p^*`` bijectively (``gcd(q, p - 1) = 1``,
-        checked at construction).  So one side is ``G_p^a`` for a
-        uniform ``a`` and the verified generator ``G_p``: one half-width
-        powmod, ``G_p^a mod p^2``; a side without a factor list lifts a
-        uniform unit as ``y^p mod p^2``, also one.  Garner glues the
-        sides.  The ``q^2`` inverse is computed on first use.
+        (DESIGN §4.14).  Modulo ``p^2`` the n-th residues are
+        ``{x^p}``, onto which ``r -> r^n`` maps ``Z_p^*`` bijectively
+        (``gcd(q, p - 1) = 1``, checked at construction), and ``x^p mod
+        p^2`` depends only on ``x mod p``.  So one side is a uniform unit
+        ``y`` lifted as ``y^p mod p^2``: one half-width powmod.  Garner
+        glues the sides.  The ``q^2`` inverse is computed on first use.
 
         Args:
             rng: optional seeded generator for the two random draws.
@@ -260,25 +223,19 @@ class PaillierPrivateKey:
         if not self._q_sq_inv:
             q_sq_inv = math_utils.invert(self._q_squared, self._p_squared)
             object.__setattr__(self, "_q_sq_inv", q_sq_inv)
-        generator_p, generator_q = self._generators
         return math_utils.crt_combine(
-            self._draw_residue(self.p, self._p_squared, generator_p, rng),
-            self._draw_residue(self.q, self._q_squared, generator_q, rng),
+            self._draw_residue(self.p, self._p_squared, rng),
+            self._draw_residue(self.q, self._q_squared, rng),
             self._p_squared,
             self._q_squared,
             self._q_sq_inv,
         )
 
     @staticmethod
-    def _draw_residue(
-        prime: int, prime_squared: int, generator: int | None, rng: random.Random | None
-    ) -> int:
-        # uniform on [1, prime): a unit to lift, or an exponent that
-        # covers every residue class modulo prime - 1 exactly once
-        draw = math_utils.random_coprime(prime, rng)
-        if generator is None:
-            return math_utils.powmod(draw, prime, prime_squared)
-        return math_utils.powmod(generator, draw, prime_squared)
+    def _draw_residue(prime: int, prime_squared: int, rng: random.Random | None) -> int:
+        """A uniform n-th residue modulo ``prime^2``: a unit of ``Z_prime^*`` lifted."""
+        unit = math_utils.random_coprime(prime, rng)
+        return math_utils.powmod(unit, prime, prime_squared)
 
     def raw_decrypt(self, ciphertext: int, bound: int | None = None) -> int:
         """Decrypt a raw cipher back to its integer plaintext in ``[0, n)``.
@@ -343,12 +300,9 @@ def generate_keypair(
     if key_bits < 16:
         raise ValueError("key_bits must be at least 16")
     rng = random.Random(seed) if seed is not None else None
-    (p, p_factors), (q, q_factors) = math_utils.generate_prime_pair(key_bits, rng)
+    p, q = math_utils.generate_prime_pair(key_bits, rng)
     public = PaillierPublicKey(n=p * q)
-    private = PaillierPrivateKey(
-        public_key=public, p=p, q=q, p_factors=p_factors, q_factors=q_factors
-    )
-    return public, private
+    return public, PaillierPrivateKey(public_key=public, p=p, q=q)
 
 
 class ObfuscatorPool:
@@ -370,7 +324,7 @@ class ObfuscatorPool:
         rng: optional seeded generator for the random draws.
         private_key: the key holder's private half — obfuscators are
             then drawn by :meth:`PaillierPrivateKey.make_obfuscator`
-            (two half-width generator powers) instead of one full-width
+            (two half-width lifts) instead of one full-width
             exponentiation each; same distribution.
 
     Raises:

@@ -15,6 +15,7 @@ configurable.
 from __future__ import annotations
 
 import hashlib
+import random
 import secrets
 from dataclasses import dataclass
 
@@ -27,18 +28,9 @@ _DEFAULT_GROUP_BITS = 128
 
 def _find_safe_prime(bits: int, seed: int | None = None) -> int:
     """A prime ``p`` with ``(p-1)/2`` also prime (small demo sizes)."""
-    import random
-
-    rng = random.Random(seed)
+    rng = random.Random(seed) if seed is not None else None
     while True:
-        if seed is None:
-            q = generate_prime(bits - 1)
-        else:
-            q = None
-            while q is None:
-                candidate = rng.getrandbits(bits - 1) | (1 << (bits - 2)) | 1
-                if is_probable_prime(candidate):
-                    q = candidate
+        q = generate_prime(bits - 1, rng)
         p = 2 * q + 1
         if is_probable_prime(p):
             return p
@@ -72,8 +64,6 @@ class PsiParty:
         if self.seed is None:
             self._secret = 2 + secrets.randbelow(order - 2)
         else:
-            import random
-
             self._secret = 2 + random.Random(self.seed).randrange(order - 2)
 
     def blinded_set(self) -> list[int]:

@@ -1,8 +1,7 @@
 """Tests for the key holder's obfuscator route and the powmod choke points.
 
-The contract under test: an obfuscator the key holder draws — a
-generator power per side when the key carries the factorisation of
-``p - 1``, a lifted unit per side when it does not, glued by Garner —
+The contract under test: an obfuscator the key holder draws — a unit
+lifted to ``y^p mod p^2`` and one to ``y^q mod q^2``, glued by Garner —
 has exactly the law of ``r^n mod n^2`` for a uniform unit ``r``, and
 :func:`math_utils.powmod`, on whatever engine the platform has, returns
 the integer the built-in ``pow`` returns.
@@ -22,7 +21,6 @@ from repro.crypto.packing import pack_ciphers, unpack_values
 from repro.crypto.paillier import (
     ObfuscatorPool,
     PaillierPrivateKey,
-    PaillierPublicKey,
     derive_insecure_keypair_from_primes,
     generate_keypair,
 )
@@ -47,17 +45,6 @@ def _draw(private: PaillierPrivateKey, a: int, b: int) -> int:
     return private.make_obfuscator(_Scripted(a, b))
 
 
-def _factored_key(p: int, q: int) -> PaillierPrivateKey:
-    """A toy key that carries its factor lists: the generator route."""
-    return PaillierPrivateKey(
-        PaillierPublicKey(p * q),
-        p,
-        q,
-        tuple(math_utils._trial_factor(p - 1)),
-        tuple(math_utils._trial_factor(q - 1)),
-    )
-
-
 def _spy_on_powmod(monkeypatch) -> list[tuple[int, int, int]]:
     """``(base, exponent, modulus)`` of every ``math_utils.powmod`` call."""
     asked = []
@@ -75,24 +62,16 @@ class TestCrtPowmod:
     def test_bit_identical_to_plain_pow(self):
         # Each side of a key-holder draw is the plain power it stands for.
         p, q = PRIVATE.p, PRIVATE.q
-        root_p = math_utils.primitive_root(p, PRIVATE.p_factors)
-        root_q = math_utils.primitive_root(q, PRIVATE.q_factors)
-        _, bare = derive_insecure_keypair_from_primes(p, q)
         rng = random.Random(3)
         for _ in range(20):
             a, b = rng.randrange(p - 1), rng.randrange(q - 1)
-            powered = _draw(PRIVATE, a, b)
-            assert powered % (p * p) == pow(pow(root_p, p, p * p), a + 1, p * p)
-            assert powered % (q * q) == pow(pow(root_q, q, q * q), b + 1, q * q)
-            lifted = _draw(bare, a, b)
+            lifted = _draw(PRIVATE, a, b)
             assert lifted % (p * p) == pow(a + 1, p, p * p)
             assert lifted % (q * q) == pow(b + 1, q, q * q)
 
     def test_draw_state_is_built_once_per_key(self, choke_calls):
         # A fresh key object: the module-level one may already be warm.
-        private = PaillierPrivateKey(
-            PUBLIC, PRIVATE.p, PRIVATE.q, PRIVATE.p_factors, PRIVATE.q_factors
-        )
+        private = PaillierPrivateKey(PUBLIC, PRIVATE.p, PRIVATE.q)
         del choke_calls[:]
         private.make_obfuscator()
         state = private._q_sq_inv
@@ -104,28 +83,26 @@ class TestCrtPowmod:
         assert choke_calls[3:] == ["powmod", "powmod"]
 
     def test_key_holder_enc_is_one_powmod(self, monkeypatch, choke_calls):
-        # One half-width powmod per prime and Enc: the generator, lifted
-        # once per key at construction, raised to a uniform exponent.
+        # One half-width powmod per prime and Enc: a uniform unit lifted
+        # to the prime-th power; building the key lifts nothing.
         p, q = PRIVATE.p, PRIVATE.q
+        lifts = ((p, p * p), (q, q * q))
         asked = _spy_on_powmod(monkeypatch)
-        private = PaillierPrivateKey(
-            PUBLIC, p, q, PRIVATE.p_factors, PRIVATE.q_factors
-        )
-        lifts = [call[1:] for call in asked if call[1:] in ((p, p * p), (q, q * q))]
-        assert lifts == [(p, p * p), (q, q * q)]
-        generator_p, generator_q = private._generators
+        private = PaillierPrivateKey(PUBLIC, p, q)
+        assert not [call for call in asked if call[1:] in lifts]
         context = PaillierContext(PUBLIC, private)
         del asked[:], choke_calls[:]
         for value in (2.0, -3.5, 0.0):
             assert context.decrypt(context.encrypt(value)) == pytest.approx(value)
         assert context.stats.encryptions == 3
         assert choke_calls.count("invert") == 1
-        # twelve powmods: each Enc's two generator powers, each Dec's halves
+        # twelve powmods: each Enc's two lifts, each Dec's halves
         assert choke_calls.count("powmod") == 12
-        generators = (generator_p, generator_q)
-        draws = [(base, modulus) for base, _, modulus in asked if base in generators]
-        assert draws == [(generator_p, p * p), (generator_q, q * q)] * 3
-        decryptions = [call[1:] for call in asked if call[0] not in generators]
+        # each draw is (y, prime, prime^2) for a unit y below the prime
+        draws = [call for call in asked if call[1:] in lifts]
+        assert [call[1:] for call in draws] == list(lifts) * 3
+        assert all(0 < base < prime for base, prime, _ in draws)
+        decryptions = [call[1:] for call in asked if call[1:] not in lifts]
         assert sorted(decryptions) == sorted([(p - 1, p * p), (q - 1, q * q)] * 3)
 
     @pytest.mark.parametrize("squarings", [0, 1, 58, 59, 60, 61, 117, 118, 119, 177])
@@ -149,33 +126,23 @@ class TestCrtPowmod:
         assert choke_calls == ["powmod"] * 6
 
     def test_route_by_key_kind(self, monkeypatch):
-        # What the key *is* picks the sampler; no caller does.
+        # Whether the pool holds a private key picks the sampler; no
+        # caller does.
         p, q, n = PRIVATE.p, PRIVATE.q, PUBLIC.n
-        generator_p, generator_q = PRIVATE._generators
         _, bare = derive_insecure_keypair_from_primes(p, q)
-        one_sided = PaillierPrivateKey(PUBLIC, p, q, p_factors=PRIVATE.p_factors)
-        # a call is ("G", modulus) for a generator power, (exponent,
-        # modulus) for a lifted unit
-        power_p, power_q = ("G", p * p), ("G", q * q)
         pools = [
-            # generated key: one generator power per side
-            (ObfuscatorPool(PUBLIC, private_key=PRIVATE), [power_p, power_q]),
-            # bare primes: one half-width lift per side
+            # a private key, generated or from bare primes: one
+            # half-width lift per side
+            (ObfuscatorPool(PUBLIC, private_key=PRIVATE), [(p, p * p), (q, q * q)]),
             (ObfuscatorPool(PUBLIC, private_key=bare), [(p, p * p), (q, q * q)]),
-            # each side decides for itself
-            (ObfuscatorPool(PUBLIC, private_key=one_sided), [power_p, (q, q * q)]),
-            # no factorisation: the full-width reference
+            # no private key: the full-width reference
             (ObfuscatorPool(PUBLIC), [(n, n * n)]),
         ]
         asked = _spy_on_powmod(monkeypatch)
         for pool, expected in pools:
             del asked[:]
             obfuscator = pool.take()
-            routes = [
-                ("G", modulus) if base in (generator_p, generator_q) else (exponent, modulus)
-                for base, exponent, modulus in asked
-            ]
-            assert routes == expected
+            assert [call[1:] for call in asked] == expected
             assert PRIVATE.raw_decrypt(obfuscator) == 0
 
     def test_invert_names_the_non_unit(self):
@@ -254,7 +221,7 @@ class TestLimbEdges:
         assert math_utils.powmod(3, -1, prime) == pow(3, -1, prime)
 
     def test_lift_route_at_limb_edges(self):
-        # Keys from bare primes take the lift: still n-th residues.
+        # Primes on both sides of a word boundary: still n-th residues.
         for p, q in zip(LIMB_EDGE_PRIMES[::2], LIMB_EDGE_PRIMES[1::2]):
             for public, private in (
                 derive_insecure_keypair_from_primes(p, q),
@@ -275,17 +242,13 @@ class TestObfuscatorLaw:
             pow(r, n, n * n) for r in range(1, n) if math.gcd(r, n) == 1
         )
         assert set(residues.values()) == {1}  # r -> r^n is injective on Z_n^*
-        _, bare = derive_insecure_keypair_from_primes(p, q)
-        for private in (_factored_key(p, q), bare):
-            drawn = Counter(
-                _draw(private, a, b) for a in range(p - 1) for b in range(q - 1)
-            )
-            assert drawn == residues
+        _, private = derive_insecure_keypair_from_primes(p, q)
+        drawn = Counter(_draw(private, a, b) for a in range(p - 1) for b in range(q - 1))
+        assert drawn == residues
 
     @pytest.mark.parametrize("key_bits", [256, 384, 512])
     def test_drawn_obfuscators_are_nth_residues(self, key_bits):
         public, private = generate_keypair(key_bits, seed=key_bits)
-        assert private.p_factors and private.q_factors
         order = (private.p - 1) * (private.q - 1)
         pool = ObfuscatorPool(public, private_key=private)
         drawn = [pool.take() for _ in range(24)]
@@ -293,29 +256,6 @@ class TestObfuscatorLaw:
         for obfuscator in drawn:
             assert private.raw_decrypt(obfuscator) == 0
             assert pow(obfuscator, order, public.n_squared) == 1
-
-    def test_primitive_root_check_refuses_a_quadratic_residue(self):
-        for prime in (23, 1009, PRIVATE.p):
-            factors = (
-                PRIVATE.p_factors if prime == PRIVATE.p
-                else math_utils._trial_factor(prime - 1)
-            )
-            root = math_utils.primitive_root(prime, factors)
-            assert math_utils.is_primitive_root(root, prime, factors)
-            assert not any(
-                math_utils.is_primitive_root(g, prime, factors) for g in range(2, root)
-            )
-            # a square generates at most half the group; 0 and 1 nothing
-            for candidate in (root * root, 4, 1, 0, prime):
-                assert not math_utils.is_primitive_root(candidate, prime, factors)
-
-    def test_generator_is_derived_from_a_verified_root(self):
-        p, factors = PRIVATE.p, PRIVATE.p_factors
-        generator = PRIVATE._generators[0]
-        assert generator == pow(math_utils.primitive_root(p, factors), p, p * p)
-        # order exactly p - 1 modulo p^2: no proper divisor kills it
-        assert pow(generator, p - 1, p * p) == 1
-        assert all(pow(generator, (p - 1) // f, p * p) != 1 for f in set(factors))
 
 
 def _ciphertext_trace(pool_seed: int, key_holder: bool = True) -> list[int]:

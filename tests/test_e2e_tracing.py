@@ -154,7 +154,7 @@ def test_traced_fit_of_the_unpacked_variants(tracing, monkeypatch, preset, overr
     )
     assert mismatches == []
     # an unbatched fit draws one obfuscator per Enc as well, two
-    # generator powers each
+    # half-width lifts each
     assert metrics["paillier.obfuscator.count"] == metrics["ciphertext.enc.count"] > 0
     assert metrics["ciphertext.enc.powmod_s"] > 0
     totals = recorder.totals()
@@ -173,8 +173,8 @@ def test_traced_fit_of_the_default_preset_counts_every_op(tracing, monkeypatch):
     params, n_rows = config.params, 40
     result, recorder, metrics, mismatches = _traced_fit(tracing, monkeypatch, config)
     assert mismatches == []
-    # Every Enc draws exactly one obfuscator, as two powers of the key
-    # holder's generators.
+    # Every Enc draws exactly one obfuscator, as the key holder's two
+    # half-width lifts.
     assert metrics["paillier.obfuscator.count"] == metrics["ciphertext.enc.count"] == n_rows
     assert metrics["ciphertext.enc.powmod_s"] > 0
     assert metrics["ciphertext.dec.powmod_s"] > 0

@@ -66,26 +66,23 @@ class TestGeneratePrime:
 class TestGeneratePrimePair:
     def test_product_has_requested_bits(self):
         for bits in (16, 17, 65, 128):
-            (p, _), (q, _) = math_utils.generate_prime_pair(bits)
+            p, q = math_utils.generate_prime_pair(bits)
             assert (p * q).bit_length() == bits
             assert p != q
             assert math.gcd(p * q, (p - 1) * (q - 1)) == 1
 
     def test_primality_of_both(self):
-        (p, p_factors), (q, q_factors) = math_utils.generate_prime_pair(96)
+        p, q = math_utils.generate_prime_pair(96)
         assert math_utils.is_probable_prime(p)
         assert math_utils.is_probable_prime(q)
-        # ... and of every listed factor of p - 1 and q - 1
-        for prime, factors in ((p, p_factors), (q, q_factors)):
-            assert math.prod(factors) == prime - 1
-            assert all(math_utils.is_probable_prime(f) for f in factors)
 
-    def test_large_primes_have_the_factored_form(self):
-        # p - 1 = 2 * k * r, k below the trial-division bound, r prime
-        (p, factors), _ = math_utils.generate_prime_pair(160)
-        assert factors[0] == 2 and factors[-1].bit_length() == 80 - 16
-        assert math.prod(factors[1:-1]) < 1 << 16
-        assert p >> 78 == 3  # top two bits set
+    @pytest.mark.parametrize("bits", [16, 17, 65, 128, 160])
+    def test_both_primes_have_their_top_two_bits_set(self, bits):
+        # what makes p * q exactly `bits` bits without a redraw
+        p, q = math_utils.generate_prime_pair(bits)
+        half = bits // 2
+        assert p >> (half - 2) == 3
+        assert q >> (bits - half - 2) == 3
 
     def test_seeded_draws_replay(self):
         first = math_utils.generate_prime_pair(130, random.Random(4))
@@ -139,8 +136,9 @@ class TestEngine:
         assert math_utils.get_backend().name == "openssl"
 
     def test_montgomery_cache_stays_bounded(self):
-        # Every fresh key brings new moduli (p, q, p^2, q^2 at key setup,
-        # then a draw and a Dec); the oldest contexts make room.
+        # Every fresh key brings new moduli (a key asks for three, n^2,
+        # p^2 and q^2; this loop's key setup, draw and Dec use the last
+        # two); the oldest contexts make room.
         for seed in range(50):
             public, private = generate_keypair(256, seed=1000 + seed)
             cipher = public.raw_encrypt(5, private.make_obfuscator())

@@ -29,30 +29,42 @@ class TestKeyGeneration:
         assert pub2.n == PUBLIC.n
 
     def test_seeded_keys_are_the_recorded_ones(self):
-        # The seed -> key map is part of every golden record: recorded
-        # before powmod moved off the built-in pow, and it must not move.
+        # The seed -> key map: recorded when keys became two plain
+        # random primes, and it must not move by accident.
         digest = hashlib.sha256()
         for bits in (256, 512, 1024):
             for seed in range(5):
                 _, private = generate_keypair(bits, seed=seed)
                 digest.update(f"{bits}:{seed}:{private.p}:{private.q};".encode())
         assert digest.hexdigest() == (
-            "a4b584f58ed3ba9c76d5ac679e01b6bdd882e8085fd65bee36cc67e7716dccfa"
+            "074aeb95b15094187354d14854772bba5d8ef62981fffbc471d2a4ff73bc1591"
         )
 
     def test_seeded_obfuscators_are_the_recorded_ones(self):
-        # Each route's draws under a seeded rng: generator powers, lifted
+        # Both routes' draws under a seeded rng: the key holder's lifted
         # units and the full-width reference, recorded with the keys.
         digest = hashlib.sha256()
         for bits in (256, 512):
             public, private = generate_keypair(bits, seed=1)
-            _, bare = derive_insecure_keypair_from_primes(private.p, private.q)
-            for key in (private, bare, None):
+            for key in (private, None):
                 pool = ObfuscatorPool(public, rng=random.Random(7), private_key=key)
                 digest.update(repr([pool.take() for _ in range(4)]).encode())
         assert digest.hexdigest() == (
-            "a24e0428eb1941c71da8a801943d81d5f8c56de58908f67323480fd431d27c58"
+            "57d065cffce9feb459b6e5e1af4ef2f79b54d47aae9b3646a58fa7ad87f4b9c4"
         )
+
+    def test_generated_and_bare_prime_keys_are_one_kind(self):
+        # A generated key is the key its primes make: equal, and the
+        # same obfuscators under the same seeded rng.
+        public, private = generate_keypair(256, seed=1)
+        _, bare = derive_insecure_keypair_from_primes(private.p, private.q)
+        assert bare == private and hash(bare) == hash(private)
+        drawn = []
+        for key in (private, bare):
+            pool = ObfuscatorPool(public, rng=random.Random(7), private_key=key)
+            drawn.append([pool.take() for _ in range(4)])
+        assert drawn[0] == drawn[1]
+        assert len(set(drawn[0])) == 4
 
     def test_different_seeds_differ(self):
         pub2, _ = generate_keypair(256, seed=2)
@@ -63,24 +75,16 @@ class TestKeyGeneration:
             generate_keypair(8)
 
     @pytest.mark.parametrize("key_bits", [16, 33, 64, 127, 256, 511, 512])
-    def test_modulus_size_is_exact_and_factor_lists_verify(self, key_bits):
+    def test_modulus_size_is_exact(self, key_bits):
         public, private = generate_keypair(key_bits, seed=key_bits)
         assert public.n.bit_length() == public.key_bits == key_bits
         assert private.p != private.q
-        for prime, factors in (
-            (private.p, private.p_factors),
-            (private.q, private.q_factors),
-        ):
+        half = key_bits // 2
+        for prime, bits in ((private.p, half), (private.q, key_bits - half)):
             assert math_utils.is_probable_prime(prime)
-            assert math.prod(factors) == prime - 1
-            assert all(math_utils.is_probable_prime(factor) for factor in factors)
+            assert prime >> (bits - 2) == 3  # `bits` bits, the top two set
         again = generate_keypair(key_bits, seed=key_bits)[1]
-        assert (again.p, again.q, again.p_factors, again.q_factors) == (
-            private.p,
-            private.q,
-            private.p_factors,
-            private.q_factors,
-        )
+        assert (again.p, again.q) == (private.p, private.q)
         assert private.raw_decrypt(public.raw_encrypt(12345 % public.n)) == (
             12345 % public.n
         )
@@ -131,25 +135,6 @@ class TestKeyGeneration:
         )
         with pytest.raises(ValueError, match="gcd"):
             derive_insecure_keypair_from_primes(p, q)
-
-    @pytest.mark.parametrize(
-        "p_factors, q_factors",
-        [
-            (PRIVATE.p_factors[:-1], PRIVATE.q_factors),  # truncated
-            (PRIVATE.p_factors[1:], ()),  # truncated, one-sided
-            (PRIVATE.q_factors, PRIVATE.p_factors),  # the other prime's
-            (PRIVATE.p_factors[2:] + (math.prod(PRIVATE.p_factors[:2]),), ()),  # composite
-            ((), (PRIVATE.q - 1,)),  # multiplies out, but is no factorisation
-        ],
-    )
-    def test_unverifiable_factor_list_rejected(self, p_factors, q_factors):
-        with pytest.raises(ValueError, match="not the prime factorisation"):
-            PaillierPrivateKey(PUBLIC, PRIVATE.p, PRIVATE.q, p_factors, q_factors)
-
-    def test_factor_lists_are_not_part_of_the_identity(self):
-        _, bare = derive_insecure_keypair_from_primes(PRIVATE.p, PRIVATE.q)
-        assert bare == PRIVATE and hash(bare) == hash(PRIVATE)
-        assert bare.p_factors == () != PRIVATE.p_factors
 
 
 class TestEncryptDecrypt:

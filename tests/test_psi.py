@@ -8,6 +8,10 @@ from repro.data.psi import PsiParty, _find_safe_prime, intersect, psi_align
 class TestProtocol:
     prime = _find_safe_prime(64, seed=0)
 
+    def test_seeded_group_is_the_recorded_one(self):
+        # the seeded path draws its Sophie Germain prime through generate_prime
+        assert self.prime == 11525723312445614843
+
     def test_intersection_found(self):
         a = PsiParty(["u1", "u2", "u3", "u5"], self.prime, seed=1)
         b = PsiParty(["u2", "u3", "u4"], self.prime, seed=2)
