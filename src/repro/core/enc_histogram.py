@@ -118,25 +118,34 @@ def _paired_bins(
     the products are the same integers because multiplication mod
     ``n**2`` commutes.  One table (at most ``min(n, width**2)`` cells)
     is alive at a time; a left-over odd feature is accumulated alone.
+
+    The node's ciphers are added as Montgomery-form BIGNUMs where the
+    engine has them (:meth:`PaillierContext.resident`); a pair's bins
+    are settled back to ciphers as soon as the pair is done.
     """
     n_features = node_codes.shape[1]
     held = node_codes < width
     bins: list[dict[int, EncryptedNumber]] = [{} for _ in range(n_features)]
 
-    def route(table, mask, keys):
-        _add_into(context, table, keys[mask].tolist(), compress(ciphers, mask.tolist()))
+    with context.resident(ciphers) as operands:
 
-    for j in range(0, n_features - 1, 2):
-        a, b = node_codes[:, j], node_codes[:, j + 1]
-        in_a, in_b = held[:, j], held[:, j + 1]
-        joint: dict[int, EncryptedNumber] = {}
-        route(joint, in_a & in_b, a * width + b)
-        route(bins[j], in_a & ~in_b, a)
-        route(bins[j + 1], in_b & ~in_a, b)
-        _add_into(context, bins[j], (key // width for key in joint), joint.values())
-        _add_into(context, bins[j + 1], (key % width for key in joint), joint.values())
-    if n_features % 2:
-        route(bins[-1], held[:, -1], node_codes[:, -1])
+        def route(table, mask, keys):
+            chosen = compress(operands.ciphers, mask.tolist())
+            _add_into(context, table, keys[mask].tolist(), chosen)
+
+        for j in range(0, n_features - 1, 2):
+            a, b = node_codes[:, j], node_codes[:, j + 1]
+            in_a, in_b = held[:, j], held[:, j + 1]
+            joint: dict[int, EncryptedNumber] = {}
+            route(joint, in_a & in_b, a * width + b)
+            route(bins[j], in_a & ~in_b, a)
+            route(bins[j + 1], in_b & ~in_a, b)
+            _add_into(context, bins[j], (key // width for key in joint), joint.values())
+            _add_into(context, bins[j + 1], (key % width for key in joint), joint.values())
+            operands.settle(bins[j], bins[j + 1])
+        if n_features % 2:
+            route(bins[-1], held[:, -1], node_codes[:, -1])
+            operands.settle(bins[-1])
     return bins
 
 

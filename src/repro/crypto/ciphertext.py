@@ -7,7 +7,10 @@ GBDT algorithm actually uses:
 * ``[[u]] (+) [[v]]`` — homomorphic addition, *scaling* the cipher with
   the smaller exponent first when exponents differ (§2.2 / Figure 8);
 * ``k (x) [[v]]`` — scalar multiplication;
-* cheap plaintext addition (used by histogram packing's shift).
+* cheap plaintext addition (used by histogram packing's shift);
+* :meth:`PaillierContext.resident` — a block in which ciphers are
+  Montgomery-form BIGNUM handles and an HAdd is one libcrypto product
+  (Party A's packed histogram build).
 
 Every operation is counted once, in the context-local :class:`OpStats`
 — the one op ledger of a run.  The cost model prices it, the ``CR003``
@@ -18,11 +21,14 @@ and the end-to-end benchmark's oracle are all views of it.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import random
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
+from repro.crypto import math_utils
 from repro.crypto.encoding import DEFAULT_BASE, DEFAULT_EXPONENT, EncodedNumber, Encoder
 from repro.crypto.paillier import (
     ObfuscatorPool,
@@ -31,7 +37,7 @@ from repro.crypto.paillier import (
     generate_keypair,
 )
 
-__all__ = ["OpStats", "EncryptedNumber", "PaillierContext"]
+__all__ = ["OpStats", "EncryptedNumber", "PaillierContext", "ResidentCiphers"]
 
 
 @dataclass
@@ -171,6 +177,8 @@ class PaillierContext:
             private_key=private_key,
         )
         self.stats = OpStats()
+        # the open resident block's product (see resident()), else None
+        self._resident_product = None
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -282,7 +290,14 @@ class PaillierContext:
         exponent is scaled up by ``B**diff`` first — one SMul-grade
         exponentiation, counted separately as a *scaling* so the
         re-ordered accumulation benefit is measurable.
+
+        Inside :meth:`resident`, ``a`` and ``b`` may be the block's
+        handles instead: the HAdd is then one Montgomery product (one
+        exponent throughout, nothing to align) and returns a handle.
         """
+        if type(a) is not EncryptedNumber:
+            self.stats.additions += 1
+            return self._resident_product(a, b)
         a, b = self._align(a, b)
         self.stats.additions += 1
         raw = self.public_key.raw_add(a.ciphertext, b.ciphertext)
@@ -361,6 +376,34 @@ class PaillierContext:
         """
         return EncryptedNumber(self, 1, exponent)
 
+    @contextlib.contextmanager
+    def resident(self, ciphers: list[EncryptedNumber]) -> Iterator["ResidentCiphers"]:
+        """A block in which ``ciphers`` are added as Montgomery-form BIGNUMs.
+
+        The value's ``ciphers`` stand for the given ones, in order:
+        resident handles when the engine has an arena
+        (:func:`~repro.crypto.math_utils.montgomery_arena`) and every
+        cipher has one exponent; the ciphers themselves otherwise.
+        Either way :meth:`add` takes them, counted as always, and
+        :meth:`ResidentCiphers.settle` turns finished tables back into
+        :class:`EncryptedNumber` s — the same integers ``int`` products
+        give.  Leaving the block returns every BIGNUM to the pool; no
+        handle may escape it.
+        """
+        arena = None
+        if ciphers and len({c.exponent for c in ciphers}) == 1:
+            arena = math_utils.montgomery_arena(self.public_key.n_squared)
+        if arena is None:
+            yield ResidentCiphers(ciphers)
+            return
+        previous = self._resident_product
+        with arena as bignums:
+            self._resident_product = bignums.multiply
+            try:
+                yield ResidentCiphers(ciphers, self, bignums)
+            finally:
+                self._resident_product = previous
+
     def sum_ciphers(self, numbers) -> EncryptedNumber:
         """Naive left-to-right HAdd reduction (baseline accumulation)."""
         iterator = iter(numbers)
@@ -371,3 +414,45 @@ class PaillierContext:
         for number in iterator:
             total = self.add(total, number)
         return total
+
+
+class ResidentCiphers:
+    """The operands of one :meth:`PaillierContext.resident` block.
+
+    Attributes:
+        ciphers: one operand per cipher the block was opened on — a
+            resident handle, or the cipher itself when the block holds
+            ``int`` s.
+    """
+
+    def __init__(self, ciphers: list[EncryptedNumber], context=None, bignums=None) -> None:
+        self._context = context
+        self._bignums = bignums
+        if bignums is None:
+            self.ciphers = ciphers
+            return
+        load = bignums.load
+        self.ciphers = [load(cipher.ciphertext) for cipher in ciphers]
+        # an operand never added to leaves as the cipher it stood for
+        self._originals = {id(h): c for h, c in zip(self.ciphers, ciphers)}
+        self._exponent = ciphers[0].exponent
+
+    def settle(self, *tables: dict) -> None:
+        """Turn every value of ``tables`` back into a cipher, in place.
+
+        Each table is finished: no handle made since the last settle is
+        used again, so they all go back to the pool.
+        """
+        if self._bignums is None:
+            return
+        originals, unload = self._originals, self._bignums.unload
+        context, exponent = self._context, self._exponent
+        unloaded: dict[int, EncryptedNumber] = {}  # a handle two tables share
+        for table in tables:
+            for key, value in table.items():
+                cipher = originals.get(id(value)) or unloaded.get(id(value))
+                if cipher is None:
+                    cipher = EncryptedNumber(context, unload(value), exponent)
+                    unloaded[id(value)] = cipher
+                table[key] = cipher
+        self._bignums.recycle()

@@ -14,15 +14,20 @@ or time them wraps the module attribute from outside, as the end-to-end
 benchmark's tracer and the tests do, and every caller reaches them as
 ``math_utils.powmod`` / ``math_utils.invert`` so such a wrapper sees
 every call.
+
+On the same engine, :func:`montgomery_arena` keeps integers resident as
+BIGNUMs in Montgomery form for one modulus, so that a run of modular
+products costs one ``BN_mod_mul_montgomery`` each (DESIGN §4.15).
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import math
 import random
 import secrets
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from types import SimpleNamespace
 
 __all__ = [
@@ -31,6 +36,7 @@ __all__ = [
     "generate_prime_pair",
     "get_backend",
     "invert",
+    "montgomery_arena",
     "crt_combine",
     "powmod",
     "random_coprime",
@@ -60,15 +66,40 @@ _MONT_CACHE_SIZE = 16
 _KNOWN_ANSWER = (3**80 + 7, (1 << 150) + 12345, (1 << 127) - 1)
 
 
-def _bind_libcrypto(lib: ctypes.CDLL) -> tuple[Callable, Callable, dict]:
-    """``(powmod, powmod_once, cache)`` on ``lib``'s BIGNUM exponentiation.
+class _Montgomery:
+    """One modulus's cache entry: its Montgomery context and BIGNUM pool.
+
+    Attributes:
+        bn / mont: the modulus as a BIGNUM and its ``BN_MONT_CTX``.
+        width: bytes of the modulus; ``out`` a result buffer that wide.
+        free: pooled BIGNUMs no arena holds; ``allocated`` counts every
+            BIGNUM the pool made, held or free.
+        pins: arenas open on this entry; a pinned entry is not evicted.
+    """
+
+    __slots__ = ("bn", "mont", "width", "out", "free", "allocated", "pins")
+
+    def __init__(self, bn, mont, width: int, out) -> None:
+        self.bn, self.mont, self.width, self.out = bn, mont, width, out
+        self.free: list = []
+        self.allocated = 0
+        self.pins = 0
+
+
+def _bind_libcrypto(lib: ctypes.CDLL) -> tuple[Callable, Callable, Callable, dict]:
+    """``(powmod, powmod_once, arena, cache)`` on ``lib``'s BIGNUM arithmetic.
 
     ``powmod`` runs ``BN_mod_exp_mont`` with the modulus's Montgomery
-    context taken from ``cache`` (built on first use, ``BN_free`` /
-    ``BN_MONT_CTX_free`` on eviction); ``powmod_once`` runs the
-    uncached ``BN_mod_exp``, for a modulus asked about once.  Shapes
-    Montgomery arithmetic has no answer for — a negative exponent, an
-    even modulus or one below 3 — go to ``pow``.
+    context taken from ``cache`` (built on first use, freed on eviction
+    with the entry's pooled BIGNUMs); ``powmod_once`` runs the uncached
+    ``BN_mod_exp``, for a modulus asked about once.  Shapes Montgomery
+    arithmetic has no answer for — a negative exponent, an even modulus
+    or one below 3 — go to ``pow``.  ``arena`` is
+    :func:`montgomery_arena` on this library.
+
+    The arena's calls declare no ``argtypes``: every argument is already
+    a ``c_void_p``, a buffer or a small ``int``, and the conversion layer
+    adds 10-20 % to a product (0.88 against 0.74 µs at 512-bit keys).
 
     Not thread-safe: the operand BIGNUMs and the ``BN_CTX`` are module
     scratch shared by every call, and nothing in the package raises a
@@ -94,11 +125,26 @@ def _bind_libcrypto(lib: ctypes.CDLL) -> tuple[Callable, Callable, dict]:
         function.restype, function.argtypes = restype, argtypes
     to_bn, from_bn = lib.BN_lebin2bn, lib.BN_bn2lebinpad
     exp_mont, exp_once = lib.BN_mod_exp_mont, lib.BN_mod_exp
-    bn_ctx = void_p(lib.BN_CTX_new())
-    base_bn, exponent_bn, modulus_bn, result_bn = (
-        void_p(lib.BN_new()) for _ in range(4)
+    # lib[name] is a fresh function object: the arena's calls declare a
+    # restype and no argtypes, whatever the shared attributes above declare
+    to_bn_bare, from_bn_bare, to_mont, from_mont, mul_mont = (
+        lib[name]
+        for name in (
+            "BN_lebin2bn",
+            "BN_bn2lebinpad",
+            "BN_to_montgomery",
+            "BN_from_montgomery",
+            "BN_mod_mul_montgomery",
+        )
     )
-    cache: dict[int, tuple] = {}
+    to_bn_bare.restype = void_p
+    for function in (from_bn_bare, to_mont, from_mont, mul_mont):
+        function.restype = c_int
+    bn_ctx = void_p(lib.BN_CTX_new())
+    base_bn, exponent_bn, modulus_bn, result_bn, unloaded_bn = (
+        void_p(lib.BN_new()) for _ in range(5)
+    )
+    cache: dict[int, _Montgomery] = {}
 
     def _load(base: int, exponent: int, modulus: int, width: int) -> None:
         if not 0 <= base < modulus:
@@ -107,26 +153,41 @@ def _bind_libcrypto(lib: ctypes.CDLL) -> tuple[Callable, Callable, dict]:
         length = (exponent.bit_length() + 7) >> 3
         to_bn(exponent.to_bytes(length, "little"), length, exponent_bn)
 
-    def _montgomery(modulus: int) -> tuple:
+    def _evict() -> None:
+        # The oldest entry no open arena has pinned: freeing one under
+        # an arena would leave its BIGNUMs pointing at a freed context.
+        modulus = next((m for m, entry in cache.items() if not entry.pins), None)
+        if modulus is None:
+            return
+        evicted = cache.pop(modulus)
+        for bn in evicted.free:
+            lib.BN_free(bn)
+        evicted.free.clear()
+        evicted.allocated = 0
+        lib.BN_free(evicted.bn)
+        lib.BN_MONT_CTX_free(evicted.mont)
+
+    def _montgomery(modulus: int) -> _Montgomery:
         if len(cache) >= _MONT_CACHE_SIZE:
-            evicted_bn, evicted_mont, *_ = cache.pop(next(iter(cache)))
-            lib.BN_free(evicted_bn)
-            lib.BN_MONT_CTX_free(evicted_mont)
+            _evict()
         width = (modulus.bit_length() + 7) >> 3
         bn = void_p(to_bn(modulus.to_bytes(width, "little"), width, None))
         mont = void_p(lib.BN_MONT_CTX_new())
         if not lib.BN_MONT_CTX_set(mont, bn, bn_ctx):
             raise ArithmeticError("BN_MONT_CTX_set failed")
         # the result buffer is per modulus too: one allocation, not one a call
-        cache[modulus] = entry = (bn, mont, width, ctypes.create_string_buffer(width))
+        cache[modulus] = entry = _Montgomery(
+            bn, mont, width, ctypes.create_string_buffer(width)
+        )
         return entry
 
     def powmod(base: int, exponent: int, modulus: int) -> int:
         if exponent < 0 or modulus < 3 or not modulus & 1:
             return pow(base, exponent, modulus)
-        bn, mont, width, out = cache.get(modulus) or _montgomery(modulus)
+        entry = cache.get(modulus) or _montgomery(modulus)
+        width, out = entry.width, entry.out
         _load(base, exponent, modulus, width)
-        if not exp_mont(result_bn, base_bn, exponent_bn, bn, bn_ctx, mont):
+        if not exp_mont(result_bn, base_bn, exponent_bn, entry.bn, bn_ctx, entry.mont):
             raise ArithmeticError("BN_mod_exp_mont failed")
         from_bn(result_bn, out, width)
         return int.from_bytes(out.raw, "little")
@@ -143,26 +204,101 @@ def _bind_libcrypto(lib: ctypes.CDLL) -> tuple[Callable, Callable, dict]:
         from_bn(result_bn, out, width)
         return int.from_bytes(out.raw, "little")
 
-    return powmod, powmod_once, cache
+    @contextlib.contextmanager
+    def arena(modulus: int) -> Iterator[SimpleNamespace]:
+        entry = cache.get(modulus) or _montgomery(modulus)
+        mont, width, out, free = entry.mont, entry.width, entry.out, entry.free
+        loads: list = []
+        products: list = []
+
+        def take():
+            if free:
+                return free.pop()
+            bn = lib.BN_new()
+            if not bn:
+                raise MemoryError("BN_new failed")
+            entry.allocated += 1
+            return void_p(bn)
+
+        def load(value: int):
+            if not 0 <= value < modulus:
+                value %= modulus
+            bn = take()
+            loads.append(bn)
+            loaded = to_bn_bare(value.to_bytes(width, "little"), width, bn)
+            if not loaded or not to_mont(bn, bn, mont, bn_ctx):
+                raise ArithmeticError("loading a BIGNUM failed")
+            return bn
+
+        def multiply(a, b):
+            # take()'s common case inline: past the first pair of a
+            # build, a product reuses a pooled BIGNUM
+            bn = free.pop() if free else take()
+            products.append(bn)
+            if not mul_mont(bn, a, b, mont, bn_ctx):
+                raise ArithmeticError("BN_mod_mul_montgomery failed")
+            return bn
+
+        def unload(bn) -> int:
+            if not from_mont(unloaded_bn, bn, mont, bn_ctx):
+                raise ArithmeticError("BN_from_montgomery failed")
+            from_bn_bare(unloaded_bn, out, width)
+            return int.from_bytes(out.raw, "little")
+
+        def recycle() -> None:
+            free.extend(products)
+            products.clear()
+
+        entry.pins += 1
+        try:
+            yield SimpleNamespace(
+                load=load, multiply=multiply, unload=unload, recycle=recycle
+            )
+        finally:
+            free.extend(products)
+            free.extend(loads)
+            entry.pins -= 1
+
+    return powmod, powmod_once, arena, cache
 
 
-def _load_engine() -> tuple[str, Callable, Callable, dict]:
-    """``(name, powmod, powmod_once, cache)`` of the engine this platform has.
+def _arena_agrees(arena: Callable) -> bool:
+    """Whether ``arena`` multiplies as ``int`` s do on :data:`_KNOWN_ANSWER`'s modulus.
+
+    One round trip through every call the arena makes: two loads (the
+    second reduced mod the modulus), a product of products, two unloads.
+    """
+    a, b, modulus = _KNOWN_ANSWER
+    try:
+        with arena(modulus) as bignums:
+            x, y = bignums.load(a), bignums.load(b)
+            product = bignums.multiply(bignums.multiply(x, x), y)
+            got = bignums.unload(product), bignums.unload(y)
+    except ArithmeticError:
+        return False
+    return got == (a * a * b % modulus, b % modulus)
+
+
+def _load_engine() -> tuple[str, Callable, Callable, Callable | None, dict]:
+    """``(name, powmod, powmod_once, arena, cache)`` of this platform's engine.
 
     The first versioned libcrypto that binds and reproduces ``pow`` on
-    :data:`_KNOWN_ANSWER` with both of its functions; else ``pow``.
+    :data:`_KNOWN_ANSWER` with both of its powers; else ``pow`` and no
+    arena.  The arena is kept only if :func:`_arena_agrees`; without it
+    a build keeps ``int`` products.
     """
     for soname in _LIBCRYPTO_SONAMES:
         try:
-            engine = _bind_libcrypto(ctypes.CDLL(soname))
-            if all(f(*_KNOWN_ANSWER) == pow(*_KNOWN_ANSWER) for f in engine[:2]):
-                return ("openssl", *engine)
+            powmod, powmod_once, arena, cache = _bind_libcrypto(ctypes.CDLL(soname))
+            if all(f(*_KNOWN_ANSWER) == pow(*_KNOWN_ANSWER) for f in (powmod, powmod_once)):
+                arena = arena if _arena_agrees(arena) else None
+                return "openssl", powmod, powmod_once, arena, cache
         except (OSError, AttributeError, ArithmeticError):
             continue
-    return "python", pow, pow, {}
+    return "python", pow, pow, None, {}
 
 
-_ENGINE, _powmod, _powmod_once, _MONT_CACHE = _load_engine()
+_ENGINE, _powmod, _powmod_once, _arena, _MONT_CACHE = _load_engine()
 
 
 def get_backend() -> SimpleNamespace:
@@ -192,6 +328,31 @@ def powmod(base: int, exponent: int, modulus: int) -> int:
     context between calls.
     """
     return _powmod(base, exponent, modulus)
+
+
+def montgomery_arena(modulus: int) -> contextlib.AbstractContextManager | None:
+    """A block holding integers mod ``modulus`` as Montgomery-form BIGNUMs.
+
+    ``None`` on the ``"python"`` engine (and for a modulus Montgomery
+    arithmetic has no answer for: even, or below 3); the caller then
+    keeps ``int`` products.  Otherwise a context manager whose value
+    has
+
+    * ``load(x)`` — ``x mod modulus`` as a resident handle;
+    * ``multiply(a, b)`` — the product of two handles, a new handle;
+    * ``unload(a)`` — a handle's integer in ``[0, modulus)``;
+    * ``recycle()`` — hand every product made since the last recycle
+      back to the pool: no handle from ``multiply`` is used after it.
+
+    The BIGNUMs come from a pool owned by the modulus's Montgomery-cache
+    entry, which the block pins: no eviction frees the context under a
+    live handle.  Leaving the block, however it is left, returns every
+    BIGNUM it took to that pool; the pool is freed with its entry.
+    Handles are plain pointers, not owners: none may outlive the block.
+    """
+    if _arena is None or modulus < 3 or not modulus & 1:
+        return None
+    return _arena(modulus)
 
 
 def invert(a: int, modulus: int) -> int:

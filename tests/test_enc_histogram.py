@@ -17,8 +17,10 @@ from repro.core.enc_histogram import (
     pack_histogram,
     unpack_histogram,
 )
+from repro.crypto import math_utils
 from repro.crypto.ciphertext import EncryptedNumber, PaillierContext
 from repro.crypto.packing import GradHessLayout
+from repro.crypto.paillier import generate_keypair
 from repro.gbdt.binning import bin_dataset
 from repro.gbdt.histogram import build_histogram
 from repro.gbdt.params import GBDTParams
@@ -233,6 +235,136 @@ class TestPairedBuild:
         expected = unpack_histogram(CTX, packed_explicit, total)
         assert np.array_equal(recovered.grad, expected.grad)
         assert np.array_equal(recovered.hess, expected.hess)
+
+
+def _key_with_square_bits(bits: int) -> PaillierContext:
+    """A public context whose ``n**2`` has exactly ``bits`` bits."""
+    for seed in range(1000):
+        public, _ = generate_keypair((bits + 1) // 2, seed=seed)
+        if public.n_squared.bit_length() == bits:
+            return PaillierContext(public)
+    raise AssertionError(f"no {bits}-bit n^2 in 1000 seeds")
+
+
+#: ``n**2`` on either side of one and of two 64-bit limbs
+_LIMB_EDGE_KEYS = {bits: _key_with_square_bits(bits) for bits in (62, 64, 66, 126, 128, 130)}
+
+_ON_OPENSSL = math_utils.get_backend().name == "openssl"
+
+
+def _cells(built: EncryptedHistogram) -> list[list[int | None]]:
+    return [[cell and cell.ciphertext for cell in bins] for bins in built.grad_bins]
+
+
+def _ints_only(built: EncryptedHistogram) -> bool:
+    return all(
+        cell is None or (type(cell) is EncryptedNumber and type(cell.ciphertext) is int)
+        for bins in built.grad_bins
+        for cell in bins
+    )
+
+
+class TestResidentBuild:
+    """Montgomery-resident HAdds: the ``int`` build's integers and counts."""
+
+    POOL = 12
+
+    @staticmethod
+    def _build(context, codes, rows, ciphers, s, resident):
+        """``(histogram, HAdds, arena opened)`` of one build.
+
+        ``resident`` builds on this engine; ``False`` runs the "python"
+        engine's build, with no arena.
+        """
+        opened = []
+        arena = math_utils.montgomery_arena
+
+        def spy(modulus):
+            block = arena(modulus)
+            opened.append(block is not None)
+            return block
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(math_utils, "montgomery_arena", spy)
+            if not resident:
+                patch.setattr(math_utils, "_arena", None)
+            before = context.stats.snapshot()
+            built = build_encrypted_histogram(context, codes, rows, ciphers, None, s, False)
+        return built, context.stats.diff(before).additions, any(opened)
+
+    @given(
+        bits=st.sampled_from(sorted(_LIMB_EDGE_KEYS)),
+        n=st.integers(0, POOL),
+        d=st.integers(1, 5),
+        s=st.integers(1, 5),
+        seed=st.integers(0, 2**16),
+    )
+    @example(bits=64, n=9, d=3, s=4, seed=0)  # odd D
+    @example(bits=66, n=0, d=4, s=4, seed=1)  # empty node
+    @example(bits=126, n=9, d=4, s=1, seed=2)  # nothing held
+    @example(bits=130, n=POOL, d=4, s=2, seed=3)  # one held bin
+    @example(bits=62, n=POOL, d=5, s=3, seed=4)  # crowded joint cells
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    def test_same_integers_and_additions_as_int_products(self, bits, n, d, s, seed):
+        context = _LIMB_EDGE_KEYS[bits]
+        n_squared = context.public_key.n_squared
+        rng = np.random.default_rng(seed)
+        rows = rng.permutation(self.POOL)[:n]
+        codes = rng.integers(0, s, size=(self.POOL, d))
+        # the range's edges as well as its inside
+        raw = [0, 1, n_squared - 1] + [
+            int.from_bytes(rng.bytes(17), "little") % n_squared for _ in range(self.POOL - 3)
+        ]
+        ciphers = [EncryptedNumber(context, value, -16) for value in raw]
+        resident, resident_adds, opened = self._build(context, codes, rows, ciphers, s, True)
+        plain, plain_adds, _ = self._build(context, codes, rows, ciphers, s, False)
+        assert opened == (_ON_OPENSSL and n > 0)
+        assert _cells(resident) == _cells(plain)
+        assert resident_adds == plain_adds
+        assert _ints_only(resident)
+
+    def test_a_bin_of_one_instance_is_that_instances_cipher(self):
+        # rows 0 and 1 share no code; row 2 repeats row 0's first code
+        codes = np.array([[0, 0, 0, 0], [1, 1, 1, 1], [0, 2, 2, 2]])
+        _, _, _, ciphers, _ = _pair_setup(n=3, d=1, n_bins=2, seed=9)
+        built, _, opened = self._build(CTX, codes, np.arange(3), ciphers, 4, True)
+        assert opened == _ON_OPENSSL
+        assert built.grad_bins[1][1] is ciphers[1]
+        assert built.grad_bins[0][0] is not ciphers[0]
+        assert _ints_only(built)
+
+    @pytest.mark.skipif(not _ON_OPENSSL, reason="the python engine holds no BIGNUMs")
+    @pytest.mark.parametrize("fail_after", [0, 1, 25])
+    def test_every_bignum_returns_to_the_pool(self, monkeypatch, fail_after):
+        dataset, _, _, pairs, _ = _pair_setup(n=40, d=6, n_bins=4, seed=5)
+        public = CTX.public_context()
+        rows = np.arange(40)
+        entry_of = lambda: math_utils._MONT_CACHE[public.public_key.n_squared]  # noqa: E731
+
+        built, adds, _ = self._build(public, dataset.codes, rows, pairs, 4, True)
+        assert _ints_only(built)
+        entry = entry_of()
+        # a pair's products go back before the next pair: fewer BIGNUMs
+        # than one per row and one per HAdd
+        assert 0 < entry.allocated < len(rows) + adds
+        assert (entry.pins, len(entry.free)) == (0, entry.allocated)
+
+        # A build that raises partway hands back everything it took.
+        add = PaillierContext.add
+        calls = []
+
+        def failing_add(context, a, b):
+            if len(calls) == fail_after:
+                raise RuntimeError("injected")
+            calls.append(1)
+            return add(context, a, b)
+
+        monkeypatch.setattr(PaillierContext, "add", failing_add)
+        with pytest.raises(RuntimeError, match="injected"):
+            self._build(public, dataset.codes, rows, pairs, 4, True)
+        entry = entry_of()
+        assert (entry.pins, len(entry.free)) == (0, entry.allocated)
+        assert public._resident_product is None
 
 
 class TestPackUnpackHistogram:

@@ -1,8 +1,12 @@
 """Unit tests for the number-theory primitives."""
 
+import ast
+import contextlib
 import ctypes
 import math
 import random
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -138,11 +142,86 @@ class TestEngine:
     def test_montgomery_cache_stays_bounded(self):
         # Every fresh key brings new moduli (a key asks for three, n^2,
         # p^2 and q^2; this loop's key setup, draw and Dec use the last
-        # two); the oldest contexts make room.
+        # two, its arena the first); the oldest contexts make room, and
+        # each takes its pooled BIGNUMs with it.
+        first_entry = None
         for seed in range(50):
             public, private = generate_keypair(256, seed=1000 + seed)
             cipher = public.raw_encrypt(5, private.make_obfuscator())
             assert private.raw_decrypt(cipher) == 5
+            arena = math_utils.montgomery_arena(public.n_squared)
+            if arena is not None:
+                with arena as bignums:
+                    handles = [bignums.load(cipher) for _ in range(3)]
+                    for _ in range(4):
+                        handles.append(bignums.multiply(handles[-1], handles[0]))
+                    bignums.recycle()
+                    handles[3:] = [bignums.multiply(handles[0], handles[1])]
+                    assert bignums.unload(handles[-1]) == cipher * cipher % public.n_squared
+                entry = math_utils._MONT_CACHE[public.n_squared]
+                # 3 loads + 4 products, the last product drawn from the pool
+                assert (entry.allocated, len(entry.free), entry.pins) == (7, 7, 0)
+                first_entry = first_entry or entry
             assert len(math_utils._MONT_CACHE) <= math_utils._MONT_CACHE_SIZE
         if math_utils.get_backend().name == "openssl":
             assert len(math_utils._MONT_CACHE) == math_utils._MONT_CACHE_SIZE
+            assert first_entry not in math_utils._MONT_CACHE.values()
+            assert (first_entry.allocated, first_entry.free) == (0, [])
+
+    @pytest.mark.skipif(not _libcrypto_loads(), reason="no versioned libcrypto here")
+    def test_an_open_arena_pins_its_context(self):
+        # Evicting the context under live handles would free it from
+        # under them (a segfault, not an exception).
+        public, _ = generate_keypair(256, seed=7)
+        n_squared = public.n_squared
+        with math_utils.montgomery_arena(n_squared) as bignums:
+            handle = bignums.load(12345)
+            for seed in range(2 * math_utils._MONT_CACHE_SIZE):
+                other, _ = generate_keypair(256, seed=2000 + seed)
+                math_utils.powmod(3, 5, other.n_squared)
+            assert n_squared in math_utils._MONT_CACHE
+            assert bignums.unload(bignums.multiply(handle, handle)) == 12345**2 % n_squared
+        for seed in range(math_utils._MONT_CACHE_SIZE):
+            other, _ = generate_keypair(256, seed=3000 + seed)
+            math_utils.powmod(3, 5, other.n_squared)
+        assert n_squared not in math_utils._MONT_CACHE
+
+    def test_no_arena_without_montgomery_arithmetic(self, monkeypatch):
+        assert math_utils.montgomery_arena(2**64) is None  # even
+        monkeypatch.setattr(math_utils, "_arena", None)  # the "python" engine
+        assert math_utils.montgomery_arena(10007**2) is None
+
+    @pytest.mark.skipif(not _libcrypto_loads(), reason="no versioned libcrypto here")
+    def test_an_arena_that_multiplies_wrong_is_dropped(self, monkeypatch):
+        arena = math_utils._arena
+        assert arena is not None and math_utils._arena_agrees(arena)
+
+        @contextlib.contextmanager
+        def squaring(modulus):
+            with arena(modulus) as bignums:
+                yield SimpleNamespace(
+                    load=bignums.load,
+                    multiply=lambda a, b: bignums.multiply(a, a),
+                    unload=bignums.unload,
+                    recycle=bignums.recycle,
+                )
+
+        assert not math_utils._arena_agrees(squaring)
+        # the powers stay on libcrypto; only the arena goes
+        monkeypatch.setattr(math_utils, "_arena_agrees", lambda arena: False)
+        name, *_, dropped, _ = math_utils._load_engine()
+        assert (name, dropped) == ("openssl", None)
+
+    def test_only_math_utils_imports_ctypes(self):
+        package = Path(math_utils.__file__).parents[1]
+        importers = set()
+        for path in package.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                names = (
+                    [alias.name for alias in node.names] if isinstance(node, ast.Import)
+                    else [node.module or ""] if isinstance(node, ast.ImportFrom)
+                    else []
+                )
+                if any(name.split(".")[0] == "ctypes" for name in names):
+                    importers.add(path.relative_to(package).as_posix())
+        assert importers == {"crypto/math_utils.py"}
