@@ -32,9 +32,9 @@ def main() -> None:
 
     print("\n== homomorphic arithmetic ==")
     a, b = context.encrypt(1.25), context.encrypt(-0.5)
-    print(f"dec([[1.25]] (+) [[-0.5]])  = {context.decrypt(a + b)}")
-    print(f"dec(3 (x) [[1.25]])         = {context.decrypt(3 * a)}")
-    print(f"dec([[1.25]] + 10.0 plain)  = {context.decrypt(a + 10.0)}")
+    print(f"dec([[1.25]] (+) [[-0.5]])  = {context.decrypt(context.add(a, b))}")
+    print(f"dec(3 (x) [[1.25]])         = {context.decrypt(context.multiply(a, 3))}")
+    print(f"dec([[1.25]] + 10.0 plain)  = {context.decrypt(context.add_plain(a, 10.0))}")
 
     print("\n== exponent jitter and the scaling tax (Figure 8) ==")
     rng = random.Random(5)

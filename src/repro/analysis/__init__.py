@@ -1,6 +1,6 @@
 """Static analysis of the reproduction: privacy, crypto, determinism, schedules.
 
-Six passes enforce the repo's cross-cutting invariants on every
+Five passes enforce the repo's cross-cutting invariants on every
 commit (``python -m repro.analysis --strict``; a tier-1 pytest wrapper
 runs the same gate), sharing one parsed :class:`PackageIndex` per
 scanned root:
@@ -11,10 +11,8 @@ scanned root:
   :class:`~repro.fed.channel.PrivacyViolation` guard, reading the same
   per-type ``disclosure`` declared in :mod:`repro.fed.messages`);
 * :mod:`repro.analysis.cryptolint` — Paillier misuse: cross-key
-  arithmetic, raw-layer/exponent bypass, uncounted ops (``CR001-003``);
-* :mod:`repro.analysis.domains` — ciphertext-domain abstract
-  interpretation: cross-domain arithmetic, exponent misalignment,
-  double packing, decrypt/encrypt round trips (``CR101-104``);
+  arithmetic, raw-layer/exponent bypass, uncounted ops and direct
+  three-argument ``pow`` in crypto hot paths (``CR001-003``, ``CR105``);
 * :mod:`repro.analysis.determinism` — wall clock, unseeded RNG and
   set-order hazards in simulation-reachable modules (``DET*``);
 * :mod:`repro.analysis.schedule` — cycles, dangling dependencies, lane
@@ -24,18 +22,19 @@ scanned root:
   declared task footprints of those graphs (``SCH101-103``).
 
 Findings share one reporting layer (:mod:`repro.analysis.findings`)
-with ``# repro: allow[RULE]`` inline suppressions, an unused-
-suppression audit (``SUP001``), and an optional coarse baseline for
-incremental adoption; unparsable files surface as ``SYN001``.  Output
-formats: text, JSON, SARIF 2.1.0.  See DESIGN.md §4.6 and §4.10.
+with ``# repro: allow[RULE]`` inline suppressions and an unused-
+suppression audit (``SUP001``); unparsable files surface as
+``SYN001``.  Output formats: text and JSON.  The cipher algebra's
+rules (operators, exponent mixing, re-packing) are not static rules:
+the crypto types refuse those misuses when the line runs.  See
+DESIGN.md §4.6 and §4.10.
 """
 
 from repro.analysis.astutils import PackageIndex
 from repro.analysis.cli import main, run_analysis
-from repro.analysis.findings import Baseline, Finding, Reporter, Severity
+from repro.analysis.findings import Finding, Reporter, Severity
 
 __all__ = [
-    "Baseline",
     "Finding",
     "PackageIndex",
     "Reporter",

@@ -4,19 +4,17 @@ Usage::
 
     python -m repro.analysis                 # report findings, exit 0
     python -m repro.analysis --strict        # exit 1 on any finding (CI gate)
-    python -m repro.analysis --format json   # or: --format sarif
+    python -m repro.analysis --format json
     python -m repro.analysis --rules PB001,DET002
     python -m repro.analysis --verbose       # per-pass wall time to stderr
-    python -m repro.analysis --write-baseline analysis-baseline.json
-    python -m repro.analysis --baseline analysis-baseline.json --strict
     python -m repro.analysis --graph schedule.json     # race-check a graph
 
-Six passes share one :class:`~repro.analysis.astutils.PackageIndex`
+Five passes share one :class:`~repro.analysis.astutils.PackageIndex`
 per scanned root (the tree is parsed exactly once): party-boundary
-taint (PB), Paillier misuse (CR001-003), ciphertext-domain abstract
-interpretation (CR101-104), determinism (DET), schedule structure +
-races (SCH) and the suppression audit (SUP001).  Files that fail to
-parse become ``SYN001`` findings instead of aborting the run.
+taint (PB), Paillier misuse (CR001-003, CR105), determinism (DET),
+schedule structure + races (SCH) and the suppression audit (SUP001).
+Files that fail to parse become ``SYN001`` findings instead of
+aborting the run.
 
 The default invocation scans the installed ``repro`` package *plus* the
 repo's ``benchmarks/`` and ``examples/`` trees when they are present;
@@ -32,16 +30,9 @@ import sys
 import time
 from pathlib import Path
 
-from repro.analysis import cryptolint, determinism, domains, races, schedule, taint
+from repro.analysis import cryptolint, determinism, races, schedule, taint
 from repro.analysis.astutils import PackageIndex
-from repro.analysis.findings import (
-    Baseline,
-    Finding,
-    Reporter,
-    Severity,
-    audit_suppressions,
-)
-from repro.analysis.sarif import render_sarif
+from repro.analysis.findings import Finding, Reporter, Severity, audit_suppressions
 
 __all__ = ["main", "run_analysis", "RULE_FAMILIES"]
 
@@ -49,8 +40,8 @@ RULE_FAMILIES = {
     "PB": "party boundary (PB001/002 plaintext taint against each message "
     "type's declared disclosure)",
     "CR": "Paillier misuse (CR001-003 cross-key/raw-layer/uncounted ops; "
-    "CR101-104 ciphertext-domain abstract interpretation; CR105 "
-    "powmod-choke-point bypass via direct 3-arg pow in crypto hot paths)",
+    "CR105 powmod-choke-point bypass via direct 3-arg pow in crypto hot "
+    "paths)",
     "DET": "determinism (wall clock, unseeded RNG, set-iteration order)",
     "SCH": "schedule graphs (SCH001-005 structure; SCH101-103 happens-before "
     "races over declared footprints)",
@@ -213,8 +204,6 @@ def run_analysis(
         merged.extend(
             timed(f"{prefix}:determinism", determinism.run, index, scope=det_scope)
         )
-        dom_scope = _FULL_SCOPE if is_extra else domains.DEFAULT_SCOPE
-        merged.extend(timed(f"{prefix}:domains", domains.run, index, scope=dom_scope))
 
     if with_schedule:
         merged.extend(_self_check_schedules(timings))
@@ -267,7 +256,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
         help="output format",
     )
@@ -291,18 +280,6 @@ def main(argv: list[str] | None = None) -> int:
         type=Path,
         default=None,
         help="also validate + race-check an external task-graph JSON file",
-    )
-    parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        help="baseline JSON; findings frozen there do not fail --strict",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        type=Path,
-        default=None,
-        help="freeze the current findings into a baseline JSON and exit 0",
     )
     parser.add_argument(
         "--list-rules", action="store_true", help="describe the rule families and exit"
@@ -344,21 +321,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.verbose:
         _print_timings(timings, total)
 
-    if args.write_baseline is not None:
-        Baseline.from_findings(findings).save(args.write_baseline)
-        print(f"baseline with {len(findings)} finding(s) -> {args.write_baseline}")
-        return 0
-    if args.baseline is not None:
-        findings = Baseline.load(args.baseline).filter_new(findings)
-
     if args.format == "json":
         payload = {
             "findings": [f.to_json() for f in findings],
             "suppressed": len(reporter.suppressed),
         }
         print(json.dumps(payload, indent=2))
-    elif args.format == "sarif":
-        print(render_sarif(findings))
     else:
         _render_text(findings, len(reporter.suppressed), sys.stdout)
 

@@ -1,13 +1,14 @@
-"""Paillier-misuse checker (rules ``CR001``-``CR003``).
+"""Paillier-misuse checker (rules ``CR001``-``CR003`` and ``CR105``).
 
-Three failure modes the runtime cannot reliably surface:
+Four failure modes the runtime cannot reliably surface:
 
 * **CR001 — cross-key homomorphic arithmetic.**  Adding ciphertexts of
   different public keys produces garbage that still *decrypts* to a
   number; nothing throws.  The checker tracks, per function, which
   context created each cipher variable (``x = ctx_a.encrypt(...)``)
-  and flags ``ctx.add(x, y)`` / ``x + y`` / ``x - y`` when the two
-  provenances differ.
+  and flags ``ctx.add(x, y)`` / ``raw_add(x, y)`` when the two
+  provenances differ.  Ciphers have no operators, so every HAdd is
+  such a call.
 
 * **CR002 — exponent/raw-layer bypass.**  All cipher arithmetic must go
   through :mod:`repro.crypto.ciphertext`'s align-scale path, which
@@ -70,7 +71,7 @@ _COMBINE_TAILS = {"add", "raw_add"}
 
 
 class CryptoChecker:
-    """Scan an index for the three crypto-misuse rules."""
+    """Scan an index for the four crypto-misuse rules."""
 
     checker_name = "crypto"
 
@@ -176,19 +177,13 @@ class CryptoChecker:
                 else:
                     provenance.pop(target.id, None)
         for node in ast.walk(fn):
-            if not isinstance(node, (ast.Call, ast.BinOp)):
+            if not isinstance(node, ast.Call):
                 continue
-            operands: list[ast.expr] = []
-            if isinstance(node, ast.Call):
-                name = call_name(node)
-                tail = name.rsplit(".", maxsplit=1)[-1] if name else None
-                if tail in _COMBINE_TAILS and len(node.args) >= 2:
-                    operands = list(node.args[:2])
-            elif isinstance(node.op, (ast.Add, ast.Sub)):
-                operands = [node.left, node.right]
-            if len(operands) != 2:
+            name = call_name(node)
+            tail = name.rsplit(".", maxsplit=1)[-1] if name else None
+            if tail not in _COMBINE_TAILS or len(node.args) < 2:
                 continue
-            origins = [self._operand_origin(op, provenance) for op in operands]
+            origins = [self._operand_origin(op, provenance) for op in node.args[:2]]
             if origins[0] and origins[1] and origins[0] != origins[1]:
                 self._emit(
                     reporter,

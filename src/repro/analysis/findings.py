@@ -17,29 +17,19 @@ rule on that line; use sparingly.  The file-level form
 whole file — meant for modules whose *purpose* conflicts with a rule,
 e.g. the measured-mode benchmark modules that call the wall clock by
 design.
-
-A coarse *baseline* file (JSON, per-``(rule, file)`` counts) lets the
-analyzer be adopted on a repo with pre-existing findings and then
-ratcheted: runs fail only when a ``(rule, file)`` pair exceeds its
-frozen count.  The repo itself is kept clean, so CI runs with no
-baseline at all.
 """
 
 from __future__ import annotations
 
 import io
-import json
 import re
 import tokenize
-from collections import Counter
 from dataclasses import dataclass, field
-from pathlib import Path
 
 __all__ = [
     "Severity",
     "Finding",
     "Reporter",
-    "Baseline",
     "parse_suppressions",
     "parse_comment_suppressions",
     "audit_suppressions",
@@ -98,7 +88,7 @@ class Finding:
         return f"{self.file}:{self.line}: {self.severity}: [{self.rule_id}] {self.message}"
 
     def to_json(self) -> dict:
-        """JSON-serializable form (used by ``--format json`` and baselines)."""
+        """JSON-serializable form (used by ``--format json``)."""
         return {
             "rule": self.rule_id,
             "severity": self.severity,
@@ -235,10 +225,6 @@ class Reporter:
             ),
         )
 
-    def counts_by_rule(self) -> Counter:
-        """Histogram of finding counts per rule id."""
-        return Counter(f.rule_id for f in self.findings)
-
 
 def audit_suppressions(modules, reporter: Reporter) -> Reporter:
     """``SUP001``: flag ``allow`` comments whose rule never fired (warning).
@@ -290,50 +276,3 @@ def audit_suppressions(modules, reporter: Reporter) -> Reporter:
                     module.suppressions,
                 )
     return audit
-
-
-class Baseline:
-    """Frozen per-``(rule, file)`` finding counts.
-
-    Matching on exact line numbers would churn with every edit; counts
-    per rule and file are stable enough to ratchet on, at the cost of
-    allowing a finding to "move" within a file. Documented trade-off.
-    """
-
-    def __init__(self, counts: dict[str, int] | None = None) -> None:
-        self.counts: Counter = Counter(counts or {})
-
-    @staticmethod
-    def _key(finding: Finding) -> str:
-        return f"{finding.rule_id}:{finding.file}"
-
-    @classmethod
-    def from_findings(cls, findings: list[Finding]) -> "Baseline":
-        """Freeze the given findings into a baseline."""
-        baseline = cls()
-        for finding in findings:
-            baseline.counts[cls._key(finding)] += 1
-        return baseline
-
-    @classmethod
-    def load(cls, path: str | Path) -> "Baseline":
-        """Read a baseline JSON file written by :meth:`save`."""
-        data = json.loads(Path(path).read_text())
-        return cls(data.get("counts", {}))
-
-    def save(self, path: str | Path) -> None:
-        """Write the baseline as JSON."""
-        payload = {"version": 1, "counts": dict(sorted(self.counts.items()))}
-        Path(path).write_text(json.dumps(payload, indent=2) + "\n")
-
-    def filter_new(self, findings: list[Finding]) -> list[Finding]:
-        """Return only findings exceeding their frozen count."""
-        budget = Counter(self.counts)
-        fresh: list[Finding] = []
-        for finding in findings:
-            key = self._key(finding)
-            if budget[key] > 0:
-                budget[key] -= 1
-            else:
-                fresh.append(finding)
-        return fresh

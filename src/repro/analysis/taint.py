@@ -81,7 +81,6 @@ SANITIZER_TAILS = {
     "encrypt_zero",
     "pack_histogram",
     "pack_ciphers",
-    "pack_values",
     "build_encrypted_histogram",
     "EncryptedNumber",
     "PackedCipher",

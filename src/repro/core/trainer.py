@@ -27,8 +27,8 @@ from repro.core.config import VF2BoostConfig
 
 # The end-to-end tracer (benchmarks/e2e/tracing.py, frozen) patches these
 # six functions where they are defined *and* as names bound here; the
-# parties call them through their modules.  Goes when ROADMAP 2(d) makes
-# the tracer a reader.
+# parties call them through their modules.  Stays while the benchmark is
+# frozen (ROADMAP's frozen-inputs constraint).
 from repro.core.enc_histogram import (  # noqa: F401
     build_encrypted_histogram,
     decrypt_histogram,

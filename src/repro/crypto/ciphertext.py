@@ -96,41 +96,28 @@ class OpStats:
 class EncryptedNumber:
     """A Paillier cipher of an encoded float: ``<e, [[V]]>``.
 
-    Instances are immutable; arithmetic returns new objects. The
-    ``context`` back-reference lets ``a + b`` and ``k * a`` route
-    through the counting context.
+    Instances are immutable and have no arithmetic operators: every
+    operation is an explicit, counted :class:`PaillierContext` call
+    (``add``, ``multiply``, ``add_plain``), so each line names the op it
+    pays for.  ``a * b`` (Paillier multiplies no two ciphers) and
+    ``a + 1.0`` (a plaintext add hidden behind ``+``) raise
+    ``TypeError``.
     """
 
     context: "PaillierContext" = field(repr=False)
     ciphertext: int = field(repr=False)
     exponent: int = 0
 
-    def __add__(self, other):
-        if isinstance(other, EncryptedNumber):
-            return self.context.add(self, other)
-        if isinstance(other, (int, float)):
-            return self.context.add_plain(self, float(other))
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __mul__(self, scalar):
-        if isinstance(scalar, (int, float)):
-            return self.context.multiply(self, scalar)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        if isinstance(other, EncryptedNumber):
-            return self.context.add(self, self.context.multiply(other, -1))
-        if isinstance(other, (int, float)):
-            return self.context.add_plain(self, -float(other))
-        return NotImplemented
-
     def size_bits(self) -> int:
         """Wire size of this cipher: ``2 * S`` bits (element of Z_{n^2})."""
         return 2 * self.context.public_key.key_bits
+
+
+def _not_a_cipher(a, b):
+    """:meth:`PaillierContext.add`'s product outside a resident block."""
+    raise TypeError(
+        f"PaillierContext.add takes EncryptedNumber operands, not {type(a).__name__}"
+    )
 
 
 class PaillierContext:
@@ -177,8 +164,8 @@ class PaillierContext:
             private_key=private_key,
         )
         self.stats = OpStats()
-        # the open resident block's product (see resident()), else None
-        self._resident_product = None
+        # the open resident block's product (see resident())
+        self._resident_product = _not_a_cipher
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -294,10 +281,13 @@ class PaillierContext:
         Inside :meth:`resident`, ``a`` and ``b`` may be the block's
         handles instead: the HAdd is then one Montgomery product (one
         exponent throughout, nothing to align) and returns a handle.
+        Outside it, an ``a`` that is not a cipher raises ``TypeError``
+        and counts no HAdd.
         """
         if type(a) is not EncryptedNumber:
+            product = self._resident_product(a, b)
             self.stats.additions += 1
-            return self._resident_product(a, b)
+            return product
         a, b = self._align(a, b)
         self.stats.additions += 1
         raw = self.public_key.raw_add(a.ciphertext, b.ciphertext)

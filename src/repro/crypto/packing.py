@@ -252,6 +252,8 @@ def pack_ciphers(
         A :class:`PackedCipher` with the first input in the lowest limb.
 
     Raises:
+        TypeError: when an element is not an :class:`EncryptedNumber`
+            (a pack is never re-packed).
         ValueError: on empty input, mixed exponents, or capacity overflow.
     """
     if not numbers:
@@ -264,6 +266,8 @@ def pack_ciphers(
         )
     exponent = numbers[0].exponent
     for number in numbers:
+        if type(number) is not EncryptedNumber:
+            raise TypeError(f"cannot pack a {type(number).__name__}: limbs are ciphers")
         if number.exponent != exponent:
             raise ValueError("all packed ciphers must share one exponent")
     radix = 1 << limb_bits

@@ -4,7 +4,7 @@
 def mix_contexts(ctx_a, ctx_b, value):
     x = ctx_a.encrypt(value)
     y = ctx_b.encrypt(value)
-    return x + y
+    return ctx_a.add(x, y)
 
 
 def bypass_align_scale(public_key, value):

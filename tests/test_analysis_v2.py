@@ -1,15 +1,11 @@
-"""Tests for the Analyzer v2 passes: ciphertext domains (CR10x),
-schedule races (SCH10x), the suppression audit (SUP001), SARIF output,
-and analyzer edge inputs.
+"""Tests for the Analyzer v2 passes: schedule races (SCH10x), the
+suppression audit (SUP001), and analyzer edge inputs.
 """
 
-import json
 import time
 from pathlib import Path
 
-import pytest
-
-from repro.analysis import domains, races
+from repro.analysis import races
 from repro.analysis.astutils import PackageIndex
 from repro.analysis.cli import check_graph_file, main, run_analysis
 from repro.analysis.findings import (
@@ -19,7 +15,6 @@ from repro.analysis.findings import (
     audit_suppressions,
     parse_comment_suppressions,
 )
-from repro.analysis.sarif import render_sarif
 from repro.fed.simtime import SimTask
 
 FIXTURES = Path(__file__).parent / "analysis_fixtures"
@@ -45,79 +40,6 @@ def _task(task_id, deps=(), resource="A0", lane=0, start=0.0, end=1.0, name=None
         task_id=task_id,
         deps=tuple(deps),
     )
-
-
-class TestDomainChecker:
-    def _run(self, tmp_path, source):
-        pkg = _write_pkg(tmp_path, {"crypto/mod.py": source})
-        return domains.run(PackageIndex(pkg, package="pkg"))
-
-    def test_legal_patterns_stay_silent(self, tmp_path):
-        reporter = self._run(
-            tmp_path,
-            "def fine(ctx, g: float):\n"
-            "    a = ctx.encrypt(g)\n"
-            "    b = ctx.encrypt(2.0)\n"
-            "    c = a + b\n"  # HAdd: legal
-            "    d = a * 3.0\n"  # SMul: legal
-            "    e = ctx.add_plain(a, g)\n"  # explicit API: legal
-            "    return c, d, e\n",
-        )
-        assert reporter.findings == []
-
-    def test_cipher_plus_plain_fires(self, tmp_path):
-        reporter = self._run(
-            tmp_path,
-            "def bad(ctx, g: float):\n"
-            "    c = ctx.encrypt(g)\n"
-            "    return c + 1.0\n",
-        )
-        assert [f.rule_id for f in reporter.findings] == ["CR101"]
-
-    def test_interprocedural_summary(self, tmp_path):
-        reporter = self._run(
-            tmp_path,
-            "def make(ctx, v: float):\n"
-            "    return ctx.encrypt(v)\n"
-            "\n"
-            "def use(ctx, v: float):\n"
-            "    c = make(ctx, v)\n"
-            "    return c + v\n",
-        )
-        assert [f.rule_id for f in reporter.findings] == ["CR101"]
-
-    def test_annotation_seeds_domain(self, tmp_path):
-        reporter = self._run(
-            tmp_path,
-            "def bad(cipher: EncryptedNumber, bias: float):\n"
-            "    return cipher + bias\n",
-        )
-        assert [f.rule_id for f in reporter.findings] == ["CR101"]
-
-    def test_unknown_domains_never_fire(self, tmp_path):
-        reporter = self._run(
-            tmp_path,
-            "def opaque(a, b):\n"
-            "    return a + b\n",
-        )
-        assert reporter.findings == []
-
-    def test_out_of_scope_module_skipped(self, tmp_path):
-        pkg = _write_pkg(
-            tmp_path,
-            {
-                "extensions/mod.py": (
-                    "def bad(ctx, g: float):\n"
-                    "    return ctx.encrypt(g) + 1.0\n"
-                )
-            },
-        )
-        reporter = domains.run(PackageIndex(pkg, package="pkg"))
-        assert reporter.findings == []
-
-    def test_repo_scans_clean(self, repo_index):
-        reporter = domains.run(repo_index)
-        assert reporter.findings == []
 
 
 class TestRaceDetector:
@@ -324,63 +246,6 @@ class TestEdgeInputs:
             ("b.py", 2, "z"),
             ("a.py", 1, "m"),
         ]
-
-
-class TestSarifOutput:
-    def _findings(self):
-        return [
-            Finding("PB001", Severity.ERROR, "repro/fed/x.py", 12, "leak", "taint"),
-            Finding(
-                "SCH101",
-                Severity.ERROR,
-                "<schedule:vf2boost:tree0>",
-                0,
-                "race",
-                "races",
-            ),
-            Finding("SUP001", Severity.WARNING, "repro/y.py", 3, "unused", "audit"),
-        ]
-
-    def test_document_shape(self):
-        doc = json.loads(render_sarif(self._findings()))
-        assert doc["version"] == "2.1.0"
-        run = doc["runs"][0]
-        assert run["tool"]["driver"]["name"] == "repro.analysis"
-        assert [r["id"] for r in run["tool"]["driver"]["rules"]] == [
-            "PB001",
-            "SCH101",
-            "SUP001",
-        ]
-        assert [r["level"] for r in run["results"]] == [
-            "error",
-            "error",
-            "warning",
-        ]
-
-    def test_line_zero_findings_omit_region(self):
-        doc = json.loads(render_sarif(self._findings()))
-        results = doc["runs"][0]["results"]
-        with_region = results[0]["locations"][0]["physicalLocation"]
-        without_region = results[1]["locations"][0]["physicalLocation"]
-        assert with_region["region"]["startLine"] == 12
-        assert "region" not in without_region
-
-    def test_cli_sarif_format_is_valid_json(self, capsys):
-        rc = main(
-            [
-                "--root",
-                str(FIXTURES / "leakypkg"),
-                "--package",
-                "leakypkg",
-                "--no-schedule",
-                "--format",
-                "sarif",
-            ]
-        )
-        assert rc == 0
-        doc = json.loads(capsys.readouterr().out)
-        rule_ids = {r["ruleId"] for r in doc["runs"][0]["results"]}
-        assert "PB001" in rule_ids and "CR101" in rule_ids
 
 
 class TestCliV2:

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.ciphertext import PaillierContext
+from repro.crypto.ciphertext import OpStats, PaillierContext
+from repro.crypto.packing import pack_ciphers
 
 floats = st.floats(min_value=-1e4, max_value=1e4, allow_nan=False)
 
@@ -78,12 +79,22 @@ class TestArithmetic:
         assert context.decrypt(product) == pytest.approx(0.75)
 
     def test_operator_overloads(self, context):
+        # Ciphers have no operators: every op is an explicit, counted
+        # PaillierContext call.
         a, b = context.encrypt(2.0), context.encrypt(5.0)
-        assert context.decrypt(a + b) == pytest.approx(7.0)
-        assert context.decrypt(a + 1.5) == pytest.approx(3.5)
-        assert context.decrypt(3 * a) == pytest.approx(6.0)
-        assert context.decrypt(b - a) == pytest.approx(3.0)
-        assert context.decrypt(b - 1.0) == pytest.approx(4.0)
+        before = context.stats.snapshot()
+        for op in (
+            lambda: a + b,
+            lambda: a + 1.5,
+            lambda: 1.5 + a,
+            lambda: 3 * a,
+            lambda: a * 3,
+            lambda: b - a,
+            lambda: b - 1.0,
+        ):
+            with pytest.raises(TypeError):
+                op()
+        assert context.stats.diff(before) == OpStats()
 
     def test_add_plain(self, context):
         shifted = context.add_plain(context.encrypt(-2.0), 10.0)
@@ -97,6 +108,43 @@ class TestArithmetic:
     def test_sum_empty_raises(self, context):
         with pytest.raises(ValueError):
             context.sum_ciphers([])
+
+
+def _pack(ctx, values):
+    return pack_ciphers(ctx, [ctx.encrypt(v, exponent=0) for v in values], 32)
+
+
+#: misuses of the cipher algebra (§2.2, §5.2) the crypto types refuse
+MISUSES = {
+    "plain_add_operator": (TypeError, lambda ctx: ctx.encrypt(1.0) + 0.5),
+    "cipher_product": (TypeError, lambda ctx: ctx.encrypt(2.0) * ctx.encrypt(3.0)),
+    "operator_on_pack": (TypeError, lambda ctx: _pack(ctx, [1.0, 2.0]) + ctx.encrypt(0.0)),
+    "mixed_exponent_pack": (
+        ValueError,
+        lambda ctx: pack_ciphers(
+            ctx, [ctx.encrypt(1.0, exponent=6), ctx.encrypt(2.0, exponent=9)], 32
+        ),
+    ),
+    "repack_a_pack": (TypeError, lambda ctx: pack_ciphers(ctx, [_pack(ctx, [1.0, 2.0])], 32)),
+}
+
+
+class TestMisuseRaises:
+    @pytest.mark.parametrize("misuse", sorted(MISUSES))
+    def test_misuse_raises(self, context, misuse):
+        error, misuse_of = MISUSES[misuse]
+        with pytest.raises(error):
+            misuse_of(context)
+
+    def test_add_of_a_pack_is_a_typed_error_and_uncounted(self, context):
+        packed, cipher = _pack(context, [1.0, 2.0]), context.encrypt(1.0)
+        with context.resident([cipher]):
+            pass  # leaving a block restores the refusing default
+        before = context.stats.additions
+        for _ in range(2):
+            with pytest.raises(TypeError, match="not PackedCipher"):
+                context.add(packed, cipher)
+        assert context.stats.additions == before
 
 
 class TestExponentAlignment:

@@ -364,7 +364,9 @@ class TestResidentBuild:
             self._build(public, dataset.codes, rows, pairs, 4, True)
         entry = entry_of()
         assert (entry.pins, len(entry.free)) == (0, entry.allocated)
-        assert public._resident_product is None
+        # the block restored the product that refuses a non-cipher
+        with pytest.raises(TypeError, match="not object"):
+            add(public, object(), None)
 
 
 class TestPackUnpackHistogram:

@@ -5,6 +5,7 @@ pass ``python -m repro.analysis --strict`` with zero findings.
 """
 
 import shutil
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -12,13 +13,7 @@ import pytest
 from repro.analysis import cryptolint, determinism, schedule, taint
 from repro.analysis.astutils import PackageIndex
 from repro.analysis.cli import main, run_analysis
-from repro.analysis.findings import (
-    Baseline,
-    Finding,
-    Reporter,
-    Severity,
-    parse_suppressions,
-)
+from repro.analysis.findings import Finding, Reporter, Severity, parse_suppressions
 from repro.fed.simtime import SimTask
 
 FIXTURES = Path(__file__).parent / "analysis_fixtures" / "leakypkg"
@@ -42,10 +37,6 @@ EXPECTED_RULES = [
     ("DET003", "leakypkg/fed/clock.py"),
     ("DET001", "leakypkg/fed/clockplan.py"),
     ("DET002", "leakypkg/fed/clockplan.py"),
-    ("CR101", "leakypkg/crypto/domains_bad.py"),
-    ("CR102", "leakypkg/crypto/domains_bad.py"),
-    ("CR103", "leakypkg/crypto/domains_bad.py"),
-    ("CR104", "leakypkg/crypto/domains_bad.py"),
     ("CR105", "leakypkg/crypto/raw_pow.py"),
     ("SUP001", "leakypkg/unused_allow.py"),
 ]
@@ -248,20 +239,6 @@ class TestReportingLayer:
         text = self._finding().render()
         assert text == "a.py:3: error: [PB001] m"
 
-    def test_baseline_roundtrip_and_ratchet(self, tmp_path):
-        old = [self._finding(), self._finding(line=9)]
-        baseline = Baseline.from_findings(old)
-        path = tmp_path / "baseline.json"
-        baseline.save(path)
-        loaded = Baseline.load(path)
-        # Two frozen findings: a third one in the same file is new.
-        new = old + [self._finding(line=20)]
-        fresh = loaded.filter_new(new)
-        assert len(fresh) == 1
-        assert fresh[0].line == 20
-        # A different rule is new even in a known file.
-        assert loaded.filter_new([self._finding(rule="CR002")])
-
 
 class TestRepoGate:
     """The repository itself must stay clean — this is the CI gate."""
@@ -275,7 +252,13 @@ class TestRepoGate:
     def test_repo_taint_and_crypto_and_determinism_clean(self, repo_reporter):
         reporter = repo_reporter
         assert reporter.findings == []
-        # The deliberate disclosures are suppressed, not silently absent.
-        suppressed_rules = {f.rule_id for f in reporter.suppressed}
-        assert "PB001" in suppressed_rules  # LeafWeightBroadcast in trainer
-        assert "DET001" in suppressed_rules  # measured-mode bench modules
+        # The deliberate exceptions are suppressed, not silently absent;
+        # a deleted rule or a new allow[...] moves this ledger.
+        ledger = Counter((f.rule_id, f.file) for f in reporter.suppressed)
+        assert ledger == {
+            ("DET001", "benchmarks/e2e/run.py"): 7,  # measured-mode timing
+            ("DET001", "benchmarks/e2e/tracing.py"): 2,
+            ("DET001", "examples/crypto_tour.py"): 8,
+            ("DET001", "repro/bench/calibrate.py"): 2,
+            ("PB001", "repro/core/party.py"): 2,  # leaf broadcast, opens_to
+        }
