@@ -175,7 +175,10 @@ def build_encrypted_histogram(
         reordered: with two jittered ciphers per instance, use
             per-exponent workspaces (§5.1) instead of the naive
             in-arrival-order accumulation; pair ciphers have nothing to
-            re-order.
+            re-order.  The naive build adds and scales Montgomery-form
+            BIGNUMs where the engine has them
+            (:meth:`PaillierContext.resident`), settling each feature's
+            bins as soon as the feature is done.
 
     Raises:
         BinCodeError: when a code of the node lies outside ``[0, n_bins)``
@@ -215,8 +218,10 @@ def build_encrypted_histogram(
                 for row in workspaces
             ]
         tables: list[dict[int, EncryptedNumber]] = [{} for _ in range(n_features)]
-        for table, column in zip(tables, feature_codes):
-            _add_into(context, table, column, node_ciphers)
+        with context.resident(node_ciphers) as operands:
+            for table, column in zip(tables, feature_codes):
+                _add_into(context, table, column, operands.ciphers)
+                operands.settle(table)
         return [
             [
                 table[k] if k in table else context.encrypt_zero(zero_exponent)

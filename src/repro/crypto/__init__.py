@@ -8,7 +8,9 @@ Public surface:
 * :mod:`repro.crypto.packing` — polynomial-based cipher packing and
   the two-limb ``(g, h)`` plaintext layout of the packed protocol path.
 * :mod:`repro.crypto.math_utils` — the ``powmod`` / ``invert``
-  choke points over built-in ``pow``, and the key holder's CRT route.
+  choke points for every power of an ``int`` (libcrypto, or built-in
+  ``pow``), the Montgomery arena the histogram builds add and scale
+  in, and the key holder's CRT route.
 """
 
 from repro.crypto.accumulation import ExponentWorkspace, reordered_sum

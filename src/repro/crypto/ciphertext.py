@@ -9,8 +9,8 @@ GBDT algorithm actually uses:
 * ``k (x) [[v]]`` — scalar multiplication;
 * cheap plaintext addition (used by histogram packing's shift);
 * :meth:`PaillierContext.resident` — a block in which ciphers are
-  Montgomery-form BIGNUM handles and an HAdd is one libcrypto product
-  (Party A's packed histogram build).
+  Montgomery-form BIGNUM handles, an HAdd is one libcrypto product and
+  a scaling one libcrypto power (Party A's histogram builds).
 
 Every operation is counted once, in the context-local :class:`OpStats`
 — the one op ledger of a run.  The cost model prices it, the ``CR003``
@@ -22,7 +22,6 @@ and the end-to-end benchmark's oracle are all views of it.
 from __future__ import annotations
 
 import contextlib
-import math
 import random
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
@@ -37,7 +36,13 @@ from repro.crypto.paillier import (
     generate_keypair,
 )
 
-__all__ = ["OpStats", "EncryptedNumber", "PaillierContext", "ResidentCiphers"]
+__all__ = [
+    "OpStats",
+    "EncryptedNumber",
+    "PaillierContext",
+    "ResidentCiphers",
+    "ResidentNumber",
+]
 
 
 @dataclass
@@ -113,11 +118,39 @@ class EncryptedNumber:
         return 2 * self.context.public_key.key_bits
 
 
+class ResidentNumber:
+    """A resident handle at its exponent: an operand of a block of mixed exponents.
+
+    Made only inside :meth:`PaillierContext.resident`, and never valid
+    outside it.
+    """
+
+    __slots__ = ("handle", "exponent")
+
+    def __init__(self, handle, exponent: int) -> None:
+        self.handle = handle
+        self.exponent = exponent
+
+
 def _not_a_cipher(a, b):
-    """:meth:`PaillierContext.add`'s product outside a resident block."""
-    raise TypeError(
-        f"PaillierContext.add takes EncryptedNumber operands, not {type(a).__name__}"
-    )
+    """:meth:`PaillierContext.add`'s product and ``scale_to``'s power outside a block."""
+    raise TypeError(f"PaillierContext takes EncryptedNumber operands, not {type(a).__name__}")
+
+
+def _scaled_bound(bound: float, base: int, exponent: int) -> int:
+    """``ceil(bound * base**exponent)``, exactly, for a finite ``bound``.
+
+    A float (the bound every caller passes) is read as its exact ratio;
+    any other rational goes through :class:`~fractions.Fraction`.
+    """
+    if not isinstance(bound, float):
+        bound = Fraction(bound)
+    numerator, denominator = bound.as_integer_ratio()
+    if exponent >= 0:
+        numerator *= base**exponent
+    else:
+        denominator *= base**-exponent
+    return -(-numerator // denominator)
 
 
 class PaillierContext:
@@ -164,8 +197,8 @@ class PaillierContext:
             private_key=private_key,
         )
         self.stats = OpStats()
-        # the open resident block's product (see resident())
-        self._resident_product = _not_a_cipher
+        # the open resident block's product and power (see resident())
+        self._resident_product = self._resident_power = _not_a_cipher
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -254,7 +287,7 @@ class PaillierContext:
         self.stats.decryptions += 1
         raw_bound = None
         if bound is not None:
-            raw_bound = math.ceil(Fraction(bound) * Fraction(self.encoder.base) ** number.exponent)
+            raw_bound = _scaled_bound(bound, self.encoder.base, number.exponent)
         value = self._private_key.raw_decrypt(number.ciphertext, raw_bound)
         return EncodedNumber(
             self.public_key, value, number.exponent, self.encoder.base
@@ -279,8 +312,9 @@ class PaillierContext:
         re-ordered accumulation benefit is measurable.
 
         Inside :meth:`resident`, ``a`` and ``b`` may be the block's
-        handles instead: the HAdd is then one Montgomery product (one
-        exponent throughout, nothing to align) and returns a handle.
+        operands instead: the HAdd is then one Montgomery product and
+        returns an operand — a bare handle when the block holds one
+        exponent, else a :class:`ResidentNumber` aligned as above.
         Outside it, an ``a`` that is not a cipher raises ``TypeError``
         and counts no HAdd.
         """
@@ -305,15 +339,24 @@ class PaillierContext:
         return a, b
 
     def scale_to(self, number: EncryptedNumber, exponent: int) -> EncryptedNumber:
-        """Scale a cipher to a higher-precision exponent (counted)."""
+        """Scale a cipher to a higher-precision exponent (counted).
+
+        A :class:`ResidentNumber` is scaled inside its block: one power
+        of its Montgomery form, a new :class:`ResidentNumber`.  Outside
+        a block it raises ``TypeError`` and counts no scaling.
+        """
         if exponent == number.exponent:
             return number
         if exponent < number.exponent:
             raise ValueError("cannot scale a cipher to lower precision")
         factor = self.encoder.base ** (exponent - number.exponent)
+        if type(number) is ResidentNumber:
+            scaled = ResidentNumber(self._resident_power(number.handle, factor), exponent)
+        else:
+            raw = self.public_key.raw_multiply(number.ciphertext, factor)
+            scaled = EncryptedNumber(self, raw, exponent)
         self.stats.scalings += 1
-        raw = self.public_key.raw_multiply(number.ciphertext, factor)
-        return EncryptedNumber(self, raw, exponent)
+        return scaled
 
     def add_plain(self, a: EncryptedNumber, value: float) -> EncryptedNumber:
         """Add a public plaintext float to a cipher without encryption."""
@@ -370,29 +413,40 @@ class PaillierContext:
     def resident(self, ciphers: list[EncryptedNumber]) -> Iterator["ResidentCiphers"]:
         """A block in which ``ciphers`` are added as Montgomery-form BIGNUMs.
 
-        The value's ``ciphers`` stand for the given ones, in order:
-        resident handles when the engine has an arena
-        (:func:`~repro.crypto.math_utils.montgomery_arena`) and every
-        cipher has one exponent; the ciphers themselves otherwise.
-        Either way :meth:`add` takes them, counted as always, and
-        :meth:`ResidentCiphers.settle` turns finished tables back into
-        :class:`EncryptedNumber` s — the same integers ``int`` products
-        give.  Leaving the block returns every BIGNUM to the pool; no
-        handle may escape it.
+        The value's ``ciphers`` stand for the given ones, in order, when
+        the engine has an arena
+        (:func:`~repro.crypto.math_utils.montgomery_arena`): bare
+        resident handles if every cipher has one exponent,
+        :class:`ResidentNumber` s carrying their exponents otherwise.
+        Without an arena they are the ciphers themselves.  Either way
+        :meth:`add` and :meth:`scale_to` take them, counted as always,
+        and :meth:`ResidentCiphers.settle` turns finished tables back
+        into :class:`EncryptedNumber` s — the same integers ``int``
+        arithmetic gives.  Leaving the block returns every BIGNUM to the
+        pool; no operand may escape it.
         """
         arena = None
-        if ciphers and len({c.exponent for c in ciphers}) == 1:
+        if ciphers:
             arena = math_utils.montgomery_arena(self.public_key.n_squared)
         if arena is None:
             yield ResidentCiphers(ciphers)
             return
-        previous = self._resident_product
+        exponents = {cipher.exponent for cipher in ciphers}
+        exponent = exponents.pop() if len(exponents) == 1 else None
+        previous = self._resident_product, self._resident_power
         with arena as bignums:
-            self._resident_product = bignums.multiply
+            multiply = bignums.multiply
+
+            def aligned_product(a: ResidentNumber, b: ResidentNumber) -> ResidentNumber:
+                a, b = self._align(a, b)
+                return ResidentNumber(multiply(a.handle, b.handle), a.exponent)
+
+            product = multiply if exponent is not None else aligned_product
+            self._resident_product, self._resident_power = product, bignums.power
             try:
-                yield ResidentCiphers(ciphers, self, bignums)
+                yield ResidentCiphers(ciphers, self, bignums, exponent)
             finally:
-                self._resident_product = previous
+                self._resident_product, self._resident_power = previous
 
     def sum_ciphers(self, numbers) -> EncryptedNumber:
         """Naive left-to-right HAdd reduction (baseline accumulation)."""
@@ -411,38 +465,47 @@ class ResidentCiphers:
 
     Attributes:
         ciphers: one operand per cipher the block was opened on — a
-            resident handle, or the cipher itself when the block holds
+            resident handle, a :class:`ResidentNumber` when the ciphers'
+            exponents differ, or the cipher itself when the block holds
             ``int`` s.
     """
 
-    def __init__(self, ciphers: list[EncryptedNumber], context=None, bignums=None) -> None:
+    def __init__(
+        self, ciphers: list[EncryptedNumber], context=None, bignums=None, exponent=None
+    ) -> None:
         self._context = context
         self._bignums = bignums
+        self._exponent = exponent  # the ciphers' one exponent; None when mixed
         if bignums is None:
             self.ciphers = ciphers
             return
         load = bignums.load
-        self.ciphers = [load(cipher.ciphertext) for cipher in ciphers]
+        if exponent is None:
+            self.ciphers = [ResidentNumber(load(c.ciphertext), c.exponent) for c in ciphers]
+        else:
+            self.ciphers = [load(cipher.ciphertext) for cipher in ciphers]
         # an operand never added to leaves as the cipher it stood for
         self._originals = {id(h): c for h, c in zip(self.ciphers, ciphers)}
-        self._exponent = ciphers[0].exponent
 
     def settle(self, *tables: dict) -> None:
         """Turn every value of ``tables`` back into a cipher, in place.
 
-        Each table is finished: no handle made since the last settle is
-        used again, so they all go back to the pool.
+        Each table is finished: no operand made since the last settle is
+        used again, so their BIGNUMs all go back to the pool.
         """
         if self._bignums is None:
             return
         originals, unload = self._originals, self._bignums.unload
         context, exponent = self._context, self._exponent
-        unloaded: dict[int, EncryptedNumber] = {}  # a handle two tables share
+        unloaded: dict[int, EncryptedNumber] = {}  # an operand two tables share
         for table in tables:
             for key, value in table.items():
                 cipher = originals.get(id(value)) or unloaded.get(id(value))
                 if cipher is None:
-                    cipher = EncryptedNumber(context, unload(value), exponent)
+                    if exponent is None:
+                        cipher = EncryptedNumber(context, unload(value.handle), value.exponent)
+                    else:
+                        cipher = EncryptedNumber(context, unload(value), exponent)
                     unloaded[id(value)] = cipher
                 table[key] = cipher
         self._bignums.recycle()

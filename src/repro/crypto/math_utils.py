@@ -1,8 +1,8 @@
 """Number-theoretic primitives underpinning the Paillier cryptosystem.
 
 Everything here operates on plain Python integers.  Modular
-exponentiation — and its exponentiation-grade sibling, modular
-inversion — go through a single choke point (:func:`powmod` /
+exponentiation of an ``int`` — and its exponentiation-grade sibling,
+modular inversion — go through a single choke point (:func:`powmod` /
 :func:`invert`).  ``powmod`` runs on one engine, fixed at import by
 what the platform has: OpenSSL's ``BN_mod_exp_mont`` through ``ctypes``
 when a versioned libcrypto loads and passes a known-answer check, the
@@ -17,7 +17,9 @@ every call.
 
 On the same engine, :func:`montgomery_arena` keeps integers resident as
 BIGNUMs in Montgomery form for one modulus, so that a run of modular
-products costs one ``BN_mod_mul_montgomery`` each (DESIGN §4.15).
+products costs one ``BN_mod_mul_montgomery`` each and a power one
+``BN_mod_exp_mont`` plus one product (DESIGN §4.15).  The arena's
+``power``, like its ``multiply``, is not a :func:`powmod` call.
 """
 
 from __future__ import annotations
@@ -127,7 +129,7 @@ def _bind_libcrypto(lib: ctypes.CDLL) -> tuple[Callable, Callable, Callable, dic
     exp_mont, exp_once = lib.BN_mod_exp_mont, lib.BN_mod_exp
     # lib[name] is a fresh function object: the arena's calls declare a
     # restype and no argtypes, whatever the shared attributes above declare
-    to_bn_bare, from_bn_bare, to_mont, from_mont, mul_mont = (
+    to_bn_bare, from_bn_bare, to_mont, from_mont, mul_mont, exp_mont_bare = (
         lib[name]
         for name in (
             "BN_lebin2bn",
@@ -135,10 +137,11 @@ def _bind_libcrypto(lib: ctypes.CDLL) -> tuple[Callable, Callable, Callable, dic
             "BN_to_montgomery",
             "BN_from_montgomery",
             "BN_mod_mul_montgomery",
+            "BN_mod_exp_mont",
         )
     )
     to_bn_bare.restype = void_p
-    for function in (from_bn_bare, to_mont, from_mont, mul_mont):
+    for function in (from_bn_bare, to_mont, from_mont, mul_mont, exp_mont_bare):
         function.restype = c_int
     bn_ctx = void_p(lib.BN_CTX_new())
     base_bn, exponent_bn, modulus_bn, result_bn, unloaded_bn = (
@@ -208,17 +211,26 @@ def _bind_libcrypto(lib: ctypes.CDLL) -> tuple[Callable, Callable, Callable, dic
     def arena(modulus: int) -> Iterator[SimpleNamespace]:
         entry = cache.get(modulus) or _montgomery(modulus)
         mont, width, out, free = entry.mont, entry.width, entry.out, entry.free
+        mod_bn = entry.bn
         loads: list = []
         products: list = []
+        # power()'s exponent -> two BIGNUMs of the block's own, freed
+        # on leaving it: they never join the pool
+        exponents: dict[int, list] = {}
+        scratch: list = []
+
+        def new():
+            bn = lib.BN_new()
+            if not bn:
+                raise MemoryError("BN_new failed")
+            return void_p(bn)
 
         def take():
             if free:
                 return free.pop()
-            bn = lib.BN_new()
-            if not bn:
-                raise MemoryError("BN_new failed")
+            bn = new()
             entry.allocated += 1
-            return void_p(bn)
+            return bn
 
         def load(value: int):
             if not 0 <= value < modulus:
@@ -239,6 +251,36 @@ def _bind_libcrypto(lib: ctypes.CDLL) -> tuple[Callable, Callable, Callable, dic
                 raise ArithmeticError("BN_mod_mul_montgomery failed")
             return bn
 
+        def exponent_of(exponent: int) -> tuple:
+            # the exponent as a BIGNUM and R^(2 - e) mod m: R^-1 is the
+            # reduction of 1, raised to e, then twice into Montgomery form
+            scratch.append(new())
+            scratch.append(new())
+            exponent_bignum, correction = exponents[exponent] = scratch[-2:]
+            length = (exponent.bit_length() + 7) >> 3
+            if not (
+                to_bn_bare(exponent.to_bytes(length, "little"), length, exponent_bignum)
+                and to_bn_bare(b"\x01", 1, unloaded_bn)
+                and from_mont(unloaded_bn, unloaded_bn, mont, bn_ctx)
+                and exp_mont_bare(correction, unloaded_bn, exponent_bignum, mod_bn, bn_ctx, mont)
+                and to_mont(correction, correction, mont, bn_ctx)
+                and to_mont(correction, correction, mont, bn_ctx)
+            ):
+                raise ArithmeticError("loading an exponent failed")
+            return exponent_bignum, correction
+
+        def power(bn, exponent: int):
+            # (aR)^e * R^(2 - e) * R^-1 = a^e R: a power and one product
+            exponent_bignum, correction = exponents.get(exponent) or exponent_of(exponent)
+            result = free.pop() if free else take()
+            products.append(result)
+            if not (
+                exp_mont_bare(result, bn, exponent_bignum, mod_bn, bn_ctx, mont)
+                and mul_mont(result, result, correction, mont, bn_ctx)
+            ):
+                raise ArithmeticError("raising a BIGNUM to a power failed")
+            return result
+
         def unload(bn) -> int:
             if not from_mont(unloaded_bn, bn, mont, bn_ctx):
                 raise ArithmeticError("BN_from_montgomery failed")
@@ -252,31 +294,36 @@ def _bind_libcrypto(lib: ctypes.CDLL) -> tuple[Callable, Callable, Callable, dic
         entry.pins += 1
         try:
             yield SimpleNamespace(
-                load=load, multiply=multiply, unload=unload, recycle=recycle
+                load=load, multiply=multiply, power=power, unload=unload, recycle=recycle
             )
         finally:
             free.extend(products)
             free.extend(loads)
+            for bn in scratch:
+                lib.BN_free(bn)
             entry.pins -= 1
 
     return powmod, powmod_once, arena, cache
 
 
 def _arena_agrees(arena: Callable) -> bool:
-    """Whether ``arena`` multiplies as ``int`` s do on :data:`_KNOWN_ANSWER`'s modulus.
+    """Whether ``arena`` computes as ``int`` s do on :data:`_KNOWN_ANSWER`'s modulus.
 
     One round trip through every call the arena makes: two loads (the
-    second reduced mod the modulus), a product of products, two unloads.
+    second reduced mod the modulus), a product of products, a power of
+    a product by the three-word exponent, three unloads.
     """
     a, b, modulus = _KNOWN_ANSWER
     try:
         with arena(modulus) as bignums:
             x, y = bignums.load(a), bignums.load(b)
             product = bignums.multiply(bignums.multiply(x, x), y)
-            got = bignums.unload(product), bignums.unload(y)
+            raised = bignums.power(product, b)
+            got = bignums.unload(product), bignums.unload(y), bignums.unload(raised)
     except ArithmeticError:
         return False
-    return got == (a * a * b % modulus, b % modulus)
+    product = a * a * b % modulus
+    return got == (product, b % modulus, pow(product, b, modulus))
 
 
 def _load_engine() -> tuple[str, Callable, Callable, Callable | None, dict]:
@@ -321,8 +368,8 @@ def crt_combine(residue_p: int, residue_q: int, p: int, q: int, q_inv_p: int) ->
 def powmod(base: int, exponent: int, modulus: int) -> int:
     """Modular exponentiation ``base ** exponent mod modulus``.
 
-    The choke point for exponentiation: every modular power of the
-    crypto layer is one call of this function, on the engine
+    The choke point for exponentiation: every modular power of an
+    ``int`` in the crypto layer is one call of this function, on the engine
     :func:`get_backend` names.  The moduli it is asked for recur (a
     key's ``n^2``, ``p^2``, ``q^2``), so each keeps its Montgomery
     context between calls.
@@ -340,15 +387,20 @@ def montgomery_arena(modulus: int) -> contextlib.AbstractContextManager | None:
 
     * ``load(x)`` — ``x mod modulus`` as a resident handle;
     * ``multiply(a, b)`` — the product of two handles, a new handle;
+    * ``power(a, e)`` — ``a`` raised to a non-negative ``int`` ``e``, a
+      new handle (``BN_mod_exp_mont`` on the Montgomery form, corrected
+      by one product with ``R^(2-e)``; both per-exponent BIGNUMs are
+      made once per block);
     * ``unload(a)`` — a handle's integer in ``[0, modulus)``;
-    * ``recycle()`` — hand every product made since the last recycle
-      back to the pool: no handle from ``multiply`` is used after it.
+    * ``recycle()`` — hand every product and power made since the last
+      recycle back to the pool: no such handle is used after it.
 
-    The BIGNUMs come from a pool owned by the modulus's Montgomery-cache
-    entry, which the block pins: no eviction frees the context under a
-    live handle.  Leaving the block, however it is left, returns every
-    BIGNUM it took to that pool; the pool is freed with its entry.
-    Handles are plain pointers, not owners: none may outlive the block.
+    The handles' BIGNUMs come from a pool owned by the modulus's
+    Montgomery-cache entry, which the block pins: no eviction frees the
+    context under a live handle.  Leaving the block, however it is
+    left, returns every handle's BIGNUM to that pool and frees the
+    exponents'; the pool is freed with its entry.  Handles are plain
+    pointers, not owners: none may outlive the block.
     """
     if _arena is None or modulus < 3 or not modulus & 1:
         return None

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.ciphertext import OpStats, PaillierContext
+from repro.crypto.ciphertext import OpStats, PaillierContext, _scaled_bound
 from repro.crypto.packing import pack_ciphers
 
 floats = st.floats(min_value=-1e4, max_value=1e4, allow_nan=False)
@@ -43,6 +43,20 @@ class TestEncryptDecrypt:
         assert context.decrypt(context.encrypt(-bound, exponent=exponent), bound) == (
             context.decrypt(context.encrypt(-bound, exponent=exponent))
         )
+
+    @given(
+        bound=st.one_of(
+            st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e300, 0.1]),
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.integers(-(2**70), 2**70),
+        ),
+        exponent=st.integers(-8, 20),
+    )
+    @settings(max_examples=200, derandomize=True)
+    def test_scaled_bound_is_the_exact_ceiling(self, bound, exponent):
+        # what decrypt_encoded computed with Fractions, in integers
+        exact = math.ceil(Fraction(bound) * Fraction(16) ** exponent)
+        assert _scaled_bound(bound, 16, exponent) == exact
 
     def test_can_decrypt_flag(self, context):
         assert context.can_decrypt

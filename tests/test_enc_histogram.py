@@ -1,12 +1,15 @@
 """Tests for encrypted histogram construction and §5.2 packing."""
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.bench.scenario import PERF
+from repro.core import enc_histogram
 from repro.core.enc_histogram import (
     BinCodeError,
     EncryptedHistogram,
@@ -17,10 +20,16 @@ from repro.core.enc_histogram import (
     pack_histogram,
     unpack_histogram,
 )
+from repro.core.trainer import FederatedTrainer
 from repro.crypto import math_utils
-from repro.crypto.ciphertext import EncryptedNumber, PaillierContext
+from repro.crypto.ciphertext import (
+    EncryptedNumber,
+    OpStats,
+    PaillierContext,
+    ResidentNumber,
+)
 from repro.crypto.packing import GradHessLayout
-from repro.crypto.paillier import generate_keypair
+from repro.crypto.paillier import PaillierPublicKey, generate_keypair
 from repro.gbdt.binning import bin_dataset
 from repro.gbdt.histogram import build_histogram
 from repro.gbdt.params import GBDTParams
@@ -252,29 +261,39 @@ _LIMB_EDGE_KEYS = {bits: _key_with_square_bits(bits) for bits in (62, 64, 66, 12
 _ON_OPENSSL = math_utils.get_backend().name == "openssl"
 
 
-def _cells(built: EncryptedHistogram) -> list[list[int | None]]:
-    return [[cell and cell.ciphertext for cell in bins] for bins in built.grad_bins]
+def _cells(built: EncryptedHistogram) -> list[list[tuple[int, int] | None]]:
+    return [
+        [cell and (cell.ciphertext, cell.exponent) for cell in bins]
+        for bins in built.grad_bins + built.hess_bins
+    ]
 
 
 def _ints_only(built: EncryptedHistogram) -> bool:
     return all(
         cell is None or (type(cell) is EncryptedNumber and type(cell.ciphertext) is int)
-        for bins in built.grad_bins
+        for bins in built.grad_bins + built.hess_bins
         for cell in bins
     )
 
 
+def _jittered(context, raw, jitter, rng) -> list[EncryptedNumber]:
+    """Ciphers of ``raw`` at exponents drawn from a window of ``jitter``."""
+    exponents = rng.integers(8, 8 + jitter, size=len(raw)).tolist()
+    return [EncryptedNumber(context, value, e) for value, e in zip(raw, exponents)]
+
+
 class TestResidentBuild:
-    """Montgomery-resident HAdds: the ``int`` build's integers and counts."""
+    """Montgomery-resident HAdds and scalings: the ``int`` build's integers and counts."""
 
     POOL = 12
 
     @staticmethod
-    def _build(context, codes, rows, ciphers, s, resident):
-        """``(histogram, HAdds, arena opened)`` of one build.
+    def _build(context, codes, rows, ciphers, s, resident, hess=None):
+        """``(histogram, OpStats of the build, arena opened)`` of one build.
 
         ``resident`` builds on this engine; ``False`` runs the "python"
-        engine's build, with no arena.
+        engine's build, with no arena.  With ``hess`` the build is the
+        naive jittered one (two ciphers per instance), else the paired one.
         """
         opened = []
         arena = math_utils.montgomery_arena
@@ -289,8 +308,8 @@ class TestResidentBuild:
             if not resident:
                 patch.setattr(math_utils, "_arena", None)
             before = context.stats.snapshot()
-            built = build_encrypted_histogram(context, codes, rows, ciphers, None, s, False)
-        return built, context.stats.diff(before).additions, any(opened)
+            built = build_encrypted_histogram(context, codes, rows, ciphers, hess, s, False)
+        return built, context.stats.diff(before), any(opened)
 
     @given(
         bits=st.sampled_from(sorted(_LIMB_EDGE_KEYS)),
@@ -316,12 +335,54 @@ class TestResidentBuild:
             int.from_bytes(rng.bytes(17), "little") % n_squared for _ in range(self.POOL - 3)
         ]
         ciphers = [EncryptedNumber(context, value, -16) for value in raw]
-        resident, resident_adds, opened = self._build(context, codes, rows, ciphers, s, True)
-        plain, plain_adds, _ = self._build(context, codes, rows, ciphers, s, False)
+        resident, resident_ops, opened = self._build(context, codes, rows, ciphers, s, True)
+        plain, plain_ops, _ = self._build(context, codes, rows, ciphers, s, False)
         assert opened == (_ON_OPENSSL and n > 0)
         assert _cells(resident) == _cells(plain)
-        assert resident_adds == plain_adds
+        assert resident_ops.additions == plain_ops.additions
         assert _ints_only(resident)
+
+    @given(
+        bits=st.sampled_from(sorted(_LIMB_EDGE_KEYS)),
+        n=st.integers(0, POOL),
+        d=st.integers(1, 4),
+        s=st.integers(1, 5),
+        jitter=st.integers(1, 6),
+        seed=st.integers(0, 2**16),
+    )
+    @example(bits=64, n=POOL, d=3, s=4, jitter=1, seed=0)  # one exponent: bare handles
+    @example(bits=66, n=0, d=2, s=3, jitter=3, seed=1)  # empty node
+    @example(bits=126, n=POOL, d=2, s=1, jitter=6, seed=2)  # one bin holds every row
+    @example(bits=130, n=POOL, d=4, s=5, jitter=6, seed=3)  # one-instance bins
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    def test_jittered_build_is_the_int_build(self, bits, n, d, s, jitter, seed):
+        context = _LIMB_EDGE_KEYS[bits]
+        n_squared = context.public_key.n_squared
+        rng = np.random.default_rng(seed)
+        rows = rng.permutation(self.POOL)[:n]
+        codes = rng.integers(0, s, size=(self.POOL, d))
+
+        def draw():
+            # the range's edges as well as its inside
+            raw = [0, 1, n_squared - 1] + [
+                int.from_bytes(rng.bytes(17), "little") % n_squared
+                for _ in range(self.POOL - 3)
+            ]
+            return _jittered(context, raw, jitter, rng)
+
+        grad, hess = draw(), draw()
+        resident, resident_ops, opened = self._build(context, codes, rows, grad, s, True, hess)
+        plain, plain_ops, _ = self._build(context, codes, rows, grad, s, False, hess)
+        assert opened == (_ON_OPENSSL and n > 0)
+        assert _cells(resident) == _cells(plain)
+        assert resident_ops == plain_ops  # HAdds and scalings alike
+        assert _ints_only(resident)
+        for j in range(d):
+            for k in range(s):
+                alone = [i for i in rows.tolist() if codes[i, j] == k]
+                if len(alone) == 1:
+                    assert resident.grad_bins[j][k] is grad[alone[0]]
+                    assert resident.hess_bins[j][k] is hess[alone[0]]
 
     def test_a_bin_of_one_instance_is_that_instances_cipher(self):
         # rows 0 and 1 share no code; row 2 repeats row 0's first code
@@ -340,14 +401,23 @@ class TestResidentBuild:
         public = CTX.public_context()
         rows = np.arange(40)
         entry_of = lambda: math_utils._MONT_CACHE[public.public_key.n_squared]  # noqa: E731
+        # the paired build, then the naive one on the same integers jittered
+        rng = np.random.default_rng(5)
+        raw = [pair.ciphertext for pair in pairs]
+        builds = [
+            (pairs, None),
+            (_jittered(public, raw, 3, rng), _jittered(public, raw[::-1], 3, rng)),
+        ]
 
-        built, adds, _ = self._build(public, dataset.codes, rows, pairs, 4, True)
-        assert _ints_only(built)
-        entry = entry_of()
-        # a pair's products go back before the next pair: fewer BIGNUMs
-        # than one per row and one per HAdd
-        assert 0 < entry.allocated < len(rows) + adds
-        assert (entry.pins, len(entry.free)) == (0, entry.allocated)
+        for grad, hess in builds:
+            built, ops, _ = self._build(public, dataset.codes, rows, grad, 4, True, hess)
+            assert _ints_only(built)
+            entry = entry_of()
+            # a pair's (a feature's) products go back before the next
+            # one: fewer BIGNUMs than one per row, HAdd and scaling
+            assert 0 < entry.allocated < len(rows) + ops.additions + ops.scalings
+            assert (entry.pins, len(entry.free)) == (0, entry.allocated)
+        assert ops.scalings > 0
 
         # A build that raises partway hands back everything it took.
         add = PaillierContext.add
@@ -360,13 +430,55 @@ class TestResidentBuild:
             return add(context, a, b)
 
         monkeypatch.setattr(PaillierContext, "add", failing_add)
-        with pytest.raises(RuntimeError, match="injected"):
-            self._build(public, dataset.codes, rows, pairs, 4, True)
-        entry = entry_of()
-        assert (entry.pins, len(entry.free)) == (0, entry.allocated)
-        # the block restored the product that refuses a non-cipher
+        for grad, hess in builds:
+            calls.clear()
+            with pytest.raises(RuntimeError, match="injected"):
+                self._build(public, dataset.codes, rows, grad, 4, True, hess)
+            entry = entry_of()
+            assert (entry.pins, len(entry.free)) == (0, entry.allocated)
+        # the block restored the product and the power that refuse a
+        # non-cipher, uncounted
+        before = public.stats.snapshot()
         with pytest.raises(TypeError, match="not object"):
             add(public, object(), None)
+        with pytest.raises(TypeError, match="not object"):
+            public.scale_to(ResidentNumber(object(), 8), 9)
+        assert public.stats.diff(before) == OpStats()
+
+    @pytest.mark.skipif(not _ON_OPENSSL, reason="the python engine builds on ints")
+    def test_a_vf_gbdt_fit_builds_on_no_int_arithmetic(self, monkeypatch):
+        # Every HAdd and scaling of a real VF-GBDT fit's builds is
+        # resident: none falls back to the key's int arithmetic.
+        config = PERF.config("vf_gbdt", crypto_mode="real")
+        parties, labels = PERF.parties()
+        builds, inside, fallbacks = [], [], Counter()
+        build = enc_histogram.build_encrypted_histogram
+
+        def watched_build(context, *args):
+            before = context.stats.snapshot()
+            inside.append(True)
+            try:
+                return build(context, *args)
+            finally:
+                inside.pop()
+                builds.append(context.stats.diff(before))
+
+        def counted(name):
+            original = getattr(PaillierPublicKey, name)
+
+            def call(key, *args):
+                fallbacks[name] += len(inside)
+                return original(key, *args)
+
+            return call
+
+        for name in ("raw_add", "raw_multiply"):
+            monkeypatch.setattr(PaillierPublicKey, name, counted(name))
+        monkeypatch.setattr(enc_histogram, "build_encrypted_histogram", watched_build)
+        FederatedTrainer(config).fit(parties, labels)
+        assert sum(ops.additions for ops in builds) > 0
+        assert sum(ops.scalings for ops in builds) > 0
+        assert fallbacks == Counter(), f"int arithmetic inside a build: {dict(fallbacks)}"
 
 
 class TestPackUnpackHistogram:

@@ -3,6 +3,7 @@
 import ast
 import contextlib
 import ctypes
+import itertools
 import math
 import random
 from pathlib import Path
@@ -135,6 +136,8 @@ class TestRandomHelpers:
 
 
 class TestEngine:
+    _examples = itertools.count()
+
     @pytest.mark.skipif(not _libcrypto_loads(), reason="no versioned libcrypto here")
     def test_backend_names_openssl_where_libcrypto_loads(self):
         assert math_utils.get_backend().name == "openssl"
@@ -202,6 +205,7 @@ class TestEngine:
                 yield SimpleNamespace(
                     load=bignums.load,
                     multiply=lambda a, b: bignums.multiply(a, a),
+                    power=bignums.power,
                     unload=bignums.unload,
                     recycle=bignums.recycle,
                 )
@@ -211,6 +215,59 @@ class TestEngine:
         monkeypatch.setattr(math_utils, "_arena_agrees", lambda arena: False)
         name, *_, dropped, _ = math_utils._load_engine()
         assert (name, dropped) == ("openssl", None)
+
+    @pytest.mark.skipif(not _libcrypto_loads(), reason="no versioned libcrypto here")
+    def test_an_arena_that_powers_wrong_is_dropped(self, monkeypatch):
+        arena = math_utils._arena
+
+        @contextlib.contextmanager
+        def off_by_one(modulus):
+            with arena(modulus) as bignums:
+                yield SimpleNamespace(
+                    load=bignums.load,
+                    multiply=bignums.multiply,
+                    power=lambda a, e: bignums.power(a, e + 1),
+                    unload=bignums.unload,
+                    recycle=bignums.recycle,
+                )
+
+        assert not math_utils._arena_agrees(off_by_one)
+        bind = math_utils._bind_libcrypto
+
+        def bind_off_by_one(lib):
+            powmod, powmod_once, _, cache = bind(lib)
+            return powmod, powmod_once, off_by_one, cache
+
+        monkeypatch.setattr(math_utils, "_bind_libcrypto", bind_off_by_one)
+        name, powmod, *_, dropped, _ = math_utils._load_engine()
+        assert (name, dropped) == ("openssl", None)
+        assert powmod(*math_utils._KNOWN_ANSWER) == pow(*math_utils._KNOWN_ANSWER)
+
+    @pytest.mark.skipif(not _libcrypto_loads(), reason="no versioned libcrypto here")
+    @given(
+        bits=st.sampled_from([62, 64, 66, 126, 128, 130]),
+        exponents=st.lists(
+            st.one_of(st.integers(0, 2), st.integers(0, 2**80)), min_size=1, max_size=4
+        ),
+        seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    def test_power_is_powmod_on_the_loaded_integer(self, bits, exponents, seed):
+        # a modulus of its own per example: its pool holds only this block's
+        rng = random.Random(seed * 1000 + next(self._examples))
+        modulus = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+        values = [0, 1, modulus - 1, rng.randrange(modulus)]
+        with math_utils.montgomery_arena(modulus) as bignums:
+            for value in values:
+                handle = bignums.load(value)
+                for exponent in exponents + exponents:  # the second round is cached
+                    raised = bignums.power(handle, exponent)
+                    assert bignums.unload(raised) == pow(value, exponent, modulus)
+            bignums.recycle()
+        entry = math_utils._MONT_CACHE[modulus]
+        # one pooled BIGNUM a load and a power: the exponents never join the pool
+        pooled = len(values) * (1 + 2 * len(exponents))
+        assert (entry.allocated, len(entry.free), entry.pins) == (pooled, pooled, 0)
 
     def test_only_math_utils_imports_ctypes(self):
         package = Path(math_utils.__file__).parents[1]
