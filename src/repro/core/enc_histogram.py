@@ -69,7 +69,9 @@ class EncryptedHistogram:
     bins only, a bin no instance fell in is ``None`` (it costs the
     packer nothing) and ``hess_bins`` is empty.  A held bin is the
     product mod ``n**2`` of its instances' ciphers, whatever order or
-    grouping the build multiplied them in.
+    grouping the build multiplied them in; built inside the caller's
+    :meth:`~PaillierContext.resident` block, it is that block's operand
+    for the product, valid only until the block is left.
     """
 
     grad_bins: list[list[EncryptedNumber | None]]
@@ -120,14 +122,17 @@ def _paired_bins(
     is alive at a time; a left-over odd feature is accumulated alone.
 
     The node's ciphers are added as Montgomery-form BIGNUMs where the
-    engine has them (:meth:`PaillierContext.resident`); a pair's bins
-    are settled back to ciphers as soon as the pair is done.
+    engine has them (:meth:`PaillierContext.resident`); as soon as a
+    pair is done its other products go back to the pool.  Its bins stay
+    operands when the build runs inside the caller's block (the packer
+    goes on with them), and are settled back to ciphers otherwise.
     """
     n_features = node_codes.shape[1]
     held = node_codes < width
     bins: list[dict[int, EncryptedNumber]] = [{} for _ in range(n_features)]
 
     with context.resident(ciphers) as operands:
+        finish = operands.keep if operands.enclosed else operands.settle
 
         def route(table, mask, keys):
             chosen = compress(operands.ciphers, mask.tolist())
@@ -142,10 +147,10 @@ def _paired_bins(
             route(bins[j + 1], in_b & ~in_a, b)
             _add_into(context, bins[j], (key // width for key in joint), joint.values())
             _add_into(context, bins[j + 1], (key % width for key in joint), joint.values())
-            operands.settle(bins[j], bins[j + 1])
+            finish(bins[j], bins[j + 1])
         if n_features % 2:
             route(bins[-1], held[:, -1], node_codes[:, -1])
-            operands.settle(bins[-1])
+            finish(bins[-1])
     return bins
 
 
@@ -171,6 +176,8 @@ def build_encrypted_histogram(
             is a plain product and the build is :func:`_paired_bins`:
             instances in a feature's last bin are skipped (the receiver
             derives that bin) and an empty bin is held as ``None``.
+            Inside an open :meth:`PaillierContext.resident` block the
+            bins stay the block's operands, for :func:`pack_histogram`.
         n_bins: bins per feature ``s``.
         reordered: with two jittered ciphers per instance, use
             per-exponent workspaces (§5.1) instead of the naive
@@ -324,7 +331,10 @@ def pack_histogram(
        pack each group of ``t`` with ``t - 1`` HAdd + ``t - 1`` SMul
        (one exponent throughout: nothing to align).
 
-    A node without slots (``s = 1``, or no features) packs to nothing.
+    Called in the :meth:`PaillierContext.resident` block the histogram
+    was built in, every step works on the block's operands (the zero
+    of an empty first bin too) and only the packs are unloaded.  A node
+    without slots (``s = 1``, or no features) packs to nothing.
     """
     shift = layout.shift(encrypted.n_instances)
     capacity = layout.capacity

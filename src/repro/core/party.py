@@ -183,21 +183,26 @@ class PassiveParty(_Party):
                 self.id, ACTIVE, kind="histograms", n_ciphers=n_ciphers, opens_to=opened
             )
             return channel.send(message)
-        codes, reordered = dataset.codes, self.config.reordered_accumulation
-        built = {
-            node_id: enc_histogram.build_encrypted_histogram(
-                self.context, codes, self.node_rows[node_id], self.grads, self.hesses, s, reordered
+        context, codes = self.context, dataset.codes
+        reordered = self.config.reordered_accumulation
+
+        def build(node_id: int) -> enc_histogram.EncryptedHistogram:
+            return enc_histogram.build_encrypted_histogram(
+                context, codes, self.node_rows[node_id], self.grads, self.hesses, s, reordered
             )
-            for node_id in nodes
-        }
+
         if layout is not None:
             message = PackedHistogramMessage(self.id, ACTIVE)
-            for node_id, hist in built.items():
-                packed = enc_histogram.pack_histogram(self.context, hist, layout)
+            for node_id in nodes:
+                # build, shift, prefix sums and packs on resident BIGNUMs:
+                # only the finished packs leave the block as integers
+                with context.resident():
+                    packed = enc_histogram.pack_histogram(context, build(node_id), layout)
                 message.packed[node_id] = packed.packs
         else:
             message = EncryptedHistogramMessage(self.id, ACTIVE)
-            for node_id, hist in built.items():
+            for node_id in nodes:
+                hist = build(node_id)
                 message.histograms[node_id] = hist.grad_bins, hist.hess_bins
         channel.send(message)
 

@@ -9,8 +9,9 @@ GBDT algorithm actually uses:
 * ``k (x) [[v]]`` — scalar multiplication;
 * cheap plaintext addition (used by histogram packing's shift);
 * :meth:`PaillierContext.resident` — a block in which ciphers are
-  Montgomery-form BIGNUM handles, an HAdd is one libcrypto product and
-  a scaling one libcrypto power (Party A's histogram builds).
+  Montgomery-form BIGNUM handles, an HAdd or a plaintext addition is
+  one libcrypto product and a scaling or an integer SMul one libcrypto
+  power (Party A's histogram builds and packs).
 
 Every operation is counted once, in the context-local :class:`OpStats`
 — the one op ledger of a run.  The cost model prices it, the ``CR003``
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import contextlib
 import random
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
@@ -132,8 +133,9 @@ class ResidentNumber:
         self.exponent = exponent
 
 
-def _not_a_cipher(a, b):
-    """:meth:`PaillierContext.add`'s product and ``scale_to``'s power outside a block."""
+def _not_a_cipher(a, b=None):
+    """Refuse the operand ``a``: also :meth:`PaillierContext.add`'s product and
+    ``scale_to``'s power outside a block."""
     raise TypeError(f"PaillierContext takes EncryptedNumber operands, not {type(a).__name__}")
 
 
@@ -197,7 +199,8 @@ class PaillierContext:
             private_key=private_key,
         )
         self.stats = OpStats()
-        # the open resident block's product and power (see resident())
+        # the open resident block, its product and its power (see resident())
+        self._block: _Block | None = None
         self._resident_product = self._resident_power = _not_a_cipher
 
     # ------------------------------------------------------------------
@@ -315,13 +318,16 @@ class PaillierContext:
         operands instead: the HAdd is then one Montgomery product and
         returns an operand — a bare handle when the block holds one
         exponent, else a :class:`ResidentNumber` aligned as above.
-        Outside it, an ``a`` that is not a cipher raises ``TypeError``
-        and counts no HAdd.
+        An operand that is neither (a :class:`~repro.crypto.packing.PackedCipher`,
+        a handle outside its block) raises ``TypeError`` and counts no
+        HAdd.
         """
         if type(a) is not EncryptedNumber:
             product = self._resident_product(a, b)
             self.stats.additions += 1
             return product
+        if type(b) is not EncryptedNumber:
+            _not_a_cipher(b)
         a, b = self._align(a, b)
         self.stats.additions += 1
         raw = self.public_key.raw_add(a.ciphertext, b.ciphertext)
@@ -343,7 +349,8 @@ class PaillierContext:
 
         A :class:`ResidentNumber` is scaled inside its block: one power
         of its Montgomery form, a new :class:`ResidentNumber`.  Outside
-        a block it raises ``TypeError`` and counts no scaling.
+        a block it, and any other non-cipher, raises ``TypeError`` and
+        counts no scaling.
         """
         if exponent == number.exponent:
             return number
@@ -352,14 +359,21 @@ class PaillierContext:
         factor = self.encoder.base ** (exponent - number.exponent)
         if type(number) is ResidentNumber:
             scaled = ResidentNumber(self._resident_power(number.handle, factor), exponent)
-        else:
+        elif type(number) is EncryptedNumber:
             raw = self.public_key.raw_multiply(number.ciphertext, factor)
             scaled = EncryptedNumber(self, raw, exponent)
+        else:
+            _not_a_cipher(number)
         self.stats.scalings += 1
         return scaled
 
     def add_plain(self, a: EncryptedNumber, value: float) -> EncryptedNumber:
-        """Add a public plaintext float to a cipher without encryption."""
+        """Add a public plaintext float to a cipher without encryption.
+
+        A non-cipher ``a`` raises ``TypeError`` and counts nothing.
+        """
+        if type(a) is not EncryptedNumber:
+            _not_a_cipher(a)
         encoded = self.encoder.encode(value, exponent=None)
         if encoded.exponent < a.exponent:
             encoded = encoded.decrease_exponent_to(a.exponent, self.encoder.base)
@@ -370,7 +384,18 @@ class PaillierContext:
         return EncryptedNumber(self, raw, a.exponent)
 
     def add_plain_raw(self, a: EncryptedNumber, raw_value: int) -> EncryptedNumber:
-        """Add a raw integer (same exponent assumed) to a cipher."""
+        """Add a raw integer (same exponent assumed) to a cipher.
+
+        Inside :meth:`resident`, ``a`` may be an operand of the block:
+        the sum is then one Montgomery product by ``g**raw_value``,
+        loaded once per block and value, and an operand too.  Any other
+        non-cipher raises ``TypeError`` and counts nothing.
+        """
+        if type(a) is not EncryptedNumber:
+            block, handle, exponent = self._operand(a)
+            total = block.bignums.multiply(handle, block.plain(raw_value))
+            self.stats.plain_additions += 1
+            return block.operand_of(total, exponent)
         self.stats.plain_additions += 1
         raw = self.public_key.raw_add_plain(a.ciphertext, raw_value)
         return EncryptedNumber(self, raw, a.exponent)
@@ -379,8 +404,11 @@ class PaillierContext:
         """SMul by a float or int scalar.
 
         Integer scalars keep the exponent unchanged; float scalars are
-        encoded first and their exponent adds to the cipher's.
+        encoded first and their exponent adds to the cipher's.  A
+        non-cipher ``a`` raises ``TypeError`` and counts nothing.
         """
+        if type(a) is not EncryptedNumber:
+            _not_a_cipher(a)
         if isinstance(scalar, int) or float(scalar).is_integer():
             factor, exponent = int(scalar), a.exponent
         else:
@@ -395,7 +423,23 @@ class PaillierContext:
 
         Used by cipher packing where the scalar ``2**M`` is a bit-shift
         in the packed integer domain, not a fixed-point quantity.
+
+        Inside :meth:`resident`, ``a`` may be an operand of the block:
+        the product is then one arena power, not a
+        :func:`~repro.crypto.math_utils.powmod`, and an operand too.
+        Any other non-cipher raises ``TypeError`` and counts nothing.
         """
+        if type(a) is not EncryptedNumber:
+            block, handle, exponent = self._operand(a)
+            key, bignums = self.public_key, block.bignums
+            scalar %= key.n
+            if scalar > key.max_int * 2:
+                # raw_multiply inverts the cipher for such a scalar: its integer
+                raised = bignums.load(key.raw_multiply(bignums.unload(handle), scalar))
+            else:
+                raised = bignums.power(handle, scalar)
+            self.stats.scalar_multiplications += 1
+            return block.operand_of(raised, exponent)
         self.stats.scalar_multiplications += 1
         raw = self.public_key.raw_multiply(a.ciphertext, scalar)
         return EncryptedNumber(self, raw, a.exponent)
@@ -405,48 +449,78 @@ class PaillierContext:
 
         Used to initialize histogram bins; not secure on the wire by
         itself, but histogram bins always accumulate obfuscated ciphers
-        before leaving the party.
+        before leaving the party.  Inside a :meth:`resident` block that
+        holds ciphers it is the block's operand for that cipher.
         """
+        block = self._block
+        if block is not None and block.bignums is not None:
+            return block.zero(exponent)
         return EncryptedNumber(self, 1, exponent)
 
+    def exponent_of(self, number) -> int:
+        """The exponent of a cipher or of an operand of the open :meth:`resident` block.
+
+        Raises:
+            TypeError: for anything else.
+        """
+        if type(number) is EncryptedNumber:
+            return number.exponent
+        return self._operand(number)[2]
+
+    def cipher_of(self, number) -> EncryptedNumber:
+        """A cipher itself, or an operand of the open block unloaded to one.
+
+        Raises:
+            TypeError: for anything else.
+        """
+        if type(number) is EncryptedNumber:
+            return number
+        block, handle, exponent = self._operand(number)
+        return EncryptedNumber(self, block.bignums.unload(handle), exponent)
+
+    def _operand(self, number) -> tuple["_Block", object, int]:
+        """``(block, handle, exponent)`` of an operand of the open block."""
+        block = self._block
+        if block is None:
+            _not_a_cipher(number)
+        return block, *block.handle_of(number)
+
     @contextlib.contextmanager
-    def resident(self, ciphers: list[EncryptedNumber]) -> Iterator["ResidentCiphers"]:
-        """A block in which ``ciphers`` are added as Montgomery-form BIGNUMs.
+    def resident(self, ciphers: Sequence[EncryptedNumber] = ()) -> Iterator["ResidentCiphers"]:
+        """A block in which ciphers are Montgomery-form BIGNUMs.
 
         The value's ``ciphers`` stand for the given ones, in order, when
         the engine has an arena
         (:func:`~repro.crypto.math_utils.montgomery_arena`): bare
-        resident handles if every cipher has one exponent,
-        :class:`ResidentNumber` s carrying their exponents otherwise.
-        Without an arena they are the ciphers themselves.  Either way
-        :meth:`add` and :meth:`scale_to` take them, counted as always,
-        and :meth:`ResidentCiphers.settle` turns finished tables back
+        resident handles if every cipher of the block's first load has
+        one exponent, :class:`ResidentNumber` s carrying their exponents
+        otherwise.  Without an arena, or without ciphers, they are the
+        ciphers themselves.  Either way :meth:`add`, :meth:`scale_to`,
+        :meth:`add_plain_raw` and :meth:`multiply_raw` take them,
+        counted as always, and :meth:`ResidentCiphers.settle` (or
+        :meth:`cipher_of`, one at a time) turns finished operands back
         into :class:`EncryptedNumber` s — the same integers ``int``
-        arithmetic gives.  Leaving the block returns every BIGNUM to the
-        pool; no operand may escape it.
+        arithmetic gives.
+
+        A call inside an open block joins it: its ciphers load into the
+        same arena (``enclosed`` is set on the value) and its operands
+        live until the enclosing block is left.  Leaving the outermost
+        block returns every BIGNUM to the pool; no operand may escape it.
+
+        Raises:
+            ValueError: a load into a block of bare handles whose ciphers
+                do not all have the block's exponent.
         """
-        arena = None
-        if ciphers:
-            arena = math_utils.montgomery_arena(self.public_key.n_squared)
-        if arena is None:
-            yield ResidentCiphers(ciphers)
+        if self._block is not None:
+            yield ResidentCiphers(ciphers, self._block, enclosed=True)
             return
-        exponents = {cipher.exponent for cipher in ciphers}
-        exponent = exponents.pop() if len(exponents) == 1 else None
-        previous = self._resident_product, self._resident_power
-        with arena as bignums:
-            multiply = bignums.multiply
-
-            def aligned_product(a: ResidentNumber, b: ResidentNumber) -> ResidentNumber:
-                a, b = self._align(a, b)
-                return ResidentNumber(multiply(a.handle, b.handle), a.exponent)
-
-            product = multiply if exponent is not None else aligned_product
-            self._resident_product, self._resident_power = product, bignums.power
+        with contextlib.ExitStack() as stack:
+            self._block = block = _Block(self, stack)
             try:
-                yield ResidentCiphers(ciphers, self, bignums, exponent)
+                yield ResidentCiphers(ciphers, block, enclosed=False)
             finally:
-                self._resident_product, self._resident_power = previous
+                self._block = None
+                self._resident_product = self._resident_power = _not_a_cipher
 
     def sum_ciphers(self, numbers) -> EncryptedNumber:
         """Naive left-to-right HAdd reduction (baseline accumulation)."""
@@ -460,43 +534,137 @@ class PaillierContext:
         return total
 
 
+class _Block:
+    """A context's open :meth:`PaillierContext.resident` block.
+
+    Its arena opens with the first ciphers the block loads; that load
+    fixes whether the block's operands are bare handles at its one
+    ``exponent`` or :class:`ResidentNumber` s (``exponent`` ``None``).
+    """
+
+    def __init__(self, context: PaillierContext, stack: contextlib.ExitStack) -> None:
+        self.context = context
+        self.bignums = None  # the arena's value, once open
+        self.exponent: int | None = None
+        self._stack = stack
+        self._plains: dict[int, object] = {}  # raw plaintext -> g**raw, loaded
+        self._one = None  # the unobfuscated zero cipher, loaded
+
+    def admit(self, ciphers: Sequence[EncryptedNumber]) -> bool:
+        """Whether ``ciphers`` load into the arena, opened for the first of them."""
+        exponents = {cipher.exponent for cipher in ciphers}
+        exponent = exponents.pop() if len(exponents) == 1 else None
+        if self.bignums is not None:
+            if self.exponent is not None and exponent != self.exponent:
+                raise ValueError(
+                    f"a resident block at exponent {self.exponent} loads no other exponent"
+                )
+            return True
+        arena = math_utils.montgomery_arena(self.context.public_key.n_squared)
+        if arena is None:
+            return False
+        self.bignums = bignums = self._stack.enter_context(arena)
+        self.exponent = exponent
+        context, multiply = self.context, bignums.multiply
+
+        def aligned_product(a: ResidentNumber, b: ResidentNumber) -> ResidentNumber:
+            a, b = context._align(a, b)
+            return ResidentNumber(multiply(a.handle, b.handle), a.exponent)
+
+        context._resident_product = multiply if exponent is not None else aligned_product
+        context._resident_power = bignums.power
+        return True
+
+    def handle_of(self, number) -> tuple[object, int]:
+        """``(handle, exponent)`` of one of the block's operands.
+
+        Raises:
+            TypeError: ``number`` is not one.
+        """
+        if self.bignums is not None:
+            if self.exponent is None:
+                if type(number) is ResidentNumber:
+                    return number.handle, number.exponent
+            elif type(number) is self.bignums.handle:
+                return number, self.exponent
+        _not_a_cipher(number)
+
+    def operand_of(self, handle, exponent: int):
+        """A handle at ``exponent`` as the block's operands are: bare or a :class:`ResidentNumber`."""
+        return handle if self.exponent is not None else ResidentNumber(handle, exponent)
+
+    def plain(self, raw_value: int):
+        """``g**raw_value`` as a handle, loaded once per block."""
+        loaded = self._plains.get(raw_value)
+        if loaded is None:
+            g_power = self.context.public_key.plain_cipher(raw_value)
+            loaded = self._plains[raw_value] = self.bignums.load(g_power)
+        return loaded
+
+    def zero(self, exponent: int):
+        """The operand for :meth:`PaillierContext.encrypt_zero`'s cipher at ``exponent``."""
+        if self.exponent is not None and exponent != self.exponent:
+            raise ValueError(
+                f"a resident block at exponent {self.exponent} holds no cipher at {exponent}"
+            )
+        if self._one is None:
+            self._one = self.bignums.load(1)
+        return self.operand_of(self._one, exponent)
+
+
 class ResidentCiphers:
-    """The operands of one :meth:`PaillierContext.resident` block.
+    """The operands one :meth:`PaillierContext.resident` call loaded.
 
     Attributes:
-        ciphers: one operand per cipher the block was opened on — a
-            resident handle, a :class:`ResidentNumber` when the ciphers'
+        ciphers: one operand per cipher the call was given — a resident
+            handle, a :class:`ResidentNumber` when the block's ciphers'
             exponents differ, or the cipher itself when the block holds
             ``int`` s.
+        enclosed: whether the call joined a block already open on its
+            context, whose owner goes on using what this one leaves.
     """
 
     def __init__(
-        self, ciphers: list[EncryptedNumber], context=None, bignums=None, exponent=None
+        self, ciphers: Sequence[EncryptedNumber], block: _Block, enclosed: bool
     ) -> None:
-        self._context = context
-        self._bignums = bignums
-        self._exponent = exponent  # the ciphers' one exponent; None when mixed
-        if bignums is None:
+        self.enclosed = enclosed
+        self._block = block
+        self._bignums = None
+        if not ciphers or not block.admit(ciphers):
             self.ciphers = ciphers
             return
+        self._bignums = bignums = block.bignums
         load = bignums.load
-        if exponent is None:
+        if block.exponent is None:
             self.ciphers = [ResidentNumber(load(c.ciphertext), c.exponent) for c in ciphers]
         else:
             self.ciphers = [load(cipher.ciphertext) for cipher in ciphers]
         # an operand never added to leaves as the cipher it stood for
         self._originals = {id(h): c for h, c in zip(self.ciphers, ciphers)}
 
+    def keep(self, *tables: dict) -> None:
+        """Hand every operand made since the last keep or settle back to the pool.
+
+        The values of ``tables`` are kept: they stay operands of the
+        block, until it is left.
+        """
+        if self._bignums is None:
+            return
+        handle_of = self._block.handle_of
+        self._bignums.recycle(
+            [handle_of(value)[0] for table in tables for value in table.values()]
+        )
+
     def settle(self, *tables: dict) -> None:
         """Turn every value of ``tables`` back into a cipher, in place.
 
-        Each table is finished: no operand made since the last settle is
-        used again, so their BIGNUMs all go back to the pool.
+        Each table is finished: no operand made since the last keep or
+        settle is used again, so their BIGNUMs all go back to the pool.
         """
         if self._bignums is None:
             return
         originals, unload = self._originals, self._bignums.unload
-        context, exponent = self._context, self._exponent
+        context, exponent = self._block.context, self._block.exponent
         unloaded: dict[int, EncryptedNumber] = {}  # an operand two tables share
         for table in tables:
             for key, value in table.items():

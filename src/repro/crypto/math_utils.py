@@ -214,6 +214,7 @@ def _bind_libcrypto(lib: ctypes.CDLL) -> tuple[Callable, Callable, Callable, dic
         mod_bn = entry.bn
         loads: list = []
         products: list = []
+        kept: list = []  # products recycle() was told to keep: freed with the block
         # power()'s exponent -> two BIGNUMs of the block's own, freed
         # on leaving it: they never join the pool
         exponents: dict[int, list] = {}
@@ -242,14 +243,21 @@ def _bind_libcrypto(lib: ctypes.CDLL) -> tuple[Callable, Callable, Callable, dic
                 raise ArithmeticError("loading a BIGNUM failed")
             return bn
 
+        def refuse(*operands) -> TypeError:
+            stranger = next(x for x in operands if type(x) is not void_p)
+            return TypeError(f"arena operands are handles, not {type(stranger).__name__}")
+
         def multiply(a, b):
             # take()'s common case inline: past the first pair of a
             # build, a product reuses a pooled BIGNUM
             bn = free.pop() if free else take()
             products.append(bn)
-            if not mul_mont(bn, a, b, mont, bn_ctx):
-                raise ArithmeticError("BN_mod_mul_montgomery failed")
-            return bn
+            try:
+                if mul_mont(bn, a, b, mont, bn_ctx):
+                    return bn
+            except ctypes.ArgumentError:
+                raise refuse(a, b) from None
+            raise ArithmeticError("BN_mod_mul_montgomery failed")
 
         def exponent_of(exponent: int) -> tuple:
             # the exponent as a BIGNUM and R^(2 - e) mod m: R^-1 is the
@@ -274,12 +282,14 @@ def _bind_libcrypto(lib: ctypes.CDLL) -> tuple[Callable, Callable, Callable, dic
             exponent_bignum, correction = exponents.get(exponent) or exponent_of(exponent)
             result = free.pop() if free else take()
             products.append(result)
-            if not (
-                exp_mont_bare(result, bn, exponent_bignum, mod_bn, bn_ctx, mont)
-                and mul_mont(result, result, correction, mont, bn_ctx)
-            ):
-                raise ArithmeticError("raising a BIGNUM to a power failed")
-            return result
+            try:
+                if exp_mont_bare(result, bn, exponent_bignum, mod_bn, bn_ctx, mont) and mul_mont(
+                    result, result, correction, mont, bn_ctx
+                ):
+                    return result
+            except ctypes.ArgumentError:
+                raise refuse(bn) from None
+            raise ArithmeticError("raising a BIGNUM to a power failed")
 
         def unload(bn) -> int:
             if not from_mont(unloaded_bn, bn, mont, bn_ctx):
@@ -287,17 +297,28 @@ def _bind_libcrypto(lib: ctypes.CDLL) -> tuple[Callable, Callable, Callable, dic
             from_bn_bare(unloaded_bn, out, width)
             return int.from_bytes(out.raw, "little")
 
-        def recycle() -> None:
-            free.extend(products)
+        def recycle(keep=()) -> None:
+            if keep:
+                held = set(map(id, keep))
+                for bn in products:
+                    (kept if id(bn) in held else free).append(bn)
+            else:
+                free.extend(products)
             products.clear()
 
         entry.pins += 1
         try:
             yield SimpleNamespace(
-                load=load, multiply=multiply, power=power, unload=unload, recycle=recycle
+                load=load,
+                multiply=multiply,
+                power=power,
+                unload=unload,
+                recycle=recycle,
+                handle=void_p,
             )
         finally:
             free.extend(products)
+            free.extend(kept)
             free.extend(loads)
             for bn in scratch:
                 lib.BN_free(bn)
@@ -392,8 +413,12 @@ def montgomery_arena(modulus: int) -> contextlib.AbstractContextManager | None:
       by one product with ``R^(2-e)``; both per-exponent BIGNUMs are
       made once per block);
     * ``unload(a)`` — a handle's integer in ``[0, modulus)``;
-    * ``recycle()`` — hand every product and power made since the last
-      recycle back to the pool: no such handle is used after it.
+    * ``recycle(keep=())`` — hand every product and power made since
+      the last recycle back to the pool, except the handles in ``keep``:
+      no other such handle is used after it, and the kept ones go back
+      when the block is left;
+    * ``handle`` — the type of every handle (an operand of another type
+      makes ``multiply`` and ``power`` raise ``TypeError``).
 
     The handles' BIGNUMs come from a pool owned by the modulus's
     Montgomery-cache entry, which the block pins: no eviction frees the

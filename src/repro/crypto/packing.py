@@ -240,6 +240,10 @@ def pack_ciphers(
 ) -> PackedCipher:
     """Pack ciphers of non-negative integers into one cipher.
 
+    Inside a :meth:`~PaillierContext.resident` block the numbers may be
+    the block's operands: every SMul and HAdd is then resident, and only
+    the finished pack is unloaded to an integer.
+
     Args:
         context: a (public) Paillier context — packing needs no private key.
         numbers: ciphers to pack; all must share one exponent. Their
@@ -252,8 +256,8 @@ def pack_ciphers(
         A :class:`PackedCipher` with the first input in the lowest limb.
 
     Raises:
-        TypeError: when an element is not an :class:`EncryptedNumber`
-            (a pack is never re-packed).
+        TypeError: when an element is neither an :class:`EncryptedNumber`
+            nor an operand of the open block (a pack is never re-packed).
         ValueError: on empty input, mixed exponents, or capacity overflow.
     """
     if not numbers:
@@ -264,22 +268,19 @@ def pack_ciphers(
             f"cannot pack {len(numbers)} limbs: capacity is {capacity} "
             f"at M={limb_bits}, S={context.public_key.key_bits}"
         )
-    exponent = numbers[0].exponent
-    for number in numbers:
-        if type(number) is not EncryptedNumber:
-            raise TypeError(f"cannot pack a {type(number).__name__}: limbs are ciphers")
-        if number.exponent != exponent:
-            raise ValueError("all packed ciphers must share one exponent")
+    if len({context.exponent_of(number) for number in numbers}) > 1:
+        raise ValueError("all packed ciphers must share one exponent")
     radix = 1 << limb_bits
     accumulator = numbers[-1]
     for number in reversed(numbers[:-1]):
         shifted = context.multiply_raw(accumulator, radix)
         accumulator = context.add(number, shifted)
+    packed = context.cipher_of(accumulator)
     return PackedCipher(
-        ciphertext=accumulator.ciphertext,
+        ciphertext=packed.ciphertext,
         count=len(numbers),
         limb_bits=limb_bits,
-        exponent=exponent,
+        exponent=packed.exponent,
     )
 
 

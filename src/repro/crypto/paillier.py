@@ -126,8 +126,14 @@ class PaillierPublicKey:
         used for the histogram shift in cipher packing where the added
         constant is public.
         """
-        g_pow_u = (1 + (plaintext % self.n) * self.n) % self.n_squared
-        return (cipher * g_pow_u) % self.n_squared
+        return (cipher * self.plain_cipher(plaintext)) % self.n_squared
+
+    def plain_cipher(self, plaintext: int) -> int:
+        """``g**plaintext mod n**2``: the unobfuscated cipher of ``plaintext mod n``.
+
+        ``g = n + 1``, so the power is ``1 + (plaintext mod n) * n``.
+        """
+        return (1 + (plaintext % self.n) * self.n) % self.n_squared
 
     def raw_multiply(self, cipher: int, scalar: int) -> int:
         """SMul: scale the encrypted value by an integer scalar.

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crypto import math_utils
 from repro.crypto.ciphertext import OpStats, PaillierContext, _scaled_bound
 from repro.crypto.packing import pack_ciphers
 
@@ -140,6 +141,19 @@ MISUSES = {
         ),
     ),
     "repack_a_pack": (TypeError, lambda ctx: pack_ciphers(ctx, [_pack(ctx, [1.0, 2.0])], 32)),
+    "smul_of_a_pack": (TypeError, lambda ctx: ctx.multiply_raw(_pack(ctx, [1.0, 2.0]), 4)),
+    "plain_add_to_a_pack": (TypeError, lambda ctx: ctx.add_plain(_pack(ctx, [1.0, 2.0]), 0.5)),
+}
+
+#: every counted op on a cipher, with a pack where its cipher goes
+_OPS_ON_A_PACK = {
+    "add": lambda ctx, pack, cipher: ctx.add(pack, cipher),
+    "add_to": lambda ctx, pack, cipher: ctx.add(cipher, pack),
+    "scale_to": lambda ctx, pack, cipher: ctx.scale_to(pack, pack.exponent + 1),
+    "multiply": lambda ctx, pack, cipher: ctx.multiply(pack, 3),
+    "multiply_raw": lambda ctx, pack, cipher: ctx.multiply_raw(pack, 4),
+    "add_plain": lambda ctx, pack, cipher: ctx.add_plain(pack, 0.5),
+    "add_plain_raw": lambda ctx, pack, cipher: ctx.add_plain_raw(pack, 5),
 }
 
 
@@ -159,6 +173,62 @@ class TestMisuseRaises:
             with pytest.raises(TypeError, match="not PackedCipher"):
                 context.add(packed, cipher)
         assert context.stats.additions == before
+
+    def test_resident_smul_and_shift_are_the_int_ones(self, context, choke_calls):
+        # every scalar route of raw_multiply, the inverted one included
+        key = context.public_key
+        cipher = context.encrypt(1.5)
+        scalars = [0, 1, 1 << 47, key.n + 7, key.n - 3, -5]
+        expected = [key.raw_multiply(cipher.ciphertext, k) for k in scalars]
+        shifted = key.raw_add_plain(cipher.ciphertext, 12345)
+        del choke_calls[:]
+        before = context.stats.snapshot()
+        with context.resident([cipher]) as operands:
+            (handle,) = operands.ciphers
+            raised = [context.multiply_raw(handle, k) for k in scalars]
+            got = [context.cipher_of(operand) for operand in raised]
+            plain = context.cipher_of(context.add_plain_raw(handle, 12345))
+        assert [c.ciphertext for c in got] == expected
+        assert plain.ciphertext == shifted
+        assert {c.exponent for c in got + [plain]} == {cipher.exponent}
+        ops = context.stats.diff(before)
+        assert (ops.scalar_multiplications, ops.plain_additions) == (len(scalars), 1)
+        if math_utils.get_backend().name == "openssl":
+            # an arena power each, but the two inverted scalars'
+            assert choke_calls == ["invert", "powmod"] * 2
+
+    def test_a_block_of_one_exponent_holds_no_other(self, context):
+        # its handles carry no exponent: a cipher at another one would be
+        # summed as if it had the block's
+        cipher = context.encrypt(1.0, exponent=8)
+        with context.resident() as outer:
+            assert outer.ciphers == () and not outer.enclosed
+            assert context.encrypt_zero(9).ciphertext == 1  # nothing loaded yet: a cipher
+            with context.resident([cipher]) as inner:
+                assert inner.enclosed
+            if math_utils.get_backend().name == "openssl":
+                with pytest.raises(ValueError, match="exponent 8"):
+                    with context.resident([context.encrypt(1.0, exponent=9)]):
+                        pass
+                with pytest.raises(ValueError, match="exponent 8"):
+                    context.encrypt_zero(9)
+                zero = context.encrypt_zero(8)
+                assert context.cipher_of(zero).ciphertext == 1
+        assert context._block is None
+
+    @pytest.mark.parametrize("op", sorted(_OPS_ON_A_PACK))
+    @pytest.mark.parametrize("in_block", [False, True])
+    def test_a_pack_gets_no_arithmetic(self, context, op, in_block):
+        # A pack is never added to, scaled or multiplied: each op refuses
+        # it with a typed error and counts nothing, in a resident block
+        # or out of one.
+        packed, cipher = _pack(context, [1.0, 2.0]), context.encrypt(1.0)
+        before = context.stats.snapshot()
+        with context.resident([cipher] if in_block else []) as operands:
+            operand = operands.ciphers[0] if in_block else cipher
+            with pytest.raises(TypeError, match="not PackedCipher"):
+                _OPS_ON_A_PACK[op](context, packed, operand)
+        assert context.stats.diff(before) == OpStats()
 
 
 class TestExponentAlignment:

@@ -2,6 +2,7 @@
 
 import dataclasses
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from repro.crypto.ciphertext import (
     PaillierContext,
     ResidentNumber,
 )
-from repro.crypto.packing import GradHessLayout
+from repro.crypto.packing import GradHessLayout, pack_capacity
 from repro.crypto.paillier import PaillierPublicKey, generate_keypair
 from repro.gbdt.binning import bin_dataset
 from repro.gbdt.histogram import build_histogram
@@ -445,23 +446,67 @@ class TestResidentBuild:
             public.scale_to(ResidentNumber(object(), 8), 9)
         assert public.stats.diff(before) == OpStats()
 
-    @pytest.mark.skipif(not _ON_OPENSSL, reason="the python engine builds on ints")
-    def test_a_vf_gbdt_fit_builds_on_no_int_arithmetic(self, monkeypatch):
-        # Every HAdd and scaling of a real VF-GBDT fit's builds is
-        # resident: none falls back to the key's int arithmetic.
-        config = PERF.config("vf_gbdt", crypto_mode="real")
-        parties, labels = PERF.parties()
-        builds, inside, fallbacks = [], [], Counter()
-        build = enc_histogram.build_encrypted_histogram
+    @pytest.mark.skipif(not _ON_OPENSSL, reason="the python engine holds no BIGNUMs")
+    @pytest.mark.parametrize("fail_after", [0, 1, 25])
+    def test_a_packed_node_returns_every_bignum_to_the_pool(self, monkeypatch, fail_after):
+        # One block from the first HAdd to the last pack: the node's bins
+        # and slots stay handles until its packs are unloaded.
+        dataset, _, _, pairs, layout = _pair_setup(n=40, d=6, n_bins=4, seed=5)
+        public = CTX.public_context()
+        rows = np.arange(40)
 
-        def watched_build(context, *args):
-            before = context.stats.snapshot()
-            inside.append(True)
-            try:
-                return build(context, *args)
-            finally:
-                inside.pop()
-                builds.append(context.stats.diff(before))
+        def build_and_pack():
+            with public.resident():
+                built = build_encrypted_histogram(public, dataset.codes, rows, pairs, None, 4, False)
+                return pack_histogram(public, built, layout)
+
+        before = public.stats.snapshot()
+        packed = build_and_pack()
+        ops = public.stats.diff(before)
+        entry = math_utils._MONT_CACHE[public.public_key.n_squared]
+        assert all(type(pack.ciphertext) is int for pack in packed.packs)
+        # a pair's products other than its bins go back before the next
+        # pair: fewer BIGNUMs than one per row, HAdd and SMul
+        bound = len(rows) + ops.additions + ops.scalar_multiplications
+        assert 0 < entry.allocated < bound
+        assert (entry.pins, len(entry.free)) == (0, entry.allocated)
+
+        # A pack that raises partway hands back everything the node took.
+        multiply_raw = PaillierContext.multiply_raw
+        calls = []
+
+        def failing_multiply_raw(context, a, scalar):
+            if len(calls) == fail_after % ops.scalar_multiplications:
+                raise RuntimeError("injected")
+            calls.append(1)
+            return multiply_raw(context, a, scalar)
+
+        monkeypatch.setattr(PaillierContext, "multiply_raw", failing_multiply_raw)
+        with pytest.raises(RuntimeError, match="injected"):
+            build_and_pack()
+        assert (entry.pins, len(entry.free)) == (0, entry.allocated)
+        with pytest.raises(TypeError, match="not object"):
+            public.add(object(), None)
+
+    @staticmethod
+    def _watched_fit(monkeypatch, preset: str) -> tuple[OpStats, Counter]:
+        """``(ops of the fit's builds and packs, int-arithmetic calls inside them)``."""
+        config = PERF.config(preset, crypto_mode="real")
+        parties, labels = PERF.parties()
+        total, inside, fallbacks = OpStats(), [], Counter()
+
+        def watched(function):
+            def call(context, *args):
+                before = context.stats.snapshot()
+                inside.append(True)
+                try:
+                    return function(context, *args)
+                finally:
+                    inside.pop()
+                    for name, value in context.stats.diff(before).to_dict().items():
+                        setattr(total, name, getattr(total, name) + value)
+
+            return call
 
         def counted(name):
             original = getattr(PaillierPublicKey, name)
@@ -472,13 +517,115 @@ class TestResidentBuild:
 
             return call
 
-        for name in ("raw_add", "raw_multiply"):
+        for name in ("raw_add", "raw_multiply", "raw_add_plain"):
             monkeypatch.setattr(PaillierPublicKey, name, counted(name))
-        monkeypatch.setattr(enc_histogram, "build_encrypted_histogram", watched_build)
+        for name in ("build_encrypted_histogram", "pack_histogram"):
+            monkeypatch.setattr(enc_histogram, name, watched(getattr(enc_histogram, name)))
         FederatedTrainer(config).fit(parties, labels)
-        assert sum(ops.additions for ops in builds) > 0
-        assert sum(ops.scalings for ops in builds) > 0
+        return total, fallbacks
+
+    @pytest.mark.skipif(not _ON_OPENSSL, reason="the python engine builds on ints")
+    def test_a_vf_gbdt_fit_builds_on_no_int_arithmetic(self, monkeypatch):
+        # Every HAdd and scaling of a real VF-GBDT fit's builds is
+        # resident: none falls back to the key's int arithmetic.
+        ops, fallbacks = self._watched_fit(monkeypatch, "vf_gbdt")
+        assert ops.additions > 0
+        assert ops.scalings > 0
         assert fallbacks == Counter(), f"int arithmetic inside a build: {dict(fallbacks)}"
+
+    @pytest.mark.skipif(not _ON_OPENSSL, reason="the python engine builds on ints")
+    def test_a_vf2boost_fit_builds_and_packs_on_no_int_arithmetic(self, monkeypatch):
+        # Every HAdd, shift and SMul from a real VF2Boost node's first
+        # HAdd to its last pack is resident: none falls back to the
+        # key's int arithmetic.
+        ops, fallbacks = self._watched_fit(monkeypatch, "vf2boost")
+        assert ops.additions > 0
+        assert ops.plain_additions > 0
+        assert ops.scalar_multiplications > 0
+        assert fallbacks == Counter(), f"int arithmetic inside a build or pack: {dict(fallbacks)}"
+
+
+def _tiny_layout(context: PaillierContext, stride: int = 7) -> SimpleNamespace:
+    """A :class:`GradHessLayout` stand-in for keys too small for the real one."""
+    return SimpleNamespace(
+        shift=lambda count: 3 * count + 1,
+        stride=stride,
+        capacity=min(3, pack_capacity(context.public_key, stride)),
+        exponent=-16,
+    )
+
+
+class TestResidentPack:
+    """One block from a node's first HAdd to its packs: the ``int`` packs and counts."""
+
+    POOL = 12
+
+    @staticmethod
+    def _build_and_pack(context, codes, rows, ciphers, s, resident):
+        """``(packs, OpStats, arena opened)`` of one node built and packed in a block.
+
+        ``resident`` packs on this engine; ``False`` on the "python"
+        engine's ``int`` s.
+        """
+        opened = []
+        arena = math_utils.montgomery_arena
+
+        def spy(modulus):
+            block = arena(modulus)
+            opened.append(block is not None)
+            return block
+
+        layout = _tiny_layout(context)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(math_utils, "montgomery_arena", spy)
+            if not resident:
+                patch.setattr(math_utils, "_arena", None)
+            before = context.stats.snapshot()
+            with context.resident():
+                built = build_encrypted_histogram(context, codes, rows, ciphers, None, s, False)
+                packed = pack_histogram(context, built, layout)
+        return packed.packs, context.stats.diff(before), any(opened)
+
+    @given(
+        bits=st.sampled_from(sorted(_LIMB_EDGE_KEYS)),
+        n=st.integers(0, POOL),
+        d=st.integers(1, 5),
+        s=st.integers(1, 5),
+        first_empty=st.booleans(),
+        last_only=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @example(bits=64, n=9, d=3, s=4, first_empty=False, last_only=False, seed=0)  # odd D
+    @example(bits=66, n=POOL, d=4, s=4, first_empty=True, last_only=False, seed=1)
+    @example(bits=126, n=POOL, d=2, s=3, first_empty=False, last_only=True, seed=2)
+    @example(bits=130, n=POOL, d=5, s=2, first_empty=True, last_only=True, seed=3)
+    @example(bits=62, n=0, d=4, s=3, first_empty=False, last_only=False, seed=4)  # empty node
+    @example(bits=128, n=POOL, d=4, s=1, first_empty=False, last_only=False, seed=5)  # no slot
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    def test_same_packs_and_ops_as_int_packing(self, bits, n, d, s, first_empty, last_only, seed):
+        context = _LIMB_EDGE_KEYS[bits]
+        n_squared = context.public_key.n_squared
+        rng = np.random.default_rng(seed)
+        rows = rng.permutation(self.POOL)[:n]
+        codes = rng.integers(0, s, size=(self.POOL, d))
+        if first_empty:  # every other feature's first bin empty: encrypt_zero is shifted
+            codes[:, ::2] = np.maximum(codes[:, ::2], min(1, s - 1))
+        if last_only:  # the last feature's rows all in its last bin: only zeros packed
+            codes[:, -1] = s - 1
+        # the range's edges as well as its inside
+        raw = [0, 1, n_squared - 1] + [
+            int.from_bytes(rng.bytes(17), "little") % n_squared for _ in range(self.POOL - 3)
+        ]
+        ciphers = [EncryptedNumber(context, value, -16) for value in raw]
+        resident, resident_ops, opened = self._build_and_pack(
+            context, codes, rows, ciphers, s, True
+        )
+        plain, plain_ops, _ = self._build_and_pack(context, codes, rows, ciphers, s, False)
+        assert opened == (_ON_OPENSSL and n > 0)
+        assert resident == plain  # integers, counts, widths and exponents
+        assert all(type(pack.ciphertext) is int for pack in resident)
+        assert resident_ops == plain_ops
+        assert context._block is None
 
 
 class TestPackUnpackHistogram:
