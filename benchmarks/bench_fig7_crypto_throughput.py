@@ -39,13 +39,25 @@ def test_bench_decryption(benchmark):
     benchmark(lambda: context.decrypt(cipher))
 
 
-def test_bench_hadd(benchmark):
+def _operand_op(benchmark, op):
+    """Benchmark ``op(context, operand)`` on a cipher's operand in a resident block.
+
+    The op's product goes back to the pool after each call.
+    """
     context = PaillierContext.create(KEY_BITS, seed=1)
-    a, b = context.encrypt(0.1), context.encrypt(0.2)
-    benchmark(lambda: context.add(a, b))
+    with context.resident() as block:
+        operand = block.load(context.encrypt(0.1))
+
+        def call():
+            op(context, operand)
+            block.recycle()
+
+        benchmark(call)
+
+
+def test_bench_hadd(benchmark):
+    _operand_op(benchmark, lambda context, a: context.add(a, a))
 
 
 def test_bench_smul(benchmark):
-    context = PaillierContext.create(KEY_BITS, seed=1)
-    a = context.encrypt(0.1)
-    benchmark(lambda: context.multiply(a, 123457))
+    _operand_op(benchmark, lambda context, a: context.multiply(a, 123457))

@@ -30,42 +30,50 @@ def main() -> None:
     context = PaillierContext.create(512, seed=2024, jitter=6)
     print(f"modulus bits: {context.public_key.key_bits}")
 
-    print("\n== homomorphic arithmetic ==")
-    a, b = context.encrypt(1.25), context.encrypt(-0.5)
-    print(f"dec([[1.25]] (+) [[-0.5]])  = {context.decrypt(context.add(a, b))}")
-    print(f"dec(3 (x) [[1.25]])         = {context.decrypt(context.multiply(a, 3))}")
-    print(f"dec([[1.25]] + 10.0 plain)  = {context.decrypt(context.add_plain(a, 10.0))}")
+    # Arithmetic runs on operands: ciphers loaded into a resident block.
+    with context.resident() as block:
+        print("\n== homomorphic arithmetic ==")
+        a, b = context.encrypt(1.25), context.encrypt(-0.5)
+        x, y = block.load(a), block.load(b)
 
-    print("\n== exponent jitter and the scaling tax (Figure 8) ==")
-    rng = random.Random(5)
-    gradients = [rng.uniform(-1, 1) for _ in range(400)]
-    ciphers = [context.encrypt(g) for g in gradients]
-    exponents = sorted({c.exponent for c in ciphers})
-    print(f"distinct exponents E = {len(exponents)}: {exponents}")
+        def show(operand):
+            return context.decrypt(block.unload(operand))
 
-    before = context.stats.snapshot()
-    start = time.perf_counter()
-    total_naive = context.sum_ciphers(ciphers)
-    naive_time = time.perf_counter() - start
-    naive_scalings = context.stats.diff(before).scalings
+        print(f"dec([[1.25]] (+) [[-0.5]])  = {show(context.add(x, y))}")
+        print(f"dec(3 (x) [[1.25]])         = {show(context.multiply(x, 3))}")
+        print(f"dec([[1.25]] + 10.0 plain)  = {show(context.add_plain(x, 10.0))}")
 
-    before = context.stats.snapshot()
-    start = time.perf_counter()
-    total_reordered = reordered_sum(context, ciphers)
-    reordered_time = time.perf_counter() - start
-    reordered_scalings = context.stats.diff(before).scalings
+        print("\n== exponent jitter and the scaling tax (Figure 8) ==")
+        rng = random.Random(5)
+        gradients = [rng.uniform(-1, 1) for _ in range(400)]
+        ciphers = [context.encrypt(g) for g in gradients]
+        exponents = sorted({c.exponent for c in ciphers})
+        print(f"distinct exponents E = {len(exponents)}: {exponents}")
+        operands = [block.load(c) for c in ciphers]
 
-    print(f"naive accumulation:     {naive_scalings:4d} scalings, {naive_time*1e3:7.1f} ms")
-    print(f"re-ordered (workspaces): {reordered_scalings:4d} scalings, {reordered_time*1e3:7.1f} ms")
-    print(f"identical sums: {abs(context.decrypt(total_naive) - context.decrypt(total_reordered)) < 1e-9}")
-    print(f"speedup: {naive_time / reordered_time:.2f}x  (paper Figure 7: 4.08x)")
+        before = context.stats.snapshot()
+        start = time.perf_counter()
+        total_naive = context.sum_ciphers(operands)
+        naive_time = time.perf_counter() - start
+        naive_scalings = context.stats.diff(before).scalings
 
-    print("\n== polynomial histogram packing (Figure 9) ==")
-    limb_bits = 32
-    width = pack_capacity(context.public_key, limb_bits)
-    values = [rng.randrange(1 << 20) for _ in range(width)]
-    bins = [context.encrypt(float(v), exponent=0) for v in values]
-    packed = pack_ciphers(context, bins, limb_bits)
+        before = context.stats.snapshot()
+        start = time.perf_counter()
+        total_reordered = reordered_sum(context, operands)
+        reordered_time = time.perf_counter() - start
+        reordered_scalings = context.stats.diff(before).scalings
+
+        print(f"naive accumulation:     {naive_scalings:4d} scalings, {naive_time*1e3:7.1f} ms")
+        print(f"re-ordered (workspaces): {reordered_scalings:4d} scalings, {reordered_time*1e3:7.1f} ms")
+        print(f"identical sums: {abs(show(total_naive) - show(total_reordered)) < 1e-9}")
+        print(f"speedup: {naive_time / reordered_time:.2f}x  (paper Figure 7: 4.08x)")
+
+        print("\n== polynomial histogram packing (Figure 9) ==")
+        limb_bits = 32
+        width = pack_capacity(context.public_key, limb_bits)
+        values = [rng.randrange(1 << 20) for _ in range(width)]
+        bins = [context.encrypt(float(v), exponent=0) for v in values]
+        packed = pack_ciphers(context, [block.load(c) for c in bins], limb_bits)
 
     start = time.perf_counter()
     for cipher in bins:

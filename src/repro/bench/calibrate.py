@@ -126,7 +126,10 @@ def measure(
     (naive HAdd) and into per-exponent workspaces, whose adds are
     same-exponent HAdds (``t_hadd``) and whose merge completes the
     re-ordered HAdd; each cipher is then scaled by ``B**2`` and
-    multiplied by every scalar of :data:`SMUL_SCALARS`.  The packed row
+    multiplied by every scalar of :data:`SMUL_SCALARS`.  The sums,
+    scalings and SMuls run on the ciphers' operands in a
+    :meth:`~PaillierContext.resident` block, as Party A's builds do: on
+    the engine's arena.  The packed row
     decrypts the pack the trainer ships: ``layout.capacity`` shifted
     prefix sums of a node of ``samples`` instances, ``layout.stride``
     bits apart, for ``layout = config.gradient_layout(samples)``.
@@ -167,28 +170,30 @@ def measure(
         context.decrypt(cipher, bound)
     seconds["dec_one_prime"] = per_op(start, samples)
 
-    start = timer()
-    context.sum_ciphers(ciphers)
-    seconds["hadd_naive"] = per_op(start, samples - 1)
-
-    workspace = ExponentWorkspace(context)
-    start = timer()
-    for cipher in ciphers:
-        workspace.add(cipher)
-    seconds["t_hadd"] = per_op(start, samples - len(workspace.exponents))
-    workspace.finalize()
-    seconds["hadd_reordered"] = per_op(start, samples - 1)
-
-    start = timer()
-    for cipher in ciphers:
-        context.scale_to(cipher, cipher.exponent + 2)
-    seconds["t_scale"] = per_op(start, samples)
-
-    for name, scalar in SMUL_SCALARS.items():
+    with context.resident() as block:
+        operands = [block.load(cipher) for cipher in ciphers]
         start = timer()
-        for cipher in ciphers:
-            context.multiply(cipher, scalar)
-        seconds[name] = per_op(start, samples)
+        context.sum_ciphers(operands)
+        seconds["hadd_naive"] = per_op(start, samples - 1)
+
+        workspace = ExponentWorkspace(context)
+        start = timer()
+        for operand in operands:
+            workspace.add(operand)
+        seconds["t_hadd"] = per_op(start, samples - len(workspace.exponents))
+        workspace.finalize()
+        seconds["hadd_reordered"] = per_op(start, samples - 1)
+
+        start = timer()
+        for operand in operands:
+            context.scale_to(operand, operand.exponent + 2)
+        seconds["t_scale"] = per_op(start, samples)
+
+        for name, scalar in SMUL_SCALARS.items():
+            start = timer()
+            for operand in operands:
+                context.multiply(operand, scalar)
+            seconds[name] = per_op(start, samples)
 
     array = np.asarray(values * 40, dtype=np.float64)
     start = timer()
@@ -209,7 +214,9 @@ def measure(
         layout.shift(samples) + sum(pairs[: (k + 1) * samples // bins])
         for k in range(layout.capacity)
     ]
-    packed = pack_ciphers(context, layout.encrypt(context, slots), layout.stride)
+    with context.resident() as block:
+        slot_ciphers = [block.load(cipher) for cipher in layout.encrypt(context, slots)]
+        packed = pack_ciphers(context, slot_ciphers, layout.stride)
     repeats = max(1, samples // layout.capacity)
     start = timer()
     for _ in range(repeats):

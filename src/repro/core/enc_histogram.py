@@ -32,7 +32,7 @@ from itertools import compress
 import numpy as np
 
 from repro.crypto.accumulation import ExponentWorkspace
-from repro.crypto.ciphertext import EncryptedNumber, PaillierContext
+from repro.crypto.ciphertext import Block, EncryptedNumber, PaillierContext
 from repro.crypto.packing import (
     GradHessLayout,
     PackedCipher,
@@ -66,12 +66,13 @@ class EncryptedHistogram:
     gradients / hessians of the node's instances falling in bin ``k`` of
     the party-local feature ``j``.  Built from pair ciphers,
     ``grad_bins`` hold the ``(g, h)`` sums of the first ``n_bins - 1``
-    bins only, a bin no instance fell in is ``None`` (it costs the
-    packer nothing) and ``hess_bins`` is empty.  A held bin is the
-    product mod ``n**2`` of its instances' ciphers, whatever order or
-    grouping the build multiplied them in; built inside the caller's
-    :meth:`~PaillierContext.resident` block, it is that block's operand
-    for the product, valid only until the block is left.
+    bins only, as operands of the builder's
+    :meth:`~PaillierContext.resident` block (valid until it is left,
+    for :func:`pack_histogram`); a bin no instance fell in is ``None``
+    (it costs the packer nothing) and ``hess_bins`` is empty.  A held
+    bin is the product mod ``n**2`` of its instances' ciphers, whatever
+    order or grouping the build multiplied them in.  The unpacked
+    builds' bins are :class:`EncryptedNumber` s, ready for the wire.
     """
 
     grad_bins: list[list[EncryptedNumber | None]]
@@ -90,24 +91,22 @@ class EncryptedHistogram:
 
 
 def _add_into(
-    context: PaillierContext,
-    table: dict[int, EncryptedNumber],
-    keys: Iterable[int],
-    ciphers: Iterable[EncryptedNumber],
+    context: PaillierContext, table: dict[int, object], keys: Iterable[int], operands: Iterable
 ) -> None:
-    """``table[key] += cipher`` in arrival order; a key's first cipher is free."""
+    """``table[key] += operand`` in arrival order; a key's first operand is free."""
     add, held_at = context.add, table.get
-    for key, cipher in zip(keys, ciphers):
+    for key, operand in zip(keys, operands):
         held = held_at(key)
-        table[key] = cipher if held is None else add(held, cipher)
+        table[key] = operand if held is None else add(held, operand)
 
 
 def _paired_bins(
     context: PaillierContext,
+    block: Block,
     node_codes: np.ndarray,
-    ciphers: list[EncryptedNumber],
+    operands: list,
     width: int,
-) -> list[dict[int, EncryptedNumber]]:
+) -> list[dict[int, object]]:
     """The first ``width`` bins of every feature, two features per HAdd.
 
     Features are taken two at a time.  An instance whose codes ``(a, b)``
@@ -120,37 +119,28 @@ def _paired_bins(
     the products are the same integers because multiplication mod
     ``n**2`` commutes.  One table (at most ``min(n, width**2)`` cells)
     is alive at a time; a left-over odd feature is accumulated alone.
-
-    The node's ciphers are added as Montgomery-form BIGNUMs where the
-    engine has them (:meth:`PaillierContext.resident`); as soon as a
-    pair is done its other products go back to the pool.  Its bins stay
-    operands when the build runs inside the caller's block (the packer
-    goes on with them), and are settled back to ciphers otherwise.
+    As soon as a pair is done its other products go back to the pool.
     """
     n_features = node_codes.shape[1]
     held = node_codes < width
-    bins: list[dict[int, EncryptedNumber]] = [{} for _ in range(n_features)]
+    bins: list[dict[int, object]] = [{} for _ in range(n_features)]
 
-    with context.resident(ciphers) as operands:
-        finish = operands.keep if operands.enclosed else operands.settle
+    def route(table, mask, keys):
+        _add_into(context, table, keys[mask].tolist(), compress(operands, mask.tolist()))
 
-        def route(table, mask, keys):
-            chosen = compress(operands.ciphers, mask.tolist())
-            _add_into(context, table, keys[mask].tolist(), chosen)
-
-        for j in range(0, n_features - 1, 2):
-            a, b = node_codes[:, j], node_codes[:, j + 1]
-            in_a, in_b = held[:, j], held[:, j + 1]
-            joint: dict[int, EncryptedNumber] = {}
-            route(joint, in_a & in_b, a * width + b)
-            route(bins[j], in_a & ~in_b, a)
-            route(bins[j + 1], in_b & ~in_a, b)
-            _add_into(context, bins[j], (key // width for key in joint), joint.values())
-            _add_into(context, bins[j + 1], (key % width for key in joint), joint.values())
-            finish(bins[j], bins[j + 1])
-        if n_features % 2:
-            route(bins[-1], held[:, -1], node_codes[:, -1])
-            finish(bins[-1])
+    for j in range(0, n_features - 1, 2):
+        mark = block.mark()
+        a, b = node_codes[:, j], node_codes[:, j + 1]
+        in_a, in_b = held[:, j], held[:, j + 1]
+        joint: dict[int, object] = {}
+        route(joint, in_a & in_b, a * width + b)
+        route(bins[j], in_a & ~in_b, a)
+        route(bins[j + 1], in_b & ~in_a, b)
+        _add_into(context, bins[j], (key // width for key in joint), joint.values())
+        _add_into(context, bins[j + 1], (key % width for key in joint), joint.values())
+        block.recycle(mark, (*bins[j].values(), *bins[j + 1].values()))
+    if n_features % 2:
+        route(bins[-1], held[:, -1], node_codes[:, -1])
     return bins
 
 
@@ -158,39 +148,44 @@ def build_encrypted_histogram(
     context: PaillierContext,
     codes: np.ndarray,
     instance_rows: np.ndarray,
-    grad_ciphers: list[EncryptedNumber],
-    hess_ciphers: list[EncryptedNumber] | None,
+    grad_ciphers: list,
+    hess_ciphers: list | None,
     n_bins: int,
     reordered: bool,
 ) -> EncryptedHistogram:
     """Accumulate encrypted statistics into a node's histogram.
 
+    Runs in the context's open :meth:`~PaillierContext.resident` block.
+
     Args:
         context: the passive party's (public) Paillier context.
         codes: party-local ``(N, D)`` bin-code matrix.
         instance_rows: rows sitting on the node.
-        grad_ciphers / hess_ciphers: full-length cipher lists indexed by
-            global row id (as received from the active party);
-            ``hess_ciphers`` is ``None`` when ``grad_ciphers`` are
-            ``(g, h)`` pair ciphers.  Those share one exponent, so a bin
-            is a plain product and the build is :func:`_paired_bins`:
-            instances in a feature's last bin are skipped (the receiver
-            derives that bin) and an empty bin is held as ``None``.
-            Inside an open :meth:`PaillierContext.resident` block the
-            bins stay the block's operands, for :func:`pack_histogram`.
+        grad_ciphers / hess_ciphers: full-length lists of the block's
+            operands, indexed by global row id (the active party's
+            ciphers, loaded); ``hess_ciphers`` is ``None`` when
+            ``grad_ciphers`` are ``(g, h)`` pair ciphers.  Those share
+            one exponent, so a bin is a plain product and the build is
+            :func:`_paired_bins`: instances in a feature's last bin are
+            skipped (the receiver derives that bin), an empty bin is
+            held as ``None`` and the bins stay operands, for
+            :func:`pack_histogram`.
         n_bins: bins per feature ``s``.
         reordered: with two jittered ciphers per instance, use
             per-exponent workspaces (§5.1) instead of the naive
             in-arrival-order accumulation; pair ciphers have nothing to
-            re-order.  The naive build adds and scales Montgomery-form
-            BIGNUMs where the engine has them
-            (:meth:`PaillierContext.resident`), settling each feature's
-            bins as soon as the feature is done.
+            re-order.  Either unpacked build unloads a feature's bins to
+            ciphers, and hands its products back to the pool, as soon as
+            the feature is done.
 
     Raises:
         BinCodeError: when a code of the node lies outside ``[0, n_bins)``
             (it would land in another feature's joint cell).
+        TypeError: no block is open on ``context``.
     """
+    block = context.block
+    if block is None:
+        raise TypeError("no resident block is open: the build adds its operands")
     rows = np.asarray(instance_rows, dtype=np.int64)
     node_codes = codes[rows].astype(np.int64, copy=False)
     if ((node_codes < 0) | (node_codes >= n_bins)).any():
@@ -198,7 +193,7 @@ def build_encrypted_histogram(
     row_ids = rows.tolist()
     if hess_ciphers is None:
         bins = _paired_bins(
-            context, node_codes, [grad_ciphers[i] for i in row_ids], n_bins - 1
+            context, block, node_codes, [grad_ciphers[i] for i in row_ids], n_bins - 1
         )
         return EncryptedHistogram(
             [[table.get(k) for k in range(n_bins - 1)] for table in bins],
@@ -206,36 +201,30 @@ def build_encrypted_histogram(
             int(rows.size),
             n_bins,
         )
-    n_features = codes.shape[1]
     zero_exponent = context.encoder.exponent
     feature_codes = node_codes.T.tolist()
 
-    def accumulate(ciphers: list[EncryptedNumber]) -> list[list[EncryptedNumber]]:
-        node_ciphers = [ciphers[i] for i in row_ids]
+    def feature_sums(column: list[int], node_operands: list) -> list:
         if reordered:
-            workspaces = [
-                [ExponentWorkspace(context) for _ in range(n_bins)]
-                for _ in range(n_features)
-            ]
-            for row, column in zip(workspaces, feature_codes):
-                for k, cipher in zip(column, node_ciphers):
-                    row[k].add(cipher)
-            return [
-                [ws.finalize_or_zero(zero_exponent) for ws in row]
-                for row in workspaces
-            ]
-        tables: list[dict[int, EncryptedNumber]] = [{} for _ in range(n_features)]
-        with context.resident(node_ciphers) as operands:
-            for table, column in zip(tables, feature_codes):
-                _add_into(context, table, column, operands.ciphers)
-                operands.settle(table)
+            workspaces = [ExponentWorkspace(context) for _ in range(n_bins)]
+            for k, operand in zip(column, node_operands):
+                workspaces[k].add(operand)
+            return [ws.finalize_or_zero(zero_exponent) for ws in workspaces]
+        table: dict[int, object] = {}
+        _add_into(context, table, column, node_operands)
         return [
-            [
-                table[k] if k in table else context.encrypt_zero(zero_exponent)
-                for k in range(n_bins)
-            ]
-            for table in tables
+            table[k] if k in table else context.encrypt_zero(zero_exponent)
+            for k in range(n_bins)
         ]
+
+    def accumulate(operands: list) -> list[list[EncryptedNumber]]:
+        node_operands = [operands[i] for i in row_ids]
+        features = []
+        for column in feature_codes:
+            mark = block.mark()
+            features.append([block.unload(s) for s in feature_sums(column, node_operands)])
+            block.recycle(mark)
+        return features
 
     return EncryptedHistogram(
         accumulate(grad_ciphers), accumulate(hess_ciphers), int(rows.size), n_bins
@@ -331,16 +320,17 @@ def pack_histogram(
        pack each group of ``t`` with ``t - 1`` HAdd + ``t - 1`` SMul
        (one exponent throughout: nothing to align).
 
-    Called in the :meth:`PaillierContext.resident` block the histogram
-    was built in, every step works on the block's operands (the zero
-    of an empty first bin too) and only the packs are unloaded.  A node
-    without slots (``s = 1``, or no features) packs to nothing.
+    Runs in the :meth:`PaillierContext.resident` block the histogram
+    was built in: every step works on the block's operands (the zero of
+    an empty first bin too) and only the packs are unloaded, each
+    pack's Horner products back in the pool before the next pack.  A
+    node without slots (``s = 1``, or no features) packs to nothing.
     """
     shift = layout.shift(encrypted.n_instances)
     capacity = layout.capacity
-    slots: list[EncryptedNumber] = []
+    slots: list = []
     for bins in encrypted.grad_bins:
-        running: EncryptedNumber | None = None
+        running = None
         for cell in bins:
             if running is None:
                 if cell is None:

@@ -34,6 +34,7 @@ real run would ship, what those absent ciphers would open to
 
 from __future__ import annotations
 
+import contextlib
 from itertools import chain
 
 import numpy as np
@@ -130,12 +131,19 @@ class PassiveParty(_Party):
             raise ValueError("a passive party must not hold the private key")
         super().__init__(party, config, dataset, context)
         self.peers = list(peers)
-        self.grads = self.hesses = None  # ciphers, by global row id
+        # by global row id: the tree's operands (real mode) or plaintexts
+        self.grads = self.hesses = None
+        self._tree = contextlib.ExitStack()  # the tree's resident block
         self.to_build: list[int] = []  # the next layer's built nodes
         self.splits: dict[int, tuple[int, int]] = {}  # own nodes -> (feature, bin)
 
     def receive_gradients(self, channel) -> None:
-        """GradEnc: take every batch B sent; a new tree starts at its root."""
+        """GradEnc: take every batch B sent; a new tree starts at its root.
+
+        Real mode opens the tree's :meth:`~PaillierContext.resident`
+        block and loads every cipher into it once; every build and pack
+        of the tree runs on those operands, until :meth:`end_tree`.
+        """
         n = self.dataset.n_instances
         batches = []
         for start, _ in _batches(self.config, n):
@@ -153,6 +161,10 @@ class PassiveParty(_Party):
         grads, hesses = (join(parts) for parts in zip(*batches))
         if len(grads) != n or len(hesses) not in (0, n):
             raise ProtocolError(f"party {self.id}: batches cover {len(grads)} of {n} rows")
+        self.end_tree()
+        if self.context is not None:
+            load = self._tree.enter_context(self.context.resident()).load
+            grads, hesses = [load(c) for c in grads], [load(c) for c in hesses]
         self.grads, self.hesses = grads, hesses if len(hesses) else None
         self.node_rows = {0: np.arange(n, dtype=np.int64)}
         self.to_build, self.splits = [0], {}
@@ -193,11 +205,14 @@ class PassiveParty(_Party):
 
         if layout is not None:
             message = PackedHistogramMessage(self.id, ACTIVE)
+            block = context.block
             for node_id in nodes:
-                # build, shift, prefix sums and packs on resident BIGNUMs:
-                # only the finished packs leave the block as integers
-                with context.resident():
-                    packed = enc_histogram.pack_histogram(context, build(node_id), layout)
+                # build, shift, prefix sums and packs on the tree's operands:
+                # only the finished packs leave the block as integers, and
+                # the node's bins and slots go back before the next node
+                mark = block.mark()
+                packed = enc_histogram.pack_histogram(context, build(node_id), layout)
+                block.recycle(mark)
                 message.packed[node_id] = packed.packs
         else:
             message = EncryptedHistogramMessage(self.id, ACTIVE)
@@ -224,6 +239,12 @@ class PassiveParty(_Party):
             )
         self.to_build.append(self._place(node_id, placement)[0])
 
+    def end_tree(self) -> None:
+        """Leave the tree's block, if one is open: its operands go back to the pool."""
+        if self.context is not None:
+            self.grads = self.hesses = None
+        self._tree.close()
+
     def receive_placement(self, channel, owner: int) -> None:
         """Split, as a bystander: apply the owner's placement bitmap."""
         message = _receive(channel, owner, self.id, InstancePlacement)
@@ -235,6 +256,7 @@ class PassiveParty(_Party):
         message = _receive(channel, ACTIVE, self.id, LeafWeightBroadcast)
         if not set(message.weights) <= set(self.node_rows):
             raise ProtocolError(f"party {self.id}: weights for leaves it never saw")
+        self.end_tree()
         return {
             node_id: self.dataset.threshold_for(feature, bin_index)
             for node_id, (feature, bin_index) in self.splits.items()

@@ -380,7 +380,11 @@ class FederatedTrainer:
 
         for t in range(start_tree, params.n_trees):
             self._emit_event(run, "tree_start", tree=t)
-            tree, tree_trace = self._train_tree(run, t)
+            try:
+                tree, tree_trace = self._train_tree(run, t)
+            finally:  # however the tree ends, every Party A leaves its tree's block
+                for party in run.passives.values():
+                    party.end_tree()
             model.trees.append(tree)
             trace.trees.append(tree_trace)
             record = EvalRecord(tree_index=t, train_loss=active.train_loss())

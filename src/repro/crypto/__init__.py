@@ -3,14 +3,15 @@
 Public surface:
 
 * :func:`generate_keypair` / :class:`PaillierContext` — key management
-  and encrypted arithmetic with fixed-point encoding.
+  and encrypted arithmetic with fixed-point encoding, on the operands
+  of a :meth:`PaillierContext.resident` block.
 * :mod:`repro.crypto.accumulation` — re-ordered histogram accumulation.
 * :mod:`repro.crypto.packing` — polynomial-based cipher packing and
   the two-limb ``(g, h)`` plaintext layout of the packed protocol path.
 * :mod:`repro.crypto.math_utils` — the ``powmod`` / ``invert``
   choke points for every power of an ``int`` (libcrypto, or built-in
-  ``pow``), the Montgomery arena the histogram builds add and scale
-  in, and the key holder's CRT route.
+  ``pow``), the arena (libcrypto's Montgomery BIGNUMs or ``int`` s)
+  every block's ops run in, and the key holder's CRT route.
 """
 
 from repro.crypto.accumulation import ExponentWorkspace, reordered_sum

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.crypto.ciphertext import EncryptedNumber, PaillierContext
+from repro.crypto.ciphertext import PaillierContext
 
 __all__ = ["ExponentWorkspace", "reordered_sum"]
 
@@ -25,12 +25,13 @@ class ExponentWorkspace:
 
     Mirrors the paper's "allocate individual workspaces for different
     exponential values temporarily, and accumulate the gradient
-    statistics to the corresponding one".
+    statistics to the corresponding one".  It holds operands of the
+    context's open :meth:`~PaillierContext.resident` block.
     """
 
     def __init__(self, context: PaillierContext) -> None:
         self._context = context
-        self._partials: dict[int, EncryptedNumber] = {}
+        self._partials: dict[int, object] = {}
         self._count = 0
 
     def __len__(self) -> int:
@@ -41,8 +42,8 @@ class ExponentWorkspace:
         """Distinct exponents currently held, ascending."""
         return sorted(self._partials)
 
-    def add(self, number: EncryptedNumber) -> None:
-        """Accumulate one cipher into its exponent's workspace (no scaling)."""
+    def add(self, number) -> None:
+        """Accumulate one operand into its exponent's workspace (no scaling)."""
         existing = self._partials.get(number.exponent)
         if existing is None:
             self._partials[number.exponent] = number
@@ -51,8 +52,8 @@ class ExponentWorkspace:
             self._partials[number.exponent] = self._context.add(existing, number)
         self._count += 1
 
-    def finalize(self) -> EncryptedNumber:
-        """Merge all workspaces into one cipher with ``E - 1`` scalings.
+    def finalize(self):
+        """Merge all workspaces into one operand with ``E - 1`` scalings.
 
         Merging ascends the exponent ladder so every intermediate scale
         hop is as small as possible.
@@ -62,7 +63,7 @@ class ExponentWorkspace:
         """
         if not self._partials:
             raise ValueError("workspace is empty")
-        total: EncryptedNumber | None = None
+        total = None
         for exponent in sorted(self._partials):
             part = self._partials[exponent]
             if total is None:
@@ -72,17 +73,15 @@ class ExponentWorkspace:
         assert total is not None
         return total
 
-    def finalize_or_zero(self, exponent: int) -> EncryptedNumber:
+    def finalize_or_zero(self, exponent: int):
         """Like :meth:`finalize` but empty workspaces yield E(0)."""
         if not self._partials:
             return self._context.encrypt_zero(exponent)
         return self.finalize()
 
 
-def reordered_sum(
-    context: PaillierContext, numbers: Iterable[EncryptedNumber]
-) -> EncryptedNumber:
-    """Re-ordered accumulation: group by exponent, then one merge pass."""
+def reordered_sum(context: PaillierContext, numbers: Iterable):
+    """Re-ordered accumulation of operands: group by exponent, then one merge pass."""
     workspace = ExponentWorkspace(context)
     for number in numbers:
         workspace.add(number)

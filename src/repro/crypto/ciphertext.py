@@ -7,11 +7,16 @@ GBDT algorithm actually uses:
 * ``[[u]] (+) [[v]]`` — homomorphic addition, *scaling* the cipher with
   the smaller exponent first when exponents differ (§2.2 / Figure 8);
 * ``k (x) [[v]]`` — scalar multiplication;
-* cheap plaintext addition (used by histogram packing's shift);
-* :meth:`PaillierContext.resident` — a block in which ciphers are
-  Montgomery-form BIGNUM handles, an HAdd or a plaintext addition is
-  one libcrypto product and a scaling or an integer SMul one libcrypto
-  power (Party A's histogram builds and packs).
+* cheap plaintext addition (used by histogram packing's shift).
+
+Arithmetic runs in a :meth:`PaillierContext.resident` block, on
+*operands*: ciphers loaded into an arena mod ``n**2``
+(:func:`~repro.crypto.math_utils.arena`), each tagged with its exponent.
+An HAdd or a plaintext addition is one arena product, a scaling or an
+integer SMul one arena power — on libcrypto a Montgomery-form BIGNUM
+product or power, on the ``int`` engine the same integers.  An
+:class:`EncryptedNumber` is a cipher outside a block: what crosses the
+wire, is decrypted, or is loaded into one.
 
 Every operation is counted once, in the context-local :class:`OpStats`
 — the one op ledger of a run.  The cost model prices it, the ``CR003``
@@ -24,9 +29,10 @@ from __future__ import annotations
 
 import contextlib
 import random
-from collections.abc import Iterator, Sequence
-from dataclasses import asdict, dataclass, field
+from collections.abc import Iterator
+from dataclasses import asdict, dataclass, field, fields, replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 from repro.crypto import math_utils
 from repro.crypto.encoding import DEFAULT_BASE, DEFAULT_EXPONENT, EncodedNumber, Encoder
@@ -38,11 +44,10 @@ from repro.crypto.paillier import (
 )
 
 __all__ = [
+    "Block",
     "OpStats",
     "EncryptedNumber",
     "PaillierContext",
-    "ResidentCiphers",
-    "ResidentNumber",
 ]
 
 
@@ -64,34 +69,16 @@ class OpStats:
 
     def snapshot(self) -> "OpStats":
         """Return a copy of the current counters."""
-        return OpStats(
-            self.encryptions,
-            self.decryptions,
-            self.additions,
-            self.scalings,
-            self.scalar_multiplications,
-            self.plain_additions,
-        )
+        return replace(self)
 
     def diff(self, earlier: "OpStats") -> "OpStats":
         """Counters accumulated since ``earlier`` was snapshotted."""
-        return OpStats(
-            self.encryptions - earlier.encryptions,
-            self.decryptions - earlier.decryptions,
-            self.additions - earlier.additions,
-            self.scalings - earlier.scalings,
-            self.scalar_multiplications - earlier.scalar_multiplications,
-            self.plain_additions - earlier.plain_additions,
-        )
+        return OpStats(*(getattr(self, f.name) - getattr(earlier, f.name) for f in fields(self)))
 
     def reset(self) -> None:
         """Zero all counters."""
-        self.encryptions = 0
-        self.decryptions = 0
-        self.additions = 0
-        self.scalings = 0
-        self.scalar_multiplications = 0
-        self.plain_additions = 0
+        for f in fields(self):
+            setattr(self, f.name, 0)
 
     def to_dict(self) -> dict[str, int]:
         """JSON-ready counter mapping (RunReport / golden party sweep)."""
@@ -102,12 +89,14 @@ class OpStats:
 class EncryptedNumber:
     """A Paillier cipher of an encoded float: ``<e, [[V]]>``.
 
+    The form a cipher has outside a :meth:`PaillierContext.resident`
+    block: on the wire, at the key holder, or about to be loaded.
     Instances are immutable and have no arithmetic operators: every
-    operation is an explicit, counted :class:`PaillierContext` call
-    (``add``, ``multiply``, ``add_plain``), so each line names the op it
-    pays for.  ``a * b`` (Paillier multiplies no two ciphers) and
-    ``a + 1.0`` (a plaintext add hidden behind ``+``) raise
-    ``TypeError``.
+    operation is an explicit, counted :class:`PaillierContext` call on
+    the cipher's operand in a block (``add``, ``multiply``,
+    ``add_plain``), so each line names the op it pays for.  ``a * b``
+    (Paillier multiplies no two ciphers) and ``a + 1.0`` (a plaintext
+    add hidden behind ``+``) raise ``TypeError``.
     """
 
     context: "PaillierContext" = field(repr=False)
@@ -119,24 +108,23 @@ class EncryptedNumber:
         return 2 * self.context.public_key.key_bits
 
 
-class ResidentNumber:
-    """A resident handle at its exponent: an operand of a block of mixed exponents.
-
-    Made only inside :meth:`PaillierContext.resident`, and never valid
-    outside it.
-    """
-
-    __slots__ = ("handle", "exponent")
-
-    def __init__(self, handle, exponent: int) -> None:
-        self.handle = handle
-        self.exponent = exponent
+def _not_operands(handle, *operands) -> TypeError:
+    """The error for an op given something other than an operand of the open
+    block, whose handles are ``handle`` s (``None``: no block is open)."""
+    if handle is None:
+        return TypeError("no resident block is open: PaillierContext ops take its operands")
+    stranger = next((x for x in operands if type(x) is not handle), operands[0])
+    return TypeError(
+        f"PaillierContext ops take operands of the open resident block, not {type(stranger).__name__}"
+    )
 
 
-def _not_a_cipher(a, b=None):
-    """Refuse the operand ``a``: also :meth:`PaillierContext.add`'s product and
-    ``scale_to``'s power outside a block."""
-    raise TypeError(f"PaillierContext takes EncryptedNumber operands, not {type(a).__name__}")
+def _closed(*_operands, **_options):
+    raise _not_operands(None)
+
+
+#: the arena of a context with no open block: it refuses every op
+_CLOSED = SimpleNamespace(load=_closed, multiply=_closed, power=_closed, unload=_closed, handle=None)
 
 
 def _scaled_bound(bound: float, base: int, exponent: int) -> int:
@@ -156,11 +144,12 @@ def _scaled_bound(bound: float, base: int, exponent: int) -> int:
 
 
 class PaillierContext:
-    """Factory and arithmetic engine for :class:`EncryptedNumber`.
+    """Factory of :class:`EncryptedNumber` s and arithmetic engine for their operands.
 
     One context per keypair. Party B holds a context with the private
     key; Party A receives a *public* context (:meth:`public_context`)
-    that can add/scale ciphers but cannot decrypt.
+    that can add/scale ciphers in a :meth:`resident` block but cannot
+    decrypt.
 
     Args:
         public_key: Paillier public key.
@@ -199,9 +188,11 @@ class PaillierContext:
             private_key=private_key,
         )
         self.stats = OpStats()
-        # the open resident block, its product and its power (see resident())
-        self._block: _Block | None = None
-        self._resident_product = self._resident_power = _not_a_cipher
+        #: the open :meth:`resident` block, ``None`` outside one
+        self.block: Block | None = None
+        # the open block's arena, and the g**raw it loaded
+        self._arena = _CLOSED
+        self._plains: dict[int, object] = {}
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -304,226 +295,142 @@ class PaillierContext:
         return self._private_key.raw_decrypt(number.ciphertext)
 
     # ------------------------------------------------------------------
-    # Homomorphic arithmetic
+    # Homomorphic arithmetic: one body each, over the open block's operands
     # ------------------------------------------------------------------
-    def add(self, a: EncryptedNumber, b: EncryptedNumber) -> EncryptedNumber:
-        """HAdd with exponent alignment.
+    def add(self, a, b):
+        """HAdd of two operands, with exponent alignment: one arena product.
 
-        When the exponents differ, the cipher with the *smaller*
+        When the exponents differ, the operand with the *smaller*
         exponent is scaled up by ``B**diff`` first — one SMul-grade
-        exponentiation, counted separately as a *scaling* so the
-        re-ordered accumulation benefit is measurable.
-
-        Inside :meth:`resident`, ``a`` and ``b`` may be the block's
-        operands instead: the HAdd is then one Montgomery product and
-        returns an operand — a bare handle when the block holds one
-        exponent, else a :class:`ResidentNumber` aligned as above.
-        An operand that is neither (a :class:`~repro.crypto.packing.PackedCipher`,
-        a handle outside its block) raises ``TypeError`` and counts no
-        HAdd.
+        power, counted separately as a *scaling* so the re-ordered
+        accumulation benefit is measurable.  Anything but an operand of
+        the open block (a cipher, a
+        :class:`~repro.crypto.packing.PackedCipher`, ``None``, an
+        ``int``, bytes) raises ``TypeError`` and counts no HAdd.
         """
-        if type(a) is not EncryptedNumber:
-            product = self._resident_product(a, b)
-            self.stats.additions += 1
-            return product
-        if type(b) is not EncryptedNumber:
-            _not_a_cipher(b)
-        a, b = self._align(a, b)
+        try:
+            exponent = a.exponent
+            aligned = exponent == b.exponent
+        except AttributeError:
+            raise _not_operands(self._arena.handle, a, b) from None
+        if not aligned:
+            a, b = self._align(a, b)
+            exponent = a.exponent
+        product = self._arena.multiply(a, b)
+        product.exponent = exponent
         self.stats.additions += 1
-        raw = self.public_key.raw_add(a.ciphertext, b.ciphertext)
-        return EncryptedNumber(self, raw, a.exponent)
+        return product
 
-    def _align(
-        self, a: EncryptedNumber, b: EncryptedNumber
-    ) -> tuple[EncryptedNumber, EncryptedNumber]:
-        if a.exponent == b.exponent:
-            return a, b
+    def _align(self, a, b) -> tuple:
+        handle = self._arena.handle
+        if type(a) is not handle or type(b) is not handle:
+            raise _not_operands(handle, a, b)  # before a scaling is counted
         if a.exponent < b.exponent:
-            a = self.scale_to(a, b.exponent)
-        else:
-            b = self.scale_to(b, a.exponent)
-        return a, b
+            return self.scale_to(a, b.exponent), b
+        return a, self.scale_to(b, a.exponent)
 
-    def scale_to(self, number: EncryptedNumber, exponent: int) -> EncryptedNumber:
-        """Scale a cipher to a higher-precision exponent (counted).
+    def scale_to(self, number, exponent: int):
+        """Scale an operand to a higher-precision exponent: one counted arena power.
 
-        A :class:`ResidentNumber` is scaled inside its block: one power
-        of its Montgomery form, a new :class:`ResidentNumber`.  Outside
-        a block it, and any other non-cipher, raises ``TypeError`` and
-        counts no scaling.
+        A non-operand raises ``TypeError`` and counts no scaling.
         """
-        if exponent == number.exponent:
+        try:
+            current = number.exponent
+        except AttributeError:
+            raise _not_operands(self._arena.handle, number) from None
+        if exponent == current:
             return number
-        if exponent < number.exponent:
+        if exponent < current:
             raise ValueError("cannot scale a cipher to lower precision")
-        factor = self.encoder.base ** (exponent - number.exponent)
-        if type(number) is ResidentNumber:
-            scaled = ResidentNumber(self._resident_power(number.handle, factor), exponent)
-        elif type(number) is EncryptedNumber:
-            raw = self.public_key.raw_multiply(number.ciphertext, factor)
-            scaled = EncryptedNumber(self, raw, exponent)
-        else:
-            _not_a_cipher(number)
+        scaled = self._arena.power(number, self.encoder.base ** (exponent - current))
+        scaled.exponent = exponent
         self.stats.scalings += 1
         return scaled
 
-    def add_plain(self, a: EncryptedNumber, value: float) -> EncryptedNumber:
-        """Add a public plaintext float to a cipher without encryption.
+    def add_plain(self, a, value: float):
+        """Add a public plaintext float to an operand without encryption.
 
-        A non-cipher ``a`` raises ``TypeError`` and counts nothing.
+        A non-operand ``a`` raises ``TypeError`` and counts nothing.
         """
-        if type(a) is not EncryptedNumber:
-            _not_a_cipher(a)
+        try:
+            exponent = a.exponent
+        except AttributeError:
+            raise _not_operands(self._arena.handle, a) from None
         encoded = self.encoder.encode(value, exponent=None)
-        if encoded.exponent < a.exponent:
-            encoded = encoded.decrease_exponent_to(a.exponent, self.encoder.base)
-        elif encoded.exponent > a.exponent:
+        if encoded.exponent < exponent:
+            encoded = encoded.decrease_exponent_to(exponent, self.encoder.base)
+        elif encoded.exponent > exponent:
             a = self.scale_to(a, encoded.exponent)
-        self.stats.plain_additions += 1
-        raw = self.public_key.raw_add_plain(a.ciphertext, encoded.value)
-        return EncryptedNumber(self, raw, a.exponent)
+        return self._plain_sum(a, encoded.value)
 
-    def add_plain_raw(self, a: EncryptedNumber, raw_value: int) -> EncryptedNumber:
-        """Add a raw integer (same exponent assumed) to a cipher.
+    def add_plain_raw(self, a, raw_value: int):
+        """Add a raw integer (same exponent assumed) to an operand.
 
-        Inside :meth:`resident`, ``a`` may be an operand of the block:
-        the sum is then one Montgomery product by ``g**raw_value``,
-        loaded once per block and value, and an operand too.  Any other
-        non-cipher raises ``TypeError`` and counts nothing.
+        A non-operand raises ``TypeError`` and counts nothing.
         """
-        if type(a) is not EncryptedNumber:
-            block, handle, exponent = self._operand(a)
-            total = block.bignums.multiply(handle, block.plain(raw_value))
-            self.stats.plain_additions += 1
-            return block.operand_of(total, exponent)
-        self.stats.plain_additions += 1
-        raw = self.public_key.raw_add_plain(a.ciphertext, raw_value)
-        return EncryptedNumber(self, raw, a.exponent)
+        return self._plain_sum(a, raw_value)
 
-    def multiply(self, a: EncryptedNumber, scalar: float) -> EncryptedNumber:
-        """SMul by a float or int scalar.
+    def _plain_sum(self, a, raw_value: int):
+        """One counted plaintext addition: an arena product by
+        ``g**raw_value``, loaded once per block and value."""
+        plain = self._plains.get(raw_value)
+        if plain is None:
+            g_power = self.public_key.plain_cipher(raw_value)
+            plain = self._plains[raw_value] = self._arena.load(g_power)
+        total = self._arena.multiply(a, plain)
+        total.exponent = a.exponent
+        self.stats.plain_additions += 1
+        return total
+
+    def multiply(self, a, scalar: float):
+        """SMul of an operand by a float or int scalar.
 
         Integer scalars keep the exponent unchanged; float scalars are
-        encoded first and their exponent adds to the cipher's.  A
-        non-cipher ``a`` raises ``TypeError`` and counts nothing.
+        encoded first and their exponent adds to the operand's.  A
+        non-operand ``a`` raises ``TypeError`` and counts nothing.
         """
-        if type(a) is not EncryptedNumber:
-            _not_a_cipher(a)
         if isinstance(scalar, int) or float(scalar).is_integer():
-            factor, exponent = int(scalar), a.exponent
-        else:
-            encoded = self.encoder.encode(scalar, exponent=None)
-            factor, exponent = encoded.value, a.exponent + encoded.exponent
-        self.stats.scalar_multiplications += 1
-        raw = self.public_key.raw_multiply(a.ciphertext, factor)
-        return EncryptedNumber(self, raw, exponent)
+            return self._smul(a, int(scalar), 0)
+        encoded = self.encoder.encode(scalar, exponent=None)
+        return self._smul(a, encoded.value, encoded.exponent)
 
-    def multiply_raw(self, a: EncryptedNumber, scalar: int) -> EncryptedNumber:
-        """SMul by a raw integer scalar without exponent bookkeeping.
+    def multiply_raw(self, a, scalar: int):
+        """SMul of an operand by a raw integer scalar, its exponent kept.
 
         Used by cipher packing where the scalar ``2**M`` is a bit-shift
-        in the packed integer domain, not a fixed-point quantity.
-
-        Inside :meth:`resident`, ``a`` may be an operand of the block:
-        the product is then one arena power, not a
-        :func:`~repro.crypto.math_utils.powmod`, and an operand too.
-        Any other non-cipher raises ``TypeError`` and counts nothing.
+        in the packed integer domain, not a fixed-point quantity.  A
+        non-operand raises ``TypeError`` and counts nothing.
         """
-        if type(a) is not EncryptedNumber:
-            block, handle, exponent = self._operand(a)
-            key, bignums = self.public_key, block.bignums
-            scalar %= key.n
-            if scalar > key.max_int * 2:
-                # raw_multiply inverts the cipher for such a scalar: its integer
-                raised = bignums.load(key.raw_multiply(bignums.unload(handle), scalar))
-            else:
-                raised = bignums.power(handle, scalar)
-            self.stats.scalar_multiplications += 1
-            return block.operand_of(raised, exponent)
-        self.stats.scalar_multiplications += 1
-        raw = self.public_key.raw_multiply(a.ciphertext, scalar)
-        return EncryptedNumber(self, raw, a.exponent)
+        return self._smul(a, scalar, 0)
 
-    def encrypt_zero(self, exponent: int) -> EncryptedNumber:
-        """An (unobfuscated) encryption of zero at a given exponent.
+    def _smul(self, a, scalar: int, shift: int):
+        """One counted SMul: ``a`` raised to ``scalar mod n``, the integer
+        :meth:`~repro.crypto.paillier.PaillierPublicKey.raw_multiply`
+        gives, its exponent raised by ``shift``."""
+        key, arena = self.public_key, self._arena
+        scalar %= key.n
+        if scalar > key.max_int * 2:
+            # an encoded negative: raw_multiply raises the inverse to n - scalar
+            product = arena.load(key.raw_multiply(arena.unload(a), scalar))
+        else:
+            product = arena.power(a, scalar)
+        product.exponent = a.exponent + shift
+        self.stats.scalar_multiplications += 1
+        return product
+
+    def encrypt_zero(self, exponent: int):
+        """An (unobfuscated) encryption of zero at a given exponent, as an operand.
 
         Used to initialize histogram bins; not secure on the wire by
         itself, but histogram bins always accumulate obfuscated ciphers
-        before leaving the party.  Inside a :meth:`resident` block that
-        holds ciphers it is the block's operand for that cipher.
+        before leaving the party.
         """
-        block = self._block
-        if block is not None and block.bignums is not None:
-            return block.zero(exponent)
-        return EncryptedNumber(self, 1, exponent)
+        zero = self._arena.load(1)
+        zero.exponent = exponent
+        return zero
 
-    def exponent_of(self, number) -> int:
-        """The exponent of a cipher or of an operand of the open :meth:`resident` block.
-
-        Raises:
-            TypeError: for anything else.
-        """
-        if type(number) is EncryptedNumber:
-            return number.exponent
-        return self._operand(number)[2]
-
-    def cipher_of(self, number) -> EncryptedNumber:
-        """A cipher itself, or an operand of the open block unloaded to one.
-
-        Raises:
-            TypeError: for anything else.
-        """
-        if type(number) is EncryptedNumber:
-            return number
-        block, handle, exponent = self._operand(number)
-        return EncryptedNumber(self, block.bignums.unload(handle), exponent)
-
-    def _operand(self, number) -> tuple["_Block", object, int]:
-        """``(block, handle, exponent)`` of an operand of the open block."""
-        block = self._block
-        if block is None:
-            _not_a_cipher(number)
-        return block, *block.handle_of(number)
-
-    @contextlib.contextmanager
-    def resident(self, ciphers: Sequence[EncryptedNumber] = ()) -> Iterator["ResidentCiphers"]:
-        """A block in which ciphers are Montgomery-form BIGNUMs.
-
-        The value's ``ciphers`` stand for the given ones, in order, when
-        the engine has an arena
-        (:func:`~repro.crypto.math_utils.montgomery_arena`): bare
-        resident handles if every cipher of the block's first load has
-        one exponent, :class:`ResidentNumber` s carrying their exponents
-        otherwise.  Without an arena, or without ciphers, they are the
-        ciphers themselves.  Either way :meth:`add`, :meth:`scale_to`,
-        :meth:`add_plain_raw` and :meth:`multiply_raw` take them,
-        counted as always, and :meth:`ResidentCiphers.settle` (or
-        :meth:`cipher_of`, one at a time) turns finished operands back
-        into :class:`EncryptedNumber` s — the same integers ``int``
-        arithmetic gives.
-
-        A call inside an open block joins it: its ciphers load into the
-        same arena (``enclosed`` is set on the value) and its operands
-        live until the enclosing block is left.  Leaving the outermost
-        block returns every BIGNUM to the pool; no operand may escape it.
-
-        Raises:
-            ValueError: a load into a block of bare handles whose ciphers
-                do not all have the block's exponent.
-        """
-        if self._block is not None:
-            yield ResidentCiphers(ciphers, self._block, enclosed=True)
-            return
-        with contextlib.ExitStack() as stack:
-            self._block = block = _Block(self, stack)
-            try:
-                yield ResidentCiphers(ciphers, block, enclosed=False)
-            finally:
-                self._block = None
-                self._resident_product = self._resident_power = _not_a_cipher
-
-    def sum_ciphers(self, numbers) -> EncryptedNumber:
-        """Naive left-to-right HAdd reduction (baseline accumulation)."""
+    def sum_ciphers(self, numbers):
+        """Naive left-to-right HAdd reduction of operands (baseline accumulation)."""
         iterator = iter(numbers)
         try:
             total = next(iterator)
@@ -533,147 +440,56 @@ class PaillierContext:
             total = self.add(total, number)
         return total
 
+    @contextlib.contextmanager
+    def resident(self) -> Iterator["Block"]:
+        """A block in which ciphers are operands of an arena mod ``n**2``.
 
-class _Block:
-    """A context's open :meth:`PaillierContext.resident` block.
-
-    Its arena opens with the first ciphers the block loads; that load
-    fixes whether the block's operands are bare handles at its one
-    ``exponent`` or :class:`ResidentNumber` s (``exponent`` ``None``).
-    """
-
-    def __init__(self, context: PaillierContext, stack: contextlib.ExitStack) -> None:
-        self.context = context
-        self.bignums = None  # the arena's value, once open
-        self.exponent: int | None = None
-        self._stack = stack
-        self._plains: dict[int, object] = {}  # raw plaintext -> g**raw, loaded
-        self._one = None  # the unobfuscated zero cipher, loaded
-
-    def admit(self, ciphers: Sequence[EncryptedNumber]) -> bool:
-        """Whether ``ciphers`` load into the arena, opened for the first of them."""
-        exponents = {cipher.exponent for cipher in ciphers}
-        exponent = exponents.pop() if len(exponents) == 1 else None
-        if self.bignums is not None:
-            if self.exponent is not None and exponent != self.exponent:
-                raise ValueError(
-                    f"a resident block at exponent {self.exponent} loads no other exponent"
-                )
-            return True
-        arena = math_utils.montgomery_arena(self.context.public_key.n_squared)
-        if arena is None:
-            return False
-        self.bignums = bignums = self._stack.enter_context(arena)
-        self.exponent = exponent
-        context, multiply = self.context, bignums.multiply
-
-        def aligned_product(a: ResidentNumber, b: ResidentNumber) -> ResidentNumber:
-            a, b = context._align(a, b)
-            return ResidentNumber(multiply(a.handle, b.handle), a.exponent)
-
-        context._resident_product = multiply if exponent is not None else aligned_product
-        context._resident_power = bignums.power
-        return True
-
-    def handle_of(self, number) -> tuple[object, int]:
-        """``(handle, exponent)`` of one of the block's operands.
+        :meth:`Block.load` turns a cipher into an operand, tagged with
+        its exponent; every op of this context takes and returns such
+        operands, counted as always; :meth:`Block.unload` turns one back
+        into a cipher — the same integers on every engine.  The arena is
+        libcrypto's where the engine has it, else the ``int`` one
+        (:func:`~repro.crypto.math_utils.arena`).  Leaving the block,
+        however it is left, returns every BIGNUM to the pool: no operand
+        may escape it.
 
         Raises:
-            TypeError: ``number`` is not one.
+            RuntimeError: a block is already open on this context.
         """
-        if self.bignums is not None:
-            if self.exponent is None:
-                if type(number) is ResidentNumber:
-                    return number.handle, number.exponent
-            elif type(number) is self.bignums.handle:
-                return number, self.exponent
-        _not_a_cipher(number)
-
-    def operand_of(self, handle, exponent: int):
-        """A handle at ``exponent`` as the block's operands are: bare or a :class:`ResidentNumber`."""
-        return handle if self.exponent is not None else ResidentNumber(handle, exponent)
-
-    def plain(self, raw_value: int):
-        """``g**raw_value`` as a handle, loaded once per block."""
-        loaded = self._plains.get(raw_value)
-        if loaded is None:
-            g_power = self.context.public_key.plain_cipher(raw_value)
-            loaded = self._plains[raw_value] = self.bignums.load(g_power)
-        return loaded
-
-    def zero(self, exponent: int):
-        """The operand for :meth:`PaillierContext.encrypt_zero`'s cipher at ``exponent``."""
-        if self.exponent is not None and exponent != self.exponent:
-            raise ValueError(
-                f"a resident block at exponent {self.exponent} holds no cipher at {exponent}"
-            )
-        if self._one is None:
-            self._one = self.bignums.load(1)
-        return self.operand_of(self._one, exponent)
+        if self.block is not None:
+            raise RuntimeError("a resident block is already open on this context")
+        with math_utils.arena(self.public_key.n_squared) as arena:
+            self.block, self._arena = Block(self, arena), arena
+            try:
+                yield self.block
+            finally:
+                self.block, self._arena, self._plains = None, _CLOSED, {}
 
 
-class ResidentCiphers:
-    """The operands one :meth:`PaillierContext.resident` call loaded.
+class Block:
+    """A context's open :meth:`PaillierContext.resident` block.
 
     Attributes:
-        ciphers: one operand per cipher the call was given — a resident
-            handle, a :class:`ResidentNumber` when the block's ciphers'
-            exponents differ, or the cipher itself when the block holds
-            ``int`` s.
-        enclosed: whether the call joined a block already open on its
-            context, whose owner goes on using what this one leaves.
+        mark / recycle: the arena's (:func:`~repro.crypto.math_utils.arena`):
+            ``recycle(mark, keep)`` hands every operand the context's ops
+            made since ``mark()`` back to the pool but those in ``keep``.
     """
 
-    def __init__(
-        self, ciphers: Sequence[EncryptedNumber], block: _Block, enclosed: bool
-    ) -> None:
-        self.enclosed = enclosed
-        self._block = block
-        self._bignums = None
-        if not ciphers or not block.admit(ciphers):
-            self.ciphers = ciphers
-            return
-        self._bignums = bignums = block.bignums
-        load = bignums.load
-        if block.exponent is None:
-            self.ciphers = [ResidentNumber(load(c.ciphertext), c.exponent) for c in ciphers]
-        else:
-            self.ciphers = [load(cipher.ciphertext) for cipher in ciphers]
-        # an operand never added to leaves as the cipher it stood for
-        self._originals = {id(h): c for h, c in zip(self.ciphers, ciphers)}
+    def __init__(self, context: PaillierContext, arena) -> None:
+        self._context = context
+        self._arena = arena
+        self.mark, self.recycle = arena.mark, arena.recycle
 
-    def keep(self, *tables: dict) -> None:
-        """Hand every operand made since the last keep or settle back to the pool.
+    def load(self, cipher: EncryptedNumber):
+        """The operand of ``cipher``: its integer as a handle, tagged with its exponent."""
+        operand = self._arena.load(cipher.ciphertext)
+        operand.exponent = cipher.exponent
+        return operand
 
-        The values of ``tables`` are kept: they stay operands of the
-        block, until it is left.
+    def unload(self, operand) -> EncryptedNumber:
+        """The cipher an operand stands for.
+
+        Raises:
+            TypeError: ``operand`` is not an operand of this block.
         """
-        if self._bignums is None:
-            return
-        handle_of = self._block.handle_of
-        self._bignums.recycle(
-            [handle_of(value)[0] for table in tables for value in table.values()]
-        )
-
-    def settle(self, *tables: dict) -> None:
-        """Turn every value of ``tables`` back into a cipher, in place.
-
-        Each table is finished: no operand made since the last keep or
-        settle is used again, so their BIGNUMs all go back to the pool.
-        """
-        if self._bignums is None:
-            return
-        originals, unload = self._originals, self._bignums.unload
-        context, exponent = self._block.context, self._block.exponent
-        unloaded: dict[int, EncryptedNumber] = {}  # an operand two tables share
-        for table in tables:
-            for key, value in table.items():
-                cipher = originals.get(id(value)) or unloaded.get(id(value))
-                if cipher is None:
-                    if exponent is None:
-                        cipher = EncryptedNumber(context, unload(value.handle), value.exponent)
-                    else:
-                        cipher = EncryptedNumber(context, unload(value), exponent)
-                    unloaded[id(value)] = cipher
-                table[key] = cipher
-        self._bignums.recycle()
+        return EncryptedNumber(self._context, self._arena.unload(operand), operand.exponent)

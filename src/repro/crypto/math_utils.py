@@ -15,11 +15,15 @@ benchmark's tracer and the tests do, and every caller reaches them as
 ``math_utils.powmod`` / ``math_utils.invert`` so such a wrapper sees
 every call.
 
-On the same engine, :func:`montgomery_arena` keeps integers resident as
-BIGNUMs in Montgomery form for one modulus, so that a run of modular
-products costs one ``BN_mod_mul_montgomery`` each and a power one
-``BN_mod_exp_mont`` plus one product (DESIGN §4.15).  The arena's
-``power``, like its ``multiply``, is not a :func:`powmod` call.
+An :func:`arena` keeps integers mod one modulus resident as handles, so
+that a run of modular products and powers pays no conversion per op
+(DESIGN §4.15).  It has two engines with one interface: on libcrypto a
+handle is a BIGNUM in Montgomery form, a product one
+``BN_mod_mul_montgomery`` and a power one ``BN_mod_exp_mont`` plus one
+product; without it (or for a modulus Montgomery arithmetic has no
+answer for) a handle is an ``int``, a product ``x * y mod m`` and a
+power :func:`powmod`.  The libcrypto arena's ``power``, like its
+``multiply``, is not a :func:`powmod` call.
 """
 
 from __future__ import annotations
@@ -36,9 +40,9 @@ __all__ = [
     "is_probable_prime",
     "generate_prime",
     "generate_prime_pair",
+    "arena",
     "get_backend",
     "invert",
-    "montgomery_arena",
     "crt_combine",
     "powmod",
     "random_coprime",
@@ -88,6 +92,17 @@ class _Montgomery:
         self.pins = 0
 
 
+class _BigNum(ctypes.c_void_p):
+    """A handle of libcrypto's arena: a pooled BIGNUM's pointer.
+
+    Its ``exponent`` slot is for the handle's holder to tag it with (the
+    cipher layer's fixed-point exponent): a slot reads and writes at
+    half the cost of an attribute of the instance dict.
+    """
+
+    __slots__ = ("exponent",)
+
+
 def _bind_libcrypto(lib: ctypes.CDLL) -> tuple[Callable, Callable, Callable, dict]:
     """``(powmod, powmod_once, arena, cache)`` on ``lib``'s BIGNUM arithmetic.
 
@@ -97,11 +112,12 @@ def _bind_libcrypto(lib: ctypes.CDLL) -> tuple[Callable, Callable, Callable, dic
     ``BN_mod_exp``, for a modulus asked about once.  Shapes Montgomery
     arithmetic has no answer for — a negative exponent, an even modulus
     or one below 3 — go to ``pow``.  ``arena`` is
-    :func:`montgomery_arena` on this library.
+    :func:`arena` on this library.
 
-    The arena's calls declare no ``argtypes``: every argument is already
-    a ``c_void_p``, a buffer or a small ``int``, and the conversion layer
-    adds 10-20 % to a product (0.88 against 0.74 µs at 512-bit keys).
+    No call declares ``argtypes``: every argument is already a
+    ``c_void_p``, a buffer or a small ``int``, and the conversion layer
+    adds 10-20 % to an arena product (0.88 against 0.74 µs at 512-bit
+    keys).
 
     Not thread-safe: the operand BIGNUMs and the ``BN_CTX`` are module
     scratch shared by every call, and nothing in the package raises a
@@ -110,39 +126,34 @@ def _bind_libcrypto(lib: ctypes.CDLL) -> tuple[Callable, Callable, Callable, dic
     Raises:
         AttributeError: ``lib`` lacks one of the symbols.
     """
-    void_p, c_int = ctypes.c_void_p, ctypes.c_int
-    for name, restype, argtypes in (
-        ("BN_new", void_p, ()),
-        ("BN_free", None, (void_p,)),
-        ("BN_CTX_new", void_p, ()),
-        ("BN_MONT_CTX_new", void_p, ()),
-        ("BN_MONT_CTX_free", None, (void_p,)),
-        ("BN_MONT_CTX_set", c_int, (void_p,) * 3),
-        ("BN_lebin2bn", void_p, (ctypes.c_char_p, c_int, void_p)),
-        ("BN_bn2lebinpad", c_int, (void_p, ctypes.c_char_p, c_int)),
-        ("BN_mod_exp_mont", c_int, (void_p,) * 6),
-        ("BN_mod_exp", c_int, (void_p,) * 5),
-    ):
+    void_p, c_int, handle = ctypes.c_void_p, ctypes.c_int, _BigNum
+
+    def bind(name: str, restype):
         function = getattr(lib, name)
-        function.restype, function.argtypes = restype, argtypes
-    to_bn, from_bn = lib.BN_lebin2bn, lib.BN_bn2lebinpad
-    exp_mont, exp_once = lib.BN_mod_exp_mont, lib.BN_mod_exp
-    # lib[name] is a fresh function object: the arena's calls declare a
-    # restype and no argtypes, whatever the shared attributes above declare
-    to_bn_bare, from_bn_bare, to_mont, from_mont, mul_mont, exp_mont_bare = (
-        lib[name]
-        for name in (
-            "BN_lebin2bn",
-            "BN_bn2lebinpad",
-            "BN_to_montgomery",
-            "BN_from_montgomery",
-            "BN_mod_mul_montgomery",
-            "BN_mod_exp_mont",
+        function.restype = restype
+        return function
+
+    to_bn, from_bn, to_mont, from_mont, mul_mont, exp_mont, exp_once = (
+        bind(name, restype)
+        for name, restype in (
+            ("BN_lebin2bn", void_p),
+            ("BN_bn2lebinpad", c_int),
+            ("BN_to_montgomery", c_int),
+            ("BN_from_montgomery", c_int),
+            ("BN_mod_mul_montgomery", c_int),
+            ("BN_mod_exp_mont", c_int),
+            ("BN_mod_exp", c_int),
         )
     )
-    to_bn_bare.restype = void_p
-    for function in (from_bn_bare, to_mont, from_mont, mul_mont, exp_mont_bare):
-        function.restype = c_int
+    for name, restype in (
+        ("BN_new", void_p),
+        ("BN_free", None),
+        ("BN_CTX_new", void_p),
+        ("BN_MONT_CTX_new", void_p),
+        ("BN_MONT_CTX_free", None),
+        ("BN_MONT_CTX_set", c_int),
+    ):
+        bind(name, restype)
     bn_ctx = void_p(lib.BN_CTX_new())
     base_bn, exponent_bn, modulus_bn, result_bn, unloaded_bn = (
         void_p(lib.BN_new()) for _ in range(5)
@@ -213,18 +224,17 @@ def _bind_libcrypto(lib: ctypes.CDLL) -> tuple[Callable, Callable, Callable, dic
         mont, width, out, free = entry.mont, entry.width, entry.out, entry.free
         mod_bn = entry.bn
         loads: list = []
-        products: list = []
-        kept: list = []  # products recycle() was told to keep: freed with the block
+        products: list = []  # a stack: mark() is its height
         # power()'s exponent -> two BIGNUMs of the block's own, freed
         # on leaving it: they never join the pool
         exponents: dict[int, list] = {}
         scratch: list = []
 
-        def new():
+        def new(kind=handle):
             bn = lib.BN_new()
             if not bn:
                 raise MemoryError("BN_new failed")
-            return void_p(bn)
+            return kind(bn)
 
         def take():
             if free:
@@ -238,39 +248,36 @@ def _bind_libcrypto(lib: ctypes.CDLL) -> tuple[Callable, Callable, Callable, dic
                 value %= modulus
             bn = take()
             loads.append(bn)
-            loaded = to_bn_bare(value.to_bytes(width, "little"), width, bn)
+            loaded = to_bn(value.to_bytes(width, "little"), width, bn)
             if not loaded or not to_mont(bn, bn, mont, bn_ctx):
                 raise ArithmeticError("loading a BIGNUM failed")
             return bn
 
-        def refuse(*operands) -> TypeError:
-            stranger = next(x for x in operands if type(x) is not void_p)
-            return TypeError(f"arena operands are handles, not {type(stranger).__name__}")
-
         def multiply(a, b):
+            # ctypes passes None, an int or bytes on as a pointer: only a
+            # handle may reach libcrypto
+            if type(a) is not handle or type(b) is not handle:
+                raise _refusal(handle, a, b)
             # take()'s common case inline: past the first pair of a
             # build, a product reuses a pooled BIGNUM
             bn = free.pop() if free else take()
             products.append(bn)
-            try:
-                if mul_mont(bn, a, b, mont, bn_ctx):
-                    return bn
-            except ctypes.ArgumentError:
-                raise refuse(a, b) from None
+            if mul_mont(bn, a, b, mont, bn_ctx):
+                return bn
             raise ArithmeticError("BN_mod_mul_montgomery failed")
 
-        def exponent_of(exponent: int) -> tuple:
+        def exponent_pair(exponent: int) -> tuple:
             # the exponent as a BIGNUM and R^(2 - e) mod m: R^-1 is the
             # reduction of 1, raised to e, then twice into Montgomery form
-            scratch.append(new())
-            scratch.append(new())
+            scratch.append(new(void_p))
+            scratch.append(new(void_p))
             exponent_bignum, correction = exponents[exponent] = scratch[-2:]
             length = (exponent.bit_length() + 7) >> 3
             if not (
-                to_bn_bare(exponent.to_bytes(length, "little"), length, exponent_bignum)
-                and to_bn_bare(b"\x01", 1, unloaded_bn)
+                to_bn(exponent.to_bytes(length, "little"), length, exponent_bignum)
+                and to_bn(b"\x01", 1, unloaded_bn)
                 and from_mont(unloaded_bn, unloaded_bn, mont, bn_ctx)
-                and exp_mont_bare(correction, unloaded_bn, exponent_bignum, mod_bn, bn_ctx, mont)
+                and exp_mont(correction, unloaded_bn, exponent_bignum, mod_bn, bn_ctx, mont)
                 and to_mont(correction, correction, mont, bn_ctx)
                 and to_mont(correction, correction, mont, bn_ctx)
             ):
@@ -279,32 +286,34 @@ def _bind_libcrypto(lib: ctypes.CDLL) -> tuple[Callable, Callable, Callable, dic
 
         def power(bn, exponent: int):
             # (aR)^e * R^(2 - e) * R^-1 = a^e R: a power and one product
-            exponent_bignum, correction = exponents.get(exponent) or exponent_of(exponent)
+            if type(bn) is not handle:
+                raise _refusal(handle, bn)
+            exponent_bignum, correction = exponents.get(exponent) or exponent_pair(exponent)
             result = free.pop() if free else take()
             products.append(result)
-            try:
-                if exp_mont_bare(result, bn, exponent_bignum, mod_bn, bn_ctx, mont) and mul_mont(
-                    result, result, correction, mont, bn_ctx
-                ):
-                    return result
-            except ctypes.ArgumentError:
-                raise refuse(bn) from None
+            if exp_mont(result, bn, exponent_bignum, mod_bn, bn_ctx, mont) and mul_mont(
+                result, result, correction, mont, bn_ctx
+            ):
+                return result
             raise ArithmeticError("raising a BIGNUM to a power failed")
 
         def unload(bn) -> int:
+            if type(bn) is not handle:
+                raise _refusal(handle, bn)
             if not from_mont(unloaded_bn, bn, mont, bn_ctx):
                 raise ArithmeticError("BN_from_montgomery failed")
-            from_bn_bare(unloaded_bn, out, width)
+            from_bn(unloaded_bn, out, width)
             return int.from_bytes(out.raw, "little")
 
-        def recycle(keep=()) -> None:
+        def recycle(mark: int = 0, keep=()) -> None:
+            made = products[mark:]
+            del products[mark:]
             if keep:
                 held = set(map(id, keep))
-                for bn in products:
-                    (kept if id(bn) in held else free).append(bn)
+                for bn in made:
+                    (products if id(bn) in held else free).append(bn)
             else:
-                free.extend(products)
-            products.clear()
+                free.extend(made)
 
         entry.pins += 1
         try:
@@ -313,18 +322,64 @@ def _bind_libcrypto(lib: ctypes.CDLL) -> tuple[Callable, Callable, Callable, dic
                 multiply=multiply,
                 power=power,
                 unload=unload,
+                mark=products.__len__,
                 recycle=recycle,
-                handle=void_p,
+                handle=handle,
             )
         finally:
             free.extend(products)
-            free.extend(kept)
             free.extend(loads)
             for bn in scratch:
                 lib.BN_free(bn)
             entry.pins -= 1
 
     return powmod, powmod_once, arena, cache
+
+
+def _refusal(handle: type, *operands) -> TypeError:
+    """The error for an arena operand that is not one of its ``handle`` s."""
+    stranger = next(x for x in operands if type(x) is not handle)
+    return TypeError(f"arena operands are its handles, not {type(stranger).__name__}")
+
+
+class _Residue(int):
+    """A handle of the ``int`` arena: an integer in ``[0, modulus)``.
+
+    A subclass so that the arena refuses a bare ``int`` as libcrypto's
+    refuses anything but a BIGNUM, and so that a handle takes
+    attributes as a libcrypto handle does.
+    """
+
+
+@contextlib.contextmanager
+def _int_arena(modulus: int) -> Iterator[SimpleNamespace]:
+    """:func:`arena` on ``int`` s: its handles are :class:`_Residue` s."""
+
+    def residue(*operands) -> None:
+        if any(type(x) is not _Residue for x in operands):
+            raise _refusal(_Residue, *operands)
+
+    def multiply(a, b) -> _Residue:
+        residue(a, b)
+        return _Residue(a * b % modulus)
+
+    def power(a, exponent: int) -> _Residue:
+        residue(a)
+        return _Residue(powmod(a, exponent, modulus))
+
+    def unload(a) -> int:
+        residue(a)
+        return int(a)
+
+    yield SimpleNamespace(
+        load=lambda value: _Residue(value % modulus),
+        multiply=multiply,
+        power=power,
+        unload=unload,
+        mark=lambda: 0,
+        recycle=lambda mark=0, keep=(): None,
+        handle=_Residue,
+    )
 
 
 def _arena_agrees(arena: Callable) -> bool:
@@ -347,23 +402,23 @@ def _arena_agrees(arena: Callable) -> bool:
     return got == (product, b % modulus, pow(product, b, modulus))
 
 
-def _load_engine() -> tuple[str, Callable, Callable, Callable | None, dict]:
+def _load_engine() -> tuple[str, Callable, Callable, Callable, dict]:
     """``(name, powmod, powmod_once, arena, cache)`` of this platform's engine.
 
     The first versioned libcrypto that binds and reproduces ``pow`` on
-    :data:`_KNOWN_ANSWER` with both of its powers; else ``pow`` and no
-    arena.  The arena is kept only if :func:`_arena_agrees`; without it
-    a build keeps ``int`` products.
+    :data:`_KNOWN_ANSWER` with both of its powers; else ``pow`` and the
+    ``int`` arena.  libcrypto's arena is kept only if
+    :func:`_arena_agrees`; without it the blocks hold ``int`` s.
     """
     for soname in _LIBCRYPTO_SONAMES:
         try:
             powmod, powmod_once, arena, cache = _bind_libcrypto(ctypes.CDLL(soname))
             if all(f(*_KNOWN_ANSWER) == pow(*_KNOWN_ANSWER) for f in (powmod, powmod_once)):
-                arena = arena if _arena_agrees(arena) else None
+                arena = arena if _arena_agrees(arena) else _int_arena
                 return "openssl", powmod, powmod_once, arena, cache
         except (OSError, AttributeError, ArithmeticError):
             continue
-    return "python", pow, pow, None, {}
+    return "python", pow, pow, _int_arena, {}
 
 
 _ENGINE, _powmod, _powmod_once, _arena, _MONT_CACHE = _load_engine()
@@ -398,37 +453,38 @@ def powmod(base: int, exponent: int, modulus: int) -> int:
     return _powmod(base, exponent, modulus)
 
 
-def montgomery_arena(modulus: int) -> contextlib.AbstractContextManager | None:
-    """A block holding integers mod ``modulus`` as Montgomery-form BIGNUMs.
+def arena(modulus: int) -> contextlib.AbstractContextManager:
+    """A block holding integers mod ``modulus`` as handles, on the engine's arena.
 
-    ``None`` on the ``"python"`` engine (and for a modulus Montgomery
-    arithmetic has no answer for: even, or below 3); the caller then
-    keeps ``int`` products.  Otherwise a context manager whose value
-    has
+    libcrypto's (Montgomery-form BIGNUMs) where the engine has one and
+    Montgomery arithmetic has an answer for ``modulus`` (odd, at least
+    3); else the ``int`` one.  The value is a namespace with
 
-    * ``load(x)`` — ``x mod modulus`` as a resident handle;
+    * ``load(x)`` — ``x mod modulus`` as a handle;
     * ``multiply(a, b)`` — the product of two handles, a new handle;
     * ``power(a, e)`` — ``a`` raised to a non-negative ``int`` ``e``, a
-      new handle (``BN_mod_exp_mont`` on the Montgomery form, corrected
-      by one product with ``R^(2-e)``; both per-exponent BIGNUMs are
-      made once per block);
+      new handle (on libcrypto ``BN_mod_exp_mont`` on the Montgomery
+      form, corrected by one product with ``R^(2-e)``; both
+      per-exponent BIGNUMs are made once per block);
     * ``unload(a)`` — a handle's integer in ``[0, modulus)``;
-    * ``recycle(keep=())`` — hand every product and power made since
-      the last recycle back to the pool, except the handles in ``keep``:
-      no other such handle is used after it, and the kept ones go back
-      when the block is left;
-    * ``handle`` — the type of every handle (an operand of another type
-      makes ``multiply`` and ``power`` raise ``TypeError``).
+    * ``mark()`` / ``recycle(mark=0, keep=())`` — every product and
+      power made since ``mark()`` returned ``mark`` goes back to the
+      pool, except the handles in ``keep``: none of the others is used
+      after it;
+    * ``handle`` — the type of every handle.  Anything else — a bare
+      ``int``, ``None``, bytes — makes ``multiply``, ``power`` and
+      ``unload`` raise ``TypeError``.  A handle takes attributes (the
+      cipher layer tags each with its exponent).
 
-    The handles' BIGNUMs come from a pool owned by the modulus's
+    libcrypto's handles come from a pool owned by the modulus's
     Montgomery-cache entry, which the block pins: no eviction frees the
     context under a live handle.  Leaving the block, however it is
     left, returns every handle's BIGNUM to that pool and frees the
     exponents'; the pool is freed with its entry.  Handles are plain
     pointers, not owners: none may outlive the block.
     """
-    if _arena is None or modulus < 3 or not modulus & 1:
-        return None
+    if modulus < 3 or not modulus & 1:
+        return _int_arena(modulus)
     return _arena(modulus)
 
 

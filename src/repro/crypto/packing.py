@@ -235,18 +235,19 @@ class GradHessLayout:
 
 def pack_ciphers(
     context: PaillierContext,
-    numbers: Sequence[EncryptedNumber],
+    numbers: Sequence,
     limb_bits: int = DEFAULT_LIMB_BITS,
 ) -> PackedCipher:
-    """Pack ciphers of non-negative integers into one cipher.
+    """Pack operands of non-negative integers into one cipher.
 
-    Inside a :meth:`~PaillierContext.resident` block the numbers may be
-    the block's operands: every SMul and HAdd is then resident, and only
-    the finished pack is unloaded to an integer.
+    Runs in the :meth:`~PaillierContext.resident` block the numbers are
+    operands of: every SMul and HAdd is an arena op, the finished pack
+    is unloaded to an integer and the Horner products go back to the
+    pool before the function returns.
 
     Args:
         context: a (public) Paillier context — packing needs no private key.
-        numbers: ciphers to pack; all must share one exponent. Their
+        numbers: operands to pack; all must share one exponent. Their
             plaintexts must be non-negative and below ``2**limb_bits``
             (the caller guarantees this via shifting; ``unpack_histogram``
             rejects the corrupted limbs a violation leaves behind).
@@ -256,8 +257,8 @@ def pack_ciphers(
         A :class:`PackedCipher` with the first input in the lowest limb.
 
     Raises:
-        TypeError: when an element is neither an :class:`EncryptedNumber`
-            nor an operand of the open block (a pack is never re-packed).
+        TypeError: when an element is not an operand of the open block
+            (a pack is never re-packed).
         ValueError: on empty input, mixed exponents, or capacity overflow.
     """
     if not numbers:
@@ -268,14 +269,19 @@ def pack_ciphers(
             f"cannot pack {len(numbers)} limbs: capacity is {capacity} "
             f"at M={limb_bits}, S={context.public_key.key_bits}"
         )
-    if len({context.exponent_of(number) for number in numbers}) > 1:
+    if len({getattr(number, "exponent", None) for number in numbers}) > 1:
         raise ValueError("all packed ciphers must share one exponent")
+    block = context.block
+    if block is None:
+        raise TypeError("no resident block is open: pack_ciphers packs its operands")
+    mark = block.mark()
     radix = 1 << limb_bits
     accumulator = numbers[-1]
     for number in reversed(numbers[:-1]):
         shifted = context.multiply_raw(accumulator, radix)
         accumulator = context.add(number, shifted)
-    packed = context.cipher_of(accumulator)
+    packed = block.unload(accumulator)
+    block.recycle(mark)
     return PackedCipher(
         ciphertext=packed.ciphertext,
         count=len(numbers),

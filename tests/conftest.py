@@ -66,6 +66,30 @@ def choke_calls(monkeypatch) -> list[str]:
 
 
 @pytest.fixture(scope="session")
+def engines():
+    """``for engine in engines():`` runs a test's body once per engine.
+
+    Yields ``"openssl"`` where libcrypto loaded (the process's own
+    engine), then ``"python"``: the built-in ``pow`` and the ``int``
+    arena, as on a host without libcrypto.  The process's engine is back
+    in place when each step ends.  A fresh iterator per call, so a
+    Hypothesis example runs both engines too.
+    """
+
+    def each():
+        if math_utils.get_backend().name == "openssl":
+            yield "openssl"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(math_utils, "_ENGINE", "python")
+            patch.setattr(math_utils, "_powmod", pow)
+            patch.setattr(math_utils, "_powmod_once", pow)
+            patch.setattr(math_utils, "_arena", math_utils._int_arena)
+            yield "python"
+
+    return each
+
+
+@pytest.fixture(scope="session")
 def jitter_context() -> PaillierContext:
     """A 256-bit context with a 4-wide exponent jitter window."""
     return PaillierContext.create(256, seed=43, jitter=4)

@@ -1,13 +1,15 @@
 """Tests for encrypted-number arithmetic and operation counting."""
 
+import contextlib
 import math
+import multiprocessing
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import math_utils
 from repro.crypto.ciphertext import OpStats, PaillierContext, _scaled_bound
 from repro.crypto.packing import pack_ciphers
 
@@ -64,8 +66,9 @@ class TestEncryptDecrypt:
         assert not context.public_context().can_decrypt
 
     def test_encrypt_zero(self, context):
-        zero = context.encrypt_zero(exponent=8)
-        assert context.decrypt(zero) == 0.0
+        with context.resident() as block:
+            zero = block.unload(context.encrypt_zero(exponent=8))
+        assert context.decrypt(zero) == 0.0 and zero.exponent == 8
 
     def test_stats_count_encryptions(self, context):
         before = context.stats.snapshot()
@@ -74,23 +77,29 @@ class TestEncryptDecrypt:
         assert context.stats.diff(before).encryptions == 2
 
 
+def _on_operands(ctx, op, *ciphers):
+    """``op`` on the ciphers' operands in a resident block, its result unloaded."""
+    with ctx.resident() as block:
+        return block.unload(op(*(block.load(cipher) for cipher in ciphers)))
+
+
 class TestArithmetic:
     @given(floats, floats)
     @settings(max_examples=30)
     def test_homomorphic_addition(self, u, v):
         ctx = _ctx()
-        total = ctx.add(ctx.encrypt(u), ctx.encrypt(v))
+        total = _on_operands(ctx, ctx.add, ctx.encrypt(u), ctx.encrypt(v))
         assert ctx.decrypt(total) == pytest.approx(u + v, abs=1e-5)
 
     @given(floats, st.integers(min_value=-100, max_value=100))
     @settings(max_examples=30)
     def test_integer_scalar_multiplication(self, v, k):
         ctx = _ctx()
-        product = ctx.multiply(ctx.encrypt(v), k)
+        product = _on_operands(ctx, lambda a: ctx.multiply(a, k), ctx.encrypt(v))
         assert ctx.decrypt(product) == pytest.approx(v * k, abs=1e-3)
 
     def test_float_scalar_multiplication(self, context):
-        product = context.multiply(context.encrypt(3.0), 0.25)
+        product = _on_operands(context, lambda a: context.multiply(a, 0.25), context.encrypt(3.0))
         assert context.decrypt(product) == pytest.approx(0.75)
 
     def test_operator_overloads(self, context):
@@ -112,12 +121,13 @@ class TestArithmetic:
         assert context.stats.diff(before) == OpStats()
 
     def test_add_plain(self, context):
-        shifted = context.add_plain(context.encrypt(-2.0), 10.0)
+        shifted = _on_operands(context, lambda a: context.add_plain(a, 10.0), context.encrypt(-2.0))
         assert context.decrypt(shifted) == pytest.approx(8.0)
 
     def test_sum_ciphers(self, context):
         values = [0.5, -1.25, 3.0, 0.0]
-        total = context.sum_ciphers(context.encrypt(v) for v in values)
+        ciphers = [context.encrypt(v) for v in values]
+        total = _on_operands(context, lambda *operands: context.sum_ciphers(operands), *ciphers)
         assert context.decrypt(total) == pytest.approx(sum(values))
 
     def test_sum_empty_raises(self, context):
@@ -126,24 +136,45 @@ class TestArithmetic:
 
 
 def _pack(ctx, values):
-    return pack_ciphers(ctx, [ctx.encrypt(v, exponent=0) for v in values], 32)
+    with ctx.resident() as block:
+        operands = [block.load(ctx.encrypt(v, exponent=0)) for v in values]
+        return pack_ciphers(ctx, operands, 32)
 
 
-#: misuses of the cipher algebra (§2.2, §5.2) the crypto types refuse
+def _fixtures(ctx) -> SimpleNamespace:
+    """What the misuses misuse, made before their op counters are read.
+
+    In a block, ``h`` and ``g`` are the operands of ``cipher`` and of
+    ``other`` (at another exponent).
+    """
+    return SimpleNamespace(
+        cipher=ctx.encrypt(1.0), other=ctx.encrypt(2.0, exponent=11), pack=_pack(ctx, [1.0, 2.0])
+    )
+
+
+#: misuses of the cipher algebra (§2.2, §5.2) the crypto types refuse:
+#: ``(error, in a resident block, misuse(ctx, fixtures))``
 MISUSES = {
-    "plain_add_operator": (TypeError, lambda ctx: ctx.encrypt(1.0) + 0.5),
-    "cipher_product": (TypeError, lambda ctx: ctx.encrypt(2.0) * ctx.encrypt(3.0)),
-    "operator_on_pack": (TypeError, lambda ctx: _pack(ctx, [1.0, 2.0]) + ctx.encrypt(0.0)),
-    "mixed_exponent_pack": (
-        ValueError,
-        lambda ctx: pack_ciphers(
-            ctx, [ctx.encrypt(1.0, exponent=6), ctx.encrypt(2.0, exponent=9)], 32
-        ),
-    ),
-    "repack_a_pack": (TypeError, lambda ctx: pack_ciphers(ctx, [_pack(ctx, [1.0, 2.0])], 32)),
-    "smul_of_a_pack": (TypeError, lambda ctx: ctx.multiply_raw(_pack(ctx, [1.0, 2.0]), 4)),
-    "plain_add_to_a_pack": (TypeError, lambda ctx: ctx.add_plain(_pack(ctx, [1.0, 2.0]), 0.5)),
+    "plain_add_operator": (TypeError, False, lambda ctx, f: f.cipher + 0.5),
+    "cipher_product": (TypeError, False, lambda ctx, f: f.cipher * f.other),
+    "operator_on_pack": (TypeError, False, lambda ctx, f: f.pack + f.cipher),
+    "mixed_exponent_pack": (ValueError, True, lambda ctx, f: pack_ciphers(ctx, [f.h, f.g], 32)),
+    "repack_a_pack": (TypeError, True, lambda ctx, f: pack_ciphers(ctx, [f.pack], 32)),
+    "smul_of_a_pack": (TypeError, True, lambda ctx, f: ctx.multiply_raw(f.pack, 4)),
+    "plain_add_to_a_pack": (TypeError, True, lambda ctx, f: ctx.add_plain(f.pack, 0.5)),
+    # a cipher is no operand: a block loads it first
+    "add_of_ciphers": (TypeError, False, lambda ctx, f: ctx.add(f.cipher, f.cipher)),
+    "cipher_into_a_block": (TypeError, True, lambda ctx, f: ctx.add(f.h, f.cipher)),
+    "cipher_at_another_exponent": (TypeError, True, lambda ctx, f: ctx.add(f.h, f.other)),
 }
+# Nor are these.  Handed to libcrypto, None, an int and bytes would be
+# read as pointers: the process would crash or sum garbage.
+for _name, _stranger in (("none", None), ("int", 12345), ("bytes", b"\x01" * 8), ("str", "x")):
+    MISUSES[f"add_{_name}"] = (TypeError, True, lambda ctx, f, x=_stranger: ctx.add(f.h, x))
+    MISUSES[f"add_to_{_name}"] = (TypeError, True, lambda ctx, f, x=_stranger: ctx.add(x, f.h))
+    MISUSES[f"add_{_name}_out_of_a_block"] = (
+        TypeError, False, lambda ctx, f, x=_stranger: ctx.add(f.cipher, x)
+    )
 
 #: every counted op on a cipher, with a pack where its cipher goes
 _OPS_ON_A_PACK = {
@@ -157,64 +188,93 @@ _OPS_ON_A_PACK = {
 }
 
 
+def _outcome_in_a_child(context, in_block: bool, misuse) -> tuple[str, bool]:
+    """``(what misuse raised, whether it counted no op)``, run in a forked
+    child: a crash is an outcome (``"exit -11"``), not the test run's end."""
+    fork = multiprocessing.get_context("fork")
+    reader, writer = fork.Pipe(duplex=False)
+
+    def run():
+        fixtures = _fixtures(context)
+        with contextlib.ExitStack() as stack:
+            if in_block:
+                block = stack.enter_context(context.resident())
+                fixtures.h, fixtures.g = block.load(fixtures.cipher), block.load(fixtures.other)
+            before = context.stats.snapshot()
+            try:
+                misuse(context, fixtures)
+                raised = "nothing"
+            except BaseException as error:  # noqa: BLE001 - the outcome is the test's subject
+                raised = type(error).__name__
+            writer.send((raised, context.stats.diff(before) == OpStats()))
+
+    child = fork.Process(target=run)
+    child.start()
+    child.join(60)
+    if child.exitcode != 0:
+        return f"exit {child.exitcode}", False
+    return reader.recv()
+
+
 class TestMisuseRaises:
     @pytest.mark.parametrize("misuse", sorted(MISUSES))
-    def test_misuse_raises(self, context, misuse):
-        error, misuse_of = MISUSES[misuse]
-        with pytest.raises(error):
-            misuse_of(context)
+    def test_misuse_raises(self, context, misuse, engines):
+        error, in_block, misuse_of = MISUSES[misuse]
+        for engine in engines():
+            outcome = _outcome_in_a_child(context, in_block, misuse_of)
+            assert outcome == (error.__name__, True), engine
 
     def test_add_of_a_pack_is_a_typed_error_and_uncounted(self, context):
         packed, cipher = _pack(context, [1.0, 2.0]), context.encrypt(1.0)
-        with context.resident([cipher]):
-            pass  # leaving a block restores the refusing default
         before = context.stats.additions
         for _ in range(2):
-            with pytest.raises(TypeError, match="not PackedCipher"):
+            with context.resident() as block:
+                with pytest.raises(TypeError, match="not PackedCipher"):
+                    context.add(packed, block.load(cipher))
+            # leaving the block leaves no arena: the op is refused still
+            with pytest.raises(TypeError, match="no resident block is open"):
                 context.add(packed, cipher)
         assert context.stats.additions == before
 
-    def test_resident_smul_and_shift_are_the_int_ones(self, context, choke_calls):
+    def test_resident_smul_and_shift_are_the_int_ones(self, context, choke_calls, engines):
         # every scalar route of raw_multiply, the inverted one included
         key = context.public_key
         cipher = context.encrypt(1.5)
         scalars = [0, 1, 1 << 47, key.n + 7, key.n - 3, -5]
         expected = [key.raw_multiply(cipher.ciphertext, k) for k in scalars]
         shifted = key.raw_add_plain(cipher.ciphertext, 12345)
-        del choke_calls[:]
-        before = context.stats.snapshot()
-        with context.resident([cipher]) as operands:
-            (handle,) = operands.ciphers
-            raised = [context.multiply_raw(handle, k) for k in scalars]
-            got = [context.cipher_of(operand) for operand in raised]
-            plain = context.cipher_of(context.add_plain_raw(handle, 12345))
-        assert [c.ciphertext for c in got] == expected
-        assert plain.ciphertext == shifted
-        assert {c.exponent for c in got + [plain]} == {cipher.exponent}
-        ops = context.stats.diff(before)
-        assert (ops.scalar_multiplications, ops.plain_additions) == (len(scalars), 1)
-        if math_utils.get_backend().name == "openssl":
-            # an arena power each, but the two inverted scalars'
-            assert choke_calls == ["invert", "powmod"] * 2
+        for engine in engines():
+            del choke_calls[:]
+            before = context.stats.snapshot()
+            with context.resident() as block:
+                operand = block.load(cipher)
+                got = [block.unload(context.multiply_raw(operand, k)) for k in scalars]
+                plain = block.unload(context.add_plain_raw(operand, 12345))
+            assert [c.ciphertext for c in got] == expected
+            assert plain.ciphertext == shifted
+            assert {c.exponent for c in got + [plain]} == {cipher.exponent}
+            ops = context.stats.diff(before)
+            assert (ops.scalar_multiplications, ops.plain_additions) == (len(scalars), 1)
+            # the two inverted scalars invert; libcrypto's arena powers the
+            # others without a powmod, the int arena with one each
+            powers = ["powmod"] * 4 if engine == "python" else []
+            assert choke_calls == powers + ["invert", "powmod"] * 2
 
-    def test_a_block_of_one_exponent_holds_no_other(self, context):
-        # its handles carry no exponent: a cipher at another one would be
-        # summed as if it had the block's
-        cipher = context.encrypt(1.0, exponent=8)
-        with context.resident() as outer:
-            assert outer.ciphers == () and not outer.enclosed
-            assert context.encrypt_zero(9).ciphertext == 1  # nothing loaded yet: a cipher
-            with context.resident([cipher]) as inner:
-                assert inner.enclosed
-            if math_utils.get_backend().name == "openssl":
-                with pytest.raises(ValueError, match="exponent 8"):
-                    with context.resident([context.encrypt(1.0, exponent=9)]):
-                        pass
-                with pytest.raises(ValueError, match="exponent 8"):
-                    context.encrypt_zero(9)
-                zero = context.encrypt_zero(8)
-                assert context.cipher_of(zero).ciphertext == 1
-        assert context._block is None
+    def test_one_block_holds_operands_of_every_exponent(self, context):
+        # each operand carries its exponent: an HAdd aligns them in any block
+        low, high = context.encrypt(1.0, exponent=8), context.encrypt(2.0, exponent=9)
+        with context.resident() as block:
+            with pytest.raises(RuntimeError, match="already open"):
+                with context.resident():
+                    pass
+            before = context.stats.snapshot()
+            total = block.unload(context.add(block.load(low), block.load(high)))
+            ops = context.stats.diff(before)
+            zeros = [block.unload(context.encrypt_zero(e)) for e in (8, 9, 8)]
+        assert (ops.additions, ops.scalings) == (1, 1)
+        assert total.exponent == 9 and context.decrypt(total) == pytest.approx(3.0)
+        assert [(z.ciphertext, z.exponent) for z in zeros] == [(1, 8), (1, 9), (1, 8)]
+        assert context.block is None
 
     @pytest.mark.parametrize("op", sorted(_OPS_ON_A_PACK))
     @pytest.mark.parametrize("in_block", [False, True])
@@ -224,10 +284,13 @@ class TestMisuseRaises:
         # or out of one.
         packed, cipher = _pack(context, [1.0, 2.0]), context.encrypt(1.0)
         before = context.stats.snapshot()
-        with context.resident([cipher] if in_block else []) as operands:
-            operand = operands.ciphers[0] if in_block else cipher
-            with pytest.raises(TypeError, match="not PackedCipher"):
-                _OPS_ON_A_PACK[op](context, packed, operand)
+        if in_block:
+            with context.resident() as block:
+                with pytest.raises(TypeError, match="not PackedCipher"):
+                    _OPS_ON_A_PACK[op](context, packed, block.load(cipher))
+        else:
+            with pytest.raises(TypeError):
+                _OPS_ON_A_PACK[op](context, packed, cipher)
         assert context.stats.diff(before) == OpStats()
 
 
@@ -235,7 +298,7 @@ class TestExponentAlignment:
     def test_mismatched_exponents_align(self, context):
         a = context.encrypt(1.5, exponent=6)
         b = context.encrypt(2.5, exponent=9)
-        total = context.add(a, b)
+        total = _on_operands(context, context.add, a, b)
         assert total.exponent == 9
         assert context.decrypt(total) == pytest.approx(4.0)
 
@@ -243,7 +306,7 @@ class TestExponentAlignment:
         a = context.encrypt(1.0, exponent=6)
         b = context.encrypt(1.0, exponent=9)
         before = context.stats.snapshot()
-        context.add(a, b)
+        _on_operands(context, context.add, a, b)
         diff = context.stats.diff(before)
         assert diff.scalings == 1
         assert diff.additions == 1
@@ -252,18 +315,19 @@ class TestExponentAlignment:
         a = context.encrypt(1.0, exponent=8)
         b = context.encrypt(2.0, exponent=8)
         before = context.stats.snapshot()
-        context.add(a, b)
+        _on_operands(context, context.add, a, b)
         assert context.stats.diff(before).scalings == 0
 
     def test_scale_to_lower_precision_rejected(self, context):
         a = context.encrypt(1.0, exponent=8)
         with pytest.raises(ValueError):
-            context.scale_to(a, 5)
+            _on_operands(context, lambda x: context.scale_to(x, 5), a)
 
     def test_scale_to_same_exponent_is_noop(self, context):
-        a = context.encrypt(1.0, exponent=8)
-        before = context.stats.snapshot()
-        assert context.scale_to(a, 8) is a
+        with context.resident() as block:
+            a = block.load(context.encrypt(1.0, exponent=8))
+            before = context.stats.snapshot()
+            assert context.scale_to(a, 8) is a
         assert context.stats.diff(before).scalings == 0
 
 
@@ -277,9 +341,11 @@ class TestOpStats:
         before = context.stats.snapshot()
         a = context.encrypt(1.0, exponent=6)
         b = context.encrypt(1.0, exponent=8)
-        c = context.add(a, b)
-        context.multiply(c, 3)
-        context.add_plain(c, 1.0)
+        with context.resident() as block:
+            c = context.add(block.load(a), block.load(b))
+            context.multiply(c, 3)
+            context.add_plain(c, 1.0)
+            c = block.unload(c)
         context.decrypt(c)
         diff = context.stats.diff(before)
         assert diff.encryptions == 2

@@ -274,10 +274,12 @@ def _ciphertext_trace(pool_seed: int, key_holder: bool = True) -> list[int]:
         context.pool = ObfuscatorPool(PUBLIC, rng=random.Random(pool_seed))
     a = context.encrypt(1.25, exponent=4)
     b = context.encrypt(-2.5, exponent=4)
-    total = context.add(a, b)
-    scaled = context.multiply(a, -3)
     positive = [context.encrypt(float(v), exponent=0) for v in (11, 22, 33)]
-    packed = pack_ciphers(context, positive, limb_bits=24)
+    with context.resident() as block:
+        x = block.load(a)
+        total = block.unload(context.add(x, block.load(b)))
+        scaled = block.unload(context.multiply(x, -3))
+        packed = pack_ciphers(context, [block.load(c) for c in positive], limb_bits=24)
     trace = [
         a.ciphertext,
         b.ciphertext,

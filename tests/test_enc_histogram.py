@@ -1,6 +1,7 @@
 """Tests for encrypted histogram construction and §5.2 packing."""
 
 import dataclasses
+import json
 from collections import Counter
 from types import SimpleNamespace
 
@@ -21,14 +22,10 @@ from repro.core.enc_histogram import (
     pack_histogram,
     unpack_histogram,
 )
+from repro.core.serialization import model_to_payloads
 from repro.core.trainer import FederatedTrainer
 from repro.crypto import math_utils
-from repro.crypto.ciphertext import (
-    EncryptedNumber,
-    OpStats,
-    PaillierContext,
-    ResidentNumber,
-)
+from repro.crypto.ciphertext import EncryptedNumber, OpStats, PaillierContext
 from repro.crypto.packing import GradHessLayout, pack_capacity
 from repro.crypto.paillier import PaillierPublicKey, generate_keypair
 from repro.gbdt.binning import bin_dataset
@@ -78,12 +75,30 @@ def _pair_setup(n=40, d=3, n_bins=6, seed=0, grads=None, context=CTX):
     return dataset, grads, hess, pairs, layout
 
 
+def _build(context, codes, rows, grad, hess, n_bins, reordered):
+    """:func:`build_encrypted_histogram` on the ciphers' operands in a
+    resident block of ``context``; a paired build's bins are unloaded."""
+    with context.resident() as block:
+        load = lambda ciphers: [block.load(c) for c in ciphers]  # noqa: E731
+        built = build_encrypted_histogram(
+            context, codes, rows, load(grad), hess and load(hess), n_bins, reordered
+        )
+        if hess is None:
+            built.grad_bins = [
+                [None if c is None else block.unload(c) for c in bins] for bins in built.grad_bins
+            ]
+    return built
+
+
 def _packed(dataset, rows, pairs, layout, reordered=False, context=CTX):
+    """One node's paired build and its packs, in one block of a public context."""
     public = context.public_context()
-    encrypted = build_encrypted_histogram(
-        public, dataset.codes, rows, pairs, None, dataset.n_bins, reordered
-    )
-    return encrypted, pack_histogram(public, encrypted, layout)
+    with public.resident() as block:
+        operands = [block.load(pair) for pair in pairs]
+        encrypted = build_encrypted_histogram(
+            public, dataset.codes, rows, operands, None, dataset.n_bins, reordered
+        )
+        return encrypted, pack_histogram(public, encrypted, layout)
 
 
 class TestBuildEncryptedHistogram:
@@ -91,9 +106,9 @@ class TestBuildEncryptedHistogram:
     def test_matches_plaintext(self, reordered):
         dataset, grads, hess, gc, hc = _setup()
         rows = np.arange(dataset.n_instances)
-        encrypted = build_encrypted_histogram(
+        encrypted = _build(
             CTX.public_context(), dataset.codes, rows, gc, hc,
-            dataset.n_bins, reordered=reordered,
+            dataset.n_bins, reordered,
         )
         decrypted = decrypt_histogram(CTX, encrypted, rows.size)
         reference = build_histogram(dataset, rows, grads, hess)
@@ -103,9 +118,9 @@ class TestBuildEncryptedHistogram:
     def test_subset_rows(self):
         dataset, grads, hess, gc, hc = _setup()
         rows = np.array([0, 5, 9, 22])
-        encrypted = build_encrypted_histogram(
+        encrypted = _build(
             CTX.public_context(), dataset.codes, rows, gc, hc,
-            dataset.n_bins, reordered=True,
+            dataset.n_bins, True,
         )
         decrypted = decrypt_histogram(CTX, encrypted, rows.size)
         reference = build_histogram(dataset, rows, grads, hess)
@@ -116,12 +131,12 @@ class TestBuildEncryptedHistogram:
         rows = np.arange(dataset.n_instances)
         public = CTX.public_context()
         before = public.stats.snapshot()
-        build_encrypted_histogram(
-            public, dataset.codes, rows, gc, hc, dataset.n_bins, reordered=False
+        _build(
+            public, dataset.codes, rows, gc, hc, dataset.n_bins, False
         )
         naive_scalings = public.stats.diff(before).scalings
         before = public.stats.snapshot()
-        build_encrypted_histogram(
+        _build(
             public, dataset.codes, rows, gc, hc, dataset.n_bins, reordered=True
         )
         reordered_scalings = public.stats.diff(before).scalings
@@ -129,7 +144,7 @@ class TestBuildEncryptedHistogram:
 
     def test_cipher_count(self):
         dataset, _, _, gc, hc = _setup(d=2, n_bins=5)
-        encrypted = build_encrypted_histogram(
+        encrypted = _build(
             CTX.public_context(), dataset.codes, np.arange(10), gc, hc, 5, True
         )
         assert encrypted.cipher_count() == 2 * 2 * 5
@@ -145,11 +160,11 @@ class TestBuildEncryptedHistogram:
         codes[5, 1] = bad
         ciphers = (gc, None) if packed else (gc, hc)
         with pytest.raises(BinCodeError, match=r"\[0, 6\)"):
-            build_encrypted_histogram(
+            _build(
                 CTX.public_context(), codes, np.arange(8), *ciphers, 6, False
             )
         # Rows off the node are not the node's business.
-        build_encrypted_histogram(
+        _build(
             CTX.public_context(), codes, np.arange(5), *ciphers, 6, False
         )
 
@@ -186,60 +201,63 @@ class TestPairedBuild:
         public = CTX.public_context()
         n_squared = public.public_key.n_squared
         width = s - 1
+        with public.resident() as block:
+            operands = [block.load(pair) for pair in self.PAIRS]
 
-        built = build_encrypted_histogram(public, codes, rows, self.PAIRS, None, s, False)
-        build_adds = public.stats.additions
+            built = build_encrypted_histogram(public, codes, rows, operands, None, s, False)
+            build_adds = public.stats.additions
 
-        # (i) every bin is the per-feature product of its instances.
-        reference = [[None] * width for _ in range(d)]
-        for i in rows:
-            for j, k in enumerate(codes[i]):
-                if k < width:
-                    held = reference[j][k]
-                    cipher = self.PAIRS[i].ciphertext
-                    reference[j][k] = cipher if held is None else held * cipher % n_squared
-        assert [
-            [cell and cell.ciphertext for cell in bins] for bins in built.grad_bins
-        ] == reference
-        assert (built.n_instances, built.n_bins, built.hess_bins) == (n, s, [])
+            # (i) every bin is the per-feature product of its instances.
+            reference = [[None] * width for _ in range(d)]
+            for i in rows:
+                for j, k in enumerate(codes[i]):
+                    if k < width:
+                        held = reference[j][k]
+                        cipher = self.PAIRS[i].ciphertext
+                        reference[j][k] = cipher if held is None else held * cipher % n_squared
+            assert [
+                [None if c is None else block.unload(c).ciphertext for c in bins]
+                for bins in built.grad_bins
+            ] == reference
+            assert (built.n_instances, built.n_bins, built.hess_bins) == (n, s, [])
 
-        # (ii) HAdds = per-feature - sum over pairs of (instances with
-        # both codes held - non-empty joint cells), never more.
-        node = codes[rows]
-        per_feature = sum(
-            int((node[:, j] < width).sum()) - len(set(node[node[:, j] < width, j]))
-            for j in range(d)
-        )
-        saved = 0
-        for j in range(0, d - 1, 2):
-            joined = node[(node[:, j] < width) & (node[:, j + 1] < width)][:, j : j + 2]
-            saved += len(joined) - len({tuple(pair) for pair in joined.tolist()})
-        assert build_adds == per_feature - saved <= per_feature
+            # (ii) HAdds = per-feature - sum over pairs of (instances with
+            # both codes held - non-empty joint cells), never more.
+            node = codes[rows]
+            per_feature = sum(
+                int((node[:, j] < width).sum()) - len(set(node[node[:, j] < width, j]))
+                for j in range(d)
+            )
+            saved = 0
+            for j in range(0, d - 1, 2):
+                joined = node[(node[:, j] < width) & (node[:, j + 1] < width)][:, j : j + 2]
+                saved += len(joined) - len({tuple(pair) for pair in joined.tolist()})
+            assert build_adds == per_feature - saved <= per_feature
 
-        # (iii) packs are what the explicit zeros of empty bins gave, for
-        # one HAdd less per empty bin after a feature's first.
-        zero = public.encrypt_zero(self.LAYOUT.exponent)
-        explicit = EncryptedHistogram(
-            [
+            # (iii) packs are what the explicit zeros of empty bins gave, for
+            # one HAdd less per empty bin after a feature's first.
+            zero = public.encrypt_zero(self.LAYOUT.exponent)
+            explicit = EncryptedHistogram(
                 [
-                    zero if cell is None
-                    else EncryptedNumber(public, cell, self.LAYOUT.exponent)
-                    for cell in bins
-                ]
-                for bins in reference
-            ],
-            [], n, s,
-        )
-        before = public.stats.snapshot()
-        packed = pack_histogram(public, built, self.LAYOUT)
-        pack_adds = public.stats.diff(before).additions
-        before = public.stats.snapshot()
-        packed_explicit = pack_histogram(public, explicit, self.LAYOUT)
-        empty_after_first = sum(cell is None for bins in reference for cell in bins[1:])
-        assert public.stats.diff(before).additions - pack_adds == empty_after_first
-        assert [p.ciphertext for p in packed.packs] == [
-            p.ciphertext for p in packed_explicit.packs
-        ]
+                    [
+                        zero if cell is None
+                        else block.load(EncryptedNumber(public, cell, self.LAYOUT.exponent))
+                        for cell in bins
+                    ]
+                    for bins in reference
+                ],
+                [], n, s,
+            )
+            before = public.stats.snapshot()
+            packed = pack_histogram(public, built, self.LAYOUT)
+            pack_adds = public.stats.diff(before).additions
+            before = public.stats.snapshot()
+            packed_explicit = pack_histogram(public, explicit, self.LAYOUT)
+            empty_after_first = sum(cell is None for bins in reference for cell in bins[1:])
+            assert public.stats.diff(before).additions - pack_adds == empty_after_first
+            assert [p.ciphertext for p in packed.packs] == [
+                p.ciphertext for p in packed_explicit.packs
+            ]
         total = self.PAIRS.total(rows)
         recovered = unpack_histogram(CTX, packed, total)
         expected = unpack_histogram(CTX, packed_explicit, total)
@@ -258,9 +276,6 @@ def _key_with_square_bits(bits: int) -> PaillierContext:
 
 #: ``n**2`` on either side of one and of two 64-bit limbs
 _LIMB_EDGE_KEYS = {bits: _key_with_square_bits(bits) for bits in (62, 64, 66, 126, 128, 130)}
-
-_ON_OPENSSL = math_utils.get_backend().name == "openssl"
-
 
 def _cells(built: EncryptedHistogram) -> list[list[tuple[int, int] | None]]:
     return [
@@ -283,34 +298,26 @@ def _jittered(context, raw, jitter, rng) -> list[EncryptedNumber]:
     return [EncryptedNumber(context, value, e) for value, e in zip(raw, exponents)]
 
 
+def _edge_ciphers(context, rng, pool: int) -> list[int]:
+    """``pool`` integers mod ``n**2``: the range's edges as well as its inside."""
+    n_squared = context.public_key.n_squared
+    return [0, 1, n_squared - 1] + [
+        int.from_bytes(rng.bytes(17), "little") % n_squared for _ in range(pool - 3)
+    ]
+
+
 class TestResidentBuild:
-    """Montgomery-resident HAdds and scalings: the ``int`` build's integers and counts."""
+    """Every engine's arena builds the same integers for the same counts."""
 
     POOL = 12
 
     @staticmethod
-    def _build(context, codes, rows, ciphers, s, resident, hess=None):
-        """``(histogram, OpStats of the build, arena opened)`` of one build.
-
-        ``resident`` builds on this engine; ``False`` runs the "python"
-        engine's build, with no arena.  With ``hess`` the build is the
-        naive jittered one (two ciphers per instance), else the paired one.
-        """
-        opened = []
-        arena = math_utils.montgomery_arena
-
-        def spy(modulus):
-            block = arena(modulus)
-            opened.append(block is not None)
-            return block
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(math_utils, "montgomery_arena", spy)
-            if not resident:
-                patch.setattr(math_utils, "_arena", None)
-            before = context.stats.snapshot()
-            built = build_encrypted_histogram(context, codes, rows, ciphers, hess, s, False)
-        return built, context.stats.diff(before), any(opened)
+    def _build(context, codes, rows, ciphers, s, hess=None):
+        """``(histogram, OpStats of the build)``: the naive jittered build
+        (two ciphers per instance) with ``hess``, else the paired one."""
+        before = context.stats.snapshot()
+        built = _build(context, codes, rows, ciphers, hess, s, False)
+        return built, context.stats.diff(before)
 
     @given(
         bits=st.sampled_from(sorted(_LIMB_EDGE_KEYS)),
@@ -325,23 +332,16 @@ class TestResidentBuild:
     @example(bits=130, n=POOL, d=4, s=2, seed=3)  # one held bin
     @example(bits=62, n=POOL, d=5, s=3, seed=4)  # crowded joint cells
     @settings(max_examples=40, derandomize=True, deadline=None)
-    def test_same_integers_and_additions_as_int_products(self, bits, n, d, s, seed):
+    def test_same_integers_and_additions_as_int_products(self, engines, bits, n, d, s, seed):
         context = _LIMB_EDGE_KEYS[bits]
-        n_squared = context.public_key.n_squared
         rng = np.random.default_rng(seed)
         rows = rng.permutation(self.POOL)[:n]
         codes = rng.integers(0, s, size=(self.POOL, d))
-        # the range's edges as well as its inside
-        raw = [0, 1, n_squared - 1] + [
-            int.from_bytes(rng.bytes(17), "little") % n_squared for _ in range(self.POOL - 3)
-        ]
-        ciphers = [EncryptedNumber(context, value, -16) for value in raw]
-        resident, resident_ops, opened = self._build(context, codes, rows, ciphers, s, True)
-        plain, plain_ops, _ = self._build(context, codes, rows, ciphers, s, False)
-        assert opened == (_ON_OPENSSL and n > 0)
-        assert _cells(resident) == _cells(plain)
-        assert resident_ops.additions == plain_ops.additions
-        assert _ints_only(resident)
+        ciphers = [EncryptedNumber(context, v, -16) for v in _edge_ciphers(context, rng, self.POOL)]
+        built = {e: self._build(context, codes, rows, ciphers, s) for e in engines()}
+        (first, first_ops), *others = built.values()
+        assert all(_cells(h) == _cells(first) and ops == first_ops for h, ops in others)
+        assert _ints_only(first)
 
     @given(
         bits=st.sampled_from(sorted(_LIMB_EDGE_KEYS)),
@@ -351,57 +351,46 @@ class TestResidentBuild:
         jitter=st.integers(1, 6),
         seed=st.integers(0, 2**16),
     )
-    @example(bits=64, n=POOL, d=3, s=4, jitter=1, seed=0)  # one exponent: bare handles
+    @example(bits=64, n=POOL, d=3, s=4, jitter=1, seed=0)  # one exponent
     @example(bits=66, n=0, d=2, s=3, jitter=3, seed=1)  # empty node
     @example(bits=126, n=POOL, d=2, s=1, jitter=6, seed=2)  # one bin holds every row
     @example(bits=130, n=POOL, d=4, s=5, jitter=6, seed=3)  # one-instance bins
     @settings(max_examples=40, derandomize=True, deadline=None)
-    def test_jittered_build_is_the_int_build(self, bits, n, d, s, jitter, seed):
+    def test_jittered_build_is_the_int_build(self, engines, bits, n, d, s, jitter, seed):
         context = _LIMB_EDGE_KEYS[bits]
-        n_squared = context.public_key.n_squared
         rng = np.random.default_rng(seed)
         rows = rng.permutation(self.POOL)[:n]
         codes = rng.integers(0, s, size=(self.POOL, d))
-
-        def draw():
-            # the range's edges as well as its inside
-            raw = [0, 1, n_squared - 1] + [
-                int.from_bytes(rng.bytes(17), "little") % n_squared
-                for _ in range(self.POOL - 3)
-            ]
-            return _jittered(context, raw, jitter, rng)
-
-        grad, hess = draw(), draw()
-        resident, resident_ops, opened = self._build(context, codes, rows, grad, s, True, hess)
-        plain, plain_ops, _ = self._build(context, codes, rows, grad, s, False, hess)
-        assert opened == (_ON_OPENSSL and n > 0)
-        assert _cells(resident) == _cells(plain)
-        assert resident_ops == plain_ops  # HAdds and scalings alike
-        assert _ints_only(resident)
+        grad = _jittered(context, _edge_ciphers(context, rng, self.POOL), jitter, rng)
+        hess = _jittered(context, _edge_ciphers(context, rng, self.POOL), jitter, rng)
+        built = {e: self._build(context, codes, rows, grad, s, hess) for e in engines()}
+        (first, first_ops), *others = built.values()
+        # HAdds and scalings alike
+        assert all(_cells(h) == _cells(first) and ops == first_ops for h, ops in others)
+        assert _ints_only(first)
         for j in range(d):
             for k in range(s):
                 alone = [i for i in rows.tolist() if codes[i, j] == k]
                 if len(alone) == 1:
-                    assert resident.grad_bins[j][k] is grad[alone[0]]
-                    assert resident.hess_bins[j][k] is hess[alone[0]]
+                    assert first.grad_bins[j][k] == grad[alone[0]]
+                    assert first.hess_bins[j][k] == hess[alone[0]]
 
-    def test_a_bin_of_one_instance_is_that_instances_cipher(self):
+    def test_a_bin_of_one_instance_is_that_instances_cipher(self, engines):
         # rows 0 and 1 share no code; row 2 repeats row 0's first code
         codes = np.array([[0, 0, 0, 0], [1, 1, 1, 1], [0, 2, 2, 2]])
         _, _, _, ciphers, _ = _pair_setup(n=3, d=1, n_bins=2, seed=9)
-        built, _, opened = self._build(CTX, codes, np.arange(3), ciphers, 4, True)
-        assert opened == _ON_OPENSSL
-        assert built.grad_bins[1][1] is ciphers[1]
-        assert built.grad_bins[0][0] is not ciphers[0]
-        assert _ints_only(built)
+        for _ in engines():
+            built, _ = self._build(CTX, codes, np.arange(3), ciphers, 4)
+            assert built.grad_bins[1][1] == ciphers[1]
+            assert built.grad_bins[0][0] != ciphers[0]
+            assert _ints_only(built)
 
-    @pytest.mark.skipif(not _ON_OPENSSL, reason="the python engine holds no BIGNUMs")
     @pytest.mark.parametrize("fail_after", [0, 1, 25])
-    def test_every_bignum_returns_to_the_pool(self, monkeypatch, fail_after):
-        dataset, _, _, pairs, _ = _pair_setup(n=40, d=6, n_bins=4, seed=5)
-        public = CTX.public_context()
+    def test_every_bignum_returns_to_the_pool(self, monkeypatch, engines, fail_after):
+        context = PaillierContext.create(256, seed=34)  # its own modulus, its own pool
+        dataset, _, _, pairs, _ = _pair_setup(n=40, d=6, n_bins=4, seed=5, context=context)
+        public = context.public_context()
         rows = np.arange(40)
-        entry_of = lambda: math_utils._MONT_CACHE[public.public_key.n_squared]  # noqa: E731
         # the paired build, then the naive one on the same integers jittered
         rng = np.random.default_rng(5)
         raw = [pair.ciphertext for pair in pairs]
@@ -409,18 +398,6 @@ class TestResidentBuild:
             (pairs, None),
             (_jittered(public, raw, 3, rng), _jittered(public, raw[::-1], 3, rng)),
         ]
-
-        for grad, hess in builds:
-            built, ops, _ = self._build(public, dataset.codes, rows, grad, 4, True, hess)
-            assert _ints_only(built)
-            entry = entry_of()
-            # a pair's (a feature's) products go back before the next
-            # one: fewer BIGNUMs than one per row, HAdd and scaling
-            assert 0 < entry.allocated < len(rows) + ops.additions + ops.scalings
-            assert (entry.pins, len(entry.free)) == (0, entry.allocated)
-        assert ops.scalings > 0
-
-        # A build that raises partway hands back everything it took.
         add = PaillierContext.add
         calls = []
 
@@ -430,48 +407,54 @@ class TestResidentBuild:
             calls.append(1)
             return add(context, a, b)
 
-        monkeypatch.setattr(PaillierContext, "add", failing_add)
-        for grad, hess in builds:
-            calls.clear()
-            with pytest.raises(RuntimeError, match="injected"):
-                self._build(public, dataset.codes, rows, grad, 4, True, hess)
-            entry = entry_of()
-            assert (entry.pins, len(entry.free)) == (0, entry.allocated)
-        # the block restored the product and the power that refuse a
-        # non-cipher, uncounted
-        before = public.stats.snapshot()
-        with pytest.raises(TypeError, match="not object"):
-            add(public, object(), None)
-        with pytest.raises(TypeError, match="not object"):
-            public.scale_to(ResidentNumber(object(), 8), 9)
-        assert public.stats.diff(before) == OpStats()
+        for engine in engines():
+            entry = math_utils._MONT_CACHE.get(public.public_key.n_squared)
+            for grad, hess in builds:
+                built, ops = self._build(public, dataset.codes, rows, grad, 4, hess)
+                assert _ints_only(built)
+                if engine == "openssl":
+                    entry = math_utils._MONT_CACHE[public.public_key.n_squared]
+                    # a pair's (a feature's) products go back before the
+                    # next one: fewer BIGNUMs than one per row, HAdd and scaling
+                    assert 0 < entry.allocated < len(rows) + ops.additions + ops.scalings
+                    assert (entry.pins, len(entry.free)) == (0, entry.allocated)
+            assert ops.scalings > 0
 
-    @pytest.mark.skipif(not _ON_OPENSSL, reason="the python engine holds no BIGNUMs")
+            # A build that raises partway hands back everything it took.
+            with monkeypatch.context() as patch:
+                patch.setattr(PaillierContext, "add", failing_add)
+                for grad, hess in builds:
+                    calls.clear()
+                    with pytest.raises(RuntimeError, match="injected"):
+                        self._build(public, dataset.codes, rows, grad, 4, hess)
+                    assert public.block is None
+                    if entry is not None:
+                        assert (entry.pins, len(entry.free)) == (0, entry.allocated)
+            # and leaves no arena behind: an op is refused, uncounted
+            before = public.stats.snapshot()
+            with pytest.raises(TypeError, match="no resident block"):
+                add(public, object(), None)
+            assert public.stats.diff(before) == OpStats()
+
     @pytest.mark.parametrize("fail_after", [0, 1, 25])
-    def test_a_packed_node_returns_every_bignum_to_the_pool(self, monkeypatch, fail_after):
+    def test_a_packed_node_returns_every_bignum_to_the_pool(self, monkeypatch, engines, fail_after):
         # One block from the first HAdd to the last pack: the node's bins
-        # and slots stay handles until its packs are unloaded.
-        dataset, _, _, pairs, layout = _pair_setup(n=40, d=6, n_bins=4, seed=5)
-        public = CTX.public_context()
+        # and slots stay operands until its packs are unloaded, and each
+        # pack's Horner products go back to the pool before the next pack.
+        context = PaillierContext.create(256, seed=33)  # its own modulus, its own pool
+        dataset, _, _, pairs, layout = _pair_setup(n=40, d=6, n_bins=4, seed=5, context=context)
+        public = context.public_context()
         rows = np.arange(40)
 
+        def build(block):
+            operands = [block.load(pair) for pair in pairs]
+            return build_encrypted_histogram(public, dataset.codes, rows, operands, None, 4, False)
+
         def build_and_pack():
-            with public.resident():
-                built = build_encrypted_histogram(public, dataset.codes, rows, pairs, None, 4, False)
-                return pack_histogram(public, built, layout)
+            with public.resident() as block:
+                built = build(block)
+                return built, pack_histogram(public, built, layout)
 
-        before = public.stats.snapshot()
-        packed = build_and_pack()
-        ops = public.stats.diff(before)
-        entry = math_utils._MONT_CACHE[public.public_key.n_squared]
-        assert all(type(pack.ciphertext) is int for pack in packed.packs)
-        # a pair's products other than its bins go back before the next
-        # pair: fewer BIGNUMs than one per row, HAdd and SMul
-        bound = len(rows) + ops.additions + ops.scalar_multiplications
-        assert 0 < entry.allocated < bound
-        assert (entry.pins, len(entry.free)) == (0, entry.allocated)
-
-        # A pack that raises partway hands back everything the node took.
         multiply_raw = PaillierContext.multiply_raw
         calls = []
 
@@ -481,29 +464,66 @@ class TestResidentBuild:
             calls.append(1)
             return multiply_raw(context, a, scalar)
 
-        monkeypatch.setattr(PaillierContext, "multiply_raw", failing_multiply_raw)
-        with pytest.raises(RuntimeError, match="injected"):
-            build_and_pack()
-        assert (entry.pins, len(entry.free)) == (0, entry.allocated)
-        with pytest.raises(TypeError, match="not object"):
-            public.add(object(), None)
+        for engine in engines():
+            with public.resident() as block:
+                build(block)  # the build's own high-water mark
+            entry = math_utils._MONT_CACHE.get(public.public_key.n_squared)
+            built_alone = entry.allocated if entry else 0
+            before = public.stats.snapshot()
+            built, packed = build_and_pack()
+            ops = public.stats.diff(before)
+            assert all(type(pack.ciphertext) is int for pack in packed.packs)
+            if engine == "openssl":
+                # Packing holds the block's loads (the rows, the shift's
+                # g**shift and a zero per empty first bin), the held bins,
+                # the slots and one pack's Horner products: the pool grows
+                # past the build's own high-water mark by no other BIGNUM.
+                held = sum(cell is not None for bins in built.grad_bins for cell in bins)
+                zeros = sum(bins[0] is None for bins in built.grad_bins)
+                slots = sum(pack.count for pack in packed.packs)
+                horner = 2 * (layout.capacity - 1)
+                assert len(packed.packs) > 1
+                packing = len(rows) + 1 + zeros + held + slots + horner
+                assert entry.allocated <= max(built_alone, packing)
+                assert (entry.pins, len(entry.free)) == (0, entry.allocated)
+
+            # A pack that raises partway hands back everything the node took.
+            with monkeypatch.context() as patch:
+                patch.setattr(PaillierContext, "multiply_raw", failing_multiply_raw)
+                calls.clear()
+                with pytest.raises(RuntimeError, match="injected"):
+                    build_and_pack()
+            assert public.block is None
+            if entry is not None:
+                assert (entry.pins, len(entry.free)) == (0, entry.allocated)
+            with pytest.raises(TypeError, match="no resident block"):
+                public.add(object(), None)
 
     @staticmethod
-    def _watched_fit(monkeypatch, preset: str) -> tuple[OpStats, Counter]:
-        """``(ops of the fit's builds and packs, int-arithmetic calls inside them)``."""
+    def _watched_fit(preset: str) -> tuple[OpStats, Counter]:
+        """``(ops of the fit's builds and packs, int arithmetic inside them)``.
+
+        ``int`` arithmetic is a call of the key's own ``raw_add`` /
+        ``raw_multiply`` / ``raw_add_plain``, or a build on the ``int``
+        arena's operands.
+        """
         config = PERF.config(preset, crypto_mode="real")
         parties, labels = PERF.parties()
         total, inside, fallbacks = OpStats(), [], Counter()
+        build = enc_histogram.build_encrypted_histogram
 
         def watched(function):
             def call(context, *args):
+                operands = args[2] if function is build else []  # a build's gradients
+                fallbacks["int arena"] += any(type(x) is math_utils._Residue for x in operands)
                 before = context.stats.snapshot()
                 inside.append(True)
                 try:
                     return function(context, *args)
                 finally:
                     inside.pop()
-                    for name, value in context.stats.diff(before).to_dict().items():
+                    ops = context.stats.diff(before)
+                    for name, value in ops.to_dict().items():
                         setattr(total, name, getattr(total, name) + value)
 
             return call
@@ -517,32 +537,54 @@ class TestResidentBuild:
 
             return call
 
-        for name in ("raw_add", "raw_multiply", "raw_add_plain"):
-            monkeypatch.setattr(PaillierPublicKey, name, counted(name))
-        for name in ("build_encrypted_histogram", "pack_histogram"):
-            monkeypatch.setattr(enc_histogram, name, watched(getattr(enc_histogram, name)))
-        FederatedTrainer(config).fit(parties, labels)
+        with pytest.MonkeyPatch.context() as patch:
+            for name in ("raw_add", "raw_multiply", "raw_add_plain"):
+                patch.setattr(PaillierPublicKey, name, counted(name))
+            for name in ("build_encrypted_histogram", "pack_histogram"):
+                patch.setattr(enc_histogram, name, watched(getattr(enc_histogram, name)))
+            FederatedTrainer(config).fit(parties, labels)
         return total, fallbacks
 
-    @pytest.mark.skipif(not _ON_OPENSSL, reason="the python engine builds on ints")
-    def test_a_vf_gbdt_fit_builds_on_no_int_arithmetic(self, monkeypatch):
-        # Every HAdd and scaling of a real VF-GBDT fit's builds is
-        # resident: none falls back to the key's int arithmetic.
-        ops, fallbacks = self._watched_fit(monkeypatch, "vf_gbdt")
-        assert ops.additions > 0
-        assert ops.scalings > 0
-        assert fallbacks == Counter(), f"int arithmetic inside a build: {dict(fallbacks)}"
+    def test_a_vf_gbdt_fit_builds_on_no_int_arithmetic(self, engines):
+        # Every HAdd and scaling of a real VF-GBDT fit's builds runs on
+        # libcrypto's arena: none falls back to int arithmetic — which
+        # the watch does catch on the int arena.
+        for engine in engines():
+            ops, fallbacks = self._watched_fit("vf_gbdt")
+            assert ops.additions > 0
+            assert ops.scalings > 0
+            assert (fallbacks == Counter()) == (engine == "openssl"), dict(fallbacks)
 
-    @pytest.mark.skipif(not _ON_OPENSSL, reason="the python engine builds on ints")
-    def test_a_vf2boost_fit_builds_and_packs_on_no_int_arithmetic(self, monkeypatch):
+    def test_a_vf2boost_fit_builds_and_packs_on_no_int_arithmetic(self, engines):
         # Every HAdd, shift and SMul from a real VF2Boost node's first
-        # HAdd to its last pack is resident: none falls back to the
-        # key's int arithmetic.
-        ops, fallbacks = self._watched_fit(monkeypatch, "vf2boost")
-        assert ops.additions > 0
-        assert ops.plain_additions > 0
-        assert ops.scalar_multiplications > 0
-        assert fallbacks == Counter(), f"int arithmetic inside a build or pack: {dict(fallbacks)}"
+        # HAdd to its last pack runs on libcrypto's arena: none falls
+        # back to int arithmetic — which the watch does catch on the int arena.
+        for engine in engines():
+            ops, fallbacks = self._watched_fit("vf2boost")
+            assert ops.additions > 0
+            assert ops.plain_additions > 0
+            assert ops.scalar_multiplications > 0
+            assert (fallbacks == Counter()) == (engine == "openssl"), dict(fallbacks)
+
+
+class TestWholeFitOnBothEngines:
+    """A real fit is the same fit on libcrypto's arena and on the ``int`` one."""
+
+    @pytest.mark.parametrize(
+        "preset, overrides",
+        [("vf2boost", {}), ("vf_gbdt", {}), ("vf2boost", {"histogram_packing": False})],
+        ids=["vf2boost", "vf_gbdt", "vf2boost-reordered"],
+    )
+    def test_same_model_ops_and_bytes(self, engines, preset, overrides):
+        config = PERF.config(preset, crypto_mode="real", **overrides)
+        parties, labels = PERF.parties()
+        fits = []
+        for _ in engines():
+            result = FederatedTrainer(config).fit(parties, labels)
+            model = json.dumps(model_to_payloads(result.model), sort_keys=True)
+            fits.append((model, result.crypto_stats, result.channel.wire_ledger()))
+        assert all(fit == fits[0] for fit in fits)
+        assert len(fits) == 1 + (math_utils.get_backend().name == "openssl")
 
 
 def _tiny_layout(context: PaillierContext, stride: int = 7) -> SimpleNamespace:
@@ -556,35 +598,20 @@ def _tiny_layout(context: PaillierContext, stride: int = 7) -> SimpleNamespace:
 
 
 class TestResidentPack:
-    """One block from a node's first HAdd to its packs: the ``int`` packs and counts."""
+    """One block from a node's first HAdd to its packs: the same packs on every engine."""
 
     POOL = 12
 
     @staticmethod
-    def _build_and_pack(context, codes, rows, ciphers, s, resident):
-        """``(packs, OpStats, arena opened)`` of one node built and packed in a block.
-
-        ``resident`` packs on this engine; ``False`` on the "python"
-        engine's ``int`` s.
-        """
-        opened = []
-        arena = math_utils.montgomery_arena
-
-        def spy(modulus):
-            block = arena(modulus)
-            opened.append(block is not None)
-            return block
-
+    def _build_and_pack(context, codes, rows, ciphers, s):
+        """``(packs, OpStats)`` of one node built and packed in a block."""
         layout = _tiny_layout(context)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(math_utils, "montgomery_arena", spy)
-            if not resident:
-                patch.setattr(math_utils, "_arena", None)
-            before = context.stats.snapshot()
-            with context.resident():
-                built = build_encrypted_histogram(context, codes, rows, ciphers, None, s, False)
-                packed = pack_histogram(context, built, layout)
-        return packed.packs, context.stats.diff(before), any(opened)
+        before = context.stats.snapshot()
+        with context.resident() as block:
+            operands = [block.load(cipher) for cipher in ciphers]
+            built = build_encrypted_histogram(context, codes, rows, operands, None, s, False)
+            packed = pack_histogram(context, built, layout)
+        return packed.packs, context.stats.diff(before)
 
     @given(
         bits=st.sampled_from(sorted(_LIMB_EDGE_KEYS)),
@@ -602,9 +629,10 @@ class TestResidentPack:
     @example(bits=62, n=0, d=4, s=3, first_empty=False, last_only=False, seed=4)  # empty node
     @example(bits=128, n=POOL, d=4, s=1, first_empty=False, last_only=False, seed=5)  # no slot
     @settings(max_examples=40, derandomize=True, deadline=None)
-    def test_same_packs_and_ops_as_int_packing(self, bits, n, d, s, first_empty, last_only, seed):
+    def test_same_packs_and_ops_as_int_packing(
+        self, engines, bits, n, d, s, first_empty, last_only, seed
+    ):
         context = _LIMB_EDGE_KEYS[bits]
-        n_squared = context.public_key.n_squared
         rng = np.random.default_rng(seed)
         rows = rng.permutation(self.POOL)[:n]
         codes = rng.integers(0, s, size=(self.POOL, d))
@@ -612,20 +640,13 @@ class TestResidentPack:
             codes[:, ::2] = np.maximum(codes[:, ::2], min(1, s - 1))
         if last_only:  # the last feature's rows all in its last bin: only zeros packed
             codes[:, -1] = s - 1
-        # the range's edges as well as its inside
-        raw = [0, 1, n_squared - 1] + [
-            int.from_bytes(rng.bytes(17), "little") % n_squared for _ in range(self.POOL - 3)
-        ]
-        ciphers = [EncryptedNumber(context, value, -16) for value in raw]
-        resident, resident_ops, opened = self._build_and_pack(
-            context, codes, rows, ciphers, s, True
-        )
-        plain, plain_ops, _ = self._build_and_pack(context, codes, rows, ciphers, s, False)
-        assert opened == (_ON_OPENSSL and n > 0)
-        assert resident == plain  # integers, counts, widths and exponents
-        assert all(type(pack.ciphertext) is int for pack in resident)
-        assert resident_ops == plain_ops
-        assert context._block is None
+        ciphers = [EncryptedNumber(context, v, -16) for v in _edge_ciphers(context, rng, self.POOL)]
+        packed = {e: self._build_and_pack(context, codes, rows, ciphers, s) for e in engines()}
+        (first, first_ops), *others = packed.values()
+        # integers, counts, widths, exponents and ops
+        assert all(packs == first and ops == first_ops for packs, ops in others)
+        assert all(type(pack.ciphertext) is int for pack in first)
+        assert context.block is None
 
 
 class TestPackUnpackHistogram:
@@ -657,10 +678,12 @@ class TestPackUnpackHistogram:
     def test_pair_bins_never_scale(self):
         dataset, _, _, pairs, layout = _pair_setup(n=20, d=2, n_bins=6)
         public = CTX.public_context()
-        encrypted = build_encrypted_histogram(
-            public, dataset.codes, np.arange(20), pairs, None, 6, reordered=False
-        )
-        pack_histogram(public, encrypted, layout)
+        with public.resident() as block:
+            operands = [block.load(pair) for pair in pairs]
+            encrypted = build_encrypted_histogram(
+                public, dataset.codes, np.arange(20), operands, None, 6, reordered=False
+            )
+            pack_histogram(public, encrypted, layout)
         assert public.stats.scalings == 0
         assert encrypted.cipher_count() == 2 * 5
 
@@ -698,12 +721,11 @@ class TestPackUnpackHistogram:
         # One bin per feature, or no feature at all: no slots, no packs,
         # and the one bin of every feature is B's own total.
         _, grads, _, pairs, layout = _pair_setup(n=6, d=2, n_bins=2)
-        public = CTX.public_context()
         rows = np.arange(6)
         total = pairs.total(rows)
         for codes in (np.zeros((6, 2), dtype=np.int64), np.zeros((6, 0), dtype=np.int64)):
-            encrypted = build_encrypted_histogram(public, codes, rows, pairs, None, 1, False)
-            packed = pack_histogram(public, encrypted, layout)
+            dataset = SimpleNamespace(codes=codes, n_bins=1)
+            encrypted, packed = _packed(dataset, rows, pairs, layout)
             assert encrypted.cipher_count() == 0 and packed.packs == []
             recovered = unpack_histogram(CTX, packed, total)
             own = sum(round(g * layout.scale) for g in grads) / layout.scale
@@ -812,7 +834,7 @@ class TestUnpackedIntegrity:
     ROWS = np.arange(N)
 
     def _encrypted(self):
-        return build_encrypted_histogram(
+        return _build(
             self.HOME.public_context(), self.DATASET.codes, self.ROWS,
             self.GRADS, self.HESSES, self.DATASET.n_bins, reordered=False,
         )
@@ -863,7 +885,7 @@ class TestSiblingBySubtraction:
                 _packed(self.DATASET, rows, self.PAIR_CIPHERS, self.LAYOUT)[1],
                 self.PAIR_CIPHERS.total(rows),
             )
-        encrypted = build_encrypted_histogram(
+        encrypted = _build(
             CTX.public_context(), self.DATASET.codes, rows, self.GRAD_CIPHERS,
             self.HESS_CIPHERS, self.DATASET.n_bins, reordered=True,
         )

@@ -135,13 +135,18 @@ class TestRandomHelpers:
             assert math.gcd(r, n) == 1
 
 
+#: a test of libcrypto's own arena: its Montgomery cache, pins and checks
+requires_libcrypto = pytest.mark.skipif(not _libcrypto_loads(), reason="no versioned libcrypto here")
+
+
 class TestEngine:
     _examples = itertools.count()
 
-    @pytest.mark.skipif(not _libcrypto_loads(), reason="no versioned libcrypto here")
+    @requires_libcrypto
     def test_backend_names_openssl_where_libcrypto_loads(self):
         assert math_utils.get_backend().name == "openssl"
 
+    @requires_libcrypto
     def test_montgomery_cache_stays_bounded(self):
         # Every fresh key brings new moduli (a key asks for three, n^2,
         # p^2 and q^2; this loop's key setup, draw and Dec use the last
@@ -152,32 +157,29 @@ class TestEngine:
             public, private = generate_keypair(256, seed=1000 + seed)
             cipher = public.raw_encrypt(5, private.make_obfuscator())
             assert private.raw_decrypt(cipher) == 5
-            arena = math_utils.montgomery_arena(public.n_squared)
-            if arena is not None:
-                with arena as bignums:
-                    handles = [bignums.load(cipher) for _ in range(3)]
-                    for _ in range(4):
-                        handles.append(bignums.multiply(handles[-1], handles[0]))
-                    bignums.recycle()
-                    handles[3:] = [bignums.multiply(handles[0], handles[1])]
-                    assert bignums.unload(handles[-1]) == cipher * cipher % public.n_squared
-                entry = math_utils._MONT_CACHE[public.n_squared]
-                # 3 loads + 4 products, the last product drawn from the pool
-                assert (entry.allocated, len(entry.free), entry.pins) == (7, 7, 0)
-                first_entry = first_entry or entry
+            with math_utils.arena(public.n_squared) as bignums:
+                handles = [bignums.load(cipher) for _ in range(3)]
+                for _ in range(4):
+                    handles.append(bignums.multiply(handles[-1], handles[0]))
+                bignums.recycle()
+                handles[3:] = [bignums.multiply(handles[0], handles[1])]
+                assert bignums.unload(handles[-1]) == cipher * cipher % public.n_squared
+            entry = math_utils._MONT_CACHE[public.n_squared]
+            # 3 loads + 4 products, the last product drawn from the pool
+            assert (entry.allocated, len(entry.free), entry.pins) == (7, 7, 0)
+            first_entry = first_entry or entry
             assert len(math_utils._MONT_CACHE) <= math_utils._MONT_CACHE_SIZE
-        if math_utils.get_backend().name == "openssl":
-            assert len(math_utils._MONT_CACHE) == math_utils._MONT_CACHE_SIZE
-            assert first_entry not in math_utils._MONT_CACHE.values()
-            assert (first_entry.allocated, first_entry.free) == (0, [])
+        assert len(math_utils._MONT_CACHE) == math_utils._MONT_CACHE_SIZE
+        assert first_entry not in math_utils._MONT_CACHE.values()
+        assert (first_entry.allocated, first_entry.free) == (0, [])
 
-    @pytest.mark.skipif(not _libcrypto_loads(), reason="no versioned libcrypto here")
+    @requires_libcrypto
     def test_an_open_arena_pins_its_context(self):
         # Evicting the context under live handles would free it from
         # under them (a segfault, not an exception).
         public, _ = generate_keypair(256, seed=7)
         n_squared = public.n_squared
-        with math_utils.montgomery_arena(n_squared) as bignums:
+        with math_utils.arena(n_squared) as bignums:
             handle = bignums.load(12345)
             for seed in range(2 * math_utils._MONT_CACHE_SIZE):
                 other, _ = generate_keypair(256, seed=2000 + seed)
@@ -189,15 +191,33 @@ class TestEngine:
             math_utils.powmod(3, 5, other.n_squared)
         assert n_squared not in math_utils._MONT_CACHE
 
-    def test_no_arena_without_montgomery_arithmetic(self, monkeypatch):
-        assert math_utils.montgomery_arena(2**64) is None  # even
-        monkeypatch.setattr(math_utils, "_arena", None)  # the "python" engine
-        assert math_utils.montgomery_arena(10007**2) is None
+    def test_a_modulus_without_montgomery_arithmetic_gets_the_int_arena(self, engines):
+        for _ in engines():
+            with math_utils.arena(2**64) as bignums:  # even
+                handle = bignums.load(2**64 + 5)
+                assert type(handle) is bignums.handle and int(handle) == 5
+                assert bignums.unload(bignums.power(handle, 3)) == 125
 
-    @pytest.mark.skipif(not _libcrypto_loads(), reason="no versioned libcrypto here")
+    @pytest.mark.parametrize("stranger", [None, 12345, b"\x01" * 8, "x", 1.5])
+    def test_an_arena_refuses_what_is_not_its_handle(self, engines, stranger):
+        # libcrypto's would pass None, an int or bytes on as a pointer
+        for _ in engines():
+            with math_utils.arena(10007**2) as bignums:
+                handle = bignums.load(3)
+                for call in (
+                    lambda: bignums.multiply(handle, stranger),
+                    lambda: bignums.multiply(stranger, handle),
+                    lambda: bignums.power(stranger, 3),
+                    lambda: bignums.unload(stranger),
+                ):
+                    with pytest.raises(TypeError, match=f"not {type(stranger).__name__}"):
+                        call()
+                assert bignums.unload(bignums.multiply(handle, handle)) == 9
+
+    @requires_libcrypto
     def test_an_arena_that_multiplies_wrong_is_dropped(self, monkeypatch):
         arena = math_utils._arena
-        assert arena is not None and math_utils._arena_agrees(arena)
+        assert arena is not math_utils._int_arena and math_utils._arena_agrees(arena)
 
         @contextlib.contextmanager
         def squaring(modulus):
@@ -211,12 +231,12 @@ class TestEngine:
                 )
 
         assert not math_utils._arena_agrees(squaring)
-        # the powers stay on libcrypto; only the arena goes
+        # the powers stay on libcrypto; the blocks go to the int arena
         monkeypatch.setattr(math_utils, "_arena_agrees", lambda arena: False)
         name, *_, dropped, _ = math_utils._load_engine()
-        assert (name, dropped) == ("openssl", None)
+        assert (name, dropped) == ("openssl", math_utils._int_arena)
 
-    @pytest.mark.skipif(not _libcrypto_loads(), reason="no versioned libcrypto here")
+    @requires_libcrypto
     def test_an_arena_that_powers_wrong_is_dropped(self, monkeypatch):
         arena = math_utils._arena
 
@@ -240,10 +260,9 @@ class TestEngine:
 
         monkeypatch.setattr(math_utils, "_bind_libcrypto", bind_off_by_one)
         name, powmod, *_, dropped, _ = math_utils._load_engine()
-        assert (name, dropped) == ("openssl", None)
+        assert (name, dropped) == ("openssl", math_utils._int_arena)
         assert powmod(*math_utils._KNOWN_ANSWER) == pow(*math_utils._KNOWN_ANSWER)
 
-    @pytest.mark.skipif(not _libcrypto_loads(), reason="no versioned libcrypto here")
     @given(
         bits=st.sampled_from([62, 64, 66, 126, 128, 130]),
         exponents=st.lists(
@@ -252,22 +271,38 @@ class TestEngine:
         seed=st.integers(0, 2**32),
     )
     @settings(max_examples=40, derandomize=True, deadline=None)
-    def test_power_is_powmod_on_the_loaded_integer(self, bits, exponents, seed):
+    def test_power_is_powmod_on_the_loaded_integer(self, engines, bits, exponents, seed):
         # a modulus of its own per example: its pool holds only this block's
         rng = random.Random(seed * 1000 + next(self._examples))
         modulus = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
         values = [0, 1, modulus - 1, rng.randrange(modulus)]
-        with math_utils.montgomery_arena(modulus) as bignums:
-            for value in values:
-                handle = bignums.load(value)
-                for exponent in exponents + exponents:  # the second round is cached
-                    raised = bignums.power(handle, exponent)
-                    assert bignums.unload(raised) == pow(value, exponent, modulus)
-            bignums.recycle()
-        entry = math_utils._MONT_CACHE[modulus]
-        # one pooled BIGNUM a load and a power: the exponents never join the pool
-        pooled = len(values) * (1 + 2 * len(exponents))
-        assert (entry.allocated, len(entry.free), entry.pins) == (pooled, pooled, 0)
+        for engine in engines():
+            with math_utils.arena(modulus) as bignums:
+                for value in values:
+                    handle = bignums.load(value)
+                    for exponent in exponents + exponents:  # the second round is cached
+                        raised = bignums.power(handle, exponent)
+                        assert bignums.unload(raised) == pow(value, exponent, modulus)
+                bignums.recycle()
+            if engine == "openssl":
+                entry = math_utils._MONT_CACHE[modulus]
+                # one pooled BIGNUM a load and a power: the exponents never join the pool
+                pooled = len(values) * (1 + 2 * len(exponents))
+                assert (entry.allocated, len(entry.free), entry.pins) == (pooled, pooled, 0)
+
+    def test_recycle_hands_back_what_was_made_since_the_mark(self, engines):
+        for engine in engines():
+            with math_utils.arena(10007**2) as bignums:
+                x = bignums.load(3)
+                early = bignums.multiply(x, x)
+                mark = bignums.mark()
+                kept = bignums.multiply(early, x)
+                bignums.multiply(kept, kept)
+                bignums.recycle(mark, keep=[kept])
+                # the pool's BIGNUM goes to the next product, not to a kept one
+                again = bignums.multiply(x, x)
+                assert [bignums.unload(h) for h in (early, kept, again)] == [9, 27, 9]
+                assert again is not kept and again is not early
 
     def test_only_math_utils_imports_ctypes(self):
         package = Path(math_utils.__file__).parents[1]

@@ -14,6 +14,12 @@ from repro.crypto.packing import (
 CTX = PaillierContext.create(256, seed=5, jitter=1)
 
 
+def _pack(context, ciphers, limb_bits):
+    """:func:`pack_ciphers` on the ciphers' operands in a resident block."""
+    with context.resident() as block:
+        return pack_ciphers(context, [block.load(c) for c in ciphers], limb_bits=limb_bits)
+
+
 class TestPackCapacity:
     def test_capacity_positive(self):
         assert pack_capacity(CTX.public_key, 32) >= 1
@@ -56,12 +62,12 @@ class TestPackCapacity:
             context.encrypt_encoded(EncodedNumber(pub, top, 0, context.encoder.base))
             for _ in range(3)
         ]
-        packed = pack_ciphers(context, ciphers, limb_bits=64)
+        packed = _pack(context, ciphers, limb_bits=64)
         maximal = (1 << 192) - 1
         assert maximal <= pub.max_int < 2 * maximal
         assert unpack_values(context, packed) == [top] * 3
         with pytest.raises(ValueError, match="capacity is 3"):
-            pack_ciphers(context, ciphers + ciphers[:1], limb_bits=64)
+            _pack(context, ciphers + ciphers[:1], limb_bits=64)
 
     def test_tiny_key_rejected(self):
         # A 64-bit key leaves ~62 usable plaintext bits — not even one
@@ -86,12 +92,12 @@ class TestPackUnpack:
     @settings(max_examples=30, deadline=None)
     def test_round_trip(self, values):
         ciphers = [CTX.encrypt(float(v), exponent=0) for v in values]
-        packed = pack_ciphers(CTX, ciphers, limb_bits=32)
+        packed = _pack(CTX, ciphers, limb_bits=32)
         assert unpack_values(CTX, packed) == values
 
     def test_first_value_in_lowest_limb(self):
         ciphers = [CTX.encrypt(float(v), exponent=0) for v in (1, 2, 3)]
-        packed = pack_ciphers(CTX, ciphers, limb_bits=16)
+        packed = _pack(CTX, ciphers, limb_bits=16)
         raw = CTX.decrypt_raw(
             type(ciphers[0])(CTX, packed.ciphertext, packed.exponent)
         )
@@ -99,22 +105,22 @@ class TestPackUnpack:
 
     def test_zero_values(self):
         ciphers = [CTX.encrypt(0.0, exponent=0) for _ in range(4)]
-        packed = pack_ciphers(CTX, ciphers, limb_bits=24)
+        packed = _pack(CTX, ciphers, limb_bits=24)
         assert unpack_values(CTX, packed) == [0, 0, 0, 0]
 
     def test_max_limb_values(self):
         top = (1 << 20) - 1
         ciphers = [CTX.encrypt(float(top), exponent=0) for _ in range(3)]
-        packed = pack_ciphers(CTX, ciphers, limb_bits=20)
+        packed = _pack(CTX, ciphers, limb_bits=20)
         assert unpack_values(CTX, packed) == [top] * 3
 
     def test_single_cipher_pack(self):
-        packed = pack_ciphers(CTX, [CTX.encrypt(42.0, exponent=0)], limb_bits=32)
+        packed = _pack(CTX, [CTX.encrypt(42.0, exponent=0)], limb_bits=32)
         assert unpack_values(CTX, packed) == [42]
 
     def test_exponent_carried(self):
         ciphers = [CTX.encrypt(1.5, exponent=4), CTX.encrypt(2.0, exponent=4)]
-        packed = pack_ciphers(CTX, ciphers, limb_bits=40)
+        packed = _pack(CTX, ciphers, limb_bits=40)
         assert packed.exponent == 4
         values = unpack_values(CTX, packed)
         base = CTX.encoder.base
@@ -125,20 +131,20 @@ class TestPackUnpack:
 class TestPackValidation:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            pack_ciphers(CTX, [], limb_bits=32)
+            _pack(CTX, [], limb_bits=32)
 
     def test_over_capacity_rejected(self):
         capacity = pack_capacity(CTX.public_key, 32)
         assert capacity == 7  # 253 usable bits, no limb held back
         ciphers = [CTX.encrypt(1.0, exponent=0) for _ in range(capacity + 1)]
-        assert unpack_values(CTX, pack_ciphers(CTX, ciphers[:-1], limb_bits=32)) == [1] * 7
+        assert unpack_values(CTX, _pack(CTX, ciphers[:-1], limb_bits=32)) == [1] * 7
         with pytest.raises(ValueError, match="capacity is 7"):
-            pack_ciphers(CTX, ciphers, limb_bits=32)
+            _pack(CTX, ciphers, limb_bits=32)
 
     def test_mixed_exponents_rejected(self):
         ciphers = [CTX.encrypt(1.0, exponent=2), CTX.encrypt(1.0, exponent=3)]
         with pytest.raises(ValueError):
-            pack_ciphers(CTX, ciphers, limb_bits=32)
+            _pack(CTX, ciphers, limb_bits=32)
 
 
 class TestPackedCipherIsInert:
@@ -148,7 +154,7 @@ class TestPackedCipherIsInert:
         import dataclasses
         import operator
 
-        packed = pack_ciphers(CTX, [CTX.encrypt(1.0, exponent=0)], limb_bits=32)
+        packed = _pack(CTX, [CTX.encrypt(1.0, exponent=0)], limb_bits=32)
         for op in (operator.add, operator.sub, operator.mul):
             with pytest.raises(TypeError):
                 op(packed, packed)
@@ -171,7 +177,7 @@ class TestPackedCipherIsInert:
         import dataclasses
 
         ciphers = [CTX.encrypt(float(v), exponent=0) for v in (1, 2, 3)]
-        packed = pack_ciphers(CTX, ciphers, limb_bits=32)
+        packed = _pack(CTX, ciphers, limb_bits=32)
         with pytest.raises(ValueError, match="overflows its 2 limbs"):
             unpack_values(CTX, dataclasses.replace(packed, count=2))
 
@@ -179,7 +185,7 @@ class TestPackedCipherIsInert:
 class TestPackingEconomics:
     def test_single_decryption_per_pack(self):
         ciphers = [CTX.encrypt(float(v), exponent=0) for v in (5, 6, 7)]
-        packed = pack_ciphers(CTX, ciphers, limb_bits=32)
+        packed = _pack(CTX, ciphers, limb_bits=32)
         before = CTX.stats.snapshot()
         unpack_values(CTX, packed)
         assert CTX.stats.diff(before).decryptions == 1
@@ -187,14 +193,14 @@ class TestPackingEconomics:
     def test_pack_costs_t_minus_one_ops(self):
         ciphers = [CTX.encrypt(float(v), exponent=0) for v in range(5)]
         before = CTX.stats.snapshot()
-        pack_ciphers(CTX, ciphers, limb_bits=32)
+        _pack(CTX, ciphers, limb_bits=32)
         diff = CTX.stats.diff(before)
         assert diff.additions == 4
         assert diff.scalar_multiplications == 4
 
     def test_wire_size_independent_of_count(self):
-        one = pack_ciphers(CTX, [CTX.encrypt(1.0, exponent=0)], limb_bits=32)
-        many = pack_ciphers(
+        one = _pack(CTX, [CTX.encrypt(1.0, exponent=0)], limb_bits=32)
+        many = _pack(
             CTX, [CTX.encrypt(1.0, exponent=0) for _ in range(4)], limb_bits=32
         )
         assert one.size_bits(CTX.public_key) == many.size_bits(CTX.public_key)

@@ -36,10 +36,17 @@ def _on_grid(value):
     return round(value * SCALE) / SCALE
 
 
+def _sum(ciphers, context=CTX):
+    """The HAdd sum of ciphers, on their operands in a resident block."""
+    with context.resident() as block:
+        return block.unload(context.sum_ciphers([block.load(c) for c in ciphers]))
+
+
 def _decode(cipher, count, layout=LAYOUT, context=CTX):
     """Exact ``(grad sum, hess sum)`` of a cipher summing ``count`` pairs."""
     shift = layout.shift(count)
-    shifted = context.add_plain_raw(cipher, shift)
+    with context.resident() as block:
+        shifted = block.unload(context.add_plain_raw(block.load(cipher), shift))
     grad_raw, hess_raw = layout.split(context.decrypt_raw(shifted))
     return (grad_raw - shift) / layout.scale, hess_raw / layout.scale
 
@@ -71,7 +78,7 @@ class TestCodec:
     @settings(max_examples=25, deadline=None)
     def test_accumulated_sums(self, pairs):
         pairs = [(_on_grid(g), _on_grid(h)) for g, h in pairs]
-        total = CTX.sum_ciphers(LAYOUT.encrypt(CTX, LAYOUT.encode(*zip(*pairs))))
+        total = _sum(LAYOUT.encrypt(CTX, LAYOUT.encode(*zip(*pairs))))
         grad_sum, hess_sum = _decode(total, len(pairs))
         assert grad_sum == sum(round(g * SCALE) for g, _ in pairs) / SCALE
         assert hess_sum == sum(round(h * SCALE) for _, h in pairs) / SCALE
@@ -79,7 +86,7 @@ class TestCodec:
     def test_accumulation_never_scales(self):
         ciphers = LAYOUT.encrypt(CTX, LAYOUT.encode([0.5] * 10, [_on_grid(0.1)] * 10))
         before = CTX.stats.snapshot()
-        CTX.sum_ciphers(ciphers)
+        _sum(ciphers)
         assert CTX.stats.diff(before).scalings == 0
 
     def test_one_encryption_per_pair(self):
@@ -122,7 +129,9 @@ class TestCodec:
             GradHessLayout(64, 10**9, grad_bound=1.0, hess_bound=0.25)
 
     def test_zero_cipher(self):
-        assert _decode(CTX.encrypt_zero(LAYOUT.exponent), 0) == (0.0, 0.0)
+        with CTX.resident() as block:
+            zero = block.unload(CTX.encrypt_zero(LAYOUT.exponent))
+        assert _decode(zero, 0) == (0.0, 0.0)
 
     def test_hessian_limb_sized_from_its_own_bound(self):
         # A large hessian bound widens the hessian's bits of the slot
@@ -155,12 +164,13 @@ class TestLayoutProperties:
         layout = GradHessLayout(key_bits, max(n, 1), grad_bound=1.0, hess_bound=0.25)
         raw = layout.encode(*zip(*pairs)) if pairs else []
         public = context.public_context()
-        encrypted = build_encrypted_histogram(
-            public, codes, np.arange(n), layout.encrypt(context, raw), None, n_bins,
-            False,
-        )
-        assert encrypted.cipher_count() == d * (n_bins - 1)
-        packed = pack_histogram(public, encrypted, layout)
+        with public.resident() as block:
+            operands = [block.load(c) for c in layout.encrypt(context, raw)]
+            encrypted = build_encrypted_histogram(
+                public, codes, np.arange(n), operands, None, n_bins, False
+            )
+            assert encrypted.cipher_count() == d * (n_bins - 1)
+            packed = pack_histogram(public, encrypted, layout)
         assert public.stats.scalings == 0
         n_packs = -(-d * (n_bins - 1) // layout.capacity)
         assert packed.cipher_count() == n_packs == layout.packs_per_node(d, n_bins)
@@ -225,9 +235,11 @@ class TestLayoutProperties:
 
         def packed(slots):
             cells = layout.encrypt(context, [whole_node] + [0] * (slots - 1))
-            return pack_histogram(
-                public, EncryptedHistogram([cells], [], n, slots + 1), layout
-            )
+            with public.resident() as block:
+                operands = [block.load(cell) for cell in cells]
+                return pack_histogram(
+                    public, EncryptedHistogram([operands], [], n, slots + 1), layout
+                )
 
         full = packed(t)
         (pack,) = full.packs
@@ -338,7 +350,7 @@ class TestLayoutProperties:
         value = -_on_grid(0.987654321)
         for exponent in range(LAYOUT.exponent, 8 + 6):
             ciphers = [CTX.encrypt(value, exponent=exponent) for _ in range(48)]
-            assert CTX.decrypt(CTX.sum_ciphers(ciphers)) == 48 * value
+            assert CTX.decrypt(_sum(ciphers)) == 48 * value
         assert (2 * 48 * 16 ** (8 + 6 - 1)).bit_length() > 53
 
     def test_experiments_t_table_is_what_the_layout_computes(self):

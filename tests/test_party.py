@@ -227,7 +227,9 @@ class TestBoundary:
         assert not self.LABEL_STATE & set(vars(passive))
         assert self.LABEL_STATE <= set(vars(active))
         assert passive.hesses is None and len(passive.grads) == GOLDEN.n_instances
-        assert all(type(cipher) is EncryptedNumber for cipher in passive.grads)
+        # B's ciphers, each loaded once into the tree's resident block
+        block = passive.context.block
+        assert all(type(block.unload(operand)) is EncryptedNumber for operand in passive.grads)
         assert set(active.hists) == {ACTIVE, 1} and channel.pending(1, ACTIVE) == 0
 
     def test_a_message_the_step_cannot_accept_is_a_typed_error(self, parties):
