@@ -6,9 +6,10 @@ table/figure, writing the rendered text to ``benchmarks/results/`` so
 the reproduction artifacts survive the run.
 
 Observability: run with ``--obs-dir <dir>`` to additionally emit
-:class:`repro.obs.RunReport` JSONs and Perfetto-loadable Chrome traces
-for the benchmarks that schedule protocols (the ``record_report``
-fixture is a no-op without the flag, so plain runs stay artifact-free).
+:class:`repro.obs.report.RunReport` JSONs and Perfetto-loadable Chrome
+traces for the benchmarks that schedule protocols (the
+``record_report`` fixture is a no-op without the flag, so plain runs
+stay artifact-free).
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ def record_result(results_dir):
 def record_report(obs_dir):
     """Write a ScheduleResult's RunReport + Chrome trace under --obs-dir.
 
-    Returns the saved :class:`repro.obs.RunReport` (or ``None`` when
+    Returns the saved :class:`repro.obs.report.RunReport` (or ``None`` when
     ``--obs-dir`` was not given).  The schedule must have been produced
     with ``collect_tasks=True`` for the trace to carry spans.
     """
@@ -68,7 +69,7 @@ def record_report(obs_dir):
     def _record(name: str, schedule_result, label: str = "", config=None):
         if obs_dir is None:
             return None
-        from repro.obs import write_chrome_trace
+        from repro.obs.trace_export import write_chrome_trace
 
         report = schedule_result.run_report(label=label or name, config=config)
         report.save(str(obs_dir / f"{name}.report.json"))

@@ -16,13 +16,9 @@ Run:  python examples/crypto_tour.py
 import random
 import time
 
-from repro.crypto import (
-    PaillierContext,
-    pack_capacity,
-    pack_ciphers,
-    reordered_sum,
-    unpack_values,
-)
+from repro.crypto.accumulation import reordered_sum
+from repro.crypto.ciphertext import PaillierContext
+from repro.crypto.packing import pack_capacity, pack_ciphers, unpack_values
 
 
 def main() -> None:

@@ -18,7 +18,7 @@ from repro.core.profile import analytic_trace
 from repro.core.protocol import ProtocolScheduler
 from repro.fed.cluster import PAPER_CLUSTER
 from repro.gbdt.params import GBDTParams
-from repro.obs import write_chrome_trace
+from repro.obs.trace_export import write_chrome_trace
 
 
 def main(argv: list[str] | None = None) -> None:

@@ -10,8 +10,9 @@ and figure of the paper's evaluation.
 Quickstart::
 
     from repro import FederatedTrainer, VF2BoostConfig, GBDTParams
-    from repro.data import load_dataset, split_features
-    from repro.gbdt import bin_dataset
+    from repro.data.datasets import load_dataset
+    from repro.data.partition import split_features
+    from repro.gbdt.binning import bin_dataset
 
     data = load_dataset("census")
     full = bin_dataset(data.train_features, 20)
@@ -19,12 +20,17 @@ Quickstart::
     parties = [full.subset_features(partition.columns_of(p)) for p in (0, 1)]
     config = VF2BoostConfig.vf2boost(params=GBDTParams(n_trees=5))
     result = FederatedTrainer(config).fit(parties, data.train_labels)
+
+Every other name is imported from its defining module; the subpackage
+``__init__`` files hold only their docstrings.
 """
 
 from repro.core.config import VF2BoostConfig
 from repro.core.trainer import FederatedModel, FederatedTrainer, TrainResult
-from repro.crypto import PaillierContext, generate_keypair
-from repro.gbdt import GBDTParams, GBDTTrainer
+from repro.crypto.ciphertext import PaillierContext
+from repro.crypto.paillier import generate_keypair
+from repro.gbdt.boosting import GBDTTrainer
+from repro.gbdt.params import GBDTParams
 
 __version__ = "1.0.0"
 

@@ -29,16 +29,3 @@ rules (operators, exponent mixing, re-packing) are not static rules:
 the crypto types refuse those misuses when the line runs.  See
 DESIGN.md §4.6 and §4.10.
 """
-
-from repro.analysis.astutils import PackageIndex
-from repro.analysis.cli import main, run_analysis
-from repro.analysis.findings import Finding, Reporter, Severity
-
-__all__ = [
-    "Finding",
-    "PackageIndex",
-    "Reporter",
-    "Severity",
-    "main",
-    "run_analysis",
-]

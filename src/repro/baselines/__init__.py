@@ -1,10 +1,1 @@
 """Baseline systems the paper compares against (§6.3)."""
-
-from repro.baselines.systems import (
-    SYSTEMS,
-    SystemSpec,
-    get_system,
-    simulate_plaintext_gbdt,
-)
-
-__all__ = ["SYSTEMS", "SystemSpec", "get_system", "simulate_plaintext_gbdt"]

@@ -1,33 +1,1 @@
 """Benchmark harness: cost models, calibration, perf gate, rendering."""
-
-from repro.bench.calibrate import (
-    CalibrationProfile,
-    DriftReport,
-    calibrate,
-    check_drift,
-)
-from repro.bench.costmodel import CostModel
-from repro.bench.perfdb import (
-    GateResult,
-    PerfDB,
-    PerfEntry,
-    PerfScalar,
-    counted_scenario,
-    fig7_scenario,
-    gate,
-)
-
-__all__ = [
-    "CalibrationProfile",
-    "CostModel",
-    "DriftReport",
-    "GateResult",
-    "PerfDB",
-    "PerfEntry",
-    "PerfScalar",
-    "calibrate",
-    "check_drift",
-    "counted_scenario",
-    "fig7_scenario",
-    "gate",
-]

@@ -23,7 +23,7 @@ the same keyword knobs through the library API (see
 ``repro.bench.experiments``).  ``--json`` switches the experiments
 that produce structured data (``fig7``, ``util``) to machine-readable
 output.  The ``trace`` subcommand re-exports the spans stored in a
-saved :class:`~repro.obs.RunReport` as Chrome trace-event JSON
+saved :class:`~repro.obs.report.RunReport` as Chrome trace-event JSON
 (openable at https://ui.perfetto.dev) and prints the report's phase
 breakdown; ``--summary`` prints the phase table and per-lane
 utilization without writing any file.  ``whatif`` re-prices the
@@ -92,7 +92,8 @@ EXPERIMENTS: dict[str, tuple[str, object]] = {
 def _trace_main(argv: list[str]) -> int:
     """``repro trace``: saved RunReport -> Chrome trace + phase table."""
     from repro.bench.report import format_table, phase_table
-    from repro.obs import RunReport, Tracer
+    from repro.obs.report import RunReport
+    from repro.obs.tracer import Tracer
 
     parser = argparse.ArgumentParser(
         prog="repro trace",

@@ -1,43 +1,1 @@
 """VF²Boost core: the federated trainer, protocol scheduler, and config."""
-
-from repro.core.config import VF2BoostConfig
-from repro.core.enc_histogram import (
-    EncryptedHistogram,
-    PackedHistogram,
-    build_encrypted_histogram,
-    decrypt_histogram,
-    pack_histogram,
-    unpack_histogram,
-)
-from repro.core.inference import FederatedPredictor
-from repro.core.profile import analytic_trace
-from repro.core.serialization import load_model, model_from_payloads, model_to_payloads, save_model
-from repro.core.protocol import ProtocolScheduler, ScheduleResult
-from repro.core.trace import LayerTrace, NodeTrace, PartyShape, TraceLog, TreeTrace
-from repro.core.trainer import FederatedModel, FederatedTrainer, TrainResult
-
-__all__ = [
-    "EncryptedHistogram",
-    "FederatedModel",
-    "FederatedPredictor",
-    "FederatedTrainer",
-    "LayerTrace",
-    "NodeTrace",
-    "PackedHistogram",
-    "PartyShape",
-    "ProtocolScheduler",
-    "ScheduleResult",
-    "TraceLog",
-    "TrainResult",
-    "TreeTrace",
-    "VF2BoostConfig",
-    "analytic_trace",
-    "build_encrypted_histogram",
-    "decrypt_histogram",
-    "load_model",
-    "model_from_payloads",
-    "model_to_payloads",
-    "pack_histogram",
-    "save_model",
-    "unpack_histogram",
-]

@@ -30,7 +30,7 @@ from __future__ import annotations
 import contextlib
 import random
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -82,7 +82,7 @@ class OpStats:
 
     def to_dict(self) -> dict[str, int]:
         """JSON-ready counter mapping (RunReport / golden party sweep)."""
-        return asdict(self)
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)

@@ -1,33 +1,1 @@
 """Data substrate: synthetic generation, Table 3 registry, partitioning, PSI."""
-
-from repro.data.datasets import (
-    DATASETS,
-    DatasetInfo,
-    LoadedDataset,
-    dataset_info,
-    load_dataset,
-)
-from repro.data.partition import VerticalPartition, split_features, worker_shards
-from repro.data.psi import PsiParty, intersect, psi_align
-from repro.data.synthetic import (
-    SyntheticSpec,
-    generate_classification,
-    generate_sparse_classification,
-)
-
-__all__ = [
-    "DATASETS",
-    "DatasetInfo",
-    "LoadedDataset",
-    "PsiParty",
-    "SyntheticSpec",
-    "VerticalPartition",
-    "dataset_info",
-    "generate_classification",
-    "generate_sparse_classification",
-    "intersect",
-    "load_dataset",
-    "psi_align",
-    "split_features",
-    "worker_shards",
-]

@@ -20,7 +20,7 @@ which is what lets a single CPU reproduce two data centers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["SimTask", "Resource", "SimEngine", "gantt_chart"]
 
@@ -214,87 +214,6 @@ class SimEngine:
     def makespan(self) -> float:
         """Finish time of the last task."""
         return max((task.end for task in self.tasks), default=0.0)
-
-    def export_graph(self) -> dict:
-        """JSON-ready snapshot of the full schedule.
-
-        Carries everything :func:`SimEngine.from_graph` (and the
-        critical-path analyzer in :mod:`repro.obs.critical`) needs to
-        rebuild the schedule exactly: declared lane counts, every task
-        with its dependency edges, and the makespan.
-        """
-        return {
-            "resources": {
-                name: resource.lanes
-                for name, resource in sorted(self.resources.items())
-            },
-            "tasks": [
-                {
-                    "name": task.name,
-                    "phase": task.phase,
-                    "resource": task.resource,
-                    "lane": task.lane,
-                    "start": task.start,
-                    "end": task.end,
-                    "task_id": task.task_id,
-                    "deps": list(task.deps),
-                    "party": task.party,
-                }
-                for task in self.tasks
-            ],
-            "makespan": self.makespan,
-        }
-
-    @classmethod
-    def from_tasks(
-        cls, tasks: list[SimTask], lanes: dict[str, int] | None = None
-    ) -> "SimEngine":
-        """Rebuild an engine around already-scheduled tasks.
-
-        The timing fields are trusted as recorded (nothing is
-        re-scheduled); resources are reconstructed with enough lanes
-        for every task (or the declared ``lanes`` counts) and their
-        busy/free accounting replayed, so ``utilization()``,
-        ``phase_breakdown()`` and ``gantt()`` work on a loaded graph
-        exactly as on the engine that produced it.
-        """
-        engine = cls()
-        for name, count in sorted((lanes or {}).items()):
-            engine.add_resource(name, count)
-        for task in sorted(tasks, key=lambda t: t.task_id):
-            needed = task.lane + 1
-            resource = engine.resource(task.resource)
-            while resource.lanes < needed:
-                resource._free_at.append(0.0)
-            resource._free_at[task.lane] = max(
-                resource._free_at[task.lane], task.end
-            )
-            resource.busy_time += task.duration
-            engine.tasks.append(task)
-        return engine
-
-    @classmethod
-    def from_graph(cls, data: dict) -> "SimEngine":
-        """Inverse of :meth:`export_graph`."""
-        tasks = [
-            SimTask(
-                name=item["name"],
-                phase=item["phase"],
-                resource=item["resource"],
-                lane=int(item["lane"]),
-                start=float(item["start"]),
-                end=float(item["end"]),
-                task_id=int(item["task_id"]),
-                deps=tuple(item.get("deps", ())),
-                party=item.get("party"),
-            )
-            for item in data.get("tasks", [])
-        ]
-        lanes = {
-            name: int(count)
-            for name, count in data.get("resources", {}).items()
-        }
-        return cls.from_tasks(tasks, lanes=lanes)
 
     def by_phase(self) -> dict[str, list[SimTask]]:
         """Tasks grouped by phase tag, in submission order per group.

@@ -1,42 +1,1 @@
 """Histogram-based gradient boosting core shared by every trainer."""
-
-from repro.gbdt.binning import BinnedDataset, bin_column, bin_dataset
-from repro.gbdt.boosting import EvalRecord, GBDTModel, GBDTTrainer
-from repro.gbdt.histogram import Histogram, build_histogram
-from repro.gbdt.loss import LogisticLoss, Loss, SquaredLoss, get_loss, sigmoid
-from repro.gbdt.metrics import accuracy, auc, error_rate, logloss, rmse
-from repro.gbdt.params import GBDTParams
-from repro.gbdt.quantile import QuantileSketch, propose_cut_points
-from repro.gbdt.split import SplitCandidate, find_best_split, gain_matrix, leaf_weight
-from repro.gbdt.tree import DecisionTree, TreeNode, partition_instances
-
-__all__ = [
-    "BinnedDataset",
-    "DecisionTree",
-    "EvalRecord",
-    "GBDTModel",
-    "GBDTParams",
-    "GBDTTrainer",
-    "Histogram",
-    "LogisticLoss",
-    "Loss",
-    "QuantileSketch",
-    "SplitCandidate",
-    "SquaredLoss",
-    "TreeNode",
-    "accuracy",
-    "auc",
-    "bin_column",
-    "bin_dataset",
-    "build_histogram",
-    "error_rate",
-    "find_best_split",
-    "gain_matrix",
-    "get_loss",
-    "leaf_weight",
-    "logloss",
-    "partition_instances",
-    "propose_cut_points",
-    "rmse",
-    "sigmoid",
-]

@@ -18,7 +18,7 @@ graph backwards from the finishing task and recovers
 Everything is duck-typed over ``SimTask``-shaped objects (``name`` /
 ``phase`` / ``resource`` / ``lane`` / ``start`` / ``end`` / ``task_id``
 / ``deps``), so the module imports nothing from the rest of the
-package and works on graphs loaded back from ``export_graph()`` JSON.
+package.
 
 Why a backward walk instead of longest-path over dependency edges: the
 engine's lanes are FIFO, so a task can be delayed by the *previous
@@ -35,7 +35,7 @@ injection.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 __all__ = [
@@ -479,39 +479,3 @@ def critical_path_section(
         "slack": {"zero_slack_tasks": zero_slack, "max_slack": max_slack},
         "trees": trees,
     }
-
-
-def tasks_from_graph(data: Mapping) -> list:
-    """Rebuild duck-typed tasks from ``SimEngine.export_graph()`` JSON.
-
-    Returns lightweight records (not :class:`SimTask`) carrying the
-    attributes every function in this module reads, so a graph exported
-    on one host can be analyzed anywhere without importing the engine.
-    """
-
-    @dataclass(frozen=True)
-    class _Task:
-        name: str
-        phase: str
-        resource: str
-        lane: int
-        start: float
-        end: float
-        task_id: int
-        deps: tuple
-        party: object = None
-
-    return [
-        _Task(
-            name=item["name"],
-            phase=item["phase"],
-            resource=item["resource"],
-            lane=int(item["lane"]),
-            start=float(item["start"]),
-            end=float(item["end"]),
-            task_id=int(item["task_id"]),
-            deps=tuple(item.get("deps", ())),
-            party=item.get("party"),
-        )
-        for item in data["tasks"]
-    ]

@@ -29,63 +29,3 @@ FederatedPredictor` protocol into a latency-aware serving runtime:
   naive-vs-batched benchmark and the replica-count sweep
   (``python -m repro.serve.bench --replicas 4 --trace flashcrowd``).
 """
-
-from repro.fed.retry import RetryPolicy
-from repro.serve.batcher import MicroBatcher, RouteWork
-from repro.serve.canary import CanaryConfig, CanaryController, golden_margins
-from repro.serve.fleet import (
-    FleetConfig,
-    FleetRouter,
-    ServingFleet,
-    ShedPolicy,
-)
-from repro.serve.loadgen import (
-    TRACES,
-    LoadgenConfig,
-    make_party_delay,
-    make_requests,
-    run_closed_loop,
-    run_open_loop,
-)
-from repro.serve.registry import (
-    DegradedRouter,
-    ModelRegistry,
-    ModelVersion,
-    majority_directions,
-)
-from repro.serve.session import (
-    Prediction,
-    Request,
-    ServeConfig,
-    ServingRuntime,
-)
-from repro.serve.slo import SLOPolicy, SLOWatcher
-
-__all__ = [
-    "MicroBatcher",
-    "RouteWork",
-    "CanaryConfig",
-    "CanaryController",
-    "golden_margins",
-    "FleetConfig",
-    "FleetRouter",
-    "ServingFleet",
-    "ShedPolicy",
-    "TRACES",
-    "LoadgenConfig",
-    "make_party_delay",
-    "make_requests",
-    "run_closed_loop",
-    "run_open_loop",
-    "ModelRegistry",
-    "ModelVersion",
-    "DegradedRouter",
-    "RetryPolicy",
-    "majority_directions",
-    "Prediction",
-    "Request",
-    "SLOPolicy",
-    "SLOWatcher",
-    "ServeConfig",
-    "ServingRuntime",
-]

@@ -45,18 +45,12 @@ from repro.core.trainer import ACTIVE, FederatedTrainer
 from repro.fed.channel import RecordingChannel
 from repro.fed.cluster import ClusterSpec
 from repro.fed.messages import RouteQuery
-from repro.obs import (
-    AlertEngine,
-    EventLog,
-    MetricsRegistry,
-    RunReport,
-    Tracer,
-    band_rule,
-    burn_rate_rule,
-    channel_report,
-    write_chrome_trace,
-)
-from repro.obs.metrics import nearest_rank
+from repro.obs.alerts import AlertEngine, band_rule, burn_rate_rule
+from repro.obs.events import EventLog
+from repro.obs.metrics import MetricsRegistry, nearest_rank
+from repro.obs.report import RunReport, channel_report
+from repro.obs.trace_export import write_chrome_trace
+from repro.obs.tracer import Tracer
 from repro.serve.canary import CanaryConfig, CanaryController
 from repro.serve.fleet import FleetConfig, ServingFleet, ShedPolicy
 from repro.serve.loadgen import (
@@ -386,7 +380,7 @@ def run_bench(
             :data:`~repro.serve.loadgen.TRACES` key).
         trace_out: also write a Chrome trace of the batched runtime's
             admission / request / round-trip spans (Perfetto-loadable).
-        report_out: also write a :class:`~repro.obs.RunReport` whose
+        report_out: also write a :class:`~repro.obs.report.RunReport` whose
             phase totals equal the trace's per-category duration sums
             and whose metrics come from the shared registry.
         events_out: also write the bench's unified flight-recorder

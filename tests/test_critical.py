@@ -25,7 +25,6 @@ from repro.obs.critical import (
     critical_path,
     critical_path_section,
     op_of,
-    tasks_from_graph,
 )
 
 
@@ -199,23 +198,6 @@ class TestFaultInjectedPath:
         assert engine.utilizations() == {
             name: engine.utilization(name) for name in ("A1", "B")
         }
-
-
-class TestGraphRoundTrip:
-    def test_export_import_preserves_path(self, golden):
-        engine = SimEngine.from_tasks(list(golden.task_graphs[0]))
-        data = engine.export_graph()
-        rebuilt = tasks_from_graph(data)
-        assert critical_path(rebuilt).to_dict() == critical_path(
-            golden.task_graphs[0]
-        ).to_dict()
-
-    def test_from_graph_engine_equivalent(self, golden):
-        engine = SimEngine.from_tasks(list(golden.task_graphs[0]))
-        clone = SimEngine.from_graph(engine.export_graph())
-        assert clone.makespan == engine.makespan
-        assert clone.phase_breakdown() == engine.phase_breakdown()
-        assert clone.gantt() == engine.gantt()
 
 
 class TestCriticalGantt:

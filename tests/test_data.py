@@ -46,7 +46,8 @@ class TestGenerateClassification:
         assert np.array_equal(l1, l2)
 
     def test_signal_is_learnable(self):
-        from repro.gbdt import GBDTParams, GBDTTrainer
+        from repro.gbdt.boosting import GBDTTrainer
+        from repro.gbdt.params import GBDTParams
 
         spec = SyntheticSpec(1500, 10, seed=3, noise=0.3)
         features, labels = generate_classification(spec)

@@ -46,11 +46,11 @@ def test_run_meta_records_the_one_engine():
 
 
 def test_training_imports_no_process_pool():
-    probe = (
-        "import sys, repro.core.trainer; "
-        "print([m for m in ('multiprocessing', 'concurrent.futures.process') "
-        "if m in sys.modules])"
-    )
+    """A training process loads what a fit runs: no process pool, and
+    no serving, analysis, benchmark, scheduler or forensics module
+    (package ``__init__`` files import nothing, so naming a module does
+    not load its siblings)."""
+    probe = "import json, sys, repro.core.trainer; print(json.dumps(sorted(sys.modules)))"
     out = subprocess.run(
         [sys.executable, "-c", probe],
         check=True,
@@ -58,7 +58,21 @@ def test_training_imports_no_process_pool():
         text=True,
         env={"PYTHONPATH": ":".join(sys.path)},
     )
-    assert out.stdout.strip() == "[]"
+    loaded = json.loads(out.stdout)
+    assert not {"multiprocessing", "concurrent.futures.process"} & set(loaded)
+    ours = [m for m in loaded if m.split(".")[0] == "repro"]
+    packages = ("repro.bench", "repro.serve", "repro.analysis", "repro.baselines", "repro.data")
+    core = ("protocol", "profile", "inference", "serialization")
+    unwanted = {f"repro.core.{m}" for m in core}
+    assert [
+        m
+        for m in ours
+        if m.startswith(tuple(f"{p}." for p in packages))
+        or m in packages
+        or m in unwanted
+        or (m.startswith("repro.obs.") and m != "repro.obs.events")
+    ] == []
+    assert len(ours) <= 33
 
 
 def test_every_target_place_resolves(tracing):

@@ -11,7 +11,6 @@ from repro import cli
 from repro.bench.costmodel import CostModel
 from repro.bench.perfdb import PerfDB, PerfEntry
 from repro.bench.scenario import GOLDEN, GOLDEN_DIMS
-from repro.obs import RunReport, Span, Tracer
 from repro.obs.forensics import (
     Contribution,
     classify_scalar,
@@ -19,7 +18,9 @@ from repro.obs.forensics import (
     diff_scalar_maps,
     explain_failures,
 )
+from repro.obs.report import RunReport
 from repro.obs.trace_export import write_chrome_trace
+from repro.obs.tracer import Span, Tracer
 from repro.obs.whatif import (
     parse_speedups,
     perturb_cost,

@@ -20,17 +20,10 @@ from repro.fed.cluster import PAPER_CLUSTER
 from repro.fed.messages import CountedCipherPayload, SplitQuery
 from repro.fed.simtime import SimEngine
 from repro.gbdt.params import GBDTParams
-from repro.obs import (
-    Histogram,
-    MetricsRegistry,
-    RunReport,
-    Span,
-    Tracer,
-    channel_report,
-    chrome_trace,
-    dumps_chrome_trace,
-    spans_from_tasks,
-)
+from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.report import RunReport, channel_report
+from repro.obs.trace_export import chrome_trace, dumps_chrome_trace
+from repro.obs.tracer import Span, Tracer, spans_from_tasks
 
 
 class TestMetricsRegistry:
