@@ -130,17 +130,3 @@ class VF2BoostConfig:
             grad_bound=loss.gradient_bound,
             hess_bound=loss.hessian_bound,
         )
-
-    @property
-    def optimization_names(self) -> list[str]:
-        """Human-readable list of enabled optimizations."""
-        names = []
-        if self.blaster_encryption:
-            names.append("BlasterEnc")
-        if self.reordered_accumulation:
-            names.append("Re-ordered")
-        if self.optimistic_split:
-            names.append("OptimSplit")
-        if self.histogram_packing:
-            names.append("HistPack")
-        return names

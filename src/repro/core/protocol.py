@@ -151,11 +151,6 @@ class _PartyWork:
     n_features: int
     n_bins: int
 
-    @property
-    def bins_per_node(self) -> int:
-        """Cipher bins per node (grad + hess histograms)."""
-        return 2 * self.n_features * self.n_bins
-
 
 @dataclass
 class _HistPart:

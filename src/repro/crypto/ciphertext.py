@@ -75,11 +75,6 @@ class OpStats:
         """Counters accumulated since ``earlier`` was snapshotted."""
         return OpStats(*(getattr(self, f.name) - getattr(earlier, f.name) for f in fields(self)))
 
-    def reset(self) -> None:
-        """Zero all counters."""
-        for f in fields(self):
-            setattr(self, f.name, 0)
-
     def to_dict(self) -> dict[str, int]:
         """JSON-ready counter mapping (RunReport / golden party sweep)."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -102,10 +97,6 @@ class EncryptedNumber:
     context: "PaillierContext" = field(repr=False)
     ciphertext: int = field(repr=False)
     exponent: int = 0
-
-    def size_bits(self) -> int:
-        """Wire size of this cipher: ``2 * S`` bits (element of Z_{n^2})."""
-        return 2 * self.context.public_key.key_bits
 
 
 def _not_operands(handle, *operands) -> TypeError:
@@ -158,7 +149,6 @@ class PaillierContext:
         exponent: base precision exponent.
         jitter: exponent jitter window width (``E`` distinct exponents).
         rng: RNG for exponent jitter.
-        obfuscator_pool_size: number of pre-computed obfuscators.
         obfuscator_rng: optional seeded generator for obfuscator draws
             (tests pin it to replay ciphertexts; production leaves it
             ``None`` for entropy).
@@ -172,7 +162,6 @@ class PaillierContext:
         exponent: int = DEFAULT_EXPONENT,
         jitter: int = 1,
         rng: random.Random | None = None,
-        obfuscator_pool_size: int = 0,
         obfuscator_rng: random.Random | None = None,
     ) -> None:
         self.public_key = public_key
@@ -181,12 +170,7 @@ class PaillierContext:
         # The key holder's pool draws obfuscators with the private key
         # (two half-width lifts); public contexts pay the full-width
         # powmod.
-        self.pool = ObfuscatorPool(
-            public_key,
-            obfuscator_pool_size,
-            rng=obfuscator_rng,
-            private_key=private_key,
-        )
+        self.pool = ObfuscatorPool(public_key, rng=obfuscator_rng, private_key=private_key)
         self.stats = OpStats()
         #: the open :meth:`resident` block, ``None`` outside one
         self.block: Block | None = None

@@ -139,10 +139,6 @@ class Encoder:
         # runs bit-for-bit repeatable when no RNG is injected.
         self._rng = rng or random.Random(public_key.n & 0xFFFFFFFF)
 
-    def exponent_window(self) -> range:
-        """The window of exponents this encoder may emit."""
-        return range(self.exponent, self.exponent + self.jitter)
-
     def draw_exponent(self) -> int:
         """Draw an exponent from the jitter window."""
         if self.jitter == 1:

@@ -70,10 +70,6 @@ class PackedCipher:
     limb_bits: int
     exponent: int
 
-    def size_bits(self, public_key: PaillierPublicKey) -> int:
-        """Wire size — one cipher regardless of ``count``."""
-        return 2 * public_key.key_bits
-
 
 def pack_capacity(
     public_key: PaillierPublicKey, limb_bits: int = DEFAULT_LIMB_BITS

@@ -32,15 +32,17 @@ Implementation notes
   CRT, 0.029 ms one prime; 2048-bit keys 7.33 / 1.97 / 0.96 ms.  CRT is
   2.4x / 3.7x faster than full width, one prime 2.0x faster than CRT at
   both sizes.
-* An *obfuscation pool* lets callers pre-compute ``r^n mod n^2`` values
-  off the critical path — the trick the paper's high-performance
-  library uses to cheapen the inner encryption loop.
+* Every Enc draws a fresh obfuscator when it needs one, through the
+  context's :class:`ObfuscatorPool`, which picks the key holder's
+  lifts or the public key's full-width powmod.  Nothing is computed
+  ahead of use.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import secrets
 from dataclasses import dataclass, field
 
 from repro.crypto import math_utils
@@ -91,17 +93,20 @@ class PaillierPublicKey:
 
         Args:
             plaintext: integer message (already encoded/wrapped mod n).
-            obfuscator: optional pre-computed ``r^n mod n^2``. When
-                ``None`` a fresh random obfuscator is generated. Passing
-                an explicit value enables obfuscation pooling.
+            obfuscator: optional ``r^n mod n^2`` drawn by the caller.
+                When ``None`` a fresh random obfuscator is generated.
         """
         if not 0 <= plaintext < self.n:
             raise ValueError("plaintext must be in [0, n)")
-        # g = n + 1  =>  g^m mod n^2 = 1 + m*n  (binomial expansion).
-        g_pow_m = (1 + plaintext * self.n) % self.n_squared
         if obfuscator is None:
             obfuscator = self.make_obfuscator()
-        return (g_pow_m * obfuscator) % self.n_squared
+        # g = n + 1  =>  g^m = 1 + m*n (mod n^2), and
+        # (1 + m*n) * R = R + n * (m*R mod n) (mod n^2): one product
+        # modulo n where the textbook form takes two modulo n^2.  The
+        # sum stays below 2 * n^2, so one subtraction reduces it.
+        n = self.n
+        cipher = obfuscator + n * (plaintext * obfuscator % n)
+        return cipher - self.n_squared if cipher >= self.n_squared else cipher
 
     def make_obfuscator(self, rng: random.Random | None = None) -> int:
         """Return a fresh random obfuscation factor ``r^n mod n^2``.
@@ -239,8 +244,13 @@ class PaillierPrivateKey:
 
     @staticmethod
     def _draw_residue(prime: int, prime_squared: int, rng: random.Random | None) -> int:
-        """A uniform n-th residue modulo ``prime^2``: a unit of ``Z_prime^*`` lifted."""
-        unit = math_utils.random_coprime(prime, rng)
+        """A uniform n-th residue modulo ``prime^2``: a unit of ``Z_prime^*`` lifted.
+
+        Every value in ``[1, prime)`` is a unit, so the draw needs no gcd
+        test; a seeded ``rng`` draws what :func:`math_utils.random_coprime`
+        would.
+        """
+        unit = (rng.randrange(prime - 1) if rng is not None else secrets.randbelow(prime - 1)) + 1
         return math_utils.powmod(unit, prime, prime_squared)
 
     def raw_decrypt(self, ciphertext: int, bound: int | None = None) -> int:
@@ -312,26 +322,17 @@ def generate_keypair(
 
 
 class ObfuscatorPool:
-    """Pre-computed pool of obfuscation factors ``r^n mod n^2``.
+    """The source of one key's obfuscation factors ``r^n mod n^2``.
 
-    Generating the obfuscator is the expensive part of encryption. The
-    pool moves that work off the critical path: refill during idle
-    periods, then encryption inside the blaster loop is a couple of
-    modular multiplications.
-
-    Draw order is deterministic given the draws themselves: the pool is
-    a LIFO stack, ``refill`` appends in generation order and ``take``
-    pops from the top, so interleaved refill/take sequences replay
-    identically whenever the injected ``rng`` is the same.
+    Each :meth:`take` draws a fresh factor.  Given the private key, the
+    draw is :meth:`PaillierPrivateKey.make_obfuscator`'s two half-width
+    lifts; otherwise it is the public key's one full-width powmod.  Both
+    draw the same distribution, and a seeded ``rng`` replays the draws.
 
     Args:
         public_key: key the obfuscators belong to.
-        size: obfuscators to precompute immediately.
         rng: optional seeded generator for the random draws.
-        private_key: the key holder's private half — obfuscators are
-            then drawn by :meth:`PaillierPrivateKey.make_obfuscator`
-            (two half-width lifts) instead of one full-width
-            exponentiation each; same distribution.
+        private_key: the key holder's private half.
 
     Raises:
         ValueError: ``private_key`` belongs to a different public key —
@@ -341,7 +342,6 @@ class ObfuscatorPool:
     def __init__(
         self,
         public_key: PaillierPublicKey,
-        size: int = 0,
         rng: random.Random | None = None,
         private_key: PaillierPrivateKey | None = None,
     ) -> None:
@@ -349,21 +349,9 @@ class ObfuscatorPool:
             raise ValueError("private key does not belong to this public key")
         self._make_obfuscator = (private_key or public_key).make_obfuscator
         self._rng = rng
-        self._pool: list[int] = []
-        if size:
-            self.refill(size)
-
-    def __len__(self) -> int:
-        return len(self._pool)
-
-    def refill(self, count: int) -> None:
-        """Generate ``count`` additional obfuscators."""
-        self._pool.extend(self._make_obfuscator(self._rng) for _ in range(count))
 
     def take(self) -> int:
-        """Pop one obfuscator, generating on demand if the pool is dry."""
-        if self._pool:
-            return self._pool.pop()
+        """Draw one obfuscator."""
         return self._make_obfuscator(self._rng)
 
 

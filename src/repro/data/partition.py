@@ -1,10 +1,7 @@
-"""Vertical (by-feature) and horizontal (by-worker) data partitioning.
+"""Vertical (by-feature) data partitioning.
 
 Vertical FL gives each party a disjoint set of *columns* over the same
-instance set (Figure 1).  Inside each party, instances are sharded
-across workers, and the paper aligns shards across parties at the
-worker level: worker ``k`` of Party A holds exactly the rows worker
-``k`` of Party B holds (§3.1).
+instance set (Figure 1).
 """
 
 from __future__ import annotations
@@ -13,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["VerticalPartition", "split_features", "worker_shards"]
+__all__ = ["VerticalPartition", "split_features"]
 
 
 @dataclass(frozen=True)
@@ -51,13 +48,6 @@ class VerticalPartition:
         """Global column ids owned by one party."""
         return self.party_columns[party]
 
-    def owner_of(self, global_column: int) -> int:
-        """Party owning a global column id."""
-        for party, columns in enumerate(self.party_columns):
-            if global_column in columns:
-                return party
-        raise KeyError(f"column {global_column} is unassigned")
-
 
 def split_features(
     n_features: int,
@@ -90,17 +80,3 @@ def split_features(
         offset += count
     return VerticalPartition(tuple(blocks))
 
-
-def worker_shards(n_instances: int, n_workers: int) -> list[np.ndarray]:
-    """Contiguous row shards, aligned across parties (§3.1).
-
-    Returns ``n_workers`` index arrays covering ``range(n_instances)``
-    with sizes differing by at most one.
-    """
-    if n_workers < 1:
-        raise ValueError("n_workers must be >= 1")
-    boundaries = np.linspace(0, n_instances, n_workers + 1).astype(np.int64)
-    return [
-        np.arange(boundaries[k], boundaries[k + 1], dtype=np.int64)
-        for k in range(n_workers)
-    ]

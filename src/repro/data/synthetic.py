@@ -5,22 +5,19 @@ The paper's ablation datasets are generated "following Section 5.2 of
 Systems*): sparse feature matrices with a controllable density, a
 ground-truth linear-plus-interaction scoring function over a random
 subset of *informative* features, and binary labels from the sign of
-the noisy score.  We reproduce that recipe with explicit knobs for
-instance count, dimensionality, density, and how informative signal is
-distributed between the two parties.
+the noisy score.  We reproduce that recipe as a dense array whose
+zeroed cells give the density, with explicit knobs for instance count,
+dimensionality, density, and how informative signal is distributed
+between the two parties.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-if TYPE_CHECKING:
-    from scipy import sparse as sp
-
-__all__ = ["SyntheticSpec", "generate_classification", "generate_sparse_classification"]
+__all__ = ["SyntheticSpec", "generate_classification"]
 
 
 @dataclass(frozen=True)
@@ -88,29 +85,6 @@ def generate_classification(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray
     return features, labels
 
 
-def generate_sparse_classification(spec: SyntheticSpec) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Sparse (CSR) synthetic binary classification data.
-
-    Non-zero positions are uniform; values are standard normal. The
-    labeling function sees the same matrix, so sparsity and signal are
-    consistent.
-    """
-    from scipy import sparse as sp
-
-    rng = np.random.default_rng(spec.seed)
-    nnz_per_row = max(1, int(round(spec.density * spec.n_features)))
-    rows = np.repeat(np.arange(spec.n_instances), nnz_per_row)
-    cols = rng.integers(0, spec.n_features, size=rows.size)
-    data = rng.normal(size=rows.size)
-    matrix = sp.csr_matrix(
-        (data, (rows, cols)), shape=(spec.n_instances, spec.n_features)
-    )
-    matrix.sum_duplicates()
-    dense_view = np.asarray(matrix[:, _informative_columns(spec)].todense())
-    labels = _labels_from_dense_signal(dense_view, spec, rng)
-    return matrix, labels
-
-
 def _informative_columns(spec: SyntheticSpec) -> np.ndarray:
     """Deterministic informative column choice, spread across parties.
 
@@ -125,12 +99,6 @@ def _labels_from_features(
     features: np.ndarray, spec: SyntheticSpec, rng: np.random.Generator
 ) -> np.ndarray:
     signal = features[:, _informative_columns(spec)]
-    return _labels_from_dense_signal(signal, spec, rng)
-
-
-def _labels_from_dense_signal(
-    signal: np.ndarray, spec: SyntheticSpec, rng: np.random.Generator
-) -> np.ndarray:
     k = signal.shape[1]
     weights = rng.normal(size=k)
     score = signal @ weights

@@ -63,10 +63,3 @@ class RetryPolicy:
             self.backoff_base * self.backoff_multiplier ** (attempt - 1),
         )
 
-    def worst_case_wait(self) -> float:
-        """Longest possible wait before a dependency is declared dead."""
-        total = self.timeout
-        for attempt in range(1, self.max_retries + 1):
-            total += self.backoff(attempt) + self.timeout
-        return total
-

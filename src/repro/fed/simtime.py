@@ -181,35 +181,6 @@ class SimEngine:
     def _adjust_start(self, resource_name: str, start: float) -> float:
         return start
 
-    def submit_parallel(
-        self,
-        resource_name: str,
-        total_work: float,
-        chunks: int,
-        deps: list[SimTask] | None = None,
-        name: str = "",
-        phase: str = "",
-    ) -> list[SimTask]:
-        """Split a divisible workload over a resource's lanes.
-
-        The work is cut into ``chunks`` equal tasks submitted back to
-        back; with ``chunks >= lanes`` the resource saturates and the
-        batch finishes in roughly ``total_work / lanes``.
-        """
-        if chunks < 1:
-            raise ValueError("chunks must be >= 1")
-        piece = total_work / chunks
-        return [
-            self.submit(
-                resource_name,
-                piece,
-                deps=deps,
-                name=f"{name or phase}[{k}]",
-                phase=phase,
-            )
-            for k in range(chunks)
-        ]
-
     @property
     def makespan(self) -> float:
         """Finish time of the last task."""
@@ -241,31 +212,6 @@ class SimEngine:
         if horizon <= 0:
             return 0.0
         return resource.busy_time / horizon
-
-    def utilizations(self) -> dict[str, float]:
-        """Busy fraction of every resource, keys sorted."""
-        return {name: self.utilization(name) for name in sorted(self.resources)}
-
-    def lane_utilization(self) -> dict[tuple[str, int], float]:
-        """Busy fraction per (resource, lane), recomputed from tasks.
-
-        Finer-grained than :meth:`utilization` (which aggregates a
-        resource's lanes): the per-lane view is what ``repro trace
-        --summary`` prints and what exposes pipeline bubbles inside a
-        multi-lane compute pool.
-        """
-        horizon = self.makespan
-        busy: dict[tuple[str, int], float] = {
-            (name, lane): 0.0
-            for name, resource in self.resources.items()
-            for lane in range(resource.lanes)
-        }
-        for task in self.tasks:
-            key = (task.resource, task.lane)
-            busy[key] = busy.get(key, 0.0) + task.duration
-        if horizon <= 0:
-            return {key: 0.0 for key in sorted(busy)}
-        return {key: busy[key] / horizon for key in sorted(busy)}
 
     def critical_path(self):
         """Critical path of this schedule (:mod:`repro.obs.critical`).

@@ -69,10 +69,6 @@ class BinnedDataset:
         """Number of columns ``D``."""
         return int(self.codes.shape[1])
 
-    def bins_for_feature(self, feature: int) -> int:
-        """Number of occupied bins for a feature."""
-        return len(self.cut_points[feature]) + 1
-
     def threshold_for(self, feature: int, bin_index: int) -> float:
         """Real-valued split threshold for "go left if code <= bin_index".
 

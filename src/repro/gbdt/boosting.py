@@ -50,10 +50,6 @@ class GBDTModel:
             margins += self.params.learning_rate * tree.predict_codes(codes)
         return margins
 
-    def predict_proba(self, codes: np.ndarray, loss: Loss) -> np.ndarray:
-        """Output-scale predictions (probabilities for logistic loss)."""
-        return loss.transform(self.predict_margin(codes))
-
 
 class GBDTTrainer:
     """Plaintext histogram-based gradient boosting.

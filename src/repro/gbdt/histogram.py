@@ -83,21 +83,6 @@ class Histogram:
             self.count - child.count,
         )
 
-    def merge(self, other: "Histogram") -> "Histogram":
-        """Aggregate two partial histograms (worker-shard aggregation)."""
-        self._check_shape(other, "merge")
-        return Histogram(
-            self.grad + other.grad,
-            self.hess + other.hess,
-            self.count + other.count,
-        )
-
-    def slice_features(self, start: int, stop: int) -> "Histogram":
-        """Feature-range view used for per-worker aggregation ownership."""
-        return Histogram(
-            self.grad[start:stop], self.hess[start:stop], self.count[start:stop]
-        )
-
     def copy(self) -> "Histogram":
         """Deep copy."""
         return Histogram(self.grad.copy(), self.hess.copy(), self.count.copy())

@@ -56,10 +56,6 @@ class Loss:
         """Mean loss value."""
         raise NotImplementedError
 
-    def transform(self, predictions: np.ndarray) -> np.ndarray:
-        """Map raw margins to the output scale (e.g. probabilities)."""
-        raise NotImplementedError
-
     def base_score(self, labels: np.ndarray) -> float:
         """A sensible constant initial margin for this loss."""
         raise NotImplementedError
@@ -91,9 +87,6 @@ class LogisticLoss(Loss):
         return float(
             -np.mean(labels * np.log(prob) + (1.0 - labels) * np.log(1.0 - prob))
         )
-
-    def transform(self, predictions):
-        return sigmoid(predictions)
 
     def base_score(self, labels):
         mean = float(np.clip(np.mean(labels), 1e-6, 1.0 - 1e-6))
@@ -131,9 +124,6 @@ class SquaredLoss(Loss):
 
     def loss(self, labels, predictions):
         return float(0.5 * np.mean((labels - predictions) ** 2))
-
-    def transform(self, predictions):
-        return predictions
 
     def base_score(self, labels):
         return float(np.mean(labels))

@@ -63,11 +63,6 @@ class GBDTParams:
         """Maximum tree depth (root at depth 0)."""
         return self.n_layers - 1
 
-    @property
-    def max_leaves(self) -> int:
-        """Upper bound on leaves of one tree."""
-        return 2 ** self.max_depth
-
     def replace(self, **overrides) -> "GBDTParams":
         """Return a copy with some fields overridden."""
         from dataclasses import replace as dc_replace

@@ -1,21 +1,17 @@
-"""Candidate split proposal via quantile sketching.
+"""Candidate split proposal from column quantiles.
 
 GBDT proposes ``s`` candidate splits per feature from the percentiles
-of the feature column (§2.1 and [29, 33, 42] of the paper).  We keep a
-simple two-level design:
-
-* :func:`propose_cut_points` — exact quantiles of a column, deduplicated;
-* :class:`QuantileSketch` — a mergeable fixed-size sketch so each
-  *worker* can summarize its shard and the scheduler can merge shard
-  sketches into global cut points, mirroring the paper's
-  scheduler-worker architecture.
+of the feature column (§2.1 and [29, 33, 42] of the paper).
+:func:`propose_cut_points` takes exact quantiles of a whole column,
+deduplicated; :func:`repro.gbdt.binning.bin_dataset` cuts every feature
+with it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["propose_cut_points", "QuantileSketch"]
+__all__ = ["propose_cut_points"]
 
 
 def propose_cut_points(values: np.ndarray, n_bins: int) -> np.ndarray:
@@ -44,54 +40,3 @@ def propose_cut_points(values: np.ndarray, n_bins: int) -> np.ndarray:
     cuts = cuts[cuts < maximum]
     return cuts.astype(np.float64)
 
-
-class QuantileSketch:
-    """A mergeable bounded-size quantile summary.
-
-    Keeps a uniform subsample of up to ``capacity`` points per column
-    (reservoir-free deterministic thinning: when over capacity, keep
-    every k-th point of the sorted pool). This trades exactness for a
-    mergeable, bounded-memory structure — the role GK/Moments sketches
-    play in production systems, with far less machinery.
-    """
-
-    def __init__(self, capacity: int = 2048) -> None:
-        if capacity < 8:
-            raise ValueError("capacity must be >= 8")
-        self.capacity = capacity
-        self._points: np.ndarray = np.empty(0, dtype=np.float64)
-        self._count = 0
-
-    def __len__(self) -> int:
-        return self._count
-
-    def update(self, values: np.ndarray) -> None:
-        """Absorb a batch of values."""
-        finite = np.asarray(values, dtype=np.float64)
-        finite = finite[np.isfinite(finite)]
-        if finite.size == 0:
-            return
-        self._count += int(finite.size)
-        pool = np.concatenate([self._points, finite])
-        pool.sort()
-        if pool.size > self.capacity:
-            stride = pool.size / self.capacity
-            indices = np.minimum(
-                (np.arange(self.capacity) * stride).astype(np.int64), pool.size - 1
-            )
-            pool = pool[indices]
-        self._points = pool
-
-    def merge(self, other: "QuantileSketch") -> None:
-        """Fold another sketch into this one (worker -> scheduler)."""
-        if other._points.size:
-            self.update(other._points)
-            # update() already added other's pooled size; fix the count to
-            # reflect the true number of observations, not pool size.
-            self._count += other._count - other._points.size
-
-    def cut_points(self, n_bins: int) -> np.ndarray:
-        """Propose cut points from the sketch contents."""
-        if self._points.size == 0:
-            return np.empty(0, dtype=np.float64)
-        return propose_cut_points(self._points, n_bins)

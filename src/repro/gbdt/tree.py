@@ -70,16 +70,6 @@ class DecisionTree:
         """The root node."""
         return self.nodes[0]
 
-    @property
-    def n_leaves(self) -> int:
-        """Number of leaf nodes."""
-        return sum(1 for node in self.nodes.values() if node.is_leaf)
-
-    @property
-    def n_internal(self) -> int:
-        """Number of split nodes."""
-        return len(self.nodes) - self.n_leaves
-
     def max_depth(self) -> int:
         """Depth of the deepest node."""
         return max(node.depth for node in self.nodes.values())
@@ -108,30 +98,6 @@ class DecisionTree:
         self.nodes[left.node_id] = left
         self.nodes[right.node_id] = right
         return left, right
-
-    def unsplit_node(self, node_id: int) -> None:
-        """Roll back a split: remove the node's entire subtree.
-
-        This is the model-side half of the optimistic node-splitting
-        roll-back (§4.2) — children (and their descendants, in case the
-        optimistic run had already gone deeper) are discarded and the
-        node reverts to a leaf.
-        """
-        node = self.nodes[node_id]
-        if node.is_leaf:
-            return
-        stack = [node.left_child, node.right_child]
-        while stack:
-            child_id = stack.pop()
-            child = self.nodes.pop(child_id, None)
-            if child is not None and not child.is_leaf:
-                stack.extend([child.left_child, child.right_child])
-        node.is_leaf = True
-        node.owner = 0
-        node.feature = -1
-        node.bin_index = -1
-        node.threshold = float("nan")
-        node.gain = 0.0
 
     def set_leaf_weight(self, node_id: int, weight: float) -> None:
         """Assign the optimal weight of a finished leaf."""
@@ -177,13 +143,6 @@ class DecisionTree:
                     node = self.nodes[node.right_child]
             out[i] = node.weight
         return out
-
-    def nodes_at_depth(self, depth: int) -> list[TreeNode]:
-        """All nodes of a layer, ordered by heap index."""
-        return sorted(
-            (node for node in self.nodes.values() if node.depth == depth),
-            key=lambda node: node.node_id,
-        )
 
 
 def partition_instances(

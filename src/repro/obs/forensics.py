@@ -182,11 +182,6 @@ class ReportDiff:
     makespan: Contribution
     sections: dict
 
-    @property
-    def regressed(self) -> bool:
-        """True when the current makespan grew."""
-        return self.makespan.delta > 0
-
     def to_dict(self) -> dict:
         return {
             "makespan": self.makespan.to_dict(),

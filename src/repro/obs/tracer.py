@@ -170,9 +170,9 @@ class Tracer:
     def lane_busy(self) -> dict[tuple[str, int], float]:
         """Busy seconds per (track, lane), keys sorted.
 
-        The span-side equivalent of ``SimEngine.lane_utilization()``
-        before dividing by the horizon — what ``repro trace --summary``
-        tabulates from a saved report without re-running the producer.
+        The numerator of :meth:`utilization` — what ``repro trace
+        --summary`` tabulates from a saved report without re-running the
+        producer.
         """
         busy: dict[tuple[str, int], float] = {}
         for span in self.spans:

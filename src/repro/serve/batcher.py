@@ -111,13 +111,6 @@ class MicroBatcher:
             return None
         return self._drain(queue)
 
-    def force_flush(self, party: int) -> list[RouteWork] | None:
-        """Drain a party's queue unconditionally (shutdown paths)."""
-        queue = self._queue(party)
-        if not queue.items:
-            return None
-        return self._drain(queue)
-
     @staticmethod
     def _drain(queue: _PartyQueue) -> list[RouteWork]:
         items = queue.items

@@ -9,9 +9,8 @@ prediction.
 
 Registration validates the whole artifact set up front:
 
-* the skeleton and every split owner's sidecar must be present and
-  consistent (:func:`repro.core.serialization.load_model` with
-  ``require_complete=True`` raises :class:`ModelFormatError` otherwise);
+* every split must carry its owner's details: a model loaded without
+  an owner's sidecar raises :class:`ModelFormatError`;
 * every party referenced by a split must come with bin edges, so raw
   feature rows can be quantized at admission with the exact cut points
   the model was trained on.
@@ -38,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.inference import apply_route, route_local, split_frontier
-from repro.core.serialization import ModelFormatError, load_model
+from repro.core.serialization import ModelFormatError
 from repro.core.trainer import FederatedModel
 from repro.gbdt.binning import bin_column
 
@@ -206,23 +205,6 @@ class ModelRegistry:
         self._versions[version] = entry
         self._order.append(version)
         return entry
-
-    def register_from_files(
-        self,
-        version: str,
-        shared_path: str,
-        sidecar_paths: list[str],
-        bin_edges: dict[int, list[np.ndarray]],
-        calibration_codes: dict[int, np.ndarray] | None = None,
-    ) -> ModelVersion:
-        """Load skeleton+sidecars from disk and register them.
-
-        ``require_complete=True`` makes a missing owner sidecar fail
-        here, at registration, with a :class:`ModelFormatError` — not
-        mid-request with an unroutable node.
-        """
-        model = load_model(shared_path, sidecar_paths, require_complete=True)
-        return self.register(version, model, bin_edges, calibration_codes)
 
     @staticmethod
     def _validate(

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import sparse as sp
 
 from repro.gbdt.binning import BinnedDataset, bin_column, bin_dataset
-from repro.gbdt.quantile import QuantileSketch, propose_cut_points
+from repro.gbdt.quantile import propose_cut_points
 
 
 class TestProposeCutPoints:
@@ -150,44 +150,3 @@ class TestBinDataset:
         binned = bin_dataset(features, 4)
         assert binned.nnz_per_row() == pytest.approx(3 / 3)
 
-
-class TestQuantileSketch:
-    def test_small_stream_exact(self):
-        sketch = QuantileSketch(capacity=64)
-        values = np.arange(50, dtype=np.float64)
-        sketch.update(values)
-        assert len(sketch) == 50
-        cuts = sketch.cut_points(5)
-        exact = propose_cut_points(values, 5)
-        assert np.allclose(cuts, exact)
-
-    def test_bounded_memory(self):
-        sketch = QuantileSketch(capacity=32)
-        for chunk in range(20):
-            sketch.update(np.random.default_rng(chunk).normal(size=500))
-        assert sketch._points.size <= 32
-        assert len(sketch) == 10_000
-
-    def test_merge(self):
-        a, b = QuantileSketch(128), QuantileSketch(128)
-        a.update(np.arange(0, 500, dtype=np.float64))
-        b.update(np.arange(500, 1000, dtype=np.float64))
-        a.merge(b)
-        assert len(a) == 1000
-        cuts = a.cut_points(4)
-        # Quartiles of 0..999: roughly 250, 500, 750.
-        assert np.allclose(cuts, [250, 500, 750], atol=40)
-
-    def test_quantile_accuracy_large_stream(self):
-        sketch = QuantileSketch(capacity=1024)
-        rng = np.random.default_rng(8)
-        data = rng.normal(size=20_000)
-        for chunk in np.array_split(data, 10):
-            sketch.update(chunk)
-        cuts = sketch.cut_points(4)
-        exact = np.quantile(data, [0.25, 0.5, 0.75])
-        assert np.allclose(cuts, exact, atol=0.08)
-
-    def test_rejects_small_capacity(self):
-        with pytest.raises(ValueError):
-            QuantileSketch(capacity=2)

@@ -99,7 +99,6 @@ class TestParams:
     def test_derived_properties(self):
         params = GBDTParams(n_layers=7)
         assert params.max_depth == 6
-        assert params.max_leaves == 64
 
     def test_replace(self):
         params = GBDTParams()

@@ -332,11 +332,6 @@ class TestExponentAlignment:
 
 
 class TestOpStats:
-    def test_reset(self, context):
-        context.encrypt(1.0)
-        context.stats.reset()
-        assert context.stats.encryptions == 0
-
     def test_diff_tracks_all_fields(self, context):
         before = context.stats.snapshot()
         a = context.encrypt(1.0, exponent=6)
@@ -354,10 +349,6 @@ class TestOpStats:
         assert diff.scalar_multiplications == 1
         assert diff.plain_additions == 1
         assert diff.decryptions == 1
-
-    def test_size_bits(self, context):
-        cipher = context.encrypt(1.0)
-        assert cipher.size_bits() == 2 * context.public_key.key_bits
 
 
 def _ctx() -> PaillierContext:

@@ -15,13 +15,13 @@ class TestConfigPresets:
         assert config.reordered_accumulation
         assert config.optimistic_split
         assert config.histogram_packing
-        assert config.optimization_names == [
-            "BlasterEnc", "Re-ordered", "OptimSplit", "HistPack",
-        ]
 
     def test_vf_gbdt_all_off(self):
         config = VF2BoostConfig.vf_gbdt()
-        assert config.optimization_names == []
+        assert not config.blaster_encryption
+        assert not config.reordered_accumulation
+        assert not config.optimistic_split
+        assert not config.histogram_packing
         assert config.crypto_mode == "counted"
 
     def test_vf_mock(self):

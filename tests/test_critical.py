@@ -182,23 +182,6 @@ class TestFaultInjectedPath:
         )
         assert breakdown["Hist"] == pytest.approx(2.4)  # 2 x 0.6 x 2.0 slowdown
 
-    def test_utilization_consistent_with_lane_utilization(self):
-        engine = self.faulty_engine()
-        for name in ("A1", "B"):
-            lanes = [
-                busy for (resource, _), busy in engine.lane_utilization().items()
-                if resource == name
-            ]
-            # utilization() aggregates lanes (0..lanes), so it equals
-            # the sum of the per-lane fractions.
-            assert engine.utilization(name) == pytest.approx(sum(lanes))
-
-    def test_utilizations_map_matches_scalar(self):
-        engine = self.faulty_engine()
-        assert engine.utilizations() == {
-            name: engine.utilization(name) for name in ("A1", "B")
-        }
-
 
 class TestCriticalGantt:
     def test_marks_path_and_reports_total(self, golden):

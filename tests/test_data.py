@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 
 from repro.data.datasets import DATASETS, dataset_info, load_dataset
-from repro.data.partition import split_features, worker_shards
-from repro.data.synthetic import (
-    SyntheticSpec,
-    generate_classification,
-    generate_sparse_classification,
-)
+from repro.data.partition import split_features
+from repro.data.synthetic import SyntheticSpec, generate_classification
 
 
 class TestSyntheticSpec:
@@ -54,16 +50,6 @@ class TestGenerateClassification:
         trainer = GBDTTrainer(GBDTParams(n_trees=10, n_layers=5))
         trainer.fit(features[:1200], labels[:1200], features[1200:], labels[1200:])
         assert trainer.history[-1].valid_auc > 0.65
-
-
-class TestGenerateSparse:
-    def test_sparse_shape_and_density(self):
-        spec = SyntheticSpec(300, 50, density=0.1, seed=4)
-        matrix, labels = generate_sparse_classification(spec)
-        assert matrix.shape == (300, 50)
-        assert labels.shape == (300,)
-        per_row = matrix.getnnz(axis=1)
-        assert per_row.mean() == pytest.approx(5, abs=1.0)
 
 
 class TestDatasetRegistry:
@@ -129,13 +115,6 @@ class TestSplitFeatures:
         combined = np.concatenate([partition.columns_of(p) for p in range(3)])
         assert sorted(combined.tolist()) == list(range(12))
 
-    def test_owner_of(self):
-        partition = split_features(6, [3, 3])
-        assert partition.owner_of(1) == 0
-        assert partition.owner_of(4) == 1
-        with pytest.raises(KeyError):
-            partition.owner_of(99)
-
     def test_sum_mismatch_rejected(self):
         with pytest.raises(ValueError):
             split_features(10, [4, 4])
@@ -146,20 +125,3 @@ class TestSplitFeatures:
         with pytest.raises(ValueError):
             VerticalPartition((np.array([0, 1]), np.array([1, 2])))
 
-
-class TestWorkerShards:
-    def test_cover_and_align(self):
-        shards = worker_shards(103, 4)
-        assert len(shards) == 4
-        combined = np.concatenate(shards)
-        assert np.array_equal(combined, np.arange(103))
-        sizes = [s.size for s in shards]
-        assert max(sizes) - min(sizes) <= 1
-
-    def test_single_worker(self):
-        shards = worker_shards(10, 1)
-        assert len(shards) == 1 and shards[0].size == 10
-
-    def test_invalid_worker_count(self):
-        with pytest.raises(ValueError):
-            worker_shards(10, 0)

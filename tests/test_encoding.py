@@ -100,7 +100,6 @@ class TestExponentHandling:
 class TestJitter:
     def test_jitter_window(self):
         enc = Encoder(PUBLIC, exponent=8, jitter=4, rng=random.Random(0))
-        assert list(enc.exponent_window()) == [8, 9, 10, 11]
         seen = {enc.encode(0.5).exponent for _ in range(200)}
         assert seen == {8, 9, 10, 11}
 

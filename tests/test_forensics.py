@@ -101,7 +101,6 @@ class TestDiffReports:
     def test_decomposition_names_guilty_phase(self):
         baseline, current = self.reports()
         diff = diff_reports(baseline, current)
-        assert diff.regressed
         assert diff.makespan.delta == 1.0
         assert diff.sections["phases"][0].name == "Enc"
         assert diff.sections["critical"][0].name == "critical.B"

@@ -73,21 +73,6 @@ class TestHistogramAlgebra:
         assert np.allclose(derived.hess, right_hist.hess)
         assert np.array_equal(derived.count, right_hist.count)
 
-    def test_merge_is_addition(self):
-        dataset, grads, hess = _toy(n=60)
-        a = build_histogram(dataset, np.arange(30), grads, hess)
-        b = build_histogram(dataset, np.arange(30, 60), grads, hess)
-        merged = a.merge(b)
-        full = build_histogram(dataset, np.arange(60), grads, hess)
-        assert np.allclose(merged.grad, full.grad)
-
-    def test_slice_features(self):
-        dataset, grads, hess = _toy(d=5)
-        hist = build_histogram(dataset, np.arange(80), grads, hess)
-        part = hist.slice_features(1, 3)
-        assert part.n_features == 2
-        assert np.allclose(part.grad, hist.grad[1:3])
-
     def test_zeros_and_copy(self):
         z = Histogram.zeros(3, 4)
         assert z.total_count == 0
@@ -106,10 +91,6 @@ class TestHistogramAlgebra:
         small = Histogram.zeros(1, 4)
         with pytest.raises(ValueError, match="cannot subtract .*\\(3, 4\\).*\\(1, 4\\)"):
             big.subtract(small)
-
-    def test_merge_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="cannot merge"):
-            Histogram.zeros(2, 8).merge(Histogram.zeros(2, 6))
 
 
 class TestSplitFinding:

@@ -6,9 +6,13 @@ crypto) -> federated prediction -> protocol scheduling of the run's
 own trace.
 """
 
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
+import repro
 from repro.bench.costmodel import CostModel
 from repro.core.config import VF2BoostConfig
 from repro.core.protocol import ProtocolScheduler
@@ -141,3 +145,21 @@ class TestSchedulerOnRealTraces:
         # At this tiny scale the fixed per-layer coordination cost
         # dominates, so VF-MOCK only needs to beat the crypto baseline.
         assert times["vf_mock"] < times["vf_gbdt"]
+
+
+def test_every_all_entry_resolves():
+    """Each name a module lists in ``__all__`` is defined there."""
+    modules = ["repro"] + [
+        info.name
+        for info in pkgutil.walk_packages(repro.__path__, "repro.")
+        if not info.name.endswith(".__main__")
+    ]
+    missing, listed = [], 0
+    for module_name in modules:
+        module = importlib.import_module(module_name)
+        for name in getattr(module, "__all__", ()):
+            listed += 1
+            if not hasattr(module, name):
+                missing.append(f"{module_name}.{name}")
+    assert missing == []
+    assert listed > 0

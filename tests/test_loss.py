@@ -70,10 +70,6 @@ class TestLogisticLoss:
         base = self.loss.base_score(labels)
         assert sigmoid(np.array([base]))[0] == pytest.approx(0.75)
 
-    def test_transform_is_probability(self):
-        out = self.loss.transform(np.array([-3.0, 0.0, 3.0]))
-        assert np.all((out > 0) & (out < 1))
-
 
 class TestSquaredLoss:
     loss = SquaredLoss()
@@ -89,10 +85,6 @@ class TestSquaredLoss:
     def test_loss_value(self):
         value = self.loss.loss(np.array([0.0, 2.0]), np.array([1.0, 2.0]))
         assert value == pytest.approx(0.25)
-
-    def test_transform_identity(self):
-        x = np.array([1.0, -2.0])
-        assert np.array_equal(self.loss.transform(x), x)
 
     def test_bounds_exposed(self):
         assert self.loss.hessian_bound == 1.0

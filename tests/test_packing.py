@@ -10,6 +10,7 @@ from repro.crypto.packing import (
     pack_ciphers,
     unpack_values,
 )
+from repro.fed.messages import PackedHistogramMessage
 
 CTX = PaillierContext.create(256, seed=5, jitter=1)
 
@@ -203,4 +204,9 @@ class TestPackingEconomics:
         many = _pack(
             CTX, [CTX.encrypt(1.0, exponent=0) for _ in range(4)], limb_bits=32
         )
-        assert one.size_bits(CTX.public_key) == many.size_bits(CTX.public_key)
+        key_bits = CTX.public_key.key_bits
+        sizes = [
+            PackedHistogramMessage(sender=1, receiver=0, packed={0: [pack]}).payload_bytes(key_bits)
+            for pack in (one, many)
+        ]
+        assert sizes[0] == sizes[1]

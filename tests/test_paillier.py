@@ -165,6 +165,18 @@ class TestEncryptDecrypt:
         for value in (0, 1, PUBLIC.n - 1):
             assert PRIVATE.raw_decrypt(PUBLIC.raw_encrypt(value)) == value
 
+    @pytest.mark.parametrize("key_bits", [256, 512])
+    @given(m=st.integers(0, 2**512 - 1), r=st.integers(0, 2**1024 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_one_product_form_is_the_textbook_cipher(self, key_bits, m, r):
+        # raw_encrypt's R + n * (m*R mod n) against (1 + m*n) * R mod n^2.
+        public, _ = ROUTE_KEYS[key_bits]
+        n, n_squared = public.n, public.n_squared
+        obfuscator = r % n_squared
+        for plaintext in (m % n, 0, 1, n - 1):
+            textbook = (1 + plaintext * n) % n_squared * obfuscator % n_squared
+            assert public.raw_encrypt(plaintext, obfuscator) == textbook
+
 
 #: an unpacked bin's bound on the benchmark's baseline path: 48 rows of
 #: |v| <= 1 at exponent 8 (B = 16), about 2^37.6
@@ -316,12 +328,6 @@ class TestRawMultiplyNegativeThreshold:
 
 
 class TestObfuscatorPool:
-    def test_pool_refill_and_take(self):
-        pool = ObfuscatorPool(PUBLIC, size=3)
-        assert len(pool) == 3
-        pool.take()
-        assert len(pool) == 2
-
     def test_take_from_empty_pool_generates(self):
         pool = ObfuscatorPool(PUBLIC)
         obf = pool.take()
@@ -329,32 +335,10 @@ class TestObfuscatorPool:
         assert PRIVATE.raw_decrypt(cipher) == 99
 
     def test_pooled_encryption_round_trip(self):
-        pool = ObfuscatorPool(PUBLIC, size=5)
+        pool = ObfuscatorPool(PUBLIC)
         for value in range(5):
             cipher = PUBLIC.raw_encrypt(value, obfuscator=pool.take())
             assert PRIVATE.raw_decrypt(cipher) == value
-
-    def test_take_pops_most_recent_refill(self):
-        serial = [
-            PUBLIC.make_obfuscator(rng)
-            for rng in [random.Random(21)]
-            for _ in range(3)
-        ]
-        pool = ObfuscatorPool(PUBLIC, rng=random.Random(21))
-        pool.refill(3)
-        assert [pool.take() for _ in range(3)] == serial[::-1]
-
-    def test_interleaved_refill_take_is_deterministic(self):
-        def drive(pool):
-            pool.refill(3)
-            drawn = [pool.take()]
-            pool.refill(2)
-            drawn += [pool.take() for _ in range(4)]
-            return drawn
-
-        first = drive(ObfuscatorPool(PUBLIC, rng=random.Random(13)))
-        second = drive(ObfuscatorPool(PUBLIC, rng=random.Random(13)))
-        assert first == second
 
     def test_foreign_crt_constants_rejected(self):
         # The constants are the private key now: another key's raises.
@@ -364,9 +348,9 @@ class TestObfuscatorPool:
         # The key's own is accepted, replays under a seed, and draws
         # obfuscators the public route could have drawn too.
         own = ObfuscatorPool(PUBLIC, rng=random.Random(5), private_key=PRIVATE)
-        again = ObfuscatorPool(PUBLIC, size=2, rng=random.Random(5), private_key=PRIVATE)
+        again = ObfuscatorPool(PUBLIC, rng=random.Random(5), private_key=PRIVATE)
         drawn = [own.take(), own.take()]
-        assert drawn == [again.take(), again.take()][::-1]
+        assert drawn == [again.take(), again.take()]
         for obfuscator in drawn:
             assert PRIVATE.raw_decrypt(obfuscator) == 0
 

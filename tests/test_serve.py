@@ -130,40 +130,6 @@ class TestRegistry:
         with pytest.raises(LookupError):
             registry.rollback()  # nothing earlier than v1
 
-    def test_register_from_files(self, trained, tmp_path):
-        model, parties = trained
-        files = save_model(
-            model, str(tmp_path / "shared.json"), str(tmp_path / "private")
-        )
-        registry = ModelRegistry()
-        entry = registry.register_from_files(
-            "v1",
-            files[0],
-            files[1:],
-            bin_edges={k: p.cut_points for k, p in enumerate(parties)},
-        )
-        codes = {k: p.codes for k, p in enumerate(parties)}
-        assert np.array_equal(
-            entry.model.predict_margin(codes), model.predict_margin(codes)
-        )
-
-    def test_register_from_files_missing_sidecar(self, trained, tmp_path):
-        model, parties = trained
-        files = save_model(
-            model, str(tmp_path / "shared.json"), str(tmp_path / "private")
-        )
-        # Drop every passive sidecar: registration must fail, naming
-        # the missing owner.
-        keep = [f for f in files[1:] if f.endswith("party0.json")]
-        registry = ModelRegistry()
-        with pytest.raises(ModelFormatError, match="sidecar"):
-            registry.register_from_files(
-                "v1",
-                files[0],
-                keep,
-                bin_edges={k: p.cut_points for k, p in enumerate(parties)},
-            )
-
 
 class TestSerializationErrors:
     def test_format_version_mismatch(self, trained, tmp_path):
@@ -232,11 +198,11 @@ class TestMicroBatcher:
     def test_parties_batched_independently(self):
         batcher = MicroBatcher(max_batch_size=2, max_delay=1.0)
         batcher.add(1, self._work(0), now=0.0)
-        batcher.add(2, self._work(1), now=0.0)
+        _, _, generation = batcher.add(2, self._work(1), now=0.0)
         assert batcher.pending(1) == 1 and batcher.pending(2) == 1
         assert batcher.add(1, self._work(2), now=0.0)[0] == "flush"
         assert batcher.pending(2) == 1
-        assert [w.request_id for w in batcher.force_flush(2)] == [1]
+        assert [w.request_id for w in batcher.on_timer(2, generation)] == [1]
 
 
 class TestRuntimeParity:
@@ -394,7 +360,6 @@ class TestDegradedMode:
         policy = RetryPolicy(timeout=0.2, max_retries=3)
         waits = [policy.backoff(a) for a in range(1, 4)]
         assert waits == sorted(waits)
-        assert policy.worst_case_wait() >= policy.timeout
 
 
 class TestOfflineCoalescing:

@@ -78,16 +78,6 @@ class TestPipelining:
             engine.submit("s3", 0.1, deps=[s2], phase="c")
         assert engine.makespan == pytest.approx(0.1 + 10 * 1.0 + 0.1)
 
-    def test_submit_parallel_saturates(self):
-        engine = SimEngine()
-        engine.add_resource("pool", lanes=4)
-        tasks = engine.submit_parallel("pool", total_work=8.0, chunks=8, phase="w")
-        assert max(t.end for t in tasks) == pytest.approx(2.0)
-
-    def test_submit_parallel_rejects_zero_chunks(self):
-        with pytest.raises(ValueError):
-            SimEngine().submit_parallel("r", 1.0, 0, phase="w")
-
 
 class TestReporting:
     def test_phase_breakdown(self):

@@ -21,8 +21,8 @@ class TestSplitAndLeaves:
         assert not tree.root.is_leaf
         assert left.node_id == 1 and right.node_id == 2
         assert left.depth == right.depth == 1
-        assert tree.n_leaves == 2
-        assert tree.n_internal == 1
+        assert len(tree.nodes) == 3
+        assert left.is_leaf and right.is_leaf
 
     def test_double_split_rejected(self):
         tree = DecisionTree()
@@ -40,28 +40,6 @@ class TestSplitAndLeaves:
         tree.split_node(0, 0, 0, 0, 0.0, 0.1)
         with pytest.raises(ValueError):
             tree.set_leaf_weight(0, 1.0)
-
-    def test_nodes_at_depth(self):
-        tree = DecisionTree()
-        tree.split_node(0, 0, 0, 0, 0.0, 0.1)
-        layer = tree.nodes_at_depth(1)
-        assert [n.node_id for n in layer] == [1, 2]
-
-
-class TestUnsplit:
-    def test_rollback_restores_leaf(self):
-        tree = DecisionTree()
-        tree.split_node(0, owner=1, feature=4, bin_index=2, threshold=0.5, gain=0.3)
-        tree.split_node(1, owner=0, feature=1, bin_index=1, threshold=0.1, gain=0.2)
-        tree.unsplit_node(0)
-        assert tree.root.is_leaf
-        assert len(tree.nodes) == 1
-        assert tree.root.feature == -1
-
-    def test_rollback_on_leaf_is_noop(self):
-        tree = DecisionTree()
-        tree.unsplit_node(0)
-        assert tree.root.is_leaf
 
 
 class TestPrediction:
