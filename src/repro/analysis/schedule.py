@@ -194,12 +194,12 @@ def iter_self_check_graphs(n_trees: int = 2):
         n_layers=4,
         n_trees=n_trees,
     )
+    paper = CostModel.paper()
     variants = {
-        "vf2boost": VF2BoostConfig.vf2boost(),
-        "vf_gbdt": VF2BoostConfig.vf_gbdt(),
-        "vf_mock": VF2BoostConfig.vf_mock(),
+        "vf2boost": (VF2BoostConfig.vf2boost(), paper),
+        "vf_gbdt": (VF2BoostConfig.vf_gbdt(), paper),
+        "vf_mock": (VF2BoostConfig.vf_gbdt(), paper.mocked()),
     }
-    cost = CostModel.paper()
     cluster = ClusterSpec()
     # Fault-injected variants must satisfy the same structural rules
     # *plus* SCH005 (no task starts inside its party's pause window).
@@ -211,7 +211,7 @@ def iter_self_check_graphs(n_trees: int = 2):
             pauses=(PauseWindow(party=1, start=0.5, end=1.5),),
         ),
     }
-    for label, config in variants.items():
+    for label, (config, cost) in variants.items():
         scheduler = ProtocolScheduler(config, cost, cluster)
         for suffix, plan in fault_plans.items():
             result = scheduler.schedule(trace, collect_tasks=True, fault_plan=plan)

@@ -9,7 +9,7 @@ system             modeling
 =================  ==================================================
 ``xgboost``        non-federated plaintext GBDT on co-located data
 ``xgboost_b``      same, on Party B's columns only
-``vf_mock``        federated protocol, mocked (plaintext) crypto
+``vf_mock``        VF-GBDT's protocol priced by ``CostModel.mocked``
 ``vf_gbdt``        full crypto, none of the §4/§5 optimizations
 ``vf2boost``       full crypto, all four optimizations
 ``secureboost``    FATE SecureBoost: sequential protocol, Pythonic
@@ -102,7 +102,7 @@ SYSTEMS: dict[str, SystemSpec] = {
         name="xgboost",
         display="XGBoost (co-located)",
         federated=False,
-        make_config=lambda p: VF2BoostConfig.vf_mock(params=p),
+        make_config=lambda p: VF2BoostConfig.vf_gbdt(params=p),
         make_cost=CostModel.paper,
         make_cluster=lambda: PAPER_CLUSTER,
     ),
@@ -110,7 +110,7 @@ SYSTEMS: dict[str, SystemSpec] = {
         name="xgboost_b",
         display="XGBoost (Party B only)",
         federated=False,
-        make_config=lambda p: VF2BoostConfig.vf_mock(params=p),
+        make_config=lambda p: VF2BoostConfig.vf_gbdt(params=p),
         make_cost=CostModel.paper,
         make_cluster=lambda: PAPER_CLUSTER,
     ),
@@ -118,8 +118,8 @@ SYSTEMS: dict[str, SystemSpec] = {
         name="vf_mock",
         display="VF-MOCK",
         federated=True,
-        make_config=lambda p: VF2BoostConfig.vf_mock(params=p),
-        make_cost=CostModel.paper,
+        make_config=lambda p: VF2BoostConfig.vf_gbdt(params=p),
+        make_cost=lambda: CostModel.paper().mocked(),
         make_cluster=lambda: PAPER_CLUSTER,
     ),
     "vf_gbdt": SystemSpec(

@@ -3,7 +3,7 @@
 The paper reasons about protocols through per-operation unit costs
 ``T_ENC``, ``T_DEC``, ``T_HADD``, ``T_SMUL`` and ``T_COMM``.  We carry
 the same constants plus the plaintext-side costs needed for the
-XGBoost / VF-MOCK baselines, in two flavors:
+XGBoost baselines, in two flavors:
 
 * :meth:`CostModel.from_profile` — this host's unit costs, as one timed
   pass of this repository's real Paillier implementation measured them
@@ -15,7 +15,7 @@ XGBoost / VF-MOCK baselines, in two flavors:
 
 Derived baselines (:meth:`fate_like`, :meth:`fedlearner_like`) model
 the competitors' measured slowdowns as multipliers, as DESIGN.md §1
-documents.
+documents; :meth:`CostModel.mocked` is VF-MOCK's price list.
 """
 
 from __future__ import annotations
@@ -65,6 +65,17 @@ class CostModel:
         return replace(
             self, compute_multiplier=self.compute_multiplier * multiplier
         )
+
+    def mocked(self) -> "CostModel":
+        """VF-MOCK's price list: the same protocol with mocked cryptography (§6.3).
+
+        Enc, Dec and every cipher power (scaling, SMul) are free, an
+        HAdd costs one plaintext accumulation and a cipher travels as
+        one plaintext statistic.
+        """
+        free = dict.fromkeys(("t_enc", "t_dec", "t_scale", "t_smul", "t_smul_small"), 0.0)
+        plain = {"t_hadd": self.t_plain_accum, "cipher_bytes": self.plain_bytes}
+        return replace(self, **free, **plain)
 
     # Effective (multiplier-applied) accessors -------------------------
     def enc(self) -> float:

@@ -566,7 +566,10 @@ def _train_main(argv: list[str]) -> int:
     parser.add_argument("--bins", type=int, default=16)
     parser.add_argument("--seed", type=int, default=0, help="data/crypto seed")
     parser.add_argument(
-        "--crypto-mode", default="counted", choices=("counted", "real", "mock")
+        "--crypto-mode",
+        default="counted",
+        choices=("counted", "real"),
+        help="real: every Paillier op; counted: plaintext in real-sized payloads",
     )
     parser.add_argument(
         "--checkpoint-dir",

@@ -8,9 +8,11 @@ Preset constructors mirror the paper's named systems:
 
 * :meth:`VF2BoostConfig.vf2boost`  — everything on (the contribution);
 * :meth:`VF2BoostConfig.vf_gbdt`   — everything off (the self-developed
-  unoptimized baseline);
-* :meth:`VF2BoostConfig.vf_mock`   — VF-GBDT with mocked (plaintext)
-  cryptography.
+  unoptimized baseline).
+
+The paper's third self-developed system, VF-MOCK ("the same system with
+mocked cryptography", §6.3), is not a config: it is VF-GBDT priced by
+:meth:`repro.bench.costmodel.CostModel.mocked`.
 """
 
 from __future__ import annotations
@@ -54,11 +56,10 @@ class VF2BoostConfig:
             histograms from scratch. Pays off when the measured
             misplaced fraction is below ~1/2.
         crypto_mode: ``"real"`` executes every Paillier operation;
-            ``"counted"`` runs the protocol on plaintext statistics while
-            recording the exact operation counts the real run would
-            perform (the protocol is lossless, so models are identical);
-            ``"mock"`` is counted-mode with plaintext cost accounting
-            (the paper's VF-MOCK).
+            ``"counted"`` runs the protocol on plaintext statistics and
+            ships payloads sized as the real run's messages (the
+            protocol is lossless, so models are identical).  Any other
+            value is a ``ValueError``.
         seed: RNG seed for keygen/jitter.
     """
 
@@ -75,7 +76,7 @@ class VF2BoostConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.crypto_mode not in ("real", "counted", "mock"):
+        if self.crypto_mode not in ("real", "counted"):
             raise ValueError(f"unknown crypto_mode {self.crypto_mode!r}")
         if self.key_bits < 64:
             raise ValueError("key_bits must be >= 64")
@@ -100,12 +101,6 @@ class VF2BoostConfig:
         overrides.setdefault("optimistic_split", False)
         overrides.setdefault("histogram_packing", False)
         return cls(**overrides)
-
-    @classmethod
-    def vf_mock(cls, **overrides) -> "VF2BoostConfig":
-        """VF-MOCK: VF-GBDT with mocked cryptography (plaintext)."""
-        overrides.setdefault("crypto_mode", "mock")
-        return cls.vf_gbdt(**overrides)
 
     def replace(self, **overrides) -> "VF2BoostConfig":
         """Copy with overrides."""

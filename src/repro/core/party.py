@@ -21,10 +21,10 @@ content; :class:`~repro.core.trainer.FederatedTrainer` pumps the steps:
    placement bitmap and every party applies it;
 4. **Leaf** — B computes and broadcasts the leaf weights.
 
-Counted mode (``"counted"`` / ``"mock"``) runs the same sequence with no
-context on either side and one plaintext shortcut: a
-:class:`CountedCipherPayload` carries, beside the exact cipher count the
-real run would ship, what those absent ciphers would open to
+Counted mode runs the same sequence with no context on either side and
+one plaintext shortcut: a :class:`CountedCipherPayload` stands for the
+real run's cipher message, sized as that message (its exact cipher count
+and fixed header), and carries what those absent ciphers would open to
 (``opens_to``, zero wire bytes).  The mode is decided once, in
 :func:`make_parties`; only the methods standing in for Enc
 (:meth:`ActiveParty.send_gradients`), the build
@@ -89,6 +89,11 @@ def _batches(config: VF2BoostConfig, n: int) -> list[tuple[int, int]]:
     return [(start, min(n, start + size)) for start in range(0, n, size)]
 
 
+def _histogram_message(layout) -> type:
+    """The real run's histogram message type: packs on the packed path, else raw bins."""
+    return PackedHistogramMessage if layout is not None else EncryptedHistogramMessage
+
+
 class _Party:
     """Either kind: an id, the config, columns, a context (``None`` in
     counted mode), the layout and the rows on every node."""
@@ -148,9 +153,8 @@ class PassiveParty(_Party):
         batches = []
         for start, _ in _batches(self.config, n):
             if self.context is None:
-                message = _receive(
-                    channel, ACTIVE, self.id, CountedCipherPayload, kind="grad_hess"
-                )
+                wants = {"stands_for": EncryptedGradHessBatch}
+                message = _receive(channel, ACTIVE, self.id, CountedCipherPayload, **wants)
                 batches.append(message.opens_to)
             else:
                 message = _receive(
@@ -191,8 +195,9 @@ class PassiveParty(_Party):
                 hist.count.fill(0)
             per_node = layout.packs_per_node(d, s) if layout is not None else 2 * d * s
             n_ciphers = len(nodes) * per_node
+            real = _histogram_message(layout)
             message = CountedCipherPayload(
-                self.id, ACTIVE, kind="histograms", n_ciphers=n_ciphers, opens_to=opened
+                self.id, ACTIVE, stands_for=real, n_ciphers=n_ciphers, opens_to=opened
             )
             return channel.send(message)
         context, codes = self.context, dataset.codes
@@ -309,7 +314,11 @@ class ActiveParty(_Party):
                 n_ciphers = (1 if pair else 2) * (stop - start)
                 channel.send(
                     CountedCipherPayload(  # repro: allow[PB001]
-                        ACTIVE, p, kind="grad_hess", n_ciphers=n_ciphers, opens_to=plain
+                        ACTIVE,
+                        p,
+                        stands_for=EncryptedGradHessBatch,
+                        n_ciphers=n_ciphers,
+                        opens_to=plain,
                     )
                 )
 
@@ -357,12 +366,12 @@ class ActiveParty(_Party):
         packed node is rebuilt from ``message.packed[node]``, the layout
         and the node size B knows from the placement, and closed with
         B's own total; counted mode reads ``opens_to``."""
+        real = _histogram_message(self.layout)
         if self.context is None:
-            type_, field, wants = CountedCipherPayload, "opens_to", {"kind": "histograms"}
-        elif self.layout is not None:
-            type_, field, wants = PackedHistogramMessage, "packed", {}
+            type_, field, wants = CountedCipherPayload, "opens_to", {"stands_for": real}
         else:
-            type_, field, wants = EncryptedHistogramMessage, "histograms", {}
+            field = "packed" if real is PackedHistogramMessage else "histograms"
+            type_, wants = real, {}
         payload = getattr(_receive(channel, sender, ACTIVE, type_, **wants), field)
         if list(payload) != built:
             raise ProtocolError(

@@ -164,21 +164,14 @@ class ProtocolScheduler:
     """Prices a workload trace under a config, cost model and cluster.
 
     Args:
-        config: protocol variant (optimization flags, crypto mode, ...).
-        cost: unit-cost model.
+        config: protocol variant (its optimization flags; ``crypto_mode``
+            is not read).
+        cost: unit-cost model; :meth:`CostModel.mocked` prices VF-MOCK.
         cluster: hardware/topology description.
     """
 
-    def __init__(
-        self,
-        config: VF2BoostConfig,
-        cost: CostModel,
-        cluster: ClusterSpec,
-    ) -> None:
-        self.config = config
-        self.cost = cost
-        self.cluster = cluster
-        self._mock = config.crypto_mode == "mock"
+    def __init__(self, config: VF2BoostConfig, cost: CostModel, cluster: ClusterSpec) -> None:
+        self.config, self.cost, self.cluster = config, cost, cluster
 
     # ------------------------------------------------------------------
     # Cost primitives
@@ -186,27 +179,16 @@ class ProtocolScheduler:
     def _lanes(self) -> int:
         return self.cluster.compute_lanes
 
-    def _cipher_bytes(self) -> int:
-        return self.cost.plain_bytes if self._mock else self.cost.cipher_bytes
-
-    def _enc_cost(self) -> float:
-        return 0.0 if self._mock else self.cost.enc()
-
-    def _dec_cost(self) -> float:
-        return 0.0 if self._mock else self.cost.dec()
-
     def _add_cost(self, n_exponents: int) -> float:
         """Per-addend cost of BuildHistA under the current flags."""
-        if self._mock:
-            return self.cost.plain_accum()
         # The packed path's pair ciphers share one fixed exponent.
-        if self._packing_on() or self.config.reordered_accumulation:
+        if self.config.histogram_packing or self.config.reordered_accumulation:
             return self.cost.hadd()
         return self.cost.naive_add(n_exponents)
 
     def _stat_factor(self) -> int:
         """Ciphers per instance: one (g, h) pair on the packed path, else 2."""
-        return 1 if self._packing_on() else 2
+        return 1 if self.config.histogram_packing else 2
 
     def _bins(self, party: _PartyWork) -> int:
         """Cipher bins per node under the current flags."""
@@ -214,7 +196,7 @@ class ProtocolScheduler:
 
     def _held_bins(self, party: _PartyWork) -> int:
         """Cipher bins Party A builds per node: no last bin when packing."""
-        if self._packing_on():
+        if self.config.histogram_packing:
             return party.n_features * (party.n_bins - 1)
         return self._bins(party)
 
@@ -225,7 +207,7 @@ class ProtocolScheduler:
         skipped: ``1/s`` of them under quantile binning.
         """
         values = self._stat_factor() * party.d
-        if self._packing_on():
+        if self.config.histogram_packing:
             values *= (party.n_bins - 1) / party.n_bins
         return values
 
@@ -240,7 +222,7 @@ class ProtocolScheduler:
         values present, a pair is joined only where the instance has
         both (``rho**2``) and costs one held value where it has one.
         """
-        if not self._packing_on() or not party.n_features:
+        if not self.config.histogram_packing or not party.n_features:
             return self._held_values(party)
         s = party.n_bins
         rho = party.d / party.n_features
@@ -265,7 +247,7 @@ class ProtocolScheduler:
         """
         adds = instances * self._addends(party)
         pairs, s = party.n_features // 2, party.n_bins
-        if self._packing_on() and pairs and nodes and s > 1:
+        if self.config.histogram_packing and pairs and nodes and s > 1:
             in_cell = (party.d / party.n_features / s) ** 2
             occupied = -math.expm1(instances / nodes * math.log1p(-in_cell))
             adds += nodes * pairs * (s - 1) ** 2 * occupied
@@ -273,19 +255,12 @@ class ProtocolScheduler:
 
     def _reorder_finalize(self, bins: float, n_exponents: int) -> float:
         """Workspace merge cost: ``E - 1`` scalings per bin (§5.1)."""
-        if (
-            self._mock
-            or self._packing_on()
-            or not self.config.reordered_accumulation
-        ):
+        if self.config.histogram_packing or not self.config.reordered_accumulation:
             return 0.0
         return bins * (n_exponents - 1) * self.cost.scale()
 
     def _comm_duration(self, n_bytes: float) -> float:
         return self.cluster.wan_latency + n_bytes / self.cluster.wan_bandwidth
-
-    def _packing_on(self) -> bool:
-        return self.config.histogram_packing and not self._mock
 
     # ------------------------------------------------------------------
     # Entry point
@@ -366,12 +341,10 @@ class ProtocolScheduler:
         config = self.config
         lanes = self._lanes()
         n = tree.n_instances
-        n_exponents = tree.n_exponents if not self._mock else 1
-        cipher_bytes = self._cipher_bytes()
+        n_exponents = tree.n_exponents
+        cipher_bytes = self.cost.cipher_bytes
         # Pack counts come from the layout the trainer packs with.
-        layout = (
-            config.gradient_layout(trace.n_instances) if self._packing_on() else None
-        )
+        layout = config.gradient_layout(trace.n_instances)
         shape_b = trace.active_shape
         bytes_sent = 0.0
 
@@ -388,9 +361,9 @@ class ProtocolScheduler:
 
         # ---------------- Root: Enc -> CipherComm -> BuildHistA --------
         stat = self._stat_factor()
-        enc_work = stat * n * self._enc_cost()
+        enc_work = stat * n * self.cost.enc()
         gh_bytes = stat * n * cipher_bytes
-        if config.blaster_encryption and not self._mock:
+        if config.blaster_encryption:
             n_batches = min(
                 _MAX_BATCH_TASKS, max(1, math.ceil(n / config.blaster_batch_size))
             )
@@ -539,12 +512,12 @@ class ProtocolScheduler:
                         built_nodes
                         * self._held_bins(party)
                         * frac
-                        * self._cipher_bytes(),
+                        * cipher_bytes,
                         nnz_bytes=(
                             built_instances
                             * frac
                             * self._held_values(party)
-                            * self._cipher_bytes()
+                            * cipher_bytes
                         ),
                     )
                     if agg_seconds:
@@ -595,7 +568,7 @@ class ProtocolScheduler:
                     bytes_sent += part_bytes
                     # Dec on what crossed the wire; the candidate search
                     # still covers every node, derived ones included.
-                    dec_work = ciphers_full * frac * self._dec_cost() + (
+                    dec_work = ciphers_full * frac * self.cost.dec() + (
                         n_nodes * self._bins(party) * frac * self.cost.split_bin()
                     )
                     slices = (0.25, 0.75) if notice_anchor is None else (1.0,)

@@ -6,9 +6,9 @@ of :mod:`repro.core.party` — one :class:`~repro.core.party.ActiveParty`
 :class:`~repro.core.party.PassiveParty` — who share nothing but the
 channel.  :class:`FederatedTrainer` opens the channel, builds the
 parties (``crypto_mode`` is decided there: ``"real"`` executes every
-Paillier operation, ``"counted"`` / ``"mock"`` run the same messages on
-plaintext with exact cipher counts — the protocol is lossless, so the
-model is bit-identical) and pumps their steps phase by phase.  It owns
+Paillier operation, ``"counted"`` runs the same messages on plaintext,
+each sized as the real one, byte for byte — the protocol is lossless, so
+the model is bit-identical) and pumps their steps phase by phase.  It owns
 what no party does: the phase seam (:meth:`_phase`), events,
 checkpoints and resume, incident bundles, and the :class:`TraceLog` —
 which party won each node, which nodes the optimistic strategy would

@@ -84,13 +84,16 @@ class EncryptedGradHessBatch(Message):
     """
 
     disclosure = "ciphertext"
+    #: fixed bytes beside the ciphers (the instance offset)
+    header_bytes: ClassVar[int] = 8
 
     instance_offset: int = 0
     grads: list[EncryptedNumber] = field(default_factory=list)
     hesses: list[EncryptedNumber] = field(default_factory=list)
 
     def payload_bytes(self, key_bits: int) -> int:
-        return (len(self.grads) + len(self.hesses)) * cipher_bytes(key_bits) + 8
+        n_ciphers = len(self.grads) + len(self.hesses)
+        return n_ciphers * cipher_bytes(key_bits) + self.header_bytes
 
     def __len__(self) -> int:
         return len(self.grads)
@@ -105,6 +108,7 @@ class EncryptedHistogramMessage(Message):
     """
 
     disclosure = "ciphertext"
+    header_bytes: ClassVar[int] = 16
 
     histograms: dict[int, tuple[list[list[EncryptedNumber]], list[list[EncryptedNumber]]]] = field(
         default_factory=dict
@@ -119,7 +123,7 @@ class EncryptedHistogramMessage(Message):
         return total
 
     def payload_bytes(self, key_bits: int) -> int:
-        return self.cipher_count() * cipher_bytes(key_bits) + 16
+        return self.cipher_count() * cipher_bytes(key_bits) + self.header_bytes
 
 
 @dataclass
@@ -133,6 +137,7 @@ class PackedHistogramMessage(Message):
     """
 
     disclosure = "ciphertext"
+    header_bytes: ClassVar[int] = 32
 
     packed: dict[int, list[PackedCipher]] = field(default_factory=dict)
 
@@ -141,30 +146,31 @@ class PackedHistogramMessage(Message):
         return sum(len(items) for items in self.packed.values())
 
     def payload_bytes(self, key_bits: int) -> int:
-        return self.cipher_count() * cipher_bytes(key_bits) + 32
+        return self.cipher_count() * cipher_bytes(key_bits) + self.header_bytes
 
 
 @dataclass
 class CountedCipherPayload(Message):
-    """Counted-mode stand-in for a bulk cipher transfer.
+    """Counted-mode stand-in for one cipher message of the real run.
 
-    Carries no actual ciphers — only how many the real run would ship —
-    so the channel's byte ledger stays exact while the arithmetic runs
-    on plaintext.  ``opens_to`` is counted mode's one shortcut: what the
-    absent ciphers would open to (a batch's ``(g, h)`` arrays, or
-    ``node -> Histogram``) at zero wire bytes, so the receiver acts on
-    what it received.  Its disclosure is the real run's payload's:
-    ciphertext.
+    Carries no actual ciphers — only how many the real message
+    ``stands_for`` would ship — and is sized as that message, its fixed
+    header included, so a counted ledger equals the real one byte for
+    byte while the arithmetic runs on plaintext.  ``opens_to`` is
+    counted mode's one shortcut: what the absent ciphers would open to
+    (a batch's ``(g, h)`` arrays, or ``node -> Histogram``) at zero
+    wire bytes, so the receiver acts on what it received.  Its
+    disclosure is the real message's: ciphertext.
     """
 
     disclosure = "ciphertext"
 
-    kind: str = ""
+    stands_for: type[Message] = field(kw_only=True)  # a cipher message class above
     n_ciphers: int = 0
     opens_to: object = None
 
     def payload_bytes(self, key_bits: int) -> int:
-        return self.n_ciphers * cipher_bytes(key_bits) + 8
+        return self.n_ciphers * cipher_bytes(key_bits) + self.stands_for.header_bytes
 
 
 @dataclass

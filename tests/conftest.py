@@ -7,7 +7,11 @@ keep the full real-crypto protocol tests fast.
 
 from __future__ import annotations
 
+import contextlib
+import io
+import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,23 +24,81 @@ from repro.gbdt.params import GBDTParams
 
 
 @pytest.fixture(scope="session")
-def repo_index():
-    """The ``repro`` package parsed once for every static-analysis test."""
-    from repro.analysis.astutils import PackageIndex
+def strict_run():
+    """One ``python -m repro.analysis --strict`` run, shared by every test.
 
-    return PackageIndex(Path(__file__).parent.parent / "src" / "repro")
+    ``main`` runs as the CLI does, timed, its output captured; the
+    reporter it gated on and the first index it parsed (the ``repro``
+    package) are recorded on the way.  Returns ``exit_code``,
+    ``output``, ``seconds``, ``reporter`` and ``index``.
+    """
+    from repro.analysis import cli
+
+    seen: dict = {}
+
+    def recording(key, fn):
+        def wrapper(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            seen.setdefault(key, result)
+            return result
+
+        return wrapper
+
+    output = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(output):
+        patch.setattr(cli, "run_analysis", recording("reporter", cli.run_analysis))
+        patch.setattr(cli, "PackageIndex", recording("index", cli.PackageIndex))
+        t0 = time.perf_counter()
+        exit_code = cli.main(["--strict"])
+        seconds = time.perf_counter() - t0
+    return SimpleNamespace(
+        exit_code=exit_code, output=output.getvalue(), seconds=seconds, **seen
+    )
 
 
 @pytest.fixture(scope="session")
-def repo_reporter():
-    """One full analyzer run over the repository (what ``--strict`` gates).
+def repo_index(strict_run):
+    """The ``repro`` package as the strict run parsed it."""
+    return strict_run.index
+
+
+@pytest.fixture(scope="session")
+def repo_reporter(strict_run):
+    """The strict run's reporter (what ``--strict`` gates).
 
     Passes keep their state in the reporter, so tests may read it
     freely but must not mutate it.
     """
-    from repro.analysis.cli import run_analysis
+    return strict_run.reporter
 
-    return run_analysis()
+
+@pytest.fixture(scope="session")
+def serve_smoke(tmp_path_factory):
+    """One ``python -m repro.serve.bench --smoke`` run, shared by every test.
+
+    Every artifact is asked for; returns ``exit_code`` and the paths
+    ``out`` (the bench report), ``trace``, ``report`` (the RunReport)
+    and ``events``.
+    """
+    from repro.serve import bench
+
+    root = tmp_path_factory.mktemp("serve_smoke")
+    paths = {
+        "out": root / "BENCH_serve.json",
+        "trace": root / "serve.trace.json",
+        "report": root / "serve.report.json",
+        "events": root / "events.jsonl",
+    }
+    exit_code = bench.main(
+        [
+            "--smoke",
+            "--out", str(paths["out"]),
+            "--trace-out", str(paths["trace"]),
+            "--report-out", str(paths["report"]),
+            "--events-out", str(paths["events"]),
+        ]
+    )
+    return SimpleNamespace(exit_code=exit_code, **paths)
 
 
 @pytest.fixture(scope="session")

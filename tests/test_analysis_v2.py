@@ -2,7 +2,6 @@
 suppression audit (SUP001), and analyzer edge inputs.
 """
 
-import time
 from pathlib import Path
 
 from repro.analysis import races
@@ -289,12 +288,10 @@ class TestCliV2:
         assert "leakypkg:parse" in err
         assert "total" in err
 
-    def test_full_strict_run_under_budget(self, capsys):
-        # The one end-to-end run of the CI gate; every other repository
-        # assertion reads the session's repo_index / repo_reporter.
-        t0 = time.perf_counter()
-        rc = main(["--strict"])
-        elapsed = time.perf_counter() - t0
-        out = capsys.readouterr().out
-        assert rc == 0, f"strict gate failed:\n{out}"
+    def test_full_strict_run_under_budget(self, strict_run):
+        # The one end-to-end run of the CI gate (the strict_run fixture);
+        # every other repository assertion reads its repo_index /
+        # repo_reporter.
+        assert strict_run.exit_code == 0, f"strict gate failed:\n{strict_run.output}"
+        elapsed = strict_run.seconds
         assert elapsed < 30.0, f"analysis took {elapsed:.1f}s (budget 30s)"

@@ -50,8 +50,16 @@ class TestMessageSizes:
         assert msg.payload_bytes(256) == 13 + 8  # ceil(100/8) + header
 
     def test_counted_payload_size(self):
-        msg = CountedCipherPayload(1, 0, kind="histograms", n_ciphers=10)
-        assert msg.payload_bytes(256) == 10 * 64 + 8
+        # Sized as the message it stands for, that message's header included.
+        batch = EncryptedGradHessBatch(0, 1, grads=[CTX.encrypt(0.1)] * 10)
+        msg = CountedCipherPayload(0, 1, stands_for=EncryptedGradHessBatch, n_ciphers=10)
+        assert msg.payload_bytes(256) == batch.payload_bytes(256) == 10 * 64 + 8
+        for stands_for, header in (
+            (EncryptedHistogramMessage, 16),
+            (PackedHistogramMessage, 32),
+        ):
+            msg = CountedCipherPayload(1, 0, stands_for=stands_for, n_ciphers=10)
+            assert msg.payload_bytes(256) == 10 * 64 + header
         assert msg.disclosure == "ciphertext"
 
     def test_control_messages_small(self):
@@ -97,9 +105,13 @@ class TestChannelQueues:
 class TestChannelAccounting:
     def test_bytes_accumulate(self):
         channel = RecordingChannel(256)
-        channel.send(CountedCipherPayload(0, 1, kind="gh", n_ciphers=4))
-        channel.send(CountedCipherPayload(1, 0, kind="hist", n_ciphers=2))
-        assert channel.total_bytes() == (4 * 64 + 8) + (2 * 64 + 8)
+        channel.send(
+            CountedCipherPayload(0, 1, stands_for=EncryptedGradHessBatch, n_ciphers=4)
+        )
+        channel.send(
+            CountedCipherPayload(1, 0, stands_for=PackedHistogramMessage, n_ciphers=2)
+        )
+        assert channel.total_bytes() == (4 * 64 + 8) + (2 * 64 + 32)
         assert channel.stats[(0, 1)].bytes == 4 * 64 + 8
 
     def test_by_type_stats(self):
@@ -113,22 +125,26 @@ class TestChannelAccounting:
         channel = RecordingChannel(256)
         channel.send(SplitQuery(0, 1))
         channel.send(SplitQuery(0, 1))
-        channel.send(CountedCipherPayload(1, 0, kind="hist", n_ciphers=2))
+        channel.send(
+            CountedCipherPayload(1, 0, stands_for=PackedHistogramMessage, n_ciphers=2)
+        )
         forward = channel.stats[(0, 1)]
         assert forward.by_type["SplitQuery"].messages == 2
         assert forward.by_type["SplitQuery"].bytes == forward.bytes
         assert "CountedCipherPayload" not in forward.by_type
         backward = channel.stats[(1, 0)]
-        assert backward.by_type["CountedCipherPayload"].bytes == 2 * 64 + 8
+        assert backward.by_type["CountedCipherPayload"].bytes == 2 * 64 + 32
 
     def test_stats_report_structure(self):
         channel = RecordingChannel(256)
         channel.send(SplitQuery(0, 1))
-        channel.send(CountedCipherPayload(1, 0, kind="hist", n_ciphers=1))
+        channel.send(
+            CountedCipherPayload(1, 0, stands_for=PackedHistogramMessage, n_ciphers=1)
+        )
         report = channel_report(channel)
         assert report["total_messages"] == 2
         assert report["directions"]["0->1"]["by_type"]["SplitQuery"]["messages"] == 1
-        assert report["directions"]["1->0"]["bytes"] == 64 + 8
+        assert report["directions"]["1->0"]["bytes"] == 64 + 32
 
 
 class TestPrivacyGuard:
@@ -258,9 +274,13 @@ def _guard_outcome(message: Message) -> str:
     return "accept"
 
 
+#: fields a message type cannot be built without
+_REQUIRED = {CountedCipherPayload: {"stands_for": EncryptedGradHessBatch}}
+
+
 def _guard_outcomes(cls, float_payload) -> tuple[str, ...]:
     return tuple(
-        _guard_outcome(cls(sender, receiver, **payload))
+        _guard_outcome(cls(sender, receiver, **_REQUIRED.get(cls, {}), **payload))
         for sender, receiver in ((1, 0), (0, 1))
         for payload in ({}, float_payload)
     )
@@ -300,7 +320,8 @@ class TestOneDeclaration:
     def test_float_toward_passive_accepted_exactly_when_declared(self, cls, float_payload):
         undeclared = type(f"Undeclared{cls.__name__}", (cls,), {"disclosure": None})
         for variant in (cls, undeclared):
-            outcome = _guard_outcome(variant(0, 1, **float_payload))
+            message = variant(0, 1, **_REQUIRED.get(cls, {}), **float_payload)
+            outcome = _guard_outcome(message)
             assert (outcome == "accept") == (variant.disclosure is not None), variant
 
     def test_taint_exempts_exactly_the_metadata_classes(self, repo_index):

@@ -24,11 +24,6 @@ class TestConfigPresets:
         assert not config.histogram_packing
         assert config.crypto_mode == "counted"
 
-    def test_vf_mock(self):
-        config = VF2BoostConfig.vf_mock()
-        assert config.crypto_mode == "mock"
-        assert not config.histogram_packing
-
     def test_replace(self):
         config = VF2BoostConfig.vf2boost().replace(key_bits=512)
         assert config.key_bits == 512
@@ -36,6 +31,9 @@ class TestConfigPresets:
     def test_validation(self):
         with pytest.raises(ValueError):
             VF2BoostConfig(crypto_mode="plain")
+        # VF-MOCK is a price list (CostModel.mocked), not a crypto mode.
+        with pytest.raises(ValueError):
+            VF2BoostConfig(crypto_mode="mock")
         with pytest.raises(ValueError):
             VF2BoostConfig(key_bits=32)
         with pytest.raises(ValueError):

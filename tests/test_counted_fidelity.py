@@ -2,16 +2,31 @@
 
 The paper-scale benchmarks rest on counted mode reporting *exactly*
 the ciphers and bytes a real run would ship. These tests train the
-same workload in both modes and compare the channel ledgers.
+same workload in both modes and compare the channel ledgers: a counted
+payload is sized as the message it stands for, header included, so
+every byte must agree.
 """
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core.config import VF2BoostConfig
 from repro.core.trainer import FederatedTrainer
+from repro.fed.messages import (
+    CountedCipherPayload,
+    EncryptedGradHessBatch,
+    EncryptedHistogramMessage,
+    PackedHistogramMessage,
+)
 from repro.gbdt.binning import bin_dataset
 from repro.gbdt.params import GBDTParams
+
+SWEEP = json.loads(
+    (Path(__file__).parent / "golden" / "party_sweep.json").read_text()
+)
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +59,18 @@ def _run(parties, labels, params, mode, **flags):
     return FederatedTrainer(config).fit(parties, labels)
 
 
+def _stand_ins(result, stands_for) -> list[CountedCipherPayload]:
+    return [
+        m
+        for m in result.channel.log
+        if isinstance(m, CountedCipherPayload) and m.stands_for is stands_for
+    ]
+
+
+def _bytes_per_direction(result) -> dict:
+    return {key: stats.bytes for key, stats in result.channel.stats.items()}
+
+
 class TestLedgerAgreement:
     def test_gradient_stream_bytes_match(self, workload):
         parties, labels, params = workload
@@ -51,9 +78,7 @@ class TestLedgerAgreement:
         counted = _run(parties, labels, params, "counted")
         real_gh = real.channel.by_type["EncryptedGradHessBatch"].bytes
         counted_gh = sum(
-            m.payload_bytes(256)
-            for m in counted.channel.log
-            if getattr(m, "kind", "") == "grad_hess"
+            m.payload_bytes(256) for m in _stand_ins(counted, EncryptedGradHessBatch)
         )
         assert real_gh == counted_gh
 
@@ -64,12 +89,10 @@ class TestLedgerAgreement:
         real_hist = real.channel.by_type["EncryptedHistogramMessage"].bytes
         counted_hist = sum(
             m.payload_bytes(256)
-            for m in counted.channel.log
-            if getattr(m, "kind", "") == "histograms"
+            for m in _stand_ins(counted, EncryptedHistogramMessage)
         )
-        # Counted mode carries an 8-byte header per message instead of
-        # the real message's 16; tolerate only that structural delta.
-        assert abs(real_hist - counted_hist) <= 16 * len(counted.channel.log)
+        assert real_hist == counted_hist
+        assert _bytes_per_direction(real) == _bytes_per_direction(counted)
 
     def test_models_identical(self, workload):
         parties, labels, params = workload
@@ -81,7 +104,7 @@ class TestLedgerAgreement:
                 other = t_counted.nodes[node_id]
                 assert node.is_leaf == other.is_leaf
                 if node.is_leaf:
-                    assert node.weight == pytest.approx(other.weight, abs=1e-4)
+                    assert node.weight == other.weight
                 else:
                     assert (node.owner, node.feature, node.bin_index) == (
                         other.owner, other.feature, other.bin_index,
@@ -113,29 +136,24 @@ class TestPackedLedgerAgreement:
         parties, labels, params = workload
         real = self._run(parties, labels, params, "real")
         counted = self._run(parties, labels, params, "counted")
-        cipher_bytes = 256 // 4
-        for real_type, header, kind in (
-            ("PackedHistogramMessage", 32, "histograms"),
-            ("EncryptedGradHessBatch", 8, "grad_hess"),
-        ):
-            stats = real.channel.by_type[real_type]
-            payloads = [
-                m for m in counted.channel.log if getattr(m, "kind", "") == kind
-            ]
-            # Same messages, same ciphers in them; only the fixed header
-            # differs (counted payloads carry 8 bytes).
+        # Same messages, same ciphers in them, same headers: each
+        # direction carries the same bytes in both modes.
+        assert _bytes_per_direction(real) == _bytes_per_direction(counted)
+        for message_type in (PackedHistogramMessage, EncryptedGradHessBatch):
+            stats = real.channel.by_type[message_type.__name__]
+            payloads = _stand_ins(counted, message_type)
             assert len(payloads) == stats.messages
-            assert sum(m.n_ciphers for m in payloads) * cipher_bytes == (
-                stats.bytes - header * stats.messages
-            )
+            assert sum(m.payload_bytes(256) for m in payloads) == stats.bytes
         # 140 rows need 25 + 22 bits a slot; a 256-bit key (253 usable)
         # holds five 47-bit slots, so a node's 4 features x 5 shipped
         # bins (the sixth is B's own total) travel as 4 packs.
+        cipher_bytes = 256 // 4
         built = sum(
             layer.built_nodes for tree in real.trace.trees for layer in tree.layers
         )
         packed = real.channel.by_type["PackedHistogramMessage"]
-        assert packed.bytes - 32 * packed.messages == built * 4 * cipher_bytes
+        header = PackedHistogramMessage.header_bytes
+        assert packed.bytes - header * packed.messages == built * 4 * cipher_bytes
 
     def test_counted_ledger_ships_packs_per_node(self, ledger_workload):
         # ceil(D(s - 1) / t) per built node on the golden and the packed
@@ -149,23 +167,22 @@ class TestPackedLedgerAgreement:
         d_a, bins = parties[1].n_features, parties[1].n_bins
         per_node = -(-d_a * (bins - 1) // layout.capacity)
         assert layout.packs_per_node(d_a, bins) == per_node
-        payloads = [
-            m for m in counted.channel.log if getattr(m, "kind", "") == "histograms"
-        ]
+        payloads = _stand_ins(counted, PackedHistogramMessage)
         built = [layer.built_nodes for layer in counted.trace.trees[0].layers]
         assert [m.n_ciphers for m in payloads] == [n * per_node for n in built]
         assert sum(m.payload_bytes(config.key_bits) for m in payloads) == (
-            sum(built) * per_node * config.key_bits // 4 + 8 * len(payloads)
+            sum(built) * per_node * config.key_bits // 4
+            + PackedHistogramMessage.header_bytes * len(payloads)
         )
 
 
-class TestMockMode:
-    def test_mock_ships_plain_sized_payloads(self, workload):
-        parties, labels, params = workload
-        counted = _run(parties, labels, params, "counted")
-        mock = _run(parties, labels, params, "mock")
-        # Mock mode still runs the protocol but its payloads are priced
-        # by the scheduler as plaintext; the channel ledger itself uses
-        # cipher sizing in both, so the models must agree regardless.
-        for t_a, t_b in zip(counted.model.trees, mock.model.trees):
-            assert set(t_a.nodes) == set(t_b.nodes)
+@pytest.mark.parametrize(
+    "variant",
+    sorted(key[: -len("/counted")] for key in SWEEP if key.endswith("/counted")),
+)
+def test_golden_counted_ledger_equals_real_per_direction(variant):
+    # Every recorded golden pair: counted and real ship the same bytes
+    # in each direction (and the same messages).
+    counted = SWEEP[f"{variant}/counted"]["directions"]
+    real = SWEEP[f"{variant}/real"]["directions"]
+    assert counted == real

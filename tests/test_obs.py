@@ -17,7 +17,7 @@ from repro.core.profile import analytic_trace
 from repro.core.protocol import ProtocolScheduler
 from repro.fed.channel import RecordingChannel
 from repro.fed.cluster import PAPER_CLUSTER
-from repro.fed.messages import CountedCipherPayload, SplitQuery
+from repro.fed.messages import CountedCipherPayload, PackedHistogramMessage, SplitQuery
 from repro.fed.simtime import SimEngine
 from repro.gbdt.params import GBDTParams
 from repro.obs.metrics import Histogram, MetricsRegistry
@@ -248,7 +248,7 @@ class TestChannelReport:
     def test_per_direction_and_per_type_totals(self):
         channel = RecordingChannel(256)
         channel.send(SplitQuery(0, 1))
-        channel.send(CountedCipherPayload(1, 0, kind="hist", n_ciphers=2))
+        channel.send(CountedCipherPayload(1, 0, stands_for=PackedHistogramMessage, n_ciphers=2))
         report = channel_report(channel)
         assert report["total_messages"] == 2
         assert report["total_bytes"] == channel.total_bytes()

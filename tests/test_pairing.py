@@ -21,7 +21,11 @@ from repro.crypto.ciphertext import EncryptedNumber, PaillierContext
 from repro.crypto.packing import GradHessLayout, GradientRangeError, pack_capacity
 from repro.crypto.paillier import PaillierPublicKey
 from repro.fed.cluster import ClusterSpec
-from repro.fed.messages import CountedCipherPayload
+from repro.fed.messages import (
+    CountedCipherPayload,
+    EncryptedGradHessBatch,
+    PackedHistogramMessage,
+)
 from repro.gbdt.binning import bin_dataset
 from repro.gbdt.boosting import GBDTTrainer
 from repro.gbdt.params import GBDTParams
@@ -491,7 +495,8 @@ class TestTrainerIntegration:
         result = FederatedTrainer(config).fit(parties, labels)
         shipped = [
             m.n_ciphers for m in result.channel.log
-            if isinstance(m, CountedCipherPayload) and m.kind == "grad_hess"
+            if isinstance(m, CountedCipherPayload)
+            and m.stands_for is EncryptedGradHessBatch
         ]
         assert sum(shipped) == params.n_trees * len(labels)
 
@@ -555,7 +560,8 @@ class TestSchedulerIntegration:
         assert real_packs * cipher_bytes + 32 * packed.messages == packed.bytes
         counted_packs = sum(
             m.n_ciphers for m in counted.channel.log
-            if isinstance(m, CountedCipherPayload) and m.kind == "histograms"
+            if isinstance(m, CountedCipherPayload)
+            and m.stands_for is PackedHistogramMessage
         )
         # Bytes as seconds: no latency, one byte per second.
         wire = ClusterSpec(wan_latency=0.0, wan_bandwidth=1.0)
@@ -630,5 +636,6 @@ class TestSchedulerIntegration:
             )
             assert counted_built * per_node == sum(
                 m.n_ciphers for m in counted.channel.log
-                if isinstance(m, CountedCipherPayload) and m.kind == "histograms"
+                if isinstance(m, CountedCipherPayload)
+            and m.stands_for is PackedHistogramMessage
             )

@@ -113,25 +113,23 @@ class TestOptimisticSensitivity:
 
 
 class TestMockMode:
+    """VF-MOCK: VF-GBDT's protocol under :meth:`CostModel.mocked`'s prices."""
+
+    @staticmethod
+    def _vf_gbdt(trace, cost):
+        config = VF2BoostConfig.vf_gbdt(params=PARAMS)
+        return ProtocolScheduler(config, cost, PAPER_CLUSTER).schedule(trace)
+
     def test_mock_much_faster_than_crypto(self):
         trace = _trace()
-        crypto = _schedule(
-            trace, blaster_encryption=False, reordered_accumulation=False,
-            optimistic_split=False, histogram_packing=False,
-        )
-        mock = _schedule(
-            trace, blaster_encryption=False, reordered_accumulation=False,
-            optimistic_split=False, histogram_packing=False, crypto_mode="mock",
-        )
+        crypto = self._vf_gbdt(trace, COST)
+        mock = self._vf_gbdt(trace, COST.mocked())
         assert crypto.makespan / mock.makespan > 10
 
     def test_mock_ships_plaintext_bytes(self):
         trace = _trace()
-        crypto = _schedule(trace, histogram_packing=False, optimistic_split=False)
-        mock = _schedule(
-            trace, histogram_packing=False, optimistic_split=False,
-            crypto_mode="mock",
-        )
+        crypto = self._vf_gbdt(trace, COST)
+        mock = self._vf_gbdt(trace, COST.mocked())
         assert mock.bytes_per_tree < crypto.bytes_per_tree / 10
 
 

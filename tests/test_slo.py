@@ -278,16 +278,9 @@ class TestRegistry:
 
 class TestServeBenchIntegration:
     @pytest.fixture(scope="class")
-    def smoke(self, tmp_path_factory):
-        from repro.serve.bench import run_bench
-
-        out = tmp_path_factory.mktemp("slo")
-        events = out / "events.jsonl"
-        report_path = out / "report.json"
-        report = run_bench(
-            smoke=True, events_out=str(events), report_out=str(report_path)
-        )
-        return report, events, report_path
+    def smoke(self, serve_smoke):
+        report = json.loads(serve_smoke.out.read_text())
+        return report, serve_smoke.events, serve_smoke.report
 
     def test_slo_summaries_in_report(self, smoke):
         report, _, _ = smoke

@@ -398,16 +398,16 @@ class TestHistogramSubtraction:
         assert [node.derived for node in children.nodes] == [False, True]
         assert (children.built_nodes, children.built_instances) == (1, 8)
 
-    @pytest.mark.parametrize("mode", ["counted", "mock"])
-    def test_counted_payload_counts_built_nodes_only(self, party_datasets, mode):
+    def test_counted_payload_counts_built_nodes_only(self, party_datasets):
         parties, labels = party_datasets
         params = GBDTParams(n_trees=1, n_layers=4, n_bins=10)
-        config = VF2BoostConfig.vf_gbdt(params=params, crypto_mode=mode)
+        config = VF2BoostConfig.vf_gbdt(params=params, crypto_mode="counted")
         result = FederatedTrainer(config).fit(parties, labels)
         shipped = sum(
             m.n_ciphers
             for m in result.channel.log
-            if isinstance(m, CountedCipherPayload) and m.kind == "histograms"
+            if isinstance(m, CountedCipherPayload)
+            and m.stands_for is EncryptedHistogramMessage
         )
         per_node = 2 * parties[1].n_features * params.n_bins
         assert shipped == self._built_nodes(result) * per_node
