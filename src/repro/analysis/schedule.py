@@ -16,7 +16,7 @@ This validator checks any task graph (objects exposing ``task_id``,
 * **SCH004** — causality: a task starting before a dependency ends;
 * **SCH005** — fault consistency: with a ``fault_plan``, a task
   starting inside one of its resource's party pause windows (a paused
-  party starts no new work — :class:`~repro.fed.faults.FaultyEngine`
+  party starts no new work — :class:`~repro.fed.simtime.FaultyEngine`
   must have pushed the start past the window).
 
 :func:`self_check` exercises the real :class:`ProtocolScheduler` over
@@ -147,7 +147,7 @@ def validate_task_graph(
     # resource's party (zero-length anchor tasks are exempt — they model
     # instantaneous ordering, not work).
     if fault_plan is not None:
-        from repro.fed.faults import party_of_resource
+        from repro.fed.simtime import party_of_resource
 
         for task in tasks:
             if task.end - task.start <= _EPS:

@@ -45,18 +45,22 @@ class SystemSpec:
     Attributes:
         name: registry key.
         display: human-readable label used in benchmark tables.
-        federated: whether the system runs the cross-party protocol.
-        make_config: builds the protocol config from GBDT params.
         make_cost: builds the cost model.
         make_cluster: builds the cluster topology.
+        make_config: builds the protocol config from GBDT params;
+            ``None`` for a system without the cross-party protocol.
     """
 
     name: str
     display: str
-    federated: bool
-    make_config: Callable[[GBDTParams], VF2BoostConfig]
     make_cost: Callable[[], CostModel]
     make_cluster: Callable[[], ClusterSpec]
+    make_config: Callable[[GBDTParams], VF2BoostConfig] | None = None
+
+    @property
+    def federated(self) -> bool:
+        """Whether the system runs the cross-party protocol."""
+        return self.make_config is not None
 
     def schedule(
         self,
@@ -101,23 +105,18 @@ SYSTEMS: dict[str, SystemSpec] = {
     "xgboost": SystemSpec(
         name="xgboost",
         display="XGBoost (co-located)",
-        federated=False,
-        make_config=lambda p: VF2BoostConfig.vf_gbdt(params=p),
         make_cost=CostModel.paper,
         make_cluster=lambda: PAPER_CLUSTER,
     ),
     "xgboost_b": SystemSpec(
         name="xgboost_b",
         display="XGBoost (Party B only)",
-        federated=False,
-        make_config=lambda p: VF2BoostConfig.vf_gbdt(params=p),
         make_cost=CostModel.paper,
         make_cluster=lambda: PAPER_CLUSTER,
     ),
     "vf_mock": SystemSpec(
         name="vf_mock",
         display="VF-MOCK",
-        federated=True,
         make_config=lambda p: VF2BoostConfig.vf_gbdt(params=p),
         make_cost=lambda: CostModel.paper().mocked(),
         make_cluster=lambda: PAPER_CLUSTER,
@@ -125,7 +124,6 @@ SYSTEMS: dict[str, SystemSpec] = {
     "vf_gbdt": SystemSpec(
         name="vf_gbdt",
         display="VF-GBDT",
-        federated=True,
         make_config=lambda p: VF2BoostConfig.vf_gbdt(params=p),
         make_cost=CostModel.paper,
         make_cluster=lambda: PAPER_CLUSTER,
@@ -133,7 +131,6 @@ SYSTEMS: dict[str, SystemSpec] = {
     "vf2boost": SystemSpec(
         name="vf2boost",
         display="VF2Boost",
-        federated=True,
         make_config=lambda p: VF2BoostConfig.vf2boost(params=p),
         make_cost=CostModel.paper,
         make_cluster=lambda: PAPER_CLUSTER,
@@ -141,7 +138,6 @@ SYSTEMS: dict[str, SystemSpec] = {
     "secureboost": SystemSpec(
         name="secureboost",
         display="SecureBoost (FATE)",
-        federated=True,
         make_config=lambda p: VF2BoostConfig.vf_gbdt(params=p),
         make_cost=CostModel.fate_like,
         make_cluster=_single_machine,
@@ -149,7 +145,6 @@ SYSTEMS: dict[str, SystemSpec] = {
     "fedlearner": SystemSpec(
         name="fedlearner",
         display="Fedlearner",
-        federated=True,
         make_config=lambda p: VF2BoostConfig.vf_gbdt(params=p),
         make_cost=CostModel.fedlearner_like,
         make_cluster=_single_machine,

@@ -11,21 +11,21 @@ instances reached its nodes (the same information training's instance
 placement already revealed); B never learns the owner's feature or
 threshold.
 
-The per-layer frontier machinery (:func:`split_frontier`,
-:func:`apply_route`, :func:`answer_route_items`) is shared with the
-online serving runtime (:mod:`repro.serve`), which additionally
-coalesces routing queries *across concurrent requests* into one
-:class:`~repro.fed.messages.RouteQueryBatch` per (party, layer).  The
-offline predictor coalesces within a layer too: one round trip per
-(owner, layer) instead of one per node.
+The predictor is a router over the tree's one layer-wise walk
+(:meth:`~repro.gbdt.tree.DecisionTree.walk`): B answers its own nodes
+from its codes, then each owner's nodes of the layer in one
+:class:`~repro.fed.messages.RouteQueryBatch` round trip (or one
+:class:`~repro.fed.messages.RouteQuery` per node, the naive baseline).
+The owner side, :func:`answer_route_items`, is shared with the online
+serving runtime (:mod:`repro.serve`), which additionally coalesces
+routing queries *across concurrent requests* into one batch per
+(party, layer).
 
 Every message flows through a :class:`RecordingChannel`, so serving
 traffic is as accountable as training traffic.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,87 +37,9 @@ from repro.fed.messages import (
     RouteQuery,
     RouteQueryBatch,
 )
+from repro.gbdt.tree import DecisionTree, route_local, split_frontier
 
-__all__ = [
-    "FederatedPredictor",
-    "FrontierSplit",
-    "split_frontier",
-    "apply_route",
-    "answer_route_items",
-]
-
-
-@dataclass
-class FrontierSplit:
-    """One tree layer's frontier, partitioned by who can act on it.
-
-    Attributes:
-        leaves: ``node_id -> rows`` for nodes that finished traversal.
-        local: ``node_id -> rows`` for split nodes the caller owns.
-        remote: ``owner -> {node_id -> rows}`` for split nodes that need
-            a cross-party routing query.
-    """
-
-    leaves: dict[int, np.ndarray] = field(default_factory=dict)
-    local: dict[int, np.ndarray] = field(default_factory=dict)
-    remote: dict[int, dict[int, np.ndarray]] = field(default_factory=dict)
-
-
-def split_frontier(
-    tree, frontier: dict[int, np.ndarray], local_party: int = ACTIVE
-) -> FrontierSplit:
-    """Partition a frontier into leaves, locally ownable and remote work.
-
-    Nodes are visited in ascending node id so the grouping (and every
-    message built from it) is deterministic.
-    """
-    result = FrontierSplit()
-    for node_id in sorted(frontier):
-        rows = frontier[node_id]
-        node = tree.nodes[node_id]
-        if node.is_leaf:
-            result.leaves[node_id] = rows
-        elif node.owner == local_party:
-            result.local[node_id] = rows
-        else:
-            result.remote.setdefault(node.owner, {})[node_id] = rows
-    return result
-
-
-def route_local(codes: np.ndarray, node, rows: np.ndarray) -> np.ndarray:
-    """Left/right bitmap for one owned node from the owner's bin codes."""
-    return codes[rows, node.feature] <= node.bin_index
-
-
-def apply_route(
-    tree,
-    node_id: int,
-    rows: np.ndarray,
-    goes_left: np.ndarray,
-    next_frontier: dict[int, np.ndarray],
-) -> None:
-    """Push a routed node's instances down to its children.
-
-    Children already present in ``next_frontier`` (e.g. filled by a
-    sibling batch of the serving runtime) accumulate rows in arrival
-    order — callers that need a canonical order sort per node id, which
-    :func:`split_frontier` does on the next layer step.
-    """
-    node = tree.nodes[node_id]
-    left_rows = rows[goes_left]
-    right_rows = rows[~goes_left]
-    for child, child_rows in (
-        (node.left_child, left_rows),
-        (node.right_child, right_rows),
-    ):
-        if not child_rows.size:
-            continue
-        if child in next_frontier:
-            next_frontier[child] = np.concatenate(
-                [next_frontier[child], child_rows]
-            )
-        else:
-            next_frontier[child] = child_rows
+__all__ = ["FederatedPredictor", "answer_route_items"]
 
 
 def answer_route_items(
@@ -192,58 +114,29 @@ class FederatedPredictor:
         n = next(iter(self.party_codes.values())).shape[0]
         margins = np.full(n, self.model.base_score, dtype=np.float64)
         for tree_index, tree in enumerate(self.model.trees):
-            margins += self.model.learning_rate * self._predict_tree(
-                tree_index, tree, n
+            margins += self.model.learning_rate * tree.walk(
+                n, lambda nodes: self._route(tree_index, tree, nodes)
             )
         return margins
 
-    def _predict_tree(self, tree_index: int, tree, n: int) -> np.ndarray:
-        """Layer-wise traversal with batched cross-party routing."""
-        out = np.zeros(n, dtype=np.float64)
-        # node_id -> instance indices currently on the node.
-        frontier: dict[int, np.ndarray] = {0: np.arange(n, dtype=np.int64)}
-        while frontier:
-            layer = split_frontier(tree, frontier, local_party=ACTIVE)
-            next_frontier: dict[int, np.ndarray] = {}
-            for node_id, rows in layer.leaves.items():
-                out[rows] = tree.nodes[node_id].weight
-            for node_id, rows in layer.local.items():
-                goes_left = route_local(
-                    self.party_codes[ACTIVE], tree.nodes[node_id], rows
-                )
-                apply_route(tree, node_id, rows, goes_left, next_frontier)
-            for owner in sorted(layer.remote):
-                self._route_remote(
-                    tree_index, tree, owner, layer.remote[owner], next_frontier
-                )
-            frontier = next_frontier
-        return out
-
-    def _route_remote(
-        self,
-        tree_index: int,
-        tree,
-        owner: int,
-        nodes: dict[int, np.ndarray],
-        next_frontier: dict[int, np.ndarray],
-    ) -> None:
-        """Resolve one owner's frontier nodes, batched or one by one."""
-        if self.coalesce:
-            items = [
-                (tree_index, node_id, nodes[node_id]) for node_id in sorted(nodes)
-            ]
-            for tree_idx, node_id, goes_left in self._query_batch(owner, items):
-                apply_route(
-                    tree, node_id, nodes[node_id], goes_left, next_frontier
-                )
-        else:
-            for node_id in sorted(nodes):
-                goes_left = self._route_single(
-                    tree_index, tree.nodes[node_id], nodes[node_id]
-                )
-                apply_route(
-                    tree, node_id, nodes[node_id], goes_left, next_frontier
-                )
+    def _route(
+        self, tree_index: int, tree: DecisionTree, nodes: dict[int, np.ndarray]
+    ) -> dict[int, np.ndarray]:
+        """One layer: B's nodes from its own codes, then each owner's in
+        one batch (or one query per node without ``coalesce``)."""
+        layer = split_frontier(tree, nodes, local_party=ACTIVE)
+        goes_left = tree.route_codes(self.party_codes, layer.local)
+        for owner in sorted(layer.remote):
+            owned = layer.remote[owner]
+            if self.coalesce:
+                items = [(tree_index, node_id, rows) for node_id, rows in owned.items()]
+                answers = self._query_batch(owner, items)
+                goes_left.update((node_id, left) for _, node_id, left in answers)
+            else:
+                for node_id, rows in owned.items():
+                    node = tree.nodes[node_id]
+                    goes_left[node_id] = self._route_single(tree_index, node, rows)
+        return goes_left
 
     def _query_batch(
         self, owner: int, items: list[tuple[int, int, np.ndarray]]
@@ -278,10 +171,7 @@ class FederatedPredictor:
         )
         query = self.channel.receive(ACTIVE, node.owner)
         assert isinstance(query, RouteQuery)
-        owner_codes = self.party_codes[node.owner]
-        goes_left = (
-            owner_codes[query.instance_ids, node.feature] <= node.bin_index
-        )
+        goes_left = route_local(self.party_codes[node.owner], node, query.instance_ids)
         self.channel.send(
             RouteAnswer(
                 node.owner,

@@ -47,8 +47,8 @@ from repro.core.config import VF2BoostConfig
 from repro.core.trace import TraceLog, TreeTrace
 from repro.crypto.packing import DEFAULT_LIMB_BITS
 from repro.fed.cluster import ClusterSpec
-from repro.fed.faults import FaultPlan, FaultyEngine
-from repro.fed.simtime import SimEngine, SimTask
+from repro.fed.faults import FaultPlan
+from repro.fed.simtime import FaultyEngine, SimEngine, SimTask
 
 __all__ = ["ScheduleResult", "ProtocolScheduler", "declared_effects"]
 
@@ -280,7 +280,7 @@ class ProtocolScheduler:
             fault_plan: optional :class:`~repro.fed.faults.FaultPlan`;
                 straggler lane slowdowns and party pause windows then
                 perturb every tree's schedule (via
-                :class:`~repro.fed.faults.FaultyEngine`), pricing the
+                :class:`~repro.fed.simtime.FaultyEngine`), pricing the
                 recovery cost of the plan into the makespan.
         """
         per_tree: list[float] = []

@@ -20,6 +20,7 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -39,9 +40,6 @@ from repro.core.party import ACTIVE, ActiveParty, PassiveParty, ProtocolError, m
 from repro.core.trace import LayerTrace, NodeTrace, PartyShape, TraceLog, TreeTrace
 from repro.crypto.ciphertext import OpStats
 from repro.fed.channel import RecordingChannel
-from repro.fed.faults import FaultPlan
-from repro.fed.reliable import ReliableChannel
-from repro.fed.retry import RetryPolicy
 from repro.gbdt.binning import BinnedDataset
 from repro.gbdt.boosting import EvalRecord
 from repro.gbdt.histogram import build_histogram  # noqa: F401 (tracer, see above)
@@ -49,6 +47,11 @@ from repro.gbdt.metrics import auc
 from repro.gbdt.split import find_best_split  # noqa: F401 (tracer, see above)
 from repro.gbdt.tree import DecisionTree
 from repro.obs.events import EventLog
+
+if TYPE_CHECKING:  # fault injection loads only for a plan that perturbs
+    from repro.fed.faults import FaultPlan
+    from repro.fed.reliable import ReliableChannel
+    from repro.fed.retry import RetryPolicy
 
 __all__ = [
     "ACTIVE",
@@ -326,12 +329,15 @@ class FederatedTrainer:
 
         params = self.config.params
         channel = RecordingChannel(self.config.key_bits, active_party=ACTIVE)
-        if fault_plan is not None and not fault_plan.is_null:
+        reliable = fault_plan is not None and not fault_plan.is_null
+        if reliable:
             if fault_plan.crash_after_trees and checkpoint_dir is None:
                 raise ValueError(
                     "fault_plan schedules crashes; pass checkpoint_dir so "
                     "the run can be resumed"
                 )
+            from repro.fed.reliable import ReliableChannel
+
             channel = ReliableChannel(
                 channel, plan=fault_plan, policy=retry_policy, event_log=self.events
             )
@@ -430,7 +436,7 @@ class FederatedTrainer:
                 raise TrainingInterrupted(checkpoint_path, t + 1)
         if (
             self.incident_dir is not None
-            and isinstance(channel, ReliableChannel)
+            and reliable
             and (channel.counters.drops or channel.counters.resends)
         ):
             self._snapshot_incident(
@@ -454,7 +460,7 @@ class FederatedTrainer:
                 if party.context is not None
             },
             profile=run.profile,
-            faults=channel.summary() if isinstance(channel, ReliableChannel) else {},
+            faults=channel.summary() if reliable else {},
             events=self.events.to_dicts(),
             incidents=list(self.incidents),
         )

@@ -20,9 +20,10 @@ Three perturbation surfaces share one plan:
   receives nor acks (crash-restart), and tree-boundary crash points the
   trainer honors by checkpointing and raising
   :class:`~repro.core.trainer.TrainingInterrupted`;
-* **engine perturbations** — :class:`FaultyEngine` scales task
-  durations on straggler lanes and pushes task starts out of a party's
-  pause windows, so scheduled makespans price recovery cost.
+* **engine perturbations** — :class:`~repro.fed.simtime.FaultyEngine`
+  scales task durations on straggler lanes and pushes task starts out
+  of a party's pause windows, so scheduled makespans price recovery
+  cost.
 
 The headline invariant (enforced by ``tests/test_faults.py``): under
 any *survivable* plan — one where every message is eventually delivered
@@ -36,15 +37,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, fields
 
-__all__ = [
-    "FaultPlan",
-    "FaultyEngine",
-    "LaneSlowdown",
-    "PauseWindow",
-    "party_of_resource",
-]
-
-from repro.fed.simtime import SimEngine
+__all__ = ["FaultPlan", "LaneSlowdown", "PauseWindow"]
 
 
 @dataclass(frozen=True)
@@ -80,22 +73,6 @@ class LaneSlowdown:
     def __post_init__(self) -> None:
         if self.factor < 1.0:
             raise ValueError("straggler factor must be >= 1 (a slowdown)")
-
-
-def party_of_resource(name: str) -> int | None:
-    """Map an engine resource name to its owning party id.
-
-    Repository convention: ``"B"`` / ``"B.dec"`` belong to the active
-    party (id 0), ``"A<k>"`` to passive party ``k``; WAN resources
-    belong to no party (``None``).
-    """
-    if name == "B" or name.startswith("B."):
-        return 0
-    if name.startswith("A"):
-        digits = name[1:].split(".", 1)[0]
-        if digits.isdigit():
-            return int(digits)
-    return None
 
 
 @dataclass(frozen=True)
@@ -268,33 +245,3 @@ class FaultPlan:
         if self.crash_after_trees:
             parts.append(f"crash_after={list(self.crash_after_trees)}")
         return "FaultPlan(" + ", ".join(parts) + ")"
-
-
-class FaultyEngine(SimEngine):
-    """A :class:`SimEngine` perturbed by a :class:`FaultPlan`.
-
-    Straggler lanes stretch task durations; a party's pause windows
-    push task *starts* past the window end (a paused party starts no
-    new work — a task already running when the window opens completes,
-    the coarse-grained semantics a tree-boundary checkpoint matches).
-    Both perturbations preserve dependency causality, which the SCH*
-    validator (with ``fault_plan=``) re-proves on every emitted graph.
-    """
-
-    def __init__(self, plan: FaultPlan) -> None:
-        super().__init__()
-        self.plan = plan
-
-    def _adjust_duration(self, resource_name: str, duration: float) -> float:
-        return duration * self.plan.slowdown_factor(resource_name)
-
-    def _adjust_start(self, resource_name: str, start: float) -> float:
-        party = party_of_resource(resource_name)
-        if party is None:
-            return start
-        window = self.plan.paused_at(party, start)
-        # Windows may chain; iterate to a fixed point.
-        while window is not None:
-            start = window.end
-            window = self.plan.paused_at(party, start)
-        return start

@@ -21,8 +21,19 @@ which is what lets a single CPU reproduce two data centers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-__all__ = ["SimTask", "Resource", "SimEngine", "gantt_chart"]
+if TYPE_CHECKING:
+    from repro.fed.faults import FaultPlan
+
+__all__ = [
+    "SimTask",
+    "Resource",
+    "SimEngine",
+    "FaultyEngine",
+    "party_of_resource",
+    "gantt_chart",
+]
 
 
 @dataclass
@@ -173,7 +184,7 @@ class SimEngine:
         self.tasks.append(task)
         return task
 
-    # Perturbation hooks — no-ops here; FaultyEngine (repro.fed.faults)
+    # Perturbation hooks — no-ops here; FaultyEngine (below)
     # overrides them to model stragglers and party pause windows.
     def _adjust_duration(self, resource_name: str, duration: float) -> float:
         return duration
@@ -232,6 +243,53 @@ class SimEngine:
     def gantt(self, width: int = 72) -> str:
         """ASCII Gantt chart of all tasks (:func:`gantt_chart`)."""
         return gantt_chart(self.tasks, width)
+
+
+def party_of_resource(name: str) -> int | None:
+    """Map an engine resource name to its owning party id.
+
+    Repository convention: ``"B"`` / ``"B.dec"`` belong to the active
+    party (id 0), ``"A<k>"`` to passive party ``k``; WAN resources
+    belong to no party (``None``).
+    """
+    if name == "B" or name.startswith("B."):
+        return 0
+    if name.startswith("A"):
+        digits = name[1:].split(".", 1)[0]
+        if digits.isdigit():
+            return int(digits)
+    return None
+
+
+class FaultyEngine(SimEngine):
+    """A :class:`SimEngine` perturbed by a
+    :class:`~repro.fed.faults.FaultPlan`.
+
+    Straggler lanes stretch task durations; a party's pause windows
+    push task *starts* past the window end (a paused party starts no
+    new work — a task already running when the window opens completes,
+    the coarse-grained semantics a tree-boundary checkpoint matches).
+    Both perturbations preserve dependency causality, which the SCH*
+    validator (with ``fault_plan=``) re-proves on every emitted graph.
+    """
+
+    def __init__(self, plan: FaultPlan) -> None:
+        super().__init__()
+        self.plan = plan
+
+    def _adjust_duration(self, resource_name: str, duration: float) -> float:
+        return duration * self.plan.slowdown_factor(resource_name)
+
+    def _adjust_start(self, resource_name: str, start: float) -> float:
+        party = party_of_resource(resource_name)
+        if party is None:
+            return start
+        window = self.plan.paused_at(party, start)
+        # Windows may chain; iterate to a fixed point.
+        while window is not None:
+            start = window.end
+            window = self.plan.paused_at(party, start)
+        return start
 
 
 def gantt_chart(tasks, width: int = 72, on_path=None, waits=(), footer="") -> str:

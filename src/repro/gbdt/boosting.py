@@ -47,7 +47,7 @@ class GBDTModel:
         """Raw margin predictions from bin codes."""
         margins = np.full(codes.shape[0], self.base_score, dtype=np.float64)
         for tree in self.trees:
-            margins += self.params.learning_rate * tree.predict_codes(codes)
+            margins += self.params.learning_rate * tree.predict_federated({0: codes})
         return margins
 
 
@@ -107,13 +107,13 @@ class GBDTTrainer:
             gradients, hessians = grid_gradients(self.loss, labels, margins)
             tree = self._grow_tree(dataset, gradients, hessians)
             model.trees.append(tree)
-            margins += self.params.learning_rate * tree.predict_codes(dataset.codes)
+            margins += self.params.learning_rate * tree.predict_federated({0: dataset.codes})
             record = EvalRecord(
                 tree_index=t, train_loss=self.loss.loss(labels, margins)
             )
             if valid_margins is not None:
-                valid_margins += self.params.learning_rate * tree.predict_codes(
-                    valid_dataset.codes
+                valid_margins += self.params.learning_rate * tree.predict_federated(
+                    {0: valid_dataset.codes}
                 )
                 record.valid_loss = self.loss.loss(valid_labels, valid_margins)
                 record.valid_auc = _safe_auc(valid_labels, valid_margins)

@@ -5,16 +5,38 @@ flat node table indexed by heap position: node ``k`` has children
 ``2k+1`` and ``2k+2``.  Every internal node records which *party* owns
 its split — in a federated model the non-owner party only ever sees an
 opaque (owner, node) reference, so prediction on vertically partitioned
-data must be federated too (:meth:`DecisionTree.predict_federated`).
+data must be federated too.
+
+Prediction is one layer-wise walk (:meth:`DecisionTree.walk`): rows
+descend a layer at a time, and a *router* answers each layer's split
+nodes with a left/right bitmap.  Who answers is the caller's protocol —
+every party's codes held locally (:meth:`DecisionTree.predict_federated`,
+co-located and single-party prediction), or B's own nodes locally and
+each owner's nodes by a routing query (:mod:`repro.core.inference`).
+The frontier helpers below are also the serving runtime's, which steps
+the same traversal event by event (:mod:`repro.serve.session`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-__all__ = ["TreeNode", "DecisionTree", "partition_instances"]
+__all__ = [
+    "TreeNode",
+    "DecisionTree",
+    "FrontierSplit",
+    "split_frontier",
+    "route_local",
+    "apply_route",
+    "partition_instances",
+]
+
+#: one layer of a walk: split nodes ``{node_id: rows}`` (ascending node
+#: id) in, ``{node_id: goes_left}`` out
+Router = Callable[[dict[int, np.ndarray]], dict[int, np.ndarray]]
 
 
 @dataclass
@@ -106,43 +128,117 @@ class DecisionTree:
             raise ValueError(f"node {node_id} is not a leaf")
         node.weight = weight
 
-    def predict_codes(self, codes: np.ndarray) -> np.ndarray:
-        """Predict margins from a *single-party* bin-code matrix.
+    def walk(self, n_rows: int, route: Router) -> np.ndarray:
+        """Each row's leaf weight, by a layer-wise traversal.
 
-        Only valid for non-federated trees (all splits owned by one
-        party whose codes are passed in).
+        Rows ``0..n_rows-1`` start at the root; each layer, ``route``
+        answers the split nodes rows sit on and the rows move to the
+        children, until every row is at a leaf.
         """
-        n = codes.shape[0]
-        out = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            node = self.root
-            while not node.is_leaf:
-                if codes[i, node.feature] <= node.bin_index:
-                    node = self.nodes[node.left_child]
+        out = np.zeros(n_rows, dtype=np.float64)
+        frontier: dict[int, np.ndarray] = {0: np.arange(n_rows, dtype=np.int64)}
+        while frontier:
+            split: dict[int, np.ndarray] = {}
+            for node_id in sorted(frontier):
+                node = self.nodes[node_id]
+                if node.is_leaf:
+                    out[frontier[node_id]] = node.weight
                 else:
-                    node = self.nodes[node.right_child]
-            out[i] = node.weight
+                    split[node_id] = frontier[node_id]
+            frontier = {}
+            for node_id, goes_left in route(split).items():
+                apply_route(self, node_id, split[node_id], goes_left, frontier)
         return out
 
+    def route_codes(
+        self, party_codes: dict[int, np.ndarray], nodes: dict[int, np.ndarray]
+    ) -> dict[int, np.ndarray]:
+        """A router's answer from codes held locally: each node by its
+        owner's matrix in ``party_codes``."""
+        return {
+            node_id: route_local(
+                party_codes[self.nodes[node_id].owner], self.nodes[node_id], rows
+            )
+            for node_id, rows in nodes.items()
+        }
+
     def predict_federated(self, party_codes: dict[int, np.ndarray]) -> np.ndarray:
-        """Predict margins over vertically partitioned bin codes.
+        """Leaf weights over vertically partitioned bin codes.
 
         Args:
             party_codes: ``{owner_id: codes}`` where each codes matrix is
-                indexed by the owner-local feature ids stored in nodes.
+                indexed by the owner-local feature ids stored in nodes;
+                ``{0: codes}`` for a single-party tree.
         """
         n = next(iter(party_codes.values())).shape[0]
-        out = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            node = self.root
-            while not node.is_leaf:
-                codes = party_codes[node.owner]
-                if codes[i, node.feature] <= node.bin_index:
-                    node = self.nodes[node.left_child]
-                else:
-                    node = self.nodes[node.right_child]
-            out[i] = node.weight
-        return out
+        return self.walk(n, lambda nodes: self.route_codes(party_codes, nodes))
+
+
+@dataclass
+class FrontierSplit:
+    """One tree layer's frontier, partitioned by who can act on it.
+
+    Attributes:
+        leaves: ``node_id -> rows`` for nodes that finished traversal.
+        local: ``node_id -> rows`` for split nodes the caller owns.
+        remote: ``owner -> {node_id -> rows}`` for split nodes that need
+            a cross-party routing query.
+    """
+
+    leaves: dict[int, np.ndarray] = field(default_factory=dict)
+    local: dict[int, np.ndarray] = field(default_factory=dict)
+    remote: dict[int, dict[int, np.ndarray]] = field(default_factory=dict)
+
+
+def split_frontier(
+    tree: DecisionTree, frontier: dict[int, np.ndarray], local_party: int
+) -> FrontierSplit:
+    """Partition a frontier into leaves, locally ownable and remote work.
+
+    Nodes are visited in ascending node id so the grouping (and every
+    message built from it) is deterministic.
+    """
+    result = FrontierSplit()
+    for node_id in sorted(frontier):
+        rows = frontier[node_id]
+        node = tree.nodes[node_id]
+        if node.is_leaf:
+            result.leaves[node_id] = rows
+        elif node.owner == local_party:
+            result.local[node_id] = rows
+        else:
+            result.remote.setdefault(node.owner, {})[node_id] = rows
+    return result
+
+
+def route_local(codes: np.ndarray, node: TreeNode, rows: np.ndarray) -> np.ndarray:
+    """Left/right bitmap for one owned node from the owner's bin codes."""
+    return codes[rows, node.feature] <= node.bin_index
+
+
+def apply_route(
+    tree: DecisionTree,
+    node_id: int,
+    rows: np.ndarray,
+    goes_left: np.ndarray,
+    next_frontier: dict[int, np.ndarray],
+) -> None:
+    """Push a routed node's instances down to its children.
+
+    Children already present in ``next_frontier`` (e.g. filled by a
+    sibling batch of the serving runtime) accumulate rows in arrival
+    order — callers that need a canonical order sort per node id, which
+    :func:`split_frontier` does on the next layer step.
+    """
+    node = tree.nodes[node_id]
+    for child, child_rows in (
+        (node.left_child, rows[goes_left]),
+        (node.right_child, rows[~goes_left]),
+    ):
+        if child_rows.size and child in next_frontier:
+            next_frontier[child] = np.concatenate([next_frontier[child], child_rows])
+        elif child_rows.size:
+            next_frontier[child] = child_rows
 
 
 def partition_instances(

@@ -38,8 +38,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.inference import apply_route, route_local, split_frontier
-from repro.core.trainer import ACTIVE
 from repro.obs.events import EventLog
 from repro.obs.metrics import nearest_rank
 from repro.serve.registry import ModelRegistry, ModelVersion
@@ -51,45 +49,17 @@ __all__ = ["CanaryConfig", "CanaryController", "golden_margins"]
 def golden_margins(version: ModelVersion, rows: dict[int, np.ndarray]) -> np.ndarray:
     """Offline golden replay: margins of ``version`` on raw rows.
 
-    Traverses every tree with all parties' codes held locally — no
-    event loop, no batching — accumulating leaf weights in the same
-    order as the serving runtime (base score, then one
-    ``learning_rate * weights`` add per tree), so the result is
-    bit-identical to what an undegraded serve of the same version
-    produces.
+    The model's own prediction with every party's codes held locally —
+    no event loop, no batching.  It accumulates leaf weights in the
+    serving runtime's order (base score, then one ``learning_rate *
+    weights`` add per tree), so the result is bit-identical to what an
+    undegraded serve of the same version produces.
     """
     codes = {
         party: version.bin_rows(party, rows[party])
         for party in sorted(version.bin_edges)
     }
-    n = next(iter(codes.values())).shape[0]
-    model = version.model
-    margins = np.full(n, model.base_score, dtype=np.float64)
-    for tree in model.trees:
-        weights = np.zeros(n, dtype=np.float64)
-        frontier: dict[int, np.ndarray] = {0: np.arange(n, dtype=np.int64)}
-        while frontier:
-            layer = split_frontier(tree, frontier, local_party=ACTIVE)
-            next_frontier: dict[int, np.ndarray] = {}
-            for node_id, node_rows in layer.leaves.items():
-                weights[node_rows] = tree.nodes[node_id].weight
-            for node_id, node_rows in layer.local.items():
-                goes_left = route_local(
-                    codes[ACTIVE], tree.nodes[node_id], node_rows
-                )
-                apply_route(tree, node_id, node_rows, goes_left, next_frontier)
-            for owner in sorted(layer.remote):
-                for node_id in sorted(layer.remote[owner]):
-                    node_rows = layer.remote[owner][node_id]
-                    goes_left = route_local(
-                        codes[owner], tree.nodes[node_id], node_rows
-                    )
-                    apply_route(
-                        tree, node_id, node_rows, goes_left, next_frontier
-                    )
-            frontier = next_frontier
-        margins += model.learning_rate * weights
-    return margins
+    return version.model.predict_margin(codes)
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.inference import apply_route, route_local, split_frontier
 from repro.core.serialization import ModelFormatError
 from repro.core.trainer import FederatedModel
 from repro.gbdt.binning import bin_column
@@ -54,7 +53,7 @@ def majority_directions(
 ) -> dict[tuple[int, int], bool]:
     """Per-node majority routing direction from a calibration set.
 
-    Traverses every tree over ``party_codes`` (a calibration sample —
+    Walks every tree over ``party_codes`` (a calibration sample —
     e.g. the training rows B already holds placement information for)
     and records, for each node *not* owned by ``active_party``, whether
     the majority of instances reaching it went left.  Ties go left.
@@ -65,25 +64,17 @@ def majority_directions(
     defaults: dict[tuple[int, int], bool] = {}
     n = next(iter(party_codes.values())).shape[0]
     for tree_index, tree in enumerate(model.trees):
-        frontier: dict[int, np.ndarray] = {0: np.arange(n, dtype=np.int64)}
-        while frontier:
-            layer = split_frontier(tree, frontier, local_party=active_party)
-            next_frontier: dict[int, np.ndarray] = {}
-            for node_id, rows in layer.local.items():
-                goes_left = route_local(
-                    party_codes[active_party], tree.nodes[node_id], rows
-                )
-                apply_route(tree, node_id, rows, goes_left, next_frontier)
-            for owner in sorted(layer.remote):
-                for node_id, rows in layer.remote[owner].items():
-                    goes_left = route_local(
-                        party_codes[owner], tree.nodes[node_id], rows
-                    )
+
+        def route(nodes: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
+            routed = tree.route_codes(party_codes, nodes)
+            for node_id, goes_left in routed.items():
+                if tree.nodes[node_id].owner != active_party:
                     defaults[(tree_index, node_id)] = bool(
-                        int(goes_left.sum()) * 2 >= rows.size
+                        int(goes_left.sum()) * 2 >= goes_left.size
                     )
-                    apply_route(tree, node_id, rows, goes_left, next_frontier)
-            frontier = next_frontier
+            return routed
+
+        tree.walk(n, route)
     return defaults
 
 

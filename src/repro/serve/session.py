@@ -41,17 +41,13 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.inference import (
-    answer_route_items,
-    apply_route,
-    route_local,
-    split_frontier,
-)
+from repro.core.inference import answer_route_items
 from repro.core.trainer import ACTIVE
 from repro.fed.channel import RecordingChannel
 from repro.fed.cluster import ClusterSpec
 from repro.fed.messages import RouteAnswerBatch, RouteQueryBatch
 from repro.gbdt.loss import sigmoid
+from repro.gbdt.tree import apply_route, route_local, split_frontier
 from repro.fed.retry import RetryPolicy
 from repro.obs.metrics import COUNT_BUCKETS, LATENCY_BUCKETS, MetricsRegistry
 from repro.obs.tracer import Tracer

@@ -14,8 +14,8 @@ from repro.core.config import VF2BoostConfig
 from repro.core.profile import analytic_trace
 from repro.core.protocol import ProtocolScheduler
 from repro.fed.cluster import PAPER_CLUSTER
-from repro.fed.faults import FaultPlan, FaultyEngine, LaneSlowdown, PauseWindow
-from repro.fed.simtime import SimEngine, gantt_chart
+from repro.fed.faults import FaultPlan, LaneSlowdown, PauseWindow
+from repro.fed.simtime import FaultyEngine, SimEngine, gantt_chart
 from repro.gbdt.params import GBDTParams
 from repro.obs.critical import (
     CriticalPath,

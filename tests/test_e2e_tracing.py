@@ -47,9 +47,9 @@ def test_run_meta_records_the_one_engine():
 
 def test_training_imports_no_process_pool():
     """A training process loads what a fit runs: no process pool, and
-    no serving, analysis, benchmark, scheduler or forensics module
-    (package ``__init__`` files import nothing, so naming a module does
-    not load its siblings)."""
+    no serving, analysis, benchmark, scheduler, fault-injection or
+    forensics module (package ``__init__`` files import nothing, so
+    naming a module does not load its siblings)."""
     probe = "import json, sys, repro.core.trainer; print(json.dumps(sorted(sys.modules)))"
     out = subprocess.run(
         [sys.executable, "-c", probe],
@@ -63,7 +63,8 @@ def test_training_imports_no_process_pool():
     ours = [m for m in loaded if m.split(".")[0] == "repro"]
     packages = ("repro.bench", "repro.serve", "repro.analysis", "repro.baselines", "repro.data")
     core = ("protocol", "profile", "inference", "serialization")
-    unwanted = {f"repro.core.{m}" for m in core}
+    fed = ("faults", "reliable", "retry", "simtime")
+    unwanted = {f"repro.core.{m}" for m in core} | {f"repro.fed.{m}" for m in fed}
     assert [
         m
         for m in ours
@@ -72,7 +73,7 @@ def test_training_imports_no_process_pool():
         or m in unwanted
         or (m.startswith("repro.obs.") and m != "repro.obs.events")
     ] == []
-    assert len(ours) <= 33
+    assert len(ours) <= 29
 
 
 def test_every_target_place_resolves(tracing):

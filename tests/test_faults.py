@@ -25,17 +25,11 @@ from repro.core.serialization import (
 from repro.core.party import ProtocolError
 from repro.core.trainer import FederatedTrainer, TrainingInterrupted
 from repro.fed.channel import RecordingChannel
-from repro.fed.faults import (
-    FaultPlan,
-    FaultyEngine,
-    LaneSlowdown,
-    PauseWindow,
-    party_of_resource,
-)
+from repro.fed.faults import FaultPlan, LaneSlowdown, PauseWindow
 from repro.fed.messages import Ack, SplitQuery
 from repro.fed.reliable import DeliveryError, ReliableChannel
 from repro.fed.retry import RetryPolicy
-from repro.fed.simtime import SimEngine
+from repro.fed.simtime import FaultyEngine, SimEngine, party_of_resource
 from repro.gbdt.params import GBDTParams
 from repro.obs.events import EventLog
 

@@ -34,21 +34,29 @@ from repro.fed.retry import RetryPolicy
 from repro.serve.session import Request, ServeConfig, ServingRuntime
 
 
-@pytest.fixture(scope="module")
-def trained():
+def _fit(column_groups):
+    """A counted fit over one feature matrix split into party columns,
+    Party B (active) first."""
     rng = np.random.default_rng(23)
     n, d = 220, 8
     features = rng.normal(size=(n, d))
     labels = ((features @ rng.normal(size=d)) > 0).astype(float)
     params = GBDTParams(n_trees=3, n_layers=4, n_bins=8)
     full = bin_dataset(features, params.n_bins)
-    parties = [
-        full.subset_features(np.arange(4, 8)),  # Party B (active)
-        full.subset_features(np.arange(0, 4)),  # Party A (passive)
-    ]
+    parties = [full.subset_features(np.arange(a, b)) for a, b in column_groups]
     config = VF2BoostConfig.vf2boost(params=params, crypto_mode="counted")
     result = FederatedTrainer(config).fit(parties, labels)
     return result.model, parties
+
+
+@pytest.fixture(scope="module")
+def trained():
+    return _fit([(4, 8), (0, 4)])
+
+
+@pytest.fixture(scope="module")
+def trained3():
+    return _fit([(6, 8), (0, 3), (3, 6)])
 
 
 def _make_registry(model, parties):
@@ -362,22 +370,27 @@ class TestDegradedMode:
 
 
 class TestOfflineCoalescing:
-    def test_coalesced_fewer_round_trips_same_margins(self, trained):
-        model, parties = trained
-        codes = {k: p.codes for k, p in enumerate(parties)}
-        batched = FederatedPredictor(model, codes, key_bits=256, coalesce=True)
-        naive = FederatedPredictor(model, codes, key_bits=256, coalesce=False)
-        margins_batched = batched.predict_margin()
-        margins_naive = naive.predict_margin()
-        assert np.array_equal(margins_batched, margins_naive)
-        passive_splits = model.split_counts_by_owner().get(1, 0)
-        assert passive_splits > 1
-        assert naive.round_trips >= passive_splits
-        assert batched.round_trips < naive.round_trips
-        # One round trip per (owner, layer) with remote work, at most.
-        assert batched.round_trips <= len(model.trees) * 4
-        assert batched.bytes_on_wire > 0
-        assert naive.bytes_on_wire > 0
+    def test_coalesced_fewer_round_trips_same_margins(self, trained, trained3):
+        # (model, (batched, naive) round trips): two parties, then three.
+        cases = [(trained, (6, 12)), (trained3, (11, 20))]
+        for (model, parties), round_trips in cases:
+            codes = {k: p.codes for k, p in enumerate(parties)}
+            batched = FederatedPredictor(model, codes, key_bits=256, coalesce=True)
+            naive = FederatedPredictor(model, codes, key_bits=256, coalesce=False)
+            margins = model.predict_margin(codes)
+            assert np.array_equal(batched.predict_margin(), margins)
+            assert np.array_equal(naive.predict_margin(), margins)
+            assert (batched.round_trips, naive.round_trips) == round_trips
+            splits = model.split_counts_by_owner()
+            passive_splits = sum(splits.values()) - splits.get(0, 0)
+            assert passive_splits > 1
+            assert naive.round_trips >= passive_splits
+            assert batched.round_trips < naive.round_trips
+            # One round trip per (owner, layer) with remote work, at most.
+            owners = len(parties) - 1
+            assert batched.round_trips <= len(model.trees) * 4 * owners
+            assert batched.bytes_on_wire > 0
+            assert naive.bytes_on_wire > 0
 
 
 class TestMetrics:

@@ -26,6 +26,11 @@ class TestRegistry:
     def test_non_federated_schedule_rejected(self):
         with pytest.raises(ValueError):
             get_system("xgboost").schedule(TRACE, PARAMS)
+        # A plaintext system builds no protocol config: none is read.
+        for name, spec in SYSTEMS.items():
+            plaintext = name in ("xgboost", "xgboost_b")
+            assert (spec.make_config is None) == plaintext
+            assert spec.federated == (not plaintext)
 
 
 class TestOrderings:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.gbdt.tree import DecisionTree, TreeNode, partition_instances
 
@@ -53,7 +55,9 @@ class TestPrediction:
     def test_predict_codes(self):
         tree = self._stump()
         codes = np.array([[0], [2], [3], [5]], dtype=np.uint16)
-        assert tree.predict_codes(codes).tolist() == [-1.0, -1.0, 1.0, 1.0]
+        # A single-party tree: every split is owner 0's (the default).
+        out = tree.predict_federated({0: codes})
+        assert out.tolist() == [-1.0, -1.0, 1.0, 1.0]
 
     def test_predict_federated_routes_by_owner(self):
         tree = DecisionTree()
@@ -80,6 +84,68 @@ class TestPrediction:
     def test_max_depth(self):
         tree = self._stump()
         assert tree.max_depth() == 1
+
+
+def _reference_leaf_weights(tree, party_codes):
+    """Per-row reference: each row walks root to leaf on its own."""
+    n = next(iter(party_codes.values())).shape[0]
+    out = np.empty(n, dtype=np.float64)
+    for i in range(n):
+        node = tree.root
+        while not node.is_leaf:
+            code = party_codes[node.owner][i, node.feature]
+            child = node.left_child if code <= node.bin_index else node.right_child
+            node = tree.nodes[child]
+        out[i] = node.weight
+    return out
+
+
+@st.composite
+def _trees_and_codes(draw):
+    """A tree over 1-3 owners and depth <= 6, with codes to route.
+
+    A split may send every row one way (``bin_index`` -1 or the top
+    bin), leaving a subtree no row reaches; a tree may be one leaf.
+    """
+    n_owners = draw(st.integers(1, 3))
+    n_bins = draw(st.integers(2, 6))
+    widths = [draw(st.integers(1, 3)) for _ in range(n_owners)]
+    max_depth = draw(st.integers(0, 6))
+    tree = DecisionTree()
+    pending = [0]
+    while pending:
+        node = tree.nodes[pending.pop(0)]
+        if node.depth < max_depth and draw(st.booleans()):
+            owner = draw(st.integers(0, n_owners - 1))
+            tree.split_node(
+                node.node_id,
+                owner=owner,
+                feature=draw(st.integers(0, widths[owner] - 1)),
+                bin_index=draw(st.integers(-1, n_bins - 1)),
+                threshold=0.0,
+                gain=1.0,
+            )
+            pending += [node.left_child, node.right_child]
+        else:
+            weight = draw(st.floats(-4.0, 4.0, allow_nan=False))
+            tree.set_leaf_weight(node.node_id, weight)
+    n_rows = draw(st.integers(0, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    codes = {
+        owner: rng.integers(0, n_bins, size=(n_rows, width)).astype(np.uint16)
+        for owner, width in enumerate(widths)
+    }
+    return tree, codes
+
+
+class TestWalkProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(_trees_and_codes())
+    def test_predict_federated_equals_per_row_reference(self, case):
+        tree, codes = case
+        assert np.array_equal(
+            tree.predict_federated(codes), _reference_leaf_weights(tree, codes)
+        )
 
 
 class TestPartitionInstances:
