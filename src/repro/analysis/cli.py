@@ -82,13 +82,17 @@ def _syntax_findings(index: PackageIndex) -> Reporter:
     return reporter
 
 
-def _graph_effects(task_spec: dict):
-    """Effects function payload for one ``--graph`` JSON task."""
-    if "reads" not in task_spec and "writes" not in task_spec:
+def _listed(path: Path, spec: dict, key: str, kind: type, into: type):
+    """``into(spec[key])`` once it is checked to be a list of ``kind``;
+    ``None`` when the task has no ``key``."""
+    if key not in spec:
         return None
-    return (
-        frozenset(task_spec.get("reads", ())),
-        frozenset(task_spec.get("writes", ())),
+    value = spec[key]
+    if isinstance(value, list) and all(type(item) is kind for item in value):
+        return into(value)
+    raise ValueError(
+        f"{path}: task {spec['task_id']}: {key!r} is not a list of "
+        f"{kind.__name__}: {value!r}"
     )
 
 
@@ -99,43 +103,46 @@ def check_graph_file(path: Path) -> Reporter:
     ``SimTask`` fields (``task_id``, ``name``, ``resource``, ``lane``,
     ``start``, ``end``, ``deps``) plus optional explicit ``reads`` /
     ``writes`` footprint lists; a task with neither key has an unknown
-    footprint (``SCH103`` if it performs work).
+    footprint (``SCH103`` if it performs work).  A document of another
+    shape raises a ``ValueError`` naming the file and the task.
     """
     from repro.fed.simtime import SimTask
 
     with open(path, encoding="utf-8") as handle:
         document = json.load(handle)
-    specs = document.get("tasks", [])
+    specs = document.get("tasks", []) if isinstance(document, dict) else None
+    if not isinstance(specs, list):
+        raise ValueError(f"{path}: expected an object with a 'tasks' list")
     tasks = []
-    effects_by_id: dict[int, tuple[frozenset, frozenset] | None] = {}
-    for spec in specs:
-        task = SimTask(
-            name=spec.get("name", f"t{spec['task_id']}"),
-            phase=spec.get("phase", ""),
-            resource=spec.get("resource", "cpu"),
-            lane=int(spec.get("lane", 0)),
-            start=float(spec.get("start", 0.0)),
-            end=float(spec.get("end", 0.0)),
-            task_id=int(spec["task_id"]),
-            deps=tuple(spec.get("deps", ())),
+    for position, spec in enumerate(specs):
+        task_id = spec.get("task_id") if isinstance(spec, dict) else None
+        if type(task_id) is not int:
+            raise ValueError(f"{path}: task #{position} has no integer 'task_id'")
+        tasks.append(
+            SimTask(
+                name=spec.get("name", f"t{task_id}"),
+                phase=spec.get("phase", ""),
+                resource=spec.get("resource", "cpu"),
+                lane=int(spec.get("lane", 0)),
+                start=float(spec.get("start", 0.0)),
+                end=float(spec.get("end", 0.0)),
+                task_id=task_id,
+                deps=_listed(path, spec, "deps", int, tuple) or (),
+                reads=_listed(path, spec, "reads", str, frozenset),
+                writes=_listed(path, spec, "writes", str, frozenset),
+            )
         )
-        tasks.append(task)
-        effects_by_id[task.task_id] = _graph_effects(spec)
     label = path.stem
     reporter = Reporter()
     for finding in schedule.validate_task_graph(tasks, label):
         reporter.emit(finding)
-    for finding in races.detect_races(
-        tasks, lambda t: effects_by_id[t.task_id], label
-    ):
+    for finding in races.detect_races(tasks, label):
         reporter.emit(finding)
     return reporter
 
 
 def _self_check_schedules(timings: dict[str, float]) -> Reporter:
     """Structural + race validation over one shared graph enumeration."""
-    from repro.core.protocol import declared_effects
-
     reporter = Reporter()
     t_structure = t_races = 0.0
     t0 = time.perf_counter()
@@ -144,7 +151,7 @@ def _self_check_schedules(timings: dict[str, float]) -> Reporter:
         for finding in schedule.validate_task_graph(graph, label, fault_plan=plan):
             reporter.emit(finding)
         t2 = time.perf_counter()
-        for finding in races.detect_races(graph, declared_effects, label):
+        for finding in races.detect_races(graph, label):
             reporter.emit(finding)
         t_structure += t2 - t1
         t_races += time.perf_counter() - t2
@@ -301,6 +308,12 @@ def main(argv: list[str] | None = None) -> int:
     )
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
+    graph_reporter = None
+    if args.graph is not None:
+        try:
+            graph_reporter = check_graph_file(args.graph)
+        except ValueError as exc:
+            parser.error(f"--graph: {exc}")
     reporter = run_analysis(
         root=args.root,
         package=args.package,
@@ -308,8 +321,7 @@ def main(argv: list[str] | None = None) -> int:
         rules=rules,
         timings=timings,
     )
-    if args.graph is not None:
-        graph_reporter = check_graph_file(args.graph)
+    if graph_reporter is not None:
         if rules:
             graph_reporter.findings = [
                 f for f in graph_reporter.findings if f.rule_id in rules

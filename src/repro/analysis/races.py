@@ -4,8 +4,9 @@ The structural validator (:mod:`repro.analysis.schedule`) proves a task
 graph is *well-formed*; this pass proves it is *race-free*.  Every task
 the :class:`~repro.core.protocol.ProtocolScheduler` submits declares
 the shared state it touches — histogram buffers, channel sequence
-counters, placement bitmaps — through the declared-effects table
-(:func:`repro.core.protocol.declared_effects`).  The detector joins
+counters, placement bitmaps — as the ``reads`` / ``writes`` location
+sets it hands :meth:`~repro.fed.simtime.SimEngine.submit`; a
+``--graph`` JSON task lists the same two fields.  The detector joins
 those footprints with the schedule's happens-before relation and
 reports any unordered overlap:
 
@@ -14,8 +15,8 @@ reports any unordered overlap:
 * **SCH102** — a read and a write of the same location with no
   happens-before path (the read observes a nondeterministic snapshot);
 * **SCH103** — a task that performs real work (duration > 0) but
-  declares no footprint at all (warning: the table lost coverage, so
-  races through that task would be invisible).
+  declares no footprint at all (warning: races through that task
+  would be invisible).
 
 Happens-before is the union of two edge families, both sound for the
 greedy list scheduler in :mod:`repro.fed.simtime`:
@@ -37,7 +38,7 @@ task-id-ordered DAG — O(V·E/64) and exact.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.analysis.findings import Finding, Reporter, Severity
 
@@ -47,9 +48,6 @@ __all__ = ["detect_races", "happens_before_masks", "self_check"]
 _EPS = 1e-9
 
 checker_name = "races"
-
-#: an effects function: task -> (reads, writes) or None when unknown
-EffectsFn = Callable[[object], "tuple[frozenset[str], frozenset[str]] | None"]
 
 
 def _finding(rule: str, label: str, message: str, severity: str = Severity.ERROR):
@@ -91,19 +89,14 @@ def happens_before_masks(tasks: Sequence) -> dict[int, int]:
     return masks
 
 
-def detect_races(
-    tasks: Sequence,
-    effects_of: EffectsFn,
-    label: str = "graph",
-) -> list[Finding]:
+def detect_races(tasks: Sequence, label: str = "graph") -> list[Finding]:
     """Happens-before check of one task graph; returns findings.
 
     Args:
         tasks: ``SimTask``-shaped objects (``task_id``, ``deps``,
-            ``resource``, ``lane``, ``name``, ``start``, ``end``).
-        effects_of: maps a task to its declared ``(reads, writes)``
-            footprint, or ``None`` when the task is unknown to the
-            effects table.
+            ``resource``, ``lane``, ``name``, ``start``, ``end``,
+            ``reads``, ``writes``); a task whose ``reads`` and
+            ``writes`` are both ``None`` declared no footprint.
         label: run label embedded in findings.
     """
     findings: list[Finding] = []
@@ -114,25 +107,22 @@ def detect_races(
     readers: dict[str, list] = {}
     writers: dict[str, list] = {}
     for task in order:
-        effects = effects_of(task)
-        if effects is None:
+        if task.reads is None and task.writes is None:
             if task.end - task.start > _EPS:
                 findings.append(
                     _finding(
                         "SCH103",
                         label,
                         f"task {task.task_id} ({task.name!r}) performs work "
-                        "but declares no read/write footprint; extend the "
-                        "declared-effects table so races through it stay "
-                        "visible",
+                        "but declares no read/write footprint; declare its "
+                        "reads and writes so races through it stay visible",
                         severity=Severity.WARNING,
                     )
                 )
             continue
-        reads, writes = effects
-        for loc in reads:
+        for loc in task.reads or ():
             readers.setdefault(loc, []).append(task)
-        for loc in writes:
+        for loc in task.writes or ():
             writers.setdefault(loc, []).append(task)
 
     def ordered(a, b) -> bool:
@@ -176,15 +166,13 @@ def self_check(n_trees: int = 2) -> Reporter:
     """Race-check the real scheduler's graphs (every variant, ±faults).
 
     Shares the analytic-trace graphs with
-    :func:`repro.analysis.schedule.self_check` and joins them with the
-    protocol's declared-effects table.  Imported lazily so the purely
-    static checkers stay import-light.
+    :func:`repro.analysis.schedule.self_check`.  Imported lazily so the
+    purely static checkers stay import-light.
     """
     from repro.analysis.schedule import iter_self_check_graphs
-    from repro.core.protocol import declared_effects
 
     reporter = Reporter()
     for label, _plan, graph in iter_self_check_graphs(n_trees):
-        for finding in detect_races(graph, declared_effects, label):
+        for finding in detect_races(graph, label):
             reporter.emit(finding)
     return reporter

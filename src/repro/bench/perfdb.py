@@ -44,6 +44,12 @@ __all__ = [
 #: database file schema version
 DB_VERSION = 1
 
+#: prior entries a measured scalar's baseline median is taken over
+_MEASURED_WINDOW = 5
+
+#: a measured scalar's least tolerance, relative to that median
+_MEASURED_RTOL = 0.25
+
 
 @dataclass(frozen=True)
 class PerfScalar:
@@ -417,12 +423,7 @@ def _median(values: list[float]) -> float:
     return (ordered[mid - 1] + ordered[mid]) / 2.0
 
 
-def gate(
-    db: PerfDB,
-    entries: list[PerfEntry],
-    window: int = 5,
-    measured_rtol: float = 0.25,
-) -> GateResult:
+def gate(db: PerfDB, entries: list[PerfEntry]) -> GateResult:
     """Judge new entries against the database history.
 
     * A scenario with no history bootstraps: every scalar passes.
@@ -430,8 +431,8 @@ def gate(
       value; an exact scalar present in the latest baseline but absent
       from the new entry fails (silently dropped coverage).
     * A **measured** scalar is compared against the median of the last
-      ``window`` baseline values with tolerance
-      ``max(measured_rtol * |median|, 2 * window_spread)`` — and only
+      ``_MEASURED_WINDOW`` baseline values with tolerance
+      ``max(_MEASURED_RTOL * |median|, 2 * window_spread)`` — and only
       fails when it is *worse* (per its ``direction``) beyond that.
     """
     verdicts = []
@@ -466,7 +467,7 @@ def gate(
             # Measured: sliding-window median with noise-aware tolerance.
             values = [
                 prior.scalars[key].value
-                for prior in history[-window:]
+                for prior in history[-_MEASURED_WINDOW:]
                 if key in prior.scalars
             ]
             if not values:
@@ -474,7 +475,7 @@ def gate(
                 continue
             center = _median(values)
             spread = max(values) - min(values)
-            tolerance = max(measured_rtol * abs(center), 2.0 * spread)
+            tolerance = max(_MEASURED_RTOL * abs(center), 2.0 * spread)
             if scalar.direction == "higher":
                 ok = scalar.value >= center - tolerance
             else:

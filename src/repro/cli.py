@@ -305,18 +305,6 @@ def _bench_gate_main(argv: list[str]) -> int:
         help="performance database path (default: BENCH_perf.json)",
     )
     parser.add_argument(
-        "--window",
-        type=int,
-        default=5,
-        help="sliding-window size for measured scalars (default: 5)",
-    )
-    parser.add_argument(
-        "--measured-rtol",
-        type=float,
-        default=0.25,
-        help="relative tolerance for measured scalars (default: 0.25)",
-    )
-    parser.add_argument(
         "--fig7",
         action="store_true",
         help="also run the measured Figure 7 throughput scenario",
@@ -379,9 +367,7 @@ def _bench_gate_main(argv: list[str]) -> int:
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    result = gate(
-        db, entries, window=args.window, measured_rtol=args.measured_rtol
-    )
+    result = gate(db, entries)
     explanation: list[str] = []
     if args.explain and not result.ok:
         from repro.obs.forensics import explain_failures

@@ -50,7 +50,7 @@ from repro.fed.cluster import ClusterSpec
 from repro.fed.faults import FaultPlan
 from repro.fed.simtime import FaultyEngine, SimEngine, SimTask
 
-__all__ = ["ScheduleResult", "ProtocolScheduler", "declared_effects"]
+__all__ = ["ScheduleResult", "ProtocolScheduler"]
 
 #: cap on pipelined batch tasks per tree (engine efficiency, not semantics)
 _MAX_BATCH_TASKS = 128
@@ -158,6 +158,7 @@ class _HistPart:
 
     task: SimTask
     fraction: float  # of the layer's histogram/instance mass
+    loc: str  # the histogram-part location ``task`` wrote
 
 
 class ProtocolScheduler:
@@ -331,6 +332,27 @@ class ProtocolScheduler:
     # ------------------------------------------------------------------
     # One tree
     # ------------------------------------------------------------------
+    #
+    # Every task that does work declares, where it is submitted, the
+    # shared state it reads and writes for the race detector
+    # (`repro.analysis.races`), as abstract location strings:
+    #
+    #   B.grad            Party B's plaintext gradient/label statistics
+    #   B.gh#b{b}         encrypted <g,h> batch b, staged at B's gateway
+    #   A{p}.gh#b{b}      the same batch landed at passive party p
+    #   A{p}.hist[L{l}]#{q}   party p's cipher histograms of layer l, part q
+    #                     (part 0 = clean / whole, part 1 = dirty redo)
+    #   A{p}.packed[L{l}]#{i} the packed form of the layer's i-th part
+    #   B.ahist[p{p},L{l}]#{i} that part landed at B, awaiting decryption
+    #   B.cand[L{l}]      B's own split candidates
+    #   B.acand[L{l}]     candidates decrypted from passive histograms
+    #   B.opt[L{l}]       the optimistic split decision
+    #   B.split[L{l}]     the joint (validated) split decision
+    #   A{p}.place[L{l}]  instance placement shipped to party p
+    #   A{p}.placefix[L{l}]  the dirty-rows placement correction
+    #   A{p}.notice[L{l}] the dirty-node abort notice
+    #   A{p}.spec[L{l}]   party p's speculative (wasted) histogram scratch
+    #   wan.out.seq / wan.in.seq   per-direction channel sequence counters
     def _schedule_tree(
         self,
         engine: SimEngine,
@@ -373,42 +395,52 @@ class ProtocolScheduler:
         last_enc: SimTask | None = None
         for b in range(n_batches):
             enc_task = engine.submit(
-                "B", enc_work / n_batches / lanes, name=f"enc[{b}]", phase="Enc"
+                "B",
+                enc_work / n_batches / lanes,
+                name=f"enc[{b}]",
+                phase="Enc",
+                reads={"B.grad"},
+                writes={f"B.gh#b{b}"},
             )
             last_enc = enc_task
             for party in parties:
+                p = party.index
                 comm = engine.submit(
                     "wan.out",
                     self._comm_duration(gh_bytes / n_batches),
                     deps=[enc_task],
                     name=f"gh[{b}]",
                     phase="CipherComm",
-                    party=party.index,
+                    reads={f"B.gh#b{b}"},
+                    writes={f"A{p}.gh#b{b}", "wan.out.seq"},
                 )
                 build_work = (
                     self._build_adds(party, n, 1)
                     * self._add_cost(n_exponents)
                     / n_batches
                 )
-                build_root[party.index] = engine.submit(
-                    f"A{party.index}",
+                build_root[p] = engine.submit(
+                    f"A{p}",
                     build_work / lanes,
                     deps=[comm],
                     name=f"hist0[{b}]",
                     phase="BuildHistA",
-                    party=party.index,
+                    reads={f"A{p}.gh#b{b}"},
+                    writes={f"A{p}.hist[L0]#0"},
                 )
         bytes_sent += gh_bytes * len(parties)
         for party in parties:
+            p = party.index
             finalize = self._reorder_finalize(self._bins(party), n_exponents)
             if finalize:
-                build_root[party.index] = engine.submit(
-                    f"A{party.index}",
+                build_root[p] = engine.submit(
+                    f"A{p}",
                     finalize / lanes,
-                    deps=[build_root[party.index]],
+                    deps=[build_root[p]],
                     name="merge0",
                     phase="BuildHistA",
-                    party=party.index,
+                    reads={f"A{p}.hist[L0]#0"},
+                    writes={f"A{p}.hist[L0]#0"},
                 )
         root_breakdown = {
             "Enc": enc_work / lanes,
@@ -429,14 +461,20 @@ class ProtocolScheduler:
         # ---------------- Layer loop -----------------------------------
         # Per-party histogram availability, possibly in clean/dirty parts.
         hist_parts: dict[int, list[_HistPart]] = {
-            party.index: [_HistPart(build_root[party.index], 1.0)]
-            for party in parties
+            p: [_HistPart(build_root[p], 1.0, f"A{p}.hist[L0]#0")] for p in build_root
         }
         find_b_anchor = engine.submit(
-            "B", 0.0, deps=[last_enc] if last_enc else None, name="encdone", phase="Enc"
+            "B",
+            0.0,
+            deps=[last_enc] if last_enc else None,
+            name="encdone",
+            phase="Enc",
+            reads=(),
+            writes=(),
         )
 
         for li, layer in enumerate(tree.layers):
+            depth = layer.depth
             n_nodes = max(1, len(layer.nodes))
             layer_instances = layer.n_instances
             # Party A's histogram work covers the *built* nodes only: a
@@ -447,7 +485,7 @@ class ProtocolScheduler:
 
             # Party B: own histogram build + candidate search (plaintext,
             # subtraction trick beyond the root).
-            subtraction = 1.0 if layer.depth == 0 else 0.55
+            subtraction = 1.0 if depth == 0 else 0.55
             find_b_work = (
                 2
                 * layer_instances
@@ -460,8 +498,10 @@ class ProtocolScheduler:
                 "B",
                 find_b_work / lanes,
                 deps=[find_b_anchor],
-                name=f"findB{layer.depth}",
+                name=f"findB{depth}",
                 phase="FindSplitB",
+                reads={"B.grad" if depth == 0 else f"B.split[L{depth - 1}]"},
+                writes={f"B.cand[L{depth}]"},
             )
 
             # Optimistic: split ahead on B's candidates, ship placements.
@@ -472,17 +512,21 @@ class ProtocolScheduler:
                     "B",
                     self.cluster.round_overhead,
                     deps=[find_b],
-                    name=f"opt{layer.depth}",
+                    name=f"opt{depth}",
                     phase="SplitNode",
+                    reads={f"B.cand[L{depth}]"},
+                    writes={f"B.opt[L{depth}]"},
                 )
                 for party in parties:
-                    opt_placement[party.index] = engine.submit(
+                    p = party.index
+                    opt_placement[p] = engine.submit(
                         "wan.out",
                         self._comm_duration(layer_instances / 8),
                         deps=[split_opt],
-                        name=f"optplace{layer.depth}",
+                        name=f"optplace{depth}",
                         phase="SplitNode",
-                        party=party.index,
+                        reads={f"B.opt[L{depth}]"},
+                        writes={f"A{p}.place[L{depth}]", "wan.out.seq"},
                     )
                 bytes_sent += layer_instances / 8 * len(parties)
 
@@ -494,15 +538,18 @@ class ProtocolScheduler:
             find_a_tasks: list[SimTask] = []
             notice_anchor: SimTask | None = None
             for party in parties:
+                p = party.index
                 packs = (
                     layout.packs_per_node(party.n_features, party.n_bins)
                     if layout is not None
                     else self._bins(party)
                 )
                 ciphers_full = built_nodes * packs
-                for pi, part in enumerate(hist_parts[party.index]):
+                for pi, part in enumerate(hist_parts[p]):
                     frac = part.fraction
                     ready = part.task
+                    packed = f"A{p}.packed[L{depth}]#{pi}"
+                    landed = f"B.ahist[p{p},L{depth}]#{pi}"
                     # Intra-party histogram aggregation across worker
                     # shards (§3.2): local histograms travel the LAN so
                     # each worker owns the global bins of its feature
@@ -522,12 +569,13 @@ class ProtocolScheduler:
                     )
                     if agg_seconds:
                         ready = engine.submit(
-                            f"A{party.index}",
+                            f"A{p}",
                             agg_seconds,
                             deps=[ready],
-                            name=f"agg{layer.depth}.{pi}",
+                            name=f"agg{depth}.{pi}",
                             phase="Aggregate",
-                            party=party.index,
+                            reads={part.loc},
+                            writes={part.loc},
                         )
                     if layout is not None:
                         # Horner: one HAdd + one SMul by 2**stride per
@@ -549,21 +597,23 @@ class ProtocolScheduler:
                             )
                         )
                         ready = engine.submit(
-                            f"A{party.index}",
+                            f"A{p}",
                             pack_work / lanes,
                             deps=[ready],
-                            name=f"pack{layer.depth}.{pi}",
+                            name=f"pack{depth}.{pi}",
                             phase="Pack",
-                            party=party.index,
+                            reads={part.loc},
+                            writes={packed},
                         )
                     part_bytes = ciphers_full * frac * cipher_bytes
                     comm = engine.submit(
                         "wan.in",
                         self._comm_duration(part_bytes),
                         deps=[ready],
-                        name=f"histcomm{layer.depth}.{pi}",
+                        name=f"histcomm{depth}.{pi}",
                         phase="CipherComm",
-                        party=party.index,
+                        reads={part.loc, packed},
+                        writes={landed, "wan.in.seq"},
                     )
                     bytes_sent += part_bytes
                     # Dec on what crossed the wire; the candidate search
@@ -578,23 +628,20 @@ class ProtocolScheduler:
                             "B.dec",
                             dec_work * share / lanes,
                             deps=[prev],
-                            name=f"findA{layer.depth}.{pi}",
+                            name=f"findA{depth}.{pi}",
                             phase="FindSplitA",
-                            party=party.index,
+                            reads={landed},
+                            writes={f"B.acand[L{depth}]"},
                         )
                         if notice_anchor is None:
                             notice_anchor = prev
                     find_a_tasks.append(prev)
-            find_a_last = (
-                find_a_tasks[-1]
-                if find_a_tasks
-                else engine.submit("B", 0.0, deps=[find_b], phase="FindSplitA")
-            )
-            if notice_anchor is None:
-                notice_anchor = find_a_last
+            if notice_anchor is None:  # no passive party
+                notice_anchor = engine.submit(
+                    "B", 0.0, deps=[find_b], phase="FindSplitA"
+                )
 
-            # Joint split decision; placements for the non-optimistic path.
-            # Joint decision; in the optimistic protocol the layer's
+            # Joint split decision; in the optimistic protocol the layer's
             # coordination cost was already paid by the optimistic split.
             split_cost = (
                 1e-4 if config.optimistic_split else self.cluster.round_overhead
@@ -603,11 +650,14 @@ class ProtocolScheduler:
                 "B",
                 split_cost,
                 deps=[find_b] + find_a_tasks,
-                name=f"split{layer.depth}",
+                name=f"split{depth}",
                 phase="SplitNode",
+                reads={f"B.cand[L{depth}]", f"B.acand[L{depth}]"},
+                writes={f"B.split[L{depth}]"},
             )
             placement_tasks: dict[int, SimTask] = {}
             for party in parties:
+                p = party.index
                 if config.optimistic_split:
                     dirty_bytes = layer.dirty_instances / 8
                     if dirty_bytes:
@@ -615,23 +665,24 @@ class ProtocolScheduler:
                             "wan.out",
                             self._comm_duration(dirty_bytes),
                             deps=[split_done],
-                            name=f"fixplace{layer.depth}",
+                            name=f"fixplace{depth}",
                             phase="SplitNode",
-                            party=party.index,
+                            reads={f"B.split[L{depth}]"},
+                            writes={f"A{p}.placefix[L{depth}]", "wan.out.seq"},
                         )
                         bytes_sent += dirty_bytes
-                    placement_tasks[party.index] = opt_placement[party.index]
+                    placement_tasks[p] = opt_placement[p]
                 else:
-                    task = engine.submit(
+                    placement_tasks[p] = engine.submit(
                         "wan.out",
                         self._comm_duration(layer_instances / 8),
                         deps=[split_done],
-                        name=f"place{layer.depth}",
+                        name=f"place{depth}",
                         phase="SplitNode",
-                        party=party.index,
+                        reads={f"B.split[L{depth}]"},
+                        writes={f"A{p}.place[L{depth}]", "wan.out.seq"},
                     )
                     bytes_sent += layer_instances / 8
-                    placement_tasks[party.index] = task
 
             find_b_anchor = split_opt if split_opt is not None else split_done
 
@@ -644,7 +695,10 @@ class ProtocolScheduler:
                 layer.dirty_instances / layer_instances if layer_instances else 0.0
             )
             dirty_frac = min(1.0, dirty_frac)
+            nxt = next_layer.depth
             for party in parties:
+                p = party.index
+                place = f"A{p}.place[L{depth}]"
                 parts: list[_HistPart] = []
                 add = self._add_cost(n_exponents)
                 finalize = self._reorder_finalize(
@@ -661,34 +715,40 @@ class ProtocolScheduler:
                         build_adds(1 - dirty_frac) * add
                         + finalize * (1 - dirty_frac)
                     )
+                    clean_loc = f"A{p}.hist[L{nxt}]#0"
                     clean = engine.submit(
-                        f"A{party.index}",
+                        f"A{p}",
                         clean_work / lanes,
-                        deps=[placement_tasks[party.index]],
-                        name=f"hist{next_layer.depth}c",
+                        deps=[placement_tasks[p]],
+                        name=f"hist{nxt}c",
                         phase="BuildHistA",
-                        party=party.index,
+                        reads={place},
+                        writes={clean_loc},
                     )
                     if 1 - dirty_frac > 0:
-                        parts.append(_HistPart(clean, 1 - dirty_frac))
+                        parts.append(_HistPart(clean, 1 - dirty_frac, clean_loc))
                     # Speculative work on (unknowingly) dirty children,
                     # aborted when the notice lands.
                     waste_work = build_adds(dirty_frac * _SPECULATIVE_WASTE) * add
                     waste = engine.submit(
-                        f"A{party.index}",
+                        f"A{p}",
                         waste_work / lanes,
-                        deps=[placement_tasks[party.index]],
-                        name=f"spec{next_layer.depth}",
+                        deps=[placement_tasks[p]],
+                        name=f"spec{nxt}",
                         phase="BuildHistA",
-                        party=party.index,
+                        reads={place},
+                        writes={f"A{p}.spec[L{nxt}]"},
                     )
+                    # The notice's content derives from the first
+                    # FindSplitA slice, a direct dependency: no shared read.
                     notice = engine.submit(
                         "wan.out",
                         self._comm_duration(64),
                         deps=[notice_anchor],
-                        name=f"dirty{layer.depth}",
+                        name=f"dirty{depth}",
                         phase="SplitNode",
-                        party=party.index,
+                        reads=(),
+                        writes={f"A{p}.notice[L{depth}]", "wan.out.seq"},
                     )
                     if config.incremental_dirty_redo:
                         # §8 future work: move only the misplaced rows —
@@ -704,176 +764,38 @@ class ProtocolScheduler:
                         )
                     else:
                         redo_work = build_adds(dirty_frac) * add + finalize * dirty_frac
+                    redo_loc = f"A{p}.hist[L{nxt}]#1"
                     redo = engine.submit(
-                        f"A{party.index}",
+                        f"A{p}",
                         redo_work / lanes,
                         deps=[waste, notice],
-                        name=f"redo{next_layer.depth}",
+                        name=f"redo{nxt}",
                         phase="BuildHistA",
-                        party=party.index,
+                        reads={
+                            place,
+                            f"A{p}.placefix[L{depth}]",
+                            f"A{p}.notice[L{depth}]",
+                            f"A{p}.spec[L{nxt}]",
+                        },
+                        writes={redo_loc},
                     )
-                    parts.append(_HistPart(redo, dirty_frac))
+                    parts.append(_HistPart(redo, dirty_frac, redo_loc))
                 else:
                     build_work = build_adds(1.0) * add + finalize
+                    build_loc = f"A{p}.hist[L{nxt}]#0"
                     build = engine.submit(
-                        f"A{party.index}",
+                        f"A{p}",
                         build_work / lanes,
-                        deps=[placement_tasks[party.index]],
-                        name=f"hist{next_layer.depth}",
+                        deps=[placement_tasks[p]],
+                        name=f"hist{nxt}",
                         phase="BuildHistA",
-                        party=party.index,
+                        reads={place},
+                        writes={build_loc},
                     )
-                    parts.append(_HistPart(build, 1.0))
-                hist_parts[party.index] = parts
+                    parts.append(_HistPart(build, 1.0, build_loc))
+                hist_parts[p] = parts
 
         root_breakdown["RootMakespan"] = (
             max((task.end for task in build_root.values()), default=0.0)
         )
         return root_breakdown, bytes_sent
-
-
-# ----------------------------------------------------------------------
-# Declared task effects (race-detector input)
-# ----------------------------------------------------------------------
-#
-# Every task `_schedule_tree` submits declares the shared state it reads
-# and writes, as abstract location strings:
-#
-#   B.grad            Party B's plaintext gradient/label statistics
-#   B.gh#b{b}         encrypted <g,h> batch b, staged at B's gateway
-#   A{p}.gh#b{b}      the same batch landed at passive party p
-#   A{p}.hist[L{l}]#{q}   party p's cipher histograms of layer l, part q
-#                     (part 0 = clean / whole, part 1 = dirty redo)
-#   A{p}.packed[L{l}]#{q} the packed form of that part
-#   B.ahist[p{p},L{l}]#{q} the part landed at B, awaiting decryption
-#   B.cand[L{l}]      B's own split candidates
-#   B.acand[L{l}]     candidates decrypted from passive histograms
-#   B.opt[L{l}]       the optimistic split decision
-#   B.split[L{l}]     the joint (validated) split decision
-#   A{p}.place[L{l}]  instance placement shipped to party p
-#   A{p}.placefix[L{l}]  the dirty-rows placement correction
-#   A{p}.notice[L{l}] the dirty-node abort notice
-#   A{p}.spec[L{l}]   party p's speculative (wasted) histogram scratch
-#   wan.out.seq / wan.in.seq   per-direction channel sequence counters
-#
-# The race detector (`repro.analysis.races`) joins these footprints with
-# the happens-before relation (dependency edges plus per-lane FIFO
-# order) and reports any unordered overlap — the invariant that lets
-# future parallel crypto lanes land without nondeterministic
-# accumulation.  A task name the table cannot parse yields ``None``
-# (reported as SCH103 unless the task is a zero-duration anchor).
-
-import re as _re
-
-#: task-name shape: stem, optional layer digits, optional clean marker,
-#: optional ``.part`` suffix, optional ``[batch]`` suffix
-_TASK_NAME_RE = _re.compile(
-    r"^(?P<stem>[A-Za-z]+?)(?:(?P<layer>\d+)(?P<clean>c)?)?"
-    r"(?:\.(?P<part>\d+))?(?:\[(?P<batch>\d+)\])?$"
-)
-
-
-def declared_effects(task: SimTask) -> tuple[frozenset[str], frozenset[str]] | None:
-    """The declared ``(reads, writes)`` footprint of a scheduler task.
-
-    Derived from the task's name (stem + layer/part/batch indices) and
-    its ``party`` tag; returns ``None`` for names outside the
-    :class:`ProtocolScheduler` vocabulary.
-    """
-    match = _TASK_NAME_RE.match(task.name)
-    if match is None:
-        return None
-    stem = match.group("stem")
-    layer = match.group("layer")
-    lnum = int(layer) if layer is not None else None
-    part = match.group("part") or "0"
-    batch = match.group("batch")
-    p = task.party
-
-    def hist(l, q=part):
-        return f"A{p}.hist[L{l}]#{q}"
-
-    if stem == "enc" and batch is not None:
-        return frozenset({"B.grad"}), frozenset({f"B.gh#b{batch}"})
-    if stem == "encdone":
-        return frozenset(), frozenset()
-    if stem == "gh" and batch is not None and p is not None:
-        return (
-            frozenset({f"B.gh#b{batch}"}),
-            frozenset({f"A{p}.gh#b{batch}", "wan.out.seq"}),
-        )
-    if stem == "hist" and batch is not None and p is not None:
-        # root build: one task per blaster batch, all filling part 0
-        return frozenset({f"A{p}.gh#b{batch}"}), frozenset({hist(0, "0")})
-    if stem == "merge" and lnum is not None and p is not None:
-        return frozenset({hist(lnum, "0")}), frozenset({hist(lnum, "0")})
-    if stem == "findB" and lnum is not None:
-        reads = {"B.grad"} if lnum == 0 else {f"B.split[L{lnum - 1}]"}
-        return frozenset(reads), frozenset({f"B.cand[L{lnum}]"})
-    if stem == "opt" and lnum is not None:
-        return frozenset({f"B.cand[L{lnum}]"}), frozenset({f"B.opt[L{lnum}]"})
-    if stem == "optplace" and lnum is not None and p is not None:
-        return (
-            frozenset({f"B.opt[L{lnum}]"}),
-            frozenset({f"A{p}.place[L{lnum}]", "wan.out.seq"}),
-        )
-    if stem == "agg" and lnum is not None and p is not None:
-        return frozenset({hist(lnum)}), frozenset({hist(lnum)})
-    if stem == "pack" and lnum is not None and p is not None:
-        return (
-            frozenset({hist(lnum)}),
-            frozenset({f"A{p}.packed[L{lnum}]#{part}"}),
-        )
-    if stem == "histcomm" and lnum is not None and p is not None:
-        return (
-            frozenset({hist(lnum), f"A{p}.packed[L{lnum}]#{part}"}),
-            frozenset({f"B.ahist[p{p},L{lnum}]#{part}", "wan.in.seq"}),
-        )
-    if stem == "findA" and lnum is not None and p is not None:
-        return (
-            frozenset({f"B.ahist[p{p},L{lnum}]#{part}"}),
-            frozenset({f"B.acand[L{lnum}]"}),
-        )
-    if stem == "split" and lnum is not None:
-        return (
-            frozenset({f"B.cand[L{lnum}]", f"B.acand[L{lnum}]"}),
-            frozenset({f"B.split[L{lnum}]"}),
-        )
-    if stem == "place" and lnum is not None and p is not None:
-        return (
-            frozenset({f"B.split[L{lnum}]"}),
-            frozenset({f"A{p}.place[L{lnum}]", "wan.out.seq"}),
-        )
-    if stem == "fixplace" and lnum is not None and p is not None:
-        return (
-            frozenset({f"B.split[L{lnum}]"}),
-            frozenset({f"A{p}.placefix[L{lnum}]", "wan.out.seq"}),
-        )
-    if stem == "dirty" and lnum is not None and p is not None:
-        # The notice's content derives from the first FindSplitA slice,
-        # which is already a direct dependency; no shared-state read.
-        return frozenset(), frozenset({f"A{p}.notice[L{lnum}]", "wan.out.seq"})
-    if stem == "hist" and lnum is not None and p is not None:
-        # layer build: the clean part (or the whole layer) fills part 0
-        return (
-            frozenset({f"A{p}.place[L{lnum - 1}]"}),
-            frozenset({hist(lnum, "0")}),
-        )
-    if stem == "spec" and lnum is not None and p is not None:
-        return (
-            frozenset({f"A{p}.place[L{lnum - 1}]"}),
-            frozenset({f"A{p}.spec[L{lnum}]"}),
-        )
-    if stem == "redo" and lnum is not None and p is not None:
-        return (
-            frozenset(
-                {
-                    f"A{p}.place[L{lnum - 1}]",
-                    f"A{p}.placefix[L{lnum - 1}]",
-                    f"A{p}.notice[L{lnum - 1}]",
-                    f"A{p}.spec[L{lnum}]",
-                }
-            ),
-            frozenset({hist(lnum, "1")}),
-        )
-    return None

@@ -20,6 +20,7 @@ which is what lets a single CPU reproduce two data centers.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -50,11 +51,10 @@ class SimTask:
         task_id: position in the engine's submission order; the node id
             the schedule-graph validator keys on.
         deps: ``task_id`` of every dependency this task waited for.
-        party: passive-party index whose state the task touches (``None``
-            for party-agnostic work); disambiguates the declared
-            read/write footprints the race detector keys on — two
-            ``gh[0]`` comm tasks on the shared WAN lane write different
-            parties' buffers.
+        reads: shared-state locations the task reads, declared at
+            submit; the race detector (:mod:`repro.analysis.races`) input.
+        writes: locations the task writes; ``None`` in both fields means
+            the task declared no footprint.
     """
 
     name: str
@@ -65,7 +65,8 @@ class SimTask:
     end: float
     task_id: int = -1
     deps: tuple[int, ...] = ()
-    party: int | None = None
+    reads: frozenset[str] | None = None
+    writes: frozenset[str] | None = None
 
     @property
     def duration(self) -> float:
@@ -145,7 +146,8 @@ class SimEngine:
         name: str = "",
         phase: str = "",
         not_before: float = 0.0,
-        party: int | None = None,
+        reads: Iterable[str] | None = None,
+        writes: Iterable[str] | None = None,
     ) -> SimTask:
         """Schedule one task and return it.
 
@@ -156,7 +158,9 @@ class SimEngine:
             name: label for Gantt output (defaults to the phase).
             phase: phase tag for breakdowns.
             not_before: additional absolute lower bound on start time.
-            party: passive-party index the task's footprint belongs to.
+            reads: shared-state locations the task reads.
+            writes: shared-state locations the task writes; leave both
+                ``None`` for a task that declares no footprint.
         """
         if duration < 0:
             raise ValueError("duration must be non-negative")
@@ -179,7 +183,8 @@ class SimEngine:
             end=end,
             task_id=len(self.tasks),
             deps=tuple(dep.task_id for dep in deps or ()),
-            party=party,
+            reads=None if reads is None else frozenset(reads),
+            writes=None if writes is None else frozenset(writes),
         )
         self.tasks.append(task)
         return task
@@ -223,22 +228,6 @@ class SimEngine:
         if horizon <= 0:
             return 0.0
         return resource.busy_time / horizon
-
-    def critical_path(self):
-        """Critical path of this schedule (:mod:`repro.obs.critical`).
-
-        The returned object's ``total`` is bit-equal to
-        :attr:`makespan`; see ``CriticalPath.self_check``.
-        """
-        from repro.obs.critical import critical_path
-
-        return critical_path(self.tasks)
-
-    def slack(self) -> dict[int, float]:
-        """Per-task slack seconds keyed by ``task_id`` (0.0 = critical)."""
-        from repro.obs.critical import compute_slack
-
-        return compute_slack(self.tasks)
 
     def gantt(self, width: int = 72) -> str:
         """ASCII Gantt chart of all tasks (:func:`gantt_chart`)."""

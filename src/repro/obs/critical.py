@@ -49,8 +49,8 @@ __all__ = [
 ]
 
 #: leading alphabetic stem of a task name — the "op" attribution key
-#: (matches the stems ``repro.core.protocol.declared_effects`` parses:
-#: enc, gh, hist, merge, findB, opt, agg, pack, histcomm, findA, ...)
+#: (the scheduler's stems: enc, gh, hist, merge, findB, opt, agg, pack,
+#: histcomm, findA, ...; a name is only a label, footprints are fields)
 _OP_RE = re.compile(r"^[A-Za-z]+")
 
 #: op/phase labels of synthesized wait segments (never a task name)

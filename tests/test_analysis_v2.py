@@ -2,7 +2,11 @@
 suppression audit (SUP001), and analyzer edge inputs.
 """
 
+import json
+import re
 from pathlib import Path
+
+import pytest
 
 from repro.analysis import races
 from repro.analysis.astutils import PackageIndex
@@ -28,7 +32,17 @@ def _write_pkg(tmp_path, files):
     return pkg
 
 
-def _task(task_id, deps=(), resource="A0", lane=0, start=0.0, end=1.0, name=None):
+def _task(
+    task_id,
+    deps=(),
+    resource="A0",
+    lane=0,
+    start=0.0,
+    end=1.0,
+    name=None,
+    reads=None,
+    writes=None,
+):
     return SimTask(
         name=name or f"t{task_id}",
         phase="Test",
@@ -38,46 +52,64 @@ def _task(task_id, deps=(), resource="A0", lane=0, start=0.0, end=1.0, name=None
         end=end,
         task_id=task_id,
         deps=tuple(deps),
+        reads=None if reads is None else frozenset(reads),
+        writes=None if writes is None else frozenset(writes),
     )
+
+
+def _variant_graphs():
+    """Self-check graphs plus the protocol variants they do not cover."""
+    from repro.analysis.schedule import iter_self_check_graphs
+    from repro.bench.costmodel import CostModel
+    from repro.core.config import VF2BoostConfig
+    from repro.core.profile import analytic_trace
+    from repro.core.protocol import ProtocolScheduler
+    from repro.fed.cluster import ClusterSpec
+
+    for label, _plan, graph in iter_self_check_graphs(n_trees=1):
+        yield label, graph
+    trace = analytic_trace(4096, 16, [16, 8, 8], 0.5, 16, 4)
+    variants = {
+        "incremental-redo": VF2BoostConfig.vf2boost(incremental_dirty_redo=True),
+        "no-optimistic": VF2BoostConfig.vf2boost(optimistic_split=False),
+        "no-packing": VF2BoostConfig.vf2boost(histogram_packing=False),
+    }
+    for label, config in variants.items():
+        scheduler = ProtocolScheduler(config, CostModel.paper(), ClusterSpec(n_workers=4))
+        result = scheduler.schedule(trace, collect_tasks=True)
+        yield label, result.task_graphs[0]
 
 
 class TestRaceDetector:
     def test_dependency_orders_tasks(self):
         tasks = [
-            _task(0, lane=0),
-            _task(1, deps=(0,), lane=1, start=1.0, end=2.0),
+            _task(0, lane=0, reads=(), writes={"x"}),
+            _task(1, deps=(0,), lane=1, start=1.0, end=2.0, reads={"x"}, writes=()),
         ]
-        effects = {
-            0: (frozenset(), frozenset({"x"})),
-            1: (frozenset({"x"}), frozenset()),
-        }
-        assert races.detect_races(tasks, lambda t: effects[t.task_id]) == []
+        assert races.detect_races(tasks) == []
 
     def test_lane_fifo_orders_tasks(self):
         # Same (resource, lane): submission order is execution order.
-        tasks = [_task(0, lane=0), _task(1, lane=0, start=1.0, end=2.0)]
-        effects = {
-            0: (frozenset(), frozenset({"x"})),
-            1: (frozenset(), frozenset({"x"})),
-        }
-        assert races.detect_races(tasks, lambda t: effects[t.task_id]) == []
+        tasks = [
+            _task(0, lane=0, reads=(), writes={"x"}),
+            _task(1, lane=0, start=1.0, end=2.0, reads=(), writes={"x"}),
+        ]
+        assert races.detect_races(tasks) == []
 
     def test_unordered_write_write_fires(self):
-        tasks = [_task(0, lane=0), _task(1, lane=1)]
-        effects = {
-            0: (frozenset(), frozenset({"x"})),
-            1: (frozenset(), frozenset({"x"})),
-        }
-        found = races.detect_races(tasks, lambda t: effects[t.task_id])
+        tasks = [
+            _task(0, lane=0, reads=(), writes={"x"}),
+            _task(1, lane=1, reads=(), writes={"x"}),
+        ]
+        found = races.detect_races(tasks)
         assert [f.rule_id for f in found] == ["SCH101"]
 
     def test_unordered_read_write_fires(self):
-        tasks = [_task(0, lane=0), _task(1, lane=1)]
-        effects = {
-            0: (frozenset(), frozenset({"x"})),
-            1: (frozenset({"x"}), frozenset()),
-        }
-        found = races.detect_races(tasks, lambda t: effects[t.task_id])
+        tasks = [
+            _task(0, lane=0, reads=(), writes={"x"}),
+            _task(1, lane=1, reads={"x"}, writes=()),
+        ]
+        found = races.detect_races(tasks)
         assert [f.rule_id for f in found] == ["SCH102"]
 
     def test_missing_footprint_warns_only_for_real_work(self):
@@ -85,7 +117,7 @@ class TestRaceDetector:
             _task(0, lane=0),  # duration 1.0: warns
             _task(1, lane=1, start=0.0, end=0.0),  # anchor: silent
         ]
-        found = races.detect_races(tasks, lambda t: None)
+        found = races.detect_races(tasks)
         assert [f.rule_id for f in found] == ["SCH103"]
         assert found[0].severity == Severity.WARNING
 
@@ -99,7 +131,6 @@ class TestRaceDetector:
         import dataclasses
 
         from repro.analysis.schedule import iter_self_check_graphs
-        from repro.core.protocol import declared_effects
 
         label, _plan, graph = next(iter(iter_self_check_graphs(n_trees=1)))
         broken = [
@@ -108,17 +139,55 @@ class TestRaceDetector:
             else t
             for t in graph
         ]
-        rules = {f.rule_id for f in races.detect_races(broken, declared_effects, label)}
+        rules = {f.rule_id for f in races.detect_races(broken, label)}
         assert "SCH102" in rules
 
-    def test_effects_table_covers_every_real_task(self):
-        from repro.analysis.schedule import iter_self_check_graphs
-        from repro.core.protocol import declared_effects
-
-        for label, _plan, graph in iter_self_check_graphs(n_trees=1):
+    def test_every_working_scheduler_task_declares_a_footprint(self):
+        for label, graph in _variant_graphs():
             for task in graph:
                 if task.end - task.start > 1e-9:
-                    assert declared_effects(task) is not None, (label, task.name)
+                    assert task.reads is not None, (label, task.name)
+                    assert task.writes is not None, (label, task.name)
+
+    def test_fully_dirty_layer_consumers_read_what_they_waited_for(self):
+        # Every node is passive-owned, so every layer is dirty and the
+        # next layer's only histogram part is the redo's (part 1).  Each
+        # consumer must read a part that a task in its own dependency
+        # closure wrote — lane order alone does not produce the data.
+        from repro.bench.costmodel import CostModel
+        from repro.core.config import VF2BoostConfig
+        from repro.core.profile import analytic_trace
+        from repro.core.protocol import ProtocolScheduler
+        from repro.fed.cluster import ClusterSpec
+
+        trace = analytic_trace(4096, 16, [16, 8], 0.5, 16, 4, active_split_ratio=0.0)
+        scheduler = ProtocolScheduler(
+            VF2BoostConfig.vf2boost(), CostModel.paper(), ClusterSpec()
+        )
+        graph = scheduler.schedule(trace, collect_tasks=True).task_graphs[0]
+        by_id = {task.task_id: task for task in graph}
+
+        def closure(task):
+            seen, stack = set(), list(task.deps)
+            while stack:
+                dep = stack.pop()
+                if dep not in seen:
+                    seen.add(dep)
+                    stack.extend(by_id[dep].deps)
+            return [by_id[dep] for dep in seen]
+
+        part_loc = ("hist[", "packed[", "ahist[")
+        checked = set()
+        for task in graph:
+            stem = task.name.split(".")[0].rstrip("0123456789")
+            if stem not in ("agg", "pack", "histcomm", "findA"):
+                continue
+            written = set().union(*(dep.writes or () for dep in closure(task)))
+            for loc in task.reads:
+                if any(marker in loc for marker in part_loc):
+                    assert loc in written, (task.name, loc)
+                    checked.add(stem)
+        assert checked == {"agg", "pack", "histcomm", "findA"}
 
 
 class TestSuppressionAudit:
@@ -271,6 +340,30 @@ class TestCliV2:
         out = capsys.readouterr().out
         assert rc == 1
         assert "SCH101" in out and "SCH102" in out and "SCH103" in out
+
+    @pytest.mark.parametrize(
+        "document,names",
+        [
+            ([{"task_id": 0}], "a 'tasks' list"),
+            ({"tasks": [{"name": "no-id"}]}, "task #0"),
+            ({"tasks": [{"task_id": "0"}]}, "task #0"),
+            ({"tasks": [{"task_id": 3, "writes": "xy"}]}, "task 3: 'writes'"),
+            ({"tasks": [{"task_id": 3, "reads": {"x": 1}}]}, "task 3: 'reads'"),
+            ({"tasks": [{"task_id": 3, "deps": 0}]}, "task 3: 'deps'"),
+            ({"tasks": [{"task_id": 3, "writes": ["x", 7]}]}, "task 3: 'writes'"),
+        ],
+    )
+    def test_malformed_graph_is_a_usage_error(self, tmp_path, capsys, document, names):
+        path = tmp_path / "bad_graph.json"
+        path.write_text(json.dumps(document))
+        with pytest.raises(ValueError, match=re.escape(names)) as error:
+            check_graph_file(path)
+        assert str(path) in str(error.value)
+        with pytest.raises(SystemExit) as exit_:
+            main(["--root", str(FIXTURES / "leakypkg"), "--package", "leakypkg",
+                  "--no-schedule", "--graph", str(path)])
+        assert exit_.value.code == 2
+        assert names in capsys.readouterr().err
 
     def test_verbose_prints_pass_timings(self, capsys):
         rc = main(

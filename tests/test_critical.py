@@ -145,8 +145,8 @@ class TestFaultInjectedPath:
     def faulty_engine(self):
         engine = FaultyEngine(self.plan())
         engine.add_resource("A1", lanes=2)
-        a = engine.submit("A1", 0.6, phase="Hist", name="hist", party=0)
-        b = engine.submit("A1", 0.6, phase="Hist", name="hist", party=0)
+        a = engine.submit("A1", 0.6, phase="Hist", name="hist")
+        b = engine.submit("A1", 0.6, phase="Hist", name="hist")
         engine.submit("B", 0.5, deps=[a, b], phase="Dec", name="dec")
         return engine
 
