@@ -96,6 +96,18 @@ def _listed(path: Path, spec: dict, key: str, kind: type, into: type):
     )
 
 
+def _number(path: Path, position: int, spec: dict, key: str, kinds: tuple):
+    """``spec[key]`` (0 when absent) once it is checked to be one of
+    ``kinds`` (never a ``bool``)."""
+    value = spec.get(key, 0)
+    if type(value) in kinds:
+        return value
+    raise ValueError(
+        f"{path}: task #{position}: {key!r} is not "
+        f"{'an integer' if kinds == (int,) else 'a number'}: {value!r}"
+    )
+
+
 def check_graph_file(path: Path) -> Reporter:
     """Validate + race-check an external task-graph JSON document.
 
@@ -123,9 +135,9 @@ def check_graph_file(path: Path) -> Reporter:
                 name=spec.get("name", f"t{task_id}"),
                 phase=spec.get("phase", ""),
                 resource=spec.get("resource", "cpu"),
-                lane=int(spec.get("lane", 0)),
-                start=float(spec.get("start", 0.0)),
-                end=float(spec.get("end", 0.0)),
+                lane=_number(path, position, spec, "lane", (int,)),
+                start=float(_number(path, position, spec, "start", (int, float))),
+                end=float(_number(path, position, spec, "end", (int, float))),
                 task_id=task_id,
                 deps=_listed(path, spec, "deps", int, tuple) or (),
                 reads=_listed(path, spec, "reads", str, frozenset),

@@ -40,9 +40,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.analysis.findings import Finding, Reporter, Severity
+from repro.analysis.findings import Finding, Severity
 
-__all__ = ["detect_races", "happens_before_masks", "self_check"]
+__all__ = ["detect_races"]
 
 #: duration below which a task is an ordering anchor, not work
 _EPS = 1e-9
@@ -61,14 +61,16 @@ def _finding(rule: str, label: str, message: str, severity: str = Severity.ERROR
     )
 
 
-def happens_before_masks(tasks: Sequence) -> dict[int, int]:
-    """Per-task reachability bitmask over the happens-before DAG.
+def _happens_before(tasks: Sequence) -> tuple[list, dict[int, int], dict[int, int]]:
+    """``(order, bit_of, masks)``: the tasks in task-id order, each id's
+    bit position in that order, and each id's reachability bitmask over
+    the happens-before DAG.
 
-    Bit ``j`` of ``masks[i]`` is set iff task ``j`` happens-before (or
-    is) task ``i``.  Edges: declared dependencies plus same-lane FIFO
-    successors.  Dependency ids that are dangling or non-causal (>= the
-    dependent's id) are ignored here — the structural validator reports
-    those separately.
+    Bit ``j`` of ``masks[i]`` is set iff the task at position ``j``
+    happens-before (or is) task ``i``.  Edges: declared dependencies
+    plus same-lane FIFO successors.  Dependency ids that are dangling or
+    non-causal (>= the dependent's id) are ignored here — the structural
+    validator reports those separately.
     """
     order = sorted(tasks, key=lambda t: t.task_id)
     bit_of = {task.task_id: i for i, task in enumerate(order)}
@@ -86,7 +88,7 @@ def happens_before_masks(tasks: Sequence) -> dict[int, int]:
             mask |= masks[order[prev_bit].task_id]
         lane_prev[lane_key] = i
         masks[task.task_id] = mask
-    return masks
+    return order, bit_of, masks
 
 
 def detect_races(tasks: Sequence, label: str = "graph") -> list[Finding]:
@@ -100,9 +102,7 @@ def detect_races(tasks: Sequence, label: str = "graph") -> list[Finding]:
         label: run label embedded in findings.
     """
     findings: list[Finding] = []
-    masks = happens_before_masks(tasks)
-    order = sorted(tasks, key=lambda t: t.task_id)
-    bit_of = {task.task_id: i for i, task in enumerate(order)}
+    order, bit_of, masks = _happens_before(tasks)
 
     readers: dict[str, list] = {}
     writers: dict[str, list] = {}
@@ -160,19 +160,3 @@ def detect_races(tasks: Sequence, label: str = "graph") -> list[Finding]:
                         )
                     )
     return findings
-
-
-def self_check(n_trees: int = 2) -> Reporter:
-    """Race-check the real scheduler's graphs (every variant, ±faults).
-
-    Shares the analytic-trace graphs with
-    :func:`repro.analysis.schedule.self_check`.  Imported lazily so the
-    purely static checkers stay import-light.
-    """
-    from repro.analysis.schedule import iter_self_check_graphs
-
-    reporter = Reporter()
-    for label, _plan, graph in iter_self_check_graphs(n_trees):
-        for finding in detect_races(graph, label):
-            reporter.emit(finding)
-    return reporter

@@ -19,19 +19,19 @@ This validator checks any task graph (objects exposing ``task_id``,
   party starts no new work — :class:`~repro.fed.simtime.FaultyEngine`
   must have pushed the start past the window).
 
-:func:`self_check` exercises the real :class:`ProtocolScheduler` over
-small analytic traces for every protocol variant — fault-free and
-fault-injected — and validates each emitted tree graph, the form run
-by ``python -m repro.analysis``.
+:func:`iter_self_check_graphs` runs the real :class:`ProtocolScheduler`
+over small analytic traces for every protocol variant — fault-free and
+fault-injected; ``python -m repro.analysis`` validates and race-checks
+each emitted tree graph.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from repro.analysis.findings import Finding, Reporter, Severity
+from repro.analysis.findings import Finding, Severity
 
-__all__ = ["validate_task_graph", "iter_self_check_graphs", "self_check"]
+__all__ = ["validate_task_graph", "iter_self_check_graphs"]
 
 #: float-comparison slack for interval overlap, in simulated seconds
 _EPS = 1e-9
@@ -173,9 +173,9 @@ def iter_self_check_graphs(n_trees: int = 2):
     """Yield ``(label, fault_plan, task_graph)`` for every self-check run.
 
     One analytic trace, every protocol variant, fault-free and
-    fault-injected — the shared graph source of both the structural
-    validator (:func:`self_check`) and the race detector
-    (:func:`repro.analysis.races.self_check`).  Imported lazily so the
+    fault-injected — the one graph source of both the structural
+    validator (:func:`validate_task_graph`) and the race detector
+    (:func:`repro.analysis.races.detect_races`).  Imported lazily so the
     purely-static checkers stay import-light.
     """
     from repro.bench.costmodel import CostModel
@@ -217,12 +217,3 @@ def iter_self_check_graphs(n_trees: int = 2):
             result = scheduler.schedule(trace, collect_tasks=True, fault_plan=plan)
             for tree_index, graph in enumerate(result.task_graphs):
                 yield f"{label}{suffix}:tree{tree_index}", plan, graph
-
-
-def self_check(n_trees: int = 2) -> Reporter:
-    """Run every protocol variant on a small analytic trace and validate."""
-    reporter = Reporter()
-    for label, plan, graph in iter_self_check_graphs(n_trees):
-        for finding in validate_task_graph(graph, label, fault_plan=plan):
-            reporter.emit(finding)
-    return reporter

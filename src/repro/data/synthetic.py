@@ -19,6 +19,10 @@ import numpy as np
 
 __all__ = ["SyntheticSpec", "generate_classification"]
 
+#: pairwise feature interactions in the latent score (they give trees
+#: an edge over linear models)
+_INTERACTION_PAIRS = 4
+
 
 @dataclass(frozen=True)
 class SyntheticSpec:
@@ -30,8 +34,6 @@ class SyntheticSpec:
         density: fraction of non-zero cells (1.0 = dense).
         n_informative: number of columns carrying label signal.
         noise: label noise scale added to the latent score.
-        interaction_pairs: count of pairwise feature interactions in the
-            latent score (gives trees an edge over linear models).
         seed: RNG seed.
     """
 
@@ -40,7 +42,6 @@ class SyntheticSpec:
     density: float = 1.0
     n_informative: int | None = None
     noise: float = 0.5
-    interaction_pairs: int = 4
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -102,7 +103,7 @@ def _labels_from_features(
     k = signal.shape[1]
     weights = rng.normal(size=k)
     score = signal @ weights
-    for _ in range(spec.interaction_pairs):
+    for _ in range(_INTERACTION_PAIRS):
         a, b = rng.integers(0, k, size=2)
         score = score + signal[:, a] * signal[:, b]
     # Standardize before adding noise so the signal-to-noise ratio is

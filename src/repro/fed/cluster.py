@@ -24,7 +24,6 @@ class ClusterSpec:
         wan_bandwidth: cross-party bytes/second (shared by all workers).
         wan_latency: one-way message latency in seconds.
         lan_bandwidth: intra-party bytes/second (histogram aggregation).
-        n_gateways: gateway machines hosting message queues.
         parallel_efficiency: fraction of linear scaling actually achieved
             by intra-party data parallelism (stragglers, skew).
         round_overhead: fixed coordination seconds per tree layer —
@@ -39,7 +38,6 @@ class ClusterSpec:
     wan_bandwidth: float = 300e6 / 8
     wan_latency: float = 0.02
     lan_bandwidth: float = 10e9 / 8
-    n_gateways: int = 3
     parallel_efficiency: float = 0.9
     round_overhead: float = 1.0
 

@@ -4,44 +4,30 @@ An :class:`AlertEngine` holds a list of :class:`AlertRule`\\ s and is
 evaluated explicitly at simulated-clock instants
 (:meth:`AlertEngine.evaluate`); it never reads a wall clock and keeps
 no hidden timers, so two identical runs open and close exactly the
-same alert episodes at exactly the same timestamps.  Rule kinds:
+same alert episodes at exactly the same timestamps.  Both rule kinds
+read a gauge:
 
-* ``"threshold"`` — a gauge or counter compared against a bound
-  (``op`` is ``">="`` or ``"<="``);
-* ``"rate"`` — a counter's increase over a sliding time window
-  (``window`` simulated seconds) exceeds ``value``.  The window is
-  exact: an increment stops counting at the first evaluation whose
-  timestamp is at least ``window`` past it, so an alert opened by a
-  burst closes precisely one window after the burst ends;
-* ``"burn_rate"`` — sugar for a ``>=`` threshold on the SLO watcher's
-  ``serve.slo.burn_rate`` gauge (see :mod:`repro.serve.slo`);
+* ``"burn_rate"`` — fires while the SLO watcher's
+  ``serve.slo.burn_rate`` gauge is at or above ``value`` (see
+  :mod:`repro.serve.slo`);
 * ``"band"`` — a gauge leaving the closed interval ``[low, high]``
   (calibration / golden-metric drift).
 
 Transitions are emitted as ``alert_open`` / ``alert_close`` events into
 a shared :class:`~repro.obs.events.EventLog` (subsystem
-``"obs.alerts"``) and overlay the Chrome trace export as instant
-events (:meth:`AlertEngine.instant_events`).  A rule with
-``incident=True`` additionally snapshots an
-:class:`~repro.obs.incident.IncidentBundle` the moment it opens — the
-SLO-burn trigger of the flight recorder.
+``"obs.alerts"``); a Chrome trace of the run draws them as instants,
+being a view of that log.  A rule with ``incident=True`` additionally
+snapshots an :class:`~repro.obs.incident.IncidentBundle` the moment it
+opens — the SLO-burn trigger of the flight recorder.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-__all__ = [
-    "AlertEngine",
-    "AlertRule",
-    "band_rule",
-    "burn_rate_rule",
-    "rate_rule",
-    "threshold_rule",
-]
+__all__ = ["AlertEngine", "AlertRule", "band_rule", "burn_rate_rule"]
 
-_KINDS = ("threshold", "rate", "burn_rate", "band")
+_KINDS = ("burn_rate", "band")
 
 
 @dataclass(frozen=True)
@@ -50,13 +36,9 @@ class AlertRule:
 
     Attributes:
         name: unique rule name (the alert's identity in events).
-        kind: one of ``threshold`` / ``rate`` / ``burn_rate`` / ``band``.
-        metric: registry name read at evaluation (gauge for
-            threshold/burn_rate/band, counter for rate).
-        op: threshold comparison, ``">="`` (default) or ``"<="``.
-        value: threshold bound, burn-rate bound, or rate limit
-            (maximum counter increase per window before firing).
-        window: sliding-window seconds (rate rules only).
+        kind: ``burn_rate`` or ``band``.
+        metric: registry gauge read at evaluation.
+        value: burn-rate bound (burn_rate rules only).
         low / high: the allowed closed band (band rules only).
         incident: snapshot an incident bundle when this rule opens
             (requires the engine to hold an incident store).
@@ -65,9 +47,7 @@ class AlertRule:
     name: str
     kind: str
     metric: str
-    op: str = ">="
     value: float = 0.0
-    window: float = 0.0
     low: float = 0.0
     high: float = 0.0
     incident: bool = False
@@ -75,10 +55,6 @@ class AlertRule:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown rule kind {self.kind!r}")
-        if self.op not in (">=", "<="):
-            raise ValueError(f"op must be '>=' or '<=', got {self.op!r}")
-        if self.kind == "rate" and self.window <= 0.0:
-            raise ValueError("rate rules need a positive window")
         if self.kind == "band" and self.low > self.high:
             raise ValueError("band low must be <= high")
 
@@ -87,37 +63,11 @@ class AlertRule:
             "name": self.name,
             "kind": self.kind,
             "metric": self.metric,
-            "op": self.op,
             "value": self.value,
-            "window": self.window,
             "low": self.low,
             "high": self.high,
             "incident": self.incident,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AlertRule":
-        return cls(**data)
-
-
-def threshold_rule(
-    name: str, metric: str, value: float, op: str = ">=", **kwargs
-) -> AlertRule:
-    """A gauge/counter threshold rule."""
-    return AlertRule(
-        name=name, kind="threshold", metric=metric, op=op, value=value, **kwargs
-    )
-
-
-def rate_rule(
-    name: str, metric: str, window: float, limit: float, **kwargs
-) -> AlertRule:
-    """Fire when ``metric`` (a counter) grows more than ``limit`` per
-    ``window`` simulated seconds."""
-    return AlertRule(
-        name=name, kind="rate", metric=metric, window=window, value=limit,
-        **kwargs,
-    )
 
 
 def burn_rate_rule(
@@ -139,15 +89,6 @@ def band_rule(
     return AlertRule(
         name=name, kind="band", metric=metric, low=low, high=high, **kwargs
     )
-
-
-@dataclass
-class _RuleState:
-    """Mutable per-rule evaluation state."""
-
-    open_episode: dict | None = None
-    #: (time, counter value) samples for rate rules, oldest first
-    samples: deque = field(default_factory=deque)
 
 
 class AlertEngine:
@@ -190,36 +131,17 @@ class AlertEngine:
         self.episodes: list[dict] = []
         self.evaluations = 0
         self.incidents: list[str] = []
-        self._state = {rule.name: _RuleState() for rule in self.rules}
+        #: rule name -> its open episode, absent while the rule is quiet
+        self._open: dict[str, dict] = {}
 
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
-    def _observe(self, rule: AlertRule, state: _RuleState, now: float):
-        """(observed value, firing?) for one rule at ``now``."""
-        if rule.kind == "rate":
-            current = float(self.registry.get(rule.metric))
-            samples = state.samples
-            samples.append((now, current))
-            # Drop samples once a full window has passed them; the
-            # newest dropped sample's value stays as the baseline via
-            # the next retained sample being >= it... keep exactly one
-            # sample at or before the window start as the baseline.
-            while len(samples) > 1 and samples[1][0] <= now - rule.window:
-                samples.popleft()
-            baseline = samples[0][1]
-            delta = current - baseline
-            return delta, delta > rule.value
+    def _observe(self, rule: AlertRule):
+        """(observed gauge value, firing?) for one rule."""
         value = float(self.registry.gauge(rule.metric, 0.0))
-        if rule.kind == "threshold" and not value:
-            # A threshold rule may watch a counter instead of a gauge.
-            counter = self.registry.get(rule.metric)
-            if counter:
-                value = float(counter)
         if rule.kind == "band":
             return value, value < rule.low or value > rule.high
-        if rule.op == "<=":
-            return value, value <= rule.value
         return value, value >= rule.value
 
     def evaluate(self, now: float) -> list[dict]:
@@ -231,9 +153,9 @@ class AlertEngine:
         self.evaluations += 1
         transitions: list[dict] = []
         for rule in self.rules:
-            state = self._state[rule.name]
-            value, firing = self._observe(rule, state, now)
-            if firing and state.open_episode is None:
+            value, firing = self._observe(rule)
+            episode = self._open.get(rule.name)
+            if firing and episode is None:
                 episode = {
                     "rule": rule.name,
                     "kind": rule.kind,
@@ -241,17 +163,16 @@ class AlertEngine:
                     "opened": now,
                     "value": value,
                 }
-                state.open_episode = episode
+                self._open[rule.name] = episode
                 self.episodes.append(episode)
                 transitions.append(episode)
                 self._emit("alert_open", now, rule, value)
                 if rule.incident and self.incident_store is not None:
                     self._snapshot(rule, now, value)
-            elif not firing and state.open_episode is not None:
-                episode = state.open_episode
+            elif not firing and episode is not None:
                 episode["closed"] = now
                 episode["close_value"] = value
-                state.open_episode = None
+                del self._open[rule.name]
                 transitions.append(episode)
                 self._emit("alert_close", now, rule, value)
         return transitions
@@ -292,42 +213,10 @@ class AlertEngine:
     def open_alerts(self) -> list[dict]:
         """Currently-open episodes, in rule order."""
         return [
-            dict(self._state[rule.name].open_episode)
+            dict(self._open[rule.name])
             for rule in self.rules
-            if self._state[rule.name].open_episode is not None
+            if rule.name in self._open
         ]
-
-    def instant_events(self) -> list[dict]:
-        """Alert transitions as Chrome-trace instant-event descriptors.
-
-        Each open (and close, when present) becomes one
-        ``{"name", "time", "args"}`` dict the trace exporter renders as
-        a ``ph: "i"`` instant on a synthetic ``alerts`` process.
-        """
-        instants: list[dict] = []
-        for episode in self.episodes:
-            instants.append(
-                {
-                    "name": f"alert_open:{episode['rule']}",
-                    "time": episode["opened"],
-                    "args": {
-                        "metric": episode["metric"],
-                        "value": episode["value"],
-                    },
-                }
-            )
-            if "closed" in episode:
-                instants.append(
-                    {
-                        "name": f"alert_close:{episode['rule']}",
-                        "time": episode["closed"],
-                        "args": {
-                            "metric": episode["metric"],
-                            "value": episode["close_value"],
-                        },
-                    }
-                )
-        return instants
 
     def summary(self) -> dict:
         """JSON-ready posture (the RunReport v5 ``alerts`` field)."""

@@ -164,17 +164,6 @@ class EventLog:
             return []
         return list(self._events)[-n:]
 
-    def filter(
-        self, subsystem: str | None = None, kind: str | None = None
-    ) -> list[Event]:
-        """Retained events matching the given subsystem and/or kind."""
-        return [
-            event
-            for event in self._events
-            if (subsystem is None or event.subsystem == subsystem)
-            and (kind is None or event.kind == kind)
-        ]
-
     def to_dicts(self) -> list[dict]:
         """Every retained event's wire form (RunReport ``events``)."""
         return [event.to_dict() for event in self._events]

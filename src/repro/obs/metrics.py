@@ -236,8 +236,3 @@ class MetricsRegistry:
         """Serialized :meth:`snapshot` (sorted keys, repeatable bytes)."""
         return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
 
-    def reset(self) -> None:
-        """Drop every counter, gauge and histogram."""
-        self._counters.clear()
-        self._gauges.clear()
-        self._histograms.clear()

@@ -54,10 +54,12 @@ def chrome_trace_events(
             registry keeps no per-sample history).  Emission order is
             sorted by name, keeping the export byte-deterministic.
         instants: optional ``{"name", "time", "args"}`` descriptors
-            (e.g. :meth:`AlertEngine.instant_events`); each becomes a
-            globally-scoped instant ("i") event on a synthetic
-            ``alerts`` process, so alert open/close markers overlay the
-            span timeline.  Emission order is sorted by (time, name).
+            (a report's alert events, see
+            :meth:`~repro.obs.report.RunReport.write_chrome_trace`);
+            each becomes a globally-scoped instant ("i") event on a
+            synthetic ``alerts`` process, so alert open/close markers
+            overlay the span timeline.  Emission order is sorted by
+            (time, name).
     """
     spans = list(spans)
     tracks = sorted({span.track for span in spans})

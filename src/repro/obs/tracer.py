@@ -1,13 +1,12 @@
-"""Span-based tracing with an explicit, injected clock.
+"""Span-based tracing with caller-supplied timestamps.
 
 A :class:`Span` is one named interval on a ``(track, lane)`` pair —
 the same shape as a row in the paper's Gantt charts (Figures 4–6):
 track = party/resource, lane = pipeline slot, category = protocol
 phase.  Real runs and simulated runs emit identical spans; the only
 difference is where the timestamps come from, so the :class:`Tracer`
-never reads a clock itself.  Callers either pass explicit start/end
-times (:meth:`Tracer.add`) or inject a clock callable at construction
-and use the :meth:`Tracer.span` context manager.
+never reads a clock itself: callers pass explicit start/end times
+(:meth:`Tracer.add`).
 
 ``spans_from_tasks`` adapts any iterable of ``SimEngine``-style task
 objects (``name``/``phase``/``resource``/``lane``/``start``/``end``
@@ -18,8 +17,7 @@ an artifact openable in Perfetto.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator
-from contextlib import contextmanager
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 __all__ = ["Span", "Tracer", "spans_from_tasks"]
@@ -87,20 +85,9 @@ class Span:
 
 
 class Tracer:
-    """Collects spans; timestamps always come from the caller.
+    """Collects spans; timestamps always come from the caller."""
 
-    Args:
-        clock: optional zero-argument callable returning the current
-            time in seconds.  Required only for the :meth:`span`
-            context manager; :meth:`add` works without one.  Injecting
-            the clock keeps this module free of wall-clock reads (the
-            determinism lint's DET001 contract) — a simulated run
-            passes ``lambda: engine.now`` and a real run passes
-            ``time.perf_counter`` at its own call site.
-    """
-
-    def __init__(self, clock: Callable[[], float] | None = None) -> None:
-        self._clock = clock
+    def __init__(self) -> None:
         self.spans: list[Span] = []
 
     def add(
@@ -126,35 +113,6 @@ class Tracer:
         )
         self.spans.append(span)
         return span
-
-    @contextmanager
-    def span(
-        self,
-        name: str,
-        *,
-        category: str = "",
-        track: str = "main",
-        lane: int = 0,
-        **args: object,
-    ) -> Iterator[None]:
-        """Time a block using the injected clock."""
-        if self._clock is None:
-            raise RuntimeError("Tracer.span() needs a clock; use add()")
-        start = self._clock()
-        try:
-            yield
-        finally:
-            self.spans.append(
-                Span(
-                    name=name,
-                    category=category,
-                    track=track,
-                    lane=lane,
-                    start=start,
-                    end=self._clock(),
-                    args=dict(args),
-                )
-            )
 
     def extend(self, spans: Iterable[Span]) -> None:
         """Append pre-built spans (e.g. from ``spans_from_tasks``)."""

@@ -49,7 +49,6 @@ from repro.obs.alerts import AlertEngine, band_rule, burn_rate_rule
 from repro.obs.events import EventLog
 from repro.obs.metrics import MetricsRegistry, nearest_rank
 from repro.obs.report import RunReport, channel_report
-from repro.obs.trace_export import write_chrome_trace
 from repro.obs.tracer import Tracer
 from repro.serve.canary import CanaryConfig, CanaryController
 from repro.serve.fleet import FleetConfig, ServingFleet, ShedPolicy
@@ -62,7 +61,7 @@ from repro.serve.loadgen import (
 )
 from repro.serve.registry import ModelRegistry
 from repro.fed.retry import RetryPolicy
-from repro.serve.session import ServeConfig, ServingRuntime
+from repro.serve.session import ROUTE_COST_PER_ROW, ServeConfig, ServingRuntime
 from repro.serve.slo import SLOPolicy, SLOWatcher
 
 __all__ = [
@@ -144,7 +143,7 @@ def _naive_baseline(
             serve_config.admission_cost
             + 2 * cluster.wan_latency * predictor.routing_queries
             + channel.total_bytes() / cluster.wan_bandwidth
-            + serve_config.route_cost_per_row * routed_rows
+            + ROUTE_COST_PER_ROW * routed_rows
         )
     predictions = sum(request.n_rows() for request in requests)
     return {
@@ -334,7 +333,6 @@ def canary_stage(
                 traffic_fraction=0.25,
                 decision_after=20 if smoke else 60,
                 seed=seed,
-                expect_identical=True,
             ),
             event_log=event_log,
             labels=arm,
@@ -379,7 +377,10 @@ def run_bench(
         trace: heavy-tail trace name for the fleet sweep (a
             :data:`~repro.serve.loadgen.TRACES` key).
         trace_out: also write a Chrome trace of the batched runtime's
-            admission / request / round-trip spans (Perfetto-loadable).
+            admission / request / round-trip spans (Perfetto-loadable),
+            rendered from the run's :class:`~repro.obs.report.RunReport`
+            so it carries the same counter tracks and alert instants as
+            ``repro trace`` of the ``report_out`` file.
         report_out: also write a :class:`~repro.obs.report.RunReport` whose
             phase totals equal the trace's per-category duration sums
             and whose metrics come from the shared registry.
@@ -614,11 +615,7 @@ def run_bench(
             alerts=alert_engine.summary(),
         )
         if trace_out:
-            write_chrome_trace(
-                trace_out,
-                tracer.spans,
-                instants=alert_engine.instant_events() or None,
-            )
+            run_report.write_chrome_trace(trace_out)
         if report_out:
             run_report.save(report_out)
     return report

@@ -2,26 +2,19 @@
 
 The state machine is deliberately small::
 
-    canary ──(golden metrics hold for `decision_after` requests)──► promoted
-       └────(any golden violation)────────────────────────────────► rolled_back
+    canary ──(``decision_after`` clean candidate completions)──► promoted
+       └────(any golden mismatch)────────────────────────────────► rolled_back
 
 While in ``canary``, a deterministic slice of sessions — chosen by a
 seeded hash of the session key, so the same sessions canary on every
 run — is served by the candidate :class:`~repro.serve.registry.
 ModelVersion` through the runtimes' ``version_selector`` seam; the
 registry's *active* pointer still names the incumbent, so every other
-request is untouched.  The verdict compares golden metrics per
-:class:`CanaryConfig`:
-
-* ``expect_identical=True`` (infra-only rollout, model unchanged): the
-  candidate's margins must be **bit-identical** to the incumbent's for
-  every non-degraded row, checked against an offline golden replay of
-  the incumbent (:func:`golden_margins`).  A single mismatch rolls the
-  canary back immediately.
-* ``expect_identical=False`` (model changed): the candidate's
-  nearest-rank p99 latency and degraded-request rate must stay inside
-  multiplicative bands of the incumbent's, measured over the same
-  observation period.
+request is untouched.  The verdict is the golden contract of a lossless
+system: the candidate's margins must be **bit-identical** to the
+incumbent's for every non-degraded row, checked against an offline
+golden replay of the incumbent (:func:`golden_margins`).  A single
+mismatch rolls the canary back immediately.
 
 Promotion reuses the registry's existing hot-swap path — one atomic
 :meth:`~repro.serve.registry.ModelRegistry.activate` call.  Rollback is
@@ -74,28 +67,12 @@ class CanaryConfig:
             a promote verdict (violations roll back earlier).
         seed: slicing seed — which sessions canary is a pure function
             of (seed, session key).
-        expect_identical: the golden contract.  ``True`` demands
-            bit-identical margins vs. the incumbent (model unchanged);
-            ``False`` compares p99/degraded-rate bands (model changed).
-        p99_band: candidate p99 may be at most this multiple of the
-            incumbent's observed p99 (banded mode only).
-        degraded_band: same, for the degraded-request rate.
-        degraded_allowance: absolute degraded-rate floor applied when
-            the incumbent shows zero degradation (a strictly-zero band
-            would fail a candidate on one unlucky WAN timeout).
-        min_baseline: incumbent-served completions required before a
-            banded verdict (defers the decision, never blocks rollback).
     """
 
     candidate: str
     traffic_fraction: float = 0.05
     decision_after: int = 128
     seed: int = 0
-    expect_identical: bool = True
-    p99_band: float = 1.5
-    degraded_band: float = 2.0
-    degraded_allowance: float = 0.0
-    min_baseline: int = 32
 
     def __post_init__(self) -> None:
         if not 0.0 < self.traffic_fraction < 1.0:
@@ -156,8 +133,6 @@ class CanaryController:
         self.baseline_served = 0
         self._canary_latencies: list[float] = []
         self._baseline_latencies: list[float] = []
-        self._canary_degraded = 0
-        self._baseline_degraded = 0
 
     # ------------------------------------------------------------------
     # Traffic slicing
@@ -186,9 +161,7 @@ class CanaryController:
         if outcome.version == self.candidate.version:
             self.canary_served += 1
             self._canary_latencies.append(outcome.latency)
-            if outcome.degraded:
-                self._canary_degraded += 1
-            if self.config.expect_identical and request is not None:
+            if request is not None:
                 golden = golden_margins(self.incumbent, request.rows)
                 clean = ~outcome.degraded_rows
                 if not np.array_equal(
@@ -203,48 +176,16 @@ class CanaryController:
                     self._rollback(outcome.finished)
                     return
             if self.canary_served >= self.config.decision_after:
-                self._decide(outcome.finished)
+                # Every observed canary margin matched bit-for-bit (a
+                # mismatch would have rolled back before reaching here).
+                self._promote(outcome.finished)
         else:
             self.baseline_served += 1
             self._baseline_latencies.append(outcome.latency)
-            if outcome.degraded:
-                self._baseline_degraded += 1
 
     # ------------------------------------------------------------------
     # Verdict
     # ------------------------------------------------------------------
-    def _decide(self, now: float) -> None:
-        if self.config.expect_identical:
-            # Every observed canary margin matched bit-for-bit (a
-            # mismatch would have rolled back before reaching here).
-            self._promote(now)
-            return
-        if self.baseline_served < self.config.min_baseline:
-            return  # defer: not enough incumbent evidence yet
-        canary_p99 = nearest_rank(self._canary_latencies, 0.99)
-        baseline_p99 = nearest_rank(self._baseline_latencies, 0.99)
-        canary_rate = self._canary_degraded / self.canary_served
-        baseline_rate = self._baseline_degraded / self.baseline_served
-        degraded_limit = max(
-            self.config.degraded_band * baseline_rate,
-            self.config.degraded_allowance,
-        )
-        if canary_p99 > self.config.p99_band * baseline_p99:
-            self._emit(
-                "p99_band_violation", now, canary=canary_p99, baseline=baseline_p99
-            )
-            self._rollback(now)
-        elif canary_rate > degraded_limit:
-            self._emit(
-                "degraded_band_violation",
-                now,
-                canary=canary_rate,
-                baseline=baseline_rate,
-            )
-            self._rollback(now)
-        else:
-            self._promote(now)
-
     def _promote(self, now: float) -> None:
         self.registry.activate(self.candidate.version, now=now)  # hot-swap
         self.state = "promoted"

@@ -61,6 +61,9 @@ __all__ = ["ShedPolicy", "FleetConfig", "FleetRouter", "ServingFleet"]
 
 _PREFIX = "fleet."
 
+#: virtual nodes per replica on the consistent-hash ring
+_VNODES = 64
+
 
 def _stable_hash(payload: str) -> int:
     """64-bit integer from sha256 — stable across processes and runs
@@ -102,38 +105,32 @@ class FleetConfig:
         n_replicas: serving runtimes behind the router.
         seed: consistent-hash ring seed (routing is a pure function of
             the seed, the replica set and the session key).
-        vnodes: virtual nodes per replica on the ring; more vnodes
-            smooth the key distribution at slightly more memory.
         shed: admission-control policy, ``None`` disables shedding.
         slo: per-replica SLO policy (the shedding signal's source).
     """
 
     n_replicas: int = 2
     seed: int = 0
-    vnodes: int = 64
     shed: ShedPolicy | None = field(default_factory=ShedPolicy)
     slo: SLOPolicy = field(default_factory=SLOPolicy)
 
     def __post_init__(self) -> None:
         if self.n_replicas < 1:
             raise ValueError("n_replicas must be >= 1")
-        if self.vnodes < 1:
-            raise ValueError("vnodes must be >= 1")
 
 
 class FleetRouter:
     """Consistent-hash ring mapping session keys to replica indices.
 
-    Each replica owns ``vnodes`` points on a 64-bit ring; a key routes
-    to the first vnode clockwise from its own hash.  Adding or removing
-    one replica only re-routes the keys whose closest vnode changed —
-    in expectation K/N of them — which is what keeps per-replica caches
-    warm through membership changes.
+    Each replica owns :data:`_VNODES` points on a 64-bit ring; a key
+    routes to the first vnode clockwise from its own hash.  Adding or
+    removing one replica only re-routes the keys whose closest vnode
+    changed — in expectation K/N of them — which is what keeps
+    per-replica caches warm through membership changes.
     """
 
-    def __init__(self, replicas: int, seed: int = 0, vnodes: int = 64) -> None:
+    def __init__(self, replicas: int, seed: int = 0) -> None:
         self.seed = seed
-        self.vnodes = vnodes
         self._points: list[int] = []  # sorted vnode hashes
         self._owner: dict[int, int] = {}  # vnode hash -> replica
         self._members: set[int] = set()
@@ -145,7 +142,7 @@ class FleetRouter:
         if replica in self._members:
             raise ValueError(f"replica {replica} already on the ring")
         self._members.add(replica)
-        for v in range(self.vnodes):
+        for v in range(_VNODES):
             point = _stable_hash(f"{self.seed}:replica:{replica}:{v}")
             # sha256 collisions across distinct labels are not a
             # realistic event; last writer would win if one occurred.
@@ -157,7 +154,7 @@ class FleetRouter:
         if replica not in self._members:
             raise ValueError(f"replica {replica} not on the ring")
         self._members.remove(replica)
-        for v in range(self.vnodes):
+        for v in range(_VNODES):
             point = _stable_hash(f"{self.seed}:replica:{replica}:{v}")
             if self._owner.get(point) == replica:
                 del self._owner[point]
@@ -234,9 +231,7 @@ class ServingFleet:
         self.canary = canary
         if canary is not None and version_selector is None:
             version_selector = canary.select
-        self.router = FleetRouter(
-            self.config.n_replicas, self.config.seed, self.config.vnodes
-        )
+        self.router = FleetRouter(self.config.n_replicas, self.config.seed)
         self._on_complete = on_complete
         self.event_log = event_log if event_log is not None else EventLog()
         self.slo_labels = dict(slo_labels or {})

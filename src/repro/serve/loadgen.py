@@ -80,8 +80,7 @@ class LoadgenConfig:
     """Workload description.
 
     Attributes:
-        n_requests: total requests to issue.
-        rows_per_request: instances per request.
+        n_requests: total requests to issue (one instance each).
         feature_dims: ``party -> raw feature count`` (must match the
             registered model's bin edges).
         seed: RNG seed for rows, arrivals and fault injection.
@@ -105,7 +104,6 @@ class LoadgenConfig:
     """
 
     n_requests: int = 256
-    rows_per_request: int = 1
     feature_dims: dict[int, int] | None = None
     seed: int = 7
     mode: str = "closed"
@@ -157,7 +155,7 @@ def make_requests(config: LoadgenConfig) -> list[Request]:
             rows = {party: block.copy() for party, block in source.rows.items()}
         else:
             rows = {
-                party: rng.normal(size=(config.rows_per_request, dim))
+                party: rng.normal(size=(1, dim))
                 for party, dim in sorted(config.feature_dims.items())
             }
         if config.mode == "open":

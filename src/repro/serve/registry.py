@@ -141,15 +141,14 @@ class ModelRegistry:
 
     Args:
         event_log: optional shared
-            :class:`~repro.obs.events.EventLog`; activations and
-            rollbacks are recorded under subsystem ``"serve.registry"``
-            (kinds ``hot_swap`` / ``rollback``).
+            :class:`~repro.obs.events.EventLog`; activations are
+            recorded under subsystem ``"serve.registry"`` (kind
+            ``hot_swap``).
         event_labels: constant labels merged into those events.
     """
 
     def __init__(self, event_log=None, event_labels: dict | None = None) -> None:
         self._versions: dict[str, ModelVersion] = {}
-        self._order: list[str] = []
         self._active: ModelVersion | None = None
         self.event_log = event_log
         self.event_labels = dict(event_labels or {})
@@ -194,7 +193,6 @@ class ModelRegistry:
             degraded=DegradedRouter(defaults),
         )
         self._versions[version] = entry
-        self._order.append(version)
         return entry
 
     @staticmethod
@@ -260,25 +258,3 @@ class ModelRegistry:
     def get(self, version: str) -> ModelVersion:
         """Look up a version by label."""
         return self._versions[version]
-
-    def versions(self) -> list[str]:
-        """Labels in registration order."""
-        return list(self._order)
-
-    def rollback(self, now: float = 0.0) -> ModelVersion:
-        """Re-activate the version registered before the active one."""
-        if self._active is None:
-            raise LookupError("no model version activated")
-        position = self._order.index(self._active.version)
-        if position == 0:
-            raise LookupError("no earlier version to roll back to")
-        if self.event_log is not None:
-            self.event_log.emit(
-                now,
-                "serve.registry",
-                "rollback",
-                labels=dict(self.event_labels),
-                from_version=self._active.version,
-                to_version=self._order[position - 1],
-            )
-        return self.activate(self._order[position - 1], now=now)

@@ -64,6 +64,9 @@ _HISTOGRAMS = {
     "serve.queue_depth": COUNT_BUCKETS,
 }
 
+#: owner-side simulated seconds per routed instance id
+ROUTE_COST_PER_ROW = 2e-7
+
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -75,24 +78,16 @@ class ServeConfig:
         deadline: per-request latency SLO in simulated seconds; misses
             are counted (the answer is still delivered).
         max_queue: admission bound on concurrently in-flight requests.
-        enable_cache: serve repeated rows from the prediction cache.
-        degraded_enabled: fall back to majority-direction routing when a
-            party exhausts its retry budget (``False`` = keep waiting,
-            i.e. retry errors surface as huge latencies).
         key_bits: Paillier modulus assumed for wire accounting.
         admission_cost: simulated seconds to bin + cache-probe a request.
-        route_cost_per_row: owner-side seconds per routed instance id.
     """
 
     max_batch_size: int = 64
     max_delay: float = 0.005
     deadline: float = 2.0
     max_queue: int = 1024
-    enable_cache: bool = True
-    degraded_enabled: bool = True
     key_bits: int = 2048
     admission_cost: float = 1e-4
-    route_cost_per_row: float = 2e-7
 
 
 @dataclass
@@ -434,8 +429,6 @@ class ServingRuntime:
 
     def _probe_cache(self, session: _Session, n_rows: int) -> np.ndarray:
         """Fill cached margins; returns the rows that must traverse."""
-        if not self.config.enable_cache:
-            return np.arange(n_rows, dtype=np.int64)
         misses = []
         for row in range(n_rows):
             self.metrics.inc("serve.cache_lookups")
@@ -564,11 +557,11 @@ class ServingRuntime:
         rtt = (
             2 * self.cluster.wan_latency
             + wire_bytes / self.cluster.wan_bandwidth
-            + self.config.route_cost_per_row * query.row_count()
+            + ROUTE_COST_PER_ROW * query.row_count()
         )
         if self.party_delay is not None:
             rtt += self.party_delay(party, record.batch_id, record.attempt)
-        if rtt <= self.retry.timeout or not self.config.degraded_enabled:
+        if rtt <= self.retry.timeout:
             done, outcome = now + rtt, "deliver"
         else:
             done, outcome = now + self.retry.timeout, "timeout"
@@ -668,11 +661,10 @@ class ServingRuntime:
                 margins += model.learning_rate * session.leaf_weights[fresh, t]
             session.margins[fresh] = margins
         degraded_rows = session.degraded_mask.copy()
-        if self.config.enable_cache:
-            for row in np.flatnonzero(fresh & ~degraded_rows):
-                self._cache[self._row_key(session, int(row))] = float(
-                    session.margins[row]
-                )
+        for row in np.flatnonzero(fresh & ~degraded_rows):
+            self._cache[self._row_key(session, int(row))] = float(
+                session.margins[row]
+            )
 
         n_rows = session.request.n_rows()
         self.metrics.inc("serve.completed")

@@ -122,8 +122,10 @@ class TestRaceDetector:
         assert found[0].severity == Severity.WARNING
 
     def test_real_scheduler_graphs_are_race_free(self):
-        reporter = races.self_check(n_trees=1)
-        assert reporter.findings == []
+        from repro.analysis.schedule import iter_self_check_graphs
+
+        for label, _plan, graph in iter_self_check_graphs(n_trees=1):
+            assert races.detect_races(graph, label) == []
 
     def test_dropped_dependency_is_detected(self):
         # Mutation: strip the dependencies off every findA task and move
@@ -356,6 +358,31 @@ class TestCliV2:
     def test_malformed_graph_is_a_usage_error(self, tmp_path, capsys, document, names):
         path = tmp_path / "bad_graph.json"
         path.write_text(json.dumps(document))
+        with pytest.raises(ValueError, match=re.escape(names)) as error:
+            check_graph_file(path)
+        assert str(path) in str(error.value)
+        with pytest.raises(SystemExit) as exit_:
+            main(["--root", str(FIXTURES / "leakypkg"), "--package", "leakypkg",
+                  "--no-schedule", "--graph", str(path)])
+        assert exit_.value.code == 2
+        assert names in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "task,names",
+        [
+            ({"start": None}, "task #0: 'start' is not a number"),
+            ({"start": "x"}, "task #0: 'start' is not a number"),
+            ({"end": [1.0]}, "task #0: 'end' is not a number"),
+            ({"end": True}, "task #0: 'end' is not a number"),
+            ({"lane": "1"}, "task #0: 'lane' is not an integer"),
+            ({"lane": 1.5}, "task #0: 'lane' is not an integer"),
+        ],
+    )
+    def test_non_numeric_lane_or_time_is_a_usage_error(
+        self, tmp_path, capsys, task, names
+    ):
+        path = tmp_path / "bad_graph.json"
+        path.write_text(json.dumps({"tasks": [{"task_id": 0, **task}]}))
         with pytest.raises(ValueError, match=re.escape(names)) as error:
             check_graph_file(path)
         assert str(path) in str(error.value)

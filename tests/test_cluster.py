@@ -10,7 +10,6 @@ class TestValidation:
         assert PAPER_CLUSTER.n_workers == 8
         assert PAPER_CLUSTER.cores_per_worker == 16
         assert PAPER_CLUSTER.wan_bandwidth == pytest.approx(300e6 / 8)
-        assert PAPER_CLUSTER.n_gateways == 3
 
     def test_invalid_specs_rejected(self):
         with pytest.raises(ValueError):

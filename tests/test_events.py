@@ -106,16 +106,13 @@ class TestEventLog:
         with pytest.raises(ValueError):
             EventLog(capacity=0)
 
-    def test_tail_and_filter(self):
+    def test_tail(self):
         log = EventLog()
         log.emit(0.0, "a", "x")
         log.emit(1.0, "a", "y")
         log.emit(2.0, "b", "x")
         assert [e.time for e in log.tail(2)] == [1.0, 2.0]
         assert log.tail(0) == []
-        assert [e.kind for e in log.filter(subsystem="a")] == ["x", "y"]
-        assert [e.subsystem for e in log.filter(kind="x")] == ["a", "b"]
-        assert len(log.filter(subsystem="a", kind="x")) == 1
 
     def test_summary_counts(self):
         log = EventLog(capacity=8)

@@ -15,7 +15,11 @@ from repro.serve.slo import SLOPolicy, SLOWatcher
 
 def records(watcher):
     """The watcher's transitions, oldest first, in the flat wire shape."""
-    return [event.to_dict() for event in watcher.event_log.filter("serve.slo")]
+    return [
+        event.to_dict()
+        for event in watcher.event_log.events()
+        if event.subsystem == "serve.slo"
+    ]
 
 
 def ok_outcome(request_id=0, latency=0.1):
@@ -111,7 +115,11 @@ class TestBurnAlert:
             SLOPolicy(window=2, latency_slo=0.5, error_budget=0.5, burn_alert=1.0)
         )
         watcher.on_completion(ok_outcome(0, latency=2.0), now=5.0)
-        start = watcher.event_log.filter(kind="burn_alert_start")[0].to_dict()
+        (start,) = [
+            e.to_dict()
+            for e in watcher.event_log.events()
+            if e.kind == "burn_alert_start"
+        ]
         assert start["time"] == 5.0
         # One breach in a one-item window over a 0.5 budget burns at 2.0.
         assert start["burn_rate"] == 2.0
@@ -154,7 +162,7 @@ class TestEdgeCases:
             assert watcher.alert_open, f"closed early after completion {i}"
         watcher.on_completion(ok_outcome(7, latency=0.1), now=7.0)
         assert not watcher.alert_open
-        end = watcher.event_log.filter(kind="burn_alert_end")
+        end = [e for e in watcher.event_log.events() if e.kind == "burn_alert_end"]
         assert len(end) == 1 and end[0].time == 7.0
 
     def test_tiny_budget_burn_is_finite(self):
@@ -183,7 +191,11 @@ class TestEvents:
     def test_degraded_completion_records_rows(self):
         watcher = SLOWatcher(SLOPolicy(burn_alert=99.0))
         watcher.on_completion(degraded_outcome(3, rows=5), now=2.0)
-        degraded = watcher.event_log.filter("serve.slo", "degraded")
+        degraded = [
+            e
+            for e in watcher.event_log.events()
+            if (e.subsystem, e.kind) == ("serve.slo", "degraded")
+        ]
         assert [event.to_dict() for event in degraded] == [
             {
                 "kind": "degraded",

@@ -213,8 +213,8 @@ class TestScheduleValidator:
         assert rules == {"SCH004"}
 
     def test_real_scheduler_graphs_validate(self):
-        reporter = schedule.self_check(n_trees=1)
-        assert reporter.findings == []
+        for label, plan, graph in schedule.iter_self_check_graphs(n_trees=1):
+            assert schedule.validate_task_graph(graph, label, fault_plan=plan) == []
 
 
 def validate(tasks):
