@@ -1,20 +1,12 @@
-"""Static analysis of the reproduction: privacy, crypto, determinism, schedules.
+"""Static analysis of the reproduction: determinism and schedules.
 
-Five passes enforce the repo's cross-cutting invariants on every
+Three passes enforce the repo's cross-cutting invariants on every
 commit (``python -m repro.analysis --strict``; a tier-1 pytest wrapper
-runs the same gate), sharing one parsed :class:`PackageIndex` per
-scanned root:
+runs the same gate):
 
-* :mod:`repro.analysis.taint` — party-boundary taint: label-derived
-  plaintext must never flow into a cross-party message toward a passive
-  party (``PB001/002``; static complement of the runtime
-  :class:`~repro.fed.channel.PrivacyViolation` guard, reading the same
-  per-type ``disclosure`` declared in :mod:`repro.fed.messages`);
-* :mod:`repro.analysis.cryptolint` — Paillier misuse: cross-key
-  arithmetic, raw-layer/exponent bypass, uncounted ops and direct
-  three-argument ``pow`` in crypto hot paths (``CR001-003``, ``CR105``);
 * :mod:`repro.analysis.determinism` — wall clock, unseeded RNG and
-  set-order hazards in simulation-reachable modules (``DET*``);
+  set-order hazards in simulation-reachable modules (``DET*``), over
+  one parsed :class:`~repro.analysis.astutils.PackageIndex` per root;
 * :mod:`repro.analysis.schedule` — cycles, dangling dependencies, lane
   conflicts and causality violations in the task graphs emitted by
   :class:`~repro.core.protocol.ProtocolScheduler` (``SCH001-005``);
@@ -24,8 +16,11 @@ scanned root:
 Findings share one reporting layer (:mod:`repro.analysis.findings`)
 with ``# repro: allow[RULE]`` inline suppressions and an unused-
 suppression audit (``SUP001``); unparsable files surface as
-``SYN001``.  Output formats: text and JSON.  The cipher algebra's
-rules (operators, exponent mixing, re-packing) are not static rules:
-the crypto types refuse those misuses when the line runs.  See
-DESIGN.md §4.6 and §4.10.
+``SYN001``.  Output formats: text and JSON.  The privacy and crypto
+rules are not static rules: the channel refuses a plaintext float
+toward a passive party (:class:`~repro.fed.channel.PrivacyViolation`),
+a resident block refuses a cipher of another key, and the cipher
+types refuse algebra misuse, each when the line runs; tier-1 tests
+pin the rest (the powmod choke point, the raw layer, where message
+types live).  See DESIGN.md §4.6 and §4.10.
 """

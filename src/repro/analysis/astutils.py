@@ -6,10 +6,8 @@ and precomputes what the checkers keep asking for:
 
 * dotted module names and repo-relative paths;
 * per-module import aliases (``import numpy as np`` -> ``np`` maps to
-  ``numpy``; ``from repro.fed.messages import SplitQuery`` -> the name
-  ``SplitQuery`` maps to ``repro.fed.messages.SplitQuery``);
-* a function table mapping qualified and bare names to their defs, the
-  backbone of the taint checker's interprocedural summaries;
+  ``numpy``; ``from time import perf_counter`` -> the name
+  ``perf_counter`` maps to ``time.perf_counter``);
 * per-line suppression maps (see :mod:`repro.analysis.findings`).
 """
 
@@ -18,19 +16,11 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.analysis.findings import parse_comment_suppressions
 
-__all__ = [
-    "ModuleInfo",
-    "FunctionInfo",
-    "PackageIndex",
-    "call_name",
-    "dotted_name",
-    "node_span",
-    "iter_functions",
-]
+__all__ = ["ModuleInfo", "PackageIndex", "call_name", "dotted_name", "node_span"]
 
 
 def dotted_name(node: ast.expr) -> str | None:
@@ -58,23 +48,6 @@ def node_span(node: ast.AST) -> tuple[int, int]:
     return first, last
 
 
-def iter_functions(
-    tree: ast.Module,
-) -> Iterator[tuple[str, ast.FunctionDef | ast.AsyncFunctionDef]]:
-    """Yield ``(qualname, def)`` for every function, including methods."""
-
-    def walk(body: Iterable[ast.stmt], prefix: str):
-        for node in body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                qualname = f"{prefix}{node.name}"
-                yield qualname, node
-                yield from walk(node.body, f"{qualname}.")
-            elif isinstance(node, ast.ClassDef):
-                yield from walk(node.body, f"{prefix}{node.name}.")
-
-    yield from walk(tree.body, "")
-
-
 @dataclass
 class ModuleInfo:
     """One parsed module of the package under analysis."""
@@ -83,7 +56,6 @@ class ModuleInfo:
     path: Path
     relpath: str  # display path, relative to the scan root
     tree: ast.Module
-    source_lines: list[str]
     suppressions: dict[int, set[str]]
     #: local name -> fully qualified imported name
     imports: dict[str, str] = field(default_factory=dict)
@@ -102,31 +74,6 @@ class ModuleInfo:
         if target is None:
             return name
         return f"{target}.{rest}" if rest else target
-
-
-@dataclass
-class FunctionInfo:
-    """A function definition plus where it lives."""
-
-    module: ModuleInfo
-    qualname: str  # e.g. "ActiveParty.send_gradients"
-    node: ast.FunctionDef | ast.AsyncFunctionDef
-
-    @property
-    def bare_name(self) -> str:
-        """Unqualified function name (method-call resolution key)."""
-        return self.node.name
-
-    @property
-    def param_names(self) -> list[str]:
-        """Positional + keyword parameter names, ``self``/``cls`` included."""
-        args = self.node.args
-        names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
-        if args.vararg:
-            names.append(args.vararg.arg)
-        if args.kwarg:
-            names.append(args.kwarg.arg)
-        return names
 
 
 def _collect_imports(tree: ast.Module) -> dict[str, str]:
@@ -161,9 +108,6 @@ class PackageIndex:
         self.root = Path(root)
         self.package = package
         self.modules: dict[str, ModuleInfo] = {}
-        self.functions: dict[str, FunctionInfo] = {}
-        #: bare function name -> every definition with that name
-        self.by_bare_name: dict[str, list[FunctionInfo]] = {}
         #: ``(relpath, line, message)`` of files that failed to parse;
         #: the CLI reports each as a ``SYN001`` finding instead of dying.
         self.parse_errors: list[tuple[str, int, str]] = []
@@ -195,55 +139,17 @@ class PackageIndex:
                 path=path,
                 relpath=str(Path(self.package) / rel),
                 tree=tree,
-                source_lines=source.splitlines(),
                 suppressions=parse_comment_suppressions(source),
                 imports=_collect_imports(tree),
             )
             self.modules[name] = module
-            for qualname, fn_node in iter_functions(tree):
-                info = FunctionInfo(module=module, qualname=qualname, node=fn_node)
-                self.functions[f"{name}:{qualname}"] = info
-                self.by_bare_name.setdefault(info.bare_name, []).append(info)
 
-    def iter_modules(self, prefixes: tuple[str, ...] = ()) -> Iterator[ModuleInfo]:
-        """All modules, optionally filtered by relpath prefixes.
-
-        A prefix matches when the module's path *within the package*
-        starts with it (``fed/`` matches ``repro/fed/channel.py``) or
-        equals it exactly (``core/protocol.py``).
+    def iter_modules(self, prefixes: tuple[str, ...]) -> Iterator[ModuleInfo]:
+        """The modules whose path *within the package* starts with one
+        of ``prefixes`` (``fed/`` matches ``repro/fed/channel.py``,
+        ``core/protocol.py`` itself, ``""`` every module).
         """
         for module in self.modules.values():
-            if not prefixes:
-                yield module
-                continue
             inner = str(module.path.relative_to(self.root))
             if any(inner == p or inner.startswith(p) for p in prefixes):
                 yield module
-
-    def resolve_function(
-        self, module: ModuleInfo, name: str | None
-    ) -> FunctionInfo | None:
-        """Best-effort resolution of a call's callee to a definition.
-
-        Tries, in order: a plain function in the same module, an
-        imported ``module.function``, and finally a *unique* bare-name
-        match anywhere in the package (the pragmatic answer for
-        ``self.method(...)`` calls).  Ambiguous bare names resolve to
-        ``None`` — callers treat that as an unknown callee.
-        """
-        if not name:
-            return None
-        tail = name.rsplit(".", maxsplit=1)[-1]
-        local = self.functions.get(f"{module.name}:{name}")
-        if local is not None:
-            return local
-        resolved = module.resolve(name)
-        if resolved and "." in resolved:
-            target_module, _, fn = resolved.rpartition(".")
-            hit = self.functions.get(f"{target_module}:{fn}")
-            if hit is not None:
-                return hit
-        candidates = self.by_bare_name.get(tail, [])
-        if len(candidates) == 1:
-            return candidates[0]
-        return None

@@ -5,15 +5,15 @@ Usage::
     python -m repro.analysis                 # report findings, exit 0
     python -m repro.analysis --strict        # exit 1 on any finding (CI gate)
     python -m repro.analysis --format json
-    python -m repro.analysis --rules PB001,DET002
+    python -m repro.analysis --rules DET001,DET002
     python -m repro.analysis --verbose       # per-pass wall time to stderr
     python -m repro.analysis --graph schedule.json     # race-check a graph
 
-Five passes share one :class:`~repro.analysis.astutils.PackageIndex`
-per scanned root (the tree is parsed exactly once): party-boundary
-taint (PB), Paillier misuse (CR001-003, CR105), determinism (DET),
-schedule structure + races (SCH) and the suppression audit (SUP001).
-Files that fail to parse become ``SYN001`` findings instead of
+The determinism pass (DET) reads one
+:class:`~repro.analysis.astutils.PackageIndex` per scanned root (the
+tree is parsed exactly once); the schedule checks (SCH) build the
+scheduler's own task graphs, and the suppression audit (SUP001) runs
+last.  Files that fail to parse become ``SYN001`` findings instead of
 aborting the run.
 
 The default invocation scans the installed ``repro`` package *plus* the
@@ -30,18 +30,13 @@ import sys
 import time
 from pathlib import Path
 
-from repro.analysis import cryptolint, determinism, races, schedule, taint
+from repro.analysis import determinism, races, schedule
 from repro.analysis.astutils import PackageIndex
 from repro.analysis.findings import Finding, Reporter, Severity, audit_suppressions
 
 __all__ = ["main", "run_analysis", "RULE_FAMILIES"]
 
 RULE_FAMILIES = {
-    "PB": "party boundary (PB001/002 plaintext taint against each message "
-    "type's declared disclosure)",
-    "CR": "Paillier misuse (CR001-003 cross-key/raw-layer/uncounted ops; "
-    "CR105 powmod-choke-point bypass via direct 3-arg pow in crypto hot "
-    "paths)",
     "DET": "determinism (wall clock, unseeded RNG, set-iteration order)",
     "SCH": "schedule graphs (SCH001-005 structure; SCH101-103 happens-before "
     "races over declared footprints)",
@@ -217,8 +212,6 @@ def run_analysis(
         index = timed(f"{prefix}:parse", PackageIndex, scan_root, package=scan_package)
         all_modules.extend(index.modules.values())
         merged.extend(_syntax_findings(index))
-        merged.extend(timed(f"{prefix}:taint", taint.run, index))
-        merged.extend(timed(f"{prefix}:cryptolint", cryptolint.run, index))
         det_scope = _FULL_SCOPE if is_extra else determinism.DEFAULT_SCOPE
         merged.extend(
             timed(f"{prefix}:determinism", determinism.run, index, scope=det_scope)
@@ -253,7 +246,7 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point. Returns a process exit code."""
     parser = argparse.ArgumentParser(
         prog="repro.analysis",
-        description="Static privacy/crypto/determinism/schedule analysis "
+        description="Static determinism/schedule analysis "
         "of the VF2Boost reproduction.",
     )
     parser.add_argument(

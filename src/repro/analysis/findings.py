@@ -38,7 +38,7 @@ __all__ = [
     "FILE_WIDE",
 ]
 
-#: hash-comment form of ``repro: allow[PB001]`` (one or more rule ids,
+#: hash-comment form of ``repro: allow[DET001]`` (one or more rule ids,
 #: comma-separated; ``*`` for any rule)
 SUPPRESSION_RE = re.compile(r"#\s*repro:\s*allow\[([A-Za-z0-9_*,\s]+)\]")
 
@@ -65,9 +65,8 @@ class Finding:
     """One analyzer diagnosis.
 
     Attributes:
-        rule_id: stable identifier, e.g. ``PB001`` (taint), ``CR002``
-            (crypto misuse), ``DET001`` (determinism), ``SCH003``
-            (schedule graph).
+        rule_id: stable identifier, e.g. ``DET001`` (determinism),
+            ``SCH003`` (schedule graph).
         severity: one of :class:`Severity`'s constants.
         file: path of the offending file, repo-relative when possible;
             schedule-graph findings use a logical ``<schedule:...>`` name.

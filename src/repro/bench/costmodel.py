@@ -22,7 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 
-__all__ = ["UNIT_COST_FIELDS", "CostModel"]
+__all__ = ["PLAIN_BYTES", "UNIT_COST_FIELDS", "CostModel"]
+
+#: wire size of one plaintext statistic (a float64): what a cipher
+#: costs on VF-MOCK's wire
+PLAIN_BYTES = 8
 
 
 @dataclass(frozen=True)
@@ -42,7 +46,6 @@ class CostModel:
         t_plain_accum: one plaintext histogram accumulation.
         t_split_bin: split-gain evaluation of one histogram bin.
         cipher_bytes: wire size of one cipher (``2S/8``).
-        plain_bytes: wire size of one plaintext statistic.
         compute_multiplier: language/runtime overhead multiplier applied
             to every compute cost (1.0 = the paper's C library; >1
             models Pythonic competitor implementations).
@@ -57,7 +60,6 @@ class CostModel:
     t_plain_accum: float
     t_split_bin: float
     cipher_bytes: int
-    plain_bytes: int = 8
     compute_multiplier: float = 1.0
 
     def scaled(self, multiplier: float) -> "CostModel":
@@ -71,10 +73,10 @@ class CostModel:
 
         Enc, Dec and every cipher power (scaling, SMul) are free, an
         HAdd costs one plaintext accumulation and a cipher travels as
-        one plaintext statistic.
+        one plaintext statistic (:data:`PLAIN_BYTES`).
         """
         free = dict.fromkeys(("t_enc", "t_dec", "t_scale", "t_smul", "t_smul_small"), 0.0)
-        plain = {"t_hadd": self.t_plain_accum, "cipher_bytes": self.plain_bytes}
+        plain = {"t_hadd": self.t_plain_accum, "cipher_bytes": PLAIN_BYTES}
         return replace(self, **free, **plain)
 
     # Effective (multiplier-applied) accessors -------------------------

@@ -313,7 +313,7 @@ class ActiveParty(_Party):
                 plain = self.gradients[start:stop], self.hessians[start:stop]
                 n_ciphers = (1 if pair else 2) * (stop - start)
                 channel.send(
-                    CountedCipherPayload(  # repro: allow[PB001]
+                    CountedCipherPayload(
                         ACTIVE,
                         p,
                         stands_for=EncryptedGradHessBatch,
@@ -488,9 +488,8 @@ class ActiveParty(_Party):
                 self.tree.set_leaf_weight(node.node_id, weight)
                 weights[node.node_id] = update[rows] = weight
         for p in self.passive_shapes:
-            # Declared disclosure: leaf weights are part of the published
-            # model (every party needs them for inference, §3.3).
-            # repro: allow[PB001]
+            # The "model" disclosure: leaf weights are part of the
+            # published model (every party needs them for inference, §3.3).
             channel.send(LeafWeightBroadcast(ACTIVE, p, weights=weights))
         self.margins += params.learning_rate * update
         return self.tree

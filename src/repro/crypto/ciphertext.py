@@ -16,13 +16,14 @@ An HAdd or a plaintext addition is one arena product, a scaling or an
 integer SMul one arena power — on libcrypto a Montgomery-form BIGNUM
 product or power, on the ``int`` engine the same integers.  An
 :class:`EncryptedNumber` is a cipher outside a block: what crosses the
-wire, is decrypted, or is loaded into one.
+wire, is decrypted, or is loaded into one — a block loads only the
+ciphers of its own public key.
 
 Every operation is counted once, in the context-local :class:`OpStats`
-— the one op ledger of a run.  The cost model prices it, the ``CR003``
-lint audits it, and ``TrainResult.crypto_stats``, the trainer's
-per-phase ``profile``, ``RunReport.parties``, the golden fingerprints
-and the end-to-end benchmark's oracle are all views of it.
+— the one op ledger of a run.  The cost model prices it, and
+``TrainResult.crypto_stats``, the trainer's per-phase ``profile``,
+``RunReport.parties``, the golden fingerprints and the end-to-end
+benchmark's oracle are all views of it.
 """
 
 from __future__ import annotations
@@ -462,10 +463,21 @@ class Block:
     def __init__(self, context: PaillierContext, arena) -> None:
         self._context = context
         self._arena = arena
+        self._n = context.public_key.n
         self.mark, self.recycle = arena.mark, arena.recycle
 
     def load(self, cipher: EncryptedNumber):
-        """The operand of ``cipher``: its integer as a handle, tagged with its exponent."""
+        """The operand of ``cipher``: its integer as a handle, tagged with its exponent.
+
+        Raises:
+            TypeError: ``cipher`` is under another public key than the
+                block's; ciphers of two keys add to garbage that still
+                decrypts to a number.
+        """
+        if cipher.context.public_key.n != self._n:
+            raise TypeError(
+                "cannot load a cipher under another public key into this block"
+            )
         operand = self._arena.load(cipher.ciphertext)
         operand.exponent = cipher.exponent
         return operand

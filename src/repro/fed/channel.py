@@ -8,14 +8,14 @@ through a :class:`RecordingChannel`, which
   (effectively-once semantics of the paper's queues);
 * accounts every byte per direction and per message type — the input
   for the "3.2 GB -> 1.1 GB per tree" resource-utilization claim;
-* enforces the protocol's privacy ground rule: toward a passive party,
-  a message type that declares no ``disclosure``
-  (:mod:`repro.fed.messages`) may not carry plaintext floats.
+* enforces the protocol's privacy ground rule (§3.2): no message
+  toward a passive party carries plaintext floats.
 
-The guard is **default-deny**: a new message type is rejected when it
-carries floats toward a passive party until it declares, in
-:mod:`repro.fed.messages`, what it discloses — the same declaration
-the static ``PB001`` rule of :mod:`repro.analysis.taint` reads.
+The guard runs on every send of every run.  Two types are exempt:
+:class:`~repro.fed.messages.LeafWeightBroadcast`, whose ``"model"``
+disclosure publishes the leaf weights on purpose, and counted mode's
+:class:`~repro.fed.messages.CountedCipherPayload`, whose plaintext
+stands in for the ciphers it counts.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.fed.messages import Message
+from repro.fed.messages import CountedCipherPayload, Message
 
 __all__ = ["ChannelStats", "PrivacyViolation", "RecordingChannel"]
 
@@ -56,17 +56,11 @@ def _floats_in(value: object) -> bool:
 
 def _carries_floats(message: Message) -> bool:
     """Does any payload field of the message hold plaintext floats?"""
-    if dataclasses.is_dataclass(message):
-        values = (
-            getattr(message, f.name)
-            for f in dataclasses.fields(message)
-            if f.name not in ("sender", "receiver")
-        )
-    else:  # non-dataclass Message subclass (e.g. an ad-hoc test double)
-        values = (
-            v for k, v in vars(message).items() if k not in ("sender", "receiver")
-        )
-    return any(_floats_in(v) for v in values)
+    return any(
+        _floats_in(getattr(message, f.name))
+        for f in dataclasses.fields(message)
+        if f.name not in ("sender", "receiver")
+    )
 
 
 @dataclass
@@ -129,20 +123,19 @@ class RecordingChannel:
         """Enqueue a message after the privacy guard; account its bytes.
 
         Raises:
-            PrivacyViolation: when a message type with no declared
-                ``disclosure`` carries plaintext floats toward a passive
-                party.
+            PrivacyViolation: when a message toward a passive party
+                carries plaintext floats and is neither a ``"model"``
+                disclosure nor a :class:`CountedCipherPayload`.
         """
         if (
             message.receiver != self.active_party
-            and type(message).disclosure is None
+            and message.disclosure != "model"
+            and not isinstance(message, CountedCipherPayload)
             and _carries_floats(message)
         ):
             raise PrivacyViolation(
-                f"undeclared message type {type(message).__name__} carries "
-                f"plaintext floats toward passive party {message.receiver}; "
-                "encrypt the payload or declare its disclosure in "
-                "repro.fed.messages"
+                f"{type(message).__name__} carries plaintext floats toward "
+                f"passive party {message.receiver}; encrypt the payload"
             )
         size = message.payload_bytes(self.key_bits)
         type_name = type(message).__name__

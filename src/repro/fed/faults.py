@@ -37,7 +37,10 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, fields
 
-__all__ = ["FaultPlan", "LaneSlowdown", "PauseWindow"]
+__all__ = ["DELAY_SECONDS", "FaultPlan", "LaneSlowdown", "PauseWindow"]
+
+#: lateness of a delayed message, in simulated seconds
+DELAY_SECONDS = 0.05
 
 
 @dataclass(frozen=True)
@@ -85,8 +88,7 @@ class FaultPlan:
         drop_rate: probability a message transmission attempt is lost.
         duplicate_rate: probability a delivered message arrives twice.
         delay_rate: probability a delivered message is late by
-            ``delay_seconds``.
-        delay_seconds: lateness applied to delayed messages.
+            :data:`DELAY_SECONDS`.
         ack_drop_rate: probability a delivery *ack* is lost (forces a
             resend the receiver must deduplicate).
         pauses: crash-restart windows per party, in simulated seconds
@@ -101,7 +103,6 @@ class FaultPlan:
     drop_rate: float = 0.0
     duplicate_rate: float = 0.0
     delay_rate: float = 0.0
-    delay_seconds: float = 0.05
     ack_drop_rate: float = 0.0
     pauses: tuple[PauseWindow, ...] = ()
     slowdowns: tuple[LaneSlowdown, ...] = ()
@@ -112,8 +113,6 @@ class FaultPlan:
             rate = getattr(self, name)
             if not 0.0 <= rate < 1.0:
                 raise ValueError(f"{name} must be in [0, 1), got {rate!r}")
-        if self.delay_seconds < 0:
-            raise ValueError("delay_seconds must be non-negative")
         if any(t < 0 for t in self.crash_after_trees):
             raise ValueError("crash_after_trees indices must be >= 0")
 
@@ -146,7 +145,7 @@ class FaultPlan:
     ) -> float:
         """Lateness (seconds) of this delivered message; usually 0.0."""
         if self._uniform("delay", sender, receiver, seq, attempt) < self.delay_rate:
-            return self.delay_seconds
+            return DELAY_SECONDS
         return 0.0
 
     def drops_ack(self, sender: int, receiver: int, seq: int, attempt: int) -> bool:
@@ -201,7 +200,6 @@ class FaultPlan:
             "drop_rate": self.drop_rate,
             "duplicate_rate": self.duplicate_rate,
             "delay_rate": self.delay_rate,
-            "delay_seconds": self.delay_seconds,
             "ack_drop_rate": self.ack_drop_rate,
             "pauses": [
                 {"party": w.party, "start": w.start, "end": w.end}

@@ -4,18 +4,18 @@ Every message that crosses the public channel is one of these
 dataclasses.  Each knows its own wire size, so the recording channel
 can account for every byte (the paper reports 3.2 GB -> 1.1 GB per tree
 from histogram packing), and each declares its ``disclosure`` — what a
-passive party learns from it (§3.2).  This is the one place a
-disclosure is written: the channel's privacy guard
-(:class:`~repro.fed.channel.RecordingChannel`) and the static taint
-checker (:mod:`repro.analysis.taint`) both read it.
+passive party learns from it (§3.2).  Every message type is defined
+here; the channel's privacy guard
+(:class:`~repro.fed.channel.RecordingChannel`) refuses a plaintext float
+toward a passive party in all of them but the ``"model"`` disclosure
+and counted mode's :class:`CountedCipherPayload`.
 
 * ``"ciphertext"`` — label statistics that travel only as ciphers;
 * ``"metadata"`` — ids, bin indices, bitmaps and sequence numbers, no
-  label-derived value (the taint checker does not look inside);
+  label-derived value;
 * ``"model"`` — label-derived values published on purpose (leaf
-  weights); every send site still answers to ``PB001``;
-* ``None`` — undeclared: the channel rejects a float payload toward a
-  passive party.
+  weights);
+* ``None`` — the base class only.
 """
 
 from __future__ import annotations
@@ -160,7 +160,8 @@ class CountedCipherPayload(Message):
     counted mode's one shortcut: what the absent ciphers would open to
     (a batch's ``(g, h)`` arrays, or ``node -> Histogram``) at zero
     wire bytes, so the receiver acts on what it received.  Its
-    disclosure is the real message's: ciphertext.
+    disclosure is the real message's: ciphertext, so the channel's
+    guard does not look inside it.
     """
 
     disclosure = "ciphertext"

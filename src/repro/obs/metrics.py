@@ -39,7 +39,7 @@ LATENCY_BUCKETS = (0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0)
 COUNT_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
 
 
-#: default retained-sample cap; high enough that every test/bench
+#: a histogram's retained-sample cap; high enough that every bench
 #: workload in this repository stays below it (quantiles stay exact)
 DEFAULT_MAX_SAMPLES = 65_536
 
@@ -61,30 +61,28 @@ def nearest_rank(values: Iterable[float], q: float) -> float:
 class Histogram:
     """Fixed-bucket histogram with exact quantiles up to a sample cap.
 
+    Below :data:`DEFAULT_MAX_SAMPLES` retained samples every sample is
+    kept and quantiles are exact.  At the cap the retained list is
+    decimated deterministically (every other retained sample is dropped
+    and the keep-stride doubles), so memory stays bounded under
+    sustained serve load while quantiles degrade to a uniform
+    1-in-stride subsample.  ``count``, ``mean`` and ``max`` are tracked
+    exactly forever, and the whole scheme is a pure function of the
+    observation sequence — bit-repeatable, per the repository's
+    determinism contract.
+
     Attributes:
         bounds: ascending bucket upper bounds; one implicit overflow
             bucket sits above the last bound.
-        max_samples: retained-sample bound.  Below it every sample is
-            kept and quantiles are exact.  At the cap the retained list
-            is decimated deterministically (every other retained sample
-            is dropped and the keep-stride doubles), so memory stays
-            bounded under sustained serve load while quantiles degrade
-            to a uniform 1-in-stride subsample.  ``count``, ``mean``
-            and ``max`` are tracked exactly forever, and the whole
-            scheme is a pure function of the observation sequence —
-            bit-repeatable, per the repository's determinism contract.
     """
 
     bounds: tuple[float, ...] = LATENCY_BUCKETS
     counts: list[int] = field(default_factory=list)
     samples: list[float] = field(default_factory=list)
-    max_samples: int = DEFAULT_MAX_SAMPLES
 
     def __post_init__(self) -> None:
         if list(self.bounds) != sorted(self.bounds):
             raise ValueError("bucket bounds must be ascending")
-        if self.max_samples < 2:
-            raise ValueError("max_samples must be at least 2")
         if not self.counts:
             self.counts = [0] * (len(self.bounds) + 1)
         self._stride = 1
@@ -108,7 +106,7 @@ class Histogram:
             self._max = value
         if index % self._stride == 0:
             self.samples.append(value)
-            if len(self.samples) >= self.max_samples:
+            if len(self.samples) >= DEFAULT_MAX_SAMPLES:
                 # Keep arrivals with index % (2 * stride) == 0: the
                 # even positions of the retained list, in order.
                 self.samples = self.samples[::2]
@@ -133,7 +131,7 @@ class Histogram:
     def quantile(self, q: float) -> float:
         """Nearest-rank q-quantile over the retained samples.
 
-        Exact while fewer than ``max_samples`` values have been
+        Exact while fewer than :data:`DEFAULT_MAX_SAMPLES` values have been
         observed; a deterministic uniform subsample beyond that.
         Returns 0.0 when empty.
         """

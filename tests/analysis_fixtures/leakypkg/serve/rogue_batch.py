@@ -1,26 +1,11 @@
-"""Serve-side fixtures: an undeclared batch message and a wall clock.
+"""Serve-side fixture: a wall clock stamping a micro-batch.
 
-``UndeclaredAnswerBatch`` is a :class:`~repro.fed.messages.Message`
-subclass minted inside a serving module instead of being registered in
-``repro.fed.messages`` with a declared disclosure — PB002 must fire.
 ``stamp_batch`` reads the wall clock inside ``serve/`` — DET001 must
 fire, proving the determinism scope covers the serving subsystem.
 """
 
 import time
-from dataclasses import dataclass, field
-
-from repro.fed.messages import Message
 
 
-@dataclass
-class UndeclaredAnswerBatch(Message):
-    batch_id: int = 0
-    margins: list = field(default_factory=list)
-
-    def payload_bytes(self, key_bits: int) -> int:
-        return 16 + 8 * len(self.margins)
-
-
-def stamp_batch(batch: UndeclaredAnswerBatch) -> float:
+def stamp_batch(batch: list) -> float:
     return time.time()

@@ -1,6 +1,6 @@
 """SUP001 fixture: a suppression whose rule never fires here."""
 
-N_BINS = 16  # repro: allow[PB001]
+N_BINS = 16  # repro: allow[DET002]
 
 
 def histogram_width(n_features: int) -> int:

@@ -28,38 +28,30 @@ def strict_run():
     """One ``python -m repro.analysis --strict`` run, shared by every test.
 
     ``main`` runs as the CLI does, timed, its output captured; the
-    reporter it gated on and the first index it parsed (the ``repro``
-    package) are recorded on the way.  Returns ``exit_code``,
-    ``output``, ``seconds``, ``reporter`` and ``index``.
+    reporter it gated on is recorded on the way.  Returns
+    ``exit_code``, ``output``, ``seconds`` and ``reporter``.
     """
     from repro.analysis import cli
 
-    seen: dict = {}
+    reporters = []
+    run_analysis = cli.run_analysis
 
-    def recording(key, fn):
-        def wrapper(*args, **kwargs):
-            result = fn(*args, **kwargs)
-            seen.setdefault(key, result)
-            return result
-
-        return wrapper
+    def recording(*args, **kwargs):
+        reporters.append(run_analysis(*args, **kwargs))
+        return reporters[-1]
 
     output = io.StringIO()
     with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(output):
-        patch.setattr(cli, "run_analysis", recording("reporter", cli.run_analysis))
-        patch.setattr(cli, "PackageIndex", recording("index", cli.PackageIndex))
+        patch.setattr(cli, "run_analysis", recording)
         t0 = time.perf_counter()
         exit_code = cli.main(["--strict"])
         seconds = time.perf_counter() - t0
     return SimpleNamespace(
-        exit_code=exit_code, output=output.getvalue(), seconds=seconds, **seen
+        exit_code=exit_code,
+        output=output.getvalue(),
+        seconds=seconds,
+        reporter=reporters[0],
     )
-
-
-@pytest.fixture(scope="session")
-def repo_index(strict_run):
-    """The ``repro`` package as the strict run parsed it."""
-    return strict_run.index
 
 
 @pytest.fixture(scope="session")

@@ -9,6 +9,7 @@ import pytest
 from repro import cli
 from repro.bench.calibrate import (
     DEFAULT_TOLERANCES,
+    TIMED_PASSES,
     UNIT_COST_FIELDS,
     CalibrationProfile,
     calibrate,
@@ -84,8 +85,9 @@ class TestOnePass:
 
         monkeypatch.setattr(PaillierPrivateKey, "raw_decrypt", spy)
         report = crypto_throughputs(key_bits=256, samples=8, timer=FakeTimer())
-        assert seen[:16] == [False] * 8 + [True] * 8
-        assert not any(seen[16:])
+        rows = 8 * (1 + TIMED_PASSES)  # a warm-up pass and the timed ones
+        assert seen[: 2 * rows] == [False] * rows + [True] * rows
+        assert not any(seen[2 * rows :])
         assert report.dec_one_prime > 0
 
     def test_one_key_per_calibration(self, monkeypatch):

@@ -5,7 +5,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
-from repro.analysis.taint import TaintChecker
 from repro.crypto.ciphertext import PaillierContext
 from repro.fed import messages
 from repro.fed.channel import PrivacyViolation, RecordingChannel
@@ -150,21 +149,13 @@ class TestChannelAccounting:
 class TestPrivacyGuard:
     def test_label_derived_plaintext_to_passive_rejected(self):
         channel = RecordingChannel(256, active_party=0)
-
-        class LeakyBatch(EncryptedGradHessBatch):
-            disclosure = None
-
-        with pytest.raises(PrivacyViolation):
-            channel.send(LeakyBatch(0, 1, grads=[0.5], hesses=[0.25]))
+        with pytest.raises(PrivacyViolation, match="EncryptedGradHessBatch"):
+            channel.send(EncryptedGradHessBatch(0, 1, grads=[0.5], hesses=[0.25]))
 
     def test_same_message_to_active_party_allowed(self):
         channel = RecordingChannel(256, active_party=0)
-
-        class LeakyHist(PackedHistogramMessage):
-            disclosure = None
-
         # Toward the label holder itself, plaintext is fine.
-        channel.send(LeakyHist(1, 0, packed={0: [0.5]}))
+        channel.send(PackedHistogramMessage(1, 0, packed={0: [0.5]}))
 
     def test_ciphertext_messages_pass(self):
         channel = RecordingChannel(256)
@@ -207,12 +198,12 @@ class _NestedLeak(Message):
 
 
 class TestDefaultDeny:
-    """Unrecognized message types carrying floats are rejected by default."""
+    """Message types defined elsewhere meet the same guard."""
 
     def test_undeclared_float_message_to_passive_rejected(self):
         channel = RecordingChannel(256, active_party=0)
         message = _ResidualDump(0, 1, residuals=np.asarray([0.25, -0.5]))
-        with pytest.raises(PrivacyViolation, match="undeclared"):
+        with pytest.raises(PrivacyViolation, match="_ResidualDump carries plaintext floats"):
             channel.send(message)
 
     def test_undeclared_float_message_to_active_allowed(self):
@@ -232,7 +223,7 @@ class TestDefaultDeny:
             channel.send(message)
 
     def test_declared_disclosure_still_allowed(self):
-        # LeafWeightBroadcast carries floats but is a declared disclosure
+        # LeafWeightBroadcast carries floats but is the "model" disclosure
         # (the published model); it must keep flowing.
         channel = RecordingChannel(256, active_party=0)
         channel.send(LeafWeightBroadcast(0, 1, weights={1: 0.5}))
@@ -244,25 +235,30 @@ class TestDefaultDeny:
         assert channel.pending(0, 1) == 1
 
 
+#: toward a passive party, a plaintext float is refused...
+REFUSED = ("accept",) * 3 + ("reject",)
+#: ...but in the two types that carry one on purpose
+PUBLISHED = ("accept",) * 4
+
 #: every message type with a payload holding a plaintext float, and the
 #: guard's (toward B, toward B + float, toward A, toward A + float)
-#: outcomes; ``_ResidualDump`` is the undeclared control
+#: outcomes; ``_ResidualDump`` is a type defined outside the module
 GUARD_TABLE = [
-    (EncryptedGradHessBatch, {"grads": [0.5]}, ("accept",) * 4),
-    (EncryptedHistogramMessage, {"histograms": {0: ([[0.5]], [[0.5]])}}, ("accept",) * 4),
-    (PackedHistogramMessage, {"packed": {0: [0.5]}}, ("accept",) * 4),
-    (CountedCipherPayload, {"opens_to": [0.5]}, ("accept",) * 4),
-    (SplitDecision, {"bin_flat_index": 0.5}, ("accept",) * 4),
-    (SplitQuery, {"bin_flat_index": 0.5}, ("accept",) * 4),
-    (SplitAnswer, {"placement": np.asarray([0.5])}, ("accept",) * 4),
-    (InstancePlacement, {"placement": np.asarray([0.5])}, ("accept",) * 4),
-    (RouteQuery, {"instance_ids": np.asarray([0.5])}, ("accept",) * 4),
-    (RouteAnswer, {"goes_left": np.asarray([0.5])}, ("accept",) * 4),
-    (RouteQueryBatch, {"items": [(0, 0, np.asarray([0.5]))]}, ("accept",) * 4),
-    (RouteAnswerBatch, {"items": [(0, 0, np.asarray([0.5]))]}, ("accept",) * 4),
-    (Ack, {"acked_seq": 0.5}, ("accept",) * 4),
-    (LeafWeightBroadcast, {"weights": {1: 0.5}}, ("accept",) * 4),
-    (_ResidualDump, {"residuals": np.asarray([0.5])}, ("accept",) * 3 + ("reject",)),
+    (EncryptedGradHessBatch, {"grads": [0.5]}, REFUSED),
+    (EncryptedHistogramMessage, {"histograms": {0: ([[0.5]], [[0.5]])}}, REFUSED),
+    (PackedHistogramMessage, {"packed": {0: [0.5]}}, REFUSED),
+    (CountedCipherPayload, {"opens_to": [0.5]}, PUBLISHED),
+    (SplitDecision, {"bin_flat_index": 0.5}, REFUSED),
+    (SplitQuery, {"bin_flat_index": 0.5}, REFUSED),
+    (SplitAnswer, {"placement": np.asarray([0.5])}, REFUSED),
+    (InstancePlacement, {"placement": np.asarray([0.5])}, REFUSED),
+    (RouteQuery, {"instance_ids": np.asarray([0.5])}, REFUSED),
+    (RouteAnswer, {"goes_left": np.asarray([0.5])}, REFUSED),
+    (RouteQueryBatch, {"items": [(0, 0, np.asarray([0.5]))]}, REFUSED),
+    (RouteAnswerBatch, {"items": [(0, 0, np.asarray([0.5]))]}, REFUSED),
+    (Ack, {"acked_seq": 0.5}, REFUSED),
+    (LeafWeightBroadcast, {"weights": {1: 0.5}}, PUBLISHED),
+    (_ResidualDump, {"residuals": np.asarray([0.5])}, REFUSED),
 ]
 
 
@@ -314,26 +310,9 @@ class TestOneDeclaration:
             assert cls.disclosure in (None, "ciphertext", "metadata", "model")
             assert (cls.disclosure is None) == (cls is Message), cls.__name__
 
-    @pytest.mark.parametrize(
-        "cls, float_payload", [row[:2] for row in GUARD_TABLE], ids=_TABLE_IDS
-    )
-    def test_float_toward_passive_accepted_exactly_when_declared(self, cls, float_payload):
-        undeclared = type(f"Undeclared{cls.__name__}", (cls,), {"disclosure": None})
-        for variant in (cls, undeclared):
-            message = variant(0, 1, **_REQUIRED.get(cls, {}), **float_payload)
-            outcome = _guard_outcome(message)
-            assert (outcome == "accept") == (variant.disclosure is not None), variant
-
-    def test_taint_exempts_exactly_the_metadata_classes(self, repo_index):
-        metadata = {cls.__name__ for cls in self.CLASSES if cls.disclosure == "metadata"}
-        assert TaintChecker(repo_index).exempt == metadata == {
-            "SplitDecision",
-            "SplitQuery",
-            "SplitAnswer",
-            "InstancePlacement",
-            "RouteQuery",
-            "RouteAnswer",
-            "RouteQueryBatch",
-            "RouteAnswerBatch",
-            "Ack",
-        }
+    def test_guard_exempts_exactly_the_published_types(self):
+        # The one guard of §3.2's rule: every other type refuses a
+        # plaintext float toward a passive party (test_guard_outcome_table
+        # sends one in each).
+        published = {row[0] for row in GUARD_TABLE if row[2] == PUBLISHED}
+        assert published == {LeafWeightBroadcast, CountedCipherPayload}

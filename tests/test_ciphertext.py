@@ -260,6 +260,20 @@ class TestMisuseRaises:
             powers = ["powmod"] * 4 if engine == "python" else []
             assert choke_calls == powers + ["invert", "powmod"] * 2
 
+    def test_a_block_loads_no_cipher_of_another_key(self, context, engines):
+        # Ciphers under two keys add to garbage that still decrypts to a
+        # number: the block refuses the foreign one before any op counts.
+        foreign = PaillierContext.create(256, seed=99).encrypt(1.0)
+        own = context.encrypt(1.0)
+        for engine in engines():
+            before = context.stats.snapshot()
+            for ctx in (context, context.public_context()):
+                with ctx.resident() as block:
+                    block.load(own)
+                    with pytest.raises(TypeError, match="another public key"):
+                        block.load(foreign)
+            assert context.stats.diff(before) == OpStats(), engine
+
     def test_one_block_holds_operands_of_every_exponent(self, context):
         # each operand carries its exponent: an HAdd aligns them in any block
         low, high = context.encrypt(1.0, exponent=8), context.encrypt(2.0, exponent=9)

@@ -86,7 +86,7 @@ class TestFaultPlan:
             {"drop_rate": 1.0},
             {"duplicate_rate": 1.5},
             {"ack_drop_rate": -1e-9},
-            {"delay_seconds": -0.5},
+            {"delay_rate": 1.0},
             {"crash_after_trees": (-1,)},
         ],
     )
@@ -122,7 +122,6 @@ class TestFaultPlan:
             drop_rate=0.1,
             duplicate_rate=0.2,
             delay_rate=0.05,
-            delay_seconds=0.3,
             ack_drop_rate=0.15,
             pauses=(PauseWindow(party=1, start=0.5, end=1.5),),
             slowdowns=(LaneSlowdown("A1", 2.5),),
@@ -134,6 +133,10 @@ class TestFaultPlan:
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ValueError, match="unknown FaultPlan fields"):
             FaultPlan.from_dict({"seed": 1, "jitter_rate": 0.5})
+        # a plan saved while the delay was a field: the field is gone
+        old = {**FaultPlan(delay_rate=0.1).to_dict(), "delay_seconds": 0.05}
+        with pytest.raises(ValueError, match="delay_seconds"):
+            FaultPlan.from_dict(old)
 
     def test_is_null_and_describe(self):
         assert FaultPlan().is_null

@@ -317,3 +317,51 @@ class TestEngine:
                 if any(name.split(".")[0] == "ctypes" for name in names):
                     importers.add(path.relative_to(package).as_posix())
         assert importers == {"crypto/math_utils.py"}
+
+    def test_only_math_utils_calls_three_argument_pow(self):
+        # The powmod choke point the tracer and choke_calls wrap by name.
+        crypto = Path(math_utils.__file__).parent
+        callers = {
+            path.name
+            for path in crypto.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "pow"
+            and len(node.args) == 3
+        }
+        assert callers == {"math_utils.py"}
+
+    def test_raw_layer_and_cipher_construction_stay_in_crypto(self):
+        # A raw_* op or a hand-built EncryptedNumber skips the align-scale
+        # path and the OpStats ledger; only crypto/ may use them.
+        package = Path(math_utils.__file__).parents[1]
+        repo = package.parents[1]
+        callers = set()
+        for tree in (package, repo / "benchmarks", repo / "examples"):
+            for path in tree.rglob("*.py"):
+                for node in ast.walk(ast.parse(path.read_text())):
+                    func = getattr(node, "func", None)
+                    name = getattr(func, "attr", getattr(func, "id", ""))
+                    if name.startswith("raw_") or name == "EncryptedNumber":
+                        callers.add(path.parent)
+        assert callers == {package / "crypto"}
+
+    def test_every_message_type_is_defined_in_messages(self):
+        # The channel's guard and the disclosure declarations cover the
+        # types of repro.fed.messages; a type minted elsewhere escapes review.
+        import importlib
+        import pkgutil
+
+        import repro
+        from repro.fed.messages import Message
+
+        for module in pkgutil.walk_packages(repro.__path__, "repro."):
+            if not module.name.endswith("__main__"):
+                importlib.import_module(module.name)
+        types, strays = [Message], set()
+        while types:
+            for cls in types.pop().__subclasses__():
+                types.append(cls)
+                if cls.__module__.startswith("repro.") and cls.__module__ != "repro.fed.messages":
+                    strays.add(f"{cls.__module__}.{cls.__qualname__}")
+        assert not strays

@@ -20,6 +20,7 @@ from repro.fed.cluster import PAPER_CLUSTER
 from repro.fed.messages import CountedCipherPayload, PackedHistogramMessage, SplitQuery
 from repro.fed.simtime import SimEngine
 from repro.gbdt.params import GBDTParams
+from repro.obs import metrics
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.report import RunReport, channel_report
 from repro.obs.trace_export import chrome_trace, dumps_chrome_trace
@@ -78,20 +79,26 @@ class TestHistogram:
 
 
 class TestHistogramCap:
-    def test_below_cap_everything_is_exact(self):
-        capped = Histogram(bounds=(10.0,), max_samples=8)
-        uncapped = Histogram(bounds=(10.0,))
-        for v in (3.0, 1.0, 7.0, 5.0):
-            capped.observe(v)
-            uncapped.observe(v)
-        assert capped.stride == 1
-        assert capped.count == uncapped.count
-        assert capped.mean() == uncapped.mean()
-        assert capped.quantile(0.5) == uncapped.quantile(0.5)
-        assert capped.snapshot() == uncapped.snapshot()
+    """Decimation at the sample cap, with the cap lowered to a few samples."""
 
-    def test_decimation_doubles_stride_and_bounds_memory(self):
-        h = Histogram(bounds=(1000.0,), max_samples=8)
+    @staticmethod
+    def capped(monkeypatch, cap, bounds):
+        monkeypatch.setattr(metrics, "DEFAULT_MAX_SAMPLES", cap)
+        return Histogram(bounds=bounds)
+
+    def test_below_cap_everything_is_exact(self, monkeypatch):
+        values = (3.0, 1.0, 7.0, 5.0)
+        exact = Histogram(bounds=(10.0,))
+        capped = self.capped(monkeypatch, 8, (10.0,))
+        for v in values:
+            capped.observe(v)
+            exact.observe(v)
+        assert capped.stride == 1
+        assert capped.samples == list(values)
+        assert capped.snapshot() == exact.snapshot()
+
+    def test_decimation_doubles_stride_and_bounds_memory(self, monkeypatch):
+        h = self.capped(monkeypatch, 8, (1000.0,))
         for i in range(64):
             h.observe(float(i))
         assert h.count == 64
@@ -100,35 +107,34 @@ class TestHistogramCap:
         # Retained samples are the index % stride == 0 arrivals.
         assert h.samples == [float(i) for i in range(64) if i % h.stride == 0]
 
-    def test_exact_stats_survive_decimation(self):
-        h = Histogram(bounds=(1000.0,), max_samples=4)
+    def test_exact_stats_survive_decimation(self, monkeypatch):
+        h = self.capped(monkeypatch, 4, (1000.0,))
         values = [float(v) for v in (5, 1, 9, 2, 8, 3, 7, 4, 6, 10)]
         for v in values:
             h.observe(v)
+        assert h.stride > 1
         assert h.count == len(values)
         assert h.mean() == pytest.approx(sum(values) / len(values))
         assert h.snapshot()["max"] == 10.0  # max is tracked exactly forever
         assert sum(h.counts) == len(values)  # buckets are never decimated
 
-    def test_decimation_is_deterministic(self):
+    def test_decimation_is_deterministic(self, monkeypatch):
         def run():
-            h = Histogram(bounds=(100.0,), max_samples=4)
+            h = self.capped(monkeypatch, 4, (100.0,))
             for i in range(50):
                 h.observe(float(i % 13))
             return h.samples, h.stride, h.snapshot()
 
         assert run() == run()
+        assert run()[1] > 1
 
-    def test_quantile_degrades_to_subsample_not_garbage(self):
-        h = Histogram(bounds=(1e9,), max_samples=16)
+    def test_quantile_degrades_to_subsample_not_garbage(self, monkeypatch):
+        h = self.capped(monkeypatch, 16, (1e9,))
         for i in range(1000):
             h.observe(float(i))
+        assert h.stride > 1
         # The subsampled median stays within a stride of the true one.
         assert abs(h.quantile(0.5) - 499.5) <= 2 * h.stride
-
-    def test_cap_below_two_rejected(self):
-        with pytest.raises(ValueError):
-            Histogram(max_samples=1)
 
 
 class TestTracer:

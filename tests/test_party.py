@@ -147,8 +147,7 @@ def test_faulted_resumed_fit_equals_the_parent_commit(recorded, tmp_path):
 
 
 def test_every_wire_type_is_declared(recorded):
-    # A type on the wire that declares nothing would be refused toward
-    # a passive party the moment it carried a float.
+    # Every type on the wire is one of repro.fed.messages' declared types.
     for key, sweep in recorded.items():
         for type_name in sweep["ledger"]:
             assert getattr(messages, type_name).disclosure is not None, (key, type_name)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import cryptolint, determinism, schedule, taint
+from repro.analysis import determinism, schedule
 from repro.analysis.astutils import PackageIndex
 from repro.analysis.cli import main, run_analysis
 from repro.analysis.findings import Finding, Reporter, Severity, parse_suppressions
@@ -20,24 +20,17 @@ FIXTURES = Path(__file__).parent / "analysis_fixtures" / "leakypkg"
 
 #: (rule id, fixture file the rule must fire in)
 EXPECTED_RULES = [
-    ("PB001", "leakypkg/fed/leaky.py"),
-    ("PB002", "leakypkg/fed/rogue.py"),
-    ("PB002", "leakypkg/serve/rogue_batch.py"),
     ("DET001", "leakypkg/serve/rogue_batch.py"),
     ("DET001", "leakypkg/serve/fleet_shed.py"),
     ("DET001", "leakypkg/obs/clocky.py"),
     ("DET001", "leakypkg/obs/whatif_clock.py"),
     ("DET001", "leakypkg/obs/alert_clock.py"),
     ("DET001", "leakypkg/bench/stale_profile.py"),
-    ("CR001", "leakypkg/crosskey.py"),
-    ("CR002", "leakypkg/crosskey.py"),
-    ("CR003", "leakypkg/crypto/ciphertext.py"),
     ("DET001", "leakypkg/fed/clock.py"),
     ("DET002", "leakypkg/fed/clock.py"),
     ("DET003", "leakypkg/fed/clock.py"),
     ("DET001", "leakypkg/fed/clockplan.py"),
     ("DET002", "leakypkg/fed/clockplan.py"),
-    ("CR105", "leakypkg/crypto/raw_pow.py"),
     ("SUP001", "leakypkg/unused_allow.py"),
 ]
 
@@ -71,12 +64,6 @@ class TestRulesFire:
         assert {f.rule_id for f in fixture_reporter.findings} == {
             rule for rule, _ in EXPECTED_RULES
         }
-
-    def test_counted_crypto_function_not_flagged(self, fixture_reporter):
-        # counted_add bumps self.stats.additions; only silent_add fires.
-        cr3 = [f for f in fixture_reporter.findings if f.rule_id == "CR003"]
-        assert len(cr3) == 1
-        assert "silent_add" in cr3[0].message
 
     def test_strict_cli_rejects_fixture_package(self, capsys):
         rc = main(
@@ -260,5 +247,4 @@ class TestRepoGate:
             ("DET001", "benchmarks/e2e/tracing.py"): 2,
             ("DET001", "examples/crypto_tour.py"): 8,
             ("DET001", "repro/bench/calibrate.py"): 2,
-            ("PB001", "repro/core/party.py"): 2,  # leaf broadcast, opens_to
         }
