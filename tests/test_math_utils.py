@@ -3,6 +3,7 @@
 import ast
 import contextlib
 import ctypes
+import gc
 import itertools
 import math
 import random
@@ -346,6 +347,18 @@ class TestEngine:
                         callers.add(path.parent)
         assert callers == {package / "crypto"}
 
+    @staticmethod
+    def _message_types_outside_messages() -> set:
+        from repro.fed.messages import Message
+
+        types, strays = [Message], set()
+        while types:
+            for cls in types.pop().__subclasses__():
+                types.append(cls)
+                if cls.__module__.startswith("repro.") and cls.__module__ != "repro.fed.messages":
+                    strays.add(f"{cls.__module__}.{cls.__qualname__}")
+        return strays
+
     def test_every_message_type_is_defined_in_messages(self):
         # The channel's guard and the disclosure declarations cover the
         # types of repro.fed.messages; a type minted elsewhere escapes review.
@@ -353,15 +366,26 @@ class TestEngine:
         import pkgutil
 
         import repro
-        from repro.fed.messages import Message
 
         for module in pkgutil.walk_packages(repro.__path__, "repro."):
             if not module.name.endswith("__main__"):
                 importlib.import_module(module.name)
-        types, strays = [Message], set()
-        while types:
-            for cls in types.pop().__subclasses__():
-                types.append(cls)
-                if cls.__module__.startswith("repro.") and cls.__module__ != "repro.fed.messages":
-                    strays.add(f"{cls.__module__}.{cls.__qualname__}")
-        assert not strays
+        assert not self._message_types_outside_messages()
+
+    def _assert_minted_type_found(self, module: str, name: str) -> None:
+        from repro.fed.messages import Message
+
+        rogue = type(name, (Message,), {"__module__": module})
+        try:
+            assert self._message_types_outside_messages() == {f"{module}.{name}"}
+        finally:
+            # __subclasses__ holds weak references: collect the seeded type
+            # so no later walk sees it.
+            del rogue
+            gc.collect()
+
+    def test_a_message_type_minted_in_fed_is_found(self):
+        self._assert_minted_type_found("repro.fed.rogue", "RogueReport")
+
+    def test_a_message_type_minted_in_serve_is_found(self):
+        self._assert_minted_type_found("repro.serve.rogue_batch", "UndeclaredAnswerBatch")
