@@ -42,9 +42,9 @@ checkpointing and resume; ``faults`` sweeps fault rates and verifies
 the fault-free model is reproduced bit-exactly at every point.
 ``events`` filters and pretty-prints a flight-recorder stream (an
 ``--events-out`` JSONL or the ``events`` field of a saved RunReport);
-``incidents`` lists, shows and diffs the post-mortem bundles a
+``incidents`` lists, shows and diffs the post-mortem reports a
 failure drops into ``--incident-dir`` (``--smoke`` runs a tiny
-crash-and-resume training job end to end and checks the bundle it
+crash-and-resume training job end to end and checks the incident it
 produces — the tier-1 wiring).
 """
 
@@ -345,7 +345,7 @@ def _bench_gate_main(argv: list[str]) -> int:
     parser.add_argument(
         "--incident-dir",
         default=None,
-        help="on regression, drop a bench_regression post-mortem bundle "
+        help="on regression, drop a bench_regression post-mortem report "
         "(verdict events + failure context) into this directory",
     )
     parser.add_argument(
@@ -412,7 +412,7 @@ def _bench_gate_main(argv: list[str]) -> int:
 
             log = EventLog()
             gate_events(result, log)
-            bundle = snapshot_incident(
+            report = snapshot_incident(
                 "bench_regression",
                 label=args.db,
                 event_log=log,
@@ -430,9 +430,9 @@ def _bench_gate_main(argv: list[str]) -> int:
                     "explanation": explanation,
                 },
             )
-            path = IncidentStore(args.incident_dir).save(bundle)
+            path = IncidentStore(args.incident_dir).save(report)
             print(
-                f"wrote incident bundle {path}",
+                f"wrote incident {path}",
                 file=sys.stderr if args.json else sys.stdout,
             )
         print(
@@ -582,7 +582,7 @@ def _train_main(argv: list[str]) -> int:
     parser.add_argument(
         "--incident-dir",
         default=None,
-        help="drop post-mortem bundles (crashes, fault recoveries) here; "
+        help="drop post-mortem reports (crashes, fault recoveries) here; "
         "inspect them with 'repro incidents'",
     )
     parser.add_argument(
@@ -629,7 +629,7 @@ def _train_main(argv: list[str]) -> int:
         )
     if result.incidents:
         print(
-            f"incidents: {len(result.incidents)} bundle(s) in "
+            f"incidents: {len(result.incidents)} report(s) in "
             f"{args.incident_dir} (inspect with 'repro incidents list "
             f"--dir {args.incident_dir}')"
         )
@@ -818,7 +818,7 @@ def _events_main(argv: list[str]) -> int:
 
 
 def _incidents_smoke(json_out: bool = False) -> int:
-    """A tiny crash-and-resume training job must drop a valid bundle."""
+    """A tiny crash-and-resume training job must drop a valid incident."""
     import json
     import os
     import tempfile
@@ -849,29 +849,29 @@ def _incidents_smoke(json_out: bool = False) -> int:
         paths = store.paths()
         failures = []
         if not result.incidents or not paths:
-            failures.append("no incident bundle was written")
+            failures.append("no incident was written")
         else:
             first = store.load(1)
             reloaded = store.load(os.path.basename(paths[0]))
             if first.kind != "training_interrupted":
                 failures.append(
-                    f"first bundle kind {first.kind!r}, expected "
+                    f"first incident kind {first.kind!r}, expected "
                     "'training_interrupted'"
                 )
             if first.fingerprint() != reloaded.fingerprint():
-                failures.append("bundle fingerprint changed across reload")
+                failures.append("incident fingerprint changed across reload")
             if not first.events:
-                failures.append("crash bundle captured no events")
+                failures.append("crash incident captured no events")
         summary = {
             "ok": not failures,
-            "bundles": [os.path.basename(path) for path in paths],
+            "incidents": [os.path.basename(path) for path in paths],
             "failures": failures,
         }
     if json_out:
         print(json.dumps(summary, indent=1, sort_keys=True))
     else:
-        for name in summary["bundles"]:
-            print(f"bundle: {name}")
+        for name in summary["incidents"]:
+            print(f"incident: {name}")
         print("incident smoke " + ("OK" if summary["ok"] else "FAILED"))
     if failures:
         for failure in failures:
@@ -881,15 +881,16 @@ def _incidents_smoke(json_out: bool = False) -> int:
 
 
 def _incidents_main(argv: list[str]) -> int:
-    """``repro incidents``: list/show/diff post-mortem bundles."""
+    """``repro incidents``: list/show/diff post-mortem reports."""
     import json
 
-    from repro.obs.incident import IncidentStore, diff_bundles
+    from repro.obs.forensics import diff_reports
+    from repro.obs.incident import IncidentStore
 
     parser = argparse.ArgumentParser(
         prog="repro incidents",
         description=(
-            "Inspect the post-mortem bundles a failure drops into "
+            "Inspect the post-mortem reports a failure drops into "
             "--incident-dir: list them, show one, or diff two."
         ),
     )
@@ -903,7 +904,7 @@ def _incidents_main(argv: list[str]) -> int:
     parser.add_argument(
         "refs",
         nargs="*",
-        help="bundle references: 1-based index, file name, or path",
+        help="incident references: 1-based index, file name, or path",
     )
     parser.add_argument(
         "--dir",
@@ -914,7 +915,7 @@ def _incidents_main(argv: list[str]) -> int:
         "--smoke",
         action="store_true",
         help="run a tiny crash-and-resume training job and verify the "
-        "bundle it produces (tier-1 wiring); ignores action/refs",
+        "incident it produces (tier-1 wiring); ignores action/refs",
     )
     parser.add_argument("--json", action="store_true", help="JSON output")
     args = parser.parse_args(argv)
@@ -933,35 +934,36 @@ def _incidents_main(argv: list[str]) -> int:
             print(json.dumps(rows, indent=1, sort_keys=True))
             return 0
         if not rows:
-            print(f"no incident bundles in {args.dir}")
+            print(f"no incidents in {args.dir}")
             return 0
         for index, row in enumerate(rows, start=1):
             label = f" [{row['label']}]" if row["label"] else ""
             print(
                 f"{index:>3}  {row['kind']:<22}{label} t={row['time']:.3f}s "
-                f"events={row['events']} open_alerts={row['open_alerts']} "
-                f"fp={row['fingerprint']}  {row['file']}"
+                f"events={row['events']} fp={row['fingerprint']}  {row['file']}"
             )
         return 0
     if args.action == "show":
         if len(args.refs) != 1:
-            print("error: show takes exactly one bundle reference",
+            print("error: show takes exactly one incident reference",
                   file=sys.stderr)
             return 2
         try:
-            bundle = store.load(args.refs[0])
+            report = store.load(args.refs[0])
         except (LookupError, OSError, ValueError) as error:
             print(f"error: {error}", file=sys.stderr)
             return 1
         if args.json:
-            print(bundle.to_json())
+            print(report.to_json())
         else:
-            print(bundle.headline())
-            for key, value in sorted(bundle.context.items()):
+            label = f" [{report.label}]" if report.label else ""
+            print(
+                f"{report.kind}{label} — {len(report.events)} events, "
+                f"fingerprint {report.fingerprint()}"
+            )
+            for key, value in sorted(report.context.items()):
                 print(f"  context.{key}: {value}")
-            for episode in bundle.open_alerts:
-                print(f"  open alert: {episode.get('rule', '?')}")
-            for record in bundle.events[-10:]:
+            for record in report.events[-10:]:
                 print(
                     f"  {record.get('time', 0.0):>10.3f}s "
                     f"{record.get('subsystem', ''):<14} "
@@ -970,7 +972,7 @@ def _incidents_main(argv: list[str]) -> int:
         return 0
     # diff
     if len(args.refs) != 2:
-        print("error: diff takes exactly two bundle references",
+        print("error: diff takes exactly two incident references",
               file=sys.stderr)
         return 2
     try:
@@ -979,11 +981,12 @@ def _incidents_main(argv: list[str]) -> int:
     except (LookupError, OSError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
-    lines = diff_bundles(left, right)
+    diff = diff_reports(left, right)
     if args.json:
-        print(json.dumps({"diff": lines}, indent=1, sort_keys=True))
+        print(json.dumps(diff.to_dict(), indent=1, sort_keys=True))
     else:
-        for line in lines:
+        print(f"{left.kind} -> {right.kind}")
+        for line in diff.lines():
             print(line)
     return 0
 
@@ -1049,7 +1052,7 @@ def main(argv: list[str] | None = None) -> int:
         print("  train       train on synthetic data (faults, checkpoints)")
         print("  faults      recovery-cost sweep + model-identity check")
         print("  events      filter/pretty-print a flight-recorder stream")
-        print("  incidents   list/show/diff post-mortem bundles")
+        print("  incidents   list/show/diff post-mortem reports")
         return 0
     if "all" in requested:
         requested = list(EXPERIMENTS)

@@ -10,7 +10,7 @@ Paillier operation, ``"counted"`` runs the same messages on plaintext,
 each sized as the real one, byte for byte — the protocol is lossless, so
 the model is bit-identical) and pumps their steps phase by phase.  It owns
 what no party does: the phase seam (:meth:`_phase`), events,
-checkpoints and resume, incident bundles, and the :class:`TraceLog` —
+checkpoints and resume, incident reports, and the :class:`TraceLog` —
 which party won each node, which nodes the optimistic strategy would
 have dirtied, instance counts — that the scheduler prices.
 """
@@ -135,7 +135,7 @@ class TrainResult:
             (:meth:`~repro.obs.events.EventLog.to_dicts`) — phase,
             tree, checkpoint and crash transitions interleaved with the
             reliable channel's fault events.
-        incidents: paths of incident bundles snapshotted during the
+        incidents: paths of incident reports snapshotted during the
             run (crash post-mortems, fault-recovery summaries), in
             creation order.  Populated only when the trainer was given
             an ``incident_dir``.
@@ -191,7 +191,6 @@ class _Run:
     channel: RecordingChannel | ReliableChannel
     active: ActiveParty
     passives: dict[int, PassiveParty]
-    fault_plan: FaultPlan | None
     profile: dict = field(default_factory=dict)
 
     @property
@@ -219,9 +218,10 @@ class FederatedTrainer:
             no crypto ops, so golden op counts are untouched.
         incident_dir: when set, a crash
             (:class:`TrainingInterrupted`) and a survivable-fault
-            recovery each snapshot an
-            :class:`~repro.obs.incident.IncidentBundle` into this
-            directory; paths ride on :attr:`TrainResult.incidents`.
+            recovery each snapshot an incident
+            :class:`~repro.obs.report.RunReport`
+            (:mod:`repro.obs.incident`) into this directory; paths
+            ride on :attr:`TrainResult.incidents`.
 
     Example:
         >>> config = VF2BoostConfig.vf2boost(crypto_mode="counted")
@@ -263,20 +263,20 @@ class FederatedTrainer:
         self.events.emit(run.clock, "trainer", kind, **payload)
 
     def _snapshot_incident(self, run: _Run, kind: str, context: dict) -> None:
-        """Save one post-mortem bundle into ``incident_dir``."""
+        """Save one post-mortem report into ``incident_dir``."""
         from repro.obs.incident import IncidentStore, snapshot_incident
 
-        bundle = snapshot_incident(
+        # Both triggers fire only on the reliable channel of a fault plan.
+        report = snapshot_incident(
             kind,
             time=run.clock,
             event_log=self.events,
             profile=run.profile,
             channel=run.channel,
-            fault_plan=run.fault_plan,
+            faults=run.channel.summary(),
             context=context,
         )
-        store = IncidentStore(self.incident_dir)
-        self.incidents.append(store.save(bundle))
+        self.incidents.append(IncidentStore(self.incident_dir).save(report))
 
     # ------------------------------------------------------------------
     # Public API
@@ -342,7 +342,7 @@ class FederatedTrainer:
                 channel, plan=fault_plan, policy=retry_policy, event_log=self.events
             )
         active, passives = make_parties(self.config, party_datasets, labels)
-        run = _Run(channel, active, passives, fault_plan)
+        run = _Run(channel, active, passives)
 
         shapes = [
             PartyShape(ds.n_features, ds.nnz_per_row(), params.n_bins)

@@ -173,9 +173,9 @@ class RecordingChannel:
     def wire_ledger(self) -> dict[str, dict[str, int]]:
         """Per-message-type wire ledger, JSON-ready.
 
-        ``{type_name: {"messages": n, "bytes": b}}`` — what an incident
-        bundle snapshots and ``tests/golden/party_sweep.json`` pins per
-        golden fit.
+        ``{type_name: {"messages": n, "bytes": b}}`` — the ``by_type`` of
+        :func:`~repro.obs.report.channel_report`, and what
+        ``tests/golden/party_sweep.json`` pins per golden fit.
         """
         return {
             type_name: {"messages": stats.messages, "bytes": stats.bytes}

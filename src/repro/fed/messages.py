@@ -188,7 +188,6 @@ class SplitDecision(Message):
     node_id: int = 0
     owner: int = 0
     bin_flat_index: int = -1  # owner-local (feature * s + bin); -1 if owner==B
-    gain_is_leaf: bool = False
 
     def payload_bytes(self, key_bits: int) -> int:
         return 24

@@ -16,9 +16,7 @@ read a gauge:
 Transitions are emitted as ``alert_open`` / ``alert_close`` events into
 a shared :class:`~repro.obs.events.EventLog` (subsystem
 ``"obs.alerts"``); a Chrome trace of the run draws them as instants,
-being a view of that log.  A rule with ``incident=True`` additionally
-snapshots an :class:`~repro.obs.incident.IncidentBundle` the moment it
-opens — the SLO-burn trigger of the flight recorder.
+being a view of that log.
 """
 
 from __future__ import annotations
@@ -40,8 +38,6 @@ class AlertRule:
         metric: registry gauge read at evaluation.
         value: burn-rate bound (burn_rate rules only).
         low / high: the allowed closed band (band rules only).
-        incident: snapshot an incident bundle when this rule opens
-            (requires the engine to hold an incident store).
     """
 
     name: str
@@ -50,7 +46,6 @@ class AlertRule:
     value: float = 0.0
     low: float = 0.0
     high: float = 0.0
-    incident: bool = False
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
@@ -66,7 +61,6 @@ class AlertRule:
             "value": self.value,
             "low": self.low,
             "high": self.high,
-            "incident": self.incident,
         }
 
 
@@ -103,11 +97,6 @@ class AlertEngine:
         event_log: optional :class:`~repro.obs.events.EventLog` that
             receives ``alert_open`` / ``alert_close`` events.
         labels: constant labels merged into every emitted event.
-        incident_store: optional
-            :class:`~repro.obs.incident.IncidentStore`; rules flagged
-            ``incident=True`` snapshot a bundle there when they open.
-        incident_context: extra JSON-ready context attached to those
-            bundles (e.g. the producing scenario's config).
     """
 
     def __init__(
@@ -116,8 +105,6 @@ class AlertEngine:
         rules: list[AlertRule],
         event_log=None,
         labels: dict | None = None,
-        incident_store=None,
-        incident_context: dict | None = None,
     ) -> None:
         names = [rule.name for rule in rules]
         if len(set(names)) != len(names):
@@ -126,11 +113,8 @@ class AlertEngine:
         self.rules = list(rules)
         self.event_log = event_log
         self.labels = dict(labels or {})
-        self.incident_store = incident_store
-        self.incident_context = dict(incident_context or {})
         self.episodes: list[dict] = []
         self.evaluations = 0
-        self.incidents: list[str] = []
         #: rule name -> its open episode, absent while the rule is quiet
         self._open: dict[str, dict] = {}
 
@@ -167,8 +151,6 @@ class AlertEngine:
                 self.episodes.append(episode)
                 transitions.append(episode)
                 self._emit("alert_open", now, rule, value)
-                if rule.incident and self.incident_store is not None:
-                    self._snapshot(rule, now, value)
             elif not firing and episode is not None:
                 episode["closed"] = now
                 episode["close_value"] = value
@@ -189,24 +171,6 @@ class AlertEngine:
             value=value,
         )
 
-    def _snapshot(self, rule: AlertRule, now: float, value) -> None:
-        from repro.obs.incident import snapshot_incident
-
-        bundle = snapshot_incident(
-            "slo_burn",
-            label=rule.name,
-            time=now,
-            event_log=self.event_log,
-            registry=self.registry,
-            alerts=self,
-            context={
-                **self.incident_context,
-                "rule": rule.to_dict(),
-                "value": value,
-            },
-        )
-        self.incidents.append(self.incident_store.save(bundle))
-
     # ------------------------------------------------------------------
     # Read
     # ------------------------------------------------------------------
@@ -225,5 +189,4 @@ class AlertEngine:
             "evaluations": self.evaluations,
             "episodes": [dict(episode) for episode in self.episodes],
             "open": self.open_alerts(),
-            "incidents": list(self.incidents),
         }

@@ -32,7 +32,7 @@ The ring buffer is exact: at ``capacity`` events the oldest is evicted
 (counted in :attr:`EventLog.evicted`); sequence numbers keep counting,
 so ``total`` always equals the number of events ever appended.  Two
 identical runs produce byte-identical :meth:`EventLog.lines` — the
-foundation the incident bundles (:mod:`repro.obs.incident`) build on.
+foundation the incident reports (:mod:`repro.obs.incident`) build on.
 """
 
 from __future__ import annotations
@@ -172,9 +172,9 @@ class EventLog:
         """Each retained event as one stable-key-order JSON line."""
         return [event.line() for event in self._events]
 
-    def write_jsonl(self, path: str, append: bool = False) -> int:
+    def write_jsonl(self, path: str) -> int:
         """Write the retained events as JSONL; returns the line count."""
-        with open(path, "a" if append else "w") as handle:
+        with open(path, "w") as handle:
             for line in self.lines():
                 handle.write(line + "\n")
         return len(self._events)

@@ -36,6 +36,8 @@ _PREFIX_GROUPS = (
     ("wire.", "wire"),
     ("fleet.", "fleet"),
     ("canary.", "fleet"),
+    ("events.", "event"),
+    ("context.", "context"),
 )
 
 
@@ -100,11 +102,9 @@ class Contribution:
 
 
 def diff_scalar_maps(
-    baseline: Mapping[str, float],
-    current: Mapping[str, float],
-    include_zero: bool = False,
+    baseline: Mapping[str, float], current: Mapping[str, float]
 ) -> list[Contribution]:
-    """Diff two flat ``name -> value`` maps.
+    """Diff two flat ``name -> value`` maps, keeping what moved.
 
     Names present on only one side diff against 0.0 (an op appearing
     or vanishing is itself a finding).  Sorted by absolute delta
@@ -120,8 +120,7 @@ def diff_scalar_maps(
         )
         for name in names
     ]
-    if not include_zero:
-        contributions = [c for c in contributions if c.delta != 0.0]
+    contributions = [c for c in contributions if c.delta != 0.0]
     contributions.sort(key=lambda c: (-abs(c.delta), c.name))
     return contributions
 
@@ -193,7 +192,7 @@ class ReportDiff:
 
     def lines(self, top: int = 8) -> list[str]:
         """Human-readable diagnosis, ``top`` rows per section."""
-        out = [self.makespan.render()]
+        out = [self.makespan.render()] if self.makespan.delta else []
         for name, rows in sorted(self.sections.items()):
             if not rows:
                 continue
@@ -202,7 +201,7 @@ class ReportDiff:
                 out.append("  " + contribution.render())
             if len(rows) > top:
                 out.append(f"  ... {len(rows) - top} more")
-        return out
+        return out or ["no compared quantity moved"]
 
 
 def _get(report, key, default):
@@ -239,6 +238,22 @@ def _critical_map(section: Mapping) -> dict[str, float]:
     return flat
 
 
+def _event_map(events: list) -> dict[str, float]:
+    flat: dict[str, float] = {}
+    for event in events:
+        key = f"events.{event.get('subsystem', '')}/{event.get('kind', '')}"
+        flat[key] = flat.get(key, 0.0) + 1.0
+    return flat
+
+
+def _context_map(context: Mapping) -> dict[str, float]:
+    return {
+        f"context.{key}": float(value)
+        for key, value in context.items()
+        if isinstance(value, (int, float)) and not isinstance(value, bool)
+    }
+
+
 def diff_reports(baseline, current) -> ReportDiff:
     """Decompose a makespan change between two RunReports.
 
@@ -251,7 +266,10 @@ def diff_reports(baseline, current) -> ReportDiff:
     * ``wire`` — per-direction bytes and message counts,
     * ``critical`` — per-resource critical-path seconds plus path wait
       time (RunReport v4), the line that says which lane the makespan
-      delta actually lives on.
+      delta actually lives on,
+    * ``events`` — event counts per ``subsystem/kind`` (RunReport v5),
+    * ``context`` — an incident's numeric context keys (RunReport v6;
+      ``repro incidents diff``).
     """
     makespan = Contribution(
         name="makespan",
@@ -275,6 +293,14 @@ def diff_reports(baseline, current) -> ReportDiff:
         "critical": diff_scalar_maps(
             _critical_map(_get(baseline, "critical_path", {}) or {}),
             _critical_map(_get(current, "critical_path", {}) or {}),
+        ),
+        "events": diff_scalar_maps(
+            _event_map(_get(baseline, "events", []) or []),
+            _event_map(_get(current, "events", []) or []),
+        ),
+        "context": diff_scalar_maps(
+            _context_map(_get(baseline, "context", {}) or {}),
+            _context_map(_get(current, "context", {}) or {}),
         ),
     }
     return ReportDiff(makespan=makespan, sections=sections)

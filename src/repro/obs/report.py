@@ -8,7 +8,8 @@ associated Chrome trace can be regenerated later with ``repro trace``.
 
 Emitters: :meth:`repro.core.trainer.TrainResult.run_report`,
 :meth:`repro.core.protocol.ScheduleResult.run_report`, the serve bench
-(``--report-out``) and the ``benchmarks/`` scripts (``--obs-dir``).
+(``--report-out``), the ``benchmarks/`` scripts (``--obs-dir``) and
+the flight recorder (:func:`repro.obs.incident.snapshot_incident`).
 The builders here are duck-typed (a "channel" is anything with
 ``stats``/``by_type`` shaped like :class:`repro.fed.channel.ChannelStats`)
 so this module imports nothing from the rest of the package beyond the
@@ -17,6 +18,7 @@ tracer/exporter it fronts.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import asdict, dataclass, field, fields
 
@@ -35,9 +37,10 @@ __all__ = ["RunReport", "channel_report"]
 #: fields ``events`` (unified event-log tail,
 #: :mod:`repro.obs.events`), ``alerts`` (alert-engine summary,
 #: :mod:`repro.obs.alerts`) and ``incidents`` (paths of incident
-#: bundles snapshotted during the run, :mod:`repro.obs.incident`).
+#: reports snapshotted during the run, :mod:`repro.obs.incident`);
+#: version 6 added ``context`` (an incident's trigger-specific JSON).
 #: All optional with empty defaults, so older files load unchanged.
-REPORT_VERSION = 5
+REPORT_VERSION = 6
 
 
 def channel_report(channel) -> dict:
@@ -74,7 +77,8 @@ class RunReport:
 
     Attributes:
         kind: what produced it — ``"train"``, ``"schedule"``,
-            ``"serve"`` or ``"benchmark"``.
+            ``"serve"``, ``"benchmark"``, or an incident trigger
+            (:data:`repro.obs.incident.TRIGGERS`).
         label: free-form run label (config preset, bench scenario).
         config: JSON-ready run configuration.
         metrics: a :meth:`MetricsRegistry.snapshot` (or compatible).
@@ -108,10 +112,14 @@ class RunReport:
             open/close.  Alert events (subsystem ``"obs.alerts"``)
             additionally overlay the Chrome trace as instant markers.
         alerts: an :meth:`~repro.obs.alerts.AlertEngine.summary`
-            (rules, episodes, open alerts, incident paths) when the
-            run evaluated alert rules.
-        incidents: paths of :class:`~repro.obs.incident.IncidentBundle`
-            files snapshotted during the run, in creation order.
+            (rules, episodes, open alerts) when the run evaluated
+            alert rules.
+        incidents: paths of incident reports
+            (:mod:`repro.obs.incident`) snapshotted during the run, in
+            creation order.
+        context: an incident's trigger-specific JSON (checkpoint,
+            recovery counters, gate verdicts) with the trigger's
+            simulated clock under ``"time"``.  Empty on run reports.
     """
 
     kind: str
@@ -130,6 +138,7 @@ class RunReport:
     events: list = field(default_factory=list)
     alerts: dict = field(default_factory=dict)
     incidents: list = field(default_factory=list)
+    context: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         """JSON-ready representation (includes the schema version)."""
@@ -172,6 +181,11 @@ class RunReport:
         if unknown:
             raise ValueError(f"report {path} has unknown field(s): {unknown}")
         return cls(**data)
+
+    def fingerprint(self) -> str:
+        """Stable content hash (sha256 of the compact serialization)."""
+        compact = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(compact.encode()).hexdigest()[:16]
 
     def span_objects(self) -> list[Span]:
         """The stored spans as :class:`Span` objects."""

@@ -97,14 +97,9 @@ class CanaryController:
         event_log: the :class:`~repro.obs.events.EventLog` every
             transition is recorded in under subsystem
             ``"serve.canary"`` (the shared flight recorder); the
-            controller creates its own when omitted, so a rollback
-            bundle always carries the events that led to it.
+            controller creates its own when omitted.
         labels: constant labels (scenario / arm tags) merged into every
             emitted event.
-        incident_store: optional
-            :class:`~repro.obs.incident.IncidentStore`; a rollback
-            snapshots a ``canary_rollback`` post-mortem bundle there
-            (path recorded in :attr:`incidents`).
     """
 
     def __init__(
@@ -113,7 +108,6 @@ class CanaryController:
         config: CanaryConfig,
         event_log=None,
         labels: dict | None = None,
-        incident_store=None,
     ) -> None:
         self.registry = registry
         self.config = config
@@ -124,8 +118,6 @@ class CanaryController:
         self.state = "canary"
         self.event_log = event_log if event_log is not None else EventLog()
         self.labels = dict(labels or {})
-        self.incident_store = incident_store
-        self.incidents: list[str] = []
         #: exact per-kind totals (the log is a ring buffer and may evict)
         self._tally: dict[str, int] = {}
         self.mismatches = 0
@@ -197,24 +189,6 @@ class CanaryController:
         # from the next select() on.
         self.state = "rolled_back"
         self._emit("rolled_back", now, version=self.candidate.version)
-        if self.incident_store is not None:
-            from repro.obs.incident import snapshot_incident
-
-            bundle = snapshot_incident(
-                "canary_rollback",
-                label=self.candidate.version,
-                time=now,
-                event_log=self.event_log,
-                context={
-                    "candidate": self.candidate.version,
-                    "incumbent": self.incumbent.version,
-                    "mismatches": self.mismatches,
-                    "canary_served": self.canary_served,
-                    "baseline_served": self.baseline_served,
-                    "state": self.state,
-                },
-            )
-            self.incidents.append(self.incident_store.save(bundle))
 
     def _emit(self, kind: str, now: float, **fields) -> None:
         self.event_log.emit(now, "serve.canary", kind, labels=self.labels, **fields)

@@ -1,7 +1,6 @@
 """Tests for the deterministic alert engine (repro.obs.alerts):
 the burn-rate rule's ``>=`` boundary, band rules, open/close event
-emission and its trace overlay, episode determinism across reruns, and
-incident-on-open snapshots."""
+emission and its trace overlay, and episode determinism across reruns."""
 
 import json
 
@@ -9,7 +8,6 @@ import pytest
 
 from repro.obs.alerts import AlertEngine, AlertRule, band_rule, burn_rate_rule
 from repro.obs.events import EventLog
-from repro.obs.incident import IncidentBundle, IncidentStore
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.report import RunReport
 
@@ -30,7 +28,7 @@ class TestRuleValidation:
 
     def test_rule_dict_round_trip(self):
         # A summary's rule dict is every field: it rebuilds the rule.
-        rule = band_rule("p99", "serve.slo.p99", 0.0, 0.5, incident=True)
+        rule = band_rule("p99", "serve.slo.p99", 0.0, 0.5)
         assert AlertRule(**rule.to_dict()) == rule
 
 
@@ -169,30 +167,3 @@ class TestDeterminism:
         engine_b, log_b = self._episode()
         assert engine_a.summary() == engine_b.summary()
         assert log_a.lines() == log_b.lines()
-
-
-class TestIncidentOnOpen:
-    def test_open_snapshots_bundle(self, tmp_path):
-        registry = MetricsRegistry()
-        log = EventLog()
-        store = IncidentStore(str(tmp_path))
-        engine = AlertEngine(
-            registry,
-            [burn_rate_rule("burn", 1.0, incident=True)],
-            event_log=log,
-            incident_store=store,
-            incident_context={"scenario": "degraded"},
-        )
-        registry.set_gauge("serve.slo.burn_rate", 3.0)
-        engine.evaluate(2.0)
-        assert len(engine.incidents) == 1
-        bundle = IncidentBundle.load(engine.incidents[0])
-        assert bundle.kind == "slo_burn"
-        assert bundle.label == "burn"
-        assert bundle.time == 2.0
-        assert bundle.context["scenario"] == "degraded"
-        assert bundle.context["rule"]["name"] == "burn"
-        assert bundle.open_alerts[0]["rule"] == "burn"
-        # Re-firing without closing does not snapshot again.
-        engine.evaluate(3.0)
-        assert len(engine.incidents) == 1

@@ -135,14 +135,6 @@ class TestEventLog:
         back = read_events_jsonl(str(path))
         assert [e.to_dict() for e in back] == log.to_dicts()
 
-    def test_write_jsonl_append_mode(self, tmp_path):
-        log = EventLog()
-        log.emit(0.0, "s", "k")
-        path = tmp_path / "events.jsonl"
-        log.write_jsonl(str(path))
-        log.write_jsonl(str(path), append=True)
-        assert len(path.read_text().splitlines()) == 2
-
 
 def _faulty_train(tmp_path, tag):
     parties, labels = _synthetic_parties(120, 6, 8, seed=3)

@@ -64,8 +64,6 @@ class TestDiffScalarMaps:
 
     def test_zero_deltas_dropped_unless_asked(self):
         assert diff_scalar_maps({"same": 1.0}, {"same": 1.0}) == []
-        kept = diff_scalar_maps({"same": 1.0}, {"same": 1.0}, include_zero=True)
-        assert [c.name for c in kept] == ["same"]
 
     def test_deterministic(self):
         base = {f"s{i}": float(i) for i in range(20)}

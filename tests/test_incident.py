@@ -1,180 +1,200 @@
-"""Tests for incident post-mortem bundles (repro.obs.incident) and the
-``repro incidents`` / ``repro events`` CLIs: bundle round-trips and
-fingerprints, store naming, diffs, byte-identical bundles from a
-crash-and-resume training rerun and a bad-canary serve rerun, and the
-tier-1 ``--smoke`` wiring."""
+"""Tests for incident post-mortems (repro.obs.incident) and the
+``repro incidents`` / ``repro events`` CLIs: an incident is a RunReport
+whose kind is its trigger — store naming and trigger check, round trips
+and fingerprints, the report differ on incident sections, byte-identical
+incidents from a crash-and-resume training rerun, the bench-gate
+trigger, and the tier-1 ``--smoke`` wiring."""
 
+import dataclasses
 import json
 
-import numpy as np
 import pytest
 
+from repro.bench.perfdb import PerfDB, PerfEntry
 from repro.cli import _synthetic_parties, main
 from repro.core.config import VF2BoostConfig
 from repro.core.trainer import FederatedTrainer
+from repro.fed.channel import RecordingChannel
 from repro.fed.faults import FaultPlan
+from repro.fed.messages import SplitDecision
 from repro.fed.retry import RetryPolicy
-from repro.gbdt.binning import bin_dataset
 from repro.gbdt.params import GBDTParams
 from repro.obs.events import EventLog
-from repro.obs.incident import (
-    BUNDLE_VERSION,
-    IncidentBundle,
-    IncidentStore,
-    TRIGGERS,
-    diff_bundles,
-    snapshot_incident,
-)
-from repro.obs.metrics import MetricsRegistry
-from repro.serve.canary import CanaryConfig, CanaryController
-from repro.serve.fleet import FleetConfig, ServingFleet
-from repro.serve.loadgen import LoadgenConfig, make_requests
-from repro.serve.registry import ModelRegistry
+from repro.obs.forensics import diff_reports
+from repro.obs.incident import EVENT_TAIL, TRIGGERS, IncidentStore, snapshot_incident
+from repro.obs.report import REPORT_VERSION, RunReport
 
 
 class TestBundle:
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown incident kind"):
-            IncidentBundle(kind="meteor_strike")
+    def test_unknown_kind_rejected(self, tmp_path):
+        store = IncidentStore(str(tmp_path))
+        for kind in ("meteor_strike", "train", "slo_burn", "canary_rollback"):
+            with pytest.raises(ValueError, match="unknown incident kind"):
+                store.save(RunReport(kind=kind))
+        assert store.paths() == []
+        assert TRIGGERS == ("training_interrupted", "fault_recovery", "bench_regression")
 
     def test_round_trip_and_fingerprint(self, tmp_path):
-        bundle = IncidentBundle(
-            kind="slo_burn",
-            label="burn",
-            time=2.5,
+        report = RunReport(
+            kind="fault_recovery",
+            label="train",
             events=[{"kind": "x", "subsystem": "s", "time": 1.0}],
-            metrics={"counters": {"a": 3}},
-            context={"rule": "burn"},
+            context={"drops": 3, "time": 2.5},
         )
-        path = str(tmp_path / "b.json")
-        bundle.save(path)
-        back = IncidentBundle.load(path)
-        assert back.to_dict() == bundle.to_dict()
-        assert back.fingerprint() == bundle.fingerprint()
-        assert back.to_json() == bundle.to_json()
+        path = IncidentStore(str(tmp_path)).save(report)
+        back = RunReport.load(path)
+        assert back == report
+        assert back.fingerprint() == report.fingerprint()
+        assert back.to_json() == report.to_json()
+        moved = dataclasses.replace(report, context={"drops": 4, "time": 2.5})
+        assert moved.fingerprint() != report.fingerprint()
 
     def test_future_schema_version_rejected(self, tmp_path):
-        path = tmp_path / "future.json"
-        data = IncidentBundle(kind="slo_burn").to_dict()
-        data["version"] = BUNDLE_VERSION + 1
-        path.write_text(json.dumps(data))
+        store = IncidentStore(str(tmp_path))
+        path = store.save(RunReport(kind="fault_recovery"))
+        data = json.loads(open(path).read())
+        data["version"] = REPORT_VERSION + 1
+        with open(path, "w") as handle:
+            json.dump(data, handle)
         with pytest.raises(ValueError, match="schema version"):
-            IncidentBundle.load(str(path))
+            store.load(1)
 
     @pytest.mark.parametrize(
         "text, reason",
         [
-            ('{"kind": "slo_burn", "label"', "not valid JSON"),
-            ("[1, 2]", "not an IncidentBundle JSON object"),
-            ('{"kind": "slo_burn", "meteor": 1}', r"unknown field\(s\): \['meteor'\]"),
-            ('{"kind": "slo_burn", "version": 99}', "schema version 99"),
+            ('{"kind": "fault_recovery", "label"', "not valid JSON"),
+            ("[1, 2]", "not a RunReport JSON object"),
+            ('{"kind": "fault_recovery", "meteor": 1}', r"unknown field\(s\): \['meteor'\]"),
+            ('{"kind": "fault_recovery", "version": 99}', "schema version 99"),
         ],
         ids=["truncated", "non-object", "unknown-field", "newer-version"],
     )
     def test_damaged_bundle_fails_loudly(self, tmp_path, capsys, text, reason):
-        path = tmp_path / "incident-0001-slo-burn.json"
+        path = tmp_path / "incident-0001-fault-recovery.json"
         path.write_text(text)
         with pytest.raises(ValueError, match=reason) as caught:
-            IncidentBundle.load(str(path))
+            IncidentStore(str(tmp_path)).load(1)
         assert str(path) in str(caught.value)
         for argv in (["list"], ["show", "1"]):
             assert main(["incidents", *argv, "--dir", str(tmp_path)]) == 1
             err = capsys.readouterr().err
-            assert err.startswith("error: bundle ") and str(path) in err
+            assert err.startswith("error: report ") and str(path) in err
 
-    def test_headline_mentions_kind_and_fingerprint(self):
-        bundle = IncidentBundle(kind="canary_rollback", label="v2-bad")
-        headline = bundle.headline()
-        assert "canary_rollback" in headline
-        assert "v2-bad" in headline
-        assert bundle.fingerprint() in headline
+    def test_version_1_bundle_file_is_refused(self, tmp_path, capsys):
+        # The file an IncidentBundle (schema version 1) wrote: its own
+        # clock, ledger, plan and alert fields are not report fields.
+        path = tmp_path / "incident-0001-fault-recovery.json"
+        path.write_text(json.dumps({
+            "version": 1, "kind": "fault_recovery", "label": "", "time": 0.3,
+            "events": [], "metrics": {}, "profile": {}, "critical_path": {},
+            "wire_ledger": {}, "fault_plan": {}, "open_alerts": [], "context": {},
+        }))
+        store = IncidentStore(str(tmp_path))
+        for read in (lambda: store.load(1), store.rows):
+            with pytest.raises(ValueError, match="unknown field") as caught:
+                read()
+            assert str(path) in str(caught.value)
+            for field in ("fault_plan", "open_alerts", "time", "wire_ledger"):
+                assert field in str(caught.value)
+        assert main(["incidents", "list", "--dir", str(tmp_path)]) == 1
+        assert str(path) in capsys.readouterr().err
+
+    def test_headline_mentions_kind_and_fingerprint(self, tmp_path, capsys):
+        store = IncidentStore(str(tmp_path))
+        store.save(RunReport(kind="bench_regression", label="perf.json"))
+        assert main(["incidents", "show", "1", "--dir", str(tmp_path)]) == 0
+        headline = capsys.readouterr().out.splitlines()[0]
+        assert "bench_regression [perf.json]" in headline
+        assert store.load(1).fingerprint() in headline
 
     def test_snapshot_collects_every_surface(self):
         log = EventLog()
-        log.emit(1.0, "serve.slo", "timeout", rid=1)
-        registry = MetricsRegistry()
-        registry.inc("serve.requests", 4)
-        plan = FaultPlan(seed=1, drop_rate=0.1)
-        bundle = snapshot_incident(
+        log.emit(1.0, "fed.reliable", "drop", seq_no=1)
+        channel = RecordingChannel(256, active_party=0)
+        channel.send(SplitDecision(0, 1, node_id=0, owner=1, bin_flat_index=3))
+        faults = {"plan": FaultPlan(seed=1, drop_rate=0.1).to_dict(), "drops": 2}
+        report = snapshot_incident(
             "fault_recovery",
             label="train",
             time=3.0,
             event_log=log,
-            registry=registry,
-            fault_plan=plan,
+            profile={"ops": {"encryptions": 4}},
+            channel=channel,
+            faults=faults,
             context={"drops": 2},
         )
-        assert bundle.kind in TRIGGERS
-        assert bundle.events == log.to_dicts()
-        assert bundle.metrics["counters"]["serve.requests"] == 4
-        assert bundle.fault_plan["plan"] == plan.to_dict()
-        assert bundle.context == {"drops": 2}
+        assert report.kind in TRIGGERS
+        assert report.events == log.to_dicts()
+        assert report.profile == {"ops": {"encryptions": 4}}
+        assert report.channels["by_type"] == channel.wire_ledger()
+        assert report.faults == faults
+        assert report.context == {"drops": 2, "time": 3.0}
 
     def test_snapshot_tail_is_bounded(self):
-        log = EventLog()
-        for i in range(10):
+        log = EventLog(capacity=EVENT_TAIL + 8)
+        for i in range(EVENT_TAIL + 3):
             log.emit(float(i), "s", "k", index=i)
-        bundle = snapshot_incident("fault_recovery", event_log=log, tail=3)
-        assert [e["index"] for e in bundle.events] == [7, 8, 9]
+        report = snapshot_incident("fault_recovery", event_log=log)
+        assert len(report.events) == EVENT_TAIL
+        assert [e["index"] for e in report.events[:2]] == [3, 4]
 
 
 class TestStore:
     def test_deterministic_names_and_load_by_ref(self, tmp_path):
         store = IncidentStore(str(tmp_path))
-        store.save(IncidentBundle(kind="slo_burn", label="one"))
-        store.save(IncidentBundle(kind="canary_rollback", label="two"))
+        store.save(RunReport(kind="training_interrupted", label="one"))
+        store.save(RunReport(kind="bench_regression", label="two"))
         names = [path.rsplit("/", 1)[-1] for path in store.paths()]
         assert names == [
-            "incident-0001-slo-burn.json",
-            "incident-0002-canary-rollback.json",
+            "incident-0001-training-interrupted.json",
+            "incident-0002-bench-regression.json",
         ]
         assert store.load(1).label == "one"
         assert store.load("2").label == "two"
-        assert store.load("incident-0002-canary-rollback.json").label == "two"
+        assert store.load("incident-0002-bench-regression.json").label == "two"
+        assert store.load(store.paths()[0]).label == "one"
         with pytest.raises(LookupError, match="out of range"):
             store.load(3)
 
     def test_rows_summarize_each_bundle(self, tmp_path):
         store = IncidentStore(str(tmp_path))
-        store.save(IncidentBundle(kind="slo_burn", label="x", time=1.5))
+        store.save(snapshot_incident("fault_recovery", label="x", time=1.5))
         (row,) = store.rows()
-        assert row["kind"] == "slo_burn"
+        assert row["kind"] == "fault_recovery"
         assert row["label"] == "x"
         assert row["time"] == 1.5
+        assert row["events"] == 0
         assert row["fingerprint"] == store.load(1).fingerprint()
 
 
 class TestDiff:
     def test_diff_surfaces_field_changes(self):
-        a = IncidentBundle(
-            kind="slo_burn",
-            time=1.0,
-            metrics={"counters": {"drops": 2}},
+        a = RunReport(
+            kind="training_interrupted",
             events=[{"subsystem": "s", "kind": "x"}],
-            open_alerts=[{"rule": "burn"}],
-            context={"resends": 1},
+            context={"completed_trees": 1, "checkpoint": "c1", "time": 1.0},
         )
-        b = IncidentBundle(
-            kind="slo_burn",
-            time=2.0,
-            metrics={"counters": {"drops": 5}},
+        b = RunReport(
+            kind="fault_recovery",
             events=[{"subsystem": "s", "kind": "x"}] * 2,
-            open_alerts=[],
-            context={"resends": 3},
+            context={"resends": 3, "checkpoint": "c2", "time": 2.0},
         )
-        lines = "\n".join(diff_bundles(a, b))
-        assert "time: 1.000000 -> 2.000000" in lines
-        assert "metrics.counters.drops: 2 -> 5" in lines
-        assert "events.s/x: 1 -> 2" in lines
-        assert "open_alerts: -burn" in lines
-        assert "context.resends: 1.0 -> 3.0" in lines
+        diff = diff_reports(a, b)
+        moved = {c.name: (c.baseline, c.value) for c in diff.sections["context"]}
+        assert moved == {
+            "context.completed_trees": (1.0, 0.0),
+            "context.resends": (0.0, 3.0),
+            "context.time": (1.0, 2.0),
+        }
+        (events,) = diff.sections["events"]
+        assert (events.name, events.group, events.delta) == ("events.s/x", "event", 1.0)
+        lines = "\n".join(diff.lines())
+        assert "makespan" not in lines  # it did not move
+        assert "events.s/x [event]: 1 -> 2" in lines
 
     def test_identical_bundles_diff_clean(self):
-        a = IncidentBundle(kind="slo_burn", time=1.0)
-        b = IncidentBundle(kind="slo_burn", time=1.0)
-        assert diff_bundles(a, b) == [
-            "bundles are identical in every compared field"
-        ]
+        a = RunReport(kind="fault_recovery", context={"time": 1.0})
+        assert diff_reports(a, a).lines() == ["no compared quantity moved"]
 
 
 def _crash_train(incident_dir, checkpoint_dir):
@@ -204,110 +224,28 @@ class TestTrainingIncidents:
         for path_a, path_b in zip(result_a.incidents, result_b.incidents):
             with open(path_a, "rb") as a, open(path_b, "rb") as b:
                 assert a.read() == b.read()
-        crash = IncidentBundle.load(result_a.incidents[0])
+        crash = RunReport.load(result_a.incidents[0])
         assert crash.kind == "training_interrupted"
         assert crash.context["completed_trees"] == 1
-        assert crash.events  # the crash captured the event tail
         assert any(e["kind"] == "crash" for e in crash.events)
-        assert crash.wire_ledger  # channel traffic at the crash instant
-        assert crash.fault_plan["plan"]["crash_after_trees"] == [0]
-
-
-def _train_for_serving(seed):
-    rng = np.random.default_rng(seed)
-    n, d = 220, 8
-    features = rng.normal(size=(n, d))
-    labels = ((features @ rng.normal(size=d)) > 0).astype(float)
-    params = GBDTParams(n_trees=3, n_layers=4, n_bins=8)
-    full = bin_dataset(features, params.n_bins)
-    parties = [
-        full.subset_features(np.arange(4, 8)),
-        full.subset_features(np.arange(0, 4)),
-    ]
-    config = VF2BoostConfig.vf2boost(params=params, crypto_mode="counted")
-    return FederatedTrainer(config).fit(parties, labels).model, parties
+        assert crash.channels["by_type"]  # channel traffic at the crash instant
+        assert crash.faults["plan"]["crash_after_trees"] == [0]
 
 
 @pytest.fixture(scope="module")
-def serving_models():
-    return _train_for_serving(23), _train_for_serving(29)
-
-
-def _bad_canary_run(serving_models, incident_dir, shared_log=True):
-    (model, parties), (bad_model, bad_parties) = serving_models
-    log = EventLog() if shared_log else None
-    registry = ModelRegistry(event_log=log)
-    edges = {k: p.cut_points for k, p in enumerate(parties)}
-    registry.register("v1", model, edges)
-    registry.activate("v1")
-    registry.register(
-        "v2-bad", bad_model, {k: p.cut_points for k, p in enumerate(bad_parties)}
-    )
-    controller = CanaryController(
-        registry,
-        CanaryConfig(
-            candidate="v2-bad", traffic_fraction=0.5, decision_after=50, seed=3
-        ),
-        event_log=log,
-        incident_store=IncidentStore(str(incident_dir)),
-    )
-    fleet = ServingFleet(
-        registry,
-        FleetConfig(n_replicas=2, seed=3, shed=None),
-        canary=controller,
-        event_log=log,
-    )
-    load = LoadgenConfig(
-        n_requests=96,
-        feature_dims={k: p.n_features for k, p in enumerate(parties)},
-        seed=11,
-        mode="open",
-        rate=400.0,
-        n_sessions=12,
-        session_skew=1.0,
-    )
-    for request in make_requests(load):
-        fleet.submit(request)
-    fleet.run()
-    return controller
-
-
-class TestCanaryIncidents:
-    def test_bad_canary_drops_byte_identical_bundle(
-        self, serving_models, tmp_path
-    ):
-        controller_a = _bad_canary_run(serving_models, tmp_path / "a")
-        controller_b = _bad_canary_run(serving_models, tmp_path / "b")
-        assert controller_a.state == "rolled_back"
-        assert len(controller_a.incidents) == 1
-        with open(controller_a.incidents[0], "rb") as a:
-            with open(controller_b.incidents[0], "rb") as b:
-                assert a.read() == b.read()
-        bundle = IncidentBundle.load(controller_a.incidents[0])
-        assert bundle.kind == "canary_rollback"
-        assert bundle.label == "v2-bad"
-        assert bundle.context["candidate"] == "v2-bad"
-        assert bundle.context["incumbent"] == "v1"
-        assert bundle.context["mismatches"] == 1
-        kinds = {e["kind"] for e in bundle.events}
-        assert "golden_mismatch" in kinds
-        assert "rolled_back" in kinds
-        assert "hot_swap" in kinds  # the registry activations are in the tail
-
-    def test_rollback_bundle_is_never_event_less(self, serving_models, tmp_path):
-        # No shared log anywhere: the controller records in its own,
-        # so the post-mortem still holds the transitions that led to it.
-        controller = _bad_canary_run(serving_models, tmp_path, shared_log=False)
-        bundle = IncidentBundle.load(controller.incidents[0])
-        assert [e["kind"] for e in bundle.events] == [
-            "golden_mismatch",
-            "rolled_back",
-        ]
-        assert bundle.events == controller.event_log.to_dicts()
-        assert controller.summary()["events"] == {
-            "golden_mismatch": 1,
-            "rolled_back": 1,
-        }
+def crash_and_recovery(tmp_path_factory):
+    """The flight-recorder transcript of EXPERIMENTS.md: a 10% drop
+    schedule with a crash after tree 1 leaves a crash and a recovery."""
+    root = tmp_path_factory.mktemp("flight")
+    argv = [
+        "train", "--rows", "240", "--features", "8", "--trees", "3",
+        "--layers", "3", "--bins", "8", "--fault-seed", "7",
+        "--drop-rate", "0.1", "--crash-after", "1",
+        "--checkpoint-dir", str(root / "ckpts"),
+        "--incident-dir", str(root / "incidents"),
+    ]
+    assert main(argv) == 0
+    return root / "incidents"
 
 
 class TestCLI:
@@ -319,15 +257,57 @@ class TestCLI:
 
     def test_incidents_list_show_diff(self, tmp_path, capsys):
         store = IncidentStore(str(tmp_path))
-        store.save(IncidentBundle(kind="slo_burn", label="one", time=1.0))
-        store.save(IncidentBundle(kind="slo_burn", label="two", time=2.0))
+        store.save(snapshot_incident("fault_recovery", label="one", time=1.0))
+        store.save(snapshot_incident("fault_recovery", label="two", time=2.0))
         assert main(["incidents", "list", "--dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "slo_burn" in out and "incident-0001-slo-burn.json" in out
+        assert "fault_recovery" in out and "incident-0001-fault-recovery.json" in out
         assert main(["incidents", "show", "1", "--dir", str(tmp_path)]) == 0
-        assert "slo_burn [one]" in capsys.readouterr().out
+        assert "fault_recovery [one]" in capsys.readouterr().out
         assert main(["incidents", "diff", "1", "2", "--dir", str(tmp_path)]) == 0
-        assert "time: 1.000000 -> 2.000000" in capsys.readouterr().out
+        assert "context.time [context]: 1 -> 2" in capsys.readouterr().out
+        assert main(["incidents", "diff", "1", "2", "--dir", str(tmp_path), "--json"]) == 0
+        (row,) = json.loads(capsys.readouterr().out)["sections"]["context"]
+        assert (row["name"], row["delta"]) == ("context.time", 1.0)
+
+    def test_incidents_diff_names_moved_context_and_event_kinds(
+        self, crash_and_recovery, capsys
+    ):
+        capsys.readouterr()
+        argv = ["incidents", "diff", "1", "2", "--dir", str(crash_and_recovery)]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("training_interrupted -> fault_recovery\n")
+        for moved in (
+            "context.completed_trees [context]: 2 -> 0",
+            "context.drops [context]: 0 -> 1",
+            "context.recovery_seconds [context]: 0 -> 0.3",
+            "context.time [context]: 0.9 -> 0.3",
+            "events.trainer/checkpoint_resumed [event]: 0 -> 1",
+            "events.trainer/tree_end [event]: 2 -> 3",
+        ):
+            assert moved in out
+
+    def test_bench_regression_drops_an_incident(self, tmp_path, capsys):
+        db_path = str(tmp_path / "perf.json")
+        assert main(["bench-gate", "--db", db_path]) == 0
+        tampered = PerfDB.load(db_path)
+        last = tampered.entries[-1]
+        scalars = dict(last.scalars)
+        scalars["ops.enc"] = dataclasses.replace(
+            scalars["ops.enc"], value=scalars["ops.enc"].value + 7
+        )
+        tampered.entries[-1] = PerfEntry(name=last.name, scalars=scalars, meta=last.meta)
+        tampered.save(db_path)
+        incident_dir = tmp_path / "incidents"
+        argv = ["bench-gate", "--db", db_path, "--incident-dir", str(incident_dir)]
+        assert main(argv) == 1
+        assert "wrote incident " in capsys.readouterr().out
+        (path,) = IncidentStore(str(incident_dir)).paths()
+        report = RunReport.load(path)
+        assert (report.kind, report.label) == ("bench_regression", db_path)
+        assert "ops.enc" in {f["scalar"] for f in report.context["failures"]}
+        assert {e["subsystem"] for e in report.events} == {"bench.gate"}
 
     def test_incidents_show_requires_one_ref(self, tmp_path, capsys):
         assert main(["incidents", "show", "--dir", str(tmp_path)]) == 2

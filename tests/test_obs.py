@@ -275,13 +275,14 @@ class TestRunReport:
 
     def test_v4_report_without_flight_recorder_fields_loads(self, tmp_path):
         data = RunReport(kind="schedule", label="old", makespan=2.5).to_dict()
-        for added_in_v5 in ("events", "alerts", "incidents"):
-            del data[added_in_v5]
+        for added_after_v4 in ("events", "alerts", "incidents", "context"):
+            del data[added_after_v4]
         data["version"] = 4
         path = tmp_path / "v4.report.json"
         path.write_text(json.dumps(data))
         loaded = RunReport.load(str(path))
         assert (loaded.makespan, loaded.events, loaded.incidents) == (2.5, [], [])
+        assert loaded.context == {}
 
     def test_write_chrome_trace_from_report(self, tmp_path):
         result = _small_schedule()

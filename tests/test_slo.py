@@ -232,11 +232,6 @@ class TestEvents:
         assert "event" not in json.loads(lines[0])
         # Keys are sorted for stable diffs.
         assert lines[0].index('"batch_id"') < lines[0].index('"party"')
-        # Append mode stacks a second watcher's stream.
-        other = SLOWatcher(labels={"scenario": "b"})
-        other.on_timeout(party=1, batch_id=2, attempt=0, now=2.0)
-        other.event_log.write_jsonl(path, append=True)
-        assert len(path.read_text().splitlines()) == 2
 
     def test_summary_counts_events(self):
         watcher = SLOWatcher(SLOPolicy(burn_alert=1e9))

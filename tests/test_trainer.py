@@ -24,7 +24,6 @@ from repro.gbdt.boosting import GBDTTrainer
 from repro.gbdt.params import GBDTParams
 from repro.gbdt.split import gain_matrix
 from repro.obs.forensics import diff_reports
-from repro.obs.incident import IncidentBundle
 from repro.obs.report import RunReport
 
 
@@ -561,13 +560,14 @@ class TestPhaseProfile:
                 fault_plan=FaultPlan(seed=1, crash_after_trees=(0,)),
                 checkpoint_dir=str(tmp_path / "ckpts"),
             )
-        (bundle_path,) = trainer.incidents
-        crashed = IncidentBundle.load(bundle_path).profile
+        (incident_path,) = trainer.incidents
+        crashed = RunReport.load(incident_path)
+        assert crashed.kind == "training_interrupted"
         # One tree in: one pair cipher per instance, all of it GradEnc.
-        assert crashed["phases"]["GradEnc"]["encryptions"] == len(labels)
-        assert crashed["ops"]["decryptions"] > 0
+        assert crashed.profile["phases"]["GradEnc"]["encryptions"] == len(labels)
+        assert crashed.profile["ops"]["decryptions"] > 0
         full = FederatedTrainer(config).fit(parties, labels)
-        rows = diff_reports({"profile": crashed}, full.run_report()).sections["profile"]
+        rows = diff_reports(crashed, full.run_report()).sections["profile"]
         moved = {row.name: row.delta for row in rows}
         assert moved["phase.GradEnc.encryptions"] == len(labels)
         assert moved["ops.encryptions"] == len(labels)
