@@ -7,14 +7,17 @@ Usage::
     python -m repro.analysis --format json
     python -m repro.analysis --rules DET001,DET002
     python -m repro.analysis --verbose       # per-pass wall time to stderr
-    python -m repro.analysis --graph schedule.json     # race-check a graph
 
 The determinism pass (DET) reads one
 :class:`~repro.analysis.astutils.PackageIndex` per scanned root (the
-tree is parsed exactly once); the schedule checks (SCH) build the
-scheduler's own task graphs, and the suppression audit (SUP001) runs
-last.  Files that fail to parse become ``SYN001`` findings instead of
-aborting the run.
+tree is parsed exactly once); the race pass (SCH) builds the
+scheduler's own task graphs and checks their declared footprints, and
+the suppression audit (SUP001) runs last.  A graph's structure — no
+cycle, no dangling edge, no lane double-booking, no start before a
+dependency ends or inside a pause window — is held by
+:class:`~repro.fed.simtime.SimEngine` as it builds the graph, so no
+pass re-checks it.  Files that fail to parse become ``SYN001``
+findings instead of aborting the run.
 
 The default invocation scans the installed ``repro`` package *plus* the
 repo's ``benchmarks/`` and ``examples/`` trees when they are present;
@@ -30,7 +33,7 @@ import sys
 import time
 from pathlib import Path
 
-from repro.analysis import determinism, races, schedule
+from repro.analysis import determinism, races
 from repro.analysis.astutils import PackageIndex
 from repro.analysis.findings import Finding, Reporter, Severity, audit_suppressions
 
@@ -38,8 +41,8 @@ __all__ = ["main", "run_analysis", "RULE_FAMILIES"]
 
 RULE_FAMILIES = {
     "DET": "determinism (wall clock, unseeded RNG, set-iteration order)",
-    "SCH": "schedule graphs (SCH001-005 structure; SCH101-103 happens-before "
-    "races over declared footprints)",
+    "SCH": "schedule graphs (SCH101-103 happens-before races over declared "
+    "footprints; the engine holds each graph's structure as it builds it)",
     "SUP": "suppression audit (SUP001 unused '# repro: allow[...]' comments)",
     "SYN": "syntax (SYN001 files the scanner could not parse)",
 }
@@ -77,94 +80,17 @@ def _syntax_findings(index: PackageIndex) -> Reporter:
     return reporter
 
 
-def _listed(path: Path, spec: dict, key: str, kind: type, into: type):
-    """``into(spec[key])`` once it is checked to be a list of ``kind``;
-    ``None`` when the task has no ``key``."""
-    if key not in spec:
-        return None
-    value = spec[key]
-    if isinstance(value, list) and all(type(item) is kind for item in value):
-        return into(value)
-    raise ValueError(
-        f"{path}: task {spec['task_id']}: {key!r} is not a list of "
-        f"{kind.__name__}: {value!r}"
-    )
-
-
-def _number(path: Path, position: int, spec: dict, key: str, kinds: tuple):
-    """``spec[key]`` (0 when absent) once it is checked to be one of
-    ``kinds`` (never a ``bool``)."""
-    value = spec.get(key, 0)
-    if type(value) in kinds:
-        return value
-    raise ValueError(
-        f"{path}: task #{position}: {key!r} is not "
-        f"{'an integer' if kinds == (int,) else 'a number'}: {value!r}"
-    )
-
-
-def check_graph_file(path: Path) -> Reporter:
-    """Validate + race-check an external task-graph JSON document.
-
-    The document is ``{"tasks": [...]}`` where each task carries the
-    ``SimTask`` fields (``task_id``, ``name``, ``resource``, ``lane``,
-    ``start``, ``end``, ``deps``) plus optional explicit ``reads`` /
-    ``writes`` footprint lists; a task with neither key has an unknown
-    footprint (``SCH103`` if it performs work).  A document of another
-    shape raises a ``ValueError`` naming the file and the task.
-    """
-    from repro.fed.simtime import SimTask
-
-    with open(path, encoding="utf-8") as handle:
-        document = json.load(handle)
-    specs = document.get("tasks", []) if isinstance(document, dict) else None
-    if not isinstance(specs, list):
-        raise ValueError(f"{path}: expected an object with a 'tasks' list")
-    tasks = []
-    for position, spec in enumerate(specs):
-        task_id = spec.get("task_id") if isinstance(spec, dict) else None
-        if type(task_id) is not int:
-            raise ValueError(f"{path}: task #{position} has no integer 'task_id'")
-        tasks.append(
-            SimTask(
-                name=spec.get("name", f"t{task_id}"),
-                phase=spec.get("phase", ""),
-                resource=spec.get("resource", "cpu"),
-                lane=_number(path, position, spec, "lane", (int,)),
-                start=float(_number(path, position, spec, "start", (int, float))),
-                end=float(_number(path, position, spec, "end", (int, float))),
-                task_id=task_id,
-                deps=_listed(path, spec, "deps", int, tuple) or (),
-                reads=_listed(path, spec, "reads", str, frozenset),
-                writes=_listed(path, spec, "writes", str, frozenset),
-            )
-        )
-    label = path.stem
-    reporter = Reporter()
-    for finding in schedule.validate_task_graph(tasks, label):
-        reporter.emit(finding)
-    for finding in races.detect_races(tasks, label):
-        reporter.emit(finding)
-    return reporter
-
-
 def _self_check_schedules(timings: dict[str, float]) -> Reporter:
-    """Structural + race validation over one shared graph enumeration."""
+    """Race detection over the scheduler's self-check graphs."""
     reporter = Reporter()
-    t_structure = t_races = 0.0
+    t_races = 0.0
     t0 = time.perf_counter()
-    for label, plan, graph in schedule.iter_self_check_graphs():
+    for label, _plan, graph in races.iter_self_check_graphs():
         t1 = time.perf_counter()
-        for finding in schedule.validate_task_graph(graph, label, fault_plan=plan):
-            reporter.emit(finding)
-        t2 = time.perf_counter()
         for finding in races.detect_races(graph, label):
             reporter.emit(finding)
-        t_structure += t2 - t1
-        t_races += time.perf_counter() - t2
-    total = time.perf_counter() - t0
-    timings["schedule:build"] = total - t_structure - t_races
-    timings["schedule:structure"] = t_structure
+        t_races += time.perf_counter() - t1
+    timings["schedule:build"] = time.perf_counter() - t0 - t_races
     timings["schedule:races"] = t_races
     return reporter
 
@@ -288,12 +214,6 @@ def main(argv: list[str] | None = None) -> int:
         help="print per-pass wall time to stderr",
     )
     parser.add_argument(
-        "--graph",
-        type=Path,
-        default=None,
-        help="also validate + race-check an external task-graph JSON file",
-    )
-    parser.add_argument(
         "--list-rules", action="store_true", help="describe the rule families and exit"
     )
     args = parser.parse_args(argv)
@@ -313,12 +233,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
-    graph_reporter = None
-    if args.graph is not None:
-        try:
-            graph_reporter = check_graph_file(args.graph)
-        except ValueError as exc:
-            parser.error(f"--graph: {exc}")
     reporter = run_analysis(
         root=args.root,
         package=args.package,
@@ -326,12 +240,6 @@ def main(argv: list[str] | None = None) -> int:
         rules=rules,
         timings=timings,
     )
-    if graph_reporter is not None:
-        if rules:
-            graph_reporter.findings = [
-                f for f in graph_reporter.findings if f.rule_id in rules
-            ]
-        reporter.extend(graph_reporter)
     total = time.perf_counter() - t0
     findings = reporter.sorted_findings()
 

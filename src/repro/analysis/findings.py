@@ -66,7 +66,7 @@ class Finding:
 
     Attributes:
         rule_id: stable identifier, e.g. ``DET001`` (determinism),
-            ``SCH003`` (schedule graph).
+            ``SCH101`` (schedule race).
         severity: one of :class:`Severity`'s constants.
         file: path of the offending file, repo-relative when possible;
             schedule-graph findings use a logical ``<schedule:...>`` name.

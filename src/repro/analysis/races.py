@@ -1,14 +1,17 @@
 """Schedule race detector (rules ``SCH101``-``SCH103``).
 
-The structural validator (:mod:`repro.analysis.schedule`) proves a task
-graph is *well-formed*; this pass proves it is *race-free*.  Every task
-the :class:`~repro.core.protocol.ProtocolScheduler` submits declares
-the shared state it touches — histogram buffers, channel sequence
-counters, placement bitmaps — as the ``reads`` / ``writes`` location
-sets it hands :meth:`~repro.fed.simtime.SimEngine.submit`; a
-``--graph`` JSON task lists the same two fields.  The detector joins
-those footprints with the schedule's happens-before relation and
-reports any unordered overlap:
+A task graph is *well-formed* by construction:
+:meth:`~repro.fed.simtime.SimEngine.submit` accepts only its own earlier
+tasks as dependencies and starts a task no earlier than its
+dependencies' ends and its lane's ``free_at``, and
+:class:`~repro.fed.simtime.FaultyEngine` pushes every start past its
+party's pause windows.  This pass proves a graph is *race-free*.  Every
+task the :class:`~repro.core.protocol.ProtocolScheduler` submits
+declares the shared state it touches — histogram buffers, channel
+sequence counters, placement bitmaps — as the ``reads`` / ``writes``
+location sets it hands :meth:`~repro.fed.simtime.SimEngine.submit`.
+The detector joins those footprints with the schedule's happens-before
+relation and reports any unordered overlap:
 
 * **SCH101** — two tasks *write* the same location with no
   happens-before path between them (nondeterministic final state);
@@ -33,7 +36,8 @@ drops a dependency edge would today still produce *a* makespan; with
 this pass it produces a finding.
 
 Reachability is computed with per-task integer bitmasks over the
-task-id-ordered DAG — O(V·E/64) and exact.
+task-id-ordered DAG — O(V·E/64) and exact.  :func:`iter_self_check_graphs`
+yields the scheduler's own graphs the analyzer checks.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from typing import Sequence
 
 from repro.analysis.findings import Finding, Severity
 
-__all__ = ["detect_races"]
+__all__ = ["detect_races", "iter_self_check_graphs"]
 
 #: duration below which a task is an ordering anchor, not work
 _EPS = 1e-9
@@ -68,9 +72,10 @@ def _happens_before(tasks: Sequence) -> tuple[list, dict[int, int], dict[int, in
 
     Bit ``j`` of ``masks[i]`` is set iff the task at position ``j``
     happens-before (or is) task ``i``.  Edges: declared dependencies
-    plus same-lane FIFO successors.  Dependency ids that are dangling or
-    non-causal (>= the dependent's id) are ignored here — the structural
-    validator reports those separately.
+    plus same-lane FIFO successors.  A dependency id that is not an
+    earlier task of the graph adds no edge; the engine never emits one
+    (:meth:`~repro.fed.simtime.SimEngine.submit` refuses it), and a
+    hand-built graph in a test may.
     """
     order = sorted(tasks, key=lambda t: t.task_id)
     bit_of = {task.task_id: i for i, task in enumerate(order)}
@@ -160,3 +165,52 @@ def detect_races(tasks: Sequence, label: str = "graph") -> list[Finding]:
                         )
                     )
     return findings
+
+
+def iter_self_check_graphs(n_trees: int = 2):
+    """Yield ``(label, fault_plan, task_graph)`` for every self-check run.
+
+    One analytic trace, every protocol variant, fault-free and
+    fault-injected — the graphs :func:`detect_races` checks on every
+    ``python -m repro.analysis`` run.  The scheduler is imported lazily
+    so the purely-static checkers stay import-light.
+    """
+    from repro.bench.costmodel import CostModel
+    from repro.core.config import VF2BoostConfig
+    from repro.core.profile import analytic_trace
+    from repro.core.protocol import ProtocolScheduler
+    from repro.fed.cluster import ClusterSpec
+    from repro.fed.faults import FaultPlan, LaneSlowdown, PauseWindow
+
+    trace = analytic_trace(
+        n_instances=4096,
+        features_active=16,
+        features_passive=[16, 8],
+        density=0.5,
+        n_bins=16,
+        n_layers=4,
+        n_trees=n_trees,
+    )
+    paper = CostModel.paper()
+    variants = {
+        "vf2boost": (VF2BoostConfig.vf2boost(), paper),
+        "vf_gbdt": (VF2BoostConfig.vf_gbdt(), paper),
+        "vf_mock": (VF2BoostConfig.vf_gbdt(), paper.mocked()),
+    }
+    cluster = ClusterSpec()
+    # Fault-injected variants: a straggler lane and a pause window move
+    # starts and ends, which must leave the happens-before order intact.
+    fault_plans = {
+        "": None,
+        "+faults": FaultPlan(
+            seed=17,
+            slowdowns=(LaneSlowdown("A1", 2.5),),
+            pauses=(PauseWindow(party=1, start=0.5, end=1.5),),
+        ),
+    }
+    for label, (config, cost) in variants.items():
+        scheduler = ProtocolScheduler(config, cost, cluster)
+        for suffix, plan in fault_plans.items():
+            result = scheduler.schedule(trace, collect_tasks=True, fault_plan=plan)
+            for tree_index, graph in enumerate(result.task_graphs):
+                yield f"{label}{suffix}:tree{tree_index}", plan, graph

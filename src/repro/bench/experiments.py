@@ -103,10 +103,9 @@ def run_fig7(key_bits: int = 512, samples: int = 48) -> str:
 # ----------------------------------------------------------------------
 def run_table1(
     instance_counts: tuple[int, ...] = (2_500_000, 5_000_000, 10_000_000),
-    cost: CostModel | None = None,
 ) -> tuple[list[dict], str]:
     """Regenerate Table 1: root-node processing time breakdown."""
-    cost = cost or CostModel.paper()
+    cost = CostModel.paper()
     params = PAPER_PARAMS
     variants = {
         "baseline": dict(blaster_encryption=False, reordered_accumulation=False),
@@ -179,10 +178,9 @@ def run_table2(
         (10_000, 40_000),
     ),
     n_instances: int = 10_000_000,
-    cost: CostModel | None = None,
 ) -> tuple[list[dict], str]:
     """Regenerate Table 2: whole-tree time under OptimSplit/HistPack."""
-    cost = cost or CostModel.paper()
+    cost = CostModel.paper()
     params = PAPER_PARAMS
     variants = {
         "baseline": dict(optimistic_split=False, histogram_packing=False),
@@ -280,8 +278,6 @@ def counted_run(
     params: GBDTParams,
     scale: float | None = None,
     n_passive: int = 1,
-    seed: int = 0,
-    config_overrides: dict | None = None,
     feature_counts: list[int] | None = None,
 ) -> CountedRun:
     """Train the federated model in counted mode on a dataset analog.
@@ -296,7 +292,7 @@ def counted_run(
             held out entirely, which is how the multi-party experiment
             (§6.4) grows the total feature pool with the party count.
     """
-    data = load_dataset(dataset_name, scale=scale, seed=seed)
+    data = load_dataset(dataset_name, scale=scale)
     full = bin_dataset(data.train_features, params.n_bins)
     counts = feature_counts or _party_feature_counts(data, n_passive)
     unused = data.n_features - sum(counts)
@@ -306,16 +302,14 @@ def counted_run(
         data.n_features,
         counts + ([unused] if unused else []),
         shuffle=n_passive > 1 or unused > 0,
-        seed=seed,
+        seed=0,
     )
     party_sets = [full.subset_features(partition.columns_of(p)) for p in range(n_passive + 1)]
     valid_codes_full = _bin_with_reference(data.valid_features, full)
     valid_codes = {
         p: valid_codes_full[:, partition.columns_of(p)] for p in range(n_passive + 1)
     }
-    overrides = dict(config_overrides or {})
-    overrides.setdefault("crypto_mode", "counted")
-    config = VF2BoostConfig.vf2boost(params=params, **overrides)
+    config = VF2BoostConfig.vf2boost(params=params, crypto_mode="counted")
     trainer = FederatedTrainer(config)
     result = trainer.fit(
         party_sets, data.train_labels, valid_codes, data.valid_labels
@@ -385,13 +379,6 @@ def _xgboost_references(
 def run_fig10(
     dataset_names: tuple[str, ...] = ("census", "a9a"),
     params: GBDTParams | None = None,
-    scale: float | None = None,
-    system_names: tuple[str, ...] = (
-        "secureboost",
-        "fedlearner",
-        "vf_gbdt",
-        "vf2boost",
-    ),
 ) -> tuple[dict, str]:
     """Regenerate Figure 10: logistic loss versus running time.
 
@@ -399,13 +386,14 @@ def run_fig10(
     series plus the XGBoost reference lines, and a rendered summary.
     """
     params = params or PAPER_PARAMS
+    system_names = ("secureboost", "fedlearner", "vf_gbdt", "vf2boost")
     # §6.3: "For the two small-scale datasets ... we train on a single
     # machine in each party."
     single_machine = PAPER_CLUSTER.scaled_workers(1)
     figures: dict = {}
     lines: list[str] = []
     for name in dataset_names:
-        run = counted_run(name, params, scale=scale)
+        run = counted_run(name, params)
         trace = run.result.trace
         co, b_only = _xgboost_references(run.dataset, params)
         series: dict[str, dict] = {}
@@ -565,11 +553,7 @@ def run_table5(
 # ----------------------------------------------------------------------
 # Table 6 — scalability w.r.t. parties
 # ----------------------------------------------------------------------
-def run_table6(
-    dataset_names: tuple[str, ...] = ("epsilon", "rcv1"),
-    party_counts: tuple[int, ...] = (2, 3, 4),
-    params: GBDTParams | None = None,
-) -> tuple[dict, str]:
+def run_table6(params: GBDTParams | None = None) -> tuple[dict, str]:
     """Regenerate Table 6: multi-party speedup and AUC.
 
     Following §6.4, the features are divided into four equal subsets up
@@ -579,6 +563,8 @@ def run_table6(
     grows, giving the paper's mild slowdown.
     """
     params = params or PAPER_PARAMS
+    dataset_names = ("epsilon", "rcv1")
+    party_counts = (2, 3, 4)
     cost = CostModel.paper()
     results: dict[str, dict] = {}
     for name in dataset_names:

@@ -491,17 +491,18 @@ def gate(db: PerfDB, entries: list[PerfEntry]) -> GateResult:
     return GateResult(verdicts=tuple(verdicts))
 
 
-def gate_events(result: GateResult, log, now: float = 0.0) -> int:
+def gate_events(result: GateResult, log) -> int:
     """Mirror a gate run's verdicts into a flight-recorder event log.
 
     One event per verdict under subsystem ``"bench.gate"`` — kind
     ``"gate_pass"`` or ``"gate_regression"`` — so bench-gate outcomes
     interleave with the rest of the unified event stream and incident
-    bundles can carry them.  Returns the number of events emitted.
+    bundles can carry them.  The gate has no simulated clock: every
+    event is at time 0.  Returns the number of events emitted.
     """
     for verdict in result.verdicts:
         log.emit(
-            now,
+            0.0,
             "bench.gate",
             "gate_pass" if verdict.ok else "gate_regression",
             labels={"entry": verdict.entry, "scalar": verdict.scalar},

@@ -51,6 +51,7 @@ produces — the tier-1 wiring).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -820,7 +821,6 @@ def _events_main(argv: list[str]) -> int:
 def _incidents_smoke(json_out: bool = False) -> int:
     """A tiny crash-and-resume training job must drop a valid incident."""
     import json
-    import os
     import tempfile
 
     from repro.core.config import VF2BoostConfig
@@ -1000,7 +1000,24 @@ JSON_EXPERIMENTS: dict[str, object] = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point. Returns a process exit code."""
+    """CLI entry point. Returns a process exit code.
+
+    A reader that closes stdout early (``repro events log.jsonl | head``)
+    ends the command with exit code 1 and no traceback.
+    """
+    try:
+        code = _dispatch(argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Point stdout at /dev/null so the interpreter's exit flush of
+        # what is still buffered cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
+def _dispatch(argv: list[str] | None) -> int:
+    """Run the subcommand or experiments ``argv`` names."""
     if argv is None:
         argv = sys.argv[1:]
     if argv and argv[0] == "trace":

@@ -75,8 +75,8 @@ class ScheduleResult:
         gantt: ASCII Gantt chart of the first tree (diagnostics).
         task_graphs: per-tree task lists (dependency edges included),
             populated only when scheduling with ``collect_tasks=True``;
-            the input of the schedule-graph validator in
-            :mod:`repro.analysis.schedule`.
+            the input of the race detector in
+            :mod:`repro.analysis.races`.
     """
 
     makespan: float

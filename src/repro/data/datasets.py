@@ -120,7 +120,6 @@ def dataset_info(name: str) -> DatasetInfo:
 def load_dataset(
     name: str,
     scale: float | None = None,
-    valid_fraction: float = 0.2,
     seed: int = 0,
 ) -> LoadedDataset:
     """Generate the synthetic analog of a named dataset.
@@ -129,7 +128,6 @@ def load_dataset(
         name: one of the Table 3 dataset names.
         scale: scale factor in ``(0, 1]``; default per-dataset factor
             keeps counted-mode runs laptop-sized.
-        valid_fraction: held-out fraction (paper: 20%).
         seed: RNG seed.
     """
     info = dataset_info(name)
@@ -146,7 +144,7 @@ def load_dataset(
         seed=seed,
     )
     features, labels = generate_classification(spec)
-    n_valid = max(1, int(n * valid_fraction))
+    n_valid = max(1, int(n * 0.2))  # held out: 20%, as in the paper
     rng = np.random.default_rng(seed + 1)
     order = rng.permutation(n)
     valid_rows, train_rows = order[:n_valid], order[n_valid:]

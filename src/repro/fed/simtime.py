@@ -10,6 +10,12 @@ and the engine assigns it the earliest start satisfying
 * the resource is free (lanes process one task at a time, FIFO), and
 * all dependency tasks have finished.
 
+That start rule is what makes every schedule well-formed: a dependency
+must be a task this engine already placed (:meth:`SimEngine.submit`
+refuses any other), so the dependency graph has no cycle and no
+dangling edge, no task starts before a dependency ends, and no two
+tasks overlap on one lane.  No validator re-checks a graph afterwards.
+
 Submitting tasks in program order — which the protocol schedulers in
 :mod:`repro.core.protocol` naturally do — yields the same makespan a
 real asynchronous execution with these durations would achieve.
@@ -48,9 +54,11 @@ class SimTask:
         lane: lane index within the resource.
         start: simulated start time (seconds).
         end: simulated end time (seconds).
-        task_id: position in the engine's submission order; the node id
-            the schedule-graph validator keys on.
-        deps: ``task_id`` of every dependency this task waited for.
+        task_id: position in the engine's submission order.
+        deps: ``task_id`` of every dependency this task waited for; each
+            is an earlier task of the same engine, which
+            :meth:`SimEngine.submit` enforces, and this task starts no
+            earlier than each of them ends.
         reads: shared-state locations the task reads, declared at
             submit; the race detector (:mod:`repro.analysis.races`) input.
         writes: locations the task writes; ``None`` in both fields means
@@ -154,16 +162,27 @@ class SimEngine:
         Args:
             resource_name: resource that will execute the task.
             duration: simulated seconds of work (>= 0).
-            deps: tasks that must finish first.
+            deps: tasks that must finish first, each returned by an
+                earlier ``submit`` of this engine.
             name: label for Gantt output (defaults to the phase).
             phase: phase tag for breakdowns.
             not_before: additional absolute lower bound on start time.
             reads: shared-state locations the task reads.
             writes: shared-state locations the task writes; leave both
                 ``None`` for a task that declares no footprint.
+
+        Raises:
+            ValueError: ``duration`` is negative, or a dependency is not
+                a task of this engine.
         """
         if duration < 0:
             raise ValueError("duration must be non-negative")
+        for dep in deps or ():
+            owned = 0 <= dep.task_id < len(self.tasks)
+            if not (owned and self.tasks[dep.task_id] is dep):
+                raise ValueError(
+                    f"dependency {dep.name!r} is not a task of this engine"
+                )
         duration = self._adjust_duration(resource_name, duration)
         resource = self.resource(resource_name)
         ready = not_before
@@ -258,8 +277,10 @@ class FaultyEngine(SimEngine):
     push task *starts* past the window end (a paused party starts no
     new work — a task already running when the window opens completes,
     the coarse-grained semantics a tree-boundary checkpoint matches).
-    Both perturbations preserve dependency causality, which the SCH*
-    validator (with ``fault_plan=``) re-proves on every emitted graph.
+    :meth:`_adjust_start` iterates to a fixed point, so no task —
+    zero-length anchors included — starts inside one of its party's
+    windows; both perturbations only move a start or end later, so
+    the base engine's dependency and lane guarantees still hold.
     """
 
     def __init__(self, plan: FaultPlan) -> None:

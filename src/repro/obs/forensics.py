@@ -190,8 +190,9 @@ class ReportDiff:
             },
         }
 
-    def lines(self, top: int = 8) -> list[str]:
-        """Human-readable diagnosis, ``top`` rows per section."""
+    def lines(self) -> list[str]:
+        """Human-readable diagnosis, eight rows per section."""
+        top = 8
         out = [self.makespan.render()] if self.makespan.delta else []
         for name, rows in sorted(self.sections.items()):
             if not rows:

@@ -34,6 +34,7 @@ incidents list|show|diff``; file names are deterministic
 from __future__ import annotations
 
 import os
+import re
 
 from repro.obs.report import RunReport, channel_report
 
@@ -44,6 +45,9 @@ TRIGGERS = ("training_interrupted", "fault_recovery", "bench_regression")
 
 #: events an incident keeps from the end of the log
 EVENT_TAIL = 256
+
+#: an incident file name's sequence number
+_SEQ = re.compile(r"incident-(\d+)-")
 
 
 def snapshot_incident(
@@ -91,10 +95,12 @@ class IncidentStore:
 
     def __init__(self, directory: str) -> None:
         self.directory = directory
-        os.makedirs(directory, exist_ok=True)
 
     def paths(self) -> list[str]:
-        """Stored incident paths, in creation (= name) order."""
+        """Stored incident paths, in creation (= name) order; none while
+        the directory does not exist (the first :meth:`save` makes it)."""
+        if not os.path.isdir(self.directory):
+            return []
         names = sorted(
             name
             for name in os.listdir(self.directory)
@@ -105,8 +111,10 @@ class IncidentStore:
     def save(self, report: RunReport) -> str:
         """Persist one incident; returns its path.
 
-        The sequence prefix continues from the files already present,
-        so a fresh directory reproduces identical names run over run.
+        The sequence prefix is one past the largest one present, so a
+        fresh directory reproduces identical names run over run and a
+        deleted incident's number is never reused while a later one
+        exists.
 
         Raises:
             ValueError: the report's ``kind`` is not one of :data:`TRIGGERS`.
@@ -116,9 +124,11 @@ class IncidentStore:
                 f"unknown incident kind {report.kind!r}; expected one of "
                 f"{', '.join(TRIGGERS)}"
             )
-        seq = len(self.paths()) + 1
+        taken = (_SEQ.match(os.path.basename(path)) for path in self.paths())
+        seq = 1 + max((int(match.group(1)) for match in taken if match), default=0)
         name = f"incident-{seq:04d}-{report.kind.replace('_', '-')}.json"
         path = os.path.join(self.directory, name)
+        os.makedirs(self.directory, exist_ok=True)
         report.save(path)
         return path
 

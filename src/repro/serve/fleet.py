@@ -44,7 +44,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.fed.cluster import ClusterSpec
-from repro.fed.retry import RetryPolicy
 from repro.obs.events import EventLog
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
@@ -183,22 +182,18 @@ class ServingFleet:
         registry: shared model registry (one control plane; every
             replica serves the same version set, hot-swaps included).
         config: fleet shape + shedding/SLO policies.
-        cluster / serve_config / retry / party_delay: forwarded to
-            every replica runtime, same meaning as on
+        cluster / serve_config: forwarded to every replica runtime,
+            same meaning as on
             :class:`~repro.serve.session.ServingRuntime`.
         metrics_registry: shared sink for the ``fleet.*`` rollup
             (created when omitted).  Per-replica runtimes keep private
             registries so their ``serve.*`` names never collide.
         tracer: optional shared tracer; replica ``i`` prefixes its
             tracks ``replica{i}.`` so spans land on distinct tracks.
-        version_selector: optional ``request -> ModelVersion`` hook
-            installed on every replica (the canary controller's seam).
         canary: optional :class:`~repro.serve.canary.CanaryController`;
-            when given, its ``select`` becomes the version selector (if
-            none was passed) and every completion is fed to its
-            ``observe`` with the originating request.
-        on_complete: optional callback fed every outcome — completions
-            *and* fleet-level sheds — in event order.
+            when given, its ``select`` is every replica's version
+            selector and every completion is fed to its ``observe``
+            with the originating request.
         event_log: the :class:`~repro.obs.events.EventLog` the
             per-replica SLO watchers record into and every shed
             decision lands in under subsystem ``"serve.fleet"`` (the
@@ -215,13 +210,9 @@ class ServingFleet:
         config: FleetConfig | None = None,
         cluster: ClusterSpec | None = None,
         serve_config: ServeConfig | None = None,
-        retry: RetryPolicy | None = None,
-        party_delay=None,
         metrics_registry: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
-        version_selector=None,
         canary=None,
-        on_complete=None,
         event_log=None,
         slo_labels: dict | None = None,
     ) -> None:
@@ -229,10 +220,8 @@ class ServingFleet:
         self.config = config or FleetConfig()
         self.metrics = metrics_registry or MetricsRegistry()
         self.canary = canary
-        if canary is not None and version_selector is None:
-            version_selector = canary.select
+        version_selector = canary.select if canary is not None else None
         self.router = FleetRouter(self.config.n_replicas, self.config.seed)
-        self._on_complete = on_complete
         self.event_log = event_log if event_log is not None else EventLog()
         self.slo_labels = dict(slo_labels or {})
         self._requests: dict[int, Request] = {}  # in flight, by request id
@@ -250,8 +239,6 @@ class ServingFleet:
                 registry,
                 cluster=cluster,
                 config=serve_config,
-                retry=retry,
-                party_delay=party_delay,
                 tracer=tracer,
                 slo=watcher,
                 version_selector=version_selector,
@@ -300,8 +287,6 @@ class ServingFleet:
                 shed=True,
             )
             self.completed.append(outcome)
-            if self._on_complete is not None:
-                self._on_complete(outcome)
             return
         self.metrics.inc(_PREFIX + "routed")
         self.metrics.inc(_PREFIX + f"replica{replica}.routed")
@@ -327,8 +312,6 @@ class ServingFleet:
             if self.canary is not None:
                 self.canary.observe(request, outcome)
             self._aggregate(replica, outcome)
-            if self._on_complete is not None:
-                self._on_complete(outcome)
 
         return sink
 

@@ -2,15 +2,13 @@
 suppression audit (SUP001), and analyzer edge inputs.
 """
 
-import json
-import re
 from pathlib import Path
 
 import pytest
 
 from repro.analysis import races
 from repro.analysis.astutils import PackageIndex
-from repro.analysis.cli import check_graph_file, main, run_analysis
+from repro.analysis.cli import main, run_analysis
 from repro.analysis.findings import (
     Finding,
     Reporter,
@@ -59,7 +57,7 @@ def _task(
 
 def _variant_graphs():
     """Self-check graphs plus the protocol variants they do not cover."""
-    from repro.analysis.schedule import iter_self_check_graphs
+    from repro.analysis.races import iter_self_check_graphs
     from repro.bench.costmodel import CostModel
     from repro.core.config import VF2BoostConfig
     from repro.core.profile import analytic_trace
@@ -122,7 +120,7 @@ class TestRaceDetector:
         assert found[0].severity == Severity.WARNING
 
     def test_real_scheduler_graphs_are_race_free(self):
-        from repro.analysis.schedule import iter_self_check_graphs
+        from repro.analysis.races import iter_self_check_graphs
 
         for label, _plan, graph in iter_self_check_graphs(n_trees=1):
             assert races.detect_races(graph, label) == []
@@ -132,7 +130,7 @@ class TestRaceDetector:
         # it to a fresh lane — the read of B.ahist loses its ordering.
         import dataclasses
 
-        from repro.analysis.schedule import iter_self_check_graphs
+        from repro.analysis.races import iter_self_check_graphs
 
         label, _plan, graph = next(iter(iter_self_check_graphs(n_trees=1)))
         broken = [
@@ -319,79 +317,6 @@ class TestEdgeInputs:
 
 
 class TestCliV2:
-    def test_graph_file_fires_sch10x(self):
-        reporter = check_graph_file(FIXTURES / "racy_graph.json")
-        rules = sorted(f.rule_id for f in reporter.findings)
-        assert rules == ["SCH101", "SCH102", "SCH103"]
-
-    def test_graph_flag_from_cli(self, capsys):
-        rc = main(
-            [
-                "--root",
-                str(FIXTURES / "leakypkg"),
-                "--package",
-                "leakypkg",
-                "--no-schedule",
-                "--rules",
-                "SCH101,SCH102,SCH103",
-                "--graph",
-                str(FIXTURES / "racy_graph.json"),
-                "--strict",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert rc == 1
-        assert "SCH101" in out and "SCH102" in out and "SCH103" in out
-
-    @pytest.mark.parametrize(
-        "document,names",
-        [
-            ([{"task_id": 0}], "a 'tasks' list"),
-            ({"tasks": [{"name": "no-id"}]}, "task #0"),
-            ({"tasks": [{"task_id": "0"}]}, "task #0"),
-            ({"tasks": [{"task_id": 3, "writes": "xy"}]}, "task 3: 'writes'"),
-            ({"tasks": [{"task_id": 3, "reads": {"x": 1}}]}, "task 3: 'reads'"),
-            ({"tasks": [{"task_id": 3, "deps": 0}]}, "task 3: 'deps'"),
-            ({"tasks": [{"task_id": 3, "writes": ["x", 7]}]}, "task 3: 'writes'"),
-        ],
-    )
-    def test_malformed_graph_is_a_usage_error(self, tmp_path, capsys, document, names):
-        path = tmp_path / "bad_graph.json"
-        path.write_text(json.dumps(document))
-        with pytest.raises(ValueError, match=re.escape(names)) as error:
-            check_graph_file(path)
-        assert str(path) in str(error.value)
-        with pytest.raises(SystemExit) as exit_:
-            main(["--root", str(FIXTURES / "leakypkg"), "--package", "leakypkg",
-                  "--no-schedule", "--graph", str(path)])
-        assert exit_.value.code == 2
-        assert names in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "task,names",
-        [
-            ({"start": None}, "task #0: 'start' is not a number"),
-            ({"start": "x"}, "task #0: 'start' is not a number"),
-            ({"end": [1.0]}, "task #0: 'end' is not a number"),
-            ({"end": True}, "task #0: 'end' is not a number"),
-            ({"lane": "1"}, "task #0: 'lane' is not an integer"),
-            ({"lane": 1.5}, "task #0: 'lane' is not an integer"),
-        ],
-    )
-    def test_non_numeric_lane_or_time_is_a_usage_error(
-        self, tmp_path, capsys, task, names
-    ):
-        path = tmp_path / "bad_graph.json"
-        path.write_text(json.dumps({"tasks": [{"task_id": 0, **task}]}))
-        with pytest.raises(ValueError, match=re.escape(names)) as error:
-            check_graph_file(path)
-        assert str(path) in str(error.value)
-        with pytest.raises(SystemExit) as exit_:
-            main(["--root", str(FIXTURES / "leakypkg"), "--package", "leakypkg",
-                  "--no-schedule", "--graph", str(path)])
-        assert exit_.value.code == 2
-        assert names in capsys.readouterr().err
-
     def test_verbose_prints_pass_timings(self, capsys):
         rc = main(
             [

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -547,19 +546,8 @@ class TestCheckpointResume:
 
 
 # ----------------------------------------------------------------------
-# Engine perturbations + SCH005
+# Engine perturbations
 # ----------------------------------------------------------------------
-@dataclass
-class _FakeTask:
-    task_id: int
-    deps: tuple
-    resource: str
-    lane: int
-    start: float
-    end: float
-    name: str = ""
-
-
 class TestFaultyEngine:
     def test_straggler_stretches_duration(self):
         plan = FaultPlan(slowdowns=(LaneSlowdown("A1", 2.0),))
@@ -583,37 +571,29 @@ class TestFaultyEngine:
         untouched = engine.submit("B", 0.5, name="dec")
         assert untouched.start == pytest.approx(0.0)
 
+    def test_pause_spares_wan_and_tasks_running_through(self):
+        plan = FaultPlan(pauses=(PauseWindow(party=1, start=1.0, end=2.0),))
+        engine = FaultyEngine(plan)
+        # Starts before the window and runs through it: not moved.
+        through = engine.submit("A1", 1.0, name="hist", not_before=0.5)
+        assert (through.start, through.end) == (0.5, 1.5)
+        # WAN resources belong to no party.
+        wan = engine.submit("WAN.B->A1", 0.2, name="comm", not_before=1.2)
+        assert wan.start == 1.2
+        # The party's next task on the lane would start inside the window.
+        after = engine.submit("A1", 0.0, name="anchor")
+        assert after.start == 2.0
+
     def test_scheduler_self_check_stays_clean_under_faults(self):
-        from repro.analysis.schedule import iter_self_check_graphs, validate_task_graph
+        from repro.analysis.races import detect_races, iter_self_check_graphs
 
-        graphs = list(iter_self_check_graphs(n_trees=1))
-        assert any(plan is not None for _label, plan, _graph in graphs)
+        graphs = [g for g in iter_self_check_graphs(n_trees=1) if g[1] is not None]
+        assert graphs
         for label, plan, graph in graphs:
-            assert validate_task_graph(graph, label, fault_plan=plan) == []
-
-    def test_sch005_fires_on_violating_graph(self):
-        from repro.analysis.schedule import validate_task_graph
-
-        plan = FaultPlan(pauses=(PauseWindow(party=1, start=1.0, end=2.0),))
-        tasks = [
-            _FakeTask(0, (), "A1", 0, 1.2, 1.8, "hist"),  # inside the window
-            _FakeTask(1, (0,), "B", 0, 1.8, 2.2, "dec"),
-        ]
-        findings = validate_task_graph(tasks, "unit", fault_plan=plan)
-        assert [f.rule_id for f in findings] == ["SCH005"]
-        assert "pause" in findings[0].message
-
-    def test_sch005_ignores_wan_and_running_through(self):
-        from repro.analysis.schedule import validate_task_graph
-
-        plan = FaultPlan(pauses=(PauseWindow(party=1, start=1.0, end=2.0),))
-        tasks = [
-            # Starts before the window and runs through it: allowed.
-            _FakeTask(0, (), "A1", 0, 0.5, 1.5, "hist"),
-            # WAN resources belong to no party.
-            _FakeTask(1, (), "WAN.B->A1", 0, 1.2, 1.4, "comm"),
-        ]
-        assert validate_task_graph(tasks, "unit", fault_plan=plan) == []
+            assert detect_races(graph, label) == []
+            for task in graph:
+                party = party_of_resource(task.resource)
+                assert party is None or plan.paused_at(party, task.start) is None
 
 
 # ----------------------------------------------------------------------

@@ -7,6 +7,8 @@ trigger, and the tier-1 ``--smoke`` wiring."""
 
 import dataclasses
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -155,6 +157,28 @@ class TestStore:
         assert store.load(store.paths()[0]).label == "one"
         with pytest.raises(LookupError, match="out of range"):
             store.load(3)
+
+    def test_numbering_continues_past_a_deleted_incident(self, tmp_path):
+        store = IncidentStore(str(tmp_path))
+        for label in ("one", "two", "three"):
+            store.save(RunReport(kind="fault_recovery", label=label))
+        third = tmp_path / "incident-0003-fault-recovery.json"
+        before = third.read_bytes()
+        (tmp_path / "incident-0001-fault-recovery.json").unlink()
+        path = store.save(RunReport(kind="bench_regression", label="four"))
+        assert path.endswith("incident-0004-bench-regression.json")
+        assert third.read_bytes() == before
+        assert [store.load(i).label for i in (1, 2, 3)] == ["two", "three", "four"]
+
+    def test_only_save_creates_the_directory(self, tmp_path):
+        missing = tmp_path / "incidents"
+        store = IncidentStore(str(missing))
+        assert store.paths() == [] and store.rows() == []
+        with pytest.raises(LookupError, match="out of range"):
+            store.load(1)
+        assert not missing.exists()
+        store.save(RunReport(kind="fault_recovery"))
+        assert [p.name for p in missing.iterdir()] == ["incident-0001-fault-recovery.json"]
 
     def test_rows_summarize_each_bundle(self, tmp_path):
         store = IncidentStore(str(tmp_path))
@@ -308,6 +332,32 @@ class TestCLI:
         assert (report.kind, report.label) == ("bench_regression", db_path)
         assert "ops.enc" in {f["scalar"] for f in report.context["failures"]}
         assert {e["subsystem"] for e in report.events} == {"bench.gate"}
+
+    def test_incidents_list_of_a_missing_dir_creates_nothing(self, tmp_path, capsys):
+        missing = tmp_path / "nowhere"
+        assert main(["incidents", "list", "--dir", str(missing)]) == 0
+        assert capsys.readouterr().out == f"no incidents in {missing}\n"
+        assert not missing.exists()
+
+    def test_closed_stdout_ends_without_a_traceback(self):
+        # The child blocks on stdin until the parent has closed its end
+        # of the stdout pipe, so the first write meets a closed pipe.
+        script = (
+            "import sys; from repro.cli import main; sys.stdin.read(); "
+            "raise SystemExit(main(['list']))"
+        )
+        child = subprocess.Popen(
+            [sys.executable, "-c", script],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={"PYTHONPATH": ":".join(sys.path)},
+        )
+        child.stdout.close()
+        _, err = child.communicate(b"", timeout=120)
+        assert "Traceback" not in err.decode()
+        assert "BrokenPipeError" not in err.decode()
+        assert child.returncode == 1
 
     def test_incidents_show_requires_one_ref(self, tmp_path, capsys):
         assert main(["incidents", "show", "--dir", str(tmp_path)]) == 2

@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fed.simtime import Resource, SimEngine
+from repro.fed.faults import FaultPlan, LaneSlowdown, PauseWindow
+from repro.fed.simtime import (
+    FaultyEngine,
+    Resource,
+    SimEngine,
+    SimTask,
+    party_of_resource,
+)
 
 
 class TestResource:
@@ -59,6 +66,28 @@ class TestDependencies:
         with pytest.raises(ValueError):
             SimEngine().submit("r", -1.0, phase="p")
 
+    def test_task_of_another_engine_is_refused(self):
+        other = SimEngine()
+        other.submit("r", 1.0, phase="p")
+        foreign = other.submit("r", 1.0, phase="p")
+        engine = SimEngine()
+        engine.submit("r", 1.0, phase="p")
+        with pytest.raises(ValueError, match="not a task of this engine"):
+            # ``foreign.task_id`` is 1: same id, another engine's object
+            engine.submit("r", 1.0, deps=[engine.tasks[0], foreign], phase="q")
+        assert len(engine.tasks) == 1
+        assert engine.resources["r"].free_at(0) == 1.0
+
+    def test_a_dependency_not_yet_submitted_is_refused(self):
+        # A dependency on a task the engine has not placed is the only
+        # way to close a cycle; the next task id is not one yet.
+        engine = SimEngine()
+        first = engine.submit("r", 1.0, phase="p")
+        ahead = SimTask("next", "p", "r", 0, 0.0, 1.0, task_id=1)
+        with pytest.raises(ValueError, match="not a task of this engine"):
+            engine.submit("r", 1.0, deps=[first, ahead], phase="q")
+        assert engine.tasks == [first]
+
 
 class TestPipelining:
     def test_three_stage_pipeline_overlaps(self):
@@ -107,6 +136,65 @@ class TestReporting:
         assert "E" in chart and "C" in chart
 
 
+def assert_well_formed(tasks, plan=None, not_before=None):
+    """The structure every engine-built graph has: each dependency an
+    earlier task that ends by the dependent's start, no two tasks
+    overlapping on one ``(resource, lane)``, and with a fault plan no
+    task (zero-length anchors included) starting inside its party's
+    pause window."""
+    by_id = {task.task_id: task for task in tasks}
+    for task in tasks:
+        for dep_id in task.deps:
+            assert dep_id < task.task_id and dep_id in by_id
+            assert task.start >= by_id[dep_id].end
+        if not_before is not None:
+            assert task.start >= not_before[task.task_id]
+        party = party_of_resource(task.resource)
+        if plan is not None and party is not None:
+            assert plan.paused_at(party, task.start) is None
+    lanes: dict = {}
+    for task in tasks:
+        lanes.setdefault((task.resource, task.lane), []).append(task)
+    for lane_tasks in lanes.values():
+        lane_tasks.sort(key=lambda t: (t.start, t.end))
+        for earlier, later in zip(lane_tasks, lane_tasks[1:]):
+            assert later.start >= earlier.end
+
+
+#: engine resources: the active party, passive parties 1 and 2, a WAN link
+_RESOURCES = ("B", "B.dec", "A1", "A2", "WAN.B->A1")
+_TIME = st.floats(0.0, 6.0, allow_nan=False)
+_DURATION = st.one_of(st.just(0.0), st.floats(0.0, 3.0, allow_nan=False))
+
+_submissions = st.lists(
+    st.tuples(
+        st.integers(0, len(_RESOURCES) - 1),
+        _DURATION,
+        st.lists(st.integers(0, 10**6), max_size=3),  # deps, mod the count so far
+        st.one_of(st.just(0.0), _TIME),  # not_before
+    ),
+    min_size=1,
+    max_size=30,
+)
+_pauses = st.lists(
+    st.builds(
+        lambda party, start, length: PauseWindow(party, start, start + length),
+        st.integers(0, 2),
+        _TIME,
+        st.floats(0.01, 2.0, allow_nan=False),
+    ),
+    max_size=4,
+)
+_slowdowns = st.lists(
+    st.builds(
+        LaneSlowdown,
+        st.sampled_from(_RESOURCES),
+        st.floats(1.0, 4.0, allow_nan=False),
+    ),
+    max_size=3,
+)
+
+
 class TestInvariants:
     @given(
         st.lists(
@@ -130,17 +218,42 @@ class TestInvariants:
             tasks.append(
                 engine.submit(f"r{resource_id}", duration, deps=deps, phase="p")
             )
-        # Dependencies respected.
-        for (_, _, back), task in zip(plan, tasks):
-            pass
-        # No two tasks on the same (resource, lane) overlap.
-        by_lane: dict = {}
-        for task in engine.tasks:
-            by_lane.setdefault((task.resource, task.lane), []).append(task)
-        for lane_tasks in by_lane.values():
-            lane_tasks.sort(key=lambda t: t.start)
-            for earlier, later in zip(lane_tasks, lane_tasks[1:]):
-                assert later.start >= earlier.end - 1e-12
+        assert_well_formed(engine.tasks)
         # Makespan equals the max end.
         if engine.tasks:
             assert engine.makespan == max(t.end for t in engine.tasks)
+
+    @given(
+        submissions=_submissions,
+        lanes=st.lists(st.integers(1, 3), min_size=len(_RESOURCES),
+                       max_size=len(_RESOURCES)),
+        faulty=st.booleans(),
+        pauses=_pauses,
+        slowdowns=_slowdowns,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_every_submission_sequence_builds_a_well_formed_graph(
+        self, submissions, lanes, faulty, pauses, slowdowns
+    ):
+        plan = None
+        engine = SimEngine()
+        if faulty:
+            plan = FaultPlan(pauses=tuple(pauses), slowdowns=tuple(slowdowns))
+            engine = FaultyEngine(plan)
+        for name, n_lanes in zip(_RESOURCES, lanes):
+            engine.add_resource(name, lanes=n_lanes)
+        not_before = []
+        for resource, duration, picks, floor in submissions:
+            deps = [engine.tasks[k % len(engine.tasks)] for k in picks if engine.tasks]
+            engine.submit(_RESOURCES[resource], duration, deps=deps,
+                          phase="p", not_before=floor)
+            not_before.append(floor)
+        assert_well_formed(engine.tasks, plan, not_before)
+
+    def test_self_check_graphs_are_well_formed(self):
+        from repro.analysis.races import iter_self_check_graphs
+
+        graphs = list(iter_self_check_graphs(n_trees=1))
+        assert any(plan is not None for _label, plan, _graph in graphs)
+        for _label, plan, graph in graphs:
+            assert_well_formed(graph, plan)

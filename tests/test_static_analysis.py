@@ -10,11 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import determinism, schedule
+from repro.analysis import determinism
 from repro.analysis.astutils import PackageIndex
 from repro.analysis.cli import main, run_analysis
 from repro.analysis.findings import Finding, Reporter, Severity, parse_suppressions
-from repro.fed.simtime import SimTask
 
 FIXTURES = Path(__file__).parent / "analysis_fixtures" / "leakypkg"
 
@@ -38,19 +37,6 @@ EXPECTED_RULES = [
 @pytest.fixture(scope="module")
 def fixture_reporter():
     return run_analysis(root=FIXTURES, package="leakypkg", with_schedule=False)
-
-
-def _task(task_id, deps=(), start=0.0, end=1.0, resource="cpu", lane=0):
-    return SimTask(
-        name=f"t{task_id}",
-        phase="Test",
-        resource=resource,
-        lane=lane,
-        start=start,
-        end=end,
-        task_id=task_id,
-        deps=tuple(deps),
-    )
 
 
 class TestRulesFire:
@@ -161,51 +147,6 @@ class TestSuppressions:
         assert allowed[0] == {"DET001"}
         assert allowed[4] == {"*"}
         assert 2 not in allowed
-
-
-class TestScheduleValidator:
-    def test_healthy_graph_is_clean(self):
-        tasks = [
-            _task(0, start=0.0, end=1.0),
-            _task(1, deps=(0,), start=1.0, end=2.0),
-        ]
-        assert validate(tasks) == []
-
-    def test_cycle_detected(self):
-        tasks = [
-            _task(0, deps=(1,), start=0.0, end=1.0, lane=0),
-            _task(1, deps=(0,), start=1.0, end=2.0, lane=1),
-        ]
-        assert "SCH001" in {f.rule_id for f in validate(tasks)}
-
-    def test_dangling_dependency_detected(self):
-        tasks = [_task(0, deps=(7,))]
-        rules = {f.rule_id for f in validate(tasks)}
-        assert rules == {"SCH002"}
-
-    def test_lane_overlap_detected(self):
-        tasks = [
-            _task(0, start=0.0, end=2.0, resource="cpuA", lane=3),
-            _task(1, start=1.0, end=3.0, resource="cpuA", lane=3),
-        ]
-        rules = {f.rule_id for f in validate(tasks)}
-        assert rules == {"SCH003"}
-
-    def test_causality_violation_detected(self):
-        tasks = [
-            _task(0, start=0.0, end=2.0, lane=0),
-            _task(1, deps=(0,), start=1.0, end=3.0, lane=1),
-        ]
-        rules = {f.rule_id for f in validate(tasks)}
-        assert rules == {"SCH004"}
-
-    def test_real_scheduler_graphs_validate(self):
-        for label, plan, graph in schedule.iter_self_check_graphs(n_trees=1):
-            assert schedule.validate_task_graph(graph, label, fault_plan=plan) == []
-
-
-def validate(tasks):
-    return schedule.validate_task_graph(tasks, "test")
 
 
 class TestReportingLayer:
