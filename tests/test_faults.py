@@ -584,6 +584,17 @@ class TestFaultyEngine:
         after = engine.submit("A1", 0.0, name="anchor")
         assert after.start == 2.0
 
+    def test_sch005_fires_on_violating_graph(self):
+        plan = FaultPlan(pauses=(PauseWindow(party=1, start=1.0, end=2.0),))
+        engine = FaultyEngine(plan)
+        # Asked to start at 1.2, inside party 1's pause window.
+        hist = engine.submit("A1", 0.6, name="hist", not_before=1.2)
+        dec = engine.submit("B", 0.4, deps=[hist], name="dec")
+        assert plan.paused_at(1, 1.2) is not None
+        assert (hist.start, hist.end) == pytest.approx((2.0, 2.6))
+        assert plan.paused_at(1, hist.start) is None
+        assert dec.start == pytest.approx(hist.end)
+
     def test_scheduler_self_check_stays_clean_under_faults(self):
         from repro.analysis.races import detect_races, iter_self_check_graphs
 

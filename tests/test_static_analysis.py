@@ -14,6 +14,7 @@ from repro.analysis import determinism
 from repro.analysis.astutils import PackageIndex
 from repro.analysis.cli import main, run_analysis
 from repro.analysis.findings import Finding, Reporter, Severity, parse_suppressions
+from repro.fed.simtime import SimEngine
 
 FIXTURES = Path(__file__).parent / "analysis_fixtures" / "leakypkg"
 
@@ -147,6 +148,39 @@ class TestSuppressions:
         assert allowed[0] == {"DET001"}
         assert allowed[4] == {"*"}
         assert 2 not in allowed
+
+
+class TestScheduleValidator:
+    """The schedule rules hold by construction: each case submits what
+    would break a rule if placed as asked, and checks where the engine
+    put it."""
+
+    def test_healthy_graph_is_clean(self):
+        engine = SimEngine()
+        first = engine.submit("cpuA", 1.0, phase="p")
+        second = engine.submit("cpuA", 1.0, deps=[first], phase="p")
+        assert [(t.task_id, t.deps, t.start, t.end) for t in engine.tasks] == [
+            (0, (), 0.0, 1.0),
+            (1, (0,), 1.0, 2.0),
+        ]
+        assert second.lane == first.lane == 0
+
+    def test_lane_overlap_detected(self):
+        engine = SimEngine()
+        engine.add_resource("cpuA", lanes=1)
+        busy = engine.submit("cpuA", 2.0, phase="p")
+        # Asked to start at 1.0, while ``busy`` holds the only lane.
+        late = engine.submit("cpuA", 2.0, phase="p", not_before=1.0)
+        assert (late.resource, late.lane) == (busy.resource, busy.lane)
+        assert (late.start, late.end) == (2.0, 4.0)
+
+    def test_causality_violation_detected(self):
+        engine = SimEngine()
+        dep = engine.submit("cpuA", 2.0, phase="p")
+        # Another resource, free at 1.0: the dependency still holds it back.
+        child = engine.submit("cpuB", 2.0, deps=[dep], phase="p", not_before=1.0)
+        assert child.deps == (dep.task_id,)
+        assert (child.start, child.end) == (2.0, 4.0)
 
 
 class TestReportingLayer:
