@@ -13,7 +13,7 @@ Usage::
     python -m repro bench-gate --db BENCH_perf.json --explain
     python -m repro calibrate -o profile.json --check
     python -m repro train --trees 8 --checkpoint-dir ckpts --fault-seed 7
-    python -m repro faults --sweep
+    python -m repro faults
     python -m repro events serve.events.jsonl --subsystem serve.slo
     python -m repro incidents list --dir incidents
     python -m repro incidents diff 1 2 --dir incidents
@@ -667,14 +667,10 @@ def _faults_main(argv: list[str]) -> int:
         ),
     )
     parser.add_argument(
-        "--sweep",
-        action="store_true",
-        help="full sweep (drop rates 0 to 0.3; the EXPERIMENTS.md table)",
-    )
-    parser.add_argument(
         "--smoke",
         action="store_true",
-        help="reduced two-point sweep for CI (tier-1 wiring)",
+        help="reduced two-point sweep for CI (tier-1 wiring); without it "
+        "the full sweep runs (drop rates 0 to 0.3; the EXPERIMENTS.md table)",
     )
     parser.add_argument("--rows", type=int, default=240)
     parser.add_argument("--features", type=int, default=8)
@@ -791,12 +787,16 @@ def _events_main(argv: list[str]) -> int:
         data = json.loads(text)
     except json.JSONDecodeError:
         data = None
-    if isinstance(data, dict) and isinstance(data.get("events"), list):
-        events = [event_from_wire(record) for record in data["events"]]
-    elif isinstance(data, dict):
-        events = [event_from_wire(data)]
-    else:
-        events = read_events_jsonl(args.path)
+    try:
+        if isinstance(data, dict) and isinstance(data.get("events"), list):
+            events = [event_from_wire(record) for record in data["events"]]
+        elif isinstance(data, dict):
+            events = [event_from_wire(data)]
+        else:
+            events = read_events_jsonl(args.path)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
 
     total = len(events)
     if args.subsystem is not None:
@@ -904,7 +904,7 @@ def _incidents_main(argv: list[str]) -> int:
     parser.add_argument(
         "refs",
         nargs="*",
-        help="incident references: 1-based index, file name, or path",
+        help="incident references: sequence number, file name, or path",
     )
     parser.add_argument(
         "--dir",
@@ -936,10 +936,10 @@ def _incidents_main(argv: list[str]) -> int:
         if not rows:
             print(f"no incidents in {args.dir}")
             return 0
-        for index, row in enumerate(rows, start=1):
+        for row in rows:
             label = f" [{row['label']}]" if row["label"] else ""
             print(
-                f"{index:>3}  {row['kind']:<22}{label} t={row['time']:.3f}s "
+                f"{row['seq']:>3}  {row['kind']:<22}{label} t={row['time']:.3f}s "
                 f"events={row['events']} fp={row['fingerprint']}  {row['file']}"
             )
         return 0

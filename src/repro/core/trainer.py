@@ -209,13 +209,6 @@ class FederatedTrainer:
 
     Args:
         config: system configuration (optimization flags, crypto mode...).
-        event_log: optional shared
-            :class:`~repro.obs.events.EventLog`; the trainer always
-            records into one (its own when none is given) — phase,
-            tree, checkpoint and crash transitions under subsystem
-            ``"trainer"``, plus the reliable channel's fault events
-            when a plan is active.  Pure metadata: no channel traffic,
-            no crypto ops, so golden op counts are untouched.
         incident_dir: when set, a crash
             (:class:`TrainingInterrupted`) and a survivable-fault
             recovery each snapshot an incident
@@ -223,17 +216,22 @@ class FederatedTrainer:
             (:mod:`repro.obs.incident`) into this directory; paths
             ride on :attr:`TrainResult.incidents`.
 
+    The trainer records into its own
+    :class:`~repro.obs.events.EventLog` (:attr:`events`): phase, tree,
+    checkpoint and crash transitions under subsystem ``"trainer"``, plus
+    the reliable channel's fault events when a plan is active.  Pure
+    metadata: no channel traffic, no crypto ops, so golden op counts are
+    untouched.
+
     Example:
         >>> config = VF2BoostConfig.vf2boost(crypto_mode="counted")
         >>> trainer = FederatedTrainer(config)
         >>> result = trainer.fit(party_datasets, labels)
     """
 
-    def __init__(
-        self, config: VF2BoostConfig, event_log=None, incident_dir: str | None = None
-    ) -> None:
+    def __init__(self, config: VF2BoostConfig, incident_dir: str | None = None) -> None:
         self.config = config
-        self.events = event_log if event_log is not None else EventLog()
+        self.events = EventLog()
         self.incident_dir = incident_dir
         self.incidents: list[str] = []
 

@@ -153,7 +153,6 @@ class SimEngine:
         deps: list[SimTask] | None = None,
         name: str = "",
         phase: str = "",
-        not_before: float = 0.0,
         reads: Iterable[str] | None = None,
         writes: Iterable[str] | None = None,
     ) -> SimTask:
@@ -166,7 +165,6 @@ class SimEngine:
                 earlier ``submit`` of this engine.
             name: label for Gantt output (defaults to the phase).
             phase: phase tag for breakdowns.
-            not_before: additional absolute lower bound on start time.
             reads: shared-state locations the task reads.
             writes: shared-state locations the task writes; leave both
                 ``None`` for a task that declares no footprint.
@@ -185,7 +183,7 @@ class SimEngine:
                 )
         duration = self._adjust_duration(resource_name, duration)
         resource = self.resource(resource_name)
-        ready = not_before
+        ready = 0.0
         for dep in deps or ():
             if dep.end > ready:
                 ready = dep.end

@@ -26,10 +26,10 @@ task on its lane* without any declared dependency edge.  The walk
 therefore considers both edge kinds — a predecessor is either a
 dependency or the lane predecessor — and whichever one *released* the
 task (finished exactly at its start) is the binding constraint.  When
-nothing released it (a ``not_before`` bound or a fault-injected pause
-window set the start), the gap becomes an explicit ``wait`` segment so
-the path stays contiguous and the bit-exact invariant survives fault
-injection.
+nothing released it, a fault-injected pause window set the start (the
+one cause a product schedule can have), and the gap becomes an explicit
+``wait`` segment so the path stays contiguous and the bit-exact
+invariant survives fault injection.
 """
 
 from __future__ import annotations
@@ -69,8 +69,8 @@ class PathSegment:
 
     Attributes:
         kind: ``"task"`` (a scheduled task bound the makespan here) or
-            ``"wait"`` (the path was stalled by a ``not_before`` bound
-            or a fault-injected pause — nothing was running).
+            ``"wait"`` (the path was stalled by a fault-injected
+            pause — nothing was running).
         name: task name, or ``"(wait)"``.
         phase: task phase tag, or ``"(wait)"``.
         resource: resource the segment occupied (for waits: the
@@ -312,7 +312,7 @@ def critical_path(tasks: Iterable) -> CriticalPath:
         if releasing:
             current = min(releasing, key=lambda c: (-c.end, c.task_id))
         else:
-            # A not_before bound or fault pause set this start: record
+            # A fault pause set this start: record
             # the stall explicitly, then resume from the candidate that
             # finished last (the tightest real constraint below it).
             anchor = max((c.end for c in candidates), default=0.0)

@@ -15,9 +15,9 @@ Schema.  An event is ``(time, subsystem, kind, labels, payload)``:
   faults, event-loop clock for serving, 0.0 for control-plane events);
 * ``subsystem`` — the producer, dotted (``"fed.reliable"``,
   ``"trainer"``, ``"serve.slo"``, ``"serve.fleet"``, ``"serve.canary"``,
-  ``"serve.registry"``, ``"obs.alerts"``, ``"bench.gate"``);
+  ``"serve.registry"``, ``"bench.gate"``);
 * ``kind`` — the transition (``"drop"``, ``"tree_end"``, ``"shed"``,
-  ``"alert_open"``, ...);
+  ``"burn_alert_start"``, ...);
 * ``labels`` — constant attribution (party / replica / arm / scenario);
 * ``payload`` — event-specific fields.
 
@@ -205,17 +205,19 @@ def event_from_wire(record: dict) -> Event:
     Schema keys are lifted back into their fields; every other key
     lands in ``payload`` (the labels/payload split is not recoverable
     from the flat wire form, and nothing downstream needs it to be).
-    A line from before the unified schema names its kind under
-    ``event`` only; it still parses.
+
+    Raises:
+        ValueError: naming the record, when it has no ``kind``.
     """
+    if "kind" not in record:
+        raise ValueError(
+            f"event record has no 'kind': {json.dumps(record, sort_keys=True)}"
+        )
     record = dict(record)
-    kind = record.pop("kind", None)
-    if kind is None:
-        kind = record.pop("event", "")
     return Event(
         time=float(record.pop("time", 0.0)),
         subsystem=record.pop("subsystem", ""),
-        kind=kind,
+        kind=record.pop("kind"),
         payload=record,
     )
 

@@ -50,6 +50,11 @@ EVENT_TAIL = 256
 _SEQ = re.compile(r"incident-(\d+)-")
 
 
+def _seq(path: str) -> int:
+    """The sequence number of a stored incident's file."""
+    return int(_SEQ.match(os.path.basename(path)).group(1))
+
+
 def snapshot_incident(
     kind: str,
     label: str = "",
@@ -104,7 +109,7 @@ class IncidentStore:
         names = sorted(
             name
             for name in os.listdir(self.directory)
-            if name.startswith("incident-") and name.endswith(".json")
+            if _SEQ.match(name) and name.endswith(".json")
         )
         return [os.path.join(self.directory, name) for name in names]
 
@@ -124,8 +129,7 @@ class IncidentStore:
                 f"unknown incident kind {report.kind!r}; expected one of "
                 f"{', '.join(TRIGGERS)}"
             )
-        taken = (_SEQ.match(os.path.basename(path)) for path in self.paths())
-        seq = 1 + max((int(match.group(1)) for match in taken if match), default=0)
+        seq = 1 + max(map(_seq, self.paths()), default=0)
         name = f"incident-{seq:04d}-{report.kind.replace('_', '-')}.json"
         path = os.path.join(self.directory, name)
         os.makedirs(self.directory, exist_ok=True)
@@ -133,15 +137,21 @@ class IncidentStore:
         return path
 
     def load(self, ref: str | int) -> RunReport:
-        """Load by 1-based index, file name, or path."""
-        paths = self.paths()
+        """Load by sequence number (the ``<seq>`` of ``incident-<seq>-…``),
+        file name, or path.
+
+        Raises:
+            LookupError: no stored incident carries that number.
+        """
         if isinstance(ref, int) or ref.isdigit():
-            index = int(ref)
-            if not 1 <= index <= len(paths):
-                raise LookupError(
-                    f"incident index {index} out of range 1..{len(paths)}"
-                )
-            return RunReport.load(paths[index - 1])
+            seq = int(ref)
+            for path in self.paths():
+                if _seq(path) == seq:
+                    return RunReport.load(path)
+            raise LookupError(
+                f"incident {seq} out of range: no incident-{seq:04d}-*.json "
+                f"in {self.directory}"
+            )
         candidate = os.path.join(self.directory, ref)
         return RunReport.load(candidate if os.path.exists(candidate) else ref)
 
@@ -152,6 +162,7 @@ class IncidentStore:
             report = RunReport.load(path)
             rows.append(
                 {
+                    "seq": _seq(path),
                     "file": os.path.basename(path),
                     "kind": report.kind,
                     "label": report.label,

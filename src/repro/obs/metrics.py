@@ -3,8 +3,8 @@
 A :class:`MetricsRegistry` is the serving side's sink for counters and
 distributions: a runtime counts requests, round trips and latency
 quantiles under ``serve.*``, a fleet rolls its replicas up under
-``fleet.*``, the SLO watcher publishes its two gauges, and the alert
-engine reads them.  Messages and transitions are not mirrored here —
+``fleet.*`` with per-replica p99 / burn-rate gauges, and a snapshot
+is the one reader.  Messages and transitions are not mirrored here —
 they live in the channel ledger and the event log — and training does
 not report here at all (DESIGN §4.8).
 
@@ -196,10 +196,6 @@ class MetricsRegistry:
     def set_gauge(self, name: str, value: float) -> None:
         """Set a point-in-time gauge."""
         self._gauges[name] = float(value)
-
-    def gauge(self, name: str, default: float = 0.0) -> float:
-        """Read a gauge (``default`` when never set)."""
-        return self._gauges.get(name, default)
 
     # ------------------------------------------------------------------
     # Histograms

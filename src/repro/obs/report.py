@@ -35,12 +35,15 @@ __all__ = ["RunReport", "channel_report"]
 #: segments, makespan attribution and slack summary from
 #: :mod:`repro.obs.critical`); version 5 added the flight-recorder
 #: fields ``events`` (unified event-log tail,
-#: :mod:`repro.obs.events`), ``alerts`` (alert-engine summary,
-#: :mod:`repro.obs.alerts`) and ``incidents`` (paths of incident
-#: reports snapshotted during the run, :mod:`repro.obs.incident`);
-#: version 6 added ``context`` (an incident's trigger-specific JSON).
-#: All optional with empty defaults, so older files load unchanged.
-REPORT_VERSION = 6
+#: :mod:`repro.obs.events`), ``alerts`` (an alert-engine summary) and
+#: ``incidents`` (paths of incident reports snapshotted during the run,
+#: :mod:`repro.obs.incident`); version 6 added ``context`` (an
+#: incident's trigger-specific JSON); version 7 dropped ``alerts``: the
+#: serving SLO watchers' burn-alert episodes in ``events`` are the one
+#: alert record.  Every added field is optional with an empty default,
+#: so older files load unchanged, and a version ≤ 6 file's ``alerts``
+#: key is dropped on load.
+REPORT_VERSION = 7
 
 
 def channel_report(channel) -> dict:
@@ -108,12 +111,8 @@ class RunReport:
         events: the run's unified event log as flat wire dicts
             (:meth:`~repro.obs.events.EventLog.to_dicts`) — fault
             injections, trainer phase/tree/checkpoint transitions, SLO
-            violations, shed decisions, canary transitions, alert
-            open/close.  Alert events (subsystem ``"obs.alerts"``)
-            additionally overlay the Chrome trace as instant markers.
-        alerts: an :meth:`~repro.obs.alerts.AlertEngine.summary`
-            (rules, episodes, open alerts) when the run evaluated
-            alert rules.
+            violations and burn-alert episodes (subsystem
+            ``"serve.slo"``), shed decisions, canary transitions.
         incidents: paths of incident reports
             (:mod:`repro.obs.incident`) snapshotted during the run, in
             creation order.
@@ -136,7 +135,6 @@ class RunReport:
     faults: dict = field(default_factory=dict)
     critical_path: dict = field(default_factory=dict)
     events: list = field(default_factory=list)
-    alerts: dict = field(default_factory=dict)
     incidents: list = field(default_factory=list)
     context: dict = field(default_factory=dict)
 
@@ -177,6 +175,8 @@ class RunReport:
                 f"report {path} has schema version {version}; this build "
                 f"reads up to {REPORT_VERSION}"
             )
+        if version <= 6:
+            data.pop("alerts", None)
         unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"report {path} has unknown field(s): {unknown}")
@@ -197,9 +197,7 @@ class RunReport:
         When the metrics snapshot carries counters (a
         :meth:`MetricsRegistry.snapshot`), they are emitted as Chrome
         counter tracks alongside the spans, so Perfetto shows op totals
-        next to the timeline.  Alert events stored in :attr:`events`
-        (subsystem ``"obs.alerts"``) become instant markers on a
-        synthetic ``alerts`` process.
+        next to the timeline.
 
         Raises:
             ValueError: when the report carries no spans (emitted
@@ -212,19 +210,5 @@ class RunReport:
                 "producer with span retention (e.g. --trace-out)"
             )
         counters = self.metrics.get("counters") if self.metrics else None
-        instants = [
-            {
-                "name": f"{item.get('kind', '')}:{item.get('rule', '')}",
-                "time": item.get("time", 0.0),
-                "args": {
-                    "metric": item.get("metric", ""),
-                    "value": item.get("value", 0.0),
-                },
-            }
-            for item in self.events
-            if item.get("subsystem") == "obs.alerts"
-        ]
-        write_chrome_trace(
-            path, spans, counters=counters or None, instants=instants or None
-        )
+        write_chrome_trace(path, spans, counters=counters or None)
         return len(spans)

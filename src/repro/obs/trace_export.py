@@ -32,14 +32,10 @@ _US = 1_000_000  # seconds -> microseconds, Chrome's trace unit
 #: process name of the synthetic counter rows
 _COUNTER_TRACK = "counters"
 
-#: process name of the synthetic alert instant-event row
-_ALERT_TRACK = "alerts"
-
 
 def chrome_trace_events(
     spans: Iterable[Span],
     counters: Mapping[str, float] | None = None,
-    instants: Iterable[Mapping] | None = None,
 ) -> list[dict]:
     """Spans -> Chrome trace-event dicts (metadata rows first).
 
@@ -53,13 +49,6 @@ def chrome_trace_events(
             once at its end — constant tracks, not time series (the
             registry keeps no per-sample history).  Emission order is
             sorted by name, keeping the export byte-deterministic.
-        instants: optional ``{"name", "time", "args"}`` descriptors
-            (a report's alert events, see
-            :meth:`~repro.obs.report.RunReport.write_chrome_trace`);
-            each becomes a globally-scoped instant ("i") event on a
-            synthetic ``alerts`` process, so alert open/close markers
-            overlay the span timeline.  Emission order is sorted by
-            (time, name).
     """
     spans = list(spans)
     tracks = sorted({span.track for span in spans})
@@ -115,33 +104,6 @@ def chrome_trace_events(
                         "args": {"value": float(value)},
                     }
                 )
-    instants = list(instants or [])
-    if instants:
-        instant_pid = len(tracks) + (2 if counters else 1)
-        events.append(
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": instant_pid,
-                "tid": 0,
-                "args": {"name": _ALERT_TRACK},
-            }
-        )
-        for item in sorted(
-            instants,
-            key=lambda d: (float(d.get("time", 0.0)), str(d.get("name", ""))),
-        ):
-            events.append(
-                {
-                    "name": str(item.get("name", "")),
-                    "ph": "i",
-                    "s": "g",
-                    "ts": round(float(item.get("time", 0.0)) * _US, 3),
-                    "pid": instant_pid,
-                    "tid": 0,
-                    "args": dict(sorted(dict(item.get("args", {})).items())),
-                }
-            )
     ordered = sorted(
         spans, key=lambda s: (s.track, s.lane, s.start, s.end, s.name)
     )
@@ -164,13 +126,10 @@ def chrome_trace_events(
 def chrome_trace(
     spans: Iterable[Span],
     counters: Mapping[str, float] | None = None,
-    instants: Iterable[Mapping] | None = None,
 ) -> dict:
     """Full trace document: {"traceEvents": [...], ...}."""
     return {
-        "traceEvents": chrome_trace_events(
-            spans, counters=counters, instants=instants
-        ),
+        "traceEvents": chrome_trace_events(spans, counters=counters),
         "displayTimeUnit": "ms",
     }
 
@@ -178,11 +137,10 @@ def chrome_trace(
 def dumps_chrome_trace(
     spans: Iterable[Span],
     counters: Mapping[str, float] | None = None,
-    instants: Iterable[Mapping] | None = None,
 ) -> str:
     """Serialize with repeatable bytes (sorted keys, no whitespace)."""
     return json.dumps(
-        chrome_trace(spans, counters=counters, instants=instants),
+        chrome_trace(spans, counters=counters),
         sort_keys=True,
         separators=(",", ":"),
     )
@@ -192,10 +150,7 @@ def write_chrome_trace(
     path: str,
     spans: Iterable[Span],
     counters: Mapping[str, float] | None = None,
-    instants: Iterable[Mapping] | None = None,
 ) -> None:
     """Write a Perfetto-loadable trace file to ``path``."""
     with open(path, "w") as handle:
-        handle.write(
-            dumps_chrome_trace(spans, counters=counters, instants=instants)
-        )
+        handle.write(dumps_chrome_trace(spans, counters=counters))

@@ -16,7 +16,9 @@ bytes per 1k predictions, p50/p99 latency and throughput.
 
 A third scenario injects a deterministic slow party to exercise the
 timeout → retry → degraded-routing path and prove degraded requests are
-flagged and counted.
+flagged and counted; its SLO watcher's ``burn_alert_start`` /
+``burn_alert_end`` episodes (in ``degraded_scenario.slo`` and the event
+log) are the bench's alert record.
 
 A fourth stage sweeps the **fleet**: the same seeded heavy-tail trace
 (``--trace`` — flashcrowd by default) is replayed against 1/2/4/8
@@ -45,7 +47,6 @@ from repro.core.trainer import ACTIVE, FederatedTrainer
 from repro.fed.channel import RecordingChannel
 from repro.fed.cluster import ClusterSpec
 from repro.fed.messages import RouteQuery
-from repro.obs.alerts import AlertEngine, band_rule, burn_rate_rule
 from repro.obs.events import EventLog
 from repro.obs.metrics import MetricsRegistry, nearest_rank
 from repro.obs.report import RunReport, channel_report
@@ -379,15 +380,15 @@ def run_bench(
         trace_out: also write a Chrome trace of the batched runtime's
             admission / request / round-trip spans (Perfetto-loadable),
             rendered from the run's :class:`~repro.obs.report.RunReport`
-            so it carries the same counter tracks and alert instants as
-            ``repro trace`` of the ``report_out`` file.
+            so it carries the same counter tracks as ``repro trace`` of
+            the ``report_out`` file.
         report_out: also write a :class:`~repro.obs.report.RunReport` whose
             phase totals equal the trace's per-category duration sums
             and whose metrics come from the shared registry.
         events_out: also write the bench's unified flight-recorder
             event log as JSONL — every scenario's SLO events plus
-            fleet shed decisions, canary / registry transitions and
-            alert open/close, each line tagged with its scenario label;
+            fleet shed decisions and canary / registry transitions,
+            each line tagged with its scenario label;
             the path lands in the RunReport under
             ``artifacts["events"]``.
     """
@@ -412,20 +413,17 @@ def run_bench(
     requests = make_requests(load)
 
     # --- micro-batched serving runtime --------------------------------
-    # One metrics registry for the batched scenario's serve counters
-    # and the SLO gauges the alert rules read.  One
-    # flight-recorder event log for the whole bench: SLO watchers,
-    # fleet shed decisions, canary transitions, registry hot-swaps and
-    # alert transitions all interleave in it, each tagged with its
-    # scenario.  Capacity is sized so no smoke or full run evicts.
+    # One metrics registry for the batched scenario's serve counters.
+    # One flight-recorder event log for the whole bench: SLO watchers
+    # (their burn-alert episodes are the bench's one alert record),
+    # fleet shed decisions, canary transitions and registry hot-swaps
+    # all interleave in it, each tagged with its scenario.  Capacity is
+    # sized so no smoke or full run evicts.
     obs_registry = MetricsRegistry()
     tracer = Tracer()
     event_log = EventLog(capacity=65536)
     slo = SLOWatcher(
-        SLOPolicy(),
-        registry=obs_registry,
-        labels={"scenario": "batched"},
-        event_log=event_log,
+        SLOPolicy(), labels={"scenario": "batched"}, event_log=event_log
     )
     runtime = ServingRuntime(
         registry,
@@ -485,10 +483,7 @@ def run_bench(
         slow_delay=1.0,
     )
     degraded_slo = SLOWatcher(
-        SLOPolicy(),
-        registry=obs_registry,
-        labels={"scenario": "degraded"},
-        event_log=event_log,
+        SLOPolicy(), labels={"scenario": "degraded"}, event_log=event_log
     )
     degraded_runtime = ServingRuntime(
         registry,
@@ -498,32 +493,10 @@ def run_bench(
         party_delay=make_party_delay(degraded_load),
         slo=degraded_slo,
     )
-    degraded_completions = run_closed_loop(
+    run_closed_loop(
         degraded_runtime, make_requests(degraded_load), degraded_load.concurrency
     )
     degraded_snapshot = degraded_runtime.snapshot()
-
-    # --- alert engine over the shared registry ------------------------
-    # Evaluated at two deterministic instants: the end of the healthy
-    # batched scenario (rules quiet) and the end of the degraded
-    # scenario (burn-rate and p99-band rules fire on the gauges the
-    # degraded watcher just published).  The second instant is offset
-    # past the first because each runtime's simulated clock starts at
-    # zero — the offset keeps the alert timeline monotone.
-    alert_engine = AlertEngine(
-        obs_registry,
-        [
-            burn_rate_rule("slo-burn", value=1.0),
-            band_rule("p99-band", "serve.slo.p99", 0.0, SLOPolicy().latency_slo),
-        ],
-        event_log=event_log,
-        labels={"scenario": "bench"},
-    )
-    alert_engine.evaluate(wall)
-    degraded_wall = max(
-        (outcome.finished for outcome in degraded_completions), default=0.0
-    )
-    alert_engine.evaluate(wall + degraded_wall)
 
     # --- fleet sweep + canary rollout ---------------------------------
     replica_counts = replicas or ([1, 2] if smoke else [1, 2, 4, 8])
@@ -590,14 +563,13 @@ def run_bench(
         },
         "slo": slo.summary(),
         "fleet": fleet_report,
-        "alerts": alert_engine.summary(),
         "event_log": event_log.summary(),
     }
 
     if events_out:
         # One unified stream: every scenario's SLO events plus fleet
-        # shed decisions, canary/registry transitions and alert
-        # open/close, each line tagged with its scenario label.
+        # shed decisions and canary/registry transitions, each line
+        # tagged with its scenario label.
         report["events_written"] = event_log.write_jsonl(events_out)
 
     if trace_out or report_out:
@@ -612,7 +584,6 @@ def run_bench(
             spans=[span.to_dict() for span in tracer.spans],
             artifacts={"events": events_out} if events_out else {},
             events=event_log.to_dicts(),
-            alerts=alert_engine.summary(),
         )
         if trace_out:
             run_report.write_chrome_trace(trace_out)

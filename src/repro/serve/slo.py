@@ -19,12 +19,9 @@ recorder it was handed, where its records interleave with every other
 subsystem's, or a log of its own.  Records are read, filtered and
 exported as JSONL through that log (:attr:`SLOWatcher.event_log`); the
 watcher keeps only an exact per-kind tally beside it, because a ring
-buffer may evict and ``summary()["events"]`` may not.
-
-The watcher also publishes the ``serve.slo.p99`` and
-``serve.slo.burn_rate`` gauges into a shared
-:class:`~repro.obs.metrics.MetricsRegistry` when given one — the two
-values the alert rules read.
+buffer may evict and ``summary()["events"]`` may not.  The
+``burn_alert_start`` / ``burn_alert_end`` episodes are the serving
+side's one alert record: nothing re-evaluates them elsewhere.
 """
 
 from __future__ import annotations
@@ -36,8 +33,6 @@ from repro.obs.events import EventLog
 from repro.obs.metrics import nearest_rank
 
 __all__ = ["SLOPolicy", "SLOWatcher"]
-
-_PREFIX = "serve.slo."
 
 
 @dataclass(frozen=True)
@@ -80,10 +75,6 @@ class SLOWatcher:
     Args:
         policy: the SLO being watched (defaults are serving-bench
             scaled: 500 ms objective, 64-completion window, 1% budget).
-        registry: optional shared
-            :class:`~repro.obs.metrics.MetricsRegistry`; when given,
-            the watcher publishes the ``serve.slo.p99`` /
-            ``serve.slo.burn_rate`` gauges there.
         labels: constant key/values merged into every event (scenario
             tags in multi-runtime benches).
         event_log: the :class:`~repro.obs.events.EventLog` every
@@ -94,12 +85,10 @@ class SLOWatcher:
     def __init__(
         self,
         policy: SLOPolicy | None = None,
-        registry=None,
         labels: dict | None = None,
         event_log=None,
     ) -> None:
         self.policy = policy or SLOPolicy()
-        self.registry = registry
         self.labels = dict(labels or {})
         self.event_log = event_log if event_log is not None else EventLog()
         #: (latency, breached) of the most recent completions
@@ -117,11 +106,6 @@ class SLOWatcher:
     def _emit(self, kind: str, now: float, **fields) -> None:
         self.event_log.emit(now, "serve.slo", kind, labels=self.labels, **fields)
         self._tally[kind] = self._tally.get(kind, 0) + 1
-
-    def _publish_gauges(self) -> None:
-        if self.registry is not None:
-            self.registry.set_gauge(_PREFIX + "p99", self.window_p99())
-            self.registry.set_gauge(_PREFIX + "burn_rate", self.burn_rate())
 
     # ------------------------------------------------------------------
     # Feed
@@ -154,7 +138,6 @@ class SLOWatcher:
         elif burn < self.policy.burn_alert and self.alert_open:
             self.alert_open = False
             self._emit("burn_alert_end", now, burn_rate=burn)
-        self._publish_gauges()
 
     def on_timeout(
         self,

@@ -133,6 +133,19 @@ class TestCalibrate:
         assert data["version"] == 1
         assert list(data["unit_costs"]) == sorted(data["unit_costs"])
 
+    def test_calibrate_cli_writes_a_loadable_profile(self, tmp_path, capsys):
+        # No --check: its verdict depends on host timing.
+        path = tmp_path / "profile.json"
+        argv = ["calibrate", "--key-bits", "256", "--samples", "4", "-o", str(path)]
+        assert cli.main(argv) == 0
+        printed = {
+            line.split(":")[0]
+            for line in capsys.readouterr().out.splitlines()
+            if line.endswith(" s")
+        }
+        loaded = CalibrationProfile.load(path)
+        assert set(loaded.unit_costs) == printed == set(UNIT_COST_FIELDS)
+
     def test_backend_era_profile_still_loads(self):
         # PRs 10-14 wrote a "backend" key; unknown keys get a typed error.
         profile = fake_calibrate()

@@ -77,8 +77,12 @@ class TestCriticalPathBasics:
         assert path.total == engine.makespan
 
     def test_not_before_gap_becomes_wait_segment(self):
-        engine = SimEngine()
-        engine.submit("r", 1.0, not_before=5.0, phase="p", name="late")
+        # Party 1 is paused until 5.0: nothing released the task, so the
+        # path records the stall as a wait segment.
+        engine = FaultyEngine(
+            FaultPlan(pauses=(PauseWindow(party=1, start=0.0, end=5.0),))
+        )
+        engine.submit("A1", 1.0, phase="p", name="late")
         path = critical_path(engine.tasks)
         kinds = [seg.kind for seg in path.segments]
         assert kinds == ["wait", "task"]

@@ -40,12 +40,15 @@ class TestEventSchema:
 
     def test_event_is_an_ordinary_key_but_old_lines_still_parse(self):
         # `event` was a wire alias of `kind`; it is payload like any
-        # other key now, and a pre-unification line that names its kind
-        # only under `event` is still accepted.
+        # other key now.
         event = Event(time=1.0, subsystem="s", kind="k", payload={"event": 1})
         assert event.to_dict()["event"] == 1
-        old = event_from_wire({"event": "timeout", "time": 1.0})
-        assert (old.kind, old.time, old.payload) == ("timeout", 1.0, {})
+        assert event_from_wire(event.to_dict()).payload == {"event": 1}
+
+    def test_record_without_kind_is_refused(self):
+        # A record naming no kind is not an event whose kind is "".
+        with pytest.raises(ValueError, match=r"no 'kind'.*\"timeout\""):
+            event_from_wire({"event": "timeout", "time": 1.0})
 
     def test_line_is_sorted_key_json(self):
         event = Event(time=0.0, subsystem="s", kind="k", payload={"b": 1, "a": 2})

@@ -575,10 +575,12 @@ class TestFaultyEngine:
         plan = FaultPlan(pauses=(PauseWindow(party=1, start=1.0, end=2.0),))
         engine = FaultyEngine(plan)
         # Starts before the window and runs through it: not moved.
-        through = engine.submit("A1", 1.0, name="hist", not_before=0.5)
+        lead = engine.submit("B", 0.5, name="lead")
+        through = engine.submit("A1", 1.0, deps=[lead], name="hist")
         assert (through.start, through.end) == (0.5, 1.5)
         # WAN resources belong to no party.
-        wan = engine.submit("WAN.B->A1", 0.2, name="comm", not_before=1.2)
+        gate = engine.submit("B.dec", 1.2, name="gate")
+        wan = engine.submit("WAN.B->A1", 0.2, deps=[gate], name="comm")
         assert wan.start == 1.2
         # The party's next task on the lane would start inside the window.
         after = engine.submit("A1", 0.0, name="anchor")
@@ -587,8 +589,9 @@ class TestFaultyEngine:
     def test_sch005_fires_on_violating_graph(self):
         plan = FaultPlan(pauses=(PauseWindow(party=1, start=1.0, end=2.0),))
         engine = FaultyEngine(plan)
-        # Asked to start at 1.2, inside party 1's pause window.
-        hist = engine.submit("A1", 0.6, name="hist", not_before=1.2)
+        # Released at 1.2, inside party 1's pause window.
+        lead = engine.submit("B.dec", 1.2, name="lead")
+        hist = engine.submit("A1", 0.6, deps=[lead], name="hist")
         dec = engine.submit("B", 0.4, deps=[hist], name="dec")
         assert plan.paused_at(1, 1.2) is not None
         assert (hist.start, hist.end) == pytest.approx((2.0, 2.6))

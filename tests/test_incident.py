@@ -168,7 +168,9 @@ class TestStore:
         path = store.save(RunReport(kind="bench_regression", label="four"))
         assert path.endswith("incident-0004-bench-regression.json")
         assert third.read_bytes() == before
-        assert [store.load(i).label for i in (1, 2, 3)] == ["two", "three", "four"]
+        assert [store.load(i).label for i in (2, 3, 4)] == ["two", "three", "four"]
+        with pytest.raises(LookupError, match="no incident-0001-"):
+            store.load(1)
 
     def test_only_save_creates_the_directory(self, tmp_path):
         missing = tmp_path / "incidents"
@@ -294,6 +296,19 @@ class TestCLI:
         (row,) = json.loads(capsys.readouterr().out)["sections"]["context"]
         assert (row["name"], row["delta"]) == ("context.time", 1.0)
 
+    def test_incident_numbers_are_file_numbers(self, tmp_path, capsys):
+        store = IncidentStore(str(tmp_path))
+        for label in ("one", "two", "three"):
+            store.save(RunReport(kind="fault_recovery", label=label))
+        (tmp_path / "incident-0001-fault-recovery.json").unlink()
+        assert main(["incidents", "list", "--dir", str(tmp_path)]) == 0
+        numbers = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+        assert numbers == ["2", "3"]
+        assert main(["incidents", "show", "2", "--dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.startswith("fault_recovery [two]")
+        assert main(["incidents", "show", "1", "--dir", str(tmp_path)]) == 1
+        assert "error: incident 1 out of range" in capsys.readouterr().err
+
     def test_incidents_diff_names_moved_context_and_event_kinds(
         self, crash_and_recovery, capsys
     ):
@@ -376,7 +391,7 @@ class TestCLI:
 
     def test_events_cli_reads_run_report(self, tmp_path, capsys):
         log = EventLog()
-        log.emit(0.5, "obs.alerts", "alert_open", labels={"rule": "burn"})
+        log.emit(0.5, "serve.slo", "burn_alert_start", labels={"scenario": "s"})
         report = {"events": log.to_dicts()}
         path = str(tmp_path / "report.json")
         with open(path, "w") as handle:
@@ -384,3 +399,11 @@ class TestCLI:
         assert main(["events", path, "--json"]) == 0
         records = json.loads(capsys.readouterr().out)
         assert records == log.to_dicts()
+
+    def test_events_cli_refuses_a_record_without_kind(self, tmp_path, capsys):
+        path = tmp_path / "events.jsonl"
+        path.write_text('{"kind": "timeout", "time": 0.5}\n{"event": "drop"}\n')
+        assert main(["events", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: event record has no 'kind'")
+        assert '"drop"' in err

@@ -40,8 +40,8 @@ class TestMetricsRegistry:
     def test_gauges(self):
         reg = MetricsRegistry()
         reg.set_gauge("depth", 3.5)
-        assert reg.gauge("depth") == 3.5
-        assert reg.gauge("missing", default=-1.0) == -1.0
+        reg.set_gauge("depth", 4)
+        assert reg.snapshot()["gauges"] == {"depth": 4.0}
 
     def test_histogram_get_or_create(self):
         reg = MetricsRegistry()
@@ -275,7 +275,7 @@ class TestRunReport:
 
     def test_v4_report_without_flight_recorder_fields_loads(self, tmp_path):
         data = RunReport(kind="schedule", label="old", makespan=2.5).to_dict()
-        for added_after_v4 in ("events", "alerts", "incidents", "context"):
+        for added_after_v4 in ("events", "incidents", "context"):
             del data[added_after_v4]
         data["version"] = 4
         path = tmp_path / "v4.report.json"
@@ -283,6 +283,22 @@ class TestRunReport:
         loaded = RunReport.load(str(path))
         assert (loaded.makespan, loaded.events, loaded.incidents) == (2.5, [], [])
         assert loaded.context == {}
+
+    def test_v6_report_drops_its_alerts_and_keeps_its_events(self, tmp_path):
+        # Version 7 dropped the alert-engine summary: a v6 file's alert
+        # episodes are still in its events.
+        opened = {"kind": "alert_open", "subsystem": "obs.alerts", "time": 1.5}
+        data = RunReport(kind="serve", label="old", events=[opened]).to_dict()
+        data.update(version=6, alerts={"rules": [], "episodes": [], "open": []})
+        path = tmp_path / "v6.report.json"
+        path.write_text(json.dumps(data))
+        loaded = RunReport.load(str(path))
+        assert loaded.events == [opened]
+        assert "alerts" not in loaded.to_dict()
+        data["version"] = 7
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=r"unknown field\(s\): \['alerts'\]"):
+            RunReport.load(str(path))
 
     def test_write_chrome_trace_from_report(self, tmp_path):
         result = _small_schedule()

@@ -57,11 +57,6 @@ class TestDependencies:
         assert d.start == 4.0
         assert engine.makespan == 5.0
 
-    def test_not_before(self):
-        engine = SimEngine()
-        a = engine.submit("r", 1.0, not_before=10.0, phase="p")
-        assert a.start == 10.0
-
     def test_negative_duration_rejected(self):
         with pytest.raises(ValueError):
             SimEngine().submit("r", -1.0, phase="p")
@@ -136,7 +131,7 @@ class TestReporting:
         assert "E" in chart and "C" in chart
 
 
-def assert_well_formed(tasks, plan=None, not_before=None):
+def assert_well_formed(tasks, plan=None):
     """The structure every engine-built graph has: each dependency an
     earlier task that ends by the dependent's start, no two tasks
     overlapping on one ``(resource, lane)``, and with a fault plan no
@@ -147,8 +142,6 @@ def assert_well_formed(tasks, plan=None, not_before=None):
         for dep_id in task.deps:
             assert dep_id < task.task_id and dep_id in by_id
             assert task.start >= by_id[dep_id].end
-        if not_before is not None:
-            assert task.start >= not_before[task.task_id]
         party = party_of_resource(task.resource)
         if plan is not None and party is not None:
             assert plan.paused_at(party, task.start) is None
@@ -171,7 +164,6 @@ _submissions = st.lists(
         st.integers(0, len(_RESOURCES) - 1),
         _DURATION,
         st.lists(st.integers(0, 10**6), max_size=3),  # deps, mod the count so far
-        st.one_of(st.just(0.0), _TIME),  # not_before
     ),
     min_size=1,
     max_size=30,
@@ -242,13 +234,10 @@ class TestInvariants:
             engine = FaultyEngine(plan)
         for name, n_lanes in zip(_RESOURCES, lanes):
             engine.add_resource(name, lanes=n_lanes)
-        not_before = []
-        for resource, duration, picks, floor in submissions:
+        for resource, duration, picks in submissions:
             deps = [engine.tasks[k % len(engine.tasks)] for k in picks if engine.tasks]
-            engine.submit(_RESOURCES[resource], duration, deps=deps,
-                          phase="p", not_before=floor)
-            not_before.append(floor)
-        assert_well_formed(engine.tasks, plan, not_before)
+            engine.submit(_RESOURCES[resource], duration, deps=deps, phase="p")
+        assert_well_formed(engine.tasks, plan)
 
     def test_self_check_graphs_are_well_formed(self):
         from repro.analysis.races import iter_self_check_graphs

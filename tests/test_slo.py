@@ -1,6 +1,7 @@
 """Tests for the serving SLO watcher (:mod:`repro.serve.slo`): window
-statistics, the transitions it records in its event log, the gauges it
-publishes, and its integration with the serve bench."""
+statistics, the transitions it records in its event log (its burn-alert
+episodes are the serving side's one alert record), and its integration
+with the serve bench."""
 
 import json
 from types import SimpleNamespace
@@ -9,7 +10,6 @@ import numpy as np
 import pytest
 
 from repro.obs.events import EventLog
-from repro.obs.metrics import MetricsRegistry
 from repro.serve.slo import SLOPolicy, SLOWatcher
 
 
@@ -255,28 +255,6 @@ class TestEvents:
 
 
 class TestRegistry:
-    def test_gauges_published(self):
-        registry = MetricsRegistry()
-        watcher = SLOWatcher(
-            SLOPolicy(window=2, latency_slo=0.5, error_budget=0.5, burn_alert=1.0),
-            registry=registry,
-        )
-        watcher.on_completion(ok_outcome(0, latency=2.0), now=0.0)
-        watcher.on_timeout(party=0, batch_id=0, attempt=0, now=1.0, exhausted=True)
-        snapshot = registry.snapshot()
-        assert snapshot["gauges"] == {
-            "serve.slo.burn_rate": 2.0,
-            "serve.slo.p99": 2.0,
-        }
-        # Transitions are recorded in the log and tallied in the
-        # summary — never mirrored as registry counters.
-        assert snapshot["counters"] == {}
-        assert watcher.summary()["events"] == {
-            "burn_alert_start": 1,
-            "degraded_route": 1,
-            "timeout": 1,
-        }
-
     def test_no_registry_is_fine(self):
         watcher = SLOWatcher()
         watcher.on_completion(ok_outcome(0, latency=2.0), now=0.0)
@@ -298,18 +276,15 @@ class TestServeBenchIntegration:
 
     def test_runtime_feeds_shared_registry(self, smoke):
         # The saved RunReport snapshots the shared obs registry: the
-        # runtime's counters and the watchers' gauges, and no mirror of
-        # what the event log or the channel ledger already records.
+        # runtime's counters, and no mirror of what the event log or the
+        # channel ledger already records (the watchers publish nothing).
         report, _, report_path = smoke
         data = json.loads(report_path.read_text())
         counters = data["metrics"]["counters"]
         assert counters["serve.requests"] > 0
         assert all(key.startswith("serve.") for key in counters)
         assert not any(key.startswith("serve.slo.") for key in counters)
-        assert set(data["metrics"]["gauges"]) == {
-            "serve.slo.burn_rate",
-            "serve.slo.p99",
-        }
+        assert data["metrics"]["gauges"] == {}
         assert (
             data["channels"]["total_bytes"]
             == report["batched"]["snapshot"]["wire_bytes"]
@@ -320,6 +295,24 @@ class TestServeBenchIntegration:
         assert kinds.count("timeout") == (
             report["degraded_scenario"]["slo"]["events"]["timeout"]
         )
+
+    def test_burn_episodes_are_the_alert_record(self, smoke):
+        # The degraded watcher's burn-alert episode is recorded once, in
+        # the event log, and counted in its summary; no other alert
+        # record exists.
+        report, _, report_path = smoke
+        data = json.loads(report_path.read_text())
+        degraded = report["degraded_scenario"]["slo"]
+        assert degraded["alerts"] == degraded["events"]["burn_alert_start"] >= 1
+        (start, *_) = [
+            e for e in data["events"]
+            if (e["subsystem"], e["kind"], e.get("scenario"))
+            == ("serve.slo", "burn_alert_start", "degraded")
+        ]
+        assert start["burn_rate"] >= degraded["policy"]["burn_alert"]
+        assert start["p99"] > degraded["policy"]["latency_slo"]
+        assert "alerts" not in report and "alerts" not in data
+        assert not any(e["subsystem"] == "obs.alerts" for e in data["events"])
 
     def test_report_references_events_artifact(self, smoke):
         _, events, report_path = smoke

@@ -169,17 +169,20 @@ class TestScheduleValidator:
         engine = SimEngine()
         engine.add_resource("cpuA", lanes=1)
         busy = engine.submit("cpuA", 2.0, phase="p")
-        # Asked to start at 1.0, while ``busy`` holds the only lane.
-        late = engine.submit("cpuA", 2.0, phase="p", not_before=1.0)
+        # Released at 1.0, while ``busy`` holds the only lane.
+        lead = engine.submit("cpuB", 1.0, phase="p")
+        late = engine.submit("cpuA", 2.0, deps=[lead], phase="p")
         assert (late.resource, late.lane) == (busy.resource, busy.lane)
         assert (late.start, late.end) == (2.0, 4.0)
 
     def test_causality_violation_detected(self):
         engine = SimEngine()
         dep = engine.submit("cpuA", 2.0, phase="p")
-        # Another resource, free at 1.0: the dependency still holds it back.
-        child = engine.submit("cpuB", 2.0, deps=[dep], phase="p", not_before=1.0)
-        assert child.deps == (dep.task_id,)
+        # Released by ``lead`` at 1.0 on another resource: the slower
+        # dependency still holds it back.
+        lead = engine.submit("cpuC", 1.0, phase="p")
+        child = engine.submit("cpuB", 2.0, deps=[dep, lead], phase="p")
+        assert child.deps == (dep.task_id, lead.task_id)
         assert (child.start, child.end) == (2.0, 4.0)
 
 
