@@ -25,9 +25,9 @@ def test_resource_utilization(benchmark, record_result):
 def test_resource_utilization_obs_artifacts(record_report):
     """With --obs-dir, emit baseline vs. vf2boost schedule artifacts.
 
-    The traces make the §6.2 utilization claim *visible*: the baseline
-    trace shows Party A's lane idling between phases, the concurrent
-    one shows it saturated.
+    Their traces (``repro trace <report> -o <file>``) make the §6.2
+    utilization claim *visible*: the baseline trace shows Party A's
+    lane idling between phases, the concurrent one shows it saturated.
     """
     from repro.bench.costmodel import CostModel
     from repro.core.config import VF2BoostConfig

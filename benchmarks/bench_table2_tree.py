@@ -40,7 +40,7 @@ def test_table2_split_ratio_column(record_result):
 
 
 def test_table2_obs_artifacts(record_report):
-    """With --obs-dir, emit the per-tree schedule as report + trace."""
+    """With --obs-dir, emit the per-tree schedule as a RunReport."""
     from repro.bench.costmodel import CostModel
     from repro.core.config import VF2BoostConfig
     from repro.core.profile import analytic_trace

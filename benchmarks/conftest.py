@@ -5,11 +5,11 @@ Every benchmark both *benchmarks* a representative kernel (so
 table/figure, writing the rendered text to ``benchmarks/results/`` so
 the reproduction artifacts survive the run.
 
-Observability: run with ``--obs-dir <dir>`` to additionally emit
-:class:`repro.obs.report.RunReport` JSONs and Perfetto-loadable Chrome
-traces for the benchmarks that schedule protocols (the
-``record_report`` fixture is a no-op without the flag, so plain runs
-stay artifact-free).
+Observability: run with ``--obs-dir <dir>`` to additionally emit a
+:class:`repro.obs.report.RunReport` JSON for each benchmark that
+schedules protocols (``repro trace <report> -o <file>`` renders its
+Perfetto-loadable Chrome trace; the ``record_report`` fixture is a
+no-op without the flag, so plain runs stay artifact-free).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ def pytest_addoption(parser):
     parser.addoption(
         "--obs-dir",
         default=None,
-        help="directory for RunReport + Chrome trace artifacts",
+        help="directory for RunReport artifacts",
     )
 
 
@@ -59,24 +59,20 @@ def record_result(results_dir):
 
 @pytest.fixture()
 def record_report(obs_dir):
-    """Write a ScheduleResult's RunReport + Chrome trace under --obs-dir.
+    """Write a ScheduleResult's RunReport under --obs-dir.
 
     Returns the saved :class:`repro.obs.report.RunReport` (or ``None`` when
     ``--obs-dir`` was not given).  The schedule must have been produced
-    with ``collect_tasks=True`` for the trace to carry spans.
+    with ``collect_tasks=True`` for the report to carry spans.
     """
 
     def _record(name: str, schedule_result, label: str = "", config=None):
         if obs_dir is None:
             return None
-        from repro.obs.trace_export import write_chrome_trace
-
         report = schedule_result.run_report(label=label or name, config=config)
-        report.save(str(obs_dir / f"{name}.report.json"))
-        spans = schedule_result.spans()
-        if spans:
-            write_chrome_trace(str(obs_dir / f"{name}.trace.json"), spans)
-        print(f"\n[obs artifacts saved to {obs_dir}/{name}.*.json]")
+        path = obs_dir / f"{name}.report.json"
+        report.save(str(path))
+        print(f"\n[RunReport saved to {path}]")
         return report
 
     return _record

@@ -14,7 +14,7 @@ Usage::
     python -m repro calibrate -o profile.json --check
     python -m repro train --trees 8 --checkpoint-dir ckpts --fault-seed 7
     python -m repro faults
-    python -m repro events serve.events.jsonl --subsystem serve.slo
+    python -m repro events serve.report.json --subsystem serve.slo
     python -m repro incidents list --dir incidents
     python -m repro incidents diff 1 2 --dir incidents
 
@@ -26,10 +26,11 @@ output.  The ``trace`` subcommand re-exports the spans stored in a
 saved :class:`~repro.obs.report.RunReport` as Chrome trace-event JSON
 (openable at https://ui.perfetto.dev) and prints the report's phase
 breakdown; ``--summary`` prints the phase table and per-lane
-utilization without writing any file.  ``whatif`` re-prices the
-analytic schedule under perturbed unit costs and predicts makespan /
-Figure-7 deltas plus the break-even point where the critical-path
-bottleneck shifts lanes.  ``bench-gate`` runs the benchmark scenarios, gates them
+utilization (a train report: its per-phase crypto-op table) without
+writing any file.  ``whatif`` re-prices the analytic schedule under
+perturbed unit costs and predicts makespan / Figure-7 deltas plus the
+break-even point where the critical-path bottleneck shifts lanes.
+``bench-gate`` runs the benchmark scenarios, gates them
 against the append-only performance database and appends the new
 entries when the gate passes (exit 1 on regression; ``--faults`` adds
 the recovery-cost scenario, ``--serve`` the fleet-serving scenario,
@@ -40,12 +41,9 @@ drift against the paper references.  ``train`` runs a federated
 training job on synthetic data with optional fault injection,
 checkpointing and resume; ``faults`` sweeps fault rates and verifies
 the fault-free model is reproduced bit-exactly at every point.
-``events`` filters and pretty-prints a flight-recorder stream (an
-``--events-out`` JSONL or the ``events`` field of a saved RunReport);
-``incidents`` lists, shows and diffs the post-mortem reports a
-failure drops into ``--incident-dir`` (``--smoke`` runs a tiny
-crash-and-resume training job end to end and checks the incident it
-produces — the tier-1 wiring).
+``events`` filters and pretty-prints the flight-recorder events of a
+saved RunReport (an incident included); ``incidents`` lists, shows and
+diffs the post-mortem reports a failure drops into ``--incident-dir``.
 """
 
 from __future__ import annotations
@@ -144,10 +142,23 @@ def _trace_main(argv: list[str]) -> int:
                     f"(makespan {tracer.makespan:.3f}s):",
                 )
             )
-        elif not phases:
+        op_phases = report.profile.get("phases", {})
+        if op_phases:
+            columns = list(next(iter(op_phases.values())))
+            rows = [[phase, *(row[c] for c in columns)] for phase, row in op_phases.items()]
+            if "ops" in report.profile:
+                rows.append(["total", *(report.profile["ops"][c] for c in columns)])
             print(
-                f"report {report.label!r} holds neither phases nor spans; "
-                "nothing to summarize",
+                format_table(
+                    ["phase", *columns],
+                    rows,
+                    title=f"{report.kind} run {report.label!r} crypto ops per phase:",
+                )
+            )
+        if not (phases or utilization or op_phases):
+            print(
+                f"report {report.label!r} holds no phases, spans or op "
+                "profile; nothing to summarize",
                 file=sys.stderr,
             )
             return 1
@@ -753,22 +764,20 @@ def _faults_main(argv: list[str]) -> int:
 
 
 def _events_main(argv: list[str]) -> int:
-    """``repro events``: filter/pretty-print a flight-recorder stream."""
+    """``repro events``: filter/pretty-print a report's flight recorder."""
     import json
 
-    from repro.obs.events import event_from_wire, read_events_jsonl
+    from repro.obs.events import event_from_wire
+    from repro.obs.report import RunReport
 
     parser = argparse.ArgumentParser(
         prog="repro events",
         description=(
-            "Filter and pretty-print a flight-recorder event stream: an "
-            "--events-out JSONL file, or the 'events' field of a saved "
-            "RunReport JSON."
+            "Filter and pretty-print the flight-recorder events of a "
+            "saved RunReport JSON (a run report or an incident)."
         ),
     )
-    parser.add_argument(
-        "path", help="events JSONL (--events-out) or RunReport JSON"
-    )
+    parser.add_argument("path", help="RunReport JSON (e.g. from --report-out)")
     parser.add_argument(
         "--subsystem", default=None, help="keep only this producer"
     )
@@ -781,20 +790,11 @@ def _events_main(argv: list[str]) -> int:
     )
     args = parser.parse_args(argv)
 
-    with open(args.path) as handle:
-        text = handle.read()
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError:
-        data = None
-    try:
-        if isinstance(data, dict) and isinstance(data.get("events"), list):
-            events = [event_from_wire(record) for record in data["events"]]
-        elif isinstance(data, dict):
-            events = [event_from_wire(data)]
-        else:
-            events = read_events_jsonl(args.path)
-    except ValueError as error:
+        events = [
+            event_from_wire(record) for record in RunReport.load(args.path).events
+        ]
+    except (OSError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
 
@@ -815,68 +815,6 @@ def _events_main(argv: list[str]) -> int:
         )
         print(f"{e.time:>10.3f}s  {e.subsystem:<14} {e.kind:<22} {extras}")
     print(f"({len(events)} of {total} events shown)")
-    return 0
-
-
-def _incidents_smoke(json_out: bool = False) -> int:
-    """A tiny crash-and-resume training job must drop a valid incident."""
-    import json
-    import tempfile
-
-    from repro.core.config import VF2BoostConfig
-    from repro.core.trainer import FederatedTrainer
-    from repro.fed.faults import FaultPlan
-    from repro.fed.retry import RetryPolicy
-    from repro.obs.incident import IncidentStore
-
-    parties, labels = _synthetic_parties(120, 6, 8, seed=3)
-    config = VF2BoostConfig.vf2boost(
-        params=GBDTParams(n_trees=2, n_layers=3, n_bins=8),
-        crypto_mode="counted",
-    )
-    plan = FaultPlan(seed=3, drop_rate=0.05, crash_after_trees=(0,))
-    with tempfile.TemporaryDirectory() as tmp:
-        incident_dir = os.path.join(tmp, "incidents")
-        trainer = FederatedTrainer(config, incident_dir=incident_dir)
-        result = trainer.fit_resilient(
-            parties,
-            labels,
-            fault_plan=plan,
-            retry_policy=RetryPolicy(max_retries=8),
-            checkpoint_dir=os.path.join(tmp, "ckpts"),
-        )
-        store = IncidentStore(incident_dir)
-        paths = store.paths()
-        failures = []
-        if not result.incidents or not paths:
-            failures.append("no incident was written")
-        else:
-            first = store.load(1)
-            reloaded = store.load(os.path.basename(paths[0]))
-            if first.kind != "training_interrupted":
-                failures.append(
-                    f"first incident kind {first.kind!r}, expected "
-                    "'training_interrupted'"
-                )
-            if first.fingerprint() != reloaded.fingerprint():
-                failures.append("incident fingerprint changed across reload")
-            if not first.events:
-                failures.append("crash incident captured no events")
-        summary = {
-            "ok": not failures,
-            "incidents": [os.path.basename(path) for path in paths],
-            "failures": failures,
-        }
-    if json_out:
-        print(json.dumps(summary, indent=1, sort_keys=True))
-    else:
-        for name in summary["incidents"]:
-            print(f"incident: {name}")
-        print("incident smoke " + ("OK" if summary["ok"] else "FAILED"))
-    if failures:
-        for failure in failures:
-            print(f"incident smoke: {failure}", file=sys.stderr)
-        return 1
     return 0
 
 
@@ -911,17 +849,8 @@ def _incidents_main(argv: list[str]) -> int:
         default="incidents",
         help="incident directory (default: incidents)",
     )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="run a tiny crash-and-resume training job and verify the "
-        "incident it produces (tier-1 wiring); ignores action/refs",
-    )
     parser.add_argument("--json", action="store_true", help="JSON output")
     args = parser.parse_args(argv)
-
-    if args.smoke:
-        return _incidents_smoke(json_out=args.json)
 
     store = IncidentStore(args.dir)
     if args.action == "list":
@@ -1002,7 +931,7 @@ JSON_EXPERIMENTS: dict[str, object] = {
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point. Returns a process exit code.
 
-    A reader that closes stdout early (``repro events log.jsonl | head``)
+    A reader that closes stdout early (``repro events run.report.json | head``)
     ends the command with exit code 1 and no traceback.
     """
     try:

@@ -7,7 +7,7 @@ trees, learning rate ``eta = 0.1``, ``L = 7`` tree layers, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["GBDTParams"]
 
@@ -28,8 +28,6 @@ class GBDTParams:
         min_node_instances: minimum instances on a splittable node.
         objective: ``"logistic"`` for binary classification or
             ``"squared"`` for regression.
-        base_score: initial prediction margin before any tree.
-        seed: RNG seed for any stochastic component.
     """
 
     n_trees: int = 20
@@ -41,8 +39,6 @@ class GBDTParams:
     min_child_weight: float = 1e-5
     min_node_instances: int = 2
     objective: str = "logistic"
-    base_score: float = 0.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.n_trees < 1:

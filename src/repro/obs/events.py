@@ -21,9 +21,10 @@ Schema.  An event is ``(time, subsystem, kind, labels, payload)``:
 * ``labels`` — constant attribution (party / replica / arm / scenario);
 * ``payload`` — event-specific fields.
 
-The wire form (:meth:`Event.to_dict`, one JSON line per event with
-sorted keys) is *flat*: labels and payload merge to the top level next
-to ``time``/``subsystem``/``kind``, so a consumer reads
+The wire form (:meth:`Event.to_dict`, one record per event in a
+:class:`~repro.obs.report.RunReport`'s ``events``) is *flat*: labels
+and payload merge to the top level next to
+``time``/``subsystem``/``kind``, so a consumer reads
 ``record["kind"]`` and ``record["scenario"]`` side by side.  The keys
 ``kind``/``subsystem``/``time`` are therefore reserved and may not
 appear in labels or payload.
@@ -31,8 +32,9 @@ appear in labels or payload.
 The ring buffer is exact: at ``capacity`` events the oldest is evicted
 (counted in :attr:`EventLog.evicted`); sequence numbers keep counting,
 so ``total`` always equals the number of events ever appended.  Two
-identical runs produce byte-identical :meth:`EventLog.lines` — the
-foundation the incident reports (:mod:`repro.obs.incident`) build on.
+identical runs produce equal :meth:`EventLog.to_dicts`, so their saved
+reports are byte-identical — the foundation the incident reports
+(:mod:`repro.obs.incident`) build on.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 
-__all__ = ["Event", "EventLog", "event_from_wire", "read_events_jsonl"]
+__all__ = ["Event", "EventLog", "event_from_wire"]
 
 #: top-level wire keys an event owns; labels/payload may not shadow them
 RESERVED_KEYS = ("kind", "subsystem", "time")
@@ -92,10 +94,6 @@ class Event:
         record.update(self.labels)
         record.update(self.payload)
         return record
-
-    def line(self) -> str:
-        """One stable-key-order JSON line (byte-deterministic)."""
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 class EventLog:
@@ -168,17 +166,6 @@ class EventLog:
         """Every retained event's wire form (RunReport ``events``)."""
         return [event.to_dict() for event in self._events]
 
-    def lines(self) -> list[str]:
-        """Each retained event as one stable-key-order JSON line."""
-        return [event.line() for event in self._events]
-
-    def write_jsonl(self, path: str) -> int:
-        """Write the retained events as JSONL; returns the line count."""
-        with open(path, "w") as handle:
-            for line in self.lines():
-                handle.write(line + "\n")
-        return len(self._events)
-
     def summary(self) -> dict:
         """JSON-ready posture: occupancy plus per-subsystem/kind counts."""
         by_subsystem: dict[str, int] = {}
@@ -220,14 +207,3 @@ def event_from_wire(record: dict) -> Event:
         kind=record.pop("kind"),
         payload=record,
     )
-
-
-def read_events_jsonl(path: str) -> list[Event]:
-    """Parse a JSONL event stream back into :class:`Event` records."""
-    events: list[Event] = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                events.append(event_from_wire(json.loads(line)))
-    return events

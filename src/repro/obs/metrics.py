@@ -1,12 +1,12 @@
-"""Metrics registry: counters, gauges and streaming histograms.
+"""Metrics registry: counters and streaming histograms.
 
 A :class:`MetricsRegistry` is the serving side's sink for counters and
 distributions: a runtime counts requests, round trips and latency
-quantiles under ``serve.*``, a fleet rolls its replicas up under
-``fleet.*`` with per-replica p99 / burn-rate gauges, and a snapshot
-is the one reader.  Messages and transitions are not mirrored here —
-they live in the channel ledger and the event log — and training does
-not report here at all (DESIGN §4.8).
+quantiles under ``serve.*``, a fleet counts routed / shed / completed
+requests under ``fleet.*``, and a snapshot is the one reader.
+Messages and transitions are not mirrored here — they live in the
+channel ledger and the event log — and training does not report here
+at all (DESIGN §4.8).
 
 Everything here is zero-dependency and fed *deterministic* quantities
 (operation counts, simulated seconds, wire bytes), so snapshots are
@@ -18,7 +18,6 @@ bench-scale sample counts make that the simpler and more honest choice.
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -156,7 +155,7 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """A named collection of counters, gauges and histograms.
+    """A named collection of counters and histograms.
 
     Names are flat dotted strings (``"serve.requests"``,
     ``"fleet.replica0.shed"``); the dots are a naming
@@ -166,7 +165,6 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._counters: dict[str, int] = {}
-        self._gauges: dict[str, float] = {}
         self._histograms: dict[str, Histogram] = {}
 
     # ------------------------------------------------------------------
@@ -191,13 +189,6 @@ class MetricsRegistry:
         }
 
     # ------------------------------------------------------------------
-    # Gauges
-    # ------------------------------------------------------------------
-    def set_gauge(self, name: str, value: float) -> None:
-        """Set a point-in-time gauge."""
-        self._gauges[name] = float(value)
-
-    # ------------------------------------------------------------------
     # Histograms
     # ------------------------------------------------------------------
     def histogram(
@@ -219,14 +210,8 @@ class MetricsRegistry:
         """One JSON-ready view of everything, keys sorted (repeatable)."""
         return {
             "counters": dict(sorted(self._counters.items())),
-            "gauges": dict(sorted(self._gauges.items())),
             "histograms": {
                 name: hist.snapshot()
                 for name, hist in sorted(self._histograms.items())
             },
         }
-
-    def to_json(self, indent: int | None = 1) -> str:
-        """Serialized :meth:`snapshot` (sorted keys, repeatable bytes)."""
-        return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
-

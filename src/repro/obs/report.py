@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from repro.obs.tracer import Span
 from repro.obs.trace_export import write_chrome_trace
@@ -40,10 +40,15 @@ __all__ = ["RunReport", "channel_report"]
 #: :mod:`repro.obs.incident`); version 6 added ``context`` (an
 #: incident's trigger-specific JSON); version 7 dropped ``alerts``: the
 #: serving SLO watchers' burn-alert episodes in ``events`` are the one
-#: alert record.  Every added field is optional with an empty default,
-#: so older files load unchanged, and a version ≤ 6 file's ``alerts``
-#: key is dropped on load.
-REPORT_VERSION = 7
+#: alert record; version 8 dropped ``artifacts``: a run writes no
+#: sidecar files, its events and spans are in the report itself.  Every
+#: added field is optional with an empty default, so older files load
+#: unchanged, and a dropped field's key (``alerts`` of a version ≤ 6
+#: file, ``artifacts`` of a version ≤ 7 file) is dropped on load.
+REPORT_VERSION = 8
+
+#: keys a file of schema version ≤ N carries that this build dropped
+_DROPPED = (("alerts", 6), ("artifacts", 7))
 
 
 def channel_report(channel) -> dict:
@@ -74,6 +79,13 @@ def channel_report(channel) -> dict:
     }
 
 
+def _default(spec):
+    """A dataclass field's default value (``MISSING`` when it has none)."""
+    if spec.default_factory is not MISSING:
+        return spec.default_factory()
+    return spec.default
+
+
 @dataclass
 class RunReport:
     """The one-file summary of a train / schedule / serve run.
@@ -96,8 +108,6 @@ class RunReport:
             :attr:`~repro.core.trainer.TrainResult.profile` — crypto op
             counts in total and per protocol phase, in ``OpStats``
             field names like :attr:`parties`.
-        artifacts: sidecar file paths keyed by kind (e.g. the serve
-            SLO watcher's JSONL event log under ``"events"``).
         faults: a :meth:`~repro.fed.reliable.ReliableChannel.summary`
             (fault plan, drop/resend/dedupe tallies, recovery-clock
             seconds) when the run trained over a fault-injected
@@ -131,7 +141,6 @@ class RunReport:
     makespan: float = 0.0
     spans: list = field(default_factory=list)
     profile: dict = field(default_factory=dict)
-    artifacts: dict = field(default_factory=dict)
     faults: dict = field(default_factory=dict)
     critical_path: dict = field(default_factory=dict)
     events: list = field(default_factory=list)
@@ -175,16 +184,27 @@ class RunReport:
                 f"report {path} has schema version {version}; this build "
                 f"reads up to {REPORT_VERSION}"
             )
-        if version <= 6:
-            data.pop("alerts", None)
+        for key, last_version in _DROPPED:
+            if version <= last_version:
+                data.pop(key, None)
         unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"report {path} has unknown field(s): {unknown}")
         return cls(**data)
 
     def fingerprint(self) -> str:
-        """Stable content hash (sha256 of the compact serialization)."""
-        compact = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        """Stable content hash (sha256 of the compact serialization).
+
+        Hashes every field not at its empty default and leaves out the
+        schema version, so a schema change that adds or drops an empty
+        field moves no stored report's fingerprint.
+        """
+        content = {
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if getattr(self, f.name) != _default(f)
+        }
+        compact = json.dumps(content, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(compact.encode()).hexdigest()[:16]
 
     def span_objects(self) -> list[Span]:
@@ -200,14 +220,14 @@ class RunReport:
         next to the timeline.
 
         Raises:
-            ValueError: when the report carries no spans (emitted
-                without ``--trace-out``-style span retention).
+            ValueError: when the report carries no spans (a train
+                report keeps its per-phase ``profile`` instead).
         """
         spans = self.span_objects()
         if not spans:
             raise ValueError(
-                f"report {self.label!r} holds no spans; re-run its "
-                "producer with span retention (e.g. --trace-out)"
+                f"report {self.label!r} holds no spans; only schedule "
+                "and serve reports carry a timeline"
             )
         counters = self.metrics.get("counters") if self.metrics else None
         write_chrome_trace(path, spans, counters=counters or None)

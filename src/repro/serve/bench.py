@@ -48,7 +48,7 @@ from repro.fed.channel import RecordingChannel
 from repro.fed.cluster import ClusterSpec
 from repro.fed.messages import RouteQuery
 from repro.obs.events import EventLog
-from repro.obs.metrics import MetricsRegistry, nearest_rank
+from repro.obs.metrics import nearest_rank
 from repro.obs.report import RunReport, channel_report
 from repro.obs.tracer import Tracer
 from repro.serve.canary import CanaryConfig, CanaryController
@@ -214,7 +214,6 @@ def fleet_sweep(
 
     sweep = []
     for n_replicas in replica_counts:
-        metrics = MetricsRegistry()
         fleet = ServingFleet(
             registry,
             FleetConfig(
@@ -225,7 +224,6 @@ def fleet_sweep(
             ),
             cluster=cluster,
             serve_config=fleet_serve,
-            metrics_registry=metrics,
             event_log=event_log,
             slo_labels={"scenario": f"fleet{n_replicas}"},
         )
@@ -237,7 +235,7 @@ def fleet_sweep(
             np.array_equal(o.margins, baseline_margins[o.request_id])
             for o in served
         )
-        counters = metrics.counters("fleet.")
+        counters = fleet.metrics.counters("fleet.")
         sweep.append(
             {
                 "replicas": n_replicas,
@@ -364,9 +362,7 @@ def run_bench(
     n_requests: int | None = None,
     concurrency: int | None = None,
     seed: int = 7,
-    trace_out: str | None = None,
     report_out: str | None = None,
-    events_out: str | None = None,
     replicas: list[int] | None = None,
     trace: str = "flashcrowd",
 ) -> dict:
@@ -377,20 +373,14 @@ def run_bench(
             in smoke mode, ``[1, 2, 4, 8]`` otherwise).
         trace: heavy-tail trace name for the fleet sweep (a
             :data:`~repro.serve.loadgen.TRACES` key).
-        trace_out: also write a Chrome trace of the batched runtime's
-            admission / request / round-trip spans (Perfetto-loadable),
-            rendered from the run's :class:`~repro.obs.report.RunReport`
-            so it carries the same counter tracks as ``repro trace`` of
-            the ``report_out`` file.
-        report_out: also write a :class:`~repro.obs.report.RunReport` whose
-            phase totals equal the trace's per-category duration sums
-            and whose metrics come from the shared registry.
-        events_out: also write the bench's unified flight-recorder
-            event log as JSONL — every scenario's SLO events plus
-            fleet shed decisions and canary / registry transitions,
-            each line tagged with its scenario label;
-            the path lands in the RunReport under
-            ``artifacts["events"]``.
+        report_out: also write the run's one
+            :class:`~repro.obs.report.RunReport`: the batched runtime's
+            metrics, channel ledger and admission / request /
+            round-trip spans (``repro trace <report> -o`` renders the
+            Chrome trace), and the bench's flight-recorder event log —
+            every scenario's SLO events plus fleet shed decisions and
+            canary / registry transitions, each tagged with its
+            scenario (``repro events <report>`` prints them).
     """
     scenario = replace(SERVE_SMOKE if smoke else SERVE_FULL, seed=seed)
     n_requests = n_requests or (48 if smoke else 400)
@@ -413,13 +403,11 @@ def run_bench(
     requests = make_requests(load)
 
     # --- micro-batched serving runtime --------------------------------
-    # One metrics registry for the batched scenario's serve counters.
     # One flight-recorder event log for the whole bench: SLO watchers
     # (their burn-alert episodes are the bench's one alert record),
     # fleet shed decisions, canary transitions and registry hot-swaps
     # all interleave in it, each tagged with its scenario.  Capacity is
     # sized so no smoke or full run evicts.
-    obs_registry = MetricsRegistry()
     tracer = Tracer()
     event_log = EventLog(capacity=65536)
     slo = SLOWatcher(
@@ -429,7 +417,6 @@ def run_bench(
         registry,
         cluster=cluster,
         config=serve_config,
-        metrics=obs_registry,
         tracer=tracer,
         slo=slo,
     )
@@ -566,29 +553,18 @@ def run_bench(
         "event_log": event_log.summary(),
     }
 
-    if events_out:
-        # One unified stream: every scenario's SLO events plus fleet
-        # shed decisions and canary/registry transitions, each line
-        # tagged with its scenario label.
-        report["events_written"] = event_log.write_jsonl(events_out)
-
-    if trace_out or report_out:
-        run_report = RunReport(
+    if report_out:
+        RunReport(
             kind="serve",
             label="smoke" if smoke else "full",
             config=dict(report["config"]),
-            metrics=obs_registry.snapshot(),
+            metrics=runtime.metrics.snapshot(),
             phases=tracer.phase_totals(),
             channels=channel_report(runtime.channel),
             makespan=tracer.makespan,
             spans=[span.to_dict() for span in tracer.spans],
-            artifacts={"events": events_out} if events_out else {},
             events=event_log.to_dicts(),
-        )
-        if trace_out:
-            run_report.write_chrome_trace(trace_out)
-        if report_out:
-            run_report.save(report_out)
+        ).save(report_out)
     return report
 
 
@@ -603,19 +579,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--out", default="BENCH_serve.json", help="report path")
     parser.add_argument(
-        "--trace-out",
-        default=None,
-        help="write a Chrome trace (Perfetto) of the batched runtime",
-    )
-    parser.add_argument(
         "--report-out",
         default=None,
-        help="write a RunReport JSON (metrics + phases + spans)",
-    )
-    parser.add_argument(
-        "--events-out",
-        default=None,
-        help="write the SLO watchers' structured event log as JSONL",
+        help="write the run's RunReport JSON (metrics, phases, spans, "
+        "events; 'repro trace' / 'repro events' read it)",
     )
     parser.add_argument("--requests", type=int, default=None)
     parser.add_argument("--concurrency", type=int, default=None)
@@ -639,9 +606,7 @@ def main(argv: list[str] | None = None) -> int:
         n_requests=args.requests,
         concurrency=args.concurrency,
         seed=args.seed,
-        trace_out=args.trace_out,
         report_out=args.report_out,
-        events_out=args.events_out,
         replicas=[args.replicas] if args.replicas else None,
         trace=args.trace,
     )
@@ -650,12 +615,8 @@ def main(argv: list[str] | None = None) -> int:
     ratios = report["ratios"]
     parity = report["parity"]
     print(f"wrote {args.out}")
-    if args.trace_out:
-        print(f"wrote {args.trace_out} (open at https://ui.perfetto.dev)")
     if args.report_out:
         print(f"wrote {args.report_out}")
-    if args.events_out:
-        print(f"wrote {args.events_out} ({report['events_written']} events)")
     print(
         "round trips/1k: naive "
         f"{report['naive']['round_trips_per_1k']:.1f} -> batched "

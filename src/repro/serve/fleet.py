@@ -24,11 +24,11 @@ of being admitted to a queue it would only deepen.  Shed decisions read
 only simulated-clock state — never a wall clock (the analyzer's DET001
 rule polices exactly this).
 
-A fleet-level aggregator rolls per-replica SLO posture into the shared
-:class:`~repro.obs.metrics.MetricsRegistry` under ``fleet.*`` — routed
-and shed counters, per-replica p99/burn-rate gauges and their fleet-wide
-maxima — so one snapshot shows the whole fleet.  Transitions (every
-replica's SLO events and every shed decision) go to one
+The fleet counts routed, shed and completed requests into its own
+:class:`~repro.obs.metrics.MetricsRegistry` under ``fleet.*``;
+:meth:`ServingFleet.summary` adds each replica's SLO posture (window
+p99, burn rate) from its watcher.  Transitions (every replica's SLO
+events and every shed decision) go to one
 :class:`~repro.obs.events.EventLog`, seq-ordered across replicas.
 Canary rollout plugs in through the runtimes' ``version_selector``
 seam (see :mod:`repro.serve.canary`).
@@ -46,7 +46,6 @@ import numpy as np
 from repro.fed.cluster import ClusterSpec
 from repro.obs.events import EventLog
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import Tracer
 from repro.serve.registry import ModelRegistry
 from repro.serve.session import (
     Prediction,
@@ -185,11 +184,6 @@ class ServingFleet:
         cluster / serve_config: forwarded to every replica runtime,
             same meaning as on
             :class:`~repro.serve.session.ServingRuntime`.
-        metrics_registry: shared sink for the ``fleet.*`` rollup
-            (created when omitted).  Per-replica runtimes keep private
-            registries so their ``serve.*`` names never collide.
-        tracer: optional shared tracer; replica ``i`` prefixes its
-            tracks ``replica{i}.`` so spans land on distinct tracks.
         canary: optional :class:`~repro.serve.canary.CanaryController`;
             when given, its ``select`` is every replica's version
             selector and every completion is fed to its ``observe``
@@ -210,15 +204,15 @@ class ServingFleet:
         config: FleetConfig | None = None,
         cluster: ClusterSpec | None = None,
         serve_config: ServeConfig | None = None,
-        metrics_registry: MetricsRegistry | None = None,
-        tracer: Tracer | None = None,
         canary=None,
         event_log=None,
         slo_labels: dict | None = None,
     ) -> None:
         self.registry = registry
         self.config = config or FleetConfig()
-        self.metrics = metrics_registry or MetricsRegistry()
+        #: the ``fleet.*`` counters; each replica runtime keeps its own
+        #: registry, so their ``serve.*`` names never collide
+        self.metrics = MetricsRegistry()
         self.canary = canary
         version_selector = canary.select if canary is not None else None
         self.router = FleetRouter(self.config.n_replicas, self.config.seed)
@@ -239,12 +233,10 @@ class ServingFleet:
                 registry,
                 cluster=cluster,
                 config=serve_config,
-                tracer=tracer,
                 slo=watcher,
                 version_selector=version_selector,
-                track_prefix=f"replica{i}.",
             )
-            runtime.set_on_complete(self._make_sink(i))
+            runtime.set_on_complete(self._on_complete)
             self.replicas.append(runtime)
         self._arrivals: list[tuple[float, int, Request]] = []
         self._seq = 0
@@ -303,20 +295,14 @@ class ServingFleet:
         return watcher.burn_rate() >= policy.burn_threshold
 
     # ------------------------------------------------------------------
-    # Egress / aggregation
+    # Egress
     # ------------------------------------------------------------------
-    def _make_sink(self, replica: int):
-        def sink(outcome: Prediction) -> None:
-            self.completed.append(outcome)
-            request = self._requests.pop(outcome.request_id, None)
-            if self.canary is not None:
-                self.canary.observe(request, outcome)
-            self._aggregate(replica, outcome)
-
-        return sink
-
-    def _aggregate(self, replica: int, outcome: Prediction) -> None:
-        """Roll one replica's SLO posture into the shared registry."""
+    def _on_complete(self, outcome: Prediction) -> None:
+        """Collect one replica completion, feed the canary, count it."""
+        self.completed.append(outcome)
+        request = self._requests.pop(outcome.request_id, None)
+        if self.canary is not None:
+            self.canary.observe(request, outcome)
         if outcome.rejected:
             self.metrics.inc(_PREFIX + "rejected")
         else:
@@ -325,21 +311,6 @@ class ServingFleet:
                 self.metrics.inc(_PREFIX + "degraded")
             if outcome.deadline_missed:
                 self.metrics.inc(_PREFIX + "deadline_misses")
-        watcher = self.watchers[replica]
-        self.metrics.set_gauge(
-            _PREFIX + f"replica{replica}.p99", watcher.window_p99()
-        )
-        self.metrics.set_gauge(
-            _PREFIX + f"replica{replica}.burn_rate", watcher.burn_rate()
-        )
-        self.metrics.set_gauge(
-            _PREFIX + "p99_max",
-            max(w.window_p99() for w in self.watchers),
-        )
-        self.metrics.set_gauge(
-            _PREFIX + "burn_rate_max",
-            max(w.burn_rate() for w in self.watchers),
-        )
 
     # ------------------------------------------------------------------
     # The global event loop

@@ -210,20 +210,6 @@ class ServingRuntime:
         cluster: WAN latency/bandwidth used to price round trips.
         config: batching/deadline/cache knobs.
         retry: per-party timeout and backoff policy.
-        channel: strict :class:`RecordingChannel` for wire accounting
-            and the privacy guard (created when omitted).
-        metrics: the :class:`~repro.obs.metrics.MetricsRegistry` the
-            runtime counts into under ``serve.*`` — counters
-            ``requests``, ``predictions`` (rows), ``completed``,
-            ``rejected`` (admission-queue overflow), ``deadline_misses``,
-            ``degraded_requests``, ``degraded_rows``, ``cache_lookups``,
-            ``cache_hits``, ``round_trips``, ``retries``, ``timeouts``
-            and histograms ``latency`` (admission -> completion,
-            simulated s), ``batch_occupancy`` / ``batch_rows`` (items /
-            instance ids per flushed routing batch), ``queue_depth``
-            (in-flight requests at each admission).  The runtime
-            creates its own when omitted, which keeps independent
-            runtimes (fleet replicas) isolated.
         party_delay: deterministic fault injection —
             ``(party, batch_id, attempt) -> extra seconds`` added to
             that attempt's answer time (``None`` = healthy parties).
@@ -236,9 +222,22 @@ class ServingRuntime:
         version_selector: optional ``request -> ModelVersion`` hook
             deciding which registered version serves a request (canary
             traffic slicing); defaults to :meth:`ModelRegistry.active`.
-        track_prefix: prefix for every tracer track name — a fleet
-            passes ``"replica3."`` so per-replica spans land on their
-            own Perfetto tracks.
+
+    Attributes:
+        channel: the strict :class:`RecordingChannel` for wire
+            accounting and the privacy guard.
+        metrics: the runtime's own
+            :class:`~repro.obs.metrics.MetricsRegistry`, counted into
+            under ``serve.*`` — counters
+            ``requests``, ``predictions`` (rows), ``completed``,
+            ``rejected`` (admission-queue overflow), ``deadline_misses``,
+            ``degraded_requests``, ``degraded_rows``, ``cache_lookups``,
+            ``cache_hits``, ``round_trips``, ``retries``, ``timeouts``
+            and histograms ``latency`` (admission -> completion,
+            simulated s), ``batch_occupancy`` / ``batch_rows`` (items /
+            instance ids per flushed routing batch), ``queue_depth``
+            (in-flight requests at each admission).  Each runtime
+            has its own, which keeps fleet replicas isolated.
     """
 
     def __init__(
@@ -247,22 +246,17 @@ class ServingRuntime:
         cluster: ClusterSpec | None = None,
         config: ServeConfig | None = None,
         retry: RetryPolicy | None = None,
-        channel: RecordingChannel | None = None,
-        metrics: MetricsRegistry | None = None,
         party_delay: Callable[[int, int, int], float] | None = None,
         tracer: Tracer | None = None,
         slo=None,
         version_selector: Callable[[Request], ModelVersion] | None = None,
-        track_prefix: str = "",
     ) -> None:
         self.registry = registry
         self.cluster = cluster or ClusterSpec()
         self.config = config or ServeConfig()
         self.retry = retry or RetryPolicy()
-        self.channel = channel or RecordingChannel(
-            self.config.key_bits, active_party=ACTIVE
-        )
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.channel = RecordingChannel(self.config.key_bits, active_party=ACTIVE)
+        self.metrics = MetricsRegistry()
         # Up front: bounds apply on creation only, and an idle runtime
         # still snapshots all four.
         for name, bounds in _HISTOGRAMS.items():
@@ -271,7 +265,6 @@ class ServingRuntime:
         self.tracer = tracer
         self.slo = slo
         self.version_selector = version_selector
-        self.track_prefix = track_prefix
         self.batcher = MicroBatcher(
             self.config.max_batch_size, self.config.max_delay
         )
@@ -379,7 +372,7 @@ class ServingRuntime:
                 now,
                 admitted,
                 category="Admit",
-                track=self.track_prefix + "B.serve",
+                track="B.serve",
                 request_id=request.request_id,
             )
         n_rows = request.n_rows()
@@ -571,7 +564,7 @@ class ServingRuntime:
                 now,
                 done,
                 category="RoundTrip",
-                track=f"{self.track_prefix}party{party}.wire",
+                track=f"party{party}.wire",
                 lane=record.batch_id % 8,
                 batch_id=record.batch_id,
                 attempt=record.attempt,
@@ -676,7 +669,7 @@ class ServingRuntime:
                 session.admitted,
                 now,
                 category="Request",
-                track=self.track_prefix + "requests",
+                track="requests",
                 lane=session.request.request_id % 16,
                 request_id=session.request.request_id,
                 rows=n_rows,

@@ -68,27 +68,19 @@ def repo_reporter(strict_run):
 def serve_smoke(tmp_path_factory):
     """One ``python -m repro.serve.bench --smoke`` run, shared by every test.
 
-    Every artifact is asked for; returns ``exit_code`` and the paths
-    ``out`` (the bench report), ``trace``, ``report`` (the RunReport)
-    and ``events``.
+    Both outputs are asked for; returns ``exit_code`` and the paths
+    ``out`` (the bench report) and ``report`` (the RunReport, the run's
+    one artifact: spans, metrics and events).
     """
     from repro.serve import bench
 
     root = tmp_path_factory.mktemp("serve_smoke")
     paths = {
         "out": root / "BENCH_serve.json",
-        "trace": root / "serve.trace.json",
         "report": root / "serve.report.json",
-        "events": root / "events.jsonl",
     }
     exit_code = bench.main(
-        [
-            "--smoke",
-            "--out", str(paths["out"]),
-            "--trace-out", str(paths["trace"]),
-            "--report-out", str(paths["report"]),
-            "--events-out", str(paths["events"]),
-        ]
+        ["--smoke", "--out", str(paths["out"]), "--report-out", str(paths["report"])]
     )
     return SimpleNamespace(exit_code=exit_code, **paths)
 

@@ -1,7 +1,7 @@
 """Tests for the unified flight-recorder event log (repro.obs.events):
 wire format, reserved-key validation, exact ring
-eviction, byte-identical JSONL across reruns (including a faulty
-training run), and JSONL round-tripping."""
+eviction, identical records across reruns (including a faulty
+training run), and round-tripping through a saved RunReport."""
 
 import json
 
@@ -13,12 +13,8 @@ from repro.core.trainer import FederatedTrainer
 from repro.fed.faults import FaultPlan
 from repro.fed.retry import RetryPolicy
 from repro.gbdt.params import GBDTParams
-from repro.obs.events import (
-    Event,
-    EventLog,
-    event_from_wire,
-    read_events_jsonl,
-)
+from repro.obs.events import Event, EventLog, event_from_wire
+from repro.obs.report import RunReport
 
 
 class TestEventSchema:
@@ -51,8 +47,10 @@ class TestEventSchema:
             event_from_wire({"event": "timeout", "time": 1.0})
 
     def test_line_is_sorted_key_json(self):
+        # A saved report writes each event record with sorted keys.
         event = Event(time=0.0, subsystem="s", kind="k", payload={"b": 1, "a": 2})
-        record = json.loads(event.line())
+        text = RunReport(kind="serve", events=[event.to_dict()]).to_json()
+        (record,) = json.loads(text)["events"]
         assert list(record) == sorted(record)
 
     @pytest.mark.parametrize("reserved", ["kind", "subsystem", "time"])
@@ -129,13 +127,13 @@ class TestEventLog:
         assert summary["by_subsystem"] == {"a": 2, "b": 1}
         assert summary["by_kind"] == {"a/x": 1, "a/y": 1, "b/x": 1}
 
-    def test_jsonl_round_trip(self, tmp_path):
+    def test_report_round_trip(self, tmp_path):
         log = EventLog()
         log.emit(0.5, "serve.slo", "timeout", labels={"scenario": "s"}, rid=1)
         log.emit(1.5, "trainer", "tree_end", tree=0, train_loss=0.25)
-        path = tmp_path / "events.jsonl"
-        assert log.write_jsonl(str(path)) == 2
-        back = read_events_jsonl(str(path))
+        path = tmp_path / "run.report.json"
+        RunReport(kind="serve", events=log.to_dicts()).save(str(path))
+        back = [event_from_wire(r) for r in RunReport.load(str(path)).events]
         assert [e.to_dict() for e in back] == log.to_dicts()
 
 
@@ -164,16 +162,17 @@ class TestByteDeterminism:
             log.emit(1.0, "serve.fleet", "shed", replica=1, burn_rate=2.5)
             return log
 
-        assert build().lines() == build().lines()
-        assert "\n".join(build().lines()) == "\n".join(build().lines())
+        assert build().to_dicts() == build().to_dicts()
+        saved = [RunReport(kind="serve", events=build().to_dicts()).to_json()
+                 for _ in range(2)]
+        assert saved[0] == saved[1]
 
     def test_faulty_training_rerun_is_byte_identical(self, tmp_path):
         result_a, trainer_a = _faulty_train(tmp_path, "a")
         result_b, trainer_b = _faulty_train(tmp_path, "b")
-        lines_a = trainer_a.events.lines()
-        lines_b = trainer_b.events.lines()
-        assert lines_a == lines_b
-        assert lines_a  # the run actually recorded events
+        records_a = trainer_a.events.to_dicts()
+        assert records_a == trainer_b.events.to_dicts()
+        assert records_a  # the run actually recorded events
         # The TrainResult carries the same wire dicts.
         assert result_a.events == result_b.events
         kinds = {e["kind"] for e in result_a.events}

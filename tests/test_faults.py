@@ -257,7 +257,7 @@ class TestReliableChannel:
             channel = _reliable(plan, RetryPolicy(max_retries=8))
             for i in range(25):
                 channel.send(SplitQuery(sender=0, receiver=1, node_id=i))
-            return channel.summary(), channel.event_log.lines()
+            return channel.summary(), channel.event_log.to_dicts()
 
         assert run() == run()
 

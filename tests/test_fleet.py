@@ -10,8 +10,6 @@ from repro.core.config import VF2BoostConfig
 from repro.core.trainer import FederatedTrainer
 from repro.gbdt.binning import bin_dataset
 from repro.gbdt.params import GBDTParams
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import Tracer
 from repro.serve.canary import CanaryConfig, CanaryController, golden_margins
 from repro.serve.fleet import (
     FleetConfig,
@@ -203,23 +201,6 @@ class TestFleetParity:
             for a, b in zip(first, second)
         )
 
-    def test_replica_tracks_are_prefixed(self, trained):
-        model, parties = trained
-        registry = _make_registry(model, parties)
-        tracer = Tracer()
-        fleet = ServingFleet(
-            registry,
-            FleetConfig(n_replicas=2, seed=1, shed=None),
-            tracer=tracer,
-        )
-        for request in make_requests(_load(parties, n_requests=24)):
-            fleet.submit(request)
-        fleet.run()
-        tracks = {span.track for span in tracer.spans}
-        assert any(track.startswith("replica0.") for track in tracks)
-        assert any(track.startswith("replica1.") for track in tracks)
-        assert not any(track == "requests" for track in tracks)
-
 
 class TestShedding:
     def _overloaded_fleet(self, registry, n_replicas=1):
@@ -342,20 +323,19 @@ class TestFleetMetrics:
     def test_rollup_lands_in_shared_registry(self, trained):
         model, parties = trained
         registry = _make_registry(model, parties)
-        shared = MetricsRegistry()
         fleet = ServingFleet(
-            registry,
-            FleetConfig(n_replicas=2, seed=1, shed=None),
-            metrics_registry=shared,
+            registry, FleetConfig(n_replicas=2, seed=1, shed=None)
         )
         for request in make_requests(_load(parties, n_requests=48)):
             fleet.submit(request)
         fleet.run()
-        snapshot = shared.snapshot()
+        snapshot = fleet.metrics.snapshot()
         assert snapshot["counters"]["fleet.routed"] == 48
         assert snapshot["counters"]["fleet.completed"] == 48
-        assert "fleet.p99_max" in snapshot["gauges"]
-        assert "fleet.replica0.burn_rate" in snapshot["gauges"]
+        # Per-replica SLO posture is read off the watchers, not mirrored.
+        for i, entry in enumerate(fleet.summary()["per_replica"]):
+            assert entry["slo"] == fleet.watchers[i].summary()
+            assert entry["slo"]["completions"] > 0
         # Per-replica routed counters partition the total.
         per_replica = sum(
             snapshot["counters"].get(f"fleet.replica{i}.routed", 0)

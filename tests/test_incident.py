@@ -2,11 +2,12 @@
 ``repro incidents`` / ``repro events`` CLIs: an incident is a RunReport
 whose kind is its trigger — store naming and trigger check, round trips
 and fingerprints, the report differ on incident sections, byte-identical
-incidents from a crash-and-resume training rerun, the bench-gate
-trigger, and the tier-1 ``--smoke`` wiring."""
+incidents from a crash-and-resume training rerun, and the bench-gate
+trigger."""
 
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 
@@ -155,6 +156,8 @@ class TestStore:
         assert store.load("2").label == "two"
         assert store.load("incident-0002-bench-regression.json").label == "two"
         assert store.load(store.paths()[0]).label == "one"
+        by_name = store.load("incident-0001-training-interrupted.json")
+        assert store.load(1).fingerprint() == by_name.fingerprint()
         with pytest.raises(LookupError, match="out of range"):
             store.load(3)
 
@@ -252,6 +255,11 @@ class TestTrainingIncidents:
                 assert a.read() == b.read()
         crash = RunReport.load(result_a.incidents[0])
         assert crash.kind == "training_interrupted"
+        # Loaded by number or by file name, and reloaded: one fingerprint.
+        store = IncidentStore(str(tmp_path / "inc-a"))
+        by_name = store.load(os.path.basename(result_a.incidents[0]))
+        assert store.load(1).fingerprint() == by_name.fingerprint()
+        assert RunReport.load(result_a.incidents[0]).fingerprint() == crash.fingerprint()
         assert crash.context["completed_trees"] == 1
         assert any(e["kind"] == "crash" for e in crash.events)
         assert crash.channels["by_type"]  # channel traffic at the crash instant
@@ -275,12 +283,6 @@ def crash_and_recovery(tmp_path_factory):
 
 
 class TestCLI:
-    def test_incidents_smoke_is_green(self, capsys):
-        assert main(["incidents", "--smoke"]) == 0
-        out = capsys.readouterr().out
-        assert "incident smoke OK" in out
-        assert "training-interrupted" in out
-
     def test_incidents_list_show_diff(self, tmp_path, capsys):
         store = IncidentStore(str(tmp_path))
         store.save(snapshot_incident("fault_recovery", label="one", time=1.0))
@@ -377,12 +379,12 @@ class TestCLI:
     def test_incidents_show_requires_one_ref(self, tmp_path, capsys):
         assert main(["incidents", "show", "--dir", str(tmp_path)]) == 2
 
-    def test_events_cli_filters_jsonl(self, tmp_path, capsys):
+    def test_events_cli_filters_a_report(self, tmp_path, capsys):
         log = EventLog()
         log.emit(0.5, "serve.slo", "timeout", labels={"scenario": "s"}, rid=1)
         log.emit(1.5, "trainer", "tree_end", tree=0)
-        path = str(tmp_path / "events.jsonl")
-        log.write_jsonl(path)
+        path = str(tmp_path / "run.report.json")
+        RunReport(kind="serve", events=log.to_dicts()).save(path)
         assert main(["events", path, "--subsystem", "trainer"]) == 0
         out = capsys.readouterr().out
         assert "tree_end" in out
@@ -390,19 +392,27 @@ class TestCLI:
         assert "(1 of 2 events shown)" in out
 
     def test_events_cli_reads_run_report(self, tmp_path, capsys):
+        # Any RunReport, an incident included; a bare JSON object with
+        # an `events` list is not a report.
         log = EventLog()
         log.emit(0.5, "serve.slo", "burn_alert_start", labels={"scenario": "s"})
-        report = {"events": log.to_dicts()}
-        path = str(tmp_path / "report.json")
-        with open(path, "w") as handle:
-            json.dump(report, handle)
+        path = IncidentStore(str(tmp_path)).save(
+            RunReport(kind="fault_recovery", events=log.to_dicts())
+        )
         assert main(["events", path, "--json"]) == 0
         records = json.loads(capsys.readouterr().out)
         assert records == log.to_dicts()
+        bare = tmp_path / "bare.json"
+        bare.write_text(json.dumps({"events": log.to_dicts()}))
+        assert main(["events", str(bare)]) == 1
+        assert "not a RunReport" in capsys.readouterr().err
+        assert main(["events", str(tmp_path / "missing.json")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_events_cli_refuses_a_record_without_kind(self, tmp_path, capsys):
-        path = tmp_path / "events.jsonl"
-        path.write_text('{"kind": "timeout", "time": 0.5}\n{"event": "drop"}\n')
+        path = tmp_path / "run.report.json"
+        events = [{"kind": "timeout", "time": 0.5}, {"event": "drop"}]
+        RunReport(kind="serve", events=events).save(str(path))
         assert main(["events", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: event record has no 'kind'")

@@ -37,12 +37,6 @@ class TestMetricsRegistry:
         assert reg.counters("crypto.") == {"enc": 5}
         assert reg.get("never.seen") == 0
 
-    def test_gauges(self):
-        reg = MetricsRegistry()
-        reg.set_gauge("depth", 3.5)
-        reg.set_gauge("depth", 4)
-        assert reg.snapshot()["gauges"] == {"depth": 4.0}
-
     def test_histogram_get_or_create(self):
         reg = MetricsRegistry()
         h1 = reg.histogram("lat")
@@ -54,12 +48,11 @@ class TestMetricsRegistry:
     def test_snapshot_shape(self):
         reg = MetricsRegistry()
         reg.inc("a")
-        reg.set_gauge("g", 1.0)
         reg.observe("h", 0.5)
         snap = reg.snapshot()
-        assert set(snap) == {"counters", "gauges", "histograms"}
+        assert set(snap) == {"counters", "histograms"}
         assert snap["counters"] == {"a": 1}
-        json.loads(reg.to_json())  # serializable
+        json.dumps(snap)  # serializable
 
 
 class TestHistogram:
@@ -300,6 +293,40 @@ class TestRunReport:
         with pytest.raises(ValueError, match=r"unknown field\(s\): \['alerts'\]"):
             RunReport.load(str(path))
 
+    def test_v7_report_drops_its_artifacts_and_keeps_its_fingerprint(self, tmp_path):
+        # Version 8 dropped the sidecar paths.  The fingerprint hashes no
+        # version stamp and no empty field, so the old file has the
+        # fingerprint of the same report built in memory.
+        report = RunReport(
+            kind="fault_recovery",
+            events=[{"kind": "drop", "subsystem": "fed.reliable", "time": 0.5}],
+            context={"time": 1.0},
+        )
+        data = report.to_dict()
+        data.update(version=7, artifacts={})
+        path = tmp_path / "v7.report.json"
+        path.write_text(json.dumps(data))
+        loaded = RunReport.load(str(path))
+        assert loaded == report
+        assert loaded.fingerprint() == report.fingerprint()
+        data["version"] = 8
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=r"unknown field\(s\): \['artifacts'\]"):
+            RunReport.load(str(path))
+
+    def test_schema_version_moves_no_fingerprint(self, monkeypatch):
+        from repro.obs import report as report_module
+
+        reports = [
+            RunReport(kind="serve"),
+            RunReport(kind="train", label="x", makespan=2.5, context={"a": 1}),
+        ]
+        before = [r.fingerprint() for r in reports]
+        monkeypatch.setattr(report_module, "REPORT_VERSION", 99)
+        assert reports[0].to_dict()["version"] == 99
+        assert [r.fingerprint() for r in reports] == before
+        assert RunReport(kind="serve", label="y").fingerprint() != before[0]
+
     def test_write_chrome_trace_from_report(self, tmp_path):
         result = _small_schedule()
         report = result.run_report()
@@ -335,6 +362,34 @@ class TestTraceCli:
         report_path = tmp_path / "empty.report.json"
         RunReport(kind="serve").save(str(report_path))
         assert main(["trace", str(report_path)]) == 1
+
+    def test_trace_summary_prints_a_train_reports_op_profile(self, tmp_path, capsys):
+        # A train report has no phases or spans: --summary prints its
+        # per-phase crypto-op table (real Paillier, two trees).
+        from repro.cli import main
+
+        report_path = tmp_path / "run.report.json"
+        assert main(["train", "--crypto-mode", "real", "--trees", "2",
+                     "--report-out", str(report_path)]) == 0
+        profile = RunReport.load(str(report_path)).profile
+        capsys.readouterr()
+        assert main(["trace", str(report_path), "--summary"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        title = out.index("train run 'cli-train' crypto ops per phase:")
+        header = [cell.strip() for cell in out[title + 1].split("|")]
+        assert header == ["phase", *profile["ops"]]
+        rows = {
+            cells[0]: [int(cell) for cell in cells[1:]]
+            for cells in (
+                [cell.strip() for cell in line.split("|")]
+                for line in out[title + 3:]
+            )
+        }
+        assert set(rows) == {"GradEnc", "Histogram", "Split", "Leaf", "total"}
+        for phase, counts in profile["phases"].items():
+            assert rows[phase] == list(counts.values())
+        assert rows["total"] == list(profile["ops"].values())
+        assert rows["GradEnc"][header.index("encryptions") - 1] > 0
 
 
 class TestPhaseTable:

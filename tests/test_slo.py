@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.obs.events import EventLog
+from repro.obs.report import RunReport
 from repro.serve.slo import SLOPolicy, SLOWatcher
 
 
@@ -219,19 +220,18 @@ class TestEvents:
         assert records(watcher)[0]["scenario"] == "degraded"
         assert watcher.event_log.events()[0].labels == {"scenario": "degraded"}
 
-    def test_event_lines_and_jsonl(self, tmp_path):
+    def test_event_records_saved_in_a_report(self, tmp_path):
         watcher = SLOWatcher()
         watcher.on_timeout(party=0, batch_id=1, attempt=0, now=0.5)
         watcher.on_completion(ok_outcome(2), now=1.0)
-        path = tmp_path / "events.jsonl"
-        # completions emit no event
-        assert watcher.event_log.write_jsonl(path) == 1
-        lines = path.read_text().splitlines()
-        assert lines == watcher.event_log.lines()
-        assert [json.loads(line)["kind"] for line in lines] == ["timeout"]
-        assert "event" not in json.loads(lines[0])
+        path = tmp_path / "serve.report.json"
+        RunReport(kind="serve", events=watcher.event_log.to_dicts()).save(str(path))
+        text = path.read_text()
+        (record,) = json.loads(text)["events"]  # completions emit no event
+        assert record["kind"] == "timeout"
+        assert "event" not in record
         # Keys are sorted for stable diffs.
-        assert lines[0].index('"batch_id"') < lines[0].index('"party"')
+        assert text.index('"batch_id"') < text.index('"party"')
 
     def test_summary_counts_events(self):
         watcher = SLOWatcher(SLOPolicy(burn_alert=1e9))
@@ -265,26 +265,26 @@ class TestServeBenchIntegration:
     @pytest.fixture(scope="class")
     def smoke(self, serve_smoke):
         report = json.loads(serve_smoke.out.read_text())
-        return report, serve_smoke.events, serve_smoke.report
+        return report, serve_smoke.report
 
     def test_slo_summaries_in_report(self, smoke):
-        report, _, _ = smoke
+        report, _ = smoke
         assert report["slo"]["completions"] > 0
         degraded = report["degraded_scenario"]["slo"]
         assert degraded["events"].get("timeout", 0) > 0
         assert degraded["events"].get("degraded_route", 0) > 0
 
     def test_runtime_feeds_shared_registry(self, smoke):
-        # The saved RunReport snapshots the shared obs registry: the
-        # runtime's counters, and no mirror of what the event log or the
-        # channel ledger already records (the watchers publish nothing).
-        report, _, report_path = smoke
+        # The saved RunReport snapshots the batched runtime's registry:
+        # its counters and histograms, and no mirror of what the event
+        # log or the channel ledger already records.
+        report, report_path = smoke
         data = json.loads(report_path.read_text())
         counters = data["metrics"]["counters"]
         assert counters["serve.requests"] > 0
         assert all(key.startswith("serve.") for key in counters)
         assert not any(key.startswith("serve.slo.") for key in counters)
-        assert data["metrics"]["gauges"] == {}
+        assert set(data["metrics"]) == {"counters", "histograms"}
         assert (
             data["channels"]["total_bytes"]
             == report["batched"]["snapshot"]["wire_bytes"]
@@ -300,7 +300,7 @@ class TestServeBenchIntegration:
         # The degraded watcher's burn-alert episode is recorded once, in
         # the event log, and counted in its summary; no other alert
         # record exists.
-        report, _, report_path = smoke
+        report, report_path = smoke
         data = json.loads(report_path.read_text())
         degraded = report["degraded_scenario"]["slo"]
         assert degraded["alerts"] == degraded["events"]["burn_alert_start"] >= 1
@@ -314,14 +314,12 @@ class TestServeBenchIntegration:
         assert "alerts" not in report and "alerts" not in data
         assert not any(e["subsystem"] == "obs.alerts" for e in data["events"])
 
-    def test_report_references_events_artifact(self, smoke):
-        _, events, report_path = smoke
+    def test_report_events_carry_scenario_labels(self, smoke):
+        # The report holds the bench's whole event log; nothing else
+        # is written beside it.
+        report, report_path = smoke
         data = json.loads(report_path.read_text())
-        assert data["artifacts"] == {"events": str(events)}
-
-    def test_events_jsonl_written_with_scenario_labels(self, smoke):
-        report, events, _ = smoke
-        lines = [json.loads(line) for line in events.read_text().splitlines()]
-        assert len(lines) == report["events_written"]
-        scenarios = {line["scenario"] for line in lines}
+        assert "artifacts" not in data
+        assert len(data["events"]) == report["event_log"]["size"]
+        scenarios = {record["scenario"] for record in data["events"]}
         assert "degraded" in scenarios
