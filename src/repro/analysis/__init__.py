@@ -1,21 +1,20 @@
-"""Static analysis of the reproduction: determinism and schedules.
+"""Static analysis of the reproduction: determinism.
 
-Two passes enforce the repo's cross-cutting invariants on every
-commit (``python -m repro.analysis --strict``; a tier-1 pytest wrapper
-runs the same gate):
+One AST pass enforces the repo's cross-cutting determinism invariant on
+every commit (``python -m repro.analysis --strict``; a tier-1 pytest
+wrapper runs the same gate): :mod:`repro.analysis.determinism` flags
+wall clock, unseeded RNG and set-order hazards in simulation-reachable
+modules (``DET*``), over one parsed
+:class:`~repro.analysis.astutils.PackageIndex` per root.  The pass
+reads parsed source and imports no scheduler.
 
-* :mod:`repro.analysis.determinism` — wall clock, unseeded RNG and
-  set-order hazards in simulation-reachable modules (``DET*``), over
-  one parsed :class:`~repro.analysis.astutils.PackageIndex` per root;
-* :mod:`repro.analysis.races` — happens-before race detection over the
-  declared task footprints of the task graphs emitted by
-  :class:`~repro.core.protocol.ProtocolScheduler` (``SCH101-103``).
-
-A graph's structure is not an analyzer rule: the engine that builds it
+A schedule is not an analyzer input: the engine that builds it
 (:class:`~repro.fed.simtime.SimEngine`) refuses a dependency that is not
-one of its own earlier tasks and starts each task after its
-dependencies and its lane, and :class:`~repro.fed.simtime.FaultyEngine`
-starts none inside a pause window.
+one of its own earlier tasks and a task whose declared reads or writes
+are not ordered after the conflicting accesses before it, and starts
+each task after its dependencies and its lane;
+:class:`~repro.fed.simtime.FaultyEngine` starts none inside a pause
+window.
 
 Findings share one reporting layer (:mod:`repro.analysis.findings`)
 with ``# repro: allow[RULE]`` inline suppressions and an unused-

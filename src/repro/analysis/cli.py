@@ -10,14 +10,11 @@ Usage::
 
 The determinism pass (DET) reads one
 :class:`~repro.analysis.astutils.PackageIndex` per scanned root (the
-tree is parsed exactly once); the race pass (SCH) builds the
-scheduler's own task graphs and checks their declared footprints, and
-the suppression audit (SUP001) runs last.  A graph's structure — no
-cycle, no dangling edge, no lane double-booking, no start before a
-dependency ends or inside a pause window — is held by
-:class:`~repro.fed.simtime.SimEngine` as it builds the graph, so no
-pass re-checks it.  Files that fail to parse become ``SYN001``
-findings instead of aborting the run.
+tree is parsed exactly once) and the suppression audit (SUP001) runs
+last; every pass reads parsed source only.  A schedule is no
+analyzer input: :class:`~repro.fed.simtime.SimEngine`
+refuses a malformed or racy task as it builds the graph.  Files that
+fail to parse become ``SYN001`` findings instead of aborting the run.
 
 The default invocation scans the installed ``repro`` package *plus* the
 repo's ``benchmarks/`` and ``examples/`` trees when they are present;
@@ -33,7 +30,7 @@ import sys
 import time
 from pathlib import Path
 
-from repro.analysis import determinism, races
+from repro.analysis import determinism
 from repro.analysis.astutils import PackageIndex
 from repro.analysis.findings import Finding, Reporter, Severity, audit_suppressions
 
@@ -41,8 +38,6 @@ __all__ = ["main", "run_analysis", "RULE_FAMILIES"]
 
 RULE_FAMILIES = {
     "DET": "determinism (wall clock, unseeded RNG, set-iteration order)",
-    "SCH": "schedule graphs (SCH101-103 happens-before races over declared "
-    "footprints; the engine holds each graph's structure as it builds it)",
     "SUP": "suppression audit (SUP001 unused '# repro: allow[...]' comments)",
     "SYN": "syntax (SYN001 files the scanner could not parse)",
 }
@@ -80,25 +75,9 @@ def _syntax_findings(index: PackageIndex) -> Reporter:
     return reporter
 
 
-def _self_check_schedules(timings: dict[str, float]) -> Reporter:
-    """Race detection over the scheduler's self-check graphs."""
-    reporter = Reporter()
-    t_races = 0.0
-    t0 = time.perf_counter()
-    for label, _plan, graph in races.iter_self_check_graphs():
-        t1 = time.perf_counter()
-        for finding in races.detect_races(graph, label):
-            reporter.emit(finding)
-        t_races += time.perf_counter() - t1
-    timings["schedule:build"] = time.perf_counter() - t0 - t_races
-    timings["schedule:races"] = t_races
-    return reporter
-
-
 def run_analysis(
     root: Path | None = None,
     package: str = "repro",
-    with_schedule: bool = True,
     rules: set[str] | None = None,
     timings: dict[str, float] | None = None,
 ) -> Reporter:
@@ -109,7 +88,6 @@ def run_analysis(
             ``repro`` package plus the repo's ``benchmarks/`` and
             ``examples/`` trees.
         package: dotted package name of ``root``.
-        with_schedule: run the (non-static) schedule self checks.
         rules: keep only these rule ids in the final findings.
         timings: optional dict filled with per-pass wall seconds.
     """
@@ -143,9 +121,6 @@ def run_analysis(
             timed(f"{prefix}:determinism", determinism.run, index, scope=det_scope)
         )
 
-    if with_schedule:
-        merged.extend(_self_check_schedules(timings))
-
     merged.extend(timed("suppression-audit", audit_suppressions, all_modules, merged))
 
     if rules:
@@ -172,8 +147,7 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point. Returns a process exit code."""
     parser = argparse.ArgumentParser(
         prog="repro.analysis",
-        description="Static determinism/schedule analysis "
-        "of the VF2Boost reproduction.",
+        description="Static determinism analysis of the VF2Boost reproduction.",
     )
     parser.add_argument(
         "--root",
@@ -204,11 +178,6 @@ def main(argv: list[str] | None = None) -> int:
         help="comma-separated rule ids to report (default: all)",
     )
     parser.add_argument(
-        "--no-schedule",
-        action="store_true",
-        help="skip the (non-static) schedule-graph self check",
-    )
-    parser.add_argument(
         "--verbose",
         action="store_true",
         help="print per-pass wall time to stderr",
@@ -236,7 +205,6 @@ def main(argv: list[str] | None = None) -> int:
     reporter = run_analysis(
         root=args.root,
         package=args.package,
-        with_schedule=not args.no_schedule,
         rules=rules,
         timings=timings,
     )

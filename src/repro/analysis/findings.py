@@ -66,11 +66,10 @@ class Finding:
 
     Attributes:
         rule_id: stable identifier, e.g. ``DET001`` (determinism),
-            ``SCH101`` (schedule race).
+            ``SUP001`` (unused suppression).
         severity: one of :class:`Severity`'s constants.
-        file: path of the offending file, repo-relative when possible;
-            schedule-graph findings use a logical ``<schedule:...>`` name.
-        line: 1-based line number (0 for whole-file / graph findings).
+        file: path of the offending file, repo-relative when possible.
+        line: 1-based line number (0 for whole-file findings).
         message: human-readable description of the defect.
         checker: name of the checker that produced the finding.
     """

@@ -113,7 +113,11 @@ def _trace_main(argv: list[str]) -> int:
     )
     args = parser.parse_args(argv)
 
-    report = RunReport.load(args.report)
+    try:
+        report = RunReport.load(args.report)
+    except (OSError, ValueError) as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
     if args.summary:
         phases = report.phases
         tracer = Tracer()
@@ -169,7 +173,7 @@ def _trace_main(argv: list[str]) -> int:
         out = f"{stem}.trace.json"
     try:
         n_spans = report.write_chrome_trace(out)
-    except ValueError as error:
+    except (OSError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
     print(f"wrote {out} ({n_spans} spans; open at https://ui.perfetto.dev)")
@@ -546,7 +550,7 @@ def _plan_from_args(args) -> "object | None":
 def _train_main(argv: list[str]) -> int:
     """``repro train``: fault-tolerant federated training on synthetic data."""
     from repro.core.config import VF2BoostConfig
-    from repro.core.serialization import save_model
+    from repro.core.serialization import ModelFormatError, save_model
     from repro.core.trainer import FederatedTrainer
     from repro.fed.retry import RetryPolicy
 
@@ -618,14 +622,18 @@ def _train_main(argv: list[str]) -> int:
     )
     plan = _plan_from_args(args)
     trainer = FederatedTrainer(config, incident_dir=args.incident_dir)
-    result = trainer.fit_resilient(
-        parties,
-        labels,
-        fault_plan=plan,
-        retry_policy=RetryPolicy(max_retries=args.max_retries),
-        resume_from=args.resume_from,
-        checkpoint_dir=args.checkpoint_dir,
-    )
+    try:
+        result = trainer.fit_resilient(
+            parties,
+            labels,
+            fault_plan=plan,
+            retry_policy=RetryPolicy(max_retries=args.max_retries),
+            resume_from=args.resume_from,
+            checkpoint_dir=args.checkpoint_dir,
+        )
+    except (OSError, ModelFormatError) as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
     print(
         f"trained {len(result.model.trees)} trees "
         f"(final train loss {result.history[-1].train_loss:.4f})"

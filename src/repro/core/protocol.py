@@ -74,9 +74,7 @@ class ScheduleResult:
         bytes_per_tree: average public-network bytes per tree.
         gantt: ASCII Gantt chart of the first tree (diagnostics).
         task_graphs: per-tree task lists (dependency edges included),
-            populated only when scheduling with ``collect_tasks=True``;
-            the input of the race detector in
-            :mod:`repro.analysis.races`.
+            populated only when scheduling with ``collect_tasks=True``.
     """
 
     makespan: float
@@ -334,8 +332,9 @@ class ProtocolScheduler:
     # ------------------------------------------------------------------
     #
     # Every task that does work declares, where it is submitted, the
-    # shared state it reads and writes for the race detector
-    # (`repro.analysis.races`), as abstract location strings:
+    # shared state it reads and writes, as abstract location strings;
+    # `SimEngine.submit` refuses a task whose access is not ordered
+    # after a conflicting earlier one:
     #
     #   B.grad            Party B's plaintext gradient/label statistics
     #   B.gh#b{b}         encrypted <g,h> batch b, staged at B's gateway

@@ -14,7 +14,21 @@ That start rule is what makes every schedule well-formed: a dependency
 must be a task this engine already placed (:meth:`SimEngine.submit`
 refuses any other), so the dependency graph has no cycle and no
 dangling edge, no task starts before a dependency ends, and no two
-tasks overlap on one lane.  No validator re-checks a graph afterwards.
+tasks overlap on one lane.
+
+Every schedule is race-free as well.  A task declares the shared state
+it touches (histogram buffers, channel sequence counters, placement
+bitmaps) as ``reads`` / ``writes`` location sets, and
+:meth:`SimEngine.submit` refuses a task whose write is not ordered
+after the location's earlier writes and reads, or whose read is not
+ordered after its earlier writes.  *Ordered* means a happens-before
+path, whose edges are the declared dependencies and the FIFO order of
+one ``(resource, lane)`` (a lane runs its tasks serially in submission
+order).  The paper's pipelining (§4) is exactly the freedom to run
+histogram sub-tasks concurrently across lanes; a refactor that drops a
+dependency edge fails at the submit that loses the ordering instead of
+producing a plausible makespan.  No validator re-checks a graph
+afterwards.
 
 Submitting tasks in program order — which the protocol schedulers in
 :mod:`repro.core.protocol` naturally do — yields the same makespan a
@@ -60,7 +74,7 @@ class SimTask:
             :meth:`SimEngine.submit` enforces, and this task starts no
             earlier than each of them ends.
         reads: shared-state locations the task reads, declared at
-            submit; the race detector (:mod:`repro.analysis.races`) input.
+            submit and ordered there against the location's writes.
         writes: locations the task writes; ``None`` in both fields means
             the task declared no footprint.
     """
@@ -131,6 +145,14 @@ class SimEngine:
     def __init__(self) -> None:
         self.resources: dict[str, Resource] = {}
         self.tasks: list[SimTask] = []
+        # Happens-before state of the race guard: each task's ancestors
+        # as a bitmask (bit i = task i, itself included), the last task
+        # of each (resource, lane), and per location the last writer and
+        # the readers since it.
+        self._ancestors: list[int] = []
+        self._lane_last: dict[tuple[str, int], int] = {}
+        self._last_write: dict[str, int] = {}
+        self._reads_since: dict[str, list[int]] = {}
 
     def add_resource(self, name: str, lanes: int = 1) -> Resource:
         """Register a resource; re-registering an existing name fails."""
@@ -170,8 +192,13 @@ class SimEngine:
                 ``None`` for a task that declares no footprint.
 
         Raises:
-            ValueError: ``duration`` is negative, or a dependency is not
-                a task of this engine.
+            ValueError: ``duration`` is negative, a dependency is not a
+                task of this engine, or the task writes a location
+                without a happens-before path from its last writer and
+                the readers since, or reads one without a path from its
+                last writer.  Each earlier write is ordered before the
+                last, so a refused task is exactly one that would form
+                an unordered conflicting pair.
         """
         if duration < 0:
             raise ValueError("duration must be non-negative")
@@ -183,11 +210,29 @@ class SimEngine:
                 )
         duration = self._adjust_duration(resource_name, duration)
         resource = self.resource(resource_name)
-        ready = 0.0
+        task_id = len(self.tasks)
+        ready, ancestors = 0.0, 1 << task_id
         for dep in deps or ():
             if dep.end > ready:
                 ready = dep.end
+            ancestors |= self._ancestors[dep.task_id]
         lane = resource.earliest_lane()
+        lane_prev = self._lane_last.get((resource_name, lane))
+        if lane_prev is not None:
+            ancestors |= self._ancestors[lane_prev]
+        reads = None if reads is None else frozenset(reads)
+        writes = None if writes is None else frozenset(writes)
+        race = self._unordered_access(ancestors, reads, writes)
+        if race is not None:
+            kind, loc, other = race
+            prior = self.tasks[other]
+            raise ValueError(
+                f"unordered {kind} on {loc!r}: task {task_id} "
+                f"({name or phase!r} on {resource_name}) has no "
+                f"happens-before path from task {other} "
+                f"({prior.name!r} on {prior.resource})"
+            )
+
         start = max(ready, resource.free_at(lane))
         start = max(start, self._adjust_start(resource_name, start))
         end = resource.reserve(lane, start, duration)
@@ -198,13 +243,39 @@ class SimEngine:
             lane=lane,
             start=start,
             end=end,
-            task_id=len(self.tasks),
+            task_id=task_id,
             deps=tuple(dep.task_id for dep in deps or ()),
-            reads=None if reads is None else frozenset(reads),
-            writes=None if writes is None else frozenset(writes),
+            reads=reads,
+            writes=writes,
         )
         self.tasks.append(task)
+        self._ancestors.append(ancestors)
+        self._lane_last[(resource_name, lane)] = task_id
+        for loc in writes or ():
+            self._last_write[loc] = task_id
+            self._reads_since[loc] = []
+        for loc in reads or ():
+            self._reads_since.setdefault(loc, []).append(task_id)
         return task
+
+    def _unordered_access(
+        self, ancestors: int, reads: frozenset | None, writes: frozenset | None
+    ) -> tuple[str, str, int] | None:
+        """``(kind, location, task id)`` of the first earlier access a
+        task with these ancestors and footprint is not ordered after,
+        or ``None``."""
+        for loc in sorted(writes or ()):
+            writer = self._last_write.get(loc)
+            if writer is not None and not ancestors >> writer & 1:
+                return "write/write", loc, writer
+            for reader in self._reads_since.get(loc, ()):
+                if not ancestors >> reader & 1:
+                    return "read/write", loc, reader
+        for loc in sorted(reads or ()):
+            writer = self._last_write.get(loc)
+            if writer is not None and not ancestors >> writer & 1:
+                return "read/write", loc, writer
+        return None
 
     # Perturbation hooks — no-ops here; FaultyEngine (below)
     # overrides them to model stragglers and party pause windows.
@@ -278,7 +349,7 @@ class FaultyEngine(SimEngine):
     :meth:`_adjust_start` iterates to a fixed point, so no task —
     zero-length anchors included — starts inside one of its party's
     windows; both perturbations only move a start or end later, so
-    the base engine's dependency and lane guarantees still hold.
+    the base engine's dependency, lane and race guarantees still hold.
     """
 
     def __init__(self, plan: FaultPlan) -> None:

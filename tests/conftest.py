@@ -65,6 +65,52 @@ def repo_reporter(strict_run):
 
 
 @pytest.fixture(scope="session")
+def schedule_graphs():
+    """``(label, fault_plan, task_graph)`` for one tree of every protocol
+    variant, fault-free and under a straggler lane plus a pause window.
+
+    :class:`~repro.fed.simtime.SimEngine` builds each graph and refuses a
+    racy or malformed task as it is submitted, so building these is the
+    scheduler's race check; the tests read the graphs for the rest.
+    """
+    from repro.bench.costmodel import CostModel
+    from repro.core.profile import analytic_trace
+    from repro.core.protocol import ProtocolScheduler
+    from repro.fed.cluster import ClusterSpec
+    from repro.fed.faults import FaultPlan, LaneSlowdown, PauseWindow
+
+    trace = analytic_trace(
+        n_instances=4096,
+        features_active=16,
+        features_passive=[16, 8],
+        density=0.5,
+        n_bins=16,
+        n_layers=4,
+    )
+    paper = CostModel.paper()
+    variants = {
+        "vf2boost": (VF2BoostConfig.vf2boost(), paper),
+        "vf_gbdt": (VF2BoostConfig.vf_gbdt(), paper),
+        "vf_mock": (VF2BoostConfig.vf_gbdt(), paper.mocked()),
+    }
+    fault_plans = {
+        "": None,
+        "+faults": FaultPlan(
+            seed=17,
+            slowdowns=(LaneSlowdown("A1", 2.5),),
+            pauses=(PauseWindow(party=1, start=0.5, end=1.5),),
+        ),
+    }
+    graphs = []
+    for label, (config, cost) in variants.items():
+        scheduler = ProtocolScheduler(config, cost, ClusterSpec())
+        for suffix, plan in fault_plans.items():
+            result = scheduler.schedule(trace, collect_tasks=True, fault_plan=plan)
+            graphs.append((f"{label}{suffix}", plan, result.task_graphs[0]))
+    return graphs
+
+
+@pytest.fixture(scope="session")
 def serve_smoke(tmp_path_factory):
     """One ``python -m repro.serve.bench --smoke`` run, shared by every test.
 

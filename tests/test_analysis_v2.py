@@ -1,12 +1,13 @@
-"""Tests for the Analyzer v2 passes: schedule races (SCH10x), the
-suppression audit (SUP001), and analyzer edge inputs.
+"""Tests for the schedule race guard of ``SimEngine.submit``, the
+analyzer's suppression audit (SUP001), and analyzer edge inputs.
 """
 
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.analysis import races
 from repro.analysis.astutils import PackageIndex
 from repro.analysis.cli import main, run_analysis
 from repro.analysis.findings import (
@@ -16,7 +17,8 @@ from repro.analysis.findings import (
     audit_suppressions,
     parse_comment_suppressions,
 )
-from repro.fed.simtime import SimTask
+from repro.fed.faults import FaultPlan, LaneSlowdown, PauseWindow
+from repro.fed.simtime import FaultyEngine, SimEngine, SimTask
 
 FIXTURES = Path(__file__).parent / "analysis_fixtures"
 
@@ -30,42 +32,16 @@ def _write_pkg(tmp_path, files):
     return pkg
 
 
-def _task(
-    task_id,
-    deps=(),
-    resource="A0",
-    lane=0,
-    start=0.0,
-    end=1.0,
-    name=None,
-    reads=None,
-    writes=None,
-):
-    return SimTask(
-        name=name or f"t{task_id}",
-        phase="Test",
-        resource=resource,
-        lane=lane,
-        start=start,
-        end=end,
-        task_id=task_id,
-        deps=tuple(deps),
-        reads=None if reads is None else frozenset(reads),
-        writes=None if writes is None else frozenset(writes),
-    )
-
-
-def _variant_graphs():
-    """Self-check graphs plus the protocol variants they do not cover."""
-    from repro.analysis.races import iter_self_check_graphs
+def _variant_graphs(schedule_graphs):
+    """``(label, fault_plan, task_graph)``: the shared schedule graphs plus
+    the protocol variants and cluster shapes they do not cover."""
     from repro.bench.costmodel import CostModel
     from repro.core.config import VF2BoostConfig
     from repro.core.profile import analytic_trace
     from repro.core.protocol import ProtocolScheduler
     from repro.fed.cluster import ClusterSpec
 
-    for label, _plan, graph in iter_self_check_graphs(n_trees=1):
-        yield label, graph
+    graphs = list(schedule_graphs)
     trace = analytic_trace(4096, 16, [16, 8, 8], 0.5, 16, 4)
     variants = {
         "incremental-redo": VF2BoostConfig.vf2boost(incremental_dirty_redo=True),
@@ -75,79 +51,197 @@ def _variant_graphs():
     for label, config in variants.items():
         scheduler = ProtocolScheduler(config, CostModel.paper(), ClusterSpec(n_workers=4))
         result = scheduler.schedule(trace, collect_tasks=True)
-        yield label, result.task_graphs[0]
+        graphs.append((label, None, result.task_graphs[0]))
+    # Table 5's widest cluster, and Table 6's three passive parties
+    # with the last one straggling and paused.
+    table5 = ProtocolScheduler(
+        VF2BoostConfig.vf2boost(), CostModel.paper(), ClusterSpec(n_workers=16)
+    )
+    graphs.append(("16-workers", None, table5.schedule(trace, collect_tasks=True).task_graphs[0]))
+    plan = FaultPlan(
+        seed=5,
+        slowdowns=(LaneSlowdown("A3", 2.0),),
+        pauses=(PauseWindow(party=3, start=0.2, end=0.9),),
+    )
+    parties = ProtocolScheduler(VF2BoostConfig.vf2boost(), CostModel.paper(), ClusterSpec())
+    result = parties.schedule(trace, collect_tasks=True, fault_plan=plan)
+    graphs.append(("3-passive+faults", plan, result.task_graphs[0]))
+    return graphs
+
+
+def _unordered_partners(tasks, new):
+    """Ids of the ``tasks`` that conflict with ``new`` (a write against
+    its read or write, or a read against its write) and have no
+    happens-before path to it: a depth-first walk over dependency and
+    same-``(resource, lane)`` FIFO edges, with none of the engine's
+    bookkeeping."""
+    preds, lane_last = {}, {}
+    for task in [*tasks, new]:
+        lane = (task.resource, task.lane)
+        preds[task.task_id] = [*task.deps, *([lane_last[lane]] if lane in lane_last else [])]
+        lane_last[lane] = task.task_id
+    ancestors, stack = set(), [new.task_id]
+    while stack:
+        task_id = stack.pop()
+        if task_id not in ancestors:
+            ancestors.add(task_id)
+            stack.extend(preds[task_id])
+    new_reads, new_writes = new.reads or set(), new.writes or set()
+    return [
+        task.task_id
+        for task in tasks
+        if task.task_id not in ancestors
+        and (
+            (task.writes or set()) & (new_reads | new_writes)
+            or (task.reads or set()) & new_writes
+        )
+    ]
+
+
+_LOCATIONS = ("x", "y", "z", "w")
+_FOOTPRINT = st.none() | st.frozensets(st.sampled_from(_LOCATIONS))
+_GUARD_RESOURCES = ("B", "A1", "wan.out")
 
 
 class TestRaceDetector:
+    """``SimEngine.submit`` refuses a task whose declared access is not
+    ordered after a conflicting earlier one."""
+
     def test_dependency_orders_tasks(self):
-        tasks = [
-            _task(0, lane=0, reads=(), writes={"x"}),
-            _task(1, deps=(0,), lane=1, start=1.0, end=2.0, reads={"x"}, writes=()),
-        ]
-        assert races.detect_races(tasks) == []
+        engine = SimEngine()
+        engine.add_resource("A0", lanes=2)
+        write = engine.submit("A0", 1.0, name="w", reads=(), writes={"x"})
+        read = engine.submit("A0", 1.0, deps=[write], name="r", reads={"x"}, writes=())
+        assert read.lane != write.lane
+        assert read.start == write.end
 
     def test_lane_fifo_orders_tasks(self):
         # Same (resource, lane): submission order is execution order.
-        tasks = [
-            _task(0, lane=0, reads=(), writes={"x"}),
-            _task(1, lane=0, start=1.0, end=2.0, reads=(), writes={"x"}),
-        ]
-        assert races.detect_races(tasks) == []
+        engine = SimEngine()
+        first = engine.submit("A0", 1.0, reads=(), writes={"x"})
+        second = engine.submit("A0", 1.0, reads=(), writes={"x"})
+        assert (second.resource, second.lane) == (first.resource, first.lane)
 
     def test_unordered_write_write_fires(self):
-        tasks = [
-            _task(0, lane=0, reads=(), writes={"x"}),
-            _task(1, lane=1, reads=(), writes={"x"}),
-        ]
-        found = races.detect_races(tasks)
-        assert [f.rule_id for f in found] == ["SCH101"]
+        engine = SimEngine()
+        engine.add_resource("A0", lanes=2)
+        engine.submit("A0", 1.0, name="first", reads=(), writes={"x"})
+        with pytest.raises(
+            ValueError,
+            match=r"unordered write/write on 'x': task 1 \('second' on A0\).*"
+            r"task 0 \('first' on A0\)",
+        ):
+            engine.submit("A0", 1.0, name="second", reads=(), writes={"x"})
+        assert len(engine.tasks) == 1
 
     def test_unordered_read_write_fires(self):
-        tasks = [
-            _task(0, lane=0, reads=(), writes={"x"}),
-            _task(1, lane=1, reads={"x"}, writes=()),
-        ]
-        found = races.detect_races(tasks)
-        assert [f.rule_id for f in found] == ["SCH102"]
+        # A read not ordered after the last write, and a write not
+        # ordered after a read since that write.
+        engine = SimEngine()
+        engine.add_resource("A0", lanes=3)
+        write = engine.submit("A0", 1.0, name="w", reads=(), writes={"x"})
+        with pytest.raises(ValueError, match=r"unordered read/write on 'x'.*'w'"):
+            engine.submit("A0", 1.0, name="r", reads={"x"}, writes=())
+        engine.submit("A0", 1.0, deps=[write], name="r", reads={"x"}, writes=())
+        with pytest.raises(ValueError, match=r"unordered read/write on 'x'.*'r'"):
+            engine.submit("A0", 1.0, deps=[write], name="w2", reads=(), writes={"x"})
 
-    def test_missing_footprint_warns_only_for_real_work(self):
-        tasks = [
-            _task(0, lane=0),  # duration 1.0: warns
-            _task(1, lane=1, start=0.0, end=0.0),  # anchor: silent
-        ]
-        found = races.detect_races(tasks)
-        assert [f.rule_id for f in found] == ["SCH103"]
-        assert found[0].severity == Severity.WARNING
+    def test_real_scheduler_graphs_are_race_free(self, schedule_graphs):
+        # Cross-check the engine's verdict with the brute-force walk.
+        for label, _plan, graph in _variant_graphs(schedule_graphs):
+            for i, task in enumerate(graph):
+                assert _unordered_partners(graph[:i], task) == [], (label, task.name)
 
-    def test_real_scheduler_graphs_are_race_free(self):
-        from repro.analysis.races import iter_self_check_graphs
+    def test_dropped_dependency_is_detected(self, monkeypatch):
+        # Mutation: the scheduler submits its first findA task without
+        # dependencies on a fresh resource, so its read of the landed
+        # passive histogram loses its ordering after the transfer.
+        from repro.bench.costmodel import CostModel
+        from repro.core.config import VF2BoostConfig
+        from repro.core.profile import analytic_trace
+        from repro.core.protocol import ProtocolScheduler
+        from repro.fed.cluster import ClusterSpec
 
-        for label, _plan, graph in iter_self_check_graphs(n_trees=1):
-            assert races.detect_races(graph, label) == []
+        submit = SimEngine.submit
 
-    def test_dropped_dependency_is_detected(self):
-        # Mutation: strip the dependencies off every findA task and move
-        # it to a fresh lane — the read of B.ahist loses its ordering.
-        import dataclasses
+        def mutant(self, resource_name, duration, deps=None, name="", **kwargs):
+            if name.startswith("findA1"):
+                resource_name, deps = "B.mutant", None
+            return submit(self, resource_name, duration, deps=deps, name=name, **kwargs)
 
-        from repro.analysis.races import iter_self_check_graphs
+        monkeypatch.setattr(SimEngine, "submit", mutant)
+        scheduler = ProtocolScheduler(
+            VF2BoostConfig.vf2boost(), CostModel.paper(), ClusterSpec()
+        )
+        trace = analytic_trace(4096, 16, [16, 8], 0.5, 16, 4)
+        with pytest.raises(
+            ValueError, match=r"unordered read/write on 'B\.ahist.*'findA1\.0' on B\.mutant"
+        ):
+            scheduler.schedule(trace, collect_tasks=True)
 
-        label, _plan, graph = next(iter(iter_self_check_graphs(n_trees=1)))
-        broken = [
-            dataclasses.replace(t, deps=(), resource="B.mutant")
-            if t.name.startswith("findA1")
-            else t
-            for t in graph
-        ]
-        rules = {f.rule_id for f in races.detect_races(broken, label)}
-        assert "SCH102" in rules
-
-    def test_every_working_scheduler_task_declares_a_footprint(self):
-        for label, graph in _variant_graphs():
+    def test_every_working_scheduler_task_declares_a_footprint(self, schedule_graphs):
+        for label, _plan, graph in _variant_graphs(schedule_graphs):
             for task in graph:
                 if task.end - task.start > 1e-9:
                     assert task.reads is not None, (label, task.name)
                     assert task.writes is not None, (label, task.name)
+
+    @given(
+        steps=st.lists(
+            st.tuples(
+                st.integers(0, len(_GUARD_RESOURCES) - 1),
+                st.one_of(st.just(0.0), st.floats(0.0, 3.0, allow_nan=False)),
+                st.lists(st.integers(0, 10**6), max_size=3),  # deps, mod the count
+                _FOOTPRINT,  # reads
+                _FOOTPRINT,  # writes
+            ),
+            min_size=1,
+            max_size=25,
+        ),
+        lanes=st.lists(st.integers(1, 3), min_size=3, max_size=3),
+        faulty=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_submit_refuses_exactly_the_unordered_conflicts(self, steps, lanes, faulty):
+        engine = SimEngine()
+        if faulty:
+            engine = FaultyEngine(
+                FaultPlan(
+                    slowdowns=(LaneSlowdown("A1", 2.0),),
+                    pauses=(PauseWindow(party=1, start=0.5, end=2.0),),
+                )
+            )
+        for resource, n_lanes in zip(_GUARD_RESOURCES, lanes):
+            engine.add_resource(resource, lanes=n_lanes)
+        for resource, duration, picks, reads, writes in steps:
+            name = _GUARD_RESOURCES[resource]
+            deps = [engine.tasks[k % len(engine.tasks)] for k in picks if engine.tasks]
+            candidate = SimTask(
+                name="t",
+                phase="p",
+                resource=name,
+                lane=engine.resources[name].earliest_lane(),
+                start=0.0,
+                end=0.0,
+                task_id=len(engine.tasks),
+                deps=tuple(dep.task_id for dep in deps),
+                reads=reads,
+                writes=writes,
+            )
+            racy = _unordered_partners(engine.tasks, candidate)
+
+            def submit():
+                return engine.submit(
+                    name, duration, deps=deps, name="t", phase="p",
+                    reads=reads, writes=writes,
+                )
+
+            if racy:
+                with pytest.raises(ValueError, match="unordered"):
+                    submit()
+                assert len(engine.tasks) == candidate.task_id
+            else:
+                assert submit().lane == candidate.lane
 
     def test_fully_dirty_layer_consumers_read_what_they_waited_for(self):
         # Every node is passive-owned, so every layer is dirty and the
@@ -249,7 +343,7 @@ class TestEdgeInputs:
                 "fed/fine.py": "import time\n\ndef t():\n    return time.time()\n",
             },
         )
-        reporter = run_analysis(root=pkg, package="pkg", with_schedule=False)
+        reporter = run_analysis(root=pkg, package="pkg")
         rules = sorted(f.rule_id for f in reporter.findings)
         # The broken file is reported AND the healthy file still scanned.
         assert "SYN001" in rules
@@ -260,7 +354,7 @@ class TestEdgeInputs:
 
     def test_empty_package_and_empty_module(self, tmp_path):
         pkg = _write_pkg(tmp_path, {"__init__.py": "", "fed/empty.py": ""})
-        reporter = run_analysis(root=pkg, package="pkg", with_schedule=False)
+        reporter = run_analysis(root=pkg, package="pkg")
         assert reporter.findings == []
 
     def test_allow_file_and_line_allow_interplay(self, tmp_path):
@@ -285,7 +379,7 @@ class TestEdgeInputs:
                 )
             },
         )
-        reporter = run_analysis(root=pkg, package="pkg", with_schedule=False)
+        reporter = run_analysis(root=pkg, package="pkg")
         assert [f.rule_id for f in reporter.findings] == ["DET002"]  # only c()
         assert sorted({f.rule_id for f in reporter.suppressed}) == [
             "DET001",
@@ -324,7 +418,6 @@ class TestCliV2:
                 str(FIXTURES / "leakypkg"),
                 "--package",
                 "leakypkg",
-                "--no-schedule",
                 "--verbose",
             ]
         )

@@ -278,6 +278,28 @@ class TestTraceSummary:
         assert cli.main(["trace", str(path), "--summary"]) == 1
         assert "nothing to summarize" in capsys.readouterr().err
 
+    def test_unreadable_report_prints_an_error_line(self, tmp_path, capsys):
+        invalid = tmp_path / "invalid.json"
+        invalid.write_text("not json")
+        future = tmp_path / "future.json"
+        future.write_text('{"kind": "serve", "version": 99}')
+        for path, argv in (
+            (tmp_path / "missing.json", []),
+            (invalid, []),
+            (future, ["--summary"]),
+        ):
+            assert cli.main(["trace", str(path), *argv]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and str(path.name) in err
+            assert "Traceback" not in err
+
+    def test_unwritable_trace_path_prints_an_error_line(self, tmp_path, capsys):
+        path = tmp_path / "run.report.json"
+        sample_report().save(str(path))
+        out = tmp_path / "missing-dir" / "t.json"
+        assert cli.main(["trace", str(path), "-o", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestCounterTracks:
     def test_counter_events_emitted(self, tmp_path):

@@ -239,10 +239,7 @@ class TestInvariants:
             engine.submit(_RESOURCES[resource], duration, deps=deps, phase="p")
         assert_well_formed(engine.tasks, plan)
 
-    def test_self_check_graphs_are_well_formed(self):
-        from repro.analysis.races import iter_self_check_graphs
-
-        graphs = list(iter_self_check_graphs(n_trees=1))
-        assert any(plan is not None for _label, plan, _graph in graphs)
-        for _label, plan, graph in graphs:
+    def test_self_check_graphs_are_well_formed(self, schedule_graphs):
+        assert any(plan is not None for _label, plan, _graph in schedule_graphs)
+        for _label, plan, graph in schedule_graphs:
             assert_well_formed(graph, plan)

@@ -37,7 +37,7 @@ EXPECTED_RULES = [
 
 @pytest.fixture(scope="module")
 def fixture_reporter():
-    return run_analysis(root=FIXTURES, package="leakypkg", with_schedule=False)
+    return run_analysis(root=FIXTURES, package="leakypkg")
 
 
 class TestRulesFire:
@@ -60,7 +60,6 @@ class TestRulesFire:
                 "--package",
                 "leakypkg",
                 "--strict",
-                "--no-schedule",
             ]
         )
         assert rc == 1
@@ -83,7 +82,7 @@ class TestSuppressions:
             lines = target.read_text().splitlines()
             lines[finding.line - 1] += f"  # repro: allow[{rule_id}]"
             target.write_text("\n".join(lines) + "\n")
-        reporter = run_analysis(root=copy_root, package="leakypkg", with_schedule=False)
+        reporter = run_analysis(root=copy_root, package="leakypkg")
         assert not [f for f in reporter.findings if f.rule_id == rule_id]
         assert [f for f in reporter.suppressed if f.rule_id == rule_id]
 
